@@ -187,3 +187,250 @@ fn pipeline_on_and_off_hash_identically() {
     // And the golden table's committed digest is the pipelined one.
     assert_eq!(on.0, 0x34300d2f73672d92, "dmt_server golden moved");
 }
+
+// ---------------------------------------------------------------------
+// Virtual-time pins.
+//
+// The schedule digests above hash logical clocks, not virtual time: a
+// change that swaps "commit" and "depart" inside one primitive keeps every
+// digest and silently moves every figure in EXPERIMENTS.md. These rows pin
+// `(virtual_cycles, commit_log_hash, schedule_hash, Breakdown)` per cell
+// (the schedule digest again because the `mixed` program and the
+// round-robin `dmt_server` cells are not in the table above), plus the
+// reference scheduler's `broadcast_wakes` where it is a function of the
+// schedule (BENCH_sched.json's ratios are measured against those counts).
+//
+// Only fixed-publication configurations reproduce virtual time across
+// runs (`determinism_matrix::virtual_time_reproducible_for_fixed_overflow_ic`
+// states the rule), so `consequence-ic` runs with `adaptive_overflow =
+// false`. Every cell runs under both schedulers and with the commit
+// pipeline on and off, and all four must give the pinned tuple.
+// ---------------------------------------------------------------------
+
+use consequence_repro::consequence::{ConsequenceRuntime, Options};
+use consequence_repro::det_clock::SchedKind;
+use consequence_repro::dmt_api::{Breakdown, RunReport, Runtime, RuntimeMemExt, Tid};
+
+/// A field that does not reproduce run to run at the commit the pins
+/// were captured at, and so is not compared:
+///
+/// * `broadcast_wakes` under instruction-count order — publication hints
+///   race with the waiters they would wake;
+/// * `determ_wait` / `barrier_wait` of `dmt_server` — barrier leavers
+///   unpin the installed version outside the token, so *which* thread
+///   pays a `gc_version` charge varies (the total, in `commit`, does
+///   not), and the waits absorb the difference. `virtual_cycles` and the
+///   other five fields were identical over 48 runs per configuration.
+const RACY: u64 = u64::MAX;
+
+/// `(program, runtime label, virtual_cycles, commit_log_hash, schedule_hash,
+/// [chunk, determ_wait, barrier_wait, commit, update, fault, lib],
+/// broadcast_wakes of the reference scheduler)`. Captured at the commit
+/// before the `ctx.rs` decomposition (dfd9067) and not to be edited by
+/// it: a drift here means the refactor moved virtual time.
+#[allow(clippy::type_complexity)]
+#[rustfmt::skip]
+const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7], u64)] = &[
+    ("histogram", "consequence-ic", 6428074, 0x3da44aec825a553b, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780], RACY),
+    ("histogram", "consequence-rr", 4400284, 0x3da44aec825a553b, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040], 52),
+    ("histogram", "dwc", 4403848, 0x3da44aec825a553b, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740], 62),
+    ("kmeans", "consequence-ic", 6199388, 0x664e1e874901131d, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800], RACY),
+    ("kmeans", "consequence-rr", 4464628, 0x664e1e874901131d, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640], 830),
+    ("kmeans", "dwc", 7522088, 0x7d08b91eafb6e969, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140], 1538),
+    ("word_count", "consequence-ic", 3900495, 0xbec1b97cfae97eba, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100], RACY),
+    ("word_count", "consequence-rr", 3146675, 0xbec1b97cfae97eba, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880], 464),
+    ("word_count", "dwc", 4170134, 0xe0ffc2199ae1a0e6, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980], 930),
+    ("string_match", "consequence-ic", 3801542, 0x8317301ba664bae2, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460], RACY),
+    ("string_match", "consequence-rr", 2641252, 0x8317301ba664bae2, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720], 52),
+    ("string_match", "dwc", 2646720, 0x8317301ba664bae2, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420], 62),
+    ("dmt_server", "consequence-ic", 102663980, 0x6669a0b293465df6, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020], RACY),
+    ("dmt_server", "consequence-rr", 112992221, 0x3e341e9cd1d540f2, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940], 49719),
+    ("dmt_server", "dwc", 132807765, 0x6080ab2b13c2d87b, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740], 65496),
+    ("mixed", "consequence-ic", 499332, 0x2a4b8095665dfd40, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420], RACY),
+    ("mixed", "consequence-rr", 426139, 0xeee487cf8e8d5b5a, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420], 97),
+    ("mixed", "dwc", 519376, 0xeee487cf8e8d5b5a, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060], 114),
+];
+
+fn fixed_publication(label: &str) -> Options {
+    match label {
+        "consequence-ic" => Options {
+            adaptive_overflow: false,
+            ..Options::consequence_ic()
+        },
+        "consequence-rr" => Options::consequence_rr(),
+        "dwc" => Options::dwc(),
+        other => panic!("no fixed-publication preset for {other}"),
+    }
+}
+
+/// The golden cells' configuration (`CommonConfig::default()` is 64
+/// threads, default costs, `gc_budget` 4, nothing attached).
+fn vt_cfg(heap_pages: usize) -> CommonConfig {
+    CommonConfig {
+        heap_pages,
+        trace: TraceHandle::to(Arc::new(HashSink::new()) as _),
+        ..CommonConfig::default()
+    }
+}
+
+/// What the golden kernels do not use: rwlock read/write holds with
+/// queued waiters of both kinds, `atomic_fetch_add`, `cond_broadcast`,
+/// a barrier (serial under `dwc`, two-phase otherwise) and a pooled
+/// re-spawn after the first generation of workers has exited.
+fn mixed_program(rt: &mut ConsequenceRuntime) -> RunReport {
+    let m = rt.create_mutex();
+    let c = rt.create_cond();
+    let rw = rt.create_rwlock();
+    let b = rt.create_barrier(3);
+    rt.init_u64(0, 0);
+    let report = rt.run(Box::new(move |ctx| {
+        let kids: Vec<Tid> = (0..3u64)
+            .map(|i| {
+                ctx.spawn(Box::new(move |t| {
+                    t.tick(50 * (i + 1));
+                    // Round 1: the writer gets in first and holds long;
+                    // both readers queue and are granted together.
+                    if i == 0 {
+                        t.rw_write_lock(rw);
+                        t.tick(5_000);
+                        t.st_u64(16, 7);
+                        t.rw_write_unlock(rw);
+                    } else {
+                        t.rw_read_lock(rw);
+                        let seen = t.ld_u64(16);
+                        t.tick(3_000);
+                        t.st_u64(24 + 8 * i as usize, seen);
+                        t.rw_read_unlock(rw);
+                    }
+                    t.atomic_fetch_add_u64(64, i + 1);
+                    t.barrier_wait(b);
+                    // Round 2: a reader holds, the writer queues behind
+                    // it and the second reader queues behind the writer.
+                    match i {
+                        2 => {
+                            t.rw_read_lock(rw);
+                            t.tick(4_000);
+                            t.rw_read_unlock(rw);
+                        }
+                        0 => {
+                            t.tick(500);
+                            t.rw_write_lock(rw);
+                            t.st_u64(16, 9);
+                            t.rw_write_unlock(rw);
+                        }
+                        _ => {
+                            t.tick(1_000);
+                            t.rw_read_lock(rw);
+                            t.tick(200);
+                            t.rw_read_unlock(rw);
+                        }
+                    }
+                    t.mutex_lock(m);
+                    while t.ld_u64(8) == 0 {
+                        t.cond_wait(c, m);
+                    }
+                    t.mutex_unlock(m);
+                    t.atomic_fetch_add_u64(64, 10);
+                }))
+            })
+            .collect();
+        ctx.tick(40_000);
+        ctx.mutex_lock(m);
+        ctx.st_u64(8, 1);
+        ctx.cond_broadcast(c);
+        ctx.mutex_unlock(m);
+        for k in kids {
+            ctx.join(k);
+        }
+        // Second generation: with `thread_pool` this reuses a parked
+        // worker and its workspace.
+        let again = ctx.spawn(Box::new(move |t| {
+            t.tick(300);
+            t.atomic_fetch_add_u64(64, 100);
+        }));
+        ctx.join(again);
+    }));
+    assert_eq!(rt.final_u64(64), 1 + 2 + 3 + 30 + 100);
+    assert_eq!(rt.final_u64(16), 9);
+    report
+}
+
+fn vt_run(program: &str, opts: Options) -> RunReport {
+    if program == "mixed" {
+        return mixed_program(&mut ConsequenceRuntime::new(vt_cfg(16), opts));
+    }
+    let w = workload_by_name(program).unwrap_or_else(|| panic!("unknown workload {program}"));
+    let p = Params::new(THREADS, SCALE, SEED);
+    let mut rt = ConsequenceRuntime::new(vt_cfg(w.heap_pages(&p)), opts);
+    let prepared = w.prepare(&mut rt, &p);
+    let report = rt.run(prepared.job);
+    assert!(
+        (prepared.validate)(&rt).matches_reference,
+        "{program} failed validation"
+    );
+    report
+}
+
+fn bd_fields(b: &Breakdown) -> [u64; 7] {
+    [
+        b.chunk,
+        b.determ_wait,
+        b.barrier_wait,
+        b.commit,
+        b.update,
+        b.fault,
+        b.lib,
+    ]
+}
+
+#[test]
+fn virtual_time_matches_the_committed_pins() {
+    let mut drift = String::new();
+    for &(program, label, v, log, sched_hash, bd, ref_wakes) in GOLDEN_VTIME {
+        for sched in [SchedKind::Fast, SchedKind::Reference] {
+            for pipeline_commit in [true, false] {
+                let r = vt_run(
+                    program,
+                    Options {
+                        sched,
+                        pipeline_commit,
+                        ..fixed_publication(label)
+                    },
+                );
+                // Compare only what the pin states: a `RACY` field, and
+                // the fast scheduler's (absent) broadcasts, take the
+                // pinned value.
+                let mut got_bd = bd_fields(&r.breakdown);
+                for (g, w) in got_bd.iter_mut().zip(bd) {
+                    if w == RACY {
+                        *g = RACY;
+                    }
+                }
+                let wakes = if sched == SchedKind::Reference && ref_wakes != RACY {
+                    r.counters.broadcast_wakes
+                } else {
+                    ref_wakes
+                };
+                let got = (
+                    r.virtual_cycles,
+                    r.commit_log_hash,
+                    r.schedule_hash,
+                    got_bd,
+                    wakes,
+                );
+                if got != (v, log, sched_hash, bd, ref_wakes) {
+                    drift.push_str(&format!(
+                        "    {program} {label} {sched:?} pipeline={pipeline_commit}: \
+                         ({}, {:#018x}, {:#018x}, {:?}, {})\n",
+                        got.0, got.1, got.2, got.3, got.4
+                    ));
+                }
+            }
+        }
+    }
+    assert!(
+        drift.is_empty(),
+        "virtual time drifted from the pins captured before the refactor \
+         (want the GOLDEN_VTIME row, got):\n{drift}"
+    );
+}
