@@ -26,7 +26,8 @@ use std::time::Instant;
 
 use consequence::{ConsequenceRuntime, Options};
 use det_clock::{ClockTable, OrderPolicy, Slots};
-use dmt_api::{CommonConfig, CostModel, HashSink, Runtime, Tid, TraceHandle};
+use dmt_api::trace::{Event, MemorySink};
+use dmt_api::{CommonConfig, CostModel, Runtime, Tid, TraceHandle};
 
 use crate::jsonparse::{self, Value};
 use crate::stats::Summary;
@@ -231,13 +232,16 @@ struct ChurnRun {
 /// Every round is a token acquisition, so grants scale with the grid and
 /// the token hand-off path dominates wall time.
 fn run_churn(threads: usize, locks: usize, iters: u64, opts: Options) -> ChurnRun {
+    // Retains the whole schedule (a few events per grant) so the grant
+    // order itself, not just its hash, can be compared across schedulers.
+    let sink = Arc::new(MemorySink::new(1 << 22));
     let cfg = CommonConfig {
         heap_pages: 4,
         max_threads: threads + 1,
         cost: CostModel::default(),
         track_lrc: false,
         gc_budget: 4,
-        trace: TraceHandle::to(Arc::new(HashSink::new())),
+        trace: TraceHandle::to(sink.clone()),
         perturb: dmt_api::PerturbHandle::off(),
         witness: dmt_api::WitnessHandle::off(),
     };
@@ -246,7 +250,6 @@ fn run_churn(threads: usize, locks: usize, iters: u64, opts: Options) -> ChurnRu
     // hand-off path we want to measure — disable it so every round pays
     // a full release/acquire.
     opts.coarsening = false;
-    opts.record_schedule = true;
     let mut rt = ConsequenceRuntime::new(cfg, opts);
     let ms: Vec<_> = (0..locks).map(|_| rt.create_mutex()).collect();
     let start = Instant::now();
@@ -270,7 +273,15 @@ fn run_churn(threads: usize, locks: usize, iters: u64, opts: Options) -> ChurnRu
         }
     }));
     let wall_ns = start.elapsed().as_nanos() as f64;
-    let schedule = rt.take_schedule();
+    let (events, dropped) = sink.take();
+    assert_eq!(dropped, 0, "ring must hold the whole schedule");
+    let schedule = events
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::TokenAcquire { tid, clock } => Some((tid, clock)),
+            _ => None,
+        })
+        .collect();
     ChurnRun {
         wall_ns,
         grants: report.counters.token_acquisitions,

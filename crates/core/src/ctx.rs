@@ -8,12 +8,30 @@
 //! this by *retaining* the token across operations and deferring the
 //! commit, which is safe precisely because the token holder is the only
 //! thread that can commit: its isolated view stays current.
+//!
+//! That shape is written once, in [`token`]: `acquire_token`, then one of
+//! the consuming ends `commit_and_leave` / `leave_locked` / `end_op` /
+//! `park`, with `wake` for every hand-off to a blocked thread. The
+//! primitives of §4 — [`mutex`], [`cond`], [`barrier`], [`rwlock`],
+//! [`thread`] (spawn / join / exit) — and the containment protocol in
+//! [`abort`] only say what happens to their own state in between. There
+//! is deliberately no `Drop` that releases the token: a thread that dies
+//! mid-section must still hold it when its containment protocol runs.
+//! This file keeps the context itself, the logical clock (`advance`,
+//! `maybe_publish`), memory operations and the trait dispatch.
 
-use std::sync::atomic::Ordering;
+mod abort;
+mod barrier;
+mod cond;
+mod mutex;
+mod rwlock;
+mod thread;
+mod token;
+
 use std::sync::Arc;
 
 use conversion::Workspace;
-use det_clock::{OrderPolicy, OverflowPolicy, SchedKind, ThreadState};
+use det_clock::{OrderPolicy, OverflowPolicy};
 use dmt_api::trace::Event;
 use dmt_api::{
     Addr, BarrierId, Breakdown, CachePadded, CondId, ContainedError, CostModel, Counters, DmtError,
@@ -21,8 +39,7 @@ use dmt_api::{
 };
 
 use crate::coarsen::{CoarsenState, Ewma};
-use crate::lrc::LrcObject;
-use crate::shared::{BarPhase, Inner, Msg, Shared, ThreadSt};
+use crate::shared::{Msg, Shared};
 
 /// Consequence's per-thread execution context.
 pub(crate) struct Ctx {
@@ -121,35 +138,17 @@ impl Ctx {
         }
     }
 
-    /// Whether the fast-path scheduler (lock-free publication slots +
-    /// targeted per-thread parkers) is active. Flips off when the
-    /// watchdog degrades the run to the reference table.
-    #[inline]
-    fn fast_sched(&self) -> bool {
-        self.sh.opts.sched == SchedKind::Fast && !self.sh.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Token-admission predicate. Ordinary runs recompute eligibility
-    /// from published clocks; a replaying run instead asks the recorded
-    /// grant script whether this thread is the scripted next grantee,
-    /// falling back to recomputed eligibility once the script is
-    /// exhausted or abandoned on divergence (so the run always finishes
-    /// and can report *where* it split).
-    #[inline]
-    fn admitted(&self, inner: &mut Inner) -> bool {
-        if let Some(ctl) = &self.sh.replay {
-            if let Some(ok) = ctl.admits(self.tid.0) {
-                return ok;
-            }
-        }
-        inner.table.eligible(self.tid)
-    }
-
     /// Delivers a runtime error through an infallible [`ThreadCtx`]
     /// method: unwind with a [`ContainedError`] payload, caught at the
     /// thread boundary and turned into deterministic containment.
     fn raise(&self, e: DmtError) -> ! {
         std::panic::resume_unwind(Box::new(ContainedError(e)))
+    }
+
+    /// [`Ctx::raise`]s the error of a fallible protocol path.
+    #[inline]
+    fn or_raise<T>(&self, r: DmtResult<T>) -> T {
+        r.unwrap_or_else(|e| self.raise(e))
     }
 
     /// Fires a seeded panic-injection site (`stress --inject-panic`).
@@ -169,63 +168,6 @@ impl Ctx {
         }
     }
 
-    /// Wakes every thread that could be parked anywhere. Once a run is
-    /// degraded, threads that chose a per-thread parker before the
-    /// failover are still waiting on it, so the reference path's shared-
-    /// condvar broadcast alone would strand them.
-    fn herd_notify(&self) {
-        self.sh.cv.notify_all();
-        if self.sh.degraded.load(Ordering::Relaxed) {
-            for p in self.sh.parkers.iter() {
-                p.notify_all();
-            }
-        }
-    }
-
-    /// Wakes the unique thread the deterministic order designates to take
-    /// the token next, if one is eligible. Fast path: a targeted
-    /// `notify_one` on that thread's parker. Reference path: the original
-    /// `notify_all` broadcast on the shared condvar.
-    ///
-    /// Wake timing cannot change the schedule: eligibility is a monotone
-    /// predicate of published clocks with a unique minimum, so a missed or
-    /// extra wake only moves real time, never the grant order.
-    fn wake_successor(&mut self, inner: &mut Inner) {
-        if self.fast_sched() {
-            if inner.token.is_none() {
-                if let Some(w) = inner.table.successor() {
-                    if w != self.tid {
-                        self.sh.parkers[w.index()].notify_one();
-                        self.cnt.targeted_wakes += 1;
-                    }
-                }
-            }
-        } else {
-            self.cnt.broadcast_wakes += 1;
-            self.herd_notify();
-        }
-    }
-
-    /// Wakes a thread whose wake flag was just raised (lock hand-off,
-    /// signal, join). Fast path: targeted parker notify. Reference path:
-    /// no-op — the caller's existing broadcast covers it.
-    fn notify_blocked(&mut self, w: Tid) {
-        if self.fast_sched() {
-            self.sh.parkers[w.index()].notify_one();
-            self.cnt.targeted_wakes += 1;
-        }
-    }
-
-    /// Spurious-wake injection support: stirs every waiter in the system
-    /// (shared condvar and all parkers), so blocked threads must tolerate
-    /// waking with nothing changed regardless of scheduler mode.
-    fn stir_all(&self) {
-        self.sh.cv.notify_all();
-        for p in self.sh.parkers.iter() {
-            p.notify_all();
-        }
-    }
-
     // INVARIANT: `ws` is `Some` from construction until `finish`/`abort`
     // consume the context; no protocol path touches memory after teardown
     // begins (teardown sets `suppress_inject` and never re-enters user
@@ -234,6 +176,27 @@ impl Ctx {
     #[inline]
     fn ws(&mut self) -> &mut Workspace {
         self.ws.as_mut().expect("workspace present until finish")
+    }
+
+    /// Charges `c` virtual cycles of library overhead.
+    #[inline]
+    fn charge_lib(&mut self, c: u64) {
+        self.v += c;
+        self.bd.lib += c;
+    }
+
+    /// Charges `faults` copy-on-write faults taken by a store.
+    #[inline]
+    fn charge_faults(&mut self, faults: u64) {
+        if faults > 0 {
+            let fc = faults * self.cost.fault;
+            self.v += fc;
+            self.bd.fault += fc;
+            self.cnt.faults += faults;
+            // Page-fault jitter: copy-on-write handling takes arbitrarily
+            // long without affecting what the fault produced.
+            self.perturb_hit(PerturbSite::Fault);
+        }
     }
 
     /// Fires a fault-injection site (no-op unless a perturber is attached,
@@ -245,8 +208,7 @@ impl Ctx {
     fn perturb_hit(&mut self, site: PerturbSite) {
         let c = self.sh.cfg.perturb.hit(site, self.tid);
         if c > 0 {
-            self.v += c;
-            self.bd.lib += c;
+            self.charge_lib(c);
         }
     }
 
@@ -313,9 +275,7 @@ impl Ctx {
             self.next_pub = self.clock.saturating_add(self.ovf.interval().max(1));
             return;
         }
-        let c = self.cost.overflow_irq;
-        self.v += c;
-        self.bd.lib += c;
+        self.charge_lib(self.cost.overflow_irq);
         self.cnt.publications += 1;
         // Publications race with other threads' chunks: auxiliary, so the
         // schedule hash only covers token-serialized events.
@@ -324,8 +284,8 @@ impl Ctx {
             clock: self.clock,
         });
         let sh = Arc::clone(&self.sh);
-        let min_w;
-        if self.fast_sched() {
+        let adaptive = sh.opts.adaptive_overflow;
+        let min_w = if sh.parking.targeted() {
             // Fast path: publish straight into our lock-free slot — no
             // global mutex on the publication hot path. The adaptive
             // threshold reads the head waiter's packed key instead of an
@@ -333,11 +293,6 @@ impl Ctx {
             // would find, which only shifts publication frequency — the
             // §3.2 contract makes that safe for determinism.
             let out = sh.slots.publish(self.tid, self.clock, self.v);
-            min_w = if self.sh.opts.adaptive_overflow {
-                out.head.map(|(c, _)| c).filter(|c| *c >= self.clock)
-            } else {
-                None
-            };
             if let Some(w) = out.wake_hint {
                 // Lock-then-notify: under the runtime mutex the hinted
                 // waiter is either parked (our notify lands) or has not
@@ -346,29 +301,23 @@ impl Ctx {
                 // stale hint never wakes an ineligible thread.
                 let mut inner = sh.inner.lock();
                 if inner.token.is_none() && inner.table.eligible(w) {
-                    sh.parkers[w.index()].notify_one();
-                    self.cnt.targeted_wakes += 1;
+                    sh.parking.wake_one(w, &mut self.cnt);
                 }
-                drop(inner);
             }
+            out.head.filter(|_| adaptive)
         } else {
             let mut inner = sh.inner.lock();
             let hint = inner.table.publish(self.tid, self.clock, self.v);
-            min_w = if self.sh.opts.adaptive_overflow {
-                inner
-                    .table
-                    .min_waiting_other(self.tid)
-                    .map(|(c, _)| c)
-                    .filter(|c| *c >= self.clock)
-            } else {
-                None
-            };
+            let min_w = adaptive
+                .then(|| inner.table.min_waiting_other(self.tid))
+                .flatten();
             drop(inner);
             if hint {
-                self.cnt.broadcast_wakes += 1;
-                self.herd_notify();
+                sh.parking.broadcast(&mut self.cnt);
             }
-        }
+            min_w
+        };
+        let min_w = min_w.map(|(c, _)| c).filter(|c| *c >= self.clock);
         // Publication timing is biased by the fault injector when one is
         // attached (forced early/late overflow); the §3.2 contract —
         // frequency affects real time only, never determinism — makes any
@@ -377,1127 +326,6 @@ impl Ctx {
         self.next_pub = self.ovf.next_threshold_biased(self.clock, min_w, |iv| {
             sh.cfg.perturb.overflow_interval(tid, iv)
         });
-    }
-
-    /// §2.7: forcibly end the current chunk so spinning threads observe
-    /// remote commits.
-    fn forced_commit(&mut self) {
-        self.acquire_token_or_raise();
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-    }
-
-    fn sync_prologue(&mut self) {
-        let c = self.cost.sync_op;
-        self.v += c;
-        self.bd.lib += c;
-    }
-
-    /// As [`Ctx::acquire_token`], for protocol paths with infallible
-    /// signatures: a shutdown while waiting unwinds to the thread
-    /// boundary instead of propagating an error.
-    fn acquire_token_or_raise(&mut self) -> bool {
-        match self.acquire_token() {
-            Ok(fresh) => fresh,
-            Err(e) => self.raise(e),
-        }
-    }
-
-    /// Arrives at a synchronization operation and acquires the global token.
-    /// Returns `true` on a fresh acquisition and `false` when the token was
-    /// already held by this thread (a coarsened operation). Fails with
-    /// [`DmtError::Shutdown`] when the watchdog has abandoned the run —
-    /// the only way a thread blocked on the token can ever observe that.
-    fn acquire_token(&mut self) -> DmtResult<bool> {
-        // Chunk-end counter read: a syscall to the kernel clock module, or
-        // a cheap user-space read inside a coarsened chunk (§3.4).
-        // Round-robin ordering needs no instruction counters at all.
-        if self.sh.opts.order == OrderPolicy::InstructionCount {
-            let read = if self.holding_token && self.sh.opts.user_counter_read {
-                self.cost.counter_read_user
-            } else {
-                self.cost.counter_read_kernel
-            };
-            self.v += read;
-            self.bd.lib += read;
-            self.cnt.publications += 1;
-        }
-        let chunk_len = self.clock - self.last_sync_end_clock;
-        self.coarsen.thread_est.update(chunk_len);
-        if self.holding_token {
-            return Ok(false);
-        }
-        // Pre-token-acquire delay: the thread is slow to arrive at the
-        // sync point. Arrival timing must not matter — eligibility is a
-        // function of published clocks and tids alone.
-        self.perturb_hit(PerturbSite::TokenAcquire);
-
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let arrival_clock = self.clock;
-        inner.table.arrive_sync(self.tid, arrival_clock, self.v);
-        // Our arrival published a bound; the head waiter may have become
-        // eligible. Fast path: wake exactly that thread; reference path:
-        // broadcast as before.
-        self.wake_successor(&mut inner);
-        // A token waiter parks on its own cache-padded condvar under the
-        // fast scheduler, so a hand-off wakes one thread, not the herd.
-        let waitcv: &dmt_api::sync::Condvar = if self.fast_sched() {
-            &sh.parkers[self.tid.index()]
-        } else {
-            &sh.cv
-        };
-        let wait_from = self.v;
-        loop {
-            if inner.shutdown {
-                return Err(DmtError::Shutdown);
-            }
-            if inner.token.is_none()
-                && (self.admitted(&mut inner)
-                    // Deliberate determinism bug for `stress --inject-bug`
-                    // (Options::inject_eligibility_bug): grab a free token
-                    // without the eligibility check, letting physical
-                    // arrival order leak into the schedule — the bug class
-                    // where one clockDepart/publication update is missed.
-                    || sh.opts.inject_eligibility_bug)
-            {
-                break;
-            }
-            if sh.cfg.perturb.spurious_wake(self.tid) {
-                // Spurious wake-up injection: every waiter in the runtime
-                // (shared condvar and parkers) must tolerate being woken
-                // with nothing changed.
-                self.stir_all();
-            }
-            // In debug builds, a very long token wait dumps the scheduler
-            // state: deadlocks here are runtime bugs, not program bugs.
-            #[cfg(debug_assertions)]
-            {
-                let timed_out = waitcv
-                    .wait_for(&mut inner, std::time::Duration::from_secs(5))
-                    .timed_out();
-                if timed_out && std::env::var_os("CONSEQ_DEBUG").is_some() {
-                    eprintln!(
-                        "[conseq] {} stuck at clock {} (token={:?}, census={:?})",
-                        self.tid,
-                        arrival_clock,
-                        inner.token,
-                        inner.table.census()
-                    );
-                    for i in 0..inner.next_tid {
-                        let t = Tid(i);
-                        eprintln!(
-                            "[conseq]   {t}: state={:?} published={}",
-                            inner.table.state(t),
-                            inner.table.published(t)
-                        );
-                    }
-                }
-            }
-            #[cfg(not(debug_assertions))]
-            waitcv.wait(&mut inner);
-            self.cnt.token_wake_loops += 1;
-        }
-        inner.token = Some(self.tid);
-        if let Some(ctl) = &sh.replay {
-            // Advance the grant script: the next scripted grantee becomes
-            // admissible (and is woken by the broadcast on release).
-            ctl.granted(self.tid.0);
-        }
-        // Mirror the grant into the lock-free flag so racing publishers
-        // stop hinting wake-ups while the token is held.
-        sh.slots.set_token_free(false);
-        // Logical-progress signal for the watchdog: grants are the pulse.
-        inner.grant_seq += 1;
-        // Robustness drill: corrupt the fast scheduler once, at the first
-        // grant at or past the requested one that has a head waiter to
-        // lose, so the watchdog's detect-and-failover path is exercised
-        // end to end (Options::inject_sched_corruption).
-        if !inner.corruption_done
-            && self
-                .sh
-                .opts
-                .inject_sched_corruption
-                .is_some_and(|n| inner.grant_seq >= n)
-            && inner.table.corrupt_lose_head_waiter(self.tid)
-        {
-            inner.corruption_done = true;
-            eprintln!(
-                "[conseq] injected scheduler corruption at grant {}",
-                inner.grant_seq
-            );
-        }
-        if self.sh.opts.record_schedule {
-            inner.schedule.push((self.tid, arrival_clock));
-        }
-        self.sh.cfg.trace.emit(Event::TokenAcquire {
-            tid: self.tid,
-            clock: arrival_clock,
-        });
-        // Deterministic wake time: the token is exclusive (chain off the
-        // previous release), plus the policy-specific release event. Under
-        // instruction count that is the final clock crossing of each
-        // blocking thread, looked up in its publication history; under
-        // round robin it is the event that handed us the turn (clock
-        // crossings are meaningless there and would inject noise).
-        let mut wake = inner.last_release_v;
-        match self.sh.opts.order {
-            OrderPolicy::InstructionCount => {
-                wake = wake.max(inner.table.crossing_v(self.tid, arrival_clock));
-            }
-            OrderPolicy::RoundRobin => {
-                wake = wake.max(inner.table.rr_turn_v());
-            }
-        }
-        self.v = self.v.max(wake);
-        self.bd.determ_wait += self.v - wait_from;
-        let top = self.cost.token_op;
-        self.v += top;
-        self.bd.lib += top;
-        self.cnt.token_acquisitions += 1;
-        // Fast-forward (§3.5): catch up to the last token releaser.
-        if self.sh.opts.fast_forward && self.clock < inner.last_release_clock {
-            self.sh.cfg.trace.emit(Event::FastForward {
-                tid: self.tid,
-                from: self.clock,
-                to: inner.last_release_clock,
-            });
-            self.clock = inner.last_release_clock;
-        }
-        // Coarsening budget adaptation (§3.1, multiplicative up/down).
-        let same = inner.last_entrant == Some(self.tid);
-        inner.last_entrant = Some(self.tid);
-        if self.sh.opts.coarsening {
-            self.coarsen.adapt(same);
-        }
-        drop(inner);
-        self.holding_token = true;
-        self.current_since_acquire = false;
-        self.token_start_clock = self.clock;
-        self.ovf.chunk_start();
-        Ok(true)
-    }
-
-    /// Releases the token under the runtime lock, chaining virtual time to
-    /// every waiter and advancing the round-robin turn if we hold it.
-    fn release_token_locked(&mut self, inner: &mut Inner) {
-        self.release_token_locked_ex(inner, true);
-    }
-
-    /// As [`release_token_locked`], optionally keeping the round-robin
-    /// turn: consecutive spawns coalesce into one rotation slot, as real
-    /// DThreads-family runtimes batch thread creation (otherwise every
-    /// create would wait a full rotation behind freshly started workers).
-    fn release_token_locked_ex(&mut self, inner: &mut Inner, advance_rr: bool) {
-        debug_assert_eq!(inner.token, Some(self.tid), "token not held");
-        self.sh.cfg.trace.emit(Event::TokenRelease {
-            tid: self.tid,
-            clock: self.clock,
-        });
-        let top = self.cost.token_op;
-        self.v += top;
-        self.bd.lib += top;
-        inner.token = None;
-        inner.last_release_clock = self.clock;
-        inner.last_release_v = self.v;
-        if advance_rr
-            && self.sh.opts.order == OrderPolicy::RoundRobin
-            && inner.table.rr_holder() == self.tid.index()
-        {
-            inner.table.rr_advance(self.v);
-        }
-        self.holding_token = false;
-        if self.fast_sched() {
-            // Publish the free token to racing lock-free publishers, then
-            // hand off to the unique deterministic successor. The release
-            // store of `token_free` and a publisher's slot store form the
-            // classic store-buffer pair: at least one side observes the
-            // other under SC, so no eligible waiter is ever left asleep.
-            self.sh.slots.set_token_free(true);
-            self.wake_successor(inner);
-        } else {
-            self.cnt.broadcast_wakes += 1;
-            self.herd_notify();
-        }
-    }
-
-    /// Commits dirty pages and pulls remote versions (Fig. 7 line 6:
-    /// `convCommitAndUpdateMem`). Requires the token.
-    fn commit_and_update(&mut self) {
-        debug_assert!(self.holding_token);
-        // Seeded panic injection: a thread dying mid-protocol while
-        // holding the token is the hardest containment case.
-        self.maybe_inject_panic(PanicSite::Commit);
-        // Commit stall: the token holder dawdles before publishing its
-        // dirty pages. Holding the token excludes every other committer,
-        // so the stall stretches real and virtual time only.
-        self.perturb_hit(PerturbSite::Commit);
-        let sh = Arc::clone(&self.sh);
-        let hint = self.pretwin_est.get() as usize;
-        self.ws().set_pretwin_hint(hint);
-        let cr = sh.seg.commit(self.ws(), None);
-        self.pretwin_est.update(cr.pages as u64);
-        let c = self.cost.commit_base
-            + cr.pages as u64 * self.cost.page_commit
-            + cr.merged as u64 * self.cost.page_merge;
-        self.v += c;
-        self.bd.commit += c;
-        self.cnt.commits += 1;
-        self.cnt.pages_committed += cr.pages as u64;
-        self.cnt.pages_merged += cr.merged as u64;
-        self.perturb_hit(PerturbSite::Update);
-        let ur = sh.seg.update(self.ws());
-        let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
-        self.v += u;
-        self.bd.update += u;
-        self.cnt.pages_propagated += ur.pages_propagated;
-        // Both run under the token, so commit order and update extents are
-        // part of the deterministic schedule.
-        self.sh.cfg.trace.emit(Event::Commit {
-            tid: self.tid,
-            version: cr.version,
-            pages: cr.pages,
-            merged: cr.merged,
-            page_set: cr.page_set,
-        });
-        self.sh.cfg.trace.emit(Event::Update {
-            tid: self.tid,
-            version: ur.new_base,
-            pages: ur.pages_propagated,
-        });
-        let gr = sh.seg.gc(self.sh.cfg.gc_budget);
-        // The single-threaded collector runs on the committing thread's
-        // critical path (Fig. 12): charge its work like any other commit
-        // bookkeeping.
-        let g = gr.spent() as u64 * self.cost.gc_version;
-        self.v += g;
-        self.bd.commit += g;
-        self.cnt.gc_versions_dropped += gr.dropped as u64;
-        self.cnt.gc_versions_squashed += gr.squashed as u64;
-        self.cnt.chunks += 1;
-        self.chunk_start_clock = self.clock;
-        self.current_since_acquire = true;
-        if cr.pages > 0 && self.sh.cfg.track_lrc {
-            let mut inner = self.sh.inner.lock();
-            if let Some(l) = inner.lrc.as_mut() {
-                l.on_commit(self.tid, cr.pages);
-            }
-        }
-        if self.sh.cfg.witness.enabled() {
-            self.witness_sample();
-        }
-    }
-
-    /// One [`ResourceSample`](dmt_api::ResourceSample) for the attached
-    /// witness: version-chain peak, live pages, longest clock history,
-    /// trace-ring occupancy. Called under the token at every commit epoch,
-    /// so samples land at deterministic schedule points; the observation
-    /// itself costs no virtual time and cannot move the schedule.
-    fn witness_sample(&self) {
-        let clock_history = {
-            let inner = self.sh.inner.lock();
-            inner.table.max_history_len(self.sh.cfg.max_threads as u32)
-        };
-        self.sh.cfg.witness.observe(dmt_api::ResourceSample {
-            retained_versions: self.sh.seg.retained_peak(),
-            live_pages: self.sh.seg.tracker().live(),
-            clock_history,
-            trace_ring: self.sh.cfg.trace.occupancy(),
-            pipeline_backlog: self.sh.seg.pipeline_backlog(),
-        });
-    }
-
-    /// Ends a coarsenable synchronization operation: either retain the
-    /// token across the next chunk (deferring commits — §3.1) or commit
-    /// and release. While the token is retained no other thread can
-    /// commit, so the holder's isolated view stays current and skipping
-    /// the commit/update pair is sound.
-    fn end_op(&mut self, predicted_next: u64) {
-        self.last_sync_end_clock = self.clock;
-        if self.sh.opts.coarsening {
-            let consumed = self.clock.saturating_sub(self.token_start_clock);
-            if self.coarsen.should_retain(consumed, predicted_next) {
-                // A coarsened run must begin from a current view: commit
-                // and update once at its first coordination phase, then
-                // skip coordination for the merged phases that follow.
-                if !self.current_since_acquire {
-                    self.commit_and_update();
-                }
-                self.cnt.coarsened_chunks += 1;
-                self.sh.cfg.trace.emit(Event::Coarsen {
-                    tid: self.tid,
-                    clock: self.clock,
-                });
-                let sh = Arc::clone(&self.sh);
-                let mut inner = sh.inner.lock();
-                inner.table.resume(self.tid, self.clock, self.v);
-                if !self.fast_sched() {
-                    // We still hold the token, so no waiter can proceed;
-                    // the reference path broadcasts anyway (part of the
-                    // thundering herd the fast path eliminates).
-                    self.cnt.broadcast_wakes += 1;
-                    self.herd_notify();
-                }
-                return;
-            }
-        }
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-    }
-
-    /// Blocks until this thread's wake flag is raised, folding the waker's
-    /// virtual time into ours. Caller must have departed and released the
-    /// token; `inner` is consumed and re-acquired across the wait.
-    ///
-    /// Fails with the wake error a dying owner attached (poisoned mutex,
-    /// dead condvar owner, poisoned rwlock) — delivered in the owner's
-    /// deterministic drain order — or with [`DmtError::Shutdown`] when
-    /// the watchdog abandoned the run.
-    fn block_until_woken(
-        &mut self,
-        inner: &mut dmt_api::sync::MutexGuard<'_, Inner>,
-    ) -> DmtResult<()> {
-        let sh = Arc::clone(&self.sh);
-        // Flag-blocked threads park on their own condvar under the fast
-        // scheduler; the waker notifies exactly this thread.
-        let waitcv: &dmt_api::sync::Condvar = if self.fast_sched() {
-            &sh.parkers[self.tid.index()]
-        } else {
-            &sh.cv
-        };
-        let from = self.v;
-        while !inner.threads[self.tid.index()].wake {
-            if inner.shutdown {
-                return Err(DmtError::Shutdown);
-            }
-            if sh.cfg.perturb.spurious_wake(self.tid) {
-                // Spurious wake injection: blocked threads re-check their
-                // wake flags, never act on the notification itself.
-                self.stir_all();
-            }
-            #[cfg(debug_assertions)]
-            {
-                let timed_out = waitcv
-                    .wait_for(inner, std::time::Duration::from_secs(5))
-                    .timed_out();
-                if timed_out && std::env::var_os("CONSEQ_DEBUG").is_some() {
-                    eprintln!(
-                        "[conseq] {} blocked awaiting wake (token={:?}, census={:?}, mutexes={:?})",
-                        self.tid,
-                        inner.token,
-                        inner.table.census(),
-                        inner
-                            .mutexes
-                            .iter()
-                            .map(|m| (m.owner, m.waiters.clone()))
-                            .collect::<Vec<_>>()
-                    );
-                }
-                continue;
-            }
-            #[allow(unreachable_code)]
-            waitcv.wait(inner);
-        }
-        let st = &mut inner.threads[self.tid.index()];
-        st.wake = false;
-        self.v = self.v.max(st.wake_v);
-        self.bd.determ_wait += self.v - from;
-        match st.wake_err.take() {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    fn resolve_mutex(&self, m: MutexId) -> MutexId {
-        if self.sh.opts.single_global_lock {
-            MutexId(0)
-        } else {
-            m
-        }
-    }
-
-    /// Releases mutex `m`'s state and wakes its earliest waiter, if any.
-    /// Caller holds the token and the runtime lock. Returns whether a
-    /// waiter was woken.
-    fn unlock_state(&mut self, inner: &mut Inner, m: MutexId) -> bool {
-        let mst = &mut inner.mutexes[m.index()];
-        assert_eq!(
-            mst.owner,
-            Some(self.tid),
-            "{} unlocking {m} it does not hold",
-            self.tid
-        );
-        mst.owner = None;
-        let cs_len = self.clock.saturating_sub(mst.cs_start_clock);
-        mst.cs_est.update(cs_len);
-        let woke = mst.waiters.pop_front();
-        self.sh.cfg.trace.emit(Event::MutexUnlock {
-            tid: self.tid,
-            mutex: m,
-            woke,
-        });
-        if let Some(w) = woke {
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[w.index()].wake = true;
-            inner.threads[w.index()].wake_v = self.v;
-            let saved = inner.threads[w.index()].saved_clock;
-            inner.table.reactivate(w, saved, self.v);
-            self.notify_blocked(w);
-        }
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_release(self.tid, LrcObject::Mutex(m.0));
-        }
-        woke.is_some()
-    }
-
-    /// Wakes `w` out of a blocked protocol wait with an error instead of
-    /// a grant. Caller holds the token and the runtime lock; callers
-    /// drain queues in FIFO order, so error delivery order is exactly
-    /// the order a healthy owner would have granted in — deterministic.
-    fn wake_with_err(&mut self, inner: &mut Inner, w: Tid, e: DmtError) {
-        let wk = self.cost.wakeup;
-        self.v += wk;
-        self.bd.lib += wk;
-        let st = &mut inner.threads[w.index()];
-        st.wake = true;
-        st.wake_v = self.v;
-        st.wake_err = Some(e);
-        let saved = st.saved_clock;
-        inner.table.reactivate(w, saved, self.v);
-        self.notify_blocked(w);
-    }
-
-    /// A null synchronization operation performed at thread birth under
-    /// round-robin ordering (see `runtime::worker_loop`).
-    pub(crate) fn birth_sync(&mut self) {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
-    }
-
-    /// The §2.7 atomic-operation protocol: acquire the token, bring the
-    /// view current, apply the read-modify-write, and commit before any
-    /// other thread can take the token. Returns the previous value.
-    fn atomic_rmw(&mut self, addr: Addr, f: impl FnOnce(u64) -> u64) -> u64 {
-        self.sync_prologue();
-        let fresh = self.acquire_token_or_raise();
-        if fresh {
-            // A coarsened (retained-token) view is already current.
-            self.commit_and_update();
-        }
-        let old = self.ld_u64(addr);
-        self.st_u64(addr, f(old));
-        self.commit_and_update();
-        self.end_op(self.coarsen.thread_est.get());
-        old
-    }
-
-    /// Hands the rwlock to the head of its queue: one writer, or every
-    /// leading reader — granting directly (the woken thread owns the lock
-    /// when it wakes). Caller holds the token and the runtime lock.
-    fn rw_wake_head(&mut self, inner: &mut Inner, l: RwLockId) {
-        loop {
-            let Some(&(w, is_writer)) = inner.rwlocks[l.index()].waiters.front() else {
-                return;
-            };
-            {
-                let st = &mut inner.rwlocks[l.index()];
-                if is_writer {
-                    if st.readers > 0 || st.writer.is_some() {
-                        return;
-                    }
-                    st.waiters.pop_front();
-                    st.writer = Some(w);
-                } else {
-                    if st.writer.is_some() {
-                        return;
-                    }
-                    st.waiters.pop_front();
-                    st.readers += 1;
-                }
-            }
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[w.index()].wake = true;
-            inner.threads[w.index()].wake_v = self.v;
-            let saved = inner.threads[w.index()].saved_clock;
-            inner.table.reactivate(w, saved, self.v);
-            self.notify_blocked(w);
-            // Direct hand-off: the grant happens here, under the waker's
-            // token, so it is a schedule event of the waker's turn.
-            self.sh.cfg.trace.emit(Event::RwAcquire {
-                tid: w,
-                lock: l,
-                writer: is_writer,
-            });
-            if is_writer {
-                return;
-            }
-            // Keep granting consecutive readers.
-        }
-    }
-
-    /// A queued rwlock waiter was granted by its waker: take the token to
-    /// refresh the isolated view (acquire semantics), then continue.
-    fn rw_post_grant(&mut self) {
-        let _ = self.acquire_token_or_raise();
-        self.commit_and_update();
-        self.finish_rw_op();
-    }
-
-    /// Ends an rwlock operation that was granted: these ops always commit
-    /// and release (they never coarsen — wakes must stay fair, and reader
-    /// concurrency is the point).
-    fn finish_rw_op(&mut self) {
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
-    }
-
-    /// Exit protocol: final commit, wake joiners, leave the clock table,
-    /// and — while still holding the token, so pool contents are a
-    /// deterministic function of the token order — park this worker's
-    /// workspace in the thread pool (§3.3).
-    pub(crate) fn finish(mut self) {
-        // Teardown runs protocol steps (commit, token ops) that double as
-        // injection sites; firing here would unwind out of a consumed
-        // context, so the exit protocol is injection-free.
-        self.suppress_inject = true;
-        self.sync_prologue();
-        if self.acquire_token().is_err() {
-            // Watchdog shutdown raced our exit: leave quietly.
-            self.abort_quiet();
-            return;
-        }
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let joiners = std::mem::take(&mut inner.threads[self.tid.index()].joiners);
-        for j in joiners {
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[j.index()].wake = true;
-            inner.threads[j.index()].wake_v = self.v;
-            let saved = inner.threads[j.index()].saved_clock;
-            inner.table.reactivate(j, saved, self.v);
-            self.notify_blocked(j);
-        }
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_release(self.tid, LrcObject::Thread(self.tid.0));
-        }
-        let st = &mut inner.threads[self.tid.index()];
-        st.finished = true;
-        st.exit_clock = self.clock;
-        st.exit_v = self.v;
-        self.sh.cfg.trace.emit(Event::Exit {
-            tid: self.tid,
-            clock: self.clock,
-        });
-        inner.table.finish(self.tid, self.v);
-        // INVARIANT: `finish` consumes the context; only `finish`/`abort`
-        // take the workspace, and each runs at most once.
-        #[allow(clippy::expect_used)]
-        let ws = self.ws.take().expect("workspace present at finish");
-        match self.pool_tx.take() {
-            Some(tx) if self.sh.opts.thread_pool => {
-                inner.pool.push(crate::shared::PoolEntry { tx, ws });
-            }
-            _ => {
-                sh.seg.detach(self.tid);
-                drop(ws);
-            }
-        }
-        self.release_token_locked(&mut inner);
-        inner.live -= 1;
-        inner.max_exit_v = inner.max_exit_v.max(self.v);
-        inner.reports.push((self.tid, self.bd));
-        let mut cnt = *self.cnt;
-        cnt.lrc_pages_propagated = 0; // aggregated once, from the tracker
-        inner.counters += cnt;
-        sh.cv.notify_all();
-    }
-
-    /// Classifies a caught unwind payload from the thread boundary and
-    /// contains it. [`DmtError::Shutdown`] unwinds take the quiet path —
-    /// the watchdog already owns the diagnosis and the schedule is being
-    /// abandoned; everything else runs the deterministic containment
-    /// protocol under the token.
-    pub(crate) fn dispatch_panic(self, payload: Box<dyn std::any::Any + Send>) {
-        if let Some(c) = payload.downcast_ref::<ContainedError>() {
-            if c.0 == DmtError::Shutdown {
-                self.abort_quiet();
-            } else {
-                let msg = c.0.to_string();
-                self.abort(msg);
-            }
-            return;
-        }
-        if let Some(ip) = payload.downcast_ref::<dmt_api::InjectedPanic>() {
-            let msg = ip.to_string();
-            self.abort(msg);
-            return;
-        }
-        let msg = if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic (non-string payload)".to_string()
-        };
-        self.abort(msg);
-    }
-
-    /// Contains a workload panic: runs the deterministic departure
-    /// protocol, and if that protocol itself fails (double panic, or a
-    /// shutdown racing in), degrades to the quiet teardown so the thread
-    /// always retires exactly once.
-    pub(crate) fn abort(mut self, msg: String) {
-        self.suppress_inject = true;
-        let outcome = {
-            let this = std::panic::AssertUnwindSafe(&mut self);
-            let m = msg.clone();
-            std::panic::catch_unwind(move || {
-                let this = this;
-                this.0.abort_protocol(&m)
-            })
-        };
-        if !matches!(outcome, Ok(Ok(()))) {
-            self.abort_quiet();
-        }
-    }
-
-    /// The deterministic containment protocol (clockDepart for a dying
-    /// thread). Runs entirely under the token, so every effect — poison
-    /// delivery order, joiner wake order, the hashed `ThreadPanic` event
-    /// — is a function of the deterministic schedule and reproduces
-    /// bit-for-bit when the same panic recurs.
-    fn abort_protocol(&mut self, msg: &str) -> DmtResult<()> {
-        if !self.holding_token {
-            self.sync_prologue();
-            self.acquire_token()?;
-        }
-        // TSO: stores retired before the panic happened; publish them and
-        // bring the view current so the workspace can be pooled clean.
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        self.sh.cfg.trace.emit(Event::ThreadPanic {
-            tid: self.tid,
-            clock: self.clock,
-        });
-
-        // Poison every mutex we own. Queued waiters are drained FIFO —
-        // the order a healthy unlock sequence would have granted in —
-        // and condvar waiters that released a now-poisoned mutex can
-        // never legally reacquire it, so they get the owner-died error.
-        for i in 0..inner.mutexes.len() {
-            if inner.mutexes[i].owner != Some(self.tid) {
-                continue;
-            }
-            let m = MutexId(i as u32);
-            inner.mutexes[i].owner = None;
-            inner.mutexes[i].poisoned = Some(self.tid);
-            let drained: Vec<Tid> = inner.mutexes[i].waiters.drain(..).collect();
-            for w in drained {
-                self.wake_with_err(
-                    &mut inner,
-                    w,
-                    DmtError::MutexPoisoned {
-                        mutex: m,
-                        by: self.tid,
-                    },
-                );
-            }
-            for ci in 0..inner.conds.len() {
-                let all = std::mem::take(&mut inner.conds[ci].waiters);
-                let mut dead = Vec::new();
-                for (w, wm) in all {
-                    if wm == m {
-                        dead.push(w);
-                    } else {
-                        inner.conds[ci].waiters.push_back((w, wm));
-                    }
-                }
-                for w in dead {
-                    self.wake_with_err(
-                        &mut inner,
-                        w,
-                        DmtError::CondOwnerDied {
-                            cond: CondId(ci as u32),
-                            mutex: m,
-                            by: self.tid,
-                        },
-                    );
-                }
-            }
-        }
-
-        // Poison rwlocks we hold exclusively. A dying *reader* cannot be
-        // attributed (holds are a count, not a set), so its count leaks;
-        // the watchdog diagnoses the resulting stall (ROBUSTNESS.md).
-        for i in 0..inner.rwlocks.len() {
-            if inner.rwlocks[i].writer != Some(self.tid) {
-                continue;
-            }
-            let l = RwLockId(i as u32);
-            inner.rwlocks[i].writer = None;
-            inner.rwlocks[i].poisoned = Some(self.tid);
-            let drained: Vec<Tid> = inner.rwlocks[i].waiters.drain(..).map(|(w, _)| w).collect();
-            for w in drained {
-                self.wake_with_err(
-                    &mut inner,
-                    w,
-                    DmtError::RwLockPoisoned {
-                        lock: l,
-                        by: self.tid,
-                    },
-                );
-            }
-        }
-
-        // Un-arrive from any barrier mid-protocol deaths registered with:
-        // a dead thread must never be reactivated by a barrier open. (The
-        // generation then waits for an arrival that cannot come; either
-        // the break below fires or the watchdog diagnoses the stall.)
-        for bi in 0..inner.barriers.len() {
-            inner.barriers[bi].arrived.retain(|t| *t != self.tid);
-        }
-        // Break barriers that can never fill once we are gone (fewer
-        // surviving threads than parties). Arrived waiters left the clock
-        // order (clockDepart); put them back so they can observe the
-        // broken flag and run their own containment.
-        let survivors = inner.live.saturating_sub(1) as usize;
-        for bi in 0..inner.barriers.len() {
-            if inner.barriers[bi].broken || inner.barriers[bi].parties <= survivors {
-                continue;
-            }
-            inner.barriers[bi].broken = true;
-            let arrived = inner.barriers[bi].arrived.clone();
-            for t in arrived {
-                if t != self.tid && matches!(inner.table.state(t), ThreadState::Departed) {
-                    let saved = inner.threads[t.index()].saved_clock;
-                    inner.table.reactivate(t, saved, self.v);
-                }
-            }
-        }
-
-        // Retire the thread: joiners wake normally and observe `panicked`
-        // under their own token turn (deterministic ThreadPanicked).
-        let joiners = std::mem::take(&mut inner.threads[self.tid.index()].joiners);
-        for j in joiners {
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[j.index()].wake = true;
-            inner.threads[j.index()].wake_v = self.v;
-            let saved = inner.threads[j.index()].saved_clock;
-            inner.table.reactivate(j, saved, self.v);
-            self.notify_blocked(j);
-        }
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_release(self.tid, LrcObject::Thread(self.tid.0));
-        }
-        let st = &mut inner.threads[self.tid.index()];
-        st.finished = true;
-        st.panicked = true;
-        st.panic_msg = msg.to_string();
-        st.exit_clock = self.clock;
-        st.exit_v = self.v;
-        inner.panics.push((self.tid, msg.to_string()));
-        inner.table.finish(self.tid, self.v);
-        if let Some(ws) = self.ws.take() {
-            match self.pool_tx.take() {
-                Some(tx) if self.sh.opts.thread_pool => {
-                    // The view was committed and updated above: the pooled
-                    // workspace is as clean as one parked by `finish`.
-                    inner.pool.push(crate::shared::PoolEntry { tx, ws });
-                }
-                _ => {
-                    sh.seg.detach(self.tid);
-                    drop(ws);
-                }
-            }
-        }
-        self.release_token_locked(&mut inner);
-        inner.live -= 1;
-        inner.max_exit_v = inner.max_exit_v.max(self.v);
-        inner.reports.push((self.tid, self.bd));
-        let mut cnt = *self.cnt;
-        cnt.lrc_pages_propagated = 0;
-        inner.counters += cnt;
-        self.torn_down = true;
-        drop(inner);
-        // Barrier-phase waiters and the runtime's teardown loop wait on
-        // the shared condvar regardless of scheduler mode.
-        sh.cv.notify_all();
-        self.herd_notify();
-        Ok(())
-    }
-
-    /// Last-resort teardown: no hashed events, no token protocol. Used on
-    /// shutdown (the watchdog owns the diagnosis and the schedule is
-    /// abandoned) and when the containment protocol itself fails. Purges
-    /// this thread from every wait queue so no successor computation can
-    /// ever select a dead thread, then retires it.
-    pub(crate) fn abort_quiet(mut self) {
-        if self.torn_down {
-            return;
-        }
-        self.torn_down = true;
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let me = self.tid;
-        for m in inner.mutexes.iter_mut() {
-            m.waiters.retain(|w| *w != me);
-        }
-        for c in inner.conds.iter_mut() {
-            c.waiters.retain(|(w, _)| *w != me);
-        }
-        for r in inner.rwlocks.iter_mut() {
-            r.waiters.retain(|(w, _)| *w != me);
-        }
-        if inner.token == Some(me) {
-            inner.token = None;
-            sh.slots.set_token_free(true);
-        }
-        self.holding_token = false;
-        let st = &mut inner.threads[me.index()];
-        st.finished = true;
-        st.panicked = true;
-        if st.panic_msg.is_empty() {
-            st.panic_msg = "shutdown".to_string();
-        }
-        st.exit_clock = self.clock;
-        st.exit_v = self.v;
-        inner.table.finish(me, self.v);
-        if let Some(ws) = self.ws.take() {
-            sh.seg.detach(me);
-            drop(ws);
-        }
-        inner.live -= 1;
-        inner.max_exit_v = inner.max_exit_v.max(self.v);
-        inner.reports.push((me, self.bd));
-        let mut cnt = *self.cnt;
-        cnt.lrc_pages_propagated = 0;
-        inner.counters += cnt;
-        drop(inner);
-        sh.cv.notify_all();
-        for p in sh.parkers.iter() {
-            p.notify_all();
-        }
-    }
-}
-
-impl Ctx {
-    /// Deterministic blocking mutex acquisition (Fig. 7) — or, with
-    /// `Options::polling_locks`, Kendo's §4.1 polling variant: on failure
-    /// the thread keeps its place in the clock order by bumping its clock
-    /// past the contention point and retrying, never departing.
-    ///
-    /// Fails deterministically when the mutex is poisoned (a previous
-    /// owner panicked): the error is delivered under this thread's own
-    /// token grant, so delivery order is the token-grant order.
-    fn lock_inner(&mut self, m: MutexId) -> DmtResult<()> {
-        let m = self.resolve_mutex(m);
-        self.maybe_inject_panic(PanicSite::Lock);
-        self.sync_prologue();
-        loop {
-            let fresh = self.acquire_token()?;
-            let sh = Arc::clone(&self.sh);
-            let mut inner = sh.inner.lock();
-            if let Some(by) = inner.mutexes[m.index()].poisoned {
-                drop(inner);
-                // Leave cleanly: publish buffered stores (a coarsened
-                // chunk may hold deferred commits) and release.
-                self.commit_and_update();
-                let mut inner = sh.inner.lock();
-                inner.table.resume(self.tid, self.clock, self.v);
-                self.release_token_locked(&mut inner);
-                drop(inner);
-                self.last_sync_end_clock = self.clock;
-                return Err(DmtError::MutexPoisoned { mutex: m, by });
-            }
-            let mst = &mut inner.mutexes[m.index()];
-            if mst.owner.is_none() {
-                mst.owner = Some(self.tid);
-                mst.cs_start_clock = self.clock;
-                mst.tickets += 1;
-                let ticket = mst.tickets;
-                let predicted = mst.cs_est.get();
-                self.cnt.lock_acquires += 1;
-                self.sh.cfg.trace.emit(Event::MutexLock {
-                    tid: self.tid,
-                    mutex: m,
-                    ticket,
-                });
-                if let Some(l) = inner.lrc.as_mut() {
-                    l.on_acquire(self.tid, LrcObject::Mutex(m.0));
-                }
-                drop(inner);
-                if fresh {
-                    // Fig. 7 line 6: a fresh acquisition must pull the
-                    // latest committed state before the critical section.
-                    // A coarsened (token-retained) acquisition is already
-                    // current: nobody else could commit meanwhile.
-                    self.commit_and_update();
-                }
-                self.end_op(predicted);
-                return Ok(());
-            }
-            drop(inner);
-            if sh.opts.polling_locks {
-                // Kendo §4.1: release the token, add the tuned increment
-                // to our clock so the next-lowest thread can proceed, and
-                // poll again. Progress for others is preserved, but every
-                // retry costs a full token round trip — the latency the
-                // paper's blocking design eliminates.
-                let mut inner = sh.inner.lock();
-                inner.table.resume(self.tid, self.clock, self.v);
-                self.release_token_locked(&mut inner);
-                drop(inner);
-                let bump = sh.opts.polling_increment.max(1);
-                self.advance(bump, bump / 4);
-                continue;
-            }
-            // Lock held: commit buffered writes (we may hold data of locks
-            // we released inside a coarsened chunk, and blocking with an
-            // unpublished store could starve ad-hoc readers forever), then
-            // remove ourselves from GMIC consideration (clockDepart) and
-            // queue on the lock (Fig. 7 lines 10-13).
-            self.commit_and_update();
-            let mut inner = sh.inner.lock();
-            inner.mutexes[m.index()].waiters.push_back(self.tid);
-            inner.threads[self.tid.index()].saved_clock = self.clock;
-            self.sh.cfg.trace.emit(Event::MutexBlock {
-                tid: self.tid,
-                mutex: m,
-            });
-            self.sh.cfg.trace.emit(Event::Depart {
-                tid: self.tid,
-                clock: self.clock,
-            });
-            inner.table.depart(self.tid, self.v);
-            self.release_token_locked(&mut inner);
-            self.block_until_woken(&mut inner)?;
-        }
-    }
-
-    /// Fallible condition wait. Fails with [`DmtError::CondOwnerDied`]
-    /// when the owner of the associated mutex panics while we wait (the
-    /// mutex can never legally be reacquired), or with the poison error
-    /// from reacquisition itself.
-    fn cond_wait_inner(&mut self, c: CondId, m: MutexId) -> DmtResult<()> {
-        let m = self.resolve_mutex(m);
-        self.sync_prologue();
-        self.cnt.cond_waits += 1;
-        self.acquire_token()?;
-        // Condition operations end any coarsened chunk (§3.1).
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let _ = self.unlock_state(&mut inner, m);
-        inner.conds[c.index()].waiters.push_back((self.tid, m));
-        inner.threads[self.tid.index()].saved_clock = self.clock;
-        self.sh.cfg.trace.emit(Event::CondWait {
-            tid: self.tid,
-            cond: c,
-            mutex: m,
-        });
-        self.sh.cfg.trace.emit(Event::Depart {
-            tid: self.tid,
-            clock: self.clock,
-        });
-        inner.table.depart(self.tid, self.v);
-        self.release_token_locked(&mut inner);
-        self.block_until_woken(&mut inner)?;
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_acquire(self.tid, LrcObject::Cond(c.0));
-        }
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
-        // Re-acquire the mutex before returning, as pthreads does.
-        self.lock_inner(m)
-    }
-
-    /// Fallible join. Fails with [`DmtError::ThreadPanicked`] when the
-    /// target's job panicked — observed under this thread's own token
-    /// grant, after folding the target's exit time, so the error is as
-    /// deterministic as a successful join.
-    fn join_inner(&mut self, t: Tid) -> DmtResult<()> {
-        assert_ne!(t, self.tid, "thread joining itself");
-        self.sync_prologue();
-        loop {
-            self.acquire_token()?;
-            let sh = Arc::clone(&self.sh);
-            let mut inner = sh.inner.lock();
-            assert!(
-                (t.index()) < inner.threads.len(),
-                "join on unknown thread {t}"
-            );
-            if inner.threads[t.index()].finished {
-                let ev = inner.threads[t.index()].exit_v;
-                let ec = inner.threads[t.index()].exit_clock;
-                self.v = self.v.max(ev);
-                if sh.opts.fast_forward {
-                    self.clock = self.clock.max(ec);
-                }
-                let panicked = inner.threads[t.index()]
-                    .panicked
-                    .then(|| inner.threads[t.index()].panic_msg.clone());
-                if let Some(l) = inner.lrc.as_mut() {
-                    l.on_acquire(self.tid, LrcObject::Thread(t.0));
-                }
-                self.sh.cfg.trace.emit(Event::Join {
-                    tid: self.tid,
-                    target: t,
-                });
-                drop(inner);
-                // Join is an acquire: pull the exited thread's commits.
-                self.commit_and_update();
-                let mut inner = sh.inner.lock();
-                inner.table.resume(self.tid, self.clock, self.v);
-                self.release_token_locked(&mut inner);
-                drop(inner);
-                self.last_sync_end_clock = self.clock;
-                return match panicked {
-                    Some(msg) => Err(DmtError::ThreadPanicked { tid: t, msg }),
-                    None => Ok(()),
-                };
-            }
-            drop(inner);
-            // Commit before blocking: a joiner may hold the only copy of
-            // data an ad-hoc reader is spinning on.
-            self.commit_and_update();
-            let mut inner = sh.inner.lock();
-            inner.threads[t.index()].joiners.push(self.tid);
-            inner.threads[self.tid.index()].saved_clock = self.clock;
-            self.sh.cfg.trace.emit(Event::Depart {
-                tid: self.tid,
-                clock: self.clock,
-            });
-            inner.table.depart(self.tid, self.v);
-            self.release_token_locked(&mut inner);
-            self.block_until_woken(&mut inner)?;
-        }
     }
 }
 
@@ -1526,15 +354,7 @@ impl ThreadCtx for Ctx {
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         let faults = self.ws().write_bytes(addr, data) as u64;
-        if faults > 0 {
-            let fc = faults * self.cost.fault;
-            self.v += fc;
-            self.bd.fault += fc;
-            self.cnt.faults += faults;
-            // Page-fault jitter: copy-on-write handling takes arbitrarily
-            // long without affecting what the fault produced.
-            self.perturb_hit(PerturbSite::Fault);
-        }
+        self.charge_faults(faults);
         let w = data.len().div_ceil(8) as u64;
         self.advance(w, self.cost.mem_access(data.len()));
     }
@@ -1547,60 +367,26 @@ impl ThreadCtx for Ctx {
 
     fn st_u64(&mut self, addr: Addr, val: u64) {
         let faults = self.ws().st_u64(addr, val) as u64;
-        if faults > 0 {
-            let fc = faults * self.cost.fault;
-            self.v += fc;
-            self.bd.fault += fc;
-            self.cnt.faults += faults;
-            self.perturb_hit(PerturbSite::Fault);
-        }
+        self.charge_faults(faults);
         self.advance(1, self.cost.mem_access(8));
     }
 
     fn mutex_lock(&mut self, m: MutexId) {
-        if let Err(e) = self.lock_inner(m) {
-            self.raise(e);
-        }
+        let r = self.lock_inner(m);
+        self.or_raise(r)
     }
 
     fn try_mutex_lock(&mut self, m: MutexId) -> DmtResult<()> {
         self.lock_inner(m)
     }
 
-    /// Deterministic mutex release (Fig. 9).
     fn mutex_unlock(&mut self, m: MutexId) {
-        let m = self.resolve_mutex(m);
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let woke = self.unlock_state(&mut inner, m);
-        if !self.fast_sched() {
-            // Reference herd: broadcast even though the woken waiter was
-            // already flagged; the fast path's unlock_state notified the
-            // one parker that matters.
-            self.cnt.broadcast_wakes += 1;
-            self.herd_notify();
-        }
-        drop(inner);
-        if woke {
-            // A woken waiter must get a fair shot at the lock: retaining
-            // the token here would let us re-acquire the lock before the
-            // waiter can ever contend (a deterministic livelock).
-            self.commit_and_update();
-            let mut inner = sh.inner.lock();
-            inner.table.resume(self.tid, self.clock, self.v);
-            self.release_token_locked(&mut inner);
-            return;
-        }
-        let predicted = self.coarsen.thread_est.get();
-        self.end_op(predicted);
+        self.unlock_inner(m)
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        if let Err(e) = self.cond_wait_inner(c, m) {
-            self.raise(e);
-        }
+        let r = self.cond_wait_inner(c, m);
+        self.or_raise(r)
     }
 
     fn try_cond_wait(&mut self, c: CondId, m: MutexId) -> DmtResult<()> {
@@ -1608,533 +394,31 @@ impl ThreadCtx for Ctx {
     }
 
     fn cond_signal(&mut self, c: CondId) {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let woken = inner.conds[c.index()].waiters.pop_front().map(|(w, _)| w);
-        self.sh.cfg.trace.emit(Event::CondSignal {
-            tid: self.tid,
-            cond: c,
-            woken,
-        });
-        if let Some(w) = woken {
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[w.index()].wake = true;
-            inner.threads[w.index()].wake_v = self.v;
-            let saved = inner.threads[w.index()].saved_clock;
-            inner.table.reactivate(w, saved, self.v);
-            self.notify_blocked(w);
-        }
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_release(self.tid, LrcObject::Cond(c.0));
-        }
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
+        self.cond_wake(c, false)
     }
 
     fn cond_broadcast(&mut self, c: CondId) {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let mut woken = 0u32;
-        while let Some((w, _)) = inner.conds[c.index()].waiters.pop_front() {
-            let wk = self.cost.wakeup;
-            self.v += wk;
-            self.bd.lib += wk;
-            inner.threads[w.index()].wake = true;
-            inner.threads[w.index()].wake_v = self.v;
-            let saved = inner.threads[w.index()].saved_clock;
-            inner.table.reactivate(w, saved, self.v);
-            self.notify_blocked(w);
-            woken += 1;
-        }
-        self.sh.cfg.trace.emit(Event::CondBroadcast {
-            tid: self.tid,
-            cond: c,
-            woken,
-        });
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_release(self.tid, LrcObject::Cond(c.0));
-        }
-        inner.table.resume(self.tid, self.clock, self.v);
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
+        self.cond_wake(c, true)
     }
 
-    /// Deterministic barrier with two-phase parallel commit (§4.2).
-    ///
-    /// Raises [`DmtError::BarrierBroken`] (contained at the thread
-    /// boundary) when a participant panicked such that the barrier can
-    /// never fill: stragglers cascade out instead of waiting forever.
     fn barrier_wait(&mut self, b: BarrierId) {
-        // Injection fires before arrival registration, so a dying thread
-        // is never counted as an arriver (containment needs no barrier
-        // unwind protocol).
-        self.maybe_inject_panic(PanicSite::Barrier);
-        self.sync_prologue();
-        self.cnt.barrier_waits += 1;
-        // Barrier-phase delay: a straggler arriving arbitrarily late. The
-        // arrival set is fixed by the program (parties), so only waiting
-        // time can change.
-        self.perturb_hit(PerturbSite::Barrier);
-        let fresh = self.acquire_token_or_raise();
-        if !fresh {
-            // Arriving out of a coarsened run: data protected by locks we
-            // released (with commits deferred) is still buffered, and we
-            // are about to give the token up. Registration in the parallel
-            // commit is not visible until install, so flush properly now.
-            self.commit_and_update();
-        }
-        let sh = Arc::clone(&self.sh);
-        let parallel = sh.opts.parallel_barrier;
-
-        // Arrival: register under the token. Wait out stragglers of the
-        // previous generation first (they do not need the token to leave).
-        let (gen, parties, is_last, pc) = {
-            let mut inner = sh.inner.lock();
-            loop {
-                if inner.barriers[b.index()].broken || inner.shutdown {
-                    let e = if inner.shutdown {
-                        DmtError::Shutdown
-                    } else {
-                        DmtError::BarrierBroken { barrier: b }
-                    };
-                    // We hold the token: leave the order cleanly before
-                    // unwinding to containment.
-                    inner.table.resume(self.tid, self.clock, self.v);
-                    self.release_token_locked(&mut inner);
-                    drop(inner);
-                    self.raise(e);
-                }
-                if inner.barriers[b.index()].phase == BarPhase::Collecting {
-                    break;
-                }
-                sh.cv.wait(&mut inner);
-            }
-            if let Some(l) = inner.lrc.as_mut() {
-                l.on_release(self.tid, LrcObject::Barrier(b.0));
-            }
-            let bst = &mut inner.barriers[b.index()];
-            bst.arrived.push(self.tid);
-            bst.max_arrival_clock = bst.max_arrival_clock.max(self.clock);
-            let pc = parallel.then(|| {
-                Arc::clone(
-                    bst.pc
-                        .get_or_insert_with(|| Arc::new(conversion::ParallelCommit::new())),
-                )
-            });
-            self.sh.cfg.trace.emit(Event::BarrierArrive {
-                tid: self.tid,
-                barrier: b,
-                gen: bst.gen,
-            });
-            (bst.gen, bst.parties, bst.arrived.len() == bst.parties, pc)
-        };
-
-        // Phase 1 (token-serialized): register dirty pages, or commit
-        // serially when the parallel barrier is disabled (DWC behaviour).
-        let my_idx = if let Some(pc) = &pc {
-            let (idx, registered) = pc.register(&sh.seg, self.ws(), None);
-            let c = self.cost.commit_base / 2 + registered as u64 * self.cost.page_register;
-            self.v += c;
-            self.bd.commit += c;
-            self.cnt.commits += 1;
-            Some(idx)
-        } else {
-            self.commit_and_update();
-            None
-        };
-
-        // Hand off: the last arriver keeps the token through phase 2 and
-        // installation so no foreign commit can interleave; earlier
-        // arrivers depart and wait for the phase change.
-        {
-            let mut inner = sh.inner.lock();
-            if is_last {
-                let bst = &mut inner.barriers[b.index()];
-                if parallel {
-                    // INVARIANT: `pc` is `Some` iff `parallel` (set at
-                    // arrival under the same flag).
-                    #[allow(clippy::expect_used)]
-                    pc.as_ref().expect("parallel pc").seal(&sh.seg);
-                    bst.phase = BarPhase::Merging;
-                    bst.merge_start_v = self.v;
-                } else {
-                    bst.phase = BarPhase::Installed;
-                    bst.install_v = self.v;
-                    bst.install_version = sh.seg.latest_id();
-                    self.sh.cfg.trace.emit(Event::BarrierOpen {
-                        tid: self.tid,
-                        barrier: b,
-                        gen,
-                        install_version: bst.install_version,
-                    });
-                    for _ in 0..bst.parties {
-                        sh.seg.pin(bst.install_version);
-                    }
-                    // Reactivate every departed participant here, in
-                    // arrival order, while we hold the token: reactivation
-                    // mutates the deterministic order (round-robin turn),
-                    // so it must not happen at each leaver's racy wake-up.
-                    let others: Vec<Tid> = bst
-                        .arrived
-                        .iter()
-                        .copied()
-                        .filter(|t| *t != self.tid)
-                        .collect();
-                    let ff = bst.max_arrival_clock;
-                    for t in others {
-                        inner.table.reactivate(t, ff, self.v);
-                    }
-                    inner.table.resume(self.tid, self.clock, self.v);
-                    self.release_token_locked(&mut inner);
-                }
-                sh.cv.notify_all();
-            } else {
-                inner.threads[self.tid.index()].saved_clock = self.clock;
-                self.sh.cfg.trace.emit(Event::Depart {
-                    tid: self.tid,
-                    clock: self.clock,
-                });
-                inner.table.depart(self.tid, self.v);
-                self.release_token_locked(&mut inner);
-                let from = self.v;
-                loop {
-                    if inner.barriers[b.index()].broken || inner.shutdown {
-                        // The breaking thread reactivated us (clock-table
-                        // wise) before setting the flag; cascade out.
-                        let e = if inner.shutdown {
-                            DmtError::Shutdown
-                        } else {
-                            DmtError::BarrierBroken { barrier: b }
-                        };
-                        drop(inner);
-                        self.raise(e);
-                    }
-                    let bst = &inner.barriers[b.index()];
-                    if bst.gen == gen && bst.phase != BarPhase::Collecting {
-                        break;
-                    }
-                    sh.cv.wait(&mut inner);
-                }
-                let bst = &inner.barriers[b.index()];
-                let start = if parallel {
-                    bst.merge_start_v
-                } else {
-                    bst.install_v
-                };
-                self.v = self.v.max(start);
-                self.bd.barrier_wait += self.v - from;
-            }
-        }
-
-        // Phase 2 (parallel): merge assigned pages, then the last arriver
-        // installs and opens the barrier.
-        if let (Some(pc), Some(idx)) = (&pc, my_idx) {
-            // Slow merger: phase 2 runs outside the token, so a stalled
-            // participant exercises the install-side wait for stragglers.
-            self.perturb_hit(PerturbSite::Barrier);
-            let w = pc.merge_for(idx);
-            let c = w.pages as u64 * self.cost.page_commit + w.merged as u64 * self.cost.page_merge;
-            self.v += c;
-            self.bd.commit += c;
-            self.cnt.pages_merged += w.merged as u64;
-            let mut inner = sh.inner.lock();
-            {
-                let bst = &mut inner.barriers[b.index()];
-                bst.phase2_done += 1;
-                bst.phase2_max_v = bst.phase2_max_v.max(self.v);
-            }
-            sh.cv.notify_all();
-            if is_last {
-                loop {
-                    if inner.barriers[b.index()].broken || inner.shutdown {
-                        let e = if inner.shutdown {
-                            DmtError::Shutdown
-                        } else {
-                            DmtError::BarrierBroken { barrier: b }
-                        };
-                        drop(inner);
-                        self.raise(e);
-                    }
-                    if inner.barriers[b.index()].phase2_done == parties {
-                        break;
-                    }
-                    sh.cv.wait(&mut inner);
-                }
-                drop(inner);
-                let installed = pc.install(&sh.seg);
-                let mut inner = sh.inner.lock();
-                // Page accounting uses the installed (merged) counts so the
-                // TSO and LRC page metrics share units.
-                for (t, pages) in &installed {
-                    self.cnt.pages_committed += *pages as u64;
-                    if let Some(l) = inner.lrc.as_mut() {
-                        l.on_commit(*t, *pages);
-                    }
-                }
-                let ic = self.cost.commit_base;
-                let p2max = inner.barriers[b.index()].phase2_max_v;
-                self.v = self.v.max(p2max) + ic;
-                self.bd.commit += ic;
-                let bst = &mut inner.barriers[b.index()];
-                bst.install_v = self.v;
-                bst.install_version = sh.seg.latest_id();
-                self.sh.cfg.trace.emit(Event::BarrierOpen {
-                    tid: self.tid,
-                    barrier: b,
-                    gen,
-                    install_version: bst.install_version,
-                });
-                for _ in 0..bst.parties {
-                    sh.seg.pin(bst.install_version);
-                }
-                bst.phase = BarPhase::Installed;
-                let others: Vec<Tid> = bst
-                    .arrived
-                    .iter()
-                    .copied()
-                    .filter(|t| *t != self.tid)
-                    .collect();
-                let ff = bst.max_arrival_clock;
-                for t in others {
-                    inner.table.reactivate(t, ff, self.v);
-                }
-                inner.table.resume(self.tid, self.clock, self.v);
-                self.release_token_locked(&mut inner);
-            } else {
-                let from = self.v;
-                loop {
-                    if inner.barriers[b.index()].broken || inner.shutdown {
-                        let e = if inner.shutdown {
-                            DmtError::Shutdown
-                        } else {
-                            DmtError::BarrierBroken { barrier: b }
-                        };
-                        drop(inner);
-                        self.raise(e);
-                    }
-                    let bst = &inner.barriers[b.index()];
-                    if bst.gen == gen && bst.phase == BarPhase::Installed {
-                        break;
-                    }
-                    sh.cv.wait(&mut inner);
-                }
-                self.v = self.v.max(inner.barriers[b.index()].install_v);
-                self.bd.barrier_wait += self.v - from;
-            }
-        }
-
-        // Everyone: pull the installed state (exactly — later commits by
-        // non-participants must not change our update work) and leave.
-        let upto = {
-            let inner = sh.inner.lock();
-            inner.barriers[b.index()].install_version
-        };
-        let ur = sh.seg.update_to(self.ws(), upto);
-        sh.seg.unpin(upto);
-        let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
-        self.v += u;
-        self.bd.update += u;
-        self.cnt.pages_propagated += ur.pages_propagated;
-
-        {
-            let mut inner = sh.inner.lock();
-            let bst = &mut inner.barriers[b.index()];
-            // Deterministic fast-forward: all parties leave at the latest
-            // arrival clock, so the next chunk starts even.
-            self.clock = self.clock.max(bst.max_arrival_clock);
-            bst.leaving += 1;
-            if bst.leaving == parties {
-                bst.reset();
-            }
-            if let Some(l) = inner.lrc.as_mut() {
-                l.on_acquire(self.tid, LrcObject::Barrier(b.0));
-            }
-            sh.cv.notify_all();
-        }
-        self.cnt.chunks += 1;
-        self.chunk_start_clock = self.clock;
-        self.last_sync_end_clock = self.clock;
-        self.ovf.chunk_start();
+        self.barrier_inner(b)
     }
 
-    /// Deterministic shared-reader acquisition: granted under the token
-    /// when no writer holds the lock and the FIFO queue is empty;
-    /// otherwise queue. Queued threads are *granted by the waker* (direct
-    /// hand-off) — a retry model could re-queue behind newly arrived
-    /// writers and strand the whole queue.
     fn rw_read_lock(&mut self, l: RwLockId) {
-        self.sync_prologue();
-        let _ = self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        if let Some(by) = inner.rwlocks[l.index()].poisoned {
-            drop(inner);
-            self.finish_rw_op();
-            self.raise(DmtError::RwLockPoisoned { lock: l, by });
-        }
-        let st = &mut inner.rwlocks[l.index()];
-        if st.writer.is_none() && st.waiters.is_empty() {
-            st.readers += 1;
-            self.sh.cfg.trace.emit(Event::RwAcquire {
-                tid: self.tid,
-                lock: l,
-                writer: false,
-            });
-            if let Some(t) = inner.lrc.as_mut() {
-                t.on_acquire(self.tid, LrcObject::RwLock(l.0));
-            }
-            drop(inner);
-            self.finish_rw_op();
-            return;
-        }
-        st.waiters.push_back((self.tid, false));
-        inner.threads[self.tid.index()].saved_clock = self.clock;
-        self.sh.cfg.trace.emit(Event::Depart {
-            tid: self.tid,
-            clock: self.clock,
-        });
-        inner.table.depart(self.tid, self.v);
-        drop(inner);
-        // Commit before departing (see `mutex_lock`).
-        self.commit_and_update();
-        let mut inner = sh.inner.lock();
-        self.release_token_locked(&mut inner);
-        if let Err(e) = self.block_until_woken(&mut inner) {
-            drop(inner);
-            self.raise(e);
-        }
-        if let Some(t) = inner.lrc.as_mut() {
-            t.on_acquire(self.tid, LrcObject::RwLock(l.0));
-        }
-        drop(inner);
-        // The waker granted us the read hold; refresh our view under the
-        // token (acquire semantics).
-        self.rw_post_grant();
+        self.rw_lock(l, false)
     }
 
-    /// Releases a shared-reader hold; the last reader hands off to the
-    /// queue head.
     fn rw_read_unlock(&mut self, l: RwLockId) {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        let st = &mut inner.rwlocks[l.index()];
-        assert!(
-            st.readers > 0,
-            "{} read-unlocking {l} with no readers",
-            self.tid
-        );
-        st.readers -= 1;
-        self.sh.cfg.trace.emit(Event::RwRelease {
-            tid: self.tid,
-            lock: l,
-            writer: false,
-        });
-        if st.readers == 0 {
-            self.rw_wake_head(&mut inner, l);
-        }
-        if let Some(t) = inner.lrc.as_mut() {
-            t.on_release(self.tid, LrcObject::RwLock(l.0));
-        }
-        inner.table.resume(self.tid, self.clock, self.v);
-        drop(inner);
-        self.commit_and_update();
-        let mut inner = sh.inner.lock();
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
+        self.rw_unlock(l, false)
     }
 
-    /// Deterministic exclusive acquisition (direct hand-off when queued).
     fn rw_write_lock(&mut self, l: RwLockId) {
-        self.sync_prologue();
-        let _ = self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        if let Some(by) = inner.rwlocks[l.index()].poisoned {
-            drop(inner);
-            self.finish_rw_op();
-            self.raise(DmtError::RwLockPoisoned { lock: l, by });
-        }
-        let st = &mut inner.rwlocks[l.index()];
-        if st.writer.is_none() && st.readers == 0 && st.waiters.is_empty() {
-            st.writer = Some(self.tid);
-            self.sh.cfg.trace.emit(Event::RwAcquire {
-                tid: self.tid,
-                lock: l,
-                writer: true,
-            });
-            if let Some(t) = inner.lrc.as_mut() {
-                t.on_acquire(self.tid, LrcObject::RwLock(l.0));
-            }
-            drop(inner);
-            self.finish_rw_op();
-            return;
-        }
-        st.waiters.push_back((self.tid, true));
-        inner.threads[self.tid.index()].saved_clock = self.clock;
-        self.sh.cfg.trace.emit(Event::Depart {
-            tid: self.tid,
-            clock: self.clock,
-        });
-        inner.table.depart(self.tid, self.v);
-        drop(inner);
-        self.commit_and_update();
-        let mut inner = sh.inner.lock();
-        self.release_token_locked(&mut inner);
-        if let Err(e) = self.block_until_woken(&mut inner) {
-            drop(inner);
-            self.raise(e);
-        }
-        if let Some(t) = inner.lrc.as_mut() {
-            t.on_acquire(self.tid, LrcObject::RwLock(l.0));
-        }
-        drop(inner);
-        self.rw_post_grant();
+        self.rw_lock(l, true)
     }
 
-    /// Releases the exclusive hold; hands off to the queued writer or
-    /// every leading reader.
     fn rw_write_unlock(&mut self, l: RwLockId) {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        assert_eq!(
-            inner.rwlocks[l.index()].writer,
-            Some(self.tid),
-            "{} write-unlocking {l} it does not hold",
-            self.tid
-        );
-        inner.rwlocks[l.index()].writer = None;
-        self.sh.cfg.trace.emit(Event::RwRelease {
-            tid: self.tid,
-            lock: l,
-            writer: true,
-        });
-        self.rw_wake_head(&mut inner, l);
-        if let Some(t) = inner.lrc.as_mut() {
-            t.on_release(self.tid, LrcObject::RwLock(l.0));
-        }
-        inner.table.resume(self.tid, self.clock, self.v);
-        drop(inner);
-        self.commit_and_update();
-        let mut inner = sh.inner.lock();
-        self.release_token_locked(&mut inner);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
+        self.rw_unlock(l, true)
     }
 
     /// §2.7: a deterministic atomic — token-protected RMW on the latest
@@ -2148,97 +432,13 @@ impl ThreadCtx for Ctx {
         self.atomic_rmw(addr, |old| if old == expect { new } else { old })
     }
 
-    /// Deterministic thread creation with pool reuse (§3.3).
     fn spawn(&mut self, job: Job) -> Tid {
-        self.sync_prologue();
-        self.acquire_token_or_raise();
-        // Creation is a release edge: the child must see our writes.
-        self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
-        assert!(
-            (inner.next_tid as usize) < sh.cfg.max_threads,
-            "thread limit {} exceeded",
-            sh.cfg.max_threads
-        );
-        let child = Tid(inner.next_tid);
-        inner.next_tid += 1;
-        inner.threads.push(ThreadSt::default());
-        inner.live += 1;
-        inner.table.register(child, self.clock, self.v);
-        self.cnt.spawns += 1;
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_spawn(self.tid, child);
-        }
-
-        let reuse = sh.opts.thread_pool && !inner.pool.is_empty();
-        self.sh.cfg.trace.emit(Event::Spawn {
-            parent: self.tid,
-            child,
-            pooled: reuse,
-        });
-        let spawn_cost;
-        if reuse {
-            // INVARIANT: `reuse` checked the pool non-empty two lines up,
-            // under the same lock hold.
-            #[allow(clippy::expect_used)]
-            let entry = inner.pool.pop().expect("checked non-empty");
-            let mut ws = entry.ws;
-            sh.seg.adopt(&mut ws, child);
-            // The reused workspace only needs the delta since it was pooled
-            // (much cheaper than a fork, as §3.3 observes).
-            let ur = sh.seg.update(&mut ws);
-            spawn_cost = self.cost.pool_reuse + ur.pages_propagated * self.cost.page_update;
-            self.cnt.pool_hits += 1;
-            self.v += spawn_cost;
-            self.bd.lib += spawn_cost;
-            // The worker holds its own Sender clone and re-pools itself
-            // with it when this job exits.
-            // INVARIANT: a pooled worker is parked in `rx.recv()` — its
-            // receiver cannot be dropped while its entry is in the pool
-            // (even a panicked job re-pools through `abort`).
-            #[allow(clippy::expect_used)]
-            entry
-                .tx
-                .send(Msg::Start {
-                    tid: child,
-                    job,
-                    clock: self.clock,
-                    v: self.v,
-                    ws,
-                })
-                .expect("pooled worker hung up");
-        } else {
-            // Fork: copy every mapped page-table entry into the child.
-            let (ws, mapped) = sh.seg.new_workspace(child);
-            spawn_cost = self.cost.spawn_base + mapped as u64 * self.cost.page_map;
-            self.v += spawn_cost;
-            self.bd.lib += spawn_cost;
-            let tx = crate::runtime::spawn_worker(&sh, &mut inner);
-            // INVARIANT: the worker thread was spawned one line up and
-            // blocks on `rx.recv()` before anything can unwind it.
-            #[allow(clippy::expect_used)]
-            tx.send(Msg::Start {
-                tid: child,
-                job,
-                clock: self.clock,
-                v: self.v,
-                ws,
-            })
-            .expect("fresh worker hung up");
-        }
-        inner.table.resume(self.tid, self.clock, self.v);
-        // Keep the rotation turn: back-to-back creates form one phase.
-        self.release_token_locked_ex(&mut inner, false);
-        drop(inner);
-        self.last_sync_end_clock = self.clock;
-        child
+        self.spawn_inner(job)
     }
 
     fn join(&mut self, t: Tid) {
-        if let Err(e) = self.join_inner(t) {
-            self.raise(e);
-        }
+        let r = self.join_inner(t);
+        self.or_raise(r)
     }
 
     fn try_join(&mut self, t: Tid) -> DmtResult<()> {

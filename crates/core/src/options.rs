@@ -53,12 +53,6 @@ pub struct Options {
     /// (checked by `stress --sched-diff`); the reference table is kept for
     /// differential testing, mirroring the `merge::bytewise` precedent.
     pub sched: SchedKind,
-    /// Record the token-grant schedule — `(thread, logical clock)` per
-    /// grant — retrievable after the run via
-    /// [`crate::ConsequenceRuntime::take_schedule`]. The schedule is the
-    /// runtime's deterministic total order of synchronization; recording
-    /// it costs memory proportional to the number of sync operations.
-    pub record_schedule: bool,
     /// Base overflow interval in instructions (§3.2 uses 5 000).
     pub base_overflow: u64,
     /// Initial adaptive maximum coarsened-chunk length, in instructions.
@@ -142,7 +136,6 @@ impl Options {
             polling_locks: false,
             polling_increment: 1_000,
             sched: SchedKind::Fast,
-            record_schedule: false,
             base_overflow: det_clock::overflow::BASE_OVERFLOW,
             coarsen_initial: 32_768,
             coarsen_min: 16_384,
@@ -173,30 +166,13 @@ impl Options {
         Options {
             order: OrderPolicy::RoundRobin,
             coarsening: false,
-            static_coarsen: None,
             fast_forward: false,
             parallel_barrier: false,
             adaptive_overflow: false,
             user_counter_read: false,
             thread_pool: false,
-            chunk_limit: None,
             single_global_lock: true,
-            polling_locks: false,
-            polling_increment: 1_000,
-            sched: SchedKind::Fast,
-            record_schedule: false,
-            base_overflow: det_clock::overflow::BASE_OVERFLOW,
-            coarsen_initial: 32_768,
-            coarsen_min: 16_384,
-            coarsen_cap: 4 << 20,
-            inject_eligibility_bug: false,
-            watchdog_stall_ms: Some(5_000),
-            inject_sched_corruption: None,
-            shard_domains: 1,
-            shard_map_seed: 0,
-            pipeline_commit: true,
-            pipeline_workers: 2,
-            trace_flush_pages: 8,
+            ..Options::consequence_ic()
         }
     }
 
@@ -208,8 +184,7 @@ impl Options {
     /// cannot change the schedule (and legitimately differ on replay):
     /// `sched` (fast and reference produce bit-identical schedules —
     /// replay forces reference for its broadcast wake-ups),
-    /// `record_schedule` (observation only), `watchdog_stall_ms`
-    /// (supervision only; replay lowers it),
+    /// `watchdog_stall_ms` (supervision only; replay lowers it),
     /// `pipeline_commit`/`pipeline_workers` (the settle pool's deferred
     /// work is charged at publish time, so pipeline on/off and any worker
     /// count produce bit-identical schedules — a pipelined recording
@@ -298,29 +273,20 @@ mod tests {
 
     #[test]
     fn without_disables_each_named_optimization() {
-        for name in [
-            "coarsening",
-            "fast_forward",
-            "parallel_barrier",
-            "adaptive_overflow",
-            "user_counter_read",
-            "thread_pool",
-            "fast_sched",
-            "pipeline_commit",
-        ] {
+        type Disabled = fn(&Options) -> bool;
+        let cases: [(&str, Disabled); 8] = [
+            ("coarsening", |o| !o.coarsening),
+            ("fast_forward", |o| !o.fast_forward),
+            ("parallel_barrier", |o| !o.parallel_barrier),
+            ("adaptive_overflow", |o| !o.adaptive_overflow),
+            ("user_counter_read", |o| !o.user_counter_read),
+            ("thread_pool", |o| !o.thread_pool),
+            ("fast_sched", |o| o.sched == SchedKind::Reference),
+            ("pipeline_commit", |o| !o.pipeline_commit),
+        ];
+        for (name, disabled) in cases {
             let o = Options::consequence_ic().without(name);
-            let disabled = match name {
-                "coarsening" => !o.coarsening,
-                "fast_forward" => !o.fast_forward,
-                "parallel_barrier" => !o.parallel_barrier,
-                "adaptive_overflow" => !o.adaptive_overflow,
-                "user_counter_read" => !o.user_counter_read,
-                "thread_pool" => !o.thread_pool,
-                "fast_sched" => o.sched == SchedKind::Reference,
-                "pipeline_commit" => !o.pipeline_commit,
-                _ => unreachable!(),
-            };
-            assert!(disabled, "{name} not disabled");
+            assert!(disabled(&o), "{name} not disabled");
         }
     }
 
@@ -337,47 +303,103 @@ mod tests {
         let _ = Options::consequence_ic().without("warp_drive");
     }
 
-    #[test]
-    fn shard_parameters_are_fingerprinted() {
-        let base = Options::consequence_ic();
-        let mut sharded = Options::consequence_ic();
-        sharded.shard_domains = 4;
-        assert_ne!(base.fingerprint(), sharded.fingerprint());
-        let mut reseeded = sharded.clone();
-        reseeded.shard_map_seed = 7;
-        assert_ne!(sharded.fingerprint(), reseeded.fingerprint());
-        // The default (unsharded) configuration must fingerprint exactly
-        // as it did before shard options existed — traces recorded by
-        // older builds stay replayable.
-        let mut explicit = Options::consequence_ic();
-        explicit.shard_domains = 1;
-        explicit.shard_map_seed = 0;
-        assert_eq!(base.fingerprint(), explicit.fingerprint());
+    /// The `dmt_server` golden cell of `tests/golden_hashes.rs`:
+    /// `(schedule_hash, commit_log_hash)` at 4 threads, scale 1, seed 42.
+    fn dmt_server_cell(opts: Options) -> (u64, u64) {
+        use dmt_api::Runtime;
+        let w = dmt_workloads::workload_by_name("dmt_server").unwrap();
+        let p = dmt_workloads::Params::new(4, 1, 42);
+        let cfg = dmt_api::CommonConfig {
+            heap_pages: w.heap_pages(&p),
+            trace: dmt_api::TraceHandle::to(std::sync::Arc::new(dmt_api::HashSink::new())),
+            ..dmt_api::CommonConfig::default()
+        };
+        let mut rt = crate::ConsequenceRuntime::new(cfg, opts);
+        let prepared = w.prepare(&mut rt, &p);
+        let report = rt.run(prepared.job);
+        (report.schedule_hash, report.commit_log_hash)
     }
 
+    /// Every field is either fingerprinted — a changed value changes
+    /// `fingerprint()`, so a recording is refused by a build that would
+    /// schedule it differently — or excluded, and then provably
+    /// schedule-neutral: the golden cell does not move. (Shard parameters
+    /// fold only when non-default and pipeline/flush/watchdog/scheduler
+    /// knobs not at all, so traces recorded before those existed, or
+    /// under other values of them, stay replayable.)
     #[test]
-    fn pipeline_options_are_not_fingerprinted() {
-        // Pipeline on/off and any worker count must produce bit-identical
-        // schedules, so a pipelined recording replays on a serial build.
-        let on = Options::consequence_ic();
-        let off = Options::consequence_ic().without("pipeline_commit");
-        assert!(on.pipeline_commit && !off.pipeline_commit);
-        assert_eq!(on.fingerprint(), off.fingerprint());
-        let mut wide = Options::consequence_ic();
-        wide.pipeline_workers = 7;
-        assert_eq!(on.fingerprint(), wide.fingerprint());
-    }
-
-    #[test]
-    fn trace_flush_cadence_is_not_fingerprinted() {
-        // Durable-flush cadence changes only when bytes reach the OS,
-        // never the schedule: any cadence must replay any other's trace.
+    fn fingerprint_membership_is_complete() {
+        // No `..`: a new field fails to compile here until it is added to
+        // one of the two lists below.
+        let Options {
+            order: _,
+            coarsening: _,
+            static_coarsen: _,
+            fast_forward: _,
+            parallel_barrier: _,
+            adaptive_overflow: _,
+            user_counter_read: _,
+            thread_pool: _,
+            chunk_limit: _,
+            single_global_lock: _,
+            polling_locks: _,
+            polling_increment: _,
+            sched: _,
+            base_overflow: _,
+            coarsen_initial: _,
+            coarsen_min: _,
+            coarsen_cap: _,
+            inject_eligibility_bug: _,
+            watchdog_stall_ms: _,
+            inject_sched_corruption: _,
+            shard_domains: _,
+            shard_map_seed: _,
+            pipeline_commit: _,
+            pipeline_workers: _,
+            trace_flush_pages: _,
+        } = Options::consequence_ic();
+        let fingerprinted: [fn(&mut Options); 20] = [
+            |o| o.order = OrderPolicy::RoundRobin,
+            |o| o.coarsening = false,
+            |o| o.static_coarsen = Some(1),
+            |o| o.fast_forward = false,
+            |o| o.parallel_barrier = false,
+            |o| o.adaptive_overflow = false,
+            |o| o.user_counter_read = false,
+            |o| o.thread_pool = false,
+            |o| o.chunk_limit = Some(1),
+            |o| o.single_global_lock = true,
+            |o| o.polling_locks = true,
+            |o| o.polling_increment += 1,
+            |o| o.base_overflow += 1,
+            |o| o.coarsen_initial += 1,
+            |o| o.coarsen_min += 1,
+            |o| o.coarsen_cap += 1,
+            |o| o.inject_eligibility_bug = true,
+            |o| o.inject_sched_corruption = Some(1),
+            |o| o.shard_domains = 4,
+            |o| o.shard_map_seed = 7,
+        ];
+        let excluded: [fn(&mut Options); 5] = [
+            |o| o.sched = SchedKind::Reference,
+            |o| o.watchdog_stall_ms = Some(60_000),
+            |o| o.pipeline_commit = false,
+            |o| o.pipeline_workers = 7,
+            |o| o.trace_flush_pages = 0,
+        ];
         let base = Options::consequence_ic();
-        let mut eager = Options::consequence_ic();
-        eager.trace_flush_pages = 1;
-        let mut never = Options::consequence_ic();
-        never.trace_flush_pages = 0;
-        assert_eq!(base.fingerprint(), eager.fingerprint());
-        assert_eq!(base.fingerprint(), never.fingerprint());
+        for (i, change) in fingerprinted.iter().enumerate() {
+            let mut o = base.clone();
+            change(&mut o);
+            assert_ne!(o.fingerprint(), base.fingerprint(), "fingerprinted #{i}");
+        }
+        let golden = dmt_server_cell(base.clone());
+        assert_eq!(golden.0, 0x34300d2f73672d92, "dmt_server golden moved");
+        for (i, change) in excluded.iter().enumerate() {
+            let mut o = base.clone();
+            change(&mut o);
+            assert_eq!(o.fingerprint(), base.fingerprint(), "excluded #{i}");
+            assert_eq!(dmt_server_cell(o), golden, "excluded #{i} moved the cell");
+        }
     }
 }

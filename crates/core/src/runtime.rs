@@ -4,7 +4,6 @@
 //! deadlocks and scheduler-invariant violations into diagnoses.
 
 use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -75,14 +74,13 @@ impl ConsequenceRuntime {
         &self.sh.opts
     }
 
-    /// Takes the recorded token-grant schedule: the deterministic total
-    /// order of synchronization operations as `(thread, logical clock)`
-    /// pairs. Empty unless [`Options::record_schedule`] was set. Two runs
-    /// of a deterministic configuration produce identical schedules — the
-    /// strongest witness this runtime offers, and a practical debugging
-    /// trace ("which thread synchronized when").
-    pub fn take_schedule(&mut self) -> Vec<(Tid, u64)> {
-        std::mem::take(&mut self.sh.inner.lock().schedule)
+    /// Adds a synchronization object to its list, returning its index.
+    fn create<T>(&mut self, list: fn(&mut Inner) -> &mut Vec<T>, obj: T) -> u32 {
+        self.assert_not_started();
+        let mut inner = self.sh.inner.lock();
+        let list = list(&mut inner);
+        list.push(obj);
+        list.len() as u32 - 1
     }
 
     fn assert_not_started(&self) {
@@ -103,32 +101,20 @@ impl Runtime for ConsequenceRuntime {
     }
 
     fn create_mutex(&mut self) -> MutexId {
-        self.assert_not_started();
-        let mut inner = self.sh.inner.lock();
-        inner.mutexes.push(MutexSt::default());
-        MutexId(inner.mutexes.len() as u32 - 1)
+        MutexId(self.create(|i| &mut i.mutexes, MutexSt::default()))
     }
 
     fn create_cond(&mut self) -> CondId {
-        self.assert_not_started();
-        let mut inner = self.sh.inner.lock();
-        inner.conds.push(CondSt::default());
-        CondId(inner.conds.len() as u32 - 1)
+        CondId(self.create(|i| &mut i.conds, CondSt::default()))
     }
 
     fn create_rwlock(&mut self) -> RwLockId {
-        self.assert_not_started();
-        let mut inner = self.sh.inner.lock();
-        inner.rwlocks.push(RwSt::default());
-        RwLockId(inner.rwlocks.len() as u32 - 1)
+        RwLockId(self.create(|i| &mut i.rwlocks, RwSt::default()))
     }
 
     fn create_barrier(&mut self, parties: usize) -> BarrierId {
-        self.assert_not_started();
         assert!(parties > 0, "barrier needs at least one party");
-        let mut inner = self.sh.inner.lock();
-        inner.barriers.push(BarrierSt::new(parties));
-        BarrierId(inner.barriers.len() as u32 - 1)
+        BarrierId(self.create(|i| &mut i.barriers, BarrierSt::new(parties)))
     }
 
     fn heap_len(&self) -> usize {
@@ -169,13 +155,7 @@ impl Runtime for ConsequenceRuntime {
         });
 
         let (ws, _mapped) = sh.seg.new_workspace(Tid::MAIN);
-        let mut ctx = Ctx::new(Arc::clone(&sh), Tid::MAIN, ws, 0, 0, None);
-        // Panic boundary: a panicking main job departs deterministically
-        // (clock, token, poison) instead of tearing the process down.
-        match catch_unwind(AssertUnwindSafe(|| main(&mut ctx))) {
-            Ok(()) => ctx.finish(),
-            Err(payload) => ctx.dispatch_panic(payload),
-        }
+        Ctx::new(Arc::clone(&sh), Tid::MAIN, ws, 0, 0, None).run_job(|ctx| main(ctx));
 
         // Wait for every spawned thread to finish — and, when pooling, for
         // every worker to park itself back in the pool — then shut down.
@@ -188,20 +168,13 @@ impl Runtime for ConsequenceRuntime {
             let mut stuck = false;
             while inner.live > 0 || (sh.opts.thread_pool && inner.pool.len() < inner.handles.len())
             {
-                if inner.shutdown {
-                    let timed_out = sh
-                        .cv
-                        .wait_for(&mut inner, Duration::from_millis(100))
-                        .timed_out();
-                    if timed_out {
-                        grace += 1;
-                        if grace >= 20 {
-                            stuck = true;
-                            break;
-                        }
+                let poll = inner.shutdown.then_some(Duration::from_millis(100));
+                if sh.parking.wait_shared(&mut inner, poll) {
+                    grace += 1;
+                    if grace >= 20 {
+                        stuck = true;
+                        break;
                     }
-                } else {
-                    sh.cv.wait(&mut inner);
                 }
             }
             for entry in inner.pool.drain(..) {
@@ -264,17 +237,7 @@ impl Runtime for ConsequenceRuntime {
         // Teardown sample: catches a run whose last epochs never
         // committed (pure compute tails) and the final trace occupancy.
         if sh.cfg.witness.enabled() {
-            let clock_history = {
-                let inner = sh.inner.lock();
-                inner.table.max_history_len(sh.cfg.max_threads as u32)
-            };
-            sh.cfg.witness.observe(dmt_api::ResourceSample {
-                retained_versions: sh.seg.retained_peak(),
-                live_pages: sh.seg.tracker().live(),
-                clock_history,
-                trace_ring: sh.cfg.trace.occupancy(),
-                pipeline_backlog: sh.seg.pipeline_backlog(),
-            });
+            sh.witness_sample();
             sh.cfg.witness.record_durability(
                 sh.cfg.trace.durable_flushes(),
                 sh.cfg.trace.salvaged_pages(),
@@ -284,7 +247,7 @@ impl Runtime for ConsequenceRuntime {
         // run fault even though the computation itself finished: the
         // promised reproducer is truncated at the point of failure.
         let trace_fault = sh.cfg.trace.fault();
-        let degraded = sh.degraded.load(Ordering::Relaxed) || trace_fault.is_some();
+        let degraded = sh.parking.is_degraded() || trace_fault.is_some();
         let fault = fault.or(trace_fault);
         RunReport {
             virtual_cycles: max_v,
@@ -331,40 +294,20 @@ fn worker_loop(sh: Arc<Shared>, rx: Receiver<Msg>, self_tx: Sender<Msg>) {
         ws,
     }) = rx.recv()
     {
-        let mut ctx = Ctx::new(Arc::clone(&sh), tid, ws, clock, v, self_tx.clone());
-        // Panic boundary: the birth sync runs inside it too — round-robin
-        // rendezvous can itself unwind on shutdown or injected faults.
-        let result = catch_unwind(AssertUnwindSafe(|| {
+        let ctx = Ctx::new(Arc::clone(&sh), tid, ws, clock, v, self_tx.clone());
+        ctx.run_job(|ctx| {
             // Under round-robin ordering a newborn thread holds a rotation
             // slot it will not use until its first synchronization
             // operation, which would serialize the spawner behind this
             // thread's first chunk (real DThreads children rendezvous with
             // the runtime at birth). A null sync op at birth keeps the
-            // rotation moving.
+            // rotation moving — inside the panic boundary too: the
+            // rendezvous can itself unwind on shutdown or injected faults.
             if sh.opts.order == det_clock::OrderPolicy::RoundRobin {
                 ctx.birth_sync();
             }
-            job(&mut ctx);
-        }));
-        match result {
-            // The exit protocol pools the workspace (or detaches it) while
-            // holding the token, keeping pool contents deterministic.
-            Ok(()) => ctx.finish(),
-            // Containment: the dying thread departs the clock, releases or
-            // reclaims the token, poisons what it held, and wakes joiners —
-            // all under the token, so the departure itself is deterministic.
-            Err(payload) => ctx.dispatch_panic(payload),
-        }
-    }
-}
-
-/// Wakes every thread however it might be waiting: the shared condvar and
-/// every per-thread parker. Used on shutdown and failover, when a thread's
-/// chosen wait condvar can no longer be predicted.
-fn wake_everyone(sh: &Shared) {
-    sh.cv.notify_all();
-    for p in sh.parkers.iter() {
-        p.notify_all();
+            job(ctx);
+        });
     }
 }
 
@@ -399,7 +342,8 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stop: Arc<AtomicBool>) {
         // No token grant for a full stall window with live threads: either
         // the scheduler lost a waiter (recoverable) or the workload is
         // deadlocked (diagnosable). Check invariants first.
-        match inner.table.check_invariants() {
+        let cause = match inner.table.check_invariants() {
+            Ok(()) => "no logical progress (deadlock suspected)".to_string(),
             Err(detail) => {
                 if inner.table.failover() {
                     eprintln!(
@@ -407,32 +351,24 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stop: Arc<AtomicBool>) {
                          [conseq] failing over to the reference scheduler; \
                          the run continues degraded"
                     );
-                    sh.degraded.store(true, Ordering::Release);
+                    sh.parking.degrade();
                     drop(inner);
-                    wake_everyone(&sh);
+                    sh.parking.everyone();
                     last_change = Instant::now();
                     continue;
                 }
                 // Already on the reference table: the violation is
                 // unrecoverable. Diagnose and shut down.
-                let report = diagnose(&inner, &format!("scheduler invariant violation: {detail}"));
-                eprintln!("{report}");
-                inner.fault = Some(report);
-                inner.shutdown = true;
-                drop(inner);
-                wake_everyone(&sh);
-                return;
+                format!("scheduler invariant violation: {detail}")
             }
-            Ok(()) => {
-                let report = diagnose(&inner, "no logical progress (deadlock suspected)");
-                eprintln!("{report}");
-                inner.fault = Some(report);
-                inner.shutdown = true;
-                drop(inner);
-                wake_everyone(&sh);
-                return;
-            }
-        }
+        };
+        let report = diagnose(&inner, &cause);
+        eprintln!("{report}");
+        inner.fault = Some(report);
+        inner.shutdown = true;
+        drop(inner);
+        sh.parking.everyone();
+        return;
     }
 }
 
@@ -447,14 +383,27 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
         "[conseq] token={:?} last_entrant={:?} grants={} live={}",
         inner.token, inner.last_entrant, inner.grant_seq, inner.live
     );
+    let _ = writeln!(
+        s,
+        "[conseq] clock table census (running, at_sync, departed)={:?}",
+        inner.table.census()
+    );
     for (i, t) in inner.threads.iter().enumerate() {
         if t.finished && t.joiners.is_empty() {
             continue;
         }
+        let tid = Tid(i as u32);
         let _ = writeln!(
             s,
-            "[conseq]   t{i}: finished={} panicked={} wake={} wake_err={:?} joiners={:?}",
-            t.finished, t.panicked, t.wake, t.wake_err, t.joiners
+            "[conseq]   t{i}: state={:?} published={} finished={} panicked={} wake={} \
+             wake_err={:?} joiners={:?}",
+            inner.table.state(tid),
+            inner.table.published(tid),
+            t.finished,
+            t.panicked,
+            t.wake,
+            t.wake_err,
+            t.joiners
         );
     }
     for (i, m) in inner.mutexes.iter().enumerate() {
@@ -472,10 +421,14 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
         }
     }
     for (i, r) in inner.rwlocks.iter().enumerate() {
-        if r.writer.is_some() || r.readers > 0 || !r.waiters.is_empty() || r.poisoned.is_some() {
+        if r.writer.is_some()
+            || !r.readers.is_empty()
+            || !r.waiters.is_empty()
+            || r.poisoned.is_some()
+        {
             let _ = writeln!(
                 s,
-                "[conseq]   rwlock {i}: writer={:?} readers={} waiters={:?} poisoned={:?}",
+                "[conseq]   rwlock {i}: writer={:?} readers={:?} waiters={:?} poisoned={:?}",
                 r.writer, r.readers, r.waiters, r.poisoned
             );
         }

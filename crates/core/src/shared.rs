@@ -6,16 +6,17 @@ use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use dmt_api::sync::{Condvar, Mutex};
+use dmt_api::sync::{Condvar, Mutex, MutexGuard};
 
 use conversion::{ParallelCommit, Segment, Workspace};
-use det_clock::{ReplayCtl, SchedTable, Slots};
+use det_clock::{ReplayCtl, SchedKind, SchedTable, Slots};
 use dmt_api::{Breakdown, CachePadded, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
-use crate::lrc::LrcTracker;
+use crate::lrc::{LrcObject, LrcTracker};
 use crate::options::Options;
 
 /// A deterministic mutex.
@@ -50,18 +51,18 @@ pub(crate) struct CondSt {
 #[derive(Debug, Default)]
 pub(crate) struct RwSt {
     pub writer: Option<Tid>,
-    pub readers: u32,
+    /// Current shared holders, one entry per hold, so a dying reader's
+    /// holds can be dropped by its containment protocol.
+    pub readers: Vec<Tid>,
     /// FIFO wait queue; `true` marks a writer.
     pub waiters: VecDeque<(Tid, bool)>,
     /// Set when the exclusive holder panicked (see [`MutexSt::poisoned`]).
-    /// A dying *reader* cannot poison: reader holds are not attributed per
-    /// thread, so its count leaks instead (documented in ROBUSTNESS.md —
-    /// the watchdog reports the resulting stall).
+    /// A dying *reader* does not poison: it cannot have torn the data.
     pub poisoned: Option<Tid>,
 }
 
-/// Barrier lifecycle within one generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Barrier lifecycle within one generation, in order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum BarPhase {
     /// Accepting arrivals.
     Collecting,
@@ -80,12 +81,13 @@ pub(crate) struct BarrierSt {
     pub max_arrival_clock: u64,
     /// Two-phase commit of the current generation (parallel barrier only).
     pub pc: Option<Arc<ParallelCommit>>,
-    /// Virtual time at which phase 2 may begin (the sealing event).
-    pub merge_start_v: u64,
+    /// Virtual time of the latest phase change: the sealing event
+    /// (phase 2 may begin), then the opening. One field serves both: the
+    /// barrier cannot open before every departed arriver has read the
+    /// sealing time, because opening waits for their phase-2 merges.
+    pub phase_v: u64,
     pub phase2_done: usize,
     pub phase2_max_v: u64,
-    /// Virtual time at which the barrier opened.
-    pub install_v: u64,
     /// Version committed when the barrier opened; leavers update exactly
     /// to it so update work is deterministic.
     pub install_version: u64,
@@ -105,10 +107,9 @@ impl BarrierSt {
             arrived: Vec::new(),
             max_arrival_clock: 0,
             pc: None,
-            merge_start_v: 0,
+            phase_v: 0,
             phase2_done: 0,
             phase2_max_v: 0,
-            install_v: 0,
             install_version: 0,
             leaving: 0,
             broken: false,
@@ -118,17 +119,11 @@ impl BarrierSt {
     /// Resets for the next generation once every party has left.
     /// A broken barrier stays broken: the departed party can never return.
     pub fn reset(&mut self) {
-        self.phase = BarPhase::Collecting;
-        self.gen += 1;
-        self.arrived.clear();
-        self.max_arrival_clock = 0;
-        self.pc = None;
-        self.merge_start_v = 0;
-        self.phase2_done = 0;
-        self.phase2_max_v = 0;
-        self.install_v = 0;
-        self.install_version = 0;
-        self.leaving = 0;
+        *self = BarrierSt {
+            gen: self.gen + 1,
+            broken: self.broken,
+            ..BarrierSt::new(self.parties)
+        };
     }
 }
 
@@ -202,8 +197,6 @@ pub(crate) struct Inner {
     pub max_exit_v: u64,
     pub lrc: Option<LrcTracker>,
     pub started: bool,
-    /// Token-grant schedule, recorded when `Options::record_schedule`.
-    pub schedule: Vec<(Tid, u64)>,
     /// Monotone count of token grants: the watchdog's logical-progress
     /// signal (GMIC advancing ⇒ grants happening).
     pub grant_seq: u64,
@@ -219,27 +212,175 @@ pub(crate) struct Inner {
     pub corruption_done: bool,
 }
 
+impl Inner {
+    /// Records an acquire edge on `o` when the LRC estimator is attached.
+    #[inline]
+    pub fn lrc_acquire(&mut self, t: Tid, o: LrcObject) {
+        if let Some(l) = self.lrc.as_mut() {
+            l.on_acquire(t, o);
+        }
+    }
+
+    /// Records a release edge on `o` when the LRC estimator is attached.
+    #[inline]
+    pub fn lrc_release(&mut self, t: Tid, o: LrcObject) {
+        if let Some(l) = self.lrc.as_mut() {
+            l.on_release(t, o);
+        }
+    }
+}
+
+/// Where threads sleep and how they are woken: the one place that knows
+/// which scheduler mode the run is in.
+///
+/// Under the fast scheduler a thread blocked on the token or on its wake
+/// flag parks on its own cache-padded condvar (paired with
+/// [`Shared::inner`]), so a hand-off wakes exactly one thread. Under the
+/// reference scheduler everyone shares `cv` and every wake is a
+/// `notify_all` — the thundering herd `BENCH_sched.json` measures the
+/// fast path against. Barrier phase changes and thread retirement use
+/// `cv` in both modes.
+///
+/// Wake timing cannot change the schedule: eligibility is a monotone
+/// predicate of published clocks with a unique minimum, so a missed or
+/// extra wake only moves real time, never the grant order.
+pub(crate) struct Parking {
+    cv: Condvar,
+    parkers: Box<[CachePadded<Condvar>]>,
+    fast: bool,
+    /// The fast scheduler failed an invariant check and the watchdog
+    /// failed the run over to the reference table. Threads that parked
+    /// before the failover still sleep on their parkers, so from then on
+    /// every broadcast reaches `cv` *and* all parkers.
+    degraded: AtomicBool,
+}
+
+impl Parking {
+    fn new(kind: SchedKind, max_threads: usize) -> Parking {
+        Parking {
+            cv: Condvar::new(),
+            parkers: (0..max_threads)
+                .map(|_| CachePadded::new(Condvar::new()))
+                .collect(),
+            fast: kind == SchedKind::Fast,
+            degraded: AtomicBool::new(false),
+        }
+    }
+
+    /// Whether wakes are targeted (fast scheduler, not failed over).
+    #[inline]
+    pub fn targeted(&self) -> bool {
+        self.fast && !self.is_degraded()
+    }
+
+    pub fn is_degraded(&self) -> bool {
+        self.degraded.load(Ordering::Relaxed)
+    }
+
+    /// Marks the run failed over. Caller holds the runtime lock, so no
+    /// thread can pick a parker between this store and `everyone()`.
+    pub fn degrade(&self) {
+        self.degraded.store(true, Ordering::Release);
+    }
+
+    /// One wait of `tid` for the token or its wake flag.
+    #[inline]
+    pub fn wait(&self, tid: Tid, guard: &mut MutexGuard<'_, Inner>) {
+        if self.targeted() {
+            self.parkers[tid.index()].wait(guard);
+        } else {
+            self.cv.wait(guard);
+        }
+    }
+
+    /// One wait on the shared condvar (barrier phases, run teardown);
+    /// returns whether `timeout` elapsed.
+    pub fn wait_shared(
+        &self,
+        guard: &mut MutexGuard<'_, Inner>,
+        timeout: Option<Duration>,
+    ) -> bool {
+        match timeout {
+            Some(d) => self.cv.wait_for(guard, d).timed_out(),
+            None => {
+                self.cv.wait(guard);
+                false
+            }
+        }
+    }
+
+    /// Wakes the waiters of the shared condvar only.
+    pub fn notify_shared(&self) {
+        self.cv.notify_all();
+    }
+
+    /// Wakes a thread whose wake flag was just raised, or a publisher's
+    /// hinted head waiter. Reference mode: no-op — a broadcast by the
+    /// same token holder covers it.
+    #[inline]
+    pub fn wake_one(&self, w: Tid, cnt: &mut Counters) {
+        if self.targeted() {
+            self.parkers[w.index()].notify_one();
+            cnt.targeted_wakes += 1;
+        }
+    }
+
+    /// Wakes the unique thread the deterministic order designates to take
+    /// the token next, if the token is free and one is eligible; the
+    /// reference scheduler broadcasts instead.
+    #[inline]
+    pub fn wake_successor(&self, inner: &mut Inner, me: Tid, cnt: &mut Counters) {
+        if !self.targeted() {
+            self.broadcast(cnt);
+        } else if inner.token.is_none() {
+            if let Some(w) = inner.table.successor().filter(|w| *w != me) {
+                self.wake_one(w, cnt);
+            }
+        }
+    }
+
+    /// The reference scheduler's counted `notify_all`; nothing under the
+    /// fast scheduler, whose callers have already woken the one thread
+    /// that matters.
+    #[inline]
+    pub fn broadcast(&self, cnt: &mut Counters) {
+        if !self.targeted() {
+            cnt.broadcast_wakes += 1;
+            self.herd();
+        }
+    }
+
+    /// Wakes every thread that could be waiting for something this
+    /// thread changed: the shared condvar, plus all parkers once degraded.
+    pub fn herd(&self) {
+        if self.is_degraded() {
+            self.everyone();
+        } else {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Wakes every thread however it might be waiting (shutdown,
+    /// failover, spurious-wake injection).
+    pub fn everyone(&self) {
+        self.cv.notify_all();
+        for p in self.parkers.iter() {
+            p.notify_all();
+        }
+    }
+}
+
 /// State shared between the runtime handle and every worker thread.
 pub(crate) struct Shared {
     pub cfg: CommonConfig,
     pub opts: Options,
     pub seg: Segment,
     pub inner: Mutex<Inner>,
-    pub cv: Condvar,
-    /// Per-thread parkers for targeted wake-ups (fast-path scheduler):
-    /// a thread blocked on the token or a wake flag waits on its own
-    /// cache-padded condvar (paired with `inner`), so a hand-off wakes
-    /// exactly one thread instead of broadcasting on `cv`.
-    pub parkers: Box<[CachePadded<Condvar>]>,
+    pub parking: Parking,
     /// Lock-free half of the fast-path scheduler (also reachable through
     /// `Inner::table` when it is the fast table): publication slots,
     /// head-waiter key, token-free flag, watermark.
     pub slots: Arc<Slots>,
-    /// The fast scheduler failed an invariant check and the watchdog
-    /// failed the run over to the reference table. From then on every
-    /// wake broadcasts to the shared condvar *and* all parkers (threads
-    /// chose their wait condvar before the failover).
-    pub degraded: AtomicBool,
     /// Recorded grant script driving this run (replay mode). When set,
     /// token admission follows the script instead of recomputed
     /// eligibility until the script is exhausted or marked diverged.
@@ -247,6 +388,25 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// One [`ResourceSample`](dmt_api::ResourceSample) for the attached
+    /// witness: version-chain peak, live pages, longest clock history,
+    /// trace-ring occupancy. The observation costs no virtual time and
+    /// cannot move the schedule.
+    pub fn witness_sample(&self) {
+        let clock_history = self
+            .inner
+            .lock()
+            .table
+            .max_history_len(self.cfg.max_threads as u32);
+        self.cfg.witness.observe(dmt_api::ResourceSample {
+            retained_versions: self.seg.retained_peak(),
+            live_pages: self.seg.tracker().live(),
+            clock_history,
+            trace_ring: self.cfg.trace.occupancy(),
+            pipeline_backlog: self.seg.pipeline_backlog(),
+        });
+    }
+
     pub fn new_replaying(
         cfg: CommonConfig,
         opts: Options,
@@ -259,9 +419,6 @@ impl Shared {
         }
         let lrc = cfg.track_lrc.then(|| LrcTracker::new(cfg.max_threads));
         let slots = Slots::new(cfg.max_threads);
-        let parkers = (0..cfg.max_threads)
-            .map(|_| CachePadded::new(Condvar::new()))
-            .collect();
         // Preallocate per-thread vectors to their max_threads-derived
         // bounds so hot paths never reallocate (and never move the
         // cache-padded thread slots mid-run).
@@ -287,23 +444,14 @@ impl Shared {
                 max_exit_v: 0,
                 lrc,
                 started: false,
-                schedule: if opts.record_schedule {
-                    // One grant per sync op; start with a generous page-
-                    // sized chunk per thread and let it grow from there.
-                    Vec::with_capacity(max_t * 512)
-                } else {
-                    Vec::new()
-                },
                 grant_seq: 0,
                 shutdown: false,
                 fault: None,
                 panics: Vec::new(),
                 corruption_done: false,
             }),
-            cv: Condvar::new(),
-            parkers,
+            parking: Parking::new(opts.sched, max_t),
             slots,
-            degraded: AtomicBool::new(false),
             replay,
             cfg,
             opts,

@@ -266,6 +266,13 @@ fn watchdog_diagnoses_deadlock_instead_of_hanging() {
     // The census names the cycle: both mutexes and their owners/waiters.
     assert!(fault.contains("mutex 0"), "fault: {fault}");
     assert!(fault.contains("mutex 1"), "fault: {fault}");
+    // ...and the clock table's view of it: all three threads departed
+    // (two on the mutexes, main in join), nobody left to take the token.
+    assert!(fault.contains("departed)=(0, 0, 3)"), "fault: {fault}");
+    assert!(
+        fault.contains("t1: state=Departed published="),
+        "fault: {fault}"
+    );
 }
 
 /// Corruption drill: deliberately drop the fast scheduler's head waiter
@@ -367,4 +374,62 @@ fn injected_panic_reproduces_schedule_hash() {
     assert_eq!(p1, p2);
     assert_eq!(h1, h2, "injected death must not perturb determinism");
     assert_eq!(v1, v2);
+}
+
+/// A reader dies inside its hold with a writer queued behind it. Read
+/// holds are attributed per thread, so containment drops the dead
+/// reader's hold and hands the lock to the writer — no poison (a reader
+/// cannot have torn the data), no leaked count, no watchdog.
+#[test]
+fn dying_reader_releases_its_hold_to_the_queued_writer() {
+    use dmt_api::trace::{Event, MemorySink};
+
+    let run_once = || {
+        let sink = Arc::new(MemorySink::new(1 << 12));
+        let c = CommonConfig {
+            trace: TraceHandle::to(sink.clone()),
+            ..cfg()
+        };
+        let opts = Options {
+            watchdog_stall_ms: Some(1_000),
+            ..Options::consequence_ic()
+        };
+        let mut rt = ConsequenceRuntime::new(c, opts);
+        let l = rt.create_rwlock();
+        let r = rt.run(Box::new(move |ctx| {
+            let reader = ctx.spawn(Box::new(move |c| {
+                c.rw_read_lock(l);
+                c.tick(20_000);
+                panic!("reader died inside its hold");
+            }));
+            let writer = ctx.spawn(Box::new(move |c| {
+                c.tick(1_000);
+                c.rw_write_lock(l);
+                c.st_u64(0, 9);
+                c.rw_write_unlock(l);
+            }));
+            assert!(matches!(
+                ctx.try_join(reader),
+                Err(DmtError::ThreadPanicked { .. })
+            ));
+            ctx.join(writer);
+        }));
+        let (events, dropped) = sink.take();
+        assert_eq!(dropped, 0);
+        (r, rt.final_u64(0), events)
+    };
+    let (r1, v1, events) = run_once();
+    let (r2, v2, _) = run_once();
+    assert_eq!(r1.panics.len(), 1, "one contained panic: {:?}", r1.panics);
+    assert!(r1.fault.is_none(), "watchdog fired: {:?}", r1.fault);
+    assert_eq!((v1, v2), (9, 9), "the writer was never granted");
+    assert_eq!(r1.schedule_hash, r2.schedule_hash);
+    assert_eq!(r1.panics, r2.panics);
+    // The writer really was queued: its grant is an effect of the
+    // reader's containment, not of an ordinary unlock.
+    let at = |pred: &dyn Fn(&Event) -> bool| events.iter().position(pred).expect("event");
+    let died = at(&|e| matches!(e, Event::ThreadPanic { tid, .. } if *tid == Tid(1)));
+    let granted =
+        at(&|e| matches!(e, Event::RwAcquire { tid, writer: true, .. } if *tid == Tid(2)));
+    assert!(died < granted, "writer granted before the reader died");
 }

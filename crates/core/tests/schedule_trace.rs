@@ -1,5 +1,6 @@
-//! The recorded token-grant schedule: a practical trace of the
-//! deterministic total order, and the strongest reproducibility witness.
+//! The token-grant schedule — the `TokenAcquire` events of a recorded
+//! trace: a practical view of the deterministic total order, and the
+//! strongest reproducibility witness.
 
 use std::sync::Arc;
 
@@ -20,10 +21,25 @@ fn cfg() -> CommonConfig {
     }
 }
 
+/// The `(thread, arrival clock)` of every token grant retained by `sink`,
+/// in grant order.
+fn grants(sink: &MemorySink) -> Vec<(Tid, u64)> {
+    let (events, dropped) = sink.take();
+    assert_eq!(dropped, 0, "ring must hold the whole trace");
+    events
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::TokenAcquire { tid, clock } => Some((tid, clock)),
+            _ => None,
+        })
+        .collect()
+}
+
 fn traced_run(opts: Options) -> Vec<(Tid, u64)> {
-    let mut opts = opts;
-    opts.record_schedule = true;
-    let mut rt = ConsequenceRuntime::new(cfg(), opts);
+    let sink = Arc::new(MemorySink::new(1 << 16));
+    let mut c = cfg();
+    c.trace = TraceHandle::to(sink.clone());
+    let mut rt = ConsequenceRuntime::new(c, opts);
     let m = rt.create_mutex();
     rt.run(Box::new(move |ctx| {
         let kids: Vec<Tid> = (0..3u64)
@@ -42,7 +58,7 @@ fn traced_run(opts: Options) -> Vec<(Tid, u64)> {
             ctx.join(k);
         }
     }));
-    rt.take_schedule()
+    grants(&sink)
 }
 
 #[test]
@@ -81,9 +97,12 @@ fn rr_and_ic_schedules_differ_but_are_each_stable() {
 
 #[test]
 fn schedule_off_by_default_costs_nothing() {
+    // Tracing is off unless a sink is attached: the run reports no events
+    // and a zero schedule hash.
     let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
-    rt.run(Box::new(|ctx| ctx.tick(100)));
-    assert!(rt.take_schedule().is_empty());
+    let r = rt.run(Box::new(|ctx| ctx.tick(100)));
+    assert_eq!(r.events.get(EventKind::TokenAcquire), 0);
+    assert_eq!(r.schedule_hash, 0);
 }
 
 /// The mixed-primitive program used by the event-trace tests below:
