@@ -93,6 +93,19 @@ pub(crate) struct Ctx {
     pretwin_est: Ewma,
 }
 
+/// Delivers a runtime error through an infallible [`ThreadCtx`] method:
+/// unwind with a [`ContainedError`] payload, caught at the thread boundary
+/// and turned into deterministic containment.
+fn raise(e: DmtError) -> ! {
+    std::panic::resume_unwind(Box::new(ContainedError(e)))
+}
+
+/// [`raise`]s the error of a fallible protocol path.
+#[inline]
+fn or_raise<T>(r: DmtResult<T>) -> T {
+    r.unwrap_or_else(|e| raise(e))
+}
+
 impl Ctx {
     pub(crate) fn new(
         sh: Arc<Shared>,
@@ -136,19 +149,6 @@ impl Ctx {
             torn_down: false,
             pretwin_est: Ewma::default(),
         }
-    }
-
-    /// Delivers a runtime error through an infallible [`ThreadCtx`]
-    /// method: unwind with a [`ContainedError`] payload, caught at the
-    /// thread boundary and turned into deterministic containment.
-    fn raise(&self, e: DmtError) -> ! {
-        std::panic::resume_unwind(Box::new(ContainedError(e)))
-    }
-
-    /// [`Ctx::raise`]s the error of a fallible protocol path.
-    #[inline]
-    fn or_raise<T>(&self, r: DmtResult<T>) -> T {
-        r.unwrap_or_else(|e| self.raise(e))
     }
 
     /// Fires a seeded panic-injection site (`stress --inject-panic`).
@@ -372,8 +372,7 @@ impl ThreadCtx for Ctx {
     }
 
     fn mutex_lock(&mut self, m: MutexId) {
-        let r = self.lock_inner(m);
-        self.or_raise(r)
+        or_raise(self.lock_inner(m))
     }
 
     fn try_mutex_lock(&mut self, m: MutexId) -> DmtResult<()> {
@@ -385,8 +384,7 @@ impl ThreadCtx for Ctx {
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        let r = self.cond_wait_inner(c, m);
-        self.or_raise(r)
+        or_raise(self.cond_wait_inner(c, m))
     }
 
     fn try_cond_wait(&mut self, c: CondId, m: MutexId) -> DmtResult<()> {
@@ -437,8 +435,7 @@ impl ThreadCtx for Ctx {
     }
 
     fn join(&mut self, t: Tid) {
-        let r = self.join_inner(t);
-        self.or_raise(r)
+        or_raise(self.join_inner(t))
     }
 
     fn try_join(&mut self, t: Tid) -> DmtResult<()> {

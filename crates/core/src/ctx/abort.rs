@@ -45,11 +45,8 @@ impl Ctx {
             "panic (non-string payload)".to_string()
         };
         self.suppress_inject = true;
-        let this = std::panic::AssertUnwindSafe(&mut self);
-        let outcome = std::panic::catch_unwind(move || {
-            let this = this;
-            this.0.abort_protocol(&msg)
-        });
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.abort_protocol(&msg)));
         if !matches!(outcome, Ok(Ok(()))) {
             self.abort_quiet();
         }
@@ -167,7 +164,10 @@ impl Ctx {
     /// shutdown (the watchdog owns the diagnosis and the schedule is
     /// abandoned) and when the containment protocol itself fails. Purges
     /// this thread from every wait queue so no successor computation can
-    /// ever select a dead thread, then retires it.
+    /// ever select a dead thread, and from every rwlock's reader list so
+    /// the surviving readers' last unlock still hands off, then retires
+    /// it. It hands nothing off itself (that needs the token): what the
+    /// thread held exclusively, or as the last reader, stays stranded.
     pub(super) fn abort_quiet(mut self) {
         if self.torn_down {
             return;
@@ -183,6 +183,7 @@ impl Ctx {
         }
         for r in inner.rwlocks.iter_mut() {
             r.waiters.retain(|(w, _)| *w != me);
+            r.readers.retain(|t| *t != me);
         }
         if inner.token == Some(me) {
             inner.token = None;
@@ -190,9 +191,8 @@ impl Ctx {
         }
         self.holding_token = false;
         self.mark_exited(&mut inner, Some("shutdown"));
-        if let Some(ws) = self.ws.take() {
+        if self.ws.take().is_some() {
             sh.seg.detach(me);
-            drop(ws);
         }
         self.retire(&mut inner);
         drop(inner);

@@ -7,7 +7,7 @@ use dmt_api::sync::MutexGuard;
 use dmt_api::trace::Event;
 use dmt_api::{BarrierId, DmtError, PanicSite, PerturbSite, Tid};
 
-use super::Ctx;
+use super::{raise, Ctx};
 use crate::lrc::LrcObject;
 use crate::shared::{BarPhase, BarrierSt, Inner};
 
@@ -44,7 +44,7 @@ impl Ctx {
                     self.leave_locked(&mut inner, false);
                 }
                 drop(inner);
-                self.raise(e);
+                raise(e);
             }
             if ready(&inner.barriers[b.index()]) {
                 return inner;
@@ -54,7 +54,8 @@ impl Ctx {
     }
 
     /// A departed arriver's wait for generation `gen` to reach `phase`,
-    /// folding the virtual time of the event that got it there.
+    /// folding the virtual time of the event that got it there: the
+    /// sealing (phase 2 may begin) or the installation.
     fn follow_barrier<'a>(
         &mut self,
         inner: MutexGuard<'a, Inner>,
@@ -64,7 +65,12 @@ impl Ctx {
     ) -> MutexGuard<'a, Inner> {
         let from = self.v;
         let inner = self.await_barrier(inner, b, false, |bst| bst.gen == gen && bst.phase >= phase);
-        self.v = self.v.max(inner.barriers[b.index()].phase_v);
+        let bst = &inner.barriers[b.index()];
+        self.v = self.v.max(if phase == BarPhase::Merging {
+            bst.merge_start_v
+        } else {
+            bst.install_v
+        });
         self.bd.barrier_wait += self.v - from;
         inner
     }
@@ -76,7 +82,7 @@ impl Ctx {
         let sh = Arc::clone(&self.sh);
         let bst = &mut inner.barriers[b.index()];
         bst.phase = BarPhase::Installed;
-        bst.phase_v = self.v;
+        bst.install_v = self.v;
         bst.install_version = sh.seg.latest_id();
         sh.cfg.trace.emit(Event::BarrierOpen {
             tid: self.tid,
@@ -184,7 +190,7 @@ impl Ctx {
             pc.seal(&sh.seg);
             let bst = &mut inner.barriers[b.index()];
             bst.phase = BarPhase::Merging;
-            bst.phase_v = self.v;
+            bst.merge_start_v = self.v;
             sh.parking.notify_shared();
         } else {
             self.open_barrier(&mut inner, b, gen);

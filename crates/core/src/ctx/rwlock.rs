@@ -6,14 +6,29 @@
 use std::sync::Arc;
 
 use dmt_api::trace::Event;
-use dmt_api::{DmtError, RwLockId};
+use dmt_api::{DmtError, RwLockId, Tid};
 
 use super::token::ParkOrder;
-use super::Ctx;
+use super::{or_raise, raise, Ctx};
 use crate::lrc::LrcObject;
-use crate::shared::Inner;
+use crate::shared::{Inner, RwSt};
 
 impl Ctx {
+    /// Gives `tid` a hold on `l`. The grant is a schedule event of the
+    /// token holder's turn, whether it grants to itself or hands off.
+    fn rw_grant(&self, st: &mut RwSt, l: RwLockId, tid: Tid, writer: bool) {
+        if writer {
+            st.writer = Some(tid);
+        } else {
+            st.readers.push(tid);
+        }
+        self.sh.cfg.trace.emit(Event::RwAcquire {
+            tid,
+            lock: l,
+            writer,
+        });
+    }
+
     /// Hands the rwlock to the head of its queue: one writer, or every
     /// leading reader — granting directly (the woken thread owns the lock
     /// when it wakes). Caller holds the token and the runtime lock.
@@ -27,19 +42,10 @@ impl Ctx {
                 return;
             }
             st.waiters.pop_front();
-            if is_writer {
-                st.writer = Some(w);
-            } else {
-                st.readers.push(w);
-            }
-            self.wake(inner, w, None);
             // Direct hand-off: the grant happens here, under the waker's
-            // token, so it is a schedule event of the waker's turn.
-            self.sh.cfg.trace.emit(Event::RwAcquire {
-                tid: w,
-                lock: l,
-                writer: is_writer,
-            });
+            // token.
+            self.rw_grant(st, l, w, is_writer);
+            self.wake(inner, w, None);
             if is_writer {
                 return;
             }
@@ -61,31 +67,21 @@ impl Ctx {
         if let Some(by) = st.poisoned {
             drop(inner);
             self.commit_and_leave(true);
-            self.raise(DmtError::RwLockPoisoned { lock: l, by });
+            raise(DmtError::RwLockPoisoned { lock: l, by });
         }
         if st.writer.is_none() && st.waiters.is_empty() && (!writer || st.readers.is_empty()) {
-            if writer {
-                st.writer = Some(self.tid);
-            } else {
-                st.readers.push(self.tid);
-            }
-            self.sh.cfg.trace.emit(Event::RwAcquire {
-                tid: self.tid,
-                lock: l,
-                writer,
-            });
+            self.rw_grant(st, l, self.tid, writer);
             inner.lrc_acquire(self.tid, LrcObject::RwLock(l.0));
             drop(inner);
             self.commit_and_leave(true);
             return;
         }
         drop(inner);
-        let granted = self.park(
+        or_raise(self.park(
             ParkOrder::DepartThenCommit,
             Some(LrcObject::RwLock(l.0)),
             |me, inner| inner.rwlocks[l.index()].waiters.push_back((me.tid, writer)),
-        );
-        self.or_raise(granted);
+        ));
         // The waker granted us the hold; take the token to refresh our
         // view (acquire semantics), then continue.
         self.acquire_token_or_raise();

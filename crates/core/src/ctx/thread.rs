@@ -201,8 +201,7 @@ impl Ctx {
         self.sync_prologue();
         if self.acquire_token().is_err() {
             // Watchdog shutdown raced our exit: leave quietly.
-            self.abort_quiet();
-            return;
+            return self.abort_quiet();
         }
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);

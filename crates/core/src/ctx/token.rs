@@ -25,7 +25,7 @@ use dmt_api::sync::MutexGuard;
 use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, ThreadCtx, Tid};
 
-use super::Ctx;
+use super::{or_raise, Ctx};
 use crate::lrc::LrcObject;
 use crate::shared::Inner;
 
@@ -67,8 +67,7 @@ impl Ctx {
     /// boundary instead of propagating an error.
     #[inline]
     pub(super) fn acquire_token_or_raise(&mut self) -> bool {
-        let r = self.acquire_token();
-        self.or_raise(r)
+        or_raise(self.acquire_token())
     }
 
     /// Arrives at a synchronization operation and acquires the global token.

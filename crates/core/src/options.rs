@@ -273,20 +273,29 @@ mod tests {
 
     #[test]
     fn without_disables_each_named_optimization() {
-        type Disabled = fn(&Options) -> bool;
-        let cases: [(&str, Disabled); 8] = [
-            ("coarsening", |o| !o.coarsening),
-            ("fast_forward", |o| !o.fast_forward),
-            ("parallel_barrier", |o| !o.parallel_barrier),
-            ("adaptive_overflow", |o| !o.adaptive_overflow),
-            ("user_counter_read", |o| !o.user_counter_read),
-            ("thread_pool", |o| !o.thread_pool),
-            ("fast_sched", |o| o.sched == SchedKind::Reference),
-            ("pipeline_commit", |o| !o.pipeline_commit),
-        ];
-        for (name, disabled) in cases {
+        for name in [
+            "coarsening",
+            "fast_forward",
+            "parallel_barrier",
+            "adaptive_overflow",
+            "user_counter_read",
+            "thread_pool",
+            "fast_sched",
+            "pipeline_commit",
+        ] {
             let o = Options::consequence_ic().without(name);
-            assert!(disabled(&o), "{name} not disabled");
+            let disabled = match name {
+                "coarsening" => !o.coarsening,
+                "fast_forward" => !o.fast_forward,
+                "parallel_barrier" => !o.parallel_barrier,
+                "adaptive_overflow" => !o.adaptive_overflow,
+                "user_counter_read" => !o.user_counter_read,
+                "thread_pool" => !o.thread_pool,
+                "fast_sched" => o.sched == SchedKind::Reference,
+                "pipeline_commit" => !o.pipeline_commit,
+                _ => unreachable!(),
+            };
+            assert!(disabled, "{name} not disabled");
         }
     }
 
@@ -380,12 +389,13 @@ mod tests {
             |o| o.shard_domains = 4,
             |o| o.shard_map_seed = 7,
         ];
-        let excluded: [fn(&mut Options); 5] = [
+        let excluded: [fn(&mut Options); 6] = [
             |o| o.sched = SchedKind::Reference,
             |o| o.watchdog_stall_ms = Some(60_000),
             |o| o.pipeline_commit = false,
             |o| o.pipeline_workers = 7,
             |o| o.trace_flush_pages = 0,
+            |o| o.trace_flush_pages = 1,
         ];
         let base = Options::consequence_ic();
         for (i, change) in fingerprinted.iter().enumerate() {
@@ -393,6 +403,13 @@ mod tests {
             change(&mut o);
             assert_ne!(o.fingerprint(), base.fingerprint(), "fingerprinted #{i}");
         }
+        // The map seed counts next to a non-default domain count too, not
+        // only when it alone leaves the unsharded default.
+        let mut sharded = base.clone();
+        sharded.shard_domains = 4;
+        let mut reseeded = sharded.clone();
+        reseeded.shard_map_seed = 7;
+        assert_ne!(sharded.fingerprint(), reseeded.fingerprint());
         let golden = dmt_server_cell(base.clone());
         assert_eq!(golden.0, 0x34300d2f73672d92, "dmt_server golden moved");
         for (i, change) in excluded.iter().enumerate() {

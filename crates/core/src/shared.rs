@@ -62,9 +62,10 @@ pub(crate) struct RwSt {
 }
 
 /// Barrier lifecycle within one generation, in order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum BarPhase {
     /// Accepting arrivals.
+    #[default]
     Collecting,
     /// Parallel barrier only: phase 2 merging in progress.
     Merging,
@@ -73,6 +74,7 @@ pub(crate) enum BarPhase {
 }
 
 /// A deterministic barrier.
+#[derive(Default)]
 pub(crate) struct BarrierSt {
     pub parties: usize,
     pub phase: BarPhase,
@@ -81,13 +83,12 @@ pub(crate) struct BarrierSt {
     pub max_arrival_clock: u64,
     /// Two-phase commit of the current generation (parallel barrier only).
     pub pc: Option<Arc<ParallelCommit>>,
-    /// Virtual time of the latest phase change: the sealing event
-    /// (phase 2 may begin), then the opening. One field serves both: the
-    /// barrier cannot open before every departed arriver has read the
-    /// sealing time, because opening waits for their phase-2 merges.
-    pub phase_v: u64,
+    /// Virtual time of the sealing event (phase 2 may begin).
+    pub merge_start_v: u64,
     pub phase2_done: usize,
     pub phase2_max_v: u64,
+    /// Virtual time of installation (barrier opens).
+    pub install_v: u64,
     /// Version committed when the barrier opened; leavers update exactly
     /// to it so update work is deterministic.
     pub install_version: u64,
@@ -102,24 +103,19 @@ impl BarrierSt {
     pub fn new(parties: usize) -> BarrierSt {
         BarrierSt {
             parties,
-            phase: BarPhase::Collecting,
-            gen: 0,
-            arrived: Vec::new(),
-            max_arrival_clock: 0,
-            pc: None,
-            phase_v: 0,
-            phase2_done: 0,
-            phase2_max_v: 0,
-            install_version: 0,
-            leaving: 0,
-            broken: false,
+            ..BarrierSt::default()
         }
     }
 
-    /// Resets for the next generation once every party has left.
-    /// A broken barrier stays broken: the departed party can never return.
+    /// Resets for the next generation once every party has left, keeping
+    /// the arrival list's allocation (this runs under the runtime lock on
+    /// every barrier generation). A broken barrier stays broken: the
+    /// departed party can never return.
     pub fn reset(&mut self) {
+        let mut arrived = std::mem::take(&mut self.arrived);
+        arrived.clear();
         *self = BarrierSt {
+            arrived,
             gen: self.gen + 1,
             broken: self.broken,
             ..BarrierSt::new(self.parties)
