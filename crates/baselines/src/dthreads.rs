@@ -375,10 +375,6 @@ impl DtCtx {
             inner.serial = true;
             let mut order = std::mem::take(&mut inner.arrived);
             order.sort_unstable();
-            #[cfg(debug_assertions)]
-            if std::env::var_os("CONSEQ_DEBUG").is_some() {
-                eprintln!("[dthreads] fence {} order {:?}", inner.fence_gen, order);
-            }
             inner.chain_v = inner.chain_v.max(
                 order
                     .iter()

@@ -13,19 +13,15 @@
 //! re-executes recorded `.dmtrace` containers (default: `tests/corpus/`)
 //! and fails on any schedule or output divergence (see `docs/REPLAY.md`).
 
-use std::fs;
 use std::time::Instant;
 
+use dmt_bench::artifact::Artifact;
 use dmt_bench::json::ToJson;
+use dmt_bench::soak::SoakReport;
 use dmt_bench::*;
 
 fn dump<T: ToJson>(name: &str, rows: &T) {
-    let dir = "target/figures";
-    let _ = fs::create_dir_all(dir);
-    let path = format!("{dir}/{name}.json");
-    if fs::write(&path, rows.to_json()).is_ok() {
-        eprintln!("  [json: {path}]");
-    }
+    json::dump("target/figures", name, rows);
 }
 
 struct Cfg {
@@ -375,21 +371,16 @@ fn extras_cmd(c: &Cfg) {
     dump("extras_pool", &rows);
 }
 
-/// One row of the `paper` parity table: a qualitative claim from the
-/// paper's evaluation, re-checked against this reproduction's numbers.
-struct ParityRow {
-    figure: String,
-    claim: String,
-    observed: String,
-    pass: bool,
+dmt_bench::json_record! {
+    /// One row of the `paper` parity table: a qualitative claim from the
+    /// paper's evaluation, re-checked against this reproduction's numbers.
+    struct ParityRow {
+        figure: String,
+        claim: String,
+        observed: String,
+        pass: bool,
+    }
 }
-
-dmt_bench::json_struct!(ParityRow {
-    figure,
-    claim,
-    observed,
-    pass
-});
 
 fn geomean(xs: impl Iterator<Item = f64>) -> f64 {
     let (mut sum, mut n) = (0.0, 0u32);
@@ -600,29 +591,16 @@ fn paper_cmd(c: &Cfg) -> bool {
     ok
 }
 
-/// `figures soak`: the bounded-resource soak (see `docs/SOAK.md` and the
-/// `soak` binary, which CI drives). `--quick` runs the smoke grid.
+/// `figures soak`: the bounded-resource soak (see `docs/SOAK.md` and
+/// `bench soak`, which CI drives). `--quick` runs the smoke grid.
 fn soak_cmd(quick: bool) -> bool {
-    use dmt_bench::json::ToJson;
     println!("== soak: bounded-resource determinism at scale");
-    let report = dmt_bench::soak::run_soak_bench(quick);
-    for c in &report.cells {
-        println!(
-            "{:<24} {:>4} threads: {:>3} iters {:>8} samples  {}  {}",
-            c.workload,
-            c.threads,
-            c.iterations,
-            c.samples,
-            if c.within_bounds { "bounded" } else { "LEAKED" },
-            if c.deterministic {
-                "deterministic"
-            } else {
-                "DIVERGED"
-            }
-        );
+    let report = SoakReport::run(quick);
+    for line in report.summary() {
+        println!("{line}");
     }
     dump("soak", &report);
-    match dmt_bench::soak::validate_report(&report.to_json()) {
+    match SoakReport::validate(&report.to_json()) {
         Ok(()) => true,
         Err(e) => {
             eprintln!("soak FAILED: {e}");
@@ -682,40 +660,13 @@ fn certify_cmd(c: &Cfg) -> bool {
 /// containers (default: the committed `tests/corpus/`) and checks each
 /// against its recording. Returns false on any divergence.
 fn replay_cmd(paths: &[&str]) -> bool {
-    let paths: Vec<&str> = if paths.is_empty() {
-        vec!["tests/corpus"]
+    let paths = if paths.is_empty() {
+        &["tests/corpus"]
     } else {
-        paths.to_vec()
+        paths
     };
     println!("== replay: re-executing recorded traces against the current build");
-    let mut rows = Vec::new();
-    let mut ok = true;
-    for p in &paths {
-        let files = match replay::trace_files(std::path::Path::new(p)) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("{e}");
-                ok = false;
-                continue;
-            }
-        };
-        for f in files {
-            match replay::replay_file(&f) {
-                Ok(r) => {
-                    println!("{}", replay::summarize(&r));
-                    if let Some(d) = &r.divergence {
-                        println!("{d}");
-                    }
-                    ok &= r.ok();
-                    rows.push(r);
-                }
-                Err(e) => {
-                    println!("[FAILED] {}: {e}", f.display());
-                    ok = false;
-                }
-            }
-        }
-    }
+    let (rows, ok) = replay::replay_all(paths);
     dump("replay", &rows);
     if !ok {
         eprintln!("replay FAILED: a recorded schedule did not reproduce on this build");

@@ -22,6 +22,17 @@ pub trait ToJson {
     }
 }
 
+/// Writes `value` to `<dir>/<name>.json`, creating `dir`, and notes the
+/// path on stderr. Best effort: these reports are a by-product of a run,
+/// never its verdict.
+pub fn dump<T: ToJson>(dir: &str, name: &str, value: &T) {
+    let _ = std::fs::create_dir_all(dir);
+    let path = format!("{dir}/{name}.json");
+    if std::fs::write(&path, value.to_json()).is_ok() {
+        eprintln!("[json: {path}]");
+    }
+}
+
 /// Writes a JSON string literal with the escapes JSON requires.
 pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
@@ -166,6 +177,23 @@ macro_rules! json_struct {
     };
 }
 
+/// Declares a struct and implements [`ToJson`] for it as an object of all
+/// its fields in declaration order, so a report type's field list is
+/// written once. Types whose JSON omits fields, or that live in another
+/// crate, use [`json_struct!`] beside the definition instead.
+#[macro_export]
+macro_rules! json_record {
+    ($(#[$meta:meta])* $vis:vis struct $name:ident {
+        $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),+ $(,)?
+    }) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty),+
+        }
+        $crate::json_struct!($name { $($field),+ });
+    };
+}
+
 json_struct!(Breakdown {
     chunk,
     determ_wait,
@@ -216,15 +244,6 @@ json_struct!(RunReport {
     replay_divergence
 });
 
-json_struct!(crate::replay::Recorded {
-    path,
-    events,
-    schedule_hash,
-    output_hash,
-    validated,
-    bytes
-});
-
 json_struct!(crate::replay::Replayed {
     path,
     workload,
@@ -238,91 +257,6 @@ json_struct!(crate::replay::Replayed {
     output_match,
     commit_log_match,
     divergence
-});
-
-json_struct!(crate::Measured {
-    benchmark,
-    runtime,
-    threads,
-    virtual_cycles,
-    peak_pages,
-    validated,
-    report
-});
-
-json_struct!(crate::Fig10Row {
-    benchmark,
-    dthreads,
-    dwc,
-    consequence_rr,
-    consequence_ic
-});
-
-json_struct!(crate::Fig11Point {
-    benchmark,
-    runtime,
-    threads,
-    normalized
-});
-
-json_struct!(crate::Fig12Point {
-    benchmark,
-    runtime,
-    threads,
-    peak_pages
-});
-
-json_struct!(crate::Fig13Bar {
-    benchmark,
-    optimization,
-    speedup
-});
-
-json_struct!(crate::Fig14Point {
-    benchmark,
-    level,
-    virtual_cycles
-});
-
-json_struct!(crate::Fig15Bar {
-    label,
-    runtime,
-    breakdown
-});
-
-json_struct!(crate::Fig16Row {
-    benchmark,
-    tso_pages,
-    lrc_pages,
-    reduction
-});
-
-json_struct!(crate::OverflowPoint {
-    benchmark,
-    interval,
-    virtual_cycles,
-    publications
-});
-
-json_struct!(crate::GcPoint {
-    benchmark,
-    budget,
-    peak_pages,
-    virtual_cycles
-});
-
-json_struct!(crate::LockDesignRow {
-    benchmark,
-    blocking,
-    polling
-});
-
-json_struct!(crate::PoolRow {
-    benchmark,
-    with_pool,
-    without_pool,
-    pool_hits,
-    speedup
 });
 
 #[cfg(test)]

@@ -19,8 +19,10 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`, which covers every value the
-    /// workspace emits).
+    /// Any JSON number, parsed as `f64`: exact for the counts, rates and
+    /// thresholds validators read, **not** for the `u64` hashes reports
+    /// carry — above 2^53 they round. Compare hashes as typed values or
+    /// raw text, never through this.
     Num(f64),
     /// A string literal.
     Str(String),

@@ -7,6 +7,8 @@
 //! the *shapes* — who wins, by what factor, where crossovers are — are the
 //! reproduction targets recorded in `EXPERIMENTS.md`.
 
+pub mod artifact;
+pub mod cell;
 pub mod json;
 pub mod jsonparse;
 pub mod replay;
@@ -16,12 +18,12 @@ pub mod soak;
 pub mod stats;
 pub mod vmem;
 
-use consequence::{ConsequenceRuntime, Options};
-use std::sync::Arc;
+use consequence::Options;
+use dmt_api::{Breakdown, RunReport, Tid};
+use dmt_baselines::RuntimeKind;
+use dmt_workloads::Params;
 
-use dmt_api::{Breakdown, CommonConfig, CostModel, HashSink, RunReport, Runtime, Tid, TraceHandle};
-use dmt_baselines::{make_runtime, RuntimeKind};
-use dmt_workloads::{workload_by_name, Params, Validation};
+pub use cell::{Cell, CellRun, Sink, System};
 
 /// The 19 paper benchmarks in presentation order.
 pub const ALL_BENCHMARKS: [&str; 19] = [
@@ -83,59 +85,51 @@ impl Default for Bench {
     }
 }
 
-fn common_cfg(pages: usize, gc_budget: usize, track_lrc: bool) -> CommonConfig {
-    CommonConfig {
-        heap_pages: pages,
-        max_threads: 64,
-        cost: CostModel::default(),
-        track_lrc,
-        gc_budget,
-        trace: TraceHandle::off(),
-        perturb: dmt_api::PerturbHandle::off(),
-        witness: dmt_api::WitnessHandle::off(),
+crate::json_record! {
+    /// One measured execution.
+    #[derive(Clone, Debug)]
+    pub struct Measured {
+        pub benchmark: String,
+        pub runtime: String,
+        pub threads: usize,
+        pub virtual_cycles: u64,
+        pub peak_pages: usize,
+        pub validated: bool,
+        pub report: RunReport,
     }
 }
 
-/// One measured execution.
-#[derive(Clone, Debug)]
-pub struct Measured {
-    pub benchmark: String,
-    pub runtime: String,
-    pub threads: usize,
-    pub virtual_cycles: u64,
-    pub peak_pages: usize,
-    pub validated: bool,
-    pub report: RunReport,
+impl Bench {
+    /// The figure cell for `name`: untraced, this configuration's input
+    /// and GC budget.
+    pub fn cell(&self, system: impl Into<System>, name: &str, threads: usize) -> Cell {
+        Cell {
+            sink: Sink::Off,
+            gc_budget: self.gc_budget,
+            ..Cell::new(name, Params::new(threads, self.scale, self.seed), system)
+        }
+    }
+}
+
+/// Runs `cell` and labels the measurement `runtime`.
+fn measure(cell: Cell, runtime: &str) -> Measured {
+    let benchmark = cell.workload.name().to_string();
+    let threads = cell.params.threads;
+    let run = cell.run();
+    Measured {
+        benchmark,
+        runtime: runtime.to_string(),
+        threads,
+        virtual_cycles: run.report.virtual_cycles,
+        peak_pages: run.report.peak_pages,
+        validated: run.validation.matches_reference,
+        report: run.report,
+    }
 }
 
 /// Runs `name` once under `kind` with `threads` workers.
 pub fn run_one(b: &Bench, kind: RuntimeKind, name: &str, threads: usize) -> Measured {
-    run_one_lrc(b, kind, name, threads, false)
-}
-
-/// Runs with optional §5.3 LRC tracking.
-pub fn run_one_lrc(
-    b: &Bench,
-    kind: RuntimeKind,
-    name: &str,
-    threads: usize,
-    track_lrc: bool,
-) -> Measured {
-    let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let p = Params::new(threads, b.scale, b.seed);
-    let mut rt = make_runtime(kind, common_cfg(w.heap_pages(&p), b.gc_budget, track_lrc));
-    let prepared = w.prepare(rt.as_mut(), &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(rt.as_ref());
-    Measured {
-        benchmark: name.to_string(),
-        runtime: kind.label().to_string(),
-        threads,
-        virtual_cycles: report.virtual_cycles,
-        peak_pages: report.peak_pages,
-        validated: v.matches_reference,
-        report,
-    }
+    measure(b.cell(kind, name, threads), kind.label())
 }
 
 /// Runs `name` once under `kind` with an incremental hashing trace sink
@@ -143,42 +137,16 @@ pub fn run_one_lrc(
 /// Figure runs stay untraced — this path exists for certification
 /// (`figures certify`) and the determinism-matrix tests.
 pub fn run_one_traced(b: &Bench, kind: RuntimeKind, name: &str, threads: usize) -> Measured {
-    let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let p = Params::new(threads, b.scale, b.seed);
-    let mut cfg = common_cfg(w.heap_pages(&p), b.gc_budget, false);
-    cfg.trace = TraceHandle::to(Arc::new(HashSink::new()));
-    let mut rt = make_runtime(kind, cfg);
-    let prepared = w.prepare(rt.as_mut(), &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(rt.as_ref());
-    Measured {
-        benchmark: name.to_string(),
-        runtime: kind.label().to_string(),
-        threads,
-        virtual_cycles: report.virtual_cycles,
-        peak_pages: report.peak_pages,
-        validated: v.matches_reference,
-        report,
-    }
+    let cell = Cell {
+        sink: Sink::Hash,
+        ..b.cell(kind, name, threads)
+    };
+    measure(cell, kind.label())
 }
 
 /// Runs `name` under Consequence with explicit options (ablations).
 pub fn run_one_with_options(b: &Bench, opts: Options, name: &str, threads: usize) -> Measured {
-    let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let p = Params::new(threads, b.scale, b.seed);
-    let mut rt = ConsequenceRuntime::new(common_cfg(w.heap_pages(&p), b.gc_budget, false), opts);
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
-    let v = (prepared.validate)(&rt);
-    Measured {
-        benchmark: name.to_string(),
-        runtime: "consequence-custom".to_string(),
-        threads,
-        virtual_cycles: report.virtual_cycles,
-        peak_pages: report.peak_pages,
-        validated: v.matches_reference,
-        report,
-    }
+    measure(b.cell(opts, name, threads), "consequence-custom")
 }
 
 /// Best (minimum virtual-cycle) run across thread counts; pthreads is
@@ -204,15 +172,17 @@ pub fn best_over_threads(
 
 // ------------------------------------------------------------- Figure 10
 
-/// One Figure 10 row: per-library best runtime normalized to pthreads.
-#[derive(Clone, Debug)]
-pub struct Fig10Row {
-    pub benchmark: String,
-    /// Slowdown vs best pthreads, keyed like the paper's bars.
-    pub dthreads: f64,
-    pub dwc: f64,
-    pub consequence_rr: f64,
-    pub consequence_ic: f64,
+crate::json_record! {
+    /// One Figure 10 row: per-library best runtime normalized to pthreads.
+    #[derive(Clone, Debug)]
+    pub struct Fig10Row {
+        pub benchmark: String,
+        /// Slowdown vs best pthreads, keyed like the paper's bars.
+        pub dthreads: f64,
+        pub dwc: f64,
+        pub consequence_rr: f64,
+        pub consequence_ic: f64,
+    }
 }
 
 /// Figure 10: best-over-thread-count runtime of each deterministic library
@@ -238,13 +208,15 @@ pub fn fig10(b: &Bench, thread_counts: &[usize], benchmarks: &[&str]) -> Vec<Fig
 
 // ------------------------------------------------------------- Figure 11
 
-/// One Figure 11 point: runtime at a given thread count.
-#[derive(Clone, Debug)]
-pub struct Fig11Point {
-    pub benchmark: String,
-    pub runtime: String,
-    pub threads: usize,
-    pub normalized: f64,
+crate::json_record! {
+    /// One Figure 11 point: runtime at a given thread count.
+    #[derive(Clone, Debug)]
+    pub struct Fig11Point {
+        pub benchmark: String,
+        pub runtime: String,
+        pub threads: usize,
+        pub normalized: f64,
+    }
 }
 
 /// Figure 11: runtime vs thread count (normalized to single-thread
@@ -270,13 +242,15 @@ pub fn fig11(b: &Bench, thread_counts: &[usize], benchmarks: &[&str]) -> Vec<Fig
 
 // ------------------------------------------------------------- Figure 12
 
-/// One Figure 12 point: peak memory (pages) at a thread count.
-#[derive(Clone, Debug)]
-pub struct Fig12Point {
-    pub benchmark: String,
-    pub runtime: String,
-    pub threads: usize,
-    pub peak_pages: usize,
+crate::json_record! {
+    /// One Figure 12 point: peak memory (pages) at a thread count.
+    #[derive(Clone, Debug)]
+    pub struct Fig12Point {
+        pub benchmark: String,
+        pub runtime: String,
+        pub threads: usize,
+        pub peak_pages: usize,
+    }
 }
 
 /// Figure 12: peak memory for Consequence vs DThreads across thread counts.
@@ -309,13 +283,15 @@ pub const OPTIMIZATIONS: [&str; 5] = [
     "user_counter_read",
 ];
 
-/// One Figure 13 bar: speedup contributed by one optimization.
-#[derive(Clone, Debug)]
-pub struct Fig13Bar {
-    pub benchmark: String,
-    pub optimization: String,
-    /// `runtime without optimization / runtime with` (>1 = it helps).
-    pub speedup: f64,
+crate::json_record! {
+    /// One Figure 13 bar: speedup contributed by one optimization.
+    #[derive(Clone, Debug)]
+    pub struct Fig13Bar {
+        pub benchmark: String,
+        pub optimization: String,
+        /// `runtime without optimization / runtime with` (>1 = it helps).
+        pub speedup: f64,
+    }
 }
 
 /// Figure 13: per-optimization speedup of Consequence-IC on the hard
@@ -341,13 +317,15 @@ pub fn fig13(b: &Bench, threads: usize, benchmarks: &[&str]) -> Vec<Fig13Bar> {
 
 // ------------------------------------------------------------- Figure 14
 
-/// One Figure 14 point: runtime at a coarsening level.
-#[derive(Clone, Debug)]
-pub struct Fig14Point {
-    pub benchmark: String,
-    /// Static budget in instructions, `None` = adaptive.
-    pub level: Option<u64>,
-    pub virtual_cycles: u64,
+crate::json_record! {
+    /// One Figure 14 point: runtime at a coarsening level.
+    #[derive(Clone, Debug)]
+    pub struct Fig14Point {
+        pub benchmark: String,
+        /// Static budget in instructions, `None` = adaptive.
+        pub level: Option<u64>,
+        pub virtual_cycles: u64,
+    }
 }
 
 /// Figure 14: static coarsening levels vs the adaptive policy for
@@ -377,13 +355,15 @@ pub fn fig14(b: &Bench, threads: usize, benchmarks: &[&str], levels: &[u64]) -> 
 
 // ------------------------------------------------------------- Figure 15
 
-/// One Figure 15 stacked bar: where a benchmark's time went.
-#[derive(Clone, Debug)]
-pub struct Fig15Bar {
-    /// `ferret_1` / `ferret_n` are split out as in the paper.
-    pub label: String,
-    pub runtime: String,
-    pub breakdown: Breakdown,
+crate::json_record! {
+    /// One Figure 15 stacked bar: where a benchmark's time went.
+    #[derive(Clone, Debug)]
+    pub struct Fig15Bar {
+        /// `ferret_1` / `ferret_n` are split out as in the paper.
+        pub label: String,
+        pub runtime: String,
+        pub breakdown: Breakdown,
+    }
 }
 
 /// Figure 15: virtual-time breakdown at 8 threads under pthreads, DWC and
@@ -432,14 +412,16 @@ pub fn fig15(b: &Bench, threads: usize, benchmarks: &[&str]) -> Vec<Fig15Bar> {
 
 // ------------------------------------------------------------- Figure 16
 
-/// One Figure 16 pair: pages propagated under TSO vs the LRC estimate.
-#[derive(Clone, Debug)]
-pub struct Fig16Row {
-    pub benchmark: String,
-    pub tso_pages: u64,
-    pub lrc_pages: u64,
-    /// `1 - lrc/tso`: the fraction LRC would save.
-    pub reduction: f64,
+crate::json_record! {
+    /// One Figure 16 pair: pages propagated under TSO vs the LRC estimate.
+    #[derive(Clone, Debug)]
+    pub struct Fig16Row {
+        pub benchmark: String,
+        pub tso_pages: u64,
+        pub lrc_pages: u64,
+        /// `1 - lrc/tso`: the fraction LRC would save.
+        pub reduction: f64,
+    }
 }
 
 /// Figure 16: total pages propagated under TSO (Consequence) vs the
@@ -448,7 +430,11 @@ pub fn fig16(b: &Bench, threads: usize, benchmarks: &[&str]) -> Vec<Fig16Row> {
     benchmarks
         .iter()
         .map(|&name| {
-            let m = run_one_lrc(b, RuntimeKind::ConsequenceIc, name, threads, true);
+            let cell = Cell {
+                track_lrc: true,
+                ..b.cell(RuntimeKind::ConsequenceIc, name, threads)
+            };
+            let m = measure(cell, RuntimeKind::ConsequenceIc.label());
             let tso = m.report.counters.pages_propagated;
             let lrc = m.report.counters.lrc_pages_propagated;
             Fig16Row {
@@ -467,14 +453,16 @@ pub fn fig16(b: &Bench, threads: usize, benchmarks: &[&str]) -> Vec<Fig16Row> {
 
 // --------------------------------------------------------- extra ablations
 
-/// One point of the §3.2 overflow-interval sweep.
-#[derive(Clone, Debug)]
-pub struct OverflowPoint {
-    pub benchmark: String,
-    /// Fixed overflow interval in instructions; `None` = adaptive.
-    pub interval: Option<u64>,
-    pub virtual_cycles: u64,
-    pub publications: u64,
+crate::json_record! {
+    /// One point of the §3.2 overflow-interval sweep.
+    #[derive(Clone, Debug)]
+    pub struct OverflowPoint {
+        pub benchmark: String,
+        /// Fixed overflow interval in instructions; `None` = adaptive.
+        pub interval: Option<u64>,
+        pub virtual_cycles: u64,
+        pub publications: u64,
+    }
 }
 
 /// The Kendo trade-off the paper's §3.2 adapts away: a low fixed overflow
@@ -510,15 +498,17 @@ pub fn overflow_sweep(
     out
 }
 
-/// One point of the GC-budget sweep behind Figure 12.
-#[derive(Clone, Debug)]
-pub struct GcPoint {
-    pub benchmark: String,
-    /// Versions the collector may reclaim per commit (`u64::MAX` printed
-    /// as `unbounded`).
-    pub budget: usize,
-    pub peak_pages: usize,
-    pub virtual_cycles: u64,
+crate::json_record! {
+    /// One point of the GC-budget sweep behind Figure 12.
+    #[derive(Clone, Debug)]
+    pub struct GcPoint {
+        pub benchmark: String,
+        /// Versions the collector may reclaim per commit (`u64::MAX` printed
+        /// as `unbounded`).
+        pub budget: usize,
+        pub peak_pages: usize,
+        pub virtual_cycles: u64,
+    }
 }
 
 /// Sweeps the single-threaded collector's budget: the paper attributes the
@@ -541,13 +531,15 @@ pub fn gc_sweep(b: &Bench, threads: usize, name: &str, budgets: &[usize]) -> Vec
         .collect()
 }
 
-/// One row of the §4.1 blocking-vs-polling mutex comparison.
-#[derive(Clone, Debug)]
-pub struct LockDesignRow {
-    pub benchmark: String,
-    pub blocking: u64,
-    /// Kendo-style polling with the given clock increment.
-    pub polling: Vec<(u64, u64)>,
+crate::json_record! {
+    /// One row of the §4.1 blocking-vs-polling mutex comparison.
+    #[derive(Clone, Debug)]
+    pub struct LockDesignRow {
+        pub benchmark: String,
+        pub blocking: u64,
+        /// Kendo-style polling with the given clock increment.
+        pub polling: Vec<(u64, u64)>,
+    }
 }
 
 /// §4.1: the paper's blocking deterministic mutex vs Kendo's polling
@@ -587,14 +579,16 @@ pub fn lock_design(
         .collect()
 }
 
-/// One row of the §3.3 thread-pool ablation.
-#[derive(Clone, Debug)]
-pub struct PoolRow {
-    pub benchmark: String,
-    pub with_pool: u64,
-    pub without_pool: u64,
-    pub pool_hits: u64,
-    pub speedup: f64,
+crate::json_record! {
+    /// One row of the §3.3 thread-pool ablation.
+    #[derive(Clone, Debug)]
+    pub struct PoolRow {
+        pub benchmark: String,
+        pub with_pool: u64,
+        pub without_pool: u64,
+        pub pool_hits: u64,
+        pub speedup: f64,
+    }
 }
 
 /// Thread reuse for fork-join programs: kmeans spawns workers every

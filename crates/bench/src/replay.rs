@@ -14,26 +14,30 @@ use std::sync::Arc;
 
 use consequence::replay::options_for_label;
 use consequence::ConsequenceRuntime;
-use dmt_api::{CommonConfig, CostModel, PerturbHandle, Runtime, TraceHandle};
+use dmt_api::{PerturbHandle, Runtime};
 use dmt_trace::{DiskSink, PartialTrace, Trace, TraceError, TraceMeta};
 use dmt_workloads::{workload_by_name, Params, Validation};
 
-/// A finished recording.
-#[derive(Clone, Debug)]
-pub struct Recorded {
-    /// Where the container was written.
-    pub path: String,
-    /// Schedule events captured.
-    pub events: u64,
-    /// Schedule hash of the recorded run.
-    pub schedule_hash: u64,
-    /// Output hash of the recorded run.
-    pub output_hash: u64,
-    /// Whether the recorded run's output matched the sequential
-    /// reference.
-    pub validated: bool,
-    /// Container size on disk, in bytes.
-    pub bytes: u64,
+use crate::cell::{Cell, Sink};
+
+crate::json_record! {
+    /// A finished recording.
+    #[derive(Clone, Debug)]
+    pub struct Recorded {
+        /// Where the container was written.
+        pub path: String,
+        /// Schedule events captured.
+        pub events: u64,
+        /// Schedule hash of the recorded run.
+        pub schedule_hash: u64,
+        /// Output hash of the recorded run.
+        pub output_hash: u64,
+        /// Whether the recorded run's output matched the sequential
+        /// reference.
+        pub validated: bool,
+        /// Container size on disk, in bytes.
+        pub bytes: u64,
+    }
 }
 
 /// The result of replaying one container.
@@ -143,6 +147,22 @@ pub fn ident_meta(
     }
 }
 
+/// [`ident_meta`] for `cell`, about to record under the Consequence preset
+/// labelled `runtime` whose options fingerprint is `fingerprint`.
+pub fn cell_ident(runtime: &str, cell: &Cell, fingerprint: u64) -> TraceMeta {
+    ident_meta(
+        runtime,
+        cell.workload.name(),
+        cell.params.threads,
+        cell.params.scale,
+        cell.params.seed,
+        cell.heap_pages(),
+        cell.max_threads,
+        fingerprint,
+        &cell.perturb,
+    )
+}
+
 /// Records one workload × runtime cell into `dir`, naming the file
 /// `<workload>-<runtime>-t<threads>-s<scale>.dmtrace`, and re-validates
 /// the written container before returning. Recording is **crash-durable**:
@@ -157,74 +177,26 @@ pub fn record_to(
     scale: u32,
     input_seed: u64,
 ) -> Result<Recorded, String> {
-    record_perturbed(
-        dir,
-        runtime,
-        workload,
-        threads,
-        scale,
-        input_seed,
-        PerturbHandle::off(),
-    )
-}
-
-/// [`record_to`] with a caller-supplied perturber (timing plan and/or
-/// injected panic) active during the recording. The perturber's identity
-/// — seed, plan digest, panic triple — is stamped into both the
-/// write-ahead identity record and the final META, so the trace remains
-/// a complete reproducer.
-pub fn record_perturbed(
-    dir: &Path,
-    runtime: &str,
-    workload: &str,
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    perturb: PerturbHandle,
-) -> Result<Recorded, String> {
     let opts = options_for_label(runtime)
         .ok_or_else(|| format!("cannot record runtime {runtime:?}: not a Consequence preset"))?;
     let w = workload_by_name(workload).ok_or_else(|| format!("unknown workload {workload}"))?;
-    let p = Params::new(threads, scale, input_seed);
     std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let path = dir.join(format!("{workload}-{runtime}-t{threads}-s{scale}.dmtrace"));
 
-    let heap_pages = w.heap_pages(&p);
-    let max_threads = 64;
+    let flush_pages = opts.trace_flush_pages;
     let fingerprint = opts.fingerprint();
-    let ident = ident_meta(
-        runtime,
-        workload,
-        threads,
-        scale,
-        input_seed,
-        heap_pages,
-        max_threads,
-        fingerprint,
-        &perturb,
-    );
+    let mut cell = Cell::of(w, Params::new(threads, scale, input_seed), opts);
+    let ident = cell_ident(runtime, &cell, fingerprint);
     let sink = Arc::new(
-        DiskSink::create_durable(&path, &ident, opts.trace_flush_pages)
+        DiskSink::create_durable(&path, &ident, flush_pages)
             .map_err(|e| format!("create {}: {e}", path.display()))?,
     );
-    let cfg = CommonConfig {
-        heap_pages,
-        max_threads,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: 4,
-        trace: TraceHandle::to(Arc::clone(&sink) as _),
-        perturb,
-        witness: dmt_api::WitnessHandle::off(),
-    };
-    let mut rt = ConsequenceRuntime::new(cfg, opts);
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(&rt);
+    cell.sink = Sink::To(Arc::clone(&sink) as _);
+    let run = cell.run();
 
     let meta = TraceMeta {
-        commit_log_hash: report.commit_log_hash,
-        output_hash: v.output_hash,
+        commit_log_hash: run.report.commit_log_hash,
+        output_hash: run.validation.output_hash,
         ..ident
     };
     let meta = sink
@@ -237,10 +209,54 @@ pub fn record_perturbed(
         path: path.display().to_string(),
         events: meta.event_count,
         schedule_hash: meta.schedule_hash,
-        output_hash: v.output_hash,
-        validated: v.matches_reference,
+        output_hash: run.validation.output_hash,
+        validated: run.validation.matches_reference,
         bytes,
     })
+}
+
+/// Records every `workloads` × `runtimes` cell into `dir` with
+/// [`record_to`], printing one line per container; runtimes that are not
+/// Consequence presets have no grant script to record and are skipped.
+/// Returns the recordings and whether every one was written and validated
+/// (false when nothing was recordable).
+pub fn record_all(
+    dir: &Path,
+    runtimes: &[&str],
+    workloads: &[String],
+    threads: usize,
+    scale: u32,
+    input_seed: u64,
+) -> (Vec<Recorded>, bool) {
+    let mut recorded = Vec::new();
+    let runtimes = runtimes.iter().filter(|l| options_for_label(l).is_some());
+    let mut ok = runtimes.clone().next().is_some();
+    if !ok {
+        eprintln!("no recordable runtime selected (labels: consequence-ic, consequence-rr, dwc)");
+    }
+    for name in workloads {
+        for label in runtimes.clone() {
+            match record_to(dir, label, name, threads, scale, input_seed) {
+                Ok(r) => {
+                    println!(
+                        "[{}] {name} {label}: {} events, hash {:#018x}, {} bytes -> {}",
+                        if r.validated { "ok" } else { "INVALID" },
+                        r.events,
+                        r.schedule_hash,
+                        r.bytes,
+                        r.path
+                    );
+                    ok &= r.validated;
+                    recorded.push(r);
+                }
+                Err(e) => {
+                    println!("[FAILED] {name} {label}: {e}");
+                    ok = false;
+                }
+            }
+        }
+    }
+    (recorded, ok)
 }
 
 /// Replays one container file: re-stages the workload the trace names,
@@ -385,6 +401,38 @@ pub fn trace_files(path: &Path) -> Result<Vec<PathBuf>, String> {
     } else {
         Err(format!("{}: no such file or directory", path.display()))
     }
+}
+
+/// Replays every container under `paths` (files or directories), printing
+/// one verdict line per trace and the first-divergent-event diagnosis of
+/// any that diverged. Returns the results and whether all reproduced.
+pub fn replay_all(paths: &[&str]) -> (Vec<Replayed>, bool) {
+    let mut results = Vec::new();
+    let mut ok = true;
+    for p in paths {
+        let files = trace_files(Path::new(p)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            ok = false;
+            Vec::new()
+        });
+        for f in files {
+            match replay_file(&f) {
+                Ok(r) => {
+                    println!("{}", summarize(&r));
+                    if let Some(d) = &r.divergence {
+                        println!("{d}");
+                    }
+                    ok &= r.ok();
+                    results.push(r);
+                }
+                Err(e) => {
+                    println!("[FAILED] {}: {e}", f.display());
+                    ok = false;
+                }
+            }
+        }
+    }
+    (results, ok)
 }
 
 /// One-line human rendering of a replay result.

@@ -29,7 +29,7 @@ use det_clock::{ClockTable, OrderPolicy, Slots};
 use dmt_api::trace::{Event, MemorySink};
 use dmt_api::{CommonConfig, CostModel, Runtime, Tid, TraceHandle};
 
-use crate::jsonparse::{self, Value};
+use crate::artifact::{cells, find, flag, is_full, mode_label, num, open, positive, Artifact};
 use crate::stats::Summary;
 
 /// Thread counts of both grids.
@@ -40,100 +40,74 @@ pub const LOCKS: [usize; 2] = [1, 4];
 /// Format version tag of the emitted document.
 pub const SCHEMA: &str = "bench-sched/1";
 
-/// One publish-throughput cell: lock-free slots vs mutex-wrapped reference
-/// table at a fixed publisher count.
-#[derive(Clone, Debug)]
-pub struct PublishCell {
-    /// Concurrent publishing threads.
-    pub threads: usize,
-    /// Lock-free path, publications per second summed over threads.
-    pub fast_pub_per_s: f64,
-    /// Global-mutex reference path, publications per second.
-    pub ref_pub_per_s: f64,
-    /// `fast_pub_per_s / ref_pub_per_s`.
-    pub speedup: f64,
-    /// Per-rep spread of the fast path.
-    pub fast_summary: Summary,
-    /// Per-rep spread of the reference path.
-    pub ref_summary: Summary,
+crate::json_record! {
+    /// One publish-throughput cell: lock-free slots vs mutex-wrapped reference
+    /// table at a fixed publisher count.
+    #[derive(Clone, Debug)]
+    pub struct PublishCell {
+        /// Concurrent publishing threads.
+        pub threads: usize,
+        /// Lock-free path, publications per second summed over threads.
+        pub fast_pub_per_s: f64,
+        /// Global-mutex reference path, publications per second.
+        pub ref_pub_per_s: f64,
+        /// `fast_pub_per_s / ref_pub_per_s`.
+        pub speedup: f64,
+        /// Per-rep spread of the fast path.
+        pub fast_summary: Summary,
+        /// Per-rep spread of the reference path.
+        pub ref_summary: Summary,
+    }
 }
 
-/// One token-handoff grid cell: the same deterministic lock-churn program
-/// under both schedulers.
-#[derive(Clone, Debug)]
-pub struct HandoffCell {
-    /// Worker threads contending for the token.
-    pub threads: usize,
-    /// Distinct mutexes the workers cycle through.
-    pub locks: usize,
-    /// Token grants per run (identical across schedulers by construction).
-    pub grants: u64,
-    /// Fast scheduler: wall nanoseconds per token grant (best rep).
-    pub fast_ns_per_handoff: f64,
-    /// Reference scheduler: wall nanoseconds per token grant (best rep).
-    pub ref_ns_per_handoff: f64,
-    /// `ref_ns_per_handoff / fast_ns_per_handoff`.
-    pub speedup: f64,
-    /// Fast: wait-loop iterations per grant (~1 = each wake-up is useful).
-    pub fast_wakeups_per_grant: f64,
-    /// Reference: wait-loop iterations per grant (the thundering herd).
-    pub ref_wakeups_per_grant: f64,
-    /// Fast: targeted `notify_one` calls issued.
-    pub fast_targeted_wakes: u64,
-    /// Reference: `notify_all` broadcasts issued.
-    pub ref_broadcast_wakes: u64,
-    /// Schedule hashes and event counts agreed between the schedulers.
-    pub schedules_match: bool,
-    /// Per-rep spread of fast ns-per-handoff.
-    pub fast_summary: Summary,
-    /// Per-rep spread of reference ns-per-handoff.
-    pub ref_summary: Summary,
+crate::json_record! {
+    /// One token-handoff grid cell: the same deterministic lock-churn program
+    /// under both schedulers.
+    #[derive(Clone, Debug)]
+    pub struct HandoffCell {
+        /// Worker threads contending for the token.
+        pub threads: usize,
+        /// Distinct mutexes the workers cycle through.
+        pub locks: usize,
+        /// Token grants per run (identical across schedulers by construction).
+        pub grants: u64,
+        /// Fast scheduler: wall nanoseconds per token grant (best rep).
+        pub fast_ns_per_handoff: f64,
+        /// Reference scheduler: wall nanoseconds per token grant (best rep).
+        pub ref_ns_per_handoff: f64,
+        /// `ref_ns_per_handoff / fast_ns_per_handoff`.
+        pub speedup: f64,
+        /// Fast: wait-loop iterations per grant (~1 = each wake-up is useful).
+        pub fast_wakeups_per_grant: f64,
+        /// Reference: wait-loop iterations per grant (the thundering herd).
+        pub ref_wakeups_per_grant: f64,
+        /// Fast: targeted `notify_one` calls issued.
+        pub fast_targeted_wakes: u64,
+        /// Reference: `notify_all` broadcasts issued.
+        pub ref_broadcast_wakes: u64,
+        /// Schedule hashes and event counts agreed between the schedulers.
+        pub schedules_match: bool,
+        /// Per-rep spread of fast ns-per-handoff.
+        pub fast_summary: Summary,
+        /// Per-rep spread of reference ns-per-handoff.
+        pub ref_summary: Summary,
+    }
 }
 
-/// The complete `bench sched` artifact.
-#[derive(Clone, Debug)]
-pub struct SchedReport {
-    /// Format tag ([`SCHEMA`]).
-    pub schema: String,
-    /// `"full"` or `"smoke"`.
-    pub mode: String,
-    /// Publish-throughput cells, one per count in [`THREADS`].
-    pub publish: Vec<PublishCell>,
-    /// Token-handoff cells, [`THREADS`] × [`LOCKS`].
-    pub handoff: Vec<HandoffCell>,
+crate::json_record! {
+    /// The complete `bench sched` artifact.
+    #[derive(Clone, Debug)]
+    pub struct SchedReport {
+        /// Format tag ([`SCHEMA`]).
+        pub schema: String,
+        /// `"full"` or `"smoke"`.
+        pub mode: String,
+        /// Publish-throughput cells, one per count in [`THREADS`].
+        pub publish: Vec<PublishCell>,
+        /// Token-handoff cells, [`THREADS`] × [`LOCKS`].
+        pub handoff: Vec<HandoffCell>,
+    }
 }
-
-crate::json_struct!(PublishCell {
-    threads,
-    fast_pub_per_s,
-    ref_pub_per_s,
-    speedup,
-    fast_summary,
-    ref_summary
-});
-
-crate::json_struct!(HandoffCell {
-    threads,
-    locks,
-    grants,
-    fast_ns_per_handoff,
-    ref_ns_per_handoff,
-    speedup,
-    fast_wakeups_per_grant,
-    ref_wakeups_per_grant,
-    fast_targeted_wakes,
-    ref_broadcast_wakes,
-    schedules_match,
-    fast_summary,
-    ref_summary
-});
-
-crate::json_struct!(SchedReport {
-    schema,
-    mode,
-    publish,
-    handoff
-});
 
 // ---------------------------------------------------- publish throughput
 
@@ -355,94 +329,93 @@ pub fn run_handoff_grid(smoke: bool) -> Vec<HandoffCell> {
     out
 }
 
-/// Runs every experiment and assembles the artifact.
-pub fn run_sched_bench(smoke: bool) -> SchedReport {
-    SchedReport {
-        schema: SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        publish: run_publish_bench(smoke),
-        handoff: run_handoff_grid(smoke),
-    }
-}
+impl Artifact for SchedReport {
+    const NAME: &'static str = "sched";
 
-/// Validates an emitted `BENCH_sched.json`: it must parse, carry the
-/// current schema tag, contain every grid cell with positive numbers, and
-/// witness bit-identical schedules in every handoff cell. In `"full"` mode
-/// the fast path must additionally beat the reference scheduler on
-/// token-handoff latency at ≥ 4 threads with wakeups-per-grant ≤ 3 — the
-/// tentpole acceptance numbers. Returns the first problem found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag is not {SCHEMA:?}"));
-    }
-    let full = v.get("mode").and_then(Value::as_str) == Some("full");
-    let publish = v
-        .get("publish")
-        .and_then(Value::as_arr)
-        .ok_or("missing publish cells")?;
-    for &t in &THREADS {
-        let cell = publish
-            .iter()
-            .find(|c| c.get("threads").and_then(Value::as_f64) == Some(t as f64))
-            .ok_or(format!("missing publish cell for {t} threads"))?;
-        for key in ["fast_pub_per_s", "ref_pub_per_s", "speedup"] {
-            let x = cell
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("publish cell t={t}: missing {key}"))?;
-            if x <= 0.0 {
-                return Err(format!("publish cell t={t}: non-positive {key}"));
-            }
+    /// Runs every experiment and assembles the artifact.
+    fn run(smoke: bool) -> SchedReport {
+        SchedReport {
+            schema: SCHEMA.to_string(),
+            mode: mode_label(smoke),
+            publish: run_publish_bench(smoke),
+            handoff: run_handoff_grid(smoke),
         }
     }
-    let handoff = v
-        .get("handoff")
-        .and_then(Value::as_arr)
-        .ok_or("missing handoff cells")?;
-    for &t in &THREADS {
-        for &l in &LOCKS {
-            let cell = handoff
-                .iter()
-                .find(|c| {
-                    c.get("threads").and_then(Value::as_f64) == Some(t as f64)
-                        && c.get("locks").and_then(Value::as_f64) == Some(l as f64)
-                })
-                .ok_or(format!("missing handoff cell for {t} threads / {l} locks"))?;
-            if cell.get("schedules_match").and_then(Value::as_bool) != Some(true) {
-                return Err(format!(
-                    "handoff cell {t}/{l}: fast and reference schedules diverged"
-                ));
-            }
-            let get = |key: &str| {
-                cell.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("handoff cell {t}/{l}: missing {key}"))
-            };
-            let fast_ns = get("fast_ns_per_handoff")?;
-            let ref_ns = get("ref_ns_per_handoff")?;
-            if fast_ns <= 0.0 || ref_ns <= 0.0 {
-                return Err(format!("handoff cell {t}/{l}: non-positive latency"));
-            }
-            if full && t >= 4 {
-                let speedup = get("speedup")?;
-                if speedup <= 1.0 {
-                    return Err(format!(
-                        "handoff cell {t}/{l}: fast path does not beat the \
-                         reference scheduler (speedup {speedup:.3})"
-                    ));
+
+    fn summary(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for c in &self.publish {
+            out.push(format!(
+                "publish t={}: fast {:>11.0} pub/s  ref {:>11.0} pub/s  speedup {:.2}x",
+                c.threads, c.fast_pub_per_s, c.ref_pub_per_s, c.speedup
+            ));
+        }
+        for c in &self.handoff {
+            out.push(format!(
+                "handoff t={} locks={}: fast {:>8.0} ns/grant ({:.2} wakes)  \
+                 ref {:>8.0} ns/grant ({:.2} wakes)  speedup {:.2}x  schedules {}",
+                c.threads,
+                c.locks,
+                c.fast_ns_per_handoff,
+                c.fast_wakeups_per_grant,
+                c.ref_ns_per_handoff,
+                c.ref_wakeups_per_grant,
+                c.speedup,
+                if c.schedules_match {
+                    "match"
+                } else {
+                    "DIVERGED"
                 }
-                let wpg = get("fast_wakeups_per_grant")?;
-                if wpg > 3.0 {
-                    return Err(format!(
-                        "handoff cell {t}/{l}: fast wakeups-per-grant {wpg:.2} \
-                         (expected ~1)"
-                    ));
+            ));
+        }
+        out
+    }
+
+    /// An emitted `BENCH_sched.json` must parse, carry the current schema
+    /// tag, contain every grid cell with positive numbers, and witness
+    /// bit-identical schedules in every handoff cell. In `"full"` mode the
+    /// fast path must additionally beat the reference scheduler on
+    /// token-handoff latency at ≥ 4 threads with wakeups-per-grant ≤ 3 —
+    /// the tentpole acceptance numbers.
+    fn validate(text: &str) -> Result<(), String> {
+        let v = open(text, SCHEMA)?;
+        let publish = cells(&v, "publish")?;
+        for &t in &THREADS {
+            let cell = find(publish, "publish", &[("threads", t)])?;
+            positive(
+                cell,
+                &format!("publish cell t={t}"),
+                &["fast_pub_per_s", "ref_pub_per_s", "speedup"],
+            )?;
+        }
+        let handoff = cells(&v, "handoff")?;
+        for &t in &THREADS {
+            for &l in &LOCKS {
+                let cell = find(handoff, "handoff", &[("threads", t), ("locks", l)])?;
+                let ctx = format!("handoff cell {t}/{l}");
+                if !flag(cell, "schedules_match") {
+                    return Err(format!("{ctx}: fast and reference schedules diverged"));
+                }
+                positive(cell, &ctx, &["fast_ns_per_handoff", "ref_ns_per_handoff"])?;
+                if is_full(&v) && t >= 4 {
+                    let speedup = num(cell, &ctx, "speedup")?;
+                    if speedup <= 1.0 {
+                        return Err(format!(
+                            "{ctx}: fast path does not beat the reference scheduler \
+                             (speedup {speedup:.3})"
+                        ));
+                    }
+                    let wpg = num(cell, &ctx, "fast_wakeups_per_grant")?;
+                    if wpg > 3.0 {
+                        return Err(format!(
+                            "{ctx}: fast wakeups-per-grant {wpg:.2} (expected ~1)"
+                        ));
+                    }
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -452,8 +425,8 @@ mod tests {
 
     #[test]
     fn smoke_report_passes_its_own_validation() {
-        let r = run_sched_bench(true);
-        validate_report(&r.to_json()).expect("smoke artifact validates");
+        let r = SchedReport::run(true);
+        SchedReport::validate(&r.to_json()).expect("smoke artifact validates");
     }
 
     #[test]
@@ -477,12 +450,12 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_documents() {
-        assert!(validate_report("not json").is_err());
-        assert!(validate_report("{}").is_err());
-        assert!(validate_report(r#"{"schema":"bench-sched/1"}"#).is_err());
+        assert!(SchedReport::validate("not json").is_err());
+        assert!(SchedReport::validate("{}").is_err());
+        assert!(SchedReport::validate(r#"{"schema":"bench-sched/1"}"#).is_err());
         let mut r = stub_report();
         r.handoff[0].schedules_match = false;
-        assert!(validate_report(&r.to_json())
+        assert!(SchedReport::validate(&r.to_json())
             .unwrap_err()
             .contains("diverged"));
         let mut r = stub_report();
@@ -490,7 +463,7 @@ mod tests {
         // Find a ≥4-thread cell and make the fast path lose.
         let cell = r.handoff.iter_mut().find(|c| c.threads >= 4).unwrap();
         cell.speedup = 0.9;
-        assert!(validate_report(&r.to_json())
+        assert!(SchedReport::validate(&r.to_json())
             .unwrap_err()
             .contains("does not beat"));
     }

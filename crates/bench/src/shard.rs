@@ -21,7 +21,7 @@ use std::time::Instant;
 use dmt_shard::{run_sharded_server, CaptureMode, ShardCfg};
 use dmt_workloads::Params;
 
-use crate::jsonparse::{self, Value};
+use crate::artifact::{cells, find, flag, is_full, mode_label, num, open, positive, Artifact};
 use crate::stats::Summary;
 
 /// Shard-domain counts of the scaling grid.
@@ -32,81 +32,61 @@ pub const TOTAL_WORKERS: usize = 8;
 /// Format version tag of the emitted document.
 pub const SCHEMA: &str = "bench-shard/1";
 
-/// One scaling cell: the server under a fixed total worker count split
-/// across `shards` token domains.
-#[derive(Clone, Debug)]
-pub struct ShardCell {
-    /// Token domains.
-    pub shards: usize,
-    /// Pool workers per domain ([`TOTAL_WORKERS`] split evenly).
-    pub workers_per_domain: usize,
-    /// Client requests served (identical across cells by construction).
-    pub requests: u64,
-    /// Application synchronization operations: deterministic mutex
-    /// acquisitions summed over domains. Near-identical across cells —
-    /// the same requests take the same locks — so the throughput ratio
-    /// between cells is the per-sync-op overhead ratio.
-    pub sync_ops: u64,
-    /// Token acquisitions summed over domains (runtime-internal grants).
-    pub token_ops: u64,
-    /// Sync-ops per second of the best rep.
-    pub sync_ops_per_s: f64,
-    /// Requests per second of the best rep.
-    pub req_per_s: f64,
-    /// Wall nanoseconds of the best rep.
-    pub wall_ns: f64,
-    /// Combined schedule hash (bit-identical across reps when
-    /// `deterministic`).
-    pub schedule_hash: u64,
-    /// Final-store digest (identical across cells when the report's
-    /// `store_invariant` holds).
-    pub store_hash: u64,
-    /// Every rep reproduced the combined schedule hash and output hash.
-    pub deterministic: bool,
-    /// Per-rep spread of sync-ops per second.
-    pub summary: Summary,
+crate::json_record! {
+    /// One scaling cell: the server under a fixed total worker count split
+    /// across `shards` token domains.
+    #[derive(Clone, Debug)]
+    pub struct ShardCell {
+        /// Token domains.
+        pub shards: usize,
+        /// Pool workers per domain ([`TOTAL_WORKERS`] split evenly).
+        pub workers_per_domain: usize,
+        /// Client requests served (identical across cells by construction).
+        pub requests: u64,
+        /// Application synchronization operations: deterministic mutex
+        /// acquisitions summed over domains. Near-identical across cells —
+        /// the same requests take the same locks — so the throughput ratio
+        /// between cells is the per-sync-op overhead ratio.
+        pub sync_ops: u64,
+        /// Token acquisitions summed over domains (runtime-internal grants).
+        pub token_ops: u64,
+        /// Sync-ops per second of the best rep.
+        pub sync_ops_per_s: f64,
+        /// Requests per second of the best rep.
+        pub req_per_s: f64,
+        /// Wall nanoseconds of the best rep.
+        pub wall_ns: f64,
+        /// Combined schedule hash (bit-identical across reps when
+        /// `deterministic`).
+        pub schedule_hash: u64,
+        /// Final-store digest (identical across cells when the report's
+        /// `store_invariant` holds).
+        pub store_hash: u64,
+        /// Every rep reproduced the combined schedule hash and output hash.
+        pub deterministic: bool,
+        /// Per-rep spread of sync-ops per second.
+        pub summary: Summary,
+    }
 }
 
-/// The complete `bench shard` artifact.
-#[derive(Clone, Debug)]
-pub struct ShardBenchReport {
-    /// Format tag ([`SCHEMA`]).
-    pub schema: String,
-    /// `"full"` or `"smoke"`.
-    pub mode: String,
-    /// Total workers in every cell.
-    pub total_workers: usize,
-    /// Problem-size multiplier the cells ran at.
-    pub scale: u64,
-    /// Every shard count ended in the same final store.
-    pub store_invariant: bool,
-    /// Scaling cells, one per count in [`SHARDS`].
-    pub cells: Vec<ShardCell>,
+crate::json_record! {
+    /// The complete `bench shard` artifact.
+    #[derive(Clone, Debug)]
+    pub struct ShardBenchReport {
+        /// Format tag ([`SCHEMA`]).
+        pub schema: String,
+        /// `"full"` or `"smoke"`.
+        pub mode: String,
+        /// Total workers in every cell.
+        pub total_workers: usize,
+        /// Problem-size multiplier the cells ran at.
+        pub scale: u64,
+        /// Every shard count ended in the same final store.
+        pub store_invariant: bool,
+        /// Scaling cells, one per count in [`SHARDS`].
+        pub cells: Vec<ShardCell>,
+    }
 }
-
-crate::json_struct!(ShardCell {
-    shards,
-    workers_per_domain,
-    requests,
-    sync_ops,
-    token_ops,
-    sync_ops_per_s,
-    req_per_s,
-    wall_ns,
-    schedule_hash,
-    store_hash,
-    deterministic,
-    summary
-});
-
-crate::json_struct!(ShardBenchReport {
-    schema,
-    mode,
-    total_workers,
-    scale,
-    store_invariant,
-    cells
-});
 
 /// Measures one shard count: `reps` timed runs of the same configuration,
 /// best-of for throughput, bit-identical hashes required across reps.
@@ -149,74 +129,86 @@ fn run_cell(shards: u32, scale: u32, seed: u64, reps: usize) -> ShardCell {
     }
 }
 
-/// Runs the scaling grid and assembles the artifact.
-pub fn run_shard_bench(smoke: bool) -> ShardBenchReport {
-    let reps = if smoke { 2 } else { 7 };
-    let scale = if smoke { 1 } else { 4 };
-    let seed = 42;
-    let cells: Vec<ShardCell> = SHARDS
-        .iter()
-        .map(|&s| run_cell(s, scale, seed, reps))
-        .collect();
-    let store_invariant = cells.windows(2).all(|w| w[0].store_hash == w[1].store_hash);
-    ShardBenchReport {
-        schema: SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        total_workers: TOTAL_WORKERS,
-        scale: scale as u64,
-        store_invariant,
-        cells,
-    }
-}
+impl Artifact for ShardBenchReport {
+    const NAME: &'static str = "shard";
 
-/// Validates an emitted `BENCH_shard.json`: it must parse, carry the
-/// current schema tag, contain every shard count with positive numbers,
-/// witness per-cell determinism and the cross-shard store invariant. In
-/// `"full"` mode sync-op throughput must additionally increase
-/// **monotonically** from 1 to 4 shards — the acceptance number for the
-/// sharded-domains tentpole. Returns the first problem found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag is not {SCHEMA:?}"));
-    }
-    let full = v.get("mode").and_then(Value::as_str) == Some("full");
-    if v.get("store_invariant").and_then(Value::as_bool) != Some(true) {
-        return Err("final store differs across shard counts".into());
-    }
-    let total = v
-        .get("total_workers")
-        .and_then(Value::as_f64)
-        .ok_or("missing total_workers")?;
-    if total < 4.0 {
-        return Err(format!(
-            "total_workers {total} < 4: scaling claim needs contention"
-        ));
-    }
-    let cells = v
-        .get("cells")
-        .and_then(Value::as_arr)
-        .ok_or("missing cells")?;
-    let mut prev: Option<(usize, f64)> = None;
-    for &s in &SHARDS {
-        let cell = cells
+    /// Runs the scaling grid and assembles the artifact.
+    fn run(smoke: bool) -> ShardBenchReport {
+        let reps = if smoke { 2 } else { 7 };
+        let scale = if smoke { 1 } else { 4 };
+        let seed = 42;
+        let cells: Vec<ShardCell> = SHARDS
             .iter()
-            .find(|c| c.get("shards").and_then(Value::as_f64) == Some(s as f64))
-            .ok_or(format!("missing cell for {s} shards"))?;
-        if cell.get("deterministic").and_then(Value::as_bool) != Some(true) {
-            return Err(format!("cell {s}: repeated runs diverged"));
+            .map(|&s| run_cell(s, scale, seed, reps))
+            .collect();
+        let store_invariant = cells.windows(2).all(|w| w[0].store_hash == w[1].store_hash);
+        ShardBenchReport {
+            schema: SCHEMA.to_string(),
+            mode: mode_label(smoke),
+            total_workers: TOTAL_WORKERS,
+            scale: scale as u64,
+            store_invariant,
+            cells,
         }
-        let get = |key: &str| {
-            cell.get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("cell {s}: missing {key}"))
-        };
-        let rate = get("sync_ops_per_s")?;
-        if rate <= 0.0 || get("sync_ops")? <= 0.0 || get("requests")? <= 0.0 {
-            return Err(format!("cell {s}: non-positive throughput numbers"));
+    }
+
+    fn summary(&self) -> Vec<String> {
+        let mut out: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| {
+                format!(
+                    "shards={} ({}x{} workers): {:>9.0} sync-ops/s  {:>8.0} req/s  \
+                     hash {:#018x}  {}",
+                    c.shards,
+                    c.shards,
+                    c.workers_per_domain,
+                    c.sync_ops_per_s,
+                    c.req_per_s,
+                    c.schedule_hash,
+                    if c.deterministic {
+                        "deterministic"
+                    } else {
+                        "DIVERGED"
+                    }
+                )
+            })
+            .collect();
+        out.push(format!(
+            "store invariant across shard counts: {}",
+            self.store_invariant
+        ));
+        out
+    }
+
+    /// An emitted `BENCH_shard.json` must parse, carry the current schema
+    /// tag, contain every shard count with positive numbers, witness
+    /// per-cell determinism and the cross-shard store invariant. In
+    /// `"full"` mode sync-op throughput must additionally increase
+    /// **monotonically** from 1 to 4 shards — the acceptance number for
+    /// the sharded-domains tentpole.
+    fn validate(text: &str) -> Result<(), String> {
+        let v = open(text, SCHEMA)?;
+        if !flag(&v, "store_invariant") {
+            return Err("final store differs across shard counts".into());
         }
-        if full {
-            if let Some((ps, pr)) = prev {
+        let total = num(&v, "report", "total_workers")?;
+        if total < 4.0 {
+            return Err(format!(
+                "total_workers {total} < 4: scaling claim needs contention"
+            ));
+        }
+        let cells = cells(&v, "cells")?;
+        let mut prev: Option<(u32, f64)> = None;
+        for &s in &SHARDS {
+            let cell = find(cells, "shard", &[("shards", s as usize)])?;
+            let ctx = format!("cell {s}");
+            if !flag(cell, "deterministic") {
+                return Err(format!("{ctx}: repeated runs diverged"));
+            }
+            positive(cell, &ctx, &["sync_ops_per_s", "sync_ops", "requests"])?;
+            let rate = num(cell, &ctx, "sync_ops_per_s")?;
+            if let (true, Some((ps, pr))) = (is_full(&v), prev) {
                 if rate <= pr {
                     return Err(format!(
                         "sync-op throughput is not monotonic: {s} shards at {rate:.0}/s \
@@ -224,10 +216,10 @@ pub fn validate_report(text: &str) -> Result<(), String> {
                     ));
                 }
             }
+            prev = Some((s, rate));
         }
-        prev = Some((s as usize, rate));
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -237,28 +229,28 @@ mod tests {
 
     #[test]
     fn smoke_report_passes_its_own_validation() {
-        let r = run_shard_bench(true);
-        validate_report(&r.to_json()).expect("smoke artifact validates");
+        let r = ShardBenchReport::run(true);
+        ShardBenchReport::validate(&r.to_json()).expect("smoke artifact validates");
     }
 
     #[test]
     fn validation_rejects_broken_documents() {
-        assert!(validate_report("not json").is_err());
-        assert!(validate_report("{}").is_err());
+        assert!(ShardBenchReport::validate("not json").is_err());
+        assert!(ShardBenchReport::validate("{}").is_err());
         let mut r = stub_report();
         r.cells[1].deterministic = false;
-        assert!(validate_report(&r.to_json())
+        assert!(ShardBenchReport::validate(&r.to_json())
             .unwrap_err()
             .contains("diverged"));
         let mut r = stub_report();
         r.store_invariant = false;
-        assert!(validate_report(&r.to_json())
+        assert!(ShardBenchReport::validate(&r.to_json())
             .unwrap_err()
             .contains("store differs"));
         let mut r = stub_report();
         r.mode = "full".into();
         r.cells[2].sync_ops_per_s = r.cells[1].sync_ops_per_s / 2.0;
-        assert!(validate_report(&r.to_json())
+        assert!(ShardBenchReport::validate(&r.to_json())
             .unwrap_err()
             .contains("not monotonic"));
     }

@@ -21,22 +21,21 @@
 //! reproduce the first iteration's schedule hash bit for bit: soaking
 //! re-proves determinism, not just boundedness.
 //!
-//! The artifact is validated by [`validate_report`] (CI gate, same
+//! The artifact is validated by [`SoakReport::validate`] (CI gate, same
 //! `--check` contract as the other `BENCH_*.json` documents). See
 //! `docs/SOAK.md`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use consequence::{ConsequenceRuntime, Options};
-use dmt_api::{
-    CommonConfig, CostModel, HashSink, MemorySink, PerturbHandle, ResourceBounds, ResourceWitness,
-    Runtime, TraceHandle, WitnessHandle,
-};
+use dmt_api::{ResourceBounds, ResourceWitness, WitnessHandle};
+use dmt_baselines::RuntimeKind;
 use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
-use dmt_workloads::{workload_by_name, Params};
+use dmt_workloads::Params;
 
-use crate::jsonparse::{self, Value};
+use crate::artifact::{cells, flag, is_full, mode_label, num, open, Artifact};
+use crate::cell::{Cell, Sink};
+use crate::jsonparse::Value;
 
 /// Format version tag of the emitted document.
 pub const SCHEMA: &str = "bench-soak/1";
@@ -62,8 +61,7 @@ enum Drive {
     /// A registry workload on one Consequence runtime.
     Kernel {
         workload: &'static str,
-        /// `true` = Consequence-RR, else Consequence-IC.
-        rr: bool,
+        kind: RuntimeKind,
         threads: usize,
         /// Record events into a bounded ring ([`RING_CAP`]) instead of
         /// hash-only tracing, making the ring gauge live.
@@ -86,17 +84,12 @@ impl CellSpec {
         match &self.drive {
             Drive::Kernel {
                 workload,
-                rr,
+                kind,
                 threads,
                 record,
             } => (
                 workload.to_string(),
-                if *rr {
-                    "consequence-rr"
-                } else {
-                    "consequence-ic"
-                }
-                .to_string(),
+                kind.label().to_string(),
                 *threads,
                 *record,
             ),
@@ -110,106 +103,78 @@ impl CellSpec {
     }
 }
 
-/// Witnessed resource figures of one cell (bounds asserted or maxima
-/// observed), flattened for the JSON artifact.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Gauges {
-    /// Peak retained versions on the segment's chains.
-    pub retained_versions: u64,
-    /// Live 4 KiB pages (heap versions + workspaces).
-    pub live_pages: u64,
-    /// Longest per-thread clock history.
-    pub clock_history: u64,
-    /// Trace-sink ring occupancy.
-    pub trace_ring: u64,
-    /// Commit-pipeline backlog (pending settles + pre-twinned pages).
-    pub pipeline_backlog: u64,
+crate::json_record! {
+    /// Witnessed resource figures of one cell (bounds asserted or maxima
+    /// observed), flattened for the JSON artifact.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub struct Gauges {
+        /// Peak retained versions on the segment's chains.
+        pub retained_versions: u64,
+        /// Live 4 KiB pages (heap versions + workspaces).
+        pub live_pages: u64,
+        /// Longest per-thread clock history.
+        pub clock_history: u64,
+        /// Trace-sink ring occupancy.
+        pub trace_ring: u64,
+        /// Commit-pipeline backlog (pending settles + pre-twinned pages).
+        pub pipeline_backlog: u64,
+    }
 }
 
-crate::json_struct!(Gauges {
-    retained_versions,
-    live_pages,
-    clock_history,
-    trace_ring,
-    pipeline_backlog
-});
-
-/// One soak cell of the artifact.
-#[derive(Clone, Debug)]
-pub struct SoakCell {
-    /// Workload name (`dmt_server/sharded-N` for sharded cells).
-    pub workload: String,
-    /// Runtime preset the cell ran under.
-    pub runtime: String,
-    /// Worker threads driven (summed across domains for sharded cells).
-    pub threads: usize,
-    /// Whether events were recorded into a bounded ring during the soak.
-    pub record: bool,
-    /// Seeded iterations completed (≥ 2: first + at least one re-run).
-    pub iterations: u64,
-    /// Witness samples taken across every iteration (one per commit
-    /// epoch plus one per-run teardown sample).
-    pub samples: u64,
-    /// The asserted envelope (warm-up maxima × slack + pad).
-    pub bounds: Gauges,
-    /// Observed maxima over the whole soak phase.
-    pub maxima: Gauges,
-    /// Samples that violated at least one bound (0 = leak-free).
-    pub violations: u64,
-    /// `violations == 0`.
-    pub within_bounds: bool,
-    /// Every iteration reproduced the first schedule hash bit for bit.
-    pub deterministic: bool,
-    /// Every iteration's final state matched the workload reference.
-    pub validated: bool,
-    /// The cell's (first-iteration) schedule hash.
-    pub schedule_hash: u64,
-    /// Wall nanoseconds the soak phase ran for.
-    pub wall_ns: f64,
+crate::json_record! {
+    /// One soak cell of the artifact.
+    #[derive(Clone, Debug)]
+    pub struct SoakCell {
+        /// Workload name (`dmt_server/sharded-N` for sharded cells).
+        pub workload: String,
+        /// Runtime preset the cell ran under.
+        pub runtime: String,
+        /// Worker threads driven (summed across domains for sharded cells).
+        pub threads: usize,
+        /// Whether events were recorded into a bounded ring during the soak.
+        pub record: bool,
+        /// Seeded iterations completed (≥ 2: first + at least one re-run).
+        pub iterations: u64,
+        /// Witness samples taken across every iteration (one per commit
+        /// epoch plus one per-run teardown sample).
+        pub samples: u64,
+        /// The asserted envelope (warm-up maxima × slack + pad).
+        pub bounds: Gauges,
+        /// Observed maxima over the whole soak phase.
+        pub maxima: Gauges,
+        /// Samples that violated at least one bound (0 = leak-free).
+        pub violations: u64,
+        /// `violations == 0`.
+        pub within_bounds: bool,
+        /// Every iteration reproduced the first schedule hash bit for bit.
+        pub deterministic: bool,
+        /// Every iteration's final state matched the workload reference.
+        pub validated: bool,
+        /// The cell's (first-iteration) schedule hash.
+        pub schedule_hash: u64,
+        /// Wall nanoseconds the soak phase ran for.
+        pub wall_ns: f64,
+    }
 }
 
-crate::json_struct!(SoakCell {
-    workload,
-    runtime,
-    threads,
-    record,
-    iterations,
-    samples,
-    bounds,
-    maxima,
-    violations,
-    within_bounds,
-    deterministic,
-    validated,
-    schedule_hash,
-    wall_ns
-});
-
-/// The complete `soak` artifact.
-#[derive(Clone, Debug)]
-pub struct SoakReport {
-    /// Format tag ([`SCHEMA`]).
-    pub schema: String,
-    /// `"full"` or `"smoke"`.
-    pub mode: String,
-    /// Highest thread count soaked.
-    pub max_threads: usize,
-    /// Every cell stayed within its envelope.
-    pub all_within_bounds: bool,
-    /// Every cell reproduced its schedule hash across all iterations.
-    pub all_deterministic: bool,
-    /// The cells.
-    pub cells: Vec<SoakCell>,
+crate::json_record! {
+    /// The complete `soak` artifact.
+    #[derive(Clone, Debug)]
+    pub struct SoakReport {
+        /// Format tag ([`SCHEMA`]).
+        pub schema: String,
+        /// `"full"` or `"smoke"`.
+        pub mode: String,
+        /// Highest thread count soaked.
+        pub max_threads: usize,
+        /// Every cell stayed within its envelope.
+        pub all_within_bounds: bool,
+        /// Every cell reproduced its schedule hash across all iterations.
+        pub all_deterministic: bool,
+        /// The cells.
+        pub cells: Vec<SoakCell>,
+    }
 }
-
-crate::json_struct!(SoakReport {
-    schema,
-    mode,
-    max_threads,
-    all_within_bounds,
-    all_deterministic,
-    cells
-});
 
 /// What one iteration reports back to the cell driver.
 struct IterResult {
@@ -223,41 +188,29 @@ fn run_iter(spec: &CellSpec, witness: &WitnessHandle) -> IterResult {
     match &spec.drive {
         Drive::Kernel {
             workload,
-            rr,
+            kind,
             threads,
             record,
         } => {
-            let w = workload_by_name(workload)
-                .unwrap_or_else(|| panic!("unknown soak workload {workload}"));
-            let p = Params::new(*threads, spec.scale, spec.seed);
-            let trace = if *record {
-                TraceHandle::to(Arc::new(MemorySink::new(RING_CAP)))
-            } else {
-                TraceHandle::to(Arc::new(HashSink::new()))
-            };
-            let cfg = CommonConfig {
-                heap_pages: w.heap_pages(&p),
-                max_threads: threads + 2,
-                cost: CostModel::default(),
-                track_lrc: false,
-                gc_budget: 4,
-                trace,
-                perturb: PerturbHandle::off(),
+            let r = Cell {
                 witness: witness.clone(),
-            };
-            let opts = if *rr {
-                Options::consequence_rr()
-            } else {
-                Options::consequence_ic()
-            };
-            let mut rt = ConsequenceRuntime::new(cfg, opts);
-            let prepared = w.prepare(&mut rt, &p);
-            let report = rt.run(prepared.job);
-            let v = (prepared.validate)(&rt);
+                max_threads: threads + 2,
+                sink: if *record {
+                    Sink::Memory(RING_CAP)
+                } else {
+                    Sink::Hash
+                },
+                ..Cell::new(
+                    workload,
+                    Params::new(*threads, spec.scale, spec.seed),
+                    *kind,
+                )
+            }
+            .run();
             IterResult {
-                schedule_hash: report.schedule_hash,
-                output_hash: report.commit_log_hash,
-                validated: v.matches_reference,
+                schedule_hash: r.report.schedule_hash,
+                output_hash: r.report.commit_log_hash,
+                validated: r.validation.matches_reference,
             }
         }
         Drive::Server { shards, workers } => {
@@ -361,10 +314,11 @@ fn run_cell(spec: &CellSpec, budget: Duration) -> SoakCell {
 /// The soak grid. Smoke keeps the ≥ 64-thread cells and short budgets;
 /// full stretches to 256 threads and multi-minute total duration.
 fn cell_specs(smoke: bool) -> Vec<CellSpec> {
-    let kernel = |workload, rr, threads, record| CellSpec {
+    use RuntimeKind::{ConsequenceIc as Ic, ConsequenceRr as Rr};
+    let kernel = |workload, kind, threads, record| CellSpec {
         drive: Drive::Kernel {
             workload,
-            rr,
+            kind,
             threads,
             record,
         },
@@ -373,13 +327,13 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
     };
     let mut v = vec![
         // The paper's thread-count axis, on cheap kernels.
-        kernel("histogram", false, 64, false),
-        kernel("string_match", true, 64, false),
+        kernel("histogram", Ic, 64, false),
+        kernel("string_match", Rr, 64, false),
         // Live trace ring during the soak: the ring gauge is asserted at
         // its capacity — buffering beyond it would be a leak.
-        kernel("histogram", false, 64, true),
+        kernel("histogram", Ic, 64, true),
         // The request server, unsharded and across 4 token domains.
-        kernel("dmt_server", false, 64, false),
+        kernel("dmt_server", Ic, 64, false),
         CellSpec {
             drive: Drive::Server {
                 shards: 4,
@@ -390,10 +344,10 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
         },
     ];
     if !smoke {
-        v.push(kernel("word_count", false, 128, false));
-        v.push(kernel("matrix_multiply", false, 128, false));
-        v.push(kernel("histogram", false, 256, false));
-        v.push(kernel("string_match", false, 256, true));
+        v.push(kernel("word_count", Ic, 128, false));
+        v.push(kernel("matrix_multiply", Ic, 128, false));
+        v.push(kernel("histogram", Ic, 256, false));
+        v.push(kernel("string_match", Ic, 256, true));
         v.push(CellSpec {
             drive: Drive::Server {
                 shards: 8,
@@ -406,97 +360,122 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
     v
 }
 
-/// Runs the soak grid and assembles the artifact.
-pub fn run_soak_bench(smoke: bool) -> SoakReport {
-    let budget = if smoke {
-        Duration::from_millis(700)
-    } else {
-        Duration::from_secs(15)
-    };
-    let cells: Vec<SoakCell> = cell_specs(smoke)
-        .iter()
-        .map(|spec| run_cell(spec, budget))
-        .collect();
-    SoakReport {
-        schema: SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        max_threads: cells.iter().map(|c| c.threads).max().unwrap_or(0),
-        all_within_bounds: cells.iter().all(|c| c.within_bounds),
-        all_deterministic: cells.iter().all(|c| c.deterministic),
-        cells,
-    }
-}
+impl Artifact for SoakReport {
+    const NAME: &'static str = "soak";
 
-/// Validates an emitted `BENCH_soak.json`: it must parse, carry the
-/// current schema tag, soak at least one ≥ 64-thread cell (≥ 256 in full
-/// mode), include a recording cell and a sharded-server cell, and every
-/// cell must be within bounds, deterministic across iterations, validated
-/// against the workload reference, and actually sampled. Returns the
-/// first problem found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag is not {SCHEMA:?}"));
-    }
-    let full = v.get("mode").and_then(Value::as_str) == Some("full");
-    for key in ["all_within_bounds", "all_deterministic"] {
-        if v.get(key).and_then(Value::as_bool) != Some(true) {
-            return Err(format!("{key} is not true"));
+    /// Runs the soak grid and assembles the artifact.
+    fn run(smoke: bool) -> SoakReport {
+        let budget = if smoke {
+            Duration::from_millis(700)
+        } else {
+            Duration::from_secs(15)
+        };
+        let cells: Vec<SoakCell> = cell_specs(smoke)
+            .iter()
+            .map(|spec| run_cell(spec, budget))
+            .collect();
+        SoakReport {
+            schema: SCHEMA.to_string(),
+            mode: mode_label(smoke),
+            max_threads: cells.iter().map(|c| c.threads).max().unwrap_or(0),
+            all_within_bounds: cells.iter().all(|c| c.within_bounds),
+            all_deterministic: cells.iter().all(|c| c.deterministic),
+            cells,
         }
     }
-    let need_threads = if full { 256.0 } else { 64.0 };
-    let max_threads = v
-        .get("max_threads")
-        .and_then(Value::as_f64)
-        .ok_or("missing max_threads")?;
-    if max_threads < need_threads {
-        return Err(format!(
-            "max_threads {max_threads} < {need_threads}: the scale claim needs scale"
+
+    fn summary(&self) -> Vec<String> {
+        let mut out: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| {
+                format!(
+                    "{:<24} {:<15} {:>4} threads: {:>3} iters  {:>7} samples  \
+                     peak {}v/{}p/{}h/{}r  {}  {}",
+                    c.workload,
+                    c.runtime,
+                    c.threads,
+                    c.iterations,
+                    c.samples,
+                    c.maxima.retained_versions,
+                    c.maxima.live_pages,
+                    c.maxima.clock_history,
+                    c.maxima.trace_ring,
+                    if c.within_bounds { "bounded" } else { "LEAKED" },
+                    if c.deterministic {
+                        "deterministic"
+                    } else {
+                        "DIVERGED"
+                    }
+                )
+            })
+            .collect();
+        out.push(format!(
+            "{} cells, max threads {}; all bounded: {}; all deterministic: {}",
+            self.cells.len(),
+            self.max_threads,
+            self.all_within_bounds,
+            self.all_deterministic
         ));
+        out
     }
-    let cells = v
-        .get("cells")
-        .and_then(Value::as_arr)
-        .ok_or("missing cells")?;
-    if cells.is_empty() {
-        return Err("no cells".into());
-    }
-    let mut saw_record = false;
-    let mut saw_sharded = false;
-    for c in cells {
-        let name = c
-            .get("workload")
-            .and_then(Value::as_str)
-            .ok_or("cell missing workload")?;
-        for key in ["within_bounds", "deterministic", "validated"] {
-            if c.get(key).and_then(Value::as_bool) != Some(true) {
-                return Err(format!("cell {name}: {key} is not true"));
+
+    /// An emitted `BENCH_soak.json` must parse, carry the current schema
+    /// tag, soak at least one ≥ 64-thread cell (≥ 256 in full mode),
+    /// include a recording cell and a sharded-server cell, and every cell
+    /// must be within bounds, deterministic across iterations, validated
+    /// against the workload reference, and actually sampled.
+    fn validate(text: &str) -> Result<(), String> {
+        let v = open(text, SCHEMA)?;
+        for key in ["all_within_bounds", "all_deterministic"] {
+            if !flag(&v, key) {
+                return Err(format!("{key} is not true"));
             }
         }
-        let get = |key: &str| {
-            c.get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("cell {name}: missing {key}"))
-        };
-        if get("iterations")? < 2.0 {
-            return Err(format!("cell {name}: fewer than 2 iterations"));
+        let need_threads = if is_full(&v) { 256.0 } else { 64.0 };
+        let max_threads = num(&v, "report", "max_threads")?;
+        if max_threads < need_threads {
+            return Err(format!(
+                "max_threads {max_threads} < {need_threads}: the scale claim needs scale"
+            ));
         }
-        if get("samples")? <= 0.0 {
-            return Err(format!("cell {name}: witness never sampled"));
+        let cells = cells(&v, "cells")?;
+        if cells.is_empty() {
+            return Err("no cells".into());
         }
-        if get("violations")? != 0.0 {
-            return Err(format!("cell {name}: bound violations recorded"));
+        let mut saw_record = false;
+        let mut saw_sharded = false;
+        for c in cells {
+            let name = c
+                .get("workload")
+                .and_then(Value::as_str)
+                .ok_or("cell missing workload")?;
+            let ctx = format!("cell {name}");
+            for key in ["within_bounds", "deterministic", "validated"] {
+                if !flag(c, key) {
+                    return Err(format!("{ctx}: {key} is not true"));
+                }
+            }
+            if num(c, &ctx, "iterations")? < 2.0 {
+                return Err(format!("{ctx}: fewer than 2 iterations"));
+            }
+            if num(c, &ctx, "samples")? <= 0.0 {
+                return Err(format!("{ctx}: witness never sampled"));
+            }
+            if num(c, &ctx, "violations")? != 0.0 {
+                return Err(format!("{ctx}: bound violations recorded"));
+            }
+            saw_record |= flag(c, "record");
+            saw_sharded |= name.contains("sharded");
         }
-        saw_record |= c.get("record").and_then(Value::as_bool) == Some(true);
-        saw_sharded |= name.contains("sharded");
+        if !saw_record {
+            return Err("no recording (trace-ring) cell".into());
+        }
+        if !saw_sharded {
+            return Err("no sharded-server cell".into());
+        }
+        Ok(())
     }
-    if !saw_record {
-        return Err("no recording (trace-ring) cell".into());
-    }
-    if !saw_sharded {
-        return Err("no sharded-server cell".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -506,8 +485,8 @@ mod tests {
 
     #[test]
     fn smoke_report_passes_its_own_validation() {
-        let r = run_soak_bench(true);
-        validate_report(&r.to_json()).expect("smoke artifact validates");
+        let r = SoakReport::run(true);
+        SoakReport::validate(&r.to_json()).expect("smoke artifact validates");
         // The smoke grid still soaks the paper's minimum scale axis.
         assert!(r.max_threads >= 64);
         for c in &r.cells {
@@ -517,35 +496,35 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_documents() {
-        assert!(validate_report("not json").is_err());
-        assert!(validate_report("{}").is_err());
+        assert!(SoakReport::validate("not json").is_err());
+        assert!(SoakReport::validate("{}").is_err());
         let mut r = stub_report();
         r.cells[0].within_bounds = false;
         r.all_within_bounds = false;
-        assert!(validate_report(&r.to_json())
+        assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
             .contains("all_within_bounds"));
         let mut r = stub_report();
         r.cells[1].deterministic = false;
         r.all_deterministic = false;
-        assert!(validate_report(&r.to_json())
+        assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
             .contains("all_deterministic"));
         let mut r = stub_report();
         r.cells[2].violations = 3;
-        assert!(validate_report(&r.to_json())
+        assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
             .contains("violations"));
         let mut r = stub_report();
         r.max_threads = 32;
-        assert!(validate_report(&r.to_json())
+        assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
             .contains("max_threads"));
         let mut r = stub_report();
         for c in &mut r.cells {
             c.record = false;
         }
-        assert!(validate_report(&r.to_json())
+        assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
             .contains("recording"));
     }

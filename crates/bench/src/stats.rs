@@ -6,19 +6,21 @@
 //! deviation — and pinned by unit tests so the committed baselines in
 //! `BENCH_vmem.json` stay comparable across toolchain updates.
 
-/// Mean / min / max / standard deviation of a sample set.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Smallest sample.
-    pub min: f64,
-    /// Largest sample.
-    pub max: f64,
-    /// Population standard deviation (√(Σ(x-mean)²/n)).
-    pub stddev: f64,
+crate::json_record! {
+    /// Mean / min / max / standard deviation of a sample set.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    pub struct Summary {
+        /// Number of samples.
+        pub n: usize,
+        /// Arithmetic mean.
+        pub mean: f64,
+        /// Smallest sample.
+        pub min: f64,
+        /// Largest sample.
+        pub max: f64,
+        /// Population standard deviation (√(Σ(x-mean)²/n)).
+        pub stddev: f64,
+    }
 }
 
 impl Summary {
@@ -56,14 +58,6 @@ impl Summary {
         }
     }
 }
-
-crate::json_struct!(Summary {
-    n,
-    mean,
-    min,
-    max,
-    stddev
-});
 
 #[cfg(test)]
 mod tests {

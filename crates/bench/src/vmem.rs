@@ -34,7 +34,7 @@ use std::time::Instant;
 use conversion::{merge, Segment, PAGE_SIZE};
 use dmt_api::Tid;
 
-use crate::jsonparse::{self, Value};
+use crate::artifact::{cells, find, flag, is_full, mode_label, num, open, positive, Artifact};
 use crate::stats::Summary;
 
 /// Dirty densities (percent of page bytes modified) measured per cell.
@@ -53,149 +53,111 @@ pub const PIPE_WORKERS: usize = 2;
 /// Format version tag of the emitted document.
 pub const SCHEMA: &str = "bench-vmem/2";
 
-/// One merge-kernel cell: word-wide path vs byte-loop baseline at a fixed
-/// dirty density, single page.
-#[derive(Clone, Debug)]
-pub struct MergeCell {
-    /// Percent of page bytes dirtied.
-    pub density_pct: u32,
-    /// Actual distinct bytes dirtied (density applied to 4096).
-    pub dirty_bytes: usize,
-    /// Word-wide path throughput, pages merged per second (mean of reps).
-    pub word_pages_per_s: f64,
-    /// Byte-loop baseline throughput, pages merged per second.
-    pub byte_pages_per_s: f64,
-    /// `word_pages_per_s / byte_pages_per_s`.
-    pub speedup: f64,
-    /// Per-rep spread of the word path.
-    pub word_summary: Summary,
-    /// Per-rep spread of the byte path.
-    pub byte_summary: Summary,
+crate::json_record! {
+    /// One merge-kernel cell: word-wide path vs byte-loop baseline at a fixed
+    /// dirty density, single page.
+    #[derive(Clone, Debug)]
+    pub struct MergeCell {
+        /// Percent of page bytes dirtied.
+        pub density_pct: u32,
+        /// Actual distinct bytes dirtied (density applied to 4096).
+        pub dirty_bytes: usize,
+        /// Word-wide path throughput, pages merged per second (mean of reps).
+        pub word_pages_per_s: f64,
+        /// Byte-loop baseline throughput, pages merged per second.
+        pub byte_pages_per_s: f64,
+        /// `word_pages_per_s / byte_pages_per_s`.
+        pub speedup: f64,
+        /// Per-rep spread of the word path.
+        pub word_summary: Summary,
+        /// Per-rep spread of the byte path.
+        pub byte_summary: Summary,
+    }
 }
 
-/// One commit/update grid cell.
-#[derive(Clone, Debug)]
-pub struct CommitCell {
-    /// Committing threads (each with its own workspace).
-    pub threads: usize,
-    /// Percent of each written page's bytes dirtied per chunk.
-    pub density_pct: u32,
-    /// Commit+update cycles per second, summed over threads.
-    pub commits_per_s: f64,
-    /// Dirty pages published per second, summed over threads.
-    pub pages_per_s: f64,
-    /// Fraction of page allocations served by the recycle pool.
-    pub pool_hit_rate: f64,
-    /// Per-rep spread of `pages_per_s`.
-    pub summary: Summary,
+crate::json_record! {
+    /// One commit/update grid cell.
+    #[derive(Clone, Debug)]
+    pub struct CommitCell {
+        /// Committing threads (each with its own workspace).
+        pub threads: usize,
+        /// Percent of each written page's bytes dirtied per chunk.
+        pub density_pct: u32,
+        /// Commit+update cycles per second, summed over threads.
+        pub commits_per_s: f64,
+        /// Dirty pages published per second, summed over threads.
+        pub pages_per_s: f64,
+        /// Fraction of page allocations served by the recycle pool.
+        pub pool_hit_rate: f64,
+        /// Per-rep spread of `pages_per_s`.
+        pub summary: Summary,
+    }
 }
 
-/// One pipeline grid cell: pipelined vs serial commit-path throughput at
-/// a fixed thread count × dirty density.
-#[derive(Clone, Debug)]
-pub struct PipelineCell {
-    /// Committing threads, taking deterministic round-robin turns.
-    pub threads: usize,
-    /// Percent of each written page's bytes dirtied per chunk.
-    pub density_pct: u32,
-    /// Dirty pages published per second of *critical-section* time with
-    /// the pipeline on (publish only: diff + refs + job issue).
-    pub on_pages_per_s: f64,
-    /// Same metric on the serial path (diff + merge + log fold + GC).
-    pub off_pages_per_s: f64,
-    /// `on_pages_per_s / off_pages_per_s` — how much commit-path
-    /// capacity the pipeline frees.
-    pub speedup: f64,
-    /// Both modes produced the same commit-log digest and byte-identical
-    /// final segment state.
-    pub hashes_match: bool,
-    /// Per-rep spread of the pipelined throughput.
-    pub on_summary: Summary,
-    /// Per-rep spread of the serial throughput.
-    pub off_summary: Summary,
+crate::json_record! {
+    /// One pipeline grid cell: pipelined vs serial commit-path throughput at
+    /// a fixed thread count × dirty density.
+    #[derive(Clone, Debug)]
+    pub struct PipelineCell {
+        /// Committing threads, taking deterministic round-robin turns.
+        pub threads: usize,
+        /// Percent of each written page's bytes dirtied per chunk.
+        pub density_pct: u32,
+        /// Dirty pages published per second of *critical-section* time with
+        /// the pipeline on (publish only: diff + refs + job issue).
+        pub on_pages_per_s: f64,
+        /// Same metric on the serial path (diff + merge + log fold + GC).
+        pub off_pages_per_s: f64,
+        /// `on_pages_per_s / off_pages_per_s` — how much commit-path
+        /// capacity the pipeline frees.
+        pub speedup: f64,
+        /// Both modes produced the same commit-log digest and byte-identical
+        /// final segment state.
+        pub hashes_match: bool,
+        /// Per-rep spread of the pipelined throughput.
+        pub on_summary: Summary,
+        /// Per-rep spread of the serial throughput.
+        pub off_summary: Summary,
+    }
 }
 
-/// Result of the long-running commit loop under GC.
-#[derive(Clone, Debug)]
-pub struct GcBoundCell {
-    /// Commit iterations executed.
-    pub iters: usize,
-    /// Collector budget per commit (versions).
-    pub budget: usize,
-    /// How many commits the lagging reader falls behind before updating.
-    pub reader_lag: usize,
-    /// Maximum retained version-chain length observed.
-    pub max_retained: usize,
-    /// The bound the chain must stay within: twice the reader lag.
-    pub bound: usize,
-    /// Whether `max_retained <= bound` held for the whole run.
-    pub bounded: bool,
+crate::json_record! {
+    /// Result of the long-running commit loop under GC.
+    #[derive(Clone, Debug)]
+    pub struct GcBoundCell {
+        /// Commit iterations executed.
+        pub iters: usize,
+        /// Collector budget per commit (versions).
+        pub budget: usize,
+        /// How many commits the lagging reader falls behind before updating.
+        pub reader_lag: usize,
+        /// Maximum retained version-chain length observed.
+        pub max_retained: usize,
+        /// The bound the chain must stay within: twice the reader lag.
+        pub bound: usize,
+        /// Whether `max_retained <= bound` held for the whole run.
+        pub bounded: bool,
+    }
 }
 
-/// The complete `bench vmem` artifact.
-#[derive(Clone, Debug)]
-pub struct VmemReport {
-    /// Format tag ([`SCHEMA`]).
-    pub schema: String,
-    /// `"full"` or `"smoke"`.
-    pub mode: String,
-    /// Merge-kernel cells, one per density in [`DENSITIES`].
-    pub merge: Vec<MergeCell>,
-    /// Commit grid cells, [`THREADS`] × [`DENSITIES`].
-    pub commit: Vec<CommitCell>,
-    /// Pipeline grid cells, [`PIPE_THREADS`] × [`PIPE_DENSITIES`].
-    pub pipeline: Vec<PipelineCell>,
-    /// GC boundedness witness.
-    pub gc: GcBoundCell,
+crate::json_record! {
+    /// The complete `bench vmem` artifact.
+    #[derive(Clone, Debug)]
+    pub struct VmemReport {
+        /// Format tag ([`SCHEMA`]).
+        pub schema: String,
+        /// `"full"` or `"smoke"`.
+        pub mode: String,
+        /// Merge-kernel cells, one per density in [`DENSITIES`].
+        pub merge: Vec<MergeCell>,
+        /// Commit grid cells, [`THREADS`] × [`DENSITIES`].
+        pub commit: Vec<CommitCell>,
+        /// Pipeline grid cells, [`PIPE_THREADS`] × [`PIPE_DENSITIES`].
+        pub pipeline: Vec<PipelineCell>,
+        /// GC boundedness witness.
+        pub gc: GcBoundCell,
+    }
 }
-
-crate::json_struct!(MergeCell {
-    density_pct,
-    dirty_bytes,
-    word_pages_per_s,
-    byte_pages_per_s,
-    speedup,
-    word_summary,
-    byte_summary
-});
-
-crate::json_struct!(CommitCell {
-    threads,
-    density_pct,
-    commits_per_s,
-    pages_per_s,
-    pool_hit_rate,
-    summary
-});
-
-crate::json_struct!(PipelineCell {
-    threads,
-    density_pct,
-    on_pages_per_s,
-    off_pages_per_s,
-    speedup,
-    hashes_match,
-    on_summary,
-    off_summary
-});
-
-crate::json_struct!(GcBoundCell {
-    iters,
-    budget,
-    reader_lag,
-    max_retained,
-    bound,
-    bounded
-});
-
-crate::json_struct!(VmemReport {
-    schema,
-    mode,
-    merge,
-    commit,
-    pipeline,
-    gc
-});
 
 /// Knuth LCG for scattering dirty bytes; fixed seeds keep the measured
 /// work identical across runs.
@@ -324,7 +286,13 @@ fn run_commit_cell(threads: usize, pct: u32, smoke: bool) -> CommitCell {
                 let seg = Arc::clone(&seg);
                 let token = Arc::clone(&token);
                 s.spawn(move || {
-                    let (mut ws, _) = seg.new_workspace(Tid(t as u32));
+                    // Under the token, like the runtimes: a workspace
+                    // whose base is not yet registered does not pin its
+                    // version against a concurrent `gc`.
+                    let (mut ws, _) = {
+                        let _token = token.lock().unwrap();
+                        seg.new_workspace(Tid(t as u32))
+                    };
                     let mut rng = Lcg(0xBEEF ^ t as u64);
                     let mut val = 0u8;
                     for _ in 0..iters {
@@ -412,7 +380,12 @@ fn run_pipeline_workload(
                 let seg = Arc::clone(&seg);
                 let turn = Arc::clone(&turn);
                 s.spawn(move || {
-                    let (mut ws, _) = seg.new_workspace(Tid(t as u32));
+                    // Registered under the turn lock, so no committer's
+                    // `gc` runs between reading the base and pinning it.
+                    let (mut ws, _) = {
+                        let _turn = turn.0.lock().unwrap();
+                        seg.new_workspace(Tid(t as u32))
+                    };
                     let mut rng = Lcg(0x91DE ^ t as u64);
                     let mut val = 0u8;
                     let mut cs = 0u128;
@@ -543,115 +516,122 @@ pub fn run_gc_bound(smoke: bool) -> GcBoundCell {
     }
 }
 
-/// Runs every experiment and assembles the artifact.
-pub fn run_vmem_bench(smoke: bool) -> VmemReport {
-    VmemReport {
-        schema: SCHEMA.to_string(),
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        merge: run_merge_kernel(smoke),
-        commit: run_commit_grid(smoke),
-        pipeline: run_pipeline_grid(smoke),
-        gc: run_gc_bound(smoke),
-    }
-}
+impl Artifact for VmemReport {
+    const NAME: &'static str = "vmem";
 
-/// Validates an emitted `BENCH_vmem.json`: it must parse, carry the current
-/// schema tag, contain every merge and commit grid cell with positive
-/// throughputs (both word *and* byte numbers present), and witness a
-/// bounded GC run. Returns a description of the first problem found.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        return Err(format!("schema tag is not {SCHEMA:?}"));
-    }
-    let merge = v
-        .get("merge")
-        .and_then(Value::as_arr)
-        .ok_or("missing merge cells")?;
-    for &pct in &DENSITIES {
-        let cell = merge
-            .iter()
-            .find(|c| c.get("density_pct").and_then(Value::as_f64) == Some(pct as f64))
-            .ok_or(format!("missing merge cell for density {pct}%"))?;
-        for key in ["word_pages_per_s", "byte_pages_per_s", "speedup"] {
-            let x = cell
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or(format!("merge cell {pct}%: missing {key}"))?;
-            if x <= 0.0 {
-                return Err(format!("merge cell {pct}%: non-positive {key}"));
-            }
+    /// Runs every experiment and assembles the artifact.
+    fn run(smoke: bool) -> VmemReport {
+        VmemReport {
+            schema: SCHEMA.to_string(),
+            mode: mode_label(smoke),
+            merge: run_merge_kernel(smoke),
+            commit: run_commit_grid(smoke),
+            pipeline: run_pipeline_grid(smoke),
+            gc: run_gc_bound(smoke),
         }
     }
-    let commit = v
-        .get("commit")
-        .and_then(Value::as_arr)
-        .ok_or("missing commit cells")?;
-    for &t in &THREADS {
+
+    fn summary(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for c in &self.merge {
+            out.push(format!(
+                "merge {:>2}% dirty: word {:>10.0} pg/s  byte {:>10.0} pg/s  speedup {:.2}x",
+                c.density_pct, c.word_pages_per_s, c.byte_pages_per_s, c.speedup
+            ));
+        }
+        for c in &self.commit {
+            out.push(format!(
+                "commit t={} {:>2}% dirty: {:>9.0} pages/s  {:>8.0} commits/s  pool hit {:>5.1}%",
+                c.threads,
+                c.density_pct,
+                c.pages_per_s,
+                c.commits_per_s,
+                c.pool_hit_rate * 100.0
+            ));
+        }
+        for c in &self.pipeline {
+            out.push(format!(
+                "pipeline t={} {:>2}% dirty: on {:>9.0} pg/s  off {:>9.0} pg/s  speedup {:.2}x  {}",
+                c.threads,
+                c.density_pct,
+                c.on_pages_per_s,
+                c.off_pages_per_s,
+                c.speedup,
+                if c.hashes_match {
+                    "digests identical"
+                } else {
+                    "DIVERGED"
+                }
+            ));
+        }
+        let gc = &self.gc;
+        out.push(format!(
+            "gc: {} iters, budget {}, reader lag {}: max retained {} (bound {}) -> {}",
+            gc.iters,
+            gc.budget,
+            gc.reader_lag,
+            gc.max_retained,
+            gc.bound,
+            if gc.bounded { "bounded" } else { "UNBOUNDED" }
+        ));
+        out
+    }
+
+    /// An emitted `BENCH_vmem.json` must parse, carry the current schema
+    /// tag, contain every merge, commit and pipeline grid cell with
+    /// positive throughputs (both word *and* byte numbers present), agree
+    /// on the pipelined and serial digests, and witness a bounded GC run.
+    fn validate(text: &str) -> Result<(), String> {
+        let v = open(text, SCHEMA)?;
+        let merge = cells(&v, "merge")?;
         for &pct in &DENSITIES {
-            let cell = commit
-                .iter()
-                .find(|c| {
-                    c.get("threads").and_then(Value::as_f64) == Some(t as f64)
-                        && c.get("density_pct").and_then(Value::as_f64) == Some(pct as f64)
-                })
-                .ok_or(format!("missing commit cell for {t} threads / {pct}%"))?;
-            let pps = cell
-                .get("pages_per_s")
-                .and_then(Value::as_f64)
-                .ok_or(format!("commit cell {t}/{pct}%: missing pages_per_s"))?;
-            if pps <= 0.0 {
-                return Err(format!("commit cell {t}/{pct}%: non-positive pages_per_s"));
+            let cell = find(merge, "merge", &[("density_pct", pct as usize)])?;
+            positive(
+                cell,
+                &format!("merge cell {pct}%"),
+                &["word_pages_per_s", "byte_pages_per_s", "speedup"],
+            )?;
+        }
+        let commit = cells(&v, "commit")?;
+        for &t in &THREADS {
+            for &pct in &DENSITIES {
+                let keys = [("threads", t), ("density_pct", pct as usize)];
+                let cell = find(commit, "commit", &keys)?;
+                positive(cell, &format!("commit cell {t}/{pct}%"), &["pages_per_s"])?;
             }
         }
-    }
-    let mode = v.get("mode").and_then(Value::as_str).unwrap_or("");
-    let pipeline = v
-        .get("pipeline")
-        .and_then(Value::as_arr)
-        .ok_or("missing pipeline cells")?;
-    for &t in &PIPE_THREADS {
-        for &pct in &PIPE_DENSITIES {
-            let cell = pipeline
-                .iter()
-                .find(|c| {
-                    c.get("threads").and_then(Value::as_f64) == Some(t as f64)
-                        && c.get("density_pct").and_then(Value::as_f64) == Some(pct as f64)
-                })
-                .ok_or(format!("missing pipeline cell for {t} threads / {pct}%"))?;
-            for key in ["on_pages_per_s", "off_pages_per_s", "speedup"] {
-                let x = cell
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("pipeline cell {t}/{pct}%: missing {key}"))?;
-                if x <= 0.0 {
-                    return Err(format!("pipeline cell {t}/{pct}%: non-positive {key}"));
+        let pipeline = cells(&v, "pipeline")?;
+        for &t in &PIPE_THREADS {
+            for &pct in &PIPE_DENSITIES {
+                let keys = [("threads", t), ("density_pct", pct as usize)];
+                let cell = find(pipeline, "pipeline", &keys)?;
+                let ctx = format!("pipeline cell {t}/{pct}%");
+                positive(
+                    cell,
+                    &ctx,
+                    &["on_pages_per_s", "off_pages_per_s", "speedup"],
+                )?;
+                if !flag(cell, "hashes_match") {
+                    return Err(format!("{ctx}: pipelined and serial digests diverged"));
                 }
-            }
-            if cell.get("hashes_match").and_then(Value::as_bool) != Some(true) {
-                return Err(format!(
-                    "pipeline cell {t}/{pct}%: pipelined and serial digests diverged"
-                ));
-            }
-            // The acceptance claim: at 8+ threads the pipeline frees at
-            // least 2x commit-path capacity. Asserted only for full-mode
-            // artifacts — smoke iteration counts are too short to be a
-            // stable timing claim.
-            if mode == "full" && t >= 8 {
-                let speedup = cell.get("speedup").and_then(Value::as_f64).unwrap_or(0.0);
-                if speedup < 2.0 {
-                    return Err(format!(
-                        "pipeline cell {t}/{pct}%: speedup {speedup:.2} < 2.0"
-                    ));
+                // The acceptance claim: at 8+ threads the pipeline frees at
+                // least 2x commit-path capacity. Asserted only for full-mode
+                // artifacts — smoke iteration counts are too short to be a
+                // stable timing claim.
+                if is_full(&v) && t >= 8 {
+                    let speedup = num(cell, &ctx, "speedup")?;
+                    if speedup < 2.0 {
+                        return Err(format!("{ctx}: speedup {speedup:.2} < 2.0"));
+                    }
                 }
             }
         }
+        let gc = v.get("gc").ok_or("missing gc witness")?;
+        if !flag(gc, "bounded") {
+            return Err("gc.bounded is not true: version chain outran the collector".into());
+        }
+        Ok(())
     }
-    let gc = v.get("gc").ok_or("missing gc witness")?;
-    if gc.get("bounded").and_then(Value::as_bool) != Some(true) {
-        return Err("gc.bounded is not true: version chain outran the collector".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -661,8 +641,8 @@ mod tests {
 
     #[test]
     fn smoke_report_passes_its_own_validation() {
-        let r = run_vmem_bench(true);
-        validate_report(&r.to_json()).expect("smoke artifact validates");
+        let r = VmemReport::run(true);
+        VmemReport::validate(&r.to_json()).expect("smoke artifact validates");
     }
 
     #[test]
@@ -677,27 +657,29 @@ mod tests {
 
     #[test]
     fn validation_rejects_broken_documents() {
-        assert!(validate_report("not json").is_err());
-        assert!(validate_report("{}").is_err());
-        assert!(validate_report(r#"{"schema":"bench-vmem/2"}"#).is_err());
+        assert!(VmemReport::validate("not json").is_err());
+        assert!(VmemReport::validate("{}").is_err());
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/2"}"#).is_err());
         // The previous schema rev is rejected outright.
-        assert!(validate_report(r#"{"schema":"bench-vmem/1"}"#)
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/1"}"#)
             .unwrap_err()
             .contains("schema"));
         // A full document with a missing grid cell.
         let mut r = run_gc_bound_stub();
         r.merge.remove(0);
-        assert!(validate_report(&r.to_json())
+        assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
             .contains("missing merge cell"));
         // An unbounded GC run must fail validation.
         let mut r = run_gc_bound_stub();
         r.gc.bounded = false;
-        assert!(validate_report(&r.to_json()).unwrap_err().contains("gc"));
+        assert!(VmemReport::validate(&r.to_json())
+            .unwrap_err()
+            .contains("gc"));
         // A determinism divergence in any pipeline cell fails validation.
         let mut r = run_gc_bound_stub();
         r.pipeline[0].hashes_match = false;
-        assert!(validate_report(&r.to_json())
+        assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
             .contains("diverged"));
         // The 2x acceptance gate applies to full-mode artifacts only.
@@ -708,11 +690,11 @@ mod tests {
                 c.speedup = 1.5;
             }
         }
-        assert!(validate_report(&r.to_json())
+        assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
             .contains("speedup"));
         r.mode = "smoke".to_string();
-        assert!(validate_report(&r.to_json()).is_ok());
+        assert!(VmemReport::validate(&r.to_json()).is_ok());
     }
 
     /// A structurally complete report with fabricated numbers (no timing),

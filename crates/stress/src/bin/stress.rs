@@ -1,661 +1,344 @@
 //! Differential fuzzing CLI for the determinism contract.
 //!
 //! ```text
-//! cargo run -p dmt-stress --release --bin stress -- --smoke
-//! cargo run -p dmt-stress --release --bin stress -- --deep
-//! cargo run -p dmt-stress --release --bin stress -- --inject-bug
-//! cargo run -p dmt-stress --release --bin stress -- --inject-panic
-//! cargo run -p dmt-stress --release --bin stress -- --sched-diff
-//! cargo run -p dmt-stress --release --bin stress -- --pipe-diff
-//! cargo run -p dmt-stress --release --bin stress -- --shard-diff
-//! cargo run -p dmt-stress --release --bin stress -- --record traces/
-//! cargo run -p dmt-stress --release --bin stress -- --replay traces/
-//! cargo run -p dmt-stress --release --bin stress -- --soak --smoke
-//! cargo run -p dmt-stress --release --bin stress -- --trace-chaos
-//! cargo run -p dmt-stress --release --bin stress -- \
-//!     --workloads histogram,kmeans --runtimes consequence-ic --seeds 4
+//! cargo run -p dmt-stress --release --bin stress -- [MODE] [CONFIGURATION]
 //! ```
 //!
-//! Matrix modes exit 0 when every oracle held (schedule hash invariant
-//! across all perturbation seeds for the deterministic runtimes, outputs
-//! equal to the sequential reference, pthreads control observed to vary)
-//! and 1 otherwise. `--inject-bug` inverts the convention: it *must* catch
-//! the deliberately injected eligibility bug, print the shrunk reproducer
-//! plus the first divergent event, and exit 1; exiting 0 means the harness
-//! failed to detect a real determinism bug. `--inject-panic` kills one
-//! seeded victim thread per run at a lock/barrier/commit site and requires
-//! the death to be contained deterministically — same schedule hash, same
-//! panic set on rerun, no hangs — exiting 0 when containment held
-//! everywhere. `--sched-diff` runs the seed
-//! matrix under both the fast and the reference scheduler and exits 1 on
-//! any schedule-hash or output divergence between them (the PR 4 fast
-//! path must be bit-identical). `--pipe-diff` runs the same matrix with
-//! the commit pipeline on versus the serial oracle
-//! (`Options::without("pipeline_commit")`) and exits 1 on any schedule,
-//! output or commit-log divergence — the asynchronous settle pool must be
-//! unobservable. `--shard-diff` runs the `dmt_server`
-//! workload across 1/2/4 token domains and exits 1 unless every shard
-//! count is run-to-run deterministic, the 1-shard schedule is bit-identical
-//! to the unsharded registry workload, and every final store matches the
-//! sequential reference (see `docs/SHARDING.md`). `--record <dir>` writes one `.dmtrace`
-//! container per workload × Consequence runtime of the active matrix,
-//! plus one sharded-server container (2 token domains)
-//! (see `docs/TRACE_FORMAT.md`); `--replay <file-or-dir>` re-executes
-//! recorded containers and exits 1 on any schedule, output or commit-log
-//! divergence, printing the first-divergent-event diagnosis (see
-//! `docs/REPLAY.md`). `--soak` runs the bounded-resource soak grid
-//! (64-thread smoke; 256-thread full with `--deep`) followed by the
-//! mixed-scenario matrix — all 16 on/off compositions of perturbation ×
-//! injected panic × sharding × live recording — and exits 1 unless every
-//! soak cell stayed within its resource envelope and every composition
-//! reproduced its schedule hash and held its semantic oracle (see
-//! `docs/SOAK.md`). `--trace-chaos` records under injected failure —
-//! simulated crashes, seeded thread deaths, short writes, ENOSPC, torn
-//! tails, and a real SIGKILL of a recording child — then salvages each
-//! torn container and replays it to its fault point, exiting 1 on any
-//! unsalvageable container or unreproduced failure (see
-//! `docs/TRACE_FORMAT.md`). JSON reports land in `target/stress/`.
-//! See `docs/STRESS.md`.
+//! [`MODES`] is the list of what it can do — flag, value, one-line
+//! description, handler — and the usage text (printed on any argument
+//! error) and `docs/STRESS.md`'s command block are that table. A mode
+//! exits 0 when every oracle it checks held and 1 otherwise, with one
+//! inversion: `--inject-bug` *must* catch the bug it plants, and exits 1
+//! when it did. JSON reports land in `target/stress/`.
 
-use std::fs;
-use std::time::Instant;
+use std::path::Path;
 
-use consequence::replay;
-use dmt_baselines::RuntimeKind;
-use dmt_bench::json::ToJson;
-use dmt_bench::replay::{record_to, replay_file, summarize, trace_files};
+use dmt_bench::artifact::Artifact;
+use dmt_bench::json::{dump, ToJson};
+use dmt_bench::replay::{record_all, replay_all};
+use dmt_bench::soak::SoakReport;
+use dmt_stress::report::{table, verdict};
 use dmt_stress::{
-    run_inject_bug, run_matrix, run_panic_inject, run_pipe_diff, run_sched_diff, run_shard_diff,
-    StressConfig,
+    run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_option_diff,
+    run_panic_inject, run_shard_diff, run_trace_chaos, StressConfig, PIPE_DIFF, SCHED_DIFF,
 };
 
-fn dump<T: ToJson>(name: &str, value: &T) {
-    let dir = "target/stress";
-    let _ = fs::create_dir_all(dir);
-    let path = format!("{dir}/{name}.json");
-    if fs::write(&path, value.to_json()).is_ok() {
-        eprintln!("[json: {path}]");
-    }
+/// One thing `stress` can do.
+struct Mode {
+    flag: &'static str,
+    /// What the flag's value is, for the flags that take one.
+    value: Option<&'static str>,
+    doc: &'static str,
+    /// Runs the mode; `true` exits 0.
+    run: fn(&Invocation) -> bool,
 }
 
-fn runtime_by_label(label: &str) -> Option<RuntimeKind> {
-    RuntimeKind::ALL.into_iter().find(|k| k.label() == label)
-}
+const MODES: [Mode; 11] = [
+    Mode {
+        flag: "--smoke",
+        value: None,
+        doc: "differential matrix, CI size: 3 workloads x 5 runtimes x 8 seeds, 4 threads (the default)",
+        run: matrix,
+    },
+    Mode {
+        flag: "--deep",
+        value: None,
+        doc: "differential matrix, overnight size: 8 workloads x 5 runtimes x 16 seeds, 8 threads",
+        run: matrix,
+    },
+    Mode {
+        flag: "--sched-diff",
+        value: None,
+        doc: "A/B differential: fast vs reference scheduler agree on schedule, output, commit log",
+        run: |i| table("sched_diff", |p| run_option_diff(&i.cfg, SCHED_DIFF, p)),
+    },
+    Mode {
+        flag: "--pipe-diff",
+        value: None,
+        doc: "A/B differential: pipelined vs serial commit agree on schedule, output, commit log",
+        run: |i| table("pipe_diff", |p| run_option_diff(&i.cfg, PIPE_DIFF, p)),
+    },
+    Mode {
+        flag: "--shard-diff",
+        value: None,
+        doc: "dmt_server across 1/2/4 token domains: deterministic, 1-shard lockstep, reference store",
+        run: |i| table("shard_diff", |p| run_shard_diff(&i.cfg, p)),
+    },
+    Mode {
+        flag: "--inject-panic",
+        value: None,
+        doc: "seeded thread deaths must be contained reproducibly, with no hang",
+        run: |i| table("inject_panic", |p| run_panic_inject(&i.cfg, p)),
+    },
+    Mode {
+        flag: "--inject-bug",
+        value: None,
+        doc: "plant an eligibility bug; exits 1 when it was caught, shrunk and diagnosed (as it must)",
+        run: inject_bug,
+    },
+    Mode {
+        flag: "--soak",
+        value: None,
+        doc: "bounded-resource soak (256 threads with --deep), then perturb x panic x shard x record",
+        run: soak,
+    },
+    Mode {
+        flag: "--trace-chaos",
+        value: None,
+        doc: "record under crashes, I/O faults and a real SIGKILL; salvage; replay to the fault point",
+        run: |i| table("trace_chaos", |p| run_trace_chaos(&i.cfg, p)),
+    },
+    Mode {
+        flag: "--record",
+        value: Some("DIR"),
+        doc: "write one .dmtrace per workload x Consequence runtime, plus one sharded-server container",
+        run: record,
+    },
+    Mode {
+        flag: "--replay",
+        value: Some("FILE-OR-DIR"),
+        doc: "re-execute recorded containers; schedule, output and commit log must reproduce",
+        run: replay,
+    },
+];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: stress [--smoke|--deep|--inject-bug|--inject-panic|--sched-diff|--pipe-diff|--shard-diff|--soak|--trace-chaos] \
-         [--record DIR] [--replay FILE-OR-DIR] \
-         [--workloads a,b,..] [--runtimes a,b,..] [--seeds N] [--threads N] [--scale N] \
-         [--base-seed N]"
+/// Internal: the child half of `--trace-chaos`'s SIGKILL scenario. Records
+/// durable containers in a loop until the parent kills it.
+const CHAOS_CHILD: Mode = Mode {
+    flag: "--chaos-child",
+    value: Some("DIR"),
+    doc: "",
+    run: |i| run_chaos_child(Path::new(&i.value), &i.cfg),
+};
+
+fn usage() -> String {
+    let mut out = String::from(
+        "usage: stress [MODE] [CONFIGURATION]\nmodes (at most one besides --smoke / --deep):\n",
     );
-    std::process::exit(2);
+    for m in &MODES {
+        let flag = format!("{} {}", m.flag, m.value.unwrap_or(""));
+        out.push_str(&format!("  {flag:<22}{}\n", m.doc));
+    }
+    out.push_str("configuration (overrides the preset, in any order):\n");
+    for (flag, value, doc) in StressConfig::FLAGS {
+        out.push_str(&format!("  {:<22}{doc}\n", format!("{flag} {value}")));
+    }
+    out
 }
 
-fn parse_u64(args: &[String], i: &mut usize, flag: &str) -> u64 {
-    *i += 1;
-    args.get(*i)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| {
-            eprintln!("{flag} needs a numeric argument");
-            usage()
-        })
+/// A parsed command line.
+struct Invocation {
+    mode: &'static Mode,
+    /// The mode flag's value (`--record DIR`), empty when it takes none.
+    value: String,
+    /// `--deep` was given.
+    deep: bool,
+    /// `"smoke"`, `"deep"`, or `"custom"` once workloads or runtimes were
+    /// chosen by hand; names the matrix report.
+    label: &'static str,
+    cfg: StressConfig,
+}
+
+/// Parses the arguments. The preset applies first and explicit values
+/// override it wherever they appear; two modes, or two presets, are an
+/// error naming both.
+fn parse(args: &[String]) -> Result<Invocation, String> {
+    let mut preset: Option<&'static Mode> = None;
+    let mut chosen: Option<(&'static Mode, String)> = None;
+    let mut explicit = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{a} needs a value"));
+        if let Some(m) = MODES.iter().chain([&CHAOS_CHILD]).find(|m| m.flag == a) {
+            let v = m.value.map_or(Ok(String::new()), |_| value())?;
+            // Both size flags run the differential matrix, and size
+            // whichever other mode is given.
+            let clash = if matches!(m.flag, "--smoke" | "--deep") {
+                preset.replace(m)
+            } else {
+                chosen.replace((m, v)).map(|(prev, _)| prev)
+            };
+            if let Some(prev) = clash {
+                return Err(format!("{} and {} cannot be combined", prev.flag, m.flag));
+            }
+        } else if StressConfig::FLAGS.iter().any(|f| f.0 == a) {
+            explicit.push((a.as_str(), value()?));
+        } else {
+            return Err(format!("unknown argument {a:?}"));
+        }
+    }
+
+    let preset = preset.unwrap_or(&MODES[0]);
+    let deep = preset.flag == "--deep";
+    let mut cfg = if deep {
+        StressConfig::deep()
+    } else {
+        StressConfig::smoke()
+    };
+    let mut label = &preset.flag[2..];
+    for (flag, v) in explicit {
+        cfg.set(flag, &v)?;
+        if matches!(flag, "--workloads" | "--runtimes") {
+            label = "custom";
+        }
+    }
+    let (mode, value) = chosen.unwrap_or((preset, String::new()));
+    Ok(Invocation {
+        mode,
+        value,
+        deep,
+        label,
+        cfg,
+    })
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut mode = "smoke".to_string();
-    let mut cfg = StressConfig::smoke();
-    let mut custom = false;
-    let mut inject = false;
-    let mut inject_panic = false;
-    let mut sched_diff = false;
-    let mut pipe_diff = false;
-    let mut shard_diff = false;
-    let mut soak = false;
-    let mut trace_chaos = false;
-    let mut record_dir: Option<String> = None;
-    let mut replay_path: Option<String> = None;
-    let mut chaos_child: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace-chaos" => trace_chaos = true,
-            "--chaos-child" => {
-                i += 1;
-                chaos_child = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--record" => {
-                i += 1;
-                record_dir = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--replay" => {
-                i += 1;
-                replay_path = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--smoke" => {
-                mode = "smoke".into();
-                let c = StressConfig::smoke();
-                if !custom {
-                    cfg = c;
-                }
-            }
-            "--deep" => {
-                mode = "deep".into();
-                let base = StressConfig::deep();
-                if custom {
-                    cfg.seeds = base.seeds;
-                    cfg.threads = base.threads;
-                } else {
-                    cfg = base;
-                }
-            }
-            "--inject-bug" => inject = true,
-            "--inject-panic" => inject_panic = true,
-            "--sched-diff" => sched_diff = true,
-            "--pipe-diff" => pipe_diff = true,
-            "--shard-diff" => shard_diff = true,
-            "--soak" => soak = true,
-            "--workloads" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| usage());
-                cfg.workloads = list.split(',').map(String::from).collect();
-                custom = true;
-                mode = "custom".into();
-            }
-            "--runtimes" => {
-                i += 1;
-                let list = args.get(i).unwrap_or_else(|| usage());
-                cfg.runtimes = list
-                    .split(',')
-                    .map(|l| {
-                        runtime_by_label(l).unwrap_or_else(|| {
-                            eprintln!("unknown runtime {l:?} (labels: pthreads, dthreads, dwc, consequence-rr, consequence-ic)");
-                            usage()
-                        })
-                    })
-                    .collect();
-                custom = true;
-                mode = "custom".into();
-            }
-            "--seeds" => cfg.seeds = parse_u64(&args, &mut i, "--seeds"),
-            "--threads" => cfg.threads = parse_u64(&args, &mut i, "--threads") as usize,
-            "--scale" => cfg.scale = parse_u64(&args, &mut i, "--scale") as u32,
-            "--base-seed" => cfg.base_seed = parse_u64(&args, &mut i, "--base-seed"),
-            _ => usage(),
-        }
-        i += 1;
-    }
-
-    // Internal: the SIGKILL chaos scenario's child half. Records durable
-    // containers in a loop until the parent kills it. Never returns.
-    if let Some(dir) = chaos_child {
-        dmt_stress::run_chaos_child(
-            std::path::Path::new(&dir),
-            cfg.threads,
-            cfg.scale,
-            cfg.base_seed,
-        );
-    }
-
-    let t0 = Instant::now();
-    if trace_chaos {
-        let rounds = cfg.seeds.clamp(1, 2);
-        println!(
-            "== stress --trace-chaos: crash-durable recording under injected failure, {rounds} round(s)"
-        );
-        println!(
-            "{:<16}{:<12}{:>10}{:>12}{:>10}{:>12}{:>14}",
-            "scenario", "workload", "salvaged", "events", "lost", "reproduced", "deterministic"
-        );
-        let report =
-            dmt_stress::run_trace_chaos(cfg.threads, cfg.scale, rounds, cfg.base_seed, |cell| {
-                println!(
-                    "{:<16}{:<12}{:>10}{:>12}{:>10}{:>12}{:>14}",
-                    cell.scenario,
-                    cell.workload,
-                    if cell.salvaged { "yes" } else { "NO" },
-                    cell.salvaged_events,
-                    cell.bytes_lost,
-                    if cell.reproduced { "yes" } else { "NO" },
-                    if cell.deterministic { "yes" } else { "NO" }
-                );
-            });
-        for cell in report
-            .cells
-            .iter()
-            .filter(|c| !(c.salvaged && c.reproduced && c.deterministic))
-        {
-            println!(
-                "UNREPRODUCED [{}] seed {:#x}: {}",
-                cell.scenario, cell.seed, cell.fault
-            );
-        }
-        println!(
-            "{}: {} cells, {} runs",
-            if report.passed { "PASSED" } else { "FAILED" },
-            report.cells.len(),
-            report.total_runs
-        );
-        dump("trace_chaos", &report);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if report.passed { 0 } else { 1 });
-    }
-    if soak {
-        let smoke = mode != "deep";
-        println!(
-            "== stress --soak ({}): bounded-resource soak, then the mixed-scenario matrix",
-            if smoke { "smoke" } else { "full" }
-        );
-        let sr = dmt_bench::soak::run_soak_bench(smoke);
-        for c in &sr.cells {
-            println!(
-                "{:<24}{:<16}{:>4} threads {:>5} iters {:>9} samples  {}  {}",
-                c.workload,
-                c.runtime,
-                c.threads,
-                c.iterations,
-                c.samples,
-                if c.within_bounds { "bounded" } else { "LEAKED" },
-                if c.deterministic {
-                    "deterministic"
-                } else {
-                    "DIVERGED"
-                }
-            );
-        }
-        let soak_ok = match dmt_bench::soak::validate_report(&sr.to_json()) {
-            Ok(()) => true,
-            Err(e) => {
-                println!("soak artifact INVALID: {e}");
-                false
-            }
-        };
-        dump("soak", &sr);
-        println!(
-            "soak: {} cells, max {} threads, all bounded: {}, all deterministic: {}",
-            sr.cells.len(),
-            sr.max_threads,
-            sr.all_within_bounds,
-            sr.all_deterministic
-        );
-
-        println!(
-            "== mixed-scenario matrix: perturb x panic x shard x record, {} workers",
-            cfg.threads
-        );
-        println!(
-            "{:<9}{:<7}{:<7}{:<8}{:>20}{:>8}{:>8}",
-            "perturb", "panic", "shard", "record", "schedule_hash", "panics", "verdict"
-        );
-        let mr = dmt_stress::run_mixed_matrix(
-            cfg.threads,
-            cfg.scale,
-            cfg.input_seed,
-            cfg.base_seed,
-            |cell| {
-                println!(
-                    "{:<9}{:<7}{:<7}{:<8}{:>#20x}{:>8}{:>8}",
-                    if cell.perturb { "on" } else { "-" },
-                    if cell.panic { "on" } else { "-" },
-                    if cell.shard { "on" } else { "-" },
-                    if cell.record { "on" } else { "-" },
-                    cell.schedule_hash,
-                    cell.panics,
-                    if cell.deterministic && cell.oracle_ok && cell.record_ok && cell.invariant {
-                        "ok"
-                    } else {
-                        "FAILED"
-                    }
-                );
-            },
-        );
-        dump("matrix", &mr);
-        println!(
-            "{}: {} compositions, {} runs",
-            if soak_ok && mr.passed {
-                "PASSED"
-            } else {
-                "FAILED"
-            },
-            mr.compositions,
-            mr.total_runs
-        );
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if soak_ok && mr.passed { 0 } else { 1 });
-    }
-
-    if let Some(dir) = record_dir {
-        println!("== stress --record: persisting one trace per workload x Consequence runtime");
-        let dir = std::path::PathBuf::from(dir);
-        let runtimes: Vec<&str> = cfg
-            .runtimes
-            .iter()
-            .map(|k| k.label())
-            .filter(|l| replay::options_for_label(l).is_some())
-            .collect();
-        if runtimes.is_empty() {
-            eprintln!(
-                "no recordable runtime selected (labels: consequence-ic, consequence-rr, dwc)"
-            );
-            std::process::exit(2);
-        }
-        let mut recorded = Vec::new();
-        let mut failed = false;
-        for name in &cfg.workloads {
-            for label in &runtimes {
-                match record_to(&dir, label, name, cfg.threads, cfg.scale, cfg.input_seed) {
-                    Ok(r) => {
-                        println!(
-                            "[{}] {name} {label}: {} events, hash {:#018x}, {} bytes -> {}",
-                            if r.validated { "ok" } else { "INVALID" },
-                            r.events,
-                            r.schedule_hash,
-                            r.bytes,
-                            r.path
-                        );
-                        failed |= !r.validated;
-                        recorded.push(r);
-                    }
-                    Err(e) => {
-                        println!("[FAILED] {name} {label}: {e}");
-                        failed = true;
-                    }
-                }
-            }
-        }
-        // One sharded-server container rides along: 2 token domains, 2
-        // workers each (see dmt_shard::record for the label convention).
-        let sp = dmt_workloads::Params::new(2, cfg.scale, cfg.input_seed);
-        let spath = dir.join(format!("dmt_server-sharded-ic-2-t2-s{}.dmtrace", cfg.scale));
-        match dmt_shard::record_server_trace(2, 2, sp, &spath) {
-            Ok((meta, _)) => println!(
-                "[ok] dmt_server sharded-ic-2: {} events, hash {:#018x} -> {}",
-                meta.event_count,
-                meta.schedule_hash,
-                spath.display()
-            ),
-            Err(e) => {
-                println!("[FAILED] dmt_server sharded-ic-2: {e}");
-                failed = true;
-            }
-        }
-        dump("record", &recorded);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if failed { 1 } else { 0 });
-    }
-
-    if let Some(path) = replay_path {
-        println!("== stress --replay: re-executing recorded traces");
-        let files = trace_files(std::path::Path::new(&path)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let mut results = Vec::new();
-        let mut failed = false;
-        for f in &files {
-            match replay_file(f) {
-                Ok(r) => {
-                    println!("{}", summarize(&r));
-                    if let Some(d) = &r.divergence {
-                        println!("{d}");
-                    }
-                    failed |= !r.ok();
-                    results.push(r);
-                }
-                Err(e) => {
-                    println!("[FAILED] {}: {e}", f.display());
-                    failed = true;
-                }
-            }
-        }
-        dump("replay", &results);
-        println!(
-            "{}: {} trace(s) replayed",
-            if failed { "FAILED" } else { "PASSED" },
-            files.len()
-        );
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if failed { 1 } else { 0 });
-    }
-
-    if inject {
-        println!("== stress --inject-bug: eligibility-check bypass must be caught");
-        let out = run_inject_bug(12, 4, 400);
-        dump("inject_bug", &out);
-        if out.caught {
-            println!("CAUGHT: schedule hash moved under the injected bug");
-            println!(
-                "  baseline {:#x} vs observed {:#x} (trigger seed {:#x}, {} runs)",
-                out.baseline_hash, out.observed_hash, out.trigger_seed, out.runs
-            );
-            println!("  shrunk reproducer: {}", out.shrunk_plan);
-            println!("  surviving sites: [{}]", out.shrunk_sites.join(", "));
-            match &out.diagnosis {
-                Some(d) => println!("{d}"),
-                None => println!("  (no divergence trace captured)"),
-            }
-            eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-            // Nonzero by design: a determinism violation was (correctly)
-            // detected. CI asserts this exit code.
-            std::process::exit(1);
-        }
-        println!(
-            "NOT CAUGHT after {} runs — the harness failed to detect the injected bug",
-            out.runs
-        );
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(0);
-    }
-
-    if inject_panic {
-        println!(
-            "== stress --inject-panic: seeded thread deaths must be contained deterministically"
-        );
-        println!(
-            "{:<16}{:<16}{:>6}{:>6}{:>8}{:>14}{:>11}",
-            "workload", "runtime", "runs", "hits", "panics", "reproducible", "validated"
-        );
-        let report = run_panic_inject(&cfg, |cell| {
-            println!(
-                "{:<16}{:<16}{:>6}{:>6}{:>8}{:>14}{:>11}",
-                cell.workload,
-                cell.runtime,
-                cell.runs,
-                cell.hits,
-                cell.panics,
-                if cell.reproducible { "yes" } else { "NO" },
-                if cell.validated { "yes" } else { "NO" }
-            );
-        });
-        println!(
-            "{}: {} runs, {} injected deaths contained",
-            if report.passed { "PASSED" } else { "FAILED" },
-            report.total_runs,
-            report.total_hits
-        );
-        dump("inject_panic", &report);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if report.passed { 0 } else { 1 });
-    }
-
-    if shard_diff {
-        println!(
-            "== stress --shard-diff: dmt_server across 1/2/4 token domains, {} workers/domain, {} repeats",
-            cfg.threads,
-            cfg.seeds.max(2)
-        );
-        println!(
-            "{:<8}{:>6}{:>20}{:>20}{:>15}{:>10}{:>10}",
-            "shards",
-            "runs",
-            "schedule_hash",
-            "store_hash",
-            "deterministic",
-            "store_ok",
-            "lockstep"
-        );
-        let report = run_shard_diff(&cfg, |cell| {
-            println!(
-                "{:<8}{:>6}{:>#20x}{:>#20x}{:>15}{:>10}{:>10}",
-                cell.shards,
-                cell.runs,
-                cell.schedule_hash,
-                cell.store_hash,
-                cell.deterministic,
-                cell.store_matches_reference,
-                cell.lockstep
-            );
-        });
-        println!(
-            "map-seed check: store_ok={} schedule_moves={}",
-            report.map_seed_store_ok, report.map_seed_schedule_moves
-        );
-        println!(
-            "{}: {} cells, unsharded hash {:#018x}",
-            if report.passed { "PASSED" } else { "FAILED" },
-            report.cells.len(),
-            report.unsharded_hash
-        );
-        dump("shard_diff", &report);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if report.passed { 0 } else { 1 });
-    }
-
-    if sched_diff {
-        println!(
-            "== stress --sched-diff: fast vs reference scheduler, {} workloads x {} seeds, {} threads",
-            cfg.workloads.len(),
-            cfg.seeds,
-            cfg.threads
-        );
-        println!(
-            "{:<16}{:<16}{:>6}{:>20}{:>20}{:>11}",
-            "workload", "runtime", "runs", "fast_hash", "reference_hash", "verdict"
-        );
-        let report = run_sched_diff(&cfg, |cell| {
-            println!(
-                "{:<16}{:<16}{:>6}{:>#20x}{:>#20x}{:>11}",
-                cell.workload,
-                cell.runtime,
-                cell.runs,
-                cell.fast_hash,
-                cell.reference_hash,
-                if cell.schedules_match && cell.outputs_match && cell.validated {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-        });
-        println!(
-            "{}: {} runs, {} cells",
-            if report.passed { "PASSED" } else { "FAILED" },
-            report.total_runs,
-            report.cells.len()
-        );
-        dump("sched_diff", &report);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if report.passed { 0 } else { 1 });
-    }
-
-    if pipe_diff {
-        println!(
-            "== stress --pipe-diff: pipelined vs serial commit, {} workloads x {} seeds, {} threads",
-            cfg.workloads.len(),
-            cfg.seeds,
-            cfg.threads
-        );
-        println!(
-            "{:<16}{:<16}{:>6}{:>20}{:>20}{:>11}",
-            "workload", "runtime", "runs", "pipelined_hash", "serial_hash", "verdict"
-        );
-        let report = run_pipe_diff(&cfg, |cell| {
-            println!(
-                "{:<16}{:<16}{:>6}{:>#20x}{:>#20x}{:>11}",
-                cell.workload,
-                cell.runtime,
-                cell.runs,
-                cell.pipelined_hash,
-                cell.serial_hash,
-                if cell.schedules_match
-                    && cell.outputs_match
-                    && cell.commit_logs_match
-                    && cell.validated
-                {
-                    "identical"
-                } else {
-                    "DIVERGED"
-                }
-            );
-        });
-        println!(
-            "{}: {} runs, {} cells",
-            if report.passed { "PASSED" } else { "FAILED" },
-            report.total_runs,
-            report.cells.len()
-        );
-        dump("pipe_diff", &report);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if report.passed { 0 } else { 1 });
-    }
-
-    println!(
-        "== stress --{mode}: {} workloads x {} runtimes x {} seeds, {} threads",
-        cfg.workloads.len(),
-        cfg.runtimes.len(),
-        cfg.seeds,
-        cfg.threads
-    );
-    println!(
-        "{:<16}{:<16}{:>6}{:>20}{:>10}{:>11}",
-        "workload", "runtime", "runs", "baseline_hash", "distinct", "validated"
-    );
-    let mut report = run_matrix(&cfg, |cell| {
-        println!(
-            "{:<16}{:<16}{:>6}{:>#20x}{:>10}{:>11}",
-            cell.workload,
-            cell.runtime,
-            cell.runs,
-            cell.baseline_hash,
-            cell.distinct_hashes,
-            if cell.validated { "yes" } else { "NO" }
-        );
+    let inv = parse(&args).unwrap_or_else(|e| {
+        eprintln!("stress: {e}\n{}", usage());
+        std::process::exit(2);
     });
-    report.mode = mode.clone();
-
-    for v in &report.violations {
-        println!();
-        println!(
-            "VIOLATION [{}] {} under {}: baseline {:#x} vs observed {:#x}",
-            v.oracle, v.workload, v.runtime, v.baseline_hash, v.observed_hash
-        );
-        if !v.shrunk_plan.is_empty() {
-            println!("  shrunk reproducer: {}", v.shrunk_plan);
-        }
-        if let Some(d) = &v.diagnosis {
-            println!("{d}");
-        }
-    }
-    if report.pthreads_runs > 0 {
-        println!(
-            "pthreads negative control: {} distinct hashes over {} runs{}",
-            report.pthreads_distinct_hashes,
-            report.pthreads_runs,
-            if report.pthreads_distinct_hashes > 1 {
-                " (varies, as expected)"
-            } else {
-                " — NEVER varied; perturbation instrumentation looks dead"
-            }
-        );
-    }
-    println!(
-        "{}: {} runs, {} violations",
-        if report.passed { "PASSED" } else { "FAILED" },
-        report.total_runs,
-        report.violations.len()
-    );
-    dump(&mode, &report);
+    println!("== stress {}: {}", inv.mode.flag, inv.mode.doc);
+    println!("   {}", inv.cfg);
+    let t0 = std::time::Instant::now();
+    let ok = (inv.mode.run)(&inv);
     eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-    std::process::exit(if report.passed { 0 } else { 1 });
+    std::process::exit(if ok { 0 } else { 1 });
+}
+
+fn matrix(inv: &Invocation) -> bool {
+    table(inv.label, |p| {
+        let mut report = run_matrix(&inv.cfg, p);
+        report.extra.mode = inv.label.to_string();
+        report
+    })
+}
+
+fn soak(inv: &Invocation) -> bool {
+    let soak = SoakReport::run(!inv.deep);
+    for line in soak.summary() {
+        println!("{line}");
+    }
+    let valid = SoakReport::validate(&soak.to_json());
+    if let Err(e) = &valid {
+        println!("soak artifact INVALID: {e}");
+    }
+    dump("target/stress", "soak", &soak);
+    println!("== mixed-scenario matrix: perturb x panic x shard x record");
+    table("matrix", |p| run_mixed_matrix(&inv.cfg, p)) && valid.is_ok()
+}
+
+fn record(inv: &Invocation) -> bool {
+    let (cfg, dir) = (&inv.cfg, Path::new(&inv.value));
+    let runtimes: Vec<&str> = cfg.runtimes.iter().map(|k| k.label()).collect();
+    let (threads, scale, seed) = (cfg.threads, cfg.scale, cfg.input_seed);
+    let (recorded, mut ok) = record_all(dir, &runtimes, &cfg.workloads, threads, scale, seed);
+    // One sharded-server container rides along: 2 token domains, 2
+    // workers each (see dmt_shard::record for the label convention).
+    let spath = dir.join(format!("dmt_server-sharded-ic-2-t2-s{scale}.dmtrace"));
+    let params = dmt_workloads::Params::new(2, scale, seed);
+    match dmt_shard::record_server_trace(2, 2, params, &spath) {
+        Ok((meta, _)) => println!(
+            "[ok] dmt_server sharded-ic-2: {} events, hash {:#018x} -> {}",
+            meta.event_count,
+            meta.schedule_hash,
+            spath.display()
+        ),
+        Err(e) => {
+            println!("[FAILED] dmt_server sharded-ic-2: {e}");
+            ok = false;
+        }
+    }
+    dump("target/stress", "record", &recorded);
+    ok
+}
+
+fn replay(inv: &Invocation) -> bool {
+    let (results, ok) = replay_all(&[&inv.value]);
+    dump("target/stress", "replay", &results);
+    println!("{}: {} trace(s) replayed", verdict(ok), results.len());
+    ok
+}
+
+/// Exits 1 by design when the planted bug was caught: a determinism
+/// violation was (correctly) detected. CI asserts this exit code.
+fn inject_bug(_: &Invocation) -> bool {
+    let out = run_inject_bug(12, 4, 400);
+    dump("target/stress", "inject_bug", &out);
+    for line in out.summary() {
+        println!("{line}");
+    }
+    !out.caught
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parsed(line: &str) -> Result<Invocation, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn explicit_values_override_the_preset_in_any_order() {
+        let early = parsed("--seeds 1 --threads 2 --smoke").unwrap();
+        let late = parsed("--smoke --seeds 1 --threads 2").unwrap();
+        for inv in [early, late] {
+            assert_eq!((inv.cfg.seeds, inv.cfg.threads, inv.label), (1, 2, "smoke"));
+        }
+        let inv = parsed("--workloads kmeans --deep --scale 2").unwrap();
+        assert_eq!((inv.cfg.seeds, inv.cfg.threads, inv.cfg.scale), (16, 8, 2));
+        assert_eq!(inv.cfg.workloads, ["kmeans"]);
+        assert_eq!((inv.label, inv.deep), ("custom", true));
+    }
+
+    #[test]
+    fn two_modes_are_an_error_naming_both() {
+        let e = parsed("--sched-diff --pipe-diff").err().unwrap();
+        assert!(e.contains("--sched-diff and --pipe-diff"), "{e}");
+        for bad in [
+            "--smoke --deep",
+            "--bogus",
+            "--seeds",
+            "--seeds x",
+            "--runtimes x",
+        ] {
+            assert!(parsed(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn ci_invocations_parse_to_their_modes() {
+        for line in [
+            "--smoke",
+            "--sched-diff",
+            "--pipe-diff",
+            "--shard-diff",
+            "--inject-panic --seeds 4",
+            "--inject-bug",
+            "--soak --smoke",
+            "--replay tests/corpus",
+            "--trace-chaos",
+            "--chaos-child /tmp/d --threads 2 --scale 1 --base-seed 7",
+        ] {
+            let inv = parsed(line).unwrap();
+            assert_eq!(inv.mode.flag, line.split(' ').next().unwrap());
+            assert_eq!(inv.value.is_empty(), inv.mode.value.is_none(), "{line}");
+        }
+        assert_eq!(parsed("").unwrap().mode.flag, "--smoke");
+        assert_eq!(parsed("--inject-panic --seeds 4").unwrap().cfg.seeds, 4);
+        assert_eq!(
+            parsed("--replay tests/corpus").unwrap().value,
+            "tests/corpus"
+        );
+    }
+
+    #[test]
+    fn docs_list_every_flag_with_its_one_liner() {
+        let doc = include_str!("../../../../docs/STRESS.md");
+        for line in usage().lines().skip(1) {
+            assert!(doc.contains(line), "docs/STRESS.md lacks {line:?}");
+        }
+    }
 }

@@ -15,19 +15,12 @@
 //! triggering plan, and name the first divergent event. A harness that
 //! cannot catch *this* would not catch an accidental regression either.
 
-use std::sync::Arc;
-
-use consequence::{ConsequenceRuntime, Options};
-use dmt_api::trace::{Event, MemorySink};
-use dmt_api::{
-    CommonConfig, CostModel, HashSink, Job, MutexId, PerturbHandle, PerturbPlan, Runtime,
-    ThreadCtx, TraceHandle,
-};
+use consequence::Options;
+use dmt_api::{Fnv1a, MutexId, PerturbHandle, PerturbPlan, Runtime, RuntimeMemExt, ThreadCtx};
+use dmt_bench::cell::{Cell, CellRun, Sink};
+use dmt_workloads::{Params, Prepared, Validation, Workload};
 
 use crate::{investigate, mix64, Target};
-
-/// Heap pages for the synthetic program (one counter word is all it needs).
-const HEAP_PAGES: usize = 16;
 
 fn contended_worker(ctx: &mut dyn ThreadCtx, m: MutexId, iters: u64, salt: u64) {
     for k in 0..iters {
@@ -41,95 +34,128 @@ fn contended_worker(ctx: &mut dyn ThreadCtx, m: MutexId, iters: u64, salt: u64) 
     }
 }
 
-/// Builds the lock-contended synthetic program: `threads` workers hammer
-/// one mutex-protected counter with skewed per-thread work.
-pub fn prepare_contended(rt: &mut dyn Runtime, threads: usize, iters: u64) -> Job {
-    let m = rt.create_mutex();
-    Box::new(move |ctx| {
-        let workers: Vec<_> = (1..threads)
-            .map(|i| {
-                ctx.spawn(Box::new(move |c: &mut dyn ThreadCtx| {
-                    contended_worker(c, m, iters, i as u64);
-                }))
-            })
-            .collect();
-        contended_worker(ctx, m, iters, 0);
-        for t in workers {
-            ctx.join(t);
-        }
-    })
+/// The lock-contended synthetic program: `Params::threads` workers hammer
+/// one mutex-protected counter `iters` times each with skewed per-thread
+/// work. Its reference output is the exact counter total.
+pub struct Contended {
+    pub iters: u64,
 }
 
-fn contended_cfg(trace: TraceHandle, perturb: PerturbHandle) -> CommonConfig {
-    CommonConfig {
-        heap_pages: HEAP_PAGES,
-        max_threads: 64,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: 4,
-        trace,
-        perturb,
-        witness: dmt_api::WitnessHandle::off(),
+impl Workload for Contended {
+    fn name(&self) -> &'static str {
+        "contended"
+    }
+
+    fn suite(&self) -> &'static str {
+        "synthetic"
+    }
+
+    /// One counter word is all it needs.
+    fn heap_pages(&self, _p: &Params) -> usize {
+        16
+    }
+
+    fn prepare(&self, rt: &mut dyn Runtime, p: &Params) -> Prepared {
+        let m = rt.create_mutex();
+        let (threads, iters) = (p.threads, self.iters);
+        Prepared {
+            job: Box::new(move |ctx| {
+                let workers: Vec<_> = (1..threads)
+                    .map(|i| {
+                        ctx.spawn(Box::new(move |c: &mut dyn ThreadCtx| {
+                            contended_worker(c, m, iters, i as u64);
+                        }))
+                    })
+                    .collect();
+                contended_worker(ctx, m, iters, 0);
+                for t in workers {
+                    ctx.join(t);
+                }
+            }),
+            validate: Box::new(move |rt| {
+                let total = rt.final_u64(0);
+                let mut h = Fnv1a::new();
+                h.update(&total.to_le_bytes());
+                Validation {
+                    output_hash: h.digest(),
+                    matches_reference: total == threads as u64 * iters,
+                }
+            }),
+        }
     }
 }
 
-fn bug_options(bug: bool) -> Options {
-    let mut o = Options::consequence_ic();
-    o.inject_eligibility_bug = bug;
-    o
-}
-
-/// Runs the contended program once, returning its schedule hash.
-pub fn run_contended(bug: bool, perturb: PerturbHandle, threads: usize, iters: u64) -> u64 {
-    let sink = Arc::new(HashSink::new());
-    let mut rt = ConsequenceRuntime::new(
-        contended_cfg(TraceHandle::to(sink), perturb),
-        bug_options(bug),
-    );
-    let job = prepare_contended(&mut rt, threads, iters);
-    rt.run(job).schedule_hash
-}
-
-/// Runs the contended program once while recording its schedule.
-pub fn record_contended(
+/// Runs the contended program once under Consequence-IC, with or without
+/// the injected eligibility bug.
+pub fn run_contended(
     bug: bool,
     perturb: PerturbHandle,
     threads: usize,
     iters: u64,
-) -> (Vec<Event>, u64) {
-    let sink = Arc::new(MemorySink::new(crate::TRACE_CAP));
-    let mut rt = ConsequenceRuntime::new(
-        contended_cfg(TraceHandle::to(Arc::clone(&sink) as _), perturb),
-        bug_options(bug),
-    );
-    let job = prepare_contended(&mut rt, threads, iters);
-    let report = rt.run(job);
-    let (events, _dropped) = sink.take();
-    (events, report.schedule_hash)
+    sink: Sink,
+) -> CellRun {
+    let mut opts = Options::consequence_ic();
+    opts.inject_eligibility_bug = bug;
+    Cell {
+        perturb,
+        sink,
+        ..Cell::of(
+            Box::new(Contended { iters }),
+            Params::new(threads, 1, 0),
+            opts,
+        )
+    }
+    .run()
 }
 
-/// Result of the `--inject-bug` end-to-end check.
-#[derive(Clone, Debug)]
-pub struct InjectOutcome {
-    /// Whether the harness caught the injected bug (it must).
-    pub caught: bool,
-    /// Schedule hash of the first (reference) run.
-    pub baseline_hash: u64,
-    /// First divergent schedule hash observed.
-    pub observed_hash: u64,
-    /// Master seed of the plan that triggered the divergence (0 when the
-    /// program diverged even unperturbed).
-    pub trigger_seed: u64,
-    /// Sites surviving the shrink.
-    pub shrunk_sites: Vec<String>,
-    /// The shrunk reproducer plan, printed.
-    pub shrunk_plan: String,
-    /// Digest of the shrunk plan.
-    pub shrunk_digest: u64,
-    /// First-divergent-event diagnosis, when captured.
-    pub diagnosis: Option<String>,
-    /// Total executions spent (detection + shrinking + diagnosis).
-    pub runs: u64,
+dmt_bench::json_record! {
+    /// Result of the `--inject-bug` end-to-end check.
+    #[derive(Clone, Debug)]
+    pub struct InjectOutcome {
+        /// Whether the harness caught the injected bug (it must).
+        pub caught: bool,
+        /// Schedule hash of the first (reference) run.
+        pub baseline_hash: u64,
+        /// First divergent schedule hash observed.
+        pub observed_hash: u64,
+        /// Master seed of the plan that triggered the divergence (0 when the
+        /// program diverged even unperturbed).
+        pub trigger_seed: u64,
+        /// Sites surviving the shrink.
+        pub shrunk_sites: Vec<String>,
+        /// The shrunk reproducer plan, printed.
+        pub shrunk_plan: String,
+        /// Digest of the shrunk plan.
+        pub shrunk_digest: u64,
+        /// First-divergent-event diagnosis, when captured.
+        pub diagnosis: Option<String>,
+        /// Total executions spent (detection + shrinking + diagnosis).
+        pub runs: u64,
+    }
+}
+
+impl InjectOutcome {
+    /// The outcome for a terminal.
+    pub fn summary(&self) -> Vec<String> {
+        if !self.caught {
+            return vec![format!(
+                "NOT CAUGHT after {} runs — the harness failed to detect the injected bug",
+                self.runs
+            )];
+        }
+        vec![
+            "CAUGHT: schedule hash moved under the injected bug".to_string(),
+            format!(
+                "  baseline {:#x} vs observed {:#x} (trigger seed {:#x}, {} runs)",
+                self.baseline_hash, self.observed_hash, self.trigger_seed, self.runs
+            ),
+            format!("  shrunk reproducer: {}", self.shrunk_plan),
+            format!("  surviving sites: [{}]", self.shrunk_sites.join(", ")),
+            self.diagnosis
+                .clone()
+                .unwrap_or("  (no divergence trace captured)".to_string()),
+        ]
+    }
 }
 
 /// Drives the injected-bug detection end to end: run a reference execution,
@@ -137,28 +163,35 @@ pub struct InjectOutcome {
 /// triggering plan and diagnose the first divergent event.
 pub fn run_inject_bug(seeds: u64, threads: usize, iters: u64) -> InjectOutcome {
     let mut runs = 0u64;
-    let base = run_contended(true, PerturbHandle::off(), threads, iters);
+    let target = Target(Box::new(move |p, sink| {
+        run_contended(true, p, threads, iters, sink)
+    }));
+    let base = target.hash(PerturbHandle::off());
     runs += 1;
-
-    let target = Target {
-        run_hash: Box::new(move |p| run_contended(true, p, threads, iters)),
-        record: Box::new(move |p| record_contended(true, p, threads, iters)),
-    };
 
     // Sweep perturbed runs first (the harness's normal mode), then
     // unperturbed reruns — under the bug either may expose the variance.
-    for s in 0..seeds {
-        let plan = PerturbPlan::full(mix64(0xB06 ^ (s + 1)));
+    // An unperturbed divergence is the empty plan's: nothing to shrink.
+    let unperturbed = PerturbPlan {
+        seed: 0,
+        entries: Vec::new(),
+    };
+    let perturbed = (0..seeds).map(|s| PerturbPlan::full(mix64(0xB06 ^ (s + 1))));
+    for plan in perturbed.chain((0..seeds).map(|_| unperturbed.clone())) {
         runs += 1;
-        let h = (target.run_hash)(crate::plan_handle(&plan));
-        if h == base {
+        let observed = target.hash(if plan.is_empty() {
+            PerturbHandle::off()
+        } else {
+            crate::plan_handle(&plan)
+        });
+        if observed == base {
             continue;
         }
         let (shrunk, diagnosis) = investigate(&target, &plan, base, &mut runs);
         return InjectOutcome {
             caught: true,
             baseline_hash: base,
-            observed_hash: h,
+            observed_hash: observed,
             trigger_seed: plan.seed,
             shrunk_sites: shrunk
                 .entries
@@ -171,30 +204,6 @@ pub fn run_inject_bug(seeds: u64, threads: usize, iters: u64) -> InjectOutcome {
             runs,
         };
     }
-    for _ in 0..seeds {
-        runs += 1;
-        let h = (target.run_hash)(PerturbHandle::off());
-        if h == base {
-            continue;
-        }
-        let empty = PerturbPlan {
-            seed: 0,
-            entries: Vec::new(),
-        };
-        let (shrunk, diagnosis) = investigate(&target, &empty, base, &mut runs);
-        return InjectOutcome {
-            caught: true,
-            baseline_hash: base,
-            observed_hash: h,
-            trigger_seed: 0,
-            shrunk_sites: Vec::new(),
-            shrunk_plan: shrunk.to_string(),
-            shrunk_digest: shrunk.digest(),
-            diagnosis,
-            runs,
-        };
-    }
-
     InjectOutcome {
         caught: false,
         baseline_hash: base,
@@ -214,24 +223,20 @@ mod tests {
 
     #[test]
     fn contended_program_is_deterministic_without_the_bug() {
-        let a = run_contended(false, PerturbHandle::off(), 4, 120);
-        let b = run_contended(false, PerturbHandle::off(), 4, 120);
-        let c = run_contended(false, crate::plan_handle(&PerturbPlan::full(17)), 4, 120);
-        assert_eq!(a, b);
-        assert_eq!(a, c, "perturbation moved a correct runtime's schedule");
+        let run = |p| run_contended(false, p, 4, 120, Sink::Hash);
+        let a = run(PerturbHandle::off());
+        let b = run(PerturbHandle::off());
+        let c = run(crate::plan_handle(&PerturbPlan::full(17)));
+        assert_eq!(a.report.schedule_hash, b.report.schedule_hash);
+        assert_eq!(
+            a.report.schedule_hash, c.report.schedule_hash,
+            "perturbation moved a correct runtime's schedule"
+        );
     }
 
     #[test]
     fn counter_totals_are_exact_under_contention() {
-        let sink = Arc::new(HashSink::new());
-        let mut rt = ConsequenceRuntime::new(
-            contended_cfg(TraceHandle::to(sink), PerturbHandle::off()),
-            bug_options(false),
-        );
-        let job = prepare_contended(&mut rt, 3, 50);
-        rt.run(job);
-        let mut buf = [0u8; 8];
-        rt.final_read(0, &mut buf);
-        assert_eq!(u64::from_le_bytes(buf), 3 * 50);
+        let run = run_contended(false, PerturbHandle::off(), 3, 50, Sink::Hash);
+        assert!(run.validation.matches_reference, "counter != 3 * 50");
     }
 }

@@ -16,17 +16,16 @@
 //!    is expected to vary (if it never does, the perturbation
 //!    instrumentation itself is dead).
 //!
-//! On a violation the harness records [`MemorySink`] traces, runs the
+//! On a violation the harness records [`dmt_api::MemorySink`] traces, runs the
 //! divergence [`diagnose`] pass, and [`shrink`]s the failing plan to a
 //! minimal reproducer naming the first divergent event. See
 //! `docs/STRESS.md`.
 
 pub mod inject;
 pub mod matrix;
+pub mod option_diff;
 pub mod panic_inject;
-pub mod pipe_diff;
 pub mod report;
-pub mod sched_diff;
 pub mod shard_diff;
 pub mod shrink;
 pub mod trace_chaos;
@@ -34,19 +33,17 @@ pub mod trace_chaos;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dmt_api::trace::{diagnose, Event, MemorySink};
-use dmt_api::{
-    CommonConfig, CostModel, PerturbHandle, PerturbPlan, PlanPerturber, RunReport, TraceHandle,
-};
-use dmt_baselines::{make_runtime, RuntimeKind};
-use dmt_workloads::{workload_by_name, Params, Validation};
+use dmt_api::trace::{diagnose, Event};
+use dmt_api::{PerturbHandle, PerturbPlan, PlanPerturber};
+use dmt_baselines::RuntimeKind;
+use dmt_bench::cell::{Cell, CellRun, Sink, System};
+use dmt_workloads::Params;
 
 pub use inject::{run_inject_bug, InjectOutcome};
 pub use matrix::{run_mixed_matrix, MatrixCell, MatrixReport, MATRIX_SHARDS};
+pub use option_diff::{run_option_diff, OptionDiff, OptionDiffCell, PIPE_DIFF, SCHED_DIFF};
 pub use panic_inject::{run_panic_inject, PanicCell, PanicInjectReport, PanicInjector};
-pub use pipe_diff::{run_pipe_diff, PipeDiffCell, PipeDiffReport};
-pub use report::{CellSummary, StressReport, Violation};
-pub use sched_diff::{run_consequence_workload, run_sched_diff, SchedDiffCell, SchedDiffReport};
+pub use report::{CellSummary, MatrixExtra, Notes, Report, StressReport, Table, Violation};
 pub use shard_diff::{run_shard_diff, ShardDiffCell, ShardDiffReport, SHARD_COUNTS};
 pub use shrink::shrink_plan;
 pub use trace_chaos::{run_chaos_child, run_trace_chaos, ChaosCell, FaultyMedia, TraceChaosReport};
@@ -125,92 +122,97 @@ impl StressConfig {
     }
 }
 
-/// One traced execution of a workload cell.
-#[derive(Clone, Debug)]
-pub struct CellRun {
-    /// Schedule hash of the run (from an attached hashing sink).
-    pub schedule_hash: u64,
-    /// FNV-1a digest of the output region.
-    pub output_hash: u64,
-    /// Whether the output matched the sequential reference.
-    pub matches_reference: bool,
-    /// The full run report.
-    pub report: RunReport,
-}
-
-pub(crate) fn cell_cfg(pages: usize, trace: TraceHandle, perturb: PerturbHandle) -> CommonConfig {
-    CommonConfig {
-        heap_pages: pages,
-        max_threads: 64,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: 4,
-        trace,
-        perturb,
-        witness: dmt_api::WitnessHandle::off(),
+impl std::fmt::Display for StressConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} workloads x {} runtimes x {} seeds, {} threads, scale {}, base seed {:#x}",
+            self.workloads.len(),
+            self.runtimes.len(),
+            self.seeds,
+            self.threads,
+            self.scale,
+            self.base_seed
+        )
     }
 }
 
-/// Runs one workload under one runtime with a hashing trace sink and the
-/// given perturber.
-pub fn run_workload(
-    kind: RuntimeKind,
-    name: &str,
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    perturb: PerturbHandle,
-) -> CellRun {
-    let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let p = Params::new(threads, scale, input_seed);
-    let sink = Arc::new(dmt_api::HashSink::new());
-    let cfg = cell_cfg(w.heap_pages(&p), TraceHandle::to(sink), perturb);
-    let mut rt = make_runtime(kind, cfg);
-    let prepared = w.prepare(rt.as_mut(), &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(rt.as_ref());
-    CellRun {
-        schedule_hash: report.schedule_hash,
-        output_hash: v.output_hash,
-        matches_reference: v.matches_reference,
-        report,
-    }
-}
+impl StressConfig {
+    /// The configuration flags of the `stress` CLI: flag, value, what it
+    /// sets. Explicit values override the preset's.
+    pub const FLAGS: [(&'static str, &'static str, &'static str); 6] = [
+        ("--workloads", "a,b,..", "workloads to sweep"),
+        ("--runtimes", "a,b,..", "runtimes to drive, by label"),
+        ("--seeds", "N", "perturbation seeds per cell"),
+        ("--threads", "N", "worker threads per run"),
+        ("--scale", "N", "workload problem-size multiplier"),
+        (
+            "--base-seed",
+            "N",
+            "master seed every plan seed derives from",
+        ),
+    ];
 
-/// Like [`run_workload`], but records the schedule into a bounded
-/// [`MemorySink`] for divergence diagnosis. Returns the retained events and
-/// how many older ones the ring bound dropped.
-pub fn record_workload(
-    kind: RuntimeKind,
-    name: &str,
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    perturb: PerturbHandle,
-) -> (CellRun, Vec<Event>, u64) {
-    let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
-    let p = Params::new(threads, scale, input_seed);
-    let sink = Arc::new(MemorySink::new(TRACE_CAP));
-    let cfg = cell_cfg(
-        w.heap_pages(&p),
-        TraceHandle::to(Arc::clone(&sink) as _),
-        perturb,
-    );
-    let mut rt = make_runtime(kind, cfg);
-    let prepared = w.prepare(rt.as_mut(), &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(rt.as_ref());
-    let (events, dropped) = sink.take();
-    (
-        CellRun {
-            schedule_hash: report.schedule_hash,
-            output_hash: v.output_hash,
-            matches_reference: v.matches_reference,
-            report,
-        },
-        events,
-        dropped,
-    )
+    /// Applies one of [`Self::FLAGS`] as given on the command line.
+    pub fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        let num = || {
+            let n = value.parse::<u64>();
+            n.map_err(|_| format!("{flag} needs a number, got {value:?}"))
+        };
+        match flag {
+            "--workloads" => self.workloads = value.split(',').map(String::from).collect(),
+            "--runtimes" => {
+                let kind = |l| RuntimeKind::ALL.into_iter().find(|k| k.label() == l);
+                let kinds = value.split(',').map(|l| {
+                    kind(l).ok_or(format!(
+                        "unknown runtime {l:?} (labels: pthreads, dthreads, dwc, \
+                         consequence-rr, consequence-ic)"
+                    ))
+                });
+                self.runtimes = kinds.collect::<Result<_, _>>()?;
+            }
+            "--seeds" => self.seeds = num()?,
+            "--threads" => self.threads = num()? as usize,
+            "--scale" => self.scale = num()? as u32,
+            "--base-seed" => self.base_seed = num()?,
+            _ => return Err(format!("unknown configuration flag {flag}")),
+        }
+        Ok(())
+    }
+
+    /// Every workload × runtime cell in sweep order, each with the salt
+    /// its per-round seeds derive from. `mode_salt` keeps the modes on
+    /// distinct plans for one master seed.
+    pub fn grid(&self, mode_salt: u64) -> impl Iterator<Item = (&str, RuntimeKind, u64)> + '_ {
+        self.workloads.iter().enumerate().flat_map(move |(wi, w)| {
+            self.runtimes.iter().enumerate().map(move |(ki, &kind)| {
+                let salt = mix64(self.base_seed ^ mode_salt ^ ((wi as u64) << 32) ^ (ki as u64));
+                (w.as_str(), kind, salt)
+            })
+        })
+    }
+
+    /// The seed of each perturbation round of the cell salted `cell_salt`.
+    pub fn round_seeds(&self, cell_salt: u64) -> impl Iterator<Item = u64> {
+        (0..self.seeds).map(move |s| cell_salt ^ (s + 1))
+    }
+
+    /// One full-strength perturbation plan per round of the cell.
+    pub fn plans(&self, cell_salt: u64) -> impl Iterator<Item = PerturbPlan> {
+        self.round_seeds(cell_salt)
+            .map(|seed| PerturbPlan::full(mix64(seed)))
+    }
+
+    /// The stress cell for `workload` under `system`: this configuration's
+    /// geometry and input with the runner's defaults (hash-only tracing,
+    /// 64-thread tables, GC budget 4).
+    pub fn cell(&self, workload: &str, system: impl Into<System>, perturb: PerturbHandle) -> Cell {
+        let params = Params::new(self.threads, self.scale, self.input_seed);
+        Cell {
+            perturb,
+            ..Cell::new(workload, params, system)
+        }
+    }
 }
 
 /// A handle executing `plan` at full strength.
@@ -218,17 +220,24 @@ pub fn plan_handle(plan: &PerturbPlan) -> PerturbHandle {
     PerturbHandle::to(Arc::new(PlanPerturber::new(plan.clone())))
 }
 
-/// An abstract system under test: how to run it for a hash and how to run
-/// it while recording a trace. Lets the shrinker and diagnoser work on both
-/// workload cells and the synthetic inject-bug program.
-pub struct Target<'a> {
-    /// Runs once under the given perturber, returning the schedule hash.
-    pub run_hash: Box<dyn Fn(PerturbHandle) -> u64 + 'a>,
-    /// Runs once while recording, returning the events and the hash.
-    pub record: Box<dyn Fn(PerturbHandle) -> (Vec<Event>, u64) + 'a>,
-}
+/// An abstract system under test: how to run it once under a perturber
+/// with a given sink. Lets the shrinker and diagnoser work on both workload
+/// cells and the synthetic inject-bug program.
+pub struct Target<'a>(pub Box<dyn Fn(PerturbHandle, Sink) -> CellRun + 'a>);
 
 impl Target<'_> {
+    /// Runs once under `perturb`, returning the schedule hash.
+    pub fn hash(&self, perturb: PerturbHandle) -> u64 {
+        (self.0)(perturb, Sink::Hash).report.schedule_hash
+    }
+
+    /// Runs once while recording, returning the events and the hash.
+    pub fn record(&self, perturb: PerturbHandle) -> (Vec<Event>, u64) {
+        let run = (self.0)(perturb, Sink::Memory(TRACE_CAP));
+        let (events, _dropped) = run.events.expect("memory sink hands its events back");
+        (events, run.report.schedule_hash)
+    }
+
     /// Whether `plan` makes the target's hash diverge from `base_hash`
     /// within `attempts` tries. Divergence under a real determinism bug
     /// depends on physical timing, so one quiet run does not prove a plan
@@ -242,7 +251,7 @@ impl Target<'_> {
     ) -> bool {
         for _ in 0..attempts {
             *runs += 1;
-            if (self.run_hash)(plan_handle(plan)) != base_hash {
+            if self.hash(plan_handle(plan)) != base_hash {
                 return true;
             }
         }
@@ -263,7 +272,7 @@ pub fn investigate(
     let shrunk = shrink_plan(plan.clone(), |cand| {
         target.diverges(cand, base_hash, 3, runs)
     });
-    let (base_events, _) = (target.record)(PerturbHandle::off());
+    let (base_events, _) = target.record(PerturbHandle::off());
     *runs += 1;
     // Divergence under a real bug is timing-dependent, and the timing that
     // made the shrunk plan fail during shrinking may have drifted by the
@@ -273,7 +282,7 @@ pub fn investigate(
     let mut diagnosis = None;
     'plans: for candidate in [&shrunk, plan] {
         for _ in 0..8 {
-            let (events, hash) = (target.record)(plan_handle(candidate));
+            let (events, hash) = target.record(plan_handle(candidate));
             *runs += 1;
             if hash == base_hash {
                 continue;
@@ -287,19 +296,6 @@ pub fn investigate(
     (shrunk, diagnosis)
 }
 
-fn workload_target<'a>(kind: RuntimeKind, name: &'a str, cfg: &'a StressConfig) -> Target<'a> {
-    Target {
-        run_hash: Box::new(move |p| {
-            run_workload(kind, name, cfg.threads, cfg.scale, cfg.input_seed, p).schedule_hash
-        }),
-        record: Box::new(move |p| {
-            let (run, events, _) =
-                record_workload(kind, name, cfg.threads, cfg.scale, cfg.input_seed, p);
-            (events, run.schedule_hash)
-        }),
-    }
-}
-
 /// Runs the full differential-fuzzing matrix and returns the report.
 ///
 /// `progress` is called once per finished cell with a one-line summary
@@ -311,98 +307,72 @@ pub fn run_matrix(cfg: &StressConfig, mut progress: impl FnMut(&CellSummary)) ->
     let mut pthreads_hashes: BTreeSet<u64> = BTreeSet::new();
     let mut pthreads_runs = 0u64;
 
-    for (wi, name) in cfg.workloads.iter().enumerate() {
-        for (ki, &kind) in cfg.runtimes.iter().enumerate() {
-            let deterministic = kind != RuntimeKind::Pthreads;
-            let cell_salt = mix64(cfg.base_seed ^ ((wi as u64) << 32) ^ (ki as u64));
-            let base = run_workload(
-                kind,
-                name,
-                cfg.threads,
-                cfg.scale,
-                cfg.input_seed,
-                PerturbHandle::off(),
-            );
-            total_runs += 1;
-            let mut distinct: BTreeSet<u64> = BTreeSet::new();
-            distinct.insert(base.schedule_hash);
-            let mut validated = base.matches_reference;
-            if deterministic && !base.matches_reference {
-                violations.push(Violation::output(name, kind, 0, 0, &base, base.output_hash));
-            }
-
-            for s in 0..cfg.seeds {
-                let plan = PerturbPlan::full(mix64(cell_salt ^ (s + 1)));
-                let run = run_workload(
-                    kind,
-                    name,
-                    cfg.threads,
-                    cfg.scale,
-                    cfg.input_seed,
-                    plan_handle(&plan),
-                );
-                total_runs += 1;
-                distinct.insert(run.schedule_hash);
-                if !deterministic {
-                    continue;
-                }
-                validated &= run.matches_reference;
-                if run.schedule_hash != base.schedule_hash {
-                    let target = workload_target(kind, name, cfg);
-                    let (shrunk, diagnosis) =
-                        investigate(&target, &plan, base.schedule_hash, &mut total_runs);
-                    violations.push(Violation::schedule(
-                        name,
-                        kind,
-                        &plan,
-                        &shrunk,
-                        base.schedule_hash,
-                        run.schedule_hash,
-                        diagnosis,
-                    ));
-                }
-                if !run.matches_reference || run.output_hash != base.output_hash {
-                    violations.push(Violation::output(
-                        name,
-                        kind,
-                        plan.seed,
-                        plan.digest(),
-                        &base,
-                        run.output_hash,
-                    ));
-                }
-            }
-
-            if !deterministic {
-                pthreads_hashes.extend(&distinct);
-                pthreads_runs += 1 + cfg.seeds;
-            }
-            let cell = CellSummary {
-                workload: name.clone(),
-                runtime: kind.label().to_string(),
-                runs: 1 + cfg.seeds,
-                baseline_hash: base.schedule_hash,
-                distinct_hashes: distinct.len() as u64,
-                validated,
-            };
-            progress(&cell);
-            cells.push(cell);
+    for (name, kind, cell_salt) in cfg.grid(0) {
+        let deterministic = kind != RuntimeKind::Pthreads;
+        let base = cfg.cell(name, kind, PerturbHandle::off()).run();
+        let base_hash = base.report.schedule_hash;
+        let base_out = base.validation.output_hash;
+        total_runs += 1;
+        let mut distinct = BTreeSet::from([base_hash]);
+        let mut validated = base.validation.matches_reference;
+        if deterministic && !validated {
+            violations.push(Violation::output(name, kind, None, base_out, base_out));
         }
+
+        for plan in cfg.plans(cell_salt) {
+            let run = cfg.cell(name, kind, plan_handle(&plan)).run();
+            let hash = run.report.schedule_hash;
+            total_runs += 1;
+            distinct.insert(hash);
+            if !deterministic {
+                continue;
+            }
+            validated &= run.validation.matches_reference;
+            if hash != base_hash {
+                let target = Target(Box::new(|p, sink| {
+                    Cell {
+                        sink,
+                        ..cfg.cell(name, kind, p)
+                    }
+                    .run()
+                }));
+                let (shrunk, diagnosis) = investigate(&target, &plan, base_hash, &mut total_runs);
+                violations.push(Violation::schedule(
+                    name, kind, &plan, &shrunk, base_hash, hash, diagnosis,
+                ));
+            }
+            let out = run.validation.output_hash;
+            if !run.validation.matches_reference || out != base_out {
+                violations.push(Violation::output(name, kind, Some(&plan), base_out, out));
+            }
+        }
+
+        if !deterministic {
+            pthreads_hashes.extend(&distinct);
+            pthreads_runs += 1 + cfg.seeds;
+        }
+        let cell = CellSummary {
+            workload: name.to_string(),
+            runtime: kind.label().to_string(),
+            runs: 1 + cfg.seeds,
+            baseline_hash: base_hash,
+            distinct_hashes: distinct.len() as u64,
+            validated,
+        };
+        progress(&cell);
+        cells.push(cell);
     }
 
-    let has_pthreads = cfg.runtimes.contains(&RuntimeKind::Pthreads);
-    let pthreads_varied = pthreads_hashes.len() > 1;
-    let passed = violations.is_empty() && (!has_pthreads || pthreads_varied);
-    StressReport {
+    let extra = MatrixExtra {
         mode: String::new(),
-        threads: cfg.threads,
-        seeds: cfg.seeds,
-        base_seed: cfg.base_seed,
-        total_runs,
         pthreads_runs,
         pthreads_distinct_hashes: pthreads_hashes.len() as u64,
-        cells,
         violations,
-        passed,
-    }
+    };
+    let mut report = Report::new(cfg, total_runs, cells, extra);
+    // The negative control: if pthreads never varies, the perturbation
+    // instrumentation itself is dead.
+    let control_dead = pthreads_runs > 0 && pthreads_hashes.len() <= 1;
+    report.passed &= report.extra.violations.is_empty() && !control_dead;
+    report
 }

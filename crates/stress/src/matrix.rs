@@ -31,18 +31,18 @@
 
 use std::sync::Arc;
 
-use consequence::{ConsequenceRuntime, Options};
-use dmt_api::trace::{HashSink, MemorySink};
+use consequence::Options;
 use dmt_api::{
-    CommonConfig, CostModel, Fnv1a, PanicSite, PerturbHandle, PerturbPlan, PerturbSite, Perturber,
-    PlanPerturber, Runtime, Tid, TraceHandle, WitnessHandle,
+    Fnv1a, PanicSite, PerturbHandle, PerturbPlan, PerturbSite, Perturber, PlanPerturber, Tid,
 };
-use dmt_bench::json_struct;
+use dmt_bench::cell::{Cell, Sink};
 use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
 use dmt_workloads::server::ServerSpec;
-use dmt_workloads::{workload_by_name, Params};
+use dmt_workloads::Params;
 
-use crate::mix64;
+use crate::report::{hex, Col, Notes, Report, Table};
+use crate::shard_diff::reference_store_hash;
+use crate::{mix64, StressConfig};
 
 /// Token domains of the sharded compositions.
 pub const MATRIX_SHARDS: u32 = 2;
@@ -122,134 +122,127 @@ struct CompRun {
     record_ok: bool,
 }
 
-/// One composition's row in the report.
-#[derive(Clone, Debug)]
-pub struct MatrixCell {
-    /// Timing perturbation attached.
-    pub perturb: bool,
-    /// Deterministic thread death injected.
-    pub panic: bool,
-    /// Run across token domains.
-    pub shard: bool,
-    /// Live trace recording attached.
-    pub record: bool,
-    /// Runs executed (2: run + rerun).
-    pub runs: u64,
-    /// The composition's schedule hash.
-    pub schedule_hash: u64,
-    /// Contained panics per run.
-    pub panics: u64,
-    /// Both runs agreed on every digest.
-    pub deterministic: bool,
-    /// The composition's semantic oracle held (see module docs).
-    pub oracle_ok: bool,
-    /// Recording fidelity held.
-    pub record_ok: bool,
-    /// Schedule hash matches the composition's `(panic, shard)` group —
-    /// perturbation and recording did not move the schedule.
-    pub invariant: bool,
+dmt_bench::json_record! {
+    /// One composition's row in the report.
+    #[derive(Clone, Debug)]
+    pub struct MatrixCell {
+        /// Timing perturbation attached.
+        pub perturb: bool,
+        /// Deterministic thread death injected.
+        pub panic: bool,
+        /// Run across token domains.
+        pub shard: bool,
+        /// Live trace recording attached.
+        pub record: bool,
+        /// Runs executed (2: run + rerun).
+        pub runs: u64,
+        /// The composition's schedule hash.
+        pub schedule_hash: u64,
+        /// Contained panics per run.
+        pub panics: u64,
+        /// Both runs agreed on every digest.
+        pub deterministic: bool,
+        /// The composition's semantic oracle held (see module docs).
+        pub oracle_ok: bool,
+        /// Recording fidelity held.
+        pub record_ok: bool,
+        /// Schedule hash matches the composition's `(panic, shard)` group —
+        /// perturbation and recording did not move the schedule.
+        pub invariant: bool,
+    }
 }
 
-/// The full mixed-scenario result.
-#[derive(Clone, Debug)]
-pub struct MatrixReport {
-    /// Worker threads per runtime (per domain when sharded).
-    pub threads: usize,
-    /// Master seed of the perturbation plans.
-    pub base_seed: u64,
-    /// Compositions run (16).
-    pub compositions: u64,
-    /// Total executions.
-    pub total_runs: u64,
-    /// Per-composition rows.
-    pub cells: Vec<MatrixCell>,
-    /// Every oracle held in every composition.
-    pub passed: bool,
+dmt_bench::json_record! {
+    /// What the mixed matrix reports beside its cells.
+    #[derive(Clone, Copy, Debug)]
+    pub struct MatrixCount {
+        /// Compositions run (16).
+        pub compositions: u64,
+    }
 }
 
-json_struct!(MatrixCell {
-    perturb,
-    panic,
-    shard,
-    record,
-    runs,
-    schedule_hash,
-    panics,
-    deterministic,
-    oracle_ok,
-    record_ok,
-    invariant
-});
+/// The full mixed-scenario result. `threads` are workers per runtime (per
+/// domain when sharded); `seeds` is the invoking configuration's and does
+/// not size this mode (each composition runs twice).
+pub type MatrixReport = Report<MatrixCell, MatrixCount>;
 
-json_struct!(MatrixReport {
-    threads,
-    base_seed,
-    compositions,
-    total_runs,
-    cells,
-    passed
-});
+impl Table for MatrixCell {
+    const COLS: &'static [Col<Self>] = &[
+        ("perturb", -9, |c| on_off(c.perturb)),
+        ("panic", -7, |c| on_off(c.panic)),
+        ("shard", -7, |c| on_off(c.shard)),
+        ("record", -8, |c| on_off(c.record)),
+        ("schedule_hash", 20, |c| hex(c.schedule_hash)),
+        ("panics", 8, |c| c.panics.to_string()),
+        ("verdict", 8, |c| {
+            if c.ok() { "ok" } else { "FAILED" }.to_string()
+        }),
+    ];
+
+    fn ok(&self) -> bool {
+        self.deterministic && self.oracle_ok && self.record_ok && self.invariant
+    }
+}
+
+fn on_off(axis: bool) -> String {
+    if axis { "on" } else { "-" }.to_string()
+}
+
+impl Notes for MatrixReport {}
 
 /// The unsharded server under one composition: the registry `dmt_server`
 /// workload on a single Consequence-IC runtime.
-fn run_unsharded(c: Comp, threads: usize, scale: u32, input_seed: u64, base_seed: u64) -> CompRun {
-    let w = workload_by_name("dmt_server").expect("registry has dmt_server");
-    let p = Params::new(threads, scale, input_seed);
-    let mem = c.record.then(|| Arc::new(MemorySink::new(MATRIX_RING)));
-    let trace = match &mem {
-        Some(s) => TraceHandle::to(Arc::clone(s) as _),
-        None => TraceHandle::to(Arc::new(HashSink::new()) as _),
-    };
+fn run_unsharded(c: Comp, cfg: &StressConfig) -> CompRun {
     let timing = c
         .perturb
-        .then(|| PerturbPlan::full(mix64(base_seed ^ MATRIX_SALT)));
+        .then(|| PerturbPlan::full(mix64(cfg.base_seed ^ MATRIX_SALT)));
     // The victim is a pool worker (never the driver): its death is
     // contained, the survivors keep serving, the run completes short.
     let killer = c.panic.then_some((PanicSite::Commit, Tid(1), 1));
-    let cfg = CommonConfig {
-        heap_pages: w.heap_pages(&p),
-        max_threads: threads + 2,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: usize::MAX,
-        trace,
-        perturb: composite(timing, killer),
-        witness: WitnessHandle::off(),
-    };
     let mut opts = Options::consequence_ic();
     if c.panic {
         // A dead worker can starve the epoch; a short watchdog turns that
         // into a prompt contained shutdown instead of a 5 s stall.
         opts.watchdog_stall_ms = Some(500);
     }
-    let mut rt = ConsequenceRuntime::new(cfg, opts);
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
-    let v = (prepared.validate)(&rt);
-    let record_ok = mem.is_none_or(|s| {
-        let (events, dropped) = s.take();
+    // The configuration one shard domain runs its server under, so the
+    // unsharded groups are comparable with the sharded ones.
+    let r = Cell {
+        max_threads: cfg.threads + 2,
+        gc_budget: usize::MAX,
+        sink: if c.record {
+            Sink::Memory(MATRIX_RING)
+        } else {
+            Sink::Hash
+        },
+        ..cfg.cell("dmt_server", opts, composite(timing, killer))
+    }
+    .run();
+    let record_ok = r.events.is_none_or(|(events, dropped)| {
         let mut h = Fnv1a::new();
         for ev in &events {
             ev.fold(&mut h);
         }
-        dropped == 0 && !events.is_empty() && h.digest() == report.schedule_hash
+        dropped == 0 && !events.is_empty() && h.digest() == r.report.schedule_hash
     });
     CompRun {
-        schedule_hash: report.schedule_hash,
-        semantic_hash: v.output_hash,
-        panics: report.panics.len() as u64,
-        complete: v.matches_reference,
+        schedule_hash: r.report.schedule_hash,
+        semantic_hash: r.validation.output_hash,
+        panics: r.report.panics.len() as u64,
+        complete: r.validation.matches_reference,
         record_ok,
     }
 }
 
 /// The sharded server under one composition: [`MATRIX_SHARDS`] token
 /// domains, hooks carrying the scenario into each domain's config.
-fn run_sharded(c: Comp, workers: usize, scale: u32, input_seed: u64, base_seed: u64) -> CompRun {
+fn run_sharded(c: Comp, stress: &StressConfig) -> CompRun {
+    let workers = stress.threads;
+    let base_seed = stress.base_seed;
     let mut cfg = ShardCfg::new(
         MATRIX_SHARDS,
         workers,
-        Params::new(workers, scale, input_seed),
+        Params::new(workers, stress.scale, stress.input_seed),
     );
     cfg.capture = if c.record {
         CaptureMode::Events
@@ -291,43 +284,22 @@ fn run_sharded(c: Comp, workers: usize, scale: u32, input_seed: u64, base_seed: 
     }
 }
 
-/// Sequential-reference store digest, folded exactly like
-/// `ShardReport::store_hash`.
-fn reference_store_hash(spec: &ServerSpec) -> u64 {
-    let mut h = Fnv1a::new();
-    for (k, v) in spec.expected_store().iter().enumerate() {
-        h.update(&(k as u64).to_le_bytes());
-        h.update(&v.to_le_bytes());
-    }
-    h.digest()
-}
-
-fn run_composition(c: Comp, threads: usize, scale: u32, input_seed: u64, seed: u64) -> CompRun {
-    if c.shard {
-        run_sharded(c, threads, scale, input_seed, seed)
-    } else {
-        run_unsharded(c, threads, scale, input_seed, seed)
-    }
-}
-
-/// Runs all 16 compositions and returns the report. `progress` is called
-/// once per finished composition.
-pub fn run_mixed_matrix(
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    base_seed: u64,
-    mut progress: impl FnMut(&MatrixCell),
-) -> MatrixReport {
+/// Runs all 16 compositions on `cfg`'s geometry and master seed and
+/// returns the report. `progress` is called once per finished composition.
+pub fn run_mixed_matrix(cfg: &StressConfig, mut progress: impl FnMut(&MatrixCell)) -> MatrixReport {
     // Group anchor: schedule and semantic hash per (panic, shard); the
     // other two axes must not move either.
     let mut anchors: [Option<(u64, u64)>; 4] = [None; 4];
     let mut cells = Vec::with_capacity(16);
-    let mut total_runs = 0u64;
     for c in Comp::all() {
-        let a = run_composition(c, threads, scale, input_seed, base_seed);
-        let b = run_composition(c, threads, scale, input_seed, base_seed);
-        total_runs += 2;
+        let run = || {
+            if c.shard {
+                run_sharded(c, cfg)
+            } else {
+                run_unsharded(c, cfg)
+            }
+        };
+        let (a, b) = (run(), run());
         let deterministic = a.schedule_hash == b.schedule_hash
             && a.semantic_hash == b.semantic_hash
             && a.panics == b.panics
@@ -341,7 +313,6 @@ pub fn run_mixed_matrix(
         };
         let group = (c.panic as usize) | ((c.shard as usize) << 1);
         let anchor = *anchors[group].get_or_insert((a.schedule_hash, a.semantic_hash));
-        let invariant = (a.schedule_hash, a.semantic_hash) == anchor;
         let cell = MatrixCell {
             perturb: c.perturb,
             panic: c.panic,
@@ -353,22 +324,13 @@ pub fn run_mixed_matrix(
             deterministic,
             oracle_ok,
             record_ok: a.record_ok && b.record_ok,
-            invariant,
+            invariant: (a.schedule_hash, a.semantic_hash) == anchor,
         };
         progress(&cell);
         cells.push(cell);
     }
-    let passed = cells
-        .iter()
-        .all(|c| c.deterministic && c.oracle_ok && c.record_ok && c.invariant);
-    MatrixReport {
-        threads,
-        base_seed,
-        compositions: cells.len() as u64,
-        total_runs,
-        cells,
-        passed,
-    }
+    let compositions = cells.len() as u64;
+    Report::new(cfg, 2 * compositions, cells, MatrixCount { compositions })
 }
 
 #[cfg(test)]
@@ -378,13 +340,15 @@ mod tests {
 
     #[test]
     fn mixed_matrix_passes_at_smoke_size() {
-        let report = run_mixed_matrix(3, 1, 7, 0xC0FF_EE00, |_| {});
-        assert_eq!(report.compositions, 16);
+        let cfg = StressConfig {
+            threads: 3,
+            input_seed: 7,
+            ..StressConfig::smoke()
+        };
+        let report = run_mixed_matrix(&cfg, |_| {});
+        assert_eq!(report.extra.compositions, 16);
         for c in &report.cells {
-            assert!(
-                c.deterministic && c.oracle_ok && c.record_ok && c.invariant,
-                "composition failed: {c:?}"
-            );
+            assert!(c.ok(), "composition failed: {c:?}");
         }
         assert!(report.passed);
         // The flagship composition — all four axes in one run — must have

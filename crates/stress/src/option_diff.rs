@@ -1,0 +1,185 @@
+//! `stress --sched-diff` / `--pipe-diff`: A/B differential validation of
+//! an optimization against the path it replaced.
+//!
+//! Two optimizations in the Consequence runtime keep their predecessor
+//! alive as an oracle, selected by `Options::without`:
+//!
+//! * the **fast scheduler** (`fast_sched`) — lock-free publication slots,
+//!   targeted per-thread wakeups and O(log T) eligibility queues
+//!   (`det_clock::fast`) in place of the reference scheduler's
+//!   global-lock clock table and `notify_all` handoff. It may change how
+//!   fast a grant happens, never which thread gets it;
+//! * the **commit pipeline** (`pipeline_commit`) — byte merging,
+//!   commit-log folding, GC execution and twin preparation moved off the
+//!   token's critical path onto a background settle pool. Every deferred
+//!   cost is charged to the owning thread's logical clock at publish time
+//!   and the pool's ordered frontier folds the commit log in exactly the
+//!   serial order, so nothing the schedule or the program can observe
+//!   may move.
+//!
+//! Both contracts have one shape, and so one check: for every workload ×
+//! every Consequence-backed runtime (dwc, consequence-rr, consequence-ic)
+//! run the preset (A) and the preset without the toggle (B) over the same
+//! perturbation-seed matrix the main fuzzer uses, and require every run —
+//! baseline and perturbed, A and B — to produce the same schedule hash,
+//! the same output hash **and the same commit-log hash**. A single
+//! divergent grant anywhere in the run changes the schedule hash; the
+//! commit-log digest folds `(version, committer, page, page-content
+//! hash)` for every committed page, so a settle that merged wrong bytes,
+//! folded out of order, or ran GC against the wrong chain state diverges
+//! even when the program output happens not to.
+
+use consequence::replay::options_for_label;
+use dmt_api::{PerturbHandle, PerturbPlan};
+use dmt_bench::json::ToJson;
+
+use crate::report::{hex, Col, NoExtra, Notes, Report, Table};
+use crate::{plan_handle, StressConfig};
+
+/// One row of the A/B differential: which option is toggled off for the B
+/// side, the salt that keeps the row on plans of its own, and what the
+/// two sides are called in the report.
+#[derive(Clone, Copy, Debug)]
+pub struct OptionDiff {
+    /// The `Options::without` name of the optimization under test.
+    pub toggle: &'static str,
+    pub salt: u64,
+    /// Label of the A side (optimization on, the preset).
+    pub with: &'static str,
+    /// Label of the B side (the retained oracle).
+    pub without: &'static str,
+}
+
+/// Fast vs reference scheduler.
+pub const SCHED_DIFF: OptionDiff = OptionDiff {
+    toggle: "fast_sched",
+    salt: 0x5C4E_D1FF,
+    with: "fast",
+    without: "reference",
+};
+
+/// Pipelined vs serial commit.
+pub const PIPE_DIFF: OptionDiff = OptionDiff {
+    toggle: "pipeline_commit",
+    salt: 0x919E_D1FF,
+    with: "pipelined",
+    without: "serial",
+};
+
+/// One workload × runtime cell of an A/B matrix.
+#[derive(Clone, Debug)]
+pub struct OptionDiffCell {
+    /// The row this cell belongs to (names the two hash members).
+    pub diff: OptionDiff,
+    pub workload: String,
+    pub runtime: String,
+    /// Total runs in the cell: (A + B) × (baseline + seeds).
+    pub runs: u64,
+    /// Unperturbed schedule hash with the optimization on.
+    pub with_hash: u64,
+    /// Unperturbed schedule hash under the oracle.
+    pub without_hash: u64,
+    /// Every run (both sides, every seed) hashed to `with_hash`.
+    pub schedules_match: bool,
+    /// Every run produced the same output hash.
+    pub outputs_match: bool,
+    /// Every run folded the same commit-log digest.
+    pub commit_logs_match: bool,
+    /// Every run matched the sequential reference output.
+    pub validated: bool,
+}
+
+impl ToJson for OptionDiffCell {
+    /// The two hash members are keyed by the row's side labels
+    /// (`fast_hash` / `reference_hash`, `pipelined_hash` / `serial_hash`).
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&format!(
+            "{{\"workload\":{},\"runtime\":{},\"runs\":{},\"{}_hash\":{},\"{}_hash\":{},\
+             \"schedules_match\":{},\"outputs_match\":{},\"commit_logs_match\":{},\
+             \"validated\":{}}}",
+            self.workload.to_json(),
+            self.runtime.to_json(),
+            self.runs,
+            self.diff.with,
+            self.with_hash,
+            self.diff.without,
+            self.without_hash,
+            self.schedules_match,
+            self.outputs_match,
+            self.commit_logs_match,
+            self.validated
+        ));
+    }
+}
+
+impl Table for OptionDiffCell {
+    const COLS: &'static [Col<Self>] = &[
+        ("workload", -16, |c| c.workload.clone()),
+        ("runtime", -16, |c| c.runtime.clone()),
+        ("runs", 6, |c| c.runs.to_string()),
+        ("with", 20, |c| hex(c.with_hash)),
+        ("without", 20, |c| hex(c.without_hash)),
+        ("verdict", 11, |c| {
+            if c.ok() { "identical" } else { "DIVERGED" }.to_string()
+        }),
+    ];
+
+    fn ok(&self) -> bool {
+        self.schedules_match && self.outputs_match && self.commit_logs_match && self.validated
+    }
+}
+
+impl Notes for Report<OptionDiffCell> {}
+
+/// Runs the A/B matrix of `diff` and returns the report.
+///
+/// Non-Consequence runtimes in `cfg.runtimes` are skipped (they have
+/// neither a scheduler to swap nor a commit path to pipeline). `progress`
+/// is called once per finished cell.
+pub fn run_option_diff(
+    cfg: &StressConfig,
+    diff: OptionDiff,
+    mut progress: impl FnMut(&OptionDiffCell),
+) -> Report<OptionDiffCell> {
+    let mut cells = Vec::new();
+    let mut total_runs = 0u64;
+
+    for (name, kind, cell_salt) in cfg.grid(diff.salt) {
+        let Some(with) = options_for_label(kind.label()) else {
+            continue;
+        };
+        let without = with.clone().without(diff.toggle);
+        // One A run and one B run, each under its own executor of `plan`.
+        let mut pair = |plan: Option<&PerturbPlan>| {
+            total_runs += 2;
+            [&with, &without].map(|opts| {
+                let perturb = plan.map_or_else(PerturbHandle::off, plan_handle);
+                cfg.cell(name, opts.clone(), perturb).run()
+            })
+        };
+
+        let [a, b] = pair(None);
+        let mut cell = OptionDiffCell {
+            diff,
+            workload: name.to_string(),
+            runtime: kind.label().to_string(),
+            runs: 2 * (1 + cfg.seeds),
+            with_hash: a.report.schedule_hash,
+            without_hash: b.report.schedule_hash,
+            schedules_match: true,
+            outputs_match: true,
+            commit_logs_match: true,
+            validated: true,
+        };
+        let perturbed = cfg.plans(cell_salt).flat_map(|plan| pair(Some(&plan)));
+        for run in [a.clone(), b].into_iter().chain(perturbed) {
+            cell.schedules_match &= run.report.schedule_hash == a.report.schedule_hash;
+            cell.outputs_match &= run.validation.output_hash == a.validation.output_hash;
+            cell.commit_logs_match &= run.report.commit_log_hash == a.report.commit_log_hash;
+            cell.validated &= run.validation.matches_reference;
+        }
+        progress(&cell);
+        cells.push(cell);
+    }
+    Report::new(cfg, total_runs, cells, NoExtra)
+}

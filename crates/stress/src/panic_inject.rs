@@ -24,11 +24,11 @@
 
 use std::sync::Arc;
 
+use consequence::replay::options_for_label;
 use dmt_api::{PanicSite, PerturbHandle, PerturbSite, Perturber, Tid};
-use dmt_baselines::RuntimeKind;
-use dmt_bench::json_struct;
 
-use crate::{mix64, run_workload, CellRun, StressConfig};
+use crate::report::{yes_no, Col, Notes, Report, Table};
+use crate::{mix64, StressConfig};
 
 /// Kills one thread at one deterministic point: thread `victim`, at its
 /// `nth` operation of class `site`. The decision is a pure function of
@@ -70,74 +70,69 @@ impl Perturber for PanicInjector {
     }
 }
 
-/// One workload × runtime cell of the panic-injection matrix.
-#[derive(Clone, Debug)]
-pub struct PanicCell {
-    pub workload: String,
-    pub runtime: String,
-    /// Total runs in the cell: 2 per seed (run + rerun).
-    pub runs: u64,
-    /// Seeds whose injected death actually fired (victim reached the site).
-    pub hits: u64,
-    /// Distinct contained panics observed across all firing seeds.
-    pub panics: u64,
-    /// Every rerun reproduced its run's schedule hash and panic set.
-    pub reproducible: bool,
-    /// Every non-firing run still matched the sequential reference.
-    pub validated: bool,
+dmt_bench::json_record! {
+    /// One workload × runtime cell of the panic-injection matrix.
+    #[derive(Clone, Debug)]
+    pub struct PanicCell {
+        pub workload: String,
+        pub runtime: String,
+        /// Total runs in the cell: 2 per seed (run + rerun).
+        pub runs: u64,
+        /// Seeds whose injected death actually fired (victim reached the site).
+        pub hits: u64,
+        /// Distinct contained panics observed across all firing seeds.
+        pub panics: u64,
+        /// Every rerun reproduced its run's schedule hash and panic set.
+        pub reproducible: bool,
+        /// Every non-firing run still matched the sequential reference.
+        pub validated: bool,
+    }
+}
+
+dmt_bench::json_record! {
+    /// What panic injection reports beside its cells.
+    #[derive(Clone, Copy, Debug)]
+    pub struct PanicExtra {
+        /// Runs in which an injected death fired, across the whole matrix.
+        pub total_hits: u64,
+    }
 }
 
 /// The full panic-injection result.
-#[derive(Clone, Debug)]
-pub struct PanicInjectReport {
-    pub threads: usize,
-    pub seeds: u64,
-    pub base_seed: u64,
-    pub total_runs: u64,
-    /// Runs in which an injected death fired, across the whole matrix.
-    pub total_hits: u64,
-    pub cells: Vec<PanicCell>,
-    pub passed: bool,
+pub type PanicInjectReport = Report<PanicCell, PanicExtra>;
+
+impl Table for PanicCell {
+    const COLS: &'static [Col<Self>] = &[
+        ("workload", -16, |c| c.workload.clone()),
+        ("runtime", -16, |c| c.runtime.clone()),
+        ("runs", 6, |c| c.runs.to_string()),
+        ("hits", 6, |c| c.hits.to_string()),
+        ("panics", 8, |c| c.panics.to_string()),
+        ("reproducible", 14, |c| yes_no(c.reproducible)),
+        ("validated", 11, |c| yes_no(c.validated)),
+    ];
+
+    fn ok(&self) -> bool {
+        self.reproducible && self.validated
+    }
 }
 
-json_struct!(PanicCell {
-    workload,
-    runtime,
-    runs,
-    hits,
-    panics,
-    reproducible,
-    validated
-});
-
-json_struct!(PanicInjectReport {
-    threads,
-    seeds,
-    base_seed,
-    total_runs,
-    total_hits,
-    cells,
-    passed
-});
-
-/// The runtimes with panic containment (the Consequence family). Other
-/// kinds (pthreads, dthreads) make no containment promise and are skipped.
-fn contains_panics(kind: RuntimeKind) -> bool {
-    matches!(
-        kind,
-        RuntimeKind::Dwc | RuntimeKind::ConsequenceRr | RuntimeKind::ConsequenceIc
-    )
-}
-
-fn injector_handle(inj: PanicInjector) -> PerturbHandle {
-    PerturbHandle::to(Arc::new(inj))
+impl Notes for PanicInjectReport {
+    fn notes(&self) -> Vec<String> {
+        vec![format!(
+            "{} injected deaths contained",
+            self.extra.total_hits
+        )]
+    }
 }
 
 /// Runs the panic-injection matrix and returns the report.
 ///
-/// Passing requires every cell to be reproducible and validated, and at
-/// least one injected death to have fired somewhere — a matrix where no
-/// victim ever dies proves nothing about containment.
+/// Only the Consequence family makes a containment promise; other kinds
+/// (pthreads, dthreads) are skipped. Passing requires every cell to be
+/// reproducible and validated, and at least one injected death to have
+/// fired somewhere — a matrix where no victim ever dies proves nothing
+/// about containment.
 pub fn run_panic_inject(
     cfg: &StressConfig,
     mut progress: impl FnMut(&PanicCell),
@@ -146,72 +141,45 @@ pub fn run_panic_inject(
     let mut total_runs = 0u64;
     let mut total_hits = 0u64;
 
-    for (wi, name) in cfg.workloads.iter().enumerate() {
-        for (ki, &kind) in cfg.runtimes.iter().enumerate() {
-            if !contains_panics(kind) {
-                continue;
-            }
-            let cell_salt = mix64(cfg.base_seed ^ 0xFA17_0CE5 ^ ((wi as u64) << 32) ^ (ki as u64));
-            let mut hits = 0u64;
-            let mut panics = 0u64;
-            let mut reproducible = true;
-            let mut validated = true;
-
-            for s in 0..cfg.seeds {
-                let inj = PanicInjector::from_seed(cell_salt ^ (s + 1), cfg.threads);
-                let run_once = || -> CellRun {
-                    run_workload(
-                        kind,
-                        name,
-                        cfg.threads,
-                        cfg.scale,
-                        cfg.input_seed,
-                        injector_handle(inj),
-                    )
-                };
-                let a = run_once();
-                let b = run_once();
-                total_runs += 2;
-                let fired = !a.report.panics.is_empty();
-                if fired {
-                    hits += 1;
-                    total_hits += 1;
-                    panics += a.report.panics.len() as u64;
-                } else {
-                    // No death: the armed-but-unhit run must behave like a
-                    // healthy one.
-                    validated &= a.matches_reference && b.matches_reference;
-                }
-                reproducible &= a.schedule_hash == b.schedule_hash
-                    && a.report.panics == b.report.panics
-                    && a.output_hash == b.output_hash;
-            }
-
-            let cell = PanicCell {
-                workload: name.clone(),
-                runtime: kind.label().to_string(),
-                runs: 2 * cfg.seeds,
-                hits,
-                panics,
-                reproducible,
-                validated,
-            };
-            progress(&cell);
-            cells.push(cell);
+    for (name, kind, cell_salt) in cfg.grid(0xFA17_0CE5) {
+        if options_for_label(kind.label()).is_none() {
+            continue;
         }
+        let mut cell = PanicCell {
+            workload: name.to_string(),
+            runtime: kind.label().to_string(),
+            runs: 2 * cfg.seeds,
+            hits: 0,
+            panics: 0,
+            reproducible: true,
+            validated: true,
+        };
+        for seed in cfg.round_seeds(cell_salt) {
+            let inj = PanicInjector::from_seed(seed, cfg.threads);
+            let run_once = || cfg.cell(name, kind, PerturbHandle::to(Arc::new(inj))).run();
+            let a = run_once();
+            let b = run_once();
+            total_runs += 2;
+            if !a.report.panics.is_empty() {
+                cell.hits += 1;
+                cell.panics += a.report.panics.len() as u64;
+            } else {
+                // No death: the armed-but-unhit run must behave like a
+                // healthy one.
+                cell.validated &= a.validation.matches_reference && b.validation.matches_reference;
+            }
+            cell.reproducible &= a.report.schedule_hash == b.report.schedule_hash
+                && a.report.panics == b.report.panics
+                && a.validation.output_hash == b.validation.output_hash;
+        }
+        total_hits += cell.hits;
+        progress(&cell);
+        cells.push(cell);
     }
 
-    let passed =
-        !cells.is_empty() && total_hits > 0 && cells.iter().all(|c| c.reproducible && c.validated);
-    PanicInjectReport {
-        threads: cfg.threads,
-        seeds: cfg.seeds,
-        base_seed: cfg.base_seed,
-        total_runs,
-        total_hits,
-        cells,
-        passed,
-    }
+    let mut report = Report::new(cfg, total_runs, cells, PanicExtra { total_hits });
+    report.passed &= total_hits > 0;
+    report
 }
 
 #[cfg(test)]
@@ -244,7 +212,7 @@ mod tests {
             seeds: 2,
             base_seed: 1,
             total_runs: 4,
-            total_hits: 1,
+            extra: PanicExtra { total_hits: 1 },
             cells: vec![PanicCell {
                 workload: "histogram".into(),
                 runtime: "consequence-ic".into(),

@@ -19,126 +19,125 @@
 //! A single misrouted credit, lost rendezvous message or cross-domain
 //! schedule leak moves one of these digests.
 
-use std::sync::Arc;
-
-use consequence::{ConsequenceRuntime, Options};
-use dmt_api::{CommonConfig, CostModel, Fnv1a, HashSink, PerturbHandle, Runtime, TraceHandle};
-use dmt_bench::json_struct;
+use dmt_api::{Fnv1a, PerturbHandle};
+use dmt_baselines::RuntimeKind;
+use dmt_bench::cell::Cell;
 use dmt_shard::{run_sharded_server, CaptureMode, ShardCfg};
 use dmt_workloads::server::ServerSpec;
-use dmt_workloads::{workload_by_name, Params, Validation};
+use dmt_workloads::Params;
 
+use crate::report::{hex, Col, Notes, Report, Table};
 use crate::StressConfig;
 
 /// Shard counts the differential sweeps.
 pub const SHARD_COUNTS: [u32; 3] = [1, 2, 4];
 
-/// One shard count's differential result.
-#[derive(Clone, Debug)]
-pub struct ShardDiffCell {
-    /// Shard domains in this cell.
-    pub shards: u64,
-    /// Repeated runs executed.
-    pub runs: u64,
-    /// Combined schedule hash (identical across all runs when
-    /// `deterministic`).
-    pub schedule_hash: u64,
-    /// Final-store digest (must match the sequential reference).
-    pub store_hash: u64,
-    /// Combined output hash.
-    pub output_hash: u64,
-    /// Every repeat reproduced every per-domain hash and the combined
-    /// hashes bit for bit.
-    pub deterministic: bool,
-    /// The store digest equals the sequential reference's.
-    pub store_matches_reference: bool,
-    /// For the 1-shard cell: the root domain's schedule and output hashes
-    /// equal the unsharded registry workload's. (Vacuously true for
-    /// multi-shard cells.)
-    pub lockstep: bool,
+dmt_bench::json_record! {
+    /// One shard count's differential result.
+    #[derive(Clone, Debug)]
+    pub struct ShardDiffCell {
+        /// Shard domains in this cell.
+        pub shards: u64,
+        /// Repeated runs executed.
+        pub runs: u64,
+        /// Combined schedule hash (identical across all runs when
+        /// `deterministic`).
+        pub schedule_hash: u64,
+        /// Final-store digest (must match the sequential reference).
+        pub store_hash: u64,
+        /// Combined output hash.
+        pub output_hash: u64,
+        /// Every repeat reproduced every per-domain hash and the combined
+        /// hashes bit for bit.
+        pub deterministic: bool,
+        /// The store digest equals the sequential reference's.
+        pub store_matches_reference: bool,
+        /// For the 1-shard cell: the root domain's schedule and output hashes
+        /// equal the unsharded registry workload's. (Vacuously true for
+        /// multi-shard cells.)
+        pub lockstep: bool,
+    }
 }
 
-/// The full sharded-differential result.
-#[derive(Clone, Debug)]
-pub struct ShardDiffReport {
-    /// Pool workers per domain.
-    pub threads: usize,
-    /// Problem-size multiplier.
-    pub scale: u64,
-    /// Workload input seed.
-    pub input_seed: u64,
-    /// Runs per cell.
-    pub repeats: u64,
-    /// Schedule hash of the unsharded `dmt_server` registry run.
-    pub unsharded_hash: u64,
-    /// Sequential-reference store digest.
-    pub reference_store_hash: u64,
-    /// A non-zero shard-map seed still reproduced the reference store.
-    pub map_seed_store_ok: bool,
-    /// A non-zero shard-map seed produced a different schedule (the map
-    /// actually routes).
-    pub map_seed_schedule_moves: bool,
-    /// Per-shard-count cells.
-    pub cells: Vec<ShardDiffCell>,
-    /// Every oracle held.
-    pub passed: bool,
+dmt_bench::json_record! {
+    /// What the sharded differential reports beside its cells.
+    #[derive(Clone, Debug)]
+    pub struct ShardDiffExtra {
+        /// Problem-size multiplier.
+        pub scale: u64,
+        /// Workload input seed.
+        pub input_seed: u64,
+        /// Runs per cell.
+        pub repeats: u64,
+        /// Schedule hash of the unsharded `dmt_server` registry run.
+        pub unsharded_hash: u64,
+        /// Sequential-reference store digest.
+        pub reference_store_hash: u64,
+        /// A non-zero shard-map seed still reproduced the reference store.
+        pub map_seed_store_ok: bool,
+        /// A non-zero shard-map seed produced a different schedule (the map
+        /// actually routes).
+        pub map_seed_schedule_moves: bool,
+    }
 }
 
-json_struct!(ShardDiffCell {
-    shards,
-    runs,
-    schedule_hash,
-    store_hash,
-    output_hash,
-    deterministic,
-    store_matches_reference,
-    lockstep
-});
+/// The full sharded-differential result; `threads` are pool workers per
+/// domain.
+pub type ShardDiffReport = Report<ShardDiffCell, ShardDiffExtra>;
 
-json_struct!(ShardDiffReport {
-    threads,
-    scale,
-    input_seed,
-    repeats,
-    unsharded_hash,
-    reference_store_hash,
-    map_seed_store_ok,
-    map_seed_schedule_moves,
-    cells,
-    passed
-});
+impl Table for ShardDiffCell {
+    const COLS: &'static [Col<Self>] = &[
+        ("shards", -8, |c| c.shards.to_string()),
+        ("runs", 6, |c| c.runs.to_string()),
+        ("schedule_hash", 20, |c| hex(c.schedule_hash)),
+        ("store_hash", 20, |c| hex(c.store_hash)),
+        ("deterministic", 15, |c| c.deterministic.to_string()),
+        ("store_ok", 10, |c| c.store_matches_reference.to_string()),
+        ("lockstep", 10, |c| c.lockstep.to_string()),
+    ];
+
+    fn ok(&self) -> bool {
+        self.deterministic && self.store_matches_reference && self.lockstep
+    }
+}
+
+impl Notes for ShardDiffReport {
+    fn notes(&self) -> Vec<String> {
+        let x = &self.extra;
+        vec![
+            format!(
+                "map-seed check: store_ok={} schedule_moves={}",
+                x.map_seed_store_ok, x.map_seed_schedule_moves
+            ),
+            format!("unsharded hash {:#018x}", x.unsharded_hash),
+        ]
+    }
+}
 
 /// Runs the unsharded `dmt_server` registry workload under exactly the
 /// configuration a 1-shard domain runs, returning its schedule hash and
 /// output hash.
-fn run_unsharded(threads: usize, scale: u32, seed: u64) -> (u64, u64) {
-    let w = workload_by_name("dmt_server").expect("registry has dmt_server");
-    let p = Params::new(threads, scale, seed);
-    let sink = Arc::new(HashSink::new());
-    let cfg = CommonConfig {
-        heap_pages: w.heap_pages(&p),
-        max_threads: threads + 2,
-        cost: CostModel::default(),
-        track_lrc: false,
+fn run_unsharded(cfg: &StressConfig) -> (u64, u64) {
+    let r = Cell {
+        max_threads: cfg.threads + 2,
         gc_budget: usize::MAX,
-        trace: TraceHandle::to(Arc::clone(&sink) as _),
-        perturb: PerturbHandle::off(),
-        witness: dmt_api::WitnessHandle::off(),
-    };
-    let mut rt = ConsequenceRuntime::new(cfg, Options::consequence_ic());
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(&rt);
+        ..cfg.cell(
+            "dmt_server",
+            RuntimeKind::ConsequenceIc,
+            PerturbHandle::off(),
+        )
+    }
+    .run();
     assert!(
-        v.matches_reference,
+        r.validation.matches_reference,
         "unsharded dmt_server failed validation"
     );
-    (report.schedule_hash, v.output_hash)
+    (r.report.schedule_hash, r.validation.output_hash)
 }
 
 /// Sequential-reference store digest, folded exactly like
 /// `ShardReport::store_hash`.
-fn reference_store_hash(spec: &ServerSpec) -> u64 {
+pub(crate) fn reference_store_hash(spec: &ServerSpec) -> u64 {
     let mut h = Fnv1a::new();
     for (k, v) in spec.expected_store().iter().enumerate() {
         h.update(&(k as u64).to_le_bytes());
@@ -163,7 +162,7 @@ pub fn run_shard_diff(
     let repeats = cfg.seeds.max(2);
     let spec = ServerSpec::of(&Params::new(cfg.threads, cfg.scale, cfg.input_seed));
     let reference = reference_store_hash(&spec);
-    let (unsharded_hash, unsharded_out) = run_unsharded(cfg.threads, cfg.scale, cfg.input_seed);
+    let (unsharded_hash, unsharded_out) = run_unsharded(cfg);
 
     let mut cells = Vec::new();
     for &shards in &SHARD_COUNTS {
@@ -214,13 +213,7 @@ pub fn run_shard_diff(
     let map_seed_store_ok = seeded.store_hash == reference;
     let map_seed_schedule_moves = seeded.schedule_hash != base4.schedule_hash;
 
-    let passed = cells
-        .iter()
-        .all(|c| c.deterministic && c.store_matches_reference && c.lockstep)
-        && map_seed_store_ok
-        && map_seed_schedule_moves;
-    ShardDiffReport {
-        threads: cfg.threads,
+    let extra = ShardDiffExtra {
         scale: cfg.scale as u64,
         input_seed: cfg.input_seed,
         repeats,
@@ -228,9 +221,12 @@ pub fn run_shard_diff(
         reference_store_hash: reference,
         map_seed_store_ok,
         map_seed_schedule_moves,
-        cells,
-        passed,
-    }
+    };
+    // The unsharded run, `repeats` per shard count, the scrambled map.
+    let total_runs = 1 + repeats * SHARD_COUNTS.len() as u64 + 1;
+    let mut report = Report::new(cfg, total_runs, cells, extra);
+    report.passed &= map_seed_store_ok && map_seed_schedule_moves;
+    report
 }
 
 #[cfg(test)]

@@ -40,18 +40,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use consequence::replay::options_for_label;
-use consequence::ConsequenceRuntime;
-use dmt_api::{
-    CommonConfig, CostModel, FixedPanic, IoFaultKind, IoFaultPlan, PerturbHandle, Runtime,
-    TraceHandle,
-};
-use dmt_bench::json_struct;
-use dmt_bench::replay::{ident_meta, replay_file, Replayed};
-use dmt_trace::{DiskSink, Trace, TraceMedia};
-use dmt_workloads::{workload_by_name, Params};
+use dmt_api::{FixedPanic, IoFaultKind, IoFaultPlan, PerturbHandle};
+use dmt_bench::cell::{Cell, CellRun, Sink};
+use dmt_bench::replay::{cell_ident, replay_file, trace_files};
+use dmt_trace::{DiskSink, Trace, TraceMedia, TraceMeta};
+use dmt_workloads::Params;
 
-use crate::mix64;
 use crate::panic_inject::PanicInjector;
+use crate::report::{yes_no, Col, NoExtra, Notes, Report, Table};
+use crate::{mix64, StressConfig};
 
 /// Storage that fails on a seeded plan, for drilling the salvage path.
 ///
@@ -142,61 +139,65 @@ impl Seek for FaultyMedia {
 
 impl TraceMedia for FaultyMedia {}
 
-/// One chaos scenario outcome.
-#[derive(Clone, Debug)]
-pub struct ChaosCell {
-    /// Scenario name: `crash`, `panic`, `io-short-write`, `io-no-space`,
-    /// `io-torn-tail`, `sigkill`.
-    pub scenario: String,
-    pub workload: String,
-    pub seed: u64,
-    /// Events the salvage recovered from the torn container.
-    pub salvaged_events: u64,
-    /// Bytes past the tear the salvage gave up on.
-    pub bytes_lost: u64,
-    /// The fault as observed (injected description or `RunReport::fault`).
-    pub fault: String,
-    /// The torn container salvaged where a salvage was owed.
-    pub salvaged: bool,
-    /// Every replay of the salvaged prefix reproduced it (no divergence,
-    /// prefix hash equal, clean exhaustion).
-    pub reproduced: bool,
-    /// Two independent replays agreed with each other on the prefix
-    /// hash, replayed hash and exhaustion coordinates.
-    pub deterministic: bool,
+dmt_bench::json_record! {
+    /// One chaos scenario outcome.
+    #[derive(Clone, Debug)]
+    pub struct ChaosCell {
+        /// Scenario name: `crash`, `panic`, `io-short-write`, `io-no-space`,
+        /// `io-torn-tail`, `sigkill`.
+        pub scenario: String,
+        pub workload: String,
+        pub seed: u64,
+        /// Events the salvage recovered from the torn container.
+        pub salvaged_events: u64,
+        /// Bytes past the tear the salvage gave up on.
+        pub bytes_lost: u64,
+        /// The fault as observed (injected description or `RunReport::fault`).
+        pub fault: String,
+        /// The torn container salvaged where a salvage was owed.
+        pub salvaged: bool,
+        /// Every replay of the salvaged prefix reproduced it (no divergence,
+        /// prefix hash equal, clean exhaustion).
+        pub reproduced: bool,
+        /// Two independent replays agreed with each other on the prefix
+        /// hash, replayed hash and exhaustion coordinates.
+        pub deterministic: bool,
+    }
 }
 
-/// The full `--trace-chaos` result.
-#[derive(Clone, Debug)]
-pub struct TraceChaosReport {
-    pub threads: usize,
-    pub seeds: u64,
-    pub base_seed: u64,
-    pub total_runs: u64,
-    pub cells: Vec<ChaosCell>,
-    pub passed: bool,
+/// The full `--trace-chaos` result; `seeds` counts chaos rounds.
+pub type TraceChaosReport = Report<ChaosCell>;
+
+impl Table for ChaosCell {
+    const COLS: &'static [Col<Self>] = &[
+        ("scenario", -16, |c| c.scenario.clone()),
+        ("workload", -12, |c| c.workload.clone()),
+        ("salvaged", 10, |c| yes_no(c.salvaged)),
+        ("events", 12, |c| c.salvaged_events.to_string()),
+        ("lost", 10, |c| c.bytes_lost.to_string()),
+        ("reproduced", 12, |c| yes_no(c.reproduced)),
+        ("deterministic", 14, |c| yes_no(c.deterministic)),
+    ];
+
+    fn ok(&self) -> bool {
+        self.salvaged && self.reproduced && self.deterministic
+    }
 }
 
-json_struct!(ChaosCell {
-    scenario,
-    workload,
-    seed,
-    salvaged_events,
-    bytes_lost,
-    fault,
-    salvaged,
-    reproduced,
-    deterministic
-});
-
-json_struct!(TraceChaosReport {
-    threads,
-    seeds,
-    base_seed,
-    total_runs,
-    cells,
-    passed
-});
+impl Notes for TraceChaosReport {
+    /// What went wrong in each cell that did not hold.
+    fn notes(&self) -> Vec<String> {
+        let failed = self.cells.iter().filter(|c| !c.ok());
+        failed
+            .map(|c| {
+                format!(
+                    "UNREPRODUCED [{}] seed {:#x}: {}",
+                    c.scenario, c.seed, c.fault
+                )
+            })
+            .collect()
+    }
+}
 
 struct TmpDir(PathBuf);
 impl Drop for TmpDir {
@@ -218,64 +219,85 @@ fn tmpdir(tag: &str) -> TmpDir {
 const CHAOS_RUNTIME: &str = "consequence-ic";
 const CHAOS_WORKLOAD: &str = "reverse_index";
 
-/// Records one cell through `sink` (already attached media/file) without
-/// ever calling `finish` — the recording equivalent of dying. Returns
-/// the run's fault string, if the sink degraded it.
-fn record_and_abandon(
-    workload: &str,
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    perturb: PerturbHandle,
-    sink: Arc<DiskSink>,
-) -> Option<String> {
+/// The chaos cell on `cfg`'s geometry with input `seed`, and the
+/// write-ahead identity record it records under.
+fn chaos_cell(cfg: &StressConfig, seed: u64, perturb: PerturbHandle) -> (Cell, TraceMeta) {
     let opts = options_for_label(CHAOS_RUNTIME).expect("chaos runtime is a preset");
-    let w = workload_by_name(workload).expect("chaos workload exists");
-    let p = Params::new(threads, scale, input_seed);
-    let cfg = CommonConfig {
-        heap_pages: w.heap_pages(&p),
-        max_threads: 64,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: 4,
-        trace: TraceHandle::to(Arc::clone(&sink) as _),
+    let fingerprint = opts.fingerprint();
+    let cell = Cell {
         perturb,
-        witness: dmt_api::WitnessHandle::off(),
+        ..Cell::new(
+            CHAOS_WORKLOAD,
+            Params::new(cfg.threads, cfg.scale, seed),
+            opts,
+        )
     };
-    let mut rt = ConsequenceRuntime::new(cfg, opts);
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
+    let ident = cell_ident(CHAOS_RUNTIME, &cell, fingerprint);
+    (cell, ident)
+}
+
+/// Runs the chaos cell recording into `path` at flush cadence 1 — through
+/// [`FaultyMedia`] failing on `media` when given, a durable file otherwise.
+/// Returns the run, the still-unfinished sink and the identity record.
+fn record(
+    cfg: &StressConfig,
+    seed: u64,
+    perturb: PerturbHandle,
+    path: &Path,
+    media: Option<IoFaultPlan>,
+) -> (CellRun, Arc<DiskSink>, TraceMeta) {
+    let (cell, ident) = chaos_cell(cfg, seed, perturb);
+    let sink = match media {
+        Some(plan) => {
+            let media = FaultyMedia::create(path, plan).expect("create faulty media");
+            DiskSink::create_on(Box::new(media), Some(&ident), 1)
+        }
+        None => DiskSink::create_durable(path, &ident, 1),
+    };
+    let sink = Arc::new(sink.expect("create chaos sink"));
+    let cell = Cell {
+        sink: Sink::To(Arc::clone(&sink) as _),
+        ..cell
+    };
+    (cell.run(), sink, ident)
+}
+
+/// [`record`]s without ever calling `finish` — the recording equivalent of
+/// dying. Returns the run's fault string, if the sink degraded it.
+fn record_torn(
+    cfg: &StressConfig,
+    seed: u64,
+    perturb: PerturbHandle,
+    path: &Path,
+    media: Option<IoFaultPlan>,
+) -> Option<String> {
+    let (run, sink, _) = record(cfg, seed, perturb, path, media);
     // Crash-consistency point: everything recorded so far reaches the OS
     // (ignore errors — faulty media may refuse), then the sink is dropped
     // without finish, leaving the container torn.
     let _ = sink.seal_and_flush();
-    report.fault
+    run.report.fault
 }
 
-/// The write-ahead identity record the chaos cells record under.
-fn chaos_ident(
-    threads: usize,
-    scale: u32,
-    input_seed: u64,
-    perturb: &PerturbHandle,
-) -> dmt_trace::TraceMeta {
-    let opts = options_for_label(CHAOS_RUNTIME).expect("chaos runtime is a preset");
-    let w = workload_by_name(CHAOS_WORKLOAD).expect("chaos workload exists");
-    let p = Params::new(threads, scale, input_seed);
-    ident_meta(
-        CHAOS_RUNTIME,
-        CHAOS_WORKLOAD,
-        threads,
-        scale,
-        input_seed,
-        w.heap_pages(&p),
-        64,
-        opts.fingerprint(),
-        perturb,
-    )
+/// Replays `path` twice: whether both reproduced the recording, and
+/// whether they agree with each other on the prefix hash, replayed hash
+/// and exhaustion coordinates.
+fn replay_twice(path: &Path, total_runs: &mut u64) -> (bool, bool) {
+    *total_runs += 2;
+    match (replay_file(path), replay_file(path)) {
+        (Ok(a), Ok(b)) => (
+            a.ok() && b.ok(),
+            a.prefix_hash == b.prefix_hash
+                && a.replayed_hash == b.replayed_hash
+                && a.exhausted_at == b.exhausted_at
+                && a.replayed_events == b.replayed_events,
+        ),
+        _ => (false, false),
+    }
 }
 
-/// Salvages `path` and replays it twice, folding the outcome into a cell.
+/// Salvages the torn recording at `path` and replays it twice, folding the
+/// outcome (and the recording run itself) into a cell.
 fn salvage_and_replay(
     scenario: &str,
     seed: u64,
@@ -283,18 +305,13 @@ fn salvage_and_replay(
     path: &Path,
     total_runs: &mut u64,
 ) -> ChaosCell {
+    *total_runs += 1;
     let (salvaged, salvaged_events, bytes_lost) = match Trace::salvage(path) {
         Ok(p) => (true, p.trace.meta.event_count, p.loss.bytes_lost),
         Err(_) => (false, 0, 0),
     };
     let (reproduced, deterministic) = if salvaged && salvaged_events > 0 {
-        let a = replay_file(path);
-        let b = replay_file(path);
-        *total_runs += 2;
-        match (a, b) {
-            (Ok(a), Ok(b)) => (a.ok() && b.ok(), replays_agree(&a, &b)),
-            _ => (false, false),
-        }
+        replay_twice(path, total_runs)
     } else {
         // Nothing recoverable to replay: reproduction is vacuous, but
         // the salvage verdict still gates the cell.
@@ -313,73 +330,35 @@ fn salvage_and_replay(
     }
 }
 
-fn replays_agree(a: &Replayed, b: &Replayed) -> bool {
-    a.prefix_hash == b.prefix_hash
-        && a.replayed_hash == b.replayed_hash
-        && a.exhausted_at == b.exhausted_at
-        && a.replayed_events == b.replayed_events
-}
-
 /// Scenario 1: durable recording dropped without `finish`.
-fn crash_cell(
-    dir: &Path,
-    threads: usize,
-    scale: u32,
-    seed: u64,
-    total_runs: &mut u64,
-) -> ChaosCell {
+fn crash_cell(dir: &Path, cfg: &StressConfig, seed: u64, total_runs: &mut u64) -> ChaosCell {
     let path = dir.join(format!("crash-{seed}.dmtrace"));
-    let perturb = PerturbHandle::off();
-    let ident = chaos_ident(threads, scale, seed, &perturb);
-    let sink = Arc::new(DiskSink::create_durable(&path, &ident, 1).expect("create durable sink"));
-    let fault = record_and_abandon(CHAOS_WORKLOAD, threads, scale, seed, perturb, sink);
-    *total_runs += 1;
-    salvage_and_replay(
-        "crash",
-        seed,
-        fault.unwrap_or_else(|| "simulated crash: sink dropped without finish".into()),
-        &path,
-        total_runs,
-    )
+    let fault = record_torn(cfg, seed, PerturbHandle::off(), &path, None)
+        .unwrap_or_else(|| "simulated crash: sink dropped without finish".into());
+    salvage_and_replay("crash", seed, fault, &path, total_runs)
 }
 
 /// Scenario 2: a seeded [`FixedPanic`] kills one victim mid-run; the
 /// recording of the panicked run is then torn. The salvaged prefix
 /// contains the contained death, so two agreeing replays reproduce the
 /// failure at its fault point.
-fn panic_cell(
-    dir: &Path,
-    threads: usize,
-    scale: u32,
-    seed: u64,
-    total_runs: &mut u64,
-) -> ChaosCell {
+fn panic_cell(dir: &Path, cfg: &StressConfig, seed: u64, total_runs: &mut u64) -> ChaosCell {
     let path = dir.join(format!("panic-{seed}.dmtrace"));
-    let inj = PanicInjector::from_seed(seed, threads);
+    let PanicInjector { site, victim, nth } = PanicInjector::from_seed(seed, cfg.threads);
     let perturb = PerturbHandle::to(Arc::new(FixedPanic {
-        site: inj.site,
-        victim: inj.victim,
-        nth: inj.nth,
+        site,
+        victim,
+        nth,
         inner: PerturbHandle::off(),
     }));
-    let ident = chaos_ident(threads, scale, seed, &perturb);
-    let sink = Arc::new(DiskSink::create_durable(&path, &ident, 1).expect("create durable sink"));
-    let fault = record_and_abandon(CHAOS_WORKLOAD, threads, scale, seed, perturb, sink);
-    *total_runs += 1;
-    salvage_and_replay(
-        "panic",
-        seed,
-        fault.unwrap_or_else(|| {
-            format!(
-                "injected panic: {} victim {} nth {}",
-                inj.site.name(),
-                inj.victim.0,
-                inj.nth
-            )
-        }),
-        &path,
-        total_runs,
-    )
+    let fault = record_torn(cfg, seed, perturb, &path, None).unwrap_or_else(|| {
+        format!(
+            "injected panic: {} victim {} nth {nth}",
+            site.name(),
+            victim.0
+        )
+    });
+    salvage_and_replay("panic", seed, fault, &path, total_runs)
 }
 
 /// Scenario 3: the sink writes through seeded [`FaultyMedia`]. Erroring
@@ -387,42 +366,28 @@ fn panic_cell(
 /// write failure — and the surviving bytes must salvage and replay.
 fn io_fault_cell(
     dir: &Path,
-    threads: usize,
-    scale: u32,
+    cfg: &StressConfig,
     seed: u64,
     kind: IoFaultKind,
     total_runs: &mut u64,
 ) -> ChaosCell {
     let path = dir.join(format!("io-{kind}-{seed}.dmtrace"));
-    let mut plan = IoFaultPlan::from_seed(seed);
-    plan.kind = kind;
-    let perturb = PerturbHandle::off();
-    let ident = chaos_ident(threads, scale, seed, &perturb);
-    let media = FaultyMedia::create(&path, plan).expect("create faulty media");
-    let sink = Arc::new(
-        DiskSink::create_on(Box::new(media), Some(&ident), 1).expect("create sink on faulty media"),
-    );
-    let fault = record_and_abandon(CHAOS_WORKLOAD, threads, scale, seed, perturb, sink);
-    *total_runs += 1;
-    let scenario = format!("io-{kind}");
-    let mut cell = salvage_and_replay(
-        &scenario,
-        seed,
-        fault
-            .clone()
-            .unwrap_or_else(|| format!("injected {plan} (run not degraded)")),
-        &path,
-        total_runs,
-    );
+    let plan = IoFaultPlan {
+        kind,
+        ..IoFaultPlan::from_seed(seed)
+    };
+    let fault = record_torn(cfg, seed, PerturbHandle::off(), &path, Some(plan));
+    let degraded = fault
+        .as_ref()
+        .is_some_and(|f| f.contains("degraded recording"));
+    let fault = fault.unwrap_or_else(|| format!("injected {plan} (run not degraded)"));
+    let mut cell = salvage_and_replay(&format!("io-{kind}"), seed, fault, &path, total_runs);
     // Erroring media must have surfaced as a degraded recording — a
     // silently lost trace is its own failure (torn tails are silent by
     // construction; their betrayal is caught at salvage instead).
-    if kind != IoFaultKind::TornTail {
-        let degraded = fault.is_some_and(|f| f.contains("degraded recording"));
-        cell.reproduced &= degraded;
-        if !degraded {
-            cell.fault = format!("{} — but RunReport::fault never surfaced it", cell.fault);
-        }
+    if kind != IoFaultKind::TornTail && !degraded {
+        cell.reproduced = false;
+        cell.fault = format!("{} — but RunReport::fault never surfaced it", cell.fault);
     }
     cell
 }
@@ -436,7 +401,7 @@ fn io_fault_cell(
 /// full traces; the torn last one exercises the salvage path. Files too
 /// young to carry the write-ahead anchor (the kill raced the first
 /// flush) are skipped — durability starts at the anchor.
-fn sigkill_cell(threads: usize, scale: u32, seed: u64, total_runs: &mut u64) -> ChaosCell {
+fn sigkill_cell(cfg: &StressConfig, seed: u64, total_runs: &mut u64) -> ChaosCell {
     let dir = tmpdir(&format!("sigkill-{seed}"));
     let exe = match std::env::current_exe() {
         Ok(e) => e,
@@ -458,9 +423,9 @@ fn sigkill_cell(threads: usize, scale: u32, seed: u64, total_runs: &mut u64) -> 
         .arg("--chaos-child")
         .arg(&dir.0)
         .arg("--threads")
-        .arg(threads.to_string())
+        .arg(cfg.threads.to_string())
         .arg("--scale")
-        .arg(scale.to_string())
+        .arg(cfg.scale.to_string())
         .arg("--base-seed")
         .arg(seed.to_string())
         .stdout(std::process::Stdio::null())
@@ -485,15 +450,7 @@ fn sigkill_cell(threads: usize, scale: u32, seed: u64, total_runs: &mut u64) -> 
     let _ = child.wait();
     *total_runs += 1;
 
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir.0)
-        .ok()
-        .into_iter()
-        .flatten()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "dmtrace"))
-        .collect();
-    files.sort();
+    let files = trace_files(&dir.0).unwrap_or_default();
     let mut salvaged_events = 0u64;
     let mut bytes_lost = 0u64;
     let mut owed = 0u64;
@@ -509,19 +466,9 @@ fn sigkill_cell(threads: usize, scale: u32, seed: u64, total_runs: &mut u64) -> 
                 salvaged_events += p.trace.meta.event_count;
                 bytes_lost += p.loss.bytes_lost;
                 if p.trace.meta.event_count > 0 {
-                    let a = replay_file(f);
-                    let b = replay_file(f);
-                    *total_runs += 2;
-                    match (a, b) {
-                        (Ok(a), Ok(b)) => {
-                            reproduced &= a.ok() && b.ok();
-                            deterministic &= replays_agree(&a, &b);
-                        }
-                        _ => {
-                            reproduced = false;
-                            deterministic = false;
-                        }
-                    }
+                    let (both_ok, agree) = replay_twice(f, total_runs);
+                    reproduced &= both_ok;
+                    deterministic &= agree;
                 }
             }
             // A file the kill caught before the anchor flush has nothing
@@ -552,34 +499,14 @@ fn sigkill_cell(threads: usize, scale: u32, seed: u64, total_runs: &mut u64) -> 
 
 /// The child side of the SIGKILL scenario: records durable containers in
 /// a loop (cadence 1 — every page flushed) until killed. Never returns.
-pub fn run_chaos_child(dir: &Path, threads: usize, scale: u32, base_seed: u64) -> ! {
+pub fn run_chaos_child(dir: &Path, cfg: &StressConfig) -> ! {
     std::fs::create_dir_all(dir).expect("create chaos child dir");
     let mut i = 0u64;
     loop {
-        let seed = base_seed ^ i;
         let path = dir.join(format!("kill-{i:04}.dmtrace"));
-        let perturb = PerturbHandle::off();
-        let ident = chaos_ident(threads, scale, seed, &perturb);
-        let sink =
-            Arc::new(DiskSink::create_durable(&path, &ident, 1).expect("create durable sink"));
-        let opts = options_for_label(CHAOS_RUNTIME).expect("chaos runtime is a preset");
-        let w = workload_by_name(CHAOS_WORKLOAD).expect("chaos workload exists");
-        let p = Params::new(threads, scale, seed);
-        let cfg = CommonConfig {
-            heap_pages: w.heap_pages(&p),
-            max_threads: 64,
-            cost: CostModel::default(),
-            track_lrc: false,
-            gc_budget: 4,
-            trace: TraceHandle::to(Arc::clone(&sink) as Arc<dyn dmt_api::trace::TraceSink>),
-            perturb,
-            witness: dmt_api::WitnessHandle::off(),
-        };
-        let mut rt = ConsequenceRuntime::new(cfg, opts);
-        let prepared = w.prepare(&mut rt, &p);
-        let report = rt.run(prepared.job);
-        let _ = sink.finish(dmt_trace::TraceMeta {
-            commit_log_hash: report.commit_log_hash,
+        let (run, sink, ident) = record(cfg, cfg.base_seed ^ i, PerturbHandle::off(), &path, None);
+        let _ = sink.finish(TraceMeta {
+            commit_log_hash: run.report.commit_log_hash,
             ..ident
         });
         i += 1;
@@ -588,53 +515,34 @@ pub fn run_chaos_child(dir: &Path, threads: usize, scale: u32, base_seed: u64) -
 
 /// Runs the trace-chaos matrix and returns the report.
 ///
-/// `seeds` chaos rounds; each round runs the crash, panic and three
-/// I/O-fault scenarios, plus one real-SIGKILL scenario for the whole
-/// matrix (process spawning is the expensive part).
+/// One or two chaos rounds (`cfg.seeds`, clamped); each round runs the
+/// crash, panic and three I/O-fault scenarios, plus one real-SIGKILL
+/// scenario for the whole matrix (process spawning is the expensive part).
 pub fn run_trace_chaos(
-    threads: usize,
-    scale: u32,
-    seeds: u64,
-    base_seed: u64,
+    cfg: &StressConfig,
     mut progress: impl FnMut(&ChaosCell),
 ) -> TraceChaosReport {
+    let cfg = StressConfig {
+        seeds: cfg.seeds.clamp(1, 2),
+        ..cfg.clone()
+    };
     let dir = tmpdir("cells");
     let mut cells = Vec::new();
     let mut total_runs = 0u64;
-    for s in 0..seeds.max(1) {
-        let seed = mix64(base_seed ^ 0x7AC3_CAFE ^ (s + 1));
-        let c = crash_cell(&dir.0, threads, scale, seed, &mut total_runs);
+    let mut done = |c: ChaosCell| {
         progress(&c);
         cells.push(c);
-        let c = panic_cell(&dir.0, threads, scale, seed, &mut total_runs);
-        progress(&c);
-        cells.push(c);
+    };
+    for seed in cfg.round_seeds(cfg.base_seed ^ 0x7AC3_CAFE).map(mix64) {
+        done(crash_cell(&dir.0, &cfg, seed, &mut total_runs));
+        done(panic_cell(&dir.0, &cfg, seed, &mut total_runs));
         for kind in IoFaultKind::ALL {
-            let c = io_fault_cell(&dir.0, threads, scale, seed, kind, &mut total_runs);
-            progress(&c);
-            cells.push(c);
+            done(io_fault_cell(&dir.0, &cfg, seed, kind, &mut total_runs));
         }
     }
-    let c = sigkill_cell(
-        threads,
-        scale,
-        mix64(base_seed ^ 0x51_6B11),
-        &mut total_runs,
-    );
-    progress(&c);
-    cells.push(c);
-
-    let passed = cells
-        .iter()
-        .all(|c| c.salvaged && c.reproduced && c.deterministic);
-    TraceChaosReport {
-        threads,
-        seeds,
-        base_seed,
-        total_runs,
-        cells,
-        passed,
-    }
+    let kill_seed = mix64(cfg.base_seed ^ 0x51_6B11);
+    done(sigkill_cell(&cfg, kill_seed, &mut total_runs));
+    Report::new(&cfg, total_runs, cells, NoExtra)
 }
 
 #[cfg(test)]
@@ -642,6 +550,13 @@ mod tests {
     use super::*;
     use dmt_api::Tid;
     use dmt_trace::{TraceError, TraceWriter};
+
+    fn two_threads() -> StressConfig {
+        StressConfig {
+            threads: 2,
+            ..StressConfig::smoke()
+        }
+    }
 
     fn sample_events(n: u64) -> Vec<dmt_api::trace::Event> {
         (0..n)
@@ -704,33 +619,12 @@ mod tests {
     fn disk_write_error_degrades_the_run_report() {
         let dir = tmpdir("t-degrade");
         let path = dir.0.join("degraded.dmtrace");
-        let perturb = PerturbHandle::off();
-        let ident = chaos_ident(2, 1, 7, &perturb);
-        let media = FaultyMedia::create(
-            &path,
-            IoFaultPlan {
-                kind: IoFaultKind::NoSpace,
-                at_byte: 8 * 1024,
-            },
-        )
-        .unwrap();
-        let sink = Arc::new(DiskSink::create_on(Box::new(media), Some(&ident), 1).unwrap());
-        let opts = options_for_label(CHAOS_RUNTIME).unwrap();
-        let w = workload_by_name(CHAOS_WORKLOAD).unwrap();
-        let p = Params::new(2, 1, 7);
-        let cfg = CommonConfig {
-            heap_pages: w.heap_pages(&p),
-            max_threads: 64,
-            cost: CostModel::default(),
-            track_lrc: false,
-            gc_budget: 4,
-            trace: TraceHandle::to(Arc::clone(&sink) as _),
-            perturb,
-            witness: dmt_api::WitnessHandle::off(),
+        let plan = IoFaultPlan {
+            kind: IoFaultKind::NoSpace,
+            at_byte: 8 * 1024,
         };
-        let mut rt = ConsequenceRuntime::new(cfg, opts);
-        let prepared = w.prepare(&mut rt, &p);
-        let report = rt.run(prepared.job);
+        let (run, sink, ident) = record(&two_threads(), 7, PerturbHandle::off(), &path, Some(plan));
+        let report = run.report;
         let fault = report
             .fault
             .expect("write error must reach RunReport::fault");
@@ -755,7 +649,7 @@ mod tests {
     fn crash_cell_salvages_and_reproduces() {
         let dir = tmpdir("t-crash");
         let mut runs = 0;
-        let c = crash_cell(&dir.0, 2, 1, 11, &mut runs);
+        let c = crash_cell(&dir.0, &two_threads(), 11, &mut runs);
         assert!(c.salvaged, "{c:?}");
         assert!(c.reproduced, "{c:?}");
         assert!(c.deterministic, "{c:?}");
@@ -769,8 +663,7 @@ mod tests {
         // dropped bytes, so open() fails and salvage recovers the prefix.
         let dir = tmpdir("t-tornfull");
         let path = dir.0.join("torn.dmtrace");
-        let perturb = PerturbHandle::off();
-        let ident = chaos_ident(2, 1, 3, &perturb);
+        let (_, ident) = chaos_cell(&two_threads(), 3, PerturbHandle::off());
         let media = FaultyMedia::create(
             &path,
             IoFaultPlan {

@@ -14,8 +14,8 @@
 
 use dmt_baselines::RuntimeKind;
 use dmt_stress::{
-    mix64, run_matrix, run_mixed_matrix, run_panic_inject, run_pipe_diff, run_sched_diff,
-    run_shard_diff, StressConfig,
+    mix64, run_matrix, run_mixed_matrix, run_option_diff, run_panic_inject, run_shard_diff,
+    OptionDiff, StressConfig, PIPE_DIFF, SCHED_DIFF,
 };
 
 fn tiny() -> StressConfig {
@@ -56,45 +56,37 @@ fn differential_matrix_cells_are_pinned() {
     got.push(format!(
         "total_runs={} pthreads_runs={} violations={} passed={}",
         r.total_runs,
-        r.pthreads_runs,
-        r.violations.len(),
+        r.extra.pthreads_runs,
+        r.extra.violations.len(),
         r.passed
     ));
     check("run_matrix", got, MATRIX);
 }
 
-#[test]
-fn sched_diff_cells_are_pinned() {
-    let r = run_sched_diff(&tiny(), |_| {});
+fn option_diff_cells(diff: OptionDiff) -> Vec<String> {
+    let r = run_option_diff(&tiny(), diff, |_| {});
     let mut got: Vec<String> = r
         .cells
         .iter()
         .map(|c| {
             format!(
                 "{} {} runs={} a={:#018x} b={:#018x}",
-                c.workload, c.runtime, c.runs, c.fast_hash, c.reference_hash
+                c.workload, c.runtime, c.runs, c.with_hash, c.without_hash
             )
         })
         .collect();
     got.push(format!("total_runs={} passed={}", r.total_runs, r.passed));
-    check("sched-diff", got, OPTION_DIFF);
+    got
+}
+
+#[test]
+fn sched_diff_cells_are_pinned() {
+    check("sched-diff", option_diff_cells(SCHED_DIFF), OPTION_DIFF);
 }
 
 #[test]
 fn pipe_diff_cells_are_pinned() {
-    let r = run_pipe_diff(&tiny(), |_| {});
-    let mut got: Vec<String> = r
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "{} {} runs={} a={:#018x} b={:#018x}",
-                c.workload, c.runtime, c.runs, c.pipelined_hash, c.serial_hash
-            )
-        })
-        .collect();
-    got.push(format!("total_runs={} passed={}", r.total_runs, r.passed));
-    check("pipe-diff", got, OPTION_DIFF);
+    check("pipe-diff", option_diff_cells(PIPE_DIFF), OPTION_DIFF);
 }
 
 #[test]
@@ -113,7 +105,7 @@ fn panic_inject_victims_are_pinned() {
         .collect();
     got.push(format!(
         "total_runs={} total_hits={} passed={}",
-        r.total_runs, r.total_hits, r.passed
+        r.total_runs, r.extra.total_hits, r.passed
     ));
     check("inject-panic", got, PANIC_INJECT);
 }
@@ -131,16 +123,17 @@ fn shard_diff_cells_are_pinned() {
             )
         })
         .collect();
+    let x = &r.extra;
     got.push(format!(
         "unsharded={:#018x} reference_store={:#018x} repeats={} passed={}",
-        r.unsharded_hash, r.reference_store_hash, r.repeats, r.passed
+        x.unsharded_hash, x.reference_store_hash, x.repeats, r.passed
     ));
     check("shard-diff", got, SHARD_DIFF);
 }
 
 #[test]
 fn mixed_matrix_compositions_are_pinned() {
-    let r = run_mixed_matrix(2, 1, 42, 0x5EED, |_| {});
+    let r = run_mixed_matrix(&tiny(), |_| {});
     let flag = |b: bool| if b { '1' } else { '0' };
     let mut got: Vec<String> = r
         .cells
@@ -160,36 +153,41 @@ fn mixed_matrix_compositions_are_pinned() {
         .collect();
     got.push(format!(
         "compositions={} total_runs={} passed={}",
-        r.compositions, r.total_runs, r.passed
+        r.extra.compositions, r.total_runs, r.passed
     ));
     check("mixed matrix", got, MIXED_MATRIX);
 }
 
-/// The per-cell plan-seed salt of workload `wi` × runtime `ki` under a
-/// mode salt, and the plan seed of perturbation round `s` within it. No
-/// deterministic runtime's hashes depend on these (that is the claim under
-/// test), so only the literals below and panic-inject's victims see them.
-fn cell_salt(base_seed: u64, mode_salt: u64, wi: u64, ki: u64) -> u64 {
-    mix64(base_seed ^ mode_salt ^ (wi << 32) ^ ki)
-}
-
+/// The per-cell salts and per-round plan seeds the grid derives under each
+/// mode salt. No deterministic runtime's hashes depend on them (that is
+/// the claim under test), so only these literals and panic-inject's
+/// victims see a change to the derivation.
 #[test]
 fn seed_derivation_is_pinned() {
     let modes: [(&str, u64); 4] = [
         ("matrix", 0),
-        ("sched-diff", 0x5C4E_D1FF),
-        ("pipe-diff", 0x919E_D1FF),
+        ("sched-diff", SCHED_DIFF.salt),
+        ("pipe-diff", PIPE_DIFF.salt),
         ("inject-panic", 0xFA17_0CE5),
     ];
+    let cfg = StressConfig {
+        workloads: vec!["w0".into(), "w1".into()],
+        ..tiny()
+    };
     let mut got = Vec::new();
     for (name, salt) in modes {
-        for (wi, ki) in [(0u64, 0u64), (0, 2), (1, 1)] {
-            let cs = cell_salt(0x5EED, salt, wi, ki);
+        let grid: Vec<_> = cfg.grid(salt).collect();
+        for (wi, ki) in [(0usize, 0usize), (0, 2), (1, 1)] {
+            let (workload, kind, cs) = grid[wi * cfg.runtimes.len() + ki];
+            assert_eq!((workload, kind), (&*cfg.workloads[wi], cfg.runtimes[ki]));
+            let plans: Vec<u64> = cfg.plans(cs).map(|p| p.seed).collect();
+            assert_eq!(plans.len(), 2);
             got.push(format!(
                 "{name} w{wi} k{ki} cell={cs:#018x} plan1={:#018x} plan2={:#018x}",
-                mix64(cs ^ 1),
-                mix64(cs ^ 2)
+                plans[0], plans[1]
             ));
+            let rounds: Vec<u64> = cfg.round_seeds(cs).map(mix64).collect();
+            assert_eq!(rounds, plans, "plans are the mixed round seeds");
         }
     }
     check("seed derivation", got, SEEDS);

@@ -3,10 +3,11 @@
 
 use dmt_baselines::RuntimeKind;
 use dmt_stress::{
-    plan_handle, run_inject_bug, run_matrix, run_sched_diff, run_workload, StressConfig,
+    plan_handle, run_inject_bug, run_matrix, run_option_diff, StressConfig, Table, PIPE_DIFF,
+    SCHED_DIFF,
 };
 
-use dmt_api::PerturbPlan;
+use dmt_api::{PerturbHandle, PerturbPlan};
 
 fn tiny_matrix(runtimes: Vec<RuntimeKind>, seeds: u64) -> StressConfig {
     StressConfig {
@@ -24,7 +25,7 @@ fn tiny_matrix(runtimes: Vec<RuntimeKind>, seeds: u64) -> StressConfig {
 fn deterministic_cells_are_hash_invariant_under_perturbation() {
     let cfg = tiny_matrix(vec![RuntimeKind::ConsequenceIc, RuntimeKind::DThreads], 2);
     let report = run_matrix(&cfg, |_| {});
-    assert!(report.passed, "violations: {:?}", report.violations);
+    assert!(report.passed, "violations: {:?}", report.extra.violations);
     assert_eq!(report.total_runs, 2 * 3);
     for cell in &report.cells {
         assert_eq!(
@@ -38,30 +39,18 @@ fn deterministic_cells_are_hash_invariant_under_perturbation() {
 
 #[test]
 fn reports_are_self_describing() {
+    let cfg = tiny_matrix(vec![], 0);
+    let ic = RuntimeKind::ConsequenceIc;
     let plan = PerturbPlan::full(5);
-    let run = run_workload(
-        RuntimeKind::ConsequenceIc,
-        "histogram",
-        2,
-        1,
-        42,
-        plan_handle(&plan),
-    );
+    let run = cfg.cell("histogram", ic, plan_handle(&plan)).run();
     assert_eq!(run.report.perturb_seed, 5);
     assert_eq!(run.report.perturb_plan, plan.digest());
-    assert!(run.matches_reference);
+    assert!(run.validation.matches_reference);
 
-    let off = run_workload(
-        RuntimeKind::ConsequenceIc,
-        "histogram",
-        2,
-        1,
-        42,
-        dmt_api::PerturbHandle::off(),
-    );
+    let off = cfg.cell("histogram", ic, PerturbHandle::off()).run();
     assert_eq!(off.report.perturb_seed, 0);
     assert_eq!(off.report.perturb_plan, 0);
-    assert_eq!(off.schedule_hash, run.schedule_hash);
+    assert_eq!(off.report.schedule_hash, run.report.schedule_hash);
 }
 
 #[test]
@@ -85,27 +74,33 @@ fn injected_bug_is_caught_shrunk_and_diagnosed() {
     );
 }
 
-/// PR 4: the fast scheduler must be schedule- and output-identical to the
-/// reference scheduler on whole executions, across perturbation seeds and
-/// both token-order policies.
+/// Each optimization that keeps its predecessor as an oracle — the fast
+/// scheduler (PR 4), the commit pipeline (PR 9) — must be schedule-,
+/// output- and commit-log-identical to it on whole executions, across
+/// perturbation seeds and both token-order policies.
 #[test]
 fn fast_and_reference_schedulers_agree_end_to_end() {
     let cfg = tiny_matrix(
         vec![RuntimeKind::ConsequenceIc, RuntimeKind::ConsequenceRr],
         1,
     );
-    let report = run_sched_diff(&cfg, |_| {});
-    assert_eq!(report.cells.len(), 2);
-    for cell in &report.cells {
-        assert!(
-            cell.schedules_match && cell.outputs_match && cell.validated,
-            "{} under {} diverged: {cell:?}",
-            cell.workload,
-            cell.runtime
-        );
-        assert_eq!(cell.fast_hash, cell.reference_hash);
-        assert_eq!(cell.runs, 4);
+    for diff in [SCHED_DIFF, PIPE_DIFF] {
+        let report = run_option_diff(&cfg, diff, |_| {});
+        assert_eq!(report.cells.len(), 2);
+        for cell in &report.cells {
+            assert!(
+                cell.schedules_match && cell.outputs_match && cell.validated,
+                "{} under {} diverged without {}: {cell:?}",
+                cell.workload,
+                cell.runtime,
+                diff.toggle
+            );
+            assert!(cell.commit_logs_match, "commit logs diverged: {cell:?}");
+            assert!(cell.ok());
+            assert_eq!(cell.with_hash, cell.without_hash);
+            assert_eq!(cell.runs, 4);
+        }
+        assert!(report.passed);
+        assert_eq!(report.total_runs, 8);
     }
-    assert!(report.passed);
-    assert_eq!(report.total_runs, 8);
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use dmt_api::{PerturbHandle, PerturbSite, Perturber, Tid};
 use dmt_baselines::RuntimeKind;
-use dmt_stress::run_workload;
+use dmt_stress::StressConfig;
 
 /// Forces every policy-chosen overflow interval to a fixed value.
 struct ForceInterval(u64);
@@ -27,14 +27,23 @@ impl Perturber for ForceInterval {
     }
 }
 
+fn at_threads(threads: usize) -> StressConfig {
+    StressConfig {
+        threads,
+        ..StressConfig::smoke()
+    }
+}
+
 fn run_with_interval(name: &str, forced: Option<u64>) -> (u64, u64) {
     let perturb = match forced {
         Some(iv) => PerturbHandle::to(Arc::new(ForceInterval(iv))),
         None => PerturbHandle::off(),
     };
-    let run = run_workload(RuntimeKind::ConsequenceIc, name, 4, 1, 42, perturb);
-    assert!(run.matches_reference, "{name} output diverged");
-    (run.schedule_hash, run.report.counters.publications)
+    let run = at_threads(4)
+        .cell(name, RuntimeKind::ConsequenceIc, perturb)
+        .run();
+    assert!(run.validation.matches_reference, "{name} output diverged");
+    (run.report.schedule_hash, run.report.counters.publications)
 }
 
 #[test]
@@ -70,18 +79,12 @@ fn forced_overflow_never_moves_the_schedule_with_adaptation_on() {
 #[test]
 fn biased_overflow_is_invariant_across_runtimes() {
     for kind in [RuntimeKind::ConsequenceRr, RuntimeKind::Dwc] {
-        let base = run_workload(kind, "histogram", 2, 1, 42, PerturbHandle::off());
-        let storm = run_workload(
-            kind,
-            "histogram",
-            2,
-            1,
-            42,
-            PerturbHandle::to(Arc::new(ForceInterval(1))),
-        );
+        let run = |perturb| at_threads(2).cell("histogram", kind, perturb).run();
+        let base = run(PerturbHandle::off());
+        let storm = run(PerturbHandle::to(Arc::new(ForceInterval(1))));
         assert_eq!(
-            storm.schedule_hash,
-            base.schedule_hash,
+            storm.report.schedule_hash,
+            base.report.schedule_hash,
             "{} schedule moved under forced overflow",
             kind.label()
         );
