@@ -8,8 +8,12 @@
 //! turn). Any divergence would let the fast scheduler produce a different
 //! token order than the reference table, breaking the bit-identical
 //! schedule guarantee that `stress --sched-diff` checks end to end.
+//!
+//! Every sequence also runs a second time with a watchdog failover of the
+//! fast side injected at a seed-derived step: agreement must hold at the
+//! failover itself and for the rest of the sequence, wherever it lands.
 
-use det_clock::{ClockTable, FastTable, OrderPolicy, Slots};
+use det_clock::{ClockTable, OrderPolicy, SchedKind, SchedTable, Slots};
 use dmt_api::Tid;
 
 /// Deterministic LCG (MMIX constants) driving case generation.
@@ -47,7 +51,7 @@ enum Model {
 const MAX_THREADS: usize = 8;
 
 struct Harness {
-    fast: FastTable,
+    fast: SchedTable,
     refr: ClockTable,
     model: Vec<Model>,
     clock: Vec<u64>,
@@ -57,7 +61,7 @@ struct Harness {
 impl Harness {
     fn new(policy: OrderPolicy) -> Harness {
         let mut h = Harness {
-            fast: FastTable::new(policy, Slots::new(MAX_THREADS)),
+            fast: SchedTable::new(SchedKind::Fast, policy, Slots::new(MAX_THREADS)),
             refr: ClockTable::new(policy, MAX_THREADS),
             model: Vec::new(),
             clock: Vec::new(),
@@ -106,7 +110,7 @@ impl Harness {
                 );
             }
         }
-        match self.fast.policy() {
+        let expect = match self.fast.policy() {
             OrderPolicy::InstructionCount => {
                 // The fast table's successor — the one thread a token
                 // release wakes — must be exactly the waiter the reference
@@ -121,20 +125,26 @@ impl Harness {
                         _ => None,
                     })
                     .min();
-                let expect = min_waiter
+                min_waiter
                     .filter(|&(_, w)| self.refr.eligible(Tid(w)))
-                    .map(|(_, w)| Tid(w));
-                assert_eq!(self.fast.successor(), expect, "successor");
+                    .map(|(_, w)| Tid(w))
             }
             OrderPolicy::RoundRobin => {
                 assert_eq!(self.fast.rr_holder(), self.refr.rr_holder(), "rr_holder");
                 assert_eq!(self.fast.rr_turn_v(), self.refr.rr_turn_v(), "rr_turn_v");
                 let holder = self.fast.rr_holder();
-                let expect = matches!(self.model.get(holder), Some(Model::AtSync(_)))
-                    .then(|| Tid(holder as u32));
-                assert_eq!(self.fast.successor(), expect, "rr successor");
+                matches!(self.model.get(holder), Some(Model::AtSync(_)))
+                    .then(|| Tid(holder as u32))
             }
-        }
+        };
+        // Only the index names a successor; once it is gone (failover)
+        // releases broadcast and the table answers `None`.
+        let indexed = self.fast.kind() == SchedKind::Fast;
+        assert_eq!(
+            self.fast.successor(),
+            expect.filter(|_| indexed),
+            "successor"
+        );
     }
 
     fn step(&mut self, rng: &mut Rng) {
@@ -206,25 +216,42 @@ impl Harness {
     }
 }
 
-fn run_seed(policy: OrderPolicy, seed: u64) {
+const STEPS: usize = 400;
+
+/// One sequence. `failover_at` is the step before which the fast side's
+/// watchdog fails it over (`None`: never) — the comparison then continues
+/// against the failed-over table to the end of the sequence.
+fn run_seed(policy: OrderPolicy, seed: u64, failover_at: Option<usize>) {
     let mut rng = Rng(seed);
     let mut h = Harness::new(policy);
-    for _ in 0..400 {
+    for step in 0..STEPS {
+        if failover_at == Some(step) {
+            assert!(h.fast.failover(), "first failover at step {step}");
+            h.check();
+        }
         h.step(&mut rng);
     }
+    assert_eq!(h.fast.failover(), failover_at.is_none());
+}
+
+/// Runs `seed` clean and once more failing over at a seed-derived step.
+fn run_both(policy: OrderPolicy, seed: u64) {
+    run_seed(policy, seed, None);
+    let at = Rng(seed ^ 0xFA11_0FE2).below(STEPS as u64) as usize;
+    run_seed(policy, seed, Some(at));
 }
 
 #[test]
 fn fast_and_reference_agree_under_instruction_count() {
     for seed in 0..20 {
-        run_seed(OrderPolicy::InstructionCount, 0x5EED_1C00 + seed);
+        run_both(OrderPolicy::InstructionCount, 0x5EED_1C00 + seed);
     }
 }
 
 #[test]
 fn fast_and_reference_agree_under_round_robin() {
     for seed in 0..20 {
-        run_seed(OrderPolicy::RoundRobin, 0x5EED_4200 + seed);
+        run_both(OrderPolicy::RoundRobin, 0x5EED_4200 + seed);
     }
 }
 
