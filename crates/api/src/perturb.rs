@@ -21,7 +21,7 @@
 //!
 //! None of these may move a deterministic runtime's schedule hash: token
 //! grant order is a function of logical clocks and thread ids only (see
-//! `det-clock`'s `ClockTable::eligible`), virtual time `v` feeds only
+//! `det-clock`'s `SchedTable::eligible`), virtual time `v` feeds only
 //! wake-time bookkeeping, and publications are auxiliary (counted, never
 //! hashed) events. The `dmt-stress` harness turns that argument into an
 //! executable oracle: for every perturbation seed the schedule hash must be

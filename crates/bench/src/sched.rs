@@ -4,7 +4,7 @@
 //! `docs/PERF.md` for the schema and how to compare runs):
 //!
 //! * **publish throughput** — raw clock publication: the lock-free
-//!   [`Slots::publish`] path against the reference `Mutex<ClockTable>`
+//!   [`Slots::publish`] path against a reference-kind `Mutex<SchedTable>`
 //!   path, with every thread publishing its own monotone clock stream
 //!   concurrently. This isolates the global-lock cost the fast path removes
 //!   from the §3.2 counter-overflow hot path.
@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use consequence::{ConsequenceRuntime, Options};
-use det_clock::{ClockTable, OrderPolicy, Slots};
+use det_clock::{OrderPolicy, SchedKind, SchedTable, Slots};
 use dmt_api::trace::{Event, MemorySink};
 use dmt_api::{CommonConfig, CostModel, Runtime, Tid, TraceHandle};
 
@@ -132,7 +132,11 @@ fn time_fast_publish(threads: usize, iters: u64) -> f64 {
 /// Times the same publication stream through the reference table behind
 /// one global mutex — the structure the fast path replaces.
 fn time_ref_publish(threads: usize, iters: u64) -> f64 {
-    let table = Mutex::new(ClockTable::new(OrderPolicy::InstructionCount, threads));
+    let table = Mutex::new(SchedTable::new(
+        SchedKind::Reference,
+        OrderPolicy::InstructionCount,
+        Slots::new(threads),
+    ));
     {
         let mut t = table.lock().unwrap();
         for i in 0..threads {

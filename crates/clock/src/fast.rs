@@ -1,30 +1,37 @@
 //! Scheduler fast path: lock-free clock publication and O(log T)
 //! eligibility.
 //!
-//! The reference [`ClockTable`] is a passive
-//! state machine mutated under the runtime's one global mutex, and its
-//! queries are O(T) scans. That is correct but serializes *every* counter
-//! overflow through the global lock and makes every wake-up decision walk
-//! the whole table. This module splits the scheduler state in two:
+//! On its own the clock table ([`SchedTable`], kind
+//! [`Reference`](crate::SchedKind::Reference)) is a passive state machine
+//! mutated under the runtime's one global mutex, and its queries are O(T)
+//! scans. That is correct but serializes *every* counter overflow through
+//! the global lock and makes every wake-up decision walk the whole table.
+//! This module holds what the [`Fast`](crate::SchedKind::Fast) kind adds:
 //!
 //! * [`Slots`] — the lock-free half. One cache-padded `AtomicU64` per
 //!   thread holds the thread's *effective clock bound* packed with its tid
 //!   (so a single integer compare is the lexicographic `(clock, tid)`
 //!   order), plus a per-thread publication history behind a per-thread
-//!   mutex. Counter-overflow [`Slots::publish`] touches only the
-//!   publisher's own cache line and never takes the global mutex; the
-//!   eligibility *read* ([`Slots::eligible_read`]) is a lock-free scan.
-//! * [`FastTable`] — the locked half. State transitions (arrive, depart,
-//!   finish, reactivate, resume) and wait-queue mutation still happen
-//!   under the global runtime lock, exactly like the reference table, but
-//!   eligibility and `min_waiting_other` become O(log T) via two ordered
-//!   sets: `waiters` (threads blocked `AtSync`, keyed by their waiting
-//!   `(clock, tid)`) and `bounds` (every live thread's last *known*
-//!   effective bound). Running threads' cached bounds may lag their atomic
-//!   slots — staleness only ever under-reports a clock, which is
-//!   conservative — and [`FastTable::eligible`] refreshes a stale minimum
-//!   lazily from the slot, so each refresh is paid for by a real
-//!   publication.
+//!   mutex (the one home of the histories for both kinds; the reference
+//!   kind uses nothing else here). Counter-overflow [`Slots::publish`]
+//!   touches only the publisher's own cache line and never takes the
+//!   global mutex; the eligibility *read* ([`Slots::eligible_read`]) is a
+//!   lock-free scan.
+//! * the table's index — the locked half. State transitions (arrive,
+//!   depart, finish, reactivate, resume) and wait-queue mutation still
+//!   happen under the global runtime lock, written once in `crate::table`,
+//!   but each one is mirrored into the slots and into ordered sets so that
+//!   eligibility and `min_waiting_other` become O(log T): `waiters`
+//!   (threads blocked `AtSync`, keyed by their waiting `(clock, tid)`) and
+//!   `bounds` (every live thread's last *known* effective bound). Running
+//!   threads' cached bounds may lag their atomic slots — staleness only
+//!   ever under-reports a clock, which is conservative — and
+//!   [`SchedTable::eligible`] refreshes a stale minimum lazily from the
+//!   slot, so each refresh is paid for by a real publication.
+//!
+//! The index is derived from the table's entries and only the indexed
+//! queries read it, so the watchdog's failover ([`SchedTable::failover`])
+//! is to drop it.
 //!
 //! # Why the schedule cannot change
 //!
@@ -34,9 +41,9 @@
 //! *timing* therefore cannot reorder token grants — a late or spurious
 //! wake-up only delays the same grant. Virtual time is likewise unaffected:
 //! wake virtual times come from the deterministic publication histories
-//! ([`FastTable::crossing_v`]), not from wall-clock arrival order. The
+//! ([`SchedTable::crossing_v`]), not from wall-clock arrival order. The
 //! differential stress matrix (`stress --sched-diff`) checks the resulting
-//! schedule hashes are bit-identical against the reference table.
+//! schedule hashes are bit-identical against the reference kind.
 //!
 //! # Memory-order arguments (no lost wake-up)
 //!
@@ -59,13 +66,14 @@
 //!    observes every earlier store, finds the head eligible, and raises
 //!    the hint — the "last crosser" always reports.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
-use dmt_api::sync::Mutex;
+use dmt_api::sync::{Mutex, MutexGuard};
 use dmt_api::{CachePadded, Tid};
 
-use crate::table::{prune_history, ClockTable, OrderPolicy, ThreadState, PRUNE_MIN};
+use crate::table::{prune_history, Entry, OrderPolicy, SchedTable, ThreadState, PRUNE_MIN};
 
 /// Bits of a packed key holding the clock; the low 16 bits hold the tid.
 pub const TID_BITS: u32 = 16;
@@ -106,7 +114,7 @@ fn unblocked_key(tid: u32) -> u64 {
 /// Outcome of a lock-free [`Slots::publish`].
 #[derive(Clone, Copy, Debug)]
 pub struct PublishOutcome {
-    /// The published bound advanced (mirrors the reference table's
+    /// The published bound advanced (the locked [`SchedTable::publish`]'s
     /// notification hint).
     pub advanced: bool,
     /// Current head waiter `(clock, tid)`, if any — the lock-free
@@ -121,15 +129,27 @@ pub struct PublishOutcome {
 /// Per-thread publication history behind its own (uncontended) mutex.
 #[derive(Debug, Default)]
 struct HistSlot {
+    /// Every externally visible change of this thread's effective clock
+    /// bound, as `(bound, virtual time)`. A departure records
+    /// `(u64::MAX, v)`; a reactivation records the restored (possibly
+    /// lower) bound. The sequence is a deterministic function of the
+    /// program, which is what makes virtual-time waits reproducible: a
+    /// waiter's wake time is looked up here rather than taken from racy
+    /// wall-clock arrival order.
+    ///
+    /// Bounded by watermark pruning: entries below the minimum clock any
+    /// current or future waiter can query are unreachable by the backward
+    /// walk in [`SchedTable::crossing_v`] and are periodically dropped.
     hist: Mutex<Vec<(u64, u64)>>,
     /// Length right after the last prune attempt (amortization floor).
     floor: AtomicUsize,
 }
 
-/// The lock-free half of the fast-path scheduler.
+/// The lock-free half of the fast-path scheduler, and the home of every
+/// thread's publication history for both kinds.
 ///
 /// Shared by the runtime (publishers go straight here, bypassing the
-/// global mutex) and the [`FastTable`] (which mirrors locked state
+/// global mutex) and the [`SchedTable`] (whose index mirrors locked state
 /// transitions into the slots so lock-free readers see every bound).
 #[derive(Debug)]
 pub struct Slots {
@@ -145,10 +165,10 @@ pub struct Slots {
     /// lock; read lock-free by publishers.
     token_free: AtomicU64,
     /// Monotone lower bound on every clock any current or future waiter
-    /// can query (see `ClockTable::watermark`). Raised under the global
-    /// lock via `fetch_max`; read lock-free by publishers pruning their
-    /// own histories. A stale read is a *lower* watermark, which only
-    /// prunes less — always safe.
+    /// can query, as the index tracks it. Raised under the global lock via
+    /// `fetch_max`; read lock-free by publishers pruning their own
+    /// histories. A stale read is a *lower* watermark, which only prunes
+    /// less — always safe.
     watermark: AtomicU64,
 }
 
@@ -180,9 +200,9 @@ impl Slots {
         // History before bound: an acquirer that observed the new bound
         // (that is why it became eligible) must find the crossing entry.
         {
-            let mut h = self.hists[i].hist.lock();
+            let mut h = self.hist(i);
             h.push((clock, v));
-            self.prune_locked(i, &mut h);
+            self.prune_locked(i, &mut h, || self.watermark());
         }
         let key = pack(clock, t.0);
         let old = self.bounds[i].swap(key, SeqCst);
@@ -228,7 +248,7 @@ impl Slots {
     }
 
     /// Raw bound key of one slot.
-    fn bound_key(&self, i: usize) -> u64 {
+    pub(crate) fn bound_key(&self, i: usize) -> u64 {
         self.bounds[i].load(SeqCst)
     }
 
@@ -236,117 +256,103 @@ impl Slots {
         self.bounds[i].store(key, SeqCst);
     }
 
-    fn append_hist(&self, i: usize, bound: u64, v: u64) {
-        self.hists[i].hist.lock().push((bound, v));
+    /// The index's running watermark.
+    pub(crate) fn watermark(&self) -> u64 {
+        self.watermark.load(SeqCst)
     }
 
-    /// Amortized watermark prune of one history once it has doubled past
-    /// the last attempt. A stale watermark read only prunes less.
-    fn prune_locked(&self, i: usize, h: &mut Vec<(u64, u64)>) {
+    /// Thread `i`'s publication history, locked.
+    pub(crate) fn hist(&self, i: usize) -> MutexGuard<'_, Vec<(u64, u64)>> {
+        self.hists[i].hist.lock()
+    }
+
+    /// Amortized prune of one (locked) history against `watermark()` once
+    /// it has doubled past the last attempt.
+    pub(crate) fn prune_locked(
+        &self,
+        i: usize,
+        h: &mut Vec<(u64, u64)>,
+        watermark: impl FnOnce() -> u64,
+    ) {
         let len = h.len();
         let floor = self.hists[i].floor.load(SeqCst);
         if len >= PRUNE_MIN && len >= 2 * floor.max(PRUNE_MIN / 2) {
-            prune_history(h, self.watermark.load(SeqCst));
+            prune_history(h, watermark());
             self.hists[i].floor.store(h.len(), SeqCst);
         }
     }
-
-    /// Prune entry point for the locked table paths (threads that sync
-    /// without ever overflowing a counter still grow history).
-    fn maybe_prune_hist(&self, i: usize) {
-        let mut h = self.hists[i].hist.lock();
-        self.prune_locked(i, &mut h);
-    }
-
-    fn hist_len(&self, i: usize) -> usize {
-        self.hists[i].hist.lock().len()
-    }
 }
 
-/// Cached locked-side view of one thread.
-#[derive(Clone, Copy, Debug)]
-struct FastEntry {
-    state: ThreadState,
-    /// Authoritative published clock for `AtSync` / `Departed` /
-    /// `Finished`; for `Running` the atomic slot may be ahead.
-    published: u64,
-    /// Key currently stored for this thread in [`FastTable::bounds`].
-    bounds_key: u64,
-    /// Key currently stored in [`FastTable::waiters`] (`AtSync` only).
-    waiters_key: Option<u64>,
-    /// Key currently stored in [`FastTable::departed`] (`Departed` only).
-    departed_key: Option<u64>,
+/// The keys one thread currently has in the [`Index`] sets.
+#[derive(Clone, Copy, Debug, Default)]
+struct Keys {
+    /// In `bounds`: every registered, non-finished thread.
+    bound: Option<u64>,
+    /// In `waiters`: `AtSync` only.
+    waiter: Option<u64>,
+    /// In `departed`: `Departed` only.
+    departed: Option<u64>,
 }
 
-/// The locked half of the fast-path scheduler: drop-in replacement for the
-/// reference [`ClockTable`] with O(log T) `eligible` / `min_waiting_other`.
-///
-/// All methods must be called under the runtime's global lock, except that
-/// publications may *also* flow directly through the shared [`Slots`]
-/// without this table's involvement — the cached `bounds` keys then lag
-/// and are refreshed lazily.
+/// What makes a [`SchedTable`] fast: ordered views of its entries, kept in
+/// step with them (and mirrored into the [`Slots`] atomics) by
+/// `SchedTable::reindex` after every transition. All of it is redundant —
+/// which is what a corruption poisons and why failover can drop it.
 #[derive(Debug)]
-pub struct FastTable {
-    policy: OrderPolicy,
-    slots: Arc<Slots>,
-    entries: Vec<Option<FastEntry>>,
+pub(crate) struct Index {
     /// Last known effective bound `pack(bound, tid)` of every registered,
     /// non-finished thread (departed threads appear as `unblocked_key`).
-    bounds: std::collections::BTreeSet<u64>,
+    bounds: BTreeSet<u64>,
     /// `pack(clock, tid)` of every `AtSync` thread.
-    waiters: std::collections::BTreeSet<u64>,
+    waiters: BTreeSet<u64>,
     /// `pack(published, tid)` of every `Departed` thread — their future
     /// query floor, needed by the watermark but hidden from `bounds`.
-    departed: std::collections::BTreeSet<u64>,
-    rr_turn: usize,
-    rr_turn_v: u64,
+    departed: BTreeSet<u64>,
+    keys: Vec<Keys>,
 }
 
-impl FastTable {
-    /// An empty table over `slots` (capacity fixed by [`Slots::new`]).
-    pub fn new(policy: OrderPolicy, slots: Arc<Slots>) -> FastTable {
-        let n = slots.capacity();
-        FastTable {
-            policy,
-            slots,
-            entries: vec![None; n],
-            bounds: std::collections::BTreeSet::new(),
-            waiters: std::collections::BTreeSet::new(),
-            departed: std::collections::BTreeSet::new(),
-            rr_turn: 0,
-            rr_turn_v: 0,
+/// Moves one thread's key in one set (`None`: the thread is not in it).
+fn rekey(set: &mut BTreeSet<u64>, cached: &mut Option<u64>, new: Option<u64>) {
+    if *cached != new {
+        swap_key(set, cached.take(), new);
+        *cached = new;
+    }
+}
+
+/// The set half of [`rekey`]. Out of line on purpose: with the B-tree
+/// searches of all three sets inlined into every transition, transitions
+/// measured ~10 ns slower (`clock.arrive_ns`).
+#[inline(never)]
+fn swap_key(set: &mut BTreeSet<u64>, old: Option<u64>, new: Option<u64>) {
+    if let Some(k) = old {
+        set.remove(&k);
+    }
+    if let Some(k) = new {
+        set.insert(k);
+    }
+}
+
+impl Index {
+    /// An empty index over `n` thread slots.
+    pub(crate) fn new(n: usize) -> Index {
+        Index {
+            bounds: BTreeSet::new(),
+            waiters: BTreeSet::new(),
+            departed: BTreeSet::new(),
+            keys: vec![Keys::default(); n],
         }
     }
 
-    /// The shared lock-free half.
-    pub fn slots(&self) -> &Arc<Slots> {
-        &self.slots
-    }
-
-    /// The ordering policy in force.
-    pub fn policy(&self) -> OrderPolicy {
-        self.policy
-    }
-
-    // INVARIANT: every `Tid` reaching a table method was registered by the
-    // runtime (under the same global lock) before use; an unregistered tid
-    // is caller API misuse, not a recoverable condition. These accessors
-    // are the crate's sanctioned panic sites for that misuse.
-    #[allow(clippy::expect_used)]
-    fn entry(&self, t: Tid) -> &FastEntry {
-        self.entries[t.index()].as_ref().expect("unregistered tid")
-    }
-
-    #[allow(clippy::expect_used)]
-    fn entry_mut(&mut self, t: Tid) -> &mut FastEntry {
-        self.entries[t.index()].as_mut().expect("unregistered tid")
+    /// Moves thread `i`'s key in `bounds` to `key`.
+    pub(crate) fn rekey_bounds(&mut self, i: usize, key: u64) {
+        rekey(&mut self.bounds, &mut self.keys[i].bound, Some(key));
     }
 
     /// Publishes the new head-waiter key and raises the watermark; call
     /// after any wait-queue or state mutation.
-    fn sync_head(&mut self) {
+    fn sync_head(&self, slots: &Slots) {
         let head = self.waiters.iter().next().copied().unwrap_or(NO_WAITER);
-        self.slots.head_key.store(head, SeqCst);
+        slots.head_key.store(head, SeqCst);
         let mut w = u64::MAX;
         for set in [&self.waiters, &self.bounds, &self.departed] {
             if let Some(&k) = set.iter().next() {
@@ -354,197 +360,25 @@ impl FastTable {
             }
         }
         if w != u64::MAX {
-            self.slots.watermark.fetch_max(w, SeqCst);
+            slots.watermark.fetch_max(w, SeqCst);
         }
     }
 
-    /// Moves `t`'s key in `bounds` to `new_key`.
-    fn rekey_bounds(&mut self, t: Tid, new_key: u64) {
-        let old = self.entry_mut(t).bounds_key;
-        if old != new_key {
-            self.bounds.remove(&old);
-            self.bounds.insert(new_key);
-            self.entry_mut(t).bounds_key = new_key;
-        }
-    }
-
-    /// Registers a new thread with an inherited starting clock, at the
-    /// spawner's virtual time `v`. Mirrors `ClockTable::register`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is taken, out of range, or `t` overflows the
-    /// packed-key tid field.
-    pub fn register(&mut self, t: Tid, clock: u64, v: u64) {
-        assert!(
-            u64::from(t.0) < (1 << TID_BITS) - 1,
-            "tid {t} overflows packed keys"
-        );
-        let slot = &mut self.entries[t.index()];
-        assert!(slot.is_none(), "tid {t} registered twice");
-        let key = pack(clock, t.0);
-        *slot = Some(FastEntry {
-            state: ThreadState::Running,
-            published: clock,
-            bounds_key: key,
-            waiters_key: None,
-            departed_key: None,
-        });
-        self.slots.append_hist(t.index(), clock, v);
-        self.slots.store_bound(t.index(), key);
-        self.bounds.insert(key);
-        self.rr_fixup(v);
-        self.sync_head();
-    }
-
-    /// Current state of `t`.
-    pub fn state(&self, t: Tid) -> ThreadState {
-        self.entry(t).state
-    }
-
-    /// Last published clock of `t` (for a running thread this reads the
-    /// atomic slot, which lock-free publications may have advanced past
-    /// the cached value).
-    pub fn published(&self, t: Tid) -> u64 {
-        let e = self.entry(t);
-        match e.state {
-            ThreadState::Running => packed_clock(self.slots.bound_key(t.index())),
-            _ => e.published,
-        }
-    }
-
-    /// Current length of `t`'s publication history.
-    pub fn history_len(&self, t: Tid) -> usize {
-        self.slots.hist_len(t.index())
-    }
-
-    /// Locked-path publication (used by the reference-parity API and
-    /// tests; the runtime's hot path calls [`Slots::publish`] directly).
-    pub fn publish(&mut self, t: Tid, clock: u64, v: u64) -> bool {
-        debug_assert!(matches!(self.entry(t).state, ThreadState::Running));
-        let out = self.slots.publish(t, clock, v);
-        self.rekey_bounds(t, pack(clock, t.0));
-        self.entry_mut(t).published = clock;
-        out.advanced
-    }
-
-    /// Thread `t` arrives at a synchronization operation with exact clock
-    /// `clock`, at virtual time `v`.
-    pub fn arrive_sync(&mut self, t: Tid, clock: u64, v: u64) {
-        debug_assert!(clock < MAX_PACKED_CLOCK);
-        let i = t.index();
-        // Fold in any bound the thread published lock-free since the table
-        // last saw it.
-        let seen = match self.entry(t).state {
-            ThreadState::Running => packed_clock(self.slots.bound_key(i)),
-            _ => self.entry(t).published,
-        };
-        let published = clock.max(seen);
-        let e = self.entry_mut(t);
-        e.published = published;
-        e.state = ThreadState::AtSync(clock);
-        e.waiters_key = Some(pack(clock, t.0));
-        self.slots.append_hist(i, published, v);
-        self.slots.maybe_prune_hist(i);
-        self.slots.store_bound(i, pack(published, t.0));
-        self.rekey_bounds(t, pack(published, t.0));
-        self.waiters.insert(pack(clock, t.0));
-        self.sync_head();
-    }
-
-    /// Removes `t` from the waiters set if present (it may be blocking at
-    /// a sync op when it departs or finishes).
-    fn unwait(&mut self, t: Tid) {
-        if let Some(k) = self.entry_mut(t).waiters_key.take() {
-            self.waiters.remove(&k);
-        }
-    }
-
-    /// Thread `t` removes itself from GMIC consideration (`clockDepart`)
-    /// at virtual time `v`.
-    pub fn depart(&mut self, t: Tid, v: u64) {
-        let i = t.index();
-        self.unwait(t);
-        let e = self.entry_mut(t);
-        e.state = ThreadState::Departed;
-        let floor_key = pack(e.published, t.0);
-        e.departed_key = Some(floor_key);
-        self.slots.append_hist(i, u64::MAX, v);
-        self.slots.store_bound(i, unblocked_key(t.0));
-        self.rekey_bounds(t, unblocked_key(t.0));
-        self.departed.insert(floor_key);
-        if self.policy == OrderPolicy::RoundRobin && self.rr_turn == i {
-            self.rr_advance(v);
-        }
-        self.sync_head();
-    }
-
-    /// Thread `t` finishes at virtual time `v`.
-    pub fn finish(&mut self, t: Tid, v: u64) {
-        let i = t.index();
-        self.unwait(t);
-        let e = self.entry_mut(t);
-        e.state = ThreadState::Finished;
-        let bounds_key = e.bounds_key;
-        if let Some(k) = e.departed_key.take() {
-            self.departed.remove(&k);
-        }
-        self.slots.append_hist(i, u64::MAX, v);
-        self.slots.store_bound(i, unblocked_key(t.0));
-        self.bounds.remove(&bounds_key);
-        if self.policy == OrderPolicy::RoundRobin && self.rr_turn == i {
-            self.rr_advance(v);
-        }
-        self.sync_head();
-    }
-
-    /// A departed thread rejoins GMIC consideration with clock `clock` at
-    /// virtual time `v`.
-    pub fn reactivate(&mut self, t: Tid, clock: u64, v: u64) {
-        let i = t.index();
-        let e = self.entry_mut(t);
-        debug_assert!(matches!(e.state, ThreadState::Departed));
-        e.state = ThreadState::Running;
-        e.published = e.published.max(clock);
-        let published = e.published;
-        if let Some(k) = e.departed_key.take() {
-            self.departed.remove(&k);
-        }
-        self.slots.append_hist(i, published, v);
-        self.slots.store_bound(i, pack(published, t.0));
-        self.rekey_bounds(t, pack(published, t.0));
-        self.rr_fixup(v);
-        self.sync_head();
-    }
-
-    /// Thread `t` resumes running after completing a sync op.
-    pub fn resume(&mut self, t: Tid, clock: u64, v: u64) {
-        let i = t.index();
-        self.unwait(t);
-        let e = self.entry_mut(t);
-        e.state = ThreadState::Running;
-        e.published = e.published.max(clock);
-        let published = e.published;
-        self.slots.append_hist(i, published, v);
-        self.slots.store_bound(i, pack(published, t.0));
-        self.rekey_bounds(t, pack(published, t.0));
-        self.sync_head();
-    }
-
-    /// Whether `t` (which must be `AtSync`) may proceed under the policy.
+    /// [`SchedTable::eligible`] under instruction count, for `t` waiting at
+    /// `c`.
     ///
     /// O(log T) amortized: takes the minimum cached bound of the other
     /// threads; if it blocks `t` but belongs to a running thread whose
     /// atomic slot has moved on, refreshes that one cache entry and
     /// retries. Every refresh strictly raises a key, and each raise is
     /// paid for by a real lock-free publication.
-    pub fn eligible(&mut self, t: Tid) -> bool {
-        let ThreadState::AtSync(c) = self.entry(t).state else {
-            return false;
-        };
-        if self.policy == OrderPolicy::RoundRobin {
-            return self.rr_turn == t.index();
-        }
+    pub(crate) fn eligible(
+        &mut self,
+        entries: &mut [Option<Entry>],
+        slots: &Slots,
+        t: Tid,
+        c: u64,
+    ) -> bool {
         let k = pack(c, t.0);
         loop {
             // Only `t`'s own key can be skipped, so this inspects at most
@@ -555,143 +389,94 @@ impl FastTable {
             if m > k {
                 return true;
             }
-            let j = Tid(packed_tid(m));
-            let fresh = match self.entry(j).state {
+            let j = packed_tid(m) as usize;
+            let e = match &mut entries[j] {
                 // Only running threads publish outside the lock.
-                ThreadState::Running => self.slots.bound_key(j.index()),
+                Some(e) if e.state == ThreadState::Running => e,
                 _ => return false,
             };
+            let fresh = slots.bound_key(j);
             if fresh == m {
                 return false;
             }
             debug_assert!(fresh > m, "published bounds are monotone");
             self.rekey_bounds(j, fresh);
-            self.entry_mut(j).published = packed_clock(fresh);
+            e.published = packed_clock(fresh);
         }
     }
 
-    /// Deterministic wake virtual time for `t` waiting at clock `c`; same
-    /// backward history walk as the reference table, over the (bounded)
-    /// per-thread histories.
-    pub fn crossing_v(&self, t: Tid, c: u64) -> u64 {
-        let mut wake = 0;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.is_none() || i == t.index() {
-                continue;
-            }
-            let h = self.slots.hists[i].hist.lock();
-            let mut cross = None;
-            let mut blocked = false;
-            for &(bound, v) in h.iter().rev() {
-                if (bound, i as u32) > (c, t.0) {
-                    cross = Some(v);
-                } else {
-                    blocked = true;
-                    break;
-                }
-            }
-            if blocked {
-                if let Some(v) = cross {
-                    wake = wake.max(v);
-                }
-            }
-        }
-        wake
-    }
-
-    /// Smallest `(clock, tid)` among threads waiting at a sync op, other
-    /// than `t`. O(log T): at most two elements inspected.
-    pub fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
+    /// Smallest waiting `(clock, tid)` other than `t`. O(log T): at most
+    /// two elements inspected.
+    pub(crate) fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
         self.waiters
             .iter()
             .find(|&&k| packed_tid(k) != t.0)
             .map(|&k| (packed_clock(k), packed_tid(k)))
     }
+}
+
+/// The index-facing half of the table: everything here is a no-op (or the
+/// documented constant) on a reference-kind table.
+impl SchedTable {
+    /// Brings the index up to date with `t`'s entry `e` after a transition
+    /// and mirrors the new bound into `t`'s slot.
+    pub(crate) fn reindex(&mut self, t: Tid, e: Entry) {
+        let Some(ix) = &mut self.index else { return };
+        let k = pack(e.published, t.0);
+        let (bound, waiter, departed) = match e.state {
+            ThreadState::Running => (Some(k), None, None),
+            ThreadState::AtSync(c) => {
+                debug_assert!(c < MAX_PACKED_CLOCK);
+                (Some(k), Some(pack(c, t.0)), None)
+            }
+            // Its published clock is the floor of its future queries.
+            ThreadState::Departed => (Some(unblocked_key(t.0)), None, Some(k)),
+            ThreadState::Finished => (None, None, None),
+        };
+        self.slots
+            .store_bound(t.index(), bound.unwrap_or(unblocked_key(t.0)));
+        let keys = &mut ix.keys[t.index()];
+        rekey(&mut ix.bounds, &mut keys.bound, bound);
+        rekey(&mut ix.waiters, &mut keys.waiter, waiter);
+        rekey(&mut ix.departed, &mut keys.departed, departed);
+        ix.sync_head(&self.slots);
+    }
 
     /// The unique thread a token release should wake, if any: the head
     /// waiter when it is (now) eligible. `None` means nobody can take the
-    /// token yet — the next crossing publication will raise the hint.
+    /// token yet — the next crossing publication will raise the hint — or
+    /// that there is no index, in which case releases broadcast.
     pub fn successor(&mut self) -> Option<Tid> {
-        match self.policy {
+        let policy = self.policy();
+        let ix = self.index.as_mut()?;
+        match policy {
             OrderPolicy::InstructionCount => {
-                let head = self.waiters.iter().next().copied()?;
+                // The head waiter's key is its `(clock, tid)`.
+                let head = *ix.waiters.iter().next()?;
                 let t = Tid(packed_tid(head));
-                self.eligible(t).then_some(t)
+                ix.eligible(&mut self.entries, &self.slots, t, packed_clock(head))
+                    .then_some(t)
             }
             OrderPolicy::RoundRobin => {
-                let t = Tid(self.rr_turn as u32);
-                match self.entries.get(self.rr_turn)?.as_ref()?.state {
-                    ThreadState::AtSync(_) => Some(t),
-                    _ => None,
-                }
+                let holder = self.entries.get(self.rr_turn)?.as_ref()?;
+                matches!(holder.state, ThreadState::AtSync(_)).then_some(Tid(self.rr_turn as u32))
             }
         }
     }
 
-    /// Round robin only: advances the turn past the current holder.
-    pub fn rr_advance(&mut self, v: u64) {
-        debug_assert_eq!(self.policy, OrderPolicy::RoundRobin);
-        let n = self.entries.len();
-        for step in 1..=n {
-            let i = (self.rr_turn + step) % n;
-            if let Some(e) = &self.entries[i] {
-                if matches!(e.state, ThreadState::Running | ThreadState::AtSync(_)) {
-                    self.rr_turn = i;
-                    self.rr_turn_v = self.rr_turn_v.max(v);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn rr_fixup(&mut self, v: u64) {
-        if self.policy != OrderPolicy::RoundRobin {
-            return;
-        }
-        let ok = self.entries[self.rr_turn]
-            .as_ref()
-            .map(|e| matches!(e.state, ThreadState::Running | ThreadState::AtSync(_)))
-            .unwrap_or(false);
-        if !ok {
-            self.rr_advance(v);
-        }
-    }
-
-    /// Round robin only: current turn holder.
-    pub fn rr_holder(&self) -> usize {
-        self.rr_turn
-    }
-
-    /// Round robin only: virtual time at which the current turn was set.
-    pub fn rr_turn_v(&self) -> u64 {
-        self.rr_turn_v
-    }
-
-    /// Number of threads in each non-finished state:
-    /// `(running, at_sync, departed)`.
-    pub fn census(&self) -> (usize, usize, usize) {
-        let mut r = (0, 0, 0);
-        for e in self.entries.iter().flatten() {
-            match e.state {
-                ThreadState::Running => r.0 += 1,
-                ThreadState::AtSync(_) => r.1 += 1,
-                ThreadState::Departed => r.2 += 1,
-                ThreadState::Finished => {}
-            }
-        }
-        r
-    }
-
-    /// Cross-checks the redundant scheduler state: per-entry cached keys
-    /// against the `waiters`/`bounds` sets and the published head key.
+    /// Cross-checks the redundant scheduler state: the cached keys against
+    /// the entries, the `waiters`/`bounds` sets and the published head key.
     /// `Err` describes the first violation found — the supervisor's cue to
-    /// fail over to the reference scheduler before the corrupted queues
-    /// mis-order (or lose) a token grant.
+    /// fail over before the corrupted queues mis-order (or lose) a token
+    /// grant. A table with no index has no redundant derived state to
+    /// corrupt: always `Ok`.
     pub fn check_invariants(&self) -> Result<(), String> {
+        let Some(ix) = &self.index else { return Ok(()) };
         let mut at_sync = 0usize;
         for (i, e) in self.entries.iter().enumerate() {
             let Some(e) = e else { continue };
-            match (e.state, e.waiters_key) {
+            let keys = ix.keys[i];
+            match (e.state, keys.waiter) {
                 (ThreadState::AtSync(c), Some(wk)) => {
                     at_sync += 1;
                     if wk != pack(c, i as u32) {
@@ -699,7 +484,7 @@ impl FastTable {
                             "thread {i}: waiter key {wk:#x} does not encode its AtSync clock {c}"
                         ));
                     }
-                    if !self.waiters.contains(&wk) {
+                    if !ix.waiters.contains(&wk) {
                         return Err(format!(
                             "thread {i}: AtSync({c}) but missing from the waiter queue \
                              (lost waiter — it would never be woken)"
@@ -717,21 +502,22 @@ impl FastTable {
                 }
                 (_, None) => {}
             }
-            if !matches!(e.state, ThreadState::Finished) && !self.bounds.contains(&e.bounds_key) {
+            let live = !matches!(e.state, ThreadState::Finished);
+            if live && !keys.bound.is_some_and(|k| ix.bounds.contains(&k)) {
                 return Err(format!(
-                    "thread {i}: cached bound {:#x} missing from the bounds set",
-                    e.bounds_key
+                    "thread {i}: cached bound {:x?} missing from the bounds set",
+                    keys.bound
                 ));
             }
         }
-        if self.waiters.len() != at_sync {
+        if ix.waiters.len() != at_sync {
             return Err(format!(
                 "waiter queue holds {} keys but {at_sync} threads are AtSync",
-                self.waiters.len()
+                ix.waiters.len()
             ));
         }
         let head = self.slots.head_key();
-        let expect = self.waiters.iter().next().copied().unwrap_or(NO_WAITER);
+        let expect = ix.waiters.iter().next().copied().unwrap_or(NO_WAITER);
         if head != expect {
             return Err(format!(
                 "published head key {head:#x} disagrees with waiter-queue minimum {expect:#x}"
@@ -741,285 +527,50 @@ impl FastTable {
     }
 
     /// Fault-injection hook: silently drops the first waiter other than
-    /// `exclude` from the waiter queue, leaving its entry believing it is
-    /// queued — the lost-waiter corruption class
+    /// `exclude` from the waiter queue, leaving its cached key believing it
+    /// is queued — the lost-waiter corruption class
     /// [`check_invariants`](Self::check_invariants) exists to catch.
     /// `exclude` is the thread being granted the token (losing *its* key
     /// would be harmless: it is about to resume and leave the queue
-    /// anyway). Returns `false` when nobody else is waiting. Testing and
-    /// supervised fault drills only.
+    /// anyway). Returns `false` when nobody else is waiting or there is no
+    /// index to corrupt. Testing and supervised fault drills only.
     pub fn corrupt_lose_head_waiter(&mut self, exclude: Tid) -> bool {
-        let Some(&k) = self.waiters.iter().find(|&&k| packed_tid(k) != exclude.0) else {
+        let Some(ix) = &mut self.index else {
             return false;
         };
-        self.waiters.remove(&k);
+        let Some(&k) = ix.waiters.iter().find(|&&k| packed_tid(k) != exclude.0) else {
+            return false;
+        };
+        ix.waiters.remove(&k);
         // Republish the (now wrong) head so lock-free publishers are
         // equally blind to the lost waiter.
-        self.sync_head();
+        ix.sync_head(&self.slots);
         true
     }
 
-    /// Snapshots this table into an equivalent reference [`ClockTable`] —
-    /// the supervised failover path. States, published bounds (folding in
-    /// any lock-free publication the cached keys lag behind), publication
-    /// histories and the round-robin turn all carry over, so the rebuilt
-    /// table answers every eligibility / wake-time query identically and
-    /// the schedule continues bit-for-bit. The sets this table derives
-    /// from those snapshots (`waiters`, `bounds`, head key) are dropped —
-    /// that redundancy is exactly what a corruption poisons.
-    pub fn export_reference(&self) -> ClockTable {
-        let mut out = ClockTable::new(self.policy, self.entries.len());
-        for (i, e) in self.entries.iter().enumerate() {
-            let Some(e) = e else { continue };
-            let published = match e.state {
-                ThreadState::Running => e.published.max(packed_clock(self.slots.bound_key(i))),
-                _ => e.published,
-            };
-            let history = self.slots.hists[i].hist.lock().clone();
-            out.restore_thread(Tid(i as u32), e.state, published, history);
-        }
-        out.restore_rr_turn(self.rr_turn, self.rr_turn_v);
-        out
-    }
-}
-
-/// Which clock-table implementation a runtime uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedKind {
-    /// Lock-free publication slots + O(log T) sets + targeted wake-ups.
-    #[default]
-    Fast,
-    /// The original all-under-one-lock [`ClockTable`] with `notify_all`
-    /// wake-ups; kept selectable for differential testing (same precedent
-    /// as `merge::bytewise`).
-    Reference,
-}
-
-/// Either clock-table implementation behind one interface.
-///
-/// The runtime holds this inside its global lock; in `Fast` mode the
-/// shared [`Slots`] half is additionally reachable lock-free.
-#[derive(Debug)]
-pub enum SchedTable {
-    /// Reference implementation.
-    Reference(ClockTable),
-    /// Fast path.
-    Fast(FastTable),
-}
-
-impl SchedTable {
-    /// Builds the chosen implementation over up to `slots.capacity()`
-    /// threads. The reference table ignores `slots` beyond sizing.
-    pub fn new(kind: SchedKind, policy: OrderPolicy, slots: Arc<Slots>) -> SchedTable {
-        match kind {
-            SchedKind::Reference => {
-                SchedTable::Reference(ClockTable::new(policy, slots.capacity()))
-            }
-            SchedKind::Fast => SchedTable::Fast(FastTable::new(policy, slots)),
-        }
-    }
-
-    /// Which implementation this is.
-    pub fn kind(&self) -> SchedKind {
-        match self {
-            SchedTable::Reference(_) => SchedKind::Reference,
-            SchedTable::Fast(_) => SchedKind::Fast,
-        }
-    }
-
-    /// See [`ClockTable::policy`].
-    pub fn policy(&self) -> OrderPolicy {
-        match self {
-            SchedTable::Reference(t) => t.policy(),
-            SchedTable::Fast(t) => t.policy(),
-        }
-    }
-
-    /// See [`ClockTable::register`].
-    pub fn register(&mut self, t: Tid, clock: u64, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.register(t, clock, v),
-            SchedTable::Fast(x) => x.register(t, clock, v),
-        }
-    }
-
-    /// See [`ClockTable::state`].
-    pub fn state(&self, t: Tid) -> ThreadState {
-        match self {
-            SchedTable::Reference(x) => x.state(t),
-            SchedTable::Fast(x) => x.state(t),
-        }
-    }
-
-    /// See [`ClockTable::published`].
-    pub fn published(&self, t: Tid) -> u64 {
-        match self {
-            SchedTable::Reference(x) => x.published(t),
-            SchedTable::Fast(x) => x.published(t),
-        }
-    }
-
-    /// See [`ClockTable::history_len`].
-    pub fn history_len(&self, t: Tid) -> usize {
-        match self {
-            SchedTable::Reference(x) => x.history_len(t),
-            SchedTable::Fast(x) => x.history_len(t),
-        }
-    }
-
-    /// Longest per-thread clock history over tids `0..threads` (the
-    /// resource-witness gauge; the pruning watermark must bound it).
-    pub fn max_history_len(&self, threads: u32) -> usize {
-        (0..threads)
-            .map(|t| self.history_len(Tid(t)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// See [`ClockTable::publish`].
-    pub fn publish(&mut self, t: Tid, clock: u64, v: u64) -> bool {
-        match self {
-            SchedTable::Reference(x) => x.publish(t, clock, v),
-            SchedTable::Fast(x) => x.publish(t, clock, v),
-        }
-    }
-
-    /// See [`ClockTable::arrive_sync`].
-    pub fn arrive_sync(&mut self, t: Tid, clock: u64, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.arrive_sync(t, clock, v),
-            SchedTable::Fast(x) => x.arrive_sync(t, clock, v),
-        }
-    }
-
-    /// See [`ClockTable::depart`].
-    pub fn depart(&mut self, t: Tid, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.depart(t, v),
-            SchedTable::Fast(x) => x.depart(t, v),
-        }
-    }
-
-    /// See [`ClockTable::finish`].
-    pub fn finish(&mut self, t: Tid, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.finish(t, v),
-            SchedTable::Fast(x) => x.finish(t, v),
-        }
-    }
-
-    /// See [`ClockTable::reactivate`].
-    pub fn reactivate(&mut self, t: Tid, clock: u64, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.reactivate(t, clock, v),
-            SchedTable::Fast(x) => x.reactivate(t, clock, v),
-        }
-    }
-
-    /// See [`ClockTable::resume`].
-    pub fn resume(&mut self, t: Tid, clock: u64, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.resume(t, clock, v),
-            SchedTable::Fast(x) => x.resume(t, clock, v),
-        }
-    }
-
-    /// See [`ClockTable::eligible`]. `&mut` because the fast path may
-    /// refresh stale cached bounds.
-    pub fn eligible(&mut self, t: Tid) -> bool {
-        match self {
-            SchedTable::Reference(x) => x.eligible(t),
-            SchedTable::Fast(x) => x.eligible(t),
-        }
-    }
-
-    /// See [`ClockTable::crossing_v`].
-    pub fn crossing_v(&self, t: Tid, c: u64) -> u64 {
-        match self {
-            SchedTable::Reference(x) => x.crossing_v(t, c),
-            SchedTable::Fast(x) => x.crossing_v(t, c),
-        }
-    }
-
-    /// See [`ClockTable::min_waiting_other`].
-    pub fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
-        match self {
-            SchedTable::Reference(x) => x.min_waiting_other(t),
-            SchedTable::Fast(x) => x.min_waiting_other(t),
-        }
-    }
-
-    /// Fast path only: the unique thread a token release should wake (see
-    /// [`FastTable::successor`]). `None` under the reference table, whose
-    /// releases broadcast.
-    pub fn successor(&mut self) -> Option<Tid> {
-        match self {
-            SchedTable::Reference(_) => None,
-            SchedTable::Fast(x) => x.successor(),
-        }
-    }
-
-    /// See [`ClockTable::rr_advance`].
-    pub fn rr_advance(&mut self, v: u64) {
-        match self {
-            SchedTable::Reference(x) => x.rr_advance(v),
-            SchedTable::Fast(x) => x.rr_advance(v),
-        }
-    }
-
-    /// See [`ClockTable::rr_holder`].
-    pub fn rr_holder(&self) -> usize {
-        match self {
-            SchedTable::Reference(x) => x.rr_holder(),
-            SchedTable::Fast(x) => x.rr_holder(),
-        }
-    }
-
-    /// See [`ClockTable::rr_turn_v`].
-    pub fn rr_turn_v(&self) -> u64 {
-        match self {
-            SchedTable::Reference(x) => x.rr_turn_v(),
-            SchedTable::Fast(x) => x.rr_turn_v(),
-        }
-    }
-
-    /// See [`ClockTable::census`].
-    pub fn census(&self) -> (usize, usize, usize) {
-        match self {
-            SchedTable::Reference(x) => x.census(),
-            SchedTable::Fast(x) => x.census(),
-        }
-    }
-
-    /// See [`FastTable::check_invariants`]. The reference table has no
-    /// redundant derived state to corrupt: always `Ok`.
-    pub fn check_invariants(&self) -> Result<(), String> {
-        match self {
-            SchedTable::Reference(_) => Ok(()),
-            SchedTable::Fast(x) => x.check_invariants(),
-        }
-    }
-
-    /// Fails over from the fast path to the reference scheduler in place
-    /// (see [`FastTable::export_reference`]). Returns `false` when already
-    /// on the reference table. After failover the caller must stop routing
-    /// publications through the lock-free [`Slots`] and fall back to
-    /// broadcast wake-ups — the slots are no longer read.
+    /// Fails over from the fast kind to the reference kind in place — the
+    /// supervised recovery path. States, histories and the round-robin turn
+    /// are the table's own and stay where they are; the one thing only the
+    /// atomics know, a running thread's lock-free publications the table
+    /// has not seen yet, is folded into `published`; then the index — the
+    /// redundancy a corruption poisons — is dropped. Every eligibility and
+    /// wake-time query answers as before and the schedule continues
+    /// bit-for-bit. Returns `false` when there is no index to drop.
+    ///
+    /// Afterwards the caller must stop routing publications through
+    /// [`Slots::publish`] and fall back to broadcast wake-ups: the bounds
+    /// are no longer read. A publication already in flight there still
+    /// lands in the thread's history, where `crossing_v` finds it.
     pub fn failover(&mut self) -> bool {
-        let SchedTable::Fast(f) = self else {
+        if self.index.take().is_none() {
             return false;
-        };
-        *self = SchedTable::Reference(f.export_reference());
-        true
-    }
-
-    /// See [`FastTable::corrupt_lose_head_waiter`]. `false` (no-op) on the
-    /// reference table.
-    pub fn corrupt_lose_head_waiter(&mut self, exclude: Tid) -> bool {
-        match self {
-            SchedTable::Reference(_) => false,
-            SchedTable::Fast(x) => x.corrupt_lose_head_waiter(exclude),
         }
+        for (i, e) in self.entries.iter_mut().enumerate() {
+            if let Some(e) = e.as_mut().filter(|e| e.state == ThreadState::Running) {
+                e.published = e.published.max(packed_clock(self.slots.bound_key(i)));
+            }
+        }
+        true
     }
 }
 
@@ -1027,8 +578,14 @@ impl SchedTable {
 mod tests {
     use super::*;
 
-    fn fast(n: usize) -> FastTable {
-        FastTable::new(OrderPolicy::InstructionCount, Slots::new(n))
+    use crate::table::SchedKind;
+
+    fn fast(n: usize) -> SchedTable {
+        SchedTable::new(
+            SchedKind::Fast,
+            OrderPolicy::InstructionCount,
+            Slots::new(n),
+        )
     }
 
     #[test]
@@ -1064,7 +621,7 @@ mod tests {
         assert!(!t.eligible(Tid(1)));
         // Publish around the table, straight through the slots — the
         // runtime's hot path.
-        let out = t.slots().clone().publish(Tid(0), 60, 123);
+        let out = t.slots.publish(Tid(0), 60, 123);
         assert!(out.advanced);
         assert_eq!(out.head, Some((50, 1)));
         assert_eq!(out.wake_hint, Some(Tid(1)));
@@ -1079,13 +636,13 @@ mod tests {
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.arrive_sync(Tid(1), 50, 0);
-        t.slots().set_token_free(false);
-        let out = t.slots().clone().publish(Tid(0), 60, 1);
+        t.slots.set_token_free(false);
+        let out = t.slots.publish(Tid(0), 60, 1);
         assert!(out.advanced);
         assert_eq!(out.wake_hint, None, "no hint while the token is held");
         // The wake is the releaser's job: its successor check (made after
         // setting the token free) observes the crossing.
-        t.slots().set_token_free(true);
+        t.slots.set_token_free(true);
         assert_eq!(t.successor(), Some(Tid(1)));
     }
 
@@ -1097,10 +654,10 @@ mod tests {
         t.register(Tid(2), 0, 0);
         t.arrive_sync(Tid(1), 50, 0);
         // T0 crosses, but T2 (published 0) still blocks the head.
-        let out = t.slots().clone().publish(Tid(0), 60, 1);
+        let out = t.slots.publish(Tid(0), 60, 1);
         assert_eq!(out.wake_hint, None);
         // T2 crosses last: it raises the hint.
-        let out = t.slots().clone().publish(Tid(2), 60, 2);
+        let out = t.slots.publish(Tid(2), 60, 2);
         assert_eq!(out.wake_hint, Some(Tid(1)));
     }
 
@@ -1158,7 +715,7 @@ mod tests {
 
     #[test]
     fn fast_round_robin_takes_turns() {
-        let mut t = FastTable::new(OrderPolicy::RoundRobin, Slots::new(4));
+        let mut t = SchedTable::new(SchedKind::Fast, OrderPolicy::RoundRobin, Slots::new(4));
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.arrive_sync(Tid(1), 10, 0);
@@ -1184,7 +741,7 @@ mod tests {
         t.arrive_sync(Tid(2), 70, 1);
         // T1 (the head waiter) dies while queued.
         t.finish(Tid(1), 5);
-        assert_eq!(t.slots().head_key(), pack(70, 2), "head must move to T2");
+        assert_eq!(t.slots.head_key(), pack(70, 2), "head must move to T2");
         t.publish(Tid(0), 100, 6);
         assert_eq!(t.successor(), Some(Tid(2)), "dead thread must be skipped");
         assert!(t.eligible(Tid(2)));
@@ -1201,9 +758,9 @@ mod tests {
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.arrive_sync(Tid(1), 50, 1);
-        assert_eq!(t.slots().head_key(), pack(50, 1));
+        assert_eq!(t.slots.head_key(), pack(50, 1));
         t.depart(Tid(1), 2);
-        assert_eq!(t.slots().head_key(), NO_WAITER);
+        assert_eq!(t.slots.head_key(), NO_WAITER);
         assert_eq!(t.successor(), None);
         t.check_invariants()
             .expect("depart must leave state coherent");
@@ -1238,9 +795,7 @@ mod tests {
         t.arrive_sync(Tid(1), 50, 4);
         t.depart(Tid(2), 5);
         // Lock-free publication the cached keys lag behind.
-        if let SchedTable::Fast(f) = &t {
-            f.slots().clone().publish(Tid(0), 60, 7);
-        }
+        t.slots.publish(Tid(0), 60, 7);
         assert!(t.failover());
         assert_eq!(t.kind(), SchedKind::Reference);
         assert!(!t.failover(), "second failover is a no-op");
@@ -1276,6 +831,29 @@ mod tests {
     }
 
     #[test]
+    fn publication_in_flight_during_failover_keeps_its_wake_time() {
+        // A running thread already past the runtime's "targeted?" check
+        // when the watchdog fails the table over still publishes through
+        // the slots. Its entry must stay in the wake-time history: a
+        // degraded run's virtual time has to equal the clean run's.
+        let slots = Slots::new(4);
+        let mut t = SchedTable::new(
+            SchedKind::Fast,
+            OrderPolicy::InstructionCount,
+            slots.clone(),
+        );
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.arrive_sync(Tid(1), 50, 7);
+        assert!(t.failover());
+        slots.publish(Tid(0), 60, 123); // the straggler
+        assert!(!t.eligible(Tid(1)), "the table no longer reads the slots");
+        t.publish(Tid(0), 70, 200); // T0's next, locked, publication
+        assert!(t.eligible(Tid(1)));
+        assert_eq!(t.crossing_v(Tid(1), 50), 123, "T0 crossed 50 at v=123");
+    }
+
+    #[test]
     fn failover_preserves_round_robin_turn() {
         let mut t = SchedTable::new(SchedKind::Fast, OrderPolicy::RoundRobin, Slots::new(4));
         t.register(Tid(0), 0, 0);
@@ -1294,7 +872,7 @@ mod tests {
         let mut t = fast(2);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
-        let slots = t.slots().clone();
+        let slots = t.slots.clone();
         let mut peak = 0;
         for i in 1..=100_000u64 {
             slots.publish(Tid(0), i, i);

@@ -12,13 +12,19 @@
 //!   thread's sync op waits for its turn regardless of how much work others
 //!   still have — the Figure 1b pathology.
 //!
-//! The [`ClockTable`] is a passive state machine mutated under the owning
-//! runtime's global lock. Crucially it also propagates **virtual time**
-//! along wake edges: whenever an event (clock publication, departure, turn
-//! advance) makes a waiting thread eligible, the event's virtual timestamp
-//! is folded into the waiter's `pending_wake` accumulator, so the waiter
-//! resumes no earlier (in virtual time) than the event that released it.
-//! This is what makes reported runtimes reflect deterministic waiting.
+//! The clock table ([`SchedTable`]) is a passive state machine mutated under
+//! the owning runtime's global lock, and it exists once. On its own it is
+//! the reference scheduler ([`SchedKind::Reference`]: O(T) scans, locked
+//! publication, broadcast wake-ups — what replay and a failed-over run
+//! execute, and the oracle of the differential tests); with its index and
+//! the lock-free [`Slots`] it is the fast one ([`SchedKind::Fast`], module
+//! [`fast`]). Crucially the table also propagates **virtual time** along
+//! wake edges: every externally visible change of a thread's effective
+//! clock bound (publication, departure, turn advance) is recorded with its
+//! virtual timestamp, and a waiter's wake time is read back from those
+//! histories ([`SchedTable::crossing_v`]), so the waiter resumes no earlier
+//! (in virtual time) than the event that released it. This is what makes
+//! reported runtimes reflect deterministic waiting.
 
 // Robustness gate: scheduler code must not panic on recoverable
 // conditions. The few sanctioned `expect` sites carry `#[allow]` with an
@@ -31,7 +37,7 @@ pub mod overflow;
 pub mod replay;
 pub mod table;
 
-pub use fast::{FastTable, PublishOutcome, SchedKind, SchedTable, Slots};
+pub use fast::{PublishOutcome, Slots};
 pub use overflow::OverflowPolicy;
 pub use replay::ReplayCtl;
-pub use table::{ClockTable, OrderPolicy, ThreadState};
+pub use table::{OrderPolicy, SchedKind, SchedTable, ThreadState};

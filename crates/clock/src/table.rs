@@ -1,6 +1,21 @@
 //! The clock table: per-thread logical clocks and token eligibility.
+//!
+//! [`SchedTable`] is the one state machine behind both scheduler kinds:
+//! per-thread `(state, published clock)`, the round-robin turn, and the wake
+//! time read back from the publication histories (which live in the shared
+//! [`Slots`]). On its own — [`SchedKind::Reference`] — every query is an
+//! O(T) scan over the entries and every publication goes through the
+//! owning runtime's global lock. [`SchedKind::Fast`] is the same table plus
+//! an index over it (`crate::fast`): ordered sets for O(log T) queries and
+//! an atomic mirror of the bounds for lock-free publication. The index is
+//! derived state; dropping it ([`SchedTable::failover`]) leaves the
+//! reference table.
+
+use std::sync::Arc;
 
 use dmt_api::Tid;
+
+use crate::fast::{pack, packed_clock, Index, Slots, TID_BITS};
 
 /// Which deterministic total order the table enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -27,6 +42,19 @@ pub enum ThreadState {
     Finished,
 }
 
+/// Which scheduler a runtime uses: the clock table with or without its
+/// index.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SchedKind {
+    /// Lock-free publication slots + O(log T) sets + targeted wake-ups.
+    #[default]
+    Fast,
+    /// The table alone: all under one lock, O(T) scans, `notify_all`
+    /// wake-ups. What replay and a failed-over run execute, and the oracle
+    /// the fast kind is differentially tested against.
+    Reference,
+}
+
 /// A clock value standing in for "will never block anyone again" (departed
 /// or finished threads).
 const UNBLOCKED: u64 = u64::MAX;
@@ -35,25 +63,21 @@ const UNBLOCKED: u64 = u64::MAX;
 /// noise and the doubling amortization would thrash.
 pub(crate) const PRUNE_MIN: usize = 64;
 
-#[derive(Clone, Debug)]
-struct Entry {
-    state: ThreadState,
-    published: u64,
-    /// Publication history: every externally visible change of this
-    /// thread's effective clock bound, as `(bound, virtual time)`. A
-    /// departure records `(UNBLOCKED, v)`; a reactivation records the
-    /// restored (possibly lower) bound. The sequence is a deterministic
-    /// function of the program, which is what makes virtual-time waits
-    /// reproducible: a waiter's wake time is looked up here rather than
-    /// taken from racy wall-clock arrival order.
-    ///
-    /// Bounded by watermark pruning: entries below the minimum clock any
-    /// current or future waiter can query are unreachable by the backward
-    /// walk in [`ClockTable::crossing_v`] and are periodically dropped.
-    history: Vec<(u64, u64)>,
-    /// History length right after the last prune attempt; the next attempt
-    /// waits for the history to double past it (amortized O(1) per push).
-    hist_floor: usize,
+/// One thread's scheduling state. Its publication history lives in
+/// [`Slots`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Entry {
+    pub(crate) state: ThreadState,
+    /// Authoritative published clock, except for a `Running` thread of an
+    /// indexed table, whose atomic slot may be ahead.
+    pub(crate) published: u64,
+}
+
+impl Entry {
+    /// Whether the thread takes part in the round-robin rotation.
+    fn in_rotation(&self) -> bool {
+        matches!(self.state, ThreadState::Running | ThreadState::AtSync(_))
+    }
 }
 
 /// Drops history entries unreachable by any query at clock `>= w`.
@@ -71,25 +95,45 @@ pub(crate) fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
 /// Per-thread logical clocks plus the eligibility rule for the global token.
 ///
 /// All methods must be called under one external lock (the runtime's global
-/// mutex); the table itself performs no synchronization.
+/// mutex); the table itself performs no synchronization. With an index,
+/// publications may *also* flow directly through the shared [`Slots`]
+/// without this table's involvement — the index's cached bounds then lag
+/// and are refreshed lazily.
 #[derive(Debug)]
-pub struct ClockTable {
+pub struct SchedTable {
     policy: OrderPolicy,
-    entries: Vec<Option<Entry>>,
+    pub(crate) slots: Arc<Slots>,
+    pub(crate) entries: Vec<Option<Entry>>,
     /// Round-robin: index of the thread whose turn it is, and the virtual
     /// time of the event that moved the turn there.
-    rr_turn: usize,
+    pub(crate) rr_turn: usize,
     rr_turn_v: u64,
+    /// What makes the table [`SchedKind::Fast`]; `None` is the reference
+    /// table.
+    pub(crate) index: Option<Index>,
 }
 
-impl ClockTable {
-    /// An empty table with room for `slots` threads.
-    pub fn new(policy: OrderPolicy, slots: usize) -> ClockTable {
-        ClockTable {
+impl SchedTable {
+    /// An empty table of the chosen kind over up to `slots.capacity()`
+    /// threads, keeping its publication histories in `slots`.
+    pub fn new(kind: SchedKind, policy: OrderPolicy, slots: Arc<Slots>) -> SchedTable {
+        let n = slots.capacity();
+        SchedTable {
             policy,
-            entries: vec![None; slots],
+            slots,
+            entries: vec![None; n],
             rr_turn: 0,
             rr_turn_v: 0,
+            index: (kind == SchedKind::Fast).then(|| Index::new(n)),
+        }
+    }
+
+    /// Which kind this table currently is ([`SchedKind::Reference`] after
+    /// a failover).
+    pub fn kind(&self) -> SchedKind {
+        match self.index {
+            Some(_) => SchedKind::Fast,
+            None => SchedKind::Reference,
         }
     }
 
@@ -113,29 +157,31 @@ impl ClockTable {
         self.entries[t.index()].as_mut().expect("unregistered tid")
     }
 
-    /// Restores one thread's snapshot — the fast-scheduler failover path
-    /// (`crate::fast::FastTable::export_reference`). The history must be
-    /// the thread's deterministic publication history: the rebuilt table's
-    /// wake-time answers (`crossing_v`) are computed from it.
-    pub(crate) fn restore_thread(
-        &mut self,
-        t: Tid,
-        state: ThreadState,
-        published: u64,
-        history: Vec<(u64, u64)>,
-    ) {
-        self.entries[t.index()] = Some(Entry {
-            state,
-            published,
-            hist_floor: history.len(),
-            history,
-        });
-    }
-
-    /// Restores the round-robin turn — failover path only.
-    pub(crate) fn restore_rr_turn(&mut self, turn: usize, v: u64) {
-        self.rr_turn = turn;
-        self.rr_turn_v = v;
+    /// Completes a state transition of `t` at virtual time `v`: appends its
+    /// new effective bound to its history, then brings the index (if any)
+    /// up to date. History before bound: an acquirer that observed the new
+    /// bound (that is why it became eligible) must find the crossing entry.
+    fn record(&mut self, t: Tid, v: u64) {
+        let e = *self.entry(t);
+        let bound = match e.state {
+            ThreadState::Running | ThreadState::AtSync(_) => e.published,
+            ThreadState::Departed | ThreadState::Finished => UNBLOCKED,
+        };
+        // Arrivals prune: threads that sync without ever overflowing a
+        // counter still grow history.
+        self.push_hist(t, bound, v, matches!(e.state, ThreadState::AtSync(_)));
+        if self.policy == OrderPolicy::RoundRobin {
+            // A thread in the rotation claims a turn that points at nobody
+            // (a no-op while the holder is live, hence for a thread that
+            // was in the rotation already); one that left it passes on a
+            // turn it held.
+            if e.in_rotation() {
+                self.rr_fixup(v);
+            } else if self.rr_turn == t.index() {
+                self.rr_advance(v);
+            }
+        }
+        self.reindex(t, e);
     }
 
     /// Registers a new thread with an inherited starting clock, at the
@@ -143,17 +189,20 @@ impl ClockTable {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is taken or out of range.
+    /// Panics if the slot is taken, out of range, or `t` overflows the
+    /// packed-key tid field.
     pub fn register(&mut self, t: Tid, clock: u64, v: u64) {
+        assert!(
+            u64::from(t.0) < (1 << TID_BITS) - 1,
+            "tid {t} overflows packed keys"
+        );
         let slot = &mut self.entries[t.index()];
         assert!(slot.is_none(), "tid {t} registered twice");
         *slot = Some(Entry {
             state: ThreadState::Running,
             published: clock,
-            history: vec![(clock, v)],
-            hist_floor: 0,
         });
-        self.rr_fixup(v);
+        self.record(t, v);
     }
 
     /// Current state of `t`.
@@ -161,15 +210,30 @@ impl ClockTable {
         self.entry(t).state
     }
 
-    /// Last published clock of `t`.
+    /// Last published clock of `t` (for a running thread of an indexed
+    /// table this reads the atomic slot, which lock-free publications may
+    /// have advanced past the table's value).
     pub fn published(&self, t: Tid) -> u64 {
-        self.entry(t).published
+        let e = self.entry(t);
+        match (e.state, &self.index) {
+            (ThreadState::Running, Some(_)) => packed_clock(self.slots.bound_key(t.index())),
+            _ => e.published,
+        }
     }
 
     /// Current length of `t`'s publication history (watermark pruning keeps
     /// this bounded while the rest of the table makes progress).
     pub fn history_len(&self, t: Tid) -> usize {
-        self.entry(t).history.len()
+        self.slots.hist(t.index()).len()
+    }
+
+    /// Longest per-thread clock history over tids `0..threads` (the
+    /// resource-witness gauge; the pruning watermark must bound it).
+    pub fn max_history_len(&self, threads: u32) -> usize {
+        (0..threads)
+            .map(|t| self.history_len(Tid(t)))
+            .max()
+            .unwrap_or(0)
     }
 
     /// The minimum clock any current or future waiter can still query:
@@ -190,76 +254,71 @@ impl ClockTable {
         w
     }
 
-    /// Prunes `t`'s history against the watermark once it has doubled since
-    /// the last attempt (and is past [`PRUNE_MIN`]).
-    fn maybe_prune(&mut self, t: Tid) {
-        let len = self.entry(t).history.len();
-        if len < PRUNE_MIN || len < 2 * self.entry(t).hist_floor.max(PRUNE_MIN / 2) {
-            return;
+    /// Appends `(bound, v)` to `t`'s history and, with `prune`, prunes it
+    /// once it has doubled since the last attempt — against the index's
+    /// running watermark or, without one, the scan.
+    fn push_hist(&self, t: Tid, bound: u64, v: u64, prune: bool) {
+        let mut h = self.slots.hist(t.index());
+        h.push((bound, v));
+        if prune {
+            self.slots
+                .prune_locked(t.index(), &mut h, || match self.index {
+                    Some(_) => self.slots.watermark(),
+                    None => self.watermark(),
+                });
         }
-        let w = self.watermark();
-        let e = self.entry_mut(t);
-        prune_history(&mut e.history, w);
-        e.hist_floor = e.history.len();
     }
 
     /// Publishes a running thread's clock (a counter overflow) at virtual
-    /// time `v`. Returns `true` if the published value advanced (waiters
-    /// may have become eligible — a notification hint).
+    /// time `v`, under the lock. Returns `true` if the published value
+    /// advanced (waiters may have become eligible — a notification hint).
+    /// A fast-kind runtime's hot path calls [`Slots::publish`] directly
+    /// instead; on an indexed table this goes through it too.
     pub fn publish(&mut self, t: Tid, clock: u64, v: u64) -> bool {
         let e = self.entry_mut(t);
         debug_assert!(matches!(e.state, ThreadState::Running));
-        let old = e.published;
+        let old = std::mem::replace(&mut e.published, clock);
         debug_assert!(clock >= old, "published clock must be monotone");
-        e.published = clock;
-        e.history.push((clock, v));
-        self.maybe_prune(t);
+        if let Some(ix) = &mut self.index {
+            let out = self.slots.publish(t, clock, v);
+            ix.rekey_bounds(t.index(), pack(clock, t.0));
+            return out.advanced;
+        }
+        self.push_hist(t, clock, v, true);
         clock > old
     }
 
     /// Thread `t` arrives at a synchronization operation with exact clock
     /// `clock`, at virtual time `v`.
     pub fn arrive_sync(&mut self, t: Tid, clock: u64, v: u64) {
+        // Fold in any bound the thread published lock-free since the table
+        // last saw it.
+        let published = clock.max(self.published(t));
         let e = self.entry_mut(t);
-        e.published = clock.max(e.published);
+        e.published = published;
         e.state = ThreadState::AtSync(clock);
-        let p = e.published;
-        e.history.push((p, v));
-        self.maybe_prune(t);
+        self.record(t, v);
     }
 
     /// Thread `t` removes itself from GMIC consideration (`clockDepart`)
     /// at virtual time `v`.
     pub fn depart(&mut self, t: Tid, v: u64) {
-        let e = self.entry_mut(t);
-        e.state = ThreadState::Departed;
-        e.history.push((UNBLOCKED, v));
-        if self.policy == OrderPolicy::RoundRobin && self.rr_turn == t.index() {
-            self.rr_advance(v);
-        }
+        self.entry_mut(t).state = ThreadState::Departed;
+        self.record(t, v);
     }
 
     /// Thread `t` finishes at virtual time `v`.
     pub fn finish(&mut self, t: Tid, v: u64) {
-        let e = self.entry_mut(t);
-        e.state = ThreadState::Finished;
-        e.history.push((UNBLOCKED, v));
-        if self.policy == OrderPolicy::RoundRobin && self.rr_turn == t.index() {
-            self.rr_advance(v);
-        }
+        self.entry_mut(t).state = ThreadState::Finished;
+        self.record(t, v);
     }
 
     /// A departed thread is woken by an event at virtual time `v` (lock
     /// hand-off, signal, exit) and rejoins GMIC consideration with clock
     /// `clock` — which may *lower* its effective bound again.
     pub fn reactivate(&mut self, t: Tid, clock: u64, v: u64) {
-        let e = self.entry_mut(t);
-        debug_assert!(matches!(e.state, ThreadState::Departed));
-        e.state = ThreadState::Running;
-        e.published = e.published.max(clock);
-        let p = e.published;
-        e.history.push((p, v));
-        self.rr_fixup(v);
+        debug_assert!(matches!(self.entry(t).state, ThreadState::Departed));
+        self.resume(t, clock, v);
     }
 
     /// Thread `t` resumes running after completing a sync op at clock
@@ -268,34 +327,29 @@ impl ClockTable {
         let e = self.entry_mut(t);
         e.state = ThreadState::Running;
         e.published = e.published.max(clock);
-        let p = e.published;
-        e.history.push((p, v));
+        self.record(t, v);
     }
 
     /// Whether `t` (which must be `AtSync`) may proceed under the policy.
     ///
     /// Instruction count: no other live thread could still perform an
     /// earlier-ordered sync op — every Running/AtSync thread's published
-    /// clock is lexicographically past `(clock, t)`. Round robin: it is
-    /// `t`'s turn.
-    pub fn eligible(&self, t: Tid) -> bool {
+    /// clock is lexicographically past `(clock, t)`; a scan, or with an
+    /// index an O(log T) lookup that may refresh stale cached bounds
+    /// (hence `&mut`). Round robin: it is `t`'s turn.
+    pub fn eligible(&mut self, t: Tid) -> bool {
         let ThreadState::AtSync(c) = self.entry(t).state else {
             return false;
         };
         match self.policy {
-            OrderPolicy::InstructionCount => self.entries.iter().enumerate().all(|(i, e)| {
-                let Some(e) = e else { return true };
-                if i == t.index() {
-                    return true;
-                }
-                match e.state {
-                    ThreadState::Departed | ThreadState::Finished => true,
-                    ThreadState::Running | ThreadState::AtSync(_) => {
-                        (e.published, i as u32) > (c, t.0)
-                    }
-                }
-            }),
             OrderPolicy::RoundRobin => self.rr_turn == t.index(),
+            OrderPolicy::InstructionCount => match &mut self.index {
+                Some(ix) => ix.eligible(&mut self.entries, &self.slots, t, c),
+                None => self.entries.iter().enumerate().all(|(i, e)| {
+                    let Some(e) = e else { return true };
+                    i == t.index() || !e.in_rotation() || (e.published, i as u32) > (c, t.0)
+                }),
+            },
         }
     }
 
@@ -309,8 +363,7 @@ impl ClockTable {
     pub fn crossing_v(&self, t: Tid, c: u64) -> u64 {
         let mut wake = 0;
         for (i, e) in self.entries.iter().enumerate() {
-            let Some(e) = e else { continue };
-            if i == t.index() {
+            if e.is_none() || i == t.index() {
                 continue;
             }
             // Walk backwards to the start of the final non-blocking run.
@@ -318,7 +371,7 @@ impl ClockTable {
             // wake constraint at all.
             let mut cross = None;
             let mut blocked = false;
-            for &(bound, v) in e.history.iter().rev() {
+            for &(bound, v) in self.slots.hist(i).iter().rev() {
                 if (bound, i as u32) > (c, t.0) {
                     cross = Some(v);
                 } else {
@@ -343,30 +396,20 @@ impl ClockTable {
         let n = self.entries.len();
         for step in 1..=n {
             let i = (self.rr_turn + step) % n;
-            if let Some(e) = &self.entries[i] {
-                if matches!(e.state, ThreadState::Running | ThreadState::AtSync(_)) {
-                    self.rr_turn = i;
-                    self.rr_turn_v = self.rr_turn_v.max(v);
-                    return;
-                }
+            if self.entries[i].is_some_and(|e| e.in_rotation()) {
+                self.rr_turn = i;
+                self.rr_turn_v = self.rr_turn_v.max(v);
+                return;
             }
         }
     }
 
     /// Round robin: if the turn points at a thread that can no longer take
     /// it (departed/finished — e.g. everyone was blocked when the turn
-    /// last advanced), move it to the next eligible thread. Called when a
-    /// thread joins or rejoins the rotation; a no-op under instruction
-    /// count or while the holder is live.
+    /// last advanced), move it to the next eligible thread. A no-op while
+    /// the holder is live.
     fn rr_fixup(&mut self, v: u64) {
-        if self.policy != OrderPolicy::RoundRobin {
-            return;
-        }
-        let ok = self.entries[self.rr_turn]
-            .as_ref()
-            .map(|e| matches!(e.state, ThreadState::Running | ThreadState::AtSync(_)))
-            .unwrap_or(false);
-        if !ok {
+        if !self.entries[self.rr_turn].is_some_and(|e| e.in_rotation()) {
             self.rr_advance(v);
         }
     }
@@ -384,6 +427,9 @@ impl ClockTable {
     /// Smallest `(clock, tid)` among threads waiting at a sync op, other
     /// than `t`. Drives the §3.2 adaptive overflow target.
     pub fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
+        if let Some(ix) = &self.index {
+            return ix.min_waiting_other(t);
+        }
         self.entries
             .iter()
             .enumerate()
@@ -418,8 +464,12 @@ impl ClockTable {
 mod tests {
     use super::*;
 
-    fn ic(slots: usize) -> ClockTable {
-        ClockTable::new(OrderPolicy::InstructionCount, slots)
+    fn table(policy: OrderPolicy, slots: usize) -> SchedTable {
+        SchedTable::new(SchedKind::Reference, policy, Slots::new(slots))
+    }
+
+    fn ic(slots: usize) -> SchedTable {
+        table(OrderPolicy::InstructionCount, slots)
     }
 
     #[test]
@@ -558,7 +608,7 @@ mod tests {
 
     #[test]
     fn round_robin_takes_turns_in_tid_order() {
-        let mut t = ClockTable::new(OrderPolicy::RoundRobin, 4);
+        let mut t = table(OrderPolicy::RoundRobin, 4);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.register(Tid(2), 0, 0);
@@ -578,7 +628,7 @@ mod tests {
 
     #[test]
     fn round_robin_skips_departed_and_finished() {
-        let mut t = ClockTable::new(OrderPolicy::RoundRobin, 4);
+        let mut t = table(OrderPolicy::RoundRobin, 4);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.register(Tid(2), 0, 0);
@@ -594,7 +644,7 @@ mod tests {
 
     #[test]
     fn rr_departure_of_holder_advances_turn() {
-        let mut t = ClockTable::new(OrderPolicy::RoundRobin, 2);
+        let mut t = table(OrderPolicy::RoundRobin, 2);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.arrive_sync(Tid(1), 1, 0);
@@ -625,7 +675,7 @@ mod tests {
 
     #[test]
     fn long_running_publisher_history_stays_bounded() {
-        // Regression: before watermark pruning, `Entry::history` grew by
+        // Regression: before watermark pruning, a thread's history grew by
         // one entry per publication forever. A publisher that overflows
         // 100k times while a peer keeps syncing (advancing the watermark)
         // must keep a small bounded history.

@@ -4,7 +4,7 @@
 //! pseudo-random cases from a local LCG so the workspace builds with no
 //! external dependencies. The case counts match the old configs.
 
-use det_clock::{ClockTable, OrderPolicy, OverflowPolicy, ThreadState};
+use det_clock::{OrderPolicy, OverflowPolicy, SchedKind, SchedTable, Slots, ThreadState};
 use dmt_api::Tid;
 
 /// Deterministic LCG (MMIX constants) driving case generation.
@@ -23,6 +23,10 @@ impl Rng {
         self.next() % n
     }
 }
+
+/// Every property below is a property of the clock table, whichever kind
+/// it is built as.
+const KINDS: [SchedKind; 2] = [SchedKind::Reference, SchedKind::Fast];
 
 /// A simulated runnable thread with a fixed schedule of sync-op clocks.
 #[derive(Clone, Debug)]
@@ -56,9 +60,9 @@ fn gen_plans(rng: &mut Rng) -> Vec<Plan> {
 /// Replays all threads' sync ops through the table in an arbitrary
 /// arrival interleaving (driven by `perm`), granting greedily whenever
 /// someone is eligible, and returns the grant order.
-fn simulate(plans: &[Plan], policy: OrderPolicy, perm: u64) -> Vec<(u64, u32)> {
+fn simulate(plans: &[Plan], kind: SchedKind, policy: OrderPolicy, perm: u64) -> Vec<(u64, u32)> {
     let n = plans.len();
-    let mut t = ClockTable::new(policy, n);
+    let mut t = SchedTable::new(kind, policy, Slots::new(n));
     for (i, _) in plans.iter().enumerate() {
         t.register(Tid(i as u32), 0, 0);
     }
@@ -124,30 +128,37 @@ fn ic_grants_sort_by_clock_tid() {
     for _ in 0..128 {
         let ps = gen_plans(&mut rng);
         let perm = rng.next();
-        let grants = simulate(&ps, OrderPolicy::InstructionCount, perm);
-        // Grant multiset must equal the plan multiset…
-        let mut expect: Vec<(u64, u32)> = ps
-            .iter()
-            .enumerate()
-            .flat_map(|(i, p)| p.ops.iter().map(move |&c| (c, i as u32)))
-            .collect();
-        let mut got = grants.clone();
-        expect.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-        // …and per-thread grant order must follow each plan (clocks are
-        // strictly increasing per thread).
-        for (i, p) in ps.iter().enumerate() {
-            let mine: Vec<u64> = grants
+        for kind in KINDS {
+            let grants = simulate(&ps, kind, OrderPolicy::InstructionCount, perm);
+            // Grant multiset must equal the plan multiset…
+            let mut expect: Vec<(u64, u32)> = ps
                 .iter()
-                .filter(|(_, t)| *t == i as u32)
-                .map(|(c, _)| *c)
+                .enumerate()
+                .flat_map(|(i, p)| p.ops.iter().map(move |&c| (c, i as u32)))
                 .collect();
-            assert_eq!(mine, p.ops);
+            let mut got = grants.clone();
+            expect.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, expect);
+            // …and per-thread grant order must follow each plan (clocks
+            // are strictly increasing per thread).
+            for (i, p) in ps.iter().enumerate() {
+                let mine: Vec<u64> = grants
+                    .iter()
+                    .filter(|(_, t)| *t == i as u32)
+                    .map(|(c, _)| *c)
+                    .collect();
+                assert_eq!(mine, p.ops);
+            }
+            // Two different interleavings give the same grant order.
+            let again = simulate(
+                &ps,
+                kind,
+                OrderPolicy::InstructionCount,
+                perm.wrapping_add(1),
+            );
+            assert_eq!(grants, again);
         }
-        // Two different interleavings give the same grant order.
-        let again = simulate(&ps, OrderPolicy::InstructionCount, perm.wrapping_add(1));
-        assert_eq!(grants, again);
     }
 }
 
@@ -158,13 +169,16 @@ fn rr_grants_are_interleaving_independent() {
     for _ in 0..128 {
         let ps = gen_plans(&mut rng);
         let perm = rng.next();
-        let a = simulate(&ps, OrderPolicy::RoundRobin, perm);
-        let b = simulate(
-            &ps,
-            OrderPolicy::RoundRobin,
-            perm.wrapping_mul(31).wrapping_add(7),
-        );
-        assert_eq!(a, b);
+        for kind in KINDS {
+            let a = simulate(&ps, kind, OrderPolicy::RoundRobin, perm);
+            let b = simulate(
+                &ps,
+                kind,
+                OrderPolicy::RoundRobin,
+                perm.wrapping_mul(31).wrapping_add(7),
+            );
+            assert_eq!(a, b);
+        }
     }
 }
 
@@ -175,7 +189,11 @@ fn crossing_v_is_monotone_in_waiter_clock() {
     let mut rng = Rng(0x3e_3e_3e);
     for _ in 0..96 {
         let npubs = 1 + rng.below(19) as usize;
-        let mut t = ClockTable::new(OrderPolicy::InstructionCount, 2);
+        let mut t = SchedTable::new(
+            SchedKind::Reference,
+            OrderPolicy::InstructionCount,
+            Slots::new(2),
+        );
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         let mut clock = 0;
@@ -219,7 +237,11 @@ fn overflow_thresholds_are_future() {
 
 #[test]
 fn census_and_state_transitions() {
-    let mut t = ClockTable::new(OrderPolicy::InstructionCount, 3);
+    let mut t = SchedTable::new(
+        SchedKind::Reference,
+        OrderPolicy::InstructionCount,
+        Slots::new(3),
+    );
     t.register(Tid(0), 0, 0);
     assert_eq!(t.state(Tid(0)), ThreadState::Running);
     t.arrive_sync(Tid(0), 5, 0);

@@ -1,7 +1,7 @@
 //! Differential property test for the scheduler fast path.
 //!
-//! Drives the lock-free [`FastTable`] and the reference [`ClockTable`]
-//! through identical pseudo-random — but protocol-valid — operation
+//! Drives a fast-kind (indexed, lock-free) and a reference-kind
+//! [`SchedTable`] through identical pseudo-random — but protocol-valid — operation
 //! sequences, asserting after every single step that the two agree exactly
 //! on each scheduling query the runtime uses: `state`, `published`,
 //! `eligible`, `crossing_v` and `min_waiting_other` (plus the round-robin
@@ -13,7 +13,7 @@
 //! fast side injected at a seed-derived step: agreement must hold at the
 //! failover itself and for the rest of the sequence, wherever it lands.
 
-use det_clock::{ClockTable, OrderPolicy, SchedKind, SchedTable, Slots};
+use det_clock::{OrderPolicy, SchedKind, SchedTable, Slots};
 use dmt_api::Tid;
 
 /// Deterministic LCG (MMIX constants) driving case generation.
@@ -52,7 +52,7 @@ const MAX_THREADS: usize = 8;
 
 struct Harness {
     fast: SchedTable,
-    refr: ClockTable,
+    refr: SchedTable,
     model: Vec<Model>,
     clock: Vec<u64>,
     v: u64,
@@ -62,7 +62,7 @@ impl Harness {
     fn new(policy: OrderPolicy) -> Harness {
         let mut h = Harness {
             fast: SchedTable::new(SchedKind::Fast, policy, Slots::new(MAX_THREADS)),
-            refr: ClockTable::new(policy, MAX_THREADS),
+            refr: SchedTable::new(SchedKind::Reference, policy, Slots::new(MAX_THREADS)),
             model: Vec::new(),
             clock: Vec::new(),
             v: 0,
@@ -133,8 +133,7 @@ impl Harness {
                 assert_eq!(self.fast.rr_holder(), self.refr.rr_holder(), "rr_holder");
                 assert_eq!(self.fast.rr_turn_v(), self.refr.rr_turn_v(), "rr_turn_v");
                 let holder = self.fast.rr_holder();
-                matches!(self.model.get(holder), Some(Model::AtSync(_)))
-                    .then(|| Tid(holder as u32))
+                matches!(self.model.get(holder), Some(Model::AtSync(_))).then(|| Tid(holder as u32))
             }
         };
         // Only the index names a successor; once it is gone (failover)

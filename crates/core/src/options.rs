@@ -46,12 +46,13 @@ pub struct Options {
     /// Clock increment added on each failed polling acquire (Kendo's
     /// tuning knob; only used with `polling_locks`).
     pub polling_increment: u64,
-    /// Scheduler implementation: the lock-free fast path
-    /// ([`SchedKind::Fast`], the default) or the all-under-one-lock
-    /// reference table with `notify_all` wake-ups
+    /// Scheduler kind: the clock table with its index and lock-free
+    /// publication ([`SchedKind::Fast`], the default) or the table alone,
+    /// all under one lock with `notify_all` wake-ups
     /// ([`SchedKind::Reference`]). Both produce bit-identical schedules
-    /// (checked by `stress --sched-diff`); the reference table is kept for
-    /// differential testing, mirroring the `merge::bytewise` precedent.
+    /// (checked by `stress --sched-diff`). The reference kind is not only
+    /// the oracle of that differential: replay forces it, and a run whose
+    /// watchdog fails over continues on it.
     pub sched: SchedKind,
     /// Base overflow interval in instructions (§3.2 uses 5 000).
     pub base_overflow: u64,
@@ -79,9 +80,10 @@ pub struct Options {
     pub watchdog_stall_ms: Option<u64>,
     /// **Deliberate scheduler corruption** for the robustness harness: at
     /// the first token grant at or past the given one with a waiter
-    /// queued, drop the fast scheduler's head waiter from its queue (the exact bug class `FastTable::check_invariants`
-    /// catches). The run stalls, the watchdog detects the violation and
-    /// fails over to the reference table, and the run completes with
+    /// queued, drop the fast scheduler's head waiter from its queue (the
+    /// exact bug class `SchedTable::check_invariants` catches). The run
+    /// stalls, the watchdog detects the violation and fails over to the
+    /// reference scheduler, and the run completes with
     /// `RunReport::degraded` set. Never enable outside tests.
     pub inject_sched_corruption: Option<u64>,
     /// Number of independently tokened shard domains the `dmt-shard`

@@ -278,48 +278,59 @@ fn watchdog_diagnoses_deadlock_instead_of_hanging() {
 /// Corruption drill: deliberately drop the fast scheduler's head waiter
 /// mid-run. The watchdog must detect the invariant violation, fail over
 /// to the reference scheduler, and the run must complete correctly —
-/// degraded, not dead.
+/// degraded, not dead — on the schedule, the commit log and the virtual
+/// time of the same program run clean.
 #[test]
 fn fast_scheduler_corruption_fails_over_and_completes() {
-    let mut opts = Options::consequence_ic();
-    opts.watchdog_stall_ms = Some(300);
-    opts.inject_sched_corruption = Some(10);
-    // Coarsening collapses this loop into a handful of grants; disable it
-    // so the drill has a long grant stream with concurrent token waiters.
-    opts.coarsening = false;
-    let mut rt = ConsequenceRuntime::new(cfg(), opts);
-    // Independent per-thread mutexes: all four threads are frequently
-    // AtSync waiting for the *token* at once, so the drill has a
-    // non-granted head waiter to lose.
-    let ms: Vec<_> = (0..4).map(|_| rt.create_mutex()).collect();
-    let report = rt.run(Box::new(move |ctx| {
-        let kids: Vec<Tid> = ms
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| {
-                ctx.spawn(Box::new(move |c| {
-                    let addr = i * 8;
-                    for _ in 0..25 {
-                        c.mutex_lock(m);
-                        let v = c.ld_u64(addr);
-                        c.tick(20);
-                        c.st_u64(addr, v + 1);
-                        c.mutex_unlock(m);
-                        c.tick(100);
-                    }
-                }))
-            })
-            .collect();
-        for t in kids {
-            ctx.join(t);
+    let run = |corrupt_at: Option<u64>| {
+        let mut opts = Options::consequence_ic();
+        opts.watchdog_stall_ms = Some(300);
+        opts.inject_sched_corruption = corrupt_at;
+        // Coarsening collapses this loop into a handful of grants; disable
+        // it so the drill has a long grant stream with concurrent token
+        // waiters.
+        opts.coarsening = false;
+        let mut rt = ConsequenceRuntime::new(hashed_cfg(), opts);
+        // Independent per-thread mutexes: all four threads are frequently
+        // AtSync waiting for the *token* at once, so the drill has a
+        // non-granted head waiter to lose.
+        let ms: Vec<_> = (0..4).map(|_| rt.create_mutex()).collect();
+        let report = rt.run(Box::new(move |ctx| {
+            let kids: Vec<Tid> = ms
+                .iter()
+                .enumerate()
+                .map(|(i, &m)| {
+                    ctx.spawn(Box::new(move |c| {
+                        let addr = i * 8;
+                        for _ in 0..25 {
+                            c.mutex_lock(m);
+                            let v = c.ld_u64(addr);
+                            c.tick(20);
+                            c.st_u64(addr, v + 1);
+                            c.mutex_unlock(m);
+                            c.tick(100);
+                        }
+                    }))
+                })
+                .collect();
+            for t in kids {
+                ctx.join(t);
+            }
+        }));
+        assert!(report.fault.is_none(), "failover is recovery, not failure");
+        for i in 0..4 {
+            assert_eq!(rt.final_u64(i * 8), 25, "the workload ran to completion");
         }
-    }));
-    assert!(report.degraded, "run must have failed over");
-    assert!(report.fault.is_none(), "failover is recovery, not failure");
-    for i in 0..4 {
-        assert_eq!(rt.final_u64(i * 8), 25, "the workload ran to completion");
-    }
-    assert!(report.panics.is_empty());
+        assert!(report.panics.is_empty());
+        report
+    };
+    let (drill, clean) = (run(Some(10)), run(None));
+    assert!(drill.degraded, "run must have failed over");
+    assert!(!clean.degraded);
+    // docs/ROBUSTNESS.md: "the schedule continues bit-identically".
+    assert_eq!(drill.schedule_hash, clean.schedule_hash);
+    assert_eq!(drill.commit_log_hash, clean.commit_log_hash);
+    assert_eq!(drill.virtual_cycles, clean.virtual_cycles);
 }
 
 /// Seeded panic injection: the same (site, tid, nth) trigger produces the

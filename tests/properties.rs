@@ -8,7 +8,7 @@
 //! a local LCG so the workspace builds with no external dependencies.
 
 use consequence_repro::conversion::{ParallelCommit, Segment};
-use consequence_repro::det_clock::{ClockTable, OrderPolicy};
+use consequence_repro::det_clock::{OrderPolicy, SchedKind, SchedTable, Slots};
 use consequence_repro::dmt_api::{Tid, PAGE_SIZE};
 
 /// Deterministic LCG (MMIX constants) driving case generation.
@@ -133,31 +133,33 @@ fn parallel_commit_equals_serial() {
 
 /// Token grants under instruction-count ordering equal sorting the
 /// requests by `(clock, tid)`: simulate a set of one-shot sync requests
-/// and grant greedily.
+/// and grant greedily — on the clock table of either kind.
 #[test]
 fn ic_token_order_sorts_by_clock_then_tid() {
     let mut rng = Rng(0x17_17_17);
     for _ in 0..64 {
         let n = 2 + rng.below(6) as usize;
         let clocks: Vec<u64> = (0..n).map(|_| rng.below(1_000)).collect();
-        let mut table = ClockTable::new(OrderPolicy::InstructionCount, n);
-        for (i, &c) in clocks.iter().enumerate() {
-            table.register(Tid(i as u32), c, 0);
-            table.arrive_sync(Tid(i as u32), c, 0);
+        for kind in [SchedKind::Reference, SchedKind::Fast] {
+            let mut table = SchedTable::new(kind, OrderPolicy::InstructionCount, Slots::new(n));
+            for (i, &c) in clocks.iter().enumerate() {
+                table.register(Tid(i as u32), c, 0);
+                table.arrive_sync(Tid(i as u32), c, 0);
+            }
+            let mut granted = Vec::new();
+            let mut done = vec![false; n];
+            for _ in 0..n {
+                let who = (0..n)
+                    .find(|&i| !done[i] && table.eligible(Tid(i as u32)))
+                    .expect("someone must be eligible");
+                granted.push(who);
+                done[who] = true;
+                table.finish(Tid(who as u32), 0);
+            }
+            let mut expect: Vec<usize> = (0..n).collect();
+            expect.sort_by_key(|&i| (clocks[i], i));
+            assert_eq!(granted, expect);
         }
-        let mut granted = Vec::new();
-        let mut done = vec![false; n];
-        for _ in 0..n {
-            let who = (0..n)
-                .find(|&i| !done[i] && table.eligible(Tid(i as u32)))
-                .expect("someone must be eligible");
-            granted.push(who);
-            done[who] = true;
-            table.finish(Tid(who as u32), 0);
-        }
-        let mut expect: Vec<usize> = (0..n).collect();
-        expect.sort_by_key(|&i| (clocks[i], i));
-        assert_eq!(granted, expect);
     }
 }
 
