@@ -209,6 +209,11 @@ pub struct RunReport {
     /// failover to the reference scheduler. The schedule stays correct
     /// (and hash-identical) — only performance degrades.
     pub degraded: bool,
+    /// Whether commits went through the background settle pool
+    /// (`Segment::pipelined`) rather than the serial path. Says which
+    /// commit path ran, nothing the schedule can see; `stress --pipe-diff`
+    /// reads it to know its two sides really differ.
+    pub pipelined: bool,
     /// First-divergent-event diagnosis when this run replayed a recorded
     /// trace and split from it (rendered via [`crate::trace::Divergence`]);
     /// `None` for ordinary runs and for replays that matched exactly.
@@ -293,6 +298,7 @@ mod tests {
             panics: Vec::new(),
             fault: None,
             degraded: false,
+            pipelined: false,
             replay_divergence: None,
         };
         assert!(r.thread_breakdown(Tid(0)).is_some());

@@ -924,6 +924,7 @@ impl Runtime for DThreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
+            pipelined: false,
             replay_divergence: None,
         }
     }

@@ -723,6 +723,7 @@ impl Runtime for PthreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
+            pipelined: false,
             replay_divergence: None,
         }
     }

@@ -241,6 +241,7 @@ json_struct!(RunReport {
     panics,
     fault,
     degraded,
+    pipelined,
     replay_divergence
 });
 
@@ -254,6 +255,10 @@ json_struct!(crate::replay::Replayed {
     replayed_hash,
     checkpoints_passed,
     checkpoints_total,
+    recorded_output_hash,
+    replayed_output_hash,
+    recorded_commit_log_hash,
+    replayed_commit_log_hash,
     output_match,
     commit_log_match,
     divergence

@@ -61,6 +61,15 @@ pub struct Replayed {
     pub checkpoints_passed: u64,
     /// Checkpoints in the recording.
     pub checkpoints_total: u64,
+    /// Output hash in the recording's META (0: a salvaged partial, whose
+    /// finish-time digests were never written).
+    pub recorded_output_hash: u64,
+    /// Output hash of the re-execution.
+    pub replayed_output_hash: u64,
+    /// Commit-log hash in the recording's META (0 as above).
+    pub recorded_commit_log_hash: u64,
+    /// Commit-log hash of the re-execution.
+    pub replayed_commit_log_hash: u64,
     /// Whether the re-executed output hash matched the recording.
     pub output_match: bool,
     /// Whether the re-executed commit-log hash matched the recording.
@@ -92,17 +101,93 @@ impl Replayed {
     /// live run at least as long); output/commit digests are compared
     /// only when the recording carries them.
     pub fn ok(&self) -> bool {
-        let schedule_ok = if self.partial {
-            self.replayed_events >= self.recorded_events
-                && self.prefix_hash == Some(self.recorded_hash)
-        } else {
-            self.recorded_events == self.replayed_events && self.recorded_hash == self.replayed_hash
-        };
+        self.schedule_ok() && self.checkpoints_ok() && self.output_match && self.commit_log_match
+    }
+
+    fn schedule_ok(&self) -> bool {
         self.divergence.is_none()
-            && schedule_ok
-            && self.checkpoints_passed == self.checkpoints_total
-            && self.output_match
-            && self.commit_log_match
+            && if self.partial {
+                self.replayed_events >= self.recorded_events
+                    && self.prefix_hash == Some(self.recorded_hash)
+            } else {
+                self.recorded_events == self.replayed_events
+                    && self.recorded_hash == self.replayed_hash
+            }
+    }
+
+    fn checkpoints_ok(&self) -> bool {
+        self.checkpoints_passed == self.checkpoints_total
+    }
+
+    /// What the replay found, in words: `reproduced`, or every component
+    /// of [`ok`](Replayed::ok) that failed with the recorded and the
+    /// replayed value, then the components that held, then the
+    /// first-divergent-event diagnosis if there is one. A replay whose
+    /// schedule reproduced but whose commit log (or output) did not has
+    /// no diagnosis to print; this is what says so.
+    pub fn verdict(&self) -> String {
+        let mut failed = Vec::new();
+        let mut held = Vec::new();
+        if self.schedule_ok() {
+            held.push("schedule");
+        } else if self.divergence.is_some() {
+            failed.push("schedule diverged (diagnosis below)".to_string());
+        } else {
+            failed.push(format!(
+                "schedule differs: recorded {} events hash {:#018x}, replayed {} events hash {:#018x}",
+                self.recorded_events,
+                self.recorded_hash,
+                self.replayed_events,
+                self.prefix_hash.unwrap_or(self.replayed_hash),
+            ));
+        }
+        if self.checkpoints_ok() {
+            held.push("checkpoints");
+        } else {
+            failed.push(format!(
+                "checkpoints differ: {} of {} reproduced",
+                self.checkpoints_passed, self.checkpoints_total
+            ));
+        }
+        for (name, ok, recorded, replayed) in [
+            (
+                "output",
+                self.output_match,
+                self.recorded_output_hash,
+                self.replayed_output_hash,
+            ),
+            (
+                "commit-log",
+                self.commit_log_match,
+                self.recorded_commit_log_hash,
+                self.replayed_commit_log_hash,
+            ),
+        ] {
+            if ok {
+                held.push(name);
+            } else {
+                failed.push(format!(
+                    "{name} digest differs: recorded {recorded:#018x}, replayed {replayed:#018x}"
+                ));
+            }
+        }
+        if failed.is_empty() {
+            return "reproduced".to_string();
+        }
+        let mut v = failed.join("; ");
+        if let Some((last, rest)) = held.split_last() {
+            let list = if rest.is_empty() {
+                last.to_string()
+            } else {
+                format!("{} and {last}", rest.join(", "))
+            };
+            v.push_str(&format!("; {list} reproduced"));
+        }
+        if let Some(d) = &self.divergence {
+            v.push('\n');
+            v.push_str(d);
+        }
+        v
     }
 }
 
@@ -323,6 +408,10 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
             replayed_hash: r.replayed_hash,
             checkpoints_passed: r.checkpoints_passed,
             checkpoints_total: r.checkpoints_total,
+            recorded_output_hash: trace.meta.output_hash,
+            replayed_output_hash: r.replayed_output_hash,
+            recorded_commit_log_hash: trace.meta.commit_log_hash,
+            replayed_commit_log_hash: r.replayed_commit_log_hash,
             output_match: r.output_match,
             commit_log_match: r.commit_log_match,
             divergence: r.divergence,
@@ -370,6 +459,10 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
         replayed_hash: outcome.replayed_hash,
         checkpoints_passed: outcome.checkpoints_passed,
         checkpoints_total: outcome.checkpoints_total,
+        recorded_output_hash: trace.meta.output_hash,
+        replayed_output_hash: v.output_hash,
+        recorded_commit_log_hash: trace.meta.commit_log_hash,
+        replayed_commit_log_hash: report.commit_log_hash,
         output_match,
         commit_log_match,
         divergence: outcome.divergence,
@@ -404,8 +497,8 @@ pub fn trace_files(path: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Replays every container under `paths` (files or directories), printing
-/// one verdict line per trace and the first-divergent-event diagnosis of
-/// any that diverged. Returns the results and whether all reproduced.
+/// one summary line per trace and, for any that did not reproduce, its
+/// [`Replayed::verdict`]. Returns the results and whether all reproduced.
 pub fn replay_all(paths: &[&str]) -> (Vec<Replayed>, bool) {
     let mut results = Vec::new();
     let mut ok = true;
@@ -419,8 +512,8 @@ pub fn replay_all(paths: &[&str]) -> (Vec<Replayed>, bool) {
             match replay_file(&f) {
                 Ok(r) => {
                     println!("{}", summarize(&r));
-                    if let Some(d) = &r.divergence {
-                        println!("{d}");
+                    if !r.ok() {
+                        println!("  {}", r.verdict());
                     }
                     ok &= r.ok();
                     results.push(r);

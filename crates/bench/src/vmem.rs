@@ -1,8 +1,12 @@
 //! `bench vmem`: microbenchmarks for the Conversion commit/update hot path.
 //!
-//! Three experiments, emitted together as `BENCH_vmem.json` (see
+//! Five experiments, emitted together as `BENCH_vmem.json` (see
 //! `docs/PERF.md` for the schema and how to compare runs):
 //!
+//! * **page digest** — [`dmt_api::page_digest`], the commit log's per-page
+//!   term, against byte-serial [`dmt_api::Fnv1a`] over the same 4 KiB
+//!   pages. The log covers every committed page, so this ratio is what
+//!   keeps the witness off the wall clock; `--check` holds it at ≥ 5×.
 //! * **merge kernel** — single-page word-wide [`conversion::merge`] against
 //!   the retained byte-loop reference, across dirty densities. This pins
 //!   the tentpole claim: the bitmap fast path must beat the byte loop by
@@ -16,12 +20,14 @@
 //!   count within the live-reader window instead of growing without bound
 //!   (the Fig. 12 failure mode).
 //! * **pipeline grid** — commit-path throughput with the asynchronous
-//!   commit pipeline on versus the serial oracle, across thread-count ×
-//!   dirty-density cells. The metric is *serialized critical-section
-//!   time*: the token-holder's `commit+update+gc` interval, which is what
-//!   bounds whole-run throughput however many cores exist. Each cell also
+//!   commit pipeline on versus the serial (default) path, across
+//!   thread-count × dirty-density cells. The metric is *serialized
+//!   critical-section time*: the token-holder's `commit+update+gc`
+//!   interval; work the pool does after it is not in it. Each cell also
 //!   re-checks the determinism contract — both modes must produce the
-//!   same commit-log digest and the same final segment bytes.
+//!   same commit-log digest and the same final segment bytes — and that
+//!   is all `--check` asks of it: since the page digest the ratio sits
+//!   between 0.5 and 1.3.
 //!
 //! Wall-clock throughput numbers are machine-dependent; the *ratios*
 //! (word/byte speedup, scaling across cells) and the GC bound are the
@@ -51,7 +57,27 @@ pub const PIPE_DENSITIES: [u32; 2] = [10, 50];
 pub const PIPE_WORKERS: usize = 2;
 
 /// Format version tag of the emitted document.
-pub const SCHEMA: &str = "bench-vmem/2";
+pub const SCHEMA: &str = "bench-vmem/3";
+/// `--check` floor on `digest.ratio` (17.5 in the committed artifact).
+pub const DIGEST_RATIO_FLOOR: f64 = 5.0;
+
+crate::json_record! {
+    /// The commit log's per-page digest against byte-serial FNV-1a, over
+    /// the same pages.
+    #[derive(Clone, Debug)]
+    pub struct DigestCell {
+        /// [`dmt_api::page_digest`] throughput, pages per second (mean of reps).
+        pub digest_pages_per_s: f64,
+        /// `Fnv1a::hash` throughput over the same pages.
+        pub fnv_pages_per_s: f64,
+        /// `digest_pages_per_s / fnv_pages_per_s`.
+        pub ratio: f64,
+        /// Per-rep spread of the page digest.
+        pub digest_summary: Summary,
+        /// Per-rep spread of FNV-1a.
+        pub fnv_summary: Summary,
+    }
+}
 
 crate::json_record! {
     /// One merge-kernel cell: word-wide path vs byte-loop baseline at a fixed
@@ -148,6 +174,8 @@ crate::json_record! {
         pub schema: String,
         /// `"full"` or `"smoke"`.
         pub mode: String,
+        /// Page digest vs FNV-1a.
+        pub digest: DigestCell,
         /// Merge-kernel cells, one per density in [`DENSITIES`].
         pub merge: Vec<MergeCell>,
         /// Commit grid cells, [`THREADS`] × [`DENSITIES`].
@@ -204,6 +232,47 @@ fn merge_inputs(dirty: usize, seed: u64) -> (Page, Page, Page) {
         latest[i] = latest[i].wrapping_add(1 + k);
     }
     (twin, work, latest)
+}
+
+/// Measures [`dmt_api::page_digest`] and `Fnv1a::hash` over one set of
+/// distinct pages (merge-input working copies, so neither sees a constant
+/// page).
+pub fn run_digest(smoke: bool) -> DigestCell {
+    let reps = if smoke { 2 } else { 5 };
+    let rounds = if smoke { 4 } else { 40 };
+    let pages: Vec<Page> = (0..64)
+        .map(|i| merge_inputs(dirty_bytes_for(10), 0xD16E ^ i).1)
+        .collect();
+    let time = |hash: fn(&[u8; PAGE_SIZE]) -> u64, rounds: usize| -> Vec<f64> {
+        (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                let mut sink = 0u64;
+                for _ in 0..rounds {
+                    for p in &pages {
+                        sink ^= hash(std::hint::black_box(p));
+                    }
+                }
+                std::hint::black_box(sink);
+                (rounds * pages.len()) as f64 / start.elapsed().as_secs_f64()
+            })
+            .collect()
+    };
+    let _ = time(dmt_api::page_digest, rounds);
+    // Equal wall time per side, not equal pages: FNV gets fewer rounds.
+    let digest = Summary::of(&time(dmt_api::page_digest, rounds * 8));
+    let fnv = Summary::of(&time(|p| dmt_api::Fnv1a::hash(p), rounds));
+    DigestCell {
+        digest_pages_per_s: digest.mean,
+        fnv_pages_per_s: fnv.mean,
+        ratio: if fnv.mean > 0.0 {
+            digest.mean / fnv.mean
+        } else {
+            0.0
+        },
+        digest_summary: digest,
+        fnv_summary: fnv,
+    }
 }
 
 /// Measures both merge kernels at each density in [`DENSITIES`].
@@ -524,6 +593,7 @@ impl Artifact for VmemReport {
         VmemReport {
             schema: SCHEMA.to_string(),
             mode: mode_label(smoke),
+            digest: run_digest(smoke),
             merge: run_merge_kernel(smoke),
             commit: run_commit_grid(smoke),
             pipeline: run_pipeline_grid(smoke),
@@ -533,6 +603,11 @@ impl Artifact for VmemReport {
 
     fn summary(&self) -> Vec<String> {
         let mut out = Vec::new();
+        let d = &self.digest;
+        out.push(format!(
+            "digest: page_digest {:>10.0} pg/s  fnv1a {:>10.0} pg/s  ratio {:.1}x",
+            d.digest_pages_per_s, d.fnv_pages_per_s, d.ratio
+        ));
         for c in &self.merge {
             out.push(format!(
                 "merge {:>2}% dirty: word {:>10.0} pg/s  byte {:>10.0} pg/s  speedup {:.2}x",
@@ -578,11 +653,25 @@ impl Artifact for VmemReport {
     }
 
     /// An emitted `BENCH_vmem.json` must parse, carry the current schema
-    /// tag, contain every merge, commit and pipeline grid cell with
-    /// positive throughputs (both word *and* byte numbers present), agree
-    /// on the pipelined and serial digests, and witness a bounded GC run.
+    /// tag, hold the page digest at [`DIGEST_RATIO_FLOOR`] times FNV-1a
+    /// (full-mode artifacts), contain every merge, commit and pipeline
+    /// grid cell with positive throughputs (both word *and* byte numbers
+    /// present), agree on the pipelined and serial digests, and witness a
+    /// bounded GC run.
     fn validate(text: &str) -> Result<(), String> {
         let v = open(text, SCHEMA)?;
+        let digest = v.get("digest").ok_or("missing digest section")?;
+        positive(
+            digest,
+            "digest",
+            &["digest_pages_per_s", "fnv_pages_per_s", "ratio"],
+        )?;
+        let ratio = num(digest, "digest", "ratio")?;
+        if is_full(&v) && ratio < DIGEST_RATIO_FLOOR {
+            return Err(format!(
+                "digest: page_digest is {ratio:.1}x FNV-1a, floor {DIGEST_RATIO_FLOOR}x"
+            ));
+        }
         let merge = cells(&v, "merge")?;
         for &pct in &DENSITIES {
             let cell = find(merge, "merge", &[("density_pct", pct as usize)])?;
@@ -614,16 +703,12 @@ impl Artifact for VmemReport {
                 if !flag(cell, "hashes_match") {
                     return Err(format!("{ctx}: pipelined and serial digests diverged"));
                 }
-                // The acceptance claim: at 8+ threads the pipeline frees at
-                // least 2x commit-path capacity. Asserted only for full-mode
-                // artifacts — smoke iteration counts are too short to be a
-                // stable timing claim.
-                if is_full(&v) && t >= 8 {
-                    let speedup = num(cell, &ctx, "speedup")?;
-                    if speedup < 2.0 {
-                        return Err(format!("{ctx}: speedup {speedup:.2} < 2.0"));
-                    }
-                }
+                // No floor on `speedup`. Until PR 15 this required >= 2.0 at
+                // 8+ threads, and the committed cells read ~6x — which
+                // measured the byte-serial FNV-1a page hash (5.9 us a page)
+                // leaving the timed section for the pool, not the pool
+                // doing anything faster. With the page digest the serial
+                // section is 2-6x shorter and the ratio sits at 0.5-1.3.
             }
         }
         let gc = v.get("gc").ok_or("missing gc witness")?;
@@ -659,9 +744,9 @@ mod tests {
     fn validation_rejects_broken_documents() {
         assert!(VmemReport::validate("not json").is_err());
         assert!(VmemReport::validate("{}").is_err());
-        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/2"}"#).is_err());
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/3"}"#).is_err());
         // The previous schema rev is rejected outright.
-        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/1"}"#)
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/2"}"#)
             .unwrap_err()
             .contains("schema"));
         // A full document with a missing grid cell.
@@ -682,17 +767,18 @@ mod tests {
         assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
             .contains("diverged"));
-        // The 2x acceptance gate applies to full-mode artifacts only.
+        // A pipeline that is slower than the serial path is not an error.
         let mut r = run_gc_bound_stub();
         r.mode = "full".to_string();
         for c in &mut r.pipeline {
-            if c.threads >= 8 {
-                c.speedup = 1.5;
-            }
+            c.speedup = 0.5;
         }
+        assert!(VmemReport::validate(&r.to_json()).is_ok());
+        // The digest floor applies to full-mode artifacts only.
+        r.digest.ratio = 3.0;
         assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
-            .contains("speedup"));
+            .contains("digest"));
         r.mode = "smoke".to_string();
         assert!(VmemReport::validate(&r.to_json()).is_ok());
     }
@@ -743,6 +829,13 @@ mod tests {
         VmemReport {
             schema: SCHEMA.to_string(),
             mode: "stub".to_string(),
+            digest: DigestCell {
+                digest_pages_per_s: 19.0,
+                fnv_pages_per_s: 1.0,
+                ratio: 19.0,
+                digest_summary: Summary::of(&[19.0]),
+                fnv_summary: Summary::of(&[1.0]),
+            },
             merge,
             commit,
             pipeline,

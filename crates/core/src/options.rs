@@ -7,7 +7,7 @@
 use det_clock::{OrderPolicy, SchedKind};
 
 /// Consequence configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     /// Deterministic ordering policy: instruction count (Consequence-IC)
     /// or round robin (Consequence-RR / DWC).
@@ -99,14 +99,19 @@ pub struct Options {
     /// Schedule-relevant whenever `shard_domains > 1`: moving a key to a
     /// different domain moves its sync ops to a different token order.
     pub shard_map_seed: u64,
-    /// Pipelined asynchronous commit: split `Segment::commit` into a
-    /// cheap under-token *publish* (diff + version refs + ordered log
-    /// issue) and a deferred *settle* (byte merge, log folding, GC
-    /// execution, twin preparation) on a background pool. All deferred
-    /// work is charged to the owning thread's logical clock at publish
-    /// time, so schedules and output hashes are bit-identical to the
-    /// serial path (checked by `stress --pipe-diff`); deliberately not
-    /// fingerprinted for the same reason.
+    /// Pipelined asynchronous commit: split `Segment::commit` into an
+    /// under-token *publish* (diff + version refs + ordered log issue) and
+    /// a deferred *settle* (byte merge, page digests, log folding, GC
+    /// execution, twin preparation) on a background pool. **Off in every
+    /// preset**: with the commit log's per-page term at ~0.3 us
+    /// (`dmt_api::page_digest`) the hand-over costs more than what it
+    /// defers, and the serial commit is faster on every end-to-end
+    /// workload (docs/PERF.md "Commit pipeline"). All deferred work is
+    /// charged to the owning thread's logical clock at publish time, so
+    /// schedules, outputs and commit logs are bit-identical either way
+    /// (checked by `stress --pipe-diff`); deliberately not fingerprinted
+    /// for the same reason. Kept, with `pipeline_workers`, until the frozen
+    /// benchmark surface stops naming it (ROADMAP item 3(b) deletes both).
     pub pipeline_commit: bool,
     /// Settle-pool worker threads when `pipeline_commit` is on. `0` is a
     /// valid (test-only) stalled regime: jobs queue until a flush.
@@ -147,7 +152,7 @@ impl Options {
             inject_sched_corruption: None,
             shard_domains: 1,
             shard_map_seed: 0,
-            pipeline_commit: true,
+            pipeline_commit: false,
             pipeline_workers: 2,
             trace_flush_pages: 8,
         }
@@ -394,8 +399,11 @@ mod tests {
         let excluded: [fn(&mut Options); 6] = [
             |o| o.sched = SchedKind::Reference,
             |o| o.watchdog_stall_ms = Some(60_000),
-            |o| o.pipeline_commit = false,
-            |o| o.pipeline_workers = 7,
+            |o| o.pipeline_commit = true,
+            |o| {
+                o.pipeline_commit = true;
+                o.pipeline_workers = 7;
+            },
             |o| o.trace_flush_pages = 0,
             |o| o.trace_flush_pages = 1,
         ];

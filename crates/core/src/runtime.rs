@@ -265,6 +265,7 @@ impl Runtime for ConsequenceRuntime {
             panics,
             fault,
             degraded,
+            pipelined: sh.seg.pipelined(),
             replay_divergence: sh.cfg.trace.divergence().map(|d| d.to_string()),
         }
     }

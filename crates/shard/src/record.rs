@@ -48,6 +48,10 @@ pub struct ShardReplay {
     pub checkpoints_passed: u64,
     /// Checkpoints in the recording.
     pub checkpoints_total: u64,
+    /// Combined output hash of the re-execution.
+    pub replayed_output_hash: u64,
+    /// Combined commit-log hash of the re-execution.
+    pub replayed_commit_log_hash: u64,
     /// Whether the re-executed combined output hash matched.
     pub output_match: bool,
     /// Whether the re-executed combined commit-log hash matched.
@@ -207,6 +211,8 @@ pub fn verify_against(trace: &Trace, path: &Path) -> Result<ShardReplay, String>
         replayed_hash,
         checkpoints_passed,
         checkpoints_total: trace.checkpoints.len() as u64,
+        replayed_output_hash: report.output_hash,
+        replayed_commit_log_hash: report.commit_hash,
         output_match: report.output_hash == trace.meta.output_hash,
         commit_log_match: report.commit_hash == trace.meta.commit_log_hash,
         divergence,

@@ -1,8 +1,8 @@
 //! `stress --sched-diff` / `--pipe-diff`: A/B differential validation of
 //! an optimization against the path it replaced.
 //!
-//! Two optimizations in the Consequence runtime keep their predecessor
-//! alive as an oracle, selected by `Options::without`:
+//! Two optimizations in the Consequence runtime exist beside the path
+//! they were written to replace, selected by an option:
 //!
 //! * the **fast scheduler** (`fast_sched`) — lock-free publication slots,
 //!   targeted per-thread wakeups and O(log T) eligibility queues
@@ -15,44 +15,59 @@
 //!   cost is charged to the owning thread's logical clock at publish time
 //!   and the pool's ordered frontier folds the commit log in exactly the
 //!   serial order, so nothing the schedule or the program can observe
-//!   may move.
+//!   may move. (Off in every preset since PR 15 — the serial commit is
+//!   the faster one now — which is exactly why the two sides below are
+//!   built explicitly.)
 //!
 //! Both contracts have one shape, and so one check: for every workload ×
 //! every Consequence-backed runtime (dwc, consequence-rr, consequence-ic)
-//! run the preset (A) and the preset without the toggle (B) over the same
-//! perturbation-seed matrix the main fuzzer uses, and require every run —
+//! run the preset with the optimization set on (A) and with it off (B)
+//! over the same perturbation-seed matrix the main fuzzer uses — neither
+//! side is "whatever the preset says", so a default that flips cannot
+//! turn the differential into a run compared with itself
+//! ([`OptionDiff::sides`] refuses two equal sides) — and require every run —
 //! baseline and perturbed, A and B — to produce the same schedule hash,
 //! the same output hash **and the same commit-log hash**. A single
 //! divergent grant anywhere in the run changes the schedule hash; the
 //! commit-log digest folds `(version, committer, page, page-content
-//! hash)` for every committed page, so a settle that merged wrong bytes,
+//! digest)` for every committed page, so a settle that merged wrong bytes,
 //! folded out of order, or ran GC against the wrong chain state diverges
 //! even when the program output happens not to.
 
 use consequence::replay::options_for_label;
-use dmt_api::{PerturbHandle, PerturbPlan};
+use consequence::Options;
+use det_clock::SchedKind;
+use dmt_api::{PerturbHandle, PerturbPlan, RunReport};
 use dmt_bench::json::ToJson;
 
 use crate::report::{hex, Col, NoExtra, Notes, Report, Table};
 use crate::{plan_handle, StressConfig};
 
-/// One row of the A/B differential: which option is toggled off for the B
-/// side, the salt that keeps the row on plans of its own, and what the
-/// two sides are called in the report.
+/// One row of the A/B differential: the option under test (how side A
+/// sets it on, the `Options::without` name that sets it off for side B),
+/// the salt that keeps the row on plans of its own, and what the two
+/// sides are called in the report.
 #[derive(Clone, Copy, Debug)]
 pub struct OptionDiff {
     /// The `Options::without` name of the optimization under test.
     pub toggle: &'static str,
+    /// Sets the optimization on: the inverse of `without(toggle)`.
+    pub enable: fn(&mut Options),
+    /// Whether a run's report shows the optimization really ran, where the
+    /// report can tell.
+    pub engaged: Option<fn(&RunReport) -> bool>,
     pub salt: u64,
-    /// Label of the A side (optimization on, the preset).
+    /// Label of the A side (optimization on).
     pub with: &'static str,
-    /// Label of the B side (the retained oracle).
+    /// Label of the B side (optimization off).
     pub without: &'static str,
 }
 
 /// Fast vs reference scheduler.
 pub const SCHED_DIFF: OptionDiff = OptionDiff {
     toggle: "fast_sched",
+    enable: |o| o.sched = SchedKind::Fast,
+    engaged: None,
     salt: 0x5C4E_D1FF,
     with: "fast",
     without: "reference",
@@ -61,10 +76,41 @@ pub const SCHED_DIFF: OptionDiff = OptionDiff {
 /// Pipelined vs serial commit.
 pub const PIPE_DIFF: OptionDiff = OptionDiff {
     toggle: "pipeline_commit",
+    enable: |o| o.pipeline_commit = true,
+    engaged: Some(|r| r.pipelined),
     salt: 0x919E_D1FF,
     with: "pipelined",
     without: "serial",
 };
+
+impl OptionDiff {
+    /// The two sides for `preset`: A with the optimization set on, B with
+    /// it off, equal in every other field.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the sides come out equal (the differential would
+    /// compare a configuration with itself and pass vacuously), or when
+    /// they differ in more than the toggle.
+    pub fn sides(&self, preset: Options) -> (Options, Options) {
+        let mut with = preset;
+        (self.enable)(&mut with);
+        let without = with.clone().without(self.toggle);
+        assert_ne!(
+            with, without,
+            "{} differential is vacuous: both sides have the same options",
+            self.toggle
+        );
+        let mut back = without.clone();
+        (self.enable)(&mut back);
+        assert_eq!(
+            back, with,
+            "{} differential sides differ in more than the toggle",
+            self.toggle
+        );
+        (with, without)
+    }
+}
 
 /// One workload × runtime cell of an A/B matrix.
 #[derive(Clone, Debug)]
@@ -145,10 +191,10 @@ pub fn run_option_diff(
     let mut total_runs = 0u64;
 
     for (name, kind, cell_salt) in cfg.grid(diff.salt) {
-        let Some(with) = options_for_label(kind.label()) else {
+        let Some(preset) = options_for_label(kind.label()) else {
             continue;
         };
-        let without = with.clone().without(diff.toggle);
+        let (with, without) = diff.sides(preset);
         // One A run and one B run, each under its own executor of `plan`.
         let mut pair = |plan: Option<&PerturbPlan>| {
             total_runs += 2;
@@ -159,6 +205,16 @@ pub fn run_option_diff(
         };
 
         let [a, b] = pair(None);
+        if let Some(engaged) = diff.engaged {
+            assert!(
+                engaged(&a.report) && !engaged(&b.report),
+                "{} differential is vacuous: the {} side did not run {}, or the {} side did",
+                diff.toggle,
+                diff.with,
+                diff.with,
+                diff.without
+            );
+        }
         let mut cell = OptionDiffCell {
             diff,
             workload: name.to_string(),
@@ -182,4 +238,32 @@ pub fn run_option_diff(
         cells.push(cell);
     }
     Report::new(cfg, total_runs, cells, NoExtra)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sides_differ_in_the_toggle_and_in_nothing_else() {
+        for diff in [SCHED_DIFF, PIPE_DIFF] {
+            for preset in [Options::consequence_ic(), Options::dwc()] {
+                let (with, without) = diff.sides(preset.clone());
+                assert_ne!(with, without);
+                assert!(with == preset || without == preset);
+            }
+        }
+    }
+
+    /// Side A used to be "the preset": after `pipeline_commit` went off by
+    /// default that is a no-op `enable`, and both sides are serial.
+    #[test]
+    #[should_panic(expected = "differential is vacuous")]
+    fn a_flipped_preset_default_fires_the_guard() {
+        let preset_is_side_a = OptionDiff {
+            enable: |_| {},
+            ..PIPE_DIFF
+        };
+        preset_is_side_a.sides(Options::consequence_ic());
+    }
 }

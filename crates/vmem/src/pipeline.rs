@@ -2,20 +2,31 @@
 //! byte merging, commit-log folding, version-GC execution and twin
 //! preparation off the committer's critical path.
 //!
+//! **Not the default.** `Options::pipeline_commit` is off in every preset:
+//! since the commit log's per-page term became `dmt_api::page_digest`
+//! (~0.3 us a page, was 5.9 us of byte-serial FNV-1a), what a settle job
+//! defers costs less than handing it over, and the serial commit is as
+//! fast or faster on every end-to-end workload (docs/PERF.md "Commit
+//! pipeline" has the tables, and this module's own microbenchmark, where
+//! the pool's 6x became 0.5-1.3x). The pool stays
+//! selectable, and `stress --pipe-diff` keeps checking it against the
+//! serial path, until the frozen benchmark surface stops naming it; ROADMAP
+//! item 3(b) then deletes it.
+//!
 //! Under the pipeline, [`crate::Segment::commit`] only *publishes*: it
 //! diffs, installs page identities (deferred shells for conflicted pages)
 //! and enqueues the heavy work here. Workers pop jobs FIFO, do all content
-//! work (merging, page hashing, twin copies) without any segment lock,
+//! work (merging, page digests, twin copies) without any segment lock,
 //! then *finalize* in strict issue order through an ordered frontier so
 //! the commit-log digest and the collector's structural edits land exactly
-//! as the serial path would produce them.
+//! as the serial path produces them.
 //!
 //! Determinism contract: everything schedule-visible (commit results, GC
 //! plans, the eventual log digest) is decided at the deterministic publish
 //! points under the segment lock; the pool only *executes* those
 //! decisions. Its wall-clock progress is therefore unobservable to the
-//! schedule — the serial path (`Options::without("pipeline_commit")`)
-//! remains the oracle and `stress --pipe-diff` checks the equivalence.
+//! schedule, and a pipelined run's schedule, output and commit log equal
+//! the serial run's bit for bit.
 //!
 //! Lock hierarchy (strictly inner-most last): finalization frontier →
 //! segment inner → job queue. Workers never touch the frontier while
@@ -28,7 +39,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use dmt_api::sync::{Condvar, Mutex};
-use dmt_api::{Fnv1a, Tid, PAGE_SIZE};
+use dmt_api::{Tid, PAGE_SIZE};
 
 use crate::merge::{self, DirtyMap};
 use crate::page::{PageBuf, PageRef, PageTracker};
@@ -55,7 +66,7 @@ pub(crate) struct MergeJob {
 
 /// Work item in the settle queue.
 pub(crate) enum Job {
-    /// Settle one published version: fill its deferred merges, hash its
+    /// Settle one published version: fill its deferred merges, digest its
     /// pages off-lock, then fold the log material at the frontier.
     Settle {
         seq: u64,
@@ -367,12 +378,9 @@ fn process(sh: &PipeShared, job: Job) {
                 merge::apply_with_map(&m.map, m.twin.bytes(), m.work.bytes(), &mut buf);
                 m.out.settle_fill(buf);
             }
-            // Hash page contents outside every lock; the frontier folds
+            // Digest page contents outside every lock; the frontier folds
             // only the resulting u64 pairs under the segment lock.
-            let entries: Vec<(u64, u64)> = log
-                .iter()
-                .map(|(p, r)| (*p as u64, Fnv1a::hash(r.bytes())))
-                .collect();
+            let entries: Vec<(u64, u64)> = segment::log_entries(&log).collect();
             finalize(sh, seq, FinJob::Log { id, tid, entries });
         }
         Job::Gc {
@@ -406,7 +414,7 @@ fn finalize(sh: &PipeShared, seq: u64, job: FinJob) {
             let mut inner = sh.inner.lock();
             match j {
                 FinJob::Log { id, tid, entries } => {
-                    segment::fold_commit_log(&mut inner, id, tid, &entries)
+                    segment::fold_commit_log(&mut inner, id, tid, entries)
                 }
                 FinJob::Gc { drops, squashes } => {
                     segment::exec_gc_plan(&mut inner, drops, squashes)

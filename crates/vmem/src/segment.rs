@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
-use dmt_api::{Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, VectorClock, PAGE_SIZE};
+use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, VectorClock, PAGE_SIZE};
 
 use crate::merge;
 use crate::page::{PageBuf, PageRef, PageTracker};
@@ -80,8 +80,9 @@ pub(crate) struct SegInner {
     counts: VecDeque<(u64, u32, Tid)>,
     /// Materialized latest page table.
     latest: Vec<PageRef>,
-    /// Running digest of `(id, committer, page, content)` for every commit:
-    /// the determinism witness.
+    /// Running digest of `(id, committer, (page, content digest)*)` for
+    /// every commit — the determinism witness. Written by
+    /// [`fold_commit_log`] only.
     log: Fnv1a,
     /// Registry generation and `next_id` observed by the last collector
     /// pass that ran out of *work* (not budget). While both are unchanged
@@ -122,7 +123,7 @@ pub struct Segment {
     /// accounting of its own.
     perturb: PerturbHandle,
     /// Background settle pool: `Some` on the pipelined commit path,
-    /// `None` on the serial oracle path.
+    /// `None` on the serial (default) path.
     pipeline: Option<SettlePool>,
 }
 
@@ -349,7 +350,7 @@ impl Segment {
     /// byte granularity, local changes winning.
     ///
     /// On the pipelined path only the *publish* half runs here: diffs,
-    /// version identity, and the commit result. Merging, page hashing and
+    /// version identity, and the commit result. Merging, page digests and
     /// log folding are settled by the background pool; the returned
     /// `CommitResult` (and therefore everything schedule-visible) is
     /// identical to the serial path's.
@@ -400,12 +401,9 @@ impl Segment {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        inner.log.update_u64(id);
-        inner.log.update_u64(ws.tid().0 as u64);
+        fold_commit_log(&mut inner, id, ws.tid(), log_entries(&pages));
         let mut page_set = Fnv1a::new();
-        for (p, r) in &pages {
-            inner.log.update_u64(*p as u64);
-            inner.log.update_u64(Fnv1a::hash(r.bytes()));
+        for (p, _) in &pages {
             page_set.update_u64(*p as u64);
         }
         let npages = pages.len() as u32;
@@ -429,7 +427,7 @@ impl Segment {
     /// The publish half of a pipelined commit: everything the schedule can
     /// see (diff outcomes, version identity, the commit result) is decided
     /// here under the lock, exactly as the serial path decides it; the
-    /// byte merges, page hashes and log folds are queued for the pool.
+    /// byte merges, page digests and log folds are queued for the pool.
     fn commit_pipelined(
         &self,
         pool: &SettlePool,
@@ -565,12 +563,7 @@ impl Segment {
                     log: pages.clone(),
                 });
             } else {
-                inner.log.update_u64(id);
-                inner.log.update_u64(tid.0 as u64);
-                for (p, r) in &pages {
-                    inner.log.update_u64(*p as u64);
-                    inner.log.update_u64(Fnv1a::hash(r.bytes()));
-                }
+                fold_commit_log(&mut inner, id, tid, log_entries(&pages));
             }
             inner.versions.push_back(Version {
                 id,
@@ -626,8 +619,7 @@ impl Segment {
     /// Panics if `ws` still has dirty pages (commit first), or if needed
     /// versions were garbage collected (a GC-safety bug).
     pub fn update(&self, ws: &mut Workspace) -> UpdateResult {
-        let latest = self.latest_id();
-        self.update_to(ws, latest)
+        self.update_upto(ws, None)
     }
 
     /// Brings `ws` forward to version `upto` exactly — no further, even if
@@ -640,9 +632,16 @@ impl Segment {
     /// Panics if `ws` still has dirty pages, if `upto` exceeds the latest
     /// version, or if needed versions were garbage collected.
     pub fn update_to(&self, ws: &mut Workspace, upto: u64) -> UpdateResult {
+        self.update_upto(ws, Some(upto))
+    }
+
+    /// `update_to(upto)`, or with `None` to whatever is latest once the
+    /// segment lock is held — one critical section either way.
+    fn update_upto(&self, ws: &mut Workspace, upto: Option<u64>) -> UpdateResult {
         assert_eq!(ws.dirty_count(), 0, "update requires a committed workspace");
         self.perturb.jitter(PerturbSite::Update, ws.tid());
         let inner = self.inner.lock();
+        let upto = upto.unwrap_or(inner.next_id - 1);
         assert!(upto < inner.next_id, "update_to a future version");
         let mut propagated = 0u64;
         let mut applied = 0u64;
@@ -862,14 +861,31 @@ fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
     vb.base_id = va.base_id;
 }
 
-/// Frontier callback: folds one settled version's log material into the
-/// segment's running digest, in exactly the serial path's field order.
-pub(crate) fn fold_commit_log(inner: &mut SegInner, id: u64, tid: Tid, entries: &[(u64, u64)]) {
+/// One version's commit-log entries, `(page index, page digest)` in page
+/// order: the whole 4 KiB of every page the version publishes. The serial
+/// commit folds them as they are produced; the settle pool collects them
+/// off every lock and folds them at its frontier.
+pub(crate) fn log_entries(pages: &[(u32, PageRef)]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pages
+        .iter()
+        .map(|(p, r)| (*p as u64, page_digest(r.bytes())))
+}
+
+/// Folds one version's record — `(id, committer, (page, digest)*)` — into
+/// the segment's running digest. The only writer of `SegInner::log`,
+/// reached from the serial commit, `install_versions` and the pool's
+/// frontier, so the three cannot disagree on the record.
+pub(crate) fn fold_commit_log(
+    inner: &mut SegInner,
+    id: u64,
+    tid: Tid,
+    entries: impl IntoIterator<Item = (u64, u64)>,
+) {
     inner.log.update_u64(id);
     inner.log.update_u64(tid.0 as u64);
     for (p, h) in entries {
-        inner.log.update_u64(*p);
-        inner.log.update_u64(*h);
+        inner.log.update_u64(p);
+        inner.log.update_u64(h);
     }
 }
 

@@ -147,12 +147,13 @@ fn goldens_are_geometry_sensitive() {
     }
 }
 
-/// The commit pipeline defaults on, so the main golden table already
-/// pins the pipelined digests; this pins the *equivalence*: disabling
-/// the pipeline (`Options::without("pipeline_commit")`) must reproduce
-/// the identical schedule hash and commit-log digest, because every
-/// deferred settle cost is charged at publish time. A drift here means
-/// the pipeline became schedule-observable — exactly the regression the
+/// The serial commit is the default (PR 15), so the main golden table
+/// pins the serial digests; this pins the *equivalence*: turning the
+/// settle pool on (`pipeline_commit = true`, set here explicitly so a
+/// default flip cannot make this serial-vs-serial) must reproduce the
+/// identical schedule hash and commit-log digest, because every deferred
+/// settle cost is charged at publish time. A drift here means the
+/// pipeline became schedule-observable — exactly the regression the
 /// goldens exist to catch.
 #[test]
 fn pipeline_on_and_off_hash_identically() {
@@ -176,15 +177,25 @@ fn pipeline_on_and_off_hash_identically() {
         let mut rt = make_consequence(cfg, opts);
         let prepared = w.prepare(rt.as_mut(), &p);
         let report = rt.run(prepared.job);
-        (report.schedule_hash, report.commit_log_hash)
+        (
+            report.pipelined,
+            (report.schedule_hash, report.commit_log_hash),
+        )
     };
-    let on = run(Options::consequence_ic());
-    let off = run(Options::consequence_ic().without("pipeline_commit"));
+    let (on_pipelined, on) = run(Options {
+        pipeline_commit: true,
+        ..Options::consequence_ic()
+    });
+    let (off_pipelined, off) = run(Options::consequence_ic().without("pipeline_commit"));
+    assert!(
+        on_pipelined && !off_pipelined,
+        "the comparison is vacuous: both sides ran the same commit path"
+    );
     assert_eq!(
         on, off,
         "pipelined and serial commit paths diverged (schedule, commit-log)"
     );
-    // And the golden table's committed digest is the pipelined one.
+    // And the golden table's committed digest is the one both produce.
     assert_eq!(on.0, 0x34300d2f73672d92, "dmt_server golden moved");
 }
 
@@ -226,29 +237,34 @@ const RACY: u64 = u64::MAX;
 /// `(program, runtime label, virtual_cycles, commit_log_hash, schedule_hash,
 /// [chunk, determ_wait, barrier_wait, commit, update, fault, lib],
 /// broadcast_wakes of the reference scheduler)`. Captured at the commit
-/// before the `ctx.rs` decomposition (dfd9067) and not to be edited by
-/// it: a drift here means the refactor moved virtual time.
+/// before the `ctx.rs` decomposition (dfd9067) and not to be edited by a
+/// refactor: a drift here means the refactor moved virtual time. The
+/// `commit_log_hash` column alone was re-captured at PR 15, which changed
+/// the log's per-page term from `Fnv1a::hash(page)` to
+/// `dmt_api::page_digest(page)` — the definition of that one digest, not
+/// what any run does; every other column reproduced unedited, in all four
+/// scheduler x pipeline variants of every row.
 #[allow(clippy::type_complexity)]
 #[rustfmt::skip]
 const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7], u64)] = &[
-    ("histogram", "consequence-ic", 6428074, 0x3da44aec825a553b, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780], RACY),
-    ("histogram", "consequence-rr", 4400284, 0x3da44aec825a553b, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040], 52),
-    ("histogram", "dwc", 4403848, 0x3da44aec825a553b, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740], 62),
-    ("kmeans", "consequence-ic", 6199388, 0x664e1e874901131d, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800], RACY),
-    ("kmeans", "consequence-rr", 4464628, 0x664e1e874901131d, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640], 830),
-    ("kmeans", "dwc", 7522088, 0x7d08b91eafb6e969, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140], 1538),
-    ("word_count", "consequence-ic", 3900495, 0xbec1b97cfae97eba, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100], RACY),
-    ("word_count", "consequence-rr", 3146675, 0xbec1b97cfae97eba, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880], 464),
-    ("word_count", "dwc", 4170134, 0xe0ffc2199ae1a0e6, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980], 930),
-    ("string_match", "consequence-ic", 3801542, 0x8317301ba664bae2, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460], RACY),
-    ("string_match", "consequence-rr", 2641252, 0x8317301ba664bae2, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720], 52),
-    ("string_match", "dwc", 2646720, 0x8317301ba664bae2, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420], 62),
-    ("dmt_server", "consequence-ic", 102663980, 0x6669a0b293465df6, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020], RACY),
-    ("dmt_server", "consequence-rr", 112992221, 0x3e341e9cd1d540f2, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940], 49719),
-    ("dmt_server", "dwc", 132807765, 0x6080ab2b13c2d87b, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740], 65496),
-    ("mixed", "consequence-ic", 499332, 0x2a4b8095665dfd40, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420], RACY),
-    ("mixed", "consequence-rr", 426139, 0xeee487cf8e8d5b5a, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420], 97),
-    ("mixed", "dwc", 519376, 0xeee487cf8e8d5b5a, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060], 114),
+    ("histogram", "consequence-ic", 6428074, 0x8c91145bbf17e4b0, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780], RACY),
+    ("histogram", "consequence-rr", 4400284, 0x8c91145bbf17e4b0, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040], 52),
+    ("histogram", "dwc", 4403848, 0x8c91145bbf17e4b0, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740], 62),
+    ("kmeans", "consequence-ic", 6199388, 0x7bbf080b1354a2ae, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800], RACY),
+    ("kmeans", "consequence-rr", 4464628, 0x7bbf080b1354a2ae, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640], 830),
+    ("kmeans", "dwc", 7522088, 0x751cdf3edf0893f9, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140], 1538),
+    ("word_count", "consequence-ic", 3900495, 0x4f456b5b5092eef4, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100], RACY),
+    ("word_count", "consequence-rr", 3146675, 0x4f456b5b5092eef4, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880], 464),
+    ("word_count", "dwc", 4170134, 0x65a38298cda7f07e, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980], 930),
+    ("string_match", "consequence-ic", 3801542, 0xcaf0374ed52ba2b5, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460], RACY),
+    ("string_match", "consequence-rr", 2641252, 0xcaf0374ed52ba2b5, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720], 52),
+    ("string_match", "dwc", 2646720, 0xcaf0374ed52ba2b5, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420], 62),
+    ("dmt_server", "consequence-ic", 102663980, 0x11500610dfe517f2, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020], RACY),
+    ("dmt_server", "consequence-rr", 112992221, 0x0fc6cc3bc0a0ddf0, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940], 49719),
+    ("dmt_server", "dwc", 132807765, 0x7fafca378863527a, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740], 65496),
+    ("mixed", "consequence-ic", 499332, 0x949b63ee33f187d5, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420], RACY),
+    ("mixed", "consequence-rr", 426139, 0xee5d288dcbe911aa, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420], 97),
+    ("mixed", "dwc", 519376, 0xee5d288dcbe911aa, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060], 114),
 ];
 
 fn fixed_publication(label: &str) -> Options {

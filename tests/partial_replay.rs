@@ -198,11 +198,7 @@ fn healthy_partial_replays_prefix_and_exhausts_cleanly() {
 
     let rep = replay_file(&torn).unwrap();
     assert!(rep.partial, "salvage fallback did not engage");
-    assert!(
-        rep.ok(),
-        "salvaged prefix diverged: {}",
-        rep.divergence.as_deref().unwrap_or("(no diagnosis)")
-    );
+    assert!(rep.ok(), "salvaged prefix diverged: {}", rep.verdict());
     assert!(
         rep.divergence.is_none(),
         "exhaustion reported as divergence"

@@ -291,6 +291,7 @@ fn witness_envelope_is_tight_against_a_stalled_settle_pool() {
         // queue growth is proportional to lock traffic, not to however
         // few chunks the adaptive policy settled on.
         let mut opts = Options::consequence_ic().without("coarsening");
+        opts.pipeline_commit = true;
         opts.pipeline_workers = workers;
         let mut rt = ConsequenceRuntime::new(cfg, opts);
         let m = rt.create_mutex();

@@ -43,11 +43,7 @@ fn record_then_replay_reproduces_the_run() {
     assert!(rec.events > 0);
 
     let rep = replay_file(Path::new(&rec.path)).unwrap();
-    assert!(
-        rep.ok(),
-        "replay diverged: {}",
-        rep.divergence.as_deref().unwrap_or("(no diagnosis)")
-    );
+    assert!(rep.ok(), "replay diverged: {}", rep.verdict());
     assert_eq!(rep.replayed_hash, rec.schedule_hash);
     assert_eq!(rep.replayed_events, rec.events);
     assert_eq!(rep.checkpoints_passed, rep.checkpoints_total);
@@ -61,11 +57,7 @@ fn record_then_replay_other_presets() {
     for runtime in ["consequence-rr", "dwc"] {
         let rec = record_to(&dir.0, runtime, "kmeans", 4, 1, 42).unwrap();
         let rep = replay_file(Path::new(&rec.path)).unwrap();
-        assert!(
-            rep.ok(),
-            "{runtime} replay diverged: {}",
-            rep.divergence.as_deref().unwrap_or("(no diagnosis)")
-        );
+        assert!(rep.ok(), "{runtime} replay diverged: {}", rep.verdict());
     }
 }
 
@@ -115,11 +107,7 @@ fn sharded_record_then_replay_reproduces_the_run() {
     assert!(meta.event_count > 0);
 
     let rep = replay_file(&path).unwrap();
-    assert!(
-        rep.ok(),
-        "sharded replay diverged: {}",
-        rep.divergence.as_deref().unwrap_or("(no diagnosis)")
-    );
+    assert!(rep.ok(), "sharded replay diverged: {}", rep.verdict());
     assert_eq!(rep.recorded_hash, meta.schedule_hash);
     assert_eq!(rep.replayed_events, meta.event_count);
     assert_eq!(rep.checkpoints_passed, rep.checkpoints_total);
@@ -160,6 +148,34 @@ fn tampered_sharded_trace_names_the_divergent_domain() {
     );
 }
 
+/// A replay can fail with the schedule intact: the commit-log (or output)
+/// digest is compared after the run and has no first divergent event. The
+/// verdict must then name the digest, with both values, and must not
+/// blame the schedule — this is what a container recorded before the
+/// commit log's per-page term changed (PR 15) replays to.
+#[test]
+fn a_digest_only_mismatch_says_which_digest() {
+    let dir = Scratch::new("stale-digest");
+    let rec = record_to(&dir.0, "consequence-ic", "histogram", 4, 1, 42).unwrap();
+    let mut trace = Trace::open(&rec.path).unwrap();
+    let live = trace.meta.commit_log_hash;
+    trace.meta.commit_log_hash ^= 1;
+    let stale = dir.0.join("stale.dmtrace");
+    trace.save(&stale).unwrap();
+
+    let rep = replay_file(&stale).unwrap();
+    assert!(!rep.ok(), "a stale commit-log digest replayed clean");
+    assert!(rep.divergence.is_none(), "the schedule did reproduce");
+    assert_eq!(
+        rep.verdict(),
+        format!(
+            "commit-log digest differs: recorded {:#018x}, replayed {live:#018x}; \
+             schedule, checkpoints and output reproduced",
+            live ^ 1
+        )
+    );
+}
+
 /// The committed corpus must replay green: every container re-executes
 /// to its recorded schedule and output on the current build.
 #[test]
@@ -169,11 +185,6 @@ fn committed_corpus_replays_clean() {
     assert!(!files.is_empty());
     for f in files {
         let rep = replay_file(&f).unwrap();
-        assert!(
-            rep.ok(),
-            "{} diverged: {}",
-            f.display(),
-            rep.divergence.as_deref().unwrap_or("(no diagnosis)")
-        );
+        assert!(rep.ok(), "{} diverged: {}", f.display(), rep.verdict());
     }
 }
