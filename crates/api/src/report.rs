@@ -113,15 +113,14 @@ pub struct Counters {
     /// Broadcast `notify_all` wake-ups sent on the token path (reference
     /// scheduler, or fast-path fallback).
     pub broadcast_wakes: u64,
-    /// Pages whose byte merge was deferred to the commit pipeline's
-    /// settle pool (published as unsettled shells). Deterministic: a pure
-    /// function of the schedule's merge decisions.
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
     pub settle_pages_deferred: u64,
-    /// Copy-on-write faults served from a pre-copied twin prepared by the
-    /// settle pool. Wall-clock-dependent (racy by design): the predictor
-    /// only saves the copy, never changes charging.
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
     pub pretwin_hits: u64,
-    /// Pre-copied twins that were stale or unused at fault time.
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
     pub pretwin_misses: u64,
 }
 
@@ -148,9 +147,6 @@ impl AddAssign for Counters {
         self.token_wake_loops += o.token_wake_loops;
         self.targeted_wakes += o.targeted_wakes;
         self.broadcast_wakes += o.broadcast_wakes;
-        self.settle_pages_deferred += o.settle_pages_deferred;
-        self.pretwin_hits += o.pretwin_hits;
-        self.pretwin_misses += o.pretwin_misses;
     }
 }
 
@@ -209,11 +205,6 @@ pub struct RunReport {
     /// failover to the reference scheduler. The schedule stays correct
     /// (and hash-identical) — only performance degrades.
     pub degraded: bool,
-    /// Whether commits went through the background settle pool
-    /// (`Segment::pipelined`) rather than the serial path. Says which
-    /// commit path ran, nothing the schedule can see; `stress --pipe-diff`
-    /// reads it to know its two sides really differ.
-    pub pipelined: bool,
     /// First-divergent-event diagnosis when this run replayed a recorded
     /// trace and split from it (rendered via [`crate::trace::Divergence`]);
     /// `None` for ordinary runs and for replays that matched exactly.
@@ -298,7 +289,6 @@ mod tests {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            pipelined: false,
             replay_divergence: None,
         };
         assert!(r.thread_breakdown(Tid(0)).is_some());

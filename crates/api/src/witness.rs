@@ -32,10 +32,6 @@ pub struct ResourceBounds {
     pub max_clock_history: usize,
     /// Events resident in the attached trace sink (ring occupancy).
     pub max_trace_ring: usize,
-    /// Commit-pipeline backlog: settle/GC jobs pending finalization plus
-    /// pre-copied twins parked in workspace stashes (0 when the pipeline
-    /// is off).
-    pub max_pipeline_backlog: usize,
 }
 
 impl ResourceBounds {
@@ -46,7 +42,6 @@ impl ResourceBounds {
             max_live_pages: usize::MAX,
             max_clock_history: usize::MAX,
             max_trace_ring: usize::MAX,
-            max_pipeline_backlog: usize::MAX,
         }
     }
 }
@@ -62,8 +57,6 @@ pub struct ResourceSample {
     pub clock_history: usize,
     /// Trace-sink ring occupancy (0 for non-buffering sinks).
     pub trace_ring: usize,
-    /// Commit-pipeline backlog (pending settles + pre-twinned pages).
-    pub pipeline_backlog: usize,
 }
 
 /// What a witnessed run observed: sample count, per-gauge maxima, and
@@ -146,7 +139,6 @@ impl ResourceWitness {
         st.maxima.live_pages = st.maxima.live_pages.max(s.live_pages);
         st.maxima.clock_history = st.maxima.clock_history.max(s.clock_history);
         st.maxima.trace_ring = st.maxima.trace_ring.max(s.trace_ring);
-        st.maxima.pipeline_backlog = st.maxima.pipeline_backlog.max(s.pipeline_backlog);
         let checks = [
             (
                 "retained_versions",
@@ -160,11 +152,6 @@ impl ResourceWitness {
                 self.bounds.max_clock_history,
             ),
             ("trace_ring", s.trace_ring, self.bounds.max_trace_ring),
-            (
-                "pipeline_backlog",
-                s.pipeline_backlog,
-                self.bounds.max_pipeline_backlog,
-            ),
         ];
         let mut violated = false;
         for (gauge, got, bound) in checks {
@@ -271,7 +258,6 @@ mod tests {
             max_live_pages: usize::MAX,
             max_clock_history: 5,
             max_trace_ring: usize::MAX,
-            max_pipeline_backlog: usize::MAX,
         });
         let h = WitnessHandle::to(Arc::clone(&w));
         h.observe(ResourceSample {
@@ -279,14 +265,12 @@ mod tests {
             live_pages: 100,
             clock_history: 2,
             trace_ring: 7,
-            pipeline_backlog: 4,
         });
         h.observe(ResourceSample {
             retained_versions: 11,
             live_pages: 50,
             clock_history: 9,
             trace_ring: 1,
-            pipeline_backlog: 0,
         });
         let s = w.summary();
         assert_eq!(s.samples, 2);
@@ -294,7 +278,6 @@ mod tests {
         assert_eq!(s.maxima.live_pages, 100);
         assert_eq!(s.maxima.clock_history, 9);
         assert_eq!(s.maxima.trace_ring, 7);
-        assert_eq!(s.maxima.pipeline_backlog, 4);
         // One violating sample, two violated gauges described.
         assert_eq!(s.violation_count, 1);
         assert_eq!(s.violations.len(), 2);
@@ -315,7 +298,6 @@ mod tests {
             live_pages: usize::MAX,
             clock_history: usize::MAX,
             trace_ring: usize::MAX,
-            pipeline_backlog: usize::MAX,
         });
         assert!(w.summary().within_bounds());
     }

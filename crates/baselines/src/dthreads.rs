@@ -924,7 +924,6 @@ impl Runtime for DThreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            pipelined: false,
             replay_divergence: None,
         }
     }

@@ -723,7 +723,6 @@ impl Runtime for PthreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            pipelined: false,
             replay_divergence: None,
         }
     }

@@ -241,7 +241,6 @@ json_struct!(RunReport {
     panics,
     fault,
     degraded,
-    pipelined,
     replay_divergence
 });
 

@@ -116,8 +116,6 @@ crate::json_record! {
         pub clock_history: u64,
         /// Trace-sink ring occupancy.
         pub trace_ring: u64,
-        /// Commit-pipeline backlog (pending settles + pre-twinned pages).
-        pub pipeline_backlog: u64,
     }
 }
 
@@ -241,7 +239,6 @@ fn gauges_of(s: dmt_api::ResourceSample) -> Gauges {
         live_pages: s.live_pages as u64,
         clock_history: s.clock_history as u64,
         trace_ring: s.trace_ring as u64,
-        pipeline_backlog: s.pipeline_backlog as u64,
     }
 }
 
@@ -261,12 +258,6 @@ fn run_cell(spec: &CellSpec, budget: Duration) -> SoakCell {
         max_live_pages: envelope(m.live_pages),
         max_clock_history: envelope(m.clock_history),
         max_trace_ring: ring_bound,
-        // The settle-queue component of the backlog gauge is wall-clock
-        // dependent (it measures how far the pool lags, not anything the
-        // schedule fixes), but backpressure caps it at MAX_PENDING jobs.
-        // Add that cap verbatim so a probe run that caught an unusually
-        // drained queue cannot under-bound the soak.
-        max_pipeline_backlog: envelope(m.pipeline_backlog) + conversion::MAX_PENDING as usize,
     };
 
     // Phase 2: the soak proper.
@@ -299,7 +290,6 @@ fn run_cell(spec: &CellSpec, budget: Duration) -> SoakCell {
             live_pages: bounds.max_live_pages as u64,
             clock_history: bounds.max_clock_history as u64,
             trace_ring: bounds.max_trace_ring as u64,
-            pipeline_backlog: bounds.max_pipeline_backlog as u64,
         },
         maxima: gauges_of(s.maxima),
         violations: s.violation_count,
@@ -544,14 +534,12 @@ mod tests {
                 live_pages: 4000,
                 clock_history: 40,
                 trace_ring: RING_CAP as u64,
-                pipeline_backlog: 140,
             },
             maxima: Gauges {
                 retained_versions: 8,
                 live_pages: 1800,
                 clock_history: 16,
                 trace_ring: 900,
-                pipeline_backlog: 66,
             },
             violations: 0,
             within_bounds: true,

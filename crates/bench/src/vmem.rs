@@ -1,6 +1,6 @@
 //! `bench vmem`: microbenchmarks for the Conversion commit/update hot path.
 //!
-//! Five experiments, emitted together as `BENCH_vmem.json` (see
+//! Four experiments, emitted together as `BENCH_vmem.json` (see
 //! `docs/PERF.md` for the schema and how to compare runs):
 //!
 //! * **page digest** — [`dmt_api::page_digest`], the commit log's per-page
@@ -19,15 +19,6 @@
 //!   witnessing that the budgeted collector keeps the retained version
 //!   count within the live-reader window instead of growing without bound
 //!   (the Fig. 12 failure mode).
-//! * **pipeline grid** — commit-path throughput with the asynchronous
-//!   commit pipeline on versus the serial (default) path, across
-//!   thread-count × dirty-density cells. The metric is *serialized
-//!   critical-section time*: the token-holder's `commit+update+gc`
-//!   interval; work the pool does after it is not in it. Each cell also
-//!   re-checks the determinism contract — both modes must produce the
-//!   same commit-log digest and the same final segment bytes — and that
-//!   is all `--check` asks of it: since the page digest the ratio sits
-//!   between 0.5 and 1.3.
 //!
 //! Wall-clock throughput numbers are machine-dependent; the *ratios*
 //! (word/byte speedup, scaling across cells) and the GC bound are the
@@ -47,17 +38,8 @@ use crate::stats::Summary;
 pub const DENSITIES: [u32; 3] = [1, 10, 50];
 /// Thread counts of the commit/update grid.
 pub const THREADS: [usize; 3] = [1, 2, 4];
-/// Thread counts of the pipeline grid (stretches past the commit grid so
-/// the 8-thread acceptance row exists).
-pub const PIPE_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Dirty densities of the pipeline grid.
-pub const PIPE_DENSITIES: [u32; 2] = [10, 50];
-/// Settle-pool workers used by the pipelined side of the grid (matches
-/// the runtime presets).
-pub const PIPE_WORKERS: usize = 2;
-
 /// Format version tag of the emitted document.
-pub const SCHEMA: &str = "bench-vmem/3";
+pub const SCHEMA: &str = "bench-vmem/4";
 /// `--check` floor on `digest.ratio` (17.5 in the committed artifact).
 pub const DIGEST_RATIO_FLOOR: f64 = 5.0;
 
@@ -121,33 +103,6 @@ crate::json_record! {
 }
 
 crate::json_record! {
-    /// One pipeline grid cell: pipelined vs serial commit-path throughput at
-    /// a fixed thread count × dirty density.
-    #[derive(Clone, Debug)]
-    pub struct PipelineCell {
-        /// Committing threads, taking deterministic round-robin turns.
-        pub threads: usize,
-        /// Percent of each written page's bytes dirtied per chunk.
-        pub density_pct: u32,
-        /// Dirty pages published per second of *critical-section* time with
-        /// the pipeline on (publish only: diff + refs + job issue).
-        pub on_pages_per_s: f64,
-        /// Same metric on the serial path (diff + merge + log fold + GC).
-        pub off_pages_per_s: f64,
-        /// `on_pages_per_s / off_pages_per_s` — how much commit-path
-        /// capacity the pipeline frees.
-        pub speedup: f64,
-        /// Both modes produced the same commit-log digest and byte-identical
-        /// final segment state.
-        pub hashes_match: bool,
-        /// Per-rep spread of the pipelined throughput.
-        pub on_summary: Summary,
-        /// Per-rep spread of the serial throughput.
-        pub off_summary: Summary,
-    }
-}
-
-crate::json_record! {
     /// Result of the long-running commit loop under GC.
     #[derive(Clone, Debug)]
     pub struct GcBoundCell {
@@ -180,8 +135,6 @@ crate::json_record! {
         pub merge: Vec<MergeCell>,
         /// Commit grid cells, [`THREADS`] × [`DENSITIES`].
         pub commit: Vec<CommitCell>,
-        /// Pipeline grid cells, [`PIPE_THREADS`] × [`PIPE_DENSITIES`].
-        pub pipeline: Vec<PipelineCell>,
         /// GC boundedness witness.
         pub gc: GcBoundCell,
     }
@@ -421,138 +374,6 @@ pub fn run_commit_grid(smoke: bool) -> Vec<CommitCell> {
     out
 }
 
-/// One timed run of the pipeline-grid workload: `threads` committers
-/// take deterministic round-robin turns (a `Mutex<u64>` turn counter
-/// stands in for the runtimes' global token), each turn writing striped
-/// disjoint bytes of every page and then running `commit+update+gc`
-/// inside the measured critical section. Returns total critical-section
-/// seconds, total pages published, the commit-log digest and an FNV
-/// digest of the final segment bytes.
-fn run_pipeline_workload(
-    threads: usize,
-    pct: u32,
-    iters: usize,
-    pages: usize,
-    pipelined: bool,
-) -> (f64, f64, u64, u64) {
-    let dirty_per_page = dirty_bytes_for(pct);
-    let mut seg = Segment::new(pages, threads);
-    if pipelined {
-        seg.enable_pipeline(PIPE_WORKERS);
-    }
-    let seg = Arc::new(seg);
-    let turn = Arc::new((Mutex::new(0u64), std::sync::Condvar::new()));
-    let mut cs_nanos = 0u128;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let seg = Arc::clone(&seg);
-                let turn = Arc::clone(&turn);
-                s.spawn(move || {
-                    // Registered under the turn lock, so no committer's
-                    // `gc` runs between reading the base and pinning it.
-                    let (mut ws, _) = {
-                        let _turn = turn.0.lock().unwrap();
-                        seg.new_workspace(Tid(t as u32))
-                    };
-                    let mut rng = Lcg(0x91DE ^ t as u64);
-                    let mut val = 0u8;
-                    let mut cs = 0u128;
-                    for _ in 0..iters {
-                        // Isolated writes happen off the critical path in
-                        // the real runtime too (chunk execution).
-                        for p in 0..pages {
-                            for _ in 0..dirty_per_page {
-                                let off = (rng.next() as usize) % (PAGE_SIZE / threads);
-                                let addr = p * PAGE_SIZE + t * (PAGE_SIZE / threads) + off;
-                                val = val.wrapping_add(1);
-                                ws.write_bytes(addr, &[val]);
-                            }
-                        }
-                        let mut g = turn.0.lock().unwrap();
-                        while *g % threads as u64 != t as u64 {
-                            g = turn.1.wait(g).unwrap();
-                        }
-                        // The critical section a real run serializes on:
-                        // everything the token holder does to publish.
-                        // Pipelined mode includes any throttle wait — the
-                        // backpressure cost is honestly on the path.
-                        let t0 = Instant::now();
-                        ws.set_pretwin_hint(pages);
-                        seg.commit(&mut ws, None);
-                        seg.update(&mut ws);
-                        seg.gc(4);
-                        cs += t0.elapsed().as_nanos();
-                        *g += 1;
-                        turn.1.notify_all();
-                        drop(g);
-                    }
-                    seg.detach(Tid(t as u32));
-                    cs
-                })
-            })
-            .collect();
-        for h in handles {
-            cs_nanos += h.join().expect("bench committer panicked");
-        }
-    });
-    let log_hash = seg.log_hash();
-    let mut bytes = vec![0u8; seg.len()];
-    seg.read_latest(0, &mut bytes);
-    let mut h = dmt_api::Fnv1a::new();
-    h.update(&bytes);
-    let total_pages = (threads * iters * pages) as f64;
-    (cs_nanos as f64 / 1e9, total_pages, log_hash, h.digest())
-}
-
-/// Measures one pipeline grid cell: pipelined vs serial, same scripted
-/// workload, comparing throughput and the determinism digests.
-fn run_pipeline_cell(threads: usize, pct: u32, smoke: bool) -> PipelineCell {
-    let reps = if smoke { 2 } else { 4 };
-    let iters = if smoke { 20 } else { 150 };
-    let pages = if smoke { 8 } else { 16 };
-
-    let mut on_samples = Vec::with_capacity(reps);
-    let mut off_samples = Vec::with_capacity(reps);
-    let mut hashes_match = true;
-    for _ in 0..reps {
-        let (on_secs, on_pages, on_log, on_state) =
-            run_pipeline_workload(threads, pct, iters, pages, true);
-        let (off_secs, off_pages, off_log, off_state) =
-            run_pipeline_workload(threads, pct, iters, pages, false);
-        on_samples.push(on_pages / on_secs);
-        off_samples.push(off_pages / off_secs);
-        hashes_match &= on_log == off_log && on_state == off_state;
-    }
-    let on_summary = Summary::of(&on_samples);
-    let off_summary = Summary::of(&off_samples);
-    PipelineCell {
-        threads,
-        density_pct: pct,
-        on_pages_per_s: on_summary.mean,
-        off_pages_per_s: off_summary.mean,
-        speedup: if off_summary.mean > 0.0 {
-            on_summary.mean / off_summary.mean
-        } else {
-            0.0
-        },
-        hashes_match,
-        on_summary,
-        off_summary,
-    }
-}
-
-/// Runs the full [`PIPE_THREADS`] × [`PIPE_DENSITIES`] pipeline grid.
-pub fn run_pipeline_grid(smoke: bool) -> Vec<PipelineCell> {
-    let mut out = Vec::new();
-    for &t in &PIPE_THREADS {
-        for &d in &PIPE_DENSITIES {
-            out.push(run_pipeline_cell(t, d, smoke));
-        }
-    }
-    out
-}
-
 /// Long-running commit loop with a lagging reader: the retained version
 /// chain must stay within twice the reader's lag window under the budgeted
 /// collector, or memory grows without bound (Fig. 12).
@@ -596,7 +417,6 @@ impl Artifact for VmemReport {
             digest: run_digest(smoke),
             merge: run_merge_kernel(smoke),
             commit: run_commit_grid(smoke),
-            pipeline: run_pipeline_grid(smoke),
             gc: run_gc_bound(smoke),
         }
     }
@@ -624,21 +444,6 @@ impl Artifact for VmemReport {
                 c.pool_hit_rate * 100.0
             ));
         }
-        for c in &self.pipeline {
-            out.push(format!(
-                "pipeline t={} {:>2}% dirty: on {:>9.0} pg/s  off {:>9.0} pg/s  speedup {:.2}x  {}",
-                c.threads,
-                c.density_pct,
-                c.on_pages_per_s,
-                c.off_pages_per_s,
-                c.speedup,
-                if c.hashes_match {
-                    "digests identical"
-                } else {
-                    "DIVERGED"
-                }
-            ));
-        }
         let gc = &self.gc;
         out.push(format!(
             "gc: {} iters, budget {}, reader lag {}: max retained {} (bound {}) -> {}",
@@ -654,10 +459,9 @@ impl Artifact for VmemReport {
 
     /// An emitted `BENCH_vmem.json` must parse, carry the current schema
     /// tag, hold the page digest at [`DIGEST_RATIO_FLOOR`] times FNV-1a
-    /// (full-mode artifacts), contain every merge, commit and pipeline
-    /// grid cell with positive throughputs (both word *and* byte numbers
-    /// present), agree on the pipelined and serial digests, and witness a
-    /// bounded GC run.
+    /// (full-mode artifacts), contain every merge and commit grid cell
+    /// with positive throughputs (both word *and* byte numbers present),
+    /// and witness a bounded GC run.
     fn validate(text: &str) -> Result<(), String> {
         let v = open(text, SCHEMA)?;
         let digest = v.get("digest").ok_or("missing digest section")?;
@@ -687,28 +491,6 @@ impl Artifact for VmemReport {
                 let keys = [("threads", t), ("density_pct", pct as usize)];
                 let cell = find(commit, "commit", &keys)?;
                 positive(cell, &format!("commit cell {t}/{pct}%"), &["pages_per_s"])?;
-            }
-        }
-        let pipeline = cells(&v, "pipeline")?;
-        for &t in &PIPE_THREADS {
-            for &pct in &PIPE_DENSITIES {
-                let keys = [("threads", t), ("density_pct", pct as usize)];
-                let cell = find(pipeline, "pipeline", &keys)?;
-                let ctx = format!("pipeline cell {t}/{pct}%");
-                positive(
-                    cell,
-                    &ctx,
-                    &["on_pages_per_s", "off_pages_per_s", "speedup"],
-                )?;
-                if !flag(cell, "hashes_match") {
-                    return Err(format!("{ctx}: pipelined and serial digests diverged"));
-                }
-                // No floor on `speedup`. Until PR 15 this required >= 2.0 at
-                // 8+ threads, and the committed cells read ~6x — which
-                // measured the byte-serial FNV-1a page hash (5.9 us a page)
-                // leaving the timed section for the pool, not the pool
-                // doing anything faster. With the page digest the serial
-                // section is 2-6x shorter and the ratio sits at 0.5-1.3.
             }
         }
         let gc = v.get("gc").ok_or("missing gc witness")?;
@@ -744,9 +526,9 @@ mod tests {
     fn validation_rejects_broken_documents() {
         assert!(VmemReport::validate("not json").is_err());
         assert!(VmemReport::validate("{}").is_err());
-        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/3"}"#).is_err());
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/4"}"#).is_err());
         // The previous schema rev is rejected outright.
-        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/2"}"#)
+        assert!(VmemReport::validate(r#"{"schema":"bench-vmem/3"}"#)
             .unwrap_err()
             .contains("schema"));
         // A full document with a missing grid cell.
@@ -761,18 +543,8 @@ mod tests {
         assert!(VmemReport::validate(&r.to_json())
             .unwrap_err()
             .contains("gc"));
-        // A determinism divergence in any pipeline cell fails validation.
-        let mut r = run_gc_bound_stub();
-        r.pipeline[0].hashes_match = false;
-        assert!(VmemReport::validate(&r.to_json())
-            .unwrap_err()
-            .contains("diverged"));
-        // A pipeline that is slower than the serial path is not an error.
         let mut r = run_gc_bound_stub();
         r.mode = "full".to_string();
-        for c in &mut r.pipeline {
-            c.speedup = 0.5;
-        }
         assert!(VmemReport::validate(&r.to_json()).is_ok());
         // The digest floor applies to full-mode artifacts only.
         r.digest.ratio = 3.0;
@@ -811,21 +583,6 @@ mod tests {
                 });
             }
         }
-        let mut pipeline = Vec::new();
-        for &t in &PIPE_THREADS {
-            for &d in &PIPE_DENSITIES {
-                pipeline.push(PipelineCell {
-                    threads: t,
-                    density_pct: d,
-                    on_pages_per_s: 4.0,
-                    off_pages_per_s: 1.0,
-                    speedup: 4.0,
-                    hashes_match: true,
-                    on_summary: Summary::of(&[4.0]),
-                    off_summary: Summary::of(&[1.0]),
-                });
-            }
-        }
         VmemReport {
             schema: SCHEMA.to_string(),
             mode: "stub".to_string(),
@@ -838,7 +595,6 @@ mod tests {
             },
             merge,
             commit,
-            pipeline,
             gc: GcBoundCell {
                 iters: 1,
                 budget: 4,

@@ -38,7 +38,7 @@ use dmt_api::{
     DmtResult, Job, MutexId, PanicSite, PerturbSite, RwLockId, ThreadCtx, Tid,
 };
 
-use crate::coarsen::{CoarsenState, Ewma};
+use crate::coarsen::CoarsenState;
 use crate::shared::{Msg, Shared};
 
 /// Consequence's per-thread execution context.
@@ -86,11 +86,6 @@ pub(crate) struct Ctx {
     /// The containment teardown decremented `live` and filed reports; a
     /// later quiet pass must not double-count.
     torn_down: bool,
-    /// EWMA of this thread's committed write-set size, driving the
-    /// pre-twin budget handed to the settle pool before each commit.
-    /// Prediction only moves a page copy off the critical path; hits and
-    /// misses charge identically, so it cannot perturb the schedule.
-    pretwin_est: Ewma,
 }
 
 /// Delivers a runtime error through an infallible [`ThreadCtx`] method:
@@ -147,7 +142,6 @@ impl Ctx {
             inject_counts: [0; PanicSite::ALL.len()],
             suppress_inject: false,
             torn_down: false,
-            pretwin_est: Ewma::default(),
         }
     }
 

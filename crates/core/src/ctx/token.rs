@@ -264,10 +264,7 @@ impl Ctx {
         // so the stall stretches real and virtual time only.
         self.perturb_hit(PerturbSite::Commit);
         let sh = Arc::clone(&self.sh);
-        let hint = self.pretwin_est.get() as usize;
-        self.ws().set_pretwin_hint(hint);
         let cr = sh.seg.commit(self.ws(), None);
-        self.pretwin_est.update(cr.pages as u64);
         let c = self.cost.commit_base
             + cr.pages as u64 * self.cost.page_commit
             + cr.merged as u64 * self.cost.page_merge;

@@ -99,22 +99,11 @@ pub struct Options {
     /// Schedule-relevant whenever `shard_domains > 1`: moving a key to a
     /// different domain moves its sync ops to a different token order.
     pub shard_map_seed: u64,
-    /// Pipelined asynchronous commit: split `Segment::commit` into an
-    /// under-token *publish* (diff + version refs + ordered log issue) and
-    /// a deferred *settle* (byte merge, page digests, log folding, GC
-    /// execution, twin preparation) on a background pool. **Off in every
-    /// preset**: with the commit log's per-page term at ~0.3 us
-    /// (`dmt_api::page_digest`) the hand-over costs more than what it
-    /// defers, and the serial commit is faster on every end-to-end
-    /// workload (docs/PERF.md "Commit pipeline"). All deferred work is
-    /// charged to the owning thread's logical clock at publish time, so
-    /// schedules, outputs and commit logs are bit-identical either way
-    /// (checked by `stress --pipe-diff`); deliberately not fingerprinted
-    /// for the same reason. Kept, with `pipeline_workers`, until the frozen
-    /// benchmark surface stops naming it (ROADMAP item 3(b) deletes both).
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
     pub pipeline_commit: bool,
-    /// Settle-pool worker threads when `pipeline_commit` is on. `0` is a
-    /// valid (test-only) stalled regime: jobs queue until a flush.
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
     pub pipeline_workers: usize,
     /// Durable-flush cadence for disk trace recording: flush the
     /// container to the OS after every this many sealed event pages, so
@@ -192,11 +181,10 @@ impl Options {
     /// `sched` (fast and reference produce bit-identical schedules —
     /// replay forces reference for its broadcast wake-ups),
     /// `watchdog_stall_ms` (supervision only; replay lowers it),
-    /// `pipeline_commit`/`pipeline_workers` (the settle pool's deferred
-    /// work is charged at publish time, so pipeline on/off and any worker
-    /// count produce bit-identical schedules — a pipelined recording
-    /// replays on a serial build and vice versa), and `trace_flush_pages`
-    /// (durability of the recording medium; never touches logical time).
+    /// `trace_flush_pages` (durability of the recording medium; never
+    /// touches logical time), and the two inert fields left behind by the
+    /// removed settle pool (nothing reads them, and recordings made while
+    /// the pool existed keep their fingerprints).
     pub fn fingerprint(&self) -> u64 {
         let mut h = dmt_api::Fnv1a::new();
         let mut put = |x: u64| h.update(&x.to_le_bytes());
@@ -235,7 +223,7 @@ impl Options {
     ///
     /// Recognized names: `"coarsening"`, `"fast_forward"`,
     /// `"parallel_barrier"`, `"adaptive_overflow"`, `"user_counter_read"`,
-    /// `"thread_pool"`, `"fast_sched"`, `"pipeline_commit"`.
+    /// `"thread_pool"`, `"fast_sched"`.
     ///
     /// # Panics
     ///
@@ -249,7 +237,6 @@ impl Options {
             "user_counter_read" => self.user_counter_read = false,
             "thread_pool" => self.thread_pool = false,
             "fast_sched" => self.sched = SchedKind::Reference,
-            "pipeline_commit" => self.pipeline_commit = false,
             other => panic!("unknown optimization {other:?}"),
         }
         self
@@ -288,7 +275,6 @@ mod tests {
             "user_counter_read",
             "thread_pool",
             "fast_sched",
-            "pipeline_commit",
         ] {
             let o = Options::consequence_ic().without(name);
             let disabled = match name {
@@ -299,7 +285,6 @@ mod tests {
                 "user_counter_read" => !o.user_counter_read,
                 "thread_pool" => !o.thread_pool,
                 "fast_sched" => o.sched == SchedKind::Reference,
-                "pipeline_commit" => !o.pipeline_commit,
                 _ => unreachable!(),
             };
             assert!(disabled, "{name} not disabled");
@@ -340,9 +325,10 @@ mod tests {
     /// `fingerprint()`, so a recording is refused by a build that would
     /// schedule it differently — or excluded, and then provably
     /// schedule-neutral: the golden cell does not move. (Shard parameters
-    /// fold only when non-default and pipeline/flush/watchdog/scheduler
-    /// knobs not at all, so traces recorded before those existed, or
-    /// under other values of them, stay replayable.)
+    /// fold only when non-default and flush/watchdog/scheduler knobs not
+    /// at all, so traces recorded before those existed, or under other
+    /// values of them, stay replayable. The two `pipeline_*` cases are the
+    /// test that the settle pool's residue is inert.)
     #[test]
     fn fingerprint_membership_is_complete() {
         // No `..`: a new field fails to compile here until it is added to

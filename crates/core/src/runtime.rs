@@ -213,11 +213,6 @@ impl Runtime for ConsequenceRuntime {
             eprintln!("[conseq] abandoning threads that never observed shutdown");
         }
 
-        // Settle the commit pipeline before any observable is harvested:
-        // final reads, the log digest, GC totals and the teardown witness
-        // sample must all see the fully settled (serial-equivalent) state.
-        sh.seg.flush_pipeline();
-
         let mut breakdown = dmt_api::Breakdown::default();
         for (_, b) in &reports {
             breakdown += *b;
@@ -229,11 +224,6 @@ impl Runtime for ConsequenceRuntime {
         counters.gc_versions_dropped = gc_dropped;
         counters.gc_versions_squashed = gc_squashed;
         counters.page_pool_hits = sh.seg.tracker().pool_hits();
-        if let Some(pt) = sh.seg.pipeline_totals() {
-            counters.settle_pages_deferred = pt.deferred_pages;
-            counters.pretwin_hits = pt.pretwin_hits;
-            counters.pretwin_misses = pt.pretwin_misses;
-        }
         // Teardown sample: catches a run whose last epochs never
         // committed (pure compute tails) and the final trace occupancy.
         if sh.cfg.witness.enabled() {
@@ -265,7 +255,6 @@ impl Runtime for ConsequenceRuntime {
             panics,
             fault,
             degraded,
-            pipelined: sh.seg.pipelined(),
             replay_divergence: sh.cfg.trace.divergence().map(|d| d.to_string()),
         }
     }

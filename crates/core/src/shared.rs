@@ -399,7 +399,6 @@ impl Shared {
             live_pages: self.seg.tracker().live(),
             clock_history,
             trace_ring: self.cfg.trace.occupancy(),
-            pipeline_backlog: self.seg.pipeline_backlog(),
         });
     }
 
@@ -410,9 +409,6 @@ impl Shared {
     ) -> Arc<Shared> {
         let mut seg = Segment::new(cfg.heap_pages, cfg.max_threads);
         seg.set_perturb(cfg.perturb.clone());
-        if opts.pipeline_commit {
-            seg.enable_pipeline(opts.pipeline_workers);
-        }
         let lrc = cfg.track_lrc.then(|| LrcTracker::new(cfg.max_threads));
         let slots = Slots::new(cfg.max_threads);
         // Preallocate per-thread vectors to their max_threads-derived

@@ -20,7 +20,7 @@ use dmt_bench::soak::SoakReport;
 use dmt_stress::report::{table, verdict};
 use dmt_stress::{
     run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_option_diff,
-    run_panic_inject, run_shard_diff, run_trace_chaos, StressConfig, PIPE_DIFF, SCHED_DIFF,
+    run_panic_inject, run_shard_diff, run_trace_chaos, StressConfig, SCHED_DIFF,
 };
 
 /// One thing `stress` can do.
@@ -33,7 +33,7 @@ struct Mode {
     run: fn(&Invocation) -> bool,
 }
 
-const MODES: [Mode; 11] = [
+const MODES: [Mode; 10] = [
     Mode {
         flag: "--smoke",
         value: None,
@@ -51,12 +51,6 @@ const MODES: [Mode; 11] = [
         value: None,
         doc: "A/B differential: fast vs reference scheduler agree on schedule, output, commit log",
         run: |i| table("sched_diff", |p| run_option_diff(&i.cfg, SCHED_DIFF, p)),
-    },
-    Mode {
-        flag: "--pipe-diff",
-        value: None,
-        doc: "A/B differential: pipelined vs serial commit agree on schedule, output, commit log",
-        run: |i| table("pipe_diff", |p| run_option_diff(&i.cfg, PIPE_DIFF, p)),
     },
     Mode {
         flag: "--shard-diff",
@@ -295,8 +289,8 @@ mod tests {
 
     #[test]
     fn two_modes_are_an_error_naming_both() {
-        let e = parsed("--sched-diff --pipe-diff").err().unwrap();
-        assert!(e.contains("--sched-diff and --pipe-diff"), "{e}");
+        let e = parsed("--sched-diff --shard-diff").err().unwrap();
+        assert!(e.contains("--sched-diff and --shard-diff"), "{e}");
         for bad in [
             "--smoke --deep",
             "--bogus",
@@ -313,7 +307,6 @@ mod tests {
         for line in [
             "--smoke",
             "--sched-diff",
-            "--pipe-diff",
             "--shard-diff",
             "--inject-panic --seeds 4",
             "--inject-bug",

@@ -41,7 +41,7 @@ use dmt_workloads::Params;
 
 pub use inject::{run_inject_bug, InjectOutcome};
 pub use matrix::{run_mixed_matrix, MatrixCell, MatrixReport, MATRIX_SHARDS};
-pub use option_diff::{run_option_diff, OptionDiff, OptionDiffCell, PIPE_DIFF, SCHED_DIFF};
+pub use option_diff::{run_option_diff, OptionDiff, OptionDiffCell, SCHED_DIFF};
 pub use panic_inject::{run_panic_inject, PanicCell, PanicInjectReport, PanicInjector};
 pub use report::{CellSummary, MatrixExtra, Notes, Report, StressReport, Table, Violation};
 pub use shard_diff::{run_shard_diff, ShardDiffCell, ShardDiffReport, SHARD_COUNTS};

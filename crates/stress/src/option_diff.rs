@@ -1,43 +1,33 @@
-//! `stress --sched-diff` / `--pipe-diff`: A/B differential validation of
-//! an optimization against the path it replaced.
+//! `stress --sched-diff`: A/B differential validation of an optimization
+//! against the path it replaced.
 //!
-//! Two optimizations in the Consequence runtime exist beside the path
-//! they were written to replace, selected by an option:
+//! One optimization in the Consequence runtime exists beside the path it
+//! was written to replace, selected by an option: the **fast scheduler**
+//! (`fast_sched`) — lock-free publication slots, targeted per-thread
+//! wakeups and O(log T) eligibility queues (`det_clock::fast`) in place of
+//! the reference scheduler's global-lock clock table and `notify_all`
+//! handoff. It may change how fast a grant happens, never which thread
+//! gets it.
 //!
-//! * the **fast scheduler** (`fast_sched`) — lock-free publication slots,
-//!   targeted per-thread wakeups and O(log T) eligibility queues
-//!   (`det_clock::fast`) in place of the reference scheduler's
-//!   global-lock clock table and `notify_all` handoff. It may change how
-//!   fast a grant happens, never which thread gets it;
-//! * the **commit pipeline** (`pipeline_commit`) — byte merging,
-//!   commit-log folding, GC execution and twin preparation moved off the
-//!   token's critical path onto a background settle pool. Every deferred
-//!   cost is charged to the owning thread's logical clock at publish time
-//!   and the pool's ordered frontier folds the commit log in exactly the
-//!   serial order, so nothing the schedule or the program can observe
-//!   may move. (Off in every preset since PR 15 — the serial commit is
-//!   the faster one now — which is exactly why the two sides below are
-//!   built explicitly.)
-//!
-//! Both contracts have one shape, and so one check: for every workload ×
-//! every Consequence-backed runtime (dwc, consequence-rr, consequence-ic)
-//! run the preset with the optimization set on (A) and with it off (B)
-//! over the same perturbation-seed matrix the main fuzzer uses — neither
-//! side is "whatever the preset says", so a default that flips cannot
-//! turn the differential into a run compared with itself
+//! The contract is checked the same way for any such option: for every
+//! workload × every Consequence-backed runtime (dwc, consequence-rr,
+//! consequence-ic) run the preset with the optimization set on (A) and
+//! with it off (B) over the same perturbation-seed matrix the main fuzzer
+//! uses — neither side is "whatever the preset says", so a default that
+//! flips cannot turn the differential into a run compared with itself
 //! ([`OptionDiff::sides`] refuses two equal sides) — and require every run —
 //! baseline and perturbed, A and B — to produce the same schedule hash,
 //! the same output hash **and the same commit-log hash**. A single
 //! divergent grant anywhere in the run changes the schedule hash; the
 //! commit-log digest folds `(version, committer, page, page-content
-//! digest)` for every committed page, so a settle that merged wrong bytes,
-//! folded out of order, or ran GC against the wrong chain state diverges
-//! even when the program output happens not to.
+//! digest)` for every committed page, so a commit that merged wrong bytes
+//! or landed in a different order diverges even when the program output
+//! happens not to.
 
 use consequence::replay::options_for_label;
 use consequence::Options;
 use det_clock::SchedKind;
-use dmt_api::{PerturbHandle, PerturbPlan, RunReport};
+use dmt_api::{PerturbHandle, PerturbPlan};
 use dmt_bench::json::ToJson;
 
 use crate::report::{hex, Col, NoExtra, Notes, Report, Table};
@@ -53,9 +43,6 @@ pub struct OptionDiff {
     pub toggle: &'static str,
     /// Sets the optimization on: the inverse of `without(toggle)`.
     pub enable: fn(&mut Options),
-    /// Whether a run's report shows the optimization really ran, where the
-    /// report can tell.
-    pub engaged: Option<fn(&RunReport) -> bool>,
     pub salt: u64,
     /// Label of the A side (optimization on).
     pub with: &'static str,
@@ -67,20 +54,9 @@ pub struct OptionDiff {
 pub const SCHED_DIFF: OptionDiff = OptionDiff {
     toggle: "fast_sched",
     enable: |o| o.sched = SchedKind::Fast,
-    engaged: None,
     salt: 0x5C4E_D1FF,
     with: "fast",
     without: "reference",
-};
-
-/// Pipelined vs serial commit.
-pub const PIPE_DIFF: OptionDiff = OptionDiff {
-    toggle: "pipeline_commit",
-    enable: |o| o.pipeline_commit = true,
-    engaged: Some(|r| r.pipelined),
-    salt: 0x919E_D1FF,
-    with: "pipelined",
-    without: "serial",
 };
 
 impl OptionDiff {
@@ -137,7 +113,7 @@ pub struct OptionDiffCell {
 
 impl ToJson for OptionDiffCell {
     /// The two hash members are keyed by the row's side labels
-    /// (`fast_hash` / `reference_hash`, `pipelined_hash` / `serial_hash`).
+    /// (`fast_hash` / `reference_hash`).
     fn write_json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"workload\":{},\"runtime\":{},\"runs\":{},\"{}_hash\":{},\"{}_hash\":{},\
@@ -179,9 +155,8 @@ impl Notes for Report<OptionDiffCell> {}
 
 /// Runs the A/B matrix of `diff` and returns the report.
 ///
-/// Non-Consequence runtimes in `cfg.runtimes` are skipped (they have
-/// neither a scheduler to swap nor a commit path to pipeline). `progress`
-/// is called once per finished cell.
+/// Non-Consequence runtimes in `cfg.runtimes` are skipped (they have no
+/// scheduler to swap). `progress` is called once per finished cell.
 pub fn run_option_diff(
     cfg: &StressConfig,
     diff: OptionDiff,
@@ -205,16 +180,6 @@ pub fn run_option_diff(
         };
 
         let [a, b] = pair(None);
-        if let Some(engaged) = diff.engaged {
-            assert!(
-                engaged(&a.report) && !engaged(&b.report),
-                "{} differential is vacuous: the {} side did not run {}, or the {} side did",
-                diff.toggle,
-                diff.with,
-                diff.with,
-                diff.without
-            );
-        }
         let mut cell = OptionDiffCell {
             diff,
             workload: name.to_string(),
@@ -246,24 +211,25 @@ mod tests {
 
     #[test]
     fn sides_differ_in_the_toggle_and_in_nothing_else() {
-        for diff in [SCHED_DIFF, PIPE_DIFF] {
-            for preset in [Options::consequence_ic(), Options::dwc()] {
-                let (with, without) = diff.sides(preset.clone());
-                assert_ne!(with, without);
-                assert!(with == preset || without == preset);
-            }
+        for preset in [Options::consequence_ic(), Options::dwc()] {
+            let (with, without) = SCHED_DIFF.sides(preset.clone());
+            assert_ne!(with, without);
+            assert!(with == preset || without == preset);
         }
     }
 
-    /// Side A used to be "the preset": after `pipeline_commit` went off by
-    /// default that is a no-op `enable`, and both sides are serial.
+    /// Were side A "the preset" (a no-op `enable`), a preset whose default
+    /// flipped to off would leave both sides on the reference scheduler.
     #[test]
     #[should_panic(expected = "differential is vacuous")]
     fn a_flipped_preset_default_fires_the_guard() {
         let preset_is_side_a = OptionDiff {
             enable: |_| {},
-            ..PIPE_DIFF
+            ..SCHED_DIFF
         };
-        preset_is_side_a.sides(Options::consequence_ic());
+        preset_is_side_a.sides(Options {
+            sched: SchedKind::Reference,
+            ..Options::consequence_ic()
+        });
     }
 }

@@ -15,7 +15,7 @@
 use dmt_baselines::RuntimeKind;
 use dmt_stress::{
     mix64, run_matrix, run_mixed_matrix, run_option_diff, run_panic_inject, run_shard_diff,
-    OptionDiff, StressConfig, PIPE_DIFF, SCHED_DIFF,
+    OptionDiff, StressConfig, SCHED_DIFF,
 };
 
 fn tiny() -> StressConfig {
@@ -82,11 +82,6 @@ fn option_diff_cells(diff: OptionDiff) -> Vec<String> {
 #[test]
 fn sched_diff_cells_are_pinned() {
     check("sched-diff", option_diff_cells(SCHED_DIFF), OPTION_DIFF);
-}
-
-#[test]
-fn pipe_diff_cells_are_pinned() {
-    check("pipe-diff", option_diff_cells(PIPE_DIFF), OPTION_DIFF);
 }
 
 #[test]
@@ -164,10 +159,9 @@ fn mixed_matrix_compositions_are_pinned() {
 /// victims see a change to the derivation.
 #[test]
 fn seed_derivation_is_pinned() {
-    let modes: [(&str, u64); 4] = [
+    let modes: [(&str, u64); 3] = [
         ("matrix", 0),
         ("sched-diff", SCHED_DIFF.salt),
-        ("pipe-diff", PIPE_DIFF.salt),
         ("inject-panic", 0xFA17_0CE5),
     ];
     let cfg = StressConfig {
@@ -248,9 +242,6 @@ const SEEDS: &[&str] = &[
     "sched-diff w0 k0 cell=0x73e13c5213036621 plan1=0x51788b3ecb099f0c plan2=0x60dbb5af5c27de72",
     "sched-diff w0 k2 cell=0x33eb9cce5b04b057 plan1=0xc4f28abd8b92042a plan2=0x1db2dc2ed8e4ec04",
     "sched-diff w1 k1 cell=0x5fa5afc6e2f87898 plan1=0x039c3db4bb4bead2 plan2=0x380c6ad6aa9d2759",
-    "pipe-diff w0 k0 cell=0xb78c8985de16444e plan1=0x2a03c81fde513320 plan2=0x955809a22437659f",
-    "pipe-diff w0 k2 cell=0x16e1b2268761a2c7 plan1=0x3b60a077a3f1f7a6 plan2=0x1de8a5566df90dc6",
-    "pipe-diff w1 k1 cell=0x3bbdc0e9b3ed7c06 plan1=0x501c2c910064f64e plan2=0x9b4c05128d99c72a",
     "inject-panic w0 k0 cell=0x52420b6f6103283e plan1=0x0d846b6fa74e7d45 plan2=0xba88d6b3770998fb",
     "inject-panic w0 k2 cell=0x16b1355d2ca70552 plan1=0x19c00699dc38a6a9 plan2=0x621cb02dd372a84e",
     "inject-panic w1 k1 cell=0x6c5ddbb3b99551de plan1=0xd99ce2b9e12b3e85 plan2=0x3ad7d99a4109c270",

@@ -3,8 +3,7 @@
 
 use dmt_baselines::RuntimeKind;
 use dmt_stress::{
-    plan_handle, run_inject_bug, run_matrix, run_option_diff, StressConfig, Table, PIPE_DIFF,
-    SCHED_DIFF,
+    plan_handle, run_inject_bug, run_matrix, run_option_diff, StressConfig, Table, SCHED_DIFF,
 };
 
 use dmt_api::{PerturbHandle, PerturbPlan};
@@ -74,33 +73,30 @@ fn injected_bug_is_caught_shrunk_and_diagnosed() {
     );
 }
 
-/// Each optimization that keeps its predecessor as an oracle — the fast
-/// scheduler (PR 4), the commit pipeline (PR 9) — must be schedule-,
-/// output- and commit-log-identical to it on whole executions, across
-/// perturbation seeds and both token-order policies.
+/// The fast scheduler (PR 4) keeps its predecessor as an oracle and must be
+/// schedule-, output- and commit-log-identical to it on whole executions,
+/// across perturbation seeds and both token-order policies.
 #[test]
 fn fast_and_reference_schedulers_agree_end_to_end() {
     let cfg = tiny_matrix(
         vec![RuntimeKind::ConsequenceIc, RuntimeKind::ConsequenceRr],
         1,
     );
-    for diff in [SCHED_DIFF, PIPE_DIFF] {
-        let report = run_option_diff(&cfg, diff, |_| {});
-        assert_eq!(report.cells.len(), 2);
-        for cell in &report.cells {
-            assert!(
-                cell.schedules_match && cell.outputs_match && cell.validated,
-                "{} under {} diverged without {}: {cell:?}",
-                cell.workload,
-                cell.runtime,
-                diff.toggle
-            );
-            assert!(cell.commit_logs_match, "commit logs diverged: {cell:?}");
-            assert!(cell.ok());
-            assert_eq!(cell.with_hash, cell.without_hash);
-            assert_eq!(cell.runs, 4);
-        }
-        assert!(report.passed);
-        assert_eq!(report.total_runs, 8);
+    let report = run_option_diff(&cfg, SCHED_DIFF, |_| {});
+    assert_eq!(report.cells.len(), 2);
+    for cell in &report.cells {
+        assert!(
+            cell.schedules_match && cell.outputs_match && cell.validated,
+            "{} under {} diverged without {}: {cell:?}",
+            cell.workload,
+            cell.runtime,
+            SCHED_DIFF.toggle
+        );
+        assert!(cell.commit_logs_match, "commit logs diverged: {cell:?}");
+        assert!(cell.ok());
+        assert_eq!(cell.with_hash, cell.without_hash);
+        assert_eq!(cell.runs, 4);
     }
+    assert!(report.passed);
+    assert_eq!(report.total_runs, 8);
 }

@@ -27,17 +27,15 @@
 //!   barrier (§4.2) — a serialized registration phase that fixes the
 //!   per-page merge order, then an embarrassingly parallel merge phase;
 //! * a budgeted garbage collector ([`Segment::gc`]) modelling the paper's
-//!   single-threaded collector that can fall behind page churn (Fig. 12);
-//! * an asynchronous commit pipeline ([`Segment::enable_pipeline`]) that
-//!   takes byte merging, log folding, GC execution and twin preparation
-//!   off the committer's critical path while keeping every
-//!   schedule-visible outcome bit-identical to the serial path (see
-//!   [`pipeline`]).
+//!   single-threaded collector that can fall behind page churn (Fig. 12).
+//!
+//! There is one commit path: the committer diffs, merges, digests and
+//! publishes under the caller's token (the paper's §2.4–2.5 commit);
+//! docs/PERF.md "Commit pipeline" records why there is no second one.
 
 pub mod merge;
 pub mod page;
 pub mod parallel;
-pub mod pipeline;
 pub mod registry;
 pub mod segment;
 pub mod version;
@@ -47,7 +45,6 @@ pub use dmt_api::PAGE_SIZE;
 pub use merge::DirtyMap;
 pub use page::{PageBuf, PageRef, PageTracker};
 pub use parallel::ParallelCommit;
-pub use pipeline::{PipelineTotals, MAX_PENDING};
 pub use registry::Registry;
 pub use segment::{CommitResult, GcResult, Segment, UpdateResult};
 pub use version::Version;

@@ -1,9 +1,9 @@
 //! Pages, live-page accounting, and the freed-page pool.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use dmt_api::sync::{Condvar, Mutex};
+use dmt_api::sync::Mutex;
 use dmt_api::PAGE_SIZE;
 
 /// Shared, immutable reference to a committed or snapshot page.
@@ -77,7 +77,7 @@ impl PageTracker {
 
     /// Takes a recycled buffer (contents unspecified), or `None` when the
     /// pool is empty.
-    pub(crate) fn take(&self) -> Option<Box<[u8; PAGE_SIZE]>> {
+    fn take(&self) -> Option<Box<[u8; PAGE_SIZE]>> {
         let got = self.pool.lock().pop();
         match got {
             Some(b) => {
@@ -99,33 +99,16 @@ impl PageTracker {
     }
 }
 
-/// Settle latch for a page published by the pipelined commit before its
-/// byte merge has run. The background worker fills `cell` exactly once,
-/// then flips the flag under `mu` and broadcasts; late readers block on
-/// the condvar, racing readers that arrive after the fill take the
-/// lock-free `cell.get()` fast path.
-#[derive(Debug, Default)]
-struct PendingCell {
-    cell: OnceLock<Box<[u8; PAGE_SIZE]>>,
-    mu: Mutex<bool>,
-    cv: Condvar,
-}
-
 /// One 4 KiB page of segment memory.
 ///
 /// Pages are immutable once wrapped in a [`PageRef`]; mutation happens only
 /// on a thread's private working copy (a `Box<PageBuf>`) before it is
-/// committed. A page created by `PageBuf::deferred` is a *shell*: its
-/// contents arrive later via `PageBuf::settle_fill`, and readers block
-/// on the settle latch until they do.
+/// committed.
 #[derive(Debug)]
 pub struct PageBuf {
     /// `None` only transiently inside `Drop`, where the buffer is moved
-    /// back to the tracker's pool — or for the whole pre-settle life of a
-    /// deferred page, whose buffer lives in `pending` once filled.
+    /// back to the tracker's pool.
     data: Option<Box<[u8; PAGE_SIZE]>>,
-    /// Settle latch; `Some` only for deferred pages.
-    pending: Option<PendingCell>,
     tracker: Arc<PageTracker>,
 }
 
@@ -142,7 +125,6 @@ impl PageBuf {
         };
         PageBuf {
             data: Some(data),
-            pending: None,
             tracker: Arc::clone(tracker),
         }
     }
@@ -159,54 +141,14 @@ impl PageBuf {
         };
         PageBuf {
             data: Some(data),
-            pending: None,
             tracker: Arc::clone(&src.tracker),
         }
-    }
-
-    /// A deferred page shell: accounted live immediately, contents filled
-    /// later by [`PageBuf::settle_fill`]. Used by the pipelined commit to
-    /// publish a merged page's identity before the merge has run.
-    pub(crate) fn deferred(tracker: &Arc<PageTracker>) -> PageBuf {
-        tracker.incr();
-        PageBuf {
-            data: None,
-            pending: Some(PendingCell::default()),
-            tracker: Arc::clone(tracker),
-        }
-    }
-
-    /// Delivers a deferred page's contents and releases every waiting
-    /// reader. Must be called exactly once, and only on a deferred page.
-    pub(crate) fn settle_fill(&self, buf: Box<[u8; PAGE_SIZE]>) {
-        let p = self.pending.as_ref().expect("settle_fill on a data page");
-        assert!(p.cell.set(buf).is_ok(), "page settled twice");
-        *p.mu.lock() = true;
-        p.cv.notify_all();
     }
 
     /// Read access to the page bytes.
     #[inline]
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
-        if let Some(d) = &self.data {
-            return d;
-        }
-        self.wait_settled()
-    }
-
-    /// Slow path of [`PageBuf::bytes`] for deferred pages: lock-free once
-    /// settled, blocks on the settle latch otherwise.
-    #[cold]
-    fn wait_settled(&self) -> &[u8; PAGE_SIZE] {
-        let p = self.pending.as_ref().expect("page present outside drop");
-        if let Some(b) = p.cell.get() {
-            return b;
-        }
-        let mut g = p.mu.lock();
-        while !*g {
-            p.cv.wait(&mut g);
-        }
-        p.cell.get().expect("flag set only after fill")
+        self.data.as_ref().expect("page present outside drop")
     }
 
     /// Write access to the page bytes (only possible pre-publication, while
@@ -222,10 +164,6 @@ impl Drop for PageBuf {
         self.tracker.decr();
         if let Some(buf) = self.data.take() {
             self.tracker.park(buf);
-        } else if let Some(p) = self.pending.take() {
-            if let Some(buf) = p.cell.into_inner() {
-                self.tracker.park(buf);
-            }
         }
     }
 }
@@ -284,37 +222,6 @@ mod tests {
         assert_eq!(t.pool_hits(), hits_before + 1);
         assert_eq!(t.pooled(), 0);
         assert!(b.bytes().iter().all(|&x| x == 0), "recycled page is zeroed");
-    }
-
-    #[test]
-    fn deferred_page_blocks_readers_until_settled() {
-        let t = PageTracker::new();
-        let shell: PageRef = Arc::new(PageBuf::deferred(&t));
-        assert_eq!(t.live(), 1, "shells are live pages from birth");
-        let reader = {
-            let shell = Arc::clone(&shell);
-            std::thread::spawn(move || shell.bytes()[7])
-        };
-        let mut buf = Box::new([0u8; PAGE_SIZE]);
-        buf[7] = 0x5e;
-        shell.settle_fill(buf);
-        assert_eq!(reader.join().unwrap(), 0x5e);
-        // Late readers take the settled fast path.
-        assert_eq!(shell.bytes()[7], 0x5e);
-    }
-
-    #[test]
-    fn dropped_settled_shell_parks_its_buffer() {
-        let t = PageTracker::new();
-        let shell = PageBuf::deferred(&t);
-        shell.settle_fill(Box::new([1u8; PAGE_SIZE]));
-        drop(shell);
-        assert_eq!(t.live(), 0);
-        assert_eq!(t.pooled(), 1, "settled buffer is recycled");
-        // An unsettled shell just goes away.
-        drop(PageBuf::deferred(&t));
-        assert_eq!(t.live(), 0);
-        assert_eq!(t.pooled(), 1);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, VectorC
 
 use crate::merge;
 use crate::page::{PageBuf, PageRef, PageTracker};
-use crate::pipeline::{Job, MergeJob, PipelineTotals, SettlePool, TwinStash};
 use crate::registry::Registry;
 use crate::version::Version;
 use crate::workspace::Workspace;
@@ -63,11 +62,13 @@ pub struct UpdateResult {
     pub versions_applied: u64,
 }
 
-pub(crate) struct SegInner {
+struct SegInner {
     /// Id the next commit will receive; the latest committed id is
     /// `next_id - 1` (id 0 is the implicit zero-filled initial version).
     next_id: u64,
-    /// Id of `versions.front()`, when non-empty.
+    /// One past the newest version id the collector has dropped: every
+    /// id below it is gone, every id from it on is still covered by
+    /// `versions` (possibly inside a squashed range).
     first_retained: u64,
     /// Retained version history (trimmed by [`Segment::gc`]).
     versions: VecDeque<Version>,
@@ -97,12 +98,6 @@ pub(crate) struct SegInner {
     /// the collector trims, so the resource witness sees intra-epoch
     /// spikes the post-GC gauge would hide.
     retained_peak: usize,
-    /// Pipelined mode only: logical `(id, base_id)` mirror of `versions`
-    /// with every *planned* (possibly not yet executed) collector pass
-    /// already applied. GC decisions and `retained_peak` come from here,
-    /// so they are pure functions of the commit/GC call sequence — the
-    /// settle pool's wall-clock lag is invisible to them.
-    mirror: VecDeque<(u64, u64)>,
 }
 
 /// A version-controlled memory segment (user-space Conversion).
@@ -114,7 +109,7 @@ pub(crate) struct SegInner {
 /// deterministic points. The segment then guarantees deterministic
 /// contents: byte-granularity last-writer-wins in commit order.
 pub struct Segment {
-    inner: Arc<Mutex<SegInner>>,
+    inner: Mutex<SegInner>,
     tracker: Arc<PageTracker>,
     registry: Registry,
     npages: usize,
@@ -122,9 +117,6 @@ pub struct Segment {
     /// default. Real-time jitter only — the segment has no virtual-time
     /// accounting of its own.
     perturb: PerturbHandle,
-    /// Background settle pool: `Some` on the pipelined commit path,
-    /// `None` on the serial (default) path.
-    pipeline: Option<SettlePool>,
 }
 
 impl Segment {
@@ -135,7 +127,7 @@ impl Segment {
             .map(|_| Arc::new(PageBuf::zeroed(&tracker)))
             .collect();
         Segment {
-            inner: Arc::new(Mutex::new(SegInner {
+            inner: Mutex::new(SegInner {
                 next_id: 1,
                 first_retained: 1,
                 versions: VecDeque::new(),
@@ -147,60 +139,21 @@ impl Segment {
                 gc_dropped_total: 0,
                 gc_squashed_total: 0,
                 retained_peak: 0,
-                mirror: VecDeque::new(),
-            })),
-            tracker: Arc::clone(&tracker),
+            }),
+            tracker,
             registry: Registry::new(slots),
             npages,
             perturb: PerturbHandle::off(),
-            pipeline: None,
         }
     }
 
-    /// Switches this segment to the pipelined commit path with `workers`
-    /// background settle threads. Must be called before any workspace is
-    /// created. `workers == 0` is the *stalled-pool* regime: jobs queue
-    /// but only [`Segment::flush_pipeline`] executes them — used by the
-    /// witness tightness tests to measure unbounded backlog growth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline was already enabled.
-    pub fn enable_pipeline(&mut self, workers: usize) {
-        assert!(self.pipeline.is_none(), "pipeline already enabled");
-        self.pipeline = Some(SettlePool::new(
-            workers,
-            Arc::clone(&self.inner),
-            Arc::clone(&self.tracker),
-        ));
-    }
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
+    pub fn enable_pipeline(&mut self, _workers: usize) {}
 
-    /// Whether the pipelined commit path is active.
-    pub fn pipelined(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
-    /// Blocks until every queued settle/GC job has executed (executing
-    /// them inline if the pool has no workers). No-op on the serial path.
-    pub fn flush_pipeline(&self) {
-        if let Some(p) = &self.pipeline {
-            p.flush();
-        }
-    }
-
-    /// Pipeline backlog gauge for the resource witness: unfinalized
-    /// settle/GC jobs plus prepared twin copies parked in stashes. Zero
-    /// on the serial path.
-    pub fn pipeline_backlog(&self) -> usize {
-        self.pipeline.as_ref().map_or(0, |p| {
-            (p.stats().pending_settles() + p.stats().pretwinned()) as usize
-        })
-    }
-
-    /// Report-only pipeline totals, or `None` on the serial path.
-    pub fn pipeline_totals(&self) -> Option<PipelineTotals> {
-        self.pipeline.as_ref().map(|p| p.totals())
-    }
+    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    #[doc(hidden)]
+    pub fn flush_pipeline(&self) {}
 
     /// Attaches a fault injector that stalls commits and updates (see
     /// `dmt_api::perturb`). Stalls happen *before* the segment lock is
@@ -252,12 +205,9 @@ impl Segment {
         self.inner.lock().retained_peak
     }
 
-    /// Current commit-log digest (determinism witness). Drains the
-    /// settle pool first so the digest covers every published commit —
-    /// making it, like the serial path's, a pure function of the commit
-    /// sequence.
+    /// Current commit-log digest (determinism witness): a pure function
+    /// of the commit sequence.
     pub fn log_hash(&self) -> u64 {
-        self.flush_pipeline();
         self.inner.lock().log.digest()
     }
 
@@ -314,11 +264,7 @@ impl Segment {
         drop(inner);
         self.registry.set_base(tid, base);
         let n = snap.len();
-        let mut ws = Workspace::new(tid, base, snap);
-        if let Some(p) = &self.pipeline {
-            ws.attach_pretwin(TwinStash::new(self.npages, Arc::clone(p.stats())));
-        }
-        (ws, n)
+        (Workspace::new(tid, base, snap), n)
     }
 
     /// Detaches `tid`'s workspace from GC consideration.
@@ -335,30 +281,14 @@ impl Segment {
         self.registry.set_base(new, ws.base());
     }
 
-    /// Re-attaches a pooled workspace (thread reuse, §3.3) so its base
-    /// version pins history again. Must be called before the workspace is
-    /// used, and the workspace's base must still be retained.
-    pub fn reattach(&self, ws: &Workspace) {
-        self.registry.set_base(ws.tid(), ws.base());
-    }
-
     /// Publishes `ws`'s dirty pages as a new version.
     ///
     /// **Caller must serialize commits deterministically** (hold the global
     /// token). Pages whose working copy equals its twin are dropped; pages
     /// whose underlying latest page changed since fault time are merged at
     /// byte granularity, local changes winning.
-    ///
-    /// On the pipelined path only the *publish* half runs here: diffs,
-    /// version identity, and the commit result. Merging, page digests and
-    /// log folding are settled by the background pool; the returned
-    /// `CommitResult` (and therefore everything schedule-visible) is
-    /// identical to the serial path's.
     pub fn commit(&self, ws: &mut Workspace, vc: Option<Arc<VectorClock>>) -> CommitResult {
         self.perturb.jitter(PerturbSite::Commit, ws.tid());
-        if let Some(pool) = &self.pipeline {
-            return self.commit_pipelined(pool, ws, vc);
-        }
         let dirty = ws.take_dirty();
         let mut inner = self.inner.lock();
         let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(dirty.len());
@@ -401,7 +331,7 @@ impl Segment {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        fold_commit_log(&mut inner, id, ws.tid(), log_entries(&pages));
+        fold_commit_log(&mut inner, id, ws.tid(), &pages);
         let mut page_set = Fnv1a::new();
         for (p, _) in &pages {
             page_set.update_u64(*p as u64);
@@ -424,121 +354,8 @@ impl Segment {
         }
     }
 
-    /// The publish half of a pipelined commit: everything the schedule can
-    /// see (diff outcomes, version identity, the commit result) is decided
-    /// here under the lock, exactly as the serial path decides it; the
-    /// byte merges, page digests and log folds are queued for the pool.
-    fn commit_pipelined(
-        &self,
-        pool: &SettlePool,
-        ws: &mut Workspace,
-        vc: Option<Arc<VectorClock>>,
-    ) -> CommitResult {
-        // Backpressure before the lock: bounds background memory without
-        // ever holding segment state hostage.
-        pool.throttle();
-        let dirty = ws.take_dirty();
-        let mut inner = self.inner.lock();
-        let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(dirty.len());
-        let mut merges: Vec<MergeJob> = Vec::new();
-        let mut merged = 0u32;
-        for (p, d) in dirty {
-            let map = merge::DirtyMap::diff(d.twin.bytes(), d.work.bytes());
-            if map.is_clean() {
-                continue;
-            }
-            let latest = &inner.latest[p as usize];
-            let new_ref: PageRef = if Arc::ptr_eq(latest, &d.twin) {
-                // No remote commit touched this page: adopt the working
-                // copy wholesale, same as the serial path.
-                PageRef::from(d.work)
-            } else {
-                // Conflicted page: publish a deferred shell now, merge in
-                // the background. Readers block on the shell's settle
-                // latch, so content is exactly the serial merge's.
-                let out: PageRef = Arc::new(PageBuf::deferred(&self.tracker));
-                merges.push(MergeJob {
-                    map,
-                    twin: Arc::clone(&d.twin),
-                    work: PageRef::from(d.work),
-                    base: Arc::clone(latest),
-                    out: Arc::clone(&out),
-                });
-                merged += 1;
-                out
-            };
-            inner.latest[p as usize] = Arc::clone(&new_ref);
-            ws.snap_mut()[p as usize] = Arc::clone(&new_ref);
-            pages.push((p, new_ref));
-        }
-        if pages.is_empty() {
-            return CommitResult {
-                version: inner.next_id - 1,
-                pages: 0,
-                merged: 0,
-                page_set: 0,
-            };
-        }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        let mut page_set = Fnv1a::new();
-        for (p, _) in &pages {
-            page_set.update_u64(*p as u64);
-        }
-        let npages = pages.len() as u32;
-        inner.counts.push_back((id, npages, ws.tid()));
-        // The mirror already reflects planned GC, so its post-push length
-        // equals the serial path's `versions.len() + 1` at this point.
-        inner.mirror.push_back((id, id));
-        inner.retained_peak = inner.retained_peak.max(inner.mirror.len());
-        let log: Vec<(u32, PageRef)> = pages.iter().map(|(p, r)| (*p, Arc::clone(r))).collect();
-        inner.versions.push_back(Version {
-            id,
-            base_id: id,
-            committer: ws.tid(),
-            pages,
-            vc,
-        });
-        pool.note_deferred(merges.len() as u64);
-        // Enqueue under the lock: queue order = issue order, which is what
-        // lets workers' deferred reads always point at earlier fills.
-        let seq = pool.issue_seq();
-        pool.enqueue(Job::Settle {
-            seq,
-            id,
-            tid: ws.tid(),
-            merges,
-            log,
-        });
-        // Predictive pre-twinning: have the pool pre-copy this chunk's
-        // written pages (the EWMA-capped prediction of the next chunk's
-        // write set) so the next faults skip their copy. Wall-clock only —
-        // fault accounting is unchanged whether or not a copy is ready.
-        if let Some((stash, hint)) = ws.pretwin_request() {
-            if hint > 0 {
-                let last = inner.versions.back().expect("just pushed");
-                let pre: Vec<(u32, PageRef)> = last
-                    .pages
-                    .iter()
-                    .take(hint)
-                    .map(|(p, r)| (*p, Arc::clone(r)))
-                    .collect();
-                pool.enqueue(Job::PreTwin { stash, pages: pre });
-            }
-        }
-        CommitResult {
-            version: id,
-            pages: npages,
-            merged,
-            page_set: page_set.digest(),
-        }
-    }
-
     /// Installs pre-merged versions produced by a
     /// [`crate::ParallelCommit`]. Caller must serialize with other commits.
-    /// On the pipelined path the already-merged pages install immediately
-    /// but their log folding goes through the ordered frontier, so barrier
-    /// commits and background settles land in one consistent digest order.
     pub(crate) fn install_versions(&self, built: Vec<BuiltVersion>) -> Vec<u64> {
         let mut inner = self.inner.lock();
         let mut ids = Vec::with_capacity(built.len());
@@ -552,19 +369,8 @@ impl Segment {
                 inner.latest[*p as usize] = Arc::clone(r);
             }
             inner.counts.push_back((id, pages.len() as u32, tid));
-            if let Some(pool) = &self.pipeline {
-                inner.mirror.push_back((id, id));
-                let seq = pool.issue_seq();
-                pool.enqueue(Job::Settle {
-                    seq,
-                    id,
-                    tid,
-                    merges: Vec::new(),
-                    log: pages.clone(),
-                });
-            } else {
-                fold_commit_log(&mut inner, id, tid, log_entries(&pages));
-            }
+            fold_commit_log(&mut inner, id, tid, &pages);
+            inner.retained_peak = inner.retained_peak.max(inner.versions.len() + 1);
             inner.versions.push_back(Version {
                 id,
                 base_id: id,
@@ -646,9 +452,10 @@ impl Segment {
         let mut propagated = 0u64;
         let mut applied = 0u64;
         if ws.base() < upto {
-            // `first_retained` counts *dropped* versions only; squashed
-            // versions still cover their whole id range, so this is the
-            // precise safety bound.
+            // `first_retained` is one past the newest id a *drop* covered
+            // (a dropped squashed version takes its whole id range with
+            // it); retained squashed versions still cover theirs, so this
+            // is the precise safety bound.
             assert!(
                 ws.base() + 1 >= inner.first_retained,
                 "versions needed by update were collected (GC safety violation)"
@@ -725,9 +532,6 @@ impl Segment {
         // change between the read and the scan makes the early-out snapshot
         // conservative (stale generation → next call rescans), never unsafe.
         let gen = self.registry.generation();
-        if let Some(pool) = &self.pipeline {
-            return self.gc_pipelined(pool, gen, budget);
-        }
         let mut inner = self.inner.lock();
         if inner.gc_seen == Some((gen, inner.next_id)) {
             return GcResult::default();
@@ -747,7 +551,7 @@ impl Segment {
                     {
                         inner.counts.pop_front();
                     }
-                    inner.first_retained += 1;
+                    inner.first_retained = dropped_to + 1;
                     res.dropped += 1;
                 }
                 _ => break,
@@ -778,55 +582,6 @@ impl Segment {
         } else {
             None
         };
-        res
-    }
-
-    /// Pipelined collector pass: *plan* on the logical mirror under the
-    /// lock (deterministic — the mirror never lags a plan), queue the
-    /// *execution* for the pool's ordered frontier. The returned counts,
-    /// the totals and the early-out state are bit-identical to what the
-    /// serial pass would produce at the same call point.
-    fn gc_pipelined(&self, pool: &SettlePool, gen: u64, budget: usize) -> GcResult {
-        let mut inner = self.inner.lock();
-        if inner.gc_seen == Some((gen, inner.next_id)) {
-            return GcResult::default();
-        }
-        let min = self.registry.min_live_base().unwrap_or(inner.next_id - 1);
-        let mut res = GcResult::default();
-        while res.spent() < budget {
-            match inner.mirror.front() {
-                Some((id, _)) if *id <= min => {
-                    inner.mirror.pop_front();
-                    res.dropped += 1;
-                }
-                _ => break,
-            }
-        }
-        while res.spent() < budget && inner.mirror.len() >= 2 {
-            let lo = inner.mirror[0].1;
-            let hi = inner.mirror[1].0;
-            if inner.pins.range(lo..hi).next().is_some() {
-                break;
-            }
-            let (_, base) = inner.mirror.pop_front().expect("len checked");
-            inner.mirror.front_mut().expect("len checked").1 = base;
-            res.squashed += 1;
-        }
-        inner.gc_dropped_total += res.dropped as u64;
-        inner.gc_squashed_total += res.squashed as u64;
-        inner.gc_seen = if res.spent() < budget {
-            Some((gen, inner.next_id))
-        } else {
-            None
-        };
-        if res.spent() > 0 {
-            let seq = pool.issue_seq();
-            pool.enqueue(Job::Gc {
-                seq,
-                drops: res.dropped,
-                squashes: res.squashed,
-            });
-        }
         res
     }
 }
@@ -861,56 +616,17 @@ fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
     vb.base_id = va.base_id;
 }
 
-/// One version's commit-log entries, `(page index, page digest)` in page
-/// order: the whole 4 KiB of every page the version publishes. The serial
-/// commit folds them as they are produced; the settle pool collects them
-/// off every lock and folds them at its frontier.
-pub(crate) fn log_entries(pages: &[(u32, PageRef)]) -> impl Iterator<Item = (u64, u64)> + '_ {
-    pages
-        .iter()
-        .map(|(p, r)| (*p as u64, page_digest(r.bytes())))
-}
-
-/// Folds one version's record — `(id, committer, (page, digest)*)` — into
-/// the segment's running digest. The only writer of `SegInner::log`,
-/// reached from the serial commit, `install_versions` and the pool's
-/// frontier, so the three cannot disagree on the record.
-pub(crate) fn fold_commit_log(
-    inner: &mut SegInner,
-    id: u64,
-    tid: Tid,
-    entries: impl IntoIterator<Item = (u64, u64)>,
-) {
+/// Folds one version's record — `(id, committer, (page, digest)*)`, the
+/// digest over the whole 4 KiB of every page it publishes, in page order —
+/// into the segment's running digest. The only writer of `SegInner::log`,
+/// reached from `commit` and `install_versions`, so the two cannot
+/// disagree on the record.
+fn fold_commit_log(inner: &mut SegInner, id: u64, tid: Tid, pages: &[(u32, PageRef)]) {
     inner.log.update_u64(id);
     inner.log.update_u64(tid.0 as u64);
-    for (p, h) in entries {
-        inner.log.update_u64(p);
-        inner.log.update_u64(h);
-    }
-}
-
-/// Frontier callback: executes a planned collector pass against the real
-/// version chain. The counts were fixed at plan time against the mirror,
-/// so by frontier order the chain is guaranteed to have the planned
-/// structure available.
-pub(crate) fn exec_gc_plan(inner: &mut SegInner, drops: usize, squashes: usize) {
-    for _ in 0..drops {
-        let v = inner
-            .versions
-            .pop_front()
-            .expect("planned drop has a version");
-        while inner
-            .counts
-            .front()
-            .map(|(id, _, _)| *id <= v.id)
-            .unwrap_or(false)
-        {
-            inner.counts.pop_front();
-        }
-        inner.first_retained += 1;
-    }
-    for _ in 0..squashes {
-        squash_oldest_pair(&mut inner.versions);
+    for (p, r) in pages {
+        inner.log.update_u64(*p as u64);
+        inner.log.update_u64(page_digest(r.bytes()));
     }
 }
 

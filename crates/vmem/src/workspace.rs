@@ -5,7 +5,6 @@ use std::sync::Arc;
 use dmt_api::{Addr, Tid, PAGE_SIZE};
 
 use crate::page::{PageBuf, PageRef};
-use crate::pipeline::TwinStash;
 
 /// A page the workspace has faulted and may have modified.
 #[derive(Debug)]
@@ -32,19 +31,6 @@ pub struct Workspace {
     dirty: Vec<Option<DirtyPage>>,
     dirty_list: Vec<u32>,
     faults: u64,
-    /// Pipelined segments only: the stash the settle pool pre-copies
-    /// predicted twins into, and the current prediction budget.
-    pretwin: Option<PretwinState>,
-}
-
-/// Pre-twinning state attached by a pipelined segment.
-#[derive(Debug)]
-struct PretwinState {
-    stash: Arc<TwinStash>,
-    /// Predicted size of the next chunk's write set (EWMA, set by the
-    /// runtime before each commit); caps how many pages the pool
-    /// pre-copies.
-    hint: usize,
 }
 
 impl Workspace {
@@ -57,29 +43,7 @@ impl Workspace {
             dirty: (0..n).map(|_| None).collect(),
             dirty_list: Vec::new(),
             faults: 0,
-            pretwin: None,
         }
-    }
-
-    /// Attaches a pipelined segment's pre-twin stash.
-    pub(crate) fn attach_pretwin(&mut self, stash: Arc<TwinStash>) {
-        self.pretwin = Some(PretwinState { stash, hint: 0 });
-    }
-
-    /// Sets the predicted next-chunk write-set size (the pre-twin budget).
-    /// No-op on a serial segment's workspace.
-    pub fn set_pretwin_hint(&mut self, hint: usize) {
-        if let Some(pt) = &mut self.pretwin {
-            pt.hint = hint;
-        }
-    }
-
-    /// The stash and current budget for the commit path to hand to the
-    /// settle pool, if pre-twinning is attached.
-    pub(crate) fn pretwin_request(&self) -> Option<(Arc<TwinStash>, usize)> {
-        self.pretwin
-            .as_ref()
-            .map(|pt| (Arc::clone(&pt.stash), pt.hint))
     }
 
     /// Owning thread.
@@ -149,13 +113,7 @@ impl Workspace {
             return 0;
         }
         let twin = Arc::clone(&self.snap[p]);
-        // A prepared copy from the settle pool skips the duplicate; the
-        // fault is charged identically either way (wall-clock-only win).
-        let work = self
-            .pretwin
-            .as_ref()
-            .and_then(|pt| pt.stash.take_for(p, &twin))
-            .unwrap_or_else(|| Box::new(PageBuf::duplicate(&twin)));
+        let work = Box::new(PageBuf::duplicate(&twin));
         self.dirty[p] = Some(DirtyPage { twin, work });
         self.dirty_list.push(p as u32);
         self.faults += 1;

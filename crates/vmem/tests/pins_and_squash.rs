@@ -97,3 +97,31 @@ fn propagation_counts_ignore_squash_state() {
     };
     assert_eq!(run(false), run(true));
 }
+
+/// A dropped squashed version takes its whole id range with it: a detached
+/// workspace based inside that range must trip the GC-safety assert rather
+/// than silently skip the versions it missed.
+#[test]
+#[should_panic(expected = "GC safety violation")]
+fn stale_workspace_inside_a_dropped_squash_range_is_caught() {
+    let seg = Segment::new(1, 3);
+    let (mut a, _) = seg.new_workspace(Tid(0));
+    let (mut b, _) = seg.new_workspace(Tid(1));
+    let (mut c, _) = seg.new_workspace(Tid(2)); // holds base 0: forces a squash
+    a.write_bytes(0, &[1]);
+    seg.commit(&mut a, None);
+    seg.update(&mut a);
+    seg.update(&mut b); // live at base 1
+    a.write_bytes(0, &[2]);
+    seg.commit(&mut a, None);
+    seg.update(&mut a);
+    assert_eq!(
+        seg.gc(usize::MAX).squashed,
+        1,
+        "[1..2] across b's live base"
+    );
+    seg.detach(Tid(1));
+    seg.update(&mut c);
+    assert_eq!(seg.gc(usize::MAX).dropped, 1, "[1..2] dropped whole");
+    seg.update(&mut b); // base 1 needs version 2, which is gone
+}

@@ -147,58 +147,6 @@ fn goldens_are_geometry_sensitive() {
     }
 }
 
-/// The serial commit is the default (PR 15), so the main golden table
-/// pins the serial digests; this pins the *equivalence*: turning the
-/// settle pool on (`pipeline_commit = true`, set here explicitly so a
-/// default flip cannot make this serial-vs-serial) must reproduce the
-/// identical schedule hash and commit-log digest, because every deferred
-/// settle cost is charged at publish time. A drift here means the
-/// pipeline became schedule-observable — exactly the regression the
-/// goldens exist to catch.
-#[test]
-fn pipeline_on_and_off_hash_identically() {
-    use consequence_repro::consequence::Options;
-    use consequence_repro::dmt_baselines::make_consequence;
-
-    let run = |opts: Options| {
-        let w = workload_by_name("dmt_server").unwrap();
-        let p = Params::new(THREADS, SCALE, SEED);
-        let sink = Arc::new(HashSink::new());
-        let cfg = CommonConfig {
-            heap_pages: w.heap_pages(&p),
-            max_threads: 64,
-            cost: CostModel::default(),
-            track_lrc: false,
-            gc_budget: 4,
-            trace: TraceHandle::to(sink as _),
-            perturb: PerturbHandle::off(),
-            witness: WitnessHandle::off(),
-        };
-        let mut rt = make_consequence(cfg, opts);
-        let prepared = w.prepare(rt.as_mut(), &p);
-        let report = rt.run(prepared.job);
-        (
-            report.pipelined,
-            (report.schedule_hash, report.commit_log_hash),
-        )
-    };
-    let (on_pipelined, on) = run(Options {
-        pipeline_commit: true,
-        ..Options::consequence_ic()
-    });
-    let (off_pipelined, off) = run(Options::consequence_ic().without("pipeline_commit"));
-    assert!(
-        on_pipelined && !off_pipelined,
-        "the comparison is vacuous: both sides ran the same commit path"
-    );
-    assert_eq!(
-        on, off,
-        "pipelined and serial commit paths diverged (schedule, commit-log)"
-    );
-    // And the golden table's committed digest is the one both produce.
-    assert_eq!(on.0, 0x34300d2f73672d92, "dmt_server golden moved");
-}
-
 // ---------------------------------------------------------------------
 // Virtual-time pins.
 //
@@ -214,8 +162,8 @@ fn pipeline_on_and_off_hash_identically() {
 // Only fixed-publication configurations reproduce virtual time across
 // runs (`determinism_matrix::virtual_time_reproducible_for_fixed_overflow_ic`
 // states the rule), so `consequence-ic` runs with `adaptive_overflow =
-// false`. Every cell runs under both schedulers and with the commit
-// pipeline on and off, and all four must give the pinned tuple.
+// false`. Every cell runs under both schedulers, and both must give the
+// pinned tuple.
 // ---------------------------------------------------------------------
 
 use consequence_repro::consequence::{ConsequenceRuntime, Options};
@@ -242,8 +190,8 @@ const RACY: u64 = u64::MAX;
 /// `commit_log_hash` column alone was re-captured at PR 15, which changed
 /// the log's per-page term from `Fnv1a::hash(page)` to
 /// `dmt_api::page_digest(page)` — the definition of that one digest, not
-/// what any run does; every other column reproduced unedited, in all four
-/// scheduler x pipeline variants of every row.
+/// what any run does; every other column reproduced unedited, under both
+/// schedulers.
 #[allow(clippy::type_complexity)]
 #[rustfmt::skip]
 const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7], u64)] = &[
@@ -404,43 +352,40 @@ fn virtual_time_matches_the_committed_pins() {
     let mut drift = String::new();
     for &(program, label, v, log, sched_hash, bd, ref_wakes) in GOLDEN_VTIME {
         for sched in [SchedKind::Fast, SchedKind::Reference] {
-            for pipeline_commit in [true, false] {
-                let r = vt_run(
-                    program,
-                    Options {
-                        sched,
-                        pipeline_commit,
-                        ..fixed_publication(label)
-                    },
-                );
-                // Compare only what the pin states: a `RACY` field, and
-                // the fast scheduler's (absent) broadcasts, take the
-                // pinned value.
-                let mut got_bd = bd_fields(&r.breakdown);
-                for (g, w) in got_bd.iter_mut().zip(bd) {
-                    if w == RACY {
-                        *g = RACY;
-                    }
+            let r = vt_run(
+                program,
+                Options {
+                    sched,
+                    ..fixed_publication(label)
+                },
+            );
+            // Compare only what the pin states: a `RACY` field, and
+            // the fast scheduler's (absent) broadcasts, take the
+            // pinned value.
+            let mut got_bd = bd_fields(&r.breakdown);
+            for (g, w) in got_bd.iter_mut().zip(bd) {
+                if w == RACY {
+                    *g = RACY;
                 }
-                let wakes = if sched == SchedKind::Reference && ref_wakes != RACY {
-                    r.counters.broadcast_wakes
-                } else {
-                    ref_wakes
-                };
-                let got = (
-                    r.virtual_cycles,
-                    r.commit_log_hash,
-                    r.schedule_hash,
-                    got_bd,
-                    wakes,
-                );
-                if got != (v, log, sched_hash, bd, ref_wakes) {
-                    drift.push_str(&format!(
-                        "    {program} {label} {sched:?} pipeline={pipeline_commit}: \
-                         ({}, {:#018x}, {:#018x}, {:?}, {})\n",
-                        got.0, got.1, got.2, got.3, got.4
-                    ));
-                }
+            }
+            let wakes = if sched == SchedKind::Reference && ref_wakes != RACY {
+                r.counters.broadcast_wakes
+            } else {
+                ref_wakes
+            };
+            let got = (
+                r.virtual_cycles,
+                r.commit_log_hash,
+                r.schedule_hash,
+                got_bd,
+                wakes,
+            );
+            if got != (v, log, sched_hash, bd, ref_wakes) {
+                drift.push_str(&format!(
+                    "    {program} {label} {sched:?}: \
+                     ({}, {:#018x}, {:#018x}, {:?}, {})\n",
+                    got.0, got.1, got.2, got.3, got.4
+                ));
             }
         }
     }

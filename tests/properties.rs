@@ -259,98 +259,3 @@ fn witness_envelope_is_tight_against_a_stalled_collector() {
         leaked.violations
     );
 }
-
-/// The pipeline-backlog gauge is tight the same way: an envelope learned
-/// from a healthy settle pool (default two workers) must be tripped by
-/// the same program under a stalled pool (`pipeline_workers: 0` — every
-/// settle and GC job queues until the teardown flush). A witness that
-/// blesses that run would also bless a settle pool leaking background
-/// memory. The program keeps each thread on its own pages so every
-/// commit is merge-free: nothing ever blocks on an unsettled shell, the
-/// backlog is pure deferred bookkeeping.
-#[test]
-fn witness_envelope_is_tight_against_a_stalled_settle_pool() {
-    use consequence_repro::consequence::{ConsequenceRuntime, Options};
-    use consequence_repro::dmt_api::{
-        CommonConfig, CostModel, PerturbHandle, ResourceBounds, ResourceWitness, Runtime,
-        TraceHandle, WitnessHandle,
-    };
-
-    let run = |workers: usize, witness: WitnessHandle| {
-        let cfg = CommonConfig {
-            heap_pages: 16,
-            max_threads: 8,
-            cost: CostModel::default(),
-            track_lrc: false,
-            gc_budget: 4,
-            trace: TraceHandle::off(),
-            perturb: PerturbHandle::off(),
-            witness,
-        };
-        // Coarsening off: one commit per sync op, so the stalled pool's
-        // queue growth is proportional to lock traffic, not to however
-        // few chunks the adaptive policy settled on.
-        let mut opts = Options::consequence_ic().without("coarsening");
-        opts.pipeline_commit = true;
-        opts.pipeline_workers = workers;
-        let mut rt = ConsequenceRuntime::new(cfg, opts);
-        let m = rt.create_mutex();
-        rt.run(Box::new(move |ctx| {
-            let kids: Vec<_> = (1..4usize)
-                .map(|i| {
-                    ctx.spawn(Box::new(move |c| {
-                        for j in 0..30u64 {
-                            c.tick(100);
-                            c.mutex_lock(m);
-                            // Disjoint pages per thread: merge-free.
-                            c.st_u64(4096 * (i * 4) + 8 * (j as usize % 4), j);
-                            c.mutex_unlock(m);
-                        }
-                    }))
-                })
-                .collect();
-            for j in 0..30u64 {
-                ctx.tick(100);
-                ctx.mutex_lock(m);
-                ctx.st_u64(8 * (j as usize % 4), j);
-                ctx.mutex_unlock(m);
-            }
-            for k in kids {
-                ctx.join(k);
-            }
-        }));
-    };
-
-    // Learn the healthy envelope, exactly as the soak harness does.
-    let probe = ResourceWitness::new(ResourceBounds::unbounded());
-    run(2, WitnessHandle::to(std::sync::Arc::clone(&probe)));
-    let healthy = probe.summary();
-    assert!(healthy.samples > 0, "witness never sampled");
-    let bound = healthy.maxima.pipeline_backlog * 2 + 8;
-
-    // The same program under a stalled pool must cross it.
-    let witness = ResourceWitness::new(ResourceBounds {
-        max_pipeline_backlog: bound,
-        ..ResourceBounds::unbounded()
-    });
-    run(0, WitnessHandle::to(std::sync::Arc::clone(&witness)));
-    let stalled = witness.summary();
-    assert!(
-        !stalled.within_bounds() && stalled.violation_count > 0,
-        "stalled-pool run stayed inside the healthy envelope \
-         (peak {} vs bound {bound}): the witness bound is not tight",
-        stalled.maxima.pipeline_backlog
-    );
-    assert!(
-        stalled.maxima.pipeline_backlog > bound,
-        "violation recorded but the pipeline-backlog gauge never crossed"
-    );
-    assert!(
-        stalled
-            .violations
-            .iter()
-            .any(|v| v.contains("pipeline_backlog")),
-        "violations do not name the backlogged gauge: {:?}",
-        stalled.violations
-    );
-}
