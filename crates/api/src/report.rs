@@ -104,13 +104,15 @@ pub struct Counters {
     /// Page allocations served from the freed-page recycle pool instead of
     /// the system allocator.
     pub page_pool_hits: u64,
-    /// Iterations of the token wait loop (one per wake-up, spurious or
-    /// not). `token_wake_loops / token_acquisitions` is the wakeups-per-
-    /// grant fan-out: ~1 under targeted handoff, up to T under broadcast.
+    /// Iterations of the token wait loop: one per return from a sleep, for
+    /// a real wake or a stale permit, and none for a grant that found the
+    /// token free on arrival. `token_wake_loops / token_acquisitions` is
+    /// the wakeups-per-grant fan-out: at most 1 under targeted handoff
+    /// (`kv_server` reads 0.43), up to T under broadcast.
     pub token_wake_loops: u64,
-    /// Targeted single-thread wake-ups sent (fast-path scheduler).
+    /// Targeted single-thread wake-ups requested (fast-path scheduler).
     pub targeted_wakes: u64,
-    /// Broadcast `notify_all` wake-ups sent on the token path (reference
+    /// Unpark-everyone wake-ups requested on the token path (reference
     /// scheduler, or fast-path fallback).
     pub broadcast_wakes: u64,
     /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).

@@ -9,8 +9,18 @@
 //! and [`Condvar::wait`] takes the guard by `&mut` so callers can wait in
 //! a loop without rebinding.
 
+use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
-use std::time::Duration;
+
+thread_local! {
+    static HELD: Cell<u32> = const { Cell::new(0) };
+}
+
+/// How many [`Mutex`]es the calling thread holds, counted in debug builds
+/// only: a waker `debug_assert`s that it wakes nobody into its own lock.
+pub fn held() -> u32 {
+    HELD.with(Cell::get)
+}
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 #[derive(Debug, Default)]
@@ -24,11 +34,11 @@ impl<T> Mutex<T> {
 
     /// Acquires the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(
-            self.0
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner()),
-        ))
+        let guard = self.0.lock();
+        if cfg!(debug_assertions) {
+            HELD.with(|h| h.set(h.get() + 1));
+        }
+        MutexGuard(Some(guard.unwrap_or_else(|poisoned| poisoned.into_inner())))
     }
 }
 
@@ -52,14 +62,10 @@ impl<T> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of [`Condvar::wait_for`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended because the timeout elapsed.
-    pub fn timed_out(&self) -> bool {
-        self.0
+#[cfg(debug_assertions)]
+impl<T> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        HELD.with(|h| h.set(h.get() - 1));
     }
 }
 
@@ -84,21 +90,6 @@ impl Condvar {
         );
     }
 
-    /// As [`wait`](Condvar::wait), giving up after `timeout`.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard present before wait");
-        let (inner, res) = match self.0.wait_timeout(inner, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.0 = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
-
     /// Wakes one blocked waiter.
     pub fn notify_one(&self) {
         self.0.notify_one();
@@ -119,7 +110,10 @@ mod tests {
     fn lock_round_trip() {
         let m = Mutex::new(5);
         *m.lock() += 1;
-        assert_eq!(*m.lock(), 6);
+        let g = m.lock();
+        assert_eq!((*g, held()), (6, u32::from(cfg!(debug_assertions))));
+        drop(g);
+        assert_eq!(held(), 0);
     }
 
     #[test]
@@ -139,14 +133,5 @@ mod tests {
             cv.notify_all();
         }
         h.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
     }
 }

@@ -11,7 +11,7 @@
 //! * **token-handoff grid** — end-to-end lock churn through the full
 //!   Consequence runtime across thread-count × lock-count cells, once under
 //!   the fast scheduler (targeted parker wake-ups) and once under the
-//!   reference scheduler (`notify_all` herd + all-under-one-lock table).
+//!   reference scheduler (unpark-everyone herd + all-under-one-lock table).
 //!   Each cell reports nanoseconds of wall time per token grant and
 //!   wakeups-per-grant (wait-loop iterations per acquisition), and asserts
 //!   the two schedulers produced **bit-identical schedule hashes** — the
@@ -81,9 +81,9 @@ crate::json_record! {
         pub fast_wakeups_per_grant: f64,
         /// Reference: wait-loop iterations per grant (the thundering herd).
         pub ref_wakeups_per_grant: f64,
-        /// Fast: targeted `notify_one` calls issued.
+        /// Fast: targeted unparks requested.
         pub fast_targeted_wakes: u64,
-        /// Reference: `notify_all` broadcasts issued.
+        /// Reference: unpark-everyone broadcasts requested.
         pub ref_broadcast_wakes: u64,
         /// Schedule hashes and event counts agreed between the schedulers.
         pub schedules_match: bool,

@@ -51,11 +51,12 @@
 //! wakes that waiter. Three races matter, all resolved with `SeqCst`:
 //!
 //! 1. *Publisher vs. waiter parking.* The publisher's wake hint is only a
-//!    hint: the runtime takes the global mutex before notifying the
-//!    waiter's parker. Under that mutex the waiter is either already
-//!    parked (the notify lands) or has not yet evaluated its predicate —
-//!    and its predicate read, ordered after the mutex acquisition, sees
-//!    the publisher's earlier `SeqCst` slot store.
+//!    hint: the runtime re-checks it under the global mutex and unparks
+//!    the waiter's permit after dropping the mutex. The waiter evaluates
+//!    its predicate under that mutex: either after the publisher's
+//!    `SeqCst` slot store, which it then sees, or before — and then the
+//!    unpark follows its unlock, and a permit is kept whether it lands
+//!    before the `park` or after.
 //! 2. *Publisher vs. token release.* Publisher does `W(slot); R(token_free)`
 //!    while the releaser does `W(token_free); R(slot)` (the successor
 //!    eligibility check). Under `SeqCst` at least one side observes the

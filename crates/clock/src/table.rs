@@ -49,7 +49,7 @@ pub enum SchedKind {
     /// Lock-free publication slots + O(log T) sets + targeted wake-ups.
     #[default]
     Fast,
-    /// The table alone: all under one lock, O(T) scans, `notify_all`
+    /// The table alone: all under one lock, O(T) scans, unpark-everyone
     /// wake-ups. What replay and a failed-over run execute, and the oracle
     /// the fast kind is differentially tested against.
     Reference,

@@ -67,7 +67,7 @@ impl Ctx {
         // bring the view current so the workspace can be pooled clean.
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         self.sh.cfg.trace.emit(Event::ThreadPanic {
             tid: self.tid,
             clock: self.clock,
@@ -153,10 +153,6 @@ impl Ctx {
         // a pooled workspace is as clean as one parked by `finish`.
         inner.panics.push((by, msg.to_string()));
         self.exit_under_token(&mut inner, Some(msg));
-        drop(inner);
-        // Barrier-phase waiters and the runtime's teardown loop wait on
-        // the shared condvar regardless of scheduler mode.
-        sh.parking.herd();
         Ok(())
     }
 
@@ -173,7 +169,7 @@ impl Ctx {
             return;
         }
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let me = self.tid;
         for m in inner.mutexes.iter_mut() {
             m.waiters.retain(|w| *w != me);

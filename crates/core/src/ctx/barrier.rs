@@ -3,13 +3,12 @@
 
 use std::sync::Arc;
 
-use dmt_api::sync::MutexGuard;
 use dmt_api::trace::Event;
 use dmt_api::{BarrierId, DmtError, PanicSite, PerturbSite, Tid};
 
 use super::{raise, Ctx};
 use crate::lrc::LrcObject;
-use crate::shared::{BarPhase, BarrierSt, Inner};
+use crate::shared::{BarPhase, BarrierSt, Held, Inner};
 
 /// Why a barrier wait cannot complete: the watchdog abandoned the run, or
 /// a participant died such that the barrier can never fill.
@@ -24,7 +23,7 @@ fn broken_or_shutdown(inner: &Inner, b: BarrierId) -> Option<DmtError> {
 }
 
 impl Ctx {
-    /// Sleeps on the shared condvar until `ready(barrier)`. A broken
+    /// Sleeps until `ready(barrier)`. A broken
     /// barrier or an abandoned run unwinds to containment instead:
     /// stragglers cascade out rather than wait forever. (The breaking
     /// thread reactivated every departed arriver, clock-table wise,
@@ -33,11 +32,11 @@ impl Ctx {
     /// before unwinding.
     fn await_barrier<'a>(
         &mut self,
-        mut inner: MutexGuard<'a, Inner>,
+        mut inner: Held<'a>,
         b: BarrierId,
         leave_first: bool,
         ready: impl Fn(&BarrierSt) -> bool,
-    ) -> MutexGuard<'a, Inner> {
+    ) -> Held<'a> {
         loop {
             if let Some(e) = broken_or_shutdown(&inner, b) {
                 if leave_first {
@@ -49,7 +48,7 @@ impl Ctx {
             if ready(&inner.barriers[b.index()]) {
                 return inner;
             }
-            self.sh.parking.wait_shared(&mut inner, None);
+            inner.wait(self.tid, None);
         }
     }
 
@@ -58,11 +57,11 @@ impl Ctx {
     /// sealing (phase 2 may begin) or the installation.
     fn follow_barrier<'a>(
         &mut self,
-        inner: MutexGuard<'a, Inner>,
+        inner: Held<'a>,
         b: BarrierId,
         gen: u64,
         phase: BarPhase,
-    ) -> MutexGuard<'a, Inner> {
+    ) -> Held<'a> {
         let from = self.v;
         let inner = self.await_barrier(inner, b, false, |bst| bst.gen == gen && bst.phase >= phase);
         let bst = &inner.barriers[b.index()];
@@ -78,7 +77,7 @@ impl Ctx {
     /// Opens generation `gen`: the last arriver, still holding the token
     /// so no foreign commit can interleave, publishes the installed
     /// version and leaves.
-    fn open_barrier(&mut self, inner: &mut Inner, b: BarrierId, gen: u64) {
+    fn open_barrier(&mut self, inner: &mut Held<'_>, b: BarrierId, gen: u64) {
         let sh = Arc::clone(&self.sh);
         let bst = &mut inner.barriers[b.index()];
         bst.phase = BarPhase::Installed;
@@ -108,7 +107,7 @@ impl Ctx {
             inner.table.reactivate(t, ff, self.v);
         }
         self.leave_locked(inner, false);
-        sh.parking.notify_shared();
+        inner.wake_waiters();
     }
 
     /// Raises [`DmtError::BarrierBroken`] (contained at the thread
@@ -138,9 +137,8 @@ impl Ctx {
         // Arrival: register under the token. Wait out stragglers of the
         // previous generation first (they do not need the token to leave).
         let (gen, parties, is_last, pc) = {
-            let mut inner = self.await_barrier(sh.inner.lock(), b, true, |bst| {
-                bst.phase == BarPhase::Collecting
-            });
+            let mut inner =
+                self.await_barrier(sh.lock(), b, true, |bst| bst.phase == BarPhase::Collecting);
             inner.lrc_release(self.tid, LrcObject::Barrier(b.0));
             let bst = &mut inner.barriers[b.index()];
             bst.arrived.push(self.tid);
@@ -176,7 +174,7 @@ impl Ctx {
         // Hand off: the last arriver keeps the token through phase 2 and
         // installation; earlier arrivers depart and wait for the phase
         // change.
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         if !is_last {
             self.depart(&mut inner);
             self.release(&mut inner, true);
@@ -191,7 +189,7 @@ impl Ctx {
             let bst = &mut inner.barriers[b.index()];
             bst.phase = BarPhase::Merging;
             bst.merge_start_v = self.v;
-            sh.parking.notify_shared();
+            inner.wake_waiters();
         } else {
             self.open_barrier(&mut inner, b, gen);
         }
@@ -208,15 +206,15 @@ impl Ctx {
             self.v += c;
             self.bd.commit += c;
             self.cnt.pages_merged += w.merged as u64;
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             let bst = &mut inner.barriers[b.index()];
             bst.phase2_done += 1;
             bst.phase2_max_v = bst.phase2_max_v.max(self.v);
-            sh.parking.notify_shared();
+            inner.wake_waiters();
             if is_last {
                 drop(self.await_barrier(inner, b, false, |bst| bst.phase2_done == parties));
                 let installed = pc.install(&sh.seg);
-                let mut inner = sh.inner.lock();
+                let mut inner = sh.lock();
                 // Page accounting uses the installed (merged) counts so the
                 // TSO and LRC page metrics share units.
                 for (t, pages) in &installed {
@@ -236,7 +234,7 @@ impl Ctx {
 
         // Everyone: pull the installed state (exactly — later commits by
         // non-participants must not change our update work) and leave.
-        let upto = sh.inner.lock().barriers[b.index()].install_version;
+        let upto = sh.lock().barriers[b.index()].install_version;
         let ur = sh.seg.update_to(self.ws(), upto);
         sh.seg.unpin(upto);
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
@@ -245,7 +243,7 @@ impl Ctx {
         self.cnt.pages_propagated += ur.pages_propagated;
 
         {
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             let bst = &mut inner.barriers[b.index()];
             // Deterministic fast-forward: all parties leave at the latest
             // arrival clock, so the next chunk starts even.
@@ -255,7 +253,7 @@ impl Ctx {
                 bst.reset();
             }
             inner.lrc_acquire(self.tid, LrcObject::Barrier(b.0));
-            sh.parking.notify_shared();
+            inner.wake_waiters();
         }
         self.cnt.chunks += 1;
         self.chunk_start_clock = self.clock;

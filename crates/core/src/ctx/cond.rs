@@ -45,7 +45,7 @@ impl Ctx {
         self.acquire_token_or_raise();
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let mut first = None;
         let mut woken = 0u32;
         while all || woken == 0 {

@@ -34,7 +34,7 @@ impl Ctx {
         loop {
             let fresh = self.acquire_token()?;
             let sh = Arc::clone(&self.sh);
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             if let Some(by) = inner.mutexes[m.index()].poisoned {
                 drop(inner);
                 // Leave cleanly: publish buffered stores (a coarsened
@@ -126,11 +126,11 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let woke = self.unlock_state(&mut inner, m);
         // Reference herd: broadcast even though the woken waiter was
         // already flagged and the token is still held.
-        sh.parking.broadcast(&mut self.cnt);
+        inner.broadcast(&mut self.cnt);
         drop(inner);
         if woke {
             // A woken waiter must get a fair shot at the lock: retaining

@@ -62,7 +62,7 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let st = &mut inner.rwlocks[l.index()];
         if let Some(by) = st.poisoned {
             drop(inner);
@@ -96,7 +96,7 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let st = &mut inner.rwlocks[l.index()];
         if writer {
             assert_eq!(
@@ -124,7 +124,7 @@ impl Ctx {
         inner.table.resume(self.tid, self.clock, self.v);
         drop(inner);
         self.commit_and_update();
-        self.release(&mut sh.inner.lock(), true);
+        self.release(&mut sh.lock(), true);
         self.last_sync_end_clock = self.clock;
     }
 }

@@ -10,7 +10,7 @@ use dmt_api::{DmtError, DmtResult, Job, Tid};
 use super::token::ParkOrder;
 use super::Ctx;
 use crate::lrc::LrcObject;
-use crate::shared::{Inner, Msg, PoolEntry, ThreadSt};
+use crate::shared::{Held, Inner, Msg, PoolEntry, ThreadSt};
 
 impl Ctx {
     /// A null synchronization operation performed at thread birth under
@@ -19,7 +19,7 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = Arc::clone(&self.sh);
-        self.leave_locked(&mut sh.inner.lock(), true);
+        self.leave_locked(&mut sh.lock(), true);
     }
 
     /// Deterministic thread creation with pool reuse (§3.3).
@@ -29,7 +29,7 @@ impl Ctx {
         // Creation is a release edge: the child must see our writes.
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         assert!(
             (inner.next_tid as usize) < sh.cfg.max_threads,
             "thread limit {} exceeded",
@@ -106,7 +106,7 @@ impl Ctx {
         loop {
             self.acquire_token()?;
             let sh = Arc::clone(&self.sh);
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             assert!(
                 (t.index()) < inner.threads.len(),
                 "join on unknown thread {t}"
@@ -172,7 +172,7 @@ impl Ctx {
     /// the joiners in queue order (those of a panicked thread wake
     /// normally and observe `panicked` under their own token turn), leave
     /// the clock table, pool the workspace, release, retire.
-    pub(super) fn exit_under_token(&mut self, inner: &mut Inner, panic: Option<&str>) {
+    pub(super) fn exit_under_token(&mut self, inner: &mut Held<'_>, panic: Option<&str>) {
         let joiners = std::mem::take(&mut inner.threads[self.tid.index()].joiners);
         for j in joiners {
             self.wake(inner, j, None);
@@ -190,6 +190,9 @@ impl Ctx {
         }
         self.release(inner, true);
         self.retire(inner);
+        // For the runtime's teardown loop, and for the waiters of a
+        // barrier this exit broke.
+        inner.wake_waiters();
     }
 
     /// Exit protocol: final commit, then [`Ctx::exit_under_token`].
@@ -205,12 +208,11 @@ impl Ctx {
         }
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         self.sh.cfg.trace.emit(Event::Exit {
             tid: self.tid,
             clock: self.clock,
         });
         self.exit_under_token(&mut inner, None);
-        sh.parking.notify_shared();
     }
 }

@@ -21,13 +21,12 @@
 use std::sync::Arc;
 
 use det_clock::OrderPolicy;
-use dmt_api::sync::MutexGuard;
 use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, ThreadCtx, Tid};
 
 use super::{or_raise, Ctx};
 use crate::lrc::LrcObject;
-use crate::shared::Inner;
+use crate::shared::{Held, Inner};
 
 /// When a parking thread publishes its buffered stores.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -99,13 +98,12 @@ impl Ctx {
         self.perturb_hit(PerturbSite::TokenAcquire);
 
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         let arrival_clock = self.clock;
         inner.table.arrive_sync(self.tid, arrival_clock, self.v);
         // Our arrival published a bound; the head waiter may have become
         // eligible.
-        sh.parking
-            .wake_successor(&mut inner, self.tid, &mut self.cnt);
+        inner.wake_successor(self.tid, &mut self.cnt);
         let wait_from = self.v;
         loop {
             if inner.shutdown {
@@ -201,7 +199,7 @@ impl Ctx {
     /// they coalesce into one rotation slot, as real DThreads-family
     /// runtimes batch thread creation (otherwise every create would wait
     /// a full rotation behind freshly started workers).
-    pub(super) fn release(&mut self, inner: &mut Inner, advance_rr: bool) {
+    pub(super) fn release(&mut self, inner: &mut Held<'_>, advance_rr: bool) {
         debug_assert_eq!(inner.token, Some(self.tid), "token not held");
         self.sh.cfg.trace.emit(Event::TokenRelease {
             tid: self.tid,
@@ -224,9 +222,10 @@ impl Ctx {
         // store-buffer pair: at least one side observes the other under
         // SC, so no eligible waiter is ever left asleep.
         self.sh.slots.set_token_free(true);
-        self.sh
-            .parking
-            .wake_successor(inner, self.tid, &mut self.cnt);
+        // The threads we woke under the token can use their wake now.
+        debug_assert!(!self.holding_token);
+        inner.wakes.take(&mut self.pending);
+        inner.wake_successor(self.tid, &mut self.cnt);
     }
 
     /// Ends a token section whose commit (if any) already happened: resume
@@ -236,7 +235,7 @@ impl Ctx {
     /// forced commits, the unlock that woke a waiter, polling retries and
     /// the broken-barrier exit do not stamp.
     #[inline]
-    pub(super) fn leave_locked(&mut self, inner: &mut Inner, stamp: bool) {
+    pub(super) fn leave_locked(&mut self, inner: &mut Held<'_>, stamp: bool) {
         inner.table.resume(self.tid, self.clock, self.v);
         self.release(inner, true);
         if stamp {
@@ -249,7 +248,7 @@ impl Ctx {
     pub(super) fn commit_and_leave(&mut self, stamp: bool) {
         self.commit_and_update();
         let sh = Arc::clone(&self.sh);
-        self.leave_locked(&mut sh.inner.lock(), stamp);
+        self.leave_locked(&mut sh.lock(), stamp);
     }
 
     /// Commits dirty pages and pulls remote versions (Fig. 7 line 6:
@@ -306,7 +305,7 @@ impl Ctx {
         self.chunk_start_clock = self.clock;
         self.current_since_acquire = true;
         if cr.pages > 0 && self.sh.cfg.track_lrc {
-            let mut inner = self.sh.inner.lock();
+            let mut inner = self.sh.lock();
             if let Some(l) = inner.lrc.as_mut() {
                 l.on_commit(self.tid, cr.pages);
             }
@@ -339,12 +338,12 @@ impl Ctx {
                     clock: self.clock,
                 });
                 let sh = Arc::clone(&self.sh);
-                let mut inner = sh.inner.lock();
+                let mut inner = sh.lock();
                 inner.table.resume(self.tid, self.clock, self.v);
                 // We still hold the token, so no waiter can proceed; the
                 // reference scheduler broadcasts anyway (part of the
                 // thundering herd the fast path eliminates).
-                sh.parking.broadcast(&mut self.cnt);
+                inner.broadcast(&mut self.cnt);
                 return;
             }
         }
@@ -377,7 +376,8 @@ impl Ctx {
 
     /// Wakes `w` out of a blocked protocol wait — with a grant, or with
     /// `err` when a dying owner drains it from a poisoned queue. Caller
-    /// holds the token and the runtime lock, and wakes in queue order:
+    /// holds the token and the runtime lock, and wakes in queue order (the
+    /// real unpark follows at this thread's [`Ctx::release`]):
     /// one wakeup charge per woken thread, so both the waker's and the
     /// woken thread's virtual times are functions of the token order, and
     /// error delivery order is the order a healthy owner would have
@@ -391,7 +391,11 @@ impl Ctx {
         st.wake_err = err;
         let saved = st.saved_clock;
         inner.table.reactivate(w, saved, self.v);
-        self.sh.parking.wake_one(w, &mut self.cnt);
+        // Reference mode: the broadcast at our release covers it.
+        if self.sh.parking.targeted() {
+            self.pending.push(w);
+            self.cnt.targeted_wakes += 1;
+        }
     }
 
     /// Removes this thread from GMIC consideration (`clockDepart`,
@@ -421,13 +425,13 @@ impl Ctx {
             self.commit_and_update();
         }
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         enqueue(self, &mut inner);
         self.depart(&mut inner);
         if order == ParkOrder::DepartThenCommit {
             drop(inner);
             self.commit_and_update();
-            inner = sh.inner.lock();
+            inner = sh.lock();
         }
         self.release(&mut inner, true);
         self.block_until_woken(&mut inner)?;
@@ -439,19 +443,19 @@ impl Ctx {
 
     /// One sleep of a thread waiting for the token or its wake flag.
     #[inline]
-    fn doze(&self, inner: &mut MutexGuard<'_, Inner>) {
+    fn doze(&self, inner: &mut Held<'_>) {
         if self.sh.cfg.perturb.spurious_wake(self.tid) {
-            // Spurious wake-up injection: every waiter in the runtime
-            // must tolerate being woken with nothing changed, and act on
-            // its predicate, never on the notification itself.
-            self.sh.parking.everyone();
+            // Spurious wake-up injection: every waiter in the runtime —
+            // this one included — must tolerate being woken with nothing
+            // changed, and act on its predicate, never on the wake itself.
+            inner.wakes.all = true;
         }
-        self.sh.parking.wait(self.tid, inner);
+        inner.sleep(None);
     }
 
     /// Blocks until this thread's wake flag is raised, folding the waker's
     /// virtual time into ours. Caller has departed and released the token.
-    fn block_until_woken(&mut self, inner: &mut MutexGuard<'_, Inner>) -> DmtResult<()> {
+    fn block_until_woken(&mut self, inner: &mut Held<'_>) -> DmtResult<()> {
         let from = self.v;
         while !inner.threads[self.tid.index()].wake {
             if inner.shutdown {

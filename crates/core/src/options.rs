@@ -48,7 +48,7 @@ pub struct Options {
     pub polling_increment: u64,
     /// Scheduler kind: the clock table with its index and lock-free
     /// publication ([`SchedKind::Fast`], the default) or the table alone,
-    /// all under one lock with `notify_all` wake-ups
+    /// all under one lock with unpark-everyone wake-ups
     /// ([`SchedKind::Reference`]). Both produce bit-identical schedules
     /// (checked by `stress --sched-diff`). The reference kind is not only
     /// the oracle of that differential: replay forces it, and a run whose

@@ -4,8 +4,7 @@
 //! deadlocks and scheduler-invariant violations into diagnoses.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,7 +76,7 @@ impl ConsequenceRuntime {
     /// Adds a synchronization object to its list, returning its index.
     fn create<T>(&mut self, list: fn(&mut Inner) -> &mut Vec<T>, obj: T) -> u32 {
         self.assert_not_started();
-        let mut inner = self.sh.inner.lock();
+        let mut inner = self.sh.lock();
         let list = list(&mut inner);
         list.push(obj);
         list.len() as u32 - 1
@@ -85,7 +84,7 @@ impl ConsequenceRuntime {
 
     fn assert_not_started(&self) {
         assert!(
-            !self.sh.inner.lock().started,
+            !self.sh.lock().started,
             "objects must be created before run()"
         );
     }
@@ -138,7 +137,7 @@ impl Runtime for ConsequenceRuntime {
 
         // Register the main job as Tid(0).
         {
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             inner.started = true;
             inner.next_tid = 1;
             inner.live = 1;
@@ -147,11 +146,11 @@ impl Runtime for ConsequenceRuntime {
         }
         // Supervision: the watchdog turns a silent hang (deadlock, lost
         // waiter, stalled clock) into a diagnosis — or a recovery.
-        let stop = Arc::new(AtomicBool::new(false));
+        // Dropping `stop` ends it.
+        let (stop, stopped) = channel::<()>();
         let watchdog = sh.opts.watchdog_stall_ms.map(|ms| {
             let sh2 = Arc::clone(&sh);
-            let stop2 = Arc::clone(&stop);
-            std::thread::spawn(move || watchdog_loop(sh2, ms, stop2))
+            std::thread::spawn(move || watchdog_loop(sh2, ms, stopped))
         });
 
         let (ws, _mapped) = sh.seg.new_workspace(Tid::MAIN);
@@ -163,13 +162,13 @@ impl Runtime for ConsequenceRuntime {
         // flag; threads in pure compute can never observe it, so after a
         // bounded grace period they are abandoned (handles not joined).
         let (reports, counters, max_v, threads, fault, panics, stuck) = {
-            let mut inner = sh.inner.lock();
+            let mut inner = sh.lock();
             let mut grace = 0u32;
             let mut stuck = false;
             while inner.live > 0 || (sh.opts.thread_pool && inner.pool.len() < inner.handles.len())
             {
                 let poll = inner.shutdown.then_some(Duration::from_millis(100));
-                if sh.parking.wait_shared(&mut inner, poll) {
+                if inner.wait(Tid::MAIN, poll) {
                     grace += 1;
                     if grace >= 20 {
                         stuck = true;
@@ -204,9 +203,8 @@ impl Runtime for ConsequenceRuntime {
             }
             out
         };
-        stop.store(true, Ordering::Release);
+        drop(stop);
         if let Some(h) = watchdog {
-            h.thread().unpark();
             let _ = h.join();
         }
         if stuck {
@@ -307,17 +305,16 @@ fn worker_loop(sh: Arc<Shared>, rx: Receiver<Msg>, self_tx: Sender<Msg>) {
 /// reference table and keep running) or *diagnoses* (deadlock → emit a
 /// full runtime census as [`dmt_api::DmtError::Deadlock`] and shut the
 /// run down instead of hanging).
-fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stop: Arc<AtomicBool>) {
+fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
     let poll = Duration::from_millis((stall_ms / 4).clamp(10, 250));
     let stall = Duration::from_millis(stall_ms);
     let mut last_seq = 0u64;
     let mut last_change = Instant::now();
     loop {
-        std::thread::park_timeout(poll);
-        if stop.load(Ordering::Acquire) {
+        if stopped.recv_timeout(poll) != Err(RecvTimeoutError::Timeout) {
             return;
         }
-        let mut inner = sh.inner.lock();
+        let mut inner = sh.lock();
         if inner.shutdown {
             return;
         }

@@ -2,18 +2,18 @@
 //! Consequence thread mutates under one lock.
 
 use std::collections::VecDeque;
-use std::sync::mpsc::Sender;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
+use std::time::{Duration, Instant};
 
-use dmt_api::sync::{Condvar, Mutex, MutexGuard};
+use dmt_api::sync::{Mutex, MutexGuard};
 
 use conversion::{ParallelCommit, Segment, Workspace};
 use det_clock::{ReplayCtl, SchedKind, SchedTable, Slots};
-use dmt_api::{Breakdown, CachePadded, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
+use dmt_api::{Breakdown, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
 use crate::lrc::{LrcObject, LrcTracker};
@@ -206,6 +206,8 @@ pub(crate) struct Inner {
     /// The [`Options::inject_sched_corruption`] drill already fired
     /// (it corrupts exactly once).
     pub corruption_done: bool,
+    /// Threads asleep in [`Held::wait`].
+    pub waiters: Vec<Tid>,
 }
 
 impl Inner {
@@ -229,38 +231,54 @@ impl Inner {
 /// Where threads sleep and how they are woken: the one place that knows
 /// which scheduler mode the run is in.
 ///
-/// Under the fast scheduler a thread blocked on the token or on its wake
-/// flag parks on its own cache-padded condvar (paired with
-/// [`Shared::inner`]), so a hand-off wakes exactly one thread. Under the
-/// reference scheduler everyone shares `cv` and every wake is a
-/// `notify_all` — the thundering herd `BENCH_sched.json` measures the
-/// fast path against. Barrier phase changes and thread retirement use
-/// `cv` in both modes.
+/// Every thread sleeps on its own permit ([`std::thread::park`], on the
+/// handle registered when its `Ctx` started), paired with no lock. Two
+/// rules, enforced by [`Held`] and `Ctx::release`:
+///
+/// 1. A real unpark is issued only after the requester has dropped
+///    [`Shared::inner`], and a thread sleeps without holding it: wakes are
+///    *recorded* in the guard, which unlocks first and unparks second — or
+///    the woken thread runs into the mutex its waker still holds and
+///    sleeps a second time.
+/// 2. An unpark a token holder requests for a thread that needs the token
+///    (`Ctx::wake`) waits in that `Ctx` until its `release`, where it is
+///    merged with the successor wake.
+///
+/// The permit makes both safe. Every predicate a sleeper tests (wake flag,
+/// token, eligibility, barrier phase, shutdown) is written and read under
+/// `inner`, so whoever changes it after the sleeper looked posts the
+/// unpark after the sleeper unlocked; a permit posted before the `park`
+/// is kept, any number of unparks leave one, and a stale one costs one
+/// re-check of the predicate.
+///
+/// A fast-scheduler hand-off unparks exactly one thread. Under the
+/// reference scheduler, and after failover, every wake is "unpark every
+/// registered thread" — the herd `BENCH_sched.json` measures against.
 ///
 /// Wake timing cannot change the schedule: eligibility is a monotone
 /// predicate of published clocks with a unique minimum, so a missed or
 /// extra wake only moves real time, never the grant order.
 pub(crate) struct Parking {
-    cv: Condvar,
-    parkers: Box<[CachePadded<Condvar>]>,
+    /// The OS thread running each `Tid`, set once when its `Ctx` starts.
+    threads: Box<[OnceLock<Thread>]>,
     fast: bool,
     /// The fast scheduler failed an invariant check and the watchdog
-    /// failed the run over to the reference table. Threads that parked
-    /// before the failover still sleep on their parkers, so from then on
-    /// every broadcast reaches `cv` *and* all parkers.
+    /// failed the run over to the reference table.
     degraded: AtomicBool,
 }
 
 impl Parking {
     fn new(kind: SchedKind, max_threads: usize) -> Parking {
         Parking {
-            cv: Condvar::new(),
-            parkers: (0..max_threads)
-                .map(|_| CachePadded::new(Condvar::new()))
-                .collect(),
+            threads: (0..max_threads).map(|_| OnceLock::new()).collect(),
             fast: kind == SchedKind::Fast,
             degraded: AtomicBool::new(false),
         }
+    }
+
+    /// Makes the calling OS thread the one an unpark of `tid` reaches.
+    pub fn register(&self, tid: Tid) {
+        let _ = self.threads[tid.index()].set(std::thread::current());
     }
 
     /// Whether wakes are targeted (fast scheduler, not failed over).
@@ -273,96 +291,165 @@ impl Parking {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Marks the run failed over. Caller holds the runtime lock, so no
-    /// thread can pick a parker between this store and `everyone()`.
+    /// Marks the run failed over. Caller holds the runtime lock, and
+    /// follows with `everyone()` once it has dropped it.
     pub fn degrade(&self) {
         self.degraded.store(true, Ordering::Release);
     }
 
-    /// One wait of `tid` for the token or its wake flag.
-    #[inline]
-    pub fn wait(&self, tid: Tid, guard: &mut MutexGuard<'_, Inner>) {
-        if self.targeted() {
-            self.parkers[tid.index()].wait(guard);
-        } else {
-            self.cv.wait(guard);
+    /// Rule 1: never under a lock.
+    fn unpark(&self, w: Tid) {
+        debug_assert_eq!(dmt_api::sync::held(), 0, "unpark under a lock");
+        if let Some(t) = self.threads[w.index()].get() {
+            t.unpark();
         }
     }
 
-    /// One wait on the shared condvar (barrier phases, run teardown);
-    /// returns whether `timeout` elapsed.
-    pub fn wait_shared(
-        &self,
-        guard: &mut MutexGuard<'_, Inner>,
-        timeout: Option<Duration>,
-    ) -> bool {
-        match timeout {
-            Some(d) => self.cv.wait_for(guard, d).timed_out(),
-            None => {
-                self.cv.wait(guard);
-                false
-            }
+    /// Unparks every registered thread, whatever it waits for (shutdown,
+    /// failover, every reference-mode wake).
+    pub fn everyone(&self) {
+        (0..self.threads.len()).for_each(|i| self.unpark(Tid(i as u32)));
+    }
+}
+
+/// Unparks requested and not yet delivered: a few threads, or everyone.
+#[derive(Default)]
+pub(crate) struct Wakes {
+    tids: [u32; 8],
+    n: usize,
+    /// Everyone, whatever they wait for.
+    pub all: bool,
+}
+
+impl Wakes {
+    /// Adds `w` once; one thread too many turns the set into "everyone".
+    pub fn push(&mut self, w: Tid) {
+        if self.tids[..self.n].contains(&w.0) {
+            return;
+        }
+        match self.tids.get_mut(self.n) {
+            Some(slot) => (*slot, self.n) = (w.0, self.n + 1),
+            None => self.all = true,
         }
     }
 
-    /// Wakes the waiters of the shared condvar only.
-    pub fn notify_shared(&self) {
-        self.cv.notify_all();
+    /// Moves every request of `from` into this set.
+    pub fn take(&mut self, from: &mut Wakes) {
+        let Wakes { tids, n, all } = std::mem::take(from);
+        tids[..n].iter().for_each(|w| self.push(Tid(*w)));
+        self.all |= all;
     }
+}
 
-    /// Wakes a thread whose wake flag was just raised, or a publisher's
-    /// hinted head waiter. Reference mode: no-op — a broadcast by the
-    /// same token holder covers it.
-    #[inline]
-    pub fn wake_one(&self, w: Tid, cnt: &mut Counters) {
-        if self.targeted() {
-            self.parkers[w.index()].notify_one();
-            cnt.targeted_wakes += 1;
-        }
-    }
+/// [`Shared::inner`], locked — and the wakes requested while it is: they
+/// are delivered when it is not (rule 1 of [`Parking`]), by `sleep` and by
+/// `Drop`, so an error unwinding through the guard still delivers them.
+pub(crate) struct Held<'a> {
+    sh: &'a Shared,
+    /// `None` only inside `sleep` and `drop`.
+    guard: Option<MutexGuard<'a, Inner>>,
+    pub wakes: Wakes,
+}
 
-    /// Wakes the unique thread the deterministic order designates to take
-    /// the token next, if the token is free and one is eligible; the
-    /// reference scheduler broadcasts instead.
+impl Held<'_> {
+    /// Requests a wake of the unique thread the deterministic order
+    /// designates to take the token next, if the token is free and one is
+    /// eligible; the reference scheduler broadcasts instead.
     #[inline]
-    pub fn wake_successor(&self, inner: &mut Inner, me: Tid, cnt: &mut Counters) {
-        if !self.targeted() {
+    pub fn wake_successor(&mut self, me: Tid, cnt: &mut Counters) {
+        if !self.sh.parking.targeted() {
             self.broadcast(cnt);
-        } else if inner.token.is_none() {
-            if let Some(w) = inner.table.successor().filter(|w| *w != me) {
+        } else if self.token.is_none() {
+            if let Some(w) = self.table.successor().filter(|w| *w != me) {
                 self.wake_one(w, cnt);
             }
         }
     }
 
-    /// The reference scheduler's counted `notify_all`; nothing under the
-    /// fast scheduler, whose callers have already woken the one thread
-    /// that matters.
+    /// Requests a wake of one thread under the fast scheduler, which has
+    /// no broadcast to cover it.
     #[inline]
-    pub fn broadcast(&self, cnt: &mut Counters) {
-        if !self.targeted() {
+    pub fn wake_one(&mut self, w: Tid, cnt: &mut Counters) {
+        self.wakes.push(w);
+        cnt.targeted_wakes += 1;
+    }
+
+    /// The reference scheduler's counted herd; nothing under the fast
+    /// scheduler, whose callers have already named the thread that matters.
+    #[inline]
+    pub fn broadcast(&mut self, cnt: &mut Counters) {
+        if !self.sh.parking.targeted() {
             cnt.broadcast_wakes += 1;
-            self.herd();
+            self.wakes.all = true;
         }
     }
 
-    /// Wakes every thread that could be waiting for something this
-    /// thread changed: the shared condvar, plus all parkers once degraded.
-    pub fn herd(&self) {
-        if self.is_degraded() {
-            self.everyone();
+    /// Requests a wake of the threads in [`Held::wait`]: a barrier changed
+    /// phase or broke, a thread retired.
+    pub fn wake_waiters(&mut self) {
+        for i in 0..self.waiters.len() {
+            let w = self.waiters[i];
+            self.wakes.push(w);
+        }
+    }
+
+    /// One [`Held::sleep`] of `tid` for something other than the token or
+    /// its wake flag — a barrier phase, the end of the run.
+    pub fn wait(&mut self, tid: Tid, timeout: Option<Duration>) -> bool {
+        self.waiters.push(tid);
+        let timed_out = self.sleep(timeout);
+        self.waiters.retain(|w| *w != tid);
+        timed_out
+    }
+
+    /// Unlock first, unpark second.
+    fn unlock(&mut self) {
+        self.guard = None;
+        if self.wakes.all {
+            self.sh.parking.everyone();
         } else {
-            self.cv.notify_all();
+            for w in &self.wakes.tids[..self.wakes.n] {
+                self.sh.parking.unpark(Tid(*w));
+            }
         }
+        (self.wakes.n, self.wakes.all) = (0, false);
     }
 
-    /// Wakes every thread however it might be waiting (shutdown,
-    /// failover, spurious-wake injection).
-    pub fn everyone(&self) {
-        self.cv.notify_all();
-        for p in self.parkers.iter() {
-            p.notify_all();
+    /// Unlocks, delivers, parks the calling thread (for at most `timeout`;
+    /// returns whether that elapsed) and relocks. The caller re-checks its
+    /// predicate: the permit may be stale.
+    pub fn sleep(&mut self, timeout: Option<Duration>) -> bool {
+        self.unlock();
+        let deadline = timeout.map(|d| Instant::now() + d);
+        match timeout {
+            Some(d) => std::thread::park_timeout(d),
+            None => std::thread::park(),
         }
+        self.guard = Some(self.sh.inner.lock());
+        deadline.is_some_and(|d| Instant::now() >= d)
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.unlock();
+    }
+}
+
+// INVARIANT: `guard` is `None` only between the unlock and the relock
+// inside `sleep`, and in `drop`; neither hands `self` out.
+#[allow(clippy::expect_used)]
+impl Deref for Held<'_> {
+    type Target = Inner;
+    fn deref(&self) -> &Inner {
+        self.guard.as_ref().expect("locked outside sleep")
+    }
+}
+
+#[allow(clippy::expect_used)]
+impl DerefMut for Held<'_> {
+    fn deref_mut(&mut self) -> &mut Inner {
+        self.guard.as_mut().expect("locked outside sleep")
     }
 }
 
@@ -371,7 +458,8 @@ pub(crate) struct Shared {
     pub cfg: CommonConfig,
     pub opts: Options,
     pub seg: Segment,
-    pub inner: Mutex<Inner>,
+    /// Locked only through [`Shared::lock`].
+    inner: Mutex<Inner>,
     pub parking: Parking,
     /// Lock-free half of the fast-path scheduler (also reachable through
     /// `Inner::table` when it is the fast table): publication slots,
@@ -384,6 +472,16 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Locks the runtime state.
+    #[inline]
+    pub fn lock(&self) -> Held<'_> {
+        Held {
+            sh: self,
+            guard: Some(self.inner.lock()),
+            wakes: Wakes::default(),
+        }
+    }
+
     /// One [`ResourceSample`](dmt_api::ResourceSample) for the attached
     /// witness: version-chain peak, live pages, longest clock history,
     /// trace-ring occupancy. The observation costs no virtual time and
@@ -441,6 +539,7 @@ impl Shared {
                 fault: None,
                 panics: Vec::new(),
                 corruption_done: false,
+                waiters: Vec::with_capacity(max_t),
             }),
             parking: Parking::new(opts.sched, max_t),
             slots,
@@ -449,5 +548,61 @@ impl Shared {
             opts,
             seg,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Longer than any test may take: a sleep this long lost its wake.
+    const LOST: Option<Duration> = Some(Duration::from_secs(60));
+
+    fn shared() -> Arc<Shared> {
+        Shared::new_replaying(CommonConfig::default(), Options::consequence_ic(), None)
+    }
+
+    #[test]
+    fn an_unpark_before_the_park_is_kept_and_many_leave_one_permit() {
+        let sh = shared();
+        sh.parking.register(Tid(1));
+        let mut inner = sh.lock();
+        // Each thread once, and a ninth makes the set "everyone".
+        (0..16).for_each(|t| inner.wakes.push(Tid(t % 8)));
+        assert!((inner.wakes.n, inner.wakes.all) == (8, false));
+        inner.wakes.push(Tid(8));
+        assert!(inner.wakes.all);
+        // Delivered after the unlock and before the park, which keeps it.
+        assert!(!inner.sleep(LOST));
+        drop(inner);
+        (0..3).for_each(|_| sh.parking.everyone());
+        let mut inner = sh.lock();
+        // The stale permit costs one re-check...
+        assert!(!inner.sleep(LOST));
+        // ...and it was one permit: the next sleep is not missed.
+        assert!(inner.sleep(Some(Duration::from_millis(20))));
+    }
+
+    #[test]
+    fn everyone_reaches_a_thread_that_slept_before_the_failover() {
+        let sh = shared();
+        let (asleep, is_asleep) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                sh.parking.register(Tid(1));
+                let mut inner = sh.lock();
+                // Sent under the lock: whoever locks next finds us asleep.
+                asleep.send(()).expect("test alive");
+                while !inner.shutdown {
+                    assert!(!inner.sleep(LOST), "woken, not timed out");
+                }
+            });
+            is_asleep.recv().expect("sleeper alive");
+            let mut inner = sh.lock();
+            inner.shutdown = true;
+            sh.parking.degrade();
+            drop(inner);
+            sh.parking.everyone();
+        });
     }
 }

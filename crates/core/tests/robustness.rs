@@ -10,9 +10,11 @@
 use std::sync::Arc;
 
 use consequence::{ConsequenceRuntime, Options};
+use det_clock::SchedKind;
 use dmt_api::{
-    CommonConfig, CostModel, DmtError, HashSink, Job, PanicSite, PerturbHandle, Perturber,
-    RunReport, Runtime, RuntimeMemExt, ThreadCtx, Tid, TraceHandle,
+    CommonConfig, CondId, CostModel, DmtError, HashSink, Job, PanicSite, PerturbHandle,
+    PerturbPlan, PerturbSite, Perturber, PlanPerturber, RunReport, Runtime, RuntimeMemExt,
+    ThreadCtx, Tid, TraceHandle,
 };
 
 fn cfg() -> CommonConfig {
@@ -443,4 +445,192 @@ fn dying_reader_releases_its_hold_to_the_queued_writer() {
     let granted =
         at(&|e| matches!(e, Event::RwAcquire { tid, writer: true, .. } if *tid == Tid(2)));
     assert!(died < granted, "writer granted before the reader died");
+}
+
+/// Runs `body(ctx, worker index)` on `threads` spawned workers; the main
+/// thread only blocks in `join`.
+fn fork_join(
+    threads: usize,
+    body: impl Fn(&mut dyn ThreadCtx, usize) + Send + Sync + 'static,
+) -> Job {
+    let body = Arc::new(body);
+    Box::new(move |ctx| {
+        let kids: Vec<Tid> = (0..threads)
+            .map(|w| {
+                let body = Arc::clone(&body);
+                ctx.spawn(Box::new(move |c| body(c, w)))
+            })
+            .collect();
+        for k in kids {
+            ctx.join(k);
+        }
+    })
+}
+
+/// The four `core.*` probe programs of the end-to-end benchmark
+/// (`e2e/src/probes.rs`), sized for a debug build: each spends its time
+/// in one kind of sleep and hand-off.
+fn probe_program(name: &str, rt: &mut ConsequenceRuntime, threads: usize) -> Job {
+    match name {
+        // Every acquisition a real token hand-off to a parked waiter.
+        "lock_churn" => {
+            let m = rt.create_mutex();
+            fork_join(threads, move |c, _| {
+                for _ in 0..40 {
+                    c.mutex_lock(m);
+                    let v = c.ld_u64(0);
+                    c.st_u64(0, v + 1);
+                    c.mutex_unlock(m);
+                    c.tick(40_000);
+                }
+            })
+        }
+        // The turn passes round a ring of condition variables: every wait
+        // is a wake flag raised by a token holder (rule 2).
+        "cond_ping_pong" => {
+            let m = rt.create_mutex();
+            let cv: Vec<CondId> = (0..threads).map(|_| rt.create_cond()).collect();
+            fork_join(threads, move |c, w| {
+                for _ in 0..20 {
+                    c.mutex_lock(m);
+                    while c.ld_u64(0) as usize % threads != w {
+                        c.cond_wait(cv[w], m);
+                    }
+                    let turn = c.ld_u64(0);
+                    c.st_u64(0, turn + 1);
+                    c.cond_signal(cv[(w + 1) % threads]);
+                    c.mutex_unlock(m);
+                }
+            })
+        }
+        // Barrier phases: sleeps that wait for neither token nor flag.
+        "barrier_loop" => {
+            let b = rt.create_barrier(threads);
+            fork_join(threads, move |c, w| {
+                for i in 0..30 {
+                    c.tick(1_000 * (w as u64 + 1));
+                    c.st_u64(8 * (w + 1), i);
+                    c.barrier_wait(b);
+                }
+            })
+        }
+        // Joiners, exits and pooled workers re-registering under new ids.
+        "spawn_join" => Box::new(move |c| {
+            for _ in 0..24 / threads {
+                let kids: Vec<Tid> = (0..threads)
+                    .map(|_| c.spawn(Box::new(|c| c.tick(1))))
+                    .collect();
+                for k in kids {
+                    c.join(k);
+                }
+            }
+        }),
+        other => panic!("no probe program {other}"),
+    }
+}
+
+/// Wake timing is not an input. Each probe program runs under the fast
+/// scheduler, the reference scheduler and the fast scheduler failed over
+/// mid-run (so threads are asleep at the moment of failover), each with
+/// and without spurious wakes injected at every sleep site at the highest
+/// intensity: no run faults, and the six schedules and commit logs of a
+/// program are one schedule and one commit log.
+#[test]
+fn probe_programs_agree_across_schedulers_failover_and_spurious_wakes() {
+    let spurious = || {
+        let mut plan = PerturbPlan::only(0x5eed, &[PerturbSite::CondWake]);
+        plan.entries[0].intensity = 3;
+        PerturbHandle::to(Arc::new(PlanPerturber::new(plan)))
+    };
+    let mut failovers = 0;
+    for name in ["lock_churn", "cond_ping_pong", "barrier_loop", "spawn_join"] {
+        for threads in [2, 4] {
+            let mut hashes = Vec::new();
+            for (sched, corrupt) in [
+                (SchedKind::Fast, None),
+                (SchedKind::Reference, None),
+                (SchedKind::Fast, Some(5)),
+            ] {
+                for perturb in [PerturbHandle::off(), spurious()] {
+                    let c = CommonConfig {
+                        max_threads: 32,
+                        perturb,
+                        ..hashed_cfg()
+                    };
+                    let opts = Options {
+                        sched,
+                        inject_sched_corruption: corrupt,
+                        watchdog_stall_ms: Some(100),
+                        ..Options::consequence_ic()
+                    };
+                    let mut rt = ConsequenceRuntime::new(c, opts);
+                    let job = probe_program(name, &mut rt, threads);
+                    let r = rt.run(job);
+                    let cell = format!("{name} x{threads} {sched:?} corrupt={corrupt:?}");
+                    assert!(r.fault.is_none(), "{cell}: {:?}", r.fault);
+                    assert!(r.panics.is_empty(), "{cell}: {:?}", r.panics);
+                    assert!(corrupt.is_some() || !r.degraded, "{cell}");
+                    failovers += u32::from(r.degraded);
+                    hashes.push((r.schedule_hash, r.commit_log_hash));
+                }
+            }
+            assert!(
+                hashes.iter().all(|h| *h == hashes[0]),
+                "{name} x{threads}: {hashes:x?}"
+            );
+        }
+    }
+    assert!(failovers > 0, "the corruption drill never bit");
+}
+
+/// Wakes pending when an error unwinds are still delivered. The late
+/// arriver at a broken barrier holds the token and has just named its
+/// successor when it raises `BarrierBroken`; the waiters a dying lock
+/// owner drained raise `MutexPoisoned` with their own successors pending.
+/// Nobody is left asleep: every survivor finishes, without the watchdog.
+#[test]
+fn wakes_pending_at_a_raise_are_delivered() {
+    let opts = Options {
+        watchdog_stall_ms: Some(2_000),
+        ..Options::consequence_ic()
+    };
+    let mut rt = ConsequenceRuntime::new(cfg(), opts);
+    // Five threads, four parties: broken by the second death.
+    let b = rt.create_barrier(4);
+    let m = rt.create_mutex();
+    let report = rt.run(Box::new(move |ctx| {
+        let owner = ctx.spawn(Box::new(move |c| {
+            c.mutex_lock(m);
+            c.tick(100_000);
+            panic!("dies holding the lock, before the barrier");
+        }));
+        let raisers: Vec<Tid> = (0..3)
+            .map(|i| {
+                ctx.spawn(Box::new(move |c| {
+                    c.tick(1_000 * (i + 1));
+                    if i == 0 {
+                        c.mutex_lock(m); // queued, then drained: MutexPoisoned
+                    } else {
+                        c.tick(200_000);
+                        c.barrier_wait(b); // broken by then: BarrierBroken
+                    }
+                    c.st_u64(8, 99); // must NOT run
+                }))
+            })
+            .collect();
+        ctx.tick(150_000);
+        // Waits for the token behind the raisers: one of the wakes that
+        // must not be lost.
+        ctx.st_u64(0, 7);
+        let _ = ctx.try_join(owner);
+        for t in raisers {
+            assert!(matches!(
+                ctx.try_join(t),
+                Err(DmtError::ThreadPanicked { .. })
+            ));
+        }
+    }));
+    assert!(report.fault.is_none(), "watchdog fired: {:?}", report.fault);
+    assert_eq!(report.panics.len(), 4, "{:?}", report.panics);
+    assert_eq!((rt.final_u64(0), rt.final_u64(8)), (7, 0));
 }

@@ -181,6 +181,10 @@ impl PhaseGate {
         if st.arrived + st.resigned >= self.parties {
             st.arrived = 0;
             st.gen += 1;
+            // Unlock, then wake: a waiter woken under `st` would run
+            // straight into it. `gen` moved under the lock, so no waiter
+            // can have missed it.
+            drop(st);
             self.cv.notify_all();
             return;
         }
@@ -198,6 +202,7 @@ impl PhaseGate {
         if st.arrived > 0 && st.arrived + st.resigned >= self.parties {
             st.arrived = 0;
             st.gen += 1;
+            drop(st);
             self.cv.notify_all();
         }
     }

@@ -5,7 +5,7 @@
 //! was written to replace, selected by an option: the **fast scheduler**
 //! (`fast_sched`) — lock-free publication slots, targeted per-thread
 //! wakeups and O(log T) eligibility queues (`det_clock::fast`) in place of
-//! the reference scheduler's global-lock clock table and `notify_all`
+//! the reference scheduler's global-lock clock table and unpark-everyone
 //! handoff. It may change how fast a grant happens, never which thread
 //! gets it.
 //!
