@@ -14,11 +14,13 @@
 //!
 //! The clock table ([`SchedTable`]) is a passive state machine mutated under
 //! the owning runtime's global lock, and it exists once. On its own it is
-//! the reference scheduler ([`SchedKind::Reference`]: O(T) scans, locked
-//! publication, broadcast wake-ups — what replay and a failed-over run
-//! execute, and the oracle of the differential tests); with its index and
-//! the lock-free [`Slots`] it is the fast one ([`SchedKind::Fast`], module
-//! [`fast`]). Crucially the table also propagates **virtual time** along
+//! the reference scheduler ([`SchedKind::Reference`]: eligibility read from
+//! the table's entries, locked publication, broadcast wake-ups — what replay
+//! and a failed-over run execute, and the oracle of the differential
+//! tests); mirrored into the lock-free [`Slots`], one atomic per thread, it
+//! is the fast one ([`SchedKind::Fast`], module [`fast`]: lock-free
+//! publication, eligibility read from the mirror, targeted wake-ups).
+//! Crucially the table also propagates **virtual time** along
 //! wake edges: every externally visible change of a thread's effective
 //! clock bound (publication, departure, turn advance) is recorded with its
 //! virtual timestamp, and a waiter's wake time is read back from those

@@ -3,19 +3,20 @@
 //! [`SchedTable`] is the one state machine behind both scheduler kinds:
 //! per-thread `(state, published clock)`, the round-robin turn, and the wake
 //! time read back from the publication histories (which live in the shared
-//! [`Slots`]). On its own — [`SchedKind::Reference`] — every query is an
-//! O(T) scan over the entries and every publication goes through the
-//! owning runtime's global lock. [`SchedKind::Fast`] is the same table plus
-//! an index over it (`crate::fast`): ordered sets for O(log T) queries and
-//! an atomic mirror of the bounds for lock-free publication. The index is
-//! derived state; dropping it ([`SchedTable::failover`]) leaves the
-//! reference table.
+//! [`Slots`]). Every query is a scan over the registered entries. On its
+//! own — [`SchedKind::Reference`] — every publication goes through the
+//! owning runtime's global lock and eligibility is read from the entries.
+//! [`SchedKind::Fast`] is the same table plus an atomic mirror of it
+//! (`crate::fast`): one bound per thread, raised by lock-free publication
+//! and read by eligibility, and the head waiter's key for targeted
+//! wake-ups. The mirror is derived state; no longer reading it
+//! ([`SchedTable::failover`]) leaves the reference table.
 
 use std::sync::Arc;
 
 use dmt_api::Tid;
 
-use crate::fast::{pack, packed_clock, Index, Slots, TID_BITS};
+use crate::fast::{pack, packed_clock, Slots, TID_BITS};
 
 /// Which deterministic total order the table enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,15 +44,17 @@ pub enum ThreadState {
 }
 
 /// Which scheduler a runtime uses: the clock table with or without its
-/// index.
+/// atomic mirror.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedKind {
-    /// Lock-free publication slots + O(log T) sets + targeted wake-ups.
+    /// Lock-free publication into per-thread slots, eligibility read from
+    /// those slots, targeted wake-ups.
     #[default]
     Fast,
-    /// The table alone: all under one lock, O(T) scans, unpark-everyone
-    /// wake-ups. What replay and a failed-over run execute, and the oracle
-    /// the fast kind is differentially tested against.
+    /// The table alone: publication under the one lock, eligibility read
+    /// from the entries, unpark-everyone wake-ups. What replay and a
+    /// failed-over run execute, and the oracle the fast kind is
+    /// differentially tested against.
     Reference,
 }
 
@@ -68,14 +71,15 @@ pub(crate) const PRUNE_MIN: usize = 64;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Entry {
     pub(crate) state: ThreadState,
-    /// Authoritative published clock, except for a `Running` thread of an
-    /// indexed table, whose atomic slot may be ahead.
+    /// Authoritative published clock, except for a `Running` thread of a
+    /// fast-kind table, whose atomic slot may be ahead.
     pub(crate) published: u64,
 }
 
 impl Entry {
-    /// Whether the thread takes part in the round-robin rotation.
-    fn in_rotation(&self) -> bool {
+    /// Whether the thread takes part in the order (GMIC consideration, the
+    /// round-robin rotation): its bound can block a waiter.
+    pub(crate) fn in_rotation(&self) -> bool {
         matches!(self.state, ThreadState::Running | ThreadState::AtSync(_))
     }
 }
@@ -95,46 +99,43 @@ pub(crate) fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
 /// Per-thread logical clocks plus the eligibility rule for the global token.
 ///
 /// All methods must be called under one external lock (the runtime's global
-/// mutex); the table itself performs no synchronization. With an index,
+/// mutex); the table itself performs no synchronization. On the fast kind
 /// publications may *also* flow directly through the shared [`Slots`]
-/// without this table's involvement — the index's cached bounds then lag
-/// and are refreshed lazily.
+/// without this table's involvement — a running thread's entry then lags
+/// its slot.
 #[derive(Debug)]
 pub struct SchedTable {
     policy: OrderPolicy,
+    /// [`SchedKind::Reference`] from the start, or since a failover.
+    pub(crate) kind: SchedKind,
     pub(crate) slots: Arc<Slots>,
+    /// By tid, grown by registration: a scan walks the registered threads,
+    /// not the slots' capacity.
     pub(crate) entries: Vec<Option<Entry>>,
     /// Round-robin: index of the thread whose turn it is, and the virtual
     /// time of the event that moved the turn there.
     pub(crate) rr_turn: usize,
     rr_turn_v: u64,
-    /// What makes the table [`SchedKind::Fast`]; `None` is the reference
-    /// table.
-    pub(crate) index: Option<Index>,
 }
 
 impl SchedTable {
     /// An empty table of the chosen kind over up to `slots.capacity()`
     /// threads, keeping its publication histories in `slots`.
     pub fn new(kind: SchedKind, policy: OrderPolicy, slots: Arc<Slots>) -> SchedTable {
-        let n = slots.capacity();
         SchedTable {
             policy,
+            kind,
+            entries: Vec::with_capacity(slots.capacity()),
             slots,
-            entries: vec![None; n],
             rr_turn: 0,
             rr_turn_v: 0,
-            index: (kind == SchedKind::Fast).then(|| Index::new(n)),
         }
     }
 
     /// Which kind this table currently is ([`SchedKind::Reference`] after
     /// a failover).
     pub fn kind(&self) -> SchedKind {
-        match self.index {
-            Some(_) => SchedKind::Fast,
-            None => SchedKind::Reference,
-        }
+        self.kind
     }
 
     /// The ordering policy in force.
@@ -149,16 +150,18 @@ impl SchedTable {
     // accessors are the crate's sanctioned panic sites.
     #[allow(clippy::expect_used)]
     fn entry(&self, t: Tid) -> &Entry {
-        self.entries[t.index()].as_ref().expect("unregistered tid")
+        let e = self.entries.get(t.index()).and_then(Option::as_ref);
+        e.expect("unregistered tid")
     }
 
     #[allow(clippy::expect_used)]
     fn entry_mut(&mut self, t: Tid) -> &mut Entry {
-        self.entries[t.index()].as_mut().expect("unregistered tid")
+        let e = self.entries.get_mut(t.index()).and_then(Option::as_mut);
+        e.expect("unregistered tid")
     }
 
     /// Completes a state transition of `t` at virtual time `v`: appends its
-    /// new effective bound to its history, then brings the index (if any)
+    /// new effective bound to its history, then brings the mirror (if any)
     /// up to date. History before bound: an acquirer that observed the new
     /// bound (that is why it became eligible) must find the crossing entry.
     fn record(&mut self, t: Tid, v: u64) {
@@ -181,7 +184,7 @@ impl SchedTable {
                 self.rr_advance(v);
             }
         }
-        self.reindex(t, e);
+        self.mirror(t, &e);
     }
 
     /// Registers a new thread with an inherited starting clock, at the
@@ -196,7 +199,12 @@ impl SchedTable {
             u64::from(t.0) < (1 << TID_BITS) - 1,
             "tid {t} overflows packed keys"
         );
-        let slot = &mut self.entries[t.index()];
+        let i = t.index();
+        assert!(i < self.slots.capacity(), "tid {t} has no slot");
+        if self.entries.len() <= i {
+            self.entries.resize(i + 1, None);
+        }
+        let slot = &mut self.entries[i];
         assert!(slot.is_none(), "tid {t} registered twice");
         *slot = Some(Entry {
             state: ThreadState::Running,
@@ -210,13 +218,16 @@ impl SchedTable {
         self.entry(t).state
     }
 
-    /// Last published clock of `t` (for a running thread of an indexed
+    /// Last published clock of `t` (for a running thread of a fast-kind
     /// table this reads the atomic slot, which lock-free publications may
     /// have advanced past the table's value).
     pub fn published(&self, t: Tid) -> u64 {
-        let e = self.entry(t);
-        match (e.state, &self.index) {
-            (ThreadState::Running, Some(_)) => packed_clock(self.slots.bound_key(t.index())),
+        self.published_of(t.index(), self.entry(t))
+    }
+
+    fn published_of(&self, i: usize, e: &Entry) -> u64 {
+        match (e.state, self.kind) {
+            (ThreadState::Running, SchedKind::Fast) => packed_clock(self.slots.bound_key(i)),
             _ => e.published,
         }
     }
@@ -241,11 +252,12 @@ impl SchedTable {
     /// Departed threads at no less than their published clock (clocks are
     /// monotone, and a new registration inherits its spawner's clock).
     /// Finished threads never query again.
-    fn watermark(&self) -> u64 {
+    pub(crate) fn watermark(&self) -> u64 {
         let mut w = u64::MAX;
-        for e in self.entries.iter().flatten() {
+        for (i, e) in self.entries.iter().enumerate() {
+            let Some(e) = e else { continue };
             let floor = match e.state {
-                ThreadState::Running | ThreadState::Departed => e.published,
+                ThreadState::Running | ThreadState::Departed => self.published_of(i, e),
                 ThreadState::AtSync(c) => c,
                 ThreadState::Finished => continue,
             };
@@ -255,17 +267,13 @@ impl SchedTable {
     }
 
     /// Appends `(bound, v)` to `t`'s history and, with `prune`, prunes it
-    /// once it has doubled since the last attempt — against the index's
-    /// running watermark or, without one, the scan.
+    /// against the watermark once it has doubled since the last attempt.
     fn push_hist(&self, t: Tid, bound: u64, v: u64, prune: bool) {
         let mut h = self.slots.hist(t.index());
         h.push((bound, v));
         if prune {
             self.slots
-                .prune_locked(t.index(), &mut h, || match self.index {
-                    Some(_) => self.slots.watermark(),
-                    None => self.watermark(),
-                });
+                .prune_locked(t.index(), &mut h, || self.watermark());
         }
     }
 
@@ -273,16 +281,14 @@ impl SchedTable {
     /// time `v`, under the lock. Returns `true` if the published value
     /// advanced (waiters may have become eligible — a notification hint).
     /// A fast-kind runtime's hot path calls [`Slots::publish`] directly
-    /// instead; on an indexed table this goes through it too.
+    /// instead; on a fast-kind table this goes through it too.
     pub fn publish(&mut self, t: Tid, clock: u64, v: u64) -> bool {
         let e = self.entry_mut(t);
         debug_assert!(matches!(e.state, ThreadState::Running));
         let old = std::mem::replace(&mut e.published, clock);
         debug_assert!(clock >= old, "published clock must be monotone");
-        if let Some(ix) = &mut self.index {
-            let out = self.slots.publish(t, clock, v);
-            ix.rekey_bounds(t.index(), pack(clock, t.0));
-            return out.advanced;
+        if self.kind == SchedKind::Fast {
+            return self.slots.publish(t, clock, v).advanced;
         }
         self.push_hist(t, clock, v, true);
         clock > old
@@ -334,22 +340,25 @@ impl SchedTable {
     ///
     /// Instruction count: no other live thread could still perform an
     /// earlier-ordered sync op — every Running/AtSync thread's published
-    /// clock is lexicographically past `(clock, t)`; a scan, or with an
-    /// index an O(log T) lookup that may refresh stale cached bounds
-    /// (hence `&mut`). Round robin: it is `t`'s turn.
+    /// clock is lexicographically past `(clock, t)`. One scan: of the
+    /// entries on the reference kind, of the mirror slots (which hold the
+    /// running threads' lock-free publications) on the fast kind. Round
+    /// robin: it is `t`'s turn.
     pub fn eligible(&mut self, t: Tid) -> bool {
         let ThreadState::AtSync(c) = self.entry(t).state else {
             return false;
         };
-        match self.policy {
-            OrderPolicy::RoundRobin => self.rr_turn == t.index(),
-            OrderPolicy::InstructionCount => match &mut self.index {
-                Some(ix) => ix.eligible(&mut self.entries, &self.slots, t, c),
-                None => self.entries.iter().enumerate().all(|(i, e)| {
+        match (self.policy, self.kind) {
+            (OrderPolicy::RoundRobin, _) => self.rr_turn == t.index(),
+            (OrderPolicy::InstructionCount, SchedKind::Fast) => {
+                self.slots.all_past(self.entries.len(), pack(c, t.0))
+            }
+            (OrderPolicy::InstructionCount, SchedKind::Reference) => {
+                self.entries.iter().enumerate().all(|(i, e)| {
                     let Some(e) = e else { return true };
                     i == t.index() || !e.in_rotation() || (e.published, i as u32) > (c, t.0)
-                }),
-            },
+                })
+            }
         }
     }
 
@@ -427,13 +436,17 @@ impl SchedTable {
     /// Smallest `(clock, tid)` among threads waiting at a sync op, other
     /// than `t`. Drives the §3.2 adaptive overflow target.
     pub fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
-        if let Some(ix) = &self.index {
-            return ix.min_waiting_other(t);
-        }
+        self.min_waiting(Some(t))
+    }
+
+    /// Smallest `(clock, tid)` among waiting threads other than `skip`; with
+    /// `None`, the head waiter.
+    pub(crate) fn min_waiting(&self, skip: Option<Tid>) -> Option<(u64, u32)> {
+        let skip = skip.map(|t| t.index());
         self.entries
             .iter()
             .enumerate()
-            .filter(|(i, _)| *i != t.index())
+            .filter(|(i, _)| Some(*i) != skip)
             .filter_map(|(i, e)| match e {
                 Some(Entry {
                     state: ThreadState::AtSync(c),

@@ -1,17 +1,25 @@
 //! Differential property test for the scheduler fast path.
 //!
-//! Drives a fast-kind (indexed, lock-free) and a reference-kind
+//! Drives a fast-kind (mirrored, lock-free) and a reference-kind
 //! [`SchedTable`] through identical pseudo-random — but protocol-valid — operation
 //! sequences, asserting after every single step that the two agree exactly
 //! on each scheduling query the runtime uses: `state`, `published`,
 //! `eligible`, `crossing_v` and `min_waiting_other` (plus the round-robin
-//! turn). Any divergence would let the fast scheduler produce a different
+//! turn), and that the fast side's mirror passes `check_invariants`. Any
+//! divergence would let the fast scheduler produce a different
 //! token order than the reference table, breaking the bit-identical
 //! schedule guarantee that `stress --sched-diff` checks end to end.
+//!
+//! Half of the fast side's publications go through the shared [`Slots`]
+//! handle, around the table, as the runtime's hot path does — so the
+//! table's own copy of a running thread's clock lags at every compared
+//! query.
 //!
 //! Every sequence also runs a second time with a watchdog failover of the
 //! fast side injected at a seed-derived step: agreement must hold at the
 //! failover itself and for the rest of the sequence, wherever it lands.
+
+use std::sync::Arc;
 
 use det_clock::{OrderPolicy, SchedKind, SchedTable, Slots};
 use dmt_api::Tid;
@@ -52,6 +60,8 @@ const MAX_THREADS: usize = 8;
 
 struct Harness {
     fast: SchedTable,
+    /// The fast table's slots, as the runtime's publishers hold them.
+    slots: Arc<Slots>,
     refr: SchedTable,
     model: Vec<Model>,
     clock: Vec<u64>,
@@ -60,8 +70,10 @@ struct Harness {
 
 impl Harness {
     fn new(policy: OrderPolicy) -> Harness {
+        let slots = Slots::new(MAX_THREADS);
         let mut h = Harness {
-            fast: SchedTable::new(SchedKind::Fast, policy, Slots::new(MAX_THREADS)),
+            fast: SchedTable::new(SchedKind::Fast, policy, slots.clone()),
+            slots,
             refr: SchedTable::new(SchedKind::Reference, policy, Slots::new(MAX_THREADS)),
             model: Vec::new(),
             clock: Vec::new(),
@@ -79,8 +91,21 @@ impl Harness {
         self.clock.push(birth_clock);
     }
 
+    /// Publishes thread `i`'s clock on both sides; `around` the fast table
+    /// (straight into its slots) while the runtime would still do so.
+    fn publish(&mut self, i: usize, around: bool) {
+        let (t, clock, v) = (Tid(i as u32), self.clock[i], self.v);
+        let adv_f = if around && self.fast.kind() == SchedKind::Fast {
+            self.slots.publish(t, clock, v).advanced
+        } else {
+            self.fast.publish(t, clock, v)
+        };
+        assert_eq!(adv_f, self.refr.publish(t, clock, v), "publish advanced");
+    }
+
     /// All-queries comparison; the heart of the lockstep property.
     fn check(&mut self) {
+        self.fast.check_invariants().expect("mirror in step");
         for i in 0..self.model.len() {
             let t = Tid(i as u32);
             if self.model[i] == Model::Finished {
@@ -136,14 +161,10 @@ impl Harness {
                 matches!(self.model.get(holder), Some(Model::AtSync(_))).then(|| Tid(holder as u32))
             }
         };
-        // Only the index names a successor; once it is gone (failover)
-        // releases broadcast and the table answers `None`.
-        let indexed = self.fast.kind() == SchedKind::Fast;
-        assert_eq!(
-            self.fast.successor(),
-            expect.filter(|_| indexed),
-            "successor"
-        );
+        // Only the fast kind names a successor; after a failover releases
+        // broadcast and the table answers `None`.
+        let fast = self.fast.kind() == SchedKind::Fast;
+        assert_eq!(self.fast.successor(), expect.filter(|_| fast), "successor");
     }
 
     fn step(&mut self, rng: &mut Rng) {
@@ -153,11 +174,9 @@ impl Harness {
         match self.model[i] {
             Model::Running => match rng.below(10) {
                 // Publish a counter-overflow bound (the hot path).
-                0..=4 => {
+                n @ 0..=4 => {
                     self.clock[i] += 1 + rng.below(50);
-                    let adv_f = self.fast.publish(t, self.clock[i], self.v);
-                    let adv_r = self.refr.publish(t, self.clock[i], self.v);
-                    assert_eq!(adv_f, adv_r, "publish advanced");
+                    self.publish(i, n % 2 == 0);
                 }
                 // Arrive at a sync op (possibly at the current clock).
                 5..=8 => {
@@ -266,9 +285,7 @@ fn agreement_survives_history_pruning() {
     for round in 0..2_000u64 {
         h.v += 1;
         h.clock[0] += 1 + rng.below(8);
-        let f = h.fast.publish(Tid(0), h.clock[0], h.v);
-        let r = h.refr.publish(Tid(0), h.clock[0], h.v);
-        assert_eq!(f, r);
+        h.publish(0, round % 2 == 0);
         if round % 64 == 0 {
             h.v += 1;
             h.clock[1] = h.clock[0].saturating_sub(1);

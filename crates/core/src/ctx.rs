@@ -289,15 +289,16 @@ impl Ctx {
         let min_w = if sh.parking.targeted() {
             // Fast path: publish straight into our lock-free slot — no
             // global mutex on the publication hot path. The adaptive
-            // threshold reads the head waiter's packed key instead of an
-            // O(T) scan; it may miss a non-head waiter the reference scan
-            // would find, which only shifts publication frequency — the
-            // §3.2 contract makes that safe for determinism.
+            // threshold reads the head waiter's packed key instead of
+            // scanning: we are running, so the head *is*
+            // `min_waiting_other(self.tid)`.
             let out = sh.slots.publish(self.tid, self.clock, self.v);
             if let Some(w) = out.wake_hint {
-                // Re-check eligibility under the lock so a stale hint never
-                // wakes an ineligible thread; the unpark follows the unlock
-                // (`det_clock::fast`, memory-order argument 1).
+                // The hint says only that our store crossed the head's key.
+                // Whether that made it the successor — token free, nobody
+                // else blocking it — is decided here, under the lock and
+                // after the store (`det_clock::fast`, "No lost wake-up");
+                // the unpark follows the unlock.
                 let mut inner = sh.lock();
                 if inner.token.is_none() && inner.table.eligible(w) {
                     inner.wake_one(w, &mut self.cnt);

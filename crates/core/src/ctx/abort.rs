@@ -183,7 +183,6 @@ impl Ctx {
         }
         if inner.token == Some(me) {
             inner.token = None;
-            sh.slots.set_token_free(true);
         }
         self.holding_token = false;
         self.mark_exited(&mut inner, Some("shutdown"));

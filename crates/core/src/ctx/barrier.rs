@@ -210,7 +210,12 @@ impl Ctx {
             let bst = &mut inner.barriers[b.index()];
             bst.phase2_done += 1;
             bst.phase2_max_v = bst.phase2_max_v.max(self.v);
-            inner.wake_waiters();
+            // Only the last arriver waits on this count, and only for its
+            // final value.
+            if bst.phase2_done == parties && !is_last {
+                let last_arriver = bst.arrived[parties - 1];
+                inner.wakes.push(last_arriver);
+            }
             if is_last {
                 drop(self.await_barrier(inner, b, false, |bst| bst.phase2_done == parties));
                 let installed = pc.install(&sh.seg);

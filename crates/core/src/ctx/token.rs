@@ -131,21 +131,18 @@ impl Ctx {
             // admissible (and is woken by the broadcast on release).
             ctl.granted(self.tid.0);
         }
-        // Mirror the grant into the lock-free flag so racing publishers
-        // stop hinting wake-ups while the token is held.
-        sh.slots.set_token_free(false);
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
-        // Robustness drill: corrupt the fast scheduler once, at the first
-        // grant at or past the requested one that has a head waiter to
-        // lose, so the watchdog's detect-and-failover path is exercised
-        // end to end (Options::inject_sched_corruption).
+        // Robustness drill: corrupt the fast scheduler's mirror once, at
+        // the first grant at or past the requested one that finds a
+        // departed thread, so the watchdog's detect-and-failover path is
+        // exercised end to end (Options::inject_sched_corruption).
         if !inner.corruption_done
             && sh
                 .opts
                 .inject_sched_corruption
                 .is_some_and(|n| inner.grant_seq >= n)
-            && inner.table.corrupt_lose_head_waiter(self.tid)
+            && inner.table.corrupt_stale_departed_bound()
         {
             inner.corruption_done = true;
             eprintln!(
@@ -216,15 +213,14 @@ impl Ctx {
             inner.table.rr_advance(self.v);
         }
         self.holding_token = false;
-        // Publish the free token to racing lock-free publishers, then hand
-        // off to the unique deterministic successor. The release store of
-        // `token_free` and a publisher's slot store form the classic
-        // store-buffer pair: at least one side observes the other under
-        // SC, so no eligible waiter is ever left asleep.
-        self.sh.slots.set_token_free(true);
         // The threads we woke under the token can use their wake now.
         debug_assert!(!self.holding_token);
         inner.wakes.take(&mut self.pending);
+        // Hand off to the unique deterministic successor. A publisher that
+        // crosses the head waiter re-checks under this lock after its
+        // store, so whichever of the two sections comes later sees both
+        // the free token and the crossing: no eligible waiter is left
+        // asleep.
         inner.wake_successor(self.tid, &mut self.cnt);
     }
 

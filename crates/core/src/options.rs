@@ -46,13 +46,14 @@ pub struct Options {
     /// Clock increment added on each failed polling acquire (Kendo's
     /// tuning knob; only used with `polling_locks`).
     pub polling_increment: u64,
-    /// Scheduler kind: the clock table with its index and lock-free
-    /// publication ([`SchedKind::Fast`], the default) or the table alone,
-    /// all under one lock with unpark-everyone wake-ups
-    /// ([`SchedKind::Reference`]). Both produce bit-identical schedules
-    /// (checked by `stress --sched-diff`). The reference kind is not only
-    /// the oracle of that differential: replay forces it, and a run whose
-    /// watchdog fails over continues on it.
+    /// Scheduler kind: the clock table with its atomic mirror — lock-free
+    /// publication, eligibility read from the mirror, targeted wake-ups
+    /// ([`SchedKind::Fast`], the default) — or the table alone: locked
+    /// publication, eligibility read from the entries, unpark-everyone
+    /// wake-ups ([`SchedKind::Reference`]). Both produce bit-identical
+    /// schedules (checked by `stress --sched-diff`). The reference kind is
+    /// not only the oracle of that differential: replay forces it, and a
+    /// run whose watchdog fails over continues on it.
     pub sched: SchedKind,
     /// Base overflow interval in instructions (§3.2 uses 5 000).
     pub base_overflow: u64,
@@ -79,12 +80,14 @@ pub struct Options {
     /// logical-progress watchdog; see `docs/ROBUSTNESS.md`.
     pub watchdog_stall_ms: Option<u64>,
     /// **Deliberate scheduler corruption** for the robustness harness: at
-    /// the first token grant at or past the given one with a waiter
-    /// queued, drop the fast scheduler's head waiter from its queue (the
-    /// exact bug class `SchedTable::check_invariants` catches). The run
+    /// the first token grant at or past the given one with a thread
+    /// departed, leave that thread's pre-departure bound in its slot of
+    /// the fast scheduler's mirror, as if its `clockDepart` had been
+    /// missed (the exact bug class `SchedTable::check_invariants`
+    /// catches). Waiters past the stale bound are blocked; if the run
     /// stalls, the watchdog detects the violation and fails over to the
-    /// reference scheduler, and the run completes with
-    /// `RunReport::degraded` set. Never enable outside tests.
+    /// reference scheduler, which reads no mirror, and the run completes
+    /// with `RunReport::degraded` set. Never enable outside tests.
     pub inject_sched_corruption: Option<u64>,
     /// Number of independently tokened shard domains the `dmt-shard`
     /// subsystem partitions the run into. `1` (the default) is the

@@ -463,7 +463,7 @@ pub(crate) struct Shared {
     pub parking: Parking,
     /// Lock-free half of the fast-path scheduler (also reachable through
     /// `Inner::table` when it is the fast table): publication slots,
-    /// head-waiter key, token-free flag, watermark.
+    /// head-waiter key, watermark.
     pub slots: Arc<Slots>,
     /// Recorded grant script driving this run (replay mode). When set,
     /// token admission follows the script instead of recomputed

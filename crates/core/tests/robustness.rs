@@ -277,11 +277,12 @@ fn watchdog_diagnoses_deadlock_instead_of_hanging() {
     );
 }
 
-/// Corruption drill: deliberately drop the fast scheduler's head waiter
-/// mid-run. The watchdog must detect the invariant violation, fail over
-/// to the reference scheduler, and the run must complete correctly —
-/// degraded, not dead — on the schedule, the commit log and the virtual
-/// time of the same program run clean.
+/// Corruption drill: deliberately leave a departed thread's stale bound in
+/// the fast scheduler's mirror mid-run (a missed `clockDepart`), which
+/// blocks every later waiter. The watchdog must detect the invariant
+/// violation, fail over to the reference scheduler, and the run must
+/// complete correctly — degraded, not dead — on the schedule, the commit
+/// log and the virtual time of the same program run clean.
 #[test]
 fn fast_scheduler_corruption_fails_over_and_completes() {
     let run = |corrupt_at: Option<u64>| {
@@ -293,9 +294,9 @@ fn fast_scheduler_corruption_fails_over_and_completes() {
         // waiters.
         opts.coarsening = false;
         let mut rt = ConsequenceRuntime::new(hashed_cfg(), opts);
-        // Independent per-thread mutexes: all four threads are frequently
-        // AtSync waiting for the *token* at once, so the drill has a
-        // non-granted head waiter to lose.
+        // Independent per-thread mutexes: nobody ever blocks on a lock, so
+        // the one departed thread is main in its `join` — which only a
+        // worker's exit, many blocked grants away, can reactivate.
         let ms: Vec<_> = (0..4).map(|_| rt.create_mutex()).collect();
         let report = rt.run(Box::new(move |ctx| {
             let kids: Vec<Tid> = ms
@@ -333,6 +334,72 @@ fn fast_scheduler_corruption_fails_over_and_completes() {
     assert_eq!(drill.schedule_hash, clean.schedule_hash);
     assert_eq!(drill.commit_log_hash, clean.commit_log_hash);
     assert_eq!(drill.virtual_cycles, clean.virtual_cycles);
+}
+
+/// The wake the lock-free publication path must not lose, from both sides.
+/// Round after round `waiter` sits at its sync point behind two running
+/// threads that cross its key in steps of seeded length — so either may be
+/// the last to — while `holder`, ordered before it, keeps taking the token
+/// for coarsened runs of short critical sections. Whoever comes last under
+/// the runtime lock — a crossing publisher's re-check or the holder's
+/// release — has to wake the waiter: a lost wake is a stall the watchdog
+/// reports as a fault. And none of it is an input: the schedule is the
+/// reference scheduler's.
+#[test]
+fn publishers_crossing_a_head_waiter_under_a_held_token_lose_no_wake() {
+    const ROUNDS: u64 = 20;
+    const ROUND: u64 = 5_000;
+    let run = |sched: SchedKind, seed: u64| {
+        let opts = Options {
+            sched,
+            watchdog_stall_ms: Some(300),
+            ..Options::consequence_ic()
+        };
+        let mut rt = ConsequenceRuntime::new(hashed_cfg(), opts);
+        let (held, waited) = (rt.create_mutex(), rt.create_mutex());
+        let mut lcg = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut step = || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1);
+            1 + (lcg >> 33) % 4
+        };
+        let steps = [step(), step()];
+        let report = rt.run(Box::new(move |ctx| {
+            let waiter = ctx.spawn(Box::new(move |c| {
+                for _ in 0..ROUNDS {
+                    c.tick(ROUND);
+                    c.mutex_lock(waited);
+                    c.mutex_unlock(waited);
+                }
+            }));
+            let holder = ctx.spawn(Box::new(move |c| {
+                for _ in 0..ROUNDS * ROUND / 20 {
+                    c.mutex_lock(held);
+                    c.tick(20);
+                    c.mutex_unlock(held);
+                }
+            }));
+            let publishers = steps.map(|step| {
+                ctx.spawn(Box::new(move |c| {
+                    // Small steps: real time passes between two keys.
+                    (0..ROUNDS * ROUND / step).for_each(|_| c.tick(step));
+                }))
+            });
+            for t in [waiter, holder].into_iter().chain(publishers) {
+                ctx.join(t);
+            }
+        }));
+        let cell = format!("{sched:?} seed {seed} steps {steps:?}");
+        assert!(report.fault.is_none(), "{cell}: {:?}", report.fault);
+        assert!(!report.degraded, "{cell}");
+        report.schedule_hash
+    };
+    for seed in 0..8 {
+        assert_eq!(
+            run(SchedKind::Fast, seed),
+            run(SchedKind::Reference, seed),
+            "seed {seed}"
+        );
+    }
 }
 
 /// Seeded panic injection: the same (site, tid, nth) trigger produces the
