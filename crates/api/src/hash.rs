@@ -87,7 +87,7 @@ const LANE_SEEDS: [u64; LANES] = [
 /// through [`Fnv1a`].
 ///
 /// FNV-1a over the same bytes is 4,096 dependent multiplies; this is four
-/// chains of 128, 17x faster in `BENCH_vmem.json`'s `digest` section.
+/// chains of 128, and measured 17x faster (PR 15; `docs/PERF.md`).
 /// Like `Fnv1a` it is plain integer arithmetic with one code path, so
 /// digests are stable across platforms, toolchains and processes and can
 /// be pinned in tests and trace files.

@@ -1,31 +1,27 @@
 //! `bench` — runs or checks one of the committed benchmark artifacts.
 //!
 //! ```text
-//! bench <vmem|sched|shard|soak> [--smoke] [--out PATH]   run it, write the JSON artifact
-//! bench <vmem|sched|shard|soak> --check PATH             validate an existing artifact (CI gate)
+//! bench <sched|soak> [--smoke] [--out PATH]   run it, write the JSON artifact
+//! bench <sched|soak> --check PATH             validate an existing artifact (CI gate)
 //! ```
 //!
 //! A full run regenerates `BENCH_<name>.json` (committed at the repo root
 //! as the baseline; always use `--release`). `--smoke` shrinks grids,
 //! iteration counts and time budgets for CI. `--check` parses a document
 //! with the in-tree JSON parser and applies the artifact's validation
-//! rules — see `docs/PERF.md` (`vmem`, `sched`, `shard`) and
-//! `docs/SOAK.md` (`soak`) for the schemas.
+//! rules — see `docs/PERF.md` (`sched`) and `docs/SOAK.md` (`soak`) for
+//! the schemas.
 
 use std::process::ExitCode;
 
 use dmt_bench::artifact::{mode_label, Artifact};
 use dmt_bench::sched::SchedReport;
-use dmt_bench::shard::ShardBenchReport;
 use dmt_bench::soak::SoakReport;
-use dmt_bench::vmem::VmemReport;
 
 type Driver = fn(&[String]) -> Result<(), String>;
 
-const ARTIFACTS: [(&str, Driver); 4] = [
-    (VmemReport::NAME, drive::<VmemReport>),
+const ARTIFACTS: [(&str, Driver); 2] = [
     (SchedReport::NAME, drive::<SchedReport>),
-    (ShardBenchReport::NAME, drive::<ShardBenchReport>),
     (SoakReport::NAME, drive::<SoakReport>),
 ];
 

@@ -3,21 +3,16 @@
 //! ```text
 //! cargo run -p dmt-bench --release --bin figures -- all
 //! cargo run -p dmt-bench --release --bin figures -- fig10 [--quick]
-//! cargo run -p dmt-bench --release --bin figures -- replay [traces..]
 //! ```
 //!
 //! Prints the rows/series each figure reports and writes JSON to
 //! `target/figures/figN.json`. The `certify` command prints each
 //! deterministic runtime's schedule hash (see `docs/DETERMINISM.md`) so
-//! recorded experiment runs are self-certifying. The `replay` command
-//! re-executes recorded `.dmtrace` containers (default: `tests/corpus/`)
-//! and fails on any schedule or output divergence (see `docs/REPLAY.md`).
+//! recorded experiment runs are self-certifying.
 
 use std::time::Instant;
 
-use dmt_bench::artifact::Artifact;
 use dmt_bench::json::ToJson;
-use dmt_bench::soak::SoakReport;
 use dmt_bench::*;
 
 fn dump<T: ToJson>(name: &str, rows: &T) {
@@ -591,24 +586,6 @@ fn paper_cmd(c: &Cfg) -> bool {
     ok
 }
 
-/// `figures soak`: the bounded-resource soak (see `docs/SOAK.md` and
-/// `bench soak`, which CI drives). `--quick` runs the smoke grid.
-fn soak_cmd(quick: bool) -> bool {
-    println!("== soak: bounded-resource determinism at scale");
-    let report = SoakReport::run(quick);
-    for line in report.summary() {
-        println!("{line}");
-    }
-    dump("soak", &report);
-    match SoakReport::validate(&report.to_json()) {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!("soak FAILED: {e}");
-            false
-        }
-    }
-}
-
 fn certify_cmd(c: &Cfg) -> bool {
     use dmt_baselines::RuntimeKind;
     println!(
@@ -656,24 +633,6 @@ fn certify_cmd(c: &Cfg) -> bool {
     ok
 }
 
-/// `figures replay [paths..]`: re-executes recorded `.dmtrace`
-/// containers (default: the committed `tests/corpus/`) and checks each
-/// against its recording. Returns false on any divergence.
-fn replay_cmd(paths: &[&str]) -> bool {
-    let paths = if paths.is_empty() {
-        &["tests/corpus"]
-    } else {
-        paths
-    };
-    println!("== replay: re-executing recorded traces against the current build");
-    let (rows, ok) = replay::replay_all(paths);
-    dump("replay", &rows);
-    if !ok {
-        eprintln!("replay FAILED: a recorded schedule did not reproduce on this build");
-    }
-    ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -683,13 +642,6 @@ fn main() {
         .map(|s| s.as_str())
         .collect();
     let which = if which.is_empty() { vec!["all"] } else { which };
-    // `replay` consumes the remaining arguments as trace paths.
-    if which[0] == "replay" {
-        let t0 = Instant::now();
-        let ok = replay_cmd(&which[1..]);
-        eprintln!("total: {:.1}s", t0.elapsed().as_secs_f64());
-        std::process::exit(if ok { 0 } else { 1 });
-    }
     let c = cfg(quick);
     let t0 = Instant::now();
     let mut certified = true;
@@ -704,7 +656,6 @@ fn main() {
             "fig16" => fig16_cmd(&c),
             "extras" => extras_cmd(&c),
             "paper" => certified &= paper_cmd(&c),
-            "soak" => certified &= soak_cmd(quick),
             "certify" => certified &= certify_cmd(&c),
             "all" => {
                 fig10_cmd(&c);
@@ -719,8 +670,7 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown figure {other}; use fig10..fig16, extras, paper, soak, \
-                     certify, replay or all"
+                    "unknown figure {other}; use fig10..fig16, extras, paper, certify or all"
                 );
                 std::process::exit(2);
             }

@@ -13,10 +13,8 @@ pub mod json;
 pub mod jsonparse;
 pub mod replay;
 pub mod sched;
-pub mod shard;
 pub mod soak;
 pub mod stats;
-pub mod vmem;
 
 use consequence::Options;
 use dmt_api::{Breakdown, RunReport, Tid};

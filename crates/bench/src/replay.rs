@@ -1,5 +1,5 @@
-//! Shared record/replay drivers for the CLIs (`stress --record/--replay`,
-//! `figures replay`) and the replay-corpus test.
+//! Record/replay drivers for `stress --record/--replay` and the
+//! replay-corpus test.
 //!
 //! Recording runs a named workload under a Consequence preset with a
 //! [`DiskSink`] attached, stamps the run's identity and digests into the

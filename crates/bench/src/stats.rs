@@ -1,10 +1,10 @@
 //! Summary statistics over repeated measurements.
 //!
-//! The bench binaries repeat wall-clock measurements and report a
+//! `bench sched` repeats wall-clock measurements and reports a
 //! [`Summary`] per cell instead of a single noisy sample. The math is
 //! deliberately plain — arithmetic mean and *population* standard
-//! deviation — and pinned by unit tests so the committed baselines in
-//! `BENCH_vmem.json` stay comparable across toolchain updates.
+//! deviation — and pinned by unit tests so the committed baseline in
+//! `BENCH_sched.json` stays comparable across toolchain updates.
 
 crate::json_record! {
     /// Mean / min / max / standard deviation of a sample set.

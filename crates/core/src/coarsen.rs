@@ -20,6 +20,13 @@
 //! (others are being blocked). All inputs — chunk lengths and token order —
 //! are deterministic, so the decisions are too.
 
+/// Initial adaptive maximum coarsened-chunk length, in instructions.
+pub const INITIAL_BUDGET: u64 = 32_768;
+/// Lower bound for the adaptive maximum chunk length.
+pub const MIN_BUDGET: u64 = 16_384;
+/// Upper bound for the adaptive maximum chunk length.
+pub const BUDGET_CAP: u64 = 4 << 20;
+
 /// EWMA with α = 1/2: `est ← (est + sample) / 2`.
 ///
 /// The halving average needs no floating point, keeping every coarsening

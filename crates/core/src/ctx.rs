@@ -38,7 +38,7 @@ use dmt_api::{
     DmtResult, Job, MutexId, PanicSite, PerturbSite, RwLockId, ThreadCtx, Tid,
 };
 
-use crate::coarsen::CoarsenState;
+use crate::coarsen::{CoarsenState, BUDGET_CAP, INITIAL_BUDGET, MIN_BUDGET};
 use crate::shared::{Msg, Shared, Wakes};
 
 /// Consequence's per-thread execution context.
@@ -119,12 +119,8 @@ impl Ctx {
         let mut ovf = OverflowPolicy::new(opts.base_overflow, opts.adaptive_overflow);
         let next_pub =
             ovf.next_threshold_biased(clock, None, |iv| sh.cfg.perturb.overflow_interval(tid, iv));
-        let coarsen = CoarsenState::new(
-            opts.coarsen_initial,
-            opts.coarsen_min,
-            opts.coarsen_cap,
-            opts.static_coarsen,
-        );
+        let coarsen =
+            CoarsenState::new(INITIAL_BUDGET, MIN_BUDGET, BUDGET_CAP, opts.static_coarsen);
         let cost = sh.cfg.cost;
         sh.parking.register(tid);
         Ctx {

@@ -6,6 +6,8 @@
 
 use det_clock::{OrderPolicy, SchedKind};
 
+use crate::coarsen;
+
 /// Consequence configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
@@ -57,12 +59,6 @@ pub struct Options {
     pub sched: SchedKind,
     /// Base overflow interval in instructions (§3.2 uses 5 000).
     pub base_overflow: u64,
-    /// Initial adaptive maximum coarsened-chunk length, in instructions.
-    pub coarsen_initial: u64,
-    /// Lower bound for the adaptive maximum chunk length.
-    pub coarsen_min: u64,
-    /// Upper bound for the adaptive maximum chunk length.
-    pub coarsen_cap: u64,
     /// **Deliberate determinism bug** for the `dmt-stress` harness
     /// (`stress --inject-bug`): a thread arriving at a free token takes it
     /// without the deterministic eligibility check, so physical arrival
@@ -136,9 +132,6 @@ impl Options {
             polling_increment: 1_000,
             sched: SchedKind::Fast,
             base_overflow: det_clock::overflow::BASE_OVERFLOW,
-            coarsen_initial: 32_768,
-            coarsen_min: 16_384,
-            coarsen_cap: 4 << 20,
             inject_eligibility_bug: false,
             watchdog_stall_ms: Some(5_000),
             inject_sched_corruption: None,
@@ -204,9 +197,11 @@ impl Options {
         put(self.polling_locks as u64);
         put(self.polling_increment);
         put(self.base_overflow);
-        put(self.coarsen_initial);
-        put(self.coarsen_min);
-        put(self.coarsen_cap);
+        // The coarsening bounds are constants; they fold where the fields
+        // they replaced did, so every recorded fingerprint stays valid.
+        put(coarsen::INITIAL_BUDGET);
+        put(coarsen::MIN_BUDGET);
+        put(coarsen::BUDGET_CAP);
         put(self.inject_eligibility_bug as u64);
         put(self.inject_sched_corruption.unwrap_or(u64::MAX));
         // Shard parameters fold only when non-default, so every
@@ -351,9 +346,6 @@ mod tests {
             polling_increment: _,
             sched: _,
             base_overflow: _,
-            coarsen_initial: _,
-            coarsen_min: _,
-            coarsen_cap: _,
             inject_eligibility_bug: _,
             watchdog_stall_ms: _,
             inject_sched_corruption: _,
@@ -363,7 +355,7 @@ mod tests {
             pipeline_workers: _,
             trace_flush_pages: _,
         } = Options::consequence_ic();
-        let fingerprinted: [fn(&mut Options); 20] = [
+        let fingerprinted: [fn(&mut Options); 17] = [
             |o| o.order = OrderPolicy::RoundRobin,
             |o| o.coarsening = false,
             |o| o.static_coarsen = Some(1),
@@ -377,9 +369,6 @@ mod tests {
             |o| o.polling_locks = true,
             |o| o.polling_increment += 1,
             |o| o.base_overflow += 1,
-            |o| o.coarsen_initial += 1,
-            |o| o.coarsen_min += 1,
-            |o| o.coarsen_cap += 1,
             |o| o.inject_eligibility_bug = true,
             |o| o.inject_sched_corruption = Some(1),
             |o| o.shard_domains = 4,

@@ -13,10 +13,8 @@
 
 use std::path::Path;
 
-use dmt_bench::artifact::Artifact;
-use dmt_bench::json::{dump, ToJson};
+use dmt_bench::json::dump;
 use dmt_bench::replay::{record_all, replay_all};
-use dmt_bench::soak::SoakReport;
 use dmt_stress::report::{table, verdict};
 use dmt_stress::{
     run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_option_diff,
@@ -73,8 +71,8 @@ const MODES: [Mode; 10] = [
     Mode {
         flag: "--soak",
         value: None,
-        doc: "bounded-resource soak (256 threads with --deep), then perturb x panic x shard x record",
-        run: soak,
+        doc: "mixed-scenario matrix: perturb x panic x shard x record, 16 compositions",
+        run: |i| table("matrix", |p| run_mixed_matrix(&i.cfg, p)),
     },
     Mode {
         flag: "--trace-chaos",
@@ -125,8 +123,6 @@ struct Invocation {
     mode: &'static Mode,
     /// The mode flag's value (`--record DIR`), empty when it takes none.
     value: String,
-    /// `--deep` was given.
-    deep: bool,
     /// `"smoke"`, `"deep"`, or `"custom"` once workloads or runtimes were
     /// chosen by hand; names the matrix report.
     label: &'static str,
@@ -163,8 +159,7 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
     }
 
     let preset = preset.unwrap_or(&MODES[0]);
-    let deep = preset.flag == "--deep";
-    let mut cfg = if deep {
+    let mut cfg = if preset.flag == "--deep" {
         StressConfig::deep()
     } else {
         StressConfig::smoke()
@@ -180,7 +175,6 @@ fn parse(args: &[String]) -> Result<Invocation, String> {
     Ok(Invocation {
         mode,
         value,
-        deep,
         label,
         cfg,
     })
@@ -206,20 +200,6 @@ fn matrix(inv: &Invocation) -> bool {
         report.extra.mode = inv.label.to_string();
         report
     })
-}
-
-fn soak(inv: &Invocation) -> bool {
-    let soak = SoakReport::run(!inv.deep);
-    for line in soak.summary() {
-        println!("{line}");
-    }
-    let valid = SoakReport::validate(&soak.to_json());
-    if let Err(e) = &valid {
-        println!("soak artifact INVALID: {e}");
-    }
-    dump("target/stress", "soak", &soak);
-    println!("== mixed-scenario matrix: perturb x panic x shard x record");
-    table("matrix", |p| run_mixed_matrix(&inv.cfg, p)) && valid.is_ok()
 }
 
 fn record(inv: &Invocation) -> bool {
@@ -284,7 +264,7 @@ mod tests {
         let inv = parsed("--workloads kmeans --deep --scale 2").unwrap();
         assert_eq!((inv.cfg.seeds, inv.cfg.threads, inv.cfg.scale), (16, 8, 2));
         assert_eq!(inv.cfg.workloads, ["kmeans"]);
-        assert_eq!((inv.label, inv.deep), ("custom", true));
+        assert_eq!(inv.label, "custom");
     }
 
     #[test]

@@ -173,8 +173,11 @@ impl Trace {
                 what: "checkpoints",
             });
         }
-        let n = read_u64(ckpt_stream, 0) as usize;
-        if ckpt_stream.len() != 8 + n * 16 {
+        // The count comes from the file: compare it with what the stream
+        // holds instead of multiplying it.
+        let held = ckpt_stream.len() - 8;
+        let n = held / 16;
+        if held % 16 != 0 || read_u64(ckpt_stream, 0) != n as u64 {
             return Err(TraceError::Corrupt {
                 what: "checkpoints",
             });
@@ -200,7 +203,14 @@ impl Trace {
             });
         }
 
-        // EVENTS: decode page by page, re-deriving every checkpoint.
+        // EVENTS: decode page by page, re-deriving every checkpoint. META's
+        // count sizes the vectors, so it is first held to what the stream
+        // can encode: an event is a tag byte and at least a thread id.
+        if meta.event_count > (events_stream.len() / 2) as u64 {
+            return Err(TraceError::Corrupt {
+                what: "event count (disagrees with meta)",
+            });
+        }
         let mut events = Vec::with_capacity(meta.event_count as usize);
         let mut domains = Vec::with_capacity(meta.event_count as usize);
         let mut hash = Fnv1a::new();

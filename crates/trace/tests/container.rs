@@ -4,7 +4,10 @@
 
 use dmt_api::trace::Event;
 use dmt_api::{MutexId, Tid};
-use dmt_trace::{Trace, TraceError, TraceMeta, TraceWriter, HEADER_LEN, PAGE_EVENTS};
+use dmt_trace::format::{fnv_of, DirEntry};
+use dmt_trace::{
+    StreamId, Trace, TraceError, TraceMeta, TraceWriter, DIR_ENTRY_LEN, HEADER_LEN, PAGE_EVENTS,
+};
 
 /// Deterministic LCG over a representative event mix (multiple pages,
 /// every delta path: clocks, versions, tickets, optional tids).
@@ -242,4 +245,73 @@ fn save_round_trips_edited_events() {
     std::fs::remove_file(&path).unwrap();
     assert_eq!(t2.events, t.events);
     assert_ne!(t2.meta.schedule_hash, t.meta.schedule_hash);
+}
+
+/// A committed corpus container with stream `id` replaced by
+/// `edit(stream)` and both digests that cover it — the stream's and the
+/// directory's — recomputed. FNV-1a is a checksum, not a signature: whoever
+/// can write the file can do this, so a count read from a stream is only
+/// as trustworthy as the reader's own bounds on it.
+fn forged(id: StreamId, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+    let le = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap()) as usize;
+    let mut bytes =
+        include_bytes!("../../../tests/corpus/histogram-consequence-ic-t4-s1.dmtrace").to_vec();
+    let (dir_offset, dir_len) = (le(&bytes[16..24]), le(&bytes[24..32]));
+    let mut entries: Vec<DirEntry> = bytes[dir_offset..dir_offset + dir_len]
+        .chunks_exact(DIR_ENTRY_LEN)
+        .map(|c| DirEntry::from_bytes(c.try_into().unwrap()))
+        .collect();
+    let entry = entries.iter_mut().find(|e| e.id == id as u32).unwrap();
+    let stream = edit(&bytes[entry.offset as usize..(entry.offset + entry.len) as usize]);
+    // The forged stream goes where the directory was, a new directory
+    // pointing at it goes behind it.
+    bytes.truncate(dir_offset);
+    entry.offset = dir_offset as u64;
+    entry.len = stream.len() as u64;
+    entry.fnv = fnv_of(&stream);
+    bytes.extend_from_slice(&stream);
+    let dir: Vec<u8> = entries.iter().flat_map(|e| e.to_bytes()).collect();
+    let header = [bytes.len() as u64, dir.len() as u64, fnv_of(&dir)];
+    for (i, v) in header.into_iter().enumerate() {
+        bytes[16 + 8 * i..24 + 8 * i].copy_from_slice(&v.to_le_bytes());
+    }
+    bytes.extend_from_slice(&dir);
+    bytes
+}
+
+#[test]
+fn rejects_a_checkpoint_count_that_wraps_the_length_check() {
+    // True count + 2^60: `8 + n * 16` wraps back to the stream's real
+    // length, so an unchecked product passes the length test and then
+    // tries to collect 2^60 checkpoints.
+    let bytes = forged(StreamId::Checkpoints, |s| {
+        let n = u64::from_le_bytes(s[0..8].try_into().unwrap());
+        [&(n + (1 << 60)).to_le_bytes()[..], &s[8..]].concat()
+    });
+    assert!(matches!(
+        Trace::from_bytes(&bytes),
+        Err(TraceError::Corrupt {
+            what: "checkpoints"
+        })
+    ));
+}
+
+#[test]
+fn rejects_an_event_count_the_events_stream_cannot_hold() {
+    // META's count sizes the decoded vectors before any event is read;
+    // 2^40 events would be a 32 TB reservation. (`PartialTrace::from_bytes`
+    // reads no such total: it bounds each page's own count by
+    // `PAGE_EVENTS` and grows its vectors as pages verify.)
+    Trace::from_bytes(&forged(StreamId::Meta, <[u8]>::to_vec)).expect("an unedited forgery opens");
+    let bytes = forged(StreamId::Meta, |s| {
+        let mut meta = TraceMeta::from_bytes(s).unwrap();
+        meta.event_count = 1 << 40;
+        meta.to_bytes()
+    });
+    assert!(matches!(
+        Trace::from_bytes(&bytes),
+        Err(TraceError::Corrupt {
+            what: "event count (disagrees with meta)"
+        })
+    ));
 }

@@ -19,8 +19,8 @@
 //! The bitmap is computed once per page and reused between the twin-diff
 //! (is-this-page-modified?) and the publish/merge step, so a commit scans
 //! each dirty page once instead of twice. The original byte-loop
-//! implementations are kept as `*_bytewise` references: the `vmem` bench
-//! (`docs/PERF.md`) measures both paths and pins the speedup.
+//! implementations are kept as `*_bytewise` references for differential
+//! testing.
 
 use dmt_api::PAGE_SIZE;
 
@@ -298,8 +298,7 @@ pub fn is_modified(twin: &[u8; PAGE_SIZE], work: &[u8; PAGE_SIZE]) -> bool {
     twin != work
 }
 
-/// Reference byte-loop implementations, kept for differential testing and
-/// as the baseline the `vmem` bench compares the word path against.
+/// Reference byte-loop implementations, kept for differential testing.
 pub mod bytewise {
     use super::PAGE_SIZE;
 

@@ -1,8 +1,9 @@
 //! The pin API and collector squashing: exact `update_to` targets survive
-//! any amount of collection.
+//! any amount of collection, and a budgeted collector keeps up with a
+//! lagging reader.
 
 use conversion::Segment;
-use dmt_api::Tid;
+use dmt_api::{Tid, PAGE_SIZE};
 
 #[test]
 fn pinned_target_survives_aggressive_squashing() {
@@ -124,4 +125,30 @@ fn stale_workspace_inside_a_dropped_squash_range_is_caught() {
     seg.update(&mut c);
     assert_eq!(seg.gc(usize::MAX).dropped, 1, "[1..2] dropped whole");
     seg.update(&mut b); // base 1 needs version 2, which is gone
+}
+
+/// The Fig. 12 failure mode is the version chain outrunning the collector.
+/// A writer commits continuously, a reader updates every 64th commit, the
+/// collector gets 4 versions per commit: the retained chain must stay
+/// within twice the reader's lag the whole way.
+#[test]
+fn gc_keeps_version_chain_within_reader_window() {
+    const READER_LAG: usize = 64;
+    let seg = Segment::new(4, 2);
+    let (mut w, _) = seg.new_workspace(Tid(0));
+    let (mut r, _) = seg.new_workspace(Tid(1));
+    for i in 0..2_000 {
+        w.write_bytes((i % 4) * PAGE_SIZE, &[i as u8]);
+        seg.commit(&mut w, None);
+        seg.update(&mut w);
+        if i % READER_LAG == READER_LAG - 1 {
+            seg.update(&mut r);
+        }
+        seg.gc(4);
+        assert!(
+            seg.retained_versions() <= 2 * READER_LAG,
+            "commit {i}: {} versions retained",
+            seg.retained_versions()
+        );
+    }
 }
