@@ -160,7 +160,7 @@ impl Ctx {
         // Phase 1 (token-serialized): register dirty pages, or commit
         // serially when the parallel barrier is disabled.
         let my_idx = if let Some(pc) = &pc {
-            let (idx, registered) = pc.register(&sh.seg, self.ws(), None);
+            let (idx, registered) = pc.register(self.ws());
             let c = self.cost.commit_base / 2 + registered as u64 * self.cost.page_register;
             self.v += c;
             self.bd.commit += c;

@@ -9,7 +9,7 @@ use dmt_api::{DomainId, Fnv1a, Tid};
 use crate::codec::{decode_in_domain, CodecState};
 use crate::format::{
     fnv_of, DirEntry, StreamId, TraceError, CODEC_VERSION, CONTAINER_VERSION, DIR_ENTRY_LEN,
-    HEADER_LEN, MAGIC,
+    HEADER_LEN, MAGIC, PAGE_EVENTS,
 };
 use crate::meta::TraceMeta;
 use crate::writer::TraceWriter;
@@ -84,6 +84,116 @@ pub(crate) fn slice<'a>(
     Ok(&b[off..end])
 }
 
+/// The fixed header is present and carries this build's magic, container
+/// version and codec version: the first rule of [`Trace::from_bytes`] and
+/// of salvage alike.
+pub(crate) fn check_header(bytes: &[u8]) -> Result<(), TraceError> {
+    if bytes.len() < HEADER_LEN {
+        return Err(TraceError::Truncated { what: "header" });
+    }
+    if bytes[0..8] != MAGIC {
+        return Err(TraceError::BadMagic);
+    }
+    let container_v = read_u32(bytes, 8);
+    if container_v != CONTAINER_VERSION {
+        return Err(TraceError::BadVersion {
+            what: "container",
+            found: container_v,
+            expected: CONTAINER_VERSION,
+        });
+    }
+    let codec_v = read_u32(bytes, 40);
+    if codec_v != CODEC_VERSION {
+        return Err(TraceError::BadVersion {
+            what: "event codec",
+            found: codec_v,
+            expected: CODEC_VERSION,
+        });
+    }
+    Ok(())
+}
+
+/// One event page whose framing and digest hold; its events are not yet
+/// decoded.
+pub(crate) struct RawPage<'a> {
+    count: usize,
+    payload: &'a [u8],
+    /// Offset in the scanned bytes one past this page.
+    pub(crate) end: usize,
+}
+
+/// Reads the page framed at `pos`: its 16-byte frame is complete, its
+/// event count is in `1..=PAGE_EVENTS`, its payload is non-empty, fully
+/// present and matches the frame's FNV-1a digest. [`Trace::from_bytes`]
+/// returns the error; salvage calls the first one the tear — so a page
+/// the one accepts is a page the other accepts.
+pub(crate) fn read_page(bytes: &[u8], pos: usize) -> Result<RawPage<'_>, TraceError> {
+    if bytes.len().saturating_sub(pos) < 16 {
+        return Err(TraceError::Truncated { what: "event page" });
+    }
+    let count = read_u32(bytes, pos) as usize;
+    let len = read_u32(bytes, pos + 4);
+    let stored = read_u64(bytes, pos + 8);
+    if count == 0 || count > PAGE_EVENTS || len == 0 {
+        return Err(TraceError::Corrupt {
+            what: "event page frame",
+        });
+    }
+    let start = pos + 16;
+    let payload = slice(bytes, start as u64, len as u64, "event page payload")?;
+    let computed = fnv_of(payload);
+    if computed != stored {
+        return Err(TraceError::ChecksumMismatch {
+            what: "event page",
+            stored,
+            computed,
+        });
+    }
+    Ok(RawPage {
+        count,
+        payload,
+        end: start + payload.len(),
+    })
+}
+
+impl RawPage<'_> {
+    /// Decodes the page's events onto `events` and `domains`, folding each
+    /// into `hash`: exactly `count` events consuming exactly the payload.
+    /// All or nothing — on error the three are as they were, so a page
+    /// that is digest-valid but structurally broken contributes nothing.
+    pub(crate) fn decode_onto(
+        &self,
+        events: &mut Vec<Event>,
+        domains: &mut Vec<DomainId>,
+        hash: &mut Fnv1a,
+    ) -> Result<(), TraceError> {
+        let (before, hash_before) = (events.len(), *hash);
+        let mut st = CodecState::default();
+        let mut p = 0usize;
+        let mut decode = || {
+            for _ in 0..self.count {
+                let (domain, ev) = decode_in_domain(self.payload, &mut p, &mut st)?;
+                ev.fold_domain(domain, hash);
+                events.push(ev);
+                domains.push(domain);
+            }
+            if p != self.payload.len() {
+                return Err(TraceError::Corrupt {
+                    what: "event page length",
+                });
+            }
+            Ok(())
+        };
+        let res = decode();
+        if res.is_err() {
+            events.truncate(before);
+            domains.truncate(before);
+            *hash = hash_before;
+        }
+        res
+    }
+}
+
 /// Locates stream `id` in the directory and verifies its digest.
 /// Unknown directory ids are skipped: future minor revisions may append
 /// streams without breaking old readers.
@@ -119,28 +229,7 @@ impl Trace {
 
     /// Validates and decodes a container image already in memory.
     pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(TraceError::Truncated { what: "header" });
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let container_v = read_u32(bytes, 8);
-        if container_v != CONTAINER_VERSION {
-            return Err(TraceError::BadVersion {
-                what: "container",
-                found: container_v,
-                expected: CONTAINER_VERSION,
-            });
-        }
-        let codec_v = read_u32(bytes, 40);
-        if codec_v != CODEC_VERSION {
-            return Err(TraceError::BadVersion {
-                what: "event codec",
-                found: codec_v,
-                expected: CODEC_VERSION,
-            });
-        }
+        check_header(bytes)?;
         let dir_offset = read_u64(bytes, 16);
         let dir_len = read_u64(bytes, 24);
         let dir_fnv = read_u64(bytes, 32);
@@ -217,36 +306,9 @@ impl Trace {
         let mut pos = 0usize;
         let mut page_idx = 0usize;
         while pos < events_stream.len() {
-            if events_stream.len() - pos < 16 {
-                return Err(TraceError::Truncated { what: "event page" });
-            }
-            let count = read_u32(events_stream, pos) as usize;
-            let len = read_u32(events_stream, pos + 4) as usize;
-            let stored_fnv = read_u64(events_stream, pos + 8);
-            pos += 16;
-            let payload = slice(events_stream, pos as u64, len as u64, "event page payload")?;
-            let computed = fnv_of(payload);
-            if computed != stored_fnv {
-                return Err(TraceError::ChecksumMismatch {
-                    what: "event page",
-                    stored: stored_fnv,
-                    computed,
-                });
-            }
-            let mut st = CodecState::default();
-            let mut p = 0usize;
-            for _ in 0..count {
-                let (domain, ev) = decode_in_domain(payload, &mut p, &mut st)?;
-                ev.fold_domain(domain, &mut hash);
-                events.push(ev);
-                domains.push(domain);
-            }
-            if p != payload.len() {
-                return Err(TraceError::Corrupt {
-                    what: "event page length",
-                });
-            }
-            pos += len;
+            let page = read_page(events_stream, pos)?;
+            page.decode_onto(&mut events, &mut domains, &mut hash)?;
+            pos = page.end;
             let ck = checkpoints.get(page_idx).ok_or(TraceError::Corrupt {
                 what: "checkpoint count",
             })?;

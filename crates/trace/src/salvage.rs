@@ -24,13 +24,11 @@ use std::path::Path;
 use dmt_api::trace::Event;
 use dmt_api::{DomainId, Fnv1a};
 
-use crate::codec::{decode_in_domain, CodecState};
 use crate::format::{
-    fnv_of, TraceError, CODEC_VERSION, CONTAINER_VERSION, HEADER_LEN, IDENT_FNV_OFFSET,
-    IDENT_LEN_OFFSET, MAGIC, PAGE_EVENTS,
+    fnv_of, TraceError, HEADER_LEN, IDENT_FNV_OFFSET, IDENT_LEN_OFFSET, PAGE_EVENTS,
 };
 use crate::meta::TraceMeta;
-use crate::reader::{read_u32, read_u64, Checkpoint, Trace};
+use crate::reader::{check_header, read_page, read_u32, read_u64, Checkpoint, Trace};
 
 /// What salvage recovered and what it had to give up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,28 +103,7 @@ impl PartialTrace {
     /// Zero recovered events is still success (an empty but identified
     /// prefix); the caller decides whether that is useful.
     pub fn from_bytes(bytes: &[u8]) -> Result<PartialTrace, TraceError> {
-        if bytes.len() < HEADER_LEN {
-            return Err(TraceError::Truncated { what: "header" });
-        }
-        if bytes[0..8] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let container_v = read_u32(bytes, 8);
-        if container_v != CONTAINER_VERSION {
-            return Err(TraceError::BadVersion {
-                what: "container",
-                found: container_v,
-                expected: CONTAINER_VERSION,
-            });
-        }
-        let codec_v = read_u32(bytes, 40);
-        if codec_v != CODEC_VERSION {
-            return Err(TraceError::BadVersion {
-                what: "event codec",
-                found: codec_v,
-                expected: CODEC_VERSION,
-            });
-        }
+        check_header(bytes)?;
 
         if read_u64(bytes, 16) != 0 {
             if let Ok(trace) = Trace::from_bytes(bytes) {
@@ -170,41 +147,22 @@ impl PartialTrace {
         }
         let meta = TraceMeta::from_bytes(ident)?;
 
-        // Forward scan over self-describing pages; first invalid page is
-        // the tear. Each page decodes into scratch vectors and commits
-        // atomically, so a page that is digest-valid but structurally
-        // broken contributes nothing.
+        // Forward scan over self-describing pages; the first page that
+        // `read_page` or its decoding rejects is the tear. A page commits
+        // atomically (`decode_onto`), so one that is digest-valid but
+        // structurally broken contributes nothing.
         let mut events: Vec<Event> = Vec::new();
         let mut domains: Vec<DomainId> = Vec::new();
         let mut checkpoints: Vec<Checkpoint> = Vec::new();
         let mut hash = Fnv1a::new();
         let mut pos = events_start;
-        while let Some(page) = try_page(bytes, pos) {
-            let mut st = CodecState::default();
-            let mut p = 0usize;
-            let mut page_events = Vec::with_capacity(page.count);
-            let mut page_domains = Vec::with_capacity(page.count);
-            let mut page_hash = hash;
-            let mut ok = true;
-            for _ in 0..page.count {
-                match decode_in_domain(page.payload, &mut p, &mut st) {
-                    Ok((domain, ev)) => {
-                        ev.fold_domain(domain, &mut page_hash);
-                        page_events.push(ev);
-                        page_domains.push(domain);
-                    }
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok || p != page.payload.len() {
+        while let Ok(page) = read_page(bytes, pos) {
+            if page
+                .decode_onto(&mut events, &mut domains, &mut hash)
+                .is_err()
+            {
                 break;
             }
-            events.append(&mut page_events);
-            domains.append(&mut page_domains);
-            hash = page_hash;
             checkpoints.push(Checkpoint {
                 events: events.len() as u64,
                 hash: hash.digest(),
@@ -235,40 +193,4 @@ impl PartialTrace {
             loss,
         })
     }
-}
-
-struct RawPage<'a> {
-    count: usize,
-    payload: &'a [u8],
-    /// File offset one past this page.
-    end: usize,
-}
-
-/// Reads the page at `pos` if its framing and digest are valid; `None`
-/// marks the tear.
-fn try_page(bytes: &[u8], pos: usize) -> Option<RawPage<'_>> {
-    let rest = bytes.len().checked_sub(pos)?;
-    if rest < 16 {
-        return None;
-    }
-    let count = read_u32(bytes, pos) as usize;
-    let len = read_u32(bytes, pos + 4) as usize;
-    let stored_fnv = read_u64(bytes, pos + 8);
-    if count == 0 || count > PAGE_EVENTS || len == 0 {
-        return None;
-    }
-    let start = pos.checked_add(16)?;
-    let end = start.checked_add(len)?;
-    if end > bytes.len() {
-        return None;
-    }
-    let payload = &bytes[start..end];
-    if fnv_of(payload) != stored_fnv {
-        return None;
-    }
-    Some(RawPage {
-        count,
-        payload,
-        end,
-    })
 }

@@ -315,3 +315,20 @@ fn rejects_an_event_count_the_events_stream_cannot_hold() {
         })
     ));
 }
+
+#[test]
+fn rejects_a_page_count_the_format_does_not_allow() {
+    // `open` and `salvage` read a page frame with one function, so the
+    // bound salvage puts on a page's own count (`1..=PAGE_EVENTS`, checked
+    // before any event is decoded) is `open`'s too, with its own error.
+    let bytes = forged(StreamId::Events, |s| {
+        let over = (PAGE_EVENTS as u32 + 1).to_le_bytes();
+        [&over[..], &s[4..]].concat()
+    });
+    assert!(matches!(
+        Trace::from_bytes(&bytes),
+        Err(TraceError::Corrupt {
+            what: "event page frame"
+        })
+    ));
+}

@@ -31,7 +31,12 @@
 //!
 //! There is one commit path: the committer diffs, merges, digests and
 //! publishes under the caller's token (the paper's §2.4–2.5 commit);
-//! docs/PERF.md "Commit pipeline" records why there is no second one.
+//! docs/PERF.md "Commit pipeline" records why there is no second one. The
+//! barrier's two-phase commit is that commit with the merge hoisted out of
+//! the token, and shares every step of it: one dirty scan
+//! (`Workspace::take_modified`), one word kernel
+//! ([`merge::apply_with_map`]), one adopt-or-merge rule
+//! (`segment::build_page`) and one version installer (`SegInner::install`).
 
 pub mod merge;
 pub mod page;
@@ -49,6 +54,3 @@ pub use registry::Registry;
 pub use segment::{CommitResult, GcResult, Segment, UpdateResult};
 pub use version::Version;
 pub use workspace::Workspace;
-
-/// Sentinel committer id used for versions not attributable to one thread.
-pub const BARRIER_COMMITTER: dmt_api::Tid = dmt_api::Tid(u32::MAX);

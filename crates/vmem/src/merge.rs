@@ -10,17 +10,18 @@
 //! The *semantics* are byte-granular, but the *implementation* is not: the
 //! hot path compares and merges in `u64` words and records which words
 //! differ in a per-page [`DirtyMap`] bitmap (one bit per 8-byte word, 64
-//! bytes per page). Byte work happens only inside dirty words, and only
-//! when the latest committed word actually changed since fault time —
-//! otherwise the whole working word is adopted, which is byte-identical
-//! because every byte the committer left untouched still equals the twin
-//! (and thus the latest) value.
+//! bytes per page). Byte work happens only inside dirty words, as a
+//! branch-free select between the working and the latest word.
 //!
-//! The bitmap is computed once per page and reused between the twin-diff
-//! (is-this-page-modified?) and the publish/merge step, so a commit scans
-//! each dirty page once instead of twice. The original byte-loop
-//! implementations are kept as `*_bytewise` references for differential
-//! testing.
+//! The bitmap is made once per page — by `Workspace::take_modified`, the
+//! one dirty scan of both commits, where it also answers "was this page
+//! modified?" — and consumed by [`apply_with_map`], the one word kernel.
+//! The kernel picks between walking a limb's set bits and rewriting the
+//! whole limb from the limb's own popcount, and the end-to-end benchmark
+//! has a workload on each side of that test (docs/PERF.md "Merge
+//! kernels"). [`apply_diff`] and [`merge_into`] wrap it for callers that
+//! hold no map; the original byte loops are kept in [`bytewise`] as the
+//! reference the tests compare against.
 
 use dmt_api::PAGE_SIZE;
 
@@ -89,72 +90,6 @@ impl DirtyMap {
     pub fn is_clean(&self) -> bool {
         self.bits.iter().all(|b| *b == 0)
     }
-
-    /// Number of dirty words.
-    #[inline]
-    pub fn dirty_words(&self) -> u32 {
-        self.bits.iter().map(|b| b.count_ones()).sum()
-    }
-
-    /// Iterates the dirty word indices in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(limb, &b)| {
-            let mut b = b;
-            std::iter::from_fn(move || {
-                if b == 0 {
-                    return None;
-                }
-                let i = b.trailing_zeros() as usize;
-                b &= b - 1;
-                Some(limb * 64 + i)
-            })
-        })
-    }
-}
-
-/// Merges one committed page using a precomputed [`DirtyMap`].
-///
-/// `twin` is the page as it looked when the committing thread faulted it,
-/// `work` the thread's working copy, and `latest` the currently committed
-/// page (which may contain other threads' newer writes). The result takes
-/// `work[i]` wherever the thread modified byte `i` and `latest[i]`
-/// elsewhere. Returns the number of bytes the committing thread
-/// contributed.
-///
-/// `out` must already hold a copy of `latest` (clean words are not
-/// touched); [`merge_into`] handles the general case.
-pub fn merge_with_map(
-    map: &DirtyMap,
-    twin: &[u8; PAGE_SIZE],
-    work: &[u8; PAGE_SIZE],
-    latest: &[u8; PAGE_SIZE],
-    out: &mut [u8; PAGE_SIZE],
-) -> usize {
-    let mut changed = 0;
-    for (limb, &bitset) in map.bits.iter().enumerate() {
-        if bitset == 0 {
-            continue;
-        }
-        if bitset.count_ones() >= DENSE_LIMB {
-            changed += merge_limb_dense(limb, twin, work, latest, out);
-            continue;
-        }
-        let mut b = bitset;
-        while b != 0 {
-            let w = limb * 64 + b.trailing_zeros() as usize;
-            b &= b - 1;
-            let wk = word(work, w);
-            // Byte-select, branch-free: bytes the committer changed take
-            // the working value, every other byte keeps the latest value.
-            // This subsumes the uncontended case (latest == twin), where
-            // the unchanged bytes of `wk` already equal `latest`.
-            let lo = byte_diff_lo(word(twin, w), wk);
-            changed += lo.count_ones() as usize;
-            let m = lo * 0xff;
-            set_word(out, w, (wk & m) | (word(latest, w) & !m));
-        }
-    }
-    changed
 }
 
 /// Dirty words per 64-word limb above which it is cheaper to merge the
@@ -163,37 +98,18 @@ pub fn merge_with_map(
 /// over itself, which is harmless.
 const DENSE_LIMB: u32 = 12;
 
-/// Branch-free byte-LWW merge of one full 512-byte limb stripe.
-#[inline]
-fn merge_limb_dense(
-    limb: usize,
-    twin: &[u8; PAGE_SIZE],
-    work: &[u8; PAGE_SIZE],
-    latest: &[u8; PAGE_SIZE],
-    out: &mut [u8; PAGE_SIZE],
-) -> usize {
-    let base = limb * 512;
-    let mut changed = 0;
-    let t = twin[base..base + 512].chunks_exact(8);
-    let k = work[base..base + 512].chunks_exact(8);
-    let l = latest[base..base + 512].chunks_exact(8);
-    let o = out[base..base + 512].chunks_exact_mut(8);
-    for (((ob, tb), kb), lb) in o.zip(t).zip(k).zip(l) {
-        let tw = u64::from_ne_bytes(tb.try_into().expect("8-byte chunk"));
-        let wk = u64::from_ne_bytes(kb.try_into().expect("8-byte chunk"));
-        let lt = u64::from_ne_bytes(lb.try_into().expect("8-byte chunk"));
-        let lo = byte_diff_lo(tw, wk);
-        changed += lo.count_ones() as usize;
-        let m = lo * 0xff;
-        ob.copy_from_slice(&((wk & m) | (lt & !m)).to_ne_bytes());
-    }
-    changed
-}
-
-/// Applies a thread's diff (`work` vs `twin`, precomputed as `map`) in
-/// place onto `out`. Equivalent to [`merge_with_map`] with `latest`
-/// pre-loaded into `out`; used by the parallel barrier commit, which
-/// applies several diffs to one page in commit order.
+/// The word kernel — the only one: applies a thread's diff (`work` against
+/// `twin`, precomputed as `map`) in place onto `out`.
+///
+/// `twin` is the page as it looked when the committing thread faulted it,
+/// `work` the thread's working copy, and `out` holds the currently
+/// committed page (which may contain other threads' newer writes). `out`
+/// takes `work[i]` wherever the thread modified byte `i` and keeps its own
+/// byte elsewhere; clean words are not touched. Returns the number of bytes
+/// the committing thread contributed.
+///
+/// The serial commit applies one diff to a copy of the latest page; the
+/// parallel barrier commit applies several to one copy, in commit order.
 pub fn apply_with_map(
     map: &DirtyMap,
     twin: &[u8; PAGE_SIZE],
@@ -214,6 +130,10 @@ pub fn apply_with_map(
             let w = limb * 64 + b.trailing_zeros() as usize;
             b &= b - 1;
             let wk = word(work, w);
+            // Byte-select, branch-free: bytes the committer changed take
+            // the working value, every other byte keeps the latest value.
+            // This subsumes the uncontended case (latest == twin), where
+            // the unchanged bytes of `wk` already equal `latest`.
             let lo = byte_diff_lo(word(twin, w), wk);
             changed += lo.count_ones() as usize;
             let m = lo * 0xff;
@@ -223,8 +143,8 @@ pub fn apply_with_map(
     changed
 }
 
-/// In-place variant of [`merge_limb_dense`]: `out` doubles as the latest
-/// value, as in [`apply_with_map`].
+/// Branch-free byte-LWW merge of one full 512-byte limb stripe, in place:
+/// `out` doubles as the latest value, as in [`apply_with_map`].
 #[inline]
 fn apply_limb_dense(
     limb: usize,
@@ -249,53 +169,27 @@ fn apply_limb_dense(
     changed
 }
 
-/// Merges one committed page (see [`merge_with_map`] for the semantics).
-///
-/// Unlike the commit path — which computes a [`DirtyMap`] first because it
-/// needs the is-clean answer before allocating an output page — this entry
-/// point produces `out` in a single fused, branch-free pass: every word is
-/// a byte-select between `work` (bytes the committer changed) and `latest`
-/// (everything else), so no bitmap, no pre-copy of `latest`, and no second
-/// scan. Clean words degenerate to copying the `latest` word.
+/// Applies a thread's diff (`work` vs `twin`) in place onto `out`: the
+/// diff a commit gets from `Workspace::take_modified`, then the kernel.
+pub fn apply_diff(
+    twin: &[u8; PAGE_SIZE],
+    work: &[u8; PAGE_SIZE],
+    out: &mut [u8; PAGE_SIZE],
+) -> usize {
+    apply_with_map(&DirtyMap::diff(twin, work), twin, work, out)
+}
+
+/// Merges one committed page into `out` the way [`crate::Segment::commit`]
+/// does: copy `latest`, then [`apply_diff`]. Kept for the differential
+/// tests and `e2e/`'s `vmem.merge_ns_per_page` probe; no commit calls it.
 pub fn merge_into(
     twin: &[u8; PAGE_SIZE],
     work: &[u8; PAGE_SIZE],
     latest: &[u8; PAGE_SIZE],
     out: &mut [u8; PAGE_SIZE],
 ) -> usize {
-    let mut changed = 0;
-    let t = twin.chunks_exact(8);
-    let k = work.chunks_exact(8);
-    let l = latest.chunks_exact(8);
-    let o = out.chunks_exact_mut(8);
-    for (((ob, tb), kb), lb) in o.zip(t).zip(k).zip(l) {
-        let tw = u64::from_ne_bytes(tb.try_into().expect("8-byte chunk"));
-        let wk = u64::from_ne_bytes(kb.try_into().expect("8-byte chunk"));
-        let lt = u64::from_ne_bytes(lb.try_into().expect("8-byte chunk"));
-        let lo = byte_diff_lo(tw, wk);
-        changed += lo.count_ones() as usize;
-        let m = lo * 0xff;
-        ob.copy_from_slice(&((wk & m) | (lt & !m)).to_ne_bytes());
-    }
-    changed
-}
-
-/// Applies a thread's diff (`work` vs `twin`) in place onto `out`.
-///
-/// Equivalent to [`merge_into`] with `latest` pre-loaded into `out`.
-pub fn apply_diff(
-    twin: &[u8; PAGE_SIZE],
-    work: &[u8; PAGE_SIZE],
-    out: &mut [u8; PAGE_SIZE],
-) -> usize {
-    let map = DirtyMap::diff(twin, work);
-    apply_with_map(&map, twin, work, out)
-}
-
-/// Whether `work` differs from `twin` anywhere (i.e. the fault was followed
-/// by an actual modification).
-pub fn is_modified(twin: &[u8; PAGE_SIZE], work: &[u8; PAGE_SIZE]) -> bool {
-    twin != work
+    *out = *latest;
+    apply_diff(twin, work, out)
 }
 
 /// Reference byte-loop implementations, kept for differential testing.
@@ -336,11 +230,6 @@ pub mod bytewise {
         }
         changed
     }
-
-    /// Byte-loop modification test.
-    pub fn is_modified(twin: &[u8; PAGE_SIZE], work: &[u8; PAGE_SIZE]) -> bool {
-        (0..PAGE_SIZE).any(|i| twin[i] != work[i])
-    }
 }
 
 #[cfg(test)]
@@ -378,23 +267,7 @@ mod tests {
         let mut out = Box::new([0u8; PAGE_SIZE]);
         assert_eq!(merge_into(&twin, &work, &latest, &mut out), 0);
         assert_eq!(&out[..], &latest[..]);
-        assert!(!is_modified(&twin, &work));
         assert!(DirtyMap::diff(&twin, &work).is_clean());
-    }
-
-    #[test]
-    fn apply_diff_matches_merge_into() {
-        let twin = page(|i| (i % 7) as u8);
-        let mut work = page(|i| (i % 7) as u8);
-        work[0] = 0xff;
-        work[4095] = 0xee;
-        let latest = page(|i| (i % 11) as u8);
-        let mut out_a = Box::new([0u8; PAGE_SIZE]);
-        merge_into(&twin, &work, &latest, &mut out_a);
-        let mut out_b = Box::new(*latest);
-        let changed = apply_diff(&twin, &work, &mut out_b);
-        assert_eq!(changed, 2);
-        assert_eq!(&out_a[..], &out_b[..]);
     }
 
     #[test]
@@ -446,51 +319,59 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             seed >> 33
         };
+        let twin = page(|i| (i % 17) as u8);
+        let mut cases: Vec<(String, Box<[u8; PAGE_SIZE]>)> = Vec::new();
         for density in [0usize, 1, 8, 64, 400, PAGE_SIZE] {
-            let twin = page(|i| (i % 17) as u8);
             let mut work = Box::new(*twin);
             for _ in 0..density {
                 let i = (rnd() as usize) % PAGE_SIZE;
                 work[i] = work[i].wrapping_add(1 + (rnd() % 255) as u8);
             }
-            let latest = page(|i| {
-                if i % 3 == 0 {
-                    (i % 101) as u8
-                } else {
-                    (i % 17) as u8
-                }
-            });
+            cases.push((format!("density {density}"), work));
+        }
+        // Either side of `DENSE_LIMB`: limb 3 holds exactly 11, 12 and 13
+        // dirty words (one byte of every fifth word), every other limb is
+        // clean. `latest` below differs from the twin at every third byte,
+        // so it conflicts inside the dirty words and differs inside clean
+        // words of the dense limb, which the stripe rewrites over itself.
+        for words in [DENSE_LIMB - 1, DENSE_LIMB, DENSE_LIMB + 1] {
+            let mut work = Box::new(*twin);
+            for w in 0..words as usize {
+                let i = 3 * 512 + w * 40 + w % 8;
+                work[i] = work[i].wrapping_add(1);
+            }
+            let per_limb = DirtyMap::diff(&twin, &work).bits.map(u64::count_ones);
+            assert_eq!(per_limb, [0, 0, 0, words, 0, 0, 0, 0]);
+            cases.push((format!("{words} words in one limb"), work));
+        }
+        let latest = page(|i| {
+            if i % 3 == 0 {
+                (i % 101) as u8
+            } else {
+                (i % 17) as u8
+            }
+        });
+        for (case, work) in &cases {
             let mut fast = Box::new([0u8; PAGE_SIZE]);
-            let fast_n = merge_into(&twin, &work, &latest, &mut fast);
+            let fast_n = merge_into(&twin, work, &latest, &mut fast);
             let mut slow = Box::new([0u8; PAGE_SIZE]);
-            let slow_n = bytewise::merge_into(&twin, &work, &latest, &mut slow);
-            assert_eq!(fast_n, slow_n, "changed-byte count (density {density})");
-            assert_eq!(&fast[..], &slow[..], "merge bytes (density {density})");
+            let slow_n = bytewise::merge_into(&twin, work, &latest, &mut slow);
+            assert_eq!(fast_n, slow_n, "changed-byte count ({case})");
+            assert_eq!(&fast[..], &slow[..], "merge bytes ({case})");
 
             let mut fast_in = Box::new(*latest);
             let mut slow_in = Box::new(*latest);
             assert_eq!(
-                apply_diff(&twin, &work, &mut fast_in),
-                bytewise::apply_diff(&twin, &work, &mut slow_in),
+                apply_diff(&twin, work, &mut fast_in),
+                bytewise::apply_diff(&twin, work, &mut slow_in),
+                "changed-byte count in place ({case})"
             );
-            assert_eq!(&fast_in[..], &slow_in[..]);
+            assert_eq!(&fast_in[..], &slow_in[..], "bytes in place ({case})");
             assert_eq!(
-                is_modified(&twin, &work),
-                bytewise::is_modified(&twin, &work)
+                !DirtyMap::diff(&twin, work).is_clean(),
+                slow_n != 0,
+                "modified ({case})"
             );
         }
-    }
-
-    #[test]
-    fn dirty_map_iterates_exact_word_set() {
-        let twin = page(|_| 0);
-        let mut work = page(|_| 0);
-        work[0] = 1; // word 0
-        work[15] = 1; // word 1
-        work[4088] = 1; // word 511
-        let map = DirtyMap::diff(&twin, &work);
-        assert_eq!(map.iter().collect::<Vec<_>>(), vec![0, 1, 511]);
-        assert_eq!(map.dirty_words(), 3);
-        assert!(!map.is_clean());
     }
 }

@@ -32,7 +32,6 @@ pub struct PageTracker {
     peak: AtomicUsize,
     pool: Mutex<Vec<Box<[u8; PAGE_SIZE]>>>,
     pool_hits: AtomicU64,
-    pool_misses: AtomicU64,
 }
 
 impl PageTracker {
@@ -56,11 +55,6 @@ impl PageTracker {
         self.pool_hits.load(Ordering::Relaxed)
     }
 
-    /// Page allocations that fell through to the system allocator.
-    pub fn pool_misses(&self) -> u64 {
-        self.pool_misses.load(Ordering::Relaxed)
-    }
-
     /// Free pages currently parked in the pool.
     pub fn pooled(&self) -> usize {
         self.pool.lock().len()
@@ -79,16 +73,10 @@ impl PageTracker {
     /// pool is empty.
     fn take(&self) -> Option<Box<[u8; PAGE_SIZE]>> {
         let got = self.pool.lock().pop();
-        match got {
-            Some(b) => {
-                self.pool_hits.fetch_add(1, Ordering::Relaxed);
-                Some(b)
-            }
-            None => {
-                self.pool_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        if got.is_some() {
+            self.pool_hits.fetch_add(1, Ordering::Relaxed);
         }
+        got
     }
 
     fn park(&self, buf: Box<[u8; PAGE_SIZE]>) {

@@ -13,45 +13,41 @@
 //! 3. **Install:** the merged pages are published as one version per
 //!    participant (in registration order, pages attributed to their last
 //!    writer), after which every thread updates its workspace.
+//!
+//! Only the staging is this module's own. What is registered
+//! (`Workspace::take_modified`), how a page is built from its diffs
+//! (`segment::build_page`) and how a version is published
+//! (`SegInner::install`) are [`Segment::commit`]'s, called from here.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
-use dmt_api::{Tid, VectorClock};
+use dmt_api::Tid;
 
-use crate::merge;
-use crate::page::{PageBuf, PageRef};
-use crate::segment::Segment;
-use crate::workspace::Workspace;
+use crate::page::PageRef;
+use crate::segment::{build_page, Segment};
+use crate::workspace::{Diff, Workspace};
 
-/// One registered diff: a thread's modification of one page. The dirty-word
-/// bitmap is computed once at registration (where it also answers the
-/// is-modified test) and reused by every phase-2 merge of this diff.
-#[derive(Clone)]
-struct Diff {
-    participant: usize,
-    twin: PageRef,
-    work: PageRef,
-    map: merge::DirtyMap,
-}
-
+#[derive(Default)]
 struct PagePlan {
-    page: u32,
-    /// Latest committed content captured at first registration.
-    base: PageRef,
+    /// The page's last registered writer: it merges the page in phase 2
+    /// and is credited with it at install (a deterministic partition).
+    last: usize,
     /// Diffs in registration (= commit) order.
     diffs: Vec<Diff>,
 }
 
 #[derive(Default)]
 struct PcInner {
-    participants: Vec<(Tid, Option<Arc<VectorClock>>)>,
-    /// Plan entries in ascending page order of first registration.
-    plan: Vec<PagePlan>,
-    /// page -> index into `plan`.
-    index: std::collections::HashMap<u32, usize>,
-    sealed: bool,
+    participants: Vec<Tid>,
+    /// Page -> what was registered for it; emptied by `seal`.
+    plan: BTreeMap<u32, PagePlan>,
+    /// The plan in page order, each entry with the merge base captured
+    /// for it at `seal`. Immutable from then on, so phase 2 reads it
+    /// without the mutex.
+    sealed: Option<Arc<Vec<(u32, PageRef, PagePlan)>>>,
 }
 
 /// Statistics from one participant's phase-2 merge work.
@@ -85,48 +81,18 @@ impl ParallelCommit {
     /// # Panics
     ///
     /// Panics if called after [`seal`](Self::seal).
-    pub fn register(
-        &self,
-        seg: &Segment,
-        ws: &mut Workspace,
-        vc: Option<Arc<VectorClock>>,
-    ) -> (usize, u32) {
+    pub fn register(&self, ws: &mut Workspace) -> (usize, u32) {
         let mut inner = self.inner.lock();
-        assert!(!inner.sealed, "register after seal");
+        assert!(inner.sealed.is_none(), "register after seal");
         let participant = inner.participants.len();
-        inner.participants.push((ws.tid(), vc));
-        let dirty = ws.take_dirty();
+        inner.participants.push(ws.tid());
         let mut registered = 0;
-        for (p, d) in dirty {
-            let map = merge::DirtyMap::diff(d.twin.bytes(), d.work.bytes());
-            if map.is_clean() {
-                continue;
-            }
+        ws.take_modified(|d| {
             registered += 1;
-            let work: PageRef = PageRef::from(d.work);
-            if let Some(&i) = inner.index.get(&p) {
-                inner.plan[i].diffs.push(Diff {
-                    participant,
-                    twin: d.twin,
-                    work,
-                    map,
-                });
-            } else {
-                let base = seg.latest_page(p);
-                let i = inner.plan.len();
-                inner.plan.push(PagePlan {
-                    page: p,
-                    base,
-                    diffs: vec![Diff {
-                        participant,
-                        twin: d.twin,
-                        work,
-                        map,
-                    }],
-                });
-                inner.index.insert(p, i);
-            }
-        }
+            let e = inner.plan.entry(d.page).or_default();
+            e.last = participant;
+            e.diffs.push(d);
+        });
         (participant, registered)
     }
 
@@ -134,20 +100,16 @@ impl ParallelCommit {
     ///
     /// The caller must hold whatever serializes commits (the global token)
     /// from before this call until [`install`](Self::install) returns:
-    /// every page's merge base is re-captured *here*, so commits that
-    /// happened between early registrations and the seal (threads that
-    /// performed other synchronization before arriving) are preserved.
+    /// every page's merge base is captured *here*, not at registration, so
+    /// commits that happened between early registrations and the seal
+    /// (threads that performed other synchronization before arriving) are
+    /// preserved.
     pub fn seal(&self, seg: &Segment) {
         let mut inner = self.inner.lock();
-        for e in inner.plan.iter_mut() {
-            e.base = seg.latest_page(e.page);
-        }
-        inner.sealed = true;
-    }
-
-    /// Number of registered participants.
-    pub fn participants(&self) -> usize {
-        self.inner.lock().participants.len()
+        let plan = std::mem::take(&mut inner.plan);
+        let bases = seg.latest_pages(plan.keys().copied());
+        let sealed = plan.into_iter().zip(bases);
+        inner.sealed = Some(Arc::new(sealed.map(|((p, e), b)| (p, b, e)).collect()));
     }
 
     /// Phase 2: merges the pages assigned to `participant` (those whose
@@ -158,34 +120,20 @@ impl ParallelCommit {
     ///
     /// Panics if called before [`seal`](Self::seal).
     pub fn merge_for(&self, participant: usize) -> MergeWork {
-        let mine: Vec<(u32, PageRef, Vec<Diff>)> = {
-            let inner = self.inner.lock();
-            assert!(inner.sealed, "merge_for before seal");
-            inner
-                .plan
-                .iter()
-                .filter(|e| e.diffs.last().map(|d| d.participant) == Some(participant))
-                .map(|e| (e.page, Arc::clone(&e.base), e.diffs.clone()))
-                .collect()
-        };
+        let sealed = Arc::clone(
+            self.inner
+                .lock()
+                .sealed
+                .as_ref()
+                .expect("merge_for before seal"),
+        );
         let mut work = MergeWork::default();
-        let mut out: Vec<(u32, PageRef, usize)> = Vec::with_capacity(mine.len());
-        for (page, base, diffs) in mine {
+        let mut out: Vec<(u32, PageRef, usize)> = Vec::new();
+        for (p, base, e) in sealed.iter().filter(|(_, _, e)| e.last == participant) {
+            let (page, merged) = build_page(base, &e.diffs);
             work.pages += 1;
-            let last = diffs.last().expect("plan entry without diffs").participant;
-            let sole_clean = diffs.len() == 1 && Arc::ptr_eq(&base, &diffs[0].twin);
-            let merged: PageRef = if sole_clean {
-                // Single writer of an unchanged page: adopt its copy.
-                Arc::clone(&diffs[0].work)
-            } else {
-                work.merged += 1;
-                let mut buf = Box::new(PageBuf::duplicate(&base));
-                for d in &diffs {
-                    merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), buf.bytes_mut());
-                }
-                PageRef::from(buf)
-            };
-            out.push((page, merged, last));
+            work.merged += merged as u32;
+            out.push((*p, page, e.last));
         }
         self.results.lock().extend(out);
         work
@@ -201,8 +149,8 @@ impl ParallelCommit {
         let inner = self.inner.lock();
         let mut results = self.results.lock();
         debug_assert_eq!(
-            results.len(),
-            inner.plan.len(),
+            Some(results.len()),
+            inner.sealed.as_ref().map(|s| s.len()),
             "install before all merges finished"
         );
         let mut per: Vec<Vec<(u32, PageRef)>> = vec![Vec::new(); inner.participants.len()];
@@ -210,19 +158,13 @@ impl ParallelCommit {
         for (page, content, last) in results.drain(..) {
             per[last].push((page, content));
         }
-        let built: Vec<_> = per
-            .into_iter()
-            .enumerate()
-            .map(|(i, pages)| {
-                let (tid, vc) = &inner.participants[i];
-                (*tid, pages, vc.clone())
-            })
-            .collect();
-        let counts: Vec<(Tid, u32)> = built
+        let counts = inner
+            .participants
             .iter()
-            .map(|(t, pages, _)| (*t, pages.len() as u32))
+            .zip(&per)
+            .map(|(t, pages)| (*t, pages.len() as u32))
             .collect();
-        seg.install_versions(built);
+        seg.install_versions(inner.participants.iter().copied().zip(per).collect());
         counts
     }
 }
@@ -236,6 +178,20 @@ impl Default for ParallelCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One whole barrier commit: `ws` register in order, the plan is
+    /// sealed, everyone merges, the result is installed.
+    fn barrier_commit(seg: &Segment, ws: &mut [Workspace]) -> Vec<(Tid, u32)> {
+        let pc = ParallelCommit::new();
+        for w in ws.iter_mut() {
+            pc.register(w);
+        }
+        pc.seal(seg);
+        for i in 0..ws.len() {
+            pc.merge_for(i);
+        }
+        pc.install(seg)
+    }
 
     /// Runs the same writes through a serial commit sequence and through a
     /// parallel commit; final segment bytes must be identical.
@@ -268,15 +224,7 @@ mod tests {
             for (t, addr, data) in &writes {
                 ws[t.index()].write_bytes(*addr, data);
             }
-            let pc = ParallelCommit::new();
-            for w in ws.iter_mut() {
-                pc.register(&seg, w, None);
-            }
-            pc.seal(&seg);
-            for i in 0..3 {
-                pc.merge_for(i);
-            }
-            pc.install(&seg);
+            barrier_commit(&seg, &mut ws);
             let mut buf = vec![0u8; seg.len()];
             seg.read_latest(0, &mut buf);
             buf
@@ -373,16 +321,10 @@ mod tests {
         const N: usize = 5;
         let seg = Segment::new(N, N);
         let mut ws: Vec<Workspace> = (0..N).map(|t| seg.new_workspace(Tid(t as u32)).0).collect();
-        let pc = ParallelCommit::new();
         for (i, w) in ws.iter_mut().enumerate() {
             w.write_bytes(i * dmt_api::PAGE_SIZE, &[i as u8 + 1]);
-            pc.register(&seg, w, None);
         }
-        pc.seal(&seg);
-        for i in 0..N {
-            pc.merge_for(i);
-        }
-        pc.install(&seg);
+        barrier_commit(&seg, &mut ws);
         assert_eq!(seg.retained_versions(), N);
         assert!(
             seg.retained_peak() >= N,
@@ -398,13 +340,7 @@ mod tests {
         let mut b = seg.new_workspace(Tid(1)).0;
         a.write_bytes(0, &[10]);
         b.write_bytes(0, &[20]);
-        let pc = ParallelCommit::new();
-        pc.register(&seg, &mut a, None);
-        pc.register(&seg, &mut b, None);
-        pc.seal(&seg);
-        pc.merge_for(0);
-        pc.merge_for(1);
-        pc.install(&seg);
+        barrier_commit(&seg, &mut [a, b]);
         let mut buf = [0u8; 1];
         seg.read_latest(0, &mut buf);
         assert_eq!(buf[0], 20, "registration order = commit order");
@@ -420,8 +356,8 @@ mod tests {
         b.write_bytes(4097, &[2]);
         b.write_bytes(8192, &[2]); // page 2: only B
         let pc = ParallelCommit::new();
-        pc.register(&seg, &mut a, None);
-        pc.register(&seg, &mut b, None);
+        pc.register(&mut a);
+        pc.register(&mut b);
         pc.seal(&seg);
         let wa = pc.merge_for(0);
         let wb = pc.merge_for(1);
@@ -436,36 +372,71 @@ mod tests {
     #[test]
     fn updates_after_install_see_merged_state() {
         let seg = Segment::new(2, 4);
-        let mut a = seg.new_workspace(Tid(0)).0;
-        let mut b = seg.new_workspace(Tid(1)).0;
-        a.write_bytes(0, &[1]);
-        b.write_bytes(1, &[2]);
-        let pc = ParallelCommit::new();
-        pc.register(&seg, &mut a, None);
-        pc.register(&seg, &mut b, None);
-        pc.seal(&seg);
-        pc.merge_for(0);
-        pc.merge_for(1);
-        pc.install(&seg);
-        seg.update(&mut a);
-        seg.update(&mut b);
-        let mut buf = [0u8; 2];
-        a.read_bytes(0, &mut buf);
-        assert_eq!(buf, [1, 2]);
-        b.read_bytes(0, &mut buf);
-        assert_eq!(buf, [1, 2]);
+        let mut ws = [seg.new_workspace(Tid(0)).0, seg.new_workspace(Tid(1)).0];
+        ws[0].write_bytes(0, &[1]);
+        ws[1].write_bytes(1, &[2]);
+        barrier_commit(&seg, &mut ws);
+        for w in ws.iter_mut() {
+            seg.update(w);
+            let mut buf = [0u8; 2];
+            w.read_bytes(0, &mut buf);
+            assert_eq!(buf, [1, 2]);
+        }
     }
 
     #[test]
     fn empty_participants_create_no_versions() {
         let seg = Segment::new(1, 2);
         let mut a = seg.new_workspace(Tid(0)).0;
+        let mut b = seg.new_workspace(Tid(1)).0;
+        let before = b.ld_u64(0);
+        b.st_u64(0, before); // fault, but write the same value
         let pc = ParallelCommit::new();
-        pc.register(&seg, &mut a, None);
+        assert_eq!(pc.register(&mut a), (0, 0));
+        assert_eq!(pc.register(&mut b), (1, 0), "an unmodified page");
         pc.seal(&seg);
-        pc.merge_for(0);
+        assert_eq!(pc.merge_for(0), MergeWork::default());
+        assert_eq!(pc.merge_for(1), MergeWork::default());
         let counts = pc.install(&seg);
-        assert_eq!(counts, vec![(Tid(0), 0)]);
+        assert_eq!(counts, vec![(Tid(0), 0), (Tid(1), 0)]);
         assert_eq!(seg.latest_id(), 0);
+    }
+
+    /// Why the merge bases are captured at `seal` and not at registration:
+    /// a thread that is not a party commits between an early arrival and
+    /// the last one, and its bytes must survive the install — on a page
+    /// two parties merge, and on a page whose sole writer would otherwise
+    /// be adopted wholesale.
+    #[test]
+    fn foreign_commit_between_registration_and_seal_survives() {
+        let seg = Segment::new(2, 4);
+        let mut a = seg.new_workspace(Tid(0)).0;
+        let mut b = seg.new_workspace(Tid(1)).0;
+        let mut c = seg.new_workspace(Tid(2)).0;
+        a.write_bytes(0, &[1]);
+        a.write_bytes(4096, &[4]); // page 1: A alone among the parties
+        b.write_bytes(8, &[2]);
+        c.write_bytes(16, &[3]);
+        c.write_bytes(4096 + 16, &[5]);
+        let pc = ParallelCommit::new();
+        pc.register(&mut a);
+        assert_eq!(seg.commit(&mut c, None).pages, 2);
+        pc.register(&mut b);
+        pc.seal(&seg);
+        let one_merged = MergeWork {
+            pages: 1,
+            merged: 1,
+        };
+        assert_eq!(pc.merge_for(0), one_merged, "page 1: A's twin is stale");
+        assert_eq!(pc.merge_for(1), one_merged, "page 0: B registered last");
+        pc.install(&seg);
+        let mut buf = [0u8; 4096 + 24];
+        seg.read_latest(0, &mut buf);
+        assert_eq!(
+            (buf[0], buf[8], buf[16]),
+            (1, 2, 3),
+            "A's, B's and C's bytes"
+        );
+        assert_eq!((buf[4096], buf[4096 + 16]), (4, 5), "A's and C's bytes");
     }
 }

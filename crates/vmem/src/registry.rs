@@ -28,11 +28,6 @@ impl Registry {
         }
     }
 
-    /// Number of slots.
-    pub fn slots(&self) -> usize {
-        self.bases.len()
-    }
-
     /// Marks `tid` live with base version `base`.
     ///
     /// # Panics

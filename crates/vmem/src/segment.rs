@@ -5,17 +5,17 @@ use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
-use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, VectorClock, PAGE_SIZE};
+use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
 
 use crate::merge;
 use crate::page::{PageBuf, PageRef, PageTracker};
 use crate::registry::Registry;
 use crate::version::Version;
-use crate::workspace::Workspace;
+use crate::workspace::{Diff, Workspace};
 
-/// A pre-merged version ready to install: committing thread, its pages
-/// (index, content), and the TSO vector clock to attach.
-pub(crate) type BuiltVersion = (Tid, Vec<(u32, PageRef)>, Option<Arc<VectorClock>>);
+/// A pre-merged version ready to install: committing thread and its pages
+/// (index, content).
+pub(crate) type BuiltVersion = (Tid, Vec<(u32, PageRef)>);
 
 /// Outcome of a [`Segment::commit`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,8 +58,6 @@ pub struct UpdateResult {
     /// Pages applied that were committed by *other* threads — the paper's
     /// "pages propagated" metric.
     pub pages_propagated: u64,
-    /// Versions replayed.
-    pub versions_applied: u64,
 }
 
 struct SegInner {
@@ -184,11 +182,6 @@ impl Segment {
         &self.tracker
     }
 
-    /// Registry of workspace base versions (for GC).
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// Latest committed version id.
     pub fn latest_id(&self) -> u64 {
         self.inner.lock().next_id - 1
@@ -287,106 +280,57 @@ impl Segment {
     /// token). Pages whose working copy equals its twin are dropped; pages
     /// whose underlying latest page changed since fault time are merged at
     /// byte granularity, local changes winning.
-    pub fn commit(&self, ws: &mut Workspace, vc: Option<Arc<VectorClock>>) -> CommitResult {
+    ///
+    /// The second parameter is ignored. Inert; read only by `e2e/`; deleted
+    /// with ROADMAP item 3(a).
+    pub fn commit(&self, ws: &mut Workspace, _: Option<Arc<dmt_api::VectorClock>>) -> CommitResult {
         self.perturb.jitter(PerturbSite::Commit, ws.tid());
-        let dirty = ws.take_dirty();
         let mut inner = self.inner.lock();
-        let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(dirty.len());
+        let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(ws.dirty_count());
         let mut merged = 0u32;
-        for (p, d) in dirty {
-            // One word-wide scan produces the dirty bitmap that answers
-            // both "was this page modified?" and "which words to merge?".
-            let map = merge::DirtyMap::diff(d.twin.bytes(), d.work.bytes());
-            if map.is_clean() {
-                continue;
-            }
-            let latest = &inner.latest[p as usize];
-            let new_ref: PageRef = if Arc::ptr_eq(latest, &d.twin) {
-                // No remote commit touched this page: adopt the working
-                // copy wholesale (zero-copy publish).
-                PageRef::from(d.work)
-            } else {
-                let mut out = Box::new(PageBuf::duplicate(latest));
-                merge::merge_with_map(
-                    &map,
-                    d.twin.bytes(),
-                    d.work.bytes(),
-                    latest.bytes(),
-                    out.bytes_mut(),
-                );
-                merged += 1;
-                PageRef::from(out)
-            };
-            inner.latest[p as usize] = Arc::clone(&new_ref);
-            ws.snap_mut()[p as usize] = Arc::clone(&new_ref);
-            pages.push((p, new_ref));
-        }
+        let mut page_set = Fnv1a::new();
+        ws.take_modified(|d| {
+            let (page, was_merged) =
+                build_page(&inner.latest[d.page as usize], std::slice::from_ref(&d));
+            merged += was_merged as u32;
+            page_set.update_u64(d.page as u64);
+            pages.push((d.page, page));
+        });
         if pages.is_empty() {
             return CommitResult {
                 version: inner.next_id - 1,
-                pages: 0,
-                merged: 0,
-                page_set: 0,
+                ..CommitResult::default()
             };
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
-        fold_commit_log(&mut inner, id, ws.tid(), &pages);
-        let mut page_set = Fnv1a::new();
-        for (p, _) in &pages {
-            page_set.update_u64(*p as u64);
+        for (p, page) in &pages {
+            ws.snap_mut()[*p as usize] = Arc::clone(page);
         }
-        let npages = pages.len() as u32;
-        inner.counts.push_back((id, npages, ws.tid()));
-        inner.retained_peak = inner.retained_peak.max(inner.versions.len() + 1);
-        inner.versions.push_back(Version {
-            id,
-            base_id: id,
-            committer: ws.tid(),
-            pages,
-            vc,
-        });
         CommitResult {
-            version: id,
-            pages: npages,
+            pages: pages.len() as u32,
             merged,
             page_set: page_set.digest(),
+            version: inner.install(ws.tid(), pages),
         }
     }
 
     /// Installs pre-merged versions produced by a
     /// [`crate::ParallelCommit`]. Caller must serialize with other commits.
-    pub(crate) fn install_versions(&self, built: Vec<BuiltVersion>) -> Vec<u64> {
+    pub(crate) fn install_versions(&self, built: Vec<BuiltVersion>) {
         let mut inner = self.inner.lock();
-        let mut ids = Vec::with_capacity(built.len());
-        for (tid, pages, vc) in built {
-            if pages.is_empty() {
-                continue;
+        for (tid, pages) in built {
+            if !pages.is_empty() {
+                inner.install(tid, pages);
             }
-            let id = inner.next_id;
-            inner.next_id += 1;
-            for (p, r) in &pages {
-                inner.latest[*p as usize] = Arc::clone(r);
-            }
-            inner.counts.push_back((id, pages.len() as u32, tid));
-            fold_commit_log(&mut inner, id, tid, &pages);
-            inner.retained_peak = inner.retained_peak.max(inner.versions.len() + 1);
-            inner.versions.push_back(Version {
-                id,
-                base_id: id,
-                committer: tid,
-                pages,
-                vc,
-            });
-            ids.push(id);
         }
-        ids
     }
 
-    /// Snapshot of the latest page table entry for `p` (phase-1 capture of
-    /// the parallel commit).
-    pub(crate) fn latest_page(&self, p: u32) -> PageRef {
-        Arc::clone(&self.inner.lock().latest[p as usize])
+    /// Snapshot of the latest page table entries for `pages`, under one
+    /// lock (the seal-time capture of the parallel commit's merge bases).
+    pub(crate) fn latest_pages(&self, pages: impl Iterator<Item = u32>) -> Vec<PageRef> {
+        let inner = self.inner.lock();
+        pages
+            .map(|p| Arc::clone(&inner.latest[p as usize]))
+            .collect()
     }
 
     /// Pins version `id`: some protocol stored it as an exact `update_to`
@@ -450,7 +394,6 @@ impl Segment {
         let upto = upto.unwrap_or(inner.next_id - 1);
         assert!(upto < inner.next_id, "update_to a future version");
         let mut propagated = 0u64;
-        let mut applied = 0u64;
         if ws.base() < upto {
             // `first_retained` is one past the newest id a *drop* covered
             // (a dropped squashed version takes its whole id range with
@@ -477,7 +420,6 @@ impl Segment {
                 for (p, r) in &v.pages {
                     ws.snap_mut()[*p as usize] = Arc::clone(r);
                 }
-                applied += 1;
             }
             // Propagation accounting comes from the never-squashed count
             // records so it cannot depend on collector progress; the walk
@@ -498,7 +440,6 @@ impl Segment {
         UpdateResult {
             new_base: ws.base(),
             pages_propagated: propagated,
-            versions_applied: applied,
         }
     }
 
@@ -586,6 +527,48 @@ impl Segment {
     }
 }
 
+impl SegInner {
+    /// Publishes `pages` (non-empty, page-sorted) as the next version
+    /// committed by `tid` and returns its id — the tail of every commit,
+    /// serial or barrier, so the two cannot disagree on what a version
+    /// records.
+    fn install(&mut self, tid: Tid, pages: Vec<(u32, PageRef)>) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        for (p, r) in &pages {
+            self.latest[*p as usize] = Arc::clone(r);
+        }
+        self.counts.push_back((id, pages.len() as u32, tid));
+        fold_commit_log(self, id, tid, &pages);
+        self.retained_peak = self.retained_peak.max(self.versions.len() + 1);
+        self.versions.push_back(Version {
+            id,
+            base_id: id,
+            committer: tid,
+            pages,
+        });
+        id
+    }
+}
+
+/// The adopt-or-merge rule of every commit: a sole writer of a page nobody
+/// else committed since it faulted (`base` still is its twin) publishes its
+/// working copy as is, zero-copy; otherwise the page is a duplicate of
+/// `base` with the diffs applied in commit order, local bytes winning.
+/// Returns the page and whether it was merged.
+pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, bool) {
+    if let [sole] = diffs {
+        if Arc::ptr_eq(base, &sole.twin) {
+            return (Arc::clone(&sole.work), false);
+        }
+    }
+    let mut out = PageBuf::duplicate(base);
+    for d in diffs {
+        merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), out.bytes_mut());
+    }
+    (Arc::new(out), true)
+}
+
 /// Squashes the two oldest retained versions into one: union of their
 /// page sets (newer content winning — both lists are page-sorted), id of
 /// the newer, base id of the older.
@@ -619,8 +602,7 @@ fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
 /// Folds one version's record — `(id, committer, (page, digest)*)`, the
 /// digest over the whole 4 KiB of every page it publishes, in page order —
 /// into the segment's running digest. The only writer of `SegInner::log`,
-/// reached from `commit` and `install_versions`, so the two cannot
-/// disagree on the record.
+/// called by [`SegInner::install`] only.
 fn fold_commit_log(inner: &mut SegInner, id: u64, tid: Tid, pages: &[(u32, PageRef)]) {
     inner.log.update_u64(id);
     inner.log.update_u64(tid.0 as u64);
@@ -690,6 +672,39 @@ mod tests {
         assert_eq!(buf[0], 1);
         seg.read_latest(200, &mut buf);
         assert_eq!(buf[0], 2);
+    }
+
+    /// The shape `clock_publish` commits 16k times a second: two words of a
+    /// page another workspace committed first, on the kernel's sparse arm.
+    #[test]
+    fn two_dirty_words_merge_onto_a_remote_commit() {
+        let seg = Segment::new(1, 4);
+        let init: [u8; PAGE_SIZE] = std::array::from_fn(|i| (i % 251) as u8);
+        seg.init_write(0, &init);
+        let (mut a, _) = seg.new_workspace(Tid(0));
+        let (mut b, _) = seg.new_workspace(Tid(1));
+        // A rewrites a stripe that covers B's first word and more.
+        a.write_bytes(0, &[0xaa; 64]);
+        seg.commit(&mut a, None);
+        let mut latest = [0u8; PAGE_SIZE];
+        seg.read_latest(0, &mut latest);
+        // B: one whole word A also wrote, one byte of a word A left alone.
+        b.st_u64(8, 0x1112_1314_1516_1718);
+        b.write_bytes(1027, &[0xcc]);
+        let mut work = [0u8; PAGE_SIZE];
+        b.read_bytes(0, &mut work);
+        let mut want = [0u8; PAGE_SIZE];
+        assert_eq!(
+            merge::bytewise::merge_into(&init, &work, &latest, &mut want),
+            9
+        );
+
+        let cr = seg.commit(&mut b, None);
+        assert_eq!((cr.pages, cr.merged), (1, 1));
+        let mut got = [0u8; PAGE_SIZE];
+        seg.read_latest(0, &mut got);
+        assert_eq!(&got[..], &want[..]);
+        assert_eq!((got[0], got[16]), (0xaa, 0xaa), "A's bytes around B's word");
     }
 
     #[test]

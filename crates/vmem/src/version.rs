@@ -1,8 +1,6 @@
 //! Committed versions of a segment.
 
-use std::sync::Arc;
-
-use dmt_api::{Tid, VectorClock};
+use dmt_api::Tid;
 
 use crate::page::PageRef;
 
@@ -20,23 +18,8 @@ pub struct Version {
     pub id: u64,
     /// Lowest original id merged into this version (`id` when unsquashed).
     pub base_id: u64,
-    /// Thread that committed this version ([`crate::BARRIER_COMMITTER`] for
-    /// merged barrier commits attributed per page instead).
+    /// Thread that committed this version.
     pub committer: Tid,
     /// Changed pages: `(page index, content)`, sorted by page index.
     pub pages: Vec<(u32, PageRef)>,
-    /// Happens-before tag for the §5.3 LRC estimator, when enabled.
-    pub vc: Option<Arc<VectorClock>>,
-}
-
-impl Version {
-    /// Number of pages this version changed.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Whether the version changed no pages.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
 }

@@ -4,16 +4,27 @@ use std::sync::Arc;
 
 use dmt_api::{Addr, Tid, PAGE_SIZE};
 
+use crate::merge::DirtyMap;
 use crate::page::{PageBuf, PageRef};
 
 /// A page the workspace has faulted and may have modified.
 #[derive(Debug)]
-pub struct DirtyPage {
+struct DirtyPage {
     /// The pristine page as of fault time (shared with the snapshot the
     /// fault happened against, so twins cost no copy).
-    pub twin: PageRef,
+    twin: PageRef,
     /// The thread's private working copy.
-    pub work: Box<PageBuf>,
+    work: Box<PageBuf>,
+}
+
+/// A page the workspace did modify, as a commit consumes it: the twin, the
+/// working copy (now immutable) and the dirty-word bitmap of the one scan
+/// that compared them.
+pub(crate) struct Diff {
+    pub page: u32,
+    pub twin: PageRef,
+    pub work: PageRef,
+    pub map: DirtyMap,
 }
 
 /// A thread's isolated view of a [`crate::Segment`].
@@ -30,7 +41,6 @@ pub struct Workspace {
     snap: Vec<PageRef>,
     dirty: Vec<Option<DirtyPage>>,
     dirty_list: Vec<u32>,
-    faults: u64,
 }
 
 impl Workspace {
@@ -42,7 +52,6 @@ impl Workspace {
             snap,
             dirty: (0..n).map(|_| None).collect(),
             dirty_list: Vec::new(),
-            faults: 0,
         }
     }
 
@@ -74,26 +83,31 @@ impl Workspace {
         self.dirty_list.len()
     }
 
-    /// Total copy-on-write faults taken over the workspace's lifetime.
-    pub fn total_faults(&self) -> u64 {
-        self.faults
-    }
-
     pub(crate) fn snap_mut(&mut self) -> &mut Vec<PageRef> {
         &mut self.snap
     }
 
-    /// Drains the dirty set in ascending page order.
-    pub(crate) fn take_dirty(&mut self) -> Vec<(u32, DirtyPage)> {
+    /// Drains the dirty set in ascending page order, diffs each page
+    /// against its twin once and hands `each` the modified ones, each right
+    /// after its scan while it is still in cache. The dirty scan of every
+    /// commit, serial and barrier: the one word-wide pass produces the bitmap
+    /// that answers "was this page modified?" and "which words to merge?".
+    pub(crate) fn take_modified(&mut self, mut each: impl FnMut(Diff)) {
         self.dirty_list.sort_unstable();
-        let mut out = Vec::with_capacity(self.dirty_list.len());
-        for p in self.dirty_list.drain(..) {
-            let d = self.dirty[p as usize]
+        for page in self.dirty_list.drain(..) {
+            let d = self.dirty[page as usize]
                 .take()
                 .expect("dirty list out of sync");
-            out.push((p, d));
+            let map = DirtyMap::diff(d.twin.bytes(), d.work.bytes());
+            if !map.is_clean() {
+                each(Diff {
+                    page,
+                    twin: d.twin,
+                    work: PageRef::from(d.work),
+                    map,
+                });
+            }
         }
-        out
     }
 
     #[inline]
@@ -116,7 +130,6 @@ impl Workspace {
         let work = Box::new(PageBuf::duplicate(&twin));
         self.dirty[p] = Some(DirtyPage { twin, work });
         self.dirty_list.push(p as u32);
-        self.faults += 1;
         1
     }
 
@@ -237,7 +250,6 @@ mod tests {
         assert_eq!(w.write_bytes(0, &[1]), 1);
         assert_eq!(w.write_bytes(1, &[2]), 0);
         assert_eq!(w.dirty_count(), 1);
-        assert_eq!(w.total_faults(), 1);
     }
 
     #[test]
@@ -265,21 +277,25 @@ mod tests {
     fn twin_preserves_fault_time_contents() {
         let mut w = ws(1);
         w.write_bytes(0, &[42]);
-        let dirty = w.take_dirty();
+        let mut dirty = Vec::new();
+        w.take_modified(|d| dirty.push(d));
         assert_eq!(dirty.len(), 1);
-        let (p, d) = &dirty[0];
-        assert_eq!(*p, 0);
+        let d = &dirty[0];
+        assert_eq!(d.page, 0);
         assert_eq!(d.twin.bytes()[0], 0, "twin keeps the pre-write value");
         assert_eq!(d.work.bytes()[0], 42);
     }
 
     #[test]
-    fn take_dirty_returns_sorted_and_clears() {
+    fn take_modified_returns_sorted_drops_clean_and_clears() {
         let mut w = ws(4);
         w.write_bytes(3 * PAGE_SIZE, &[1]);
+        w.write_bytes(2 * PAGE_SIZE, &[0]); // faulted, stored what was there
         w.write_bytes(PAGE_SIZE, &[1]);
-        let d = w.take_dirty();
-        assert_eq!(d.iter().map(|(p, _)| *p).collect::<Vec<_>>(), vec![1, 3]);
+        assert_eq!(w.dirty_count(), 3);
+        let mut pages = Vec::new();
+        w.take_modified(|d| pages.push(d.page));
+        assert_eq!(pages, vec![1, 3]);
         assert_eq!(w.dirty_count(), 0);
     }
 
@@ -296,6 +312,6 @@ mod tests {
         let w = ws(1);
         let mut b = [0u8; 64];
         w.read_bytes(0, &mut b);
-        assert_eq!(w.total_faults(), 0);
+        assert_eq!(w.dirty_count(), 0);
     }
 }

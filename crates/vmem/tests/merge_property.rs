@@ -16,7 +16,7 @@
 //!   equals the in-place [`apply_diff`] path the parallel barrier uses —
 //!   two physically different merge schedules, one result.
 
-use conversion::merge::{apply_diff, is_modified, merge_into};
+use conversion::merge::{apply_diff, merge_into, DirtyMap};
 use dmt_api::PAGE_SIZE;
 
 /// Knuth 64-bit LCG + output mix, the workspace's stand-in for a proptest
@@ -195,7 +195,9 @@ fn serial_and_parallel_merge_paths_agree() {
                 random_writer(&mut rng, &base, &bytes)
             })
             .collect();
-        assert!(ws.iter().all(|w| is_modified(&base, &w.work)));
+        assert!(ws
+            .iter()
+            .all(|w| !DirtyMap::diff(&base, &w.work).is_clean()));
         let writers: Vec<&Writer> = ws.iter().collect();
         let order: Vec<usize> = (0..4).collect();
 

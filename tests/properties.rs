@@ -111,7 +111,7 @@ fn parallel_commit_equals_serial() {
             if parallel {
                 let pc = ParallelCommit::new();
                 for s in spaces.iter_mut() {
-                    pc.register(&seg, s, None);
+                    pc.register(s);
                 }
                 pc.seal(&seg);
                 for i in 0..4 {
