@@ -70,6 +70,9 @@ pub(crate) struct Ctx {
     token_start_clock: u64,
     last_sync_end_clock: u64,
     chunk_start_clock: u64,
+    /// `Options::chunk_limit` (§2.7), `u64::MAX` when there is none: a chunk
+    /// never gets that long, so the one comparison serves both.
+    chunk_limit: u64,
     bd: Breakdown,
     /// Cache-padded so neighbouring threads' hot counter lines never
     /// false-share when contexts live in adjacent allocations.
@@ -88,8 +91,6 @@ pub(crate) struct Ctx {
     torn_down: bool,
     /// Threads this token holder has [`Ctx::wake`]d: they need the token,
     /// so they are unparked when it is released (rule 2 of `Parking`).
-    /// Declared last: 48 bytes among the fields above moved the per-access
-    /// path (`compute_bound` −19 %, `barrier_clean` +7 %).
     pending: Wakes,
 }
 
@@ -122,6 +123,7 @@ impl Ctx {
         let coarsen =
             CoarsenState::new(INITIAL_BUDGET, MIN_BUDGET, BUDGET_CAP, opts.static_coarsen);
         let cost = sh.cfg.cost;
+        let chunk_limit = opts.chunk_limit.unwrap_or(u64::MAX);
         sh.parking.register(tid);
         Ctx {
             sh,
@@ -138,6 +140,7 @@ impl Ctx {
             token_start_clock: clock,
             last_sync_end_clock: clock,
             chunk_start_clock: clock,
+            chunk_limit,
             bd: Breakdown::default(),
             cnt: CachePadded::new(Counters::default()),
             cost,
@@ -211,51 +214,83 @@ impl Ctx {
 
     /// Advances the logical clock and virtual time for user work, firing
     /// publications and the ad-hoc chunk limit as thresholds pass.
+    #[inline(always)]
+    fn advance(&mut self, dclock: u64, dv: u64) {
+        if !self.advance_within(dclock, dv) {
+            self.advance_across(dclock, dv);
+        }
+    }
+
+    /// [`Ctx::advance`] when the advance reaches neither the next
+    /// publication nor the chunk limit — every load and store but one in
+    /// thousands. Otherwise changes nothing and returns `false`.
+    #[inline(always)]
+    fn advance_within(&mut self, dclock: u64, dv: u64) -> bool {
+        let clock = self.clock.saturating_add(dclock);
+        let within = clock < self.next_pub && clock - self.chunk_start_clock < self.chunk_limit;
+        if within {
+            self.clock = clock;
+            self.v += dv;
+            self.bd.chunk += dv;
+        }
+        within
+    }
+
+    /// [`Ctx::advance`] for an advance that reaches a publication threshold
+    /// or the chunk limit.
     ///
     /// Large advances are split at publication thresholds: a hardware
     /// counter overflows *during* a long chunk, not at its end, and the
     /// interrupt's virtual timestamp must sit at the crossing point —
     /// otherwise a waiter's wake time inherits the whole chunk.
-    #[inline]
-    fn advance(&mut self, dclock: u64, dv: u64) {
-        if self.clock.saturating_add(dclock) < self.next_pub {
-            // Fast path: no threshold inside this advance.
-            self.clock += dclock;
-            self.v += dv;
-            self.bd.chunk += dv;
-        } else {
-            let mut dclock = dclock;
-            let mut dv = dv;
-            while dclock > 0 {
-                if self.clock >= self.next_pub {
-                    // A clock jump (fast-forward, barrier) passed the
-                    // threshold already; publish and recompute it.
-                    self.maybe_publish();
-                    continue;
-                }
-                if self.clock.saturating_add(dclock) < self.next_pub {
-                    self.clock += dclock;
-                    self.v += dv;
-                    self.bd.chunk += dv;
-                    break;
-                }
-                // Advance exactly to the threshold, charging virtual time
-                // pro rata, and fire the publication there.
-                let step = (self.next_pub - self.clock).min(dclock);
-                let vstep = (dv * step).checked_div(dclock).unwrap_or(0);
-                self.clock += step;
-                self.v += vstep;
-                self.bd.chunk += vstep;
-                dclock -= step;
-                dv -= vstep;
+    #[cold]
+    #[inline(never)]
+    fn advance_across(&mut self, mut dclock: u64, mut dv: u64) {
+        while dclock > 0 {
+            if self.clock >= self.next_pub {
+                // A clock jump (fast-forward, barrier) passed the
+                // threshold already; publish and recompute it.
                 self.maybe_publish();
+                continue;
             }
-        }
-        if let Some(lim) = self.sh.opts.chunk_limit {
-            if self.clock - self.chunk_start_clock >= lim {
-                self.forced_commit();
+            if self.clock.saturating_add(dclock) < self.next_pub {
+                self.clock += dclock;
+                self.v += dv;
+                self.bd.chunk += dv;
+                break;
             }
+            // Advance exactly to the threshold, charging virtual time
+            // pro rata, and fire the publication there.
+            let step = (self.next_pub - self.clock).min(dclock);
+            let vstep = (dv * step).checked_div(dclock).unwrap_or(0);
+            self.clock += step;
+            self.v += vstep;
+            self.bd.chunk += vstep;
+            dclock -= step;
+            dv -= vstep;
+            self.maybe_publish();
         }
+        if self.clock - self.chunk_start_clock >= self.chunk_limit {
+            self.forced_commit();
+        }
+    }
+
+    /// [`ThreadCtx::ld_u64`] in full, for the loads its leaf turns away.
+    #[cold]
+    #[inline(never)]
+    fn ld_u64_uncommon(&mut self, addr: Addr) -> u64 {
+        let v = self.ws().ld_u64(addr);
+        self.advance(1, self.cost.mem_access(8));
+        v
+    }
+
+    /// [`ThreadCtx::st_u64`] in full: the stores that fault, and the ones
+    /// its leaf turns away.
+    #[inline(never)]
+    fn st_u64_uncommon(&mut self, addr: Addr, val: u64) {
+        let faults = self.ws().st_u64(addr, val) as u64;
+        self.charge_faults(faults);
+        self.advance(1, self.cost.mem_access(8));
     }
 
     #[inline(never)]
@@ -352,16 +387,24 @@ impl ThreadCtx for Ctx {
         self.advance(w, self.cost.mem_access(data.len()));
     }
 
+    /// A leaf function for a load inside one mapped page that reaches no
+    /// threshold: no frame, no call. `compute_bound` makes nine million of
+    /// them between two token grants.
     fn ld_u64(&mut self, addr: Addr) -> u64 {
-        let v = self.ws().ld_u64(addr);
-        self.advance(1, self.cost.mem_access(8));
-        v
+        let dv = self.cost.mem_access(8);
+        match self.ws.as_ref().and_then(|ws| ws.try_ld_u64(addr)) {
+            Some(v) if self.advance_within(1, dv) => v,
+            _ => self.ld_u64_uncommon(addr),
+        }
     }
 
+    /// Likewise for a store to a page this chunk has already faulted.
     fn st_u64(&mut self, addr: Addr, val: u64) {
-        let faults = self.ws().st_u64(addr, val) as u64;
-        self.charge_faults(faults);
-        self.advance(1, self.cost.mem_access(8));
+        if self.ws.as_mut().is_some_and(|ws| ws.try_st_u64(addr, val)) {
+            self.advance(1, self.cost.mem_access(8));
+        } else {
+            self.st_u64_uncommon(addr, val);
+        }
     }
 
     fn mutex_lock(&mut self, m: MutexId) {

@@ -2,9 +2,12 @@
 //! exclusion, condition variables, barriers, thread lifecycle, coarsening
 //! and the ad-hoc chunk limit.
 
+use std::sync::Arc;
+
 use consequence::{ConsequenceRuntime, Options};
 use dmt_api::{
-    CommonConfig, CostModel, Job, MemExt, RunReport, Runtime, RuntimeMemExt, ThreadCtx, Tid,
+    CommonConfig, CostModel, HashSink, Job, MemExt, RunReport, Runtime, RuntimeMemExt, ThreadCtx,
+    Tid, TraceHandle,
 };
 
 fn cfg() -> CommonConfig {
@@ -281,26 +284,68 @@ fn cond_broadcast_wakes_all() {
 
 /// The paper's §2.7 scenario: a thread spins on a flag that another thread
 /// sets. Without a chunk limit the spinner would never see the update; with
-/// one, it must terminate.
+/// one, it must terminate — and the forced commits fall exactly where they
+/// did before `Ctx::advance` was split into an inlined test and an
+/// out-of-line loop. Nothing else runs with a limit set, so this is what
+/// fails if that test ever skips a forced commit or fires one a word late.
 #[test]
 fn chunk_limit_supports_ad_hoc_synchronization() {
-    let mut opts = Options::consequence_ic();
-    opts.chunk_limit = Some(10_000);
-    let mut rt = ConsequenceRuntime::new(cfg(), opts);
-    rt.run(Box::new(move |ctx| {
-        let spinner = ctx.spawn(Box::new(|c| {
-            // Ad-hoc spin on address 0 with no explicit synchronization.
-            while c.ld_u64(0) == 0 {
-                c.tick(10);
-            }
-            c.st_u64(8, 99);
-        }));
-        ctx.tick(30_000);
-        ctx.st_u64(0, 1);
-        // The setter must also commit; its own chunk limit forces that.
-        ctx.join(spinner);
-    }));
-    assert_eq!(rt.final_u64(8), 99);
+    // (schedule hash, commit-log hash, commits, chunks) under
+    // `consequence-ic` and `consequence-rr`, captured at the parent commit.
+    type Pin = (u64, u64, u64, u64);
+    const PINS: [(u64, [Pin; 2]); 3] = [
+        (
+            1,
+            [
+                (0xa387_4136_6156_d581, 0xd842_6e34_e5d2_45fa, 5467, 5467),
+                (0x96dd_2e75_1e9c_94cb, 0xd842_6e34_e5d2_45fa, 13, 13),
+            ],
+        ),
+        (
+            7,
+            [
+                (0x3af2_744c_18d3_4153, 0x01c8_a6ba_2c3d_0501, 2734, 2734),
+                (0x690a_bc5a_7736_c393, 0x01c8_a6ba_2c3d_0501, 8, 8),
+            ],
+        ),
+        (
+            10_000,
+            [
+                (0x64b5_9226_2083_cbe3, 0x01c8_a6ba_2c3d_0501, 9, 9),
+                (0x34cb_90be_8076_fb8b, 0x01c8_a6ba_2c3d_0501, 7, 7),
+            ],
+        ),
+    ];
+    for (limit, pins) in PINS {
+        let runtimes = [Options::consequence_ic(), Options::consequence_rr()];
+        for (mut opts, pin) in runtimes.into_iter().zip(pins) {
+            let order = opts.order;
+            opts.chunk_limit = Some(limit);
+            let mut cfg = cfg();
+            cfg.trace = TraceHandle::to(Arc::new(HashSink::new()));
+            let mut rt = ConsequenceRuntime::new(cfg, opts);
+            let r = rt.run(Box::new(move |ctx| {
+                let spinner = ctx.spawn(Box::new(|c| {
+                    // Ad-hoc spin on address 0 with no explicit synchronization.
+                    while c.ld_u64(0) == 0 {
+                        c.tick(10);
+                    }
+                    // Three words in one call, then a page-straddling store.
+                    c.write_bytes(16, &[7; 24]);
+                    c.st_u64(dmt_api::PAGE_SIZE - 4, 5);
+                    c.st_u64(8, 99);
+                }));
+                ctx.tick(30_000);
+                ctx.st_u64(0, 1);
+                // The setter must also commit; its own chunk limit forces that.
+                ctx.join(spinner);
+            }));
+            assert_eq!(rt.final_u64(8), 99);
+            let c = &r.counters;
+            let got = (r.schedule_hash, r.commit_log_hash, c.commits, c.chunks);
+            assert_eq!(got, pin, "chunk limit {limit}, {order:?}");
+        }
+    }
 }
 
 /// Thread-pool reuse: sequentially spawned threads should hit the pool.

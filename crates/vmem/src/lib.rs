@@ -29,12 +29,12 @@
 //! * a budgeted garbage collector ([`Segment::gc`]) modelling the paper's
 //!   single-threaded collector that can fall behind page churn (Fig. 12).
 //!
-//! There is one commit path: the committer diffs, merges, digests and
-//! publishes under the caller's token (the paper's §2.4–2.5 commit);
-//! docs/PERF.md "Commit pipeline" records why there is no second one. The
-//! barrier's two-phase commit is that commit with the merge hoisted out of
-//! the token, and shares every step of it: one dirty scan
-//! (`Workspace::take_modified`), one word kernel
+//! There is one commit path: the committer merges, digests and publishes
+//! what its stores marked, under the caller's token (the paper's §2.4–2.5
+//! commit); docs/PERF.md "Commit pipeline" records why there is no second
+//! one. The barrier's two-phase commit is that commit with the merge
+//! hoisted out of the token, and shares every step of it: one drain of the
+//! write set (`Workspace::take_modified`), one word kernel
 //! ([`merge::apply_with_map`]), one adopt-or-merge rule
 //! (`segment::build_page`) and one version installer (`SegInner::install`).
 

@@ -13,15 +13,18 @@
 //! bytes per page). Byte work happens only inside dirty words, as a
 //! branch-free select between the working and the latest word.
 //!
-//! The bitmap is made once per page — by `Workspace::take_modified`, the
-//! one dirty scan of both commits, where it also answers "was this page
-//! modified?" — and consumed by [`apply_with_map`], the one word kernel.
-//! The kernel picks between walking a limb's set bits and rewriting the
-//! whole limb from the limb's own popcount, and the end-to-end benchmark
-//! has a workload on each side of that test (docs/PERF.md "Merge
-//! kernels"). [`apply_diff`] and [`merge_into`] wrap it for callers that
-//! hold no map; the original byte loops are kept in [`bytewise`] as the
-//! reference the tests compare against.
+//! The bitmap is made by the stores, not by a scan: `Workspace::{st_u64,
+//! write_bytes}` mark every word they overlap, and at commit
+//! `Workspace::take_modified` — where both commits get it, and where it
+//! also answers "was this page modified?" — drops the marks of words whose
+//! value did not change (`DirtyMap::retain_modified`). It is consumed by
+//! [`apply_with_map`], the one word kernel. The kernel picks between
+//! walking a limb's set bits and rewriting the whole limb from the limb's
+//! own popcount, and the end-to-end benchmark has a workload on each side
+//! of that test (docs/PERF.md "Merge kernels"). [`apply_diff`] and
+//! [`merge_into`] wrap it for callers that hold no map and scan for one
+//! ([`DirtyMap::diff`], which no commit calls); the original byte loops
+//! are kept in [`bytewise`] as the reference the tests compare against.
 
 use dmt_api::PAGE_SIZE;
 
@@ -55,17 +58,63 @@ fn byte_diff_lo(a: u64, b: u64) -> u64 {
 /// Per-page dirty-word bitmap: bit `w` is set when 8-byte word `w` of the
 /// working copy differs from the twin.
 ///
-/// Computed once per page at commit time and reused for both the "did this
-/// fault lead to a modification?" test and the actual merge, halving the
-/// number of full-page scans on the commit hot path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A faulted page carries one from the fault on, as an upper bound: every
+/// word stored to is marked. The commit filters it once
+/// (`DirtyMap::retain_modified`) and uses the result for both the "did
+/// this fault lead to a modification?" test and the actual merge.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirtyMap {
     bits: [u64; MAP_WORDS],
 }
 
 impl DirtyMap {
-    /// Diffs `work` against `twin`, one bit per differing word. This is the
-    /// single full-page scan of the commit path.
+    /// Marks the words an 8-byte store at page offset `off` overlaps: one
+    /// when aligned, two otherwise. `off + 8 <= PAGE_SIZE`; the limb index
+    /// is reduced rather than checked, the per-store path holds no panic.
+    #[inline(always)]
+    pub(crate) fn mark_u64(&mut self, off: usize) {
+        debug_assert!(off + 8 <= PAGE_SIZE);
+        // The words of bytes `off` and `off + 7`.
+        let (first, last) = (off / 8, off.div_ceil(8));
+        self.bits[first / 64 % MAP_WORDS] |= 1 << (first % 64);
+        self.bits[last / 64 % MAP_WORDS] |= 1 << (last % 64);
+    }
+
+    /// Marks every word the byte range `off..off + n` of the page overlaps;
+    /// none when `n` is zero.
+    pub(crate) fn mark_bytes(&mut self, off: usize, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let (first, last) = (off / 8, (off + n - 1) / 8);
+        for limb in first / 64..=last / 64 {
+            let lo = if limb == first / 64 { first % 64 } else { 0 };
+            let hi = if limb == last / 64 { last % 64 } else { 63 };
+            self.bits[limb] |= (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+        }
+    }
+
+    /// Clears the mark of every word whose working value equals the twin's,
+    /// reading the marked words only: a store of the value already there
+    /// and a write that was later undone leave the word clean. What is left
+    /// of a map that marked every word stored to is [`DirtyMap::diff`].
+    pub(crate) fn retain_modified(&mut self, twin: &[u8; PAGE_SIZE], work: &[u8; PAGE_SIZE]) {
+        for (limb, bits) in self.bits.iter_mut().enumerate() {
+            let mut b = *bits;
+            while b != 0 {
+                let i = b.trailing_zeros();
+                b &= b - 1;
+                let w = limb * 64 + i as usize;
+                if word(twin, w) == word(work, w) {
+                    *bits &= !(1 << i);
+                }
+            }
+        }
+    }
+
+    /// Diffs `work` against `twin` with a full-page scan, one bit per
+    /// differing word: the map for callers that saw no stores
+    /// ([`apply_diff`]) and the oracle the commit's map is asserted against.
     pub fn diff(twin: &[u8; PAGE_SIZE], work: &[u8; PAGE_SIZE]) -> DirtyMap {
         let mut bits = [0u64; MAP_WORDS];
         // chunks_exact lets the compiler drop the per-word bounds checks
@@ -170,7 +219,8 @@ fn apply_limb_dense(
 }
 
 /// Applies a thread's diff (`work` vs `twin`) in place onto `out`: the
-/// diff a commit gets from `Workspace::take_modified`, then the kernel.
+/// map a commit gets from `Workspace::take_modified`, here made by a scan,
+/// then the kernel.
 pub fn apply_diff(
     twin: &[u8; PAGE_SIZE],
     work: &[u8; PAGE_SIZE],
@@ -306,6 +356,63 @@ mod tests {
         merge_into(&base, &work_b, &after_a, &mut after_b);
         assert_eq!(after_b[64], 1, "first committer's byte survives");
         assert_eq!(after_b[65], 2, "second committer's byte lands");
+    }
+
+    /// The marks a store leaves are the words its bytes lie in: checked
+    /// against a byte-at-a-time model at the limb boundary (words 63 / 64),
+    /// the last word (511), word-crossing pairs and whole-page runs.
+    #[test]
+    fn stores_mark_exactly_the_words_they_overlap() {
+        fn model(off: usize, n: usize) -> [u64; MAP_WORDS] {
+            let mut bits = [0u64; MAP_WORDS];
+            for byte in off..off + n {
+                bits[byte / 8 / 64] |= 1 << (byte / 8 % 64);
+            }
+            bits
+        }
+        for off in [
+            0,
+            1,
+            8,
+            63 * 8,
+            63 * 8 + 1,
+            64 * 8 - 1,
+            64 * 8,
+            511 * 8 - 7,
+            511 * 8,
+        ] {
+            let mut m = DirtyMap::default();
+            m.mark_u64(off);
+            assert_eq!(m.bits, model(off, 8), "u64 store at {off}");
+        }
+        let ranges = [
+            (0, 0),
+            (4095, 0),
+            (0, 1),
+            (7, 2),
+            (63 * 8 + 7, 2),
+            (64 * 8, 1),
+            (4095, 1),
+            (511 * 8 - 1, 9),
+            (3, 64 * 8),
+            (100, 2000),
+            (0, PAGE_SIZE),
+        ];
+        for (off, n) in ranges {
+            let mut m = DirtyMap::default();
+            m.mark_bytes(off, n);
+            assert_eq!(m.bits, model(off, n), "{n} bytes at {off}");
+        }
+        // Marks accumulate, and the filter clears exactly the unchanged.
+        let twin = page(|i| (i % 17) as u8);
+        let mut work = Box::new(*twin);
+        let mut m = DirtyMap::default();
+        m.mark_u64(63 * 8 + 1);
+        m.mark_bytes(511 * 8, 8);
+        work[64 * 8] ^= 1;
+        m.retain_modified(&twin, &work);
+        assert_eq!(m.bits, model(64 * 8, 1));
+        assert_eq!(m, DirtyMap::diff(&twin, &work));
     }
 
     #[test]

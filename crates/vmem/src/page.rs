@@ -4,10 +4,40 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
-use dmt_api::PAGE_SIZE;
+use dmt_api::{Addr, PAGE_SIZE};
 
 /// Shared, immutable reference to a committed or snapshot page.
 pub type PageRef = Arc<PageBuf>;
+
+/// The page walk and the bounds rule of every byte-range access to a
+/// segment of `npages` pages: splits `addr..addr + len` at page boundaries
+/// into `(page, offset within it, bytes)`, in address order; an empty range
+/// yields nothing.
+///
+/// # Panics
+///
+/// Panics — here, not at the first `next` — unless the whole range lies
+/// inside the segment, which a range whose end overflows `usize` does not.
+pub(crate) fn spans(
+    addr: Addr,
+    len: usize,
+    npages: usize,
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let limit = npages * PAGE_SIZE;
+    assert!(
+        addr.checked_add(len).is_some_and(|end| end <= limit),
+        "segment access out of bounds: {addr}+{len} > {limit}"
+    );
+    let mut a = addr;
+    std::iter::from_fn(move || {
+        (a < addr + len).then(|| {
+            let (page, off) = (a / PAGE_SIZE, a % PAGE_SIZE);
+            let n = (PAGE_SIZE - off).min(addr + len - a);
+            a += n;
+            (page, off, n)
+        })
+    })
+}
 
 /// Upper bound on pooled free pages per segment (16 MiB of 4 KiB pages).
 /// Beyond this the steady state is covered and extra frees go back to the
@@ -90,8 +120,8 @@ impl PageTracker {
 /// One 4 KiB page of segment memory.
 ///
 /// Pages are immutable once wrapped in a [`PageRef`]; mutation happens only
-/// on a thread's private working copy (a `Box<PageBuf>`) before it is
-/// committed.
+/// on a thread's private working copy (a `PageBuf` held by value) before it
+/// is committed.
 #[derive(Debug)]
 pub struct PageBuf {
     /// `None` only transiently inside `Drop`, where the buffer is moved
@@ -139,6 +169,19 @@ impl PageBuf {
         self.data.as_ref().expect("page present outside drop")
     }
 
+    /// [`PageBuf::bytes`] for the per-access path, which must not hold a
+    /// panic: `None` goes where every other uncommon case of a load goes.
+    #[inline(always)]
+    pub(crate) fn try_bytes(&self) -> Option<&[u8; PAGE_SIZE]> {
+        self.data.as_deref()
+    }
+
+    /// [`PageBuf::bytes_mut`], likewise.
+    #[inline(always)]
+    pub(crate) fn try_bytes_mut(&mut self) -> Option<&mut [u8; PAGE_SIZE]> {
+        self.data.as_deref_mut()
+    }
+
     /// Write access to the page bytes (only possible pre-publication, while
     /// the page is still uniquely owned).
     #[inline]
@@ -159,6 +202,29 @@ impl Drop for PageBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spans_split_a_range_at_page_boundaries() {
+        let all = |addr, len| spans(addr, len, 4).collect::<Vec<_>>();
+        assert_eq!(all(100, 0), vec![]);
+        assert_eq!(all(4 * PAGE_SIZE, 0), vec![], "empty at the very end");
+        assert_eq!(all(100, 5), vec![(0, 100, 5)]);
+        assert_eq!(all(PAGE_SIZE - 3, 3), vec![(0, PAGE_SIZE - 3, 3)]);
+        assert_eq!(
+            all(PAGE_SIZE - 3, 8),
+            vec![(0, PAGE_SIZE - 3, 3), (1, 0, 5)]
+        );
+        assert_eq!(
+            all(PAGE_SIZE + 1, 2 * PAGE_SIZE),
+            vec![(1, 1, PAGE_SIZE - 1), (2, 0, PAGE_SIZE), (3, 0, 1)]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn spans_reject_a_range_past_the_end_before_yielding() {
+        let _ = spans(4 * PAGE_SIZE - 1, 2, 4);
+    }
 
     #[test]
     fn tracker_counts_live_and_peak() {

@@ -153,11 +153,16 @@ impl ParallelCommit {
             inner.sealed.as_ref().map(|s| s.len()),
             "install before all merges finished"
         );
+        // Each participant's `merge_for` appended its pages in one `extend`,
+        // in the sealed plan's page order, so dealing them out keeps every
+        // list page-sorted, which `SegInner::install` needs.
         let mut per: Vec<Vec<(u32, PageRef)>> = vec![Vec::new(); inner.participants.len()];
-        results.sort_unstable_by_key(|(p, _, _)| *p);
         for (page, content, last) in results.drain(..) {
             per[last].push((page, content));
         }
+        debug_assert!(per
+            .iter()
+            .all(|pages| pages.windows(2).all(|w| w[0].0 < w[1].0)));
         let counts = inner
             .participants
             .iter()

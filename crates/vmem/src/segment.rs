@@ -8,7 +8,7 @@ use dmt_api::sync::Mutex;
 use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
 
 use crate::merge;
-use crate::page::{PageBuf, PageRef, PageTracker};
+use crate::page::{spans, PageBuf, PageRef, PageTracker};
 use crate::registry::Registry;
 use crate::version::Version;
 use crate::workspace::{Diff, Workspace};
@@ -211,18 +211,13 @@ impl Segment {
     /// Panics if the range is out of bounds or a page is already shared
     /// with a workspace snapshot.
     pub fn init_write(&self, addr: Addr, data: &[u8]) {
-        assert!(addr + data.len() <= self.len(), "init_write out of bounds");
+        let spans = spans(addr, data.len(), self.npages);
         let mut inner = self.inner.lock();
-        let mut a = addr;
         let mut done = 0;
-        while done < data.len() {
-            let p = a / PAGE_SIZE;
-            let off = a % PAGE_SIZE;
-            let n = (PAGE_SIZE - off).min(data.len() - done);
+        for (p, off, n) in spans {
             let page = Arc::get_mut(&mut inner.latest[p])
                 .expect("init_write after workspaces were created");
             page.bytes_mut()[off..off + n].copy_from_slice(&data[done..done + n]);
-            a += n;
             done += n;
         }
     }
@@ -233,16 +228,11 @@ impl Segment {
     ///
     /// Panics if the range is out of bounds.
     pub fn read_latest(&self, addr: Addr, buf: &mut [u8]) {
-        assert!(addr + buf.len() <= self.len(), "read_latest out of bounds");
+        let spans = spans(addr, buf.len(), self.npages);
         let inner = self.inner.lock();
-        let mut a = addr;
         let mut done = 0;
-        while done < buf.len() {
-            let p = a / PAGE_SIZE;
-            let off = a % PAGE_SIZE;
-            let n = (PAGE_SIZE - off).min(buf.len() - done);
+        for (p, off, n) in spans {
             buf[done..done + n].copy_from_slice(&inner.latest[p].bytes()[off..off + n]);
-            a += n;
             done += n;
         }
     }
@@ -252,12 +242,11 @@ impl Segment {
     /// copied (the paper's fork cost, §3.3).
     pub fn new_workspace(&self, tid: Tid) -> (Workspace, usize) {
         let inner = self.inner.lock();
-        let snap = inner.latest.clone();
         let base = inner.next_id - 1;
+        let ws = Workspace::new(tid, base, &inner.latest);
         drop(inner);
         self.registry.set_base(tid, base);
-        let n = snap.len();
-        (Workspace::new(tid, base, snap), n)
+        (ws, self.npages)
     }
 
     /// Detaches `tid`'s workspace from GC consideration.
@@ -303,7 +292,7 @@ impl Segment {
             };
         }
         for (p, page) in &pages {
-            ws.snap_mut()[*p as usize] = Arc::clone(page);
+            ws.remap(*p, page);
         }
         CommitResult {
             pages: pages.len() as u32,
@@ -418,7 +407,7 @@ impl Segment {
                     break;
                 }
                 for (p, r) in &v.pages {
-                    ws.snap_mut()[*p as usize] = Arc::clone(r);
+                    ws.remap(*p, r);
                 }
             }
             // Propagation accounting comes from the never-squashed count
@@ -625,6 +614,20 @@ mod tests {
         let mut b = [0u8; 3];
         ws.read_bytes(10, &mut b);
         assert_eq!(&b, b"abc");
+    }
+
+    /// `usize::MAX - 3` plus eight wraps to 4: an unchecked `addr + len`
+    /// passes any `<= len()` test in a release build.
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn init_write_whose_end_overflows_is_out_of_bounds() {
+        Segment::new(1, 1).init_write(usize::MAX - 3, &[1; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn read_latest_whose_end_overflows_is_out_of_bounds() {
+        Segment::new(1, 1).read_latest(usize::MAX - 3, &mut [0; 8]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * for **overlapping** writers, chained [`merge_into`] equals the
 //!   byte-wise oracle "the highest-version writer of byte `i` wins", and
 //!   equals the in-place [`apply_diff`] path the parallel barrier uses —
-//!   two physically different merge schedules, one result.
+//!   two physically different merge schedules, one result;
+//! * what `Segment::commit` and a barrier commit publish from the write
+//!   set the stores recorded equals the byte-loop reference over full pages.
 
 use conversion::merge::{apply_diff, merge_into, DirtyMap};
 use dmt_api::PAGE_SIZE;
@@ -207,6 +209,88 @@ fn serial_and_parallel_merge_paths_agree() {
             apply_diff(&base, &writers[w].work, &mut in_place);
         }
         assert_eq!(&chained[..], &in_place[..]);
+    }
+}
+
+/// The write set the stores record drives both commits to the bytes the
+/// byte-loop reference computes from full pages: three workspaces store
+/// into the same four pages (words, runs, the value already there, a write
+/// taken back), then commit — one after another, and again through one
+/// barrier commit — and the segment must hold, page by page, the chained
+/// `bytewise::merge_into` of their views in commit order.
+#[test]
+fn committed_stores_match_the_bytewise_model_under_both_commits() {
+    use conversion::merge::bytewise;
+    use conversion::{ParallelCommit, Segment, Workspace};
+    use dmt_api::Tid;
+
+    const PAGES: usize = 4;
+    const LEN: usize = PAGES * PAGE_SIZE;
+    const THREADS: usize = 3;
+    for seed in 0..12u64 {
+        let init: Vec<u8> = (0..LEN).map(|i| (i as u64 * 31 + seed) as u8).collect();
+        let mut model = init.clone();
+        for barrier in [false, true] {
+            let mut rng = Lcg(0x5EED ^ seed);
+            let seg = Segment::new(PAGES, THREADS);
+            seg.init_write(0, &init);
+            let mut ws: Vec<Workspace> = (0..THREADS)
+                .map(|t| seg.new_workspace(Tid(t as u32)).0)
+                .collect();
+            for w in ws.iter_mut() {
+                for _ in 0..1 + rng.below(12) {
+                    let addr = rng.below(LEN - 600);
+                    match rng.below(5) {
+                        0 => drop(w.st_u64(addr & !7, rng.next())),
+                        1 => drop(w.st_u64(addr, rng.next())),
+                        2 => {
+                            let run: Vec<u8> =
+                                (0..rng.below(600)).map(|_| rng.next() as u8).collect();
+                            w.write_bytes(addr, &run);
+                        }
+                        3 => drop(w.st_u64(addr, w.ld_u64(addr))),
+                        _ => {
+                            let old = w.ld_u64(addr);
+                            w.st_u64(addr, !old);
+                            w.st_u64(addr, old);
+                        }
+                    }
+                }
+            }
+            if !barrier {
+                // Every workspace is based on the initial version, so its
+                // twins are `init` and its view is its working copy.
+                for w in &ws {
+                    let mut view = vec![0u8; LEN];
+                    w.read_bytes(0, &mut view);
+                    for p in (0..LEN).step_by(PAGE_SIZE) {
+                        let page = |b: &[u8]| -> Page {
+                            Box::new(b[p..p + PAGE_SIZE].try_into().unwrap())
+                        };
+                        let mut out = Box::new([0u8; PAGE_SIZE]);
+                        bytewise::merge_into(&page(&init), &page(&view), &page(&model), &mut out);
+                        model[p..p + PAGE_SIZE].copy_from_slice(&out[..]);
+                    }
+                }
+                for w in ws.iter_mut() {
+                    seg.commit(w, None);
+                }
+            } else {
+                let pc = ParallelCommit::new();
+                for w in ws.iter_mut() {
+                    pc.register(w);
+                }
+                pc.seal(&seg);
+                for i in 0..THREADS {
+                    pc.merge_for(i);
+                }
+                pc.install(&seg);
+            }
+            let mut got = vec![0u8; LEN];
+            seg.read_latest(0, &mut got);
+            assert!(got == model, "seed {seed}, barrier commit: {barrier}");
+        }
+        assert!(model != init, "seed {seed} committed nothing");
     }
 }
 
