@@ -107,14 +107,9 @@ pub struct Counters {
     /// Iterations of the token wait loop: one per return from a sleep, for
     /// a real wake or a stale permit, and none for a grant that found the
     /// token free on arrival. `token_wake_loops / token_acquisitions` is
-    /// the wakeups-per-grant fan-out: at most 1 under targeted handoff
-    /// (`kv_server` reads 0.43), up to T under broadcast.
+    /// the wakeups-per-grant fan-out: at most 1, since a hand-off wakes
+    /// one thread (`kv_server` reads 0.43).
     pub token_wake_loops: u64,
-    /// Targeted single-thread wake-ups requested (fast-path scheduler).
-    pub targeted_wakes: u64,
-    /// Unpark-everyone wake-ups requested on the token path (reference
-    /// scheduler, or fast-path fallback).
-    pub broadcast_wakes: u64,
     /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
     #[doc(hidden)]
     pub settle_pages_deferred: u64,
@@ -147,8 +142,6 @@ impl AddAssign for Counters {
         self.gc_versions_squashed += o.gc_versions_squashed;
         self.page_pool_hits += o.page_pool_hits;
         self.token_wake_loops += o.token_wake_loops;
-        self.targeted_wakes += o.targeted_wakes;
-        self.broadcast_wakes += o.broadcast_wakes;
     }
 }
 

@@ -3,8 +3,7 @@
 //! On its own the clock table ([`SchedTable`], kind
 //! [`Reference`](crate::SchedKind::Reference)) is a passive state machine
 //! mutated under the runtime's one global mutex. That is correct but
-//! serializes *every* counter overflow through the global lock and leaves
-//! a token release no way to name the one thread worth waking. The
+//! serializes *every* counter overflow through the global lock. The
 //! [`Fast`](crate::SchedKind::Fast) kind adds a mirror of the table in
 //! atomics, and nothing else:
 //!
@@ -52,8 +51,10 @@
 //! that can make the condition true is followed by that evaluation in the
 //! same thread — an arrival (`wake_successor`, then its own admission
 //! check, in the same lock section), a token release (`wake_successor`),
-//! every other transition (made by the token holder, whose release
-//! follows) — except one: a lock-free publication. For it:
+//! a locked publication (reference kind or failed over: `wake_successor`
+//! in the same lock section), every other transition (made by the token
+//! holder, whose release follows) — except one: a lock-free publication.
+//! For it:
 //!
 //! 1. *A publisher's slot store vs. a head-key store* — the one `SeqCst`
 //!    pair. The publisher does `W(slot); R(head_key)`; whoever makes `w`
@@ -63,8 +64,8 @@
 //!    publisher reads `w`'s key, finds its store crossed it
 //!    ([`PublishOutcome::wake_hint`]) and goes on to 2.
 //! 2. *Everything else is lock order.* A publisher that crossed the head
-//!    takes the runtime lock **after** its store and re-checks
-//!    `token.is_none() && eligible(w)` there. Against a token release, and
+//!    takes the runtime lock **after** its store and evaluates the same
+//!    rule (`wake_successor`) there. Against a token release, and
 //!    against a second publisher that blocks the same head, whichever lock
 //!    section comes later sees both the free token and every crossing
 //!    store that preceded the earlier section, and records the wake.
@@ -139,8 +140,8 @@ pub struct PublishOutcome {
     /// This store crossed the head waiter's key: the publisher blocked
     /// that thread before it and does not after. Nothing else is implied —
     /// the token may be held and other threads may still block the head —
-    /// so the runtime takes the global lock, re-checks, and only then
-    /// wakes exactly this thread.
+    /// so the runtime takes the global lock and re-evaluates its wake
+    /// rule there.
     pub wake_hint: Option<Tid>,
 }
 
@@ -304,17 +305,17 @@ impl SchedTable {
     }
 
     /// The unique thread a token release should wake, if any: the head
-    /// waiter when it is (now) eligible. `None` means nobody can take the
-    /// token yet — the publication that crosses the head last will find it
-    /// eligible under the lock — or that this is the reference kind, whose
-    /// releases broadcast.
+    /// waiter (the cached key on the fast kind, a scan on the reference
+    /// kind) when it is (now) eligible. `None` means nobody can take the
+    /// token yet: the publication that crosses the head last will find it
+    /// eligible under the lock.
     pub fn successor(&mut self) -> Option<Tid> {
-        if self.kind != SchedKind::Fast {
-            return None;
-        }
         match self.policy() {
             OrderPolicy::InstructionCount => {
-                let head = self.slots.head_key();
+                let head = match self.kind {
+                    SchedKind::Fast => self.slots.head_key(),
+                    SchedKind::Reference => self.scan_head_key(),
+                };
                 let t = Tid(packed_tid(head));
                 (head != NO_WAITER && self.eligible(t)).then_some(t)
             }
@@ -399,9 +400,10 @@ impl SchedTable {
     /// continues bit-for-bit. Returns `false` on a reference-kind table.
     ///
     /// Afterwards the caller must stop routing publications through
-    /// [`Slots::publish`] and fall back to broadcast wake-ups: the bounds
-    /// are no longer read. A publication already in flight there still
-    /// lands in the thread's history, where `crossing_v` finds it.
+    /// [`Slots::publish`] — the bounds are no longer read — and unpark
+    /// every thread once: a waiter the corruption kept asleep may be
+    /// eligible now. A publication already in flight there still lands in
+    /// the thread's history, where `crossing_v` finds it.
     pub fn failover(&mut self) -> bool {
         if self.kind != SchedKind::Fast {
             return false;
@@ -566,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn sched_table_reference_has_no_successor() {
+    fn sched_table_reference_names_the_eligible_head_waiter() {
         let mut t = SchedTable::new(
             SchedKind::Reference,
             OrderPolicy::InstructionCount,
@@ -575,7 +577,7 @@ mod tests {
         t.register(Tid(0), 0, 0);
         t.arrive_sync(Tid(0), 1, 0);
         assert!(t.eligible(Tid(0)));
-        assert_eq!(t.successor(), None);
+        assert_eq!(t.successor(), Some(Tid(0)));
         assert_eq!(t.kind(), SchedKind::Reference);
     }
 
@@ -720,7 +722,7 @@ mod tests {
 
     #[test]
     fn publication_in_flight_during_failover_keeps_its_wake_time() {
-        // A running thread already past the runtime's "targeted?" check
+        // A running thread already past the runtime's "lock-free?" check
         // when the watchdog fails the table over still publishes through
         // the slots. Its entry must stay in the wake-time history: a
         // degraded run's virtual time has to equal the clean run's.

@@ -15,11 +15,12 @@
 //! The clock table ([`SchedTable`]) is a passive state machine mutated under
 //! the owning runtime's global lock, and it exists once. On its own it is
 //! the reference scheduler ([`SchedKind::Reference`]: eligibility read from
-//! the table's entries, locked publication, broadcast wake-ups — what replay
-//! and a failed-over run execute, and the oracle of the differential
-//! tests); mirrored into the lock-free [`Slots`], one atomic per thread, it
-//! is the fast one ([`SchedKind::Fast`], module [`fast`]: lock-free
-//! publication, eligibility read from the mirror, targeted wake-ups).
+//! the table's entries, locked publication — what a failed-over run
+//! executes, and the oracle of the differential tests); mirrored into the
+//! lock-free [`Slots`], one atomic per thread, it is the fast one
+//! ([`SchedKind::Fast`], module [`fast`]: lock-free publication,
+//! eligibility read from the mirror). Both name the same successor of a
+//! token release ([`SchedTable::successor`]).
 //! Crucially the table also propagates **virtual time** along
 //! wake edges: every externally visible change of a thread's effective
 //! clock bound (publication, departure, turn advance) is recorded with its

@@ -4,12 +4,13 @@
 //! published clocks — it *follows* the recorded token-grant order. A
 //! [`ReplayCtl`] holds that order; the runtime consults
 //! [`ReplayCtl::admits`] where it would normally ask the clock table for
-//! eligibility, and calls [`ReplayCtl::granted`] at the grant point to
+//! eligibility and [`ReplayCtl::next`] where it would ask for the thread
+//! to wake, and calls [`ReplayCtl::granted`] at the grant point to
 //! advance the cursor.
 //!
 //! Replay is self-releasing on divergence: once the trace is exhausted,
 //! or a comparison sink flags a divergence via
-//! [`ReplayCtl::mark_diverged`], `admits` returns `None` and the runtime
+//! [`ReplayCtl::mark_diverged`], both return `None` and the runtime
 //! falls back to real (recomputed) eligibility so the run can complete
 //! and report *where* it split instead of deadlocking on a schedule that
 //! no longer fits the execution.
@@ -42,15 +43,21 @@ impl ReplayCtl {
         }
     }
 
-    /// Whether thread `tid` is the recorded next grantee. `None` when
-    /// the replay no longer drives grants (trace exhausted or diverged)
-    /// and the caller must fall back to recomputed eligibility.
-    pub fn admits(&self, tid: u32) -> Option<bool> {
+    /// The recorded next grantee. `None` when the replay no longer drives
+    /// grants (trace exhausted or diverged) and the caller must fall back
+    /// to recomputed eligibility.
+    pub fn next(&self) -> Option<u32> {
         if self.diverged.load(Ordering::Acquire) {
             return None;
         }
-        let next = *self.grants.get(self.cursor.load(Ordering::Acquire))?;
-        Some(next == tid)
+        self.grants
+            .get(self.cursor.load(Ordering::Acquire))
+            .copied()
+    }
+
+    /// Whether thread `tid` is [`next`](ReplayCtl::next); `None` as there.
+    pub fn admits(&self, tid: u32) -> Option<bool> {
+        self.next().map(|n| n == tid)
     }
 
     /// Records that `tid` took the token, advancing the cursor when the
@@ -58,13 +65,9 @@ impl ReplayCtl {
     /// after a fallback wake raced the divergence flag) marks the replay
     /// diverged rather than mis-advancing the script.
     pub fn granted(&self, tid: u32) {
-        if self.diverged.load(Ordering::Acquire) {
-            return;
-        }
-        let at = self.cursor.load(Ordering::Acquire);
-        match self.grants.get(at) {
-            Some(&next) if next == tid => {
-                self.cursor.store(at + 1, Ordering::Release);
+        match self.next() {
+            Some(next) if next == tid => {
+                self.cursor.store(self.position() + 1, Ordering::Release);
             }
             Some(_) => self.mark_diverged(),
             None => {}
@@ -111,16 +114,23 @@ mod tests {
     #[test]
     fn admits_only_the_scripted_next_grantee() {
         let ctl = ReplayCtl::new(vec![0, 2, 1]);
+        assert_eq!(ctl.next(), Some(0));
         assert_eq!(ctl.admits(0), Some(true));
         assert_eq!(ctl.admits(2), Some(false));
         ctl.granted(0);
+        assert_eq!(ctl.next(), Some(2));
         assert_eq!(ctl.admits(0), Some(false));
         assert_eq!(ctl.admits(2), Some(true));
         ctl.granted(2);
         ctl.granted(1);
         assert!(ctl.exhausted());
         // Exhausted: callers fall back to recomputed eligibility.
-        assert_eq!(ctl.admits(1), None);
+        assert_eq!((ctl.next(), ctl.admits(1)), (None, None));
+        // So does a script abandoned half way.
+        let ctl = ReplayCtl::new(vec![0, 2, 1]);
+        ctl.granted(0);
+        ctl.mark_diverged();
+        assert_eq!((ctl.next(), ctl.position()), (None, 1));
     }
 
     #[test]

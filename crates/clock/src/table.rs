@@ -8,9 +8,9 @@
 //! owning runtime's global lock and eligibility is read from the entries.
 //! [`SchedKind::Fast`] is the same table plus an atomic mirror of it
 //! (`crate::fast`): one bound per thread, raised by lock-free publication
-//! and read by eligibility, and the head waiter's key for targeted
-//! wake-ups. The mirror is derived state; no longer reading it
-//! ([`SchedTable::failover`]) leaves the reference table.
+//! and read by eligibility, and the head waiter's key, which a publisher
+//! reads without the lock. The mirror is derived state; no longer reading
+//! it ([`SchedTable::failover`]) leaves the reference table.
 
 use std::sync::Arc;
 
@@ -48,13 +48,12 @@ pub enum ThreadState {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SchedKind {
     /// Lock-free publication into per-thread slots, eligibility read from
-    /// those slots, targeted wake-ups.
+    /// those slots.
     #[default]
     Fast,
     /// The table alone: publication under the one lock, eligibility read
-    /// from the entries, unpark-everyone wake-ups. What replay and a
-    /// failed-over run execute, and the oracle the fast kind is
-    /// differentially tested against.
+    /// from the entries. What a failed-over run executes, and the oracle
+    /// the fast kind is differentially tested against.
     Reference,
 }
 

@@ -137,10 +137,10 @@ impl Harness {
         }
         let expect = match self.fast.policy() {
             OrderPolicy::InstructionCount => {
-                // The fast table's successor — the one thread a token
-                // release wakes — must be exactly the waiter the reference
-                // table would grant to: the minimum (clock, tid) waiter,
-                // when eligible.
+                // A table's successor — the one thread a token release
+                // wakes — must be exactly the waiter the reference table
+                // would grant to: the minimum (clock, tid) waiter, when
+                // eligible.
                 let min_waiter = self
                     .model
                     .iter()
@@ -161,10 +161,9 @@ impl Harness {
                 matches!(self.model.get(holder), Some(Model::AtSync(_))).then(|| Tid(holder as u32))
             }
         };
-        // Only the fast kind names a successor; after a failover releases
-        // broadcast and the table answers `None`.
-        let fast = self.fast.kind() == SchedKind::Fast;
-        assert_eq!(self.fast.successor(), expect.filter(|_| fast), "successor");
+        // Both kinds name it, and so does a failed-over table.
+        assert_eq!(self.fast.successor(), expect, "successor");
+        assert_eq!(self.refr.successor(), expect, "reference successor");
     }
 
     fn step(&mut self, rng: &mut Rng) {

@@ -317,29 +317,26 @@ impl Ctx {
         });
         let sh = Arc::clone(&self.sh);
         let adaptive = sh.opts.adaptive_overflow;
-        let min_w = if sh.parking.targeted() {
+        let min_w = if sh.parking.publishes_lock_free() {
             // Fast path: publish straight into our lock-free slot — no
             // global mutex on the publication hot path. The adaptive
             // threshold reads the head waiter's packed key instead of
             // scanning: we are running, so the head *is*
             // `min_waiting_other(self.tid)`.
             let out = sh.slots.publish(self.tid, self.clock, self.v);
-            if let Some(w) = out.wake_hint {
+            if out.wake_hint.is_some() {
                 // The hint says only that our store crossed the head's key.
                 // Whether that made it the successor — token free, nobody
                 // else blocking it — is decided here, under the lock and
                 // after the store (`det_clock::fast`, "No lost wake-up");
                 // the unpark follows the unlock.
-                let mut inner = sh.lock();
-                if inner.token.is_none() && inner.table.eligible(w) {
-                    inner.wake_one(w, &mut self.cnt);
-                }
+                sh.lock().wake_successor(self.tid);
             }
             out.head.filter(|_| adaptive)
         } else {
             let mut inner = sh.lock();
             if inner.table.publish(self.tid, self.clock, self.v) {
-                inner.broadcast(&mut self.cnt);
+                inner.wake_successor(self.tid);
             }
             adaptive
                 .then(|| inner.table.min_waiting_other(self.tid))

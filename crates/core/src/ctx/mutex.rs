@@ -126,12 +126,7 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = Arc::clone(&self.sh);
-        let mut inner = sh.lock();
-        let woke = self.unlock_state(&mut inner, m);
-        // Reference herd: broadcast even though the woken waiter was
-        // already flagged and the token is still held.
-        inner.broadcast(&mut self.cnt);
-        drop(inner);
+        let woke = self.unlock_state(&mut sh.lock(), m);
         if woke {
             // A woken waiter must get a fair shot at the lock: retaining
             // the token here would let us re-acquire the lock before the

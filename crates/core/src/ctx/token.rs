@@ -103,7 +103,7 @@ impl Ctx {
         inner.table.arrive_sync(self.tid, arrival_clock, self.v);
         // Our arrival published a bound; the head waiter may have become
         // eligible.
-        inner.wake_successor(self.tid, &mut self.cnt);
+        inner.wake_successor(self.tid);
         let wait_from = self.v;
         loop {
             if inner.shutdown {
@@ -128,7 +128,7 @@ impl Ctx {
         inner.token = Some(self.tid);
         if let Some(ctl) = &sh.replay {
             // Advance the grant script: the next scripted grantee becomes
-            // admissible (and is woken by the broadcast on release).
+            // admissible (and is the thread our release wakes).
             ctl.granted(self.tid.0);
         }
         // Logical-progress signal for the watchdog: grants are the pulse.
@@ -214,14 +214,13 @@ impl Ctx {
         }
         self.holding_token = false;
         // The threads we woke under the token can use their wake now.
-        debug_assert!(!self.holding_token);
         inner.wakes.take(&mut self.pending);
         // Hand off to the unique deterministic successor. A publisher that
         // crosses the head waiter re-checks under this lock after its
         // store, so whichever of the two sections comes later sees both
         // the free token and the crossing: no eligible waiter is left
         // asleep.
-        inner.wake_successor(self.tid, &mut self.cnt);
+        inner.wake_successor(self.tid);
     }
 
     /// Ends a token section whose commit (if any) already happened: resume
@@ -333,13 +332,10 @@ impl Ctx {
                     tid: self.tid,
                     clock: self.clock,
                 });
+                // We still hold the token, so no waiter can proceed:
+                // nobody to wake.
                 let sh = Arc::clone(&self.sh);
-                let mut inner = sh.lock();
-                inner.table.resume(self.tid, self.clock, self.v);
-                // We still hold the token, so no waiter can proceed; the
-                // reference scheduler broadcasts anyway (part of the
-                // thundering herd the fast path eliminates).
-                inner.broadcast(&mut self.cnt);
+                sh.lock().table.resume(self.tid, self.clock, self.v);
                 return;
             }
         }
@@ -387,11 +383,7 @@ impl Ctx {
         st.wake_err = err;
         let saved = st.saved_clock;
         inner.table.reactivate(w, saved, self.v);
-        // Reference mode: the broadcast at our release covers it.
-        if self.sh.parking.targeted() {
-            self.pending.push(w);
-            self.cnt.targeted_wakes += 1;
-        }
+        self.pending.push(w);
     }
 
     /// Removes this thread from GMIC consideration (`clockDepart`,

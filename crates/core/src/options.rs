@@ -8,63 +8,76 @@ use det_clock::{OrderPolicy, SchedKind};
 
 use crate::coarsen;
 
-/// Consequence configuration.
+/// Consequence configuration. Each field's doc ends with *Needed by*: the
+/// figure, baseline, drill or test that would lose its subject without it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Options {
     /// Deterministic ordering policy: instruction count (Consequence-IC)
-    /// or round robin (Consequence-RR / DWC).
+    /// or round robin (Consequence-RR / DWC). *Needed by* Figures 10–11:
+    /// the `consequence-ic` column against `consequence-rr` and `dwc`.
     pub order: OrderPolicy,
-    /// Adaptive coarsening of chunks (§3.1).
+    /// Adaptive coarsening of chunks (§3.1). *Needed by* Figure 13 (its
+    /// first ablation) and the `dwc` baseline, which has none.
     pub coarsening: bool,
-    /// Fixed coarsening budget in instructions, for the Figure 14 static
-    /// sweep. `None` means the adaptive multiplicative-increase /
-    /// multiplicative-decrease policy.
+    /// Fixed coarsening budget in instructions; `None` means the adaptive
+    /// multiplicative-increase / multiplicative-decrease policy. *Needed
+    /// by* Figure 14, the static sweep.
     pub static_coarsen: Option<u64>,
     /// Fast-forward lagging logical clocks on token acquisition (§3.5).
+    /// *Needed by* Figure 13 and the `dwc` baseline.
     pub fast_forward: bool,
     /// Two-phase parallel barrier commit (§4.2); otherwise barrier commits
-    /// are serial, as in DWC.
+    /// are serial, as in DWC. *Needed by* Figure 13 and the `dwc` baseline.
     pub parallel_barrier: bool,
     /// Adaptive counter-overflow notification (§3.2); otherwise a fixed
-    /// overflow interval.
+    /// overflow interval. *Needed by* Figure 13, the `figures extras`
+    /// overflow sweep, and `GOLDEN_VTIME` (`tests/golden_hashes.rs`), whose
+    /// virtual time reproduces only with it off.
     pub adaptive_overflow: bool,
     /// Read performance counters from user space during coarsened chunks
-    /// (§3.4); otherwise every read costs a syscall.
+    /// (§3.4); otherwise every read costs a syscall. *Needed by* Figure 13.
     pub user_counter_read: bool,
-    /// Reuse exited threads for new spawns (§3.3).
+    /// Reuse exited threads for new spawns (§3.3). *Needed by* the
+    /// `figures extras` pool ablation (`without("thread_pool")`).
     pub thread_pool: bool,
     /// Commit forcibly after this many instructions in one chunk —
     /// the §2.7 ad-hoc synchronization escape hatch. The paper evaluates
-    /// with this disabled (`None`).
+    /// with this disabled (`None`). *Needed by* `examples/adhoc_spin.rs`
+    /// and `chunk_limit_supports_ad_hoc_synchronization`.
     pub chunk_limit: Option<u64>,
     /// Alias every mutex to one global lock, as DThreads and DWC do.
+    /// *Needed by* the `dwc` baseline of Figures 10–11.
     pub single_global_lock: bool,
     /// Kendo-style polling locks (§4.1): a failed acquire does not block
     /// and depart; instead the thread bumps its logical clock past the
     /// current minimum and retries. The paper contrasts its blocking
     /// queue-based mutex (the default) against this design — polling burns
     /// token acquisitions and needs a program-specific clock increment.
+    /// *Needed by* the `figures extras` Kendo contrast and
+    /// `tests/polling_locks.rs`.
     pub polling_locks: bool,
     /// Clock increment added on each failed polling acquire (Kendo's
-    /// tuning knob; only used with `polling_locks`).
+    /// tuning knob; only used with `polling_locks`). *Needed by* the same.
     pub polling_increment: u64,
     /// Scheduler kind: the clock table with its atomic mirror — lock-free
-    /// publication, eligibility read from the mirror, targeted wake-ups
-    /// ([`SchedKind::Fast`], the default) — or the table alone: locked
-    /// publication, eligibility read from the entries, unpark-everyone
-    /// wake-ups ([`SchedKind::Reference`]). Both produce bit-identical
-    /// schedules (checked by `stress --sched-diff`). The reference kind is
-    /// not only the oracle of that differential: replay forces it, and a
-    /// run whose watchdog fails over continues on it.
+    /// publication, eligibility read from the mirror ([`SchedKind::Fast`],
+    /// the default) — or the table alone: locked publication, eligibility
+    /// read from the entries ([`SchedKind::Reference`]). Both produce
+    /// bit-identical schedules and wake the same successor at a release.
+    /// *Needed by* the publish grid of `bench sched`, failover (a run whose
+    /// watchdog fails over continues on the reference kind) and
+    /// `stress --sched-diff`, whose oracle the reference kind is.
     pub sched: SchedKind,
-    /// Base overflow interval in instructions (§3.2 uses 5 000).
+    /// Base overflow interval in instructions (§3.2 uses 5 000). *Needed
+    /// by* the `figures extras` overflow sweep.
     pub base_overflow: u64,
-    /// **Deliberate determinism bug** for the `dmt-stress` harness
-    /// (`stress --inject-bug`): a thread arriving at a free token takes it
+    /// **Deliberate determinism bug** for the `dmt-stress` harness: a
+    /// thread arriving at a free token takes it
     /// without the deterministic eligibility check, so physical arrival
     /// order leaks into the schedule — the bug class where one
     /// `clockDepart` / publication update is missed. Never enable outside
-    /// the stress harness; see `docs/STRESS.md`.
+    /// the stress harness; see `docs/STRESS.md`. *Needed by*
+    /// `stress --inject-bug`.
     pub inject_eligibility_bug: bool,
     /// Watchdog stall threshold in milliseconds: when live threads exist
     /// but no token is granted for this long, the supervisor checks the
@@ -73,7 +86,9 @@ pub struct Options {
     /// down with [`dmt_api::DmtError::Deadlock`] instead of hanging.
     /// `None` disables supervision. Pure-compute stalls (threads that
     /// never synchronize) are indistinguishable from deadlock to a
-    /// logical-progress watchdog; see `docs/ROBUSTNESS.md`.
+    /// logical-progress watchdog; see `docs/ROBUSTNESS.md`. *Needed by*
+    /// `watchdog_diagnoses_deadlock_instead_of_hanging`, the failover
+    /// drill, and replay, which lowers it.
     pub watchdog_stall_ms: Option<u64>,
     /// **Deliberate scheduler corruption** for the robustness harness: at
     /// the first token grant at or past the given one with a thread
@@ -83,25 +98,31 @@ pub struct Options {
     /// catches). Waiters past the stale bound are blocked; if the run
     /// stalls, the watchdog detects the violation and fails over to the
     /// reference scheduler, which reads no mirror, and the run completes
-    /// with `RunReport::degraded` set. Never enable outside tests.
+    /// with `RunReport::degraded` set. Never enable outside tests. *Needed
+    /// by* the failover drills of `tests/robustness.rs`.
     pub inject_sched_corruption: Option<u64>,
     /// Number of independently tokened shard domains the `dmt-shard`
     /// subsystem partitions the run into. `1` (the default) is the
     /// unsharded runtime: one token, one clock table, [`DomainId::ROOT`]
     /// only. Schedule-relevant: each domain serializes only its own sync
     /// ops, so the same program under a different shard count produces a
-    /// different (still deterministic) schedule.
+    /// different (still deterministic) schedule. *Needed by* `dmt-shard`:
+    /// `tests/shard_server.rs` and `stress --shard-diff`.
     ///
     /// [`DomainId::ROOT`]: dmt_api::DomainId::ROOT
     pub shard_domains: u32,
     /// Seed for the deterministic shard map assigning keys to domains.
     /// Schedule-relevant whenever `shard_domains > 1`: moving a key to a
     /// different domain moves its sync ops to a different token order.
+    /// *Needed by* the same (the former's remapped cell, the latter's map
+    /// seeds).
     pub shard_map_seed: u64,
-    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    /// Inert; deleted with ROADMAP item 3(a). *Needed by* nothing here:
+    /// frozen `e2e/` names it.
     #[doc(hidden)]
     pub pipeline_commit: bool,
-    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+    /// Inert; deleted with ROADMAP item 3(a). *Needed by* nothing here:
+    /// frozen `e2e/` names it.
     #[doc(hidden)]
     pub pipeline_workers: usize,
     /// Durable-flush cadence for disk trace recording: flush the
@@ -110,7 +131,9 @@ pub struct Options {
     /// salvage path (`dmt_trace::Trace::salvage`). `0` flushes only at
     /// finish (the pre-durability behavior). Observation-only — flushing
     /// never touches logical time — so deliberately **not** part of the
-    /// options fingerprint, like the other schedule-neutral knobs.
+    /// options fingerprint, like the other schedule-neutral knobs. *Needed
+    /// by* nothing that sets it: `dmt_bench::replay::record_to` reads the
+    /// preset's 8 for every recording (`stress --trace-chaos`'s included).
     pub trace_flush_pages: u32,
 }
 
@@ -174,8 +197,8 @@ impl Options {
     /// produced it; the fingerprint is stored in the trace META stream
     /// and checked before replay. Deliberately **excluded** because they
     /// cannot change the schedule (and legitimately differ on replay):
-    /// `sched` (fast and reference produce bit-identical schedules —
-    /// replay forces reference for its broadcast wake-ups),
+    /// `sched` (fast and reference produce bit-identical schedules, so a
+    /// trace replays on either kind),
     /// `watchdog_stall_ms` (supervision only; replay lowers it),
     /// `trace_flush_pages` (durability of the recording medium; never
     /// touches logical time), and the two inert fields left behind by the

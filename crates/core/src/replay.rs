@@ -13,19 +13,18 @@
 //! under recomputed eligibility and *reports* where it split instead of
 //! deadlocking on a schedule that no longer fits.
 //!
-//! Two option overrides are applied during replay, both schedule-neutral
-//! and therefore excluded from [`Options::fingerprint`]: the scheduler is
-//! forced to [`SchedKind::Reference`] (its broadcast wake-ups cannot
-//! strand the scripted next grantee, whom the fast path's targeted wakes
-//! do not know about), and the watchdog stall threshold is lowered so a
-//! grant-order deadlock — possible only against a trace from different
-//! code — is diagnosed quickly.
+//! One option override is applied during replay, schedule-neutral and
+//! therefore excluded from [`Options::fingerprint`]: the watchdog stall
+//! threshold is lowered so a grant-order deadlock — possible only against
+//! a trace from different code — is diagnosed quickly (the census names
+//! the scripted grantee the run waits for). Replay runs on the configured
+//! scheduler kind: a release wakes the scripted next grantee.
 
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use det_clock::{ReplayCtl, SchedKind};
+use det_clock::ReplayCtl;
 use dmt_api::{
     CommonConfig, CostModel, FixedPanic, Job, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber,
     RunReport, Runtime, Tid, TraceHandle, TraceSink,
@@ -259,10 +258,8 @@ impl ConsequenceRuntime {
                 current,
             });
         }
-        // Schedule-neutral replay overrides (excluded from the
-        // fingerprint): broadcast wake-ups so the scripted grantee is
-        // always woken, and a fast deadlock diagnosis.
-        opts.sched = SchedKind::Reference;
+        // Schedule-neutral replay override (excluded from the
+        // fingerprint): a fast deadlock diagnosis.
         opts.watchdog_stall_ms = Some(REPLAY_STALL_MS);
 
         let perturb = reconstruct_perturb(&trace.meta)?;

@@ -349,7 +349,7 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
                 format!("scheduler invariant violation: {detail}")
             }
         };
-        let report = diagnose(&inner, &cause);
+        let report = diagnose(&sh, &inner, &cause);
         eprintln!("{report}");
         inner.fault = Some(report);
         inner.shutdown = true;
@@ -361,8 +361,9 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
 
 /// Renders a census of the stalled runtime: who holds the token, who waits
 /// on what, and the state of every sync object — the diagnosis a hung run
-/// would otherwise never yield.
-fn diagnose(inner: &Inner, cause: &str) -> String {
+/// would otherwise never yield. A replaying run adds what its grant script
+/// waits for: nothing else says why an eligible thread is not admitted.
+fn diagnose(sh: &Shared, inner: &Inner, cause: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "[conseq] watchdog: {cause}");
     let _ = writeln!(
@@ -370,6 +371,22 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
         "[conseq] token={:?} last_entrant={:?} grants={} live={}",
         inner.token, inner.last_entrant, inner.grant_seq, inner.live
     );
+    if let Some(ctl) = &sh.replay {
+        let next = match ctl.next() {
+            None => "none".to_string(),
+            Some(n) if (n as usize) < inner.threads.len() => {
+                format!("t{n} state={:?}", inner.table.state(Tid(n)))
+            }
+            Some(n) => format!("t{n} state=unregistered"),
+        };
+        let _ = writeln!(
+            s,
+            "[conseq] replay script: grant {}/{} next={next} diverged={}",
+            ctl.position(),
+            ctl.len(),
+            ctl.diverged()
+        );
+    }
     let _ = writeln!(
         s,
         "[conseq] clock table census (running, at_sync, departed)={:?}",
@@ -433,4 +450,37 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
         let _ = writeln!(s, "[conseq]   contained panic on {t:?}: {msg}");
     }
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The replay twin of `watchdog_diagnoses_deadlock_instead_of_hanging`
+    /// (`tests/robustness.rs`): main waits at a sync op, eligible, for a
+    /// grant the script gives to a thread that never arrives.
+    #[test]
+    fn census_names_the_scripted_grantee_a_stalled_replay_waits_for() {
+        let census = |grantee: u32| {
+            let ctl = Arc::new(det_clock::ReplayCtl::new(vec![grantee]));
+            let opts = Options::consequence_ic();
+            let sh = Shared::new_replaying(CommonConfig::default(), opts, Some(ctl));
+            let mut inner = sh.lock();
+            for t in 0..2 {
+                inner.threads.push(ThreadSt::default());
+                inner.table.register(Tid(t), 0, 0);
+            }
+            inner.table.arrive_sync(Tid::MAIN, 10, 0);
+            inner.table.publish(Tid(1), 20, 0);
+            assert!(inner.table.eligible(Tid::MAIN), "yet not admitted");
+            diagnose(&sh, &inner, "no logical progress")
+        };
+        let line = "replay script: grant 0/1 next=t1 state=Running diverged=false";
+        let report = census(1);
+        assert!(report.contains(line), "{report}");
+        assert!(report.contains("t0: state=AtSync(10)"), "{report}");
+        // A script from other code may name a thread this run never spawns.
+        let report = census(7);
+        assert!(report.contains("next=t7 state=unregistered"), "{report}");
+    }
 }

@@ -228,8 +228,7 @@ impl Inner {
     }
 }
 
-/// Where threads sleep and how they are woken: the one place that knows
-/// which scheduler mode the run is in.
+/// Where threads sleep and how they are woken.
 ///
 /// Every thread sleeps on its own permit ([`std::thread::park`], on the
 /// handle registered when its `Ctx` started), paired with no lock. Two
@@ -251,9 +250,8 @@ impl Inner {
 /// is kept, any number of unparks leave one, and a stale one costs one
 /// re-check of the predicate.
 ///
-/// A fast-scheduler hand-off unparks exactly one thread. Under the
-/// reference scheduler, and after failover, every wake is "unpark every
-/// registered thread" — the herd `BENCH_sched.json` measures against.
+/// A hand-off unparks exactly one thread ([`Held::wake_successor`]);
+/// [`Parking::everyone`] is for five occasions, never a policy.
 ///
 /// Wake timing cannot change the schedule: eligibility is a monotone
 /// predicate of published clocks with a unique minimum, so a missed or
@@ -281,9 +279,11 @@ impl Parking {
         let _ = self.threads[tid.index()].set(std::thread::current());
     }
 
-    /// Whether wakes are targeted (fast scheduler, not failed over).
+    /// Whether a publication goes around the table, straight into
+    /// [`Slots::publish`] (fast kind, not failed over): the test
+    /// `Ctx::maybe_publish` makes without the runtime lock.
     #[inline]
-    pub fn targeted(&self) -> bool {
+    pub fn publishes_lock_free(&self) -> bool {
         self.fast && !self.is_degraded()
     }
 
@@ -297,16 +297,19 @@ impl Parking {
         self.degraded.store(true, Ordering::Release);
     }
 
-    /// Rule 1: never under a lock.
+    /// Rule 1: never under a lock. A tid nobody registered (a replay script
+    /// may name one) is nobody to wake.
     fn unpark(&self, w: Tid) {
         debug_assert_eq!(dmt_api::sync::held(), 0, "unpark under a lock");
-        if let Some(t) = self.threads[w.index()].get() {
+        if let Some(t) = self.threads.get(w.index()).and_then(OnceLock::get) {
             t.unpark();
         }
     }
 
-    /// Unparks every registered thread, whatever it waits for (shutdown,
-    /// failover, every reference-mode wake).
+    /// Unparks every registered thread, whatever it waits for: the
+    /// watchdog's failover (once) and its shutdown, `abort_quiet`, the
+    /// spurious-wake injection in `Ctx::doze`, a ninth distinct wake of one
+    /// lock section ([`Wakes::push`]).
     pub fn everyone(&self) {
         (0..self.threads.len()).for_each(|i| self.unpark(Tid(i as u32)));
     }
@@ -352,35 +355,21 @@ pub(crate) struct Held<'a> {
 }
 
 impl Held<'_> {
-    /// Requests a wake of the unique thread the deterministic order
-    /// designates to take the token next, if the token is free and one is
-    /// eligible; the reference scheduler broadcasts instead.
+    /// The wake rule, stated once: if the token is free, requests a wake of
+    /// the one thread that may take it next — the scripted next grantee
+    /// while a replay script drives grants, otherwise the table's
+    /// [`successor`](SchedTable::successor) (either kind, failed over or
+    /// not). The fallback is `Ctx::admitted`'s: a script that is exhausted
+    /// or diverged names nobody.
     #[inline]
-    pub fn wake_successor(&mut self, me: Tid, cnt: &mut Counters) {
-        if !self.sh.parking.targeted() {
-            self.broadcast(cnt);
-        } else if self.token.is_none() {
-            if let Some(w) = self.table.successor().filter(|w| *w != me) {
-                self.wake_one(w, cnt);
-            }
+    pub fn wake_successor(&mut self, me: Tid) {
+        if self.token.is_some() {
+            return;
         }
-    }
-
-    /// Requests a wake of one thread under the fast scheduler, which has
-    /// no broadcast to cover it.
-    #[inline]
-    pub fn wake_one(&mut self, w: Tid, cnt: &mut Counters) {
-        self.wakes.push(w);
-        cnt.targeted_wakes += 1;
-    }
-
-    /// The reference scheduler's counted herd; nothing under the fast
-    /// scheduler, whose callers have already named the thread that matters.
-    #[inline]
-    pub fn broadcast(&mut self, cnt: &mut Counters) {
-        if !self.sh.parking.targeted() {
-            cnt.broadcast_wakes += 1;
-            self.wakes.all = true;
+        let scripted = self.sh.replay.as_ref().and_then(|ctl| ctl.next());
+        let next = scripted.map(Tid).or_else(|| self.table.successor());
+        if let Some(w) = next.filter(|w| *w != me) {
+            self.wakes.push(w);
         }
     }
 
@@ -581,6 +570,35 @@ mod tests {
         assert!(!inner.sleep(LOST));
         // ...and it was one permit: the next sleep is not missed.
         assert!(inner.sleep(Some(Duration::from_millis(20))));
+    }
+
+    #[test]
+    fn a_release_wakes_the_scripted_grantee_and_the_tables_once_diverged() {
+        let ctl = Arc::new(ReplayCtl::new(vec![2]));
+        let opts = Options::consequence_ic();
+        let sh = Shared::new_replaying(CommonConfig::default(), opts, Some(ctl.clone()));
+        let mut inner = sh.lock();
+        (0..3).for_each(|t| inner.table.register(Tid(t), 0, 0));
+        inner.table.arrive_sync(Tid(1), 10, 0);
+        inner.table.arrive_sync(Tid(2), 20, 0);
+        inner.table.publish(Tid(0), 30, 0);
+        assert_eq!(inner.table.successor(), Some(Tid(1)));
+        let woken = |inner: &mut Held<'_>, me| {
+            inner.wake_successor(Tid(me));
+            let Wakes { tids, n, all } = std::mem::take(&mut inner.wakes);
+            assert!(!all);
+            tids[..n].to_vec()
+        };
+        // The script drives grants: its next grantee, not the table's.
+        assert_eq!(woken(&mut inner, 0), [2]);
+        // Never the releaser itself, and nobody while the token is held.
+        assert_eq!(woken(&mut inner, 2), []);
+        inner.token = Some(Tid(0));
+        assert_eq!(woken(&mut inner, 0), []);
+        inner.token = None;
+        // Abandoned, it names nobody: recomputed eligibility, as for grants.
+        ctl.mark_diverged();
+        assert_eq!(woken(&mut inner, 0), [1]);
     }
 
     #[test]

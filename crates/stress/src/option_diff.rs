@@ -3,11 +3,10 @@
 //!
 //! One optimization in the Consequence runtime exists beside the path it
 //! was written to replace, selected by an option: the **fast scheduler**
-//! (`fast_sched`) — lock-free publication slots, eligibility read from
-//! those slots and targeted per-thread wakeups (`det_clock::fast`) in place
-//! of the reference scheduler's locked publication, eligibility read from
-//! the table's entries and unpark-everyone handoff. It may change how fast
-//! a grant happens, never which thread gets it.
+//! (`fast_sched`) — lock-free publication slots and eligibility read from
+//! those slots (`det_clock::fast`) in place of the reference scheduler's
+//! locked publication and eligibility read from the table's entries. It
+//! may change how fast a grant happens, never which thread gets it.
 //!
 //! The contract is checked the same way for any such option: for every
 //! workload × every Consequence-backed runtime (dwc, consequence-rr,

@@ -155,9 +155,7 @@ fn goldens_are_geometry_sensitive() {
 // digest and silently moves every figure in EXPERIMENTS.md. These rows pin
 // `(virtual_cycles, commit_log_hash, schedule_hash, Breakdown)` per cell
 // (the schedule digest again because the `mixed` program and the
-// round-robin `dmt_server` cells are not in the table above), plus the
-// reference scheduler's `broadcast_wakes` where it is a function of the
-// schedule (BENCH_sched.json's ratios are measured against those counts).
+// round-robin `dmt_server` cells are not in the table above).
 //
 // Only fixed-publication configurations reproduce virtual time across
 // runs (`determinism_matrix::virtual_time_reproducible_for_fixed_overflow_ic`
@@ -173,20 +171,18 @@ use consequence_repro::dmt_api::{Breakdown, RunReport, Runtime, RuntimeMemExt, T
 /// A field that does not reproduce run to run at the commit the pins
 /// were captured at, and so is not compared:
 ///
-/// * `broadcast_wakes` under instruction-count order — publication hints
-///   race with the waiters they would wake;
-/// * `determ_wait` / `barrier_wait` of `dmt_server` — barrier leavers
-///   unpin the installed version outside the token, so *which* thread
-///   pays a `gc_version` charge varies (the total, in `commit`, does
-///   not), and the waits absorb the difference. `virtual_cycles` and the
-///   other five fields were identical over 48 runs per configuration.
+/// `determ_wait` / `barrier_wait` of `dmt_server` — barrier leavers
+/// unpin the installed version outside the token, so *which* thread
+/// pays a `gc_version` charge varies (the total, in `commit`, does
+/// not), and the waits absorb the difference. `virtual_cycles` and the
+/// other five fields were identical over 48 runs per configuration.
 const RACY: u64 = u64::MAX;
 
 /// `(program, runtime label, virtual_cycles, commit_log_hash, schedule_hash,
-/// [chunk, determ_wait, barrier_wait, commit, update, fault, lib],
-/// broadcast_wakes of the reference scheduler)`. Captured at the commit
-/// before the `ctx.rs` decomposition (dfd9067) and not to be edited by a
-/// refactor: a drift here means the refactor moved virtual time. The
+/// [chunk, determ_wait, barrier_wait, commit, update, fault, lib])`.
+/// Captured at the commit before the `ctx.rs` decomposition (dfd9067) and
+/// not to be edited by a refactor: a drift here means the refactor moved
+/// virtual time. The
 /// `commit_log_hash` column alone was re-captured at PR 15, which changed
 /// the log's per-page term from `Fnv1a::hash(page)` to
 /// `dmt_api::page_digest(page)` — the definition of that one digest, not
@@ -194,25 +190,25 @@ const RACY: u64 = u64::MAX;
 /// schedulers.
 #[allow(clippy::type_complexity)]
 #[rustfmt::skip]
-const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7], u64)] = &[
-    ("histogram", "consequence-ic", 6428074, 0x8c91145bbf17e4b0, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780], RACY),
-    ("histogram", "consequence-rr", 4400284, 0x8c91145bbf17e4b0, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040], 52),
-    ("histogram", "dwc", 4403848, 0x8c91145bbf17e4b0, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740], 62),
-    ("kmeans", "consequence-ic", 6199388, 0x7bbf080b1354a2ae, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800], RACY),
-    ("kmeans", "consequence-rr", 4464628, 0x7bbf080b1354a2ae, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640], 830),
-    ("kmeans", "dwc", 7522088, 0x751cdf3edf0893f9, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140], 1538),
-    ("word_count", "consequence-ic", 3900495, 0x4f456b5b5092eef4, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100], RACY),
-    ("word_count", "consequence-rr", 3146675, 0x4f456b5b5092eef4, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880], 464),
-    ("word_count", "dwc", 4170134, 0x65a38298cda7f07e, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980], 930),
-    ("string_match", "consequence-ic", 3801542, 0xcaf0374ed52ba2b5, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460], RACY),
-    ("string_match", "consequence-rr", 2641252, 0xcaf0374ed52ba2b5, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720], 52),
-    ("string_match", "dwc", 2646720, 0xcaf0374ed52ba2b5, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420], 62),
-    ("dmt_server", "consequence-ic", 102663980, 0x11500610dfe517f2, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020], RACY),
-    ("dmt_server", "consequence-rr", 112992221, 0x0fc6cc3bc0a0ddf0, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940], 49719),
-    ("dmt_server", "dwc", 132807765, 0x7fafca378863527a, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740], 65496),
-    ("mixed", "consequence-ic", 499332, 0x949b63ee33f187d5, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420], RACY),
-    ("mixed", "consequence-rr", 426139, 0xee5d288dcbe911aa, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420], 97),
-    ("mixed", "dwc", 519376, 0xee5d288dcbe911aa, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060], 114),
+const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7])] = &[
+    ("histogram", "consequence-ic", 6428074, 0x8c91145bbf17e4b0, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780]),
+    ("histogram", "consequence-rr", 4400284, 0x8c91145bbf17e4b0, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040]),
+    ("histogram", "dwc", 4403848, 0x8c91145bbf17e4b0, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740]),
+    ("kmeans", "consequence-ic", 6199388, 0x7bbf080b1354a2ae, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800]),
+    ("kmeans", "consequence-rr", 4464628, 0x7bbf080b1354a2ae, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640]),
+    ("kmeans", "dwc", 7522088, 0x751cdf3edf0893f9, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140]),
+    ("word_count", "consequence-ic", 3900495, 0x4f456b5b5092eef4, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100]),
+    ("word_count", "consequence-rr", 3146675, 0x4f456b5b5092eef4, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880]),
+    ("word_count", "dwc", 4170134, 0x65a38298cda7f07e, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980]),
+    ("string_match", "consequence-ic", 3801542, 0xcaf0374ed52ba2b5, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460]),
+    ("string_match", "consequence-rr", 2641252, 0xcaf0374ed52ba2b5, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720]),
+    ("string_match", "dwc", 2646720, 0xcaf0374ed52ba2b5, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420]),
+    ("dmt_server", "consequence-ic", 102663980, 0x11500610dfe517f2, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020]),
+    ("dmt_server", "consequence-rr", 112992221, 0x0fc6cc3bc0a0ddf0, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940]),
+    ("dmt_server", "dwc", 132807765, 0x7fafca378863527a, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740]),
+    ("mixed", "consequence-ic", 499332, 0x949b63ee33f187d5, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420]),
+    ("mixed", "consequence-rr", 426139, 0xee5d288dcbe911aa, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420]),
+    ("mixed", "dwc", 519376, 0xee5d288dcbe911aa, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060]),
 ];
 
 fn fixed_publication(label: &str) -> Options {
@@ -350,7 +346,7 @@ fn bd_fields(b: &Breakdown) -> [u64; 7] {
 #[test]
 fn virtual_time_matches_the_committed_pins() {
     let mut drift = String::new();
-    for &(program, label, v, log, sched_hash, bd, ref_wakes) in GOLDEN_VTIME {
+    for &(program, label, v, log, sched_hash, bd) in GOLDEN_VTIME {
         for sched in [SchedKind::Fast, SchedKind::Reference] {
             let r = vt_run(
                 program,
@@ -359,32 +355,20 @@ fn virtual_time_matches_the_committed_pins() {
                     ..fixed_publication(label)
                 },
             );
-            // Compare only what the pin states: a `RACY` field, and
-            // the fast scheduler's (absent) broadcasts, take the
-            // pinned value.
+            // Compare only what the pin states: a `RACY` field takes
+            // the pinned value.
             let mut got_bd = bd_fields(&r.breakdown);
             for (g, w) in got_bd.iter_mut().zip(bd) {
                 if w == RACY {
                     *g = RACY;
                 }
             }
-            let wakes = if sched == SchedKind::Reference && ref_wakes != RACY {
-                r.counters.broadcast_wakes
-            } else {
-                ref_wakes
-            };
-            let got = (
-                r.virtual_cycles,
-                r.commit_log_hash,
-                r.schedule_hash,
-                got_bd,
-                wakes,
-            );
-            if got != (v, log, sched_hash, bd, ref_wakes) {
+            let got = (r.virtual_cycles, r.commit_log_hash, r.schedule_hash, got_bd);
+            if got != (v, log, sched_hash, bd) {
                 drift.push_str(&format!(
                     "    {program} {label} {sched:?}: \
-                     ({}, {:#018x}, {:#018x}, {:?}, {})\n",
-                    got.0, got.1, got.2, got.3, got.4
+                     ({}, {:#018x}, {:#018x}, {:?})\n",
+                    got.0, got.1, got.2, got.3
                 ));
             }
         }
