@@ -14,12 +14,20 @@ use std::ops::{Deref, DerefMut};
 
 thread_local! {
     static HELD: Cell<u32> = const { Cell::new(0) };
+    static ACQUIRED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// How many [`Mutex`]es the calling thread holds, counted in debug builds
 /// only: a waker `debug_assert`s that it wakes nobody into its own lock.
 pub fn held() -> u32 {
     HELD.with(Cell::get)
+}
+
+/// How many [`Mutex`] acquisitions the calling thread has made, counted in
+/// debug builds only (0 in release): what a protocol step costs in lock
+/// sections, for tests that pin it.
+pub fn acquired() -> u64 {
+    ACQUIRED.with(Cell::get)
 }
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
@@ -37,6 +45,7 @@ impl<T> Mutex<T> {
         let guard = self.0.lock();
         if cfg!(debug_assertions) {
             HELD.with(|h| h.set(h.get() + 1));
+            ACQUIRED.with(|a| a.set(a.get() + 1));
         }
         MutexGuard(Some(guard.unwrap_or_else(|poisoned| poisoned.into_inner())))
     }
@@ -109,11 +118,14 @@ mod tests {
     #[test]
     fn lock_round_trip() {
         let m = Mutex::new(5);
+        let before = acquired();
         *m.lock() += 1;
         let g = m.lock();
         assert_eq!((*g, held()), (6, u32::from(cfg!(debug_assertions))));
         drop(g);
         assert_eq!(held(), 0);
+        let debug = u64::from(cfg!(debug_assertions));
+        assert_eq!(acquired() - before, 2 * debug);
     }
 
     #[test]

@@ -42,8 +42,15 @@ use crate::coarsen::{CoarsenState, BUDGET_CAP, INITIAL_BUDGET, MIN_BUDGET};
 use crate::shared::{Msg, Shared, Wakes};
 
 /// Consequence's per-thread execution context.
-pub(crate) struct Ctx {
-    sh: Arc<Shared>,
+///
+/// It borrows the runtime from the thread that runs it (`Runtime::run`,
+/// `worker_loop`), which holds the `Arc` for longer: a protocol step copies
+/// the reference, so that `self` stays mutable while a [`Held`] guard
+/// lives, and touches no reference count.
+///
+/// [`Held`]: crate::shared::Held
+pub(crate) struct Ctx<'a> {
+    sh: &'a Arc<Shared>,
     tid: Tid,
     /// Taken at [`Ctx::finish`] (pooled or dropped); always `Some` before.
     ws: Option<Workspace>,
@@ -107,15 +114,15 @@ fn or_raise<T>(r: DmtResult<T>) -> T {
     r.unwrap_or_else(|e| raise(e))
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     pub(crate) fn new(
-        sh: Arc<Shared>,
+        sh: &'a Arc<Shared>,
         tid: Tid,
         ws: Workspace,
         clock: u64,
         v: u64,
         pool_tx: Option<std::sync::mpsc::Sender<Msg>>,
-    ) -> Ctx {
+    ) -> Ctx<'a> {
         let opts = &sh.opts;
         let mut ovf = OverflowPolicy::new(opts.base_overflow, opts.adaptive_overflow);
         let next_pub =
@@ -315,7 +322,7 @@ impl Ctx {
             tid: self.tid,
             clock: self.clock,
         });
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let adaptive = sh.opts.adaptive_overflow;
         let min_w = if sh.parking.publishes_lock_free() {
             // Fast path: publish straight into our lock-free slot — no
@@ -354,7 +361,7 @@ impl Ctx {
     }
 }
 
-impl ThreadCtx for Ctx {
+impl ThreadCtx for Ctx<'_> {
     fn tid(&self) -> Tid {
         self.tid
     }

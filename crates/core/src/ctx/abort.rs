@@ -1,15 +1,13 @@
 //! Containment: what a thread does when its job panics (or a protocol
 //! error unwinds it) instead of tearing the process down.
 
-use std::sync::Arc;
-
 use det_clock::ThreadState;
 use dmt_api::trace::Event;
 use dmt_api::{CondId, ContainedError, DmtError, DmtResult, MutexId, RwLockId, Tid};
 
 use super::Ctx;
 
-impl Ctx {
+impl Ctx<'_> {
     /// Runs `job` inside the thread's panic boundary, then the exit
     /// protocol — or, if the job unwound, containment: the dying thread
     /// departs the clock, releases or reclaims the token, poisons what it
@@ -66,7 +64,7 @@ impl Ctx {
         // TSO: stores retired before the panic happened; publish them and
         // bring the view current so the workspace can be pooled clean.
         self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         self.sh.cfg.trace.emit(Event::ThreadPanic {
             tid: self.tid,
@@ -168,7 +166,7 @@ impl Ctx {
         if self.torn_down {
             return;
         }
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         let me = self.tid;
         for m in inner.mutexes.iter_mut() {

@@ -22,7 +22,7 @@ fn broken_or_shutdown(inner: &Inner, b: BarrierId) -> Option<DmtError> {
     }
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// Sleeps until `ready(barrier)`. A broken
     /// barrier or an abandoned run unwinds to containment instead:
     /// stragglers cascade out rather than wait forever. (The breaking
@@ -30,7 +30,7 @@ impl Ctx {
     /// before setting the flag.) An arriver that still has to register
     /// holds the token and `leave_first`: it leaves the order cleanly
     /// before unwinding.
-    fn await_barrier<'a>(
+    fn await_barrier(
         &mut self,
         mut inner: Held<'a>,
         b: BarrierId,
@@ -55,7 +55,7 @@ impl Ctx {
     /// A departed arriver's wait for generation `gen` to reach `phase`,
     /// folding the virtual time of the event that got it there: the
     /// sealing (phase 2 may begin) or the installation.
-    fn follow_barrier<'a>(
+    fn follow_barrier(
         &mut self,
         inner: Held<'a>,
         b: BarrierId,
@@ -78,7 +78,7 @@ impl Ctx {
     /// so no foreign commit can interleave, publishes the installed
     /// version and leaves.
     fn open_barrier(&mut self, inner: &mut Held<'_>, b: BarrierId, gen: u64) {
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let bst = &mut inner.barriers[b.index()];
         bst.phase = BarPhase::Installed;
         bst.install_v = self.v;
@@ -132,7 +132,7 @@ impl Ctx {
             // commit is not visible until install, so flush properly now.
             self.commit_and_update();
         }
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
 
         // Arrival: register under the token. Wait out stragglers of the
         // previous generation first (they do not need the token to leave).

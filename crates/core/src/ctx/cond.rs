@@ -1,7 +1,5 @@
 //! Deterministic condition variables (§4.1).
 
-use std::sync::Arc;
-
 use dmt_api::trace::Event;
 use dmt_api::{CondId, DmtResult, MutexId};
 
@@ -9,7 +7,7 @@ use super::token::ParkOrder;
 use super::Ctx;
 use crate::lrc::LrcObject;
 
-impl Ctx {
+impl Ctx<'_> {
     /// Fallible condition wait. Fails with [`DmtError::CondOwnerDied`]
     /// when the owner of the associated mutex panics while we wait (the
     /// mutex can never legally be reacquired), or with the poison error
@@ -44,7 +42,7 @@ impl Ctx {
         self.sync_prologue();
         self.acquire_token_or_raise();
         self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         let mut first = None;
         let mut woken = 0u32;

@@ -1,7 +1,5 @@
 //! Deterministic mutexes (§4.1, Figures 7 and 9).
 
-use std::sync::Arc;
-
 use dmt_api::trace::Event;
 use dmt_api::{DmtError, DmtResult, MutexId, PanicSite};
 
@@ -10,7 +8,7 @@ use super::Ctx;
 use crate::lrc::LrcObject;
 use crate::shared::Inner;
 
-impl Ctx {
+impl Ctx<'_> {
     pub(super) fn resolve_mutex(&self, m: MutexId) -> MutexId {
         if self.sh.opts.single_global_lock {
             MutexId(0)
@@ -33,7 +31,7 @@ impl Ctx {
         self.sync_prologue();
         loop {
             let fresh = self.acquire_token()?;
-            let sh = Arc::clone(&self.sh);
+            let sh = self.sh;
             let mut inner = sh.lock();
             if let Some(by) = inner.mutexes[m.index()].poisoned {
                 drop(inner);
@@ -56,15 +54,19 @@ impl Ctx {
                     ticket,
                 });
                 inner.lrc_acquire(self.tid, LrcObject::Mutex(m.0));
-                drop(inner);
-                if fresh {
+                let held = if fresh {
                     // Fig. 7 line 6: a fresh acquisition must pull the
                     // latest committed state before the critical section.
-                    // A coarsened (token-retained) acquisition is already
-                    // current: nobody else could commit meanwhile.
+                    drop(inner);
                     self.commit_and_update();
-                }
-                self.end_op(predicted);
+                    None
+                } else {
+                    // A coarsened (token-retained) acquisition is already
+                    // current — nobody else could commit meanwhile — and
+                    // ends in this section.
+                    Some(inner)
+                };
+                self.end_op(held, predicted);
                 return Ok(());
             }
             if sh.opts.polling_locks {
@@ -125,15 +127,15 @@ impl Ctx {
         let m = self.resolve_mutex(m);
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
-        let woke = self.unlock_state(&mut sh.lock(), m);
-        if woke {
+        let mut inner = self.sh.lock();
+        if self.unlock_state(&mut inner, m) {
             // A woken waiter must get a fair shot at the lock: retaining
             // the token here would let us re-acquire the lock before the
             // waiter can ever contend (a deterministic livelock).
+            drop(inner);
             self.commit_and_leave(false);
         } else {
-            self.end_op(self.coarsen.thread_est.get());
+            self.end_op(Some(inner), self.coarsen.thread_est.get());
         }
     }
 }

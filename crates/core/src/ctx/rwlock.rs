@@ -3,8 +3,6 @@
 //! These operations always commit and release — they never coarsen:
 //! wakes must stay fair, and reader concurrency is the point.
 
-use std::sync::Arc;
-
 use dmt_api::trace::Event;
 use dmt_api::{DmtError, RwLockId, Tid};
 
@@ -13,7 +11,7 @@ use super::{or_raise, raise, Ctx};
 use crate::lrc::LrcObject;
 use crate::shared::{Inner, RwSt};
 
-impl Ctx {
+impl Ctx<'_> {
     /// Gives `tid` a hold on `l`. The grant is a schedule event of the
     /// token holder's turn, whether it grants to itself or hands off.
     fn rw_grant(&self, st: &mut RwSt, l: RwLockId, tid: Tid, writer: bool) {
@@ -61,7 +59,7 @@ impl Ctx {
     pub(super) fn rw_lock(&mut self, l: RwLockId, writer: bool) {
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         let st = &mut inner.rwlocks[l.index()];
         if let Some(by) = st.poisoned {
@@ -95,7 +93,7 @@ impl Ctx {
     pub(super) fn rw_unlock(&mut self, l: RwLockId, writer: bool) {
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         let st = &mut inner.rwlocks[l.index()];
         if writer {

@@ -2,8 +2,6 @@
 //! and the exit protocol — plus the retirement bookkeeping the exit shares
 //! with the containment paths in [`super::abort`].
 
-use std::sync::Arc;
-
 use dmt_api::trace::Event;
 use dmt_api::{DmtError, DmtResult, Job, Tid};
 
@@ -12,13 +10,13 @@ use super::Ctx;
 use crate::lrc::LrcObject;
 use crate::shared::{Held, Inner, Msg, PoolEntry, ThreadSt};
 
-impl Ctx {
+impl Ctx<'_> {
     /// A null synchronization operation performed at thread birth under
     /// round-robin ordering (see `runtime::worker_loop`).
     pub(crate) fn birth_sync(&mut self) {
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         self.leave_locked(&mut sh.lock(), true);
     }
 
@@ -28,7 +26,7 @@ impl Ctx {
         self.acquire_token_or_raise();
         // Creation is a release edge: the child must see our writes.
         self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         assert!(
             (inner.next_tid as usize) < sh.cfg.max_threads,
@@ -71,7 +69,7 @@ impl Ctx {
                 // Fork: copy every mapped page-table entry into the child.
                 let (ws, mapped) = sh.seg.new_workspace(child);
                 self.charge_lib(self.cost.spawn_base + mapped as u64 * self.cost.page_map);
-                (crate::runtime::spawn_worker(&sh, &mut inner), ws)
+                (crate::runtime::spawn_worker(sh, &mut inner), ws)
             }
         };
         // INVARIANT: the receiver cannot be gone. A pooled worker is
@@ -105,7 +103,7 @@ impl Ctx {
         self.sync_prologue();
         loop {
             self.acquire_token()?;
-            let sh = Arc::clone(&self.sh);
+            let sh = self.sh;
             let mut inner = sh.lock();
             assert!(
                 (t.index()) < inner.threads.len(),
@@ -207,7 +205,7 @@ impl Ctx {
             return self.abort_quiet();
         }
         self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         self.sh.cfg.trace.emit(Event::Exit {
             tid: self.tid,

@@ -18,8 +18,6 @@
 //! resumes or departs, except the rwlock, whose acquire departs first
 //! ([`ParkOrder`]) and whose release resumes first (`rwlock::rw_unlock`).
 
-use std::sync::Arc;
-
 use det_clock::OrderPolicy;
 use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, ThreadCtx, Tid};
@@ -39,7 +37,7 @@ pub(super) enum ParkOrder {
     DepartThenCommit,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// Token-admission predicate. Ordinary runs recompute eligibility
     /// from published clocks; a replaying run instead asks the recorded
     /// grant script whether this thread is the scripted next grantee,
@@ -97,7 +95,7 @@ impl Ctx {
         // function of published clocks and tids alone.
         self.perturb_hit(PerturbSite::TokenAcquire);
 
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         let arrival_clock = self.clock;
         inner.table.arrive_sync(self.tid, arrival_clock, self.v);
@@ -242,7 +240,7 @@ impl Ctx {
     #[inline]
     pub(super) fn commit_and_leave(&mut self, stamp: bool) {
         self.commit_and_update();
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         self.leave_locked(&mut sh.lock(), stamp);
     }
 
@@ -257,7 +255,7 @@ impl Ctx {
         // dirty pages. Holding the token excludes every other committer,
         // so the stall stretches real and virtual time only.
         self.perturb_hit(PerturbSite::Commit);
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let cr = sh.seg.commit(self.ws(), None);
         let c = self.cost.commit_base
             + cr.pages as u64 * self.cost.page_commit
@@ -316,7 +314,12 @@ impl Ctx {
     /// and release. While the token is retained no other thread can
     /// commit, so the holder's isolated view stays current and skipping
     /// the commit/update pair is sound.
-    pub(super) fn end_op(&mut self, predicted_next: u64) {
+    ///
+    /// `held` is the caller's runtime-lock section, if it is still open.
+    /// A retained token over a current view — every coarsened operation
+    /// but a run's first — resumes inside it, so the operation is one
+    /// section; any commit happens with the lock dropped, as it must.
+    pub(super) fn end_op(&mut self, held: Option<Held<'a>>, predicted_next: u64) {
         if self.sh.opts.coarsening {
             let consumed = self.clock.saturating_sub(self.token_start_clock);
             if self.coarsen.should_retain(consumed, predicted_next) {
@@ -324,9 +327,16 @@ impl Ctx {
                 // A coarsened run must begin from a current view: commit
                 // and update once at its first coordination phase, then
                 // skip coordination for the merged phases that follow.
-                if !self.current_since_acquire {
-                    self.commit_and_update();
-                }
+                let mut inner = match held {
+                    Some(inner) if self.current_since_acquire => inner,
+                    held => {
+                        drop(held);
+                        if !self.current_since_acquire {
+                            self.commit_and_update();
+                        }
+                        self.sh.lock()
+                    }
+                };
                 self.cnt.coarsened_chunks += 1;
                 self.sh.cfg.trace.emit(Event::Coarsen {
                     tid: self.tid,
@@ -334,11 +344,11 @@ impl Ctx {
                 });
                 // We still hold the token, so no waiter can proceed:
                 // nobody to wake.
-                let sh = Arc::clone(&self.sh);
-                sh.lock().table.resume(self.tid, self.clock, self.v);
+                inner.table.resume(self.tid, self.clock, self.v);
                 return;
             }
         }
+        drop(held);
         self.commit_and_leave(true);
     }
 
@@ -362,7 +372,7 @@ impl Ctx {
         let old = self.ld_u64(addr);
         self.st_u64(addr, f(old));
         self.commit_and_update();
-        self.end_op(self.coarsen.thread_est.get());
+        self.end_op(None, self.coarsen.thread_est.get());
         old
     }
 
@@ -412,7 +422,7 @@ impl Ctx {
         if order == ParkOrder::CommitThenDepart {
             self.commit_and_update();
         }
-        let sh = Arc::clone(&self.sh);
+        let sh = self.sh;
         let mut inner = sh.lock();
         enqueue(self, &mut inner);
         self.depart(&mut inner);

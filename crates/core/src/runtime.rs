@@ -154,7 +154,7 @@ impl Runtime for ConsequenceRuntime {
         });
 
         let (ws, _mapped) = sh.seg.new_workspace(Tid::MAIN);
-        Ctx::new(Arc::clone(&sh), Tid::MAIN, ws, 0, 0, None).run_job(|ctx| main(ctx));
+        Ctx::new(&sh, Tid::MAIN, ws, 0, 0, None).run_job(|ctx| main(ctx));
 
         // Wait for every spawned thread to finish — and, when pooling, for
         // every worker to park itself back in the pool — then shut down.
@@ -282,7 +282,7 @@ fn worker_loop(sh: Arc<Shared>, rx: Receiver<Msg>, self_tx: Sender<Msg>) {
         ws,
     }) = rx.recv()
     {
-        let ctx = Ctx::new(Arc::clone(&sh), tid, ws, clock, v, self_tx.clone());
+        let ctx = Ctx::new(&sh, tid, ws, clock, v, self_tx.clone());
         ctx.run_job(|ctx| {
             // Under round-robin ordering a newborn thread holds a rotation
             // slot it will not use until its first synchronization

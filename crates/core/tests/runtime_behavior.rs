@@ -538,6 +538,83 @@ fn coarsening_fires_on_fine_grained_locking() {
     );
 }
 
+/// Lock sections a mutex operation takes, counted by the `dmt_api::sync`
+/// shim (debug builds only; a release run checks nothing). Every shim
+/// mutex counts: the runtime lock, the segment's, the clock table's
+/// history. At the parent of PR 25 a coarsened lock and a coarsened unlock
+/// took 3 each; ending inside the caller's section took one from each, and
+/// a fresh acquisition, a contended one and an unlock that wakes its
+/// waiter take what they took there.
+#[test]
+fn a_coarsened_mutex_operation_is_one_lock_section() {
+    if !cfg!(debug_assertions) {
+        return;
+    }
+    use dmt_api::sync::acquired;
+    use std::collections::BTreeMap;
+    type Sections = BTreeMap<(u64, u64), usize>;
+    // (lock, unlock) sections of 1,000 pairs on one mutex, tallied.
+    let pairs = |opts: Options| -> Sections {
+        let mut rt = ConsequenceRuntime::new(cfg(), opts);
+        let m = rt.create_mutex();
+        let out = Arc::new(std::sync::Mutex::new(Sections::new()));
+        let tally = Arc::clone(&out);
+        rt.run(Box::new(move |ctx| {
+            let mut tally = tally.lock().unwrap();
+            for _ in 0..1_000 {
+                let a = acquired();
+                ctx.mutex_lock(m);
+                let b = acquired();
+                ctx.tick(10);
+                ctx.mutex_unlock(m);
+                *tally.entry((b - a, acquired() - b)).or_default() += 1;
+                ctx.tick(20);
+            }
+        }));
+        let tally = out.lock().unwrap().clone();
+        tally
+    };
+    // Two grants: the first pair's lock and the unlock after the one lock
+    // whose chunk outgrew the budget are fresh; the rest are coarsened.
+    // Parent: {(3, 3): 998, (6, 8): 1, (8, 3): 1}.
+    let coarsened = Sections::from([((2, 2), 998), ((6, 8), 1), ((8, 2), 1)]);
+    assert_eq!(pairs(Options::consequence_ic()), coarsened);
+    let fresh = Sections::from([((11, 8), 998), ((11, 9), 2)]);
+    let no_coarsening = Options::consequence_ic().without("coarsening");
+    assert_eq!(pairs(no_coarsening), fresh, "as at the parent");
+
+    // Main holds `m` and the token (coarsened on `m2`) when it unlocks
+    // `m` to its queued waiter: 7 sections, as at the parent. The child's
+    // contended lock took 22 there, parks and token waits included; a
+    // stale permit can add a sleep, so the best of a few runs counts.
+    let contended = (0..10).map(|_| {
+        let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
+        let (m, m2) = (rt.create_mutex(), rt.create_mutex());
+        let out = Arc::new(std::sync::Mutex::new((0, 0)));
+        let (waking, waiting) = (Arc::clone(&out), Arc::clone(&out));
+        rt.run(Box::new(move |ctx| {
+            ctx.mutex_lock(m);
+            let child = ctx.spawn(Box::new(move |c| {
+                let a = acquired();
+                c.mutex_lock(m);
+                waiting.lock().unwrap().1 = acquired() - a;
+                c.mutex_unlock(m);
+            }));
+            ctx.tick(100_000);
+            ctx.mutex_lock(m2);
+            let a = acquired();
+            ctx.mutex_unlock(m);
+            waking.lock().unwrap().0 = acquired() - a;
+            ctx.mutex_unlock(m2);
+            ctx.join(child);
+        }));
+        let sections = *out.lock().unwrap();
+        assert_eq!(sections.0, 7, "an unlock that wakes its waiter");
+        sections.1
+    });
+    assert_eq!(contended.min(), Some(22), "a contended acquisition");
+}
+
 #[test]
 fn report_breakdown_accounts_all_threads() {
     let (report, _) = run_with(Options::consequence_ic(), || {

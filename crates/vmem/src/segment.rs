@@ -376,6 +376,12 @@ impl Segment {
 
     /// `update_to(upto)`, or with `None` to whatever is latest once the
     /// segment lock is held — one critical section either way.
+    ///
+    /// A squashed version replays as the union of every page committed in
+    /// its range, and a workspace that updated inside that range already
+    /// maps most of them: those cost one pointer compare each in
+    /// `Workspace::remap`, no reference count, so the update's cost is
+    /// the pages that changed plus a walk of the union.
     fn update_upto(&self, ws: &mut Workspace, upto: Option<u64>) -> UpdateResult {
         assert_eq!(ws.dirty_count(), 0, "update requires a committed workspace");
         self.perturb.jitter(PerturbSite::Update, ws.tid());
@@ -441,7 +447,8 @@ impl Segment {
     /// * **squash** the two oldest retained versions into one (union of
     ///   their page sets, newer content winning). Squashing is safe for an
     ///   updater based exactly between the two: the extra pages it applies
-    ///   carry content it already has. This is how superseded page copies
+    ///   carry content it already has — the very copies it maps, which
+    ///   `Workspace::remap` skips. This is how superseded page copies
     ///   get reclaimed even while a blocked thread pins an old base —
     ///   Conversion's collector does the equivalent at the page level.
     ///
@@ -560,7 +567,10 @@ pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, bool) {
 
 /// Squashes the two oldest retained versions into one: union of their
 /// page sets (newer content winning — both lists are page-sorted), id of
-/// the newer, base id of the older.
+/// the newer, base id of the older. An updater based between the two
+/// replays the whole union, and the extra pages it applies carry content
+/// it already has — the same `Arc`s, so each costs it a compare and no
+/// reference count (`Workspace::remap`).
 fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
     let va = versions.pop_front().expect("squash needs two versions");
     let vb = versions.front_mut().expect("squash needs two versions");
@@ -831,6 +841,64 @@ mod tests {
         b.read_bytes(4096, &mut buf);
         assert_eq!(buf[0], 3);
         b.read_bytes(8192, &mut buf);
+        assert_eq!(buf[0], 4);
+    }
+
+    /// `fine_locks`' shape: a joining thread pins an early base, so each
+    /// collector pass squashes the history into one version, and every
+    /// update of a thread based inside it replays the union of all pages
+    /// committed so far. The pages it already maps are left alone: their
+    /// reference counts do not move and only the changed page is remapped,
+    /// while propagation is still counted from the per-commit records.
+    #[test]
+    fn an_update_through_a_squashed_version_leaves_mapped_pages_alone() {
+        let seg = Segment::new(5, 3);
+        let (mut a, _) = seg.new_workspace(Tid(0));
+        let (mut b, _) = seg.new_workspace(Tid(1));
+        let (_pinning, _) = seg.new_workspace(Tid(2)); // never updates: base 0
+        let mut commit = |pages: &[usize], val: u8| {
+            pages.iter().for_each(|p| {
+                a.write_bytes(p * PAGE_SIZE, &[val]);
+            });
+            seg.commit(&mut a, None);
+            seg.update(&mut a);
+        };
+        // Four pages over three commits: 2 + 2 + 2 count records.
+        commit(&[0, 1], 1);
+        commit(&[1, 2], 2);
+        commit(&[3, 0], 3);
+        assert_eq!(seg.gc(usize::MAX).squashed, 2);
+        assert_eq!(
+            seg.update(&mut b).pages_propagated,
+            6,
+            "records, not the union"
+        );
+        let latest = |p: u32| Arc::clone(&seg.inner.lock().latest[p as usize]);
+        assert!((0..4).all(|p| Arc::ptr_eq(b.mapped(p), &latest(p))));
+
+        // One more page, squashed onto the rest: B's base (3) is inside it.
+        commit(&[4], 4);
+        assert_eq!(seg.gc(usize::MAX).squashed, 1);
+        let counts = |b: &Workspace| -> Vec<usize> {
+            (0..5).map(|p| Arc::strong_count(b.mapped(p))).collect()
+        };
+        let before = counts(&b);
+        let old_page_4 = Arc::clone(b.mapped(4));
+        assert_eq!(seg.update(&mut b).pages_propagated, 1);
+        let after = counts(&b);
+        assert_eq!(
+            after[..4],
+            before[..4],
+            "the mapped copies were not touched"
+        );
+        assert!((0..4).all(|p| Arc::ptr_eq(b.mapped(p), &latest(p))));
+        assert!(
+            Arc::ptr_eq(b.mapped(4), &latest(4)),
+            "the changed page is remapped"
+        );
+        assert!(!Arc::ptr_eq(&old_page_4, &latest(4)));
+        let mut buf = [0u8; 1];
+        b.read_bytes(4 * PAGE_SIZE, &mut buf);
         assert_eq!(buf[0], 4);
     }
 

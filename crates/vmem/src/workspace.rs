@@ -109,9 +109,23 @@ impl Workspace {
         self.dirty_list.len()
     }
 
-    /// Maps `page` to `content`, a newer version's copy of it.
+    /// Maps `page` to `content`, a newer version's copy of it — unless the
+    /// workspace maps that very copy already, which costs one compare and
+    /// no reference count. An update through a squashed version replays
+    /// the union of every page committed since its base, and most of those
+    /// are the copies an earlier update installed.
+    #[inline]
     pub(crate) fn remap(&mut self, page: u32, content: &PageRef) {
-        self.pages[page as usize].snap = Arc::clone(content);
+        let snap = &mut self.pages[page as usize].snap;
+        if !Arc::ptr_eq(snap, content) {
+            *snap = Arc::clone(content);
+        }
+    }
+
+    /// The copy of `page` the workspace is based on.
+    #[cfg(test)]
+    pub(crate) fn mapped(&self, page: u32) -> &PageRef {
+        &self.pages[page as usize].snap
     }
 
     /// Drains the dirty set in ascending page order and hands `each` the
