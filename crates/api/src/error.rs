@@ -21,7 +21,7 @@ use crate::ids::{BarrierId, CondId, MutexId, RwLockId, Tid};
 /// Every variant is delivered at a deterministic point in the schedule:
 /// poison errors arrive in token-grant order, `ThreadPanicked` is observed
 /// by `join` exactly where the join would have succeeded, and supervision
-/// errors (`Deadlock`, `SchedulerInvariant`, `Shutdown`) tear the run down
+/// errors (`Deadlock`, `Shutdown`) tear the run down
 /// with a diagnosis instead of hanging the process.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DmtError {
@@ -74,13 +74,6 @@ pub enum DmtError {
         /// Multi-line human-readable diagnosis from the watchdog.
         diagnosis: String,
     },
-    /// A scheduler internal invariant was violated (fast-path corruption).
-    /// The runtime fails over to the reference scheduler when it can;
-    /// this error reports the violation when it cannot.
-    SchedulerInvariant {
-        /// What was violated.
-        detail: String,
-    },
     /// The runtime is shutting down (watchdog teardown after a diagnosed
     /// stall); blocked operations unwind instead of waiting forever.
     Shutdown,
@@ -108,9 +101,6 @@ impl fmt::Display for DmtError {
             }
             DmtError::Deadlock { diagnosis } => {
                 write!(f, "no logical progress (deadlock):\n{diagnosis}")
-            }
-            DmtError::SchedulerInvariant { detail } => {
-                write!(f, "scheduler invariant violated: {detail}")
             }
             DmtError::Shutdown => f.write_str("runtime shutting down"),
         }

@@ -1,11 +1,10 @@
 //! Cache-line padding for hot per-thread slots.
 //!
-//! The fast-path scheduler gives every thread its own atomic publication
-//! slot and its own wake parker. Without padding, neighbouring threads'
-//! slots share a 64-byte cache line and every publication ping-pongs the
-//! line between cores (false sharing) — exactly the cross-thread traffic
-//! the lock-free design exists to avoid. [`CachePadded`] aligns a value to
-//! a cache-line boundary so each padded slot owns its line.
+//! Every thread's context keeps its event counters in memory it alone
+//! writes. Without padding, neighbouring threads' counters can share a
+//! 64-byte cache line and every increment ping-pongs the line between
+//! cores (false sharing). [`CachePadded`] aligns a value to a cache-line
+//! boundary so each padded slot owns its line.
 
 use std::ops::{Deref, DerefMut};
 

@@ -196,9 +196,9 @@ pub struct RunReport {
     /// logical progress (deadlock / wedged holder); `None` for a run that
     /// finished on its own.
     pub fault: Option<String>,
-    /// Whether a fast-scheduler invariant violation forced a mid-run
-    /// failover to the reference scheduler. The schedule stays correct
-    /// (and hash-identical) — only performance degrades.
+    /// Whether the run's recording degraded: the trace sink hit a fault
+    /// mid-run (named in `fault`), so the reproducer is truncated there.
+    /// The computation itself finished, on its deterministic schedule.
     pub degraded: bool,
     /// First-divergent-event diagnosis when this run replayed a recorded
     /// trace and split from it (rendered via [`crate::trace::Divergence`]);

@@ -1,16 +1,17 @@
-//! `bench` — runs or checks one of the committed benchmark artifacts.
+//! `bench` — runs or checks one of the benchmark artifacts.
 //!
 //! ```text
 //! bench <sched|soak> [--smoke] [--out PATH]   run it, write the JSON artifact
 //! bench <sched|soak> --check PATH             validate an existing artifact (CI gate)
 //! ```
 //!
-//! A full run regenerates `BENCH_<name>.json` (committed at the repo root
-//! as the baseline; always use `--release`). `--smoke` shrinks grids,
-//! iteration counts and time budgets for CI. `--check` parses a document
-//! with the in-tree JSON parser and applies the artifact's validation
-//! rules — see `docs/PERF.md` (`sched`) and `docs/SOAK.md` (`soak`) for
-//! the schemas.
+//! A full run regenerates `BENCH_<name>.json` at the repo root (always use
+//! `--release`); `BENCH_soak.json` is committed there as the baseline,
+//! while `sched`'s wall-clock rates are one machine's and stay uncommitted.
+//! `--smoke` shrinks grids, iteration counts and time budgets for CI.
+//! `--check` parses a document with the in-tree JSON parser and applies the
+//! artifact's validation rules — see `docs/PERF.md` (`sched`) and
+//! `docs/SOAK.md` (`soak`) for the schemas.
 
 use std::process::ExitCode;
 

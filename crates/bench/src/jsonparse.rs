@@ -1,7 +1,7 @@
 //! Minimal JSON parser, the read-side counterpart of [`crate::json`].
 //!
 //! The workspace builds offline with no external dependencies, so CI's
-//! artifact validation (does `BENCH_sched.json` parse? does it contain every
+//! artifact validation (does `BENCH_soak.json` parse? does it contain every
 //! grid cell?) cannot use `serde_json`. This recursive-descent parser
 //! supports exactly the JSON the workspace emits: objects, arrays, strings
 //! with the escapes [`crate::json::write_str`] produces, finite numbers,

@@ -3,8 +3,8 @@
 //! `bench sched` repeats wall-clock measurements and reports a
 //! [`Summary`] per cell instead of a single noisy sample. The math is
 //! deliberately plain — arithmetic mean and *population* standard
-//! deviation — and pinned by unit tests so the committed baseline in
-//! `BENCH_sched.json` stays comparable across toolchain updates.
+//! deviation — and pinned by unit tests. ROADMAP item 8(ii) keeps one of
+//! this and `e2e/src/stats.rs`.
 
 crate::json_record! {
     /// Mean / min / max / standard deviation of a sample set.

@@ -13,14 +13,10 @@
 //!   still have — the Figure 1b pathology.
 //!
 //! The clock table ([`SchedTable`]) is a passive state machine mutated under
-//! the owning runtime's global lock, and it exists once. On its own it is
-//! the reference scheduler ([`SchedKind::Reference`]: eligibility read from
-//! the table's entries, locked publication — what a failed-over run
-//! executes, and the oracle of the differential tests); mirrored into the
-//! lock-free [`Slots`], one atomic per thread, it is the fast one
-//! ([`SchedKind::Fast`], module [`fast`]: lock-free publication,
-//! eligibility read from the mirror). Both name the same successor of a
-//! token release ([`SchedTable::successor`]).
+//! the owning runtime's global lock, and it exists once: a counter-overflow
+//! publication takes that lock like every other transition, eligibility is
+//! a scan of the table's entries, and a token release wakes the one
+//! successor it names ([`SchedTable::successor`]).
 //! Crucially the table also propagates **virtual time** along
 //! wake edges: every externally visible change of a thread's effective
 //! clock bound (publication, departure, turn advance) is recorded with its
@@ -35,12 +31,37 @@
 // (Test code is exempt: asserting via unwrap/expect is the point there.)
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod fast;
+mod fast;
 pub mod overflow;
 pub mod replay;
 pub mod table;
 
-pub use fast::{PublishOutcome, Slots};
 pub use overflow::OverflowPolicy;
 pub use replay::ReplayCtl;
-pub use table::{OrderPolicy, SchedKind, SchedTable, ThreadState};
+pub use table::{OrderPolicy, SchedTable, ThreadState};
+
+// Inert names, deleted with ROADMAP item 3(a): frozen `e2e/` builds its
+// probe table through them. The kind is ignored; the slots are the thread
+// capacity.
+
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedKind;
+
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct Slots(usize);
+
+impl Slots {
+    #[doc(hidden)]
+    pub fn new(threads: usize) -> Slots {
+        Slots(threads)
+    }
+}
+
+impl SchedTable {
+    #[doc(hidden)]
+    pub fn new(_: SchedKind, policy: OrderPolicy, slots: Slots) -> SchedTable {
+        SchedTable::with_policy(policy, slots.0)
+    }
+}

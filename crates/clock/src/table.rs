@@ -1,22 +1,12 @@
 //! The clock table: per-thread logical clocks and token eligibility.
 //!
-//! [`SchedTable`] is the one state machine behind both scheduler kinds:
-//! per-thread `(state, published clock)`, the round-robin turn, and the wake
-//! time read back from the publication histories (which live in the shared
-//! [`Slots`]). Every query is a scan over the registered entries. On its
-//! own — [`SchedKind::Reference`] — every publication goes through the
-//! owning runtime's global lock and eligibility is read from the entries.
-//! [`SchedKind::Fast`] is the same table plus an atomic mirror of it
-//! (`crate::fast`): one bound per thread, raised by lock-free publication
-//! and read by eligibility, and the head waiter's key, which a publisher
-//! reads without the lock. The mirror is derived state; no longer reading
-//! it ([`SchedTable::failover`]) leaves the reference table.
-
-use std::sync::Arc;
+//! [`SchedTable`] is one state machine under the owning runtime's global
+//! lock: per-thread `(state, published clock)`, the round-robin turn, and
+//! the per-thread publication histories a waiter's wake time is read back
+//! from. Every query is a scan over the registered entries, and a
+//! publication is a transition like any other: it takes the lock.
 
 use dmt_api::Tid;
-
-use crate::fast::{pack, packed_clock, Slots, TID_BITS};
 
 /// Which deterministic total order the table enforces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,20 +33,6 @@ pub enum ThreadState {
     Finished,
 }
 
-/// Which scheduler a runtime uses: the clock table with or without its
-/// atomic mirror.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedKind {
-    /// Lock-free publication into per-thread slots, eligibility read from
-    /// those slots.
-    #[default]
-    Fast,
-    /// The table alone: publication under the one lock, eligibility read
-    /// from the entries. What a failed-over run executes, and the oracle
-    /// the fast kind is differentially tested against.
-    Reference,
-}
-
 /// A clock value standing in for "will never block anyone again" (departed
 /// or finished threads).
 const UNBLOCKED: u64 = u64::MAX;
@@ -65,20 +41,17 @@ const UNBLOCKED: u64 = u64::MAX;
 /// noise and the doubling amortization would thrash.
 pub(crate) const PRUNE_MIN: usize = 64;
 
-/// One thread's scheduling state. Its publication history lives in
-/// [`Slots`].
+/// One thread's scheduling state.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry {
-    pub(crate) state: ThreadState,
-    /// Authoritative published clock, except for a `Running` thread of a
-    /// fast-kind table, whose atomic slot may be ahead.
-    pub(crate) published: u64,
+struct Entry {
+    state: ThreadState,
+    published: u64,
 }
 
 impl Entry {
     /// Whether the thread takes part in the order (GMIC consideration, the
     /// round-robin rotation): its bound can block a waiter.
-    pub(crate) fn in_rotation(&self) -> bool {
+    fn in_rotation(&self) -> bool {
         matches!(self.state, ThreadState::Running | ThreadState::AtSync(_))
     }
 }
@@ -89,7 +62,7 @@ impl Entry {
 /// query key `(c, tid)` with `c >= w`, so the backward walk in `crossing_v`
 /// always stops at the *newest* such entry ("blocked"); everything older is
 /// dead. That newest entry itself is retained as the blocked sentinel.
-pub(crate) fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
+fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
     if let Some(k) = h.iter().rposition(|&(b, _)| b < w) {
         h.drain(..k);
     }
@@ -98,43 +71,47 @@ pub(crate) fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
 /// Per-thread logical clocks plus the eligibility rule for the global token.
 ///
 /// All methods must be called under one external lock (the runtime's global
-/// mutex); the table itself performs no synchronization. On the fast kind
-/// publications may *also* flow directly through the shared [`Slots`]
-/// without this table's involvement — a running thread's entry then lags
-/// its slot.
+/// mutex); the table itself performs no synchronization.
 #[derive(Debug)]
 pub struct SchedTable {
     policy: OrderPolicy,
-    /// [`SchedKind::Reference`] from the start, or since a failover.
-    pub(crate) kind: SchedKind,
-    pub(crate) slots: Arc<Slots>,
-    /// By tid, grown by registration: a scan walks the registered threads,
-    /// not the slots' capacity.
-    pub(crate) entries: Vec<Option<Entry>>,
+    /// Threads the table can register: every tid is below it.
+    capacity: usize,
+    /// By tid, grown by registration: a scan walks the registered threads.
+    entries: Vec<Option<Entry>>,
+    /// By tid, beside `entries`: every externally visible change of the
+    /// thread's effective clock bound as `(bound, virtual time)`, and the
+    /// history's length right after its last prune (the amortization floor).
+    ///
+    /// A departure records `(u64::MAX, v)`; a reactivation records the
+    /// restored (possibly lower) bound. The sequence is a deterministic
+    /// function of the program, which is what makes virtual-time waits
+    /// reproducible: a waiter's wake time is looked up here rather than
+    /// taken from racy wall-clock arrival order. Watermark pruning keeps it
+    /// bounded.
+    hists: Vec<(Vec<(u64, u64)>, usize)>,
+    /// The head waiter: the smallest `(clock, tid)` of an `AtSync` thread.
+    /// A publication changes no thread's state, so every other transition
+    /// re-derives it and a publication reads it.
+    head: Option<(u64, u32)>,
     /// Round-robin: index of the thread whose turn it is, and the virtual
     /// time of the event that moved the turn there.
-    pub(crate) rr_turn: usize,
+    rr_turn: usize,
     rr_turn_v: u64,
 }
 
 impl SchedTable {
-    /// An empty table of the chosen kind over up to `slots.capacity()`
-    /// threads, keeping its publication histories in `slots`.
-    pub fn new(kind: SchedKind, policy: OrderPolicy, slots: Arc<Slots>) -> SchedTable {
+    /// An empty table over up to `capacity` threads.
+    pub fn with_policy(policy: OrderPolicy, capacity: usize) -> SchedTable {
         SchedTable {
             policy,
-            kind,
-            entries: Vec::with_capacity(slots.capacity()),
-            slots,
+            capacity,
+            entries: Vec::with_capacity(capacity),
+            hists: Vec::with_capacity(capacity),
+            head: None,
             rr_turn: 0,
             rr_turn_v: 0,
         }
-    }
-
-    /// Which kind this table currently is ([`SchedKind::Reference`] after
-    /// a failover).
-    pub fn kind(&self) -> SchedKind {
-        self.kind
     }
 
     /// The ordering policy in force.
@@ -160,14 +137,15 @@ impl SchedTable {
     }
 
     /// Completes a state transition of `t` at virtual time `v`: appends its
-    /// new effective bound to its history, then brings the mirror (if any)
-    /// up to date. History before bound: an acquirer that observed the new
-    /// bound (that is why it became eligible) must find the crossing entry.
+    /// new effective bound to its history, re-derives the head waiter, and
+    /// keeps the round-robin turn on a thread that can take it.
     fn record(&mut self, t: Tid, v: u64) {
         let e = *self.entry(t);
-        let bound = match e.state {
-            ThreadState::Running | ThreadState::AtSync(_) => e.published,
-            ThreadState::Departed | ThreadState::Finished => UNBLOCKED,
+        self.head = self.min_waiting(None);
+        let bound = if e.in_rotation() {
+            e.published
+        } else {
+            UNBLOCKED
         };
         // Arrivals prune: threads that sync without ever overflowing a
         // counter still grow history.
@@ -183,7 +161,6 @@ impl SchedTable {
                 self.rr_advance(v);
             }
         }
-        self.mirror(t, &e);
     }
 
     /// Registers a new thread with an inherited starting clock, at the
@@ -191,17 +168,13 @@ impl SchedTable {
     ///
     /// # Panics
     ///
-    /// Panics if the slot is taken, out of range, or `t` overflows the
-    /// packed-key tid field.
+    /// Panics if the slot is taken or out of range.
     pub fn register(&mut self, t: Tid, clock: u64, v: u64) {
-        assert!(
-            u64::from(t.0) < (1 << TID_BITS) - 1,
-            "tid {t} overflows packed keys"
-        );
         let i = t.index();
-        assert!(i < self.slots.capacity(), "tid {t} has no slot");
+        assert!(i < self.capacity, "tid {t} has no slot");
         if self.entries.len() <= i {
             self.entries.resize(i + 1, None);
+            self.hists.resize_with(i + 1, Default::default);
         }
         let slot = &mut self.entries[i];
         assert!(slot.is_none(), "tid {t} registered twice");
@@ -217,33 +190,21 @@ impl SchedTable {
         self.entry(t).state
     }
 
-    /// Last published clock of `t` (for a running thread of a fast-kind
-    /// table this reads the atomic slot, which lock-free publications may
-    /// have advanced past the table's value).
+    /// Last published clock of `t`.
     pub fn published(&self, t: Tid) -> u64 {
-        self.published_of(t.index(), self.entry(t))
-    }
-
-    fn published_of(&self, i: usize, e: &Entry) -> u64 {
-        match (e.state, self.kind) {
-            (ThreadState::Running, SchedKind::Fast) => packed_clock(self.slots.bound_key(i)),
-            _ => e.published,
-        }
+        self.entry(t).published
     }
 
     /// Current length of `t`'s publication history (watermark pruning keeps
     /// this bounded while the rest of the table makes progress).
     pub fn history_len(&self, t: Tid) -> usize {
-        self.slots.hist(t.index()).len()
+        self.hists.get(t.index()).map_or(0, |(h, _)| h.len())
     }
 
-    /// Longest per-thread clock history over tids `0..threads` (the
-    /// resource-witness gauge; the pruning watermark must bound it).
-    pub fn max_history_len(&self, threads: u32) -> usize {
-        (0..threads)
-            .map(|t| self.history_len(Tid(t)))
-            .max()
-            .unwrap_or(0)
+    /// Longest per-thread clock history (the resource-witness gauge; the
+    /// pruning watermark must bound it).
+    pub fn max_history_len(&self) -> usize {
+        self.hists.iter().map(|(h, _)| h.len()).max().unwrap_or(0)
     }
 
     /// The minimum clock any current or future waiter can still query:
@@ -251,56 +212,50 @@ impl SchedTable {
     /// Departed threads at no less than their published clock (clocks are
     /// monotone, and a new registration inherits its spawner's clock).
     /// Finished threads never query again.
-    pub(crate) fn watermark(&self) -> u64 {
-        let mut w = u64::MAX;
-        for (i, e) in self.entries.iter().enumerate() {
-            let Some(e) = e else { continue };
-            let floor = match e.state {
-                ThreadState::Running | ThreadState::Departed => self.published_of(i, e),
-                ThreadState::AtSync(c) => c,
-                ThreadState::Finished => continue,
-            };
-            w = w.min(floor);
-        }
-        w
+    fn watermark(&self) -> u64 {
+        let floor = |e: &Entry| match e.state {
+            ThreadState::Running | ThreadState::Departed => Some(e.published),
+            ThreadState::AtSync(c) => Some(c),
+            ThreadState::Finished => None,
+        };
+        let floors = self.entries.iter().flatten().filter_map(floor);
+        floors.min().unwrap_or(u64::MAX)
     }
 
     /// Appends `(bound, v)` to `t`'s history and, with `prune`, prunes it
     /// against the watermark once it has doubled since the last attempt.
-    fn push_hist(&self, t: Tid, bound: u64, v: u64, prune: bool) {
-        let mut h = self.slots.hist(t.index());
+    fn push_hist(&mut self, t: Tid, bound: u64, v: u64, prune: bool) {
+        let (h, floor) = &mut self.hists[t.index()];
         h.push((bound, v));
-        if prune {
-            self.slots
-                .prune_locked(t.index(), &mut h, || self.watermark());
+        if !prune || h.len() < PRUNE_MIN || h.len() < 2 * (*floor).max(PRUNE_MIN / 2) {
+            return;
         }
+        let w = self.watermark();
+        let (h, floor) = &mut self.hists[t.index()];
+        prune_history(h, w);
+        *floor = h.len();
     }
 
     /// Publishes a running thread's clock (a counter overflow) at virtual
-    /// time `v`, under the lock. Returns `true` if the published value
-    /// advanced (waiters may have become eligible — a notification hint).
-    /// A fast-kind runtime's hot path calls [`Slots::publish`] directly
-    /// instead; on a fast-kind table this goes through it too.
+    /// time `v`. Returns `true` if the publication crossed the head
+    /// waiter's key: `t` blocked it before and does not after, so it may
+    /// have become eligible. No other publication can make anybody
+    /// eligible, so nobody else needs to ask.
     pub fn publish(&mut self, t: Tid, clock: u64, v: u64) -> bool {
         let e = self.entry_mut(t);
         debug_assert!(matches!(e.state, ThreadState::Running));
         let old = std::mem::replace(&mut e.published, clock);
         debug_assert!(clock >= old, "published clock must be monotone");
-        if self.kind == SchedKind::Fast {
-            return self.slots.publish(t, clock, v).advanced;
-        }
         self.push_hist(t, clock, v, true);
-        clock > old
+        self.head
+            .is_some_and(|head| (old, t.0) < head && head < (clock, t.0))
     }
 
     /// Thread `t` arrives at a synchronization operation with exact clock
     /// `clock`, at virtual time `v`.
     pub fn arrive_sync(&mut self, t: Tid, clock: u64, v: u64) {
-        // Fold in any bound the thread published lock-free since the table
-        // last saw it.
-        let published = clock.max(self.published(t));
         let e = self.entry_mut(t);
-        e.published = published;
+        e.published = e.published.max(clock);
         e.state = ThreadState::AtSync(clock);
         self.record(t, v);
     }
@@ -339,24 +294,35 @@ impl SchedTable {
     ///
     /// Instruction count: no other live thread could still perform an
     /// earlier-ordered sync op — every Running/AtSync thread's published
-    /// clock is lexicographically past `(clock, t)`. One scan: of the
-    /// entries on the reference kind, of the mirror slots (which hold the
-    /// running threads' lock-free publications) on the fast kind. Round
-    /// robin: it is `t`'s turn.
-    pub fn eligible(&mut self, t: Tid) -> bool {
+    /// clock is lexicographically past `(clock, t)`. Round robin: it is
+    /// `t`'s turn.
+    pub fn eligible(&self, t: Tid) -> bool {
         let ThreadState::AtSync(c) = self.entry(t).state else {
             return false;
         };
-        match (self.policy, self.kind) {
-            (OrderPolicy::RoundRobin, _) => self.rr_turn == t.index(),
-            (OrderPolicy::InstructionCount, SchedKind::Fast) => {
-                self.slots.all_past(self.entries.len(), pack(c, t.0))
+        match self.policy {
+            OrderPolicy::RoundRobin => self.rr_turn == t.index(),
+            OrderPolicy::InstructionCount => self.entries.iter().enumerate().all(|(i, e)| {
+                let Some(e) = e else { return true };
+                i == t.index() || !e.in_rotation() || (e.published, i as u32) > (c, t.0)
+            }),
+        }
+    }
+
+    /// The unique thread a token release should wake, if any: the head
+    /// waiter when it is (now) eligible, or the round-robin turn holder
+    /// when it waits. `None` means nobody can take the token yet: the
+    /// publication that crosses the head last will find it eligible.
+    pub fn successor(&self) -> Option<Tid> {
+        match self.policy {
+            OrderPolicy::InstructionCount => {
+                debug_assert_eq!(self.head, self.min_waiting(None), "stale head waiter");
+                let (_, head) = self.head?;
+                Some(Tid(head)).filter(|&w| self.eligible(w))
             }
-            (OrderPolicy::InstructionCount, SchedKind::Reference) => {
-                self.entries.iter().enumerate().all(|(i, e)| {
-                    let Some(e) = e else { return true };
-                    i == t.index() || !e.in_rotation() || (e.published, i as u32) > (c, t.0)
-                })
+            OrderPolicy::RoundRobin => {
+                let holder = self.entries.get(self.rr_turn)?.as_ref()?;
+                matches!(holder.state, ThreadState::AtSync(_)).then_some(Tid(self.rr_turn as u32))
             }
         }
     }
@@ -370,7 +336,7 @@ impl SchedTable {
     /// Must be called at token acquisition, when eligibility holds.
     pub fn crossing_v(&self, t: Tid, c: u64) -> u64 {
         let mut wake = 0;
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, (e, (hist, _))) in self.entries.iter().zip(&self.hists).enumerate() {
             if e.is_none() || i == t.index() {
                 continue;
             }
@@ -379,7 +345,7 @@ impl SchedTable {
             // wake constraint at all.
             let mut cross = None;
             let mut blocked = false;
-            for &(bound, v) in self.slots.hist(i).iter().rev() {
+            for &(bound, v) in hist.iter().rev() {
                 if (bound, i as u32) > (c, t.0) {
                     cross = Some(v);
                 } else {
@@ -435,12 +401,15 @@ impl SchedTable {
     /// Smallest `(clock, tid)` among threads waiting at a sync op, other
     /// than `t`. Drives the §3.2 adaptive overflow target.
     pub fn min_waiting_other(&self, t: Tid) -> Option<(u64, u32)> {
-        self.min_waiting(Some(t))
+        match self.head {
+            Some((_, w)) if w == t.0 => self.min_waiting(Some(t)),
+            head => head,
+        }
     }
 
     /// Smallest `(clock, tid)` among waiting threads other than `skip`; with
-    /// `None`, the head waiter.
-    pub(crate) fn min_waiting(&self, skip: Option<Tid>) -> Option<(u64, u32)> {
+    /// `None`, the head waiter, by a scan.
+    fn min_waiting(&self, skip: Option<Tid>) -> Option<(u64, u32)> {
         let skip = skip.map(|t| t.index());
         self.entries
             .iter()
@@ -476,12 +445,12 @@ impl SchedTable {
 mod tests {
     use super::*;
 
-    fn table(policy: OrderPolicy, slots: usize) -> SchedTable {
-        SchedTable::new(SchedKind::Reference, policy, Slots::new(slots))
+    fn ic(capacity: usize) -> SchedTable {
+        SchedTable::with_policy(OrderPolicy::InstructionCount, capacity)
     }
 
-    fn ic(slots: usize) -> SchedTable {
-        table(OrderPolicy::InstructionCount, slots)
+    fn rr(capacity: usize) -> SchedTable {
+        SchedTable::with_policy(OrderPolicy::RoundRobin, capacity)
     }
 
     #[test]
@@ -620,7 +589,7 @@ mod tests {
 
     #[test]
     fn round_robin_takes_turns_in_tid_order() {
-        let mut t = table(OrderPolicy::RoundRobin, 4);
+        let mut t = rr(4);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.register(Tid(2), 0, 0);
@@ -640,7 +609,7 @@ mod tests {
 
     #[test]
     fn round_robin_skips_departed_and_finished() {
-        let mut t = table(OrderPolicy::RoundRobin, 4);
+        let mut t = rr(4);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.register(Tid(2), 0, 0);
@@ -656,7 +625,7 @@ mod tests {
 
     #[test]
     fn rr_departure_of_holder_advances_turn() {
-        let mut t = table(OrderPolicy::RoundRobin, 2);
+        let mut t = rr(2);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
         t.arrive_sync(Tid(1), 1, 0);
@@ -711,6 +680,7 @@ mod tests {
             "publisher history peaked at {peak} entries"
         );
         assert!(t.history_len(Tid(1)) < 4 * PRUNE_MIN);
+        assert!(t.max_history_len() < 4 * PRUNE_MIN);
         // Pruning must not change answers: T1 waits at the final clock and
         // the crossing virtual time is still the publisher's last advance.
         t.arrive_sync(Tid(1), 99_999, 100_001);

@@ -323,32 +323,19 @@ impl<'a> Ctx<'a> {
             clock: self.clock,
         });
         let sh = self.sh;
-        let adaptive = sh.opts.adaptive_overflow;
-        let min_w = if sh.parking.publishes_lock_free() {
-            // Fast path: publish straight into our lock-free slot — no
-            // global mutex on the publication hot path. The adaptive
-            // threshold reads the head waiter's packed key instead of
-            // scanning: we are running, so the head *is*
-            // `min_waiting_other(self.tid)`.
-            let out = sh.slots.publish(self.tid, self.clock, self.v);
-            if out.wake_hint.is_some() {
-                // The hint says only that our store crossed the head's key.
-                // Whether that made it the successor — token free, nobody
-                // else blocking it — is decided here, under the lock and
-                // after the store (`det_clock::fast`, "No lost wake-up");
-                // the unpark follows the unlock.
-                sh.lock().wake_successor(self.tid);
-            }
-            out.head.filter(|_| adaptive)
-        } else {
-            let mut inner = sh.lock();
-            if inner.table.publish(self.tid, self.clock, self.v) {
-                inner.wake_successor(self.tid);
-            }
-            adaptive
-                .then(|| inner.table.min_waiting_other(self.tid))
-                .flatten()
-        };
+        // One lock section: publish, and if that crossed the head waiter's
+        // key, wake the successor it may have made eligible (the unpark
+        // follows the unlock).
+        let mut inner = sh.lock();
+        if inner.table.publish(self.tid, self.clock, self.v) {
+            inner.wake_successor(self.tid);
+        }
+        let min_w = sh
+            .opts
+            .adaptive_overflow
+            .then(|| inner.table.min_waiting_other(self.tid))
+            .flatten();
+        drop(inner);
         let min_w = min_w.map(|(c, _)| c).filter(|c| *c >= self.clock);
         // Publication timing is biased by the fault injector when one is
         // attached (forced early/late overflow); the §3.2 contract —

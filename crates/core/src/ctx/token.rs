@@ -45,7 +45,7 @@ impl<'a> Ctx<'a> {
     /// exhausted or abandoned on divergence (so the run always finishes
     /// and can report *where* it split).
     #[inline]
-    fn admitted(&self, inner: &mut Inner) -> bool {
+    fn admitted(&self, inner: &Inner) -> bool {
         if let Some(ctl) = &self.sh.replay {
             if let Some(ok) = ctl.admits(self.tid.0) {
                 return ok;
@@ -108,7 +108,7 @@ impl<'a> Ctx<'a> {
                 return Err(DmtError::Shutdown);
             }
             if inner.token.is_none()
-                && (self.admitted(&mut inner)
+                && (self.admitted(&inner)
                     // Deliberate determinism bug for `stress --inject-bug`
                     // (Options::inject_eligibility_bug): grab a free token
                     // without the eligibility check, letting physical
@@ -131,23 +131,6 @@ impl<'a> Ctx<'a> {
         }
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
-        // Robustness drill: corrupt the fast scheduler's mirror once, at
-        // the first grant at or past the requested one that finds a
-        // departed thread, so the watchdog's detect-and-failover path is
-        // exercised end to end (Options::inject_sched_corruption).
-        if !inner.corruption_done
-            && sh
-                .opts
-                .inject_sched_corruption
-                .is_some_and(|n| inner.grant_seq >= n)
-            && inner.table.corrupt_stale_departed_bound()
-        {
-            inner.corruption_done = true;
-            eprintln!(
-                "[conseq] injected scheduler corruption at grant {}",
-                inner.grant_seq
-            );
-        }
         self.sh.cfg.trace.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: arrival_clock,
@@ -213,11 +196,10 @@ impl<'a> Ctx<'a> {
         self.holding_token = false;
         // The threads we woke under the token can use their wake now.
         inner.wakes.take(&mut self.pending);
-        // Hand off to the unique deterministic successor. A publisher that
-        // crosses the head waiter re-checks under this lock after its
-        // store, so whichever of the two sections comes later sees both
-        // the free token and the crossing: no eligible waiter is left
-        // asleep.
+        // Hand off to the unique deterministic successor. A publication
+        // that makes the head waiter eligible runs the same rule in its own
+        // lock section, so whichever of the two comes later sees both the
+        // free token and the crossing: no eligible waiter is left asleep.
         inner.wake_successor(self.tid);
     }
 

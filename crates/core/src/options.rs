@@ -59,14 +59,9 @@ pub struct Options {
     /// Clock increment added on each failed polling acquire (Kendo's
     /// tuning knob; only used with `polling_locks`). *Needed by* the same.
     pub polling_increment: u64,
-    /// Scheduler kind: the clock table with its atomic mirror — lock-free
-    /// publication, eligibility read from the mirror ([`SchedKind::Fast`],
-    /// the default) — or the table alone: locked publication, eligibility
-    /// read from the entries ([`SchedKind::Reference`]). Both produce
-    /// bit-identical schedules and wake the same successor at a release.
-    /// *Needed by* the publish grid of `bench sched`, failover (a run whose
-    /// watchdog fails over continues on the reference kind) and
-    /// `stress --sched-diff`, whose oracle the reference kind is.
+    /// Inert; deleted with ROADMAP item 3(a). *Needed by* nothing here:
+    /// frozen `e2e/` names it. There is one clock table kind.
+    #[doc(hidden)]
     pub sched: SchedKind,
     /// Base overflow interval in instructions (§3.2 uses 5 000). *Needed
     /// by* the `figures extras` overflow sweep.
@@ -80,27 +75,16 @@ pub struct Options {
     /// `stress --inject-bug`.
     pub inject_eligibility_bug: bool,
     /// Watchdog stall threshold in milliseconds: when live threads exist
-    /// but no token is granted for this long, the supervisor checks the
-    /// scheduler's invariants — failing over to the reference table on a
-    /// fast-path violation, or diagnosing a deadlock and shutting the run
-    /// down with [`dmt_api::DmtError::Deadlock`] instead of hanging.
-    /// `None` disables supervision. Pure-compute stalls (threads that
-    /// never synchronize) are indistinguishable from deadlock to a
-    /// logical-progress watchdog; see `docs/ROBUSTNESS.md`. *Needed by*
-    /// `watchdog_diagnoses_deadlock_instead_of_hanging`, the failover
-    /// drill, and replay, which lowers it.
+    /// but no token is granted for this long, the supervisor diagnoses a
+    /// deadlock and shuts the run down with
+    /// [`dmt_api::DmtError::Deadlock`] instead of hanging. It only
+    /// diagnoses; nothing it does changes the schedule. `None` disables
+    /// supervision. Pure-compute stalls (threads that never synchronize)
+    /// are indistinguishable from deadlock to a logical-progress watchdog;
+    /// see `docs/ROBUSTNESS.md`. *Needed by*
+    /// `watchdog_diagnoses_deadlock_instead_of_hanging`, and replay, which
+    /// lowers it.
     pub watchdog_stall_ms: Option<u64>,
-    /// **Deliberate scheduler corruption** for the robustness harness: at
-    /// the first token grant at or past the given one with a thread
-    /// departed, leave that thread's pre-departure bound in its slot of
-    /// the fast scheduler's mirror, as if its `clockDepart` had been
-    /// missed (the exact bug class `SchedTable::check_invariants`
-    /// catches). Waiters past the stale bound are blocked; if the run
-    /// stalls, the watchdog detects the violation and fails over to the
-    /// reference scheduler, which reads no mirror, and the run completes
-    /// with `RunReport::degraded` set. Never enable outside tests. *Needed
-    /// by* the failover drills of `tests/robustness.rs`.
-    pub inject_sched_corruption: Option<u64>,
     /// Number of independently tokened shard domains the `dmt-shard`
     /// subsystem partitions the run into. `1` (the default) is the
     /// unsharded runtime: one token, one clock table, [`DomainId::ROOT`]
@@ -153,11 +137,10 @@ impl Options {
             single_global_lock: false,
             polling_locks: false,
             polling_increment: 1_000,
-            sched: SchedKind::Fast,
+            sched: SchedKind,
             base_overflow: det_clock::overflow::BASE_OVERFLOW,
             inject_eligibility_bug: false,
             watchdog_stall_ms: Some(5_000),
-            inject_sched_corruption: None,
             shard_domains: 1,
             shard_map_seed: 0,
             pipeline_commit: false,
@@ -197,13 +180,12 @@ impl Options {
     /// produced it; the fingerprint is stored in the trace META stream
     /// and checked before replay. Deliberately **excluded** because they
     /// cannot change the schedule (and legitimately differ on replay):
-    /// `sched` (fast and reference produce bit-identical schedules, so a
-    /// trace replays on either kind),
     /// `watchdog_stall_ms` (supervision only; replay lowers it),
     /// `trace_flush_pages` (durability of the recording medium; never
-    /// touches logical time), and the two inert fields left behind by the
-    /// removed settle pool (nothing reads them, and recordings made while
-    /// the pool existed keep their fingerprints).
+    /// touches logical time), and the three inert fields left behind by the
+    /// removed settle pool and the removed second clock table kind (nothing
+    /// reads them, and recordings made while they were live keep their
+    /// fingerprints).
     pub fn fingerprint(&self) -> u64 {
         let mut h = dmt_api::Fnv1a::new();
         let mut put = |x: u64| h.update(&x.to_le_bytes());
@@ -226,7 +208,9 @@ impl Options {
         put(coarsen::MIN_BUDGET);
         put(coarsen::BUDGET_CAP);
         put(self.inject_eligibility_bug as u64);
-        put(self.inject_sched_corruption.unwrap_or(u64::MAX));
+        // The scheduler-corruption drill went with the second clock table
+        // kind; it never fired in a recording, so its `None` folds on.
+        put(u64::MAX);
         // Shard parameters fold only when non-default, so every
         // fingerprint recorded before sharding existed stays valid: an
         // unsharded config hashes exactly as it always did, while a
@@ -244,7 +228,7 @@ impl Options {
     ///
     /// Recognized names: `"coarsening"`, `"fast_forward"`,
     /// `"parallel_barrier"`, `"adaptive_overflow"`, `"user_counter_read"`,
-    /// `"thread_pool"`, `"fast_sched"`.
+    /// `"thread_pool"`.
     ///
     /// # Panics
     ///
@@ -257,7 +241,6 @@ impl Options {
             "adaptive_overflow" => self.adaptive_overflow = false,
             "user_counter_read" => self.user_counter_read = false,
             "thread_pool" => self.thread_pool = false,
-            "fast_sched" => self.sched = SchedKind::Reference,
             other => panic!("unknown optimization {other:?}"),
         }
         self
@@ -295,7 +278,6 @@ mod tests {
             "adaptive_overflow",
             "user_counter_read",
             "thread_pool",
-            "fast_sched",
         ] {
             let o = Options::consequence_ic().without(name);
             let disabled = match name {
@@ -305,18 +287,21 @@ mod tests {
                 "adaptive_overflow" => !o.adaptive_overflow,
                 "user_counter_read" => !o.user_counter_read,
                 "thread_pool" => !o.thread_pool,
-                "fast_sched" => o.sched == SchedKind::Reference,
                 _ => unreachable!(),
             };
             assert!(disabled, "{name} not disabled");
         }
     }
 
+    /// Every preset's fingerprint, captured before the scheduler-corruption
+    /// drill and the second clock table kind were deleted: recordings made
+    /// then replay now.
     #[test]
-    fn fast_sched_is_the_default_everywhere() {
-        assert_eq!(Options::consequence_ic().sched, SchedKind::Fast);
-        assert_eq!(Options::consequence_rr().sched, SchedKind::Fast);
-        assert_eq!(Options::dwc().sched, SchedKind::Fast);
+    fn preset_fingerprints_are_unchanged() {
+        let ic = Options::consequence_ic().fingerprint();
+        assert_eq!(ic, 0x2b33a81b30e0847d);
+        assert_eq!(Options::consequence_rr().fingerprint(), 0x3e512a9a9792395c);
+        assert_eq!(Options::dwc().fingerprint(), 0x150f64a59049609d);
     }
 
     #[test]
@@ -346,10 +331,10 @@ mod tests {
     /// `fingerprint()`, so a recording is refused by a build that would
     /// schedule it differently — or excluded, and then provably
     /// schedule-neutral: the golden cell does not move. (Shard parameters
-    /// fold only when non-default and flush/watchdog/scheduler knobs not
-    /// at all, so traces recorded before those existed, or under other
-    /// values of them, stay replayable. The two `pipeline_*` cases are the
-    /// test that the settle pool's residue is inert.)
+    /// fold only when non-default and flush/watchdog knobs not at all, so
+    /// traces recorded before those existed, or under other values of
+    /// them, stay replayable. The two `pipeline_*` cases are the test that
+    /// the settle pool's residue is inert; the kind field has one value.)
     #[test]
     fn fingerprint_membership_is_complete() {
         // No `..`: a new field fails to compile here until it is added to
@@ -371,14 +356,13 @@ mod tests {
             base_overflow: _,
             inject_eligibility_bug: _,
             watchdog_stall_ms: _,
-            inject_sched_corruption: _,
             shard_domains: _,
             shard_map_seed: _,
             pipeline_commit: _,
             pipeline_workers: _,
             trace_flush_pages: _,
         } = Options::consequence_ic();
-        let fingerprinted: [fn(&mut Options); 17] = [
+        let fingerprinted: [fn(&mut Options); 16] = [
             |o| o.order = OrderPolicy::RoundRobin,
             |o| o.coarsening = false,
             |o| o.static_coarsen = Some(1),
@@ -393,12 +377,10 @@ mod tests {
             |o| o.polling_increment += 1,
             |o| o.base_overflow += 1,
             |o| o.inject_eligibility_bug = true,
-            |o| o.inject_sched_corruption = Some(1),
             |o| o.shard_domains = 4,
             |o| o.shard_map_seed = 7,
         ];
-        let excluded: [fn(&mut Options); 6] = [
-            |o| o.sched = SchedKind::Reference,
+        let excluded: [fn(&mut Options); 5] = [
             |o| o.watchdog_stall_ms = Some(60_000),
             |o| o.pipeline_commit = true,
             |o| {

@@ -1,7 +1,7 @@
 //! The Consequence runtime: lifecycle, worker threads, report assembly —
 //! and runtime supervision: every workload thread runs inside a panic
 //! boundary (containment, not crash), and a watchdog thread turns silent
-//! deadlocks and scheduler-invariant violations into diagnoses.
+//! deadlocks into diagnoses.
 
 use std::fmt::Write as _;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -145,8 +145,7 @@ impl Runtime for ConsequenceRuntime {
             inner.table.register(Tid::MAIN, 0, 0);
         }
         // Supervision: the watchdog turns a silent hang (deadlock, lost
-        // waiter, stalled clock) into a diagnosis — or a recovery.
-        // Dropping `stop` ends it.
+        // waiter, stalled clock) into a diagnosis. Dropping `stop` ends it.
         let (stop, stopped) = channel::<()>();
         let watchdog = sh.opts.watchdog_stall_ms.map(|ms| {
             let sh2 = Arc::clone(&sh);
@@ -235,7 +234,7 @@ impl Runtime for ConsequenceRuntime {
         // run fault even though the computation itself finished: the
         // promised reproducer is truncated at the point of failure.
         let trace_fault = sh.cfg.trace.fault();
-        let degraded = sh.parking.is_degraded() || trace_fault.is_some();
+        let degraded = trace_fault.is_some();
         let fault = fault.or(trace_fault);
         RunReport {
             virtual_cycles: max_v,
@@ -300,11 +299,10 @@ fn worker_loop(sh: Arc<Shared>, rx: Receiver<Msg>, self_tx: Sender<Msg>) {
 }
 
 /// The supervisor: polls the token-grant counter and, when no logical
-/// progress happens for `stall_ms` while threads are live, either
-/// *recovers* (fast-scheduler invariant violation → fail over to the
-/// reference table and keep running) or *diagnoses* (deadlock → emit a
-/// full runtime census as [`dmt_api::DmtError::Deadlock`] and shut the
-/// run down instead of hanging).
+/// progress happens for `stall_ms` while threads are live, diagnoses a
+/// deadlock — emits a full runtime census as
+/// [`dmt_api::DmtError::Deadlock`] and shuts the run down instead of
+/// hanging.
 fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
     let poll = Duration::from_millis((stall_ms / 4).clamp(10, 250));
     let stall = Duration::from_millis(stall_ms);
@@ -326,30 +324,10 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
         if last_change.elapsed() < stall {
             continue;
         }
-        // No token grant for a full stall window with live threads: either
-        // the scheduler lost a waiter (recoverable) or the workload is
-        // deadlocked (diagnosable). Check invariants first.
-        let cause = match inner.table.check_invariants() {
-            Ok(()) => "no logical progress (deadlock suspected)".to_string(),
-            Err(detail) => {
-                if inner.table.failover() {
-                    eprintln!(
-                        "[conseq] FAST-SCHEDULER INVARIANT VIOLATION: {detail}\n\
-                         [conseq] failing over to the reference scheduler; \
-                         the run continues degraded"
-                    );
-                    sh.parking.degrade();
-                    drop(inner);
-                    sh.parking.everyone();
-                    last_change = Instant::now();
-                    continue;
-                }
-                // Already on the reference table: the violation is
-                // unrecoverable. Diagnose and shut down.
-                format!("scheduler invariant violation: {detail}")
-            }
-        };
-        let report = diagnose(&sh, &inner, &cause);
+        // No token grant for a full stall window with live threads: the
+        // workload is deadlocked, or the runtime lost a waiter. Either way
+        // the census says who waits on what.
+        let report = diagnose(&sh, &inner, "no logical progress (deadlock suspected)");
         eprintln!("{report}");
         inner.fault = Some(report);
         inner.shutdown = true;

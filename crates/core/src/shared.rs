@@ -3,7 +3,6 @@
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
@@ -12,7 +11,7 @@ use std::time::{Duration, Instant};
 use dmt_api::sync::{Mutex, MutexGuard};
 
 use conversion::{ParallelCommit, Segment, Workspace};
-use det_clock::{ReplayCtl, SchedKind, SchedTable, Slots};
+use det_clock::{ReplayCtl, SchedTable};
 use dmt_api::{Breakdown, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
@@ -203,9 +202,6 @@ pub(crate) struct Inner {
     pub fault: Option<String>,
     /// Contained workload panics in containment (token-grant) order.
     pub panics: Vec<(Tid, String)>,
-    /// The [`Options::inject_sched_corruption`] drill already fired
-    /// (it corrupts exactly once).
-    pub corruption_done: bool,
     /// Threads asleep in [`Held::wait`].
     pub waiters: Vec<Tid>,
 }
@@ -251,7 +247,7 @@ impl Inner {
 /// re-check of the predicate.
 ///
 /// A hand-off unparks exactly one thread ([`Held::wake_successor`]);
-/// [`Parking::everyone`] is for five occasions, never a policy.
+/// [`Parking::everyone`] is for four occasions, never a policy.
 ///
 /// Wake timing cannot change the schedule: eligibility is a monotone
 /// predicate of published clocks with a unique minimum, so a missed or
@@ -259,42 +255,18 @@ impl Inner {
 pub(crate) struct Parking {
     /// The OS thread running each `Tid`, set once when its `Ctx` starts.
     threads: Box<[OnceLock<Thread>]>,
-    fast: bool,
-    /// The fast scheduler failed an invariant check and the watchdog
-    /// failed the run over to the reference table.
-    degraded: AtomicBool,
 }
 
 impl Parking {
-    fn new(kind: SchedKind, max_threads: usize) -> Parking {
+    fn new(max_threads: usize) -> Parking {
         Parking {
             threads: (0..max_threads).map(|_| OnceLock::new()).collect(),
-            fast: kind == SchedKind::Fast,
-            degraded: AtomicBool::new(false),
         }
     }
 
     /// Makes the calling OS thread the one an unpark of `tid` reaches.
     pub fn register(&self, tid: Tid) {
         let _ = self.threads[tid.index()].set(std::thread::current());
-    }
-
-    /// Whether a publication goes around the table, straight into
-    /// [`Slots::publish`] (fast kind, not failed over): the test
-    /// `Ctx::maybe_publish` makes without the runtime lock.
-    #[inline]
-    pub fn publishes_lock_free(&self) -> bool {
-        self.fast && !self.is_degraded()
-    }
-
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Marks the run failed over. Caller holds the runtime lock, and
-    /// follows with `everyone()` once it has dropped it.
-    pub fn degrade(&self) {
-        self.degraded.store(true, Ordering::Release);
     }
 
     /// Rule 1: never under a lock. A tid nobody registered (a replay script
@@ -307,9 +279,9 @@ impl Parking {
     }
 
     /// Unparks every registered thread, whatever it waits for: the
-    /// watchdog's failover (once) and its shutdown, `abort_quiet`, the
-    /// spurious-wake injection in `Ctx::doze`, a ninth distinct wake of one
-    /// lock section ([`Wakes::push`]).
+    /// watchdog's shutdown, `abort_quiet`, the spurious-wake injection in
+    /// `Ctx::doze`, a ninth distinct wake of one lock section
+    /// ([`Wakes::push`]).
     pub fn everyone(&self) {
         (0..self.threads.len()).for_each(|i| self.unpark(Tid(i as u32)));
     }
@@ -358,9 +330,9 @@ impl Held<'_> {
     /// The wake rule, stated once: if the token is free, requests a wake of
     /// the one thread that may take it next — the scripted next grantee
     /// while a replay script drives grants, otherwise the table's
-    /// [`successor`](SchedTable::successor) (either kind, failed over or
-    /// not). The fallback is `Ctx::admitted`'s: a script that is exhausted
-    /// or diverged names nobody.
+    /// [`successor`](SchedTable::successor). The fallback is
+    /// `Ctx::admitted`'s: a script that is exhausted or diverged names
+    /// nobody.
     #[inline]
     pub fn wake_successor(&mut self, me: Tid) {
         if self.token.is_some() {
@@ -450,10 +422,6 @@ pub(crate) struct Shared {
     /// Locked only through [`Shared::lock`].
     inner: Mutex<Inner>,
     pub parking: Parking,
-    /// Lock-free half of the fast-path scheduler (also reachable through
-    /// `Inner::table` when it is the fast table): publication slots,
-    /// head-waiter key, watermark.
-    pub slots: Arc<Slots>,
     /// Recorded grant script driving this run (replay mode). When set,
     /// token admission follows the script instead of recomputed
     /// eligibility until the script is exhausted or marked diverged.
@@ -476,11 +444,7 @@ impl Shared {
     /// trace-ring occupancy. The observation costs no virtual time and
     /// cannot move the schedule.
     pub fn witness_sample(&self) {
-        let clock_history = self
-            .inner
-            .lock()
-            .table
-            .max_history_len(self.cfg.max_threads as u32);
+        let clock_history = self.inner.lock().table.max_history_len();
         self.cfg.witness.observe(dmt_api::ResourceSample {
             retained_versions: self.seg.retained_peak(),
             live_pages: self.seg.tracker().live(),
@@ -497,14 +461,12 @@ impl Shared {
         let mut seg = Segment::new(cfg.heap_pages, cfg.max_threads);
         seg.set_perturb(cfg.perturb.clone());
         let lrc = cfg.track_lrc.then(|| LrcTracker::new(cfg.max_threads));
-        let slots = Slots::new(cfg.max_threads);
         // Preallocate per-thread vectors to their max_threads-derived
-        // bounds so hot paths never reallocate (and never move the
-        // cache-padded thread slots mid-run).
+        // bounds so hot paths never reallocate.
         let max_t = cfg.max_threads;
         Arc::new(Shared {
             inner: Mutex::new(Inner {
-                table: SchedTable::new(opts.sched, opts.order, slots.clone()),
+                table: SchedTable::with_policy(opts.order, max_t),
                 token: None,
                 last_release_clock: 0,
                 last_release_v: 0,
@@ -527,11 +489,9 @@ impl Shared {
                 shutdown: false,
                 fault: None,
                 panics: Vec::new(),
-                corruption_done: false,
                 waiters: Vec::with_capacity(max_t),
             }),
-            parking: Parking::new(opts.sched, max_t),
-            slots,
+            parking: Parking::new(max_t),
             replay,
             cfg,
             opts,
@@ -602,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn everyone_reaches_a_thread_that_slept_before_the_failover() {
+    fn everyone_reaches_a_thread_that_slept_before_the_shutdown() {
         let sh = shared();
         let (asleep, is_asleep) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
@@ -618,7 +578,6 @@ mod tests {
             is_asleep.recv().expect("sleeper alive");
             let mut inner = sh.lock();
             inner.shutdown = true;
-            sh.parking.degrade();
             drop(inner);
             sh.parking.everyone();
         });

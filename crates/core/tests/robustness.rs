@@ -1,5 +1,5 @@
-//! Robustness tests: panic containment, deterministic poisoning, the
-//! watchdog, and fast-scheduler failover.
+//! Robustness tests: panic containment, deterministic poisoning and the
+//! watchdog.
 //!
 //! The containment contract under test: a panicking workload thread
 //! departs the deterministic schedule like any other exit — clock
@@ -10,7 +10,6 @@
 use std::sync::Arc;
 
 use consequence::{ConsequenceRuntime, Options};
-use det_clock::SchedKind;
 use dmt_api::{
     CommonConfig, CondId, CostModel, DmtError, HashSink, Job, PanicSite, PerturbHandle,
     PerturbPlan, PerturbSite, Perturber, PlanPerturber, RunReport, Runtime, RuntimeMemExt,
@@ -105,8 +104,7 @@ fn panic_while_holding_mutex_poisons_deterministically() {
 
 /// Three waiters queue on a mutex whose owner dies. Poison must be
 /// delivered to every waiter, in deterministic (FIFO, token-grant) order,
-/// and the whole run — panic included — must hash identically on rerun,
-/// under both the fast and the reference scheduler.
+/// and the whole run — panic included — must hash identically on rerun.
 #[test]
 fn poison_delivery_order_is_deterministic() {
     let run_once = |opts: Options| {
@@ -142,19 +140,14 @@ fn poison_delivery_order_is_deterministic() {
         (r.schedule_hash, order, r.panics.len())
     };
 
-    for opts in [
-        Options::consequence_ic(),
-        Options::consequence_ic().without("fast_sched"),
-    ] {
-        let (h1, o1, p1) = run_once(opts.clone());
-        let (h2, o2, p2) = run_once(opts.clone());
-        assert_eq!(p1, 1);
-        assert_eq!(p1, p2);
-        assert_eq!(o1, o2, "poison delivery order must be reproducible");
-        // FIFO queue order: waiters arrived in clock order t2, t3, t4.
-        assert_eq!(o1, vec![2, 3, 4]);
-        assert_eq!(h1, h2, "schedule hash must survive a contained panic");
-    }
+    let (h1, o1, p1) = run_once(Options::consequence_ic());
+    let (h2, o2, p2) = run_once(Options::consequence_ic());
+    assert_eq!(p1, 1);
+    assert_eq!(p1, p2);
+    assert_eq!(o1, o2, "poison delivery order must be reproducible");
+    // FIFO queue order: waiters arrived in clock order t2, t3, t4.
+    assert_eq!(o1, vec![2, 3, 4]);
+    assert_eq!(h1, h2, "schedule hash must survive a contained panic");
 }
 
 #[test]
@@ -277,81 +270,20 @@ fn watchdog_diagnoses_deadlock_instead_of_hanging() {
     );
 }
 
-/// Corruption drill: deliberately leave a departed thread's stale bound in
-/// the fast scheduler's mirror mid-run (a missed `clockDepart`), which
-/// blocks every later waiter. The watchdog must detect the invariant
-/// violation, fail over to the reference scheduler, and the run must
-/// complete correctly — degraded, not dead — on the schedule, the commit
-/// log and the virtual time of the same program run clean.
-#[test]
-fn fast_scheduler_corruption_fails_over_and_completes() {
-    let run = |corrupt_at: Option<u64>| {
-        let mut opts = Options::consequence_ic();
-        opts.watchdog_stall_ms = Some(300);
-        opts.inject_sched_corruption = corrupt_at;
-        // Coarsening collapses this loop into a handful of grants; disable
-        // it so the drill has a long grant stream with concurrent token
-        // waiters.
-        opts.coarsening = false;
-        let mut rt = ConsequenceRuntime::new(hashed_cfg(), opts);
-        // Independent per-thread mutexes: nobody ever blocks on a lock, so
-        // the one departed thread is main in its `join` — which only a
-        // worker's exit, many blocked grants away, can reactivate.
-        let ms: Vec<_> = (0..4).map(|_| rt.create_mutex()).collect();
-        let report = rt.run(Box::new(move |ctx| {
-            let kids: Vec<Tid> = ms
-                .iter()
-                .enumerate()
-                .map(|(i, &m)| {
-                    ctx.spawn(Box::new(move |c| {
-                        let addr = i * 8;
-                        for _ in 0..25 {
-                            c.mutex_lock(m);
-                            let v = c.ld_u64(addr);
-                            c.tick(20);
-                            c.st_u64(addr, v + 1);
-                            c.mutex_unlock(m);
-                            c.tick(100);
-                        }
-                    }))
-                })
-                .collect();
-            for t in kids {
-                ctx.join(t);
-            }
-        }));
-        assert!(report.fault.is_none(), "failover is recovery, not failure");
-        for i in 0..4 {
-            assert_eq!(rt.final_u64(i * 8), 25, "the workload ran to completion");
-        }
-        assert!(report.panics.is_empty());
-        report
-    };
-    let (drill, clean) = (run(Some(10)), run(None));
-    assert!(drill.degraded, "run must have failed over");
-    assert!(!clean.degraded);
-    // docs/ROBUSTNESS.md: "the schedule continues bit-identically".
-    assert_eq!(drill.schedule_hash, clean.schedule_hash);
-    assert_eq!(drill.commit_log_hash, clean.commit_log_hash);
-    assert_eq!(drill.virtual_cycles, clean.virtual_cycles);
-}
-
-/// The wake the lock-free publication path must not lose, from both sides.
-/// Round after round `waiter` sits at its sync point behind two running
-/// threads that cross its key in steps of seeded length — so either may be
-/// the last to — while `holder`, ordered before it, keeps taking the token
-/// for coarsened runs of short critical sections. Whoever comes last under
-/// the runtime lock — a crossing publisher's re-check or the holder's
-/// release — has to wake the waiter: a lost wake is a stall the watchdog
-/// reports as a fault. And none of it is an input: the schedule is the
-/// reference scheduler's.
+/// The wake a crossing publication must not lose, from both sides. Round
+/// after round `waiter` sits at its sync point behind two running threads
+/// that cross its key in steps of seeded length — so either may be the last
+/// to — while `holder`, ordered before it, keeps taking the token for
+/// coarsened runs of short critical sections. Whoever comes last under the
+/// runtime lock — the crossing publication or the holder's release — has
+/// to wake the waiter: a lost wake is a stall the watchdog reports as a
+/// fault. And none of it is an input: a rerun is the same schedule.
 #[test]
 fn publishers_crossing_a_head_waiter_under_a_held_token_lose_no_wake() {
     const ROUNDS: u64 = 20;
     const ROUND: u64 = 5_000;
-    let run = |sched: SchedKind, seed: u64| {
+    let run = |seed: u64| {
         let opts = Options {
-            sched,
             watchdog_stall_ms: Some(300),
             ..Options::consequence_ic()
         };
@@ -388,17 +320,13 @@ fn publishers_crossing_a_head_waiter_under_a_held_token_lose_no_wake() {
                 ctx.join(t);
             }
         }));
-        let cell = format!("{sched:?} seed {seed} steps {steps:?}");
+        let cell = format!("seed {seed} steps {steps:?}");
         assert!(report.fault.is_none(), "{cell}: {:?}", report.fault);
         assert!(!report.degraded, "{cell}");
         report.schedule_hash
     };
     for seed in 0..8 {
-        assert_eq!(
-            run(SchedKind::Fast, seed),
-            run(SchedKind::Reference, seed),
-            "seed {seed}"
-        );
+        assert_eq!(run(seed), run(seed), "seed {seed}");
     }
 }
 
@@ -596,50 +524,38 @@ fn probe_program(name: &str, rt: &mut ConsequenceRuntime, threads: usize) -> Job
     }
 }
 
-/// Wake timing is not an input. Each probe program runs under the fast
-/// scheduler, the reference scheduler and the fast scheduler failed over
-/// mid-run (so threads are asleep at the moment of failover), each with
-/// and without spurious wakes injected at every sleep site at the highest
-/// intensity: no run faults, and the six schedules and commit logs of a
+/// Wake timing is not an input. Each probe program runs twice clean and
+/// twice with spurious wakes injected at every sleep site at the highest
+/// intensity: no run faults, and the four schedules and commit logs of a
 /// program are one schedule and one commit log.
 #[test]
-fn probe_programs_agree_across_schedulers_failover_and_spurious_wakes() {
+fn probe_programs_agree_with_and_without_spurious_wakes() {
     let spurious = || {
         let mut plan = PerturbPlan::only(0x5eed, &[PerturbSite::CondWake]);
         plan.entries[0].intensity = 3;
         PerturbHandle::to(Arc::new(PlanPerturber::new(plan)))
     };
-    let mut failovers = 0;
     for name in ["lock_churn", "cond_ping_pong", "barrier_loop", "spawn_join"] {
         for threads in [2, 4] {
             let mut hashes = Vec::new();
-            for (sched, corrupt) in [
-                (SchedKind::Fast, None),
-                (SchedKind::Reference, None),
-                (SchedKind::Fast, Some(5)),
-            ] {
-                for perturb in [PerturbHandle::off(), spurious()] {
-                    let c = CommonConfig {
-                        max_threads: 32,
-                        perturb,
-                        ..hashed_cfg()
-                    };
-                    let opts = Options {
-                        sched,
-                        inject_sched_corruption: corrupt,
-                        watchdog_stall_ms: Some(100),
-                        ..Options::consequence_ic()
-                    };
-                    let mut rt = ConsequenceRuntime::new(c, opts);
-                    let job = probe_program(name, &mut rt, threads);
-                    let r = rt.run(job);
-                    let cell = format!("{name} x{threads} {sched:?} corrupt={corrupt:?}");
-                    assert!(r.fault.is_none(), "{cell}: {:?}", r.fault);
-                    assert!(r.panics.is_empty(), "{cell}: {:?}", r.panics);
-                    assert!(corrupt.is_some() || !r.degraded, "{cell}");
-                    failovers += u32::from(r.degraded);
-                    hashes.push((r.schedule_hash, r.commit_log_hash));
-                }
+            for perturb in [PerturbHandle::off, spurious, PerturbHandle::off, spurious] {
+                let c = CommonConfig {
+                    max_threads: 32,
+                    perturb: perturb(),
+                    ..hashed_cfg()
+                };
+                let opts = Options {
+                    watchdog_stall_ms: Some(100),
+                    ..Options::consequence_ic()
+                };
+                let mut rt = ConsequenceRuntime::new(c, opts);
+                let job = probe_program(name, &mut rt, threads);
+                let r = rt.run(job);
+                let cell = format!("{name} x{threads} run {}", hashes.len());
+                assert!(r.fault.is_none(), "{cell}: {:?}", r.fault);
+                assert!(r.panics.is_empty(), "{cell}: {:?}", r.panics);
+                assert!(!r.degraded, "{cell}");
+                hashes.push((r.schedule_hash, r.commit_log_hash));
             }
             assert!(
                 hashes.iter().all(|h| *h == hashes[0]),
@@ -647,7 +563,6 @@ fn probe_programs_agree_across_schedulers_failover_and_spurious_wakes() {
             );
         }
     }
-    assert!(failovers > 0, "the corruption drill never bit");
 }
 
 /// Wakes pending when an error unwinds are still delivered. The late

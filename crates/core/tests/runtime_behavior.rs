@@ -540,11 +540,13 @@ fn coarsening_fires_on_fine_grained_locking() {
 
 /// Lock sections a mutex operation takes, counted by the `dmt_api::sync`
 /// shim (debug builds only; a release run checks nothing). Every shim
-/// mutex counts: the runtime lock, the segment's, the clock table's
-/// history. At the parent of PR 25 a coarsened lock and a coarsened unlock
-/// took 3 each; ending inside the caller's section took one from each, and
-/// a fresh acquisition, a contended one and an unlock that wakes its
-/// waiter take what they took there.
+/// mutex counts: the runtime lock and the segment's. A coarsened lock and a
+/// coarsened unlock once took 3 each; ending inside the caller's section
+/// took one from each. The clock table's history then
+/// had a mutex of its own, taken by every transition; with the history
+/// under the runtime lock a coarsened pair is (1, 1), down from (2, 2),
+/// and every other count below fell with it (its value before is beside
+/// it).
 #[test]
 fn a_coarsened_mutex_operation_is_one_lock_section() {
     if !cfg!(debug_assertions) {
@@ -576,17 +578,18 @@ fn a_coarsened_mutex_operation_is_one_lock_section() {
     };
     // Two grants: the first pair's lock and the unlock after the one lock
     // whose chunk outgrew the budget are fresh; the rest are coarsened.
-    // Parent: {(3, 3): 998, (6, 8): 1, (8, 3): 1}.
-    let coarsened = Sections::from([((2, 2), 998), ((6, 8), 1), ((8, 2), 1)]);
+    // Before: {(2, 2): 998, (6, 8): 1, (8, 2): 1}.
+    let coarsened = Sections::from([((1, 1), 998), ((5, 6), 1), ((6, 1), 1)]);
     assert_eq!(pairs(Options::consequence_ic()), coarsened);
-    let fresh = Sections::from([((11, 8), 998), ((11, 9), 2)]);
+    // Before: {(11, 8): 998, (11, 9): 2}.
+    let fresh = Sections::from([((9, 6), 998), ((9, 7), 2)]);
     let no_coarsening = Options::consequence_ic().without("coarsening");
-    assert_eq!(pairs(no_coarsening), fresh, "as at the parent");
+    assert_eq!(pairs(no_coarsening), fresh);
 
     // Main holds `m` and the token (coarsened on `m2`) when it unlocks
-    // `m` to its queued waiter: 7 sections, as at the parent. The child's
-    // contended lock took 22 there, parks and token waits included; a
-    // stale permit can add a sleep, so the best of a few runs counts.
+    // `m` to its queued waiter: 5 sections (7 before). The child's
+    // contended lock takes 16 (22 before), parks and token waits included;
+    // a stale permit can add a sleep, so the best of a few runs counts.
     let contended = (0..10).map(|_| {
         let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
         let (m, m2) = (rt.create_mutex(), rt.create_mutex());
@@ -609,10 +612,10 @@ fn a_coarsened_mutex_operation_is_one_lock_section() {
             ctx.join(child);
         }));
         let sections = *out.lock().unwrap();
-        assert_eq!(sections.0, 7, "an unlock that wakes its waiter");
+        assert_eq!(sections.0, 5, "an unlock that wakes its waiter");
         sections.1
     });
-    assert_eq!(contended.min(), Some(22), "a contended acquisition");
+    assert_eq!(contended.min(), Some(16), "a contended acquisition");
 }
 
 #[test]

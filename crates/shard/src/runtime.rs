@@ -349,13 +349,13 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
         .collect();
     let wall = t0.elapsed();
 
-    let mut sched = Fnv1a::new();
+    let mut schedule = Fnv1a::new();
     let mut out = Fnv1a::new();
     let mut commits = Fnv1a::new();
     let mut kv: Vec<(u64, u64)> = Vec::with_capacity(spec.keys);
     for d in &domains {
-        sched.update(&u64::from(d.domain.0).to_le_bytes());
-        sched.update(&d.schedule_hash.to_le_bytes());
+        schedule.update(&u64::from(d.domain.0).to_le_bytes());
+        schedule.update(&d.schedule_hash.to_le_bytes());
         out.update(&d.output_hash.to_le_bytes());
         commits.update(&d.commit_log_hash.to_le_bytes());
         kv.extend_from_slice(&d.kv);
@@ -379,7 +379,7 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
     ShardReport {
         sync_ops: domains.iter().map(|d| d.token_acquisitions).sum(),
         panics: domains.iter().map(|d| d.panics.len() as u64).sum(),
-        schedule_hash: sched.digest(),
+        schedule_hash: schedule.digest(),
         store_hash: store.digest(),
         output_hash: out.digest(),
         commit_hash: commits.digest(),

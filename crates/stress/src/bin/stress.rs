@@ -47,7 +47,7 @@ const MODES: [Mode; 10] = [
     Mode {
         flag: "--sched-diff",
         value: None,
-        doc: "A/B differential: fast vs reference scheduler agree on schedule, output, commit log",
+        doc: "A/B differential: adaptive vs fixed overflow agree on schedule, output, commit log",
         run: |i| table("sched_diff", |p| run_option_diff(&i.cfg, SCHED_DIFF, p)),
     },
     Mode {

@@ -2,11 +2,12 @@
 //! against the path it replaced.
 //!
 //! One optimization in the Consequence runtime exists beside the path it
-//! was written to replace, selected by an option: the **fast scheduler**
-//! (`fast_sched`) — lock-free publication slots and eligibility read from
-//! those slots (`det_clock::fast`) in place of the reference scheduler's
-//! locked publication and eligibility read from the table's entries. It
-//! may change how fast a grant happens, never which thread gets it.
+//! was written to replace, selected by an option, and promises not to
+//! move the schedule: the **adaptive overflow target** of §3.2
+//! (`adaptive_overflow`) — a running thread publishes its clock early
+//! enough to release the earliest waiter — in place of fixed publication
+//! intervals. Publication frequency may change when a waiter is released,
+//! never which thread gets the token.
 //!
 //! The contract is checked the same way for any such option: for every
 //! workload × every Consequence-backed runtime (dwc, consequence-rr,
@@ -25,7 +26,6 @@
 
 use consequence::replay::options_for_label;
 use consequence::Options;
-use det_clock::SchedKind;
 use dmt_api::{PerturbHandle, PerturbPlan};
 use dmt_bench::json::ToJson;
 
@@ -49,13 +49,13 @@ pub struct OptionDiff {
     pub without: &'static str,
 }
 
-/// Fast vs reference scheduler.
+/// Adaptive vs fixed publication intervals: the schedule differential.
 pub const SCHED_DIFF: OptionDiff = OptionDiff {
-    toggle: "fast_sched",
-    enable: |o| o.sched = SchedKind::Fast,
+    toggle: "adaptive_overflow",
+    enable: |o| o.adaptive_overflow = true,
     salt: 0x5C4E_D1FF,
-    with: "fast",
-    without: "reference",
+    with: "adaptive",
+    without: "fixed",
 };
 
 impl OptionDiff {
@@ -112,7 +112,7 @@ pub struct OptionDiffCell {
 
 impl ToJson for OptionDiffCell {
     /// The two hash members are keyed by the row's side labels
-    /// (`fast_hash` / `reference_hash`).
+    /// (`adaptive_hash` / `fixed_hash`).
     fn write_json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"workload\":{},\"runtime\":{},\"runs\":{},\"{}_hash\":{},\"{}_hash\":{},\
@@ -155,7 +155,7 @@ impl Notes for Report<OptionDiffCell> {}
 /// Runs the A/B matrix of `diff` and returns the report.
 ///
 /// Non-Consequence runtimes in `cfg.runtimes` are skipped (they have no
-/// scheduler to swap). `progress` is called once per finished cell.
+/// options to toggle). `progress` is called once per finished cell.
 pub fn run_option_diff(
     cfg: &StressConfig,
     diff: OptionDiff,
@@ -218,7 +218,7 @@ mod tests {
     }
 
     /// Were side A "the preset" (a no-op `enable`), a preset whose default
-    /// flipped to off would leave both sides on the reference scheduler.
+    /// flipped to off would leave both sides on fixed intervals.
     #[test]
     #[should_panic(expected = "differential is vacuous")]
     fn a_flipped_preset_default_fires_the_guard() {
@@ -227,7 +227,7 @@ mod tests {
             ..SCHED_DIFF
         };
         preset_is_side_a.sides(Options {
-            sched: SchedKind::Reference,
+            adaptive_overflow: false,
             ..Options::consequence_ic()
         });
     }

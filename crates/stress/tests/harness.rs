@@ -2,9 +2,7 @@
 //! report is self-describing, and the injected bug is caught and shrunk.
 
 use dmt_baselines::RuntimeKind;
-use dmt_stress::{
-    plan_handle, run_inject_bug, run_matrix, run_option_diff, StressConfig, Table, SCHED_DIFF,
-};
+use dmt_stress::{plan_handle, run_inject_bug, run_matrix, StressConfig};
 
 use dmt_api::{PerturbHandle, PerturbPlan};
 
@@ -71,32 +69,4 @@ fn injected_bug_is_caught_shrunk_and_diagnosed() {
         diagnosis.contains("diverge at event"),
         "diagnosis does not name the first divergent event: {diagnosis}"
     );
-}
-
-/// The fast scheduler (PR 4) keeps its predecessor as an oracle and must be
-/// schedule-, output- and commit-log-identical to it on whole executions,
-/// across perturbation seeds and both token-order policies.
-#[test]
-fn fast_and_reference_schedulers_agree_end_to_end() {
-    let cfg = tiny_matrix(
-        vec![RuntimeKind::ConsequenceIc, RuntimeKind::ConsequenceRr],
-        1,
-    );
-    let report = run_option_diff(&cfg, SCHED_DIFF, |_| {});
-    assert_eq!(report.cells.len(), 2);
-    for cell in &report.cells {
-        assert!(
-            cell.schedules_match && cell.outputs_match && cell.validated,
-            "{} under {} diverged without {}: {cell:?}",
-            cell.workload,
-            cell.runtime,
-            SCHED_DIFF.toggle
-        );
-        assert!(cell.commit_logs_match, "commit logs diverged: {cell:?}");
-        assert!(cell.ok());
-        assert_eq!(cell.with_hash, cell.without_hash);
-        assert_eq!(cell.runs, 4);
-    }
-    assert!(report.passed);
-    assert_eq!(report.total_runs, 8);
 }

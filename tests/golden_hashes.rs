@@ -160,12 +160,10 @@ fn goldens_are_geometry_sensitive() {
 // Only fixed-publication configurations reproduce virtual time across
 // runs (`determinism_matrix::virtual_time_reproducible_for_fixed_overflow_ic`
 // states the rule), so `consequence-ic` runs with `adaptive_overflow =
-// false`. Every cell runs under both schedulers, and both must give the
-// pinned tuple.
+// false`.
 // ---------------------------------------------------------------------
 
 use consequence_repro::consequence::{ConsequenceRuntime, Options};
-use consequence_repro::det_clock::SchedKind;
 use consequence_repro::dmt_api::{Breakdown, RunReport, Runtime, RuntimeMemExt, Tid};
 
 /// A field that does not reproduce run to run at the commit the pins
@@ -347,30 +345,21 @@ fn bd_fields(b: &Breakdown) -> [u64; 7] {
 fn virtual_time_matches_the_committed_pins() {
     let mut drift = String::new();
     for &(program, label, v, log, sched_hash, bd) in GOLDEN_VTIME {
-        for sched in [SchedKind::Fast, SchedKind::Reference] {
-            let r = vt_run(
-                program,
-                Options {
-                    sched,
-                    ..fixed_publication(label)
-                },
-            );
-            // Compare only what the pin states: a `RACY` field takes
-            // the pinned value.
-            let mut got_bd = bd_fields(&r.breakdown);
-            for (g, w) in got_bd.iter_mut().zip(bd) {
-                if w == RACY {
-                    *g = RACY;
-                }
+        let r = vt_run(program, fixed_publication(label));
+        // Compare only what the pin states: a `RACY` field takes the
+        // pinned value.
+        let mut got_bd = bd_fields(&r.breakdown);
+        for (g, w) in got_bd.iter_mut().zip(bd) {
+            if w == RACY {
+                *g = RACY;
             }
-            let got = (r.virtual_cycles, r.commit_log_hash, r.schedule_hash, got_bd);
-            if got != (v, log, sched_hash, bd) {
-                drift.push_str(&format!(
-                    "    {program} {label} {sched:?}: \
-                     ({}, {:#018x}, {:#018x}, {:?})\n",
-                    got.0, got.1, got.2, got.3
-                ));
-            }
+        }
+        let got = (r.virtual_cycles, r.commit_log_hash, r.schedule_hash, got_bd);
+        if got != (v, log, sched_hash, bd) {
+            drift.push_str(&format!(
+                "    {program} {label}: ({}, {:#018x}, {:#018x}, {:?})\n",
+                got.0, got.1, got.2, got.3
+            ));
         }
     }
     assert!(

@@ -57,11 +57,11 @@ fn shard_cfg(shards: u32, workers: usize, seed: u64) -> ShardCfg {
 #[test]
 fn one_shard_is_bit_identical_to_unsharded() {
     for seed in [7u64, 42, 0xDEC0DE] {
-        let (sched, out) = run_unsharded(3, 1, seed);
+        let (schedule, out) = run_unsharded(3, 1, seed);
         let r = run_sharded_server(&shard_cfg(1, 3, seed));
         assert_eq!(r.domains.len(), 1);
         assert_eq!(
-            r.domains[0].schedule_hash, sched,
+            r.domains[0].schedule_hash, schedule,
             "seed {seed}: 1-shard schedule diverged from unsharded"
         );
         assert_eq!(
