@@ -42,7 +42,7 @@
 //! as they did before domains existed — unsharded hashes and recorded
 //! traces are stable across versions — while non-root domains fold a
 //! domain prefix, so two shards' interleavings can never collide into one
-//! hash. [`diagnose_domains`] names the divergent domain.
+//! hash. A [`Divergence`] names the divergent domain.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -698,8 +698,8 @@ impl MemorySink {
     }
 
     /// Like [`take`](MemorySink::take), but keeps each event paired with
-    /// its emitting token domain — the form [`diagnose_domains`] wants
-    /// when a sink absorbed a multi-domain (sharded) schedule.
+    /// its emitting token domain, for a sink that absorbed a multi-domain
+    /// (sharded) schedule.
     pub fn take_domains(&self) -> (Vec<(DomainId, Event)>, u64) {
         let mut st = self.st.lock();
         let dropped = st.dropped;
@@ -862,9 +862,8 @@ pub struct Divergence {
     /// Up to the last 5 common-prefix events, as `(index, event)`.
     pub context: Vec<(usize, Event)>,
     /// The token domain the divergence happened in. [`DomainId::ROOT`]
-    /// for unsharded schedules; for sharded schedules
-    /// ([`diagnose_domains`]) the domain of the first differing event —
-    /// i.e. *which shard* split first.
+    /// for unsharded schedules; for sharded schedules the domain of the
+    /// first differing event — i.e. *which shard* split first.
     pub domain: DomainId,
 }
 
@@ -889,38 +888,6 @@ pub fn diagnose(left: &[Event], right: &[Event]) -> Option<Divergence> {
         right: right.get(common).copied(),
         context: (ctx_from..common).map(|i| (i, left[i])).collect(),
         domain: DomainId::ROOT,
-    })
-}
-
-/// [`diagnose`] for multi-domain (sharded) schedules: compares two
-/// domain-stamped traces and names the token domain of the first
-/// differing event, so a sharded divergence report says *which shard*
-/// split — a domain mismatch at equal events is itself a divergence.
-pub fn diagnose_domains(
-    left: &[(DomainId, Event)],
-    right: &[(DomainId, Event)],
-) -> Option<Divergence> {
-    let common = left
-        .iter()
-        .zip(right.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
-    if common == left.len() && common == right.len() {
-        return None;
-    }
-    let ctx_from = common.saturating_sub(5);
-    // Name the domain of whichever side has an event at the split; a
-    // trace that simply ended inherits the other side's domain.
-    let domain = left
-        .get(common)
-        .or_else(|| right.get(common))
-        .map_or(DomainId::ROOT, |(d, _)| *d);
-    Some(Divergence {
-        index: common,
-        left: left.get(common).map(|(_, ev)| *ev),
-        right: right.get(common).map(|(_, ev)| *ev),
-        context: (ctx_from..common).map(|i| (i, left[i].1)).collect(),
-        domain,
     })
 }
 
@@ -1057,31 +1024,6 @@ mod tests {
         assert!(d.left.is_none());
         assert_eq!(d.right, Some(ev(0, 3)));
         assert!(diagnose(&left, &left).is_none());
-    }
-
-    #[test]
-    fn diagnose_domains_names_the_divergent_shard() {
-        let left: Vec<(DomainId, Event)> =
-            (0..6).map(|i| (DomainId(i as u32 % 2), ev(0, i))).collect();
-        let mut right = left.clone();
-        right[5] = (DomainId(1), ev(9, 5));
-        let d = diagnose_domains(&left, &right).expect("must diverge");
-        assert_eq!(d.index, 5);
-        assert_eq!(d.domain, DomainId(1));
-        assert_eq!(d.left, Some(ev(0, 5)));
-        assert_eq!(d.right, Some(ev(9, 5)));
-        let report = d.to_string();
-        assert!(report.contains("in domain D1"), "{report}");
-        assert!(diagnose_domains(&left, &left).is_none());
-    }
-
-    #[test]
-    fn diagnose_domains_flags_domain_only_mismatch() {
-        let left = vec![(DomainId(0), ev(0, 1))];
-        let right = vec![(DomainId(1), ev(0, 1))];
-        let d = diagnose_domains(&left, &right).expect("domains differ");
-        assert_eq!(d.index, 0);
-        assert_eq!(d.left, d.right);
     }
 
     #[test]

@@ -244,7 +244,7 @@ json_struct!(RunReport {
     replay_divergence
 });
 
-json_struct!(crate::replay::Replayed {
+json_struct!(dmt_trace::Replayed {
     path,
     workload,
     runtime,

@@ -15,8 +15,9 @@ use std::sync::Arc;
 use consequence::replay::options_for_label;
 use consequence::ConsequenceRuntime;
 use dmt_api::{PerturbHandle, Runtime};
-use dmt_trace::{DiskSink, PartialTrace, Trace, TraceError, TraceMeta};
-use dmt_workloads::{workload_by_name, Params, Validation};
+use dmt_shard::record::SHARDED_LABEL_PREFIX;
+use dmt_trace::{DiskSink, PartialTrace, Replayed, Trace, TraceError, TraceMeta};
+use dmt_workloads::{workload_by_name, Params};
 
 use crate::cell::{Cell, Sink};
 
@@ -37,157 +38,6 @@ crate::json_record! {
         pub validated: bool,
         /// Container size on disk, in bytes.
         pub bytes: u64,
-    }
-}
-
-/// The result of replaying one container.
-#[derive(Clone, Debug)]
-pub struct Replayed {
-    /// The container replayed.
-    pub path: String,
-    /// Workload the trace names.
-    pub workload: String,
-    /// Runtime the trace names.
-    pub runtime: String,
-    /// Schedule events in the recording.
-    pub recorded_events: u64,
-    /// Schedule events the re-execution produced.
-    pub replayed_events: u64,
-    /// Recorded schedule hash.
-    pub recorded_hash: u64,
-    /// Re-executed schedule hash.
-    pub replayed_hash: u64,
-    /// Cumulative-hash checkpoints that matched.
-    pub checkpoints_passed: u64,
-    /// Checkpoints in the recording.
-    pub checkpoints_total: u64,
-    /// Output hash in the recording's META (0: a salvaged partial, whose
-    /// finish-time digests were never written).
-    pub recorded_output_hash: u64,
-    /// Output hash of the re-execution.
-    pub replayed_output_hash: u64,
-    /// Commit-log hash in the recording's META (0 as above).
-    pub recorded_commit_log_hash: u64,
-    /// Commit-log hash of the re-execution.
-    pub replayed_commit_log_hash: u64,
-    /// Whether the re-executed output hash matched the recording.
-    pub output_match: bool,
-    /// Whether the re-executed commit-log hash matched the recording.
-    pub commit_log_match: bool,
-    /// First-divergent-event diagnosis, `None` when the schedule tracked
-    /// the recording exactly.
-    pub divergence: Option<String>,
-    /// Whether the recording was a salvaged partial trace (a crashed or
-    /// torn container recovered by `Trace::salvage`).
-    pub partial: bool,
-    /// Partial replays: live event index at which the recovered prefix
-    /// ran out (`None` when the live run ended at the prefix boundary,
-    /// or for full traces).
-    pub exhausted_at: Option<u64>,
-    /// Partial replays: live schedule hash at the prefix boundary — must
-    /// equal `recorded_hash` for bit-identical prefix reproduction.
-    pub prefix_hash: Option<u64>,
-    /// Partial replays: file bytes past the tear the salvage gave up on
-    /// (0 for full traces).
-    pub bytes_lost: u64,
-}
-
-impl Replayed {
-    /// Whether the replay reproduced the recording completely. Full
-    /// traces: identical schedule (length, every event, every checkpoint,
-    /// final hash), identical output, identical commit log. Salvaged
-    /// partials: the recovered prefix replayed bit-identically (no
-    /// divergence inside it, prefix hash equal, every checkpoint passed,
-    /// live run at least as long); output/commit digests are compared
-    /// only when the recording carries them.
-    pub fn ok(&self) -> bool {
-        self.schedule_ok() && self.checkpoints_ok() && self.output_match && self.commit_log_match
-    }
-
-    fn schedule_ok(&self) -> bool {
-        self.divergence.is_none()
-            && if self.partial {
-                self.replayed_events >= self.recorded_events
-                    && self.prefix_hash == Some(self.recorded_hash)
-            } else {
-                self.recorded_events == self.replayed_events
-                    && self.recorded_hash == self.replayed_hash
-            }
-    }
-
-    fn checkpoints_ok(&self) -> bool {
-        self.checkpoints_passed == self.checkpoints_total
-    }
-
-    /// What the replay found, in words: `reproduced`, or every component
-    /// of [`ok`](Replayed::ok) that failed with the recorded and the
-    /// replayed value, then the components that held, then the
-    /// first-divergent-event diagnosis if there is one. A replay whose
-    /// schedule reproduced but whose commit log (or output) did not has
-    /// no diagnosis to print; this is what says so.
-    pub fn verdict(&self) -> String {
-        let mut failed = Vec::new();
-        let mut held = Vec::new();
-        if self.schedule_ok() {
-            held.push("schedule");
-        } else if self.divergence.is_some() {
-            failed.push("schedule diverged (diagnosis below)".to_string());
-        } else {
-            failed.push(format!(
-                "schedule differs: recorded {} events hash {:#018x}, replayed {} events hash {:#018x}",
-                self.recorded_events,
-                self.recorded_hash,
-                self.replayed_events,
-                self.prefix_hash.unwrap_or(self.replayed_hash),
-            ));
-        }
-        if self.checkpoints_ok() {
-            held.push("checkpoints");
-        } else {
-            failed.push(format!(
-                "checkpoints differ: {} of {} reproduced",
-                self.checkpoints_passed, self.checkpoints_total
-            ));
-        }
-        for (name, ok, recorded, replayed) in [
-            (
-                "output",
-                self.output_match,
-                self.recorded_output_hash,
-                self.replayed_output_hash,
-            ),
-            (
-                "commit-log",
-                self.commit_log_match,
-                self.recorded_commit_log_hash,
-                self.replayed_commit_log_hash,
-            ),
-        ] {
-            if ok {
-                held.push(name);
-            } else {
-                failed.push(format!(
-                    "{name} digest differs: recorded {recorded:#018x}, replayed {replayed:#018x}"
-                ));
-            }
-        }
-        if failed.is_empty() {
-            return "reproduced".to_string();
-        }
-        let mut v = failed.join("; ");
-        if let Some((last, rest)) = held.split_last() {
-            let list = if rest.is_empty() {
-                last.to_string()
-            } else {
-                format!("{} and {last}", rest.join(", "))
-            };
-            v.push_str(&format!("; {list} reproduced"));
-        }
-        if let Some(d) = &self.divergence {
-            v.push('\n');
-            v.push_str(d);
-        }
-        v
     }
 }
 
@@ -373,104 +223,43 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
                     path.display()
                 ));
             }
-            if partial
-                .trace
-                .meta
-                .runtime
-                .starts_with(dmt_shard::record::SHARDED_LABEL_PREFIX)
-            {
+            if partial.trace.meta.runtime.starts_with(SHARDED_LABEL_PREFIX) {
                 return Err(format!(
                     "open {}: {e} (salvaged a sharded container; partial replay of sharded \
                      traces is unsupported)",
                     path.display()
                 ));
             }
-            let loss = partial.loss;
-            (partial.trace, Some(loss))
+            (partial.trace, Some(partial.loss))
         }
         Err(e) => return Err(format!("open {}: {e}", path.display())),
     };
-    if trace
-        .meta
-        .runtime
-        .starts_with(dmt_shard::record::SHARDED_LABEL_PREFIX)
-    {
+    let mut r = if trace.meta.runtime.starts_with(SHARDED_LABEL_PREFIX) {
         // Sharded containers have no single grant script; they are
         // verified by deterministic re-execution (see dmt_shard::record).
-        let r = dmt_shard::record::verify_against(&trace, path)?;
-        return Ok(Replayed {
-            path: r.path,
-            workload: trace.meta.workload.clone(),
-            runtime: trace.meta.runtime.clone(),
-            recorded_events: r.recorded_events,
-            replayed_events: r.replayed_events,
-            recorded_hash: r.recorded_hash,
-            replayed_hash: r.replayed_hash,
-            checkpoints_passed: r.checkpoints_passed,
-            checkpoints_total: r.checkpoints_total,
-            recorded_output_hash: trace.meta.output_hash,
-            replayed_output_hash: r.replayed_output_hash,
-            recorded_commit_log_hash: trace.meta.commit_log_hash,
-            replayed_commit_log_hash: r.replayed_commit_log_hash,
-            output_match: r.output_match,
-            commit_log_match: r.commit_log_match,
-            divergence: r.divergence,
-            partial: false,
-            exhausted_at: None,
-            prefix_hash: None,
-            bytes_lost: 0,
-        });
-    }
-    let w = workload_by_name(&trace.meta.workload)
-        .ok_or_else(|| format!("trace names unknown workload {:?}", trace.meta.workload))?;
-    let p = Params::new(
-        trace.meta.threads as usize,
-        trace.meta.scale as u32,
-        trace.meta.input_seed,
-    );
-    let (mut rt, monitor) = match &loss {
-        Some(l) => {
-            let partial = PartialTrace {
-                trace: trace.clone(),
-                loss: *l,
-            };
-            ConsequenceRuntime::new_replaying_partial(&partial)
+        dmt_shard::record::verify_against(&trace)?
+    } else {
+        let w = workload_by_name(&trace.meta.workload)
+            .ok_or_else(|| format!("trace names unknown workload {:?}", trace.meta.workload))?;
+        let p = Params::new(
+            trace.meta.threads as usize,
+            trace.meta.scale as u32,
+            trace.meta.input_seed,
+        );
+        let (mut rt, monitor) = match loss {
+            Some(loss) => ConsequenceRuntime::new_replaying_partial(&PartialTrace { trace, loss }),
+            None => ConsequenceRuntime::new_replaying(&trace),
         }
-        None => ConsequenceRuntime::new_replaying(&trace),
-    }
-    .map_err(|e| format!("replay {}: {e}", path.display()))?;
-    let prepared = w.prepare(&mut rt, &p);
-    let mut report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(&rt);
-    let outcome = monitor.finish(&mut report);
-    // Salvaged partials lost the finish-time digests: META carries the
-    // write-ahead identity record, whose output/commit hashes are zero.
-    // Compare only digests the recording actually has.
-    let output_match = trace.meta.output_hash == 0 || v.output_hash == trace.meta.output_hash;
-    let commit_log_match =
-        trace.meta.commit_log_hash == 0 || report.commit_log_hash == trace.meta.commit_log_hash;
-    Ok(Replayed {
-        path: path.display().to_string(),
-        workload: trace.meta.workload.clone(),
-        runtime: trace.meta.runtime.clone(),
-        recorded_events: outcome.recorded_events,
-        replayed_events: outcome.replayed_events,
-        recorded_hash: outcome.recorded_hash,
-        replayed_hash: outcome.replayed_hash,
-        checkpoints_passed: outcome.checkpoints_passed,
-        checkpoints_total: outcome.checkpoints_total,
-        recorded_output_hash: trace.meta.output_hash,
-        replayed_output_hash: v.output_hash,
-        recorded_commit_log_hash: trace.meta.commit_log_hash,
-        replayed_commit_log_hash: report.commit_log_hash,
-        output_match,
-        commit_log_match,
-        divergence: outcome.divergence,
-        partial: outcome.partial,
-        exhausted_at: outcome.exhausted_at,
-        prefix_hash: outcome.prefix_hash,
-        bytes_lost: loss.map_or(0, |l| l.bytes_lost),
-    })
+        .map_err(|e| format!("replay {}: {e}", path.display()))?;
+        let prepared = w.prepare(&mut rt, &p);
+        let mut report = rt.run(prepared.job);
+        let output = (prepared.validate)(&rt).output_hash;
+        let mut r = monitor.finish(&mut report);
+        r.digests(output, report.commit_log_hash);
+        r
+    };
+    r.path = path.display().to_string();
+    Ok(r)
 }
 
 /// Expands `path` into the containers to replay: the file itself, or
@@ -511,7 +300,7 @@ pub fn replay_all(paths: &[&str]) -> (Vec<Replayed>, bool) {
         for f in files {
             match replay_file(&f) {
                 Ok(r) => {
-                    println!("{}", summarize(&r));
+                    println!("{}", r.summarize());
                     if !r.ok() {
                         println!("  {}", r.verdict());
                     }
@@ -526,33 +315,4 @@ pub fn replay_all(paths: &[&str]) -> (Vec<Replayed>, bool) {
         }
     }
     (results, ok)
-}
-
-/// One-line human rendering of a replay result.
-pub fn summarize(r: &Replayed) -> String {
-    let verdict = if r.ok() { "OK" } else { "DIVERGED" };
-    let salvage = if r.partial {
-        format!(
-            " [salvaged prefix, {} bytes lost, prefix hash {}]",
-            r.bytes_lost,
-            r.prefix_hash
-                .map_or_else(|| "unreached".to_string(), |h| format!("{h:#018x}")),
-        )
-    } else {
-        String::new()
-    };
-    format!(
-        "[{verdict}] {} {} {}: events {}/{} hash {:#018x}/{:#018x} checkpoints {}/{} output={} commits={}{salvage}",
-        r.workload,
-        r.runtime,
-        r.path,
-        r.replayed_events,
-        r.recorded_events,
-        r.replayed_hash,
-        r.recorded_hash,
-        r.checkpoints_passed,
-        r.checkpoints_total,
-        r.output_match,
-        r.commit_log_match,
-    )
 }

@@ -31,7 +31,6 @@
 // (Test code is exempt: asserting via unwrap/expect is the point there.)
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-mod fast;
 pub mod overflow;
 pub mod replay;
 pub mod table;

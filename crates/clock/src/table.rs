@@ -588,6 +588,110 @@ mod tests {
     }
 
     #[test]
+    fn successor_is_the_eligible_head_waiter() {
+        let mut t = ic(4);
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.register(Tid(2), 0, 0);
+        t.arrive_sync(Tid(1), 70, 0);
+        t.arrive_sync(Tid(2), 30, 0);
+        // T0 still running at clock 0: nobody is eligible yet.
+        assert_eq!(t.successor(), None);
+        t.publish(Tid(0), 100, 1);
+        assert_eq!(t.successor(), Some(Tid(2)));
+        // T2 resumes at clock 30: still below T1's (70, 1), so it blocks the
+        // new head until it runs past it.
+        t.resume(Tid(2), 30, 2);
+        assert_eq!(t.successor(), None);
+        t.publish(Tid(2), 90, 3);
+        assert_eq!(t.successor(), Some(Tid(1)));
+    }
+
+    #[test]
+    fn crossing_is_reported_once_per_head_key_per_publisher() {
+        let mut t = ic(4);
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.register(Tid(2), 0, 0);
+        t.arrive_sync(Tid(1), 50, 1);
+        // Below the head's key: no crossing yet. (50, 0) still orders before
+        // (50, 1).
+        assert!(!t.publish(Tid(0), 40, 1));
+        assert!(!t.publish(Tid(0), 50, 1));
+        // T0 crosses. The report says that and nothing more: T2 (published 0)
+        // still blocks the head.
+        assert!(t.publish(Tid(0), 60, 1));
+        assert!(!t.eligible(Tid(1)));
+        // Once per publisher: T0 is past the key for good.
+        assert!(!t.publish(Tid(0), 70, 1));
+        // T2 crosses last, and now the head is the successor.
+        assert!(t.publish(Tid(2), 51, 1));
+        assert!(!t.publish(Tid(2), 52, 1));
+        assert_eq!(t.successor(), Some(Tid(1)));
+        // Per head key: T1 runs and waits again at a later clock, and both
+        // publishers cross the new key once more.
+        t.resume(Tid(1), 50, 2);
+        t.arrive_sync(Tid(1), 100, 3);
+        assert!(!t.publish(Tid(0), 99, 4));
+        assert!(t.publish(Tid(0), 101, 4));
+        assert!(t.publish(Tid(2), 200, 4));
+        assert!(!t.publish(Tid(0), 300, 4));
+    }
+
+    #[test]
+    fn crossing_is_never_reported_for_the_heads_own_publication() {
+        let mut t = ic(4);
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.arrive_sync(Tid(1), 50, 0);
+        assert_eq!(t.min_waiting_other(Tid(0)), Some((50, 1)));
+        // Only a running thread publishes, so the head runs again first: its
+        // own stream past the key it waited at unblocks nobody.
+        t.resume(Tid(1), 50, 1);
+        assert!(!t.publish(Tid(1), 60, 2));
+        // Nor is there anything to cross with nobody waiting.
+        assert_eq!(t.min_waiting_other(Tid(0)), None);
+        assert!(!t.publish(Tid(0), 70, 3));
+    }
+
+    #[test]
+    fn dead_waiter_is_removed_from_queue_on_finish() {
+        // Regression (waiter-queue leak): a thread that dies while queued
+        // AtSync must stop being the head waiter, or the GMIC successor
+        // computation would select a dead thread forever.
+        let mut t = ic(4);
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.register(Tid(2), 0, 0);
+        t.arrive_sync(Tid(1), 50, 1);
+        t.arrive_sync(Tid(2), 70, 1);
+        // T1 (the head waiter) dies while queued.
+        t.finish(Tid(1), 5);
+        assert_eq!(
+            t.min_waiting_other(Tid(0)),
+            Some((70, 2)),
+            "head moves to T2"
+        );
+        t.publish(Tid(0), 100, 6);
+        assert_eq!(t.successor(), Some(Tid(2)), "dead thread must be skipped");
+        assert!(t.eligible(Tid(2)));
+    }
+
+    #[test]
+    fn dead_waiter_is_removed_from_queue_on_depart() {
+        // Same leak class via the depart path (a queued thread pulled off to
+        // block on a lock hand-off, then never re-queued).
+        let mut t = ic(4);
+        t.register(Tid(0), 0, 0);
+        t.register(Tid(1), 0, 0);
+        t.arrive_sync(Tid(1), 50, 1);
+        assert_eq!(t.min_waiting_other(Tid(0)), Some((50, 1)));
+        t.depart(Tid(1), 2);
+        assert_eq!(t.min_waiting_other(Tid(0)), None);
+        assert_eq!(t.successor(), None);
+    }
+
+    #[test]
     fn round_robin_takes_turns_in_tid_order() {
         let mut t = rr(4);
         t.register(Tid(0), 0, 0);

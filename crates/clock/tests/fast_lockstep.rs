@@ -1,10 +1,10 @@
 //! Differential property test of the clock table against its definition.
 //!
-//! Drives the [`SchedTable`] — the fast side: its head waiter is cached at
-//! every transition and its histories are pruned at the watermark — and a
-//! reference model that reads each rule straight off its definition (every
-//! query a scan, every history kept whole) through identical pseudo-random
-//! but protocol-valid operation sequences. After every single step the two
+//! Drives the [`SchedTable`] — its head waiter is cached at every
+//! transition and its histories are pruned at the watermark — and a model
+//! that reads each rule straight off its definition (every query a scan,
+//! every history kept whole) through identical pseudo-random but
+//! protocol-valid operation sequences. After every single step the two
 //! must agree exactly on each scheduling query the runtime uses: `state`,
 //! `published`, `eligible`, `crossing_v`, `min_waiting_other`, the
 //! successor a release wakes, the crossing a publication reports, and the
@@ -32,7 +32,7 @@ impl Rng {
     }
 }
 
-/// One thread of the reference model.
+/// One thread of the model.
 struct SpecThread {
     state: ThreadState,
     published: u64,
@@ -46,7 +46,7 @@ impl SpecThread {
     }
 }
 
-/// The reference side: the table's rules read off their definitions.
+/// The model side: the table's rules read off their definitions.
 struct Spec {
     policy: OrderPolicy,
     threads: Vec<SpecThread>,
@@ -161,7 +161,7 @@ impl Spec {
 /// runtime's own call discipline so every generated op is one the runtime
 /// could have issued.
 #[derive(Clone, Copy, Debug, PartialEq)]
-enum Model {
+enum Phase {
     /// Executing a chunk; may publish or arrive at a sync op.
     Running,
     /// Blocked at a sync op performed at this clock.
@@ -175,9 +175,9 @@ enum Model {
 const MAX_THREADS: usize = 8;
 
 struct Harness {
-    fast: SchedTable,
-    refr: Spec,
-    model: Vec<Model>,
+    table: SchedTable,
+    model: Spec,
+    phase: Vec<Phase>,
     clock: Vec<u64>,
     v: u64,
 }
@@ -185,14 +185,14 @@ struct Harness {
 impl Harness {
     fn new(policy: OrderPolicy) -> Harness {
         let mut h = Harness {
-            fast: SchedTable::with_policy(policy, MAX_THREADS),
-            refr: Spec {
+            table: SchedTable::with_policy(policy, MAX_THREADS),
+            model: Spec {
                 policy,
                 threads: Vec::new(),
                 rr_turn: 0,
                 rr_turn_v: 0,
             },
-            model: Vec::new(),
+            phase: Vec::new(),
             clock: Vec::new(),
             v: 0,
         };
@@ -201,15 +201,15 @@ impl Harness {
     }
 
     fn register(&mut self, birth_clock: u64) {
-        let i = self.model.len();
-        self.fast.register(Tid(i as u32), birth_clock, self.v);
-        self.refr.threads.push(SpecThread {
+        let i = self.phase.len();
+        self.table.register(Tid(i as u32), birth_clock, self.v);
+        self.model.threads.push(SpecThread {
             state: ThreadState::Running,
             published: birth_clock,
             hist: Vec::new(),
         });
-        self.refr.record(i, self.v);
-        self.model.push(Model::Running);
+        self.model.record(i, self.v);
+        self.phase.push(Phase::Running);
         self.clock.push(birth_clock);
     }
 
@@ -222,56 +222,56 @@ impl Harness {
         published: u64,
         call: impl FnOnce(&mut SchedTable, Tid, u64),
     ) {
-        call(&mut self.fast, Tid(i as u32), self.v);
-        self.refr.set(i, state, published, self.v);
+        call(&mut self.table, Tid(i as u32), self.v);
+        self.model.set(i, state, published, self.v);
     }
 
     fn publish(&mut self, i: usize) {
         let (clock, v) = (self.clock[i], self.v);
-        let crossed = self.fast.publish(Tid(i as u32), clock, v);
-        assert_eq!(crossed, self.refr.publish(i, clock, v), "publish crossed");
+        let crossed = self.table.publish(Tid(i as u32), clock, v);
+        assert_eq!(crossed, self.model.publish(i, clock, v), "publish crossed");
     }
 
     /// All-queries comparison; the heart of the lockstep property.
     fn check(&self) {
-        for i in 0..self.model.len() {
+        for i in 0..self.phase.len() {
             let t = Tid(i as u32);
-            if self.model[i] == Model::Finished {
+            if self.phase[i] == Phase::Finished {
                 continue;
             }
-            let spec = &self.refr.threads[i];
-            assert_eq!(self.fast.state(t), spec.state, "state({t})");
-            assert_eq!(self.fast.published(t), spec.published, "published({t})");
+            let spec = &self.model.threads[i];
+            assert_eq!(self.table.state(t), spec.state, "state({t})");
+            assert_eq!(self.table.published(t), spec.published, "published({t})");
             assert_eq!(
-                self.fast.min_waiting_other(t),
-                self.refr.min_waiting_other(Some(i)),
+                self.table.min_waiting_other(t),
+                self.model.min_waiting_other(Some(i)),
                 "min_waiting_other({t})"
             );
-            if let Model::AtSync(c) = self.model[i] {
+            if let Phase::AtSync(c) = self.phase[i] {
                 assert_eq!(
-                    self.fast.eligible(t),
-                    self.refr.eligible(i),
+                    self.table.eligible(t),
+                    self.model.eligible(i),
                     "eligible({t}) at {c}"
                 );
                 assert_eq!(
-                    self.fast.crossing_v(t, c),
-                    self.refr.crossing_v(i, c),
+                    self.table.crossing_v(t, c),
+                    self.model.crossing_v(i, c),
                     "crossing_v({t}, {c})"
                 );
             }
         }
-        if self.fast.policy() == OrderPolicy::RoundRobin {
-            assert_eq!(self.fast.rr_holder(), self.refr.rr_turn, "rr_holder");
-            assert_eq!(self.fast.rr_turn_v(), self.refr.rr_turn_v, "rr_turn_v");
+        if self.table.policy() == OrderPolicy::RoundRobin {
+            assert_eq!(self.table.rr_holder(), self.model.rr_turn, "rr_holder");
+            assert_eq!(self.table.rr_turn_v(), self.model.rr_turn_v, "rr_turn_v");
         }
-        assert_eq!(self.fast.successor(), self.refr.successor(), "successor");
+        assert_eq!(self.table.successor(), self.model.successor(), "successor");
     }
 
     fn step(&mut self, rng: &mut Rng) {
         self.v += 1 + rng.below(5);
-        let i = rng.below(self.model.len() as u64) as usize;
-        match self.model[i] {
-            Model::Running => match rng.below(10) {
+        let i = rng.below(self.phase.len() as u64) as usize;
+        match self.phase[i] {
+            Phase::Running => match rng.below(10) {
                 // Publish a counter-overflow bound (the hot path).
                 0..=4 => {
                     self.clock[i] += 1 + rng.below(50);
@@ -284,51 +284,52 @@ impl Harness {
                     self.transition(i, ThreadState::AtSync(c), c, |t, tid, v| {
                         t.arrive_sync(tid, c, v)
                     });
-                    self.model[i] = Model::AtSync(c);
+                    self.phase[i] = Phase::AtSync(c);
                 }
                 // Spawn: the child starts at the parent's clock, which is
                 // ≥ every pruning watermark (the parent is live).
                 _ => {
-                    if self.model.len() < MAX_THREADS {
+                    if self.phase.len() < MAX_THREADS {
                         self.register(self.clock[i]);
                     }
                 }
             },
-            Model::AtSync(_) => match rng.below(10) {
+            Phase::AtSync(_) => match rng.below(10) {
                 // Granted the token and released it: resume running,
                 // possibly fast-forwarded past the arrival clock.
                 0..=5 => {
                     self.clock[i] += rng.below(10);
                     let c = self.clock[i];
                     self.transition(i, ThreadState::Running, c, |t, tid, v| t.resume(tid, c, v));
-                    self.model[i] = Model::Running;
-                    if self.fast.policy() == OrderPolicy::RoundRobin && self.fast.rr_holder() == i {
+                    self.phase[i] = Phase::Running;
+                    if self.table.policy() == OrderPolicy::RoundRobin && self.table.rr_holder() == i
+                    {
                         // The runtime advances the turn when the holder
                         // releases the token.
-                        self.fast.rr_advance(self.v);
-                        self.refr.rr_advance(self.v);
+                        self.table.rr_advance(self.v);
+                        self.model.rr_advance(self.v);
                     }
                 }
                 // Block on a lock or condvar: leave GMIC consideration.
                 6..=8 => {
                     self.transition(i, ThreadState::Departed, 0, SchedTable::depart);
-                    self.model[i] = Model::Departed(self.clock[i]);
+                    self.phase[i] = Phase::Departed(self.clock[i]);
                 }
                 // Exit (from the sync arrival, as ctx::finish does).
                 _ => {
                     self.transition(i, ThreadState::Finished, 0, SchedTable::finish);
-                    self.model[i] = Model::Finished;
+                    self.phase[i] = Phase::Finished;
                 }
             },
-            Model::Departed(saved) => {
+            Phase::Departed(saved) => {
                 // Woken by an unlock/signal at the waker's virtual time.
                 self.transition(i, ThreadState::Running, saved, |t, tid, v| {
                     t.reactivate(tid, saved, v)
                 });
                 self.clock[i] = self.clock[i].max(saved);
-                self.model[i] = Model::Running;
+                self.phase[i] = Phase::Running;
             }
-            Model::Finished => {}
+            Phase::Finished => {}
         }
         self.check();
     }
@@ -345,21 +346,21 @@ fn run_seed(policy: OrderPolicy, seed: u64) {
 }
 
 #[test]
-fn fast_and_reference_agree_under_instruction_count() {
+fn table_and_model_agree_under_instruction_count() {
     for seed in 0..20 {
         run_seed(OrderPolicy::InstructionCount, 0x5EED_1C00 + seed);
     }
 }
 
 #[test]
-fn fast_and_reference_agree_under_round_robin() {
+fn table_and_model_agree_under_round_robin() {
     for seed in 0..20 {
         run_seed(OrderPolicy::RoundRobin, 0x5EED_4200 + seed);
     }
 }
 
 /// Long publication streams with an active waiter: the table prunes, the
-/// reference keeps everything, and every query must still agree (the
+/// model keeps everything, and every query must still agree (the
 /// watermark proof in `table.rs` says pruned entries can never change an
 /// answer above the watermark). Every other time the waiter arrives at
 /// its last clock, the watermark, where the entry that last blocked it is
@@ -381,16 +382,16 @@ fn agreement_survives_history_pruning() {
             h.transition(1, ThreadState::AtSync(c), c, |t, tid, v| {
                 t.arrive_sync(tid, c, v)
             });
-            h.model[1] = Model::AtSync(c);
+            h.phase[1] = Phase::AtSync(c);
             h.check();
             h.v += 1;
             h.transition(1, ThreadState::Running, c, |t, tid, v| t.resume(tid, c, v));
-            h.model[1] = Model::Running;
+            h.phase[1] = Phase::Running;
         }
         h.check();
     }
     // Pruning actually happened: the table's publisher history stayed
-    // bounded while the reference kept every entry.
-    assert!(h.fast.history_len(Tid(0)) < 512, "table history unbounded");
-    assert!(h.refr.threads[0].hist.len() > 2_000);
+    // bounded while the model kept every entry.
+    assert!(h.table.history_len(Tid(0)) < 512, "table history unbounded");
+    assert!(h.model.threads[0].hist.len() > 2_000);
 }

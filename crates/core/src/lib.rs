@@ -44,5 +44,5 @@ pub mod runtime;
 mod shared;
 
 pub use options::Options;
-pub use replay::{run_replayed, ReplayError, ReplayMonitor, ReplayOutcome};
+pub use replay::{ReplayError, ReplayMonitor};
 pub use runtime::ConsequenceRuntime;

@@ -21,15 +21,14 @@
 //! scheduler kind: a release wakes the scripted next grantee.
 
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 
 use det_clock::ReplayCtl;
 use dmt_api::{
-    CommonConfig, CostModel, FixedPanic, Job, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber,
-    RunReport, Runtime, Tid, TraceHandle, TraceSink,
+    CommonConfig, CostModel, FixedPanic, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber,
+    RunReport, Tid, TraceHandle,
 };
-use dmt_trace::{PartialTrace, ReplaySink, Trace, TraceError, TraceMeta};
+use dmt_trace::{PartialTrace, ReplaySink, Replayed, Trace, TraceError, TraceMeta};
 
 use crate::options::Options;
 use crate::runtime::ConsequenceRuntime;
@@ -40,7 +39,7 @@ use crate::runtime::ConsequenceRuntime;
 pub const REPLAY_STALL_MS: u64 = 2_000;
 
 /// Why a trace could not be replayed at all (as opposed to replaying and
-/// diverging, which is a [`ReplayOutcome`]).
+/// diverging, which is a [`Replayed`] verdict).
 #[derive(Debug)]
 pub enum ReplayError {
     /// The container failed to open or validate.
@@ -97,109 +96,20 @@ impl From<TraceError> for ReplayError {
     }
 }
 
-/// The verdict of a finished replay.
-#[derive(Clone, Debug)]
-pub struct ReplayOutcome {
-    /// Schedule events in the recording.
-    pub recorded_events: u64,
-    /// Schedule events the re-execution produced.
-    pub replayed_events: u64,
-    /// Schedule hash stored in the trace META stream.
-    pub recorded_hash: u64,
-    /// Schedule hash the re-execution produced.
-    pub replayed_hash: u64,
-    /// Cumulative-hash checkpoints that matched.
-    pub checkpoints_passed: u64,
-    /// Checkpoints the recording carries.
-    pub checkpoints_total: u64,
-    /// Rendered first-divergent-event diagnosis, `None` when the replay
-    /// tracked the recording exactly (including its length).
-    pub divergence: Option<String>,
-    /// Whether the recording was a salvaged prefix
-    /// ([`ConsequenceRuntime::new_replaying_partial`]): the live run
-    /// outliving it is clean exhaustion, not divergence.
-    pub partial: bool,
-    /// Partial replays: live event index at which the recorded prefix
-    /// ran out, `None` when the live run ended at or before the
-    /// recording's length.
-    pub exhausted_at: Option<u64>,
-    /// Live schedule hash at the moment the replay had consumed exactly
-    /// the recorded events — the bit-identical-prefix check. `None` when
-    /// the live run ended inside the prefix.
-    pub prefix_hash: Option<u64>,
-}
-
-impl ReplayOutcome {
-    /// Whether the re-execution reproduced the recorded schedule exactly:
-    /// same events, same length, same hash, every checkpoint passed. For
-    /// partial recordings use
-    /// [`prefix_matches`](ReplayOutcome::prefix_matches).
-    pub fn matches(&self) -> bool {
-        self.divergence.is_none()
-            && self.replayed_events == self.recorded_events
-            && self.replayed_hash == self.recorded_hash
-            && self.checkpoints_passed == self.checkpoints_total
-    }
-
-    /// Whether the re-execution reproduced the recorded *prefix* exactly:
-    /// no divergence inside it, every checkpoint passed, the live hash at
-    /// the crossing point equal to the recorded prefix hash, and the live
-    /// run at least as long as the recording. This is the partial-trace
-    /// verdict: a salvaged crashed run replays to (at least) its fault
-    /// point bit-identically.
-    pub fn prefix_matches(&self) -> bool {
-        self.divergence.is_none()
-            && self.replayed_events >= self.recorded_events
-            && self.prefix_hash == Some(self.recorded_hash)
-            && self.checkpoints_passed == self.checkpoints_total
-    }
-
-    /// The verdict appropriate to the recording's kind: `matches` for
-    /// full traces, `prefix_matches` for salvaged partials.
-    pub fn reproduced(&self) -> bool {
-        if self.partial {
-            self.prefix_matches()
-        } else {
-            self.matches()
-        }
-    }
-}
-
 /// Observer side of a replaying runtime: holds the comparison sink and
-/// grant script, and renders the verdict after the run.
+/// renders the verdict after the run.
 pub struct ReplayMonitor {
     sink: Arc<ReplaySink>,
-    ctl: Arc<ReplayCtl>,
-    recorded_events: u64,
-    recorded_hash: u64,
-    partial: bool,
 }
 
 impl ReplayMonitor {
-    /// Final verdict. Runs the end-of-trace check (a replay that stopped
-    /// short diverged at its end — in partial mode too: the salvaged
-    /// prefix itself must replay fully), stamps the rendered diagnosis
-    /// into `report.replay_divergence`, and returns the outcome.
-    pub fn finish(self, report: &mut RunReport) -> ReplayOutcome {
-        let divergence = self.sink.finish_check().map(|d| d.to_string());
-        report.replay_divergence = divergence.clone();
-        ReplayOutcome {
-            recorded_events: self.recorded_events,
-            replayed_events: self.sink.replayed_events(),
-            recorded_hash: self.recorded_hash,
-            replayed_hash: self.sink.schedule_hash(),
-            checkpoints_passed: self.sink.checkpoints_passed(),
-            checkpoints_total: self.sink.checkpoints_total(),
-            divergence,
-            partial: self.partial,
-            exhausted_at: self.sink.exhausted_at(),
-            prefix_hash: self.sink.prefix_hash(),
-        }
-    }
-
-    /// Grants consumed from the script so far (diagnostic).
-    pub fn grants_consumed(&self) -> usize {
-        self.ctl.position()
+    /// Final verdict ([`ReplaySink::finish`]), with its rendered diagnosis
+    /// stamped into `report.replay_divergence`. The output and commit-log
+    /// digests are the caller's to compare ([`Replayed::digests`]).
+    pub fn finish(self, report: &mut RunReport) -> Replayed {
+        let r = self.sink.finish();
+        report.replay_divergence = r.divergence.clone();
+        r
     }
 }
 
@@ -220,13 +130,13 @@ impl ConsequenceRuntime {
     ///
     /// The caller must prepare the same workload the trace names (see
     /// [`TraceMeta::workload`] and the input parameters in the META
-    /// stream) before calling [`Runtime::run`]; this constructor only
+    /// stream) before calling [`dmt_api::Runtime::run`]; this constructor only
     /// validates that the *runtime configuration* matches the recording
     /// — label, options fingerprint, perturbation plan.
     pub fn new_replaying(
         trace: &Trace,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
-        ConsequenceRuntime::new_replaying_inner(trace, false)
+        ConsequenceRuntime::new_replaying_inner(trace, |ctl| ReplaySink::new(trace, ctl))
     }
 
     /// Like [`new_replaying`](ConsequenceRuntime::new_replaying), but for
@@ -242,12 +152,14 @@ impl ConsequenceRuntime {
     pub fn new_replaying_partial(
         partial: &PartialTrace,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
-        ConsequenceRuntime::new_replaying_inner(&partial.trace, true)
+        ConsequenceRuntime::new_replaying_inner(&partial.trace, |ctl| {
+            ReplaySink::new_partial(partial, ctl)
+        })
     }
 
     fn new_replaying_inner(
         trace: &Trace,
-        partial: bool,
+        sink: impl FnOnce(Arc<ReplayCtl>) -> ReplaySink,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
         let mut opts = options_for_label(&trace.meta.runtime)
             .ok_or_else(|| ReplayError::UnsupportedRuntime(trace.meta.runtime.clone()))?;
@@ -264,11 +176,7 @@ impl ConsequenceRuntime {
 
         let perturb = reconstruct_perturb(&trace.meta)?;
         let ctl = Arc::new(ReplayCtl::new(trace.grants().iter().map(|t| t.0).collect()));
-        let sink = Arc::new(if partial {
-            ReplaySink::new_partial(trace, Arc::clone(&ctl))
-        } else {
-            ReplaySink::new(trace, Arc::clone(&ctl))
-        });
+        let sink = Arc::new(sink(Arc::clone(&ctl)));
         let cfg = CommonConfig {
             heap_pages: trace.meta.heap_pages as usize,
             max_threads: trace.meta.max_threads as usize,
@@ -279,13 +187,7 @@ impl ConsequenceRuntime {
             perturb,
             witness: dmt_api::WitnessHandle::off(),
         };
-        let monitor = ReplayMonitor {
-            sink,
-            ctl: Arc::clone(&ctl),
-            recorded_events: trace.meta.event_count,
-            recorded_hash: trace.meta.schedule_hash,
-            partial,
-        };
+        let monitor = ReplayMonitor { sink };
         Ok((
             ConsequenceRuntime::new_with_replay(cfg, opts, Some(ctl)),
             monitor,
@@ -329,34 +231,4 @@ fn reconstruct_perturb(meta: &TraceMeta) -> Result<PerturbHandle, ReplayError> {
         nth: meta.panic_nth,
         inner: timing,
     })))
-}
-
-/// One-call replay: opens `path`, rebuilds the recorded runtime, lets
-/// `prepare` stage the workload (create sync objects, initialize the
-/// heap, return the job), runs it under the recorded grant script, and
-/// returns the report plus the replay verdict.
-///
-/// # Examples
-///
-/// ```no_run
-/// use consequence::replay::run_replayed;
-///
-/// let (report, outcome) = run_replayed("run.dmtrace", |rt| {
-///     // Re-stage the same workload the trace names.
-///     Box::new(|_ctx| {})
-/// })?;
-/// assert!(outcome.matches(), "{:?}", outcome.divergence);
-/// # Ok::<(), consequence::replay::ReplayError>(())
-/// ```
-pub fn run_replayed<P, F>(path: P, prepare: F) -> Result<(RunReport, ReplayOutcome), ReplayError>
-where
-    P: AsRef<Path>,
-    F: FnOnce(&mut ConsequenceRuntime) -> Job,
-{
-    let trace = Trace::open(path)?;
-    let (mut rt, monitor) = ConsequenceRuntime::new_replaying(&trace)?;
-    let job = prepare(&mut rt);
-    let mut report = rt.run(job);
-    let outcome = monitor.finish(&mut report);
-    Ok((report, outcome))
 }

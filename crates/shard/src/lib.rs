@@ -35,7 +35,7 @@ pub mod record;
 pub mod runtime;
 
 pub use map::ShardMap;
-pub use record::{record_server_trace, verify_server_trace, ShardReplay};
+pub use record::record_server_trace;
 pub use runtime::{
     run_sharded_server, run_sharded_server_hooked, CaptureMode, DomainHooks, DomainReport,
     PhaseGate, ShardCfg, ShardReport, StdExchange,

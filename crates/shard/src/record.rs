@@ -6,10 +6,10 @@
 //! grant-scripted: the canonical `(domain, event)` stream (every domain's
 //! token-ordered events, concatenated in domain order) is recorded, and
 //! verification re-runs the named configuration from scratch and compares
-//! the streams event by event with
-//! [`dmt_api::trace::diagnose_domains`]. Because each domain's schedule
-//! is bit-identical per `(seed, options)`, a correct build reproduces the
-//! recording exactly; a divergence report names the shard that split.
+//! the streams event by event through the same [`ReplaySink`] a scripted
+//! replay uses. Because each domain's schedule is bit-identical per
+//! `(seed, options)`, a correct build reproduces the recording exactly; a
+//! divergence report names the shard that split.
 //!
 //! Recorded containers use the runtime label `sharded-ic-<shards>` and,
 //! by convention, Consequence-IC options with shard-map seed 0 — the
@@ -17,10 +17,12 @@
 //! parameters) seals that convention.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use consequence::Options;
-use dmt_api::Fnv1a;
-use dmt_trace::{Trace, TraceMeta, TraceWriter};
+use det_clock::ReplayCtl;
+use dmt_api::TraceSink;
+use dmt_trace::{ReplaySink, Replayed, Trace, TraceMeta, TraceWriter};
 use dmt_workloads::server::{DomainServer, ServerSpec};
 use dmt_workloads::Params;
 
@@ -28,50 +30,6 @@ use crate::runtime::{run_sharded_server, CaptureMode, ShardCfg, ShardReport};
 
 /// Runtime-label prefix of sharded recordings: `sharded-ic-<shards>`.
 pub const SHARDED_LABEL_PREFIX: &str = "sharded-ic-";
-
-/// The result of verifying one sharded container by re-execution.
-#[derive(Clone, Debug)]
-pub struct ShardReplay {
-    /// The container verified.
-    pub path: String,
-    /// Shard domains the recording names.
-    pub shards: u32,
-    /// Schedule events in the recording.
-    pub recorded_events: u64,
-    /// Schedule events the re-execution produced.
-    pub replayed_events: u64,
-    /// Recorded canonical-stream schedule hash (from the META stream).
-    pub recorded_hash: u64,
-    /// Canonical-stream schedule hash of the re-execution.
-    pub replayed_hash: u64,
-    /// Cumulative-hash checkpoints the re-execution reproduced.
-    pub checkpoints_passed: u64,
-    /// Checkpoints in the recording.
-    pub checkpoints_total: u64,
-    /// Combined output hash of the re-execution.
-    pub replayed_output_hash: u64,
-    /// Combined commit-log hash of the re-execution.
-    pub replayed_commit_log_hash: u64,
-    /// Whether the re-executed combined output hash matched.
-    pub output_match: bool,
-    /// Whether the re-executed combined commit-log hash matched.
-    pub commit_log_match: bool,
-    /// First-divergent-event diagnosis (with the divergent domain), or
-    /// `None` when the re-execution tracked the recording exactly.
-    pub divergence: Option<String>,
-}
-
-impl ShardReplay {
-    /// Whether the re-execution reproduced the recording completely.
-    pub fn ok(&self) -> bool {
-        self.divergence.is_none()
-            && self.recorded_events == self.replayed_events
-            && self.recorded_hash == self.replayed_hash
-            && self.checkpoints_passed == self.checkpoints_total
-            && self.output_match
-            && self.commit_log_match
-    }
-}
 
 /// The canonical shard configuration a recording (or its verification)
 /// runs: Consequence-IC options, shard-map seed 0, event capture.
@@ -136,19 +94,15 @@ pub fn record_server_trace(
 }
 
 /// Verifies a sharded container by re-executing the configuration it
-/// names and comparing the canonical event streams.
+/// names and pushing the live canonical `(domain, event)` stream through a
+/// [`ReplaySink`] built on the recording. The sink's grant script is empty
+/// and no scheduler reads it: a sharded run has no single one.
 ///
-/// Returns an error when the container does not parse, names a different
-/// workload, or was recorded under options whose fingerprint this build
-/// cannot reproduce; schedule differences are reported in the returned
-/// [`ShardReplay`], not as errors.
-pub fn verify_server_trace(path: &Path) -> Result<ShardReplay, String> {
-    let trace = Trace::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    verify_against(&trace, path)
-}
-
-/// [`verify_server_trace`] for an already-opened container.
-pub fn verify_against(trace: &Trace, path: &Path) -> Result<ShardReplay, String> {
+/// Returns an error when the container names a different workload, or was
+/// recorded under options whose fingerprint this build cannot reproduce;
+/// schedule differences are reported in the returned [`Replayed`], not as
+/// errors.
+pub fn verify_against(trace: &Trace) -> Result<Replayed, String> {
     let shards: u32 = trace
         .meta
         .runtime
@@ -178,63 +132,13 @@ pub fn verify_against(trace: &Trace, path: &Path) -> Result<ShardReplay, String>
     }
 
     let report = run_sharded_server(&cfg);
-    let live = report.canonical_events();
-
-    // Replayed canonical-stream hash, and checkpoint reproduction: the
-    // recording checkpoints the cumulative hash every page of events, so
-    // fold the live stream and compare at each recorded boundary.
-    let mut h = Fnv1a::new();
-    let mut folded = 0u64;
-    let mut next_cp = 0usize;
-    let mut checkpoints_passed = 0u64;
-    for (d, ev) in &live {
-        ev.fold_domain(*d, &mut h);
-        folded += 1;
-        while next_cp < trace.checkpoints.len() && trace.checkpoints[next_cp].events == folded {
-            if trace.checkpoints[next_cp].hash == h.digest() {
-                checkpoints_passed += 1;
-            }
-            next_cp += 1;
-        }
+    let sink = ReplaySink::new(trace, Arc::new(ReplayCtl::new(Vec::new())));
+    for (d, ev) in report.canonical_events() {
+        sink.emit(&ev, true, d);
     }
-    let replayed_hash = h.digest();
-
-    let recorded = trace.domain_events();
-    let divergence = dmt_api::trace::diagnose_domains(&recorded, &live).map(|d| d.to_string());
-
-    Ok(ShardReplay {
-        path: path.display().to_string(),
-        shards,
-        recorded_events: trace.meta.event_count,
-        replayed_events: live.len() as u64,
-        recorded_hash: trace.meta.schedule_hash,
-        replayed_hash,
-        checkpoints_passed,
-        checkpoints_total: trace.checkpoints.len() as u64,
-        replayed_output_hash: report.output_hash,
-        replayed_commit_log_hash: report.commit_hash,
-        output_match: report.output_hash == trace.meta.output_hash,
-        commit_log_match: report.commit_hash == trace.meta.commit_log_hash,
-        divergence,
-    })
-}
-
-/// One-line human rendering of a sharded verification result.
-pub fn summarize(r: &ShardReplay) -> String {
-    let verdict = if r.ok() { "OK" } else { "DIVERGED" };
-    format!(
-        "[{verdict}] dmt_server sharded-ic-{} {}: events {}/{} hash {:#018x}/{:#018x} checkpoints {}/{} output={} commits={}",
-        r.shards,
-        r.path,
-        r.replayed_events,
-        r.recorded_events,
-        r.replayed_hash,
-        r.recorded_hash,
-        r.checkpoints_passed,
-        r.checkpoints_total,
-        r.output_match,
-        r.commit_log_match,
-    )
+    let mut r = sink.finish();
+    r.digests(report.output_hash, report.commit_hash);
+    Ok(r)
 }
 
 #[cfg(test)]
@@ -261,9 +165,9 @@ mod tests {
             record_server_trace(2, 2, Params::new(2, 1, 11), &path).expect("record");
         assert_eq!(meta.runtime, "sharded-ic-2");
         assert_eq!(meta.event_count, report.canonical_events().len() as u64);
-        let v = verify_server_trace(&path).expect("verify");
-        assert!(v.ok(), "{}", summarize(&v));
-        assert_eq!(v.shards, 2);
+        let v = verify_against(&Trace::open(&path).expect("open")).expect("verify");
+        assert!(v.ok(), "{}", v.summarize());
+        assert_eq!(v.runtime, "sharded-ic-2");
         assert_eq!(v.checkpoints_passed, v.checkpoints_total);
     }
 
@@ -274,6 +178,6 @@ mod tests {
         record_server_trace(1, 2, Params::new(2, 1, 5), &path).expect("record");
         let mut bad = Trace::open(&path).expect("open");
         bad.meta.runtime = "consequence-ic".to_string();
-        assert!(verify_against(&bad, &path).is_err());
+        assert!(verify_against(&bad).is_err());
     }
 }

@@ -13,7 +13,8 @@
 //! * Reading: [`Trace::open`] fully validates the container (magic,
 //!   versions, every digest, checkpoint re-derivation) before returning.
 //! * Replaying: feed [`Trace::grants`] to a `det_clock::ReplayCtl` and
-//!   attach a [`ReplaySink`] to compare the re-execution event by event.
+//!   attach a [`ReplaySink`] to compare the re-execution event by event;
+//!   [`ReplaySink::finish`] returns the verdict, a [`Replayed`].
 //! * Salvaging: [`Trace::salvage`] recovers the digest-valid prefix of a
 //!   recording that crashed before `finish` (panic, SIGKILL, I/O fault),
 //!   returning a [`PartialTrace`] with a typed loss report.
@@ -38,6 +39,6 @@ pub use format::{
 };
 pub use meta::TraceMeta;
 pub use reader::{Checkpoint, Trace};
-pub use replay::{CheckpointFailure, ReplaySink};
+pub use replay::{CheckpointFailure, ReplaySink, Replayed};
 pub use salvage::{LossReport, PartialTrace};
 pub use writer::{DiskSink, TraceMedia, TraceWriter};

@@ -5,9 +5,12 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use consequence::ConsequenceRuntime;
 use dmt_api::trace::Event;
+use dmt_api::Runtime;
 use dmt_bench::replay::{record_to, replay_file, trace_files};
 use dmt_trace::Trace;
+use dmt_workloads::{workload_by_name, Params};
 
 /// A unique scratch directory per test, removed on drop.
 struct Scratch(PathBuf);
@@ -172,6 +175,46 @@ fn a_digest_only_mismatch_says_which_digest() {
             "commit-log digest differs: recorded {:#018x}, replayed {live:#018x}; \
              schedule, checkpoints and output reproduced",
             live ^ 1
+        )
+    );
+}
+
+/// A checkpoint the replay folds to a different hash while every event
+/// matches — the cross-build drift the checkpoints exist to localize —
+/// must be named in the verdict: its event index and both hashes.
+#[test]
+fn a_failed_checkpoint_is_named_in_the_verdict() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/corpus/kmeans-consequence-rr-t4-s1.dmtrace");
+    let mut trace = Trace::open(&path).unwrap();
+    // In memory only: on disk, `Trace::open` re-derives every checkpoint
+    // and would refuse the container.
+    let total = trace.checkpoints.len();
+    let ck = &mut trace.checkpoints[1];
+    ck.hash ^= 1;
+    let (events, recorded) = (ck.events, ck.hash);
+
+    let w = workload_by_name(&trace.meta.workload).unwrap();
+    let p = Params::new(
+        trace.meta.threads as usize,
+        trace.meta.scale as u32,
+        trace.meta.input_seed,
+    );
+    let (mut rt, monitor) = ConsequenceRuntime::new_replaying(&trace).unwrap();
+    let prepared = w.prepare(&mut rt, &p);
+    let mut report = rt.run(prepared.job);
+    let mut rep = monitor.finish(&mut report);
+    rep.digests((prepared.validate)(&rt).output_hash, report.commit_log_hash);
+    assert!(!rep.ok(), "a failed checkpoint replayed clean");
+    assert!(rep.divergence.is_none(), "the events did reproduce");
+    assert_eq!(
+        rep.verdict(),
+        format!(
+            "checkpoints differ: {} of {total} reproduced, the first to fail at event #{events}: \
+             recorded {recorded:#018x}, replayed {:#018x}; schedule, output and commit-log \
+             reproduced",
+            total - 1,
+            recorded ^ 1
         )
     );
 }
