@@ -67,8 +67,7 @@ pub use perturb::{
 pub use report::{Breakdown, Counters, RunReport};
 pub use runtime::{CommonConfig, Runtime};
 pub use trace::{
-    Divergence, Event, EventCounts, EventKind, HashSink, MemorySink, NullSink, TraceHandle,
-    TraceSink,
+    Divergence, Event, EventCounts, EventKind, HashSink, MemorySink, TraceHandle, TraceSink,
 };
 pub use vclock::VectorClock;
 pub use witness::{ResourceBounds, ResourceSample, ResourceWitness, WitnessHandle, WitnessSummary};

@@ -775,6 +775,40 @@ mod tests {
     }
 
     #[test]
+    fn fixed_panic_forwards_timing_and_fires_only_its_own_triple() {
+        let triple = (PanicSite::Barrier, Tid(2), 4);
+        let f = FixedPanic {
+            site: triple.0,
+            victim: triple.1,
+            nth: triple.2,
+            inner: PlanPerturber::handle(21),
+        };
+        // A second executor of the same plan makes the same draws in the
+        // same order, so any call `f` answers itself desynchronises them.
+        let twin = PlanPerturber::new(PerturbPlan::full(21));
+        for i in 0..64 {
+            let tid = Tid(i % 3);
+            let site = PerturbSite::ALL[i as usize % PerturbSite::ALL.len()];
+            assert_eq!(f.hit(site, tid), twin.hit(site, tid));
+            assert_eq!(
+                f.overflow_interval(tid, 5_000),
+                twin.overflow_interval(tid, 5_000)
+            );
+            assert_eq!(f.spurious_wake(tid), twin.spurious_wake(tid));
+        }
+        assert_eq!(f.seed(), 21);
+        assert_eq!(f.plan_digest(), PerturbPlan::full(21).digest());
+        assert_eq!(f.panic_triple(), Some(triple));
+        for site in PanicSite::ALL {
+            for tid in (0..4).map(Tid) {
+                for nth in 0..8 {
+                    assert_eq!(f.panic_at(site, tid, nth), (site, tid, nth) == triple);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn spurious_wakes_fire_sometimes_but_not_always() {
         let p = PlanPerturber::new(PerturbPlan::full(3));
         let fired = (0..512).filter(|_| p.spurious_wake(Tid(2))).count();

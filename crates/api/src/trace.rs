@@ -10,10 +10,11 @@
 //! artifact:
 //!
 //! * [`Event`] — one synchronization event, compact and `Copy`;
-//! * [`TraceSink`] — where runtimes send events: [`NullSink`] (default,
-//!   a single branch per event), [`HashSink`] (incremental FNV-1a
-//!   **schedule hash** plus per-category counts), [`MemorySink`] (bounded
-//!   ring buffer retaining the most recent events for diagnosis);
+//! * [`TraceSink`] — where runtimes send events: [`HashSink`]
+//!   (incremental FNV-1a **schedule hash** plus per-category counts),
+//!   [`MemorySink`] (bounded ring buffer retaining the most recent events
+//!   for diagnosis). The default is no sink at all ([`TraceHandle::off`]),
+//!   a single branch per event;
 //! * [`diagnose`] / [`Divergence`] — given two recorded traces, the first
 //!   differing event with surrounding context, instead of a bare hash
 //!   mismatch.
@@ -593,30 +594,6 @@ pub trait TraceSink: Send + Sync {
     fn fault(&self) -> Option<String> {
         None
     }
-
-    /// Durable flushes the sink has performed so far (0 for sinks with
-    /// no durability notion). Sampled into the resource witness so runs
-    /// can bound the freshness of their crash-salvageable prefix.
-    fn durable_flushes(&self) -> u64 {
-        0
-    }
-
-    /// Event pages this sink's schedule was salvaged from (0 for live
-    /// recordings; nonzero only on replay sinks driving a recovered
-    /// prefix). Sampled into the resource witness.
-    fn salvaged_pages(&self) -> u64 {
-        0
-    }
-}
-
-/// Discards every event. With [`TraceHandle::off`] the emission sites
-/// reduce to a branch on `None`; this sink exists for callers that want an
-/// explicit sink object (e.g. to toggle sinks without changing types).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&self, _: &Event, _: bool, _: DomainId) {}
 }
 
 #[derive(Default)]
@@ -825,18 +802,6 @@ impl TraceHandle {
     /// off or healthy).
     pub fn fault(&self) -> Option<String> {
         self.sink.as_ref().and_then(|s| s.fault())
-    }
-
-    /// Durable flushes the sink has performed (0 when off or
-    /// non-durable).
-    pub fn durable_flushes(&self) -> u64 {
-        self.sink.as_ref().map_or(0, |s| s.durable_flushes())
-    }
-
-    /// Event pages the attached sink's schedule was salvaged from (0
-    /// when off, or for live recordings).
-    pub fn salvaged_pages(&self) -> u64 {
-        self.sink.as_ref().map_or(0, |s| s.salvaged_pages())
     }
 }
 

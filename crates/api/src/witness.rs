@@ -75,14 +75,6 @@ pub struct WitnessSummary {
     pub violations: Vec<String>,
     /// Total samples that violated at least one bound.
     pub violation_count: u64,
-    /// Durable trace flushes the run performed (0 when recording was off
-    /// or non-durable) — the gauge bounding how fresh a crash-salvaged
-    /// prefix would be. Counters, not sampled gauges: they accumulate
-    /// via [`ResourceWitness::record_durability`], never via `observe`.
-    pub durable_flushes: u64,
-    /// Event pages recovered by salvage operations this run performed
-    /// (tooling-side; 0 for ordinary runs).
-    pub salvaged_pages: u64,
 }
 
 impl WitnessSummary {
@@ -98,8 +90,6 @@ struct WitnessState {
     maxima: ResourceSample,
     violations: Vec<String>,
     violation_count: u64,
-    durable_flushes: u64,
-    salvaged_pages: u64,
 }
 
 /// A sampled resource-bound monitor (see the module docs).
@@ -169,19 +159,6 @@ impl ResourceWitness {
         }
     }
 
-    /// Accumulates durability counters: `flushes` durable trace flushes
-    /// and `salvaged_pages` pages recovered by salvage. Unlike `observe`
-    /// these are monotone totals, not gauges — they never interact with
-    /// the bounds.
-    pub fn record_durability(&self, flushes: u64, salvaged_pages: u64) {
-        let mut st = match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        st.durable_flushes += flushes;
-        st.salvaged_pages += salvaged_pages;
-    }
-
     /// The bounds this witness asserts.
     pub fn bounds(&self) -> ResourceBounds {
         self.bounds
@@ -199,8 +176,6 @@ impl ResourceWitness {
             maxima: st.maxima,
             violations: st.violations.clone(),
             violation_count: st.violation_count,
-            durable_flushes: st.durable_flushes,
-            salvaged_pages: st.salvaged_pages,
         }
     }
 }
@@ -230,14 +205,6 @@ impl WitnessHandle {
     pub fn observe(&self, s: ResourceSample) {
         if let Some(w) = &self.0 {
             w.observe(s);
-        }
-    }
-
-    /// Accumulates durability counters (no-op when off). See
-    /// [`ResourceWitness::record_durability`].
-    pub fn record_durability(&self, flushes: u64, salvaged_pages: u64) {
-        if let Some(w) = &self.0 {
-            w.record_durability(flushes, salvaged_pages);
         }
     }
 

@@ -7,14 +7,11 @@
 //! the *shapes* — who wins, by what factor, where crossovers are — are the
 //! reproduction targets recorded in `EXPERIMENTS.md`.
 
-pub mod artifact;
 pub mod cell;
 pub mod json;
 pub mod jsonparse;
 pub mod replay;
-pub mod sched;
 pub mod soak;
-pub mod stats;
 
 use consequence::Options;
 use dmt_api::{Breakdown, RunReport, Tid};

@@ -21,9 +21,8 @@
 //! reproduce the first iteration's schedule hash bit for bit: soaking
 //! re-proves determinism, not just boundedness.
 //!
-//! The artifact is validated by [`SoakReport::validate`] (CI gate, same
-//! `--check` contract as the other `BENCH_*.json` documents). See
-//! `docs/SOAK.md`.
+//! The artifact is validated by [`SoakReport::validate`] (the CI gate
+//! `bench soak --check` runs). See `docs/SOAK.md`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,9 +32,8 @@ use dmt_baselines::RuntimeKind;
 use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
 use dmt_workloads::Params;
 
-use crate::artifact::{cells, flag, is_full, mode_label, num, open, Artifact};
 use crate::cell::{Cell, Sink};
-use crate::jsonparse::Value;
+use crate::jsonparse::{self, Value};
 
 /// Format version tag of the emitted document.
 pub const SCHEMA: &str = "bench-soak/1";
@@ -350,11 +348,22 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
     v
 }
 
-impl Artifact for SoakReport {
-    const NAME: &'static str = "soak";
+/// Whether the boolean member `key` is present and true.
+fn flag(v: &Value, key: &str) -> bool {
+    v.get(key).and_then(Value::as_bool) == Some(true)
+}
 
-    /// Runs the soak grid and assembles the artifact.
-    fn run(smoke: bool) -> SoakReport {
+/// The numeric member `key` of the object described by `ctx`.
+fn num(v: &Value, ctx: &str, key: &str) -> Result<f64, String> {
+    v.get(key)
+        .and_then(Value::as_f64)
+        .ok_or(format!("{ctx}: missing {key}"))
+}
+
+impl SoakReport {
+    /// Runs the soak grid (`smoke` = CI-sized grid and budgets) and
+    /// assembles the artifact.
+    pub fn run(smoke: bool) -> SoakReport {
         let budget = if smoke {
             Duration::from_millis(700)
         } else {
@@ -366,7 +375,7 @@ impl Artifact for SoakReport {
             .collect();
         SoakReport {
             schema: SCHEMA.to_string(),
-            mode: mode_label(smoke),
+            mode: if smoke { "smoke" } else { "full" }.to_string(),
             max_threads: cells.iter().map(|c| c.threads).max().unwrap_or(0),
             all_within_bounds: cells.iter().all(|c| c.within_bounds),
             all_deterministic: cells.iter().all(|c| c.deterministic),
@@ -374,7 +383,8 @@ impl Artifact for SoakReport {
         }
     }
 
-    fn summary(&self) -> Vec<String> {
+    /// Human-readable result lines, one per cell plus totals.
+    pub fn summary(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .cells
             .iter()
@@ -414,22 +424,30 @@ impl Artifact for SoakReport {
     /// tag, soak at least one ≥ 64-thread cell (≥ 256 in full mode),
     /// include a recording cell and a sharded-server cell, and every cell
     /// must be within bounds, deterministic across iterations, validated
-    /// against the workload reference, and actually sampled.
-    fn validate(text: &str) -> Result<(), String> {
-        let v = open(text, SCHEMA)?;
+    /// against the workload reference, and actually sampled. The first
+    /// problem found is the error.
+    pub fn validate(text: &str) -> Result<(), String> {
+        let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+        if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+            return Err(format!("schema tag is not {SCHEMA:?}"));
+        }
         for key in ["all_within_bounds", "all_deterministic"] {
             if !flag(&v, key) {
                 return Err(format!("{key} is not true"));
             }
         }
-        let need_threads = if is_full(&v) { 256.0 } else { 64.0 };
+        let full = v.get("mode").and_then(Value::as_str) == Some("full");
+        let need_threads = if full { 256.0 } else { 64.0 };
         let max_threads = num(&v, "report", "max_threads")?;
         if max_threads < need_threads {
             return Err(format!(
                 "max_threads {max_threads} < {need_threads}: the scale claim needs scale"
             ));
         }
-        let cells = cells(&v, "cells")?;
+        let cells = v
+            .get("cells")
+            .and_then(Value::as_arr)
+            .ok_or("missing cells")?;
         if cells.is_empty() {
             return Err("no cells".into());
         }

@@ -225,10 +225,6 @@ impl Runtime for ConsequenceRuntime {
         // committed (pure compute tails) and the final trace occupancy.
         if sh.cfg.witness.enabled() {
             sh.witness_sample();
-            sh.cfg.witness.record_durability(
-                sh.cfg.trace.durable_flushes(),
-                sh.cfg.trace.salvaged_pages(),
-            );
         }
         // A degraded recording (disk sink hit a write fault mid-run) is a
         // run fault even though the computation itself finished: the

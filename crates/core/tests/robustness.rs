@@ -11,9 +11,9 @@ use std::sync::Arc;
 
 use consequence::{ConsequenceRuntime, Options};
 use dmt_api::{
-    CommonConfig, CondId, CostModel, DmtError, HashSink, Job, PanicSite, PerturbHandle,
-    PerturbPlan, PerturbSite, Perturber, PlanPerturber, RunReport, Runtime, RuntimeMemExt,
-    ThreadCtx, Tid, TraceHandle,
+    CommonConfig, CondId, CostModel, DmtError, FixedPanic, HashSink, Job, PanicSite, PerturbHandle,
+    PerturbPlan, PerturbSite, PlanPerturber, RunReport, Runtime, RuntimeMemExt, ThreadCtx, Tid,
+    TraceHandle,
 };
 
 fn cfg() -> CommonConfig {
@@ -333,22 +333,17 @@ fn publishers_crossing_a_head_waiter_under_a_held_token_lose_no_wake() {
 /// Seeded panic injection: the same (site, tid, nth) trigger produces the
 /// same contained death at the same schedule point — identical schedule
 /// hash, identical poison fallout — on every rerun.
-struct DieAt(PanicSite, Tid, u64);
-
-impl Perturber for DieAt {
-    fn hit(&self, _: dmt_api::PerturbSite, _: Tid) -> u64 {
-        0
-    }
-    fn panic_at(&self, site: PanicSite, tid: Tid, nth: u64) -> bool {
-        site == self.0 && tid == self.1 && nth == self.2
-    }
-}
-
 #[test]
 fn injected_panic_reproduces_schedule_hash() {
     let run_once = || {
+        let die = FixedPanic {
+            site: PanicSite::Lock,
+            victim: Tid(2),
+            nth: 3,
+            inner: PerturbHandle::off(),
+        };
         let c = CommonConfig {
-            perturb: PerturbHandle::to(Arc::new(DieAt(PanicSite::Lock, Tid(2), 3))),
+            perturb: PerturbHandle::to(Arc::new(die)),
             ..hashed_cfg()
         };
         let mut rt = ConsequenceRuntime::new(c, Options::consequence_ic());

@@ -555,23 +555,6 @@ mod tests {
         g.wait();
     }
 
-    /// A deterministic assassin: thread `tid` dies at its `nth` operation
-    /// of class `site`, nothing else is perturbed.
-    struct DieAt {
-        site: dmt_api::PanicSite,
-        tid: dmt_api::Tid,
-        nth: u64,
-    }
-
-    impl dmt_api::Perturber for DieAt {
-        fn hit(&self, _: dmt_api::PerturbSite, _: dmt_api::Tid) -> u64 {
-            0
-        }
-        fn panic_at(&self, site: dmt_api::PanicSite, tid: dmt_api::Tid, nth: u64) -> bool {
-            site == self.site && tid == self.tid && nth == self.nth
-        }
-    }
-
     #[test]
     fn dead_domain_resigns_and_survivors_complete_reproducibly() {
         let run = || {
@@ -582,10 +565,11 @@ mod tests {
             let hooks = DomainHooks {
                 perturb: vec![
                     PerturbHandle::off(),
-                    PerturbHandle::to(Arc::new(DieAt {
+                    PerturbHandle::to(Arc::new(dmt_api::FixedPanic {
                         site: dmt_api::PanicSite::Commit,
-                        tid: dmt_api::Tid(0),
+                        victim: dmt_api::Tid(0),
                         nth: 1,
+                        inner: PerturbHandle::off(),
                     })),
                 ],
                 witness: Vec::new(),

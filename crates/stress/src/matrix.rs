@@ -32,9 +32,7 @@
 use std::sync::Arc;
 
 use consequence::Options;
-use dmt_api::{
-    Fnv1a, PanicSite, PerturbHandle, PerturbPlan, PerturbSite, Perturber, PlanPerturber, Tid,
-};
+use dmt_api::{FixedPanic, Fnv1a, PanicSite, PerturbHandle, PerturbPlan, Tid};
 use dmt_bench::cell::{Cell, Sink};
 use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
 use dmt_workloads::server::ServerSpec;
@@ -42,7 +40,7 @@ use dmt_workloads::Params;
 
 use crate::report::{hex, Col, Notes, Report, Table};
 use crate::shard_diff::reference_store_hash;
-use crate::{mix64, StressConfig};
+use crate::{mix64, plan_handle, StressConfig};
 
 /// Token domains of the sharded compositions.
 pub const MATRIX_SHARDS: u32 = 2;
@@ -76,37 +74,20 @@ impl Comp {
     }
 }
 
-/// Composes the timing fuzzer with a deterministic assassin so one
-/// perturber handle carries both scenario axes into a runtime. Both
-/// delegates are pure functions of their call arguments, so the
-/// composition is exactly as replayable as its parts.
-struct Composite {
-    timing: Option<PlanPerturber>,
-    killer: Option<(PanicSite, Tid, u64)>,
-}
-
-impl Perturber for Composite {
-    fn hit(&self, site: PerturbSite, tid: Tid) -> u64 {
-        self.timing.as_ref().map_or(0, |t| t.hit(site, tid))
+/// One perturber handle carrying both scenario axes into a runtime: the
+/// timing plan, if any, and a [`FixedPanic`] killing `victim` at its second
+/// commit, if any.
+fn perturber(timing: Option<PerturbPlan>, victim: Option<Tid>) -> PerturbHandle {
+    let inner = timing.as_ref().map_or_else(PerturbHandle::off, plan_handle);
+    match victim {
+        Some(victim) => PerturbHandle::to(Arc::new(FixedPanic {
+            site: PanicSite::Commit,
+            victim,
+            nth: 1,
+            inner,
+        })),
+        None => inner,
     }
-
-    fn panic_at(&self, site: PanicSite, tid: Tid, nth: u64) -> bool {
-        self.killer == Some((site, tid, nth))
-    }
-
-    fn seed(&self) -> u64 {
-        self.timing.as_ref().map_or(0, |t| t.seed())
-    }
-}
-
-fn composite(timing: Option<PerturbPlan>, killer: Option<(PanicSite, Tid, u64)>) -> PerturbHandle {
-    if timing.is_none() && killer.is_none() {
-        return PerturbHandle::off();
-    }
-    PerturbHandle::to(Arc::new(Composite {
-        timing: timing.map(PlanPerturber::new),
-        killer,
-    }))
 }
 
 /// What one execution of a composition reports to the oracles.
@@ -198,7 +179,7 @@ fn run_unsharded(c: Comp, cfg: &StressConfig) -> CompRun {
         .then(|| PerturbPlan::full(mix64(cfg.base_seed ^ MATRIX_SALT)));
     // The victim is a pool worker (never the driver): its death is
     // contained, the survivors keep serving, the run completes short.
-    let killer = c.panic.then_some((PanicSite::Commit, Tid(1), 1));
+    let victim = c.panic.then_some(Tid(1));
     let mut opts = Options::consequence_ic();
     if c.panic {
         // A dead worker can starve the epoch; a short watchdog turns that
@@ -215,7 +196,7 @@ fn run_unsharded(c: Comp, cfg: &StressConfig) -> CompRun {
         } else {
             Sink::Hash
         },
-        ..cfg.cell("dmt_server", opts, composite(timing, killer))
+        ..cfg.cell("dmt_server", opts, perturber(timing, victim))
     }
     .run();
     let record_ok = r.events.is_none_or(|(events, dropped)| {
@@ -262,12 +243,8 @@ fn run_sharded(c: Comp, stress: &StressConfig) -> CompRun {
                 // Kill the *driver* of the last domain: the hardest case —
                 // the whole domain goes dark mid-run and its siblings must
                 // resign it from the rendezvous instead of hanging.
-                let killer = (c.panic && d == MATRIX_SHARDS as usize - 1).then_some((
-                    PanicSite::Commit,
-                    Tid(0),
-                    1,
-                ));
-                composite(timing, killer)
+                let victim = (c.panic && d == MATRIX_SHARDS as usize - 1).then_some(Tid(0));
+                perturber(timing, victim)
             })
             .collect(),
         witness: Vec::new(),

@@ -25,15 +25,14 @@
 use std::sync::Arc;
 
 use consequence::replay::options_for_label;
-use dmt_api::{PanicSite, PerturbHandle, PerturbSite, Perturber, Tid};
+use dmt_api::{FixedPanic, PanicSite, PerturbHandle, Tid};
 
 use crate::report::{yes_no, Col, Notes, Report, Table};
 use crate::{mix64, StressConfig};
 
-/// Kills one thread at one deterministic point: thread `victim`, at its
-/// `nth` operation of class `site`. The decision is a pure function of
-/// `(site, tid, nth)` as `Perturber::panic_at` requires, so reruns die at
-/// the identical point.
+/// One seeded death: thread `victim`, at its `nth` operation of class
+/// `site`. A [`FixedPanic`] injects it, so reruns die at the identical
+/// point.
 #[derive(Clone, Copy, Debug)]
 pub struct PanicInjector {
     pub site: PanicSite,
@@ -51,24 +50,21 @@ impl PanicInjector {
         let nth = (h >> 32) % 6;
         PanicInjector { site, victim, nth }
     }
+
+    /// A handle injecting this death and no timing perturbation.
+    pub(crate) fn handle(self) -> PerturbHandle {
+        let PanicInjector { site, victim, nth } = self;
+        PerturbHandle::to(Arc::new(FixedPanic {
+            site,
+            victim,
+            nth,
+            inner: PerturbHandle::off(),
+        }))
+    }
 }
 
 /// Salt mixed into the seed stream (distinct from the timing fuzzer's).
 const DEAD_PANIC_SALT: u64 = 0xD1E5_EED5;
-
-impl Perturber for PanicInjector {
-    fn hit(&self, _site: PerturbSite, _tid: Tid) -> u64 {
-        0
-    }
-
-    fn panic_at(&self, site: PanicSite, tid: Tid, nth: u64) -> bool {
-        site == self.site && tid == self.victim && nth == self.nth
-    }
-
-    fn seed(&self) -> u64 {
-        0
-    }
-}
 
 dmt_bench::json_record! {
     /// One workload × runtime cell of the panic-injection matrix.
@@ -156,7 +152,7 @@ pub fn run_panic_inject(
         };
         for seed in cfg.round_seeds(cell_salt) {
             let inj = PanicInjector::from_seed(seed, cfg.threads);
-            let run_once = || cfg.cell(name, kind, PerturbHandle::to(Arc::new(inj))).run();
+            let run_once = || cfg.cell(name, kind, inj.handle()).run();
             let a = run_once();
             let b = run_once();
             total_runs += 2;

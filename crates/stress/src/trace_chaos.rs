@@ -17,7 +17,7 @@
 //!    `finish`, salvage, replay twice: the prefix must replay without
 //!    divergence (clean exhaustion, not a mismatch) and both replays
 //!    must agree on the prefix hash and exhaustion coordinates.
-//! 2. **Injected panic** — a [`FixedPanic`] kills one seeded victim
+//! 2. **Injected panic** — a [`dmt_api::FixedPanic`] kills one seeded victim
 //!    mid-run, the recording is torn after the contained death;
 //!    salvage + two replays must reproduce the same schedule prefix
 //!    (the contained panic is part of the schedule, so agreement on the
@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use consequence::replay::options_for_label;
-use dmt_api::{FixedPanic, IoFaultKind, IoFaultPlan, PerturbHandle};
+use dmt_api::{IoFaultKind, IoFaultPlan, PerturbHandle};
 use dmt_bench::cell::{Cell, CellRun, Sink};
 use dmt_bench::replay::{cell_ident, replay_file, trace_files};
 use dmt_trace::{DiskSink, Trace, TraceMedia, TraceMeta};
@@ -338,20 +338,15 @@ fn crash_cell(dir: &Path, cfg: &StressConfig, seed: u64, total_runs: &mut u64) -
     salvage_and_replay("crash", seed, fault, &path, total_runs)
 }
 
-/// Scenario 2: a seeded [`FixedPanic`] kills one victim mid-run; the
+/// Scenario 2: a seeded [`dmt_api::FixedPanic`] kills one victim mid-run; the
 /// recording of the panicked run is then torn. The salvaged prefix
 /// contains the contained death, so two agreeing replays reproduce the
 /// failure at its fault point.
 fn panic_cell(dir: &Path, cfg: &StressConfig, seed: u64, total_runs: &mut u64) -> ChaosCell {
     let path = dir.join(format!("panic-{seed}.dmtrace"));
-    let PanicInjector { site, victim, nth } = PanicInjector::from_seed(seed, cfg.threads);
-    let perturb = PerturbHandle::to(Arc::new(FixedPanic {
-        site,
-        victim,
-        nth,
-        inner: PerturbHandle::off(),
-    }));
-    let fault = record_torn(cfg, seed, perturb, &path, None).unwrap_or_else(|| {
+    let inj = PanicInjector::from_seed(seed, cfg.threads);
+    let PanicInjector { site, victim, nth } = inj;
+    let fault = record_torn(cfg, seed, inj.handle(), &path, None).unwrap_or_else(|| {
         format!(
             "injected panic: {} victim {} nth {nth}",
             site.name(),

@@ -448,14 +448,6 @@ impl TraceSink for ReplaySink {
         self.st.lock().counts
     }
 
-    fn salvaged_pages(&self) -> u64 {
-        if self.partial {
-            self.checkpoints.len() as u64
-        } else {
-            0
-        }
-    }
-
     fn divergence(&self) -> Option<Divergence> {
         self.st.lock().divergence.clone()
     }

@@ -78,7 +78,6 @@ pub struct TraceWriter {
     /// SIGKILL can cost the salvage path.
     flush_every_pages: u32,
     pages_since_flush: u32,
-    durable_flushes: u64,
 }
 
 impl TraceWriter {
@@ -147,7 +146,6 @@ impl TraceWriter {
             checkpoints: Vec::new(),
             flush_every_pages,
             pages_since_flush: 0,
-            durable_flushes: 0,
         })
     }
 
@@ -181,12 +179,6 @@ impl TraceWriter {
         self.hash.digest()
     }
 
-    /// Durable flushes performed so far (cadence flushes plus explicit
-    /// [`checkpoint_now`](TraceWriter::checkpoint_now) calls).
-    pub fn durable_flushes(&self) -> u64 {
-        self.durable_flushes
-    }
-
     /// Seals the current partial page (if any) and flushes everything to
     /// the OS — a durability checkpoint. After this call the whole
     /// schedule so far is recoverable by [`crate::Trace::salvage`] even
@@ -194,7 +186,6 @@ impl TraceWriter {
     pub fn checkpoint_now(&mut self) -> Result<(), TraceError> {
         self.seal_page()?;
         self.file.flush()?;
-        self.durable_flushes += 1;
         self.pages_since_flush = 0;
         Ok(())
     }
@@ -230,7 +221,6 @@ impl TraceWriter {
             self.pages_since_flush += 1;
             if self.pages_since_flush >= self.flush_every_pages {
                 self.file.flush()?;
-                self.durable_flushes += 1;
                 self.pages_since_flush = 0;
             }
         }
@@ -319,7 +309,6 @@ struct DiskState {
     /// Human-readable fault description recorded the moment a mid-run
     /// write error degraded the recording (events captured until then).
     fault: Option<String>,
-    durable_flushes: u64,
 }
 
 /// A [`TraceSink`] that streams schedule events straight to disk.
@@ -395,7 +384,6 @@ impl DiskSink {
                 final_hash: 0,
                 io_error: None,
                 fault: None,
-                durable_flushes: 0,
             }),
         }
     }
@@ -406,10 +394,7 @@ impl DiskSink {
     pub fn seal_and_flush(&self) -> Result<(), TraceError> {
         let mut st = self.st.lock();
         if let Some(w) = st.writer.as_mut() {
-            let r = w.checkpoint_now();
-            let flushes = w.durable_flushes();
-            st.durable_flushes = flushes;
-            r?;
+            w.checkpoint_now()?;
         }
         Ok(())
     }
@@ -427,7 +412,6 @@ impl DiskSink {
             what: "sink finished twice",
         })?;
         st.final_hash = writer.schedule_hash();
-        st.durable_flushes = writer.durable_flushes();
         writer.finish(meta)
     }
 }
@@ -442,10 +426,10 @@ impl TraceSink for DiskSink {
         let mut failed = None;
         if let Some(w) = st.writer.as_mut() {
             if let Err(e) = w.push_in_domain(ev, domain) {
-                failed = Some((e, w.events(), w.schedule_hash(), w.durable_flushes()));
+                failed = Some((e, w.events(), w.schedule_hash()));
             }
         }
-        if let Some((e, events, hash, flushes)) = failed {
+        if let Some((e, events, hash)) = failed {
             // Stop recording but let the run itself continue. The fault
             // is visible immediately (RunReport::fault marks the run's
             // recording as degraded) and the error object itself
@@ -454,7 +438,6 @@ impl TraceSink for DiskSink {
                 "degraded recording: trace write failed at event #{events}: {e}"
             ));
             st.final_hash = hash;
-            st.durable_flushes = flushes;
             st.io_error = Some(e);
             st.writer = None;
         }
@@ -473,12 +456,5 @@ impl TraceSink for DiskSink {
 
     fn fault(&self) -> Option<String> {
         self.st.lock().fault.clone()
-    }
-
-    fn durable_flushes(&self) -> u64 {
-        let st = self.st.lock();
-        st.writer
-            .as_ref()
-            .map_or(st.durable_flushes, |w| w.durable_flushes())
     }
 }
