@@ -248,6 +248,137 @@ impl EventKind {
     }
 }
 
+/// The class of one event field: how the schedule hash and the `.dmtrace`
+/// codec write it (see [`EventKind::fields`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FieldKind {
+    /// A thread id.
+    Tid,
+    /// An optional thread id; `None` is `u64::MAX` in [`Event::values`].
+    OptTid,
+    /// A 32-bit object id or count.
+    U32,
+    /// A 64-bit ordinal, count or digest.
+    U64,
+    /// A boolean, `0` or `1`.
+    Flag,
+    /// A logical clock.
+    Clock,
+    /// A version id.
+    Version,
+}
+
+/// The most fields an event has: the length of [`Event::values`].
+pub const MAX_FIELDS: usize = 5;
+
+/// A field's value as the `u64` the schedule hash folds, and back;
+/// `from_value` truncates what does not fit (the codec checks ranges).
+trait FieldValue {
+    fn value(self) -> u64;
+    fn from_value(v: u64) -> Self;
+}
+
+macro_rules! field_values {
+    ($($t:ty: |$s:ident| $value:expr, |$v:ident| $from_value:expr;)+) => {$(
+        impl FieldValue for $t {
+            fn value(self) -> u64 {
+                let $s = self;
+                $value
+            }
+            fn from_value($v: u64) -> $t {
+                $from_value
+            }
+        }
+    )+};
+}
+
+field_values! {
+    Tid: |t| t.0.into(), |v| Tid(v as u32);
+    MutexId: |m| m.0.into(), |v| MutexId(v as u32);
+    CondId: |c| c.0.into(), |v| CondId(v as u32);
+    BarrierId: |b| b.0.into(), |v| BarrierId(v as u32);
+    RwLockId: |l| l.0.into(), |v| RwLockId(v as u32);
+    u32: |n| n.into(), |v| v as u32;
+    u64: |n| n, |v| v;
+    bool: |b| b.into(), |v| v != 0;
+    Option<Tid>: |t| t.map_or(u64::MAX, Tid::value), |v| (v != u64::MAX).then_some(Tid(v as u32));
+}
+
+/// Derives [`EventKind::fields`], [`Event::for_each_value`] and
+/// [`Event::from_values`] from one field list per kind. The fold and the
+/// encoder visit the fields rather than read [`Event::values`]: inlined,
+/// the visit is straight-line code per kind, with no array to spill.
+macro_rules! layouts {
+    ($($kind:ident { $($field:ident: $class:ident),+ })+) => {
+        impl EventKind {
+            /// This kind's fields, name and class, in declaration order:
+            /// the one layout the schedule hash ([`Event::fold`]), the
+            /// `.dmtrace` codec and [`Event::tid`] read.
+            pub fn fields(self) -> &'static [(&'static str, FieldKind)] {
+                match self {
+                    $(EventKind::$kind => &[$((stringify!($field), FieldKind::$class)),+],)+
+                }
+            }
+        }
+
+        impl Event {
+            /// Calls `f` with each field's class and value, in
+            /// [`EventKind::fields`] order: the value as the `u64` the
+            /// schedule hash folds.
+            #[inline]
+            pub fn for_each_value(&self, mut f: impl FnMut(FieldKind, u64)) {
+                match *self {
+                    $(Event::$kind { $($field),+ } => {
+                        $(f(FieldKind::$class, $field.value());)+
+                    })+
+                }
+            }
+
+            /// The event of `kind` whose [`values`](Event::values) are `v`.
+            /// A value too wide for its field is truncated: the codec checks
+            /// ranges before it builds an event.
+            pub fn from_values(kind: EventKind, v: [u64; MAX_FIELDS]) -> Event {
+                let mut v = v.into_iter();
+                match kind {
+                    $(EventKind::$kind => Event::$kind {
+                        $($field: FieldValue::from_value(v.next().unwrap_or(0))),+
+                    },)+
+                }
+            }
+        }
+    };
+}
+
+layouts! {
+    TokenAcquire { tid: Tid, clock: Clock }
+    TokenRelease { tid: Tid, clock: Clock }
+    Depart { tid: Tid, clock: Clock }
+    MutexLock { tid: Tid, mutex: U32, ticket: U64 }
+    MutexBlock { tid: Tid, mutex: U32 }
+    MutexUnlock { tid: Tid, mutex: U32, woke: OptTid }
+    CondWait { tid: Tid, cond: U32, mutex: U32 }
+    CondSignal { tid: Tid, cond: U32, woken: OptTid }
+    CondBroadcast { tid: Tid, cond: U32, woken: U32 }
+    BarrierArrive { tid: Tid, barrier: U32, gen: U64 }
+    BarrierOpen { tid: Tid, barrier: U32, gen: U64, install_version: Version }
+    RwAcquire { tid: Tid, lock: U32, writer: Flag }
+    RwRelease { tid: Tid, lock: U32, writer: Flag }
+    Commit { tid: Tid, version: Version, pages: U32, merged: U32, page_set: U64 }
+    Update { tid: Tid, version: Version, pages: U64 }
+    Spawn { parent: Tid, child: Tid, pooled: Flag }
+    Join { tid: Tid, target: Tid }
+    Exit { tid: Tid, clock: Clock }
+    ThreadPanic { tid: Tid, clock: Clock }
+    Publish { tid: Tid, clock: Clock }
+    FastForward { tid: Tid, from: Clock, to: Clock }
+    Coarsen { tid: Tid, clock: Clock }
+}
+
+/// Byte a non-root domain's fold starts with ([`Event::fold_domain`]).
+const DOMAIN_PREFIX: u8 = 0xD0;
+// Outside the tag range, so a domain prefix never aliases an event.
+const _: () = assert!(DOMAIN_PREFIX as usize >= EventKind::ALL.len());
+
 impl Event {
     /// The category of this event.
     pub fn kind(&self) -> EventKind {
@@ -277,143 +408,37 @@ impl Event {
         }
     }
 
-    /// The emitting thread.
+    /// The field values in [`EventKind::fields`] order, each as the `u64`
+    /// the schedule hash folds; the slots past the last field are zero.
+    #[inline]
+    pub fn values(&self) -> [u64; MAX_FIELDS] {
+        let (mut out, mut i) = ([0; MAX_FIELDS], 0);
+        self.for_each_value(|_, v| {
+            out[i] = v;
+            i += 1;
+        });
+        out
+    }
+
+    /// The emitting thread: every kind's first field.
     pub fn tid(&self) -> Tid {
+        Tid::from_value(self.values()[0])
+    }
+
+    /// The thread a token grant went to; `None` for every other event.
+    pub fn grantee(&self) -> Option<Tid> {
         match *self {
-            Event::TokenAcquire { tid, .. }
-            | Event::TokenRelease { tid, .. }
-            | Event::Depart { tid, .. }
-            | Event::MutexLock { tid, .. }
-            | Event::MutexBlock { tid, .. }
-            | Event::MutexUnlock { tid, .. }
-            | Event::CondWait { tid, .. }
-            | Event::CondSignal { tid, .. }
-            | Event::CondBroadcast { tid, .. }
-            | Event::BarrierArrive { tid, .. }
-            | Event::BarrierOpen { tid, .. }
-            | Event::RwAcquire { tid, .. }
-            | Event::RwRelease { tid, .. }
-            | Event::Commit { tid, .. }
-            | Event::Update { tid, .. }
-            | Event::Join { tid, .. }
-            | Event::Exit { tid, .. }
-            | Event::ThreadPanic { tid, .. }
-            | Event::Publish { tid, .. }
-            | Event::FastForward { tid, .. }
-            | Event::Coarsen { tid, .. } => tid,
-            Event::Spawn { parent, .. } => parent,
+            Event::TokenAcquire { tid, .. } => Some(tid),
+            _ => None,
         }
     }
 
     /// Folds this event into an FNV-1a state with a stable encoding:
-    /// a kind tag followed by every field, each as a little-endian `u64`.
+    /// the kind tag, then each of [`values`](Event::values) as a
+    /// little-endian `u64`.
     pub fn fold(&self, h: &mut Fnv1a) {
-        fn opt(t: Option<Tid>) -> u64 {
-            t.map_or(u64::MAX, |t| t.0 as u64)
-        }
         h.update(&[self.kind() as u8]);
-        match *self {
-            Event::TokenAcquire { tid, clock }
-            | Event::TokenRelease { tid, clock }
-            | Event::Depart { tid, clock }
-            | Event::Exit { tid, clock }
-            | Event::ThreadPanic { tid, clock }
-            | Event::Publish { tid, clock }
-            | Event::Coarsen { tid, clock } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(clock);
-            }
-            Event::MutexLock { tid, mutex, ticket } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(mutex.0 as u64);
-                h.update_u64(ticket);
-            }
-            Event::MutexBlock { tid, mutex } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(mutex.0 as u64);
-            }
-            Event::MutexUnlock { tid, mutex, woke } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(mutex.0 as u64);
-                h.update_u64(opt(woke));
-            }
-            Event::CondWait { tid, cond, mutex } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(cond.0 as u64);
-                h.update_u64(mutex.0 as u64);
-            }
-            Event::CondSignal { tid, cond, woken } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(cond.0 as u64);
-                h.update_u64(opt(woken));
-            }
-            Event::CondBroadcast { tid, cond, woken } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(cond.0 as u64);
-                h.update_u64(woken as u64);
-            }
-            Event::BarrierArrive { tid, barrier, gen } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(barrier.0 as u64);
-                h.update_u64(gen);
-            }
-            Event::BarrierOpen {
-                tid,
-                barrier,
-                gen,
-                install_version,
-            } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(barrier.0 as u64);
-                h.update_u64(gen);
-                h.update_u64(install_version);
-            }
-            Event::RwAcquire { tid, lock, writer } | Event::RwRelease { tid, lock, writer } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(lock.0 as u64);
-                h.update_u64(writer as u64);
-            }
-            Event::Commit {
-                tid,
-                version,
-                pages,
-                merged,
-                page_set,
-            } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(version);
-                h.update_u64(pages as u64);
-                h.update_u64(merged as u64);
-                h.update_u64(page_set);
-            }
-            Event::Update {
-                tid,
-                version,
-                pages,
-            } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(version);
-                h.update_u64(pages);
-            }
-            Event::Spawn {
-                parent,
-                child,
-                pooled,
-            } => {
-                h.update_u64(parent.0 as u64);
-                h.update_u64(child.0 as u64);
-                h.update_u64(pooled as u64);
-            }
-            Event::Join { tid, target } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(target.0 as u64);
-            }
-            Event::FastForward { tid, from, to } => {
-                h.update_u64(tid.0 as u64);
-                h.update_u64(from);
-                h.update_u64(to);
-            }
-        }
+        self.for_each_value(|_, v| h.update_u64(v));
     }
 
     /// Folds this event as a member of `domain`.
@@ -425,9 +450,7 @@ impl Event {
     /// under two different domains can never collide.
     pub fn fold_domain(&self, domain: DomainId, h: &mut Fnv1a) {
         if domain != DomainId::ROOT {
-            // 0xD0 is outside the EventKind tag range, so a domain prefix
-            // can never alias an event boundary.
-            h.update(&[0xD0]);
+            h.update(&[DOMAIN_PREFIX]);
             h.update_u64(domain.0 as u64);
         }
         self.fold(h);
@@ -596,10 +619,33 @@ pub trait TraceSink: Send + Sync {
     }
 }
 
-#[derive(Default)]
-struct HashState {
+/// What a hashing sink keeps: the schedule hash of the in-schedule events
+/// ([`Event::fold_domain`]) and the per-category counts of all of them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Tally {
     hash: Fnv1a,
     counts: EventCounts,
+}
+
+impl Tally {
+    /// Counts `ev`, and folds it into the hash if it is in the schedule.
+    #[inline]
+    pub fn record(&mut self, ev: &Event, in_schedule: bool, domain: DomainId) {
+        if in_schedule {
+            ev.fold_domain(domain, &mut self.hash);
+        }
+        self.counts.record(ev.kind());
+    }
+
+    /// The schedule hash so far.
+    pub fn hash(&self) -> u64 {
+        self.hash.digest()
+    }
+
+    /// The counts so far.
+    pub fn counts(&self) -> EventCounts {
+        self.counts
+    }
 }
 
 /// Folds every schedule event into an incremental FNV-1a **schedule
@@ -608,7 +654,7 @@ struct HashState {
 /// hashes; the hash is O(1) memory regardless of run length.
 #[derive(Default)]
 pub struct HashSink {
-    st: Mutex<HashState>,
+    st: Mutex<Tally>,
 }
 
 impl HashSink {
@@ -620,27 +666,22 @@ impl HashSink {
 
 impl TraceSink for HashSink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        let mut st = self.st.lock();
-        if in_schedule {
-            ev.fold_domain(domain, &mut st.hash);
-        }
-        st.counts.record(ev.kind());
+        self.st.lock().record(ev, in_schedule, domain);
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().hash.digest()
+        self.st.lock().hash()
     }
 
     fn counts(&self) -> EventCounts {
-        self.st.lock().counts
+        self.st.lock().counts()
     }
 }
 
 struct MemoryState {
     events: VecDeque<(DomainId, Event)>,
     dropped: u64,
-    hash: Fnv1a,
-    counts: EventCounts,
+    tally: Tally,
 }
 
 /// Retains the most recent schedule events in a bounded ring buffer (for
@@ -659,8 +700,7 @@ impl MemorySink {
             st: Mutex::new(MemoryState {
                 events: VecDeque::new(),
                 dropped: 0,
-                hash: Fnv1a::new(),
-                counts: EventCounts::default(),
+                tally: Tally::default(),
             }),
             cap: cap.max(1),
         }
@@ -688,23 +728,22 @@ impl MemorySink {
 impl TraceSink for MemorySink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
         let mut st = self.st.lock();
+        st.tally.record(ev, in_schedule, domain);
         if in_schedule {
-            ev.fold_domain(domain, &mut st.hash);
             if st.events.len() == self.cap {
                 st.events.pop_front();
                 st.dropped += 1;
             }
             st.events.push_back((domain, *ev));
         }
-        st.counts.record(ev.kind());
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().hash.digest()
+        self.st.lock().tally.hash()
     }
 
     fn counts(&self) -> EventCounts {
-        self.st.lock().counts
+        self.st.lock().tally.counts()
     }
 
     fn occupancy(&self) -> usize {
@@ -992,19 +1031,32 @@ mod tests {
     }
 
     #[test]
+    fn values_round_trip_and_are_what_fold_writes() {
+        for kind in EventKind::ALL {
+            let n = kind.fields().len();
+            let mut v = [0; MAX_FIELDS];
+            v[..n].copy_from_slice(&[7, 1, 0, 1, 1][..n]);
+            let ev = Event::from_values(kind, v);
+            assert_eq!((ev.kind(), ev.values(), ev.tid()), (kind, v, Tid(7)));
+            let mut want = Fnv1a::new();
+            want.update(&[kind as u8]);
+            v[..n].iter().for_each(|&x| want.update_u64(x));
+            let mut got = Fnv1a::new();
+            ev.fold(&mut got);
+            assert_eq!(got, want, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn fold_distinguishes_kinds_with_equal_fields() {
-        let mut a = Fnv1a::new();
-        Event::TokenAcquire {
-            tid: Tid(1),
-            clock: 5,
-        }
-        .fold(&mut a);
-        let mut b = Fnv1a::new();
-        Event::TokenRelease {
-            tid: Tid(1),
-            clock: 5,
-        }
-        .fold(&mut b);
-        assert_ne!(a.digest(), b.digest());
+        let digests: std::collections::HashSet<u64> = EventKind::ALL
+            .iter()
+            .map(|&kind| {
+                let mut h = Fnv1a::new();
+                Event::from_values(kind, [1, 5, 0, 0, 0]).fold(&mut h);
+                h.digest()
+            })
+            .collect();
+        assert_eq!(digests.len(), EventKind::ALL.len());
     }
 }

@@ -416,24 +416,11 @@ fn run_domain(
     witness: WitnessHandle,
 ) -> DomainReport {
     let domain = DomainId(plan.domain as u32);
-    let (hash_sink, mem_sink, trace) = match capture {
-        CaptureMode::Off => (None, None, TraceHandle::off()),
-        CaptureMode::Hash => {
-            let s = Arc::new(HashSink::new());
-            (
-                Some(Arc::clone(&s)),
-                None,
-                TraceHandle::to_domain(s, domain),
-            )
-        }
-        CaptureMode::Events => {
-            let s = Arc::new(MemorySink::new(1 << 22));
-            (
-                None,
-                Some(Arc::clone(&s)),
-                TraceHandle::to_domain(s, domain),
-            )
-        }
+    let mem_sink = (capture == CaptureMode::Events).then(|| Arc::new(MemorySink::new(1 << 22)));
+    let trace = match (&mem_sink, capture) {
+        (Some(s), _) => TraceHandle::to_domain(s.clone(), domain),
+        (None, CaptureMode::Hash) => TraceHandle::to_domain(Arc::new(HashSink::new()), domain),
+        (None, _) => TraceHandle::off(),
     };
     let common = CommonConfig {
         heap_pages: DomainServer::heap_pages(&spec, plan.keys.len(), workers),
@@ -441,7 +428,7 @@ fn run_domain(
         cost: CostModel::default(),
         track_lrc: false,
         gc_budget: usize::MAX,
-        trace,
+        trace: trace.clone(),
         perturb,
         witness,
     };
@@ -461,17 +448,8 @@ fn run_domain(
         .as_ref()
         .map_or((Vec::new(), 0), |s| s.take_domains());
     assert_eq!(dropped, 0, "domain {domain} event buffer overflowed");
-    let schedule_hash = match (&hash_sink, capture) {
-        (Some(s), _) => dmt_api::trace::TraceSink::schedule_hash(s.as_ref()),
-        (None, CaptureMode::Events) => {
-            let mut h = Fnv1a::new();
-            for (d, ev) in &events {
-                ev.fold_domain(*d, &mut h);
-            }
-            h.digest()
-        }
-        _ => 0,
-    };
+    // The sink's tally folded exactly the events taken above.
+    let schedule_hash = trace.schedule_hash();
     DomainReport {
         domain,
         schedule_hash,

@@ -1,12 +1,12 @@
 //! The per-event byte codec: one tag byte plus varint/delta fields.
 //!
 //! Every event is encoded as its [`EventKind`] discriminant followed by
-//! its fields in declaration order. Small identifiers (thread, mutex,
-//! cond, barrier, rwlock ids; counts; flags) are plain LEB128 varints.
-//! Logical clocks and version ids are zigzag deltas against a running
-//! [`CodecState`], which the writer resets at every page boundary — so a
-//! page decodes independently of all earlier pages and a corrupt page
-//! cannot poison its successors' decoding.
+//! its [`EventKind::fields`], one rule per [`FieldKind`]. Thread and object
+//! ids, counts, digests and flags are plain LEB128 varints. Logical clocks
+//! and version ids are zigzag deltas against a running [`CodecState`],
+//! which the writer resets at every page boundary — so a page decodes
+//! independently of all earlier pages and a corrupt page cannot poison its
+//! successors' decoding.
 //!
 //! `Option<Tid>` is biased by one: `0` is `None`, `n` is `Tid(n - 1)`.
 //!
@@ -22,16 +22,17 @@
 //! discriminant, so a pre-domain reader rejects a sharded trace as
 //! corrupt instead of silently mis-decoding it.
 
-use dmt_api::trace::{Event, EventKind};
-use dmt_api::{BarrierId, CondId, DomainId, MutexId, RwLockId, Tid};
+use dmt_api::trace::{Event, EventKind, FieldKind, MAX_FIELDS};
+use dmt_api::DomainId;
 
 use crate::format::TraceError;
 use crate::varint::{get_delta, get_u64, put_delta, put_u64};
 
 /// Tag byte announcing a token-domain switch; followed by the new domain
-/// id as a varint. Deliberately far above every [`EventKind`]
-/// discriminant (they stop at 21).
+/// id as a varint.
 pub const DOMAIN_MARKER: u8 = 0x7F;
+// Outside the tag range, so a pre-domain reader rejects the marker.
+const _: () = assert!(DOMAIN_MARKER as usize >= EventKind::ALL.len());
 
 /// Rolling delta bases, reset at each page boundary.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,124 +46,30 @@ pub struct CodecState {
     pub domain: DomainId,
 }
 
-fn put_tid(out: &mut Vec<u8>, t: Tid) {
-    put_u64(out, t.0 as u64);
-}
-
-fn put_opt_tid(out: &mut Vec<u8>, t: Option<Tid>) {
-    put_u64(out, t.map_or(0, |t| t.0 as u64 + 1));
+impl CodecState {
+    /// The running base a delta-coded field is written against.
+    fn base(&mut self, class: FieldKind) -> Option<&mut u64> {
+        match class {
+            FieldKind::Clock => Some(&mut self.prev_clock),
+            FieldKind::Version => Some(&mut self.prev_version),
+            _ => None,
+        }
+    }
 }
 
 /// Encodes one event into `out`, updating the delta state.
 pub fn encode(ev: &Event, st: &mut CodecState, out: &mut Vec<u8>) {
     out.push(ev.kind() as u8);
-    match *ev {
-        Event::TokenAcquire { tid, clock }
-        | Event::TokenRelease { tid, clock }
-        | Event::Depart { tid, clock }
-        | Event::Exit { tid, clock }
-        | Event::ThreadPanic { tid, clock }
-        | Event::Publish { tid, clock }
-        | Event::Coarsen { tid, clock } => {
-            put_tid(out, tid);
-            put_delta(out, st.prev_clock, clock);
-            st.prev_clock = clock;
+    ev.for_each_value(|class, v| {
+        if let Some(base) = st.base(class) {
+            put_delta(out, std::mem::replace(base, v), v);
+        } else if class == FieldKind::OptTid {
+            // `None` is `u64::MAX`, so the bias wraps it to 0.
+            put_u64(out, v.wrapping_add(1));
+        } else {
+            put_u64(out, v);
         }
-        Event::MutexLock { tid, mutex, ticket } => {
-            put_tid(out, tid);
-            put_u64(out, mutex.0 as u64);
-            put_u64(out, ticket);
-        }
-        Event::MutexBlock { tid, mutex } => {
-            put_tid(out, tid);
-            put_u64(out, mutex.0 as u64);
-        }
-        Event::MutexUnlock { tid, mutex, woke } => {
-            put_tid(out, tid);
-            put_u64(out, mutex.0 as u64);
-            put_opt_tid(out, woke);
-        }
-        Event::CondWait { tid, cond, mutex } => {
-            put_tid(out, tid);
-            put_u64(out, cond.0 as u64);
-            put_u64(out, mutex.0 as u64);
-        }
-        Event::CondSignal { tid, cond, woken } => {
-            put_tid(out, tid);
-            put_u64(out, cond.0 as u64);
-            put_opt_tid(out, woken);
-        }
-        Event::CondBroadcast { tid, cond, woken } => {
-            put_tid(out, tid);
-            put_u64(out, cond.0 as u64);
-            put_u64(out, woken as u64);
-        }
-        Event::BarrierArrive { tid, barrier, gen } => {
-            put_tid(out, tid);
-            put_u64(out, barrier.0 as u64);
-            put_u64(out, gen);
-        }
-        Event::BarrierOpen {
-            tid,
-            barrier,
-            gen,
-            install_version,
-        } => {
-            put_tid(out, tid);
-            put_u64(out, barrier.0 as u64);
-            put_u64(out, gen);
-            put_delta(out, st.prev_version, install_version);
-            st.prev_version = install_version;
-        }
-        Event::RwAcquire { tid, lock, writer } | Event::RwRelease { tid, lock, writer } => {
-            put_tid(out, tid);
-            put_u64(out, lock.0 as u64);
-            put_u64(out, writer as u64);
-        }
-        Event::Commit {
-            tid,
-            version,
-            pages,
-            merged,
-            page_set,
-        } => {
-            put_tid(out, tid);
-            put_delta(out, st.prev_version, version);
-            st.prev_version = version;
-            put_u64(out, pages as u64);
-            put_u64(out, merged as u64);
-            put_u64(out, page_set);
-        }
-        Event::Update {
-            tid,
-            version,
-            pages,
-        } => {
-            put_tid(out, tid);
-            put_delta(out, st.prev_version, version);
-            st.prev_version = version;
-            put_u64(out, pages);
-        }
-        Event::Spawn {
-            parent,
-            child,
-            pooled,
-        } => {
-            put_tid(out, parent);
-            put_tid(out, child);
-            put_u64(out, pooled as u64);
-        }
-        Event::Join { tid, target } => {
-            put_tid(out, tid);
-            put_tid(out, target);
-        }
-        Event::FastForward { tid, from, to } => {
-            put_tid(out, tid);
-            put_delta(out, st.prev_clock, from);
-            put_delta(out, from, to);
-            st.prev_clock = to;
-        }
-    }
+    });
 }
 
 /// Encodes one event stamped with its token domain, emitting a
@@ -181,40 +88,6 @@ fn corrupt(what: &'static str) -> TraceError {
     TraceError::Corrupt { what }
 }
 
-fn need(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, TraceError> {
-    get_u64(buf, pos).ok_or(corrupt(what))
-}
-
-fn need_tid(buf: &[u8], pos: &mut usize) -> Result<Tid, TraceError> {
-    let v = need(buf, pos, "event tid")?;
-    u32::try_from(v).map(Tid).map_err(|_| corrupt("event tid"))
-}
-
-fn need_opt_tid(buf: &[u8], pos: &mut usize) -> Result<Option<Tid>, TraceError> {
-    match need(buf, pos, "event optional tid")? {
-        0 => Ok(None),
-        n => u32::try_from(n - 1)
-            .map(|t| Some(Tid(t)))
-            .map_err(|_| corrupt("event optional tid")),
-    }
-}
-
-fn need_u32(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u32, TraceError> {
-    u32::try_from(need(buf, pos, what)?).map_err(|_| corrupt(what))
-}
-
-fn need_clock(buf: &[u8], pos: &mut usize, st: &mut CodecState) -> Result<u64, TraceError> {
-    let c = get_delta(buf, pos, st.prev_clock).ok_or(corrupt("event clock"))?;
-    st.prev_clock = c;
-    Ok(c)
-}
-
-fn need_version(buf: &[u8], pos: &mut usize, st: &mut CodecState) -> Result<u64, TraceError> {
-    let v = get_delta(buf, pos, st.prev_version).ok_or(corrupt("event version"))?;
-    st.prev_version = v;
-    Ok(v)
-}
-
 /// Decodes one event from `buf` at `*pos`, advancing it and the state.
 pub fn decode(buf: &[u8], pos: &mut usize, st: &mut CodecState) -> Result<Event, TraceError> {
     let tag = *buf.get(*pos).ok_or(TraceError::Truncated {
@@ -224,105 +97,22 @@ pub fn decode(buf: &[u8], pos: &mut usize, st: &mut CodecState) -> Result<Event,
     let kind = *EventKind::ALL
         .get(tag as usize)
         .ok_or(corrupt("event tag"))?;
-    Ok(match kind {
-        EventKind::TokenAcquire
-        | EventKind::TokenRelease
-        | EventKind::Depart
-        | EventKind::Exit
-        | EventKind::ThreadPanic
-        | EventKind::Publish
-        | EventKind::Coarsen => {
-            let tid = need_tid(buf, pos)?;
-            let clock = need_clock(buf, pos, st)?;
-            match kind {
-                EventKind::TokenAcquire => Event::TokenAcquire { tid, clock },
-                EventKind::TokenRelease => Event::TokenRelease { tid, clock },
-                EventKind::Depart => Event::Depart { tid, clock },
-                EventKind::Exit => Event::Exit { tid, clock },
-                EventKind::ThreadPanic => Event::ThreadPanic { tid, clock },
-                EventKind::Publish => Event::Publish { tid, clock },
-                _ => Event::Coarsen { tid, clock },
-            }
+    let mut values = [0; MAX_FIELDS];
+    for (v, &(name, class)) in values.iter_mut().zip(kind.fields()) {
+        if let Some(base) = st.base(class) {
+            *base = get_delta(buf, pos, *base).ok_or(corrupt(name))?;
+            *v = *base;
+            continue;
         }
-        EventKind::MutexLock => Event::MutexLock {
-            tid: need_tid(buf, pos)?,
-            mutex: MutexId(need_u32(buf, pos, "mutex id")?),
-            ticket: need(buf, pos, "mutex ticket")?,
-        },
-        EventKind::MutexBlock => Event::MutexBlock {
-            tid: need_tid(buf, pos)?,
-            mutex: MutexId(need_u32(buf, pos, "mutex id")?),
-        },
-        EventKind::MutexUnlock => Event::MutexUnlock {
-            tid: need_tid(buf, pos)?,
-            mutex: MutexId(need_u32(buf, pos, "mutex id")?),
-            woke: need_opt_tid(buf, pos)?,
-        },
-        EventKind::CondWait => Event::CondWait {
-            tid: need_tid(buf, pos)?,
-            cond: CondId(need_u32(buf, pos, "cond id")?),
-            mutex: MutexId(need_u32(buf, pos, "mutex id")?),
-        },
-        EventKind::CondSignal => Event::CondSignal {
-            tid: need_tid(buf, pos)?,
-            cond: CondId(need_u32(buf, pos, "cond id")?),
-            woken: need_opt_tid(buf, pos)?,
-        },
-        EventKind::CondBroadcast => Event::CondBroadcast {
-            tid: need_tid(buf, pos)?,
-            cond: CondId(need_u32(buf, pos, "cond id")?),
-            woken: need_u32(buf, pos, "broadcast count")?,
-        },
-        EventKind::BarrierArrive => Event::BarrierArrive {
-            tid: need_tid(buf, pos)?,
-            barrier: BarrierId(need_u32(buf, pos, "barrier id")?),
-            gen: need(buf, pos, "barrier generation")?,
-        },
-        EventKind::BarrierOpen => Event::BarrierOpen {
-            tid: need_tid(buf, pos)?,
-            barrier: BarrierId(need_u32(buf, pos, "barrier id")?),
-            gen: need(buf, pos, "barrier generation")?,
-            install_version: need_version(buf, pos, st)?,
-        },
-        EventKind::RwAcquire | EventKind::RwRelease => {
-            let tid = need_tid(buf, pos)?;
-            let lock = RwLockId(need_u32(buf, pos, "rwlock id")?);
-            let writer = need(buf, pos, "rwlock mode")? != 0;
-            if kind == EventKind::RwAcquire {
-                Event::RwAcquire { tid, lock, writer }
-            } else {
-                Event::RwRelease { tid, lock, writer }
-            }
-        }
-        EventKind::Commit => Event::Commit {
-            tid: need_tid(buf, pos)?,
-            version: need_version(buf, pos, st)?,
-            pages: need_u32(buf, pos, "commit pages")?,
-            merged: need_u32(buf, pos, "commit merged")?,
-            page_set: need(buf, pos, "commit page set")?,
-        },
-        EventKind::Update => Event::Update {
-            tid: need_tid(buf, pos)?,
-            version: need_version(buf, pos, st)?,
-            pages: need(buf, pos, "update pages")?,
-        },
-        EventKind::Spawn => Event::Spawn {
-            parent: need_tid(buf, pos)?,
-            child: need_tid(buf, pos)?,
-            pooled: need(buf, pos, "spawn pooled flag")? != 0,
-        },
-        EventKind::Join => Event::Join {
-            tid: need_tid(buf, pos)?,
-            target: need_tid(buf, pos)?,
-        },
-        EventKind::FastForward => {
-            let tid = need_tid(buf, pos)?;
-            let from = need_clock(buf, pos, st)?;
-            let to = get_delta(buf, pos, from).ok_or(corrupt("event clock"))?;
-            st.prev_clock = to;
-            Event::FastForward { tid, from, to }
-        }
-    })
+        let raw = get_u64(buf, pos).ok_or(corrupt(name))?;
+        *v = match class {
+            FieldKind::Tid | FieldKind::U32 if raw > u32::MAX.into() => return Err(corrupt(name)),
+            FieldKind::OptTid if raw > 1 << 32 => return Err(corrupt(name)),
+            FieldKind::OptTid => raw.wrapping_sub(1),
+            _ => raw,
+        };
+    }
+    Ok(Event::from_values(kind, values))
 }
 
 /// Decodes one event plus its token domain, consuming any
@@ -334,7 +124,8 @@ pub fn decode_in_domain(
 ) -> Result<(DomainId, Event), TraceError> {
     while buf.get(*pos) == Some(&DOMAIN_MARKER) {
         *pos += 1;
-        st.domain = DomainId(need_u32(buf, pos, "domain id")?);
+        let id = get_u64(buf, pos).ok_or(corrupt("domain id"))?;
+        st.domain = DomainId(u32::try_from(id).map_err(|_| corrupt("domain id"))?);
     }
     Ok((st.domain, decode(buf, pos, st)?))
 }
@@ -355,102 +146,43 @@ mod tests {
         }
     }
 
-    fn arbitrary_event(r: &mut Lcg) -> Event {
-        let tid = Tid((r.next() % 64) as u32);
-        let clock = r.next() % (1 << 40);
-        match r.next() % 22 {
-            0 => Event::TokenAcquire { tid, clock },
-            1 => Event::TokenRelease { tid, clock },
-            2 => Event::Depart { tid, clock },
-            3 => Event::MutexLock {
-                tid,
-                mutex: MutexId((r.next() % 32) as u32),
-                ticket: r.next(),
-            },
-            4 => Event::MutexBlock {
-                tid,
-                mutex: MutexId((r.next() % 32) as u32),
-            },
-            5 => Event::MutexUnlock {
-                tid,
-                mutex: MutexId((r.next() % 32) as u32),
-                woke: (r.next().is_multiple_of(2)).then(|| Tid((r.next() % 64) as u32)),
-            },
-            6 => Event::CondWait {
-                tid,
-                cond: CondId((r.next() % 16) as u32),
-                mutex: MutexId((r.next() % 32) as u32),
-            },
-            7 => Event::CondSignal {
-                tid,
-                cond: CondId((r.next() % 16) as u32),
-                woken: (r.next().is_multiple_of(2)).then(|| Tid((r.next() % 64) as u32)),
-            },
-            8 => Event::CondBroadcast {
-                tid,
-                cond: CondId((r.next() % 16) as u32),
-                woken: (r.next() % 64) as u32,
-            },
-            9 => Event::BarrierArrive {
-                tid,
-                barrier: BarrierId((r.next() % 8) as u32),
-                gen: r.next() % 1000,
-            },
-            10 => Event::BarrierOpen {
-                tid,
-                barrier: BarrierId((r.next() % 8) as u32),
-                gen: r.next() % 1000,
-                install_version: r.next() % (1 << 32),
-            },
-            11 => Event::RwAcquire {
-                tid,
-                lock: RwLockId((r.next() % 8) as u32),
-                writer: r.next().is_multiple_of(2),
-            },
-            12 => Event::RwRelease {
-                tid,
-                lock: RwLockId((r.next() % 8) as u32),
-                writer: r.next().is_multiple_of(2),
-            },
-            13 => Event::Commit {
-                tid,
-                version: r.next() % (1 << 32),
-                pages: (r.next() % 512) as u32,
-                merged: (r.next() % 64) as u32,
-                page_set: r.next(),
-            },
-            14 => Event::Update {
-                tid,
-                version: r.next() % (1 << 32),
-                pages: r.next() % 512,
-            },
-            15 => Event::Spawn {
-                parent: tid,
-                child: Tid((r.next() % 64) as u32),
-                pooled: r.next().is_multiple_of(2),
-            },
-            16 => Event::Join {
-                tid,
-                target: Tid((r.next() % 64) as u32),
-            },
-            17 => Event::Exit { tid, clock },
-            18 => Event::ThreadPanic { tid, clock },
-            19 => Event::Publish { tid, clock },
-            20 => Event::FastForward {
-                tid,
-                from: clock,
-                to: clock + r.next() % 10_000,
-            },
-            _ => Event::Coarsen { tid, clock },
+    /// An event of `kind` drawn from its field list: each class draws its
+    /// edge values — `u32::MAX` ids, `None` and `Some(Tid(u32::MAX))`,
+    /// clocks and versions that run backwards — as well as small ones.
+    fn arbitrary_event(r: &mut Lcg, kind: EventKind) -> Event {
+        let mut values = [0; MAX_FIELDS];
+        for (v, &(_, class)) in values.iter_mut().zip(kind.fields()) {
+            let (edge, small) = (r.next().is_multiple_of(4), r.next() % 64);
+            *v = match class {
+                FieldKind::Tid | FieldKind::U32 if edge => u32::MAX.into(),
+                FieldKind::OptTid if edge => u32::MAX.into(),
+                FieldKind::OptTid if r.next().is_multiple_of(3) => u64::MAX,
+                FieldKind::Tid | FieldKind::U32 | FieldKind::OptTid => small,
+                FieldKind::Flag => small & 1,
+                _ if edge => u64::MAX,
+                _ => r.next(),
+            };
         }
+        Event::from_values(kind, values)
+    }
+
+    /// A token grant to thread `tid` at `clock`.
+    fn grant(tid: u64, clock: u64) -> Event {
+        Event::from_values(EventKind::TokenAcquire, [tid, clock, 0, 0, 0])
+    }
+
+    /// `n` events cycling through every kind.
+    fn arbitrary_events(seed: u64, n: usize) -> Vec<Event> {
+        let mut r = Lcg(seed);
+        let kinds = EventKind::ALL.iter().cycle().take(n);
+        kinds.map(|&k| arbitrary_event(&mut r, k)).collect()
     }
 
     #[test]
     fn every_kind_roundtrips() {
         // Property test: 4 000 random events across all 22 kinds encode
         // and decode to identical values under a shared delta state.
-        let mut r = Lcg(0x5EED);
-        let events: Vec<Event> = (0..4000).map(|_| arbitrary_event(&mut r)).collect();
+        let events = arbitrary_events(0x5EED, 4000);
         let mut buf = Vec::new();
         let mut enc = CodecState::default();
         for ev in &events {
@@ -467,9 +199,10 @@ mod tests {
 
     #[test]
     fn domain_markers_roundtrip_and_root_streams_emit_none() {
-        let mut r = Lcg(0xD011A1);
-        let events: Vec<(DomainId, Event)> = (0..1000)
-            .map(|i| (DomainId((i % 3) as u32), arbitrary_event(&mut r)))
+        let events: Vec<(DomainId, Event)> = arbitrary_events(0xD011A1, 1000)
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| (DomainId((i % 3) as u32), ev))
             .collect();
         let mut buf = Vec::new();
         let mut enc = CodecState::default();
@@ -504,15 +237,7 @@ mod tests {
         // mis-decode it: DOMAIN_MARKER is out of EventKind range.
         let mut buf = Vec::new();
         let mut st = CodecState::default();
-        encode_in_domain(
-            &Event::TokenAcquire {
-                tid: Tid(1),
-                clock: 7,
-            },
-            DomainId(2),
-            &mut st,
-            &mut buf,
-        );
+        encode_in_domain(&grant(1, 7), DomainId(2), &mut st, &mut buf);
         assert_eq!(buf[0], DOMAIN_MARKER);
         let mut pos = 0;
         let mut st = CodecState::default();
@@ -534,17 +259,67 @@ mod tests {
     }
 
     #[test]
+    fn an_id_wider_than_u32_is_corrupt_in_every_kind() {
+        for kind in EventKind::ALL {
+            for (i, &(name, class)) in kind.fields().iter().enumerate() {
+                let too_wide = match class {
+                    FieldKind::Tid | FieldKind::U32 => u64::from(u32::MAX) + 1,
+                    FieldKind::OptTid => (1 << 32) + 1,
+                    _ => continue,
+                };
+                // Every other field is a 0 byte: a zero delta, `None`, 0.
+                let mut buf = vec![kind as u8];
+                for j in 0..kind.fields().len() {
+                    put_u64(&mut buf, if j == i { too_wide } else { 0 });
+                }
+                let got = decode(&buf, &mut 0, &mut CodecState::default());
+                assert!(
+                    matches!(got, Err(TraceError::Corrupt { what }) if what == name),
+                    "{kind:?}.{name}: {got:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_spec_table_is_the_field_list() {
+        // docs/TRACE_FORMAT.md's event table, row by row: the tag is the
+        // kind's index in `EventKind::ALL`, and each field has its name
+        // and its class's mark (Δ for a clock or version, opt-tid, flag).
+        let spec = include_str!("../../../docs/TRACE_FORMAT.md");
+        let (_, section) = spec.split_once("### Event encoding").unwrap();
+        let rows: Vec<Vec<&str>> = section
+            .lines()
+            .take_while(|l| !l.starts_with("### "))
+            .filter_map(|l| l.strip_prefix('|'))
+            .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+            .filter(|cells| cells[0].parse::<usize>().is_ok())
+            .collect();
+        assert_eq!(rows.len(), EventKind::ALL.len());
+        for row in rows {
+            let tag: usize = row[0].parse().unwrap();
+            let kind = EventKind::ALL[tag];
+            assert_eq!((kind as usize, format!("{kind:?}").as_str()), (tag, row[1]));
+            let fields: Vec<&str> = row[2].split(", ").collect();
+            assert_eq!(fields.len(), kind.fields().len(), "{kind:?}: {fields:?}");
+            for (cell, &(name, class)) in fields.iter().zip(kind.fields()) {
+                let (got, mark) = cell.split_once(' ').unwrap_or((cell, ""));
+                let want = match class {
+                    FieldKind::Clock | FieldKind::Version => "Δ",
+                    FieldKind::OptTid => "(opt-tid)",
+                    FieldKind::Flag => "(flag)",
+                    _ => "",
+                };
+                assert_eq!((got, mark), (name, want), "{kind:?}");
+            }
+        }
+    }
+
+    #[test]
     fn truncated_record_is_reported() {
         let mut buf = Vec::new();
         let mut st = CodecState::default();
-        encode(
-            &Event::TokenAcquire {
-                tid: Tid(3),
-                clock: 1_000_000,
-            },
-            &mut st,
-            &mut buf,
-        );
+        encode(&grant(3, 1_000_000), &mut st, &mut buf);
         buf.truncate(buf.len() - 1);
         let mut pos = 0;
         let mut st = CodecState::default();
@@ -558,14 +333,7 @@ mod tests {
         let mut st = CodecState::default();
         let mut buf = Vec::new();
         for i in 0..100u64 {
-            encode(
-                &Event::TokenAcquire {
-                    tid: Tid((i % 4) as u32),
-                    clock: 1_000_000 + i * 1000,
-                },
-                &mut st,
-                &mut buf,
-            );
+            encode(&grant(i % 4, 1_000_000 + i * 1000), &mut st, &mut buf);
         }
         // First event pays the full offset; the rest are ~4 bytes
         // (tag + tid + 2-byte delta).

@@ -361,13 +361,7 @@ impl Trace {
     /// `TokenAcquire` event, in schedule order. This is the list a replay
     /// feeds into the scheduler as its grant source.
     pub fn grants(&self) -> Vec<Tid> {
-        self.events
-            .iter()
-            .filter_map(|ev| match ev {
-                Event::TokenAcquire { tid, .. } => Some(*tid),
-                _ => None,
-            })
-            .collect()
+        self.events.iter().filter_map(Event::grantee).collect()
     }
 
     /// Re-encodes this trace to `path`, recomputing page digests,

@@ -5,8 +5,8 @@ use std::sync::Arc;
 
 use det_clock::ReplayCtl;
 use dmt_api::sync::Mutex;
-use dmt_api::trace::{Divergence, Event, EventCounts, TraceSink};
-use dmt_api::{DomainId, Fnv1a};
+use dmt_api::trace::{Divergence, Event, EventCounts, Tally, TraceSink};
+use dmt_api::DomainId;
 
 use crate::meta::TraceMeta;
 use crate::reader::{Checkpoint, Trace};
@@ -235,8 +235,7 @@ impl Replayed {
 
 struct ReplayState {
     cursor: usize,
-    hash: Fnv1a,
-    counts: EventCounts,
+    tally: Tally,
     divergence: Option<Divergence>,
     next_ckpt: usize,
     checkpoints_passed: u64,
@@ -298,7 +297,7 @@ impl ReplaySink {
         let recorded = trace.domain_events();
         // An empty recording is already exhausted: its prefix hash is
         // the empty-stream hash.
-        let prefix_hash = recorded.is_empty().then(|| Fnv1a::new().digest());
+        let prefix_hash = recorded.is_empty().then(|| Tally::default().hash());
         ReplaySink {
             recorded,
             checkpoints: trace.checkpoints.clone(),
@@ -308,8 +307,7 @@ impl ReplaySink {
             bytes_lost: bytes_lost.unwrap_or(0),
             st: Mutex::new(ReplayState {
                 cursor: 0,
-                hash: Fnv1a::new(),
-                counts: EventCounts::default(),
+                tally: Tally::default(),
                 divergence: None,
                 next_ckpt: 0,
                 checkpoints_passed: 0,
@@ -353,7 +351,7 @@ impl ReplaySink {
             recorded_events: self.meta.event_count,
             replayed_events: st.cursor as u64,
             recorded_hash: self.meta.schedule_hash,
-            replayed_hash: st.hash.digest(),
+            replayed_hash: st.tally.hash(),
             checkpoints_passed: st.checkpoints_passed,
             checkpoints_total: self.checkpoints.len() as u64,
             checkpoint_failure: st.checkpoint_failure,
@@ -378,11 +376,10 @@ impl ReplaySink {
 impl TraceSink for ReplaySink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
         let mut st = self.st.lock();
-        st.counts.record(ev.kind());
+        st.tally.record(ev, in_schedule, domain);
         if !in_schedule {
             return;
         }
-        ev.fold_domain(domain, &mut st.hash);
         let i = st.cursor;
         st.cursor += 1;
         if st.divergence.is_none() {
@@ -421,18 +418,18 @@ impl TraceSink for ReplaySink {
             }
         }
         if st.cursor == self.recorded.len() && st.prefix_hash.is_none() {
-            st.prefix_hash = Some(st.hash.digest());
+            st.prefix_hash = Some(st.tally.hash());
         }
         if let Some(ck) = self.checkpoints.get(st.next_ckpt) {
             if st.cursor as u64 == ck.events {
                 st.next_ckpt += 1;
-                if st.hash.digest() == ck.hash {
+                if st.tally.hash() == ck.hash {
                     st.checkpoints_passed += 1;
                 } else if st.checkpoint_failure.is_none() {
                     st.checkpoint_failure = Some(CheckpointFailure {
                         events: ck.events,
                         recorded: ck.hash,
-                        replayed: st.hash.digest(),
+                        replayed: st.tally.hash(),
                     });
                     self.ctl.mark_diverged();
                 }
@@ -441,11 +438,11 @@ impl TraceSink for ReplaySink {
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().hash.digest()
+        self.st.lock().tally.hash()
     }
 
     fn counts(&self) -> EventCounts {
-        self.st.lock().counts
+        self.st.lock().tally.counts()
     }
 
     fn divergence(&self) -> Option<Divergence> {
