@@ -65,7 +65,8 @@ pub struct CostModel {
     pub mem_word: u64,
     /// Per version reclaimed (dropped or squashed) by the version-chain
     /// collector; the single-threaded collector of Fig. 12 pays this on the
-    /// committing thread's critical path.
+    /// critical path of the thread that installs versions (a serial commit,
+    /// or a parallel barrier's last arriver).
     pub gc_version: u64,
 }
 

@@ -22,9 +22,10 @@ pub struct CommonConfig {
     /// (Figure 16). Adds bookkeeping cost in real time, none in virtual
     /// time.
     pub track_lrc: bool,
-    /// Versions the garbage collector may reclaim per commit; models the
-    /// paper's single-threaded Conversion collector that "cannot keep up"
-    /// under high page churn (Figure 12). `usize::MAX` means an idealized
+    /// Versions the garbage collector may reclaim per installing step (a
+    /// serial commit, or a parallel barrier's install); models the paper's
+    /// single-threaded Conversion collector that "cannot keep up" under
+    /// high page churn (Figure 12). `usize::MAX` means an idealized
     /// collector.
     pub gc_budget: usize,
     /// Event-trace destination (see [`crate::trace`]). Off by default:

@@ -313,22 +313,21 @@ fn extras_cmd(c: &Cfg) {
     println!();
     dump("extras_overflow", &pts);
 
-    println!("-- Conversion GC budget sweep (reverse_index): peak pages");
-    let pts = gc_sweep(
-        &c.bench,
-        c.detail_threads,
-        "reverse_index",
-        &[0, 1, 4, 16, usize::MAX],
-    );
-    for p in &pts {
-        let b = if p.budget == usize::MAX {
-            "unbounded".to_string()
-        } else {
-            p.budget.to_string()
-        };
-        print!("  budget {b}: {} pages", p.peak_pages);
+    let mut pts = Vec::new();
+    for name in ["reverse_index", "lu_ncb"] {
+        println!("-- Conversion GC budget sweep ({name}): peak pages");
+        let sweep = gc_sweep(&c.bench, c.detail_threads, name, &[0, 1, 4, 16, usize::MAX]);
+        for p in &sweep {
+            let b = if p.budget == usize::MAX {
+                "unbounded".to_string()
+            } else {
+                p.budget.to_string()
+            };
+            print!("  budget {b}: {} pages", p.peak_pages);
+        }
+        println!();
+        pts.extend(sweep);
     }
-    println!();
     dump("extras_gc", &pts);
 
     println!("-- §4.1 blocking vs Kendo-style polling locks (virtual Mcycles)");

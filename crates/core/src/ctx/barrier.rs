@@ -217,8 +217,18 @@ impl<'a> Ctx<'a> {
                 inner.wakes.push(last_arriver);
             }
             if is_last {
-                drop(self.await_barrier(inner, b, false, |bst| bst.phase2_done == parties));
+                let inner = self.await_barrier(inner, b, false, |bst| bst.phase2_done == parties);
+                let phase2_max_v = inner.barriers[b.index()].phase2_max_v;
+                drop(inner);
                 let installed = pc.install(&sh.seg);
+                let ic = self.cost.commit_base;
+                self.v = self.v.max(phase2_max_v) + ic;
+                self.bd.commit += ic;
+                // Still under the token, before `open_barrier` pins the
+                // installed version: every participant waits for it, so the
+                // pass is a function of the schedule, and the leavers fold
+                // its charge in through `install_v`.
+                self.collect();
                 let mut inner = sh.lock();
                 // Page accounting uses the installed (merged) counts so the
                 // TSO and LRC page metrics share units.
@@ -228,9 +238,6 @@ impl<'a> Ctx<'a> {
                         l.on_commit(*t, *pages);
                     }
                 }
-                let ic = self.cost.commit_base;
-                self.v = self.v.max(inner.barriers[b.index()].phase2_max_v) + ic;
-                self.bd.commit += ic;
                 self.open_barrier(&mut inner, b, gen);
             } else {
                 drop(self.follow_barrier(inner, b, gen, BarPhase::Installed));

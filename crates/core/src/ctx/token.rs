@@ -267,15 +267,7 @@ impl<'a> Ctx<'a> {
             version: ur.new_base,
             pages: ur.pages_propagated,
         });
-        let gr = sh.seg.gc(self.sh.cfg.gc_budget);
-        // The single-threaded collector runs on the committing thread's
-        // critical path (Fig. 12): charge its work like any other commit
-        // bookkeeping.
-        let g = gr.spent() as u64 * self.cost.gc_version;
-        self.v += g;
-        self.bd.commit += g;
-        self.cnt.gc_versions_dropped += gr.dropped as u64;
-        self.cnt.gc_versions_squashed += gr.squashed as u64;
+        self.collect();
         self.cnt.chunks += 1;
         self.chunk_start_clock = self.clock;
         self.current_since_acquire = true;
@@ -285,6 +277,21 @@ impl<'a> Ctx<'a> {
                 l.on_commit(self.tid, cr.pages);
             }
         }
+    }
+
+    /// The collector step of every path that installs versions — this
+    /// epilogue and the parallel barrier's installer. Conversion's
+    /// single-threaded collector runs on the installing thread's critical
+    /// path (§2.5, Fig. 12), so its work is charged like any other commit
+    /// bookkeeping. Requires the token, and the runtime lock not held.
+    pub(super) fn collect(&mut self) {
+        debug_assert!(self.holding_token);
+        let gr = self.sh.seg.gc(self.sh.cfg.gc_budget);
+        let g = gr.spent() as u64 * self.cost.gc_version;
+        self.v += g;
+        self.bd.commit += g;
+        self.cnt.gc_versions_dropped += gr.dropped as u64;
+        self.cnt.gc_versions_squashed += gr.squashed as u64;
         if self.sh.cfg.witness.enabled() {
             // Under the token: samples land at deterministic schedule points.
             self.sh.witness_sample();

@@ -225,6 +225,58 @@ fn barrier_reusable_across_generations() {
     assert_eq!(rt.final_u64(0), 1 + 2 + 3 + 4);
 }
 
+/// The parallel barrier's installer runs the collector as the serial
+/// commit does. `main` waits in `join`, pinning an early base, while two
+/// workers rewrite the same four pages for `rounds` barrier generations:
+/// only squashing can reclaim the superseded copies, and nearly every
+/// commit is a barrier install.
+#[test]
+fn barrier_installs_collect_superseded_pages() {
+    let run = |gc_budget: usize, rounds: u64| {
+        let mut rt = ConsequenceRuntime::new(
+            CommonConfig { gc_budget, ..cfg() },
+            Options::consequence_ic().without("adaptive_overflow"),
+        );
+        let b = rt.create_barrier(2);
+        let report = rt.run(Box::new(move |ctx| {
+            let kids: Vec<Tid> = (0..2usize)
+                .map(|i| {
+                    ctx.spawn(Box::new(move |c| {
+                        for r in 0..rounds {
+                            for p in 0..4 {
+                                c.st_u64(p * 4096 + i * 8, r);
+                            }
+                            c.tick(100);
+                            c.barrier_wait(b);
+                        }
+                    }))
+                })
+                .collect();
+            for k in kids {
+                ctx.join(k);
+            }
+        }));
+        assert_eq!(rt.final_u64(3 * 4096 + 8), rounds - 1);
+        report
+    };
+    let heap = cfg().heap_pages;
+    for rounds in [20, 80] {
+        let r = run(4, rounds);
+        assert!(
+            r.peak_pages < 2 * heap,
+            "{rounds} rounds: peak {} pages over a {heap}-page heap",
+            r.peak_pages
+        );
+        assert!(r.counters.gc_versions_squashed > 0);
+        assert_eq!(r.virtual_cycles, run(4, rounds).virtual_cycles);
+    }
+    let (short, long) = (run(0, 20).peak_pages, run(0, 80).peak_pages);
+    assert!(
+        long > short + 60 * 2,
+        "a starved collector: {short} pages after 20 rounds, {long} after 80"
+    );
+}
+
 #[test]
 fn condvar_signal_wakes_waiter() {
     let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());

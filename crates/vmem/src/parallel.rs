@@ -318,9 +318,10 @@ mod tests {
         }
     }
 
-    /// The barrier install pushes one version per participant before any
-    /// collector pass can trim them; the witness's high-water mark must
-    /// see that spike (the Figure 12 blow-up cases commit this way).
+    /// The barrier install pushes one version per participant before the
+    /// installer's collector pass can trim them; the witness's high-water
+    /// mark must see that spike (the barrier kernels of Figure 12 commit
+    /// this way).
     #[test]
     fn install_raises_retained_peak_by_one_per_participant() {
         const N: usize = 5;

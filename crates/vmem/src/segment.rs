@@ -452,11 +452,13 @@ impl Segment {
     ///   get reclaimed even while a blocked thread pins an old base —
     ///   Conversion's collector does the equivalent at the page level.
     ///
-    /// A finite budget models the paper's single-threaded collector: under
-    /// high page churn retained versions (and thus live pages) outrun it,
-    /// which is exactly the Figure 12 memory blow-up on `canneal`/
-    /// `lu_ncb`. The paper's proposed multi-threaded collector corresponds
-    /// to a large budget.
+    /// A finite budget models the paper's single-threaded collector, run by
+    /// every installer: under page churn faster than the budget, retained
+    /// versions (and thus live pages) outrun it — the mechanism the paper
+    /// gives for Figure 12's `canneal`/`lu_ncb`. At the default budget it
+    /// keeps up here; `figures extras` shows the blow-up at a starved one.
+    /// The paper's proposed multi-threaded collector corresponds to a large
+    /// budget.
     ///
     /// Calls are cheap when nothing changed: a pass that runs out of work
     /// records the registry generation and version count it saw, and
