@@ -51,7 +51,6 @@ pub mod runtime;
 pub mod sync;
 pub mod trace;
 pub mod vclock;
-pub mod witness;
 
 pub use cost::CostModel;
 pub use ctx::{Job, ThreadCtx};
@@ -70,7 +69,6 @@ pub use trace::{
     Divergence, Event, EventCounts, EventKind, HashSink, MemorySink, TraceHandle, TraceSink,
 };
 pub use vclock::VectorClock;
-pub use witness::{ResourceBounds, ResourceSample, ResourceWitness, WitnessHandle, WitnessSummary};
 
 /// Page size used by every versioned-memory runtime, in bytes.
 ///

@@ -166,6 +166,13 @@ pub struct RunReport {
     /// workspaces (× 4 KiB = the paper's Figure 12 peak memory). Zero for
     /// runtimes without versioned memory (pthreads).
     pub peak_pages: usize,
+    /// Peak number of versions retained on the version chains, read
+    /// before the collector trims (the chain length Figure 12's collector
+    /// must keep up with). Zero for pthreads.
+    pub peak_versions: usize,
+    /// Peak length of any thread's clock history on the scheduling table
+    /// (watermark pruning must bound it). Zero for runtimes without one.
+    pub peak_clock_history: usize,
     /// FNV-1a digest of the committed-version log
     /// `(committer, version id, page ids)`*: two deterministic runs must
     /// agree on this. Zero for pthreads.
@@ -275,6 +282,8 @@ mod tests {
             per_thread: vec![(Tid(0), Breakdown::default())],
             counters: Counters::default(),
             peak_pages: 0,
+            peak_versions: 0,
+            peak_clock_history: 0,
             commit_log_hash: 0,
             schedule_hash: 0,
             events: EventCounts::default(),

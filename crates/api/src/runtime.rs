@@ -6,7 +6,6 @@ use crate::ids::{Addr, BarrierId, CondId, MutexId, RwLockId};
 use crate::perturb::PerturbHandle;
 use crate::report::RunReport;
 use crate::trace::TraceHandle;
-use crate::witness::WitnessHandle;
 
 /// Configuration shared by every runtime implementation.
 #[derive(Clone, Debug)]
@@ -37,11 +36,6 @@ pub struct CommonConfig {
     /// harness to perturb physical timing without — for deterministic
     /// runtimes — moving the schedule hash.
     pub perturb: PerturbHandle,
-    /// Resource-bound monitor (see [`crate::witness`]). Off by default:
-    /// every sampling site then reduces to one branch. Attached by the
-    /// soak harness; observation-only, so it is never part of the options
-    /// fingerprint and cannot move the schedule.
-    pub witness: WitnessHandle,
 }
 
 impl Default for CommonConfig {
@@ -54,7 +48,6 @@ impl Default for CommonConfig {
             gc_budget: 4,
             trace: TraceHandle::off(),
             perturb: PerturbHandle::off(),
-            witness: WitnessHandle::off(),
         }
     }
 }

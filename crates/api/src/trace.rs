@@ -602,13 +602,6 @@ pub trait TraceSink: Send + Sync {
         None
     }
 
-    /// Events currently resident in the sink (0 for sinks that keep no
-    /// buffer). The resource witness samples this as its trace-ring
-    /// gauge: a bounded ring's occupancy must never exceed its capacity.
-    fn occupancy(&self) -> usize {
-        0
-    }
-
     /// A fault that degraded (but did not abort) the sink mid-run — e.g.
     /// a disk-recording sink whose medium failed, leaving the run itself
     /// healthy but its recording truncated. The runtime folds this into
@@ -745,10 +738,6 @@ impl TraceSink for MemorySink {
     fn counts(&self) -> EventCounts {
         self.st.lock().tally.counts()
     }
-
-    fn occupancy(&self) -> usize {
-        self.st.lock().events.len()
-    }
 }
 
 /// A cloneable, optionally-absent sink reference carried in
@@ -830,11 +819,6 @@ impl TraceHandle {
     /// when the sink does not compare against a recording).
     pub fn divergence(&self) -> Option<Divergence> {
         self.sink.as_ref().and_then(|s| s.divergence())
-    }
-
-    /// Events currently resident in the sink (0 when off or unbuffered).
-    pub fn occupancy(&self) -> usize {
-        self.sink.as_ref().map_or(0, |s| s.occupancy())
     }
 
     /// The sink's degraded-recording fault, if it hit one (`None` when

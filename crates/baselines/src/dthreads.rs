@@ -904,17 +904,16 @@ impl Runtime for DThreadsRuntime {
             breakdown += *b;
         }
         let mut counters = counters;
-        let (gc_dropped, gc_squashed) = sh.seg.gc_totals();
-        counters.gc_versions_dropped = gc_dropped;
-        counters.gc_versions_squashed = gc_squashed;
-        counters.page_pool_hits = sh.seg.tracker().pool_hits();
+        let (peak_pages, peak_versions) = sh.seg.harvest(&mut counters);
         RunReport {
             virtual_cycles: max_v,
             wall: start.elapsed(),
             breakdown,
             per_thread: reports,
             counters,
-            peak_pages: sh.seg.tracker().peak(),
+            peak_pages,
+            peak_versions,
+            peak_clock_history: 0,
             commit_log_hash: sh.seg.log_hash(),
             schedule_hash: sh.cfg.trace.schedule_hash(),
             events: sh.cfg.trace.counts(),

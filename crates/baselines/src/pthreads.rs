@@ -714,6 +714,8 @@ impl Runtime for PthreadsRuntime {
             per_thread: reports,
             counters: st.counters,
             peak_pages: 0,
+            peak_versions: 0,
+            peak_clock_history: 0,
             commit_log_hash: 0,
             schedule_hash: sh.cfg.trace.schedule_hash(),
             events: sh.cfg.trace.counts(),

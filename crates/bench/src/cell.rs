@@ -14,7 +14,6 @@ use consequence::Options;
 use dmt_api::trace::{Event, TraceSink};
 use dmt_api::{
     CommonConfig, CostModel, HashSink, MemorySink, PerturbHandle, RunReport, TraceHandle,
-    WitnessHandle,
 };
 use dmt_baselines::{make_consequence, make_runtime, RuntimeKind};
 use dmt_workloads::{workload_by_name, Params, Validation, Workload};
@@ -57,7 +56,6 @@ pub struct Cell {
     pub params: Params,
     pub system: System,
     pub perturb: PerturbHandle,
-    pub witness: WitnessHandle,
     pub sink: Sink,
     /// Clock-table sizing hint (`CommonConfig::max_threads`).
     pub max_threads: usize,
@@ -79,7 +77,7 @@ pub struct CellRun {
 
 impl Cell {
     /// The registry workload `name` under `system` with the harness
-    /// defaults: unperturbed, unwitnessed, hash-only tracing, 64-thread
+    /// defaults: unperturbed, hash-only tracing, 64-thread
     /// tables, GC budget 4. Panics on an unknown name.
     pub fn new(name: &str, params: Params, system: impl Into<System>) -> Cell {
         let w = workload_by_name(name).unwrap_or_else(|| panic!("unknown workload {name}"));
@@ -94,7 +92,6 @@ impl Cell {
             params,
             system: system.into(),
             perturb: PerturbHandle::off(),
-            witness: WitnessHandle::off(),
             sink: Sink::Hash,
             max_threads: 64,
             gc_budget: 4,
@@ -129,7 +126,6 @@ impl Cell {
             gc_budget: self.gc_budget,
             trace,
             perturb: self.perturb,
-            witness: self.witness,
         };
         let mut rt = match self.system {
             System::Kind(kind) => make_runtime(kind, cfg),

@@ -232,6 +232,8 @@ json_struct!(RunReport {
     per_thread,
     counters,
     peak_pages,
+    peak_versions,
+    peak_clock_history,
     commit_log_hash,
     schedule_hash,
     events,

@@ -6,52 +6,43 @@
 //! and the `dmt_server` request workload — unsharded and across token
 //! domains — in seeded soak cells. Each cell:
 //!
-//! 1. runs once with an unasserted [`ResourceWitness`] to learn the
-//!    resource *envelope* (peak retained versions, live pages, clock
-//!    history, trace-ring occupancy),
-//! 2. then iterates the same seeded run under a witness asserting
-//!    `envelope × ENVELOPE_SLACK + ENVELOPE_PAD` until its time budget
-//!    elapses, sampling at **every commit epoch**.
+//! 1. runs once to learn the resource *envelope* from the run's own
+//!    high-water marks (`RunReport::{peak_versions, peak_pages,
+//!    peak_clock_history}`), each `× ENVELOPE_SLACK + ENVELOPE_PAD`,
+//! 2. then iterates the same seeded run until its time budget elapses,
+//!    checking every iteration's peaks against that envelope.
 //!
 //! Because every iteration replays the same seed, any monotone leak —
 //! version chains the collector cannot trim, pages that never return to
-//! the pool, clock histories growing past their pruning watermark, a
-//! trace ring that buffers instead of dropping — must cross the envelope
-//! and trip the witness. Alongside the bounds, every iteration must
-//! reproduce the first iteration's schedule hash bit for bit: soaking
-//! re-proves determinism, not just boundedness.
+//! the pool, clock histories growing past their pruning watermark — must
+//! cross the envelope. A recording cell's trace ring needs no gauge: it
+//! drops its oldest event before it pushes past its capacity. Alongside
+//! the bounds, every iteration must reproduce the first iteration's
+//! schedule hash bit for bit: soaking re-proves determinism, not just
+//! boundedness.
 //!
 //! The artifact is validated by [`SoakReport::validate`] (the CI gate
 //! `bench soak --check` runs). See `docs/SOAK.md`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dmt_api::{ResourceBounds, ResourceWitness, WitnessHandle};
 use dmt_baselines::RuntimeKind;
-use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
+use dmt_shard::{run_sharded_server, CaptureMode, ShardCfg};
 use dmt_workloads::Params;
 
 use crate::cell::{Cell, Sink};
 use crate::jsonparse::{self, Value};
 
 /// Format version tag of the emitted document.
-pub const SCHEMA: &str = "bench-soak/1";
+pub const SCHEMA: &str = "bench-soak/2";
 
 /// Long-phase bounds are the warm-up maxima times this…
-pub const ENVELOPE_SLACK: usize = 2;
+pub const ENVELOPE_SLACK: u64 = 2;
 /// …plus this pad, so tiny warm-up maxima cannot produce a zero-width
 /// envelope that ordinary jitter-free reruns would still trip.
-pub const ENVELOPE_PAD: usize = 8;
-/// Bounded trace-ring capacity of recording soak cells. The ring gauge's
-/// bound in those cells is the capacity itself: a ring that buffers
-/// beyond its capacity instead of dropping is a leak.
+pub const ENVELOPE_PAD: u64 = 8;
+/// Bounded trace-ring capacity of recording soak cells.
 pub const RING_CAP: usize = 1 << 14;
-
-/// Envelope transform applied to each warm-up maximum.
-fn envelope(max: usize) -> usize {
-    max.saturating_mul(ENVELOPE_SLACK) + ENVELOPE_PAD
-}
 
 /// What one soak cell drives.
 #[derive(Clone, Debug)]
@@ -62,7 +53,7 @@ enum Drive {
         kind: RuntimeKind,
         threads: usize,
         /// Record events into a bounded ring ([`RING_CAP`]) instead of
-        /// hash-only tracing, making the ring gauge live.
+        /// hash-only tracing.
         record: bool,
     },
     /// The sharded request server across token domains.
@@ -102,18 +93,54 @@ impl CellSpec {
 }
 
 crate::json_record! {
-    /// Witnessed resource figures of one cell (bounds asserted or maxima
-    /// observed), flattened for the JSON artifact.
+    /// Resource peaks of one cell (the envelope, or the maxima observed),
+    /// flattened for the JSON artifact.
     #[derive(Clone, Copy, Debug, Default)]
     pub struct Gauges {
         /// Peak retained versions on the segment's chains.
         pub retained_versions: u64,
-        /// Live 4 KiB pages (heap versions + workspaces).
+        /// Peak live 4 KiB pages (heap versions + workspaces).
         pub live_pages: u64,
-        /// Longest per-thread clock history.
+        /// Peak length of any per-thread clock history.
         pub clock_history: u64,
-        /// Trace-sink ring occupancy.
-        pub trace_ring: u64,
+    }
+}
+
+impl Gauges {
+    /// A run's three high-water marks: `peak_versions`, `peak_pages`
+    /// and `peak_clock_history` of its report.
+    fn peaks(versions: usize, pages: usize, history: usize) -> Gauges {
+        Gauges {
+            retained_versions: versions as u64,
+            live_pages: pages as u64,
+            clock_history: history as u64,
+        }
+    }
+
+    /// The gauge-wise maximum of `self` and `o`.
+    fn max(self, o: Gauges) -> Gauges {
+        Gauges {
+            retained_versions: self.retained_versions.max(o.retained_versions),
+            live_pages: self.live_pages.max(o.live_pages),
+            clock_history: self.clock_history.max(o.clock_history),
+        }
+    }
+
+    /// Each gauge `× ENVELOPE_SLACK + ENVELOPE_PAD`.
+    fn envelope(self) -> Gauges {
+        let e = |max: u64| max.saturating_mul(ENVELOPE_SLACK) + ENVELOPE_PAD;
+        Gauges {
+            retained_versions: e(self.retained_versions),
+            live_pages: e(self.live_pages),
+            clock_history: e(self.clock_history),
+        }
+    }
+
+    /// Whether no gauge exceeds its `bound`.
+    fn within(&self, bound: &Gauges) -> bool {
+        self.retained_versions <= bound.retained_versions
+            && self.live_pages <= bound.live_pages
+            && self.clock_history <= bound.clock_history
     }
 }
 
@@ -131,14 +158,11 @@ crate::json_record! {
         pub record: bool,
         /// Seeded iterations completed (≥ 2: first + at least one re-run).
         pub iterations: u64,
-        /// Witness samples taken across every iteration (one per commit
-        /// epoch plus one per-run teardown sample).
-        pub samples: u64,
-        /// The asserted envelope (warm-up maxima × slack + pad).
+        /// The asserted envelope (warm-up peaks × slack + pad).
         pub bounds: Gauges,
-        /// Observed maxima over the whole soak phase.
+        /// Observed peaks over the whole soak phase.
         pub maxima: Gauges,
-        /// Samples that violated at least one bound (0 = leak-free).
+        /// Iterations whose peaks ran over the envelope (0 = leak-free).
         pub violations: u64,
         /// `violations == 0`.
         pub within_bounds: bool,
@@ -177,10 +201,12 @@ struct IterResult {
     schedule_hash: u64,
     output_hash: u64,
     validated: bool,
+    /// The run's peaks; for a sharded run, the maximum over its domains.
+    peaks: Gauges,
 }
 
-/// One seeded iteration of a cell, observed by `witness`.
-fn run_iter(spec: &CellSpec, witness: &WitnessHandle) -> IterResult {
+/// One seeded iteration of a cell.
+fn run_iter(spec: &CellSpec) -> IterResult {
     match &spec.drive {
         Drive::Kernel {
             workload,
@@ -189,7 +215,6 @@ fn run_iter(spec: &CellSpec, witness: &WitnessHandle) -> IterResult {
             record,
         } => {
             let r = Cell {
-                witness: witness.clone(),
                 max_threads: threads + 2,
                 sink: if *record {
                     Sink::Memory(RING_CAP)
@@ -207,6 +232,11 @@ fn run_iter(spec: &CellSpec, witness: &WitnessHandle) -> IterResult {
                 schedule_hash: r.report.schedule_hash,
                 output_hash: r.report.commit_log_hash,
                 validated: r.validation.matches_reference,
+                peaks: Gauges::peaks(
+                    r.report.peak_versions,
+                    r.report.peak_pages,
+                    r.report.peak_clock_history,
+                ),
             }
         }
         Drive::Server { shards, workers } => {
@@ -216,65 +246,45 @@ fn run_iter(spec: &CellSpec, witness: &WitnessHandle) -> IterResult {
                 Params::new(*workers, spec.scale, spec.seed),
             );
             cfg.capture = CaptureMode::Hash;
-            let hooks = DomainHooks {
-                perturb: Vec::new(),
-                witness: vec![witness.clone(); *shards as usize],
-                tolerate_losses: false,
-            };
-            let r = run_sharded_server_hooked(&cfg, &hooks);
+            let r = run_sharded_server(&cfg);
+            let peaks = r
+                .domains
+                .iter()
+                .map(|d| Gauges::peaks(d.peak_versions, d.peak_pages, d.peak_clock_history));
             IterResult {
                 schedule_hash: r.schedule_hash,
                 output_hash: r.store_hash,
                 validated: r.complete,
+                peaks: peaks.fold(Gauges::default(), Gauges::max),
             }
         }
     }
 }
 
-fn gauges_of(s: dmt_api::ResourceSample) -> Gauges {
-    Gauges {
-        retained_versions: s.retained_versions as u64,
-        live_pages: s.live_pages as u64,
-        clock_history: s.clock_history as u64,
-        trace_ring: s.trace_ring as u64,
-    }
-}
-
 /// Soaks one cell: learn the envelope, then iterate under it until
-/// `budget` elapses (always at least two witnessed iterations).
+/// `budget` elapses (always at least two checked iterations).
 fn run_cell(spec: &CellSpec, budget: Duration) -> SoakCell {
-    // Phase 1: envelope discovery, nothing asserted.
-    let probe = ResourceWitness::new(ResourceBounds::unbounded());
-    run_iter(spec, &WitnessHandle::to(Arc::clone(&probe)));
-    let m = probe.summary().maxima;
-    let ring_bound = match &spec.drive {
-        Drive::Kernel { record: true, .. } => RING_CAP,
-        _ => envelope(m.trace_ring),
-    };
-    let bounds = ResourceBounds {
-        max_retained_versions: envelope(m.retained_versions),
-        max_live_pages: envelope(m.live_pages),
-        max_clock_history: envelope(m.clock_history),
-        max_trace_ring: ring_bound,
-    };
+    // Phase 1: envelope discovery from the warm-up run's own peaks.
+    let bounds = run_iter(spec).peaks.envelope();
 
     // Phase 2: the soak proper.
-    let witness = ResourceWitness::new(bounds);
-    let h = WitnessHandle::to(Arc::clone(&witness));
     let t0 = Instant::now();
-    let first = run_iter(spec, &h);
+    let first = run_iter(spec);
     let mut iterations = 1u64;
     let mut deterministic = true;
     let mut validated = first.validated;
+    let mut maxima = first.peaks;
+    let mut violations = u64::from(!first.peaks.within(&bounds));
     while t0.elapsed() < budget || iterations < 2 {
-        let r = run_iter(spec, &h);
+        let r = run_iter(spec);
         deterministic &=
             r.schedule_hash == first.schedule_hash && r.output_hash == first.output_hash;
         validated &= r.validated;
+        maxima = maxima.max(r.peaks);
+        violations += u64::from(!r.peaks.within(&bounds));
         iterations += 1;
     }
     let wall_ns = t0.elapsed().as_nanos() as f64;
-    let s = witness.summary();
     let (workload, runtime, threads, record) = spec.label();
     SoakCell {
         workload,
@@ -282,16 +292,10 @@ fn run_cell(spec: &CellSpec, budget: Duration) -> SoakCell {
         threads,
         record,
         iterations,
-        samples: s.samples,
-        bounds: Gauges {
-            retained_versions: bounds.max_retained_versions as u64,
-            live_pages: bounds.max_live_pages as u64,
-            clock_history: bounds.max_clock_history as u64,
-            trace_ring: bounds.max_trace_ring as u64,
-        },
-        maxima: gauges_of(s.maxima),
-        violations: s.violation_count,
-        within_bounds: s.within_bounds(),
+        bounds,
+        maxima,
+        violations,
+        within_bounds: violations == 0,
         deterministic,
         validated,
         schedule_hash: first.schedule_hash,
@@ -317,8 +321,8 @@ fn cell_specs(smoke: bool) -> Vec<CellSpec> {
         // The paper's thread-count axis, on cheap kernels.
         kernel("histogram", Ic, 64, false),
         kernel("string_match", Rr, 64, false),
-        // Live trace ring during the soak: the ring gauge is asserted at
-        // its capacity — buffering beyond it would be a leak.
+        // Live trace ring during the soak: the ring drops its oldest
+        // events, so recording must not move the peaks.
         kernel("histogram", Ic, 64, true),
         // The request server, unsharded and across 4 token domains.
         kernel("dmt_server", Ic, 64, false),
@@ -390,17 +394,15 @@ impl SoakReport {
             .iter()
             .map(|c| {
                 format!(
-                    "{:<24} {:<15} {:>4} threads: {:>3} iters  {:>7} samples  \
-                     peak {}v/{}p/{}h/{}r  {}  {}",
+                    "{:<24} {:<15} {:>4} threads: {:>4} iters  \
+                     peak {}v/{}p/{}h  {}  {}",
                     c.workload,
                     c.runtime,
                     c.threads,
                     c.iterations,
-                    c.samples,
                     c.maxima.retained_versions,
                     c.maxima.live_pages,
                     c.maxima.clock_history,
-                    c.maxima.trace_ring,
                     if c.within_bounds { "bounded" } else { "LEAKED" },
                     if c.deterministic {
                         "deterministic"
@@ -424,8 +426,9 @@ impl SoakReport {
     /// tag, soak at least one ≥ 64-thread cell (≥ 256 in full mode),
     /// include a recording cell and a sharded-server cell, and every cell
     /// must be within bounds, deterministic across iterations, validated
-    /// against the workload reference, and actually sampled. The first
-    /// problem found is the error.
+    /// against the workload reference, and have its peaks read (a live
+    /// page and a clock-history entry are in every run). The first problem
+    /// found is the error.
     pub fn validate(text: &str) -> Result<(), String> {
         let v = jsonparse::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
         if v.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
@@ -467,8 +470,11 @@ impl SoakReport {
             if num(c, &ctx, "iterations")? < 2.0 {
                 return Err(format!("{ctx}: fewer than 2 iterations"));
             }
-            if num(c, &ctx, "samples")? <= 0.0 {
-                return Err(format!("{ctx}: witness never sampled"));
+            let maxima = c.get("maxima").ok_or(format!("{ctx}: missing maxima"))?;
+            for key in ["live_pages", "clock_history"] {
+                if num(maxima, &ctx, key)? <= 0.0 {
+                    return Err(format!("{ctx}: peak {key} never read"));
+                }
             }
             if num(c, &ctx, "violations")? != 0.0 {
                 return Err(format!("{ctx}: bound violations recorded"));
@@ -497,9 +503,6 @@ mod tests {
         SoakReport::validate(&r.to_json()).expect("smoke artifact validates");
         // The smoke grid still soaks the paper's minimum scale axis.
         assert!(r.max_threads >= 64);
-        for c in &r.cells {
-            assert!(c.samples > 0, "cell {} never sampled", c.workload);
-        }
     }
 
     #[test]
@@ -524,6 +527,11 @@ mod tests {
             .unwrap_err()
             .contains("violations"));
         let mut r = stub_report();
+        r.cells[1].maxima.clock_history = 0;
+        assert!(SoakReport::validate(&r.to_json())
+            .unwrap_err()
+            .contains("never read"));
+        let mut r = stub_report();
         r.max_threads = 32;
         assert!(SoakReport::validate(&r.to_json())
             .unwrap_err()
@@ -546,18 +554,15 @@ mod tests {
             threads,
             record,
             iterations: 5,
-            samples: 1000,
             bounds: Gauges {
                 retained_versions: 20,
                 live_pages: 4000,
                 clock_history: 40,
-                trace_ring: RING_CAP as u64,
             },
             maxima: Gauges {
                 retained_versions: 8,
                 live_pages: 1800,
                 clock_history: 16,
-                trace_ring: 900,
             },
             violations: 0,
             within_bounds: true,

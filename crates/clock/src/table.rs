@@ -90,6 +90,9 @@ pub struct SchedTable {
     /// taken from racy wall-clock arrival order. Watermark pruning keeps it
     /// bounded.
     hists: Vec<(Vec<(u64, u64)>, usize)>,
+    /// The longest any history was between two table calls, as of its
+    /// last prune: pruning is the only place a history shrinks.
+    hist_peak: usize,
     /// The head waiter: the smallest `(clock, tid)` of an `AtSync` thread.
     /// A publication changes no thread's state, so every other transition
     /// re-derives it and a publication reads it.
@@ -108,6 +111,7 @@ impl SchedTable {
             capacity,
             entries: Vec::with_capacity(capacity),
             hists: Vec::with_capacity(capacity),
+            hist_peak: 0,
             head: None,
             rr_turn: 0,
             rr_turn_v: 0,
@@ -201,10 +205,16 @@ impl SchedTable {
         self.hists.get(t.index()).map_or(0, |(h, _)| h.len())
     }
 
-    /// Longest per-thread clock history (the resource-witness gauge; the
-    /// pruning watermark must bound it).
-    pub fn max_history_len(&self) -> usize {
+    /// Longest per-thread clock history right now (the pruning watermark
+    /// must bound it).
+    fn max_history_len(&self) -> usize {
         self.hists.iter().map(|(h, _)| h.len()).max().unwrap_or(0)
+    }
+
+    /// Longest any per-thread clock history has been between two table
+    /// calls since the table was built (`RunReport::peak_clock_history`).
+    pub fn peak_history_len(&self) -> usize {
+        self.hist_peak.max(self.max_history_len())
     }
 
     /// The minimum clock any current or future waiter can still query:
@@ -232,6 +242,9 @@ impl SchedTable {
         }
         let w = self.watermark();
         let (h, floor) = &mut self.hists[t.index()];
+        // Its length before this push: the longest the history was since
+        // its last prune, as the caller saw it.
+        self.hist_peak = self.hist_peak.max(h.len() - 1);
         prune_history(h, w);
         *floor = h.len();
     }
@@ -767,18 +780,24 @@ mod tests {
         let mut t = ic(2);
         t.register(Tid(0), 0, 0);
         t.register(Tid(1), 0, 0);
-        let mut peak = 0;
+        let (mut peak, mut seen) = (0, 0);
+        let mut step = |t: &SchedTable| seen = seen.max(t.max_history_len());
         for i in 1..=100_000u64 {
             t.publish(Tid(0), i, i);
+            step(&t);
             if i % 64 == 0 {
                 // Peer syncs just behind the publisher, then resumes: the
                 // watermark trails the publisher's clock closely.
                 t.arrive_sync(Tid(1), i - 1, i);
+                step(&t);
                 assert!(t.eligible(Tid(1)));
                 t.resume(Tid(1), i - 1, i);
+                step(&t);
             }
             peak = peak.max(t.history_len(Tid(0)));
         }
+        // The table's high-water mark is the longest history any step left.
+        assert_eq!(t.peak_history_len(), seen);
         assert!(
             peak < 4 * PRUNE_MIN,
             "publisher history peaked at {peak} entries"

@@ -290,12 +290,6 @@ impl<'a> Ctx<'a> {
         let g = gr.spent() as u64 * self.cost.gc_version;
         self.v += g;
         self.bd.commit += g;
-        self.cnt.gc_versions_dropped += gr.dropped as u64;
-        self.cnt.gc_versions_squashed += gr.squashed as u64;
-        if self.sh.cfg.witness.enabled() {
-            // Under the token: samples land at deterministic schedule points.
-            self.sh.witness_sample();
-        }
     }
 
     /// Ends a coarsenable synchronization operation: either retain the

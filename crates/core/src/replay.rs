@@ -185,7 +185,6 @@ impl ConsequenceRuntime {
             gc_budget: 4,
             trace: TraceHandle::to(Arc::clone(&sink) as _),
             perturb,
-            witness: dmt_api::WitnessHandle::off(),
         };
         let monitor = ReplayMonitor { sink };
         Ok((

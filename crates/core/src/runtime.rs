@@ -215,17 +215,8 @@ impl Runtime for ConsequenceRuntime {
             breakdown += *b;
         }
         let mut counters = counters;
-        // Collector and allocator totals live on the segment, not in any
-        // per-thread counter set: harvest them at report time.
-        let (gc_dropped, gc_squashed) = sh.seg.gc_totals();
-        counters.gc_versions_dropped = gc_dropped;
-        counters.gc_versions_squashed = gc_squashed;
-        counters.page_pool_hits = sh.seg.tracker().pool_hits();
-        // Teardown sample: catches a run whose last epochs never
-        // committed (pure compute tails) and the final trace occupancy.
-        if sh.cfg.witness.enabled() {
-            sh.witness_sample();
-        }
+        let (peak_pages, peak_versions) = sh.seg.harvest(&mut counters);
+        let peak_clock_history = sh.lock().table.peak_history_len();
         // A degraded recording (disk sink hit a write fault mid-run) is a
         // run fault even though the computation itself finished: the
         // promised reproducer is truncated at the point of failure.
@@ -238,7 +229,9 @@ impl Runtime for ConsequenceRuntime {
             breakdown,
             per_thread: reports,
             counters,
-            peak_pages: sh.seg.tracker().peak(),
+            peak_pages,
+            peak_versions,
+            peak_clock_history,
             commit_log_hash: sh.seg.log_hash(),
             schedule_hash: sh.cfg.trace.schedule_hash(),
             events: sh.cfg.trace.counts(),

@@ -439,20 +439,6 @@ impl Shared {
         }
     }
 
-    /// One [`ResourceSample`](dmt_api::ResourceSample) for the attached
-    /// witness: version-chain peak, live pages, longest clock history,
-    /// trace-ring occupancy. The observation costs no virtual time and
-    /// cannot move the schedule.
-    pub fn witness_sample(&self) {
-        let clock_history = self.inner.lock().table.max_history_len();
-        self.cfg.witness.observe(dmt_api::ResourceSample {
-            retained_versions: self.seg.retained_peak(),
-            live_pages: self.seg.tracker().live(),
-            clock_history,
-            trace_ring: self.cfg.trace.occupancy(),
-        });
-    }
-
     pub fn new_replaying(
         cfg: CommonConfig,
         opts: Options,

@@ -19,7 +19,6 @@ fn cfg() -> CommonConfig {
         gc_budget: usize::MAX,
         trace: dmt_api::TraceHandle::off(),
         perturb: dmt_api::PerturbHandle::off(),
-        witness: dmt_api::WitnessHandle::off(),
     }
 }
 

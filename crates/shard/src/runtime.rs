@@ -6,9 +6,7 @@ use std::time::{Duration, Instant};
 
 use consequence::{ConsequenceRuntime, Options};
 use dmt_api::trace::{Event, HashSink, MemorySink};
-use dmt_api::{
-    CommonConfig, CostModel, DomainId, Fnv1a, PerturbHandle, Runtime, TraceHandle, WitnessHandle,
-};
+use dmt_api::{CommonConfig, CostModel, DomainId, Fnv1a, PerturbHandle, Runtime, TraceHandle};
 use dmt_workloads::server::{DomainPlan, DomainServer, Exchange, ServerSpec};
 use dmt_workloads::Params;
 
@@ -88,6 +86,12 @@ pub struct DomainReport {
     pub virtual_cycles: u64,
     /// Wall-clock time of the domain's run.
     pub wall: Duration,
+    /// The domain runtime's `RunReport::peak_versions`.
+    pub peak_versions: usize,
+    /// The domain runtime's `RunReport::peak_pages`.
+    pub peak_pages: usize,
+    /// The domain runtime's `RunReport::peak_clock_history`.
+    pub peak_clock_history: usize,
     /// Workload panics contained inside the domain (injected or real),
     /// `(tid, message)` in containment order.
     pub panics: Vec<(dmt_api::Tid, String)>,
@@ -275,14 +279,12 @@ impl Exchange for StdExchange {
 
 /// Per-domain instrumentation for [`run_sharded_server_hooked`].
 ///
-/// Vectors are indexed by domain and padded with off-handles, so the
+/// `perturb` is indexed by domain and padded with off-handles, so the
 /// empty default instruments nothing.
 #[derive(Clone, Debug, Default)]
 pub struct DomainHooks {
     /// Fault / panic injectors, one per domain (off when absent).
     pub perturb: Vec<PerturbHandle>,
-    /// Resource witnesses, one per domain (off when absent).
-    pub witness: Vec<WitnessHandle>,
     /// Tolerate injected losses: when a domain dies early (contained
     /// panic of its driver), skip the served-every-request assert and
     /// report [`ShardReport::complete`] `false` instead.
@@ -307,8 +309,7 @@ pub fn run_sharded_server(cfg: &ShardCfg) -> ShardReport {
 }
 
 /// [`run_sharded_server`] with per-domain instrumentation attached: fault
-/// injectors, panic plans and resource witnesses ride into each domain's
-/// `CommonConfig`. This is the mixed-scenario matrix entry point — the
+/// injectors and panic plans ride into each domain's `CommonConfig`. This is the mixed-scenario matrix entry point — the
 /// composition perturb × panic × shard × record runs through here.
 pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardReport {
     let spec = ServerSpec::of(&cfg.params);
@@ -331,15 +332,8 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
                 .get(plan.domain)
                 .cloned()
                 .unwrap_or_else(PerturbHandle::off);
-            let witness = hooks
-                .witness
-                .get(plan.domain)
-                .cloned()
-                .unwrap_or_else(WitnessHandle::off);
             std::thread::spawn(move || {
-                run_domain(
-                    spec, plan, workers, opts, capture, exchange, perturb, witness,
-                )
+                run_domain(spec, plan, workers, opts, capture, exchange, perturb)
             })
         })
         .collect();
@@ -404,7 +398,6 @@ impl Drop for ResignOnExit {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_domain(
     spec: ServerSpec,
     plan: DomainPlan,
@@ -413,7 +406,6 @@ fn run_domain(
     capture: CaptureMode,
     exchange: Arc<StdExchange>,
     perturb: PerturbHandle,
-    witness: WitnessHandle,
 ) -> DomainReport {
     let domain = DomainId(plan.domain as u32);
     let mem_sink = (capture == CaptureMode::Events).then(|| Arc::new(MemorySink::new(1 << 22)));
@@ -430,7 +422,6 @@ fn run_domain(
         gc_budget: usize::MAX,
         trace: trace.clone(),
         perturb,
-        witness,
     };
     let mut rt = ConsequenceRuntime::new(common, opts);
     let resign = ResignOnExit(Arc::clone(&exchange));
@@ -463,6 +454,9 @@ fn run_domain(
         lock_acquires: report.counters.lock_acquires,
         virtual_cycles: report.virtual_cycles,
         wall: report.wall,
+        peak_versions: report.peak_versions,
+        peak_pages: report.peak_pages,
+        peak_clock_history: report.peak_clock_history,
         panics: report.panics,
     }
 }
@@ -550,7 +544,6 @@ mod tests {
                         inner: PerturbHandle::off(),
                     })),
                 ],
-                witness: Vec::new(),
                 tolerate_losses: true,
             };
             run_sharded_server_hooked(&c, &hooks)

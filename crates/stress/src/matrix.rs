@@ -47,8 +47,8 @@ use crate::{mix64, plan_handle, StressConfig};
 pub const MATRIX_SHARDS: u32 = 2;
 
 /// Event capacity of the recording compositions' sink — sized so nothing
-/// is ever dropped (fidelity is an oracle here, unlike the soak cells
-/// that assert bounded-ring *occupancy*).
+/// is ever dropped (fidelity is an oracle here, unlike the soak's
+/// recording cells, whose ring drops its oldest events).
 const MATRIX_RING: usize = 1 << 20;
 
 /// Salt deriving the matrix's perturbation-plan seeds.
@@ -248,7 +248,6 @@ fn run_sharded(c: Comp, stress: &StressConfig) -> CompRun {
                 perturber(timing, victim)
             })
             .collect(),
-        witness: Vec::new(),
         tolerate_losses: c.panic,
     };
     let r = run_sharded_server_hooked(&cfg, &hooks);

@@ -319,8 +319,8 @@ mod tests {
     }
 
     /// The barrier install pushes one version per participant before the
-    /// installer's collector pass can trim them; the witness's high-water
-    /// mark must see that spike (the barrier kernels of Figure 12 commit
+    /// installer's collector pass can trim them; the report's
+    /// `peak_versions` must see that spike (the barrier kernels of Figure 12 commit
     /// this way).
     #[test]
     fn install_raises_retained_peak_by_one_per_participant() {

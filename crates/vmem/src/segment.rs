@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
-use dmt_api::{page_digest, Addr, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
+use dmt_api::{page_digest, Addr, Counters, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
 
 use crate::merge;
 use crate::page::{spans, PageBuf, PageRef, PageTracker};
@@ -93,8 +93,8 @@ struct SegInner {
     /// Cumulative version pairs squashed by the collector.
     gc_squashed_total: u64,
     /// High-water mark of `versions.len()`, updated at commit *before*
-    /// the collector trims, so the resource witness sees intra-epoch
-    /// spikes the post-GC gauge would hide.
+    /// the collector trims, so `RunReport::peak_versions` includes the
+    /// intra-epoch spikes a post-GC reading would hide.
     retained_peak: usize,
 }
 
@@ -193,7 +193,7 @@ impl Segment {
     }
 
     /// High-water mark of retained versions, observed at commit before
-    /// the collector trims (the witness gauge for version-chain growth).
+    /// the collector trims (`RunReport::peak_versions`).
     pub fn retained_peak(&self) -> usize {
         self.inner.lock().retained_peak
     }
@@ -349,6 +349,17 @@ impl Segment {
     pub fn gc_totals(&self) -> (u64, u64) {
         let inner = self.inner.lock();
         (inner.gc_dropped_total, inner.gc_squashed_total)
+    }
+
+    /// What a run report reads off the segment once, at teardown: the
+    /// collector's totals and the page pool's hits into `counters`, and
+    /// `(peak live pages, peak retained versions)` as the result. Every
+    /// collector pass goes through the segment, so its totals are the
+    /// run's count.
+    pub fn harvest(&self, counters: &mut Counters) -> (usize, usize) {
+        (counters.gc_versions_dropped, counters.gc_versions_squashed) = self.gc_totals();
+        counters.page_pool_hits = self.tracker.pool_hits();
+        (self.tracker.peak(), self.retained_peak())
     }
 
     /// Brings `ws` forward to the latest version by replaying deltas.

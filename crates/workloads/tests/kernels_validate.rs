@@ -14,7 +14,6 @@ fn cfg(pages: usize) -> CommonConfig {
         gc_budget: usize::MAX,
         trace: dmt_api::TraceHandle::off(),
         perturb: dmt_api::PerturbHandle::off(),
-        witness: dmt_api::WitnessHandle::off(),
     }
 }
 

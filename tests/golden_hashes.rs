@@ -15,9 +15,7 @@
 
 use std::sync::Arc;
 
-use consequence_repro::dmt_api::{
-    CommonConfig, CostModel, HashSink, PerturbHandle, TraceHandle, WitnessHandle,
-};
+use consequence_repro::dmt_api::{CommonConfig, CostModel, HashSink, PerturbHandle, TraceHandle};
 use consequence_repro::dmt_baselines::{make_runtime, RuntimeKind};
 use consequence_repro::dmt_shard::{run_sharded_server, ShardCfg};
 use consequence_repro::dmt_workloads::{workload_by_name, Params};
@@ -66,7 +64,6 @@ fn schedule_hash(label: &str, name: &str) -> u64 {
         gc_budget: 4,
         trace: TraceHandle::to(sink as _),
         perturb: PerturbHandle::off(),
-        witness: WitnessHandle::off(),
     };
     let mut rt = make_runtime(kind, cfg);
     let prepared = w.prepare(rt.as_mut(), &p);
@@ -133,7 +130,6 @@ fn goldens_are_geometry_sensitive() {
                 gc_budget: 4,
                 trace: TraceHandle::to(sink as _),
                 perturb: PerturbHandle::off(),
-                witness: WitnessHandle::off(),
             };
             let mut rt = make_runtime(kind, cfg);
             let prepared = w.prepare(rt.as_mut(), &p);

@@ -79,7 +79,6 @@ fn record_and_abandon(
         gc_budget: 4,
         trace: TraceHandle::to(Arc::clone(&sink) as _),
         perturb,
-        witness: dmt_api::WitnessHandle::off(),
     };
     let mut rt = ConsequenceRuntime::new(cfg, opts);
     let prepared = w.prepare(&mut rt, &p);

@@ -32,7 +32,6 @@ fn run_unsharded(workers: usize, scale: u32, seed: u64) -> (u64, u64) {
         gc_budget: usize::MAX,
         trace: TraceHandle::to(Arc::clone(&sink) as _),
         perturb: PerturbHandle::off(),
-        witness: dmt_api::WitnessHandle::off(),
     };
     let mut rt = ConsequenceRuntime::new(cfg, Options::consequence_ic());
     let prepared = w.prepare(&mut rt, &p);

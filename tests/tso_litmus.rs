@@ -107,7 +107,6 @@ fn cfg(perturb: PerturbHandle) -> CommonConfig {
         gc_budget: 4,
         trace: TraceHandle::off(),
         perturb,
-        witness: dmt_api::WitnessHandle::off(),
     }
 }
 
