@@ -425,14 +425,6 @@ impl Event {
         Tid::from_value(self.values()[0])
     }
 
-    /// The thread a token grant went to; `None` for every other event.
-    pub fn grantee(&self) -> Option<Tid> {
-        match *self {
-            Event::TokenAcquire { tid, .. } => Some(tid),
-            _ => None,
-        }
-    }
-
     /// Folds this event into an FNV-1a state with a stable encoding:
     /// the kind tag, then each of [`values`](Event::values) as a
     /// little-endian `u64`.

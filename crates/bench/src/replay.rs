@@ -4,9 +4,9 @@
 //! Recording runs a named workload under a Consequence preset with a
 //! [`DiskSink`] attached, stamps the run's identity and digests into the
 //! trace META stream, and re-validates the written container immediately.
-//! Replaying opens a container, re-stages the workload it names, drives
-//! the run from the recorded grant script (see `consequence::replay`) and
-//! checks schedule hash, output hash and commit-log hash against the
+//! Replaying opens a container, re-stages the workload it names,
+//! re-executes it under the runtime it names (see `consequence::replay`)
+//! and checks schedule hash, output hash and commit-log hash against the
 //! recording. See `docs/REPLAY.md`.
 
 use std::path::{Path, PathBuf};
@@ -152,7 +152,7 @@ pub fn record_to(
 
 /// Records every `workloads` × `runtimes` cell into `dir` with
 /// [`record_to`], printing one line per container; runtimes that are not
-/// Consequence presets have no grant script to record and are skipped.
+/// Consequence presets cannot be rebuilt from a label and are skipped.
 /// Returns the recordings and whether every one was written and validated
 /// (false when nothing was recordable).
 pub fn record_all(
@@ -195,8 +195,8 @@ pub fn record_all(
 }
 
 /// Replays one container file: re-stages the workload the trace names,
-/// re-executes it under the recorded grant script, and compares schedule,
-/// output and commit log against the recording.
+/// re-executes it under the runtime the trace names, and compares
+/// schedule, output and commit log against the recording.
 ///
 /// Containers that fail to open because they are torn — killed
 /// mid-recording, truncated, or checksum-broken — are transparently
@@ -235,8 +235,8 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
         Err(e) => return Err(format!("open {}: {e}", path.display())),
     };
     let mut r = if trace.meta.runtime.starts_with(SHARDED_LABEL_PREFIX) {
-        // Sharded containers have no single grant script; they are
-        // verified by deterministic re-execution (see dmt_shard::record).
+        // A sharded container names a server, not a workload (see
+        // dmt_shard::record).
         dmt_shard::record::verify_against(&trace)?
     } else {
         let w = workload_by_name(&trace.meta.workload)

@@ -32,11 +32,9 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod overflow;
-pub mod replay;
 pub mod table;
 
 pub use overflow::OverflowPolicy;
-pub use replay::ReplayCtl;
 pub use table::{OrderPolicy, SchedTable, ThreadState};
 
 // Inert names, deleted with ROADMAP item 3(a): frozen `e2e/` builds its

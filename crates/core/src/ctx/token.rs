@@ -38,22 +38,6 @@ pub(super) enum ParkOrder {
 }
 
 impl<'a> Ctx<'a> {
-    /// Token-admission predicate. Ordinary runs recompute eligibility
-    /// from published clocks; a replaying run instead asks the recorded
-    /// grant script whether this thread is the scripted next grantee,
-    /// falling back to recomputed eligibility once the script is
-    /// exhausted or abandoned on divergence (so the run always finishes
-    /// and can report *where* it split).
-    #[inline]
-    fn admitted(&self, inner: &Inner) -> bool {
-        if let Some(ctl) = &self.sh.replay {
-            if let Some(ok) = ctl.admits(self.tid.0) {
-                return ok;
-            }
-        }
-        inner.table.eligible(self.tid)
-    }
-
     #[inline]
     pub(super) fn sync_prologue(&mut self) {
         self.charge_lib(self.cost.sync_op);
@@ -108,7 +92,7 @@ impl<'a> Ctx<'a> {
                 return Err(DmtError::Shutdown);
             }
             if inner.token.is_none()
-                && (self.admitted(&inner)
+                && (inner.table.eligible(self.tid)
                     // Deliberate determinism bug for `stress --inject-bug`
                     // (Options::inject_eligibility_bug): grab a free token
                     // without the eligibility check, letting physical
@@ -124,11 +108,6 @@ impl<'a> Ctx<'a> {
             self.cnt.token_wake_loops += 1;
         }
         inner.token = Some(self.tid);
-        if let Some(ctl) = &sh.replay {
-            // Advance the grant script: the next scripted grantee becomes
-            // admissible (and is the thread our release wakes).
-            ctl.granted(self.tid.0);
-        }
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
         self.sh.cfg.trace.emit(Event::TokenAcquire {

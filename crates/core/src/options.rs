@@ -82,8 +82,7 @@ pub struct Options {
     /// supervision. Pure-compute stalls (threads that never synchronize)
     /// are indistinguishable from deadlock to a logical-progress watchdog;
     /// see `docs/ROBUSTNESS.md`. *Needed by*
-    /// `watchdog_diagnoses_deadlock_instead_of_hanging`, and replay, which
-    /// lowers it.
+    /// `watchdog_diagnoses_deadlock_instead_of_hanging`.
     pub watchdog_stall_ms: Option<u64>,
     /// Number of independently tokened shard domains the `dmt-shard`
     /// subsystem partitions the run into. `1` (the default) is the
@@ -180,7 +179,7 @@ impl Options {
     /// produced it; the fingerprint is stored in the trace META stream
     /// and checked before replay. Deliberately **excluded** because they
     /// cannot change the schedule (and legitimately differ on replay):
-    /// `watchdog_stall_ms` (supervision only; replay lowers it),
+    /// `watchdog_stall_ms` (supervision only),
     /// `trace_flush_pages` (durability of the recording medium; never
     /// touches logical time), and the three inert fields left behind by the
     /// removed settle pool and the removed second clock table kind (nothing

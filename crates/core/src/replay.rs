@@ -1,29 +1,24 @@
-//! Replay engine: re-executes a workload driven by a recorded trace.
+//! Replay engine: re-executes a workload and checks it against a
+//! recorded trace.
 //!
 //! A `.dmtrace` container (see `dmt_trace` and `docs/TRACE_FORMAT.md`)
-//! holds the deterministic schedule of one run. Replay rebuilds the
-//! runtime the trace describes, feeds the recorded token-grant order to
-//! the scheduler as a [`det_clock::ReplayCtl`] grant script, and attaches
-//! a [`dmt_trace::ReplaySink`] that compares every live schedule event —
-//! and every per-page cumulative-hash checkpoint — against the recording.
+//! holds the deterministic schedule of one run. The grant order is an
+//! output of `(program, input, options)`, so replay does not feed it back
+//! in: it rebuilds the runtime from the recorded inputs (the preset named
+//! by the label, checked against the options fingerprint, the perturbation
+//! plan and the injected-panic triple), runs it with ordinary eligibility,
+//! and attaches a [`dmt_trace::ReplaySink`] that compares every live
+//! schedule event — and every per-page cumulative-hash checkpoint —
+//! against the recording as it is emitted.
 //!
-//! On the first mismatch the sink produces the first-divergent-event
+//! On the first mismatch the sink records the first-divergent-event
 //! diagnosis (`dmt_api::trace::Divergence`, the same report the stress
-//! harness emits) and releases the grant script, so the run completes
-//! under recomputed eligibility and *reports* where it split instead of
-//! deadlocking on a schedule that no longer fits.
-//!
-//! One option override is applied during replay, schedule-neutral and
-//! therefore excluded from [`Options::fingerprint`]: the watchdog stall
-//! threshold is lowered so a grant-order deadlock — possible only against
-//! a trace from different code — is diagnosed quickly (the census names
-//! the scripted grantee the run waits for). Replay runs on the configured
-//! scheduler kind: a release wakes the scripted next grantee.
+//! harness emits); the run goes on to its end, so the verdict also says
+//! whether output and commit log reproduced.
 
 use std::fmt;
 use std::sync::Arc;
 
-use det_clock::ReplayCtl;
 use dmt_api::{
     CommonConfig, CostModel, FixedPanic, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber,
     RunReport, Tid, TraceHandle,
@@ -32,11 +27,6 @@ use dmt_trace::{PartialTrace, ReplaySink, Replayed, Trace, TraceError, TraceMeta
 
 use crate::options::Options;
 use crate::runtime::ConsequenceRuntime;
-
-/// Watchdog stall threshold during replay, in milliseconds. Low: a
-/// replay that stalls is almost certainly waiting on a grant the current
-/// build will never produce, and the point is to diagnose that fast.
-pub const REPLAY_STALL_MS: u64 = 2_000;
 
 /// Why a trace could not be replayed at all (as opposed to replaying and
 /// diverging, which is a [`Replayed`] verdict).
@@ -125,8 +115,8 @@ pub fn options_for_label(label: &str) -> Option<Options> {
 }
 
 impl ConsequenceRuntime {
-    /// Builds a runtime that will re-execute under the schedule recorded
-    /// in `trace`, plus the [`ReplayMonitor`] that judges the result.
+    /// Builds a runtime that will re-execute the run recorded in `trace`,
+    /// plus the [`ReplayMonitor`] that judges the result.
     ///
     /// The caller must prepare the same workload the trace names (see
     /// [`TraceMeta::workload`] and the input parameters in the META
@@ -136,7 +126,7 @@ impl ConsequenceRuntime {
     pub fn new_replaying(
         trace: &Trace,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
-        ConsequenceRuntime::new_replaying_inner(trace, |ctl| ReplaySink::new(trace, ctl))
+        ConsequenceRuntime::new_replaying_inner(trace, ReplaySink::new(trace))
     }
 
     /// Like [`new_replaying`](ConsequenceRuntime::new_replaying), but for
@@ -145,23 +135,18 @@ impl ConsequenceRuntime {
     /// exhaustion, not divergence), and if the recording carried an
     /// injected-panic triple the same deterministic death is re-injected
     /// — so replaying a salvaged crashed run drives it back to the same
-    /// fault point. The grant script is exactly the recovered prefix;
-    /// once it is exhausted the scheduler falls back to recomputed
-    /// eligibility, which is deterministic and therefore completes a
-    /// healthy run's tail identically on every replay.
+    /// fault point.
     pub fn new_replaying_partial(
         partial: &PartialTrace,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
-        ConsequenceRuntime::new_replaying_inner(&partial.trace, |ctl| {
-            ReplaySink::new_partial(partial, ctl)
-        })
+        ConsequenceRuntime::new_replaying_inner(&partial.trace, ReplaySink::new_partial(partial))
     }
 
     fn new_replaying_inner(
         trace: &Trace,
-        sink: impl FnOnce(Arc<ReplayCtl>) -> ReplaySink,
+        sink: ReplaySink,
     ) -> Result<(ConsequenceRuntime, ReplayMonitor), ReplayError> {
-        let mut opts = options_for_label(&trace.meta.runtime)
+        let opts = options_for_label(&trace.meta.runtime)
             .ok_or_else(|| ReplayError::UnsupportedRuntime(trace.meta.runtime.clone()))?;
         let current = opts.fingerprint();
         if current != trace.meta.options_fingerprint {
@@ -170,13 +155,8 @@ impl ConsequenceRuntime {
                 current,
             });
         }
-        // Schedule-neutral replay override (excluded from the
-        // fingerprint): a fast deadlock diagnosis.
-        opts.watchdog_stall_ms = Some(REPLAY_STALL_MS);
-
         let perturb = reconstruct_perturb(&trace.meta)?;
-        let ctl = Arc::new(ReplayCtl::new(trace.grants().iter().map(|t| t.0).collect()));
-        let sink = Arc::new(sink(Arc::clone(&ctl)));
+        let sink = Arc::new(sink);
         let cfg = CommonConfig {
             heap_pages: trace.meta.heap_pages as usize,
             max_threads: trace.meta.max_threads as usize,
@@ -186,11 +166,7 @@ impl ConsequenceRuntime {
             trace: TraceHandle::to(Arc::clone(&sink) as _),
             perturb,
         };
-        let monitor = ReplayMonitor { sink };
-        Ok((
-            ConsequenceRuntime::new_with_replay(cfg, opts, Some(ctl)),
-            monitor,
-        ))
+        Ok((ConsequenceRuntime::new(cfg, opts), ReplayMonitor { sink }))
     }
 }
 

@@ -45,24 +45,13 @@ pub struct ConsequenceRuntime {
 impl ConsequenceRuntime {
     /// Creates a runtime with the given configuration and options.
     pub fn new(cfg: CommonConfig, opts: Options) -> ConsequenceRuntime {
-        ConsequenceRuntime::new_with_replay(cfg, opts, None)
-    }
-
-    /// Creates a runtime whose token grants follow a recorded script
-    /// (replay mode) when `replay` is set. Prefer the validated
-    /// [`ConsequenceRuntime::new_replaying`] entry point.
-    pub(crate) fn new_with_replay(
-        cfg: CommonConfig,
-        opts: Options,
-        replay: Option<Arc<det_clock::ReplayCtl>>,
-    ) -> ConsequenceRuntime {
         let name = match (opts.order, opts.single_global_lock) {
             (det_clock::OrderPolicy::InstructionCount, _) => "consequence-ic",
             (det_clock::OrderPolicy::RoundRobin, false) => "consequence-rr",
             (det_clock::OrderPolicy::RoundRobin, true) => "dwc",
         };
         ConsequenceRuntime {
-            sh: Shared::new_replaying(cfg, opts, replay),
+            sh: Shared::new(cfg, opts),
             name,
             ran: false,
         }
@@ -316,7 +305,7 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
         // No token grant for a full stall window with live threads: the
         // workload is deadlocked, or the runtime lost a waiter. Either way
         // the census says who waits on what.
-        let report = diagnose(&sh, &inner, "no logical progress (deadlock suspected)");
+        let report = diagnose(&inner, "no logical progress (deadlock suspected)");
         eprintln!("{report}");
         inner.fault = Some(report);
         inner.shutdown = true;
@@ -328,9 +317,8 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
 
 /// Renders a census of the stalled runtime: who holds the token, who waits
 /// on what, and the state of every sync object — the diagnosis a hung run
-/// would otherwise never yield. A replaying run adds what its grant script
-/// waits for: nothing else says why an eligible thread is not admitted.
-fn diagnose(sh: &Shared, inner: &Inner, cause: &str) -> String {
+/// would otherwise never yield.
+fn diagnose(inner: &Inner, cause: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "[conseq] watchdog: {cause}");
     let _ = writeln!(
@@ -338,22 +326,6 @@ fn diagnose(sh: &Shared, inner: &Inner, cause: &str) -> String {
         "[conseq] token={:?} last_entrant={:?} grants={} live={}",
         inner.token, inner.last_entrant, inner.grant_seq, inner.live
     );
-    if let Some(ctl) = &sh.replay {
-        let next = match ctl.next() {
-            None => "none".to_string(),
-            Some(n) if (n as usize) < inner.threads.len() => {
-                format!("t{n} state={:?}", inner.table.state(Tid(n)))
-            }
-            Some(n) => format!("t{n} state=unregistered"),
-        };
-        let _ = writeln!(
-            s,
-            "[conseq] replay script: grant {}/{} next={next} diverged={}",
-            ctl.position(),
-            ctl.len(),
-            ctl.diverged()
-        );
-    }
     let _ = writeln!(
         s,
         "[conseq] clock table census (running, at_sync, departed)={:?}",
@@ -417,37 +389,4 @@ fn diagnose(sh: &Shared, inner: &Inner, cause: &str) -> String {
         let _ = writeln!(s, "[conseq]   contained panic on {t:?}: {msg}");
     }
     s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The replay twin of `watchdog_diagnoses_deadlock_instead_of_hanging`
-    /// (`tests/robustness.rs`): main waits at a sync op, eligible, for a
-    /// grant the script gives to a thread that never arrives.
-    #[test]
-    fn census_names_the_scripted_grantee_a_stalled_replay_waits_for() {
-        let census = |grantee: u32| {
-            let ctl = Arc::new(det_clock::ReplayCtl::new(vec![grantee]));
-            let opts = Options::consequence_ic();
-            let sh = Shared::new_replaying(CommonConfig::default(), opts, Some(ctl));
-            let mut inner = sh.lock();
-            for t in 0..2 {
-                inner.threads.push(ThreadSt::default());
-                inner.table.register(Tid(t), 0, 0);
-            }
-            inner.table.arrive_sync(Tid::MAIN, 10, 0);
-            inner.table.publish(Tid(1), 20, 0);
-            assert!(inner.table.eligible(Tid::MAIN), "yet not admitted");
-            diagnose(&sh, &inner, "no logical progress")
-        };
-        let line = "replay script: grant 0/1 next=t1 state=Running diverged=false";
-        let report = census(1);
-        assert!(report.contains(line), "{report}");
-        assert!(report.contains("t0: state=AtSync(10)"), "{report}");
-        // A script from other code may name a thread this run never spawns.
-        let report = census(7);
-        assert!(report.contains("next=t7 state=unregistered"), "{report}");
-    }
 }

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use dmt_api::sync::{Mutex, MutexGuard};
 
 use conversion::{ParallelCommit, Segment, Workspace};
-use det_clock::{ReplayCtl, SchedTable};
+use det_clock::SchedTable;
 use dmt_api::{Breakdown, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
@@ -269,8 +269,8 @@ impl Parking {
         let _ = self.threads[tid.index()].set(std::thread::current());
     }
 
-    /// Rule 1: never under a lock. A tid nobody registered (a replay script
-    /// may name one) is nobody to wake.
+    /// Rule 1: never under a lock. A tid nobody registered is nobody to
+    /// wake: [`Parking::everyone`] walks every slot.
     fn unpark(&self, w: Tid) {
         debug_assert_eq!(dmt_api::sync::held(), 0, "unpark under a lock");
         if let Some(t) = self.threads.get(w.index()).and_then(OnceLock::get) {
@@ -328,19 +328,14 @@ pub(crate) struct Held<'a> {
 
 impl Held<'_> {
     /// The wake rule, stated once: if the token is free, requests a wake of
-    /// the one thread that may take it next — the scripted next grantee
-    /// while a replay script drives grants, otherwise the table's
-    /// [`successor`](SchedTable::successor). The fallback is
-    /// `Ctx::admitted`'s: a script that is exhausted or diverged names
-    /// nobody.
+    /// the one thread that may take it next, the table's
+    /// [`successor`](SchedTable::successor).
     #[inline]
     pub fn wake_successor(&mut self, me: Tid) {
         if self.token.is_some() {
             return;
         }
-        let scripted = self.sh.replay.as_ref().and_then(|ctl| ctl.next());
-        let next = scripted.map(Tid).or_else(|| self.table.successor());
-        if let Some(w) = next.filter(|w| *w != me) {
+        if let Some(w) = self.table.successor().filter(|w| *w != me) {
             self.wakes.push(w);
         }
     }
@@ -422,10 +417,6 @@ pub(crate) struct Shared {
     /// Locked only through [`Shared::lock`].
     inner: Mutex<Inner>,
     pub parking: Parking,
-    /// Recorded grant script driving this run (replay mode). When set,
-    /// token admission follows the script instead of recomputed
-    /// eligibility until the script is exhausted or marked diverged.
-    pub replay: Option<Arc<ReplayCtl>>,
 }
 
 impl Shared {
@@ -439,11 +430,7 @@ impl Shared {
         }
     }
 
-    pub fn new_replaying(
-        cfg: CommonConfig,
-        opts: Options,
-        replay: Option<Arc<ReplayCtl>>,
-    ) -> Arc<Shared> {
+    pub fn new(cfg: CommonConfig, opts: Options) -> Arc<Shared> {
         let mut seg = Segment::new(cfg.heap_pages, cfg.max_threads);
         seg.set_perturb(cfg.perturb.clone());
         let lrc = cfg.track_lrc.then(|| LrcTracker::new(cfg.max_threads));
@@ -478,7 +465,6 @@ impl Shared {
                 waiters: Vec::with_capacity(max_t),
             }),
             parking: Parking::new(max_t),
-            replay,
             cfg,
             opts,
             seg,
@@ -494,7 +480,7 @@ mod tests {
     const LOST: Option<Duration> = Some(Duration::from_secs(60));
 
     fn shared() -> Arc<Shared> {
-        Shared::new_replaying(CommonConfig::default(), Options::consequence_ic(), None)
+        Shared::new(CommonConfig::default(), Options::consequence_ic())
     }
 
     #[test]
@@ -519,10 +505,8 @@ mod tests {
     }
 
     #[test]
-    fn a_release_wakes_the_scripted_grantee_and_the_tables_once_diverged() {
-        let ctl = Arc::new(ReplayCtl::new(vec![2]));
-        let opts = Options::consequence_ic();
-        let sh = Shared::new_replaying(CommonConfig::default(), opts, Some(ctl.clone()));
+    fn a_release_wakes_the_successor_and_never_itself() {
+        let sh = shared();
         let mut inner = sh.lock();
         (0..3).for_each(|t| inner.table.register(Tid(t), 0, 0));
         inner.table.arrive_sync(Tid(1), 10, 0);
@@ -535,16 +519,12 @@ mod tests {
             assert!(!all);
             tids[..n].to_vec()
         };
-        // The script drives grants: its next grantee, not the table's.
-        assert_eq!(woken(&mut inner, 0), [2]);
-        // Never the releaser itself, and nobody while the token is held.
-        assert_eq!(woken(&mut inner, 2), []);
+        // A free token wakes the table's successor...
+        assert_eq!(woken(&mut inner, 0), [1]);
+        // ...never the releaser itself, and nobody while the token is held.
+        assert_eq!(woken(&mut inner, 1), []);
         inner.token = Some(Tid(0));
         assert_eq!(woken(&mut inner, 0), []);
-        inner.token = None;
-        // Abandoned, it names nobody: recomputed eligibility, as for grants.
-        ctl.mark_diverged();
-        assert_eq!(woken(&mut inner, 0), [1]);
     }
 
     #[test]

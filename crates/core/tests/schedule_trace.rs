@@ -22,7 +22,7 @@ fn cfg() -> CommonConfig {
 
 /// The `(thread, arrival clock)` of every token grant retained by `sink`,
 /// in grant order.
-fn grants(sink: &MemorySink) -> Vec<(Tid, u64)> {
+fn grant_order(sink: &MemorySink) -> Vec<(Tid, u64)> {
     let (events, dropped) = sink.take();
     assert_eq!(dropped, 0, "ring must hold the whole trace");
     events
@@ -57,7 +57,7 @@ fn traced_run(opts: Options) -> Vec<(Tid, u64)> {
             ctx.join(k);
         }
     }));
-    grants(&sink)
+    grant_order(&sink)
 }
 
 #[test]

@@ -1,12 +1,10 @@
 //! Recording sharded runs into `.dmtrace` containers, and verifying them
 //! by deterministic re-execution.
 //!
-//! A sharded run has no single grant script — each domain's token runs
-//! free — so sharded traces are **re-execution verified** rather than
-//! grant-scripted: the canonical `(domain, event)` stream (every domain's
-//! token-ordered events, concatenated in domain order) is recorded, and
+//! A sharded trace records the canonical `(domain, event)` stream (every
+//! domain's token-ordered events, concatenated in domain order), and
 //! verification re-runs the named configuration from scratch and compares
-//! the streams event by event through the same [`ReplaySink`] a scripted
+//! the streams event by event through the same [`ReplaySink`] every
 //! replay uses. Because each domain's schedule is bit-identical per
 //! `(seed, options)`, a correct build reproduces the recording exactly; a
 //! divergence report names the shard that split.
@@ -17,16 +15,16 @@
 //! parameters) seals that convention.
 
 use std::path::Path;
-use std::sync::Arc;
 
 use consequence::Options;
-use det_clock::ReplayCtl;
 use dmt_api::TraceSink;
 use dmt_trace::{ReplaySink, Replayed, Trace, TraceMeta, TraceWriter};
 use dmt_workloads::server::{DomainServer, ServerSpec};
 use dmt_workloads::Params;
 
-use crate::runtime::{run_sharded_server, CaptureMode, ShardCfg, ShardReport};
+use crate::runtime::{
+    run_sharded_server, run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg, ShardReport,
+};
 
 /// Runtime-label prefix of sharded recordings: `sharded-ic-<shards>`.
 pub const SHARDED_LABEL_PREFIX: &str = "sharded-ic-";
@@ -95,13 +93,13 @@ pub fn record_server_trace(
 
 /// Verifies a sharded container by re-executing the configuration it
 /// names and pushing the live canonical `(domain, event)` stream through a
-/// [`ReplaySink`] built on the recording. The sink's grant script is empty
-/// and no scheduler reads it: a sharded run has no single one.
+/// [`ReplaySink`] built on the recording.
 ///
 /// Returns an error when the container names a different workload, or was
 /// recorded under options whose fingerprint this build cannot reproduce;
 /// schedule differences are reported in the returned [`Replayed`], not as
-/// errors.
+/// errors — a run that serves fewer requests than the recording included:
+/// its shorter stream diverges at its end.
 pub fn verify_against(trace: &Trace) -> Result<Replayed, String> {
     let shards: u32 = trace
         .meta
@@ -131,8 +129,12 @@ pub fn verify_against(trace: &Trace) -> Result<Replayed, String> {
         ));
     }
 
-    let report = run_sharded_server(&cfg);
-    let sink = ReplaySink::new(trace, Arc::new(ReplayCtl::new(Vec::new())));
+    let hooks = DomainHooks {
+        tolerate_losses: true,
+        ..Default::default()
+    };
+    let report = run_sharded_server_hooked(&cfg, &hooks);
+    let sink = ReplaySink::new(trace);
     for (d, ev) in report.canonical_events() {
         sink.emit(&ev, true, d);
     }

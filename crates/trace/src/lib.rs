@@ -12,8 +12,8 @@
 //!   [`DiskSink::finish`] with the run's [`TraceMeta`].
 //! * Reading: [`Trace::open`] fully validates the container (magic,
 //!   versions, every digest, checkpoint re-derivation) before returning.
-//! * Replaying: feed [`Trace::grants`] to a `det_clock::ReplayCtl` and
-//!   attach a [`ReplaySink`] to compare the re-execution event by event;
+//! * Replaying: re-execute the run the META stream names and attach a
+//!   [`ReplaySink`] to compare it event by event as it is emitted;
 //!   [`ReplaySink::finish`] returns the verdict, a [`Replayed`].
 //! * Salvaging: [`Trace::salvage`] recovers the digest-valid prefix of a
 //!   recording that crashed before `finish` (panic, SIGKILL, I/O fault),

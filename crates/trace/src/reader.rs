@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use dmt_api::trace::Event;
-use dmt_api::{DomainId, Fnv1a, Tid};
+use dmt_api::{DomainId, Fnv1a};
 
 use crate::codec::{decode_in_domain, CodecState};
 use crate::format::{
@@ -355,13 +355,6 @@ impl Trace {
             .copied()
             .zip(self.events.iter().copied())
             .collect()
-    }
-
-    /// The recorded token-grant order: the emitting thread of every
-    /// `TokenAcquire` event, in schedule order. This is the list a replay
-    /// feeds into the scheduler as its grant source.
-    pub fn grants(&self) -> Vec<Tid> {
-        self.events.iter().filter_map(Event::grantee).collect()
     }
 
     /// Re-encodes this trace to `path`, recomputing page digests,

@@ -1,9 +1,6 @@
 //! The replay comparison sink (recorded schedule vs. live re-execution) and
 //! the one verdict every replay returns, [`Replayed`].
 
-use std::sync::Arc;
-
-use det_clock::ReplayCtl;
 use dmt_api::sync::Mutex;
 use dmt_api::trace::{Divergence, Event, EventCounts, Tally, TraceSink};
 use dmt_api::DomainId;
@@ -23,9 +20,9 @@ pub struct CheckpointFailure {
     pub replayed: u64,
 }
 
-/// The result of replaying one container, whichever way it was
-/// re-executed: under its grant script (`consequence::ReplayMonitor`), or
-/// from scratch for a sharded container (`dmt_shard::record`).
+/// The result of replaying one container by re-execution, through one
+/// runtime (`consequence::ReplayMonitor`) or a sharded server
+/// (`dmt_shard::record`).
 /// [`ReplaySink::finish`] builds it.
 #[derive(Clone, Debug)]
 pub struct Replayed {
@@ -257,16 +254,15 @@ struct ReplayState {
 /// event against the recorded stream, verifies each per-page cumulative
 /// hash checkpoint as it is crossed, and on the first mismatch builds
 /// the same first-divergent-event [`Divergence`] diagnosis the stress
-/// harness produces — then releases the grant script via
-/// [`ReplayCtl::mark_diverged`] so the run completes under recomputed
-/// eligibility instead of deadlocking on an inapplicable schedule.
+/// harness produces. It only observes: the run it watches schedules
+/// itself, so a divergent run completes and the verdict says where it
+/// split.
 ///
 /// Call [`finish`](ReplaySink::finish) after the run for the verdict.
 pub struct ReplaySink {
     recorded: Vec<(DomainId, Event)>,
     checkpoints: Vec<Checkpoint>,
     meta: TraceMeta,
-    ctl: Arc<ReplayCtl>,
     /// Partial mode: the recording is a salvaged prefix of a longer run,
     /// so the live run outliving it is *exhaustion*, not divergence.
     partial: bool,
@@ -276,10 +272,9 @@ pub struct ReplaySink {
 }
 
 impl ReplaySink {
-    /// Builds the comparison sink for `trace`, sharing the grant-script
-    /// control the scheduler consults.
-    pub fn new(trace: &Trace, ctl: Arc<ReplayCtl>) -> ReplaySink {
-        ReplaySink::build(trace, ctl, None)
+    /// Builds the comparison sink for `trace`.
+    pub fn new(trace: &Trace) -> ReplaySink {
+        ReplaySink::build(trace, None)
     }
 
     /// Builds the sink in **partial mode**, for a trace salvaged from a
@@ -289,11 +284,11 @@ impl ReplaySink {
     /// hash at the crossing point is captured as
     /// [`Replayed::prefix_hash`]. Every event *within* the recorded prefix
     /// is still compared exactly as in full mode.
-    pub fn new_partial(partial: &PartialTrace, ctl: Arc<ReplayCtl>) -> ReplaySink {
-        ReplaySink::build(&partial.trace, ctl, Some(partial.loss.bytes_lost))
+    pub fn new_partial(partial: &PartialTrace) -> ReplaySink {
+        ReplaySink::build(&partial.trace, Some(partial.loss.bytes_lost))
     }
 
-    fn build(trace: &Trace, ctl: Arc<ReplayCtl>, bytes_lost: Option<u64>) -> ReplaySink {
+    fn build(trace: &Trace, bytes_lost: Option<u64>) -> ReplaySink {
         let recorded = trace.domain_events();
         // An empty recording is already exhausted: its prefix hash is
         // the empty-stream hash.
@@ -302,7 +297,6 @@ impl ReplaySink {
             recorded,
             checkpoints: trace.checkpoints.clone(),
             meta: trace.meta.clone(),
-            ctl,
             partial: bytes_lost.is_some(),
             bytes_lost: bytes_lost.unwrap_or(0),
             st: Mutex::new(ReplayState {
@@ -395,7 +389,6 @@ impl TraceSink for ReplaySink {
                         context: self.context_before(i),
                         domain: *rec_d,
                     });
-                    self.ctl.mark_diverged();
                 }
                 None if self.partial => {
                     // A salvaged prefix ran out mid-run: the recording
@@ -413,7 +406,6 @@ impl TraceSink for ReplaySink {
                         context: self.context_before(i),
                         domain,
                     });
-                    self.ctl.mark_diverged();
                 }
             }
         }
@@ -431,7 +423,6 @@ impl TraceSink for ReplaySink {
                         recorded: ck.hash,
                         replayed: st.tally.hash(),
                     });
-                    self.ctl.mark_diverged();
                 }
             }
         }

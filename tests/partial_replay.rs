@@ -322,9 +322,8 @@ fn committed_crashed_corpus_salvages_with_pinned_stats() {
     assert_eq!(rep.prefix_hash, Some(0xb60c_62f2_eac0_415a));
 }
 
-/// A torn sharded container salvages like any other, but a sharded run
-/// has no grant script to replay a prefix under: `replay_file` refuses it
-/// by name. The committed container predates write-ahead identity records
+/// A torn sharded container salvages like any other, but sharded
+/// verification has no partial mode: `replay_file` refuses it by name. The committed container predates write-ahead identity records
 /// (salvage would refuse it first), so its events are re-encoded behind
 /// one, finished, and cut mid-page.
 #[test]

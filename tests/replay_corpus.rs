@@ -64,37 +64,52 @@ fn record_then_replay_other_presets() {
     }
 }
 
-/// Tampering with one recorded event must be caught, and the diagnosis
-/// must name exactly the tampered event index.
+/// Tampering with recorded events must be caught, and the diagnosis
+/// must name exactly the first tampered event index.
 #[test]
 fn tampered_trace_diverges_at_the_tampered_event() {
     let dir = Scratch::new("tamper");
     let rec = record_to(&dir.0, "consequence-ic", "histogram", 4, 1, 42).unwrap();
 
-    let mut trace = Trace::open(&rec.path).unwrap();
-    // Bump the clock of a mid-trace token acquisition: the grant order
-    // (and so the replay's course) is unchanged, but the recorded event
-    // no longer matches what the re-execution emits.
-    let target = trace
+    let trace = Trace::open(&rec.path).unwrap();
+    let acquires: Vec<usize> = trace
         .events
         .iter()
         .enumerate()
         .skip(trace.events.len() / 2)
-        .find_map(|(i, ev)| matches!(ev, Event::TokenAcquire { .. }).then_some(i))
+        .filter_map(|(i, ev)| matches!(ev, Event::TokenAcquire { .. }).then_some(i))
+        .collect();
+    let target = *acquires
+        .first()
         .expect("no token acquisition in the second half of the trace");
-    if let Event::TokenAcquire { clock, .. } = &mut trace.events[target] {
+    let other = acquires
+        .iter()
+        .copied()
+        .find(|&j| trace.events[j].tid() != trace.events[target].tid())
+        .expect("no second grantee in the second half of the trace");
+    // Bump the clock of a mid-trace token acquisition: the grant order is
+    // unchanged, but the recorded event no longer matches what the
+    // re-execution emits.
+    let mut bumped = trace.clone();
+    if let Event::TokenAcquire { clock, .. } = &mut bumped.events[target] {
         *clock += 1;
     }
-    let tampered = dir.0.join("tampered.dmtrace");
-    trace.save(&tampered).unwrap();
+    // Swap two grants of different threads, tid and clock: a recorded
+    // grant order the scheduler would never produce.
+    let mut swapped = trace;
+    swapped.events.swap(target, other);
 
-    let rep = replay_file(&tampered).unwrap();
-    assert!(!rep.ok(), "tampered trace replayed clean");
-    let diag = rep.divergence.expect("divergence carried no diagnosis");
-    assert!(
-        diag.contains(&format!("diverge at event #{target}")),
-        "diagnosis does not name event #{target}:\n{diag}"
-    );
+    for (name, tampered) in [("bumped", bumped), ("swapped", swapped)] {
+        let path = dir.0.join(format!("{name}.dmtrace"));
+        tampered.save(&path).unwrap();
+        let rep = replay_file(&path).unwrap();
+        assert!(!rep.ok(), "{name} trace replayed clean");
+        let diag = rep.divergence.expect("divergence carried no diagnosis");
+        assert!(
+            diag.contains(&format!("diverge at event #{target}")),
+            "{name}: diagnosis does not name event #{target}:\n{diag}"
+        );
+    }
 }
 
 /// Sharded containers round-trip too: record a 2-domain server run,
