@@ -55,7 +55,7 @@ pub mod vclock;
 pub use cost::CostModel;
 pub use ctx::{Job, ThreadCtx};
 pub use error::{ContainedError, DmtError, DmtResult};
-pub use hash::{page_digest, Fnv1a};
+pub use hash::Fnv1a;
 pub use ids::{Addr, BarrierId, CondId, DomainId, MutexId, RwLockId, Tid};
 pub use mem::{MemExt, RuntimeMemExt};
 pub use pad::CachePadded;

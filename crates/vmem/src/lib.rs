@@ -29,9 +29,9 @@
 //! * a budgeted garbage collector ([`Segment::gc`]) modelling the paper's
 //!   single-threaded collector that can fall behind page churn (Fig. 12).
 //!
-//! There is one commit path: the committer merges, digests and publishes
-//! what its stores marked, under the caller's token (the paper's §2.4–2.5
-//! commit); docs/PERF.md "Commit pipeline" records why there is no second
+//! There is one commit path: the committer merges, publishes and records
+//! in the commit log what its stores marked, under the caller's token (the
+//! paper's §2.4–2.5 commit); docs/PERF.md "Commit pipeline" records why there is no second
 //! one. The barrier's two-phase commit is that commit with the merge
 //! hoisted out of the token, and shares every step of it: one drain of the
 //! write set (`Workspace::take_modified`), one word kernel

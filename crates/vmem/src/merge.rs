@@ -25,6 +25,12 @@
 //! [`merge_into`] wrap it for callers that hold no map and scan for one
 //! ([`DirtyMap::diff`], which no commit calls); the original byte loops
 //! are kept in [`bytewise`] as the reference the tests compare against.
+//!
+//! The same map is what a commit records: `record_term` digests a
+//! published page's write set and the values under it, the per-page term
+//! of the commit log (`Segment::log_hash`).
+
+use std::hint::select_unpredictable;
 
 use dmt_api::PAGE_SIZE;
 
@@ -139,12 +145,25 @@ impl DirtyMap {
     pub fn is_clean(&self) -> bool {
         self.bits.iter().all(|b| *b == 0)
     }
+
+    /// Marks every word `other` marks: a merged page's write set is the
+    /// union of its diffs' maps.
+    pub(crate) fn union(&mut self, other: &DirtyMap) {
+        for (a, b) in self.bits.iter_mut().zip(other.bits) {
+            *a |= b;
+        }
+    }
+
+    /// Whether every word marked here is marked in `other` too.
+    pub(crate) fn is_subset(&self, other: &DirtyMap) -> bool {
+        self.bits.iter().zip(other.bits).all(|(a, b)| a & !b == 0)
+    }
 }
 
 /// Dirty words per 64-word limb above which it is cheaper to merge the
 /// whole limb unconditionally (a straight-line vectorizable loop) than to
 /// walk its set bits. Clean words within the limb rewrite the latest value
-/// over itself, which is harmless.
+/// over itself, which is harmless. [`record_term`] takes the same test.
 const DENSE_LIMB: u32 = 12;
 
 /// The word kernel — the only one: applies a thread's diff (`work` against
@@ -240,6 +259,114 @@ pub fn merge_into(
 ) -> usize {
     *out = *latest;
     apply_diff(twin, work, out)
+}
+
+/// Independent lanes of [`record_term`]: a dense limb keeps four multiply
+/// chains in flight, what one core overlaps.
+const LANES: usize = 4;
+/// Odd, so multiplying by it is a bijection of `u64`.
+const LANE_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Distinct non-zero lane seeds: lanes are not interchangeable, and an
+/// empty record does not hold a lane at zero.
+const LANE_SEEDS: [u64; LANES] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+
+/// One lane step, `s = (s ^ w) * K; s ^= s >> 32`. For a fixed word it is
+/// a bijection of the lane state, and for a fixed state a bijection of the
+/// word (xor, odd multiply, xor-shift — each invertible), so two records
+/// that differ in one absorbed word leave its lane in different states
+/// whatever follows. The xor-shift carries high bits back down, which the
+/// multiply alone never does.
+#[inline(always)]
+fn absorb(lane: u64, w: u64) -> u64 {
+    let s = (lane ^ w).wrapping_mul(LANE_MUL);
+    s ^ (s >> 32)
+}
+
+/// 64-bit digest of one published page's record `(map, values)`: the
+/// per-page term of the commit log. `map` is the page's write set and the
+/// values are `page`'s words under it.
+///
+/// The map's eight limbs go first, limb `i` into lane `i % 4`; then every
+/// marked word `w`, in word order, as a little-endian `u64` into lane
+/// `w % 4`. The four lanes are then absorbed, in lane order, into one
+/// more chain started at zero, which is the term: for fixed other lanes it
+/// is a bijection of each lane's state, as the lane step is of its word.
+/// A limb with fewer than `DENSE_LIMB` marks walks its set bits; a denser
+/// one runs a straight, branch-free select over its 64 words, and a limb
+/// with every word marked (a whole-page store) needs no select. All absorb
+/// the same words into the same lanes, so the term is a function of the
+/// record alone. Its cost is one multiply per marked word, plus twelve
+/// per page: the eight limbs and the four lanes.
+///
+/// It is plain integer arithmetic, so terms are stable across platforms,
+/// toolchains and processes and can be pinned in tests and trace files.
+pub(crate) fn record_term(map: &DirtyMap, page: &[u8; PAGE_SIZE]) -> u64 {
+    // Four locals, not an array: LLVM vectorises an array's four multiply
+    // chains into SSE2, which has no 64-bit multiply, and a whole page
+    // then costs about a third more (docs/PERF.md).
+    let [mut a, mut b, mut c, mut d] = LANE_SEEDS;
+    for [l0, l1, l2, l3] in map.bits.as_chunks::<LANES>().0 {
+        (a, b, c, d) = (
+            absorb(a, *l0),
+            absorb(b, *l1),
+            absorb(c, *l2),
+            absorb(d, *l3),
+        );
+    }
+    let (words, _) = page.as_chunks::<8>();
+    for (limb, &bits) in map.bits.iter().enumerate() {
+        let stripe = &words[limb * 64..limb * 64 + 64];
+        let (blocks, _) = stripe.as_chunks::<LANES>();
+        if bits == u64::MAX {
+            for [w0, w1, w2, w3] in blocks {
+                a = absorb(a, u64::from_le_bytes(*w0));
+                b = absorb(b, u64::from_le_bytes(*w1));
+                c = absorb(c, u64::from_le_bytes(*w2));
+                d = absorb(d, u64::from_le_bytes(*w3));
+            }
+        } else if bits.count_ones() >= DENSE_LIMB {
+            for (k, [w0, w1, w2, w3]) in blocks.iter().enumerate() {
+                let m = bits >> (LANES * k);
+                a = absorb_if(a, w0, m & 1);
+                b = absorb_if(b, w1, m >> 1 & 1);
+                c = absorb_if(c, w2, m >> 2 & 1);
+                d = absorb_if(d, w3, m >> 3 & 1);
+            }
+        } else {
+            let mut rest = bits;
+            while rest != 0 {
+                let i = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let lane = i % LANES;
+                let state = match lane {
+                    0 => a,
+                    1 => b,
+                    2 => c,
+                    _ => d,
+                };
+                let s = absorb(state, u64::from_le_bytes(stripe[i]));
+                (a, b, c, d) = (
+                    select_unpredictable(lane == 0, s, a),
+                    select_unpredictable(lane == 1, s, b),
+                    select_unpredictable(lane == 2, s, c),
+                    select_unpredictable(lane == 3, s, d),
+                );
+            }
+        }
+    }
+    [a, b, c, d].into_iter().fold(0, absorb)
+}
+
+/// The dense limb's step: `word` absorbed into `lane` if `mark` is 1, the
+/// lane unchanged if it is 0, chosen by a select and not by a branch.
+#[inline(always)]
+fn absorb_if(lane: u64, word: &[u8; 8], mark: u64) -> u64 {
+    select_unpredictable(mark != 0, absorb(lane, u64::from_le_bytes(*word)), lane)
 }
 
 /// Reference byte-loop implementations, kept for differential testing.
@@ -480,5 +607,163 @@ mod tests {
                 "modified ({case})"
             );
         }
+    }
+
+    /// A map marking exactly `words`.
+    fn map_of(words: impl IntoIterator<Item = usize>) -> DirtyMap {
+        let mut m = DirtyMap::default();
+        for w in words {
+            m.bits[w / 64] |= 1 << (w % 64);
+        }
+        m
+    }
+
+    /// A page whose word `i` is a distinct function of `i`.
+    fn patterned() -> Box<[u8; PAGE_SIZE]> {
+        let mut p = Box::new([0u8; PAGE_SIZE]);
+        for (i, w) in p.chunks_exact_mut(8).enumerate() {
+            w.copy_from_slice(
+                &(i as u64 + 1)
+                    .wrapping_mul(0x0123_4567_89ab_cdef)
+                    .to_le_bytes(),
+            );
+        }
+        p
+    }
+
+    fn le_word(p: &[u8; PAGE_SIZE], w: usize) -> u64 {
+        u64::from_le_bytes(p[8 * w..8 * w + 8].try_into().unwrap())
+    }
+
+    fn with_le_word(mut p: Box<[u8; PAGE_SIZE]>, w: usize, v: u64) -> Box<[u8; PAGE_SIZE]> {
+        p[8 * w..8 * w + 8].copy_from_slice(&v.to_le_bytes());
+        p
+    }
+
+    /// [`record_term`] as one loop over every word of the page.
+    fn reference_term(map: &DirtyMap, page: &[u8; PAGE_SIZE]) -> u64 {
+        let mut lanes = LANE_SEEDS;
+        for (i, &limb) in map.bits.iter().enumerate() {
+            lanes[i % LANES] = absorb(lanes[i % LANES], limb);
+        }
+        for w in 0..PAGE_WORDS {
+            if map.bits[w / 64] >> (w % 64) & 1 == 1 {
+                lanes[w % LANES] = absorb(lanes[w % LANES], le_word(page, w));
+            }
+        }
+        lanes.into_iter().fold(0, absorb)
+    }
+
+    /// Marks on both sides of `DENSE_LIMB`: a sparse limb 0 with the first
+    /// and last word, a whole limb 1, exactly `DENSE_LIMB` words of limb 3,
+    /// and the page's last word.
+    fn mixed_map() -> DirtyMap {
+        let dense = (0..DENSE_LIMB as usize).map(|k| 3 * 64 + 5 * k);
+        map_of(
+            [0, 5, 63]
+                .into_iter()
+                .chain(64..128)
+                .chain(dense)
+                .chain([511]),
+        )
+    }
+
+    #[test]
+    fn record_term_known_vectors() {
+        // Pinned: commit-log digests are stored in trace files and golden
+        // tables, so these must not move with the toolchain or the
+        // platform.
+        let all = map_of(0..PAGE_WORDS);
+        let terms = [
+            record_term(&DirtyMap::default(), &[0u8; PAGE_SIZE]),
+            record_term(&all, &[0xffu8; PAGE_SIZE]),
+            record_term(&all, &patterned()),
+            record_term(&mixed_map(), &patterned()),
+            record_term(&map_of([8, 9]), &patterned()),
+        ];
+        assert_eq!(
+            terms,
+            [
+                0x2025_978f_bff4_b68b,
+                0x06db_b5bc_a383_1d32,
+                0x2d10_2716_f7c9_cc88,
+                0x66a6_355f_448a_f16f,
+                0xe27f_86c7_3346_06dd,
+            ]
+        );
+    }
+
+    #[test]
+    fn every_bit_of_a_marked_word_is_covered_and_no_unmarked_word_is() {
+        let map = mixed_map();
+        for base in [Box::new([0u8; PAGE_SIZE]), patterned()] {
+            let want = record_term(&map, &base);
+            let mut page = base.clone();
+            for w in 0..PAGE_WORDS {
+                let marked = map.bits[w / 64] >> (w % 64) & 1 == 1;
+                for bit in 8 * w * 8..8 * (w + 1) * 8 {
+                    page[bit / 8] ^= 1 << (bit % 8);
+                    let got = record_term(&map, &page);
+                    assert!(
+                        marked != (got == want),
+                        "word {w} bit {bit}: marked {marked}"
+                    );
+                    page[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn moving_a_value_to_another_word_changes_the_term() {
+        let base = patterned();
+        let map = mixed_map();
+        // Words 0 and 5 are one sparse limb apart in lanes 0 and 1; 64 and
+        // 68 share lane 0 in the whole limb; 0 and 64 lie in different
+        // limbs; 63 and 511 are the last words of their limbs.
+        for (i, j) in [(0, 5), (64, 68), (0, 64), (63, 511), (3 * 64, 3 * 64 + 5)] {
+            let (a, b) = (le_word(&base, i), le_word(&base, j));
+            let swapped = with_le_word(with_le_word(base.clone(), i, b), j, a);
+            assert_ne!(
+                record_term(&map, &swapped),
+                record_term(&map, &base),
+                "{i} <-> {j}"
+            );
+        }
+        // One value written to word 8 or to word 9 of the same page.
+        let v = 0xdead_beef;
+        let at = |w| record_term(&map_of([w]), &with_le_word(base.clone(), w, v));
+        assert_ne!(at(8), at(9));
+        assert_ne!(at(8), at(8 + 64));
+    }
+
+    #[test]
+    fn dense_and_sparse_limbs_equal_the_one_loop_reference() {
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rnd = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let page = patterned();
+        for marks in [DENSE_LIMB - 1, DENSE_LIMB, 64] {
+            for _ in 0..16 {
+                // `marks` distinct words in every limb.
+                let mut map = DirtyMap::default();
+                for limb in map.bits.iter_mut() {
+                    while limb.count_ones() < marks {
+                        *limb |= 1 << (rnd() % 64);
+                    }
+                }
+                assert!(map.bits.iter().all(|l| l.count_ones() == marks));
+                let got = record_term(&map, &page);
+                assert_eq!(got, reference_term(&map, &page), "{marks} marks a limb");
+            }
+        }
+        assert_eq!(
+            record_term(&mixed_map(), &page),
+            reference_term(&mixed_map(), &page)
+        );
     }
 }

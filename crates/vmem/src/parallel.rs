@@ -26,8 +26,9 @@ use dmt_api::sync::Mutex;
 
 use dmt_api::Tid;
 
+use crate::merge::DirtyMap;
 use crate::page::PageRef;
-use crate::segment::{build_page, Segment};
+use crate::segment::{build_page, BuiltVersion, Segment};
 use crate::workspace::{Diff, Workspace};
 
 #[derive(Default)]
@@ -62,8 +63,8 @@ pub struct MergeWork {
 /// A two-phase parallel commit in progress.
 pub struct ParallelCommit {
     inner: Mutex<PcInner>,
-    /// Merged output: `(page, content, last-writer participant)`.
-    results: Mutex<Vec<(u32, PageRef, usize)>>,
+    /// Merged output: `(page, content, write set, last-writer participant)`.
+    results: Mutex<Vec<(u32, PageRef, DirtyMap, usize)>>,
 }
 
 impl ParallelCommit {
@@ -128,12 +129,12 @@ impl ParallelCommit {
                 .expect("merge_for before seal"),
         );
         let mut work = MergeWork::default();
-        let mut out: Vec<(u32, PageRef, usize)> = Vec::new();
+        let mut out: Vec<(u32, PageRef, DirtyMap, usize)> = Vec::new();
         for (p, base, e) in sealed.iter().filter(|(_, _, e)| e.last == participant) {
-            let (page, merged) = build_page(base, &e.diffs);
+            let (page, map, merged) = build_page(base, &e.diffs);
             work.pages += 1;
             work.merged += merged as u32;
-            out.push((*p, page, e.last));
+            out.push((*p, page, map, e.last));
         }
         self.results.lock().extend(out);
         work
@@ -156,20 +157,23 @@ impl ParallelCommit {
         // Each participant's `merge_for` appended its pages in one `extend`,
         // in the sealed plan's page order, so dealing them out keeps every
         // list page-sorted, which `SegInner::install` needs.
-        let mut per: Vec<Vec<(u32, PageRef)>> = vec![Vec::new(); inner.participants.len()];
-        for (page, content, last) in results.drain(..) {
-            per[last].push((page, content));
+        let mut per: Vec<BuiltVersion> = inner
+            .participants
+            .iter()
+            .map(|t| (*t, Vec::new(), Vec::new()))
+            .collect();
+        for (page, content, map, last) in results.drain(..) {
+            per[last].1.push((page, content));
+            per[last].2.push(map);
         }
         debug_assert!(per
             .iter()
-            .all(|pages| pages.windows(2).all(|w| w[0].0 < w[1].0)));
-        let counts = inner
-            .participants
+            .all(|(_, pages, _)| pages.windows(2).all(|w| w[0].0 < w[1].0)));
+        let counts = per
             .iter()
-            .zip(&per)
-            .map(|(t, pages)| (*t, pages.len() as u32))
+            .map(|(t, pages, _)| (*t, pages.len() as u32))
             .collect();
-        seg.install_versions(inner.participants.iter().copied().zip(per).collect());
+        seg.install_versions(per);
         counts
     }
 }
@@ -183,6 +187,8 @@ impl Default for ParallelCommit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::model_log;
+    use dmt_api::PAGE_SIZE;
 
     /// One whole barrier commit: `ws` register in order, the plan is
     /// sealed, everyone merges, the result is installed.
@@ -444,5 +450,104 @@ mod tests {
             "A's, B's and C's bytes"
         );
         assert_eq!((buf[4096], buf[4096 + 16]), (4, 5), "A's and C's bytes");
+    }
+
+    /// The latest content of page `p`.
+    fn page(seg: &Segment, p: usize) -> [u8; PAGE_SIZE] {
+        let mut page = [0u8; PAGE_SIZE];
+        seg.read_latest(p * PAGE_SIZE, &mut page);
+        page
+    }
+
+    /// A barrier page records the union of its diffs' maps, a word that
+    /// ends equal to its base included: A faulted after C's commit and
+    /// writes words 0 and 2, B faulted before it and stores C's value
+    /// into word 0, so B's byte wins and word 0 ends as the base had it.
+    #[test]
+    fn a_barrier_page_records_the_union_of_its_diffs() {
+        let seg = Segment::new(1, 3);
+        let mut a = seg.new_workspace(Tid(0)).0;
+        let mut b = seg.new_workspace(Tid(1)).0;
+        let mut c = seg.new_workspace(Tid(2)).0;
+        c.st_u64(0, 7);
+        seg.commit(&mut c, None);
+        let base = page(&seg, 0);
+        seg.update(&mut a);
+        a.st_u64(0, 1);
+        a.st_u64(16, 3);
+        b.st_u64(0, 7);
+        assert_eq!(
+            barrier_commit(&seg, &mut [a, b]),
+            [(Tid(0), 0), (Tid(1), 1)]
+        );
+        let published = page(&seg, 0);
+        assert_eq!(published[..8], base[..8], "word 0 ends as its base");
+        assert_eq!(published[16], 3, "A's word 2");
+        let model = model_log(&[
+            (1, Tid(2), vec![(0, vec![0], base)]),
+            (2, Tid(1), vec![(0, vec![0, 2], published)]),
+        ]);
+        assert_eq!(seg.log_hash(), model);
+    }
+
+    /// A commit between a registration and the seal is the base the
+    /// barrier's page is recorded against: A's map is its write set
+    /// against the page C published, which A's twin predates. Debug builds
+    /// assert that every word outside the map equals that base.
+    #[test]
+    fn a_foreign_commit_before_the_seal_is_the_recorded_base() {
+        let seg = Segment::new(1, 2);
+        let mut a = seg.new_workspace(Tid(0)).0;
+        let mut c = seg.new_workspace(Tid(1)).0;
+        a.st_u64(0, 1);
+        let pc = ParallelCommit::new();
+        pc.register(&mut a);
+        c.st_u64(8, 5);
+        seg.commit(&mut c, None);
+        let foreign = page(&seg, 0);
+        pc.seal(&seg);
+        assert_eq!(
+            pc.merge_for(0),
+            MergeWork {
+                pages: 1,
+                merged: 1
+            }
+        );
+        pc.install(&seg);
+        let published = page(&seg, 0);
+        assert_eq!((published[0], published[8]), (1, 5), "A's and C's words");
+        let model = model_log(&[
+            (1, Tid(1), vec![(0, vec![1], foreign)]),
+            (2, Tid(0), vec![(0, vec![0], published)]),
+        ]);
+        assert_eq!(seg.log_hash(), model);
+    }
+
+    /// The barrier's side of
+    /// `segment::tests::equal_bytes_through_different_write_sets_give_different_logs`:
+    /// B re-stores the value C committed, or does not, and every version
+    /// holds the same bytes either way.
+    #[test]
+    fn equal_barrier_bytes_through_different_write_sets_give_different_logs() {
+        let run = |b_restores: bool| {
+            let seg = Segment::new(1, 3);
+            let mut a = seg.new_workspace(Tid(0)).0;
+            let mut b = seg.new_workspace(Tid(1)).0;
+            let mut c = seg.new_workspace(Tid(2)).0;
+            c.st_u64(0, 7);
+            seg.commit(&mut c, None);
+            if b_restores {
+                b.st_u64(0, 7);
+            }
+            b.st_u64(16, 3);
+            barrier_commit(&seg, std::slice::from_mut(&mut b));
+            a.st_u64(24, 4);
+            seg.commit(&mut a, None);
+            (page(&seg, 0), seg.log_hash())
+        };
+        let (bytes, log) = run(false);
+        let (restored_bytes, restored_log) = run(true);
+        assert_eq!(bytes, restored_bytes);
+        assert_ne!(log, restored_log);
     }
 }

@@ -5,17 +5,17 @@ use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
-use dmt_api::{page_digest, Addr, Counters, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
+use dmt_api::{Addr, Counters, Fnv1a, PerturbHandle, PerturbSite, Tid, PAGE_SIZE};
 
-use crate::merge;
+use crate::merge::{self, DirtyMap};
 use crate::page::{spans, PageBuf, PageRef, PageTracker};
 use crate::registry::Registry;
 use crate::version::Version;
 use crate::workspace::{Diff, Workspace};
 
-/// A pre-merged version ready to install: committing thread and its pages
-/// (index, content).
-pub(crate) type BuiltVersion = (Tid, Vec<(u32, PageRef)>);
+/// A pre-merged version ready to install: committing thread, its pages
+/// (index, content) and, beside them, each page's write set.
+pub(crate) type BuiltVersion = (Tid, Vec<(u32, PageRef)>, Vec<DirtyMap>);
 
 /// Outcome of a [`Segment::commit`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -79,9 +79,9 @@ struct SegInner {
     counts: VecDeque<(u64, u32, Tid)>,
     /// Materialized latest page table.
     latest: Vec<PageRef>,
-    /// Running digest of `(id, committer, (page, content digest)*)` for
-    /// every commit — the determinism witness. Written by
-    /// [`fold_commit_log`] only.
+    /// Running digest of `(id, committer, (page, map, values)*)` for every
+    /// commit — what each version wrote, the determinism witness. Written
+    /// by [`fold_commit_log`] only.
     log: Fnv1a,
     /// Registry generation and `next_id` observed by the last collector
     /// pass that ran out of *work* (not budget). While both are unchanged
@@ -276,14 +276,16 @@ impl Segment {
         self.perturb.jitter(PerturbSite::Commit, ws.tid());
         let mut inner = self.inner.lock();
         let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(ws.dirty_count());
+        let mut maps: Vec<DirtyMap> = Vec::with_capacity(ws.dirty_count());
         let mut merged = 0u32;
         let mut page_set = Fnv1a::new();
         ws.take_modified(|d| {
-            let (page, was_merged) =
+            let (page, map, was_merged) =
                 build_page(&inner.latest[d.page as usize], std::slice::from_ref(&d));
             merged += was_merged as u32;
             page_set.update_u64(d.page as u64);
             pages.push((d.page, page));
+            maps.push(map);
         });
         if pages.is_empty() {
             return CommitResult {
@@ -298,7 +300,7 @@ impl Segment {
             pages: pages.len() as u32,
             merged,
             page_set: page_set.digest(),
-            version: inner.install(ws.tid(), pages),
+            version: inner.install(ws.tid(), pages, &maps),
         }
     }
 
@@ -306,9 +308,9 @@ impl Segment {
     /// [`crate::ParallelCommit`]. Caller must serialize with other commits.
     pub(crate) fn install_versions(&self, built: Vec<BuiltVersion>) {
         let mut inner = self.inner.lock();
-        for (tid, pages) in built {
+        for (tid, pages, maps) in built {
             if !pages.is_empty() {
-                inner.install(tid, pages);
+                inner.install(tid, pages, &maps);
             }
         }
     }
@@ -537,18 +539,18 @@ impl Segment {
 }
 
 impl SegInner {
-    /// Publishes `pages` (non-empty, page-sorted) as the next version
-    /// committed by `tid` and returns its id — the tail of every commit,
-    /// serial or barrier, so the two cannot disagree on what a version
-    /// records.
-    fn install(&mut self, tid: Tid, pages: Vec<(u32, PageRef)>) -> u64 {
+    /// Publishes `pages` (non-empty, page-sorted), with their write sets
+    /// `maps` beside them, as the next version committed by `tid` and
+    /// returns its id — the tail of every commit, serial or barrier, so the
+    /// two cannot disagree on what a version records.
+    fn install(&mut self, tid: Tid, pages: Vec<(u32, PageRef)>, maps: &[DirtyMap]) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        fold_commit_log(self, id, tid, &pages, maps);
         for (p, r) in &pages {
             self.latest[*p as usize] = Arc::clone(r);
         }
         self.counts.push_back((id, pages.len() as u32, tid));
-        fold_commit_log(self, id, tid, &pages);
         self.retained_peak = self.retained_peak.max(self.versions.len() + 1);
         self.versions.push_back(Version {
             id,
@@ -564,18 +566,24 @@ impl SegInner {
 /// else committed since it faulted (`base` still is its twin) publishes its
 /// working copy as is, zero-copy; otherwise the page is a duplicate of
 /// `base` with the diffs applied in commit order, local bytes winning.
-/// Returns the page and whether it was merged.
-pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, bool) {
+///
+/// Returns the page, its write set and whether it was merged. An adopted
+/// page's write set is its diff's map, exact against `base`; a merged
+/// page's is the union of its diffs' maps, which covers every word that
+/// differs from `base` ([`merge::apply_with_map`] writes no other).
+pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, DirtyMap, bool) {
     if let [sole] = diffs {
         if Arc::ptr_eq(base, &sole.twin) {
-            return (Arc::clone(&sole.work), false);
+            return (Arc::clone(&sole.work), sole.map, false);
         }
     }
     let mut out = PageBuf::duplicate(base);
+    let mut map = DirtyMap::default();
     for d in diffs {
         merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), out.bytes_mut());
+        map.union(&d.map);
     }
-    (Arc::new(out), true)
+    (Arc::new(out), map, true)
 }
 
 /// Squashes the two oldest retained versions into one: union of their
@@ -611,17 +619,68 @@ fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
     vb.base_id = va.base_id;
 }
 
-/// Folds one version's record — `(id, committer, (page, digest)*)`, the
-/// digest over the whole 4 KiB of every page it publishes, in page order —
-/// into the segment's running digest. The only writer of `SegInner::log`,
-/// called by [`SegInner::install`] only.
-fn fold_commit_log(inner: &mut SegInner, id: u64, tid: Tid, pages: &[(u32, PageRef)]) {
+/// Folds one version's record — `(id, committer, (page, map, values)*)`,
+/// in page order — into the segment's running digest: `id`, the
+/// committer, then per published page its index and
+/// [`merge::record_term`] of its write set `map` and the page's words
+/// under it. The only writer of `SegInner::log`, called by
+/// [`SegInner::install`] only, before `latest` takes the new pages.
+///
+/// The record is as strong a witness as the pages' content. Every word
+/// outside a page's map equals the page it replaces: an adopted page's map
+/// is exact against its twin, which is the page it replaces, and a merged
+/// page is a copy of the page it replaces with [`merge::apply_with_map`]
+/// writing only words in its diffs' maps, whose union is the map. The
+/// debug assertion below checks that at every commit. Initial memory is a
+/// function of the program, so the record sequence determines every
+/// version's content. It is also stricter than content: equal bytes
+/// reached through different write sets give different logs. A merged
+/// page records the union and not the words that ended up differing: the
+/// union determines the same content, and costs nothing to form, where
+/// comparing against the replaced page would cost the barrier merge a
+/// scan of every marked word.
+///
+/// The cost follows the write set, not the page: a multiply per marked
+/// word, plus a fixed fold per page.
+fn fold_commit_log(
+    inner: &mut SegInner,
+    id: u64,
+    tid: Tid,
+    pages: &[(u32, PageRef)],
+    maps: &[DirtyMap],
+) {
+    debug_assert_eq!(pages.len(), maps.len());
     inner.log.update_u64(id);
     inner.log.update_u64(tid.0 as u64);
-    for (p, r) in pages {
+    for ((p, r), map) in pages.iter().zip(maps) {
+        let replaced = inner.latest[*p as usize].bytes();
+        debug_assert!(DirtyMap::diff(replaced, r.bytes()).is_subset(map));
         inner.log.update_u64(*p as u64);
-        inner.log.update_u64(page_digest(r.bytes()));
+        inner.log.update_u64(merge::record_term(map, r.bytes()));
     }
+}
+
+/// One published page as the tests write its record: `(page, marked
+/// words, published content)`.
+#[cfg(test)]
+pub(crate) type ModelPage = (u32, Vec<usize>, [u8; PAGE_SIZE]);
+
+/// The commit log written out for the tests: `versions` are `(id,
+/// committer, pages)`, folded as [`fold_commit_log`] folds them.
+#[cfg(test)]
+pub(crate) fn model_log(versions: &[(u64, Tid, Vec<ModelPage>)]) -> u64 {
+    let mut log = Fnv1a::new();
+    for (id, tid, pages) in versions {
+        log.update_u64(*id);
+        log.update_u64(tid.0 as u64);
+        for (p, words, page) in pages {
+            let mut map = DirtyMap::default();
+            words.iter().for_each(|w| map.mark_u64(8 * w));
+            log.update_u64(*p as u64);
+            log.update_u64(merge::record_term(&map, page));
+        }
+    }
+    log.digest()
 }
 
 #[cfg(test)]
@@ -771,6 +830,43 @@ mod tests {
             seg.log_hash()
         };
         assert_eq!(run(), run());
+    }
+
+    /// Equal bytes at every version, reached through different write
+    /// sets: B's twin predates A's commit, so B re-storing the value A
+    /// committed marks word 0 of its merged page, and leaving it alone
+    /// does not. A digest of the page could not tell the two apart; the
+    /// record can.
+    #[test]
+    fn equal_bytes_through_different_write_sets_give_different_logs() {
+        let run = |b_restores: bool| {
+            let seg = Segment::new(1, 2);
+            let (mut a, _) = seg.new_workspace(Tid(0));
+            let (mut b, _) = seg.new_workspace(Tid(1));
+            let mut pages = [[0u8; PAGE_SIZE]; 2];
+            a.st_u64(0, 7);
+            seg.commit(&mut a, None);
+            seg.read_latest(0, &mut pages[0]);
+            if b_restores {
+                b.st_u64(0, 7);
+            }
+            b.st_u64(8, 1);
+            assert_eq!(seg.commit(&mut b, None).merged, 1);
+            seg.read_latest(0, &mut pages[1]);
+            (pages, seg.log_hash())
+        };
+        let (pages, log) = run(false);
+        let (restored_pages, restored_log) = run(true);
+        assert_eq!(pages, restored_pages, "equal bytes at every version");
+        assert_ne!(log, restored_log);
+        for (restores, log) in [(false, log), (true, restored_log)] {
+            let b_words = if restores { vec![0, 1] } else { vec![1] };
+            let model = model_log(&[
+                (1, Tid(0), vec![(0, vec![0], pages[0])]),
+                (2, Tid(1), vec![(0, b_words, pages[1])]),
+            ]);
+            assert_eq!(log, model, "B restores word 0: {restores}");
+        }
     }
 
     #[test]

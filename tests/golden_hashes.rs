@@ -176,33 +176,34 @@ const RACY: u64 = u64::MAX;
 /// [chunk, determ_wait, barrier_wait, commit, update, fault, lib])`.
 /// Captured at the commit before the `ctx.rs` decomposition (dfd9067) and
 /// not to be edited by a refactor: a drift here means the refactor moved
-/// virtual time. The
-/// `commit_log_hash` column alone was re-captured at PR 15, which changed
-/// the log's per-page term from `Fnv1a::hash(page)` to
-/// `dmt_api::page_digest(page)` — the definition of that one digest, not
-/// what any run does; every other column reproduced unedited, under both
-/// schedulers.
+/// virtual time. The `commit_log_hash` column alone was re-captured
+/// twice, each time for a new definition of the log's per-page term, not
+/// for anything a run does; every other column reproduced unedited, under
+/// both schedulers. The first re-capture replaced `Fnv1a::hash(page)` by a
+/// four-lane digest of the whole 4 KiB page; the second replaced that by
+/// `conversion::merge::record_term`, a digest of the page's write set and
+/// the values written.
 #[allow(clippy::type_complexity)]
 #[rustfmt::skip]
 const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7])] = &[
-    ("histogram", "consequence-ic", 6428074, 0x8c91145bbf17e4b0, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780]),
-    ("histogram", "consequence-rr", 4400284, 0x8c91145bbf17e4b0, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040]),
-    ("histogram", "dwc", 4403848, 0x8c91145bbf17e4b0, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740]),
-    ("kmeans", "consequence-ic", 6199388, 0x7bbf080b1354a2ae, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800]),
-    ("kmeans", "consequence-rr", 4464628, 0x7bbf080b1354a2ae, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640]),
-    ("kmeans", "dwc", 7522088, 0x751cdf3edf0893f9, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140]),
-    ("word_count", "consequence-ic", 3900495, 0x4f456b5b5092eef4, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100]),
-    ("word_count", "consequence-rr", 3146675, 0x4f456b5b5092eef4, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880]),
-    ("word_count", "dwc", 4170134, 0x65a38298cda7f07e, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980]),
-    ("string_match", "consequence-ic", 3801542, 0xcaf0374ed52ba2b5, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460]),
-    ("string_match", "consequence-rr", 2641252, 0xcaf0374ed52ba2b5, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720]),
-    ("string_match", "dwc", 2646720, 0xcaf0374ed52ba2b5, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420]),
-    ("dmt_server", "consequence-ic", 102663980, 0x11500610dfe517f2, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020]),
-    ("dmt_server", "consequence-rr", 112992221, 0x0fc6cc3bc0a0ddf0, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940]),
-    ("dmt_server", "dwc", 132807765, 0x7fafca378863527a, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740]),
-    ("mixed", "consequence-ic", 499332, 0x949b63ee33f187d5, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420]),
-    ("mixed", "consequence-rr", 426139, 0xee5d288dcbe911aa, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420]),
-    ("mixed", "dwc", 519376, 0xee5d288dcbe911aa, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060]),
+    ("histogram", "consequence-ic", 6428074, 0x4b036a187c7f061e, 0x50a222204a7684a9, [15992832, 6723808, 0, 40900, 17800, 12000, 8381780]),
+    ("histogram", "consequence-rr", 4400284, 0x4b036a187c7f061e, 0x53b2a90ec75db5c2, [15992832, 4701748, 0, 39400, 17200, 12000, 335040]),
+    ("histogram", "dwc", 4403848, 0x4b036a187c7f061e, 0x2ce2850ae9926e8e, [15992832, 4678306, 0, 49900, 19900, 12000, 340740]),
+    ("kmeans", "consequence-ic", 6199388, 0x627fa724a0db7068, 0xadc31a1d1bca6414, [12684576, 8059796, 0, 428900, 182400, 252000, 7155800]),
+    ("kmeans", "consequence-rr", 4464628, 0x627fa724a0db7068, 0x41a3c4d13ebd832c, [12684576, 6440676, 0, 428900, 182400, 252000, 451640]),
+    ("kmeans", "dwc", 7522088, 0x3d037b262d59f18d, 0x62f857dc4b0f0b02, [12684576, 15439536, 0, 1584300, 687600, 612000, 2001140]),
+    ("word_count", "consequence-ic", 3900495, 0xbf66692a70a6b862, 0x507f0c2e4efafb2d, [6337728, 8042903, 0, 313900, 171850, 333000, 3380100]),
+    ("word_count", "consequence-rr", 3146675, 0xbf66692a70a6b862, 0x672b94b514e343f9, [6337728, 7313693, 0, 313900, 171850, 333000, 322880]),
+    ("word_count", "dwc", 4170134, 0x6b4e9660f6f21464, 0xc25059efb6fda943, [6337714, 11235858, 0, 1015100, 460500, 441000, 576980]),
+    ("string_match", "consequence-ic", 3801542, 0x61a53ba246f26d15, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460]),
+    ("string_match", "consequence-rr", 2641252, 0x61a53ba246f26d15, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720]),
+    ("string_match", "dwc", 2646720, 0x61a53ba246f26d15, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420]),
+    ("dmt_server", "consequence-ic", 102663980, 0x8126f878b0cfbb18, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020]),
+    ("dmt_server", "consequence-rr", 112992221, 0x45cf25d62179ffbd, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940]),
+    ("dmt_server", "dwc", 132807765, 0xfbe1db2f13ab9068, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740]),
+    ("mixed", "consequence-ic", 499332, 0x10569860aabaa499, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420]),
+    ("mixed", "consequence-rr", 426139, 0x2daaa8597ccf927d, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420]),
+    ("mixed", "dwc", 519376, 0x2daaa8597ccf927d, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060]),
 ];
 
 fn fixed_publication(label: &str) -> Options {
