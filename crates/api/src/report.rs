@@ -207,10 +207,6 @@ pub struct RunReport {
     /// mid-run (named in `fault`), so the reproducer is truncated there.
     /// The computation itself finished, on its deterministic schedule.
     pub degraded: bool,
-    /// First-divergent-event diagnosis when this run replayed a recorded
-    /// trace and split from it (rendered via [`crate::trace::Divergence`]);
-    /// `None` for ordinary runs and for replays that matched exactly.
-    pub replay_divergence: Option<String>,
 }
 
 impl RunReport {
@@ -293,7 +289,6 @@ mod tests {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            replay_divergence: None,
         };
         assert!(r.thread_breakdown(Tid(0)).is_some());
         assert!(r.thread_breakdown(Tid(1)).is_none());

@@ -588,12 +588,6 @@ pub trait TraceSink: Send + Sync {
         EventCounts::default()
     }
 
-    /// First divergence a replay-comparing sink has observed. `None` for
-    /// ordinary sinks and for replays still on script.
-    fn divergence(&self) -> Option<Divergence> {
-        None
-    }
-
     /// A fault that degraded (but did not abort) the sink mid-run — e.g.
     /// a disk-recording sink whose medium failed, leaving the run itself
     /// healthy but its recording truncated. The runtime folds this into
@@ -805,12 +799,6 @@ impl TraceHandle {
         self.sink
             .as_ref()
             .map_or_else(EventCounts::default, |s| s.counts())
-    }
-
-    /// The sink's first observed replay divergence (`None` when off or
-    /// when the sink does not compare against a recording).
-    pub fn divergence(&self) -> Option<Divergence> {
-        self.sink.as_ref().and_then(|s| s.divergence())
     }
 
     /// The sink's degraded-recording fault, if it hit one (`None` when

@@ -923,7 +923,6 @@ impl Runtime for DThreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            replay_divergence: None,
         }
     }
 }

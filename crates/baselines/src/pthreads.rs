@@ -725,7 +725,6 @@ impl Runtime for PthreadsRuntime {
             panics: Vec::new(),
             fault: None,
             degraded: false,
-            replay_divergence: None,
         }
     }
 }

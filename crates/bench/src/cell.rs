@@ -1,12 +1,12 @@
 //! The cell runner: one workload under one system, once.
 //!
 //! Every harness in the workspace — the figures, the soak, the stress
-//! modes, trace recording — executes the same sequence: size a runtime for
-//! a workload, build it, `prepare`, `run`, `validate`. [`Cell`] is that
-//! sequence's specification and [`Cell::run`] its only implementation, so
-//! the handful of `CommonConfig` numbers that reach virtual time and peak
-//! pages (`max_threads`, `gc_budget`) are stated where a caller departs
-//! from the defaults and nowhere else.
+//! modes, trace recording and replay — executes the same sequence: size a
+//! runtime for a workload, build it, `prepare`, `run`, `validate`.
+//! [`Cell`] is that sequence's specification and [`Cell::run`] its only
+//! implementation, so the handful of `CommonConfig` numbers that reach
+//! virtual time and peak pages (`max_threads`, `gc_budget`) are stated
+//! where a caller departs from the defaults and nowhere else.
 
 use std::sync::Arc;
 

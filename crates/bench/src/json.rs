@@ -242,8 +242,7 @@ json_struct!(RunReport {
     perturb_plan,
     panics,
     fault,
-    degraded,
-    replay_divergence
+    degraded
 });
 
 json_struct!(dmt_trace::Replayed {

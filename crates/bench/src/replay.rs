@@ -1,25 +1,24 @@
 //! Record/replay drivers for `stress --record/--replay` and the
 //! replay-corpus test.
 //!
-//! Recording runs a named workload under a Consequence preset with a
+//! Recording runs a [`Cell`] under a Consequence preset with a
 //! [`DiskSink`] attached, stamps the run's identity and digests into the
 //! trace META stream, and re-validates the written container immediately.
-//! Replaying opens a container, re-stages the workload it names,
-//! re-executes it under the runtime it names (see `consequence::replay`)
-//! and checks schedule hash, output hash and commit-log hash against the
-//! recording. See `docs/REPLAY.md`.
+//! Replaying rebuilds the cell a container's META names
+//! ([`recorded_cell`], the inverse of [`cell_ident`]), runs it again with a
+//! [`ReplaySink`] attached and checks schedule hash, output hash and
+//! commit-log hash against the recording. See `docs/REPLAY.md`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use consequence::replay::options_for_label;
-use consequence::ConsequenceRuntime;
-use dmt_api::{PerturbHandle, Runtime};
+use consequence::options_for_label;
+use dmt_api::{FixedPanic, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber, Tid};
 use dmt_shard::record::SHARDED_LABEL_PREFIX;
-use dmt_trace::{DiskSink, PartialTrace, Replayed, Trace, TraceError, TraceMeta};
+use dmt_trace::{DiskSink, ReplaySink, Replayed, Trace, TraceError, TraceMeta};
 use dmt_workloads::{workload_by_name, Params};
 
-use crate::cell::{Cell, Sink};
+use crate::cell::{Cell, CellRun, Sink};
 
 crate::json_record! {
     /// A finished recording.
@@ -96,6 +95,85 @@ pub fn cell_ident(runtime: &str, cell: &Cell, fingerprint: u64) -> TraceMeta {
         fingerprint,
         &cell.perturb,
     )
+}
+
+/// The cell a recording's META names, rebuilt — the inverse of
+/// [`cell_ident`]: the preset its runtime label names, checked against the
+/// options fingerprint; the workload and its input; `max_threads`; and the
+/// perturbation it ran under. Everything else is [`Cell::of`]'s default,
+/// as when recording. Refused when the workload sizes its heap other than
+/// the recording says.
+pub fn recorded_cell(meta: &TraceMeta) -> Result<Cell, String> {
+    let opts = options_for_label(&meta.runtime).ok_or_else(|| {
+        format!(
+            "cannot replay runtime {:?}: not a Consequence preset",
+            meta.runtime
+        )
+    })?;
+    opts.check_fingerprint(meta.options_fingerprint)?;
+    let w = workload_by_name(&meta.workload)
+        .ok_or_else(|| format!("trace names unknown workload {:?}", meta.workload))?;
+    let params = Params::new(meta.threads as usize, meta.scale as u32, meta.input_seed);
+    let cell = Cell {
+        perturb: reconstruct_perturb(meta)?,
+        max_threads: meta.max_threads as usize,
+        ..Cell::of(w, params, opts)
+    };
+    let pages = cell.heap_pages() as u64;
+    if pages != meta.heap_pages {
+        return Err(format!(
+            "heap size mismatch: recorded {} pages, the workload sizes {pages}",
+            meta.heap_pages
+        ));
+    }
+    Ok(cell)
+}
+
+/// The perturbation a recording ran under: off, or the full-strength plan
+/// its seed rebuilds — a shrunk plan cannot be rebuilt and is refused —
+/// then, when META carries an injected-panic triple, wrapped in a
+/// [`FixedPanic`] so the replay dies the death the recording died of.
+fn reconstruct_perturb(meta: &TraceMeta) -> Result<PerturbHandle, String> {
+    let timing = if meta.perturb_seed == 0 && meta.perturb_plan == 0 {
+        PerturbHandle::off()
+    } else {
+        let plan = PerturbPlan::full(meta.perturb_seed);
+        if plan.digest() != meta.perturb_plan {
+            return Err(format!(
+                "irreproducible perturbation plan (seed {:#x}, digest {:#x}): only \
+                 unperturbed and full-strength plans replay",
+                meta.perturb_seed, meta.perturb_plan
+            ));
+        }
+        PerturbHandle::to(Arc::new(PlanPerturber::new(plan)))
+    };
+    if meta.panic_site == 0 {
+        return Ok(timing);
+    }
+    let site = PanicSite::from_code(meta.panic_site)
+        .ok_or_else(|| format!("unknown panic site code {}", meta.panic_site))?;
+    let victim = u32::try_from(meta.panic_victim)
+        .map(Tid)
+        .map_err(|_| format!("panic victim {} is not a thread id", meta.panic_victim))?;
+    Ok(PerturbHandle::to(Arc::new(FixedPanic {
+        site,
+        victim,
+        nth: meta.panic_nth,
+        inner: timing,
+    })))
+}
+
+/// Replays `trace`: runs its [`recorded_cell`] with `sink` (built on
+/// `trace`) attached, and returns the sink's verdict with the run's output
+/// and commit-log digests added ([`Replayed::digests`]), and the run.
+pub fn replay(trace: &Trace, sink: ReplaySink) -> Result<(Replayed, CellRun), String> {
+    let mut cell = recorded_cell(&trace.meta)?;
+    let sink = Arc::new(sink);
+    cell.sink = Sink::To(Arc::clone(&sink) as _);
+    let run = cell.run();
+    let mut r = sink.finish();
+    r.digests(run.validation.output_hash, run.report.commit_log_hash);
+    Ok((r, run))
 }
 
 /// Records one workload × runtime cell into `dir`, naming the file
@@ -206,8 +284,8 @@ pub fn record_all(
 /// not divergence. Unsalvageable files (bad magic, wrong version, I/O
 /// errors) still fail with the original open error.
 pub fn replay_file(path: &Path) -> Result<Replayed, String> {
-    let (trace, loss) = match Trace::open(path) {
-        Ok(t) => (t, None),
+    let (sink, trace) = match Trace::open(path) {
+        Ok(t) => (ReplaySink::new(&t), t),
         Err(
             e @ (TraceError::Truncated { .. }
             | TraceError::ChecksumMismatch { .. }
@@ -230,7 +308,7 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
                     path.display()
                 ));
             }
-            (partial.trace, Some(partial.loss))
+            (ReplaySink::new_partial(&partial), partial.trace)
         }
         Err(e) => return Err(format!("open {}: {e}", path.display())),
     };
@@ -239,24 +317,9 @@ pub fn replay_file(path: &Path) -> Result<Replayed, String> {
         // dmt_shard::record).
         dmt_shard::record::verify_against(&trace)?
     } else {
-        let w = workload_by_name(&trace.meta.workload)
-            .ok_or_else(|| format!("trace names unknown workload {:?}", trace.meta.workload))?;
-        let p = Params::new(
-            trace.meta.threads as usize,
-            trace.meta.scale as u32,
-            trace.meta.input_seed,
-        );
-        let (mut rt, monitor) = match loss {
-            Some(loss) => ConsequenceRuntime::new_replaying_partial(&PartialTrace { trace, loss }),
-            None => ConsequenceRuntime::new_replaying(&trace),
-        }
-        .map_err(|e| format!("replay {}: {e}", path.display()))?;
-        let prepared = w.prepare(&mut rt, &p);
-        let mut report = rt.run(prepared.job);
-        let output = (prepared.validate)(&rt).output_hash;
-        let mut r = monitor.finish(&mut report);
-        r.digests(output, report.commit_log_hash);
-        r
+        replay(&trace, sink)
+            .map_err(|e| format!("replay {}: {e}", path.display()))?
+            .0
     };
     r.path = path.display().to_string();
     Ok(r)

@@ -39,10 +39,8 @@ pub mod coarsen;
 mod ctx;
 pub mod lrc;
 pub mod options;
-pub mod replay;
 pub mod runtime;
 mod shared;
 
-pub use options::Options;
-pub use replay::{ReplayError, ReplayMonitor};
+pub use options::{options_for_label, Options};
 pub use runtime::ConsequenceRuntime;

@@ -111,13 +111,23 @@ pub struct Options {
     /// Durable-flush cadence for disk trace recording: flush the
     /// container to the OS after every this many sealed event pages, so
     /// a SIGKILLed recording loses at most that much schedule to the
-    /// salvage path (`dmt_trace::Trace::salvage`). `0` flushes only at
+    /// trace salvage path. `0` flushes only at
     /// finish (the pre-durability behavior). Observation-only — flushing
     /// never touches logical time — so deliberately **not** part of the
     /// options fingerprint, like the other schedule-neutral knobs. *Needed
     /// by* nothing that sets it: `dmt_bench::replay::record_to` reads the
     /// preset's 8 for every recording (`stress --trace-chaos`'s included).
     pub trace_flush_pages: u32,
+}
+
+/// The preset a recorded runtime label names ([`dmt_api::Runtime::name`]).
+pub fn options_for_label(label: &str) -> Option<Options> {
+    match label {
+        "consequence-ic" => Some(Options::consequence_ic()),
+        "consequence-rr" => Some(Options::consequence_rr()),
+        "dwc" => Some(Options::dwc()),
+        _ => None,
+    }
 }
 
 impl Options {
@@ -221,6 +231,18 @@ impl Options {
             put(self.shard_map_seed);
         }
         h.digest()
+    }
+
+    /// Refuses a recording whose fingerprint is not this build's: the
+    /// schedule it holds is not expected to apply.
+    pub fn check_fingerprint(&self, recorded: u64) -> Result<(), String> {
+        let current = self.fingerprint();
+        (current == recorded).then_some(()).ok_or_else(|| {
+            format!(
+                "options fingerprint mismatch: recorded {recorded:#018x}, \
+                 this build {current:#018x}"
+            )
+        })
     }
 
     /// Disables one named optimization, for Figure 13 ablations.

@@ -230,7 +230,6 @@ impl Runtime for ConsequenceRuntime {
             panics,
             fault,
             degraded,
-            replay_divergence: sh.cfg.trace.divergence().map(|d| d.to_string()),
         }
     }
 }

@@ -121,13 +121,7 @@ pub fn verify_against(trace: &Trace) -> Result<Replayed, String> {
     let cfg = canonical_cfg(shards, trace.meta.threads as usize, params);
     let mut opts = cfg.opts.clone();
     opts.shard_domains = shards;
-    let current = opts.fingerprint();
-    if current != trace.meta.options_fingerprint {
-        return Err(format!(
-            "options fingerprint mismatch: recorded {:#018x}, this build {current:#018x}",
-            trace.meta.options_fingerprint
-        ));
-    }
+    opts.check_fingerprint(trace.meta.options_fingerprint)?;
 
     let hooks = DomainHooks {
         tolerate_losses: true,

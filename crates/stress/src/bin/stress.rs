@@ -17,8 +17,8 @@ use dmt_bench::json::dump;
 use dmt_bench::replay::{record_all, replay_all};
 use dmt_stress::report::{table, verdict};
 use dmt_stress::{
-    run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_option_diff,
-    run_panic_inject, run_shard_diff, run_trace_chaos, StressConfig, SCHED_DIFF,
+    run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_panic_inject,
+    run_shard_diff, run_trace_chaos, StressConfig,
 };
 
 /// One thing `stress` can do.
@@ -31,7 +31,7 @@ struct Mode {
     run: fn(&Invocation) -> bool,
 }
 
-const MODES: [Mode; 10] = [
+const MODES: [Mode; 9] = [
     Mode {
         flag: "--smoke",
         value: None,
@@ -43,12 +43,6 @@ const MODES: [Mode; 10] = [
         value: None,
         doc: "differential matrix, overnight size: 8 workloads x 5 runtimes x 16 seeds, 8 threads",
         run: matrix,
-    },
-    Mode {
-        flag: "--sched-diff",
-        value: None,
-        doc: "A/B differential: adaptive vs fixed overflow agree on schedule, output, commit log",
-        run: |i| table("sched_diff", |p| run_option_diff(&i.cfg, SCHED_DIFF, p)),
     },
     Mode {
         flag: "--shard-diff",
@@ -269,8 +263,8 @@ mod tests {
 
     #[test]
     fn two_modes_are_an_error_naming_both() {
-        let e = parsed("--sched-diff --shard-diff").err().unwrap();
-        assert!(e.contains("--sched-diff and --shard-diff"), "{e}");
+        let e = parsed("--shard-diff --inject-panic").err().unwrap();
+        assert!(e.contains("--shard-diff and --inject-panic"), "{e}");
         for bad in [
             "--smoke --deep",
             "--bogus",
@@ -286,7 +280,6 @@ mod tests {
     fn ci_invocations_parse_to_their_modes() {
         for line in [
             "--smoke",
-            "--sched-diff",
             "--shard-diff",
             "--inject-panic --seeds 4",
             "--inject-bug",

@@ -9,7 +9,9 @@
 //! cell:
 //!
 //! 1. **Schedule-hash invariance** — a deterministic runtime's schedule
-//!    hash must be bit-identical across every perturbation seed;
+//!    hash, and its commit-log digest, must be bit-identical across every
+//!    perturbation seed (`PerturbSite::Overflow` forces early, late and
+//!    storm publication intervals: publication policy never moves them);
 //! 2. **Output correctness** — the output hash must equal the sequential
 //!    reference on every run;
 //! 3. **Negative control** — pthreads, which makes no determinism promise,
@@ -23,7 +25,6 @@
 
 pub mod inject;
 pub mod matrix;
-pub mod option_diff;
 pub mod panic_inject;
 pub mod report;
 pub mod shard_diff;
@@ -41,7 +42,6 @@ use dmt_workloads::Params;
 
 pub use inject::{run_inject_bug, InjectOutcome};
 pub use matrix::{run_mixed_matrix, MatrixCell, MatrixReport, MATRIX_SHARDS};
-pub use option_diff::{run_option_diff, OptionDiff, OptionDiffCell, SCHED_DIFF};
 pub use panic_inject::{run_panic_inject, PanicCell, PanicInjectReport, PanicInjector};
 pub use report::{CellSummary, MatrixExtra, Notes, Report, StressReport, Table, Violation};
 pub use shard_diff::{run_shard_diff, ShardDiffCell, ShardDiffReport, SHARD_COUNTS};
@@ -312,11 +312,14 @@ pub fn run_matrix(cfg: &StressConfig, mut progress: impl FnMut(&CellSummary)) ->
         let base = cfg.cell(name, kind, PerturbHandle::off()).run();
         let base_hash = base.report.schedule_hash;
         let base_out = base.validation.output_hash;
+        let base_log = base.report.commit_log_hash;
         total_runs += 1;
         let mut distinct = BTreeSet::from([base_hash]);
         let mut validated = base.validation.matches_reference;
         if deterministic && !validated {
-            violations.push(Violation::output(name, kind, None, base_out, base_out));
+            violations.push(Violation::digest(
+                "output", name, kind, None, base_out, base_out,
+            ));
         }
 
         for plan in cfg.plans(cell_salt) {
@@ -343,7 +346,13 @@ pub fn run_matrix(cfg: &StressConfig, mut progress: impl FnMut(&CellSummary)) ->
             }
             let out = run.validation.output_hash;
             if !run.validation.matches_reference || out != base_out {
-                violations.push(Violation::output(name, kind, Some(&plan), base_out, out));
+                let v = Violation::digest("output", name, kind, Some(&plan), base_out, out);
+                violations.push(v);
+            }
+            let log = run.report.commit_log_hash;
+            if log != base_log {
+                let v = Violation::digest("commit_log", name, kind, Some(&plan), base_log, log);
+                violations.push(v);
             }
         }
 

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use consequence::replay::options_for_label;
+use consequence::options_for_label;
 use dmt_api::{FixedPanic, PanicSite, PerturbHandle, Tid};
 
 use crate::report::{yes_no, Col, Notes, Report, Table};

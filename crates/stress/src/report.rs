@@ -200,7 +200,8 @@ dmt_bench::json_record! {
     pub struct Violation {
         pub workload: String,
         pub runtime: String,
-        /// Which oracle failed: `"schedule_hash"` or `"output"`.
+        /// Which oracle failed: `"schedule_hash"`, `"output"` or
+        /// `"commit_log"`.
         pub oracle: String,
         /// Master seed of the triggering plan (0 for the unperturbed baseline).
         pub perturb_seed: u64,
@@ -249,23 +250,25 @@ impl Violation {
         }
     }
 
-    /// An output-oracle violation (no schedule divergence to shrink):
-    /// `plan` is the triggering plan, `None` for the unperturbed baseline.
-    pub fn output(
+    /// A digest-oracle violation (`"output"` or `"commit_log"`; no
+    /// schedule divergence to shrink): `plan` is the triggering plan,
+    /// `None` for the unperturbed baseline.
+    pub fn digest(
+        oracle: &str,
         workload: &str,
         kind: RuntimeKind,
         plan: Option<&PerturbPlan>,
-        baseline_output: u64,
-        observed_output: u64,
+        baseline_hash: u64,
+        observed_hash: u64,
     ) -> Violation {
         Violation {
             workload: workload.to_string(),
             runtime: kind.label().to_string(),
-            oracle: "output".to_string(),
+            oracle: oracle.to_string(),
             perturb_seed: plan.map_or(0, |p| p.seed),
             plan_digest: plan.map_or(0, |p| p.digest()),
-            baseline_hash: baseline_output,
-            observed_hash: observed_output,
+            baseline_hash,
+            observed_hash,
             shrunk_sites: Vec::new(),
             shrunk_plan: String::new(),
             shrunk_digest: 0,

@@ -39,7 +39,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use consequence::replay::options_for_label;
+use consequence::options_for_label;
 use dmt_api::{IoFaultKind, IoFaultPlan, PerturbHandle};
 use dmt_bench::cell::{Cell, CellRun, Sink};
 use dmt_bench::replay::{cell_ident, replay_file, trace_files};

@@ -6,12 +6,16 @@
 //! `consequence-ic` default), forcing every publication interval to its
 //! minimum (a publication storm) or stretching it a thousandfold must leave
 //! the schedule hash bit-identical — while the publication counters prove
-//! the perturbation actually fired.
+//! the perturbation actually fired. Fixed intervals (adaptation off) are
+//! the same schedule too: the policy decides how often a clock is
+//! published, never which thread gets the token.
 
 use std::sync::Arc;
 
+use consequence::Options;
 use dmt_api::{PerturbHandle, PerturbSite, Perturber, Tid};
 use dmt_baselines::RuntimeKind;
+use dmt_bench::cell::CellRun;
 use dmt_stress::StressConfig;
 
 /// Forces every policy-chosen overflow interval to a fixed value.
@@ -34,38 +38,54 @@ fn at_threads(threads: usize) -> StressConfig {
     }
 }
 
-fn run_with_interval(name: &str, forced: Option<u64>) -> (u64, u64) {
+fn run_with_interval(name: &str, adaptive_overflow: bool, forced: Option<u64>) -> CellRun {
     let perturb = match forced {
         Some(iv) => PerturbHandle::to(Arc::new(ForceInterval(iv))),
         None => PerturbHandle::off(),
     };
-    let run = at_threads(4)
-        .cell(name, RuntimeKind::ConsequenceIc, perturb)
-        .run();
+    let opts = Options {
+        adaptive_overflow,
+        ..Options::consequence_ic()
+    };
+    let run = at_threads(4).cell(name, opts, perturb).run();
     assert!(run.validation.matches_reference, "{name} output diverged");
-    (run.report.schedule_hash, run.report.counters.publications)
+    run
 }
 
 #[test]
 fn forced_overflow_never_moves_the_schedule_with_adaptation_on() {
     // kmeans is publication-heavy: fork-join rounds keep threads waiting on
     // each other's published clocks.
-    let (base_hash, base_pubs) = run_with_interval("kmeans", None);
-    let (early_hash, early_pubs) = run_with_interval("kmeans", Some(1));
-    let (late_hash, late_pubs) = run_with_interval("kmeans", Some(u64::MAX));
+    let base = run_with_interval("kmeans", true, None);
+    let early = run_with_interval("kmeans", true, Some(1));
+    let late = run_with_interval("kmeans", true, Some(u64::MAX));
+    let fixed = run_with_interval("kmeans", false, None);
 
-    assert_eq!(
-        early_hash, base_hash,
-        "publication storm moved the schedule"
-    );
-    assert_eq!(
-        late_hash, base_hash,
-        "starved publication moved the schedule"
-    );
+    for (what, run) in [
+        ("publication storm", &early),
+        ("starved publication", &late),
+        ("fixed intervals", &fixed),
+    ] {
+        let (got, want) = (&run.report, &base.report);
+        assert_eq!(
+            got.schedule_hash, want.schedule_hash,
+            "{what} moved the schedule"
+        );
+        assert_eq!(
+            got.commit_log_hash, want.commit_log_hash,
+            "{what} moved the commit log"
+        );
+        assert_eq!(
+            run.validation.output_hash, base.validation.output_hash,
+            "{what} moved the output"
+        );
+    }
 
     // The perturbation must actually have fired: a forced interval of 1
     // publishes far more often than the adaptive policy, a near-infinite
     // one far less.
+    let pubs = |run: &CellRun| run.report.counters.publications;
+    let (base_pubs, early_pubs, late_pubs) = (pubs(&base), pubs(&early), pubs(&late));
     assert!(
         early_pubs > base_pubs,
         "interval=1 did not increase publications ({early_pubs} vs {base_pubs})"

@@ -21,7 +21,7 @@ pub struct CheckpointFailure {
 }
 
 /// The result of replaying one container by re-execution, through one
-/// runtime (`consequence::ReplayMonitor`) or a sharded server
+/// recorded cell (`dmt_bench::replay::replay`) or a sharded server
 /// (`dmt_shard::record`).
 /// [`ReplaySink::finish`] builds it.
 #[derive(Clone, Debug)]
@@ -434,9 +434,5 @@ impl TraceSink for ReplaySink {
 
     fn counts(&self) -> EventCounts {
         self.st.lock().tally.counts()
-    }
-
-    fn divergence(&self) -> Option<Divergence> {
-        self.st.lock().divergence.clone()
     }
 }

@@ -57,7 +57,7 @@ pub struct LossReport {
 ///
 /// The contained trace replays like any finished one; replaying past its
 /// end is *exhaustion*, not divergence (see
-/// `consequence::new_replaying_partial`).
+/// [`ReplaySink::new_partial`](crate::ReplaySink::new_partial)).
 #[derive(Clone, Debug)]
 pub struct PartialTrace {
     /// The recovered, fully validated prefix.

@@ -7,14 +7,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use consequence::replay::options_for_label;
-use consequence::ConsequenceRuntime;
-use dmt_api::{
-    CommonConfig, CostModel, FixedPanic, PanicSite, PerturbHandle, Runtime, Tid, TraceHandle,
-};
-use dmt_bench::replay::{ident_meta, record_to, replay_file};
-use dmt_trace::{DiskSink, PartialTrace, Trace, TraceMeta, TraceWriter, HEADER_LEN};
-use dmt_workloads::{workload_by_name, Params};
+use consequence::options_for_label;
+use dmt_api::{FixedPanic, PanicSite, PerturbHandle, Tid};
+use dmt_bench::cell::{Cell, Sink};
+use dmt_bench::replay::{cell_ident, ident_meta, record_to, replay, replay_file};
+use dmt_trace::{DiskSink, PartialTrace, ReplaySink, Trace, TraceMeta, TraceWriter, HEADER_LEN};
+use dmt_workloads::Params;
 
 struct Scratch(PathBuf);
 
@@ -57,34 +55,17 @@ fn record_and_abandon(
     perturb: PerturbHandle,
 ) -> Vec<(Tid, String)> {
     let opts = options_for_label("consequence-ic").unwrap();
-    let w = workload_by_name(workload).unwrap();
-    let p = Params::new(threads, 1, input_seed);
-    let ident = ident_meta(
-        "consequence-ic",
-        workload,
-        threads,
-        1,
-        input_seed,
-        w.heap_pages(&p),
-        64,
-        opts.fingerprint(),
-        &perturb,
-    );
-    let sink = Arc::new(DiskSink::create_durable(path, &ident, 1).unwrap());
-    let cfg = CommonConfig {
-        heap_pages: w.heap_pages(&p),
-        max_threads: 64,
-        cost: CostModel::default(),
-        track_lrc: false,
-        gc_budget: 4,
-        trace: TraceHandle::to(Arc::clone(&sink) as _),
+    let fingerprint = opts.fingerprint();
+    let mut cell = Cell {
         perturb,
+        ..Cell::new(workload, Params::new(threads, 1, input_seed), opts)
     };
-    let mut rt = ConsequenceRuntime::new(cfg, opts);
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
+    let ident = cell_ident("consequence-ic", &cell, fingerprint);
+    let sink = Arc::new(DiskSink::create_durable(path, &ident, 1).unwrap());
+    cell.sink = Sink::To(Arc::clone(&sink) as _);
+    let run = cell.run();
     sink.seal_and_flush().unwrap();
-    report.panics
+    run.report.panics
 }
 
 /// Satellite: byte-level truncation fuzz. A valid durable container cut
@@ -271,13 +252,9 @@ fn injected_panic_run_replays_to_fault_point_twice_identically() {
     let mut outcomes = Vec::new();
     let mut panic_sets = Vec::new();
     for _ in 0..2 {
-        let w = workload_by_name("kmeans").unwrap();
-        let p = Params::new(2, 1, 42);
-        let (mut rt, monitor) = ConsequenceRuntime::new_replaying_partial(&partial).unwrap();
-        let prepared = w.prepare(&mut rt, &p);
-        let mut report = rt.run(prepared.job);
-        panic_sets.push(report.panics.clone());
-        outcomes.push(monitor.finish(&mut report));
+        let (rep, run) = replay(&partial.trace, ReplaySink::new_partial(&partial)).unwrap();
+        panic_sets.push(run.report.panics);
+        outcomes.push(rep);
     }
     let (a, b) = (&outcomes[0], &outcomes[1]);
     assert!(a.partial && b.partial);

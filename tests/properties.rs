@@ -195,10 +195,11 @@ fn disjoint_commits_commute() {
 /// version chains grow without trim). An envelope that blesses that run
 /// would also bless a real leak.
 #[test]
-fn witness_envelope_is_tight_against_a_stalled_collector() {
+fn soak_envelope_is_tight_against_a_stalled_collector() {
     use consequence_repro::consequence::{ConsequenceRuntime, Options};
     use consequence_repro::dmt_api::{CommonConfig, Runtime};
     use consequence_repro::dmt_workloads::{workload_by_name, Params};
+    use dmt_bench::soak::{ENVELOPE_PAD, ENVELOPE_SLACK};
 
     // A commit-heavy workload: the server commits once per served
     // request, so a stalled collector's chain growth is visible within
@@ -214,13 +215,13 @@ fn witness_envelope_is_tight_against_a_stalled_collector() {
         };
         let mut rt = ConsequenceRuntime::new(cfg, Options::consequence_ic());
         let prepared = w.prepare(&mut rt, &p);
-        rt.run(prepared.job).peak_versions
+        rt.run(prepared.job).peak_versions as u64
     };
 
     // Learn the healthy envelope, exactly as the soak harness does.
     let healthy = peak_versions(4);
     assert!(healthy > 0, "peak versions never read");
-    let bound = healthy * 2 + 8;
+    let bound = healthy * ENVELOPE_SLACK + ENVELOPE_PAD;
 
     // The same run under a dead collector must cross it.
     let leaked = peak_versions(0);

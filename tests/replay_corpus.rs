@@ -5,12 +5,9 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use consequence::ConsequenceRuntime;
 use dmt_api::trace::Event;
-use dmt_api::Runtime;
-use dmt_bench::replay::{record_to, replay_file, trace_files};
-use dmt_trace::Trace;
-use dmt_workloads::{workload_by_name, Params};
+use dmt_bench::replay::{record_to, replay, replay_file, trace_files};
+use dmt_trace::{ReplaySink, Trace, TraceMeta};
 
 /// A unique scratch directory per test, removed on drop.
 struct Scratch(PathBuf);
@@ -209,17 +206,7 @@ fn a_failed_checkpoint_is_named_in_the_verdict() {
     ck.hash ^= 1;
     let (events, recorded) = (ck.events, ck.hash);
 
-    let w = workload_by_name(&trace.meta.workload).unwrap();
-    let p = Params::new(
-        trace.meta.threads as usize,
-        trace.meta.scale as u32,
-        trace.meta.input_seed,
-    );
-    let (mut rt, monitor) = ConsequenceRuntime::new_replaying(&trace).unwrap();
-    let prepared = w.prepare(&mut rt, &p);
-    let mut report = rt.run(prepared.job);
-    let mut rep = monitor.finish(&mut report);
-    rep.digests((prepared.validate)(&rt).output_hash, report.commit_log_hash);
+    let (rep, _) = replay(&trace, ReplaySink::new(&trace)).unwrap();
     assert!(!rep.ok(), "a failed checkpoint replayed clean");
     assert!(rep.divergence.is_none(), "the events did reproduce");
     assert_eq!(
@@ -232,6 +219,37 @@ fn a_failed_checkpoint_is_named_in_the_verdict() {
             recorded ^ 1
         )
     );
+}
+
+/// A recording whose run this build cannot rebuild is refused before
+/// anything runs, by a message naming the cause. Each case tweaks one
+/// META field in memory.
+#[test]
+fn a_recording_that_cannot_be_rebuilt_is_refused_by_cause() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/corpus/histogram-consequence-ic-t4-s1.dmtrace");
+    let trace = Trace::open(&path).unwrap();
+    type Tweak = fn(&mut TraceMeta);
+    let cases: [(&str, Tweak); 5] = [
+        ("cannot replay runtime \"pthreads\"", |m| {
+            m.runtime = "pthreads".into()
+        }),
+        ("options fingerprint mismatch", |m| {
+            m.options_fingerprint ^= 1
+        }),
+        // A shrunk plan: its digest is not the seed's full-strength plan's.
+        ("irreproducible perturbation plan", |m| m.perturb_plan ^= 1),
+        ("heap size mismatch", |m| m.heap_pages += 1),
+        ("unknown workload \"no_such_workload\"", |m| {
+            m.workload = "no_such_workload".into()
+        }),
+    ];
+    for (cause, tweak) in cases {
+        let mut t = trace.clone();
+        tweak(&mut t.meta);
+        let err = replay(&t, ReplaySink::new(&t)).unwrap_err();
+        assert!(err.contains(cause), "want {cause:?}, got {err:?}");
+    }
 }
 
 /// The committed corpus must replay green: every container re-executes
