@@ -21,6 +21,13 @@ impl Fnv1a {
         Fnv1a(FNV_OFFSET)
     }
 
+    /// Continues a hash whose digest is `digest`: FNV-1a's digest is its
+    /// whole state, so absorbing more bytes here equals absorbing them
+    /// before the digest was taken.
+    pub fn resume(digest: u64) -> Self {
+        Fnv1a(digest)
+    }
+
     /// Absorbs a byte slice.
     #[inline]
     pub fn update(&mut self, bytes: &[u8]) {
@@ -76,6 +83,9 @@ mod tests {
         h.update(b"foo");
         h.update(b"bar");
         assert_eq!(h.digest(), Fnv1a::hash(b"foobar"));
+        let mut r = Fnv1a::resume(Fnv1a::hash(b"foo"));
+        r.update(b"bar");
+        assert_eq!(r, h);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use consequence::options_for_label;
+use consequence::{options_for_label, Options};
 use dmt_api::{FixedPanic, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber, Tid};
 use dmt_shard::record::SHARDED_LABEL_PREFIX;
 use dmt_trace::{DiskSink, ReplaySink, Replayed, Trace, TraceError, TraceMeta};
@@ -110,7 +110,7 @@ pub fn recorded_cell(meta: &TraceMeta) -> Result<Cell, String> {
             meta.runtime
         )
     })?;
-    opts.check_fingerprint(meta.options_fingerprint)?;
+    Options::check_fingerprint(meta.options_fingerprint, opts.fingerprint())?;
     let w = workload_by_name(&meta.workload)
         .ok_or_else(|| format!("trace names unknown workload {:?}", meta.workload))?;
     let params = Params::new(meta.threads as usize, meta.scale as u32, meta.input_seed);

@@ -84,22 +84,6 @@ pub struct Options {
     /// see `docs/ROBUSTNESS.md`. *Needed by*
     /// `watchdog_diagnoses_deadlock_instead_of_hanging`.
     pub watchdog_stall_ms: Option<u64>,
-    /// Number of independently tokened shard domains the `dmt-shard`
-    /// subsystem partitions the run into. `1` (the default) is the
-    /// unsharded runtime: one token, one clock table, [`DomainId::ROOT`]
-    /// only. Schedule-relevant: each domain serializes only its own sync
-    /// ops, so the same program under a different shard count produces a
-    /// different (still deterministic) schedule. *Needed by* `dmt-shard`:
-    /// `tests/shard_server.rs` and `stress --shard-diff`.
-    ///
-    /// [`DomainId::ROOT`]: dmt_api::DomainId::ROOT
-    pub shard_domains: u32,
-    /// Seed for the deterministic shard map assigning keys to domains.
-    /// Schedule-relevant whenever `shard_domains > 1`: moving a key to a
-    /// different domain moves its sync ops to a different token order.
-    /// *Needed by* the same (the former's remapped cell, the latter's map
-    /// seeds).
-    pub shard_map_seed: u64,
     /// Inert; deleted with ROADMAP item 3(a). *Needed by* nothing here:
     /// frozen `e2e/` names it.
     #[doc(hidden)]
@@ -150,8 +134,6 @@ impl Options {
             base_overflow: det_clock::overflow::BASE_OVERFLOW,
             inject_eligibility_bug: false,
             watchdog_stall_ms: Some(5_000),
-            shard_domains: 1,
-            shard_map_seed: 0,
             pipeline_commit: false,
             pipeline_workers: 2,
             trace_flush_pages: 8,
@@ -220,23 +202,15 @@ impl Options {
         // The scheduler-corruption drill went with the second clock table
         // kind; it never fired in a recording, so its `None` folds on.
         put(u64::MAX);
-        // Shard parameters fold only when non-default, so every
-        // fingerprint recorded before sharding existed stays valid: an
-        // unsharded config hashes exactly as it always did, while a
-        // sharded recording is rejected by an unsharded replayer (and
-        // vice versa).
-        if self.shard_domains != 1 || self.shard_map_seed != 0 {
-            put(0x5AD0);
-            put(self.shard_domains as u64);
-            put(self.shard_map_seed);
-        }
+        // A sharded run continues this fold with its shard parameters
+        // (`dmt_shard::ShardCfg::fingerprint`).
         h.digest()
     }
 
-    /// Refuses a recording whose fingerprint is not this build's: the
-    /// schedule it holds is not expected to apply.
-    pub fn check_fingerprint(&self, recorded: u64) -> Result<(), String> {
-        let current = self.fingerprint();
+    /// Refuses a recording whose fingerprint is not `current`, this
+    /// build's fingerprint of the run it would replay: the schedule it
+    /// holds is not expected to apply.
+    pub fn check_fingerprint(recorded: u64, current: u64) -> Result<(), String> {
         (current == recorded).then_some(()).ok_or_else(|| {
             format!(
                 "options fingerprint mismatch: recorded {recorded:#018x}, \
@@ -351,10 +325,9 @@ mod tests {
     /// Every field is either fingerprinted — a changed value changes
     /// `fingerprint()`, so a recording is refused by a build that would
     /// schedule it differently — or excluded, and then provably
-    /// schedule-neutral: the golden cell does not move. (Shard parameters
-    /// fold only when non-default and flush/watchdog knobs not at all, so
-    /// traces recorded before those existed, or under other values of
-    /// them, stay replayable. The two `pipeline_*` cases are the test that
+    /// schedule-neutral: the golden cell does not move. (Flush/watchdog
+    /// knobs fold not at all, so traces recorded under other values of
+    /// them stay replayable. The two `pipeline_*` cases are the test that
     /// the settle pool's residue is inert; the kind field has one value.)
     #[test]
     fn fingerprint_membership_is_complete() {
@@ -377,13 +350,11 @@ mod tests {
             base_overflow: _,
             inject_eligibility_bug: _,
             watchdog_stall_ms: _,
-            shard_domains: _,
-            shard_map_seed: _,
             pipeline_commit: _,
             pipeline_workers: _,
             trace_flush_pages: _,
         } = Options::consequence_ic();
-        let fingerprinted: [fn(&mut Options); 16] = [
+        let fingerprinted: [fn(&mut Options); 14] = [
             |o| o.order = OrderPolicy::RoundRobin,
             |o| o.coarsening = false,
             |o| o.static_coarsen = Some(1),
@@ -398,8 +369,6 @@ mod tests {
             |o| o.polling_increment += 1,
             |o| o.base_overflow += 1,
             |o| o.inject_eligibility_bug = true,
-            |o| o.shard_domains = 4,
-            |o| o.shard_map_seed = 7,
         ];
         let excluded: [fn(&mut Options); 5] = [
             |o| o.watchdog_stall_ms = Some(60_000),
@@ -417,13 +386,6 @@ mod tests {
             change(&mut o);
             assert_ne!(o.fingerprint(), base.fingerprint(), "fingerprinted #{i}");
         }
-        // The map seed counts next to a non-default domain count too, not
-        // only when it alone leaves the unsharded default.
-        let mut sharded = base.clone();
-        sharded.shard_domains = 4;
-        let mut reseeded = sharded.clone();
-        reseeded.shard_map_seed = 7;
-        assert_ne!(sharded.fingerprint(), reseeded.fingerprint());
         let golden = dmt_server_cell(base.clone());
         assert_eq!(golden.0, 0x34300d2f73672d92, "dmt_server golden moved");
         for (i, change) in excluded.iter().enumerate() {

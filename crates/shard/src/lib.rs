@@ -37,6 +37,6 @@ pub mod runtime;
 pub use map::ShardMap;
 pub use record::record_server_trace;
 pub use runtime::{
-    run_sharded_server, run_sharded_server_hooked, CaptureMode, DomainHooks, DomainReport,
-    PhaseGate, ShardCfg, ShardReport, StdExchange,
+    reference_store_hash, run_sharded_server, run_sharded_server_hooked, CaptureMode, DomainHooks,
+    DomainReport, PhaseGate, ShardCfg, ShardReport, StdExchange,
 };

@@ -11,8 +11,8 @@
 //!
 //! Recorded containers use the runtime label `sharded-ic-<shards>` and,
 //! by convention, Consequence-IC options with shard-map seed 0 — the
-//! options fingerprint in the META stream (which folds both shard
-//! parameters) seals that convention.
+//! options fingerprint in the META stream ([`ShardCfg::fingerprint`],
+//! which folds both shard parameters) seals that convention.
 
 use std::path::Path;
 
@@ -53,8 +53,6 @@ pub fn record_server_trace(
     let cfg = canonical_cfg(shards, workers, params);
     let report = run_sharded_server(&cfg);
 
-    let mut opts = cfg.opts.clone();
-    opts.shard_domains = shards;
     let spec = ServerSpec::of(&params);
     let mut w = TraceWriter::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
     for (d, ev) in report.canonical_events() {
@@ -71,7 +69,7 @@ pub fn record_server_trace(
         // a subset of the keys, so every domain heap fits under it).
         heap_pages: DomainServer::heap_pages(&spec, spec.keys, workers) as u64,
         max_threads: workers as u64 + 2,
-        options_fingerprint: opts.fingerprint(),
+        options_fingerprint: cfg.fingerprint(),
         perturb_seed: 0,
         perturb_plan: 0,
         event_count: 0,   // stamped by the writer
@@ -119,9 +117,7 @@ pub fn verify_against(trace: &Trace) -> Result<Replayed, String> {
         trace.meta.input_seed,
     );
     let cfg = canonical_cfg(shards, trace.meta.threads as usize, params);
-    let mut opts = cfg.opts.clone();
-    opts.shard_domains = shards;
-    opts.check_fingerprint(trace.meta.options_fingerprint)?;
+    Options::check_fingerprint(trace.meta.options_fingerprint, cfg.fingerprint())?;
 
     let hooks = DomainHooks {
         tolerate_losses: true,

@@ -30,14 +30,16 @@ pub struct ShardCfg {
     /// Shard domain count (1 = the unsharded schedule, bit-identical to
     /// the registry `dmt_server` workload).
     pub shards: u32,
+    /// Seed of the [`ShardMap`] assigning keys to domains. Moving a key
+    /// moves its sync ops to another domain's token order, so with more
+    /// than one shard it is schedule-relevant; the default is 0.
+    pub map_seed: u64,
     /// Pool workers per domain.
     pub workers: usize,
     /// Server sizing (`scale` multiplies traffic, `seed` generates it).
     pub params: Params,
-    /// Scheduler options for every domain. `shard_domains` and
-    /// `shard_map_seed` are stamped from `shards` and this field's own
-    /// `shard_map_seed` before running, so the fingerprint matches what
-    /// actually executed.
+    /// Scheduler options for every domain, as an unsharded run takes
+    /// them; [`ShardCfg::fingerprint`] adds the shard parameters.
     pub opts: Options,
     /// Trace capture mode.
     pub capture: CaptureMode,
@@ -48,12 +50,45 @@ impl ShardCfg {
     pub fn new(shards: u32, workers: usize, params: Params) -> ShardCfg {
         ShardCfg {
             shards,
+            map_seed: 0,
             workers,
             params,
             opts: Options::consequence_ic(),
             capture: CaptureMode::Hash,
         }
     }
+
+    /// The options fingerprint of this run: [`Options::fingerprint`]
+    /// continued with the shard parameters. They fold only when they leave
+    /// the unsharded default, so a 1-shard run under map seed 0
+    /// fingerprints as the unsharded run does, while a sharded recording
+    /// is refused by an unsharded replayer and vice versa.
+    pub fn fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::resume(self.opts.fingerprint());
+        if self.shards != 1 || self.map_seed != 0 {
+            for word in [0x5AD0, u64::from(self.shards), self.map_seed] {
+                h.update_u64(word);
+            }
+        }
+        h.digest()
+    }
+}
+
+/// The digest of a final store given as `(key, value)` pairs ascending by
+/// key: [`ShardReport::store_hash`], and [`reference_store_hash`].
+fn store_fold(kv: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    let mut h = Fnv1a::new();
+    for (k, v) in kv {
+        h.update_u64(k);
+        h.update_u64(v);
+    }
+    h.digest()
+}
+
+/// The store digest every run of `spec` must end in: the sequential
+/// reference store, folded as [`ShardReport::store_hash`] is.
+pub fn reference_store_hash(spec: &ServerSpec) -> u64 {
+    store_fold((0..).zip(spec.expected_store()))
 }
 
 /// One domain's slice of a [`ShardReport`].
@@ -107,7 +142,7 @@ pub struct ShardReport {
     pub schedule_hash: u64,
     /// Digest of the final global store, `(key, value)` ascending by key.
     /// **Invariant across shard counts and map seeds** — every mutation
-    /// commutes — so it is the shard-diff semantic oracle.
+    /// commutes — so it must equal [`reference_store_hash`].
     pub store_hash: u64,
     /// Combined output digest (per-domain output hashes, domain order).
     /// Deterministic per configuration; legitimately differs across shard
@@ -313,9 +348,7 @@ pub fn run_sharded_server(cfg: &ShardCfg) -> ShardReport {
 /// composition perturb × panic × shard × record runs through here.
 pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardReport {
     let spec = ServerSpec::of(&cfg.params);
-    let mut opts = cfg.opts.clone();
-    opts.shard_domains = cfg.shards;
-    let map = ShardMap::new(cfg.shards, opts.shard_map_seed);
+    let map = ShardMap::new(cfg.shards, cfg.map_seed);
     let plans = DomainPlan::build(&spec, cfg.shards as usize, &|k| map.index_of(k));
     let exchange: Arc<StdExchange> = Arc::new(StdExchange::new(map));
 
@@ -323,7 +356,7 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
     let handles: Vec<_> = plans
         .into_iter()
         .map(|plan| {
-            let opts = opts.clone();
+            let opts = cfg.opts.clone();
             let exchange = Arc::clone(&exchange);
             let capture = cfg.capture;
             let workers = cfg.workers;
@@ -355,11 +388,6 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
         kv.extend_from_slice(&d.kv);
     }
     kv.sort_unstable_by_key(|&(k, _)| k);
-    let mut store = Fnv1a::new();
-    for (k, v) in &kv {
-        store.update(&k.to_le_bytes());
-        store.update(&v.to_le_bytes());
-    }
 
     let processed: u64 = domains.iter().map(|d| d.processed).sum();
     let complete = processed == spec.requests as u64;
@@ -374,7 +402,7 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
         sync_ops: domains.iter().map(|d| d.token_acquisitions).sum(),
         panics: domains.iter().map(|d| d.panics.len() as u64).sum(),
         schedule_hash: schedule.digest(),
-        store_hash: store.digest(),
+        store_hash: store_fold(kv),
         output_hash: out.digest(),
         commit_hash: commits.digest(),
         requests: spec.requests as u64,

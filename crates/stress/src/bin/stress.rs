@@ -18,7 +18,7 @@ use dmt_bench::replay::{record_all, replay_all};
 use dmt_stress::report::{table, verdict};
 use dmt_stress::{
     run_chaos_child, run_inject_bug, run_matrix, run_mixed_matrix, run_panic_inject,
-    run_shard_diff, run_trace_chaos, StressConfig,
+    run_trace_chaos, StressConfig,
 };
 
 /// One thing `stress` can do.
@@ -31,7 +31,7 @@ struct Mode {
     run: fn(&Invocation) -> bool,
 }
 
-const MODES: [Mode; 9] = [
+const MODES: [Mode; 8] = [
     Mode {
         flag: "--smoke",
         value: None,
@@ -43,12 +43,6 @@ const MODES: [Mode; 9] = [
         value: None,
         doc: "differential matrix, overnight size: 8 workloads x 5 runtimes x 16 seeds, 8 threads",
         run: matrix,
-    },
-    Mode {
-        flag: "--shard-diff",
-        value: None,
-        doc: "dmt_server across 1/2/4 token domains: deterministic, 1-shard lockstep, reference store",
-        run: |i| table("shard_diff", |p| run_shard_diff(&i.cfg, p)),
     },
     Mode {
         flag: "--inject-panic",
@@ -263,8 +257,8 @@ mod tests {
 
     #[test]
     fn two_modes_are_an_error_naming_both() {
-        let e = parsed("--shard-diff --inject-panic").err().unwrap();
-        assert!(e.contains("--shard-diff and --inject-panic"), "{e}");
+        let e = parsed("--trace-chaos --inject-panic").err().unwrap();
+        assert!(e.contains("--trace-chaos and --inject-panic"), "{e}");
         for bad in [
             "--smoke --deep",
             "--bogus",
@@ -280,7 +274,6 @@ mod tests {
     fn ci_invocations_parse_to_their_modes() {
         for line in [
             "--smoke",
-            "--shard-diff",
             "--inject-panic --seeds 4",
             "--inject-bug",
             "--soak --smoke",

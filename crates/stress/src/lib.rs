@@ -27,7 +27,6 @@ pub mod inject;
 pub mod matrix;
 pub mod panic_inject;
 pub mod report;
-pub mod shard_diff;
 pub mod shrink;
 pub mod trace_chaos;
 
@@ -44,7 +43,6 @@ pub use inject::{run_inject_bug, InjectOutcome};
 pub use matrix::{run_mixed_matrix, MatrixCell, MatrixReport, MATRIX_SHARDS};
 pub use panic_inject::{run_panic_inject, PanicCell, PanicInjectReport, PanicInjector};
 pub use report::{CellSummary, MatrixExtra, Notes, Report, StressReport, Table, Violation};
-pub use shard_diff::{run_shard_diff, ShardDiffCell, ShardDiffReport, SHARD_COUNTS};
 pub use shrink::shrink_plan;
 pub use trace_chaos::{run_chaos_child, run_trace_chaos, ChaosCell, FaultyMedia, TraceChaosReport};
 

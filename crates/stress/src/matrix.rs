@@ -3,11 +3,11 @@
 //! Every adversarial subsystem in this workspace attacks the determinism
 //! contract along **one** axis: timing perturbation (`run_matrix`),
 //! injected deaths (`run_panic_inject`), token-domain sharding
-//! (`run_shard_diff`), live trace recording (`--record`). Real failures
-//! compose. This module runs the deterministic request server under every
-//! on/off combination of the four axes — all 16 compositions, including
-//! perturb × panic × shard × record in a *single run* — and holds each
-//! composition to the same oracles as the single-axis modes:
+//! (`tests/shard_server.rs`), live trace recording (`--record`). Real
+//! failures compose. This module runs the deterministic request server
+//! under every on/off combination of the four axes — all 16 compositions,
+//! including perturb × panic × shard × record in a *single run* — and
+//! holds each composition to the same oracles as the single-axis modes:
 //!
 //! 1. **Reproducibility** — two runs of one composition produce identical
 //!    schedule hashes, semantic digests, contained-panic counts and
@@ -35,12 +35,13 @@ use consequence::Options;
 use dmt_api::trace::Tally;
 use dmt_api::{DomainId, FixedPanic, PanicSite, PerturbHandle, PerturbPlan, Tid};
 use dmt_bench::cell::{Cell, Sink};
-use dmt_shard::{run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg};
+use dmt_shard::{
+    reference_store_hash, run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg,
+};
 use dmt_workloads::server::ServerSpec;
 use dmt_workloads::Params;
 
 use crate::report::{hex, Col, Notes, Report, Table};
-use crate::shard_diff::reference_store_hash;
 use crate::{mix64, plan_handle, StressConfig};
 
 /// Token domains of the sharded compositions.

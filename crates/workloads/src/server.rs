@@ -27,7 +27,7 @@
 //! All store mutations are wrapping additions (a `Transfer` is a debit
 //! plus a credit), so the final store is order-invariant: it must equal
 //! the sequential reference under any interleaving, any shard count, and
-//! any runtime — that invariance is the shard-diff semantic oracle. `Get`
+//! any runtime — that invariance is the sharded server's semantic oracle. `Get`
 //! responses fold into per-worker accumulators and are deterministic per
 //! configuration but legitimately differ across shard counts; they count
 //! toward the output hash, not the reference check.

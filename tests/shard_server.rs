@@ -8,40 +8,30 @@
 //! every shard count must reproduce its own schedule exactly across
 //! repeated runs, and every partition must end in the same final store.
 
-use std::sync::Arc;
-
-use consequence_repro::consequence::{ConsequenceRuntime, Options};
-use consequence_repro::dmt_api::{
-    CommonConfig, CostModel, HashSink, PerturbHandle, Runtime, TraceHandle,
+use consequence_repro::consequence::Options;
+use consequence_repro::dmt_shard::{
+    reference_store_hash, run_sharded_server, CaptureMode, ShardCfg,
 };
-use consequence_repro::dmt_shard::{run_sharded_server, CaptureMode, ShardCfg};
-use consequence_repro::dmt_workloads::{workload_by_name, Params, Validation};
+use consequence_repro::dmt_workloads::server::ServerSpec;
+use consequence_repro::dmt_workloads::Params;
+use dmt_bench::cell::Cell;
 
 /// Runs the unsharded registry `dmt_server` workload under exactly the
 /// configuration a shard domain runs (see `dmt_shard::run_sharded_server`),
 /// returning `(schedule_hash, output_hash)`.
 fn run_unsharded(workers: usize, scale: u32, seed: u64) -> (u64, u64) {
-    let w = workload_by_name("dmt_server").expect("registry has dmt_server");
-    let p = Params::new(workers, scale, seed);
-    let sink = Arc::new(HashSink::new());
-    let cfg = CommonConfig {
-        heap_pages: w.heap_pages(&p),
+    let params = Params::new(workers, scale, seed);
+    let r = Cell {
         max_threads: workers + 2,
-        cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: usize::MAX,
-        trace: TraceHandle::to(Arc::clone(&sink) as _),
-        perturb: PerturbHandle::off(),
-    };
-    let mut rt = ConsequenceRuntime::new(cfg, Options::consequence_ic());
-    let prepared = w.prepare(&mut rt, &p);
-    let report = rt.run(prepared.job);
-    let v: Validation = (prepared.validate)(&rt);
+        ..Cell::new("dmt_server", params, Options::consequence_ic())
+    }
+    .run();
     assert!(
-        v.matches_reference,
+        r.validation.matches_reference,
         "unsharded dmt_server failed validation"
     );
-    (report.schedule_hash, v.output_hash)
+    (r.report.schedule_hash, r.validation.output_hash)
 }
 
 fn shard_cfg(shards: u32, workers: usize, seed: u64) -> ShardCfg {
@@ -92,21 +82,23 @@ fn multi_shard_schedules_reproduce_exactly() {
 }
 
 /// Semantic invariance: every partition of the same traffic — across
-/// shard counts and across shard-map seeds — must end in the same final
-/// store, even though the schedules legitimately differ.
+/// shard counts and across shard-map seeds — must end in the sequential
+/// reference store, even though the schedules legitimately differ.
 #[test]
 fn final_store_is_invariant_across_partitions() {
+    let reference = reference_store_hash(&ServerSpec::of(&Params::new(2, 1, 42)));
     let r1 = run_sharded_server(&shard_cfg(1, 2, 42));
     let r2 = run_sharded_server(&shard_cfg(2, 2, 42));
     let r4 = run_sharded_server(&shard_cfg(4, 2, 42));
-    assert_eq!(r1.store_hash, r2.store_hash);
-    assert_eq!(r2.store_hash, r4.store_hash);
+    for (shards, r) in [(1, &r1), (2, &r2), (4, &r4)] {
+        assert_eq!(r.store_hash, reference, "{shards} shards");
+    }
     assert_ne!(r2.schedule_hash, r4.schedule_hash);
 
     let mut remapped = shard_cfg(4, 2, 42);
-    remapped.opts.shard_map_seed = 0xB10C;
+    remapped.map_seed = 0xB10C;
     let rm = run_sharded_server(&remapped);
-    assert_eq!(rm.store_hash, r4.store_hash, "map seed changed the store");
+    assert_eq!(rm.store_hash, reference, "map seed changed the store");
     assert_ne!(
         rm.schedule_hash, r4.schedule_hash,
         "map seed does not route"
