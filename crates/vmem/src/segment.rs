@@ -394,7 +394,9 @@ impl Segment {
     /// its range, and a workspace that updated inside that range already
     /// maps most of them: those cost one pointer compare each in
     /// `Workspace::remap`, no reference count, so the update's cost is
-    /// the pages that changed plus a walk of the union.
+    /// the pages that changed plus a walk of the union. The propagation
+    /// count reads the window `ws.base() + 1 ..= upto` of the per-commit
+    /// records by index, not by search.
     fn update_upto(&self, ws: &mut Workspace, upto: Option<u64>) -> UpdateResult {
         assert_eq!(ws.dirty_count(), 0, "update requires a committed workspace");
         self.perturb.jitter(PerturbSite::Update, ws.tid());
@@ -411,8 +413,8 @@ impl Segment {
                 ws.base() + 1 >= inner.first_retained,
                 "versions needed by update were collected (GC safety violation)"
             );
-            // Version ids are increasing but not necessarily dense (the
-            // collector squashes adjacent versions), so locate by search.
+            // Version ids are increasing but not dense (the collector
+            // squashes adjacent versions), so locate by search.
             let start = inner.versions.partition_point(|v| v.id <= ws.base());
             for v in inner.versions.iter().skip(start) {
                 debug_assert!(v.id > ws.base());
@@ -431,12 +433,18 @@ impl Segment {
             }
             // Propagation accounting comes from the never-squashed count
             // records so it cannot depend on collector progress; the walk
-            // above may traverse squashed (merged) representations.
-            let cstart = inner.counts.partition_point(|(id, _, _)| *id <= ws.base());
-            for (id, npages, committer) in inner.counts.iter().skip(cstart) {
-                if *id > upto {
-                    break;
-                }
+            // above may traverse squashed (merged) representations. Their
+            // ids are dense from `first_retained`, so the window is an
+            // index range.
+            debug_assert_eq!(
+                inner.counts.front().map(|c| c.0),
+                Some(inner.first_retained)
+            );
+            let first = inner.first_retained;
+            for (_, npages, committer) in inner
+                .counts
+                .range((ws.base() + 1 - first) as usize..=(upto - first) as usize)
+            {
                 if *committer != ws.tid() {
                     propagated += *npages as u64;
                 }
@@ -458,7 +466,8 @@ impl Segment {
     ///
     /// * **drop** a version every live workspace has already replayed;
     /// * **squash** the two oldest retained versions into one (union of
-    ///   their page sets, newer content winning). Squashing is safe for an
+    ///   their page sets, newer content winning, folded into the older
+    ///   version's page list in place). Squashing is safe for an
     ///   updater based exactly between the two: the extra pages it applies
     ///   carry content it already has — the very copies it maps, which
     ///   `Workspace::remap` skips. This is how superseded page copies
@@ -478,7 +487,11 @@ impl Segment {
     /// subsequent calls return immediately until a commit, a workspace
     /// base change, or a pin release invalidates that snapshot. This keeps
     /// the per-chunk `gc()` call on the runtime hot path near-free in the
-    /// steady state where every thread is up to date.
+    /// steady state where every thread is up to date. A pass that runs
+    /// reads the live bases of the registered slots only
+    /// ([`Registry::min_live_base`]), and its squash costs what the newer
+    /// version committed, not the union it is folded into, when that union
+    /// already holds its pages.
     pub fn gc(&self, budget: usize) -> GcResult {
         // Read the generation *before* taking the lock: a concurrent base
         // change between the read and the scan makes the early-out snapshot
@@ -592,31 +605,90 @@ pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, DirtyMap, 
 /// replays the whole union, and the extra pages it applies carry content
 /// it already has — the same `Arc`s, so each costs it a compare and no
 /// reference count (`Workspace::remap`).
+///
+/// The newer version is folded into the older one's page list, which the
+/// squashed version keeps ([`fold_pages`]): a workload whose reader pins
+/// an early base squashes every commit onto the accumulated union, and
+/// that union is not copied to add a few pages to it.
 fn squash_oldest_pair(versions: &mut VecDeque<Version>) {
-    let va = versions.pop_front().expect("squash needs two versions");
-    let vb = versions.front_mut().expect("squash needs two versions");
-    let mut merged: Vec<(u32, PageRef)> = Vec::with_capacity(va.pages.len() + vb.pages.len());
-    let mut ai = va.pages.into_iter().peekable();
-    let mut bi = std::mem::take(&mut vb.pages).into_iter().peekable();
-    loop {
-        match (ai.peek(), bi.peek()) {
-            (Some((pa, _)), Some((pb, _))) => {
-                if pa < pb {
-                    merged.push(ai.next().expect("peeked"));
-                } else if pb < pa {
-                    merged.push(bi.next().expect("peeked"));
-                } else {
-                    let _ = ai.next();
-                    merged.push(bi.next().expect("peeked"));
+    let newer = versions.remove(1).expect("squash needs two versions");
+    let older = &mut versions[0];
+    fold_pages(&mut older.pages, newer.pages);
+    older.id = newer.id;
+    older.committer = newer.committer;
+}
+
+/// Folds `newer` into `older`, both page-sorted: afterwards `older` holds
+/// the union, `newer`'s page winning where both hold one.
+///
+/// The branch reads the two lengths. When `newer` is small against
+/// `older` (`fine_locks` folds 5 pages into 68, `kv_server` 2 into 5),
+/// each of its pages is a binary search in the rest of `older`: a hit
+/// replaces the entry in place, and the misses, collected over `newer`'s
+/// own buffer, go in by one backward merge that moves each entry of
+/// `older` at most once. The searches cost at most `n + k` compares, by
+/// the branch. Otherwise (the barrier shapes fold 64 into 128) it is the
+/// linear merge into a fresh list. So no fold is worse than linear, and a
+/// fold whose pages `older` already holds allocates nothing.
+fn fold_pages(older: &mut Vec<(u32, PageRef)>, newer: Vec<(u32, PageRef)>) {
+    let (n, k) = (older.len(), newer.len());
+    // A search of `older` costs at most ⌈log2(n + 1)⌉ compares.
+    let search = (usize::BITS - n.leading_zeros()) as usize;
+    if k * search > n + k {
+        let mut merged = Vec::with_capacity(n + k);
+        let mut ai = std::mem::take(older).into_iter().peekable();
+        let mut bi = newer.into_iter().peekable();
+        loop {
+            match (ai.peek(), bi.peek()) {
+                (Some((pa, _)), Some((pb, _))) => {
+                    if pa < pb {
+                        merged.push(ai.next().expect("peeked"));
+                    } else if pb < pa {
+                        merged.push(bi.next().expect("peeked"));
+                    } else {
+                        let _ = ai.next();
+                        merged.push(bi.next().expect("peeked"));
+                    }
                 }
+                (Some(_), None) => merged.push(ai.next().expect("peeked")),
+                (None, Some(_)) => merged.push(bi.next().expect("peeked")),
+                (None, None) => break,
             }
-            (Some(_), None) => merged.push(ai.next().expect("peeked")),
-            (None, Some(_)) => merged.push(bi.next().expect("peeked")),
-            (None, None) => break,
         }
+        *older = merged;
+        return;
     }
-    vb.pages = merged;
-    vb.base_id = va.base_id;
+    let mut lo = 0;
+    let mut misses: Vec<(u32, PageRef)> = newer
+        .into_iter()
+        .filter_map(
+            |(p, r)| match older[lo..].binary_search_by_key(&p, |e| e.0) {
+                Ok(i) => {
+                    lo += i + 1;
+                    older[lo - 1].1 = r;
+                    None
+                }
+                Err(i) => {
+                    lo += i;
+                    Some((p, r))
+                }
+            },
+        )
+        .collect();
+    // Backward merge: the slots `[i, w)` are the room still to fill, one
+    // per miss left, opened with clones of the misses that the merge
+    // overwrites.
+    let (mut i, mut w) = (n, n + misses.len());
+    older.extend_from_slice(&misses);
+    while let Some(miss) = misses.pop() {
+        while i > 0 && older[i - 1].0 > miss.0 {
+            i -= 1;
+            w -= 1;
+            older.swap(i, w);
+        }
+        w -= 1;
+        older[w] = miss;
+    }
 }
 
 /// Folds one version's record — `(id, committer, (page, map, values)*)`,
@@ -1009,6 +1081,204 @@ mod tests {
         let mut buf = [0u8; 1];
         b.read_bytes(4 * PAGE_SIZE, &mut buf);
         assert_eq!(buf[0], 4);
+    }
+
+    /// The squash as it was before it folded in place, kept as the oracle
+    /// of [`squash_oldest_pair`]: a linear merge of both page lists into a
+    /// new one, the newer version's page winning.
+    fn squash_by_merge(versions: &mut VecDeque<Version>) {
+        let va = versions.pop_front().expect("two versions");
+        let vb = versions.front_mut().expect("two versions");
+        let mut merged = Vec::new();
+        let mut ai = va.pages.into_iter().peekable();
+        let mut bi = std::mem::take(&mut vb.pages).into_iter().peekable();
+        loop {
+            match (ai.peek(), bi.peek()) {
+                (Some((pa, _)), Some((pb, _))) if pa < pb => merged.push(ai.next().unwrap()),
+                (Some((pa, _)), Some((pb, _))) if pa == pb => {
+                    ai.next();
+                    merged.push(bi.next().unwrap());
+                }
+                (_, Some(_)) => merged.push(bi.next().unwrap()),
+                (Some(_), None) => merged.push(ai.next().unwrap()),
+                (None, None) => break,
+            }
+        }
+        vb.pages = merged;
+        vb.base_id = va.base_id;
+    }
+
+    /// MMIX LCG, as in `parallel.rs`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 11) % n as u64) as usize
+        }
+    }
+
+    /// A version of `len` distinct pages out of `0..span`, each a fresh
+    /// page of `tracker`.
+    fn random_version(
+        rng: &mut Lcg,
+        tracker: &Arc<PageTracker>,
+        id: u64,
+        len: usize,
+        span: usize,
+    ) -> Version {
+        let mut picked: Vec<u32> = (0..span as u32).collect();
+        for i in 0..len {
+            picked.swap(i, i + rng.below(span - i));
+        }
+        picked.truncate(len);
+        picked.sort_unstable();
+        Version {
+            id,
+            base_id: id - rng.below(2) as u64,
+            committer: Tid(id as u32 % 3),
+            pages: picked
+                .into_iter()
+                .map(|p| (p, Arc::new(PageBuf::zeroed(tracker))))
+                .collect(),
+        }
+    }
+
+    /// The squash in place gives what the merge gave: the same page
+    /// list, entry by entry the same `Arc`, the same ids, and no page kept
+    /// alive that the merge released. Random pairs, plus the shapes the
+    /// workloads squash: 5 pages into 68 (`fine_locks`), 2 into 5
+    /// (`kv_server`), 64 into 128 (the barriers), 127 into 1 and an empty
+    /// side.
+    #[test]
+    fn squash_in_place_matches_the_linear_merge() {
+        let mut rng = Lcg(0x5A_5A_5A);
+        let mut shapes = vec![(68, 5), (5, 2), (128, 64), (1, 127), (0, 9), (9, 0), (0, 0)];
+        shapes.extend((0..400).map(|_| (rng.below(130), rng.below(130))));
+        for (n, k) in shapes {
+            // A narrow span makes most of the newer pages hits, a wide one
+            // misses.
+            let span = n.max(k) + rng.below(2 * (n + k) + 1);
+            let tracker = PageTracker::new();
+            let older = random_version(&mut rng, &tracker, 10, n, span);
+            let newer = random_version(&mut rng, &tracker, 11, k, span);
+            let mut oracle: VecDeque<Version> = [older.clone(), newer.clone()].into();
+            let mut folded: VecDeque<Version> = [older, newer].into();
+            squash_by_merge(&mut oracle);
+            squash_oldest_pair(&mut folded);
+            let (want, got) = (&oracle[0], &folded[0]);
+            assert_eq!(
+                (folded.len(), got.id, got.base_id),
+                (1, want.id, want.base_id)
+            );
+            assert_eq!(got.committer, want.committer);
+            assert_eq!(got.pages.len(), want.pages.len(), "{k} into {n}");
+            for ((pg, rg), (pw, rw)) in got.pages.iter().zip(&want.pages) {
+                assert!(pg == pw && Arc::ptr_eq(rg, rw), "{k} into {n}: page {pw}");
+            }
+            // Both lists hold the same `Arc`s: a page either side still
+            // held beyond the union would show here.
+            assert_eq!(tracker.live(), want.pages.len(), "{k} into {n}");
+            drop(oracle);
+            assert_eq!(tracker.live(), got.pages.len());
+        }
+    }
+
+    /// `fine_locks`' sequence: every commit squashed onto the union of all
+    /// the earlier ones, the union held by one list throughout.
+    #[test]
+    fn repeated_squashes_fold_into_the_oldest_list() {
+        let mut rng = Lcg(0xF1_F1_F1);
+        let tracker = PageTracker::new();
+        let first = random_version(&mut rng, &tracker, 1, 5, 80);
+        let mut oracle: VecDeque<Version> = [first.clone()].into();
+        let mut folded: VecDeque<Version> = [first].into();
+        for id in 2..200 {
+            let len = 1 + rng.below(6);
+            let v = random_version(&mut rng, &tracker, id, len, 80);
+            oracle.push_back(v.clone());
+            folded.push_back(v);
+            squash_by_merge(&mut oracle);
+            squash_oldest_pair(&mut folded);
+            let (want, got) = (&oracle[0], &folded[0]);
+            assert_eq!((got.id, got.base_id), (want.id, want.base_id));
+            assert!(got
+                .pages
+                .iter()
+                .zip(&want.pages)
+                .all(|((pg, rg), (pw, rw))| pg == pw && Arc::ptr_eq(rg, rw)));
+            assert_eq!(got.pages.len(), want.pages.len());
+            assert_eq!(tracker.live(), want.pages.len());
+        }
+    }
+
+    /// The propagation count reads the per-commit records by index: a
+    /// prefix the collector dropped and a range it squashed give the
+    /// counts the uncollected history gives.
+    #[test]
+    fn propagation_window_survives_a_dropped_prefix_and_a_squash() {
+        let run = |collect: bool| {
+            let seg = Segment::new(4, 3);
+            let (mut a, _) = seg.new_workspace(Tid(0));
+            let (mut b, _) = seg.new_workspace(Tid(1));
+            let (mut c, _) = seg.new_workspace(Tid(2));
+            let commit = |ws: &mut Workspace, pages: &[usize], val: u8| {
+                for p in pages {
+                    ws.write_bytes(p * PAGE_SIZE, &[val]);
+                }
+                seg.commit(ws, None);
+                seg.update(ws);
+            };
+            commit(&mut a, &[0, 1], 1);
+            commit(&mut a, &[2], 2);
+            // Everyone replays 1..=2: the collector may drop them.
+            seg.update(&mut b);
+            seg.update(&mut c);
+            commit(&mut a, &[0, 3], 3);
+            commit(&mut b, &[1], 4);
+            commit(&mut a, &[2, 3], 5);
+            commit(&mut b, &[0, 1, 2], 6);
+            seg.pin(4);
+            if collect {
+                // C holds base 2: 1..=2 go, 3..=4 squash up to the pin.
+                let res = seg.gc(usize::MAX);
+                assert_eq!((res.dropped, res.squashed), (2, 1));
+                assert_eq!(seg.retained_versions(), 3);
+            }
+            [
+                seg.update(&mut a).pages_propagated,
+                seg.update_to(&mut c, 4).pages_propagated,
+                seg.update(&mut c).pages_propagated,
+            ]
+        };
+        // A, at 5, sees B's 6; C sees 3 and 4, then 5 and 6.
+        assert_eq!(run(false), [3, 3, 5]);
+        assert_eq!(run(true), [3, 3, 5]);
+    }
+
+    /// A pooled workspace handed to a higher thread id keeps pinning its
+    /// base: the collector reads the slot it moved to.
+    #[test]
+    fn an_adopted_workspace_pins_from_its_new_slot() {
+        let seg = Segment::new(1, 8);
+        let (mut a, _) = seg.new_workspace(Tid(0));
+        let (mut pooled, _) = seg.new_workspace(Tid(1));
+        seg.detach(Tid(1));
+        seg.adopt(&mut pooled, Tid(6));
+        for i in 1..=3u8 {
+            a.write_bytes(0, &[i]);
+            seg.commit(&mut a, None);
+            seg.update(&mut a);
+        }
+        assert_eq!(seg.gc(usize::MAX).dropped, 0, "slot 6 holds base 0");
+        assert_eq!(seg.update(&mut pooled).pages_propagated, 3);
+        let mut buf = [0u8; 1];
+        pooled.read_bytes(0, &mut buf);
+        assert_eq!(buf[0], 3);
+        assert_eq!(seg.gc(usize::MAX).dropped, 1);
     }
 
     #[test]
