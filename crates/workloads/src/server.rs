@@ -290,7 +290,8 @@ pub struct DomainServer {
     store: usize,
     /// Per-worker response accumulators.
     resp: usize,
-    /// `[processed]` control cell.
+    /// Per-worker processed-request counters, one cell each: a worker
+    /// bumps its own with a plain load and store, so no two race.
     ctrl: usize,
     workers: usize,
     /// Owned global keys (local index → global key).
@@ -316,7 +317,7 @@ impl DomainServer {
     ) -> (usize, usize, usize, usize) {
         let store = l.cells_page_aligned(nkeys.max(1));
         let resp = l.cells_page_aligned(workers);
-        let ctrl = l.cells_page_aligned(1);
+        let ctrl = l.cells_page_aligned(workers);
         let outbox = l.cells_page_aligned(1 + 2 * spec.requests.max(1));
         (store, resp, ctrl, outbox)
     }
@@ -350,7 +351,7 @@ impl DomainServer {
         if !local_init.is_empty() {
             rt.init_u64_slice(store, &local_init);
         }
-        rt.init_u64(ctrl, 0);
+        rt.init_u64_slice(ctrl, &vec![0; workers]);
         rt.init_u64(outbox, 0);
 
         // Global key → local store index; u32::MAX marks foreign keys.
@@ -451,11 +452,12 @@ impl DomainServer {
         vals
     }
 
-    /// Requests this domain processed (its share of `spec.requests`).
+    /// Requests this domain processed (its share of `spec.requests`):
+    /// the sum of the workers' counters.
     pub fn processed(&self, rt: &dyn Runtime) -> u64 {
-        let mut v = [0u64; 1];
+        let mut v = vec![0u64; self.workers];
         rt.final_u64_slice(self.ctrl, &mut v);
-        v[0]
+        v.iter().sum()
     }
 
     /// Folds the domain's full observable output — store, responses,
@@ -550,7 +552,7 @@ fn serve(
                     }
                 }
             }
-            c.fetch_add_u64(ctrl, 1);
+            c.fetch_add_u64(ctrl + 8 * w, 1);
         }
         c.barrier_wait(end_b);
     }

@@ -209,9 +209,9 @@ const GOLDEN_VTIME: &[(&str, &str, u64, u64, u64, [u64; 7])] = &[
     ("string_match", "consequence-ic", 3801542, 0x61a53ba246f26d15, 0x5ecddfee5172b047, [9044032, 4081068, 0, 40900, 17800, 12000, 4891460]),
     ("string_match", "consequence-rr", 2641252, 0x61a53ba246f26d15, 0x99d767796e133821, [9044032, 2926508, 0, 39400, 17200, 12000, 314720]),
     ("string_match", "dwc", 2646720, 0x61a53ba246f26d15, 0xb2b4487894de43cf, [9044032, 2912698, 0, 49900, 19900, 12000, 320420]),
-    ("dmt_server", "consequence-ic", 102663980, 0x8126f878b0cfbb18, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020]),
+    ("dmt_server", "consequence-ic", 102663980, 0x99360acdc626ef21, 0x34300d2f73672d92, [275340, RACY, RACY, 35517600, 17798600, 24687000, 42469020]),
     ("dmt_server", "consequence-rr", 112992221, 0x45cf25d62179ffbd, 0xad95e70023088f2d, [275683, RACY, RACY, 48600800, 22759400, 24687000, 18969940]),
-    ("dmt_server", "dwc", 132807765, 0xfbe1db2f13ab9068, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740]),
+    ("dmt_server", "dwc", 132807765, 0x6c03f671b7fa3262, 0x240f69238f82e0c2, [275683, RACY, RACY, 70281000, 31280000, 25398000, 25892740]),
     ("mixed", "consequence-ic", 499332, 0x10569860aabaa499, 0x3616bfca540423c6, [57327, 685395, 70186, 129550, 50350, 36000, 389420]),
     ("mixed", "consequence-rr", 426139, 0x2daaa8597ccf927d, 0xe4a329dabdd49684, [57324, 690053, 53656, 110050, 42550, 36000, 212420]),
     ("mixed", "dwc", 519376, 0x2daaa8597ccf927d, 0x8e9096a206696aea, [57324, 807746, 30054, 133700, 53350, 36000, 277060]),
