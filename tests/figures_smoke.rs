@@ -78,6 +78,35 @@ fn fig15_smoke_breakdowns_total_to_runtime() {
     assert_eq!(pt.breakdown.commit, 0);
 }
 
+/// Figure 16 at four threads (`figures --quick fig16`), pinned exactly:
+/// `(benchmark, tso_pages, lrc_pages)`. Both counts are functions of the
+/// deterministic schedule, so a change that moves one of them has moved a
+/// happens-before edge or a commit, and must say which.
+#[test]
+fn fig16_pins_the_four_thread_table() {
+    let pins: [(&str, u64, u64); 12] = [
+        ("canneal", 640, 544),
+        ("lu_ncb", 8320, 8317),
+        ("lu_cb", 8320, 8317),
+        ("ocean_cp", 256, 232),
+        ("radix", 576, 480),
+        ("water_nsquared", 3652, 3649),
+        ("water_spatial", 128, 128),
+        ("kmeans", 252, 144),
+        ("streamcluster", 208, 205),
+        ("reverse_index", 30699, 30618),
+        ("word_count", 433, 290),
+        ("ferret", 4482, 4475),
+    ];
+    let names: Vec<&str> = pins.iter().map(|p| p.0).collect();
+    let rows = fig16(&quick(), 4, &names);
+    let got: Vec<(&str, u64, u64)> = rows
+        .iter()
+        .map(|r| (r.benchmark.as_str(), r.tso_pages, r.lrc_pages))
+        .collect();
+    assert_eq!(got, pins);
+}
+
 #[test]
 fn fig16_smoke_lrc_bounded_by_tso() {
     for row in fig16(&quick(), 2, &["radix", "word_count"]) {
