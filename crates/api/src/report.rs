@@ -93,9 +93,6 @@ pub struct Counters {
     pub chunks: u64,
     /// Chunks that were coarsened into a preceding chunk (§3.1).
     pub coarsened_chunks: u64,
-    /// Pages an LRC system would have propagated (§5.3 estimator);
-    /// zero unless LRC tracking was enabled.
-    pub lrc_pages_propagated: u64,
     /// Versions dropped outright by the version-chain collector.
     pub gc_versions_dropped: u64,
     /// Version pairs squashed (compacted) by the collector while pinned by
@@ -137,7 +134,6 @@ impl AddAssign for Counters {
         self.pool_hits += o.pool_hits;
         self.chunks += o.chunks;
         self.coarsened_chunks += o.coarsened_chunks;
-        self.lrc_pages_propagated += o.lrc_pages_propagated;
         self.gc_versions_dropped += o.gc_versions_dropped;
         self.gc_versions_squashed += o.gc_versions_squashed;
         self.page_pool_hits += o.page_pool_hits;

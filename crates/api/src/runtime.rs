@@ -17,10 +17,6 @@ pub struct CommonConfig {
     pub max_threads: usize,
     /// Virtual-time prices for runtime operations.
     pub cost: CostModel,
-    /// Track the §5.3 happens-before estimate of LRC page propagation
-    /// (Figure 16). Adds bookkeeping cost in real time, none in virtual
-    /// time.
-    pub track_lrc: bool,
     /// Versions the garbage collector may reclaim per installing step (a
     /// serial commit, or a parallel barrier's install); models the paper's
     /// single-threaded Conversion collector that "cannot keep up" under
@@ -44,7 +40,6 @@ impl Default for CommonConfig {
             heap_pages: 1024,
             max_threads: 64,
             cost: CostModel::default(),
-            track_lrc: false,
             gc_budget: 4,
             trace: TraceHandle::off(),
             perturb: PerturbHandle::off(),
@@ -118,6 +113,5 @@ mod tests {
         let c = CommonConfig::default();
         assert_eq!(c.heap_bytes(), 1024 * 4096);
         assert!(c.max_threads >= 32);
-        assert!(!c.track_lrc);
     }
 }

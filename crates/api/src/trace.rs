@@ -128,7 +128,8 @@ pub enum Event {
     },
     /// A Conversion commit: `version` is the created (or, with no dirty
     /// pages, the pre-existing) version id; `page_set` digests the dirty
-    /// page ids.
+    /// page ids. The parallel barrier's installer emits one per installed
+    /// version as an auxiliary event, `merged` and `page_set` zero.
     Commit {
         tid: Tid,
         version: u64,

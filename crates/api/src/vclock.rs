@@ -2,8 +2,8 @@
 //!
 //! Consequence itself needs no vector clocks (TSO commits are global); they
 //! exist to *estimate* what a lazy-release-consistency system would have
-//! propagated (Figure 16). Committed versions and synchronization objects
-//! are tagged with these clocks.
+//! propagated (Figure 16). `dmt-bench` folds that estimate from a run's
+//! events, with one clock per thread and per synchronization object.
 
 use crate::ids::Tid;
 
@@ -15,16 +15,6 @@ impl VectorClock {
     /// A zero clock for `n` threads.
     pub fn new(n: usize) -> Self {
         VectorClock(vec![0; n])
-    }
-
-    /// Number of components.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the clock has no components.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 
     /// Component for thread `t`.
@@ -48,12 +38,6 @@ impl VectorClock {
         for (a, b) in self.0.iter_mut().zip(&other.0) {
             *a = (*a).max(*b);
         }
-    }
-
-    /// Whether `self` happened-before-or-equals `other` (component-wise ≤).
-    pub fn leq(&self, other: &VectorClock) -> bool {
-        debug_assert_eq!(self.0.len(), other.0.len());
-        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
     }
 }
 
@@ -80,18 +64,5 @@ mod tests {
         a.join(&b);
         assert_eq!(a.get(Tid(0)), 2);
         assert_eq!(a.get(Tid(2)), 1);
-    }
-
-    #[test]
-    fn leq_is_partial_order() {
-        let mut a = VectorClock::new(2);
-        let mut b = VectorClock::new(2);
-        assert!(a.leq(&b) && b.leq(&a));
-        a.tick(Tid(0));
-        b.tick(Tid(1));
-        // Concurrent: neither ≤ the other.
-        assert!(!a.leq(&b) && !b.leq(&a));
-        b.join(&a);
-        assert!(a.leq(&b));
     }
 }

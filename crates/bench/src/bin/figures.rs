@@ -242,21 +242,6 @@ fn fig15_cmd(c: &Cfg) {
 }
 
 fn fig16_cmd(c: &Cfg) {
-    // The paper uses the 12 benchmarks with ≥10K page updates.
-    let benches = [
-        "canneal",
-        "lu_ncb",
-        "lu_cb",
-        "ocean_cp",
-        "radix",
-        "water_nsquared",
-        "water_spatial",
-        "kmeans",
-        "streamcluster",
-        "reverse_index",
-        "word_count",
-        "ferret",
-    ];
     println!(
         "== Figure 16: pages propagated, TSO (Consequence) vs LRC estimate ({} threads)",
         c.detail_threads
@@ -265,7 +250,7 @@ fn fig16_cmd(c: &Cfg) {
         "{:<18}{:>12}{:>12}{:>12}",
         "benchmark", "tso", "lrc", "reduction"
     );
-    let rows = fig16(&c.bench, c.detail_threads, &benches);
+    let rows = fig16(&c.bench, c.detail_threads, &FIG16_BENCHMARKS);
     let mut total_red = 0.0;
     for r in &rows {
         println!(
@@ -566,8 +551,7 @@ fn paper_cmd(c: &Cfg) -> bool {
 
     // Figure 16: the LRC study — TSO propagates more pages than the
     // happens-before lower bound, never fewer.
-    let f16_benches = ["canneal", "lu_ncb", "ocean_cp", "kmeans", "word_count"];
-    let f16 = fig16(&c.bench, c.detail_threads, &f16_benches);
+    let f16 = fig16(&c.bench, c.detail_threads, &FIG16_BENCHMARKS);
     let sane = f16.iter().all(|r| r.lrc_pages <= r.tso_pages);
     let mean_red = f16.iter().map(|r| r.reduction).sum::<f64>() / f16.len() as f64;
     row(

@@ -61,8 +61,6 @@ pub struct Cell {
     pub max_threads: usize,
     /// Versions the collector may reclaim per commit.
     pub gc_budget: usize,
-    /// Track the §5.3 LRC estimate (Figure 16).
-    pub track_lrc: bool,
 }
 
 /// What one execution of a [`Cell`] produced.
@@ -95,7 +93,6 @@ impl Cell {
             sink: Sink::Hash,
             max_threads: 64,
             gc_budget: 4,
-            track_lrc: false,
         }
     }
 
@@ -122,7 +119,6 @@ impl Cell {
             heap_pages: self.heap_pages(),
             max_threads: self.max_threads,
             cost: CostModel::default(),
-            track_lrc: self.track_lrc,
             gc_budget: self.gc_budget,
             trace,
             perturb: self.perturb,

@@ -219,7 +219,6 @@ json_struct!(Counters {
     pool_hits,
     chunks,
     coarsened_chunks,
-    lrc_pages_propagated,
     gc_versions_dropped,
     gc_versions_squashed,
     page_pool_hits

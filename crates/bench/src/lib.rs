@@ -10,8 +10,11 @@
 pub mod cell;
 pub mod json;
 pub mod jsonparse;
+pub mod lrc;
 pub mod replay;
 pub mod soak;
+
+use std::sync::Arc;
 
 use consequence::Options;
 use dmt_api::{Breakdown, RunReport, Tid};
@@ -19,6 +22,7 @@ use dmt_baselines::RuntimeKind;
 use dmt_workloads::Params;
 
 pub use cell::{Cell, CellRun, Sink, System};
+pub use lrc::LrcFold;
 
 /// The 19 paper benchmarks in presentation order.
 pub const ALL_BENCHMARKS: [&str; 19] = [
@@ -419,19 +423,39 @@ crate::json_record! {
     }
 }
 
+/// The paper's Figure 16 programs: the 12 benchmarks with ≥10K page
+/// updates.
+pub const FIG16_BENCHMARKS: [&str; 12] = [
+    "canneal",
+    "lu_ncb",
+    "lu_cb",
+    "ocean_cp",
+    "radix",
+    "water_nsquared",
+    "water_spatial",
+    "kmeans",
+    "streamcluster",
+    "reverse_index",
+    "word_count",
+    "ferret",
+];
+
 /// Figure 16: total pages propagated under TSO (Consequence) vs the
-/// happens-before LRC estimate, for benchmarks with enough page traffic.
+/// happens-before LRC estimate, which an [`LrcFold`] attached as the run's
+/// trace sink reads off the events.
 pub fn fig16(b: &Bench, threads: usize, benchmarks: &[&str]) -> Vec<Fig16Row> {
     benchmarks
         .iter()
         .map(|&name| {
+            let cell = b.cell(RuntimeKind::ConsequenceIc, name, threads);
+            let fold = Arc::new(LrcFold::new(cell.max_threads));
             let cell = Cell {
-                track_lrc: true,
-                ..b.cell(RuntimeKind::ConsequenceIc, name, threads)
+                sink: Sink::To(fold.clone()),
+                ..cell
             };
             let m = measure(cell, RuntimeKind::ConsequenceIc.label());
             let tso = m.report.counters.pages_propagated;
-            let lrc = m.report.counters.lrc_pages_propagated;
+            let lrc = fold.pages_propagated();
             Fig16Row {
                 benchmark: name.to_string(),
                 tso_pages: tso,

@@ -7,7 +7,6 @@ use dmt_api::trace::Event;
 use dmt_api::{BarrierId, DmtError, PanicSite, PerturbSite, Tid};
 
 use super::{raise, Ctx};
-use crate::lrc::LrcObject;
 use crate::shared::{BarPhase, BarrierSt, Held, Inner};
 
 /// Why a barrier wait cannot complete: the watchdog abandoned the run, or
@@ -139,7 +138,6 @@ impl<'a> Ctx<'a> {
         let (gen, parties, is_last, pc) = {
             let mut inner =
                 self.await_barrier(sh.lock(), b, true, |bst| bst.phase == BarPhase::Collecting);
-            inner.lrc_release(self.tid, LrcObject::Barrier(b.0));
             let bst = &mut inner.barriers[b.index()];
             bst.arrived.push(self.tid);
             bst.max_arrival_clock = bst.max_arrival_clock.max(self.clock);
@@ -229,16 +227,24 @@ impl<'a> Ctx<'a> {
                 // pass is a function of the schedule, and the leavers fold
                 // its charge in through `install_v`.
                 self.collect();
-                let mut inner = sh.lock();
-                // Page accounting uses the installed (merged) counts so the
-                // TSO and LRC page metrics share units.
-                for (t, pages) in &installed {
-                    self.cnt.pages_committed += *pages as u64;
-                    if let Some(l) = inner.lrc.as_mut() {
-                        l.on_commit(*t, *pages);
-                    }
+                // Page accounting uses the installed (merged) counts. Each
+                // installed version is its participant's commit, emitted as
+                // an auxiliary event (counted, never hashed) before the
+                // open: the versions went in in this order, ending at the
+                // latest.
+                let made = installed.iter().filter(|(_, pages)| *pages > 0);
+                let first = sh.seg.latest_id() + 1 - made.clone().count() as u64;
+                for (version, &(tid, pages)) in (first..).zip(made) {
+                    self.cnt.pages_committed += pages as u64;
+                    sh.cfg.trace.emit_aux(Event::Commit {
+                        tid,
+                        version,
+                        pages,
+                        merged: 0,
+                        page_set: 0,
+                    });
                 }
-                self.open_barrier(&mut inner, b, gen);
+                self.open_barrier(&mut sh.lock(), b, gen);
             } else {
                 drop(self.follow_barrier(inner, b, gen, BarPhase::Installed));
             }
@@ -264,7 +270,6 @@ impl<'a> Ctx<'a> {
             if bst.leaving == parties {
                 bst.reset();
             }
-            inner.lrc_acquire(self.tid, LrcObject::Barrier(b.0));
             inner.wake_waiters();
         }
         self.cnt.chunks += 1;

@@ -5,7 +5,6 @@ use dmt_api::{CondId, DmtResult, MutexId};
 
 use super::token::ParkOrder;
 use super::Ctx;
-use crate::lrc::LrcObject;
 
 impl Ctx<'_> {
     /// Fallible condition wait. Fails with [`DmtError::CondOwnerDied`]
@@ -21,8 +20,7 @@ impl Ctx<'_> {
         self.acquire_token()?;
         // Condition operations end any coarsened chunk (§3.1): the park
         // commits before it releases the mutex and queues.
-        let woken_by = Some(LrcObject::Cond(c.0));
-        self.park(ParkOrder::CommitThenDepart, woken_by, |me, inner| {
+        self.park(ParkOrder::CommitThenDepart, |me, inner| {
             let _ = me.unlock_state(inner, m);
             inner.conds[c.index()].waiters.push_back((me.tid, m));
             me.sh.cfg.trace.emit(Event::CondWait {
@@ -68,7 +66,6 @@ impl Ctx<'_> {
                 woken: first,
             }
         });
-        inner.lrc_release(self.tid, LrcObject::Cond(c.0));
         self.leave_locked(&mut inner, true);
     }
 }

@@ -5,7 +5,6 @@ use dmt_api::{DmtError, DmtResult, MutexId, PanicSite};
 
 use super::token::ParkOrder;
 use super::Ctx;
-use crate::lrc::LrcObject;
 use crate::shared::Inner;
 
 impl Ctx<'_> {
@@ -53,7 +52,6 @@ impl Ctx<'_> {
                     mutex: m,
                     ticket,
                 });
-                inner.lrc_acquire(self.tid, LrcObject::Mutex(m.0));
                 let held = if fresh {
                     // Fig. 7 line 6: a fresh acquisition must pull the
                     // latest committed state before the critical section.
@@ -85,7 +83,7 @@ impl Ctx<'_> {
             // Lock held: commit buffered writes (we may hold data of locks
             // we released inside a coarsened chunk), then queue on the
             // lock and depart (Fig. 7 lines 10-13).
-            self.park(ParkOrder::CommitThenDepart, None, |me, inner| {
+            self.park(ParkOrder::CommitThenDepart, |me, inner| {
                 inner.mutexes[m.index()].waiters.push_back(me.tid);
                 me.sh.cfg.trace.emit(Event::MutexBlock {
                     tid: me.tid,
@@ -118,7 +116,6 @@ impl Ctx<'_> {
         if let Some(w) = woke {
             self.wake(inner, w, None);
         }
-        inner.lrc_release(self.tid, LrcObject::Mutex(m.0));
         woke.is_some()
     }
 

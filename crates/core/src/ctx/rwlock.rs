@@ -8,7 +8,6 @@ use dmt_api::{DmtError, RwLockId, Tid};
 
 use super::token::ParkOrder;
 use super::{or_raise, raise, Ctx};
-use crate::lrc::LrcObject;
 use crate::shared::{Inner, RwSt};
 
 impl Ctx<'_> {
@@ -69,17 +68,14 @@ impl Ctx<'_> {
         }
         if st.writer.is_none() && st.waiters.is_empty() && (!writer || st.readers.is_empty()) {
             self.rw_grant(st, l, self.tid, writer);
-            inner.lrc_acquire(self.tid, LrcObject::RwLock(l.0));
             drop(inner);
             self.commit_and_leave(true);
             return;
         }
         drop(inner);
-        or_raise(self.park(
-            ParkOrder::DepartThenCommit,
-            Some(LrcObject::RwLock(l.0)),
-            |me, inner| inner.rwlocks[l.index()].waiters.push_back((me.tid, writer)),
-        ));
+        or_raise(self.park(ParkOrder::DepartThenCommit, |me, inner| {
+            inner.rwlocks[l.index()].waiters.push_back((me.tid, writer))
+        }));
         // The waker granted us the hold; take the token to refresh our
         // view (acquire semantics), then continue.
         self.acquire_token_or_raise();
@@ -118,7 +114,6 @@ impl Ctx<'_> {
         if writer || st.readers.is_empty() {
             self.rw_wake_head(&mut inner, l);
         }
-        inner.lrc_release(self.tid, LrcObject::RwLock(l.0));
         inner.table.resume(self.tid, self.clock, self.v);
         drop(inner);
         self.commit_and_update();

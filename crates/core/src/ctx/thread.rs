@@ -7,7 +7,6 @@ use dmt_api::{DmtError, DmtResult, Job, Tid};
 
 use super::token::ParkOrder;
 use super::Ctx;
-use crate::lrc::LrcObject;
 use crate::shared::{Held, Inner, Msg, PoolEntry, ThreadSt};
 
 impl Ctx<'_> {
@@ -39,9 +38,6 @@ impl Ctx<'_> {
         inner.live += 1;
         inner.table.register(child, self.clock, self.v);
         self.cnt.spawns += 1;
-        if let Some(l) = inner.lrc.as_mut() {
-            l.on_spawn(self.tid, child);
-        }
 
         let pooled = if sh.opts.thread_pool {
             inner.pool.pop()
@@ -104,7 +100,7 @@ impl Ctx<'_> {
         loop {
             self.acquire_token()?;
             let sh = self.sh;
-            let mut inner = sh.lock();
+            let inner = sh.lock();
             assert!(
                 (t.index()) < inner.threads.len(),
                 "join on unknown thread {t}"
@@ -116,7 +112,6 @@ impl Ctx<'_> {
                     self.clock = self.clock.max(target.exit_clock);
                 }
                 let panicked = target.panicked.then(|| target.panic_msg.clone());
-                inner.lrc_acquire(self.tid, LrcObject::Thread(t.0));
                 self.sh.cfg.trace.emit(Event::Join {
                     tid: self.tid,
                     target: t,
@@ -132,7 +127,7 @@ impl Ctx<'_> {
             drop(inner);
             // Commit before blocking: a joiner may hold the only copy of
             // data an ad-hoc reader is spinning on.
-            self.park(ParkOrder::CommitThenDepart, None, |me, inner| {
+            self.park(ParkOrder::CommitThenDepart, |me, inner| {
                 inner.threads[t.index()].joiners.push(me.tid);
             })?;
         }
@@ -161,9 +156,7 @@ impl Ctx<'_> {
         inner.live -= 1;
         inner.max_exit_v = inner.max_exit_v.max(self.v);
         inner.reports.push((self.tid, self.bd));
-        let mut cnt = *self.cnt;
-        cnt.lrc_pages_propagated = 0; // aggregated once, from the tracker
-        inner.counters += cnt;
+        inner.counters += *self.cnt;
     }
 
     /// The tail of an exit under the token, healthy or contained: wake
@@ -175,7 +168,6 @@ impl Ctx<'_> {
         for j in joiners {
             self.wake(inner, j, None);
         }
-        inner.lrc_release(self.tid, LrcObject::Thread(self.tid.0));
         self.mark_exited(inner, panic);
         // Park the workspace in the thread pool (§3.3) while still holding
         // the token, so pool contents are a deterministic function of the

@@ -23,7 +23,6 @@ use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, ThreadCtx, Tid};
 
 use super::{or_raise, Ctx};
-use crate::lrc::LrcObject;
 use crate::shared::{Held, Inner};
 
 /// When a parking thread publishes its buffered stores.
@@ -250,12 +249,6 @@ impl<'a> Ctx<'a> {
         self.cnt.chunks += 1;
         self.chunk_start_clock = self.clock;
         self.current_since_acquire = true;
-        if cr.pages > 0 && self.sh.cfg.track_lrc {
-            let mut inner = self.sh.lock();
-            if let Some(l) = inner.lrc.as_mut() {
-                l.on_commit(self.tid, cr.pages);
-            }
-        }
     }
 
     /// The collector step of every path that installs versions — this
@@ -372,13 +365,11 @@ impl<'a> Ctx<'a> {
 
     /// Depart-and-block (Fig. 7 lines 10–13): queue with `enqueue`, leave
     /// the clock order, give the token up and sleep until a token holder
-    /// [`Ctx::wake`]s this thread; `acquired` is the LRC edge the wake
-    /// carries. Fails with the error a dying owner attached, or with
-    /// [`DmtError::Shutdown`].
+    /// [`Ctx::wake`]s this thread. Fails with the error a dying owner
+    /// attached, or with [`DmtError::Shutdown`].
     pub(super) fn park(
         &mut self,
         order: ParkOrder,
-        acquired: Option<LrcObject>,
         enqueue: impl FnOnce(&mut Ctx, &mut Inner),
     ) -> DmtResult<()> {
         if order == ParkOrder::CommitThenDepart {
@@ -394,11 +385,7 @@ impl<'a> Ctx<'a> {
             inner = sh.lock();
         }
         self.release(&mut inner, true);
-        self.block_until_woken(&mut inner)?;
-        if let Some(o) = acquired {
-            inner.lrc_acquire(self.tid, o);
-        }
-        Ok(())
+        self.block_until_woken(&mut inner)
     }
 
     /// One sleep of a thread waiting for the token or its wake flag.

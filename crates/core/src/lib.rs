@@ -25,8 +25,8 @@
 //!   (§3), each independently toggleable through [`Options`] for the
 //!   Figure 13 ablations;
 //! * measurement — deterministic virtual-time accounting (see the
-//!   workspace `DESIGN.md`) and the §5.3 LRC propagation estimator
-//!   ([`lrc`]).
+//!   workspace `DESIGN.md`). The §5.3 propagation estimate (Figure 16) is
+//!   not kept here: `dmt-bench` folds it from the emitted events.
 
 // Robustness gate: runtime code must not panic on recoverable
 // conditions — recoverable failures travel as `DmtError` and workload
@@ -37,7 +37,6 @@
 
 pub mod coarsen;
 mod ctx;
-pub mod lrc;
 pub mod options;
 pub mod runtime;
 mod shared;

@@ -170,13 +170,9 @@ impl Runtime for ConsequenceRuntime {
             let handles = std::mem::take(&mut inner.handles);
             let mut reports = std::mem::take(&mut inner.reports);
             reports.sort_by_key(|(t, _)| *t);
-            let mut counters = inner.counters;
-            if let Some(l) = inner.lrc.as_ref() {
-                counters.lrc_pages_propagated = l.pages_propagated();
-            }
             let out = (
                 reports,
-                counters,
+                inner.counters,
                 inner.max_exit_v,
                 inner.next_tid,
                 inner.fault.take(),

@@ -15,7 +15,6 @@ use det_clock::SchedTable;
 use dmt_api::{Breakdown, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
-use crate::lrc::{LrcObject, LrcTracker};
 use crate::options::Options;
 
 /// A deterministic mutex.
@@ -190,7 +189,6 @@ pub(crate) struct Inner {
     pub reports: Vec<(Tid, Breakdown)>,
     pub counters: Counters,
     pub max_exit_v: u64,
-    pub lrc: Option<LrcTracker>,
     pub started: bool,
     /// Monotone count of token grants: the watchdog's logical-progress
     /// signal (GMIC advancing ⇒ grants happening).
@@ -204,24 +202,6 @@ pub(crate) struct Inner {
     pub panics: Vec<(Tid, String)>,
     /// Threads asleep in [`Held::wait`].
     pub waiters: Vec<Tid>,
-}
-
-impl Inner {
-    /// Records an acquire edge on `o` when the LRC estimator is attached.
-    #[inline]
-    pub fn lrc_acquire(&mut self, t: Tid, o: LrcObject) {
-        if let Some(l) = self.lrc.as_mut() {
-            l.on_acquire(t, o);
-        }
-    }
-
-    /// Records a release edge on `o` when the LRC estimator is attached.
-    #[inline]
-    pub fn lrc_release(&mut self, t: Tid, o: LrcObject) {
-        if let Some(l) = self.lrc.as_mut() {
-            l.on_release(t, o);
-        }
-    }
 }
 
 /// Where threads sleep and how they are woken.
@@ -433,7 +413,6 @@ impl Shared {
     pub fn new(cfg: CommonConfig, opts: Options) -> Arc<Shared> {
         let mut seg = Segment::new(cfg.heap_pages, cfg.max_threads);
         seg.set_perturb(cfg.perturb.clone());
-        let lrc = cfg.track_lrc.then(|| LrcTracker::new(cfg.max_threads));
         // Preallocate per-thread vectors to their max_threads-derived
         // bounds so hot paths never reallocate.
         let max_t = cfg.max_threads;
@@ -456,7 +435,6 @@ impl Shared {
                 reports: Vec::with_capacity(max_t),
                 counters: Counters::default(),
                 max_exit_v: 0,
-                lrc,
                 started: false,
                 grant_seq: 0,
                 shutdown: false,

@@ -446,7 +446,6 @@ fn run_domain(
         heap_pages: DomainServer::heap_pages(&spec, plan.keys.len(), workers),
         max_threads: workers + 2,
         cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: usize::MAX,
         trace: trace.clone(),
         perturb,

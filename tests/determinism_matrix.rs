@@ -13,7 +13,6 @@ fn cfg(pages: usize) -> CommonConfig {
         heap_pages: pages,
         max_threads: 32,
         cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: usize::MAX,
         trace: dmt_api::TraceHandle::off(),
         perturb: dmt_api::PerturbHandle::off(),

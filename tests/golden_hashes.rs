@@ -65,7 +65,6 @@ fn schedule_hash(label: &str, name: &str) -> u64 {
         heap_pages: w.heap_pages(&p),
         max_threads: 64,
         cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: 4,
         trace: TraceHandle::to(sink as _),
         perturb: PerturbHandle::off(),
@@ -137,7 +136,6 @@ fn goldens_are_geometry_sensitive() {
                 heap_pages: w.heap_pages(&p),
                 max_threads: 64,
                 cost: CostModel::default(),
-                track_lrc: false,
                 gc_budget: 4,
                 trace: TraceHandle::to(sink as _),
                 perturb: PerturbHandle::off(),

@@ -10,7 +10,6 @@ fn cfg() -> CommonConfig {
         heap_pages: 16,
         max_threads: 16,
         cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: usize::MAX,
         trace: dmt_api::TraceHandle::off(),
         perturb: dmt_api::PerturbHandle::off(),

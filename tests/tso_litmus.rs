@@ -103,7 +103,6 @@ fn cfg(perturb: PerturbHandle) -> CommonConfig {
         heap_pages: 16,
         max_threads: 8,
         cost: CostModel::default(),
-        track_lrc: false,
         gc_budget: 4,
         trace: TraceHandle::off(),
         perturb,
