@@ -39,6 +39,12 @@ impl VectorClock {
             *a = (*a).max(*b);
         }
     }
+
+    /// Whether `self` happened-before-or-equals `other` (component-wise ≤).
+    pub fn leq(&self, other: &VectorClock) -> bool {
+        debug_assert_eq!(self.0.len(), other.0.len());
+        self.0.iter().zip(&other.0).all(|(a, b)| a <= b)
+    }
 }
 
 #[cfg(test)]
@@ -64,5 +70,18 @@ mod tests {
         a.join(&b);
         assert_eq!(a.get(Tid(0)), 2);
         assert_eq!(a.get(Tid(2)), 1);
+    }
+
+    #[test]
+    fn leq_is_partial_order() {
+        let mut a = VectorClock::new(2);
+        let mut b = VectorClock::new(2);
+        assert!(a.leq(&b) && b.leq(&a));
+        a.tick(Tid(0));
+        b.tick(Tid(1));
+        // Concurrent: neither ≤ the other.
+        assert!(!a.leq(&b) && !b.leq(&a));
+        b.join(&a);
+        assert!(a.leq(&b));
     }
 }

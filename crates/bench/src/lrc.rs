@@ -230,3 +230,208 @@ impl Fold {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    //! [`LrcFold`] over hand-written event sequences.
+
+    use super::*;
+    use dmt_api::{BarrierId, CondId, MutexId};
+
+    fn commit(tid: u32, pages: u32) -> Event {
+        Event::Commit {
+            tid: Tid(tid),
+            version: 0,
+            pages,
+            merged: 0,
+            page_set: 0,
+        }
+    }
+
+    fn lock(tid: u32, m: u32) -> Event {
+        Event::MutexLock {
+            tid: Tid(tid),
+            mutex: MutexId(m),
+            ticket: 0,
+        }
+    }
+
+    fn unlock(tid: u32, m: u32) -> Event {
+        Event::MutexUnlock {
+            tid: Tid(tid),
+            mutex: MutexId(m),
+            woke: None,
+        }
+    }
+
+    fn cond_wait(tid: u32, c: u32, m: u32) -> Event {
+        Event::CondWait {
+            tid: Tid(tid),
+            cond: CondId(c),
+            mutex: MutexId(m),
+        }
+    }
+
+    /// Folds `events` into a fresh fold for `slots` threads.
+    fn fold(slots: usize, events: &[Event]) -> u64 {
+        let f = LrcFold::new(slots);
+        for ev in events {
+            f.emit(ev, true, DomainId::ROOT);
+        }
+        f.pages_propagated()
+    }
+
+    #[test]
+    fn unrelated_commits_are_not_propagated() {
+        assert_eq!(
+            fold(4, &[commit(0, 10), lock(1, 0)]),
+            0,
+            "no happens-before edge from T0's commit to T1's acquire"
+        );
+    }
+
+    #[test]
+    fn release_acquire_chain_propagates_once() {
+        let chain = [commit(0, 10), unlock(0, 0), lock(1, 0)];
+        assert_eq!(fold(4, &chain), 10);
+        // Re-acquiring adds nothing new.
+        assert_eq!(
+            fold(4, &[&chain[..], &[unlock(1, 0), lock(1, 0)]].concat()),
+            10
+        );
+    }
+
+    #[test]
+    fn own_commits_never_count() {
+        assert_eq!(fold(2, &[commit(0, 5), unlock(0, 0), lock(0, 0)]), 0);
+    }
+
+    #[test]
+    fn point_to_point_vs_barrier_broadcast() {
+        // Under LRC, a commit released through lock A reaches only the
+        // thread that acquires A; a barrier release reaches everyone.
+        // T2 never touches lock 0: nothing flows to it.
+        assert_eq!(fold(3, &[commit(0, 4), unlock(0, 0), lock(1, 0)]), 4);
+
+        let mut barrier = vec![commit(0, 4)];
+        barrier.extend((0..3).map(|t| Event::BarrierArrive {
+            tid: Tid(t),
+            barrier: BarrierId(0),
+            gen: 0,
+        }));
+        barrier.push(Event::BarrierOpen {
+            tid: Tid(2),
+            barrier: BarrierId(0),
+            gen: 0,
+            install_version: 1,
+        });
+        assert_eq!(
+            fold(3, &barrier),
+            8,
+            "both other threads receive T0's 4 pages"
+        );
+    }
+
+    #[test]
+    fn transitive_happens_before_counts() {
+        let events = [
+            commit(0, 3),
+            unlock(0, 0),
+            lock(1, 0), // +3
+            commit(1, 2),
+            unlock(1, 1),
+            // T2 acquires lock 1: receives T1's commit AND, transitively,
+            // T0's commit carried by T1's vector clock.
+            lock(2, 1), // +2 +3
+        ];
+        assert_eq!(fold(3, &events), 8);
+    }
+
+    #[test]
+    fn spawn_edge_is_free_fork_copies_memory() {
+        let spawn = [
+            commit(0, 6),
+            Event::Spawn {
+                parent: Tid(0),
+                child: Tid(1),
+                pooled: false,
+            },
+        ];
+        assert_eq!(
+            fold(2, &spawn),
+            0,
+            "a forked child starts with the parent's memory"
+        );
+        // But later commits do flow.
+        let later = [commit(0, 2), unlock(0, 0), lock(1, 0)];
+        assert_eq!(fold(2, &[&spawn[..], &later[..]].concat()), 2);
+    }
+
+    #[test]
+    fn empty_commits_are_free() {
+        assert_eq!(fold(2, &[commit(0, 0), unlock(0, 0), lock(1, 0)]), 0);
+    }
+
+    #[test]
+    fn a_broadcast_wakes_the_queued_waiters_in_fifo_order() {
+        let c = CondId(0);
+        let events = [
+            cond_wait(1, 0, 0),
+            cond_wait(2, 0, 0),
+            commit(0, 4),
+            // The head, T1, takes T0's 4 pages.
+            Event::CondSignal {
+                tid: Tid(0),
+                cond: c,
+                woken: Some(Tid(1)),
+            },
+            cond_wait(3, 0, 0),
+            commit(0, 1),
+            // T2 and then T3, both behind T1: 5 pages each.
+            Event::CondBroadcast {
+                tid: Tid(0),
+                cond: c,
+                woken: 2,
+            },
+            cond_wait(2, 0, 0),
+            commit(0, 2),
+            // The queue now holds T2 alone: T1 must not be woken twice.
+            Event::CondBroadcast {
+                tid: Tid(0),
+                cond: c,
+                woken: 1,
+            },
+        ];
+        assert_eq!(fold(4, &events), 4 + 5 + 5 + 2);
+    }
+
+    #[test]
+    fn a_waiter_evicted_by_a_dead_owner_acquires_nothing() {
+        let events = [
+            // T2 receives T3's first 5 pages through mutex 2.
+            commit(3, 5),
+            unlock(3, 2),
+            lock(2, 2),
+            // T1 waits on cond 0 to retake mutex 0; T0 then takes mutex 0
+            // and dies holding it: T1 is woken with `CondOwnerDied`.
+            lock(1, 0),
+            unlock(1, 0),
+            cond_wait(1, 0, 0),
+            lock(0, 0),
+            Event::ThreadPanic {
+                tid: Tid(0),
+                clock: 0,
+            },
+            // T2 waits on the same cond with mutex 1 and is the head now: the
+            // signal brings it T3's last page, where T1 would take all 6.
+            cond_wait(2, 0, 1),
+            commit(3, 1),
+            Event::CondSignal {
+                tid: Tid(3),
+                cond: CondId(0),
+                woken: Some(Tid(2)),
+            },
+        ];
+        assert_eq!(fold(4, &events), 5 + 1);
+    }
+}
