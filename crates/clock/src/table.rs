@@ -71,7 +71,12 @@ fn prune_history(h: &mut Vec<(u64, u64)>, w: u64) {
 /// Per-thread logical clocks plus the eligibility rule for the global token.
 ///
 /// All methods must be called under one external lock (the runtime's global
-/// mutex); the table itself performs no synchronization.
+/// mutex); the table itself performs no synchronization. The lock, not the
+/// token, is what protects it: threads that do not hold the token publish
+/// and arrive. The token holder's own transitions need the lock too, but
+/// not every one of them: while it holds the token nobody can act on its
+/// bound, so a coarsened run of operations resumes once, at its first,
+/// and again at its release (see [`SchedTable::crossing_v`]).
 #[derive(Debug)]
 pub struct SchedTable {
     policy: OrderPolicy,
@@ -347,6 +352,16 @@ impl SchedTable {
     /// Because every history is a deterministic function of the program,
     /// this wake time is reproducible regardless of physical arrival order.
     /// Must be called at token acquisition, when eligibility holds.
+    ///
+    /// A token holder that keeps the token across several operations (a
+    /// tenure) may resume once, at its first, and leave out the resumes of
+    /// the rest: each would append `(bound, v)` with `v` no later than
+    /// `v_rel`, the virtual time of the tenure's last transition, and bounds
+    /// within a tenure only grow. So an entry left out can only have made
+    /// an earlier entry of the tenure the crossing — a value `≤ v_rel` — and
+    /// the caller, acquiring after that release, takes the maximum of this
+    /// value and the last release's virtual time, which is `≥ v_rel`:
+    /// `crossing_v(t, c).max(v_rel)` is the same with and without them.
     pub fn crossing_v(&self, t: Tid, c: u64) -> u64 {
         let mut wake = 0;
         for (i, (e, (hist, _))) in self.entries.iter().zip(&self.hists).enumerate() {

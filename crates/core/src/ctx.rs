@@ -39,7 +39,7 @@ use dmt_api::{
 };
 
 use crate::coarsen::{CoarsenState, BUDGET_CAP, INITIAL_BUDGET, MIN_BUDGET};
-use crate::shared::{Msg, Shared, Wakes};
+use crate::shared::{Msg, Objs, Shared, Wakes};
 
 /// Consequence's per-thread execution context.
 ///
@@ -73,6 +73,11 @@ pub(crate) struct Ctx<'a> {
     /// only begin from a current view (Fig. 6 keeps the first global
     /// coordination phase whole; only subsequent phases are merged).
     current_since_acquire: bool,
+    /// Whether the current tenure (one continuous hold of the token) has
+    /// resumed in the clock table (see [`Ctx::end_op`]).
+    tenure_resumed: bool,
+    /// The synchronization objects, while this thread holds the token.
+    objs: Option<Box<Objs>>,
     /// Logical clock when the token was acquired (coarsening budget).
     token_start_clock: u64,
     last_sync_end_clock: u64,
@@ -106,6 +111,17 @@ pub(crate) struct Ctx<'a> {
 /// and turned into deterministic containment.
 fn raise(e: DmtError) -> ! {
     std::panic::resume_unwind(Box::new(ContainedError(e)))
+}
+
+/// The objects a token holder carries ([`Ctx::objs`]).
+// INVARIANT: `Ctx::objs` is `Some` exactly while the thread holds the
+// token (`acquire_token` takes the objects with it, `release` puts them
+// back), and only a protocol step under the token touches them.
+#[allow(clippy::expect_used)]
+#[inline]
+fn carried(objs: &mut Option<Box<Objs>>) -> &mut Objs {
+    objs.as_deref_mut()
+        .expect("the objects travel with the token")
 }
 
 /// [`raise`]s the error of a fallible protocol path.
@@ -144,6 +160,8 @@ impl<'a> Ctx<'a> {
             coarsen,
             holding_token: false,
             current_since_acquire: false,
+            tenure_resumed: false,
+            objs: None,
             token_start_clock: clock,
             last_sync_end_clock: clock,
             chunk_start_clock: clock,

@@ -5,7 +5,7 @@ use det_clock::ThreadState;
 use dmt_api::trace::Event;
 use dmt_api::{CondId, ContainedError, DmtError, DmtResult, MutexId, RwLockId, Tid};
 
-use super::Ctx;
+use super::{carried, Ctx};
 
 impl Ctx<'_> {
     /// Runs `job` inside the thread's panic boundary, then the exit
@@ -71,28 +71,31 @@ impl Ctx<'_> {
             clock: self.clock,
         });
         let by = self.tid;
+        inner.purge_quiet_exits(carried(&mut self.objs));
 
         // Poison every mutex we own. Queued waiters are drained FIFO —
         // the order a healthy unlock sequence would have granted in —
         // and condvar waiters that released a now-poisoned mutex can
         // never legally reacquire it, so they get the owner-died error.
-        for i in 0..inner.mutexes.len() {
-            if inner.mutexes[i].owner != Some(by) {
+        for i in 0..carried(&mut self.objs).mutexes.len() {
+            let mst = &mut carried(&mut self.objs).mutexes[i];
+            if mst.owner != Some(by) {
                 continue;
             }
             let mutex = MutexId(i as u32);
-            inner.mutexes[i].owner = None;
-            inner.mutexes[i].poisoned = Some(by);
-            let drained: Vec<Tid> = inner.mutexes[i].waiters.drain(..).collect();
+            mst.owner = None;
+            mst.poisoned = Some(by);
+            let drained: Vec<Tid> = mst.waiters.drain(..).collect();
             for w in drained {
                 self.wake(&mut inner, w, Some(DmtError::MutexPoisoned { mutex, by }));
             }
-            for ci in 0..inner.conds.len() {
+            for ci in 0..carried(&mut self.objs).conds.len() {
                 let cond = CondId(ci as u32);
-                let (dead, alive) = std::mem::take(&mut inner.conds[ci].waiters)
+                let waiters = &mut carried(&mut self.objs).conds[ci].waiters;
+                let (dead, alive) = std::mem::take(waiters)
                     .into_iter()
                     .partition(|(_, wm)| *wm == mutex);
-                inner.conds[ci].waiters = alive;
+                *waiters = alive;
                 for (w, _) in dead {
                     let e = DmtError::CondOwnerDied { cond, mutex, by };
                     self.wake(&mut inner, w, Some(e));
@@ -103,9 +106,9 @@ impl Ctx<'_> {
         // Poison rwlocks we hold exclusively. A dying *reader* cannot have
         // torn the data: its holds are dropped without poison, and the
         // last one hands off to the queue head like any read-unlock.
-        for i in 0..inner.rwlocks.len() {
+        for i in 0..carried(&mut self.objs).rwlocks.len() {
             let lock = RwLockId(i as u32);
-            let st = &mut inner.rwlocks[i];
+            let st = &mut carried(&mut self.objs).rwlocks[i];
             if st.writer == Some(by) {
                 st.writer = None;
                 st.poisoned = Some(by);
@@ -160,8 +163,11 @@ impl Ctx<'_> {
     /// this thread from every wait queue so no successor computation can
     /// ever select a dead thread, and from every rwlock's reader list so
     /// the surviving readers' last unlock still hands off, then retires
-    /// it. It hands nothing off itself (that needs the token): what the
-    /// thread held exclusively, or as the last reader, stays stranded.
+    /// it. The purge is immediate when the objects are free (a holder that
+    /// leaves quietly puts its own back first) and queued for the holder
+    /// that carries them otherwise. It hands nothing off itself (that
+    /// needs the token): what the thread held exclusively, or as the last
+    /// reader, stays stranded.
     pub(super) fn abort_quiet(mut self) {
         if self.torn_down {
             return;
@@ -169,18 +175,13 @@ impl Ctx<'_> {
         let sh = self.sh;
         let mut inner = sh.lock();
         let me = self.tid;
-        for m in inner.mutexes.iter_mut() {
-            m.waiters.retain(|w| *w != me);
-        }
-        for c in inner.conds.iter_mut() {
-            c.waiters.retain(|(w, _)| *w != me);
-        }
-        for r in inner.rwlocks.iter_mut() {
-            r.waiters.retain(|(w, _)| *w != me);
-            r.readers.retain(|t| *t != me);
-        }
         if inner.token == Some(me) {
             inner.token = None;
+            inner.put_objs(self.objs.take());
+        }
+        match inner.objs.as_deref_mut() {
+            Some(objs) => objs.purge(me),
+            None => inner.quiet_exits.push(me),
         }
         self.holding_token = false;
         self.mark_exited(&mut inner, Some("shutdown"));

@@ -4,7 +4,7 @@ use dmt_api::trace::Event;
 use dmt_api::{CondId, DmtResult, MutexId};
 
 use super::token::ParkOrder;
-use super::Ctx;
+use super::{carried, Ctx};
 
 impl Ctx<'_> {
     /// Fallible condition wait. Fails with [`DmtError::CondOwnerDied`]
@@ -21,8 +21,10 @@ impl Ctx<'_> {
         // Condition operations end any coarsened chunk (§3.1): the park
         // commits before it releases the mutex and queues.
         self.park(ParkOrder::CommitThenDepart, |me, inner| {
-            let _ = me.unlock_state(inner, m);
-            inner.conds[c.index()].waiters.push_back((me.tid, m));
+            let _ = me.unlock_state(Some(inner), m);
+            carried(&mut me.objs).conds[c.index()]
+                .waiters
+                .push_back((me.tid, m));
             me.sh.cfg.trace.emit(Event::CondWait {
                 tid: me.tid,
                 cond: c,
@@ -44,8 +46,9 @@ impl Ctx<'_> {
         let mut inner = sh.lock();
         let mut first = None;
         let mut woken = 0u32;
+        inner.purge_quiet_exits(carried(&mut self.objs));
         while all || woken == 0 {
-            let Some((w, _)) = inner.conds[c.index()].waiters.pop_front() else {
+            let Some((w, _)) = carried(&mut self.objs).conds[c.index()].waiters.pop_front() else {
                 break;
             };
             self.wake(&mut inner, w, None);

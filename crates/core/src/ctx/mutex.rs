@@ -4,7 +4,7 @@ use dmt_api::trace::Event;
 use dmt_api::{DmtError, DmtResult, MutexId, PanicSite};
 
 use super::token::ParkOrder;
-use super::Ctx;
+use super::{carried, Ctx};
 use crate::shared::Inner;
 
 impl Ctx<'_> {
@@ -30,16 +30,13 @@ impl Ctx<'_> {
         self.sync_prologue();
         loop {
             let fresh = self.acquire_token()?;
-            let sh = self.sh;
-            let mut inner = sh.lock();
-            if let Some(by) = inner.mutexes[m.index()].poisoned {
-                drop(inner);
+            let mst = &mut carried(&mut self.objs).mutexes[m.index()];
+            if let Some(by) = mst.poisoned {
                 // Leave cleanly: publish buffered stores (a coarsened
                 // chunk may hold deferred commits) and release.
                 self.commit_and_leave(true);
                 return Err(DmtError::MutexPoisoned { mutex: m, by });
             }
-            let mst = &mut inner.mutexes[m.index()];
             if mst.owner.is_none() {
                 mst.owner = Some(self.tid);
                 mst.cs_start_clock = self.clock;
@@ -52,39 +49,35 @@ impl Ctx<'_> {
                     mutex: m,
                     ticket,
                 });
-                let held = if fresh {
+                if fresh {
                     // Fig. 7 line 6: a fresh acquisition must pull the
                     // latest committed state before the critical section.
-                    drop(inner);
+                    // A coarsened (token-retained) one is already current:
+                    // nobody else could commit meanwhile.
                     self.commit_and_update();
-                    None
-                } else {
-                    // A coarsened (token-retained) acquisition is already
-                    // current — nobody else could commit meanwhile — and
-                    // ends in this section.
-                    Some(inner)
-                };
-                self.end_op(held, predicted);
+                }
+                self.end_op(predicted);
                 return Ok(());
             }
+            let sh = self.sh;
             if sh.opts.polling_locks {
                 // Kendo §4.1: release the token, add the tuned increment
                 // to our clock so the next-lowest thread can proceed, and
                 // poll again. Progress for others is preserved, but every
                 // retry costs a full token round trip — the latency the
                 // paper's blocking design eliminates.
-                self.leave_locked(&mut inner, false);
-                drop(inner);
+                self.leave_locked(&mut sh.lock(), false);
                 let bump = sh.opts.polling_increment.max(1);
                 self.advance(bump, bump / 4);
                 continue;
             }
-            drop(inner);
             // Lock held: commit buffered writes (we may hold data of locks
             // we released inside a coarsened chunk), then queue on the
             // lock and depart (Fig. 7 lines 10-13).
-            self.park(ParkOrder::CommitThenDepart, |me, inner| {
-                inner.mutexes[m.index()].waiters.push_back(me.tid);
+            self.park(ParkOrder::CommitThenDepart, |me, _| {
+                carried(&mut me.objs).mutexes[m.index()]
+                    .waiters
+                    .push_back(me.tid);
                 me.sh.cfg.trace.emit(Event::MutexBlock {
                     tid: me.tid,
                     mutex: m,
@@ -94,10 +87,12 @@ impl Ctx<'_> {
     }
 
     /// Releases mutex `m`'s state and wakes its earliest waiter, if any.
-    /// Caller holds the token and the runtime lock. Returns whether a
-    /// waiter was woken.
-    pub(super) fn unlock_state(&mut self, inner: &mut Inner, m: MutexId) -> bool {
-        let mst = &mut inner.mutexes[m.index()];
+    /// Caller holds the token, and the runtime lock as `inner` when the
+    /// mutex has waiters: popping a queue applies the purges of threads
+    /// that left quietly first. Returns whether a waiter was woken.
+    pub(super) fn unlock_state(&mut self, inner: Option<&mut Inner>, m: MutexId) -> bool {
+        let objs = carried(&mut self.objs);
+        let mst = &mut objs.mutexes[m.index()];
         assert_eq!(
             mst.owner,
             Some(self.tid),
@@ -107,32 +102,43 @@ impl Ctx<'_> {
         mst.owner = None;
         let cs_len = self.clock.saturating_sub(mst.cs_start_clock);
         mst.cs_est.update(cs_len);
-        let woke = mst.waiters.pop_front();
+        debug_assert!(inner.is_some() || mst.waiters.is_empty(), "popped unlocked");
+        let woke = inner.and_then(|inner| {
+            inner.purge_quiet_exits(objs);
+            Some((objs.mutexes[m.index()].waiters.pop_front()?, inner))
+        });
         self.sh.cfg.trace.emit(Event::MutexUnlock {
             tid: self.tid,
             mutex: m,
-            woke,
+            woke: woke.as_ref().map(|(w, _)| *w),
         });
-        if let Some(w) = woke {
-            self.wake(inner, w, None);
-        }
-        woke.is_some()
+        let Some((w, inner)) = woke else {
+            return false;
+        };
+        self.wake(inner, w, None);
+        true
     }
 
-    /// Deterministic mutex release (Fig. 9).
+    /// Deterministic mutex release (Fig. 9). Without waiters it touches
+    /// only what the token carries, so a coarsened one takes no lock.
     pub(super) fn unlock_inner(&mut self, m: MutexId) {
         let m = self.resolve_mutex(m);
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let mut inner = self.sh.lock();
-        if self.unlock_state(&mut inner, m) {
+        let sh = self.sh;
+        let queued = !carried(&mut self.objs).mutexes[m.index()]
+            .waiters
+            .is_empty();
+        let mut inner = queued.then(|| sh.lock());
+        let woke = self.unlock_state(inner.as_deref_mut(), m);
+        drop(inner);
+        if woke {
             // A woken waiter must get a fair shot at the lock: retaining
             // the token here would let us re-acquire the lock before the
             // waiter can ever contend (a deterministic livelock).
-            drop(inner);
             self.commit_and_leave(false);
         } else {
-            self.end_op(Some(inner), self.coarsen.thread_est.get());
+            self.end_op(self.coarsen.thread_est.get());
         }
     }
 }

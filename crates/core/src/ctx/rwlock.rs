@@ -4,34 +4,35 @@
 //! wakes must stay fair, and reader concurrency is the point.
 
 use dmt_api::trace::Event;
-use dmt_api::{DmtError, RwLockId, Tid};
+use dmt_api::{DmtError, RwLockId, Tid, TraceHandle};
 
 use super::token::ParkOrder;
-use super::{or_raise, raise, Ctx};
+use super::{carried, or_raise, raise, Ctx};
 use crate::shared::{Inner, RwSt};
 
-impl Ctx<'_> {
-    /// Gives `tid` a hold on `l`. The grant is a schedule event of the
-    /// token holder's turn, whether it grants to itself or hands off.
-    fn rw_grant(&self, st: &mut RwSt, l: RwLockId, tid: Tid, writer: bool) {
-        if writer {
-            st.writer = Some(tid);
-        } else {
-            st.readers.push(tid);
-        }
-        self.sh.cfg.trace.emit(Event::RwAcquire {
-            tid,
-            lock: l,
-            writer,
-        });
+/// Gives `tid` a hold on `l`. The grant is a schedule event of the token
+/// holder's turn, whether it grants to itself or hands off.
+fn rw_grant(trace: &TraceHandle, st: &mut RwSt, l: RwLockId, tid: Tid, writer: bool) {
+    if writer {
+        st.writer = Some(tid);
+    } else {
+        st.readers.push(tid);
     }
+    trace.emit(Event::RwAcquire {
+        tid,
+        lock: l,
+        writer,
+    });
+}
 
+impl Ctx<'_> {
     /// Hands the rwlock to the head of its queue: one writer, or every
     /// leading reader — granting directly (the woken thread owns the lock
-    /// when it wakes). Caller holds the token and the runtime lock.
+    /// when it wakes). Caller holds the token and the runtime lock, and
+    /// has applied the queued purges.
     pub(super) fn rw_wake_head(&mut self, inner: &mut Inner, l: RwLockId) {
         loop {
-            let st = &mut inner.rwlocks[l.index()];
+            let st = &mut carried(&mut self.objs).rwlocks[l.index()];
             let Some(&(w, is_writer)) = st.waiters.front() else {
                 return;
             };
@@ -41,7 +42,7 @@ impl Ctx<'_> {
             st.waiters.pop_front();
             // Direct hand-off: the grant happens here, under the waker's
             // token.
-            self.rw_grant(st, l, w, is_writer);
+            rw_grant(&self.sh.cfg.trace, st, l, w, is_writer);
             self.wake(inner, w, None);
             if is_writer {
                 return;
@@ -58,23 +59,23 @@ impl Ctx<'_> {
     pub(super) fn rw_lock(&mut self, l: RwLockId, writer: bool) {
         self.sync_prologue();
         self.acquire_token_or_raise();
-        let sh = self.sh;
-        let mut inner = sh.lock();
-        let st = &mut inner.rwlocks[l.index()];
+        // Whether the queue is empty counts the threads that left quietly
+        // as gone.
+        self.sh.lock().purge_quiet_exits(carried(&mut self.objs));
+        let st = &mut carried(&mut self.objs).rwlocks[l.index()];
         if let Some(by) = st.poisoned {
-            drop(inner);
             self.commit_and_leave(true);
             raise(DmtError::RwLockPoisoned { lock: l, by });
         }
         if st.writer.is_none() && st.waiters.is_empty() && (!writer || st.readers.is_empty()) {
-            self.rw_grant(st, l, self.tid, writer);
-            drop(inner);
+            rw_grant(&self.sh.cfg.trace, st, l, self.tid, writer);
             self.commit_and_leave(true);
             return;
         }
-        drop(inner);
-        or_raise(self.park(ParkOrder::DepartThenCommit, |me, inner| {
-            inner.rwlocks[l.index()].waiters.push_back((me.tid, writer))
+        or_raise(self.park(ParkOrder::DepartThenCommit, |me, _| {
+            carried(&mut me.objs).rwlocks[l.index()]
+                .waiters
+                .push_back((me.tid, writer))
         }));
         // The waker granted us the hold; take the token to refresh our
         // view (acquire semantics), then continue.
@@ -91,7 +92,8 @@ impl Ctx<'_> {
         self.acquire_token_or_raise();
         let sh = self.sh;
         let mut inner = sh.lock();
-        let st = &mut inner.rwlocks[l.index()];
+        inner.purge_quiet_exits(carried(&mut self.objs));
+        let st = &mut carried(&mut self.objs).rwlocks[l.index()];
         if writer {
             assert_eq!(
                 st.writer,

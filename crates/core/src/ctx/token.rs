@@ -107,6 +107,12 @@ impl<'a> Ctx<'a> {
             self.cnt.token_wake_loops += 1;
         }
         inner.token = Some(self.tid);
+        // The synchronization objects travel with the token.
+        debug_assert!(
+            inner.quiet_exits.is_empty(),
+            "purges queued on free objects"
+        );
+        self.objs = inner.objs.take();
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
         self.sh.cfg.trace.emit(Event::TokenAcquire {
@@ -144,6 +150,7 @@ impl<'a> Ctx<'a> {
         drop(inner);
         self.holding_token = true;
         self.current_since_acquire = false;
+        self.tenure_resumed = false;
         self.token_start_clock = self.clock;
         self.ovf.chunk_start();
         Ok(true)
@@ -163,6 +170,8 @@ impl<'a> Ctx<'a> {
         });
         self.charge_lib(self.cost.token_op);
         inner.token = None;
+        debug_assert!(self.objs.is_some(), "a holder without the objects");
+        inner.put_objs(self.objs.take());
         inner.last_release_clock = self.clock;
         inner.last_release_v = self.v;
         if advance_rr
@@ -270,11 +279,18 @@ impl<'a> Ctx<'a> {
     /// commit, so the holder's isolated view stays current and skipping
     /// the commit/update pair is sound.
     ///
-    /// `held` is the caller's runtime-lock section, if it is still open.
-    /// A retained token over a current view — every coarsened operation
-    /// but a run's first — resumes inside it, so the operation is one
-    /// section; any commit happens with the lock dropped, as it must.
-    pub(super) fn end_op(&mut self, held: Option<Held<'a>>, predicted_next: u64) {
+    /// A tenure — one continuous hold of the token — resumes in the clock
+    /// table once, at its first retained operation; the later ones take no
+    /// lock at all. A resume they made would append `(clock, v)` to this
+    /// thread's history with `v` no later than `v_rel`, the virtual time
+    /// of the tenure's last transition (the resume or depart of its
+    /// release), and while the token is held nobody can act on the bound
+    /// it publishes. In [`det_clock::SchedTable::crossing_v`] such an entry
+    /// can only make an earlier entry of the tenure the crossing, a value
+    /// `≤ v_rel`; every acquisition after the tenure takes
+    /// `max(v, last_release_v, crossing_v)`, and `last_release_v ≥ v_rel`,
+    /// so no grant's virtual time can tell the two histories apart.
+    pub(super) fn end_op(&mut self, predicted_next: u64) {
         if self.sh.opts.coarsening {
             let consumed = self.clock.saturating_sub(self.token_start_clock);
             if self.coarsen.should_retain(consumed, predicted_next) {
@@ -282,16 +298,9 @@ impl<'a> Ctx<'a> {
                 // A coarsened run must begin from a current view: commit
                 // and update once at its first coordination phase, then
                 // skip coordination for the merged phases that follow.
-                let mut inner = match held {
-                    Some(inner) if self.current_since_acquire => inner,
-                    held => {
-                        drop(held);
-                        if !self.current_since_acquire {
-                            self.commit_and_update();
-                        }
-                        self.sh.lock()
-                    }
-                };
+                if !self.current_since_acquire {
+                    self.commit_and_update();
+                }
                 self.cnt.coarsened_chunks += 1;
                 self.sh.cfg.trace.emit(Event::Coarsen {
                     tid: self.tid,
@@ -299,11 +308,13 @@ impl<'a> Ctx<'a> {
                 });
                 // We still hold the token, so no waiter can proceed:
                 // nobody to wake.
-                inner.table.resume(self.tid, self.clock, self.v);
+                if !self.tenure_resumed {
+                    self.tenure_resumed = true;
+                    self.sh.lock().table.resume(self.tid, self.clock, self.v);
+                }
                 return;
             }
         }
-        drop(held);
         self.commit_and_leave(true);
     }
 
@@ -327,7 +338,7 @@ impl<'a> Ctx<'a> {
         let old = self.ld_u64(addr);
         self.st_u64(addr, f(old));
         self.commit_and_update();
-        self.end_op(None, self.coarsen.thread_est.get());
+        self.end_op(self.coarsen.thread_est.get());
         old
     }
 

@@ -14,7 +14,7 @@ use dmt_api::{
 
 use crate::ctx::Ctx;
 use crate::options::Options;
-use crate::shared::{BarrierSt, CondSt, Inner, Msg, MutexSt, RwSt, Shared, ThreadSt};
+use crate::shared::{BarrierSt, CondSt, Inner, Msg, MutexSt, Objs, RwSt, Shared, ThreadSt};
 
 /// A deterministic multithreading runtime with TSO consistency.
 ///
@@ -89,15 +89,15 @@ impl Runtime for ConsequenceRuntime {
     }
 
     fn create_mutex(&mut self) -> MutexId {
-        MutexId(self.create(|i| &mut i.mutexes, MutexSt::default()))
+        MutexId(self.create(|i| &mut i.unstarted_objs().mutexes, MutexSt::default()))
     }
 
     fn create_cond(&mut self) -> CondId {
-        CondId(self.create(|i| &mut i.conds, CondSt::default()))
+        CondId(self.create(|i| &mut i.unstarted_objs().conds, CondSt::default()))
     }
 
     fn create_rwlock(&mut self) -> RwLockId {
-        RwLockId(self.create(|i| &mut i.rwlocks, RwSt::default()))
+        RwLockId(self.create(|i| &mut i.unstarted_objs().rwlocks, RwSt::default()))
     }
 
     fn create_barrier(&mut self, parties: usize) -> BarrierId {
@@ -344,31 +344,12 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
             t.joiners
         );
     }
-    for (i, m) in inner.mutexes.iter().enumerate() {
-        if m.owner.is_some() || !m.waiters.is_empty() || m.poisoned.is_some() {
-            let _ = writeln!(
-                s,
-                "[conseq]   mutex {i}: owner={:?} waiters={:?} poisoned={:?}",
-                m.owner, m.waiters, m.poisoned
-            );
-        }
-    }
-    for (i, c) in inner.conds.iter().enumerate() {
-        if !c.waiters.is_empty() {
-            let _ = writeln!(s, "[conseq]   cond {i}: waiters={:?}", c.waiters);
-        }
-    }
-    for (i, r) in inner.rwlocks.iter().enumerate() {
-        if r.writer.is_some()
-            || !r.readers.is_empty()
-            || !r.waiters.is_empty()
-            || r.poisoned.is_some()
-        {
-            let _ = writeln!(
-                s,
-                "[conseq]   rwlock {i}: writer={:?} readers={:?} waiters={:?} poisoned={:?}",
-                r.writer, r.readers, r.waiters, r.poisoned
-            );
+    match (&inner.objs, inner.token) {
+        (Some(objs), _) => census_objs(&mut s, objs),
+        // Only the token holder that carries them may read them.
+        (None, holder) => {
+            let holder = holder.map_or("nobody".into(), |t| format!("t{}", t.0));
+            let _ = writeln!(s, "[conseq]   sync objects carried by {holder}");
         }
     }
     for (i, b) in inner.barriers.iter().enumerate() {
@@ -384,4 +365,36 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
         let _ = writeln!(s, "[conseq]   contained panic on {t:?}: {msg}");
     }
     s
+}
+
+/// The census lines of the mutexes, condition variables and rwlocks that
+/// somebody holds, waits on or poisoned.
+fn census_objs(s: &mut String, objs: &Objs) {
+    for (i, m) in objs.mutexes.iter().enumerate() {
+        if m.owner.is_some() || !m.waiters.is_empty() || m.poisoned.is_some() {
+            let _ = writeln!(
+                s,
+                "[conseq]   mutex {i}: owner={:?} waiters={:?} poisoned={:?}",
+                m.owner, m.waiters, m.poisoned
+            );
+        }
+    }
+    for (i, c) in objs.conds.iter().enumerate() {
+        if !c.waiters.is_empty() {
+            let _ = writeln!(s, "[conseq]   cond {i}: waiters={:?}", c.waiters);
+        }
+    }
+    for (i, r) in objs.rwlocks.iter().enumerate() {
+        if r.writer.is_some()
+            || !r.readers.is_empty()
+            || !r.waiters.is_empty()
+            || r.poisoned.is_some()
+        {
+            let _ = writeln!(
+                s,
+                "[conseq]   rwlock {i}: writer={:?} readers={:?} waiters={:?} poisoned={:?}",
+                r.writer, r.readers, r.waiters, r.poisoned
+            );
+        }
+    }
 }

@@ -1,5 +1,6 @@
 //! Shared runtime state: the global coordination structures every
-//! Consequence thread mutates under one lock.
+//! Consequence thread mutates under one lock, and the synchronization
+//! objects that travel with the token.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
@@ -57,6 +58,35 @@ pub(crate) struct RwSt {
     /// Set when the exclusive holder panicked (see [`MutexSt::poisoned`]).
     /// A dying *reader* does not poison: it cannot have torn the data.
     pub poisoned: Option<Tid>,
+}
+
+/// The mutexes, condition variables and rwlocks: the state a token holder
+/// reads and changes, and nobody else. They travel with the token: they
+/// sit in [`Inner::objs`] while it is free and in the holder's `Ctx` while
+/// it is held (`Ctx::acquire_token` takes them, `Ctx::release` puts them
+/// back), so an operation on them takes no lock.
+#[derive(Debug, Default)]
+pub(crate) struct Objs {
+    pub mutexes: Vec<MutexSt>,
+    pub conds: Vec<CondSt>,
+    pub rwlocks: Vec<RwSt>,
+}
+
+impl Objs {
+    /// Removes `t` from every wait queue, and from every rwlock's reader
+    /// list (a quiet exit: `Ctx::abort_quiet`).
+    pub fn purge(&mut self, t: Tid) {
+        for m in &mut self.mutexes {
+            m.waiters.retain(|w| *w != t);
+        }
+        for c in &mut self.conds {
+            c.waiters.retain(|(w, _)| *w != t);
+        }
+        for r in &mut self.rwlocks {
+            r.waiters.retain(|(w, _)| *w != t);
+            r.readers.retain(|w| *w != t);
+        }
+    }
 }
 
 /// Barrier lifecycle within one generation, in order.
@@ -167,6 +197,15 @@ pub(crate) struct PoolEntry {
 }
 
 /// Lock-protected mutable runtime state.
+///
+/// Two things protect the runtime's state. The runtime lock protects
+/// everything here: the clock table, the token's owner, the per-thread
+/// wake flags, the barriers, the pool and the run's bookkeeping — all of
+/// which threads that do not hold the token read or change too (a
+/// publication, an arrival, a sleeper's predicate, the watchdog). The
+/// token protects the [`Objs`] and the holder's view of memory: only its
+/// holder commits, and only its holder touches a mutex, condition variable
+/// or rwlock, so these move with it instead of being locked.
 pub(crate) struct Inner {
     pub table: SchedTable,
     pub token: Option<Tid>,
@@ -176,9 +215,13 @@ pub(crate) struct Inner {
     pub last_release_v: u64,
     /// Previous entrant into global coordination (coarsening MIMD signal).
     pub last_entrant: Option<Tid>,
-    pub mutexes: Vec<MutexSt>,
-    pub conds: Vec<CondSt>,
-    pub rwlocks: Vec<RwSt>,
+    /// The synchronization objects while the token is free; `None` while
+    /// its holder carries them.
+    pub objs: Option<Box<Objs>>,
+    /// Threads that left quietly while the holder carried the objects:
+    /// their purge waits here for the holder, which applies it before it
+    /// next pops a queue and when it puts the objects back.
+    pub quiet_exits: Vec<Tid>,
     pub barriers: Vec<BarrierSt>,
     pub threads: Vec<ThreadSt>,
     pub next_tid: u32,
@@ -202,6 +245,33 @@ pub(crate) struct Inner {
     pub panics: Vec<(Tid, String)>,
     /// Threads asleep in [`Held::wait`].
     pub waiters: Vec<Tid>,
+}
+
+impl Inner {
+    /// The objects of a runtime not yet started, which nobody can carry.
+    // INVARIANT: only `ConsequenceRuntime`'s object constructors call this,
+    // and they refuse to run after `run` began: before it nobody can hold
+    // the token, so the objects are free.
+    #[allow(clippy::expect_used)]
+    pub fn unstarted_objs(&mut self) -> &mut Objs {
+        self.objs.as_deref_mut().expect("free before run")
+    }
+
+    /// Applies the queued purges to the objects a holder carries: before
+    /// it pops one of their queues, and before it puts them back.
+    pub fn purge_quiet_exits(&mut self, objs: &mut Objs) {
+        for t in self.quiet_exits.drain(..) {
+            objs.purge(t);
+        }
+    }
+
+    /// Takes back the objects a holder carried, purged.
+    pub fn put_objs(&mut self, mut objs: Option<Box<Objs>>) {
+        if let Some(objs) = objs.as_deref_mut() {
+            self.purge_quiet_exits(objs);
+        }
+        self.objs = objs;
+    }
 }
 
 /// Where threads sleep and how they are woken.
@@ -423,9 +493,8 @@ impl Shared {
                 last_release_clock: 0,
                 last_release_v: 0,
                 last_entrant: None,
-                mutexes: Vec::new(),
-                conds: Vec::new(),
-                rwlocks: Vec::new(),
+                objs: Some(Box::default()),
+                quiet_exits: Vec::new(),
                 barriers: Vec::new(),
                 threads: Vec::with_capacity(max_t),
                 next_tid: 0,

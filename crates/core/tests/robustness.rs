@@ -435,6 +435,90 @@ fn dying_reader_releases_its_hold_to_the_queued_writer() {
     assert!(died < granted, "writer granted before the reader died");
 }
 
+/// A thread that leaves quietly while another carries the synchronization
+/// objects. The waiter queues on a mutex main took in an earlier tenure;
+/// main takes the token again and stays in one coarsened tenure past the
+/// watchdog's stall, so the waiter leaves through the shutdown while main
+/// carries the objects. Its purge waits for main, which applies it before
+/// its unlock pops the queue: the unlock wakes nobody, and the census
+/// names main as the carrier.
+#[test]
+fn a_quiet_exit_while_the_holder_carries_the_objects_is_not_woken() {
+    use dmt_api::trace::{Event, MemorySink};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    /// Raised when the waiter's job unwinds, just before its quiet exit.
+    struct Unwound(Arc<AtomicBool>);
+    impl Drop for Unwound {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    let sink = Arc::new(MemorySink::new(1 << 12));
+    let c = CommonConfig {
+        trace: TraceHandle::to(sink.clone()),
+        ..cfg()
+    };
+    let opts = Options {
+        watchdog_stall_ms: Some(200),
+        // Every operation may retain the token: main's tenure lasts until
+        // it gives the token up.
+        static_coarsen: Some(u64::MAX),
+        // A worker that left quietly never returns to the pool, and the
+        // teardown would wait out its grace period for it.
+        thread_pool: false,
+        ..Options::consequence_ic()
+    };
+    let mut rt = ConsequenceRuntime::new(c, opts);
+    let (m, m2) = (rt.create_mutex(), rt.create_mutex());
+    let unwound = Arc::new(AtomicBool::new(false));
+    let flag = Arc::clone(&unwound);
+    let report = rt.run(Box::new(move |ctx| {
+        ctx.mutex_lock(m);
+        // Spawning ends the first tenure with `m` held.
+        let flag = Arc::clone(&flag);
+        ctx.spawn(Box::new(move |c| {
+            let _unwound = Unwound(flag);
+            c.mutex_lock(m);
+            unreachable!("the waiter was granted a mutex its owner kept");
+        }));
+        ctx.tick(100_000);
+        // The waiter, at a lower clock, queues on `m` first; then main
+        // takes the token again and keeps it.
+        ctx.mutex_lock(m2);
+        while !unwound.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        // The waiter's quiet exit follows its unwind at once.
+        std::thread::sleep(Duration::from_millis(100));
+        ctx.mutex_unlock(m);
+        ctx.mutex_unlock(m2);
+    }));
+    let fault = report.fault.expect("the watchdog ended the run");
+    assert!(fault.contains("no logical progress"), "fault: {fault}");
+    assert!(
+        fault.contains("sync objects carried by t0"),
+        "fault: {fault}"
+    );
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
+    let (events, dropped) = sink.take();
+    assert_eq!(dropped, 0);
+    assert!(events.contains(&Event::MutexBlock {
+        tid: Tid(1),
+        mutex: m
+    }));
+    let unlocks: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::MutexUnlock { mutex, woke, .. } if *mutex == m => Some(*woke),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(unlocks, [None], "the unlock woke the dead waiter");
+}
+
 /// Runs `body(ctx, worker index)` on `threads` spawned workers; the main
 /// thread only blocks in `join`.
 fn fork_join(

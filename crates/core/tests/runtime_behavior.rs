@@ -591,17 +591,62 @@ fn coarsening_fires_on_fine_grained_locking() {
     );
 }
 
+/// A coarsened tenure adds a bounded number of entries to its thread's
+/// clock history, however many operations it merges. Main waits in `join`,
+/// departed at its spawn clock, so the pruning watermark stays there and
+/// the two workers' histories are never pruned: each grant may add its
+/// arrival, one resume and its release, and nothing may grow with the
+/// operations inside it. (When every coarsened operation resumed, two
+/// workers of 1M pairs read 2,002,444 entries for 4,886 grants.)
+#[test]
+fn the_clock_history_grows_with_grants_not_with_coarsened_operations() {
+    let peak_per_grant = |pairs: u64| {
+        let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
+        let ms = [rt.create_mutex(), rt.create_mutex()];
+        let report = rt.run(Box::new(move |ctx| {
+            let workers = ms.map(|m| {
+                ctx.spawn(Box::new(move |c| {
+                    for _ in 0..pairs {
+                        c.mutex_lock(m);
+                        c.tick(10);
+                        c.mutex_unlock(m);
+                        c.tick(20);
+                    }
+                }))
+            });
+            workers.into_iter().for_each(|w| ctx.join(w));
+        }));
+        let grants = report.counters.token_acquisitions;
+        assert!(
+            report.counters.coarsened_chunks > 3 * pairs,
+            "the loops coarsened: {:?}",
+            report.counters
+        );
+        // Three entries a grant, and the 64 a history keeps unpruned.
+        assert!(
+            report.peak_clock_history as u64 <= 3 * grants + 64,
+            "{pairs} pairs a worker: {} entries for {grants} grants",
+            report.peak_clock_history
+        );
+        report.peak_clock_history as f64 / grants as f64
+    };
+    let (short, long) = (peak_per_grant(2_000), peak_per_grant(100_000));
+    assert!(long <= short + 1.0, "{short:.2} → {long:.2} a grant");
+}
+
 /// Lock sections a mutex operation takes, counted by the `dmt_api::sync`
 /// shim (debug builds only; a release run checks nothing). Every shim
 /// mutex counts: the runtime lock and the segment's. A coarsened lock and a
 /// coarsened unlock once took 3 each; ending inside the caller's section
 /// took one from each. The clock table's history then
 /// had a mutex of its own, taken by every transition; with the history
-/// under the runtime lock a coarsened pair is (1, 1), down from (2, 2),
-/// and every other count below fell with it (its value before is beside
-/// it).
+/// under the runtime lock a coarsened pair was (1, 1), down from (2, 2).
+/// Now the mutexes travel with the token and a tenure resumes in the clock
+/// table once, so a coarsened pair takes none, and a lock or unlock that
+/// reads its mutex no longer locks to do it: every other count below fell
+/// with it (its values before are beside it, newest first).
 #[test]
-fn a_coarsened_mutex_operation_is_one_lock_section() {
+fn a_coarsened_mutex_operation_takes_no_lock_section() {
     if !cfg!(debug_assertions) {
         return;
     }
@@ -631,18 +676,21 @@ fn a_coarsened_mutex_operation_is_one_lock_section() {
     };
     // Two grants: the first pair's lock and the unlock after the one lock
     // whose chunk outgrew the budget are fresh; the rest are coarsened.
-    // Before: {(2, 2): 998, (6, 8): 1, (8, 2): 1}.
-    let coarsened = Sections::from([((1, 1), 998), ((5, 6), 1), ((6, 1), 1)]);
+    // Before: {(1, 1): 998, (5, 6): 1, (6, 1): 1}, and before that
+    // {(2, 2): 998, (6, 8): 1, (8, 2): 1}.
+    let coarsened = Sections::from([((0, 0), 998), ((4, 5), 1), ((5, 0), 1)]);
     assert_eq!(pairs(Options::consequence_ic()), coarsened);
-    // Before: {(11, 8): 998, (11, 9): 2}.
-    let fresh = Sections::from([((9, 6), 998), ((9, 7), 2)]);
+    // Before: {(9, 6): 998, (9, 7): 2}, and before that
+    // {(11, 8): 998, (11, 9): 2}.
+    let fresh = Sections::from([((8, 5), 998), ((8, 6), 2)]);
     let no_coarsening = Options::consequence_ic().without("coarsening");
     assert_eq!(pairs(no_coarsening), fresh);
 
     // Main holds `m` and the token (coarsened on `m2`) when it unlocks
-    // `m` to its queued waiter: 5 sections (7 before). The child's
-    // contended lock takes 16 (22 before), parks and token waits included;
-    // a stale permit can add a sleep, so the best of a few runs counts.
+    // `m` to its queued waiter: 5 sections (5, and 7 before). The child's
+    // contended lock takes 14 (16, and 22 before), parks and token waits
+    // included; a stale permit can add a sleep, so the best of a few runs
+    // counts.
     let contended = (0..10).map(|_| {
         let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
         let (m, m2) = (rt.create_mutex(), rt.create_mutex());
@@ -668,7 +716,7 @@ fn a_coarsened_mutex_operation_is_one_lock_section() {
         assert_eq!(sections.0, 5, "an unlock that wakes its waiter");
         sections.1
     });
-    assert_eq!(contended.min(), Some(16), "a contended acquisition");
+    assert_eq!(contended.min(), Some(14), "a contended acquisition");
 }
 
 #[test]
