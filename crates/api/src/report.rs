@@ -1,47 +1,93 @@
 //! Run reports: virtual-time breakdowns and event counters.
+//!
+//! [`Breakdown`] and [`Counters`] are declared by one `metrics!` table:
+//! each row states a field's doc, its [`Class`] and its name once, and
+//! the struct, its `AddAssign`, its [`FIELDS`](Counters::FIELDS) listing
+//! and its `values()` derive from that row.
 
 use std::ops::AddAssign;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::ids::Tid;
+use crate::runtime::CommonConfig;
 use crate::trace::EventCounts;
 
-/// Where a thread's virtual cycles went.
-///
-/// The categories mirror Figure 15 of the paper: chunk execution, waiting
-/// for the deterministic order (`determ_wait`), waiting at barriers
-/// (`barrier_wait`, which the paper separates because it is not caused by
-/// deterministic ordering), Conversion commit and update work, copy-on-write
-/// fault handling, and general library overhead (token bookkeeping, counter
-/// reads, wake-ups).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Breakdown {
-    /// Useful work: `tick` cycles plus shared-memory access cycles.
-    pub chunk: u64,
-    /// Waiting imposed by the deterministic total order (token / turn).
-    pub determ_wait: u64,
-    /// Waiting for other threads to arrive at a barrier.
-    pub barrier_wait: u64,
-    /// Committing dirty pages (including merges).
-    pub commit: u64,
-    /// Applying remote versions to the local workspace.
-    pub update: u64,
-    /// Copy-on-write page faults.
-    pub fault: u64,
-    /// Library overhead: token ops, counter reads, publications, wake-ups.
-    pub lib: u64,
+/// Whether a metric reproduces.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Class {
+    /// A function of the program and its options under a deterministic
+    /// runtime: equal across runs, so a test may pin it.
+    Det,
+    /// Moves with physical timing from run to run; for diagnosis only.
+    Racy,
+}
+
+/// Declares a struct of summed `u64` metrics, one row per field, with
+/// `AddAssign`, `FIELDS` (each name and class, in order) and `values()`.
+macro_rules! metrics {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* $class:ident $field:ident,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: u64,)+
+        }
+
+        impl $name {
+            /// Each field's name and class, in declaration order.
+            pub const FIELDS: &'static [(&'static str, Class)] =
+                &[$((stringify!($field), Class::$class)),+];
+
+            /// Each field's value, in the order of `FIELDS`.
+            pub fn values(&self) -> [u64; $name::FIELDS.len()] {
+                [$(self.$field),+]
+            }
+        }
+
+        impl AddAssign for $name {
+            fn add_assign(&mut self, o: $name) {
+                $(self.$field += o.$field;)+
+            }
+        }
+    };
+}
+
+metrics! {
+    /// Where a thread's virtual cycles went.
+    ///
+    /// The categories mirror Figure 15 of the paper: chunk execution, waiting
+    /// for the deterministic order (`determ_wait`), waiting at barriers
+    /// (`barrier_wait`, which the paper separates because it is not caused by
+    /// deterministic ordering), Conversion commit and update work, copy-on-write
+    /// fault handling, and general library overhead (token bookkeeping, counter
+    /// reads, wake-ups).
+    ///
+    /// The two waits are [`Class::Racy`]: barrier leavers unpin the installed
+    /// version outside the token, so which thread pays a `gc_version` charge
+    /// varies, and the waits absorb the difference.
+    pub struct Breakdown {
+        /// Useful work: `tick` cycles plus shared-memory access cycles.
+        Det chunk,
+        /// Waiting imposed by the deterministic total order (token / turn).
+        Racy determ_wait,
+        /// Waiting for other threads to arrive at a barrier.
+        Racy barrier_wait,
+        /// Committing dirty pages (including merges).
+        Det commit,
+        /// Applying remote versions to the local workspace.
+        Det update,
+        /// Copy-on-write page faults.
+        Det fault,
+        /// Library overhead: token ops, counter reads, publications, wake-ups.
+        Det lib,
+    }
 }
 
 impl Breakdown {
     /// Total virtual cycles across all categories.
     pub fn total(&self) -> u64 {
-        self.chunk
-            + self.determ_wait
-            + self.barrier_wait
-            + self.commit
-            + self.update
-            + self.fault
-            + self.lib
+        self.values().iter().sum()
     }
 
     /// Non-`chunk` cycles: everything determinism added on top of the work.
@@ -50,94 +96,76 @@ impl Breakdown {
     }
 }
 
-impl AddAssign for Breakdown {
-    fn add_assign(&mut self, o: Breakdown) {
-        self.chunk += o.chunk;
-        self.determ_wait += o.determ_wait;
-        self.barrier_wait += o.barrier_wait;
-        self.commit += o.commit;
-        self.update += o.update;
-        self.fault += o.fault;
-        self.lib += o.lib;
-    }
-}
-
-/// Event counters accumulated across all threads of a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Commit operations performed.
-    pub commits: u64,
-    /// Dirty pages published by commits.
-    pub pages_committed: u64,
-    /// Pages that needed a byte-granularity merge at commit.
-    pub pages_merged: u64,
-    /// Pages applied by updates — the paper's "pages propagated under TSO".
-    pub pages_propagated: u64,
-    /// Copy-on-write faults taken.
-    pub faults: u64,
-    /// Global-token acquisitions.
-    pub token_acquisitions: u64,
-    /// Logical-clock publications (counter overflows / chunk-end reads).
-    pub publications: u64,
-    /// Deterministic mutex acquisitions.
-    pub lock_acquires: u64,
-    /// Barrier-wait operations.
-    pub barrier_waits: u64,
-    /// Condition-variable waits.
-    pub cond_waits: u64,
-    /// Threads spawned.
-    pub spawns: u64,
-    /// Spawns satisfied from the §3.3 thread pool.
-    pub pool_hits: u64,
-    /// Chunks executed (regions between commits).
-    pub chunks: u64,
-    /// Chunks that were coarsened into a preceding chunk (§3.1).
-    pub coarsened_chunks: u64,
-    /// Versions dropped outright by the version-chain collector.
-    pub gc_versions_dropped: u64,
-    /// Version pairs squashed (compacted) by the collector while pinned by
-    /// a lagging workspace.
-    pub gc_versions_squashed: u64,
-    /// Page allocations served from the freed-page recycle pool instead of
-    /// the system allocator.
-    pub page_pool_hits: u64,
-    /// Iterations of the token wait loop: one per return from a sleep, for
-    /// a real wake or a stale permit, and none for a grant that found the
-    /// token free on arrival. `token_wake_loops / token_acquisitions` is
-    /// the wakeups-per-grant fan-out: at most 1, since a hand-off wakes
-    /// one thread (`kv_server` reads 0.43).
-    pub token_wake_loops: u64,
-    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
-    #[doc(hidden)]
-    pub settle_pages_deferred: u64,
-    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
-    #[doc(hidden)]
-    pub pretwin_hits: u64,
-    /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
-    #[doc(hidden)]
-    pub pretwin_misses: u64,
-}
-
-impl AddAssign for Counters {
-    fn add_assign(&mut self, o: Counters) {
-        self.commits += o.commits;
-        self.pages_committed += o.pages_committed;
-        self.pages_merged += o.pages_merged;
-        self.pages_propagated += o.pages_propagated;
-        self.faults += o.faults;
-        self.token_acquisitions += o.token_acquisitions;
-        self.publications += o.publications;
-        self.lock_acquires += o.lock_acquires;
-        self.barrier_waits += o.barrier_waits;
-        self.cond_waits += o.cond_waits;
-        self.spawns += o.spawns;
-        self.pool_hits += o.pool_hits;
-        self.chunks += o.chunks;
-        self.coarsened_chunks += o.coarsened_chunks;
-        self.gc_versions_dropped += o.gc_versions_dropped;
-        self.gc_versions_squashed += o.gc_versions_squashed;
-        self.page_pool_hits += o.page_pool_hits;
-        self.token_wake_loops += o.token_wake_loops;
+metrics! {
+    /// Event counters accumulated across all threads of a run.
+    ///
+    /// A [`Class::Det`] counter is equal across runs of one program under
+    /// one deterministic runtime configuration (Consequence-IC with a fixed
+    /// publication interval, -RR, DWC, DThreads), and
+    /// `determinism_matrix::deterministic_metrics_reproduce` holds it to
+    /// that. A [`Class::Racy`] one counts physical events (sleeps, wakes,
+    /// timer-driven publications, recycled pages) and moves from run to
+    /// run.
+    pub struct Counters {
+        /// Commit operations performed.
+        Det commits,
+        /// Dirty pages published by commits.
+        Det pages_committed,
+        /// Pages that needed a byte-granularity merge at commit.
+        Det pages_merged,
+        /// Pages applied by updates — the paper's "pages propagated under TSO".
+        Det pages_propagated,
+        /// Copy-on-write faults taken.
+        Det faults,
+        /// Global-token acquisitions.
+        Det token_acquisitions,
+        /// Logical-clock publications (counter overflows / chunk-end reads).
+        /// Racy under adaptive overflow notification (§3.2).
+        Racy publications,
+        /// Deterministic mutex acquisitions.
+        Det lock_acquires,
+        /// Barrier-wait operations.
+        Det barrier_waits,
+        /// Condition-variable waits.
+        Det cond_waits,
+        /// Threads spawned.
+        Det spawns,
+        /// Spawns satisfied from the §3.3 thread pool.
+        Det pool_hits,
+        /// Chunks executed (regions between commits).
+        Det chunks,
+        /// Chunks that were coarsened into a preceding chunk (§3.1).
+        Det coarsened_chunks,
+        /// Versions dropped outright by the version-chain collector.
+        Racy gc_versions_dropped,
+        /// Version pairs squashed (compacted) by the collector while pinned by
+        /// a lagging workspace.
+        Racy gc_versions_squashed,
+        /// Page allocations served from the freed-page recycle pool instead of
+        /// the system allocator.
+        Racy page_pool_hits,
+        /// Iterations of the token wait loop: one per return from a sleep, for
+        /// a real wake or a stale permit, and none for a grant that found the
+        /// token free on arrival. `token_wake_loops / token_acquisitions` is
+        /// the wakeups-per-grant fan-out: at most 1, since a hand-off wakes
+        /// one thread (`kv_server` reads 0.43).
+        Racy token_wake_loops,
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        #[doc(hidden)]
+        Det settle_pages_deferred,
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        #[doc(hidden)]
+        Det pretwin_hits,
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        #[doc(hidden)]
+        Det pretwin_misses,
+        /// Real sleeps: returns from a park of a thread waiting under the
+        /// runtime lock, for any reason (token, wake flag, barrier phase, the
+        /// end of the run). Zero for runtimes without parking (the baselines).
+        Racy parks,
+        /// Real wakes delivered: one per thread unparked after the runtime
+        /// lock is released, a broadcast counting every registered thread.
+        Racy unparks,
     }
 }
 
@@ -206,6 +234,50 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report every runtime shares: `per_thread` sorted by tid and
+    /// summed into `breakdown`, `wall` read now, the schedule hash, event
+    /// counts and plan identity read from `cfg`'s trace and perturber, and
+    /// a trace-sink fault reported as `fault` with `degraded` set. The
+    /// runtime then sets the fields it owns (peaks, commit-log hash,
+    /// contained panics, a watchdog fault).
+    pub fn new(
+        cfg: &CommonConfig,
+        start: Instant,
+        mut per_thread: Vec<(Tid, Breakdown)>,
+        counters: Counters,
+        virtual_cycles: u64,
+        threads: u32,
+    ) -> RunReport {
+        per_thread.sort_by_key(|(t, _)| *t);
+        let mut breakdown = Breakdown::default();
+        for (_, b) in &per_thread {
+            breakdown += *b;
+        }
+        // A degraded recording (the sink hit a write fault mid-run) is a
+        // run fault even though the computation itself finished: the
+        // promised reproducer is truncated at the point of failure.
+        let fault = cfg.trace.fault();
+        RunReport {
+            virtual_cycles,
+            wall: start.elapsed(),
+            breakdown,
+            per_thread,
+            counters,
+            peak_pages: 0,
+            peak_versions: 0,
+            peak_clock_history: 0,
+            commit_log_hash: 0,
+            schedule_hash: cfg.trace.schedule_hash(),
+            events: cfg.trace.counts(),
+            threads,
+            perturb_seed: cfg.perturb.seed(),
+            perturb_plan: cfg.perturb.plan_digest(),
+            panics: Vec::new(),
+            degraded: fault.is_some(),
+            fault,
+        }
+    }
+
     /// Breakdown of a single thread, if it exists.
     pub fn thread_breakdown(&self, tid: Tid) -> Option<&Breakdown> {
         self.per_thread
@@ -267,26 +339,22 @@ mod tests {
 
     #[test]
     fn thread_breakdown_lookup() {
-        let r = RunReport {
-            virtual_cycles: 0,
-            wall: Duration::ZERO,
-            breakdown: Breakdown::default(),
-            per_thread: vec![(Tid(0), Breakdown::default())],
-            counters: Counters::default(),
-            peak_pages: 0,
-            peak_versions: 0,
-            peak_clock_history: 0,
-            commit_log_hash: 0,
-            schedule_hash: 0,
-            events: EventCounts::default(),
-            threads: 1,
-            perturb_seed: 0,
-            perturb_plan: 0,
-            panics: Vec::new(),
-            fault: None,
-            degraded: false,
+        let bd = |chunk| Breakdown {
+            chunk,
+            ..Breakdown::default()
         };
-        assert!(r.thread_breakdown(Tid(0)).is_some());
-        assert!(r.thread_breakdown(Tid(1)).is_none());
+        let r = RunReport::new(
+            &CommonConfig::default(),
+            Instant::now(),
+            vec![(Tid(1), bd(2)), (Tid(0), bd(1))],
+            Counters::default(),
+            0,
+            2,
+        );
+        assert_eq!(r.per_thread, [(Tid(0), bd(1)), (Tid(1), bd(2))]);
+        assert_eq!(r.breakdown, bd(3));
+        assert_eq!(r.thread_breakdown(Tid(1)), Some(&bd(2)));
+        assert!(r.thread_breakdown(Tid(2)).is_none());
+        assert!(!r.degraded && r.fault.is_none());
     }
 }

@@ -894,35 +894,12 @@ impl Runtime for DThreadsRuntime {
                 let _ = h.join();
             }
             let mut inner = sh.inner.lock();
-            let mut reports = std::mem::take(&mut inner.reports);
-            reports.sort_by_key(|(t, _)| *t);
+            let reports = std::mem::take(&mut inner.reports);
             (reports, inner.counters, inner.max_v, inner.next_tid)
         };
-
-        let mut breakdown = Breakdown::default();
-        for (_, b) in &reports {
-            breakdown += *b;
-        }
-        let mut counters = counters;
-        let (peak_pages, peak_versions) = sh.seg.harvest(&mut counters);
-        RunReport {
-            virtual_cycles: max_v,
-            wall: start.elapsed(),
-            breakdown,
-            per_thread: reports,
-            counters,
-            peak_pages,
-            peak_versions,
-            peak_clock_history: 0,
-            commit_log_hash: sh.seg.log_hash(),
-            schedule_hash: sh.cfg.trace.schedule_hash(),
-            events: sh.cfg.trace.counts(),
-            threads,
-            perturb_seed: sh.cfg.perturb.seed(),
-            perturb_plan: sh.cfg.perturb.plan_digest(),
-            panics: Vec::new(),
-            fault: None,
-            degraded: false,
-        }
+        let mut report = RunReport::new(&sh.cfg, start, reports, counters, max_v, threads);
+        (report.peak_pages, report.peak_versions) = sh.seg.harvest(&mut report.counters);
+        report.commit_log_hash = sh.seg.log_hash();
+        report
     }
 }

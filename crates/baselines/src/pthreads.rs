@@ -700,31 +700,7 @@ impl Runtime for PthreadsRuntime {
             }
         }
         let mut st = sh.st.lock();
-        let mut reports = std::mem::take(&mut st.reports);
-        reports.sort_by_key(|(t, _)| *t);
-        let mut breakdown = Breakdown::default();
-        for (_, b) in &reports {
-            breakdown += *b;
-        }
-        let threads = st.next_tid;
-        RunReport {
-            virtual_cycles: st.max_v,
-            wall: start.elapsed(),
-            breakdown,
-            per_thread: reports,
-            counters: st.counters,
-            peak_pages: 0,
-            peak_versions: 0,
-            peak_clock_history: 0,
-            commit_log_hash: 0,
-            schedule_hash: sh.cfg.trace.schedule_hash(),
-            events: sh.cfg.trace.counts(),
-            threads,
-            perturb_seed: sh.cfg.perturb.seed(),
-            perturb_plan: sh.cfg.perturb.plan_digest(),
-            panics: Vec::new(),
-            fault: None,
-            degraded: false,
-        }
+        let reports = std::mem::take(&mut st.reports);
+        RunReport::new(&sh.cfg, start, reports, st.counters, st.max_v, st.next_tid)
     }
 }

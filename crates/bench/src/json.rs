@@ -136,20 +136,39 @@ impl ToJson for Tid {
     }
 }
 
+/// Writes `(key, value)` pairs as one JSON object, in order.
+fn write_fields<'a>(pairs: impl Iterator<Item = (&'a str, u64)>, out: &mut String) {
+    out.push('{');
+    for (i, (key, count)) in pairs.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(key, out);
+        out.push(':');
+        count.write_json(out);
+    }
+    out.push('}');
+}
+
 impl ToJson for EventCounts {
     fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (kind, count)) in self.nonzero().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_str(kind.name(), out);
-            out.push(':');
-            count.write_json(out);
-        }
-        out.push('}');
+        write_fields(self.nonzero().map(|(kind, n)| (kind.name(), n)), out);
     }
 }
+
+/// A `metrics!` struct of `dmt_api` is an object of its `FIELDS`.
+macro_rules! json_metrics {
+    ($($ty:ty),+) => {
+        $(impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                let names = <$ty>::FIELDS.iter().map(|(name, _)| *name);
+                write_fields(names.zip(self.values()), out);
+            }
+        })+
+    };
+}
+
+json_metrics!(Breakdown, Counters);
 
 /// Implements [`ToJson`] for a struct as an object of its named fields.
 /// Exported so downstream tools (the `dmt-stress` harness) can serialize
@@ -193,36 +212,6 @@ macro_rules! json_record {
         $crate::json_struct!($name { $($field),+ });
     };
 }
-
-json_struct!(Breakdown {
-    chunk,
-    determ_wait,
-    barrier_wait,
-    commit,
-    update,
-    fault,
-    lib
-});
-
-json_struct!(Counters {
-    commits,
-    pages_committed,
-    pages_merged,
-    pages_propagated,
-    faults,
-    token_acquisitions,
-    publications,
-    lock_acquires,
-    barrier_waits,
-    cond_waits,
-    spawns,
-    pool_hits,
-    chunks,
-    coarsened_chunks,
-    gc_versions_dropped,
-    gc_versions_squashed,
-    page_pool_hits
-});
 
 json_struct!(RunReport {
     virtual_cycles,
@@ -283,6 +272,24 @@ mod tests {
         assert_eq!(Option::<u64>::None.to_json(), "null");
         assert_eq!(vec![1u64, 2].to_json(), "[1,2]");
         assert_eq!((Tid(3), 9u64).to_json(), "[3,9]");
+    }
+
+    #[test]
+    fn counters_render_every_field_in_order() {
+        let json = Counters {
+            token_wake_loops: 7,
+            ..Counters::default()
+        }
+        .to_json();
+        let keys: Vec<String> = Counters::FIELDS
+            .iter()
+            .map(|(name, _)| {
+                let v = if *name == "token_wake_loops" { 7 } else { 0 };
+                format!("\"{name}\":{v}")
+            })
+            .collect();
+        assert_eq!(json, format!("{{{}}}", keys.join(",")));
+        assert!(json.contains("\"token_wake_loops\":7"));
     }
 
     #[test]

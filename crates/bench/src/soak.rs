@@ -26,6 +26,7 @@
 
 use std::time::{Duration, Instant};
 
+use dmt_api::RunReport;
 use dmt_baselines::RuntimeKind;
 use dmt_shard::{run_sharded_server, CaptureMode, ShardCfg};
 use dmt_workloads::Params;
@@ -107,13 +108,12 @@ crate::json_record! {
 }
 
 impl Gauges {
-    /// A run's three high-water marks: `peak_versions`, `peak_pages`
-    /// and `peak_clock_history` of its report.
-    fn peaks(versions: usize, pages: usize, history: usize) -> Gauges {
+    /// A run's three high-water marks.
+    fn peaks(r: &RunReport) -> Gauges {
         Gauges {
-            retained_versions: versions as u64,
-            live_pages: pages as u64,
-            clock_history: history as u64,
+            retained_versions: r.peak_versions as u64,
+            live_pages: r.peak_pages as u64,
+            clock_history: r.peak_clock_history as u64,
         }
     }
 
@@ -232,11 +232,7 @@ fn run_iter(spec: &CellSpec) -> IterResult {
                 schedule_hash: r.report.schedule_hash,
                 output_hash: r.report.commit_log_hash,
                 validated: r.validation.matches_reference,
-                peaks: Gauges::peaks(
-                    r.report.peak_versions,
-                    r.report.peak_pages,
-                    r.report.peak_clock_history,
-                ),
+                peaks: Gauges::peaks(&r.report),
             }
         }
         Drive::Server { shards, workers } => {
@@ -247,10 +243,7 @@ fn run_iter(spec: &CellSpec) -> IterResult {
             );
             cfg.capture = CaptureMode::Hash;
             let r = run_sharded_server(&cfg);
-            let peaks = r
-                .domains
-                .iter()
-                .map(|d| Gauges::peaks(d.peak_versions, d.peak_pages, d.peak_clock_history));
+            let peaks = r.domains.iter().map(|d| Gauges::peaks(&d.run));
             IterResult {
                 schedule_hash: r.schedule_hash,
                 output_hash: r.store_hash,

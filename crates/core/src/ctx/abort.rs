@@ -189,7 +189,6 @@ impl Ctx<'_> {
             sh.seg.detach(me);
         }
         self.retire(&mut inner);
-        drop(inner);
-        sh.parking.everyone();
+        inner.wakes.all = true;
     }
 }

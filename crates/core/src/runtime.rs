@@ -168,10 +168,8 @@ impl Runtime for ConsequenceRuntime {
                 let _ = entry.tx.send(Msg::Shutdown);
             }
             let handles = std::mem::take(&mut inner.handles);
-            let mut reports = std::mem::take(&mut inner.reports);
-            reports.sort_by_key(|(t, _)| *t);
             let out = (
-                reports,
+                std::mem::take(&mut inner.reports),
                 inner.counters,
                 inner.max_exit_v,
                 inner.next_tid,
@@ -195,38 +193,13 @@ impl Runtime for ConsequenceRuntime {
             eprintln!("[conseq] abandoning threads that never observed shutdown");
         }
 
-        let mut breakdown = dmt_api::Breakdown::default();
-        for (_, b) in &reports {
-            breakdown += *b;
-        }
-        let mut counters = counters;
-        let (peak_pages, peak_versions) = sh.seg.harvest(&mut counters);
-        let peak_clock_history = sh.lock().table.peak_history_len();
-        // A degraded recording (disk sink hit a write fault mid-run) is a
-        // run fault even though the computation itself finished: the
-        // promised reproducer is truncated at the point of failure.
-        let trace_fault = sh.cfg.trace.fault();
-        let degraded = trace_fault.is_some();
-        let fault = fault.or(trace_fault);
-        RunReport {
-            virtual_cycles: max_v,
-            wall: start.elapsed(),
-            breakdown,
-            per_thread: reports,
-            counters,
-            peak_pages,
-            peak_versions,
-            peak_clock_history,
-            commit_log_hash: sh.seg.log_hash(),
-            schedule_hash: sh.cfg.trace.schedule_hash(),
-            events: sh.cfg.trace.counts(),
-            threads,
-            perturb_seed: sh.cfg.perturb.seed(),
-            perturb_plan: sh.cfg.perturb.plan_digest(),
-            panics,
-            fault,
-            degraded,
-        }
+        let mut report = RunReport::new(&sh.cfg, start, reports, counters, max_v, threads);
+        (report.peak_pages, report.peak_versions) = sh.seg.harvest(&mut report.counters);
+        report.peak_clock_history = sh.lock().table.peak_history_len();
+        report.commit_log_hash = sh.seg.log_hash();
+        report.panics = panics;
+        report.fault = fault.or(report.fault);
+        report
     }
 }
 
@@ -304,8 +277,7 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
         eprintln!("{report}");
         inner.fault = Some(report);
         inner.shutdown = true;
-        drop(inner);
-        sh.parking.everyone();
+        inner.wakes.all = true;
         return;
     }
 }

@@ -329,11 +329,16 @@ impl Parking {
     }
 
     /// Unparks every registered thread, whatever it waits for: the
-    /// watchdog's shutdown, `abort_quiet`, the spurious-wake injection in
-    /// `Ctx::doze`, a ninth distinct wake of one lock section
-    /// ([`Wakes::push`]).
-    pub fn everyone(&self) {
+    /// delivery of [`Wakes::all`], which the watchdog's shutdown,
+    /// `abort_quiet`, the spurious-wake injection in `Ctx::doze` and a
+    /// ninth distinct wake of one lock section ([`Wakes::push`]) request.
+    fn everyone(&self) {
         (0..self.threads.len()).for_each(|i| self.unpark(Tid(i as u32)));
+    }
+
+    /// How many threads [`Parking::everyone`] reaches.
+    fn registered(&self) -> u64 {
+        self.threads.iter().filter(|t| t.get().is_some()).count() as u64
     }
 }
 
@@ -410,6 +415,13 @@ impl Held<'_> {
 
     /// Unlock first, unpark second.
     fn unlock(&mut self) {
+        if let Some(inner) = self.guard.as_mut() {
+            inner.counters.unparks += if self.wakes.all {
+                self.sh.parking.registered()
+            } else {
+                self.wakes.n as u64
+            };
+        }
         self.guard = None;
         if self.wakes.all {
             self.sh.parking.everyone();
@@ -432,6 +444,7 @@ impl Held<'_> {
             None => std::thread::park(),
         }
         self.guard = Some(self.sh.inner.lock());
+        self.counters.parks += 1;
         deadline.is_some_and(|d| Instant::now() >= d)
     }
 }

@@ -750,3 +750,24 @@ fn unlock_without_lock_is_contained() {
         report.panics[0].1
     );
 }
+
+/// The park counters see a contended run: threads that queue for the
+/// token or a held mutex really sleep and are really woken, and every
+/// iteration of the token wait loop follows a return from a sleep.
+#[test]
+fn contended_run_counts_its_parks() {
+    let p = dmt_workloads::Params::new(4, 1, 42);
+    let w = dmt_workloads::workload_by_name("dmt_server").expect("registered");
+    let mut rt = ConsequenceRuntime::new(
+        CommonConfig {
+            heap_pages: w.heap_pages(&p),
+            ..cfg()
+        },
+        Options::consequence_ic(),
+    );
+    let prepared = w.prepare(&mut rt, &p);
+    let c = rt.run(prepared.job).counters;
+    assert!((prepared.validate)(&rt).matches_reference);
+    assert!(c.parks > 0 && c.unparks > 0, "{c:?}");
+    assert!(c.token_wake_loops <= c.parks, "{c:?}");
+}

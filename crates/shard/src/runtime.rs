@@ -6,7 +6,9 @@ use std::time::{Duration, Instant};
 
 use consequence::{ConsequenceRuntime, Options};
 use dmt_api::trace::{Event, HashSink, MemorySink};
-use dmt_api::{CommonConfig, CostModel, DomainId, Fnv1a, PerturbHandle, Runtime, TraceHandle};
+use dmt_api::{
+    CommonConfig, CostModel, DomainId, Fnv1a, PerturbHandle, RunReport, Runtime, TraceHandle,
+};
 use dmt_workloads::server::{DomainPlan, DomainServer, Exchange, ServerSpec};
 use dmt_workloads::Params;
 
@@ -96,10 +98,10 @@ pub fn reference_store_hash(spec: &ServerSpec) -> u64 {
 pub struct DomainReport {
     /// The domain.
     pub domain: DomainId,
-    /// The domain's schedule hash (domain-stamped FNV-1a; for
-    /// [`DomainId::ROOT`] identical to the unsharded hash of the same
-    /// event stream).
-    pub schedule_hash: u64,
+    /// The domain runtime's report. Its `schedule_hash` is
+    /// domain-stamped FNV-1a; for [`DomainId::ROOT`] identical to the
+    /// unsharded hash of the same event stream.
+    pub run: RunReport,
     /// Buffered `(domain, event)` stream — empty unless
     /// [`CaptureMode::Events`].
     pub events: Vec<(DomainId, Event)>,
@@ -111,25 +113,6 @@ pub struct DomainReport {
     pub kv: Vec<(u64, u64)>,
     /// Domain output digest (store + responses + processed).
     pub output_hash: u64,
-    /// The domain runtime's commit-log hash (versioned-memory history).
-    pub commit_log_hash: u64,
-    /// Global-token acquisitions inside the domain.
-    pub token_acquisitions: u64,
-    /// Deterministic mutex acquisitions inside the domain.
-    pub lock_acquires: u64,
-    /// Critical-path virtual cycles of the domain.
-    pub virtual_cycles: u64,
-    /// Wall-clock time of the domain's run.
-    pub wall: Duration,
-    /// The domain runtime's `RunReport::peak_versions`.
-    pub peak_versions: usize,
-    /// The domain runtime's `RunReport::peak_pages`.
-    pub peak_pages: usize,
-    /// The domain runtime's `RunReport::peak_clock_history`.
-    pub peak_clock_history: usize,
-    /// Workload panics contained inside the domain (injected or real),
-    /// `(tid, message)` in containment order.
-    pub panics: Vec<(dmt_api::Tid, String)>,
 }
 
 /// The result of a sharded server run.
@@ -382,9 +365,9 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
     let mut kv: Vec<(u64, u64)> = Vec::with_capacity(spec.keys);
     for d in &domains {
         schedule.update(&u64::from(d.domain.0).to_le_bytes());
-        schedule.update(&d.schedule_hash.to_le_bytes());
+        schedule.update(&d.run.schedule_hash.to_le_bytes());
         out.update(&d.output_hash.to_le_bytes());
-        commits.update(&d.commit_log_hash.to_le_bytes());
+        commits.update(&d.run.commit_log_hash.to_le_bytes());
         kv.extend_from_slice(&d.kv);
     }
     kv.sort_unstable_by_key(|&(k, _)| k);
@@ -399,8 +382,11 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
         );
     }
     ShardReport {
-        sync_ops: domains.iter().map(|d| d.token_acquisitions).sum(),
-        panics: domains.iter().map(|d| d.panics.len() as u64).sum(),
+        sync_ops: domains
+            .iter()
+            .map(|d| d.run.counters.token_acquisitions)
+            .sum(),
+        panics: domains.iter().map(|d| d.run.panics.len() as u64).sum(),
         schedule_hash: schedule.digest(),
         store_hash: store_fold(kv),
         output_hash: out.digest(),
@@ -447,7 +433,7 @@ fn run_domain(
         max_threads: workers + 2,
         cost: CostModel::default(),
         gc_budget: usize::MAX,
-        trace: trace.clone(),
+        trace,
         perturb,
     };
     let mut rt = ConsequenceRuntime::new(common, opts);
@@ -459,32 +445,21 @@ fn run_domain(
         workers,
         exchange as Arc<dyn Exchange>,
     );
-    let report = rt.run(job);
+    let run = rt.run(job);
     drop(resign);
 
     let (events, dropped) = mem_sink
         .as_ref()
         .map_or((Vec::new(), 0), |s| s.take_domains());
     assert_eq!(dropped, 0, "domain {domain} event buffer overflowed");
-    // The sink's tally folded exactly the events taken above.
-    let schedule_hash = trace.schedule_hash();
     DomainReport {
         domain,
-        schedule_hash,
+        run,
         events,
         processed: srv.processed(&rt),
         keys: plan.keys.len() as u64,
         kv: srv.final_kv(&rt),
         output_hash: srv.output_hash(&rt),
-        commit_log_hash: report.commit_log_hash,
-        token_acquisitions: report.counters.token_acquisitions,
-        lock_acquires: report.counters.lock_acquires,
-        virtual_cycles: report.virtual_cycles,
-        wall: report.wall,
-        peak_versions: report.peak_versions,
-        peak_pages: report.peak_pages,
-        peak_clock_history: report.peak_clock_history,
-        panics: report.panics,
     }
 }
 
@@ -532,7 +507,11 @@ mod tests {
         assert_eq!(a.schedule_hash, b.schedule_hash);
         assert_eq!(a.output_hash, b.output_hash);
         for (da, db) in a.domains.iter().zip(&b.domains) {
-            assert_eq!(da.schedule_hash, db.schedule_hash, "domain {}", da.domain);
+            assert_eq!(
+                da.run.schedule_hash, db.run.schedule_hash,
+                "domain {}",
+                da.domain
+            );
         }
     }
 

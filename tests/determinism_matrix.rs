@@ -4,7 +4,10 @@
 //! results of race-free programs.
 
 use consequence_repro::consequence::{ConsequenceRuntime, Options};
-use consequence_repro::dmt_api::{CommonConfig, CostModel, MemExt, Runtime, RuntimeMemExt, Tid};
+use consequence_repro::dmt_api::{
+    Breakdown, Class, CommonConfig, CostModel, Counters, MemExt, RunReport, Runtime, RuntimeMemExt,
+    Tid,
+};
 use consequence_repro::dmt_baselines::{make_runtime, RuntimeKind};
 use consequence_repro::dmt_workloads::{workload_by_name, Params};
 
@@ -150,6 +153,64 @@ fn repeated_kernel_runs_are_identical() {
             match &seen {
                 None => seen = Some(sig),
                 Some(s) => assert_eq!(*s, sig, "{name} diverged on run {run}"),
+            }
+        }
+    }
+}
+
+/// Every [`Class::Det`] value of a report's `Counters` and `Breakdown`,
+/// by name.
+fn det_values(r: &RunReport) -> Vec<(&'static str, u64)> {
+    let counters = Counters::FIELDS.iter().zip(r.counters.values());
+    let breakdown = Breakdown::FIELDS.iter().zip(r.breakdown.values());
+    counters
+        .chain(breakdown)
+        .filter(|((_, class), _)| *class == Class::Det)
+        .map(|((name, _), v)| (*name, v))
+        .collect()
+}
+
+/// The metrics table's classes hold: every row classed `Det` is equal
+/// across three runs of a lock kernel, a barrier kernel and the server
+/// under each deterministic configuration (Consequence-IC with a fixed
+/// publication interval, as `GOLDEN_VTIME` runs it, and the other three
+/// deterministic runtimes).
+#[test]
+fn deterministic_metrics_reproduce() {
+    let p = Params::new(4, 1, 42);
+    // `None` is Consequence-IC with a fixed publication interval.
+    let kinds = [
+        None,
+        Some(RuntimeKind::ConsequenceRr),
+        Some(RuntimeKind::Dwc),
+        Some(RuntimeKind::DThreads),
+    ];
+    for name in ["ferret", "ocean_cp", "dmt_server"] {
+        let w = workload_by_name(name).unwrap();
+        for kind in kinds {
+            let label = kind.map_or("consequence-ic (fixed publication)", RuntimeKind::label);
+            let run = || {
+                let c = cfg(w.heap_pages(&p));
+                let mut rt: Box<dyn Runtime> = match kind {
+                    Some(k) => make_runtime(k, c),
+                    None => Box::new(ConsequenceRuntime::new(
+                        c,
+                        Options {
+                            adaptive_overflow: false,
+                            ..Options::consequence_ic()
+                        },
+                    )),
+                };
+                let prepared = w.prepare(rt.as_mut(), &p);
+                let report = rt.run(prepared.job);
+                assert!((prepared.validate)(rt.as_ref()).matches_reference);
+                det_values(&report)
+            };
+            let first = run();
+            for i in 1..3 {
+                let again = run();
+                let moved: Vec<_> = first.iter().zip(&again).filter(|(a, b)| a != b).collect();
+                assert!(moved.is_empty(), "{name} {label} run {i}: {moved:?}");
             }
         }
     }

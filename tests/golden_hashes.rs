@@ -169,7 +169,7 @@ fn goldens_are_geometry_sensitive() {
 // ---------------------------------------------------------------------
 
 use consequence_repro::consequence::{ConsequenceRuntime, Options};
-use consequence_repro::dmt_api::{Breakdown, RunReport, Runtime, RuntimeMemExt, Tid};
+use consequence_repro::dmt_api::{RunReport, Runtime, RuntimeMemExt, Tid};
 
 /// A field that does not reproduce run to run at the commit the pins
 /// were captured at, and so is not compared:
@@ -335,18 +335,6 @@ fn vt_run(program: &str, opts: Options) -> RunReport {
     report
 }
 
-fn bd_fields(b: &Breakdown) -> [u64; 7] {
-    [
-        b.chunk,
-        b.determ_wait,
-        b.barrier_wait,
-        b.commit,
-        b.update,
-        b.fault,
-        b.lib,
-    ]
-}
-
 #[test]
 fn virtual_time_matches_the_committed_pins() {
     let mut drift = String::new();
@@ -354,7 +342,7 @@ fn virtual_time_matches_the_committed_pins() {
         let r = vt_run(program, fixed_publication(label));
         // Compare only what the pin states: a `RACY` field takes the
         // pinned value.
-        let mut got_bd = bd_fields(&r.breakdown);
+        let mut got_bd = r.breakdown.values();
         for (g, w) in got_bd.iter_mut().zip(bd) {
             if w == RACY {
                 *g = RACY;

@@ -50,7 +50,7 @@ fn one_shard_is_bit_identical_to_unsharded() {
         let r = run_sharded_server(&shard_cfg(1, 3, seed));
         assert_eq!(r.domains.len(), 1);
         assert_eq!(
-            r.domains[0].schedule_hash, schedule,
+            r.domains[0].run.schedule_hash, schedule,
             "seed {seed}: 1-shard schedule diverged from unsharded"
         );
         assert_eq!(
@@ -71,7 +71,11 @@ fn multi_shard_schedules_reproduce_exactly() {
     assert_eq!(a.output_hash, b.output_hash);
     assert_eq!(a.commit_hash, b.commit_hash);
     for (da, db) in a.domains.iter().zip(&b.domains) {
-        assert_eq!(da.schedule_hash, db.schedule_hash, "domain {}", da.domain);
+        assert_eq!(
+            da.run.schedule_hash, db.run.schedule_hash,
+            "domain {}",
+            da.domain
+        );
         assert_eq!(da.output_hash, db.output_hash, "domain {}", da.domain);
     }
     let c = run_sharded_server(&shard_cfg(4, 2, 43));
