@@ -3,14 +3,16 @@
 //! [`Breakdown`] and [`Counters`] are declared by one `metrics!` table:
 //! each row states a field's doc, its [`Class`] and its name once, and
 //! the struct, its `AddAssign`, its [`FIELDS`](Counters::FIELDS) listing
-//! and its `values()` derive from that row.
+//! and its `values()` derive from that row. [`Counters::count`] beside
+//! the table defines each event-backed [`Counters`] row as a fold of the
+//! run's [`Event`] stream.
 
 use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 use crate::ids::Tid;
 use crate::runtime::CommonConfig;
-use crate::trace::EventCounts;
+use crate::trace::{Event, EventCounts};
 
 /// Whether a metric reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,35 +108,52 @@ metrics! {
     /// that. A [`Class::Racy`] one counts physical events (sleeps, wakes,
     /// timer-driven publications, recycled pages) and moves from run to
     /// run.
+    ///
+    /// Every `Det` row but `faults` and the three inert ones is a fold of
+    /// the run's [`Event`] stream, defined once by [`Counters::count`]:
+    /// each row's doc names the event it folds. A runtime's per-thread
+    /// context folds every event it emits into its own counters, tracing
+    /// on or off, so a sink that folds the stream it was sent reads those
+    /// rows exactly (`tests/counter_fold.rs`). `faults` and the inert rows
+    /// have no event, and the `Racy` rows are counted where they happen.
     pub struct Counters {
-        /// Commit operations performed.
+        /// Commit operations performed: one per [`Event::Commit`].
         Det commits,
-        /// Dirty pages published by commits.
+        /// Dirty pages published by commits: the `pages` of
+        /// [`Event::Commit`].
         Det pages_committed,
-        /// Pages that needed a byte-granularity merge at commit.
+        /// Pages that needed a byte-granularity merge at commit: the
+        /// `merged` of [`Event::Commit`].
         Det pages_merged,
-        /// Pages applied by updates — the paper's "pages propagated under TSO".
+        /// Pages applied by updates — the paper's "pages propagated under
+        /// TSO": the `pages` of [`Event::Update`].
         Det pages_propagated,
-        /// Copy-on-write faults taken.
+        /// Copy-on-write faults taken. No event: counted by the store that
+        /// faults.
         Det faults,
-        /// Global-token acquisitions.
+        /// Global-token acquisitions (a DThreads serial turn is one): one
+        /// per [`Event::TokenAcquire`].
         Det token_acquisitions,
         /// Logical-clock publications (counter overflows / chunk-end reads).
         /// Racy under adaptive overflow notification (§3.2).
         Racy publications,
-        /// Deterministic mutex acquisitions.
+        /// Deterministic mutex acquisitions, a condition wait's
+        /// re-acquisition included: one per [`Event::MutexLock`].
         Det lock_acquires,
-        /// Barrier-wait operations.
+        /// Barrier-wait operations: one per [`Event::BarrierArrive`].
         Det barrier_waits,
-        /// Condition-variable waits.
+        /// Condition-variable waits: one per [`Event::CondWait`].
         Det cond_waits,
-        /// Threads spawned.
+        /// Threads spawned: one per [`Event::Spawn`].
         Det spawns,
-        /// Spawns satisfied from the §3.3 thread pool.
+        /// Spawns satisfied from the §3.3 thread pool: one per
+        /// [`Event::Spawn`] with `pooled` set.
         Det pool_hits,
-        /// Chunks executed (regions between commits).
+        /// Chunks executed (regions between commits): one per
+        /// [`Event::Commit`], so always equal to `commits`.
         Det chunks,
-        /// Chunks that were coarsened into a preceding chunk (§3.1).
+        /// Chunks that were coarsened into a preceding chunk (§3.1): one
+        /// per [`Event::Coarsen`].
         Det coarsened_chunks,
         /// Versions dropped outright by the version-chain collector.
         Racy gc_versions_dropped,
@@ -150,13 +169,16 @@ metrics! {
         /// the wakeups-per-grant fan-out: at most 1, since a hand-off wakes
         /// one thread (`kv_server` reads 0.43).
         Racy token_wake_loops,
-        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a). No
+        /// event.
         #[doc(hidden)]
         Det settle_pages_deferred,
-        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a). No
+        /// event.
         #[doc(hidden)]
         Det pretwin_hits,
-        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a).
+        /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a). No
+        /// event.
         #[doc(hidden)]
         Det pretwin_misses,
         /// Real sleeps: returns from a park of a thread waiting under the
@@ -166,6 +188,34 @@ metrics! {
         /// Real wakes delivered: one per thread unparked after the runtime
         /// lock is released, a broadcast counting every registered thread.
         Racy unparks,
+    }
+}
+
+impl Counters {
+    /// Folds one event into the rows it backs: the one definition of every
+    /// event-backed [`Class::Det`] row. Schedule and auxiliary events count
+    /// alike; an event kind no row reads changes nothing.
+    #[inline]
+    pub fn count(&mut self, ev: &Event) {
+        match *ev {
+            Event::Commit { pages, merged, .. } => {
+                self.commits += 1;
+                self.chunks += 1;
+                self.pages_committed += u64::from(pages);
+                self.pages_merged += u64::from(merged);
+            }
+            Event::Update { pages, .. } => self.pages_propagated += pages,
+            Event::TokenAcquire { .. } => self.token_acquisitions += 1,
+            Event::MutexLock { .. } => self.lock_acquires += 1,
+            Event::BarrierArrive { .. } => self.barrier_waits += 1,
+            Event::CondWait { .. } => self.cond_waits += 1,
+            Event::Spawn { pooled, .. } => {
+                self.spawns += 1;
+                self.pool_hits += u64::from(pooled);
+            }
+            Event::Coarsen { .. } => self.coarsened_chunks += 1,
+            _ => {}
+        }
     }
 }
 
@@ -335,6 +385,47 @@ mod tests {
         };
         assert_eq!(a.commits, 5);
         assert_eq!(a.faults, 2);
+    }
+
+    #[test]
+    fn count_folds_each_event_into_its_rows() {
+        let mut c = Counters::default();
+        for ev in [
+            Event::Commit {
+                tid: Tid(1),
+                version: 3,
+                pages: 5,
+                merged: 2,
+                page_set: 0,
+            },
+            Event::Update {
+                tid: Tid(1),
+                version: 3,
+                pages: 7,
+            },
+            Event::Spawn {
+                parent: Tid(0),
+                child: Tid(2),
+                pooled: true,
+            },
+            Event::Publish {
+                tid: Tid(1),
+                clock: 9,
+            },
+        ] {
+            c.count(&ev);
+        }
+        let want = Counters {
+            commits: 1,
+            chunks: 1,
+            pages_committed: 5,
+            pages_merged: 2,
+            pages_propagated: 7,
+            spawns: 1,
+            pool_hits: 1,
+            ..Counters::default()
+        };
+        assert_eq!(c, want);
     }
 
     #[test]

@@ -27,9 +27,20 @@
 //! hash. Events whose real-time interleaving is *not* part of the
 //! determinism contract — counter-overflow publications under adaptive
 //! notification (§3.2), parallel-phase update work in DThreads — are
-//! emitted as auxiliary: counted, but never hashed. The nondeterministic
-//! pthreads baseline emits everything as schedule events; its hash varying
-//! across runs is the negative control.
+//! emitted as auxiliary: counted, but never hashed. So are the commits of
+//! the parallel barrier's participants, which merge outside the token,
+//! and every barrier leaver's update to the installed version. The
+//! nondeterministic pthreads baseline emits everything as schedule events;
+//! its hash varying across runs is the negative control.
+//!
+//! # The stream is the run's account
+//!
+//! Each runtime's per-thread context emits through one helper that first
+//! folds the event into that thread's [`Counters`](crate::Counters)
+//! ([`Counters::count`](crate::Counters::count)), tracing on or off. The
+//! event-backed deterministic counters of a run are therefore the fold of
+//! its stream, schedule and auxiliary events alike: a sink that folds what
+//! it is sent reads them exactly.
 //!
 //! # Token domains
 //!
@@ -128,8 +139,10 @@ pub enum Event {
     },
     /// A Conversion commit: `version` is the created (or, with no dirty
     /// pages, the pre-existing) version id; `page_set` digests the dirty
-    /// page ids. The parallel barrier's installer emits one per installed
-    /// version as an auxiliary event, `merged` and `page_set` zero.
+    /// page ids. Each parallel-barrier participant emits its own as an
+    /// auxiliary event after its phase-2 merge: `pages` and `merged` are
+    /// the pages it merged, which the install credits to it, and `version`
+    /// and `page_set` are zero (the install numbers the versions later).
     Commit {
         tid: Tid,
         version: u64,
@@ -137,7 +150,9 @@ pub enum Event {
         merged: u32,
         page_set: u64,
     },
-    /// An update pulling remote versions into the local workspace.
+    /// An update pulling remote versions into the local workspace. A
+    /// barrier leaver's update to the installed version, and a DThreads
+    /// update in the parallel phase, are auxiliary.
     Update { tid: Tid, version: u64, pages: u64 },
     /// Thread creation; `pooled` marks §3.3 thread-pool reuse.
     Spawn {
@@ -774,19 +789,13 @@ impl TraceHandle {
         self.domain
     }
 
-    /// Emits a schedule event (a slot in the deterministic total order).
+    /// Emits `ev` to the sink, if one is attached: a schedule event (a
+    /// slot in the deterministic total order) when `in_schedule`, else an
+    /// auxiliary one (counted, never hashed).
     #[inline]
-    pub fn emit(&self, ev: Event) {
+    pub fn emit(&self, ev: Event, in_schedule: bool) {
         if let Some(s) = &self.sink {
-            s.emit(&ev, true, self.domain);
-        }
-    }
-
-    /// Emits an auxiliary event (counted, never hashed).
-    #[inline]
-    pub fn emit_aux(&self, ev: Event) {
-        if let Some(s) = &self.sink {
-            s.emit(&ev, false, self.domain);
+            s.emit(&ev, in_schedule, self.domain);
         }
     }
 
@@ -963,7 +972,7 @@ mod tests {
         let sink = Arc::new(MemorySink::new(8));
         let h = TraceHandle::to_domain(sink.clone(), DomainId(3));
         assert_eq!(h.domain(), DomainId(3));
-        h.emit(ev(0, 1));
+        h.emit(ev(0, 1), true);
         let (evs, dropped) = sink.take_domains();
         assert_eq!(dropped, 0);
         assert_eq!(evs, vec![(DomainId(3), ev(0, 1))]);

@@ -149,6 +149,19 @@ impl DtCtx {
         }
     }
 
+    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
+    /// emits it, into the schedule or as an auxiliary event: the one door
+    /// of every event this thread emits, sink or no sink.
+    fn emit_as(&mut self, ev: Event, in_schedule: bool) {
+        self.cnt.count(&ev);
+        self.sh.cfg.trace.emit(ev, in_schedule);
+    }
+
+    /// [`DtCtx::emit_as`] for a schedule event.
+    fn emit(&mut self, ev: Event) {
+        self.emit_as(ev, true);
+    }
+
     fn charge_mem(&mut self, bytes: usize) {
         let c = self.cost.mem_access(bytes);
         self.clock += bytes.div_ceil(8) as u64;
@@ -174,7 +187,7 @@ impl DtCtx {
         let mapped = self.ws().num_pages() as u64;
         let cr = sh.seg.commit(self.ws(), None);
         // Commits happen at the thread's serial turn: schedule events.
-        sh.cfg.trace.emit(Event::Commit {
+        self.emit(Event::Commit {
             tid: self.tid,
             version: cr.version,
             pages: cr.pages,
@@ -187,10 +200,6 @@ impl DtCtx {
             + cr.merged as u64 * self.cost.page_merge;
         self.v += c;
         self.bd.commit += c;
-        self.cnt.commits += 1;
-        self.cnt.pages_committed += cr.pages as u64;
-        self.cnt.pages_merged += cr.merged as u64;
-        self.cnt.chunks += 1;
     }
 
     /// Pulls committed state up to a recorded version (on leaving a fence
@@ -201,15 +210,17 @@ impl DtCtx {
         let ur = sh.seg.update_to(self.ws(), upto);
         // Updates run in the parallel phase, racing each other in real
         // time: auxiliary (counted, never hashed).
-        sh.cfg.trace.emit_aux(Event::Update {
-            tid: self.tid,
-            version: ur.new_base,
-            pages: ur.pages_propagated,
-        });
+        self.emit_as(
+            Event::Update {
+                tid: self.tid,
+                version: ur.new_base,
+                pages: ur.pages_propagated,
+            },
+            false,
+        );
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
         self.v += u;
         self.bd.update += u;
-        self.cnt.pages_propagated += ur.pages_propagated;
         // Updates race each other in real time, so how much reclaimable
         // work this particular call finds is nondeterministic — the
         // collector's work cannot be charged to this thread's virtual
@@ -269,7 +280,7 @@ impl DtCtx {
         self.v = self.v.max(inner.chain_v);
         self.bd.determ_wait += self.v - from;
         // The serial turn is DThreads' analog of the token grant.
-        self.sh.cfg.trace.emit(Event::TokenAcquire {
+        self.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: self.clock,
         });
@@ -293,12 +304,12 @@ impl DtCtx {
         }
         let (outcome, spawned) = op(self, &mut inner);
         if matches!(outcome, Outcome::Block) {
-            self.sh.cfg.trace.emit(Event::Depart {
+            self.emit(Event::Depart {
                 tid: self.tid,
                 clock: self.clock,
             });
         }
-        self.sh.cfg.trace.emit(Event::TokenRelease {
+        self.emit(Event::TokenRelease {
             tid: self.tid,
             clock: self.clock,
         });
@@ -408,12 +419,11 @@ impl DtCtx {
 
     /// Acquires the single global lock every mutex (and rwlock) aliases.
     fn global_lock(&mut self) {
-        self.cnt.lock_acquires += 1;
         self.fence_op(|me, inner| {
             if inner.lock_owner.is_none() && inner.lock_waiters.is_empty() {
                 inner.lock_owner = Some(me.tid);
                 inner.lock_tickets += 1;
-                me.sh.cfg.trace.emit(Event::MutexLock {
+                me.emit(Event::MutexLock {
                     tid: me.tid,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -421,7 +431,7 @@ impl DtCtx {
                 (Outcome::Continue, None)
             } else {
                 inner.lock_waiters.push_back(me.tid);
-                me.sh.cfg.trace.emit(Event::MutexBlock {
+                me.emit(Event::MutexBlock {
                     tid: me.tid,
                     mutex: MutexId(0),
                 });
@@ -441,7 +451,7 @@ impl DtCtx {
             );
             // Deterministic hand-off to the earliest waiter.
             let woke = inner.lock_waiters.pop_front();
-            me.sh.cfg.trace.emit(Event::MutexUnlock {
+            me.emit(Event::MutexUnlock {
                 tid: me.tid,
                 mutex: MutexId(0),
                 woke,
@@ -451,7 +461,7 @@ impl DtCtx {
                 inner.lock_tickets += 1;
                 // Hand-off grant: the new owner never re-runs the lock
                 // path, so its acquisition is recorded here.
-                me.sh.cfg.trace.emit(Event::MutexLock {
+                me.emit(Event::MutexLock {
                     tid: w,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -487,7 +497,7 @@ impl DtCtx {
             for j in joiners {
                 me.wake(inner, j);
             }
-            me.sh.cfg.trace.emit(Event::Exit {
+            me.emit(Event::Exit {
                 tid: me.tid,
                 clock: me.clock,
             });
@@ -561,16 +571,15 @@ impl ThreadCtx for DtCtx {
     }
 
     fn cond_wait(&mut self, c: CondId, _m: MutexId) {
-        self.cnt.cond_waits += 1;
         self.fence_op(|me, inner| {
             assert_eq!(inner.lock_owner, Some(me.tid), "cond_wait without lock");
-            me.sh.cfg.trace.emit(Event::CondWait {
+            me.emit(Event::CondWait {
                 tid: me.tid,
                 cond: c,
                 mutex: MutexId(0),
             });
             let woke = inner.lock_waiters.pop_front();
-            me.sh.cfg.trace.emit(Event::MutexUnlock {
+            me.emit(Event::MutexUnlock {
                 tid: me.tid,
                 mutex: MutexId(0),
                 woke,
@@ -578,7 +587,7 @@ impl ThreadCtx for DtCtx {
             if let Some(w) = woke {
                 inner.lock_owner = Some(w);
                 inner.lock_tickets += 1;
-                me.sh.cfg.trace.emit(Event::MutexLock {
+                me.emit(Event::MutexLock {
                     tid: w,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -600,7 +609,7 @@ impl ThreadCtx for DtCtx {
             if let Some(w) = woken {
                 me.wake(inner, w);
             }
-            me.sh.cfg.trace.emit(Event::CondSignal {
+            me.emit(Event::CondSignal {
                 tid: me.tid,
                 cond: c,
                 woken,
@@ -616,7 +625,7 @@ impl ThreadCtx for DtCtx {
                 me.wake(inner, w);
                 woken += 1;
             }
-            me.sh.cfg.trace.emit(Event::CondBroadcast {
+            me.emit(Event::CondBroadcast {
                 tid: me.tid,
                 cond: c,
                 woken,
@@ -626,10 +635,9 @@ impl ThreadCtx for DtCtx {
     }
 
     fn barrier_wait(&mut self, b: BarrierId) {
-        self.cnt.barrier_waits += 1;
         self.fence_op(|me, inner| {
             let gen = inner.fence_gen;
-            me.sh.cfg.trace.emit(Event::BarrierArrive {
+            me.emit(Event::BarrierArrive {
                 tid: me.tid,
                 barrier: b,
                 gen,
@@ -643,7 +651,7 @@ impl ThreadCtx for DtCtx {
                         me.wake(inner, w);
                     }
                 }
-                me.sh.cfg.trace.emit(Event::BarrierOpen {
+                me.emit(Event::BarrierOpen {
                     tid: me.tid,
                     barrier: b,
                     gen,
@@ -687,7 +695,6 @@ impl ThreadCtx for DtCtx {
     }
 
     fn spawn(&mut self, job: Job) -> Tid {
-        self.cnt.spawns += 1;
         let mut job = Some(job);
         let spawned = self.fence_op_ex(true, move |me, inner| {
             assert!(
@@ -698,7 +705,7 @@ impl ThreadCtx for DtCtx {
             inner.next_tid += 1;
             inner.threads.push(DtThread::default());
             inner.live += 1;
-            me.sh.cfg.trace.emit(Event::Spawn {
+            me.emit(Event::Spawn {
                 parent: me.tid,
                 child,
                 pooled: false,
@@ -746,7 +753,7 @@ impl ThreadCtx for DtCtx {
         self.fence_op(|me, inner| {
             if inner.threads[t.index()].finished {
                 me.v = me.v.max(inner.threads[t.index()].exit_v);
-                me.sh.cfg.trace.emit(Event::Join {
+                me.emit(Event::Join {
                     tid: me.tid,
                     target: t,
                 });

@@ -206,10 +206,18 @@ impl PCtx {
         }
     }
 
+    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
+    /// emits it as a schedule event (pthreads has no auxiliary ones): the
+    /// one door of every event this thread emits, sink or no sink.
+    fn emit(&mut self, ev: Event) {
+        self.cnt.count(&ev);
+        self.sh.cfg.trace.emit(ev, true);
+    }
+
     fn finish(mut self) -> (Tid, Breakdown, Counters, u64) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        sh.cfg.trace.emit(Event::Exit {
+        self.emit(Event::Exit {
             tid: self.tid,
             clock: self.clock,
         });
@@ -300,7 +308,7 @@ impl ThreadCtx for PCtx {
         }
         let rs = &mut st.rwlocks[l.index()];
         rs.readers += 1;
-        sh.cfg.trace.emit(Event::RwAcquire {
+        self.emit(Event::RwAcquire {
             tid: self.tid,
             lock: l,
             writer: false,
@@ -316,7 +324,7 @@ impl ThreadCtx for PCtx {
         let rs = &mut st.rwlocks[l.index()];
         assert!(rs.readers > 0, "read-unlock with no readers");
         rs.readers -= 1;
-        sh.cfg.trace.emit(Event::RwRelease {
+        self.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer: false,
@@ -336,7 +344,7 @@ impl ThreadCtx for PCtx {
         }
         let rs = &mut st.rwlocks[l.index()];
         rs.writer = true;
-        sh.cfg.trace.emit(Event::RwAcquire {
+        self.emit(Event::RwAcquire {
             tid: self.tid,
             lock: l,
             writer: true,
@@ -352,7 +360,7 @@ impl ThreadCtx for PCtx {
         let rs = &mut st.rwlocks[l.index()];
         assert!(rs.writer, "write-unlock without holding");
         rs.writer = false;
-        sh.cfg.trace.emit(Event::RwRelease {
+        self.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer: true,
@@ -375,7 +383,7 @@ impl ThreadCtx for PCtx {
         ms.locked = true;
         ms.tickets += 1;
         let ticket = ms.tickets;
-        sh.cfg.trace.emit(Event::MutexLock {
+        self.emit(Event::MutexLock {
             tid: self.tid,
             mutex: m,
             ticket,
@@ -384,7 +392,6 @@ impl ThreadCtx for PCtx {
         self.v = self.v.max(ms.last_release_v) + self.cost.pthread_lock;
         self.bd.determ_wait += self.v - from - self.cost.pthread_lock;
         self.bd.lib += self.cost.pthread_lock;
-        self.cnt.lock_acquires += 1;
     }
 
     fn mutex_unlock(&mut self, m: MutexId) {
@@ -393,7 +400,7 @@ impl ThreadCtx for PCtx {
         let ms = &mut st.mutexes[m.index()];
         assert!(ms.locked, "{} unlocking {m} that is not locked", self.tid);
         ms.locked = false;
-        sh.cfg.trace.emit(Event::MutexUnlock {
+        self.emit(Event::MutexUnlock {
             tid: self.tid,
             mutex: m,
             woke: None,
@@ -412,7 +419,7 @@ impl ThreadCtx for PCtx {
         let ms = &mut st.mutexes[m.index()];
         assert!(ms.locked, "cond_wait without holding {m}");
         ms.locked = false;
-        sh.cfg.trace.emit(Event::CondWait {
+        self.emit(Event::CondWait {
             tid: self.tid,
             cond: c,
             mutex: m,
@@ -421,7 +428,6 @@ impl ThreadCtx for PCtx {
         self.bd.lib += self.cost.pthread_sync;
         ms.last_release_v = ms.last_release_v.max(self.v);
         st.conds[c.index()].waiting += 1;
-        self.cnt.cond_waits += 1;
         sh.cv.notify_all();
         let from = self.v;
         loop {
@@ -440,7 +446,7 @@ impl ThreadCtx for PCtx {
         ms.locked = true;
         ms.tickets += 1;
         let ticket = ms.tickets;
-        sh.cfg.trace.emit(Event::MutexLock {
+        self.emit(Event::MutexLock {
             tid: self.tid,
             mutex: m,
             ticket,
@@ -458,7 +464,7 @@ impl ThreadCtx for PCtx {
         if cs.grants.len() < cs.waiting {
             cs.grants.push_back(self.v);
         }
-        sh.cfg.trace.emit(Event::CondSignal {
+        self.emit(Event::CondSignal {
             tid: self.tid,
             cond: c,
             woken: None,
@@ -477,7 +483,7 @@ impl ThreadCtx for PCtx {
             cs.grants.push_back(self.v);
             woken += 1;
         }
-        sh.cfg.trace.emit(Event::CondBroadcast {
+        self.emit(Event::CondBroadcast {
             tid: self.tid,
             cond: c,
             woken,
@@ -491,13 +497,12 @@ impl ThreadCtx for PCtx {
         let mut st = sh.st.lock();
         self.v += self.cost.pthread_sync;
         self.bd.lib += self.cost.pthread_sync;
-        self.cnt.barrier_waits += 1;
         let gen = st.barriers[b.index()].gen;
         {
             let bs = &mut st.barriers[b.index()];
             bs.arrived += 1;
             bs.max_v = bs.max_v.max(self.v);
-            sh.cfg.trace.emit(Event::BarrierArrive {
+            self.emit(Event::BarrierArrive {
                 tid: self.tid,
                 barrier: b,
                 gen,
@@ -507,7 +512,7 @@ impl ThreadCtx for PCtx {
                 bs.gen += 1;
                 bs.arrived = 0;
                 bs.max_v = 0;
-                sh.cfg.trace.emit(Event::BarrierOpen {
+                self.emit(Event::BarrierOpen {
                     tid: self.tid,
                     barrier: b,
                     gen,
@@ -528,12 +533,11 @@ impl ThreadCtx for PCtx {
         let sh = Arc::clone(&self.sh);
         self.v += self.cost.pthread_spawn;
         self.bd.lib += self.cost.pthread_spawn;
-        self.cnt.spawns += 1;
         let mut st = sh.st.lock();
         let tid = Tid(st.next_tid);
         st.next_tid += 1;
         st.live += 1;
-        sh.cfg.trace.emit(Event::Spawn {
+        self.emit(Event::Spawn {
             parent: self.tid,
             child: tid,
             pooled: false,
@@ -563,7 +567,7 @@ impl ThreadCtx for PCtx {
             st.reports.push((tid, bd));
             st.counters += cnt;
             self.v = self.v.max(v);
-            sh.cfg.trace.emit(Event::Join {
+            self.emit(Event::Join {
                 tid: self.tid,
                 target: t,
             });

@@ -30,9 +30,10 @@
 //! | `CondSignal` / `CondBroadcast` | release of the cond, then acquire by each woken waiter |
 //!
 //! A spawn propagates nothing: a forked child starts with a copy of its
-//! parent's memory. The parallel barrier's installer emits each
-//! participant's installed pages as an auxiliary `Commit` before the
-//! `BarrierOpen`, so the open's acquires come after those commits. A
+//! parent's memory. Each parallel-barrier participant emits the pages it
+//! merged, which the install credits to it, as an auxiliary `Commit`
+//! before the `BarrierOpen`, so the open's acquires come after those
+//! commits. A
 //! `.dmtrace` recording keeps schedule events only: folded from one, a
 //! parallel-barrier program's estimate lacks those commits.
 //!

@@ -122,7 +122,7 @@ fn lrc_saves_on_locks_not_on_barriers() {
 }
 
 /// Forwards only schedule events: what the fold would see if the parallel
-/// barrier's installer emitted no auxiliary `Commit`s.
+/// barrier's participants emitted no auxiliary `Commit`s.
 struct ScheduleOnly(Arc<LrcFold>);
 
 impl TraceSink for ScheduleOnly {
@@ -134,9 +134,9 @@ impl TraceSink for ScheduleOnly {
 }
 
 /// Four threads each write their own page, then meet at the parallel
-/// barrier twice. The first generation's pages are committed only by its
-/// installer; the second generation's open carries them to the three
-/// other participants.
+/// barrier twice. The first generation's pages are committed only in its
+/// phase 2, by auxiliary `Commit`s; the second generation's open carries
+/// them to the three other participants.
 fn installed_only(rt: &mut ConsequenceRuntime) -> Job {
     let b = rt.create_barrier(4);
     Box::new(move |ctx| {

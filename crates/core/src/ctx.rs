@@ -210,6 +210,21 @@ impl<'a> Ctx<'a> {
         self.bd.lib += c;
     }
 
+    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
+    /// emits it, into the schedule or as an auxiliary event: the one door
+    /// of every event this thread emits, sink or no sink.
+    #[inline]
+    fn emit_as(&mut self, ev: Event, in_schedule: bool) {
+        self.cnt.count(&ev);
+        self.sh.cfg.trace.emit(ev, in_schedule);
+    }
+
+    /// [`Ctx::emit_as`] for a schedule event.
+    #[inline]
+    fn emit(&mut self, ev: Event) {
+        self.emit_as(ev, true);
+    }
+
     /// Charges `faults` copy-on-write faults taken by a store.
     #[inline]
     fn charge_faults(&mut self, faults: u64) {
@@ -336,10 +351,8 @@ impl<'a> Ctx<'a> {
         self.cnt.publications += 1;
         // Publications race with other threads' chunks: auxiliary, so the
         // schedule hash only covers token-serialized events.
-        self.sh.cfg.trace.emit_aux(Event::Publish {
-            tid: self.tid,
-            clock: self.clock,
-        });
+        let (tid, clock) = (self.tid, self.clock);
+        self.emit_as(Event::Publish { tid, clock }, false);
         let sh = self.sh;
         // One lock section: publish, and if that crossed the head waiter's
         // key, wake the successor it may have made eligible (the unpark
@@ -359,7 +372,6 @@ impl<'a> Ctx<'a> {
         // attached (forced early/late overflow); the §3.2 contract —
         // frequency affects real time only, never determinism — makes any
         // bias safe, and the stress harness asserts exactly that.
-        let tid = self.tid;
         self.next_pub = self.ovf.next_threshold_biased(self.clock, min_w, |iv| {
             sh.cfg.perturb.overflow_interval(tid, iv)
         });

@@ -66,7 +66,7 @@ impl Ctx<'_> {
         self.commit_and_update();
         let sh = self.sh;
         let mut inner = sh.lock();
-        self.sh.cfg.trace.emit(Event::ThreadPanic {
+        self.emit(Event::ThreadPanic {
             tid: self.tid,
             clock: self.clock,
         });

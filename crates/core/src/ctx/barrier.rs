@@ -82,7 +82,7 @@ impl<'a> Ctx<'a> {
         bst.phase = BarPhase::Installed;
         bst.install_v = self.v;
         bst.install_version = sh.seg.latest_id();
-        sh.cfg.trace.emit(Event::BarrierOpen {
+        self.emit(Event::BarrierOpen {
             tid: self.tid,
             barrier: b,
             gen,
@@ -118,7 +118,6 @@ impl<'a> Ctx<'a> {
         // unwind protocol).
         self.maybe_inject_panic(PanicSite::Barrier);
         self.sync_prologue();
-        self.cnt.barrier_waits += 1;
         // Barrier-phase delay: a straggler arriving arbitrarily late. The
         // arrival set is fixed by the program (parties), so only waiting
         // time can change.
@@ -147,7 +146,7 @@ impl<'a> Ctx<'a> {
                         .get_or_insert_with(|| Arc::new(conversion::ParallelCommit::new())),
                 )
             });
-            self.sh.cfg.trace.emit(Event::BarrierArrive {
+            self.emit(Event::BarrierArrive {
                 tid: self.tid,
                 barrier: b,
                 gen: bst.gen,
@@ -162,7 +161,6 @@ impl<'a> Ctx<'a> {
             let c = self.cost.commit_base / 2 + registered as u64 * self.cost.page_register;
             self.v += c;
             self.bd.commit += c;
-            self.cnt.commits += 1;
             Some(idx)
         } else {
             self.commit_and_update();
@@ -203,7 +201,18 @@ impl<'a> Ctx<'a> {
             let c = w.pages as u64 * self.cost.page_commit + w.merged as u64 * self.cost.page_merge;
             self.v += c;
             self.bd.commit += c;
-            self.cnt.pages_merged += w.merged as u64;
+            // Its commit, auxiliary: the pages it merged are those the
+            // install credits to it, in a version not yet numbered.
+            self.emit_as(
+                Event::Commit {
+                    tid: self.tid,
+                    version: 0,
+                    pages: w.pages,
+                    merged: w.merged,
+                    page_set: 0,
+                },
+                false,
+            );
             let mut inner = sh.lock();
             let bst = &mut inner.barriers[b.index()];
             bst.phase2_done += 1;
@@ -218,7 +227,7 @@ impl<'a> Ctx<'a> {
                 let inner = self.await_barrier(inner, b, false, |bst| bst.phase2_done == parties);
                 let phase2_max_v = inner.barriers[b.index()].phase2_max_v;
                 drop(inner);
-                let installed = pc.install(&sh.seg);
+                pc.install(&sh.seg);
                 let ic = self.cost.commit_base;
                 self.v = self.v.max(phase2_max_v) + ic;
                 self.bd.commit += ic;
@@ -227,23 +236,6 @@ impl<'a> Ctx<'a> {
                 // pass is a function of the schedule, and the leavers fold
                 // its charge in through `install_v`.
                 self.collect();
-                // Page accounting uses the installed (merged) counts. Each
-                // installed version is its participant's commit, emitted as
-                // an auxiliary event (counted, never hashed) before the
-                // open: the versions went in in this order, ending at the
-                // latest.
-                let made = installed.iter().filter(|(_, pages)| *pages > 0);
-                let first = sh.seg.latest_id() + 1 - made.clone().count() as u64;
-                for (version, &(tid, pages)) in (first..).zip(made) {
-                    self.cnt.pages_committed += pages as u64;
-                    sh.cfg.trace.emit_aux(Event::Commit {
-                        tid,
-                        version,
-                        pages,
-                        merged: 0,
-                        page_set: 0,
-                    });
-                }
                 self.open_barrier(&mut sh.lock(), b, gen);
             } else {
                 drop(self.follow_barrier(inner, b, gen, BarPhase::Installed));
@@ -258,7 +250,15 @@ impl<'a> Ctx<'a> {
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
         self.v += u;
         self.bd.update += u;
-        self.cnt.pages_propagated += ur.pages_propagated;
+        // Leavers update concurrently, outside the token: auxiliary.
+        self.emit_as(
+            Event::Update {
+                tid: self.tid,
+                version: ur.new_base,
+                pages: ur.pages_propagated,
+            },
+            false,
+        );
 
         {
             let mut inner = sh.lock();
@@ -272,7 +272,6 @@ impl<'a> Ctx<'a> {
             }
             inner.wake_waiters();
         }
-        self.cnt.chunks += 1;
         self.chunk_start_clock = self.clock;
         self.last_sync_end_clock = self.clock;
         self.ovf.chunk_start();

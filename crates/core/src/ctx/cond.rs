@@ -16,7 +16,6 @@ impl Ctx<'_> {
     pub(super) fn cond_wait_inner(&mut self, c: CondId, m: MutexId) -> DmtResult<()> {
         let m = self.resolve_mutex(m);
         self.sync_prologue();
-        self.cnt.cond_waits += 1;
         self.acquire_token()?;
         // Condition operations end any coarsened chunk (§3.1): the park
         // commits before it releases the mutex and queues.
@@ -25,7 +24,7 @@ impl Ctx<'_> {
             carried(&mut me.objs).conds[c.index()]
                 .waiters
                 .push_back((me.tid, m));
-            me.sh.cfg.trace.emit(Event::CondWait {
+            me.emit(Event::CondWait {
                 tid: me.tid,
                 cond: c,
                 mutex: m,
@@ -56,7 +55,7 @@ impl Ctx<'_> {
             woken += 1;
         }
         let tid = self.tid;
-        self.sh.cfg.trace.emit(if all {
+        self.emit(if all {
             Event::CondBroadcast {
                 tid,
                 cond: c,

@@ -43,8 +43,7 @@ impl Ctx<'_> {
                 mst.tickets += 1;
                 let ticket = mst.tickets;
                 let predicted = mst.cs_est.get();
-                self.cnt.lock_acquires += 1;
-                self.sh.cfg.trace.emit(Event::MutexLock {
+                self.emit(Event::MutexLock {
                     tid: self.tid,
                     mutex: m,
                     ticket,
@@ -78,7 +77,7 @@ impl Ctx<'_> {
                 carried(&mut me.objs).mutexes[m.index()]
                     .waiters
                     .push_back(me.tid);
-                me.sh.cfg.trace.emit(Event::MutexBlock {
+                me.emit(Event::MutexBlock {
                     tid: me.tid,
                     mutex: m,
                 });
@@ -107,7 +106,7 @@ impl Ctx<'_> {
             inner.purge_quiet_exits(objs);
             Some((objs.mutexes[m.index()].waiters.pop_front()?, inner))
         });
-        self.sh.cfg.trace.emit(Event::MutexUnlock {
+        self.emit(Event::MutexUnlock {
             tid: self.tid,
             mutex: m,
             woke: woke.as_ref().map(|(w, _)| *w),

@@ -4,28 +4,25 @@
 //! wakes must stay fair, and reader concurrency is the point.
 
 use dmt_api::trace::Event;
-use dmt_api::{DmtError, RwLockId, Tid, TraceHandle};
+use dmt_api::{DmtError, RwLockId, Tid};
 
 use super::token::ParkOrder;
 use super::{carried, or_raise, raise, Ctx};
-use crate::shared::{Inner, RwSt};
-
-/// Gives `tid` a hold on `l`. The grant is a schedule event of the token
-/// holder's turn, whether it grants to itself or hands off.
-fn rw_grant(trace: &TraceHandle, st: &mut RwSt, l: RwLockId, tid: Tid, writer: bool) {
-    if writer {
-        st.writer = Some(tid);
-    } else {
-        st.readers.push(tid);
-    }
-    trace.emit(Event::RwAcquire {
-        tid,
-        lock: l,
-        writer,
-    });
-}
+use crate::shared::Inner;
 
 impl Ctx<'_> {
+    /// Gives `tid` a hold on `l`. The grant is a schedule event of the token
+    /// holder's turn, whether it grants to itself or hands off.
+    fn rw_grant(&mut self, lock: RwLockId, tid: Tid, writer: bool) {
+        let st = &mut carried(&mut self.objs).rwlocks[lock.index()];
+        if writer {
+            st.writer = Some(tid);
+        } else {
+            st.readers.push(tid);
+        }
+        self.emit(Event::RwAcquire { tid, lock, writer });
+    }
+
     /// Hands the rwlock to the head of its queue: one writer, or every
     /// leading reader — granting directly (the woken thread owns the lock
     /// when it wakes). Caller holds the token and the runtime lock, and
@@ -42,7 +39,7 @@ impl Ctx<'_> {
             st.waiters.pop_front();
             // Direct hand-off: the grant happens here, under the waker's
             // token.
-            rw_grant(&self.sh.cfg.trace, st, l, w, is_writer);
+            self.rw_grant(l, w, is_writer);
             self.wake(inner, w, None);
             if is_writer {
                 return;
@@ -68,7 +65,7 @@ impl Ctx<'_> {
             raise(DmtError::RwLockPoisoned { lock: l, by });
         }
         if st.writer.is_none() && st.waiters.is_empty() && (!writer || st.readers.is_empty()) {
-            rw_grant(&self.sh.cfg.trace, st, l, self.tid, writer);
+            self.rw_grant(l, self.tid, writer);
             self.commit_and_leave(true);
             return;
         }
@@ -108,12 +105,13 @@ impl Ctx<'_> {
             };
             st.readers.remove(hold);
         }
-        self.sh.cfg.trace.emit(Event::RwRelease {
+        let hand_off = writer || st.readers.is_empty();
+        self.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer,
         });
-        if writer || st.readers.is_empty() {
+        if hand_off {
             self.rw_wake_head(&mut inner, l);
         }
         inner.table.resume(self.tid, self.clock, self.v);

@@ -37,14 +37,13 @@ impl Ctx<'_> {
         inner.threads.push(ThreadSt::default());
         inner.live += 1;
         inner.table.register(child, self.clock, self.v);
-        self.cnt.spawns += 1;
 
         let pooled = if sh.opts.thread_pool {
             inner.pool.pop()
         } else {
             None
         };
-        self.sh.cfg.trace.emit(Event::Spawn {
+        self.emit(Event::Spawn {
             parent: self.tid,
             child,
             pooled: pooled.is_some(),
@@ -55,7 +54,6 @@ impl Ctx<'_> {
                 // The reused workspace only needs the delta since it was
                 // pooled (much cheaper than a fork, as §3.3 observes).
                 let ur = sh.seg.update(&mut ws);
-                self.cnt.pool_hits += 1;
                 self.charge_lib(self.cost.pool_reuse + ur.pages_propagated * self.cost.page_update);
                 // The worker holds its own Sender clone and re-pools
                 // itself with it when this job exits.
@@ -112,7 +110,7 @@ impl Ctx<'_> {
                     self.clock = self.clock.max(target.exit_clock);
                 }
                 let panicked = target.panicked.then(|| target.panic_msg.clone());
-                self.sh.cfg.trace.emit(Event::Join {
+                self.emit(Event::Join {
                     tid: self.tid,
                     target: t,
                 });
@@ -199,7 +197,7 @@ impl Ctx<'_> {
         self.commit_and_update();
         let sh = self.sh;
         let mut inner = sh.lock();
-        self.sh.cfg.trace.emit(Event::Exit {
+        self.emit(Event::Exit {
             tid: self.tid,
             clock: self.clock,
         });

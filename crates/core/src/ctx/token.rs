@@ -115,7 +115,7 @@ impl<'a> Ctx<'a> {
         self.objs = inner.objs.take();
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
-        self.sh.cfg.trace.emit(Event::TokenAcquire {
+        self.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: arrival_clock,
         });
@@ -132,10 +132,9 @@ impl<'a> Ctx<'a> {
         self.v = self.v.max(inner.last_release_v).max(handed);
         self.bd.determ_wait += self.v - wait_from;
         self.charge_lib(self.cost.token_op);
-        self.cnt.token_acquisitions += 1;
         // Fast-forward (§3.5): catch up to the last token releaser.
         if self.sh.opts.fast_forward && self.clock < inner.last_release_clock {
-            self.sh.cfg.trace.emit(Event::FastForward {
+            self.emit(Event::FastForward {
                 tid: self.tid,
                 from: self.clock,
                 to: inner.last_release_clock,
@@ -164,7 +163,7 @@ impl<'a> Ctx<'a> {
     /// a full rotation behind freshly started workers).
     pub(super) fn release(&mut self, inner: &mut Held<'_>, advance_rr: bool) {
         debug_assert_eq!(inner.token, Some(self.tid), "token not held");
-        self.sh.cfg.trace.emit(Event::TokenRelease {
+        self.emit(Event::TokenRelease {
             tid: self.tid,
             clock: self.clock,
         });
@@ -231,31 +230,26 @@ impl<'a> Ctx<'a> {
             + cr.merged as u64 * self.cost.page_merge;
         self.v += c;
         self.bd.commit += c;
-        self.cnt.commits += 1;
-        self.cnt.pages_committed += cr.pages as u64;
-        self.cnt.pages_merged += cr.merged as u64;
         self.perturb_hit(PerturbSite::Update);
         let ur = sh.seg.update(self.ws());
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
         self.v += u;
         self.bd.update += u;
-        self.cnt.pages_propagated += ur.pages_propagated;
         // Both run under the token, so commit order and update extents are
         // part of the deterministic schedule.
-        self.sh.cfg.trace.emit(Event::Commit {
+        self.emit(Event::Commit {
             tid: self.tid,
             version: cr.version,
             pages: cr.pages,
             merged: cr.merged,
             page_set: cr.page_set,
         });
-        self.sh.cfg.trace.emit(Event::Update {
+        self.emit(Event::Update {
             tid: self.tid,
             version: ur.new_base,
             pages: ur.pages_propagated,
         });
         self.collect();
-        self.cnt.chunks += 1;
         self.chunk_start_clock = self.clock;
         self.current_since_acquire = true;
     }
@@ -301,8 +295,7 @@ impl<'a> Ctx<'a> {
                 if !self.current_since_acquire {
                     self.commit_and_update();
                 }
-                self.cnt.coarsened_chunks += 1;
-                self.sh.cfg.trace.emit(Event::Coarsen {
+                self.emit(Event::Coarsen {
                     tid: self.tid,
                     clock: self.clock,
                 });
@@ -367,7 +360,7 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub(super) fn depart(&mut self, inner: &mut Inner) {
         inner.threads[self.tid.index()].saved_clock = self.clock;
-        self.sh.cfg.trace.emit(Event::Depart {
+        self.emit(Event::Depart {
             tid: self.tid,
             clock: self.clock,
         });

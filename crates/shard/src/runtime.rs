@@ -5,7 +5,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use consequence::{ConsequenceRuntime, Options};
-use dmt_api::trace::{Event, HashSink, MemorySink};
+use dmt_api::trace::{Event, HashSink, MemorySink, TraceSink};
 use dmt_api::{
     CommonConfig, CostModel, DomainId, Fnv1a, PerturbHandle, RunReport, Runtime, TraceHandle,
 };
@@ -299,10 +299,14 @@ impl Exchange for StdExchange {
 ///
 /// `perturb` is indexed by domain and padded with off-handles, so the
 /// empty default instruments nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct DomainHooks {
     /// Fault / panic injectors, one per domain (off when absent).
     pub perturb: Vec<PerturbHandle>,
+    /// A sink every domain emits into, schedule and auxiliary events
+    /// alike, each stamped with its domain, in place of the one
+    /// [`ShardCfg::capture`] names.
+    pub sink: Option<Arc<dyn TraceSink>>,
     /// Tolerate injected losses: when a domain dies early (contained
     /// panic of its driver), skip the served-every-request assert and
     /// report [`ShardReport::complete`] `false` instead.
@@ -343,13 +347,9 @@ pub fn run_sharded_server_hooked(cfg: &ShardCfg, hooks: &DomainHooks) -> ShardRe
             let exchange = Arc::clone(&exchange);
             let capture = cfg.capture;
             let workers = cfg.workers;
-            let perturb = hooks
-                .perturb
-                .get(plan.domain)
-                .cloned()
-                .unwrap_or_else(PerturbHandle::off);
+            let hooks = hooks.clone();
             std::thread::spawn(move || {
-                run_domain(spec, plan, workers, opts, capture, exchange, perturb)
+                run_domain(spec, plan, workers, opts, capture, exchange, hooks)
             })
         })
         .collect();
@@ -419,14 +419,17 @@ fn run_domain(
     opts: Options,
     capture: CaptureMode,
     exchange: Arc<StdExchange>,
-    perturb: PerturbHandle,
+    hooks: DomainHooks,
 ) -> DomainReport {
     let domain = DomainId(plan.domain as u32);
     let mem_sink = (capture == CaptureMode::Events).then(|| Arc::new(MemorySink::new(1 << 22)));
-    let trace = match (&mem_sink, capture) {
-        (Some(s), _) => TraceHandle::to_domain(s.clone(), domain),
-        (None, CaptureMode::Hash) => TraceHandle::to_domain(Arc::new(HashSink::new()), domain),
-        (None, _) => TraceHandle::off(),
+    let trace = match (hooks.sink, &mem_sink, capture) {
+        (Some(s), ..) => TraceHandle::to_domain(s, domain),
+        (None, Some(s), _) => TraceHandle::to_domain(s.clone(), domain),
+        (None, None, CaptureMode::Hash) => {
+            TraceHandle::to_domain(Arc::new(HashSink::new()), domain)
+        }
+        (None, None, _) => TraceHandle::off(),
     };
     let common = CommonConfig {
         heap_pages: DomainServer::heap_pages(&spec, plan.keys.len(), workers),
@@ -434,7 +437,7 @@ fn run_domain(
         cost: CostModel::default(),
         gc_budget: usize::MAX,
         trace,
-        perturb,
+        perturb: hooks.perturb.get(plan.domain).cloned().unwrap_or_default(),
     };
     let mut rt = ConsequenceRuntime::new(common, opts);
     let resign = ResignOnExit(Arc::clone(&exchange));
@@ -551,6 +554,7 @@ mod tests {
                     })),
                 ],
                 tolerate_losses: true,
+                ..DomainHooks::default()
             };
             run_sharded_server_hooked(&c, &hooks)
         };

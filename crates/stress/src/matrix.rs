@@ -250,6 +250,7 @@ fn run_sharded(c: Comp, stress: &StressConfig) -> CompRun {
             })
             .collect(),
         tolerate_losses: c.panic,
+        ..DomainHooks::default()
     };
     let r = run_sharded_server_hooked(&cfg, &hooks);
     let record_ok = !c.record || !r.canonical_events().is_empty();

@@ -172,6 +172,24 @@ const FENCES: &[Fence] = &[
         why: "A one-shot death is dmt_api::FixedPanic alone; outside test modules every perturber is in perturb.rs.",
         roots: SOURCES, scan: NonTest, needles: &["Perturber for"], allow: &[("crates/api/src/perturb.rs", Any)],
         planted: &[("crates/stress/src/lib.rs", "impl dmt_api::Perturber for X {}")] },
+    Fence { name: "A Det counter row is a fold of the events",
+        why: "Counters::count (crates/api/src/report.rs) defines each event-backed Det row once, and every emitted event \
+              is folded into its thread's counters; an increment of such a row beside it counts an act twice.",
+        roots: &["crates/core/src", "crates/baselines/src"], scan: All,
+        needles: &["cnt.commits *+=", "cnt.pages_committed *+=", "cnt.pages_merged *+=", "cnt.pages_propagated *+=",
+                   "cnt.token_acquisitions *+=", "cnt.lock_acquires *+=", "cnt.barrier_waits *+=", "cnt.cond_waits *+=",
+                   "cnt.spawns *+=", "cnt.pool_hits *+=", "cnt.chunks *+=", "cnt.coarsened_chunks *+="], allow: &[],
+        planted: &[("crates/core/src/ctx/barrier.rs", "self.cnt.chunks += 1;"),
+                   ("crates/baselines/src/pthreads.rs", "self.cnt.lock_acquires+=1;")] },
+    Fence { name: "A runtime emits through its one helper",
+        why: "Each runtime's per-thread context sends an event to the sink from one helper (emit_as; pthreads' emit), \
+              after folding it into its counters (Counters::count); an event emitted past it would reach the sink uncounted.",
+        roots: &["crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
+        allow: &[("crates/core/src/ctx.rs", Lines(&["self.sh.cfg.trace.emit(ev, in_schedule);"])),
+                 ("crates/baselines/src/dthreads.rs", Lines(&["self.sh.cfg.trace.emit(ev, in_schedule);"])),
+                 ("crates/baselines/src/pthreads.rs", Lines(&["self.sh.cfg.trace.emit(ev, true);"]))],
+        planted: &[("crates/core/src/ctx/token.rs", "self.sh.cfg.trace.emit(Event::Coarsen { tid, clock }, true);"),
+                   ("crates/baselines/src/dthreads.rs", "sh.cfg.trace.emit_aux(Event::Update { tid, version, pages });")] },
     Fence { name: "The fences are this table", why: "A fence is a row of this table, not a step in CI.",
         roots: &[".github/workflows"], scan: All, needles: &["grep -rn"], allow: &[],
         planted: &[(".github/workflows/ci.yml", "got=$(grep -rnE 'SeqCst' crates/clock/src || true)")] },
