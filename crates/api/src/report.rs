@@ -164,10 +164,11 @@ metrics! {
         /// the system allocator.
         Racy page_pool_hits,
         /// Iterations of the token wait loop: one per return from a sleep, for
-        /// a real wake or a stale permit, and none for a grant that found the
-        /// token free on arrival. `token_wake_loops / token_acquisitions` is
-        /// the wakeups-per-grant fan-out: at most 1, since a hand-off wakes
-        /// one thread (`kv_server` reads 0.43).
+        /// a yield, a real wake or a stale permit, and none for a grant that
+        /// found the token free on arrival. `token_wake_loops /
+        /// token_acquisitions` is the wakeups-per-grant fan-out: about 1 at
+        /// most, since a hand-off wakes one thread, and a yield that finds
+        /// the token still held loops once more (`kv_server` reads 0.79).
         Racy token_wake_loops,
         /// Inert; read only by `e2e/`; deleted with ROADMAP item 3(a). No
         /// event.
@@ -183,10 +184,18 @@ metrics! {
         Det pretwin_misses,
         /// Real sleeps: returns from a park of a thread waiting under the
         /// runtime lock, for any reason (token, wake flag, barrier phase, the
-        /// end of the run). Zero for runtimes without parking (the baselines).
+        /// end of the run). A wait yields before it parks, so a wait that
+        /// ended within its yields counts none. Zero for runtimes without
+        /// parking (the baselines).
         Racy parks,
-        /// Real wakes delivered: one per thread unparked after the runtime
-        /// lock is released, a broadcast counting every registered thread.
+        /// Yields instead of parks: the first untimed sleeps of one wait
+        /// give the processor up and return, to the same re-check as a
+        /// wake. Zero for runtimes without parking (the baselines).
+        Racy yields,
+        /// Wakes delivered: one per thread unparked after the runtime lock
+        /// is released, a broadcast counting every registered thread. An
+        /// unpark of a thread that is not parked (yielding or running) is
+        /// one atomic swap, not a system call.
         Racy unparks,
     }
 }

@@ -277,7 +277,7 @@ impl Inner {
 /// Where threads sleep and how they are woken.
 ///
 /// Every thread sleeps on its own permit ([`std::thread::park`], on the
-/// handle registered when its `Ctx` started), paired with no lock. Two
+/// handle registered when its `Ctx` started), paired with no lock. Three
 /// rules, enforced by [`Held`] and `Ctx::release`:
 ///
 /// 1. A real unpark is issued only after the requester has dropped
@@ -288,13 +288,20 @@ impl Inner {
 /// 2. An unpark a token holder requests for a thread that needs the token
 ///    (`Ctx::wake`) waits in that `Ctx` until its `release`, where it is
 ///    merged with the successor wake.
+/// 3. A wait yields before it parks: the first [`YIELDS`] untimed sleeps
+///    of one [`Held`] are [`std::thread::yield_now`]. On one processor the
+///    yield runs the waker, whose unpark of a thread that is not parked is
+///    one atomic swap, no futex call; on two, a yield with nothing else
+///    runnable returns at once, a bounded spin.
 ///
-/// The permit makes both safe. Every predicate a sleeper tests (wake flag,
-/// token, eligibility, barrier phase, shutdown) is written and read under
-/// `inner`, so whoever changes it after the sleeper looked posts the
+/// The permit makes all three safe. Every predicate a sleeper tests (wake
+/// flag, token, eligibility, barrier phase, shutdown) is written and read
+/// under `inner`, so whoever changes it after the sleeper looked posts the
 /// unpark after the sleeper unlocked; a permit posted before the `park`
 /// is kept, any number of unparks leave one, and a stale one costs one
-/// re-check of the predicate.
+/// re-check of the predicate. A yield ends with nothing changed, as a
+/// stale permit does, and an unpark that reaches a yielding thread leaves
+/// a permit that a later park finds stale.
 ///
 /// A hand-off unparks exactly one thread ([`Held::wake_successor`]);
 /// [`Parking::everyone`] is for four occasions, never a policy.
@@ -371,6 +378,11 @@ impl Wakes {
     }
 }
 
+/// How many untimed sleeps of one [`Held`] yield before the later ones
+/// park (rule 3 of [`Parking`]). Picked by a sweep of `e2e`'s `kv_server`
+/// and `fine_locks` on one processor (docs/PERF.md).
+pub(crate) const YIELDS: u32 = 8;
+
 /// [`Shared::inner`], locked — and the wakes requested while it is: they
 /// are delivered when it is not (rule 1 of [`Parking`]), by `sleep` and by
 /// `Drop`, so an error unwinding through the guard still delivers them.
@@ -379,6 +391,8 @@ pub(crate) struct Held<'a> {
     /// `None` only inside `sleep` and `drop`.
     guard: Option<MutexGuard<'a, Inner>>,
     pub wakes: Wakes,
+    /// Untimed sleeps this guard yielded instead of parking.
+    yielded: u32,
 }
 
 impl Held<'_> {
@@ -434,17 +448,26 @@ impl Held<'_> {
     }
 
     /// Unlocks, delivers, parks the calling thread (for at most `timeout`;
-    /// returns whether that elapsed) and relocks. The caller re-checks its
-    /// predicate: the permit may be stale.
+    /// returns whether that elapsed) and relocks. The first [`YIELDS`]
+    /// untimed sleeps of this guard yield instead of parking. The caller
+    /// re-checks its predicate: the permit may be stale, a yield ends with
+    /// nothing changed.
     pub fn sleep(&mut self, timeout: Option<Duration>) -> bool {
         self.unlock();
         let deadline = timeout.map(|d| Instant::now() + d);
+        let yielding = timeout.is_none() && self.yielded < YIELDS;
         match timeout {
             Some(d) => std::thread::park_timeout(d),
+            None if yielding => std::thread::yield_now(),
             None => std::thread::park(),
         }
         self.guard = Some(self.sh.inner.lock());
-        self.counters.parks += 1;
+        if yielding {
+            self.yielded += 1;
+            self.counters.yields += 1;
+        } else {
+            self.counters.parks += 1;
+        }
         deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
@@ -490,6 +513,7 @@ impl Shared {
             sh: self,
             guard: Some(self.inner.lock()),
             wakes: Wakes::default(),
+            yielded: 0,
         }
     }
 
@@ -562,6 +586,23 @@ mod tests {
         assert!(!inner.sleep(LOST));
         // ...and it was one permit: the next sleep is not missed.
         assert!(inner.sleep(Some(Duration::from_millis(20))));
+    }
+
+    #[test]
+    fn a_wait_yields_before_it_parks() {
+        let sh = shared();
+        sh.parking.register(Tid(1));
+        let sleeps = |h: &Held<'_>| (h.counters.yields, h.counters.parks);
+        let mut inner = sh.lock();
+        for _ in 0..YIELDS {
+            assert!(!inner.sleep(None));
+        }
+        assert_eq!(sleeps(&inner), (YIELDS as u64, 0));
+        // Our own permit, delivered at the unlock: the next sleep parks on
+        // it and returns.
+        inner.wakes.push(Tid(1));
+        assert!(!inner.sleep(None));
+        assert_eq!(sleeps(&inner), (YIELDS as u64, 1));
     }
 
     #[test]

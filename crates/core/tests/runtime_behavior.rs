@@ -751,9 +751,10 @@ fn unlock_without_lock_is_contained() {
     );
 }
 
-/// The park counters see a contended run: threads that queue for the
-/// token or a held mutex really sleep and are really woken, and every
-/// iteration of the token wait loop follows a return from a sleep.
+/// The sleep counters see a contended run: threads that queue for the
+/// token or a held mutex sleep (yield or park) and are woken, and every
+/// iteration of the token wait loop follows a return from a sleep. A wait
+/// yields before it parks, so a contended run may never really park.
 #[test]
 fn contended_run_counts_its_parks() {
     let p = dmt_workloads::Params::new(4, 1, 42);
@@ -768,6 +769,6 @@ fn contended_run_counts_its_parks() {
     let prepared = w.prepare(&mut rt, &p);
     let c = rt.run(prepared.job).counters;
     assert!((prepared.validate)(&rt).matches_reference);
-    assert!(c.parks > 0 && c.unparks > 0, "{c:?}");
-    assert!(c.token_wake_loops <= c.parks, "{c:?}");
+    assert!(c.parks + c.yields > 0 && c.unparks > 0, "{c:?}");
+    assert!(c.token_wake_loops <= c.parks + c.yields, "{c:?}");
 }

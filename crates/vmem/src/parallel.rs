@@ -143,10 +143,9 @@ impl ParallelCommit {
     /// Installs the merged pages into `seg` as one version per participant,
     /// in registration order. Call exactly once, after every participant's
     /// [`merge_for`](Self::merge_for) has returned, serialized with other
-    /// commits. Returns, per participant in registration order, the thread
-    /// id and the number of *installed* pages attributed to it (merged
-    /// pages count once, for their last writer).
-    pub fn install(&self, seg: &Segment) -> Vec<(Tid, u32)> {
+    /// commits. A participant's version holds the pages it merged, those
+    /// whose last writer it is; one that merged none installs no version.
+    pub fn install(&self, seg: &Segment) {
         let inner = self.inner.lock();
         let mut results = self.results.lock();
         debug_assert_eq!(
@@ -169,12 +168,7 @@ impl ParallelCommit {
         debug_assert!(per
             .iter()
             .all(|(_, pages, _)| pages.windows(2).all(|w| w[0].0 < w[1].0)));
-        let counts = per
-            .iter()
-            .map(|(t, pages, _)| (*t, pages.len() as u32))
-            .collect();
         seg.install_versions(per);
-        counts
     }
 }
 
@@ -192,7 +186,7 @@ mod tests {
 
     /// One whole barrier commit: `ws` register in order, the plan is
     /// sealed, everyone merges, the result is installed.
-    fn barrier_commit(seg: &Segment, ws: &mut [Workspace]) -> Vec<(Tid, u32)> {
+    fn barrier_commit(seg: &Segment, ws: &mut [Workspace]) {
         let pc = ParallelCommit::new();
         for w in ws.iter_mut() {
             pc.register(w);
@@ -361,6 +355,7 @@ mod tests {
     #[test]
     fn pages_are_partitioned_by_last_writer() {
         let seg = Segment::new(3, 4);
+        let mut c = seg.new_workspace(Tid(2)).0;
         let mut a = seg.new_workspace(Tid(0)).0;
         let mut b = seg.new_workspace(Tid(1)).0;
         a.write_bytes(0, &[1]); // page 0: only A
@@ -375,10 +370,14 @@ mod tests {
         let wb = pc.merge_for(1);
         assert_eq!(wa.pages, 1, "A merges only page 0");
         assert_eq!(wb.pages, 2, "B merges pages 1 and 2 (last writer)");
-        let counts = pc.install(&seg);
-        assert_eq!(counts.len(), 2, "one entry per participant");
-        assert_eq!(counts[0].1, 1, "A installed page 0");
-        assert_eq!(counts[1].1, 2, "B installed pages 1 and 2");
+        pc.install(&seg);
+        assert_eq!(seg.latest_id(), 2, "one version per participant");
+        // Read each version's pages back through an update of a third
+        // thread, which counts every page as propagated.
+        let upd = seg.update_to(&mut c, 1);
+        assert_eq!(upd.pages_propagated, 1, "A installed page 0");
+        let upd = seg.update_to(&mut c, 2);
+        assert_eq!(upd.pages_propagated, 2, "B installed pages 1 and 2");
     }
 
     #[test]
@@ -409,9 +408,8 @@ mod tests {
         pc.seal(&seg);
         assert_eq!(pc.merge_for(0), MergeWork::default());
         assert_eq!(pc.merge_for(1), MergeWork::default());
-        let counts = pc.install(&seg);
-        assert_eq!(counts, vec![(Tid(0), 0), (Tid(1), 0)]);
-        assert_eq!(seg.latest_id(), 0);
+        pc.install(&seg);
+        assert_eq!(seg.latest_id(), 0, "neither installed a version");
     }
 
     /// Why the merge bases are captured at `seal` and not at registration:
@@ -476,10 +474,8 @@ mod tests {
         a.st_u64(0, 1);
         a.st_u64(16, 3);
         b.st_u64(0, 7);
-        assert_eq!(
-            barrier_commit(&seg, &mut [a, b]),
-            [(Tid(0), 0), (Tid(1), 1)]
-        );
+        barrier_commit(&seg, &mut [a, b]);
+        assert_eq!(seg.latest_id(), 2, "B installs page 0, A nothing");
         let published = page(&seg, 0);
         assert_eq!(published[..8], base[..8], "word 0 ends as its base");
         assert_eq!(published[16], 3, "A's word 2");

@@ -76,6 +76,14 @@ const FENCES: &[Fence] = &[
         roots: &["crates/core/src", "crates/shard/src"], scan: All, needles: &["notify_one", "notify_all", ".unpark("],
         allow: &[("crates/core/src/shared.rs", Any), ("crates/shard/src/runtime.rs", Lines(&["self.cv.notify_all();"; 2]))],
         planted: &[("crates/core/src/ctx/token.rs", "t.unpark();")] },
+    Fence { name: "A thread sleeps only in Held::sleep",
+        why: "Held::sleep unlocks and delivers first and yields before it parks (Parking's three rules, \
+              crates/core/src/shared.rs); a sleep anywhere else could hold the runtime lock or skip the yield phase.",
+        roots: &["crates/core/src"], scan: NonTestCode, needles: &["thread::park", "park_timeout(", "yield_now("],
+        allow: &[("crates/core/src/shared.rs", Lines(&["Some(d) => std::thread::park_timeout(d),",
+                                                      "None if yielding => std::thread::yield_now(),",
+                                                      "None => std::thread::park(),"]))],
+        planted: &[("crates/core/src/ctx/token.rs", "std::thread::yield_now();")] },
     Fence { name: "One clock table kind",
         why: "ROADMAP item 12: a publication takes the runtime lock like every other transition and the table keeps \
               its histories with no lock of its own; a lock-free copy would bring back SeqCst, its failover and its drill.",
