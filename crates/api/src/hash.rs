@@ -15,6 +15,18 @@ pub struct Fnv1a(u64);
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME` to the power `k`, for `k` in `0..=8`: absorbing `k` zero
+/// bytes multiplies the state by it, because `(h ^ 0) · P = h · P`.
+const PRIME_POW: [u64; 9] = {
+    let mut t = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        t[k] = t[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    t
+};
+
 impl Fnv1a {
     /// Creates a hasher in its initial state.
     pub fn new() -> Self {
@@ -39,10 +51,20 @@ impl Fnv1a {
         self.0 = h;
     }
 
-    /// Absorbs a `u64` in little-endian byte order.
+    /// Absorbs a `u64` in little-endian byte order. The bytes above the
+    /// highest nonzero one are absorbed at once, as one multiplication by
+    /// a power of the prime: most folded values (ids, clocks, counts) fill
+    /// two or three of the eight.
     #[inline]
     pub fn update_u64(&mut self, v: u64) {
-        self.update(&v.to_le_bytes());
+        let zeros = (v.leading_zeros() / 8) as usize;
+        let (mut h, mut v) = (self.0, v);
+        for _ in zeros..8 {
+            h ^= v & 0xff;
+            h = h.wrapping_mul(FNV_PRIME);
+            v >>= 8;
+        }
+        self.0 = h.wrapping_mul(PRIME_POW[zeros]);
     }
 
     /// Returns the current digest.
@@ -86,6 +108,26 @@ mod tests {
         let mut r = Fnv1a::resume(Fnv1a::hash(b"foo"));
         r.update(b"bar");
         assert_eq!(r, h);
+    }
+
+    /// Skipping the high zero bytes is exact: every byte length, each
+    /// edge, and seeded random values of every width.
+    #[test]
+    fn u64_update_equals_its_bytes() {
+        let mut values = vec![0, 1, 0xff, 0x100, 1 << 56, u64::MAX, u64::MAX >> 8];
+        let mut x = 0x0123_4567_89ab_cdefu64;
+        for _ in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            values.push(x >> (x % 64));
+        }
+        let (mut fast, mut bytes) = (Fnv1a::new(), Fnv1a::new());
+        for v in values {
+            fast.update_u64(v);
+            bytes.update(&v.to_le_bytes());
+            assert_eq!(fast, bytes, "{v:#x}");
+        }
     }
 
     #[test]

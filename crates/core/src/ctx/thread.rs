@@ -66,24 +66,26 @@ impl Ctx<'_> {
                 (crate::runtime::spawn_worker(sh, &mut inner), ws)
             }
         };
+        let start = Msg::Start {
+            tid: child,
+            job,
+            clock: self.clock,
+            v: self.v,
+            ws,
+        };
+        inner.table.resume(self.tid, self.clock, self.v);
+        // Keep the rotation turn: back-to-back creates form one phase.
+        self.release(&mut inner, false);
+        drop(inner);
+        // The send wakes the worker blocked in `rx.recv()`, so it comes
+        // after the unlock, as `Parking`'s first rule has every wake do.
         // INVARIANT: the receiver cannot be gone. A pooled worker is
         // parked in `rx.recv()` while its entry is in the pool (even a
         // panicked job re-pools through `abort`); a fresh worker was
         // spawned just above and blocks on `rx.recv()` before anything
         // can unwind it.
         #[allow(clippy::expect_used)]
-        tx.send(Msg::Start {
-            tid: child,
-            job,
-            clock: self.clock,
-            v: self.v,
-            ws,
-        })
-        .expect("worker hung up");
-        inner.table.resume(self.tid, self.clock, self.v);
-        // Keep the rotation turn: back-to-back creates form one phase.
-        self.release(&mut inner, false);
-        drop(inner);
+        tx.send(start).expect("worker hung up");
         self.last_sync_end_clock = self.clock;
         child
     }

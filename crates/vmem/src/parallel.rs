@@ -9,7 +9,9 @@
 //!    each participant byte-merges the ordered diffs of its assigned pages.
 //!    Phase 2 does several times the work of phase 1, so parallelizing it
 //!    is where the barrier speedup comes from (Figure 13, "parallel
-//!    barrier").
+//!    barrier"). The seal deals the plan into one bucket per participant,
+//!    and each participant takes its own: phase 2 owns its pages, working
+//!    copies included, so a page can be built on its first writer's copy.
 //! 3. **Install:** the merged pages are published as one version per
 //!    participant (in registration order, pages attributed to their last
 //!    writer), after which every thread updates its workspace.
@@ -20,7 +22,6 @@
 //! (`SegInner::install`) are [`Segment::commit`]'s, called from here.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use dmt_api::sync::Mutex;
 
@@ -40,15 +41,19 @@ struct PagePlan {
     diffs: Vec<Diff>,
 }
 
+/// One participant's phase-2 work: the pages it last wrote, in page order,
+/// each with the merge base captured at `seal` and its diffs.
+type Bucket = Vec<(u32, PageRef, Vec<Diff>)>;
+
 #[derive(Default)]
 struct PcInner {
     participants: Vec<Tid>,
     /// Page -> what was registered for it; emptied by `seal`.
     plan: BTreeMap<u32, PagePlan>,
-    /// The plan in page order, each entry with the merge base captured
-    /// for it at `seal`. Immutable from then on, so phase 2 reads it
-    /// without the mutex.
-    sealed: Option<Arc<Vec<(u32, PageRef, PagePlan)>>>,
+    /// The plan dealt at `seal` into one bucket per participant; each
+    /// `merge_for` takes its own, so phase 2 owns its pages and merges
+    /// them without the mutex.
+    sealed: Option<Vec<Bucket>>,
 }
 
 /// Statistics from one participant's phase-2 merge work.
@@ -109,32 +114,35 @@ impl ParallelCommit {
         let mut inner = self.inner.lock();
         let plan = std::mem::take(&mut inner.plan);
         let bases = seg.latest_pages(plan.keys().copied());
-        let sealed = plan.into_iter().zip(bases);
-        inner.sealed = Some(Arc::new(sealed.map(|((p, e), b)| (p, b, e)).collect()));
+        let mut buckets: Vec<Bucket> = inner.participants.iter().map(|_| Vec::new()).collect();
+        for ((p, e), base) in plan.into_iter().zip(bases) {
+            buckets[e.last].push((p, base, e.diffs));
+        }
+        inner.sealed = Some(buckets);
     }
 
     /// Phase 2: merges the pages assigned to `participant` (those whose
     /// *last* registered writer it is — a deterministic partition). Safe to
-    /// call concurrently from all participants.
+    /// call concurrently from all participants: each takes its own bucket
+    /// of the sealed plan, and a second call for one participant finds it
+    /// empty.
     ///
     /// # Panics
     ///
     /// Panics if called before [`seal`](Self::seal).
     pub fn merge_for(&self, participant: usize) -> MergeWork {
-        let sealed = Arc::clone(
-            self.inner
-                .lock()
-                .sealed
-                .as_ref()
-                .expect("merge_for before seal"),
-        );
+        let bucket = {
+            let mut inner = self.inner.lock();
+            let sealed = inner.sealed.as_mut().expect("merge_for before seal");
+            std::mem::take(&mut sealed[participant])
+        };
         let mut work = MergeWork::default();
-        let mut out: Vec<(u32, PageRef, DirtyMap, usize)> = Vec::new();
-        for (p, base, e) in sealed.iter().filter(|(_, _, e)| e.last == participant) {
-            let (page, map, merged) = build_page(base, &e.diffs);
+        let mut out: Vec<(u32, PageRef, DirtyMap, usize)> = Vec::with_capacity(bucket.len());
+        for (p, base, diffs) in bucket {
+            let (page, map, merged) = build_page(&base, diffs);
             work.pages += 1;
             work.merged += merged as u32;
-            out.push((*p, page, map, e.last));
+            out.push((p, page, map, participant));
         }
         self.results.lock().extend(out);
         work
@@ -148,9 +156,11 @@ impl ParallelCommit {
     pub fn install(&self, seg: &Segment) {
         let inner = self.inner.lock();
         let mut results = self.results.lock();
-        debug_assert_eq!(
-            Some(results.len()),
-            inner.sealed.as_ref().map(|s| s.len()),
+        debug_assert!(
+            inner
+                .sealed
+                .as_ref()
+                .is_some_and(|b| b.iter().all(Vec::is_empty)),
             "install before all merges finished"
         );
         // Each participant's `merge_for` appended its pages in one `extend`,
@@ -455,6 +465,46 @@ mod tests {
         let mut page = [0u8; PAGE_SIZE];
         seg.read_latest(p * PAGE_SIZE, &mut page);
         page
+    }
+
+    /// Two parties write disjoint words of one page. With nothing
+    /// committed since their faults, the installed page is built on A's
+    /// working copy: the merge copies nothing (the tracker's peak stays)
+    /// and frees B's copy. A commit between the faults and the seal makes
+    /// A's twin stale, and the page is then a fresh copy of C's, one page
+    /// over the peak.
+    #[test]
+    fn a_barrier_page_is_built_on_its_first_writers_copy() {
+        let run = |foreign: bool| {
+            let seg = Segment::new(1, 3);
+            let mut a = seg.new_workspace(Tid(0)).0;
+            let mut b = seg.new_workspace(Tid(1)).0;
+            let mut c = seg.new_workspace(Tid(2)).0;
+            a.st_u64(0, 1);
+            b.st_u64(8, 2);
+            if foreign {
+                c.st_u64(16, 3);
+                seg.commit(&mut c, None);
+            }
+            let pc = ParallelCommit::new();
+            pc.register(&mut a);
+            pc.register(&mut b);
+            pc.seal(&seg);
+            let t = seg.tracker();
+            let (live, peak) = (t.live(), t.peak());
+            assert_eq!(pc.merge_for(0), MergeWork::default(), "B wrote last");
+            let both = MergeWork {
+                pages: 1,
+                merged: 1,
+            };
+            assert_eq!(pc.merge_for(1), both);
+            pc.install(&seg);
+            let p = page(&seg, 0);
+            assert_eq!((p[0], p[8], p[16]), (1, 2, foreign as u8 * 3));
+            (live - t.live(), t.peak() - peak)
+        };
+        assert_eq!(run(false), (1, 0), "A's copy is the page, B's is freed");
+        assert_eq!(run(true), (1, 1), "a copy of C's; A's and B's freed");
     }
 
     /// A barrier page records the union of its diffs' maps, a word that

@@ -280,11 +280,11 @@ impl Segment {
         let mut merged = 0u32;
         let mut page_set = Fnv1a::new();
         ws.take_modified(|d| {
-            let (page, map, was_merged) =
-                build_page(&inner.latest[d.page as usize], std::slice::from_ref(&d));
+            let p = d.page;
+            let (page, map, was_merged) = build_page(&inner.latest[p as usize], [d]);
             merged += was_merged as u32;
-            page_set.update_u64(d.page as u64);
-            pages.push((d.page, page));
+            page_set.update_u64(p as u64);
+            pages.push((p, page));
             maps.push(map);
         });
         if pages.is_empty() {
@@ -575,28 +575,54 @@ impl SegInner {
     }
 }
 
-/// The adopt-or-merge rule of every commit: a sole writer of a page nobody
-/// else committed since it faulted (`base` still is its twin) publishes its
-/// working copy as is, zero-copy; otherwise the page is a duplicate of
-/// `base` with the diffs applied in commit order, local bytes winning.
+/// The adopt-or-merge rule of every commit: a page is built on its first
+/// writer's working copy whenever nobody else committed the page since that
+/// writer faulted it (`base` still is its twin), and the later diffs are
+/// applied onto that copy in commit order, local bytes winning. A sole such
+/// writer publishes its copy as is. Only a first diff whose twin is not
+/// `base` costs a copy: the page is then a duplicate of `base` with every
+/// diff applied.
 ///
-/// Returns the page, its write set and whether it was merged. An adopted
-/// page's write set is its diff's map, exact against `base`; a merged
-/// page's is the union of its diffs' maps, which covers every word that
-/// differs from `base` ([`merge::apply_with_map`] writes no other).
-pub(crate) fn build_page(base: &PageRef, diffs: &[Diff]) -> (PageRef, DirtyMap, bool) {
-    if let [sole] = diffs {
-        if Arc::ptr_eq(base, &sole.twin) {
-            return (Arc::clone(&sole.work), sole.map, false);
-        }
-    }
-    let mut out = PageBuf::duplicate(base);
-    let mut map = DirtyMap::default();
+/// Adopting is exact: the first diff's map is exact against its twin, so
+/// applying it onto a copy of `base` would rebuild the working copy byte
+/// for byte.
+///
+/// Returns the page, its write set and whether it was merged (it had more
+/// than one diff, or was not adopted). An adopted sole writer's write set
+/// is its diff's map, exact against `base`; any other page's is the union
+/// of its diffs' maps, which covers every word that differs from `base`
+/// ([`merge::apply_with_map`] writes no other).
+///
+/// # Panics
+///
+/// Panics if `diffs` is empty.
+pub(crate) fn build_page(
+    base: &PageRef,
+    diffs: impl IntoIterator<Item = Diff>,
+) -> (PageRef, DirtyMap, bool) {
+    let mut diffs = diffs.into_iter();
+    let first = diffs
+        .next()
+        .expect("a page is built from at least one diff");
+    let mut map = first.map;
+    let (mut out, mut merged) = if Arc::ptr_eq(base, &first.twin) {
+        (first.work, false)
+    } else {
+        let mut out = PageBuf::duplicate(base);
+        merge::apply_with_map(
+            &first.map,
+            first.twin.bytes(),
+            first.work.bytes(),
+            out.bytes_mut(),
+        );
+        (out, true)
+    };
     for d in diffs {
         merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), out.bytes_mut());
         map.union(&d.map);
+        merged = true;
     }
-    (Arc::new(out), map, true)
+    (Arc::new(out), map, merged)
 }
 
 /// Squashes the two oldest retained versions into one: union of their
@@ -1145,6 +1171,92 @@ mod tests {
                 .map(|p| (p, Arc::new(PageBuf::zeroed(tracker))))
                 .collect(),
         }
+    }
+
+    /// A random page of `tracker`.
+    fn random_page(rng: &mut Lcg, tracker: &Arc<PageTracker>) -> PageRef {
+        let mut page = PageBuf::zeroed(tracker);
+        page.bytes_mut()
+            .iter_mut()
+            .for_each(|b| *b = rng.below(256) as u8);
+        Arc::new(page)
+    }
+
+    /// A writer that faulted `twin` and stored `n` random bytes among its
+    /// first `span`, as `take_modified` hands it over: the first store
+    /// changes its byte, and the map is exact against the twin.
+    fn random_diff(rng: &mut Lcg, twin: &PageRef, span: usize, n: usize) -> Diff {
+        let mut work = PageBuf::duplicate(twin);
+        let at = rng.below(span);
+        work.bytes_mut()[at] ^= 1 + rng.below(255) as u8;
+        for _ in 1..n {
+            work.bytes_mut()[rng.below(span)] = rng.below(256) as u8;
+        }
+        let map = DirtyMap::diff(twin.bytes(), work.bytes());
+        let twin = Arc::clone(twin);
+        Diff {
+            page: 0,
+            twin,
+            work,
+            map,
+        }
+    }
+
+    /// Building a page on its first writer's copy gives what a copy of
+    /// `base` with every diff applied gives, in bytes, write set and the
+    /// `merged` flag: 1–4 writers, the first faulted `base`, each later
+    /// one `base` or an older page. A narrow span makes the diffs overlap,
+    /// so later diffs win words and bytes of earlier ones.
+    #[test]
+    fn building_on_the_first_copy_matches_duplicate_and_apply() {
+        let mut rng = Lcg(0xAD_0B_7E);
+        for case in 0..400 {
+            let tracker = PageTracker::new();
+            let base = random_page(&mut rng, &tracker);
+            let older = random_page(&mut rng, &tracker);
+            let n = 1 + rng.below(4);
+            let span = 16 << rng.below(9);
+            let diffs: Vec<Diff> = (0..n)
+                .map(|i| {
+                    let twin = if i == 0 || rng.below(2) == 0 {
+                        &base
+                    } else {
+                        &older
+                    };
+                    let stores = 1 + rng.below(64);
+                    random_diff(&mut rng, twin, span, stores)
+                })
+                .collect();
+            let mut want = PageBuf::duplicate(&base);
+            let mut want_map = DirtyMap::default();
+            for d in &diffs {
+                merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), want.bytes_mut());
+                want_map.union(&d.map);
+            }
+            let first_copy = diffs[0].work.bytes().as_ptr();
+            let (page, map, merged) = build_page(&base, diffs);
+            assert_eq!(page.bytes(), want.bytes(), "case {case}: {n} diffs");
+            assert_eq!(map, want_map, "case {case}");
+            assert_eq!(merged, n > 1, "case {case}");
+            assert_eq!(page.bytes().as_ptr(), first_copy, "case {case}: adopted");
+        }
+    }
+
+    /// A first writer whose twin is not `base` (someone committed the page
+    /// after it faulted) takes the fallback: a fresh copy of `base`.
+    #[test]
+    fn a_stale_first_twin_builds_on_a_copy_of_base() {
+        let mut rng = Lcg(0x57_A1_E0);
+        let tracker = PageTracker::new();
+        let base = random_page(&mut rng, &tracker);
+        let older = random_page(&mut rng, &tracker);
+        let d = random_diff(&mut rng, &older, PAGE_SIZE, 8);
+        let mut want = PageBuf::duplicate(&base);
+        merge::apply_with_map(&d.map, d.twin.bytes(), d.work.bytes(), want.bytes_mut());
+        let (first_copy, want_map) = (d.work.bytes().as_ptr(), d.map);
+        let (page, map, merged) = build_page(&base, [d]);
+        assert_eq!((page.bytes(), map, merged), (want.bytes(), want_map, true));
+        assert_ne!(page.bytes().as_ptr(), first_copy);
     }
 
     /// The squash in place gives what the merge gave: the same page

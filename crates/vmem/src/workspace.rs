@@ -43,12 +43,13 @@ impl Mapped {
 }
 
 /// A page the workspace did modify, as a commit consumes it: the twin, the
-/// working copy (now immutable) and the bitmap of the words that differ
-/// between them.
+/// working copy (still uniquely owned: a commit that publishes it wraps it
+/// in a [`PageRef`] then) and the bitmap of the words that differ between
+/// them.
 pub(crate) struct Diff {
     pub page: u32,
     pub twin: PageRef,
-    pub work: PageRef,
+    pub work: PageBuf,
     pub map: DirtyMap,
 }
 
@@ -149,7 +150,7 @@ impl Workspace {
                 each(Diff {
                     page,
                     twin: d.twin,
-                    work: Arc::new(d.work),
+                    work: d.work,
                     map,
                 });
             }

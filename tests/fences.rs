@@ -118,6 +118,13 @@ const FENCES: &[Fence] = &[
                  ("crates/vmem/src/segment.rs", Lines(&["debug_assert!(DirtyMap::diff(replaced, r.bytes()).is_subset(map));"])),
                  ("crates/vmem/src/workspace.rs", Lines(&["debug_assert_eq!(map, DirtyMap::diff(d.twin.bytes(), d.work.bytes()));"]))],
         planted: &[("crates/vmem/src/segment.rs", "let map = DirtyMap::diff(old, new);")] },
+    Fence { name: "A page is copied at its fault, or when no writer's copy can carry it",
+        why: "segment::build_page builds a committed page on its first writer's working copy whenever that writer's \
+              twin is the page's base; the one other copy is its fallback, for a first twin that went stale.",
+        roots: &["crates/vmem/src"], scan: NonTestCode, needles: &["PageBuf::duplicate("],
+        allow: &[("crates/vmem/src/segment.rs", Lines(&["let mut out = PageBuf::duplicate(base);"])),
+                 ("crates/vmem/src/workspace.rs", Lines(&["work: PageBuf::duplicate(snap),"]))],
+        planted: &[("crates/vmem/src/parallel.rs", "let mut out = PageBuf::duplicate(&base);")] },
     Fence { name: "The witness costs what was written",
         why: "The commit log folds each published page's write set and the values under it (merge::record_term).",
         roots: EVERYWHERE, scan: All, needles: &["page_digest"], allow: &[], planted: &[("crates/vmem/src/segment.rs", "h = fold(h, page_digest(p));")] },
