@@ -63,7 +63,7 @@ pub use perturb::{
     FixedPanic, InjectedPanic, IoFaultKind, IoFaultPlan, PanicSite, PerturbEntry, PerturbHandle,
     PerturbPlan, PerturbSite, Perturber, PlanPerturber,
 };
-pub use report::{Breakdown, Class, Counters, RunReport};
+pub use report::{Breakdown, Class, Closed, Counters, Ledger, Row, RunReport};
 pub use runtime::{CommonConfig, Runtime};
 pub use trace::{
     Divergence, Event, EventCounts, EventKind, HashSink, MemorySink, TraceHandle, TraceSink,

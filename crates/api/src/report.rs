@@ -3,16 +3,19 @@
 //! [`Breakdown`] and [`Counters`] are declared by one `metrics!` table:
 //! each row states a field's doc, its [`Class`] and its name once, and
 //! the struct, its `AddAssign`, its [`FIELDS`](Counters::FIELDS) listing
-//! and its `values()` derive from that row. [`Counters::count`] beside
-//! the table defines each event-backed [`Counters`] row as a fold of the
-//! run's [`Event`] stream.
+//! and its `values()` derive from that row ([`Row`] too, for
+//! [`Breakdown`]). [`Counters::count`] beside the table defines each
+//! event-backed [`Counters`] row as a fold of the run's [`Event`] stream,
+//! and a thread's [`Ledger`] keeps both for it.
 
 use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
 use crate::ids::Tid;
+use crate::pad::CachePadded;
+use crate::perturb::{PerturbHandle, PerturbSite};
 use crate::runtime::CommonConfig;
-use crate::trace::{Event, EventCounts};
+use crate::trace::{Event, EventCounts, TraceHandle};
 
 /// Whether a metric reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,8 +28,37 @@ pub enum Class {
 }
 
 /// Declares a struct of summed `u64` metrics, one row per field, with
-/// `AddAssign`, `FIELDS` (each name and class, in order) and `values()`.
+/// `AddAssign`, `FIELDS` (each name and class, in order) and `values()`;
+/// and, when a `pub enum` follows it, that enum of its rows with
+/// `row_mut`.
 macro_rules! metrics {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* $class:ident $field:ident,)+
+    }
+    $(#[$rmeta:meta])* pub enum $row:ident;) => {
+        metrics! {
+            $(#[$meta])* pub struct $name {
+                $($(#[$fmeta])* $class $field,)+
+            }
+        }
+
+        $(#[$rmeta])*
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $row {
+            $($(#[$fmeta])* $field,)+
+        }
+
+        impl $name {
+            /// The field `row` names.
+            #[inline(always)]
+            fn row_mut(&mut self, row: $row) -> &mut u64 {
+                match row {
+                    $($row::$field => &mut self.$field,)+
+                }
+            }
+        }
+    };
     ($(#[$meta:meta])* pub struct $name:ident {
         $($(#[$fmeta:meta])* $class:ident $field:ident,)+
     }) => {
@@ -68,6 +100,9 @@ metrics! {
     /// The two waits are [`Class::Racy`]: barrier leavers unpin the installed
     /// version outside the token, so which thread pays a `gc_version` charge
     /// varies, and the waits absorb the difference.
+    ///
+    /// A thread's rows sum to the virtual time it ran: its [`Ledger`] moves
+    /// virtual time only by charging a row.
     pub struct Breakdown {
         /// Useful work: `tick` cycles plus shared-memory access cycles.
         Det chunk,
@@ -84,6 +119,9 @@ metrics! {
         /// Library overhead: token ops, counter reads, publications, wake-ups.
         Det lib,
     }
+
+    /// A row of [`Breakdown`]: what a [`Ledger`] charges.
+    pub enum Row;
 }
 
 impl Breakdown {
@@ -228,6 +266,122 @@ impl Counters {
     }
 }
 
+/// One thread's virtual time, the [`Breakdown`] it was spent on and the
+/// thread's [`Counters`]: each runtime's per-thread context holds one.
+///
+/// Virtual time moves only by charging a [`Row`], so the rows sum to the
+/// virtual time the thread ran ([`Closed::file`] checks it), and every
+/// event the thread emits is folded into its counters before the sink
+/// sees it ([`Ledger::emit_as`]).
+pub struct Ledger {
+    v: u64,
+    start: u64,
+    bd: Breakdown,
+    tid: Tid,
+    trace: TraceHandle,
+    perturber: PerturbHandle,
+    /// Cache-padded so that neighbouring threads' counters never share a
+    /// line. An event-backed `Det` row is counted by [`Ledger::emit_as`]
+    /// alone, `faults` by [`Ledger::faults`], a `Racy` row where it happens.
+    pub cnt: CachePadded<Counters>,
+}
+
+impl Ledger {
+    /// Thread `tid`'s ledger from virtual time `v`, on `cfg`'s trace and
+    /// perturber.
+    pub fn new(cfg: &CommonConfig, tid: Tid, v: u64) -> Ledger {
+        Ledger {
+            v,
+            start: v,
+            bd: Breakdown::default(),
+            tid,
+            trace: cfg.trace.clone(),
+            perturber: cfg.perturb.clone(),
+            cnt: CachePadded::new(Counters::default()),
+        }
+    }
+
+    /// The thread's virtual time in cycles.
+    #[inline(always)]
+    pub fn v(&self) -> u64 {
+        self.v
+    }
+
+    /// Spends `c` cycles on `row`.
+    #[inline(always)]
+    pub fn charge(&mut self, row: Row, c: u64) {
+        self.v += c;
+        *self.bd.row_mut(row) += c;
+    }
+
+    /// Waits until virtual time `t`, charging `row` for any time it is
+    /// still ahead.
+    #[inline(always)]
+    pub fn wait_until(&mut self, row: Row, t: u64) {
+        self.charge(row, t.saturating_sub(self.v));
+    }
+
+    /// Fires the fault-injection `site` ([`crate::perturb`]) and charges
+    /// what it returns as `lib`: virtual time only, never the logical
+    /// clock, so no schedule depends on it.
+    #[inline]
+    pub fn perturb(&mut self, site: PerturbSite) {
+        let c = self.perturber.hit(site, self.tid);
+        self.charge(Row::lib, c);
+    }
+
+    /// Charges and counts `n` copy-on-write faults of `each` cycles;
+    /// returns whether there were any.
+    #[inline]
+    pub fn faults(&mut self, n: u64, each: u64) -> bool {
+        self.charge(Row::fault, n * each);
+        self.cnt.faults += n;
+        n > 0
+    }
+
+    /// Folds `ev` into the counters ([`Counters::count`]) and emits it,
+    /// into the schedule or as an auxiliary event: the one door of every
+    /// event the thread emits, sink or no sink.
+    #[inline]
+    pub fn emit_as(&mut self, ev: Event, in_schedule: bool) {
+        self.cnt.count(&ev);
+        self.trace.emit(ev, in_schedule);
+    }
+
+    /// [`Ledger::emit_as`] for a schedule event.
+    #[inline]
+    pub fn emit(&mut self, ev: Event) {
+        self.emit_as(ev, true);
+    }
+
+    /// The thread's rows, counters and virtual time, at its exit.
+    fn close(&self) -> (Breakdown, Counters, u64) {
+        let (bd, ran) = (self.bd, self.v - self.start);
+        debug_assert_eq!(bd.total(), ran, "{}'s rows {bd:?}", self.tid);
+        (bd, *self.cnt, self.v)
+    }
+}
+
+/// The ledgers a run's threads closed, as [`RunReport::new`] takes them.
+#[derive(Debug, Default)]
+pub struct Closed {
+    per_thread: Vec<(Tid, Breakdown)>,
+    /// The closed ledgers' counters, summed, and the runtime's own `Racy`
+    /// rows.
+    pub counters: Counters,
+    max_v: u64,
+}
+
+impl Closed {
+    /// Closes `led` and files what it hands back.
+    pub fn file(&mut self, led: &Ledger) {
+        let (bd, cnt, v) = led.close();
+        self.per_thread.push((led.tid, bd));
+        self.counters += cnt;
+        self.max_v = self.max_v.max(v);
+    }
+}
+
 /// Result of one [`crate::Runtime::run`].
 #[derive(Clone, Debug)]
 pub struct RunReport {
@@ -293,20 +447,19 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The report every runtime shares: `per_thread` sorted by tid and
-    /// summed into `breakdown`, `wall` read now, the schedule hash, event
-    /// counts and plan identity read from `cfg`'s trace and perturber, and
-    /// a trace-sink fault reported as `fault` with `degraded` set. The
-    /// runtime then sets the fields it owns (peaks, commit-log hash,
-    /// contained panics, a watchdog fault).
-    pub fn new(
-        cfg: &CommonConfig,
-        start: Instant,
-        mut per_thread: Vec<(Tid, Breakdown)>,
-        counters: Counters,
-        virtual_cycles: u64,
-        threads: u32,
-    ) -> RunReport {
+    /// The report every runtime shares: the `closed` ledgers' rows sorted
+    /// by tid and summed into `breakdown`, their counters, and their latest
+    /// virtual time as `virtual_cycles`; `wall` read now; the schedule
+    /// hash, event counts and plan identity read from `cfg`'s trace and
+    /// perturber, and a trace-sink fault reported as `fault` with
+    /// `degraded` set. The runtime then sets the fields it owns (peaks,
+    /// commit-log hash, contained panics, a watchdog fault).
+    pub fn new(cfg: &CommonConfig, start: Instant, closed: Closed, threads: u32) -> RunReport {
+        let Closed {
+            mut per_thread,
+            counters,
+            max_v,
+        } = closed;
         per_thread.sort_by_key(|(t, _)| *t);
         let mut breakdown = Breakdown::default();
         for (_, b) in &per_thread {
@@ -317,7 +470,7 @@ impl RunReport {
         // promised reproducer is truncated at the point of failure.
         let fault = cfg.trace.fault();
         RunReport {
-            virtual_cycles,
+            virtual_cycles: max_v,
             wall: start.elapsed(),
             breakdown,
             per_thread,
@@ -348,7 +501,12 @@ impl RunReport {
 
 #[cfg(test)]
 mod tests {
+    use std::panic::AssertUnwindSafe;
+    use std::sync::Arc;
+
     use super::*;
+    use crate::ids::DomainId;
+    use crate::trace::TraceSink;
 
     #[test]
     fn breakdown_total_and_overhead() {
@@ -438,19 +596,64 @@ mod tests {
     }
 
     #[test]
+    fn charges_and_waits_keep_the_rows_summing_to_the_time_run() {
+        let mut led = Ledger::new(&CommonConfig::default(), Tid(1), 500);
+        led.charge(Row::chunk, 100);
+        led.wait_until(Row::determ_wait, 20);
+        led.wait_until(Row::determ_wait, 700);
+        led.charge(Row::lib, 3);
+        led.wait_until(Row::barrier_wait, 900);
+        assert!(led.faults(2, 10));
+        assert!(!led.faults(0, 10));
+        let (bd, cnt, v) = led.close();
+        let want = Breakdown {
+            chunk: 100,
+            determ_wait: 100,
+            barrier_wait: 197,
+            fault: 20,
+            lib: 3,
+            ..Breakdown::default()
+        };
+        assert_eq!((bd, cnt.faults, v), (want, 2, 920));
+        assert_eq!(bd.total(), v - 500);
+    }
+
+    /// A sink that refuses every event by unwinding.
+    struct Refusing;
+
+    impl TraceSink for Refusing {
+        fn emit(&self, _: &Event, _: bool, _: DomainId) {
+            panic!("refused");
+        }
+    }
+
+    #[test]
+    fn the_emit_door_folds_before_it_sends() {
+        let cfg = CommonConfig {
+            trace: TraceHandle::to(Arc::new(Refusing)),
+            ..CommonConfig::default()
+        };
+        let mut led = Ledger::new(&cfg, Tid(1), 0);
+        let ev = Event::TokenAcquire {
+            tid: Tid(1),
+            clock: 0,
+        };
+        let sent = std::panic::catch_unwind(AssertUnwindSafe(|| led.emit(ev)));
+        assert!(sent.is_err(), "the sink saw the event");
+        assert_eq!(led.cnt.token_acquisitions, 1);
+    }
+
+    #[test]
     fn thread_breakdown_lookup() {
         let bd = |chunk| Breakdown {
             chunk,
             ..Breakdown::default()
         };
-        let r = RunReport::new(
-            &CommonConfig::default(),
-            Instant::now(),
-            vec![(Tid(1), bd(2)), (Tid(0), bd(1))],
-            Counters::default(),
-            0,
-            2,
-        );
+        let closed = Closed {
+            per_thread: vec![(Tid(1), bd(2)), (Tid(0), bd(1))],
+            ..Closed::default()
+        };
+        let r = RunReport::new(&CommonConfig::default(), Instant::now(), closed, 2);
         assert_eq!(r.per_thread, [(Tid(0), bd(1)), (Tid(1), bd(2))]);
         assert_eq!(r.breakdown, bd(3));
         assert_eq!(r.thread_breakdown(Tid(1)), Some(&bd(2)));

@@ -29,8 +29,8 @@ use dmt_api::sync::{Condvar, Mutex};
 use conversion::{Segment, Workspace};
 use dmt_api::trace::Event;
 use dmt_api::{
-    Addr, BarrierId, Breakdown, CommonConfig, CondId, CostModel, Counters, Job, MutexId,
-    PerturbSite, RunReport, Runtime, RwLockId, ThreadCtx, Tid,
+    Addr, BarrierId, Closed, CommonConfig, CondId, CostModel, Job, Ledger, MutexId, PerturbSite,
+    Row, RunReport, Runtime, RwLockId, ThreadCtx, Tid,
 };
 
 #[derive(Debug, Default)]
@@ -78,9 +78,7 @@ struct DtInner {
     next_tid: u32,
     live: u32,
     handles: Vec<std::thread::JoinHandle<()>>,
-    reports: Vec<(Tid, Breakdown)>,
-    counters: Counters,
-    max_v: u64,
+    closed: Closed,
     started: bool,
 }
 
@@ -102,14 +100,15 @@ enum Outcome {
     Exit,
 }
 
+/// Per-thread DThreads context. A perturbation hit moves virtual time
+/// only: fence membership is the running set and serial order is sorted
+/// by tid, so arrival timing cannot move the schedule.
 struct DtCtx {
     sh: Arc<DtShared>,
     tid: Tid,
     ws: Option<Workspace>,
     clock: u64,
-    v: u64,
-    bd: Breakdown,
-    cnt: Counters,
+    led: Ledger,
     cost: CostModel,
     /// Children created but not yet admitted to the fence population;
     /// they start at this thread's next non-spawn serial turn, batching
@@ -119,16 +118,13 @@ struct DtCtx {
 
 impl DtCtx {
     fn new(sh: Arc<DtShared>, tid: Tid, ws: Workspace, v: u64) -> DtCtx {
-        let cost = sh.cfg.cost;
         DtCtx {
+            led: Ledger::new(&sh.cfg, tid, v),
+            cost: sh.cfg.cost,
             sh,
             tid,
             ws: Some(ws),
             clock: 0,
-            v,
-            bd: Breakdown::default(),
-            cnt: Counters::default(),
-            cost,
             pending_children: Vec::new(),
         }
     }
@@ -137,45 +133,10 @@ impl DtCtx {
         self.ws.as_mut().expect("workspace present")
     }
 
-    /// Fires a fault-injection site (see `dmt_api::perturb`), charging any
-    /// returned cycles as library overhead. Virtual time only: fence
-    /// membership is the running set and serial order is sorted by tid, so
-    /// arrival timing cannot move the schedule.
-    fn perturb_hit(&mut self, site: PerturbSite) {
-        let c = self.sh.cfg.perturb.hit(site, self.tid);
-        if c > 0 {
-            self.v += c;
-            self.bd.lib += c;
-        }
-    }
-
-    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
-    /// emits it, into the schedule or as an auxiliary event: the one door
-    /// of every event this thread emits, sink or no sink.
-    fn emit_as(&mut self, ev: Event, in_schedule: bool) {
-        self.cnt.count(&ev);
-        self.sh.cfg.trace.emit(ev, in_schedule);
-    }
-
-    /// [`DtCtx::emit_as`] for a schedule event.
-    fn emit(&mut self, ev: Event) {
-        self.emit_as(ev, true);
-    }
-
-    fn charge_mem(&mut self, bytes: usize) {
-        let c = self.cost.mem_access(bytes);
+    /// Advances the logical clock and virtual time for a memory access.
+    fn access(&mut self, bytes: usize) {
         self.clock += bytes.div_ceil(8) as u64;
-        self.v += c;
-        self.bd.chunk += c;
-    }
-
-    fn charge_faults(&mut self, faults: u64) {
-        if faults > 0 {
-            let fc = faults * self.cost.fault;
-            self.v += fc;
-            self.bd.fault += fc;
-            self.cnt.faults += faults;
-        }
+        self.led.charge(Row::chunk, self.cost.mem_access(bytes));
     }
 
     /// Commits this thread's dirty pages; must run inside the serial phase.
@@ -187,7 +148,7 @@ impl DtCtx {
         let mapped = self.ws().num_pages() as u64;
         let cr = sh.seg.commit(self.ws(), None);
         // Commits happen at the thread's serial turn: schedule events.
-        self.emit(Event::Commit {
+        self.led.emit(Event::Commit {
             tid: self.tid,
             version: cr.version,
             pages: cr.pages,
@@ -198,8 +159,7 @@ impl DtCtx {
             + mapped * self.cost.page_protect
             + cr.pages as u64 * self.cost.page_commit
             + cr.merged as u64 * self.cost.page_merge;
-        self.v += c;
-        self.bd.commit += c;
+        self.led.charge(Row::commit, c);
     }
 
     /// Pulls committed state up to a recorded version (on leaving a fence
@@ -210,7 +170,7 @@ impl DtCtx {
         let ur = sh.seg.update_to(self.ws(), upto);
         // Updates run in the parallel phase, racing each other in real
         // time: auxiliary (counted, never hashed).
-        self.emit_as(
+        self.led.emit_as(
             Event::Update {
                 tid: self.tid,
                 version: ur.new_base,
@@ -219,8 +179,7 @@ impl DtCtx {
             false,
         );
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
-        self.v += u;
-        self.bd.update += u;
+        self.led.charge(Row::update, u);
         // Updates race each other in real time, so how much reclaimable
         // work this particular call finds is nondeterministic — the
         // collector's work cannot be charged to this thread's virtual
@@ -245,13 +204,11 @@ impl DtCtx {
         is_spawn: bool,
         op: impl FnOnce(&mut DtCtx, &mut DtInner) -> (Outcome, Option<Tid>),
     ) -> Option<Tid> {
-        let c = self.cost.sync_op;
-        self.v += c;
-        self.bd.lib += c;
+        self.led.charge(Row::lib, self.cost.sync_op);
         // Fence-arrival delay: a straggler reaching the rendezvous late.
         // The fence cannot start until every running thread arrives, so
         // only waiting time stretches.
-        self.perturb_hit(PerturbSite::Fence);
+        self.led.perturb(PerturbSite::Fence);
         let sh = Arc::clone(&self.sh);
         let mut inner = sh.inner.lock();
 
@@ -259,12 +216,11 @@ impl DtCtx {
         // simply queue for the next phase.
         inner.running -= 1;
         inner.arrived.push(self.tid);
-        inner.threads[self.tid.index()].arrival_v = self.v;
+        inner.threads[self.tid.index()].arrival_v = self.led.v();
         Self::try_start_serial(&mut inner);
         sh.cv.notify_all();
 
         // Wait for my serial turn.
-        let from = self.v;
         loop {
             if inner.serial && inner.serial_order.get(inner.serial_idx) == Some(&self.tid) {
                 break;
@@ -277,10 +233,9 @@ impl DtCtx {
             sh.cv.wait(&mut inner);
         }
         let my_gen = inner.fence_gen;
-        self.v = self.v.max(inner.chain_v);
-        self.bd.determ_wait += self.v - from;
+        self.led.wait_until(Row::determ_wait, inner.chain_v);
         // The serial turn is DThreads' analog of the token grant.
-        self.emit(Event::TokenAcquire {
+        self.led.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: self.clock,
         });
@@ -298,22 +253,22 @@ impl DtCtx {
                 sh.seg.pin(ver);
                 let st = &mut inner.threads[child.index()];
                 st.wake = true;
-                st.wake_v = self.v;
+                st.wake_v = self.led.v();
                 st.wake_version = ver;
             }
         }
         let (outcome, spawned) = op(self, &mut inner);
         if matches!(outcome, Outcome::Block) {
-            self.emit(Event::Depart {
+            self.led.emit(Event::Depart {
                 tid: self.tid,
                 clock: self.clock,
             });
         }
-        self.emit(Event::TokenRelease {
+        self.led.emit(Event::TokenRelease {
             tid: self.tid,
             clock: self.clock,
         });
-        inner.chain_v = inner.chain_v.max(self.v);
+        inner.chain_v = inner.chain_v.max(self.led.v());
         inner.serial_idx += 1;
         if matches!(outcome, Outcome::Continue) {
             inner.resume_count += 1;
@@ -343,23 +298,20 @@ impl DtCtx {
             Outcome::Exit => {}
             Outcome::Continue => {
                 // Wait for my phase to open, then resync memory.
-                let from = self.v;
                 while inner.fence_gen == my_gen {
                     sh.cv.wait(&mut inner);
                 }
-                self.v = self.v.max(inner.open_v);
-                self.bd.determ_wait += self.v - from;
+                self.led.wait_until(Row::determ_wait, inner.open_v);
                 let upto = inner.open_version;
                 drop(inner);
                 // Parallel-phase delay: updates race in real time anyway
                 // (their events are auxiliary), and `update_to` pins the
                 // exact version, so a slow updater changes nothing.
-                self.perturb_hit(PerturbSite::Fence);
+                self.led.perturb(PerturbSite::Fence);
                 self.update(upto);
                 sh.seg.unpin(upto);
             }
             Outcome::Block => {
-                let from = self.v;
                 loop {
                     if inner.threads[self.tid.index()].wake {
                         break;
@@ -368,9 +320,8 @@ impl DtCtx {
                 }
                 let st = &mut inner.threads[self.tid.index()];
                 st.wake = false;
-                self.v = self.v.max(st.wake_v);
+                self.led.wait_until(Row::determ_wait, st.wake_v);
                 let upto = st.wake_version;
-                self.bd.determ_wait += self.v - from;
                 drop(inner);
                 // The waker pre-counted us into `running`.
                 self.update(upto);
@@ -409,7 +360,7 @@ impl DtCtx {
             me.update(upto);
             let old = me.ws().ld_u64(addr);
             me.ws().st_u64(addr, f(old));
-            me.charge_mem(16);
+            me.access(16);
             me.commit();
             *fp = old;
             (Outcome::Continue, None)
@@ -423,7 +374,7 @@ impl DtCtx {
             if inner.lock_owner.is_none() && inner.lock_waiters.is_empty() {
                 inner.lock_owner = Some(me.tid);
                 inner.lock_tickets += 1;
-                me.emit(Event::MutexLock {
+                me.led.emit(Event::MutexLock {
                     tid: me.tid,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -431,7 +382,7 @@ impl DtCtx {
                 (Outcome::Continue, None)
             } else {
                 inner.lock_waiters.push_back(me.tid);
-                me.emit(Event::MutexBlock {
+                me.led.emit(Event::MutexBlock {
                     tid: me.tid,
                     mutex: MutexId(0),
                 });
@@ -451,7 +402,7 @@ impl DtCtx {
             );
             // Deterministic hand-off to the earliest waiter.
             let woke = inner.lock_waiters.pop_front();
-            me.emit(Event::MutexUnlock {
+            me.led.emit(Event::MutexUnlock {
                 tid: me.tid,
                 mutex: MutexId(0),
                 woke,
@@ -461,7 +412,7 @@ impl DtCtx {
                 inner.lock_tickets += 1;
                 // Hand-off grant: the new owner never re-runs the lock
                 // path, so its acquisition is recorded here.
-                me.emit(Event::MutexLock {
+                me.led.emit(Event::MutexLock {
                     tid: w,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -477,11 +428,9 @@ impl DtCtx {
     /// Wakes `w` during a serial operation, re-admitting it to the
     /// parallel population. Caller holds the runtime lock.
     fn wake(&mut self, inner: &mut DtInner, w: Tid) {
-        let wk = self.cost.wakeup;
-        self.v += wk;
-        self.bd.lib += wk;
+        self.led.charge(Row::lib, self.cost.wakeup);
         inner.threads[w.index()].wake = true;
-        inner.threads[w.index()].wake_v = self.v;
+        inner.threads[w.index()].wake_v = self.led.v();
         // The waker has already committed this phase; the woken thread
         // syncs exactly to the current version. Pin it so the collector
         // cannot squash the target away before the wake is consumed.
@@ -497,23 +446,21 @@ impl DtCtx {
             for j in joiners {
                 me.wake(inner, j);
             }
-            me.emit(Event::Exit {
+            me.led.emit(Event::Exit {
                 tid: me.tid,
                 clock: me.clock,
             });
             let st = &mut inner.threads[me.tid.index()];
             st.finished = true;
-            st.exit_v = me.v;
+            st.exit_v = me.led.v();
             inner.live -= 1;
-            inner.max_v = inner.max_v.max(me.v);
             (Outcome::Exit, None)
         });
         let sh = Arc::clone(&self.sh);
         sh.seg.detach(self.tid);
         drop(self.ws.take());
         let mut inner = sh.inner.lock();
-        inner.reports.push((self.tid, self.bd));
-        inner.counters += self.cnt;
+        inner.closed.file(&self.led);
         sh.cv.notify_all();
     }
 }
@@ -525,12 +472,11 @@ impl ThreadCtx for DtCtx {
 
     fn tick(&mut self, n: u64) {
         self.clock += n;
-        self.v += n;
-        self.bd.chunk += n;
+        self.led.charge(Row::chunk, n);
     }
 
     fn vtime(&self) -> u64 {
-        self.v
+        self.led.v()
     }
 
     fn logical_clock(&self) -> u64 {
@@ -539,25 +485,25 @@ impl ThreadCtx for DtCtx {
 
     fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
         self.ws().read_bytes(addr, buf);
-        self.charge_mem(buf.len());
+        self.access(buf.len());
     }
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         let f = self.ws().write_bytes(addr, data) as u64;
-        self.charge_faults(f);
-        self.charge_mem(data.len());
+        self.led.faults(f, self.cost.fault);
+        self.access(data.len());
     }
 
     fn ld_u64(&mut self, addr: Addr) -> u64 {
         let v = self.ws().ld_u64(addr);
-        self.charge_mem(8);
+        self.access(8);
         v
     }
 
     fn st_u64(&mut self, addr: Addr, val: u64) {
         let f = self.ws().st_u64(addr, val) as u64;
-        self.charge_faults(f);
-        self.charge_mem(8);
+        self.led.faults(f, self.cost.fault);
+        self.access(8);
     }
 
     fn mutex_lock(&mut self, m: MutexId) {
@@ -573,13 +519,13 @@ impl ThreadCtx for DtCtx {
     fn cond_wait(&mut self, c: CondId, _m: MutexId) {
         self.fence_op(|me, inner| {
             assert_eq!(inner.lock_owner, Some(me.tid), "cond_wait without lock");
-            me.emit(Event::CondWait {
+            me.led.emit(Event::CondWait {
                 tid: me.tid,
                 cond: c,
                 mutex: MutexId(0),
             });
             let woke = inner.lock_waiters.pop_front();
-            me.emit(Event::MutexUnlock {
+            me.led.emit(Event::MutexUnlock {
                 tid: me.tid,
                 mutex: MutexId(0),
                 woke,
@@ -587,7 +533,7 @@ impl ThreadCtx for DtCtx {
             if let Some(w) = woke {
                 inner.lock_owner = Some(w);
                 inner.lock_tickets += 1;
-                me.emit(Event::MutexLock {
+                me.led.emit(Event::MutexLock {
                     tid: w,
                     mutex: MutexId(0),
                     ticket: inner.lock_tickets,
@@ -609,7 +555,7 @@ impl ThreadCtx for DtCtx {
             if let Some(w) = woken {
                 me.wake(inner, w);
             }
-            me.emit(Event::CondSignal {
+            me.led.emit(Event::CondSignal {
                 tid: me.tid,
                 cond: c,
                 woken,
@@ -625,7 +571,7 @@ impl ThreadCtx for DtCtx {
                 me.wake(inner, w);
                 woken += 1;
             }
-            me.emit(Event::CondBroadcast {
+            me.led.emit(Event::CondBroadcast {
                 tid: me.tid,
                 cond: c,
                 woken,
@@ -637,7 +583,7 @@ impl ThreadCtx for DtCtx {
     fn barrier_wait(&mut self, b: BarrierId) {
         self.fence_op(|me, inner| {
             let gen = inner.fence_gen;
-            me.emit(Event::BarrierArrive {
+            me.led.emit(Event::BarrierArrive {
                 tid: me.tid,
                 barrier: b,
                 gen,
@@ -651,7 +597,7 @@ impl ThreadCtx for DtCtx {
                         me.wake(inner, w);
                     }
                 }
-                me.emit(Event::BarrierOpen {
+                me.led.emit(Event::BarrierOpen {
                     tid: me.tid,
                     barrier: b,
                     gen,
@@ -705,7 +651,7 @@ impl ThreadCtx for DtCtx {
             inner.next_tid += 1;
             inner.threads.push(DtThread::default());
             inner.live += 1;
-            me.emit(Event::Spawn {
+            me.led.emit(Event::Spawn {
                 parent: me.tid,
                 child,
                 pooled: false,
@@ -717,9 +663,10 @@ impl ThreadCtx for DtCtx {
             me.pending_children.push(child);
             // Fork cost: snapshot the page table for the child.
             let (ws, mapped) = me.sh.seg.new_workspace(child);
-            let c = me.cost.spawn_base + mapped as u64 * me.cost.page_map;
-            me.v += c;
-            me.bd.lib += c;
+            me.led.charge(
+                Row::lib,
+                me.cost.spawn_base + mapped as u64 * me.cost.page_map,
+            );
             let sh2 = Arc::clone(&me.sh);
             let job = job.take().expect("spawn job");
             let handle = std::thread::spawn(move || {
@@ -752,8 +699,9 @@ impl ThreadCtx for DtCtx {
         assert_ne!(t, self.tid, "thread joining itself");
         self.fence_op(|me, inner| {
             if inner.threads[t.index()].finished {
-                me.v = me.v.max(inner.threads[t.index()].exit_v);
-                me.emit(Event::Join {
+                me.led
+                    .wait_until(Row::determ_wait, inner.threads[t.index()].exit_v);
+                me.led.emit(Event::Join {
                     tid: me.tid,
                     target: t,
                 });
@@ -802,9 +750,7 @@ impl DThreadsRuntime {
                     next_tid: 0,
                     live: 0,
                     handles: Vec::new(),
-                    reports: Vec::new(),
-                    counters: Counters::default(),
-                    max_v: 0,
+                    closed: Closed::default(),
                     started: false,
                 }),
                 cv: Condvar::new(),
@@ -890,7 +836,7 @@ impl Runtime for DThreadsRuntime {
         main(&mut ctx);
         ctx.finish();
 
-        let (reports, counters, max_v, threads) = {
+        let (closed, threads) = {
             let mut inner = sh.inner.lock();
             while inner.live > 0 {
                 sh.cv.wait(&mut inner);
@@ -901,10 +847,9 @@ impl Runtime for DThreadsRuntime {
                 let _ = h.join();
             }
             let mut inner = sh.inner.lock();
-            let reports = std::mem::take(&mut inner.reports);
-            (reports, inner.counters, inner.max_v, inner.next_tid)
+            (std::mem::take(&mut inner.closed), inner.next_tid)
         };
-        let mut report = RunReport::new(&sh.cfg, start, reports, counters, max_v, threads);
+        let mut report = RunReport::new(&sh.cfg, start, closed, threads);
         (report.peak_pages, report.peak_versions) = sh.seg.harvest(&mut report.counters);
         report.commit_log_hash = sh.seg.log_hash();
         report

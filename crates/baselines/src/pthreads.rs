@@ -18,8 +18,8 @@ use dmt_api::sync::{Condvar, Mutex};
 
 use dmt_api::trace::Event;
 use dmt_api::{
-    Addr, BarrierId, Breakdown, CommonConfig, CondId, CostModel, Counters, Job, MutexId,
-    PerturbSite, RunReport, Runtime, RwLockId, ThreadCtx, Tid,
+    Addr, BarrierId, Closed, CommonConfig, CondId, CostModel, Job, Ledger, MutexId, PerturbSite,
+    Row, RunReport, Runtime, RwLockId, ThreadCtx, Tid,
 };
 
 /// Word-addressed shared memory. Bytes are packed little-endian into
@@ -158,74 +158,54 @@ struct PState {
     barriers: Vec<PBarrierSt>,
     next_tid: u32,
     finished_v: HashMap<Tid, u64>,
-    handles: HashMap<Tid, std::thread::JoinHandle<(Tid, Breakdown, Counters, u64)>>,
-    reports: Vec<(Tid, Breakdown)>,
-    counters: Counters,
-    max_v: u64,
+    handles: HashMap<Tid, std::thread::JoinHandle<()>>,
+    closed: Closed,
     live: u32,
     started: bool,
 }
 
 /// Per-thread pthreads context.
+///
+/// A perturbation hit's interesting effect here is the *real* stall,
+/// taken before the state lock: it shuffles genuine OS lock-acquisition
+/// order, exactly the nondeterminism the stress harness expects this
+/// runtime to exhibit.
 struct PCtx {
     sh: Arc<PShared>,
     tid: Tid,
     clock: u64,
-    v: u64,
-    bd: Breakdown,
-    cnt: Counters,
+    led: Ledger,
     cost: CostModel,
 }
 
 impl PCtx {
     fn new(sh: Arc<PShared>, tid: Tid, v: u64) -> PCtx {
-        let cost = sh.cfg.cost;
         PCtx {
+            led: Ledger::new(&sh.cfg, tid, v),
+            cost: sh.cfg.cost,
             sh,
             tid,
             clock: 0,
-            v,
-            bd: Breakdown::default(),
-            cnt: Counters::default(),
-            cost,
         }
     }
 
-    /// Fires a perturbation hook and charges its virtual-time cost.
-    ///
-    /// For the pthreads negative control the interesting effect is the
-    /// *real* stall (taken before the state lock), which shuffles genuine
-    /// OS lock-acquisition order — exactly the nondeterminism the stress
-    /// harness expects this runtime to exhibit.
-    #[inline]
-    fn perturb_hit(&mut self, site: PerturbSite) {
-        let c = self.sh.cfg.perturb.hit(site, self.tid);
-        if c > 0 {
-            self.v += c;
-            self.bd.lib += c;
-        }
+    /// Advances the logical clock and virtual time for user work.
+    fn advance(&mut self, dclock: u64, dv: u64) {
+        self.clock += dclock;
+        self.led.charge(Row::chunk, dv);
     }
 
-    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
-    /// emits it as a schedule event (pthreads has no auxiliary ones): the
-    /// one door of every event this thread emits, sink or no sink.
-    fn emit(&mut self, ev: Event) {
-        self.cnt.count(&ev);
-        self.sh.cfg.trace.emit(ev, true);
-    }
-
-    fn finish(mut self) -> (Tid, Breakdown, Counters, u64) {
+    fn finish(mut self) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        self.emit(Event::Exit {
+        self.led.emit(Event::Exit {
             tid: self.tid,
             clock: self.clock,
         });
-        st.finished_v.insert(self.tid, self.v);
+        st.finished_v.insert(self.tid, self.led.v());
         st.live -= 1;
-        st.max_v = st.max_v.max(self.v);
+        st.closed.file(&self.led);
         sh.cv.notify_all();
-        (self.tid, std::mem::take(&mut self.bd), self.cnt, self.v)
     }
 }
 
@@ -235,13 +215,11 @@ impl ThreadCtx for PCtx {
     }
 
     fn tick(&mut self, n: u64) {
-        self.clock += n;
-        self.v += n;
-        self.bd.chunk += n;
+        self.advance(n, n);
     }
 
     fn vtime(&self) -> u64 {
-        self.v
+        self.led.v()
     }
 
     fn logical_clock(&self) -> u64 {
@@ -250,72 +228,58 @@ impl ThreadCtx for PCtx {
 
     fn read_bytes(&mut self, addr: Addr, buf: &mut [u8]) {
         self.sh.mem.read(addr, buf);
-        let c = self.cost.mem_access(buf.len());
-        self.clock += buf.len().div_ceil(8) as u64;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(
+            buf.len().div_ceil(8) as u64,
+            self.cost.mem_access(buf.len()),
+        );
     }
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         self.sh.mem.write(addr, data);
-        let c = self.cost.mem_access(data.len());
-        self.clock += data.len().div_ceil(8) as u64;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(
+            data.len().div_ceil(8) as u64,
+            self.cost.mem_access(data.len()),
+        );
     }
 
     fn ld_u64(&mut self, addr: Addr) -> u64 {
         let v = self.sh.mem.ld_u64(addr);
-        let c = self.cost.mem_access(8);
-        self.clock += 1;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(1, self.cost.mem_access(8));
         v
     }
 
     fn st_u64(&mut self, addr: Addr, val: u64) {
         self.sh.mem.st_u64(addr, val);
-        let c = self.cost.mem_access(8);
-        self.clock += 1;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(1, self.cost.mem_access(8));
     }
 
     fn atomic_fetch_add_u64(&mut self, addr: Addr, v: u64) -> u64 {
         let old = self.sh.mem.fetch_add(addr, v);
-        let c = self.cost.mem_access(8) + self.cost.pthread_lock / 2;
-        self.clock += 1;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(1, self.cost.mem_access(8) + self.cost.pthread_lock / 2);
         old
     }
 
     fn atomic_cas_u64(&mut self, addr: Addr, expect: u64, new: u64) -> u64 {
         let old = self.sh.mem.cas(addr, expect, new);
-        let c = self.cost.mem_access(8) + self.cost.pthread_lock / 2;
-        self.clock += 1;
-        self.v += c;
-        self.bd.chunk += c;
+        self.advance(1, self.cost.mem_access(8) + self.cost.pthread_lock / 2);
         old
     }
 
     fn rw_read_lock(&mut self, l: RwLockId) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        let from = self.v;
         while st.rwlocks[l.index()].writer {
             sh.cv.wait(&mut st);
         }
         let rs = &mut st.rwlocks[l.index()];
         rs.readers += 1;
-        self.emit(Event::RwAcquire {
+        self.led.emit(Event::RwAcquire {
             tid: self.tid,
             lock: l,
             writer: false,
         });
-        self.v = self.v.max(rs.last_release_v) + self.cost.pthread_lock;
-        self.bd.determ_wait += self.v - from - self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
+        self.led.wait_until(Row::determ_wait, rs.last_release_v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
     }
 
     fn rw_read_unlock(&mut self, l: RwLockId) {
@@ -324,34 +288,31 @@ impl ThreadCtx for PCtx {
         let rs = &mut st.rwlocks[l.index()];
         assert!(rs.readers > 0, "read-unlock with no readers");
         rs.readers -= 1;
-        self.emit(Event::RwRelease {
+        self.led.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer: false,
         });
-        self.v += self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
-        rs.last_release_v = rs.last_release_v.max(self.v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
+        rs.last_release_v = rs.last_release_v.max(self.led.v());
         sh.cv.notify_all();
     }
 
     fn rw_write_lock(&mut self, l: RwLockId) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        let from = self.v;
         while st.rwlocks[l.index()].writer || st.rwlocks[l.index()].readers > 0 {
             sh.cv.wait(&mut st);
         }
         let rs = &mut st.rwlocks[l.index()];
         rs.writer = true;
-        self.emit(Event::RwAcquire {
+        self.led.emit(Event::RwAcquire {
             tid: self.tid,
             lock: l,
             writer: true,
         });
-        self.v = self.v.max(rs.last_release_v) + self.cost.pthread_lock;
-        self.bd.determ_wait += self.v - from - self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
+        self.led.wait_until(Row::determ_wait, rs.last_release_v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
     }
 
     fn rw_write_unlock(&mut self, l: RwLockId) {
@@ -360,22 +321,20 @@ impl ThreadCtx for PCtx {
         let rs = &mut st.rwlocks[l.index()];
         assert!(rs.writer, "write-unlock without holding");
         rs.writer = false;
-        self.emit(Event::RwRelease {
+        self.led.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer: true,
         });
-        self.v += self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
-        rs.last_release_v = rs.last_release_v.max(self.v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
+        rs.last_release_v = rs.last_release_v.max(self.led.v());
         sh.cv.notify_all();
     }
 
     fn mutex_lock(&mut self, m: MutexId) {
-        self.perturb_hit(PerturbSite::LockPath);
+        self.led.perturb(PerturbSite::LockPath);
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        let from = self.v;
         while st.mutexes[m.index()].locked {
             sh.cv.wait(&mut st);
         }
@@ -383,15 +342,14 @@ impl ThreadCtx for PCtx {
         ms.locked = true;
         ms.tickets += 1;
         let ticket = ms.tickets;
-        self.emit(Event::MutexLock {
+        self.led.emit(Event::MutexLock {
             tid: self.tid,
             mutex: m,
             ticket,
         });
         // Chain off whoever released last (the real acquisition order).
-        self.v = self.v.max(ms.last_release_v) + self.cost.pthread_lock;
-        self.bd.determ_wait += self.v - from - self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
+        self.led.wait_until(Row::determ_wait, ms.last_release_v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
     }
 
     fn mutex_unlock(&mut self, m: MutexId) {
@@ -400,40 +358,37 @@ impl ThreadCtx for PCtx {
         let ms = &mut st.mutexes[m.index()];
         assert!(ms.locked, "{} unlocking {m} that is not locked", self.tid);
         ms.locked = false;
-        self.emit(Event::MutexUnlock {
+        self.led.emit(Event::MutexUnlock {
             tid: self.tid,
             mutex: m,
             woke: None,
         });
-        self.v += self.cost.pthread_lock;
-        self.bd.lib += self.cost.pthread_lock;
-        ms.last_release_v = ms.last_release_v.max(self.v);
+        self.led.charge(Row::lib, self.cost.pthread_lock);
+        ms.last_release_v = ms.last_release_v.max(self.led.v());
         sh.cv.notify_all();
     }
 
     fn cond_wait(&mut self, c: CondId, m: MutexId) {
-        self.perturb_hit(PerturbSite::LockPath);
+        self.led.perturb(PerturbSite::LockPath);
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
         // Release the mutex.
         let ms = &mut st.mutexes[m.index()];
         assert!(ms.locked, "cond_wait without holding {m}");
         ms.locked = false;
-        self.emit(Event::CondWait {
+        self.led.emit(Event::CondWait {
             tid: self.tid,
             cond: c,
             mutex: m,
         });
-        self.v += self.cost.pthread_sync;
-        self.bd.lib += self.cost.pthread_sync;
-        ms.last_release_v = ms.last_release_v.max(self.v);
+        self.led.charge(Row::lib, self.cost.pthread_sync);
+        ms.last_release_v = ms.last_release_v.max(self.led.v());
         st.conds[c.index()].waiting += 1;
         sh.cv.notify_all();
-        let from = self.v;
         loop {
             if let Some(gv) = st.conds[c.index()].grants.pop_front() {
                 st.conds[c.index()].waiting -= 1;
-                self.v = self.v.max(gv);
+                self.led.wait_until(Row::determ_wait, gv);
                 break;
             }
             sh.cv.wait(&mut st);
@@ -446,25 +401,23 @@ impl ThreadCtx for PCtx {
         ms.locked = true;
         ms.tickets += 1;
         let ticket = ms.tickets;
-        self.emit(Event::MutexLock {
+        self.led.emit(Event::MutexLock {
             tid: self.tid,
             mutex: m,
             ticket,
         });
-        self.v = self.v.max(ms.last_release_v);
-        self.bd.determ_wait += self.v - from;
+        self.led.wait_until(Row::determ_wait, ms.last_release_v);
     }
 
     fn cond_signal(&mut self, c: CondId) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        self.v += self.cost.pthread_sync;
-        self.bd.lib += self.cost.pthread_sync;
+        self.led.charge(Row::lib, self.cost.pthread_sync);
         let cs = &mut st.conds[c.index()];
         if cs.grants.len() < cs.waiting {
-            cs.grants.push_back(self.v);
+            cs.grants.push_back(self.led.v());
         }
-        self.emit(Event::CondSignal {
+        self.led.emit(Event::CondSignal {
             tid: self.tid,
             cond: c,
             woken: None,
@@ -475,15 +428,14 @@ impl ThreadCtx for PCtx {
     fn cond_broadcast(&mut self, c: CondId) {
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        self.v += self.cost.pthread_sync;
-        self.bd.lib += self.cost.pthread_sync;
+        self.led.charge(Row::lib, self.cost.pthread_sync);
         let cs = &mut st.conds[c.index()];
         let mut woken = 0u32;
         while cs.grants.len() < cs.waiting {
-            cs.grants.push_back(self.v);
+            cs.grants.push_back(self.led.v());
             woken += 1;
         }
-        self.emit(Event::CondBroadcast {
+        self.led.emit(Event::CondBroadcast {
             tid: self.tid,
             cond: c,
             woken,
@@ -492,17 +444,16 @@ impl ThreadCtx for PCtx {
     }
 
     fn barrier_wait(&mut self, b: BarrierId) {
-        self.perturb_hit(PerturbSite::LockPath);
+        self.led.perturb(PerturbSite::LockPath);
         let sh = Arc::clone(&self.sh);
         let mut st = sh.st.lock();
-        self.v += self.cost.pthread_sync;
-        self.bd.lib += self.cost.pthread_sync;
+        self.led.charge(Row::lib, self.cost.pthread_sync);
         let gen = st.barriers[b.index()].gen;
         {
             let bs = &mut st.barriers[b.index()];
             bs.arrived += 1;
-            bs.max_v = bs.max_v.max(self.v);
-            self.emit(Event::BarrierArrive {
+            bs.max_v = bs.max_v.max(self.led.v());
+            self.led.emit(Event::BarrierArrive {
                 tid: self.tid,
                 barrier: b,
                 gen,
@@ -512,7 +463,7 @@ impl ThreadCtx for PCtx {
                 bs.gen += 1;
                 bs.arrived = 0;
                 bs.max_v = 0;
-                self.emit(Event::BarrierOpen {
+                self.led.emit(Event::BarrierOpen {
                     tid: self.tid,
                     barrier: b,
                     gen,
@@ -521,29 +472,27 @@ impl ThreadCtx for PCtx {
             }
         }
         sh.cv.notify_all();
-        let from = self.v;
         while st.barriers[b.index()].gen == gen {
             sh.cv.wait(&mut st);
         }
-        self.v = self.v.max(st.barriers[b.index()].open_v);
-        self.bd.barrier_wait += self.v - from;
+        self.led
+            .wait_until(Row::barrier_wait, st.barriers[b.index()].open_v);
     }
 
     fn spawn(&mut self, job: Job) -> Tid {
         let sh = Arc::clone(&self.sh);
-        self.v += self.cost.pthread_spawn;
-        self.bd.lib += self.cost.pthread_spawn;
+        self.led.charge(Row::lib, self.cost.pthread_spawn);
         let mut st = sh.st.lock();
         let tid = Tid(st.next_tid);
         st.next_tid += 1;
         st.live += 1;
-        self.emit(Event::Spawn {
+        self.led.emit(Event::Spawn {
             parent: self.tid,
             child: tid,
             pooled: false,
         });
         let sh2 = Arc::clone(&self.sh);
-        let v0 = self.v;
+        let v0 = self.led.v();
         let handle = std::thread::spawn(move || {
             let mut ctx = PCtx::new(sh2, tid, v0);
             job(&mut ctx);
@@ -560,14 +509,11 @@ impl ThreadCtx for PCtx {
             let mut st = sh.st.lock();
             st.handles.remove(&t)
         };
-        let from = self.v;
         if let Some(h) = handle {
-            let (tid, bd, cnt, v) = h.join().expect("joined thread panicked");
-            let mut st = sh.st.lock();
-            st.reports.push((tid, bd));
-            st.counters += cnt;
-            self.v = self.v.max(v);
-            self.emit(Event::Join {
+            h.join().expect("joined thread panicked");
+            let v = sh.st.lock().finished_v[&t];
+            self.led.wait_until(Row::determ_wait, v);
+            self.led.emit(Event::Join {
                 tid: self.tid,
                 target: t,
             });
@@ -576,13 +522,12 @@ impl ThreadCtx for PCtx {
             let mut st = sh.st.lock();
             loop {
                 if let Some(v) = st.finished_v.get(&t) {
-                    self.v = self.v.max(*v);
+                    self.led.wait_until(Row::determ_wait, *v);
                     break;
                 }
                 sh.cv.wait(&mut st);
             }
         }
-        self.bd.determ_wait += self.v - from;
     }
 }
 
@@ -608,9 +553,7 @@ impl PthreadsRuntime {
                     next_tid: 1,
                     finished_v: HashMap::new(),
                     handles: HashMap::new(),
-                    reports: Vec::new(),
-                    counters: Counters::default(),
-                    max_v: 0,
+                    closed: Closed::default(),
                     live: 0,
                     started: false,
                 }),
@@ -686,10 +629,8 @@ impl Runtime for PthreadsRuntime {
         }
         let mut ctx = PCtx::new(Arc::clone(&sh), Tid::MAIN, 0);
         main(&mut ctx);
-        let (tid, bd, cnt, _v) = ctx.finish();
+        ctx.finish();
         let mut st = sh.st.lock();
-        st.reports.push((tid, bd));
-        st.counters += cnt;
         while st.live > 0 {
             sh.cv.wait(&mut st);
         }
@@ -697,14 +638,10 @@ impl Runtime for PthreadsRuntime {
         let leftover: Vec<_> = st.handles.drain().map(|(_, h)| h).collect();
         drop(st);
         for h in leftover {
-            if let Ok((tid, bd, cnt, _)) = h.join() {
-                let mut st = sh.st.lock();
-                st.reports.push((tid, bd));
-                st.counters += cnt;
-            }
+            let _ = h.join();
         }
         let mut st = sh.st.lock();
-        let reports = std::mem::take(&mut st.reports);
-        RunReport::new(&sh.cfg, start, reports, st.counters, st.max_v, st.next_tid)
+        let closed = std::mem::take(&mut st.closed);
+        RunReport::new(&sh.cfg, start, closed, st.next_tid)
     }
 }

@@ -580,9 +580,10 @@ pub fn lock_design(
             let polling = increments
                 .iter()
                 .map(|&inc| {
-                    let mut o = base.clone();
-                    o.polling_locks = true;
-                    o.polling_increment = inc;
+                    let o = Options {
+                        polling: Some(inc),
+                        ..base.clone()
+                    };
                     (
                         inc,
                         run_one_with_options(b, o, name, threads).virtual_cycles,

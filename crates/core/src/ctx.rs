@@ -34,8 +34,8 @@ use conversion::Workspace;
 use det_clock::{OrderPolicy, OverflowPolicy};
 use dmt_api::trace::Event;
 use dmt_api::{
-    Addr, BarrierId, Breakdown, CachePadded, CondId, ContainedError, CostModel, Counters, DmtError,
-    DmtResult, Job, MutexId, PanicSite, PerturbSite, RwLockId, ThreadCtx, Tid,
+    Addr, BarrierId, CondId, ContainedError, CostModel, DmtError, DmtResult, Job, Ledger, MutexId,
+    PanicSite, PerturbSite, Row, RwLockId, ThreadCtx, Tid,
 };
 
 use crate::coarsen::{CoarsenState, BUDGET_CAP, INITIAL_BUDGET, MIN_BUDGET};
@@ -59,8 +59,8 @@ pub(crate) struct Ctx<'a> {
     pool_tx: Option<std::sync::mpsc::Sender<Msg>>,
     /// Deterministic logical clock (retired user instructions).
     clock: u64,
-    /// Virtual time in cycles.
-    v: u64,
+    /// Virtual time, its rows and the thread's counters.
+    led: Ledger,
     /// Logical clock at which the next publication fires.
     next_pub: u64,
     ovf: OverflowPolicy,
@@ -85,10 +85,6 @@ pub(crate) struct Ctx<'a> {
     /// `Options::chunk_limit` (§2.7), `u64::MAX` when there is none: a chunk
     /// never gets that long, so the one comparison serves both.
     chunk_limit: u64,
-    bd: Breakdown,
-    /// Cache-padded so neighbouring threads' hot counter lines never
-    /// false-share when contexts live in adjacent allocations.
-    cnt: CachePadded<Counters>,
     cost: CostModel,
     /// Per-[`PanicSite`] injection counters, indexed by site position in
     /// [`PanicSite::ALL`]. The decision to panic is a pure function of
@@ -154,7 +150,7 @@ impl<'a> Ctx<'a> {
             ws: Some(ws),
             pool_tx,
             clock,
-            v,
+            led: Ledger::new(&sh.cfg, tid, v),
             next_pub,
             ovf,
             coarsen,
@@ -166,8 +162,6 @@ impl<'a> Ctx<'a> {
             last_sync_end_clock: clock,
             chunk_start_clock: clock,
             chunk_limit,
-            bd: Breakdown::default(),
-            cnt: CachePadded::new(Counters::default()),
             cost,
             inject_counts: [0; PanicSite::ALL.len()],
             suppress_inject: false,
@@ -203,55 +197,6 @@ impl<'a> Ctx<'a> {
         self.ws.as_mut().expect("workspace present until finish")
     }
 
-    /// Charges `c` virtual cycles of library overhead.
-    #[inline]
-    fn charge_lib(&mut self, c: u64) {
-        self.v += c;
-        self.bd.lib += c;
-    }
-
-    /// Folds `ev` into this thread's counters ([`Counters::count`]) and
-    /// emits it, into the schedule or as an auxiliary event: the one door
-    /// of every event this thread emits, sink or no sink.
-    #[inline]
-    fn emit_as(&mut self, ev: Event, in_schedule: bool) {
-        self.cnt.count(&ev);
-        self.sh.cfg.trace.emit(ev, in_schedule);
-    }
-
-    /// [`Ctx::emit_as`] for a schedule event.
-    #[inline]
-    fn emit(&mut self, ev: Event) {
-        self.emit_as(ev, true);
-    }
-
-    /// Charges `faults` copy-on-write faults taken by a store.
-    #[inline]
-    fn charge_faults(&mut self, faults: u64) {
-        if faults > 0 {
-            let fc = faults * self.cost.fault;
-            self.v += fc;
-            self.bd.fault += fc;
-            self.cnt.faults += faults;
-            // Page-fault jitter: copy-on-write handling takes arbitrarily
-            // long without affecting what the fault produced.
-            self.perturb_hit(PerturbSite::Fault);
-        }
-    }
-
-    /// Fires a fault-injection site (no-op unless a perturber is attached,
-    /// see `dmt_api::perturb`), charging any returned virtual cycles as
-    /// library overhead. The charge moves `v` only — never the logical
-    /// clock — so token-grant order, and with it the schedule hash, is
-    /// unaffected by construction.
-    #[inline]
-    fn perturb_hit(&mut self, site: PerturbSite) {
-        let c = self.sh.cfg.perturb.hit(site, self.tid);
-        if c > 0 {
-            self.charge_lib(c);
-        }
-    }
-
     /// Advances the logical clock and virtual time for user work, firing
     /// publications and the ad-hoc chunk limit as thresholds pass.
     #[inline(always)]
@@ -270,8 +215,7 @@ impl<'a> Ctx<'a> {
         let within = clock < self.next_pub && clock - self.chunk_start_clock < self.chunk_limit;
         if within {
             self.clock = clock;
-            self.v += dv;
-            self.bd.chunk += dv;
+            self.led.charge(Row::chunk, dv);
         }
         within
     }
@@ -295,8 +239,7 @@ impl<'a> Ctx<'a> {
             }
             if self.clock.saturating_add(dclock) < self.next_pub {
                 self.clock += dclock;
-                self.v += dv;
-                self.bd.chunk += dv;
+                self.led.charge(Row::chunk, dv);
                 break;
             }
             // Advance exactly to the threshold, charging virtual time
@@ -304,8 +247,7 @@ impl<'a> Ctx<'a> {
             let step = (self.next_pub - self.clock).min(dclock);
             let vstep = (dv * step).checked_div(dclock).unwrap_or(0);
             self.clock += step;
-            self.v += vstep;
-            self.bd.chunk += vstep;
+            self.led.charge(Row::chunk, vstep);
             dclock -= step;
             dv -= vstep;
             self.maybe_publish();
@@ -329,7 +271,11 @@ impl<'a> Ctx<'a> {
     #[inline(never)]
     fn st_u64_uncommon(&mut self, addr: Addr, val: u64) {
         let faults = self.ws().st_u64(addr, val) as u64;
-        self.charge_faults(faults);
+        // Page-fault jitter: copy-on-write handling takes arbitrarily long
+        // without affecting what the fault produced.
+        if self.led.faults(faults, self.cost.fault) {
+            self.led.perturb(PerturbSite::Fault);
+        }
         self.advance(1, self.cost.mem_access(8));
     }
 
@@ -347,18 +293,18 @@ impl<'a> Ctx<'a> {
             self.next_pub = self.clock.saturating_add(self.ovf.interval().max(1));
             return;
         }
-        self.charge_lib(self.cost.overflow_irq);
-        self.cnt.publications += 1;
+        self.led.charge(Row::lib, self.cost.overflow_irq);
+        self.led.cnt.publications += 1;
         // Publications race with other threads' chunks: auxiliary, so the
         // schedule hash only covers token-serialized events.
         let (tid, clock) = (self.tid, self.clock);
-        self.emit_as(Event::Publish { tid, clock }, false);
+        self.led.emit_as(Event::Publish { tid, clock }, false);
         let sh = self.sh;
         // One lock section: publish, and if that crossed the head waiter's
         // key, wake the successor it may have made eligible (the unpark
         // follows the unlock).
         let mut inner = sh.lock();
-        if inner.table.publish(self.tid, self.clock, self.v) {
+        if inner.table.publish(self.tid, self.clock, self.led.v()) {
             inner.wake_successor(self.tid);
         }
         let min_w = sh
@@ -388,7 +334,7 @@ impl ThreadCtx for Ctx<'_> {
     }
 
     fn vtime(&self) -> u64 {
-        self.v
+        self.led.v()
     }
 
     fn logical_clock(&self) -> u64 {
@@ -403,7 +349,9 @@ impl ThreadCtx for Ctx<'_> {
 
     fn write_bytes(&mut self, addr: Addr, data: &[u8]) {
         let faults = self.ws().write_bytes(addr, data) as u64;
-        self.charge_faults(faults);
+        if self.led.faults(faults, self.cost.fault) {
+            self.led.perturb(PerturbSite::Fault);
+        }
         let w = data.len().div_ceil(8) as u64;
         self.advance(w, self.cost.mem_access(data.len()));
     }

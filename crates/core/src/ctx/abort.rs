@@ -66,7 +66,7 @@ impl Ctx<'_> {
         self.commit_and_update();
         let sh = self.sh;
         let mut inner = sh.lock();
-        self.emit(Event::ThreadPanic {
+        self.led.emit(Event::ThreadPanic {
             tid: self.tid,
             clock: self.clock,
         });
@@ -145,7 +145,7 @@ impl Ctx<'_> {
             for t in arrived {
                 if matches!(inner.table.state(t), ThreadState::Departed) {
                     let saved = inner.threads[t.index()].saved_clock;
-                    inner.table.reactivate(t, saved, self.v);
+                    inner.table.reactivate(t, saved, self.led.v());
                 }
             }
         }

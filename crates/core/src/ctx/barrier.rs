@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dmt_api::trace::Event;
-use dmt_api::{BarrierId, DmtError, PanicSite, PerturbSite, Tid};
+use dmt_api::{BarrierId, DmtError, PanicSite, PerturbSite, Row, Tid};
 
 use super::{raise, Ctx};
 use crate::shared::{BarPhase, BarrierSt, Held, Inner};
@@ -61,15 +61,16 @@ impl<'a> Ctx<'a> {
         gen: u64,
         phase: BarPhase,
     ) -> Held<'a> {
-        let from = self.v;
         let inner = self.await_barrier(inner, b, false, |bst| bst.gen == gen && bst.phase >= phase);
         let bst = &inner.barriers[b.index()];
-        self.v = self.v.max(if phase == BarPhase::Merging {
-            bst.merge_start_v
-        } else {
-            bst.install_v
-        });
-        self.bd.barrier_wait += self.v - from;
+        self.led.wait_until(
+            Row::barrier_wait,
+            if phase == BarPhase::Merging {
+                bst.merge_start_v
+            } else {
+                bst.install_v
+            },
+        );
         inner
     }
 
@@ -80,9 +81,9 @@ impl<'a> Ctx<'a> {
         let sh = self.sh;
         let bst = &mut inner.barriers[b.index()];
         bst.phase = BarPhase::Installed;
-        bst.install_v = self.v;
+        bst.install_v = self.led.v();
         bst.install_version = sh.seg.latest_id();
-        self.emit(Event::BarrierOpen {
+        self.led.emit(Event::BarrierOpen {
             tid: self.tid,
             barrier: b,
             gen,
@@ -103,7 +104,7 @@ impl<'a> Ctx<'a> {
             .collect();
         let ff = bst.max_arrival_clock;
         for t in others {
-            inner.table.reactivate(t, ff, self.v);
+            inner.table.reactivate(t, ff, self.led.v());
         }
         self.leave_locked(inner, false);
         inner.wake_waiters();
@@ -121,7 +122,7 @@ impl<'a> Ctx<'a> {
         // Barrier-phase delay: a straggler arriving arbitrarily late. The
         // arrival set is fixed by the program (parties), so only waiting
         // time can change.
-        self.perturb_hit(PerturbSite::Barrier);
+        self.led.perturb(PerturbSite::Barrier);
         let fresh = self.acquire_token_or_raise();
         if !fresh {
             // Arriving out of a coarsened run: data protected by locks we
@@ -146,7 +147,7 @@ impl<'a> Ctx<'a> {
                         .get_or_insert_with(|| Arc::new(conversion::ParallelCommit::new())),
                 )
             });
-            self.emit(Event::BarrierArrive {
+            self.led.emit(Event::BarrierArrive {
                 tid: self.tid,
                 barrier: b,
                 gen: bst.gen,
@@ -159,8 +160,7 @@ impl<'a> Ctx<'a> {
         let my_idx = if let Some(pc) = &pc {
             let (idx, registered) = pc.register(self.ws());
             let c = self.cost.commit_base / 2 + registered as u64 * self.cost.page_register;
-            self.v += c;
-            self.bd.commit += c;
+            self.led.charge(Row::commit, c);
             Some(idx)
         } else {
             self.commit_and_update();
@@ -184,7 +184,7 @@ impl<'a> Ctx<'a> {
             pc.seal(&sh.seg);
             let bst = &mut inner.barriers[b.index()];
             bst.phase = BarPhase::Merging;
-            bst.merge_start_v = self.v;
+            bst.merge_start_v = self.led.v();
             inner.wake_waiters();
         } else {
             self.open_barrier(&mut inner, b, gen);
@@ -196,14 +196,13 @@ impl<'a> Ctx<'a> {
         if let (Some(pc), Some(idx)) = (&pc, my_idx) {
             // Slow merger: phase 2 runs outside the token, so a stalled
             // participant exercises the install-side wait for stragglers.
-            self.perturb_hit(PerturbSite::Barrier);
+            self.led.perturb(PerturbSite::Barrier);
             let w = pc.merge_for(idx);
             let c = w.pages as u64 * self.cost.page_commit + w.merged as u64 * self.cost.page_merge;
-            self.v += c;
-            self.bd.commit += c;
+            self.led.charge(Row::commit, c);
             // Its commit, auxiliary: the pages it merged are those the
             // install credits to it, in a version not yet numbered.
-            self.emit_as(
+            self.led.emit_as(
                 Event::Commit {
                     tid: self.tid,
                     version: 0,
@@ -216,7 +215,7 @@ impl<'a> Ctx<'a> {
             let mut inner = sh.lock();
             let bst = &mut inner.barriers[b.index()];
             bst.phase2_done += 1;
-            bst.phase2_max_v = bst.phase2_max_v.max(self.v);
+            bst.phase2_max_v = bst.phase2_max_v.max(self.led.v());
             // Only the last arriver waits on this count, and only for its
             // final value.
             if bst.phase2_done == parties && !is_last {
@@ -228,9 +227,9 @@ impl<'a> Ctx<'a> {
                 let phase2_max_v = inner.barriers[b.index()].phase2_max_v;
                 drop(inner);
                 pc.install(&sh.seg);
-                let ic = self.cost.commit_base;
-                self.v = self.v.max(phase2_max_v) + ic;
-                self.bd.commit += ic;
+                // The install starts when the slowest merger is done.
+                self.led.wait_until(Row::barrier_wait, phase2_max_v);
+                self.led.charge(Row::commit, self.cost.commit_base);
                 // Still under the token, before `open_barrier` pins the
                 // installed version: every participant waits for it, so the
                 // pass is a function of the schedule, and the leavers fold
@@ -248,10 +247,9 @@ impl<'a> Ctx<'a> {
         let ur = sh.seg.update_to(self.ws(), upto);
         sh.seg.unpin(upto);
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
-        self.v += u;
-        self.bd.update += u;
+        self.led.charge(Row::update, u);
         // Leavers update concurrently, outside the token: auxiliary.
-        self.emit_as(
+        self.led.emit_as(
             Event::Update {
                 tid: self.tid,
                 version: ur.new_base,

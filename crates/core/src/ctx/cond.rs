@@ -24,7 +24,7 @@ impl Ctx<'_> {
             carried(&mut me.objs).conds[c.index()]
                 .waiters
                 .push_back((me.tid, m));
-            me.emit(Event::CondWait {
+            me.led.emit(Event::CondWait {
                 tid: me.tid,
                 cond: c,
                 mutex: m,
@@ -55,7 +55,7 @@ impl Ctx<'_> {
             woken += 1;
         }
         let tid = self.tid;
-        self.emit(if all {
+        self.led.emit(if all {
             Event::CondBroadcast {
                 tid,
                 cond: c,

@@ -17,7 +17,7 @@ impl Ctx<'_> {
     }
 
     /// Deterministic blocking mutex acquisition (Fig. 7) — or, with
-    /// `Options::polling_locks`, Kendo's §4.1 polling variant: on failure
+    /// `Options::polling`, Kendo's §4.1 polling variant: on failure
     /// the thread keeps its place in the clock order by bumping its clock
     /// past the contention point and retrying, never departing.
     ///
@@ -43,7 +43,7 @@ impl Ctx<'_> {
                 mst.tickets += 1;
                 let ticket = mst.tickets;
                 let predicted = mst.cs_est.get();
-                self.emit(Event::MutexLock {
+                self.led.emit(Event::MutexLock {
                     tid: self.tid,
                     mutex: m,
                     ticket,
@@ -59,14 +59,14 @@ impl Ctx<'_> {
                 return Ok(());
             }
             let sh = self.sh;
-            if sh.opts.polling_locks {
+            if let Some(increment) = sh.opts.polling {
                 // Kendo §4.1: release the token, add the tuned increment
                 // to our clock so the next-lowest thread can proceed, and
                 // poll again. Progress for others is preserved, but every
                 // retry costs a full token round trip — the latency the
                 // paper's blocking design eliminates.
                 self.leave_locked(&mut sh.lock(), false);
-                let bump = sh.opts.polling_increment.max(1);
+                let bump = increment.max(1);
                 self.advance(bump, bump / 4);
                 continue;
             }
@@ -77,7 +77,7 @@ impl Ctx<'_> {
                 carried(&mut me.objs).mutexes[m.index()]
                     .waiters
                     .push_back(me.tid);
-                me.emit(Event::MutexBlock {
+                me.led.emit(Event::MutexBlock {
                     tid: me.tid,
                     mutex: m,
                 });
@@ -106,7 +106,7 @@ impl Ctx<'_> {
             inner.purge_quiet_exits(objs);
             Some((objs.mutexes[m.index()].waiters.pop_front()?, inner))
         });
-        self.emit(Event::MutexUnlock {
+        self.led.emit(Event::MutexUnlock {
             tid: self.tid,
             mutex: m,
             woke: woke.as_ref().map(|(w, _)| *w),

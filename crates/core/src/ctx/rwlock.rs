@@ -20,7 +20,7 @@ impl Ctx<'_> {
         } else {
             st.readers.push(tid);
         }
-        self.emit(Event::RwAcquire { tid, lock, writer });
+        self.led.emit(Event::RwAcquire { tid, lock, writer });
     }
 
     /// Hands the rwlock to the head of its queue: one writer, or every
@@ -106,7 +106,7 @@ impl Ctx<'_> {
             st.readers.remove(hold);
         }
         let hand_off = writer || st.readers.is_empty();
-        self.emit(Event::RwRelease {
+        self.led.emit(Event::RwRelease {
             tid: self.tid,
             lock: l,
             writer,
@@ -114,7 +114,7 @@ impl Ctx<'_> {
         if hand_off {
             self.rw_wake_head(&mut inner, l);
         }
-        inner.table.resume(self.tid, self.clock, self.v);
+        inner.table.resume(self.tid, self.clock, self.led.v());
         drop(inner);
         self.commit_and_update();
         self.release(&mut sh.lock(), true);

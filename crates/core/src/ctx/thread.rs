@@ -3,7 +3,7 @@
 //! with the containment paths in [`super::abort`].
 
 use dmt_api::trace::Event;
-use dmt_api::{DmtError, DmtResult, Job, Tid};
+use dmt_api::{DmtError, DmtResult, Job, Row, Tid};
 
 use super::token::ParkOrder;
 use super::Ctx;
@@ -36,14 +36,14 @@ impl Ctx<'_> {
         inner.next_tid += 1;
         inner.threads.push(ThreadSt::default());
         inner.live += 1;
-        inner.table.register(child, self.clock, self.v);
+        inner.table.register(child, self.clock, self.led.v());
 
         let pooled = if sh.opts.thread_pool {
             inner.pool.pop()
         } else {
             None
         };
-        self.emit(Event::Spawn {
+        self.led.emit(Event::Spawn {
             parent: self.tid,
             child,
             pooled: pooled.is_some(),
@@ -54,7 +54,8 @@ impl Ctx<'_> {
                 // The reused workspace only needs the delta since it was
                 // pooled (much cheaper than a fork, as §3.3 observes).
                 let ur = sh.seg.update(&mut ws);
-                self.charge_lib(self.cost.pool_reuse + ur.pages_propagated * self.cost.page_update);
+                let c = self.cost.pool_reuse + ur.pages_propagated * self.cost.page_update;
+                self.led.charge(Row::lib, c);
                 // The worker holds its own Sender clone and re-pools
                 // itself with it when this job exits.
                 (tx, ws)
@@ -62,7 +63,8 @@ impl Ctx<'_> {
             None => {
                 // Fork: copy every mapped page-table entry into the child.
                 let (ws, mapped) = sh.seg.new_workspace(child);
-                self.charge_lib(self.cost.spawn_base + mapped as u64 * self.cost.page_map);
+                let c = self.cost.spawn_base + mapped as u64 * self.cost.page_map;
+                self.led.charge(Row::lib, c);
                 (crate::runtime::spawn_worker(sh, &mut inner), ws)
             }
         };
@@ -70,10 +72,10 @@ impl Ctx<'_> {
             tid: child,
             job,
             clock: self.clock,
-            v: self.v,
+            v: self.led.v(),
             ws,
         };
-        inner.table.resume(self.tid, self.clock, self.v);
+        inner.table.resume(self.tid, self.clock, self.led.v());
         // Keep the rotation turn: back-to-back creates form one phase.
         self.release(&mut inner, false);
         drop(inner);
@@ -107,12 +109,12 @@ impl Ctx<'_> {
             );
             let target = &inner.threads[t.index()];
             if target.finished {
-                self.v = self.v.max(target.exit_v);
+                self.led.wait_until(Row::determ_wait, target.exit_v);
                 if sh.opts.fast_forward {
                     self.clock = self.clock.max(target.exit_clock);
                 }
                 let panicked = target.panicked.then(|| target.panic_msg.clone());
-                self.emit(Event::Join {
+                self.led.emit(Event::Join {
                     tid: self.tid,
                     target: t,
                 });
@@ -139,14 +141,14 @@ impl Ctx<'_> {
         let st = &mut inner.threads[self.tid.index()];
         st.finished = true;
         st.exit_clock = self.clock;
-        st.exit_v = self.v;
+        st.exit_v = self.led.v();
         if let Some(msg) = panic {
             st.panicked = true;
             if st.panic_msg.is_empty() {
                 st.panic_msg = msg.to_string();
             }
         }
-        inner.table.finish(self.tid, self.v);
+        inner.table.finish(self.tid, self.led.v());
     }
 
     /// Files this thread's report and counters and retires it from the
@@ -154,9 +156,7 @@ impl Ctx<'_> {
     pub(super) fn retire(&mut self, inner: &mut Inner) {
         self.torn_down = true;
         inner.live -= 1;
-        inner.max_exit_v = inner.max_exit_v.max(self.v);
-        inner.reports.push((self.tid, self.bd));
-        inner.counters += *self.cnt;
+        inner.closed.file(&self.led);
     }
 
     /// The tail of an exit under the token, healthy or contained: wake
@@ -199,7 +199,7 @@ impl Ctx<'_> {
         self.commit_and_update();
         let sh = self.sh;
         let mut inner = sh.lock();
-        self.emit(Event::Exit {
+        self.led.emit(Event::Exit {
             tid: self.tid,
             clock: self.clock,
         });

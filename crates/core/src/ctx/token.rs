@@ -20,7 +20,7 @@
 
 use det_clock::OrderPolicy;
 use dmt_api::trace::Event;
-use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, ThreadCtx, Tid};
+use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, Row, ThreadCtx, Tid};
 
 use super::{or_raise, Ctx};
 use crate::shared::{Held, Inner};
@@ -39,7 +39,7 @@ pub(super) enum ParkOrder {
 impl<'a> Ctx<'a> {
     #[inline]
     pub(super) fn sync_prologue(&mut self) {
-        self.charge_lib(self.cost.sync_op);
+        self.led.charge(Row::lib, self.cost.sync_op);
     }
 
     /// As [`Ctx::acquire_token`], for protocol paths with infallible
@@ -65,8 +65,8 @@ impl<'a> Ctx<'a> {
             } else {
                 self.cost.counter_read_kernel
             };
-            self.charge_lib(read);
-            self.cnt.publications += 1;
+            self.led.charge(Row::lib, read);
+            self.led.cnt.publications += 1;
         }
         let chunk_len = self.clock - self.last_sync_end_clock;
         self.coarsen.thread_est.update(chunk_len);
@@ -76,16 +76,17 @@ impl<'a> Ctx<'a> {
         // Pre-token-acquire delay: the thread is slow to arrive at the
         // sync point. Arrival timing must not matter — eligibility is a
         // function of published clocks and tids alone.
-        self.perturb_hit(PerturbSite::TokenAcquire);
+        self.led.perturb(PerturbSite::TokenAcquire);
 
         let sh = self.sh;
         let mut inner = sh.lock();
         let arrival_clock = self.clock;
-        inner.table.arrive_sync(self.tid, arrival_clock, self.v);
+        inner
+            .table
+            .arrive_sync(self.tid, arrival_clock, self.led.v());
         // Our arrival published a bound; the head waiter may have become
         // eligible.
         inner.wake_successor(self.tid);
-        let wait_from = self.v;
         loop {
             if inner.shutdown {
                 return Err(DmtError::Shutdown);
@@ -104,7 +105,7 @@ impl<'a> Ctx<'a> {
             // A wait that never ends is a runtime bug, not a program bug:
             // the watchdog (`runtime::diagnose`) reports it.
             self.doze(&mut inner);
-            self.cnt.token_wake_loops += 1;
+            self.led.cnt.token_wake_loops += 1;
         }
         inner.token = Some(self.tid);
         // The synchronization objects travel with the token.
@@ -115,7 +116,7 @@ impl<'a> Ctx<'a> {
         self.objs = inner.objs.take();
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
-        self.emit(Event::TokenAcquire {
+        self.led.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: arrival_clock,
         });
@@ -129,12 +130,12 @@ impl<'a> Ctx<'a> {
             OrderPolicy::InstructionCount => inner.table.crossing_v(self.tid, arrival_clock),
             OrderPolicy::RoundRobin => inner.table.rr_turn_v(),
         };
-        self.v = self.v.max(inner.last_release_v).max(handed);
-        self.bd.determ_wait += self.v - wait_from;
-        self.charge_lib(self.cost.token_op);
+        self.led
+            .wait_until(Row::determ_wait, inner.last_release_v.max(handed));
+        self.led.charge(Row::lib, self.cost.token_op);
         // Fast-forward (§3.5): catch up to the last token releaser.
         if self.sh.opts.fast_forward && self.clock < inner.last_release_clock {
-            self.emit(Event::FastForward {
+            self.led.emit(Event::FastForward {
                 tid: self.tid,
                 from: self.clock,
                 to: inner.last_release_clock,
@@ -163,21 +164,21 @@ impl<'a> Ctx<'a> {
     /// a full rotation behind freshly started workers).
     pub(super) fn release(&mut self, inner: &mut Held<'_>, advance_rr: bool) {
         debug_assert_eq!(inner.token, Some(self.tid), "token not held");
-        self.emit(Event::TokenRelease {
+        self.led.emit(Event::TokenRelease {
             tid: self.tid,
             clock: self.clock,
         });
-        self.charge_lib(self.cost.token_op);
+        self.led.charge(Row::lib, self.cost.token_op);
         inner.token = None;
         debug_assert!(self.objs.is_some(), "a holder without the objects");
         inner.put_objs(self.objs.take());
         inner.last_release_clock = self.clock;
-        inner.last_release_v = self.v;
+        inner.last_release_v = self.led.v();
         if advance_rr
             && self.sh.opts.order == OrderPolicy::RoundRobin
             && inner.table.rr_holder() == self.tid.index()
         {
-            inner.table.rr_advance(self.v);
+            inner.table.rr_advance(self.led.v());
         }
         self.holding_token = false;
         // The threads we woke under the token can use their wake now.
@@ -197,7 +198,7 @@ impl<'a> Ctx<'a> {
     /// the broken-barrier exit do not stamp.
     #[inline]
     pub(super) fn leave_locked(&mut self, inner: &mut Held<'_>, stamp: bool) {
-        inner.table.resume(self.tid, self.clock, self.v);
+        inner.table.resume(self.tid, self.clock, self.led.v());
         self.release(inner, true);
         if stamp {
             self.last_sync_end_clock = self.clock;
@@ -222,29 +223,27 @@ impl<'a> Ctx<'a> {
         // Commit stall: the token holder dawdles before publishing its
         // dirty pages. Holding the token excludes every other committer,
         // so the stall stretches real and virtual time only.
-        self.perturb_hit(PerturbSite::Commit);
+        self.led.perturb(PerturbSite::Commit);
         let sh = self.sh;
         let cr = sh.seg.commit(self.ws(), None);
         let c = self.cost.commit_base
             + cr.pages as u64 * self.cost.page_commit
             + cr.merged as u64 * self.cost.page_merge;
-        self.v += c;
-        self.bd.commit += c;
-        self.perturb_hit(PerturbSite::Update);
+        self.led.charge(Row::commit, c);
+        self.led.perturb(PerturbSite::Update);
         let ur = sh.seg.update(self.ws());
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
-        self.v += u;
-        self.bd.update += u;
+        self.led.charge(Row::update, u);
         // Both run under the token, so commit order and update extents are
         // part of the deterministic schedule.
-        self.emit(Event::Commit {
+        self.led.emit(Event::Commit {
             tid: self.tid,
             version: cr.version,
             pages: cr.pages,
             merged: cr.merged,
             page_set: cr.page_set,
         });
-        self.emit(Event::Update {
+        self.led.emit(Event::Update {
             tid: self.tid,
             version: ur.new_base,
             pages: ur.pages_propagated,
@@ -262,9 +261,8 @@ impl<'a> Ctx<'a> {
     pub(super) fn collect(&mut self) {
         debug_assert!(self.holding_token);
         let gr = self.sh.seg.gc(self.sh.cfg.gc_budget);
-        let g = gr.spent() as u64 * self.cost.gc_version;
-        self.v += g;
-        self.bd.commit += g;
+        self.led
+            .charge(Row::commit, gr.spent() as u64 * self.cost.gc_version);
     }
 
     /// Ends a coarsenable synchronization operation: either retain the
@@ -295,7 +293,7 @@ impl<'a> Ctx<'a> {
                 if !self.current_since_acquire {
                     self.commit_and_update();
                 }
-                self.emit(Event::Coarsen {
+                self.led.emit(Event::Coarsen {
                     tid: self.tid,
                     clock: self.clock,
                 });
@@ -303,7 +301,10 @@ impl<'a> Ctx<'a> {
                 // nobody to wake.
                 if !self.tenure_resumed {
                     self.tenure_resumed = true;
-                    self.sh.lock().table.resume(self.tid, self.clock, self.v);
+                    self.sh
+                        .lock()
+                        .table
+                        .resume(self.tid, self.clock, self.led.v());
                 }
                 return;
             }
@@ -345,13 +346,13 @@ impl<'a> Ctx<'a> {
     /// granted in.
     #[inline]
     pub(super) fn wake(&mut self, inner: &mut Inner, w: Tid, err: Option<DmtError>) {
-        self.charge_lib(self.cost.wakeup);
+        self.led.charge(Row::lib, self.cost.wakeup);
         let st = &mut inner.threads[w.index()];
         st.wake = true;
-        st.wake_v = self.v;
+        st.wake_v = self.led.v();
         st.wake_err = err;
         let saved = st.saved_clock;
-        inner.table.reactivate(w, saved, self.v);
+        inner.table.reactivate(w, saved, self.led.v());
         self.pending.push(w);
     }
 
@@ -360,11 +361,11 @@ impl<'a> Ctx<'a> {
     #[inline]
     pub(super) fn depart(&mut self, inner: &mut Inner) {
         inner.threads[self.tid.index()].saved_clock = self.clock;
-        self.emit(Event::Depart {
+        self.led.emit(Event::Depart {
             tid: self.tid,
             clock: self.clock,
         });
-        inner.table.depart(self.tid, self.v);
+        inner.table.depart(self.tid, self.led.v());
     }
 
     /// Depart-and-block (Fig. 7 lines 10–13): queue with `enqueue`, leave
@@ -407,7 +408,6 @@ impl<'a> Ctx<'a> {
     /// Blocks until this thread's wake flag is raised, folding the waker's
     /// virtual time into ours. Caller has departed and released the token.
     fn block_until_woken(&mut self, inner: &mut Held<'_>) -> DmtResult<()> {
-        let from = self.v;
         while !inner.threads[self.tid.index()].wake {
             if inner.shutdown {
                 return Err(DmtError::Shutdown);
@@ -416,8 +416,7 @@ impl<'a> Ctx<'a> {
         }
         let st = &mut inner.threads[self.tid.index()];
         st.wake = false;
-        self.v = self.v.max(st.wake_v);
-        self.bd.determ_wait += self.v - from;
+        self.led.wait_until(Row::determ_wait, st.wake_v);
         st.wake_err.take().map_or(Ok(()), Err)
     }
 }

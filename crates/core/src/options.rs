@@ -48,17 +48,14 @@ pub struct Options {
     /// Alias every mutex to one global lock, as DThreads and DWC do.
     /// *Needed by* the `dwc` baseline of Figures 10–11.
     pub single_global_lock: bool,
-    /// Kendo-style polling locks (§4.1): a failed acquire does not block
-    /// and depart; instead the thread bumps its logical clock past the
-    /// current minimum and retries. The paper contrasts its blocking
-    /// queue-based mutex (the default) against this design — polling burns
-    /// token acquisitions and needs a program-specific clock increment.
-    /// *Needed by* the `figures extras` Kendo contrast and
-    /// `tests/polling_locks.rs`.
-    pub polling_locks: bool,
-    /// Clock increment added on each failed polling acquire (Kendo's
-    /// tuning knob; only used with `polling_locks`). *Needed by* the same.
-    pub polling_increment: u64,
+    /// Kendo-style polling locks (§4.1) with this clock increment: a
+    /// failed acquire does not block and depart; instead the thread adds
+    /// the increment (Kendo's tuning knob) to its logical clock and
+    /// retries. The paper contrasts its blocking queue-based mutex (the
+    /// default, `None`) against this design — polling burns token
+    /// acquisitions and needs a program-specific increment. *Needed by*
+    /// the `figures extras` Kendo contrast and `tests/polling_locks.rs`.
+    pub polling: Option<u64>,
     /// Inert; deleted with ROADMAP item 3(a). *Needed by* nothing here:
     /// frozen `e2e/` names it. There is one clock table kind.
     #[doc(hidden)]
@@ -128,8 +125,7 @@ impl Options {
             thread_pool: true,
             chunk_limit: None,
             single_global_lock: false,
-            polling_locks: false,
-            polling_increment: 1_000,
+            polling: None,
             sched: SchedKind,
             base_overflow: det_clock::overflow::BASE_OVERFLOW,
             inject_eligibility_bug: false,
@@ -190,8 +186,10 @@ impl Options {
         put(self.thread_pool as u64);
         put(self.chunk_limit.unwrap_or(u64::MAX));
         put(self.single_global_lock as u64);
-        put(self.polling_locks as u64);
-        put(self.polling_increment);
+        // Polling folds as the two fields it replaced did, with the old
+        // default increment when it is off.
+        put(self.polling.is_some() as u64);
+        put(self.polling.unwrap_or(1_000));
         put(self.base_overflow);
         // The coarsening bounds are constants; they fold where the fields
         // they replaced did, so every recorded fingerprint stays valid.
@@ -344,8 +342,7 @@ mod tests {
             thread_pool: _,
             chunk_limit: _,
             single_global_lock: _,
-            polling_locks: _,
-            polling_increment: _,
+            polling: _,
             sched: _,
             base_overflow: _,
             inject_eligibility_bug: _,
@@ -354,7 +351,7 @@ mod tests {
             pipeline_workers: _,
             trace_flush_pages: _,
         } = Options::consequence_ic();
-        let fingerprinted: [fn(&mut Options); 14] = [
+        let fingerprinted: [fn(&mut Options); 13] = [
             |o| o.order = OrderPolicy::RoundRobin,
             |o| o.coarsening = false,
             |o| o.static_coarsen = Some(1),
@@ -365,8 +362,7 @@ mod tests {
             |o| o.thread_pool = false,
             |o| o.chunk_limit = Some(1),
             |o| o.single_global_lock = true,
-            |o| o.polling_locks = true,
-            |o| o.polling_increment += 1,
+            |o| o.polling = Some(1_000),
             |o| o.base_overflow += 1,
             |o| o.inject_eligibility_bug = true,
         ];
@@ -386,6 +382,12 @@ mod tests {
             change(&mut o);
             assert_ne!(o.fingerprint(), base.fingerprint(), "fingerprinted #{i}");
         }
+        // The increment is fingerprinted too, judged with polling on.
+        let polling = |n| Options {
+            polling: Some(n),
+            ..base.clone()
+        };
+        assert_ne!(polling(1_001).fingerprint(), polling(1_000).fingerprint());
         let golden = dmt_server_cell(base.clone());
         assert_eq!(golden.0, 0x34300d2f73672d92, "dmt_server golden moved");
         for (i, change) in excluded.iter().enumerate() {

@@ -149,7 +149,7 @@ impl Runtime for ConsequenceRuntime {
         // On watchdog shutdown, blocked threads unwind as they observe the
         // flag; threads in pure compute can never observe it, so after a
         // bounded grace period they are abandoned (handles not joined).
-        let (reports, counters, max_v, threads, fault, panics, stuck) = {
+        let (closed, threads, fault, panics, stuck) = {
             let mut inner = sh.lock();
             let mut grace = 0u32;
             let mut stuck = false;
@@ -169,9 +169,7 @@ impl Runtime for ConsequenceRuntime {
             }
             let handles = std::mem::take(&mut inner.handles);
             let out = (
-                std::mem::take(&mut inner.reports),
-                inner.counters,
-                inner.max_exit_v,
+                std::mem::take(&mut inner.closed),
                 inner.next_tid,
                 inner.fault.take(),
                 std::mem::take(&mut inner.panics),
@@ -193,7 +191,7 @@ impl Runtime for ConsequenceRuntime {
             eprintln!("[conseq] abandoning threads that never observed shutdown");
         }
 
-        let mut report = RunReport::new(&sh.cfg, start, reports, counters, max_v, threads);
+        let mut report = RunReport::new(&sh.cfg, start, closed, threads);
         (report.peak_pages, report.peak_versions) = sh.seg.harvest(&mut report.counters);
         report.peak_clock_history = sh.lock().table.peak_history_len();
         report.commit_log_hash = sh.seg.log_hash();

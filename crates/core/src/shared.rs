@@ -13,7 +13,7 @@ use dmt_api::sync::{Mutex, MutexGuard};
 
 use conversion::{ParallelCommit, Segment, Workspace};
 use det_clock::SchedTable;
-use dmt_api::{Breakdown, CommonConfig, Counters, DmtError, Job, MutexId, Tid};
+use dmt_api::{Closed, CommonConfig, DmtError, Job, MutexId, Tid};
 
 use crate::coarsen::Ewma;
 use crate::options::Options;
@@ -229,9 +229,7 @@ pub(crate) struct Inner {
     pub live: u32,
     pub pool: Vec<PoolEntry>,
     pub handles: Vec<JoinHandle<()>>,
-    pub reports: Vec<(Tid, Breakdown)>,
-    pub counters: Counters,
-    pub max_exit_v: u64,
+    pub closed: Closed,
     pub started: bool,
     /// Monotone count of token grants: the watchdog's logical-progress
     /// signal (GMIC advancing ⇒ grants happening).
@@ -430,7 +428,7 @@ impl Held<'_> {
     /// Unlock first, unpark second.
     fn unlock(&mut self) {
         if let Some(inner) = self.guard.as_mut() {
-            inner.counters.unparks += if self.wakes.all {
+            inner.closed.counters.unparks += if self.wakes.all {
                 self.sh.parking.registered()
             } else {
                 self.wakes.n as u64
@@ -464,9 +462,9 @@ impl Held<'_> {
         self.guard = Some(self.sh.inner.lock());
         if yielding {
             self.yielded += 1;
-            self.counters.yields += 1;
+            self.closed.counters.yields += 1;
         } else {
-            self.counters.parks += 1;
+            self.closed.counters.parks += 1;
         }
         deadline.is_some_and(|d| Instant::now() >= d)
     }
@@ -538,9 +536,7 @@ impl Shared {
                 live: 0,
                 pool: Vec::with_capacity(max_t),
                 handles: Vec::with_capacity(max_t),
-                reports: Vec::with_capacity(max_t),
-                counters: Counters::default(),
-                max_exit_v: 0,
+                closed: Closed::default(),
                 started: false,
                 grant_seq: 0,
                 shutdown: false,
@@ -592,7 +588,7 @@ mod tests {
     fn a_wait_yields_before_it_parks() {
         let sh = shared();
         sh.parking.register(Tid(1));
-        let sleeps = |h: &Held<'_>| (h.counters.yields, h.counters.parks);
+        let sleeps = |h: &Held<'_>| (h.closed.counters.yields, h.closed.counters.parks);
         let mut inner = sh.lock();
         for _ in 0..YIELDS {
             assert!(!inner.sleep(None));

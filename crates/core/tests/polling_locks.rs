@@ -55,10 +55,10 @@ fn blocking() -> Options {
 }
 
 fn polling(increment: u64) -> Options {
-    let mut o = blocking();
-    o.polling_locks = true;
-    o.polling_increment = increment;
-    o
+    Options {
+        polling: Some(increment),
+        ..blocking()
+    }
 }
 
 #[test]

@@ -197,14 +197,18 @@ const FENCES: &[Fence] = &[
         planted: &[("crates/core/src/ctx/barrier.rs", "self.cnt.chunks += 1;"),
                    ("crates/baselines/src/pthreads.rs", "self.cnt.lock_acquires+=1;")] },
     Fence { name: "A runtime emits through its one helper",
-        why: "Each runtime's per-thread context sends an event to the sink from one helper (emit_as; pthreads' emit), \
-              after folding it into its counters (Counters::count); an event emitted past it would reach the sink uncounted.",
-        roots: &["crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
-        allow: &[("crates/core/src/ctx.rs", Lines(&["self.sh.cfg.trace.emit(ev, in_schedule);"])),
-                 ("crates/baselines/src/dthreads.rs", Lines(&["self.sh.cfg.trace.emit(ev, in_schedule);"])),
-                 ("crates/baselines/src/pthreads.rs", Lines(&["self.sh.cfg.trace.emit(ev, true);"]))],
+        why: "Each runtime's per-thread context sends an event to the sink through its dmt_api::Ledger, whose emit_as \
+              folds it into the thread's counters (Counters::count) first; an event emitted past it would reach the sink uncounted.",
+        roots: &["crates/api/src/report.rs", "crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
+        allow: &[("crates/api/src/report.rs", Lines(&["self.trace.emit(ev, in_schedule);"]))],
         planted: &[("crates/core/src/ctx/token.rs", "self.sh.cfg.trace.emit(Event::Coarsen { tid, clock }, true);"),
                    ("crates/baselines/src/dthreads.rs", "sh.cfg.trace.emit_aux(Event::Update { tid, version, pages });")] },
+    Fence { name: "Virtual time moves with its row",
+        why: "A thread's virtual time is private to its dmt_api::Ledger, which moves it only by charging a Breakdown row, \
+              so the rows sum to the time the thread ran (closing it checks that); a hand-kept copy drifts.",
+        roots: &["crates/core/src", "crates/baselines/src"], scan: NonTestCode, needles: &[".v +=", ".v = ", r"\bbd."], allow: &[],
+        planted: &[("crates/core/src/ctx/barrier.rs", "self.bd.barrier_wait += self.v - from;"),
+                   ("crates/baselines/src/pthreads.rs", "self.v += self.cost.pthread_lock;")] },
     Fence { name: "The fences are this table", why: "A fence is a row of this table, not a step in CI.",
         roots: &[".github/workflows"], scan: All, needles: &["grep -rn"], allow: &[],
         planted: &[(".github/workflows/ci.yml", "got=$(grep -rnE 'SeqCst' crates/clock/src || true)")] },
