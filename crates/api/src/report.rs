@@ -271,8 +271,8 @@ impl Counters {
 ///
 /// Virtual time moves only by charging a [`Row`], so the rows sum to the
 /// virtual time the thread ran ([`Closed::file`] checks it), and every
-/// event the thread emits is folded into its counters before the sink
-/// sees it ([`Ledger::emit_as`]).
+/// event the thread emits is folded into its counters and counted by kind
+/// before the sink sees it ([`Ledger::emit_as`]).
 pub struct Ledger {
     v: u64,
     start: u64,
@@ -284,6 +284,8 @@ pub struct Ledger {
     /// line. An event-backed `Det` row is counted by [`Ledger::emit_as`]
     /// alone, `faults` by [`Ledger::faults`], a `Racy` row where it happens.
     pub cnt: CachePadded<Counters>,
+    /// The events the thread emitted, by kind.
+    events: EventCounts,
 }
 
 impl Ledger {
@@ -298,6 +300,7 @@ impl Ledger {
             trace: cfg.trace.clone(),
             perturber: cfg.perturb.clone(),
             cnt: CachePadded::new(Counters::default()),
+            events: EventCounts::default(),
         }
     }
 
@@ -339,12 +342,13 @@ impl Ledger {
         n > 0
     }
 
-    /// Folds `ev` into the counters ([`Counters::count`]) and emits it,
-    /// into the schedule or as an auxiliary event: the one door of every
-    /// event the thread emits, sink or no sink.
+    /// Folds `ev` into the counters ([`Counters::count`]), counts its
+    /// kind and emits it, into the schedule or as an auxiliary event: the
+    /// one door of every event the thread emits, sink or no sink.
     #[inline]
     pub fn emit_as(&mut self, ev: Event, in_schedule: bool) {
         self.cnt.count(&ev);
+        self.events.record(ev.kind());
         self.trace.emit(ev, in_schedule);
     }
 
@@ -369,6 +373,7 @@ pub struct Closed {
     /// The closed ledgers' counters, summed, and the runtime's own `Racy`
     /// rows.
     pub counters: Counters,
+    events: EventCounts,
     max_v: u64,
 }
 
@@ -378,6 +383,7 @@ impl Closed {
         let (bd, cnt, v) = led.close();
         self.per_thread.push((led.tid, bd));
         self.counters += cnt;
+        self.events += led.events;
         self.max_v = self.max_v.max(v);
     }
 }
@@ -419,7 +425,8 @@ pub struct RunReport {
     /// runtimes when a hashing sink is attached; 0 when tracing is off.
     /// For pthreads it varies run to run — that variance is the point.
     pub schedule_hash: u64,
-    /// Per-category trace event counts (zeroes when tracing is off).
+    /// Per-category event counts: the filed ledgers' counts summed, as
+    /// `counters` are, with or without a sink.
     pub events: EventCounts,
     /// Number of threads that ran (including the main job).
     pub threads: u32,
@@ -448,9 +455,9 @@ pub struct RunReport {
 
 impl RunReport {
     /// The report every runtime shares: the `closed` ledgers' rows sorted
-    /// by tid and summed into `breakdown`, their counters, and their latest
-    /// virtual time as `virtual_cycles`; `wall` read now; the schedule
-    /// hash, event counts and plan identity read from `cfg`'s trace and
+    /// by tid and summed into `breakdown`, their counters and event counts,
+    /// and their latest virtual time as `virtual_cycles`; `wall` read now;
+    /// the schedule hash and plan identity read from `cfg`'s trace and
     /// perturber, and a trace-sink fault reported as `fault` with
     /// `degraded` set. The runtime then sets the fields it owns (peaks,
     /// commit-log hash, contained panics, a watchdog fault).
@@ -458,6 +465,7 @@ impl RunReport {
         let Closed {
             mut per_thread,
             counters,
+            events,
             max_v,
         } = closed;
         per_thread.sort_by_key(|(t, _)| *t);
@@ -480,7 +488,7 @@ impl RunReport {
             peak_clock_history: 0,
             commit_log_hash: 0,
             schedule_hash: cfg.trace.schedule_hash(),
-            events: cfg.trace.counts(),
+            events,
             threads,
             perturb_seed: cfg.perturb.seed(),
             perturb_plan: cfg.perturb.plan_digest(),
@@ -506,7 +514,7 @@ mod tests {
 
     use super::*;
     use crate::ids::DomainId;
-    use crate::trace::TraceSink;
+    use crate::trace::{EventKind, TraceSink};
 
     #[test]
     fn breakdown_total_and_overhead() {
@@ -641,6 +649,7 @@ mod tests {
         let sent = std::panic::catch_unwind(AssertUnwindSafe(|| led.emit(ev)));
         assert!(sent.is_err(), "the sink saw the event");
         assert_eq!(led.cnt.token_acquisitions, 1);
+        assert_eq!(led.events.get(EventKind::TokenAcquire), 1);
     }
 
     #[test]

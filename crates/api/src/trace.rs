@@ -11,10 +11,9 @@
 //!
 //! * [`Event`] — one synchronization event, compact and `Copy`;
 //! * [`TraceSink`] — where runtimes send events: [`HashSink`]
-//!   (incremental FNV-1a **schedule hash** plus per-category counts),
-//!   [`MemorySink`] (bounded ring buffer retaining the most recent events
-//!   for diagnosis). The default is no sink at all ([`TraceHandle::off`]),
-//!   a single branch per event;
+//!   (incremental FNV-1a **schedule hash**), [`MemorySink`] (bounded ring
+//!   buffer retaining the most recent events for diagnosis). The default
+//!   is no sink at all ([`TraceHandle::off`]), a single branch per event;
 //! * [`diagnose`] / [`Divergence`] — given two recorded traces, the first
 //!   differing event with surrounding context, instead of a bare hash
 //!   mismatch.
@@ -27,9 +26,9 @@
 //! hash. Events whose real-time interleaving is *not* part of the
 //! determinism contract — counter-overflow publications under adaptive
 //! notification (§3.2), parallel-phase update work in DThreads — are
-//! emitted as auxiliary: counted, but never hashed. So are the commits of
-//! the parallel barrier's participants, which merge outside the token,
-//! and every barrier leaver's update to the installed version. The
+//! emitted as auxiliary: counted by the ledger, never hashed. So are the
+//! commits of the parallel barrier's participants, which merge outside the
+//! token, and every barrier leaver's update to the installed version. The
 //! nondeterministic pthreads baseline emits everything as schedule events;
 //! its hash varying across runs is the negative control.
 //!
@@ -37,10 +36,11 @@
 //!
 //! Each runtime's per-thread context emits through one helper that first
 //! folds the event into that thread's [`Counters`](crate::Counters)
-//! ([`Counters::count`](crate::Counters::count)), tracing on or off. The
-//! event-backed deterministic counters of a run are therefore the fold of
-//! its stream, schedule and auxiliary events alike: a sink that folds what
-//! it is sent reads them exactly.
+//! ([`Counters::count`](crate::Counters::count)) and counts its kind
+//! ([`crate::RunReport::events`]), tracing on or off. The event-backed
+//! deterministic counters and the per-kind counts of a run are therefore
+//! the fold of its stream, schedule and auxiliary events alike: a sink
+//! that folds what it is sent reads them exactly, and no sink counts.
 //!
 //! # Token domains
 //!
@@ -562,6 +562,7 @@ impl EventCounts {
     }
 
     /// Records one event.
+    #[inline]
     pub fn record(&mut self, kind: EventKind) {
         self.0[kind as usize] += 1;
     }
@@ -580,15 +581,22 @@ impl EventCounts {
     }
 }
 
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, o: EventCounts) {
+        self.0.iter_mut().zip(o.0).for_each(|(a, b)| *a += b);
+    }
+}
+
 /// Destination for runtime trace events.
 ///
 /// `emit` is called from every thread of a run, frequently under the
 /// runtime's global lock; implementations must be cheap and `Sync`.
 /// `in_schedule` is true when the event occupies a slot in the
 /// deterministic total order (see the module docs) — only those events
-/// may enter the schedule hash. `domain` is the emitting token domain;
-/// unsharded runtimes always pass [`DomainId::ROOT`], sharded runs may
-/// interleave several domains into one sink (hashing sinks must fold via
+/// may enter the schedule hash; the others are counted by the ledger,
+/// never hashed. `domain` is the emitting token domain; unsharded
+/// runtimes always pass [`DomainId::ROOT`], sharded runs may interleave
+/// several domains into one sink (hashing sinks must fold via
 /// [`Event::fold_domain`] so per-domain orders stay distinguishable).
 pub trait TraceSink: Send + Sync {
     /// Records one event.
@@ -597,11 +605,6 @@ pub trait TraceSink: Send + Sync {
     /// The schedule hash accumulated so far (0 for sinks that don't hash).
     fn schedule_hash(&self) -> u64 {
         0
-    }
-
-    /// Per-category counts accumulated so far.
-    fn counts(&self) -> EventCounts {
-        EventCounts::default()
     }
 
     /// A fault that degraded (but did not abort) the sink mid-run — e.g.
@@ -614,42 +617,13 @@ pub trait TraceSink: Send + Sync {
     }
 }
 
-/// What a hashing sink keeps: the schedule hash of the in-schedule events
-/// ([`Event::fold_domain`]) and the per-category counts of all of them.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Tally {
-    hash: Fnv1a,
-    counts: EventCounts,
-}
-
-impl Tally {
-    /// Counts `ev`, and folds it into the hash if it is in the schedule.
-    #[inline]
-    pub fn record(&mut self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        if in_schedule {
-            ev.fold_domain(domain, &mut self.hash);
-        }
-        self.counts.record(ev.kind());
-    }
-
-    /// The schedule hash so far.
-    pub fn hash(&self) -> u64 {
-        self.hash.digest()
-    }
-
-    /// The counts so far.
-    pub fn counts(&self) -> EventCounts {
-        self.counts
-    }
-}
-
 /// Folds every schedule event into an incremental FNV-1a **schedule
-/// hash** as it is emitted, and counts all events per category. Two runs
-/// of a deterministic runtime on the same program must produce identical
+/// hash** as it is emitted ([`Event::fold_domain`]). Two runs of a
+/// deterministic runtime on the same program must produce identical
 /// hashes; the hash is O(1) memory regardless of run length.
 #[derive(Default)]
 pub struct HashSink {
-    st: Mutex<Tally>,
+    hash: Mutex<Fnv1a>,
 }
 
 impl HashSink {
@@ -661,28 +635,26 @@ impl HashSink {
 
 impl TraceSink for HashSink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        self.st.lock().record(ev, in_schedule, domain);
+        if in_schedule {
+            ev.fold_domain(domain, &mut self.hash.lock());
+        }
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().hash()
-    }
-
-    fn counts(&self) -> EventCounts {
-        self.st.lock().counts()
+        self.hash.lock().digest()
     }
 }
 
 struct MemoryState {
     events: VecDeque<(DomainId, Event)>,
     dropped: u64,
-    tally: Tally,
+    hash: Fnv1a,
 }
 
 /// Retains the most recent schedule events in a bounded ring buffer (for
-/// [`diagnose`]) while also maintaining the schedule hash and counts.
-/// Auxiliary events are counted but not retained: retaining them would
-/// make recorded traces incomparable across runs.
+/// [`diagnose`]) while also maintaining the schedule hash. Auxiliary
+/// events are counted by the ledger, never hashed, and not retained:
+/// retaining them would make recorded traces incomparable across runs.
 pub struct MemorySink {
     st: Mutex<MemoryState>,
     cap: usize,
@@ -695,7 +667,7 @@ impl MemorySink {
             st: Mutex::new(MemoryState {
                 events: VecDeque::new(),
                 dropped: 0,
-                tally: Tally::default(),
+                hash: Fnv1a::new(),
             }),
             cap: cap.max(1),
         }
@@ -722,23 +694,20 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        let mut st = self.st.lock();
-        st.tally.record(ev, in_schedule, domain);
-        if in_schedule {
-            if st.events.len() == self.cap {
-                st.events.pop_front();
-                st.dropped += 1;
-            }
-            st.events.push_back((domain, *ev));
+        if !in_schedule {
+            return;
         }
+        let mut st = self.st.lock();
+        ev.fold_domain(domain, &mut st.hash);
+        if st.events.len() == self.cap {
+            st.events.pop_front();
+            st.dropped += 1;
+        }
+        st.events.push_back((domain, *ev));
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().tally.hash()
-    }
-
-    fn counts(&self) -> EventCounts {
-        self.st.lock().tally.counts()
+        self.st.lock().hash.digest()
     }
 }
 
@@ -791,7 +760,7 @@ impl TraceHandle {
 
     /// Emits `ev` to the sink, if one is attached: a schedule event (a
     /// slot in the deterministic total order) when `in_schedule`, else an
-    /// auxiliary one (counted, never hashed).
+    /// auxiliary one (counted by the ledger, never hashed).
     #[inline]
     pub fn emit(&self, ev: Event, in_schedule: bool) {
         if let Some(s) = &self.sink {
@@ -802,13 +771,6 @@ impl TraceHandle {
     /// The sink's schedule hash (0 when off or non-hashing).
     pub fn schedule_hash(&self) -> u64 {
         self.sink.as_ref().map_or(0, |s| s.schedule_hash())
-    }
-
-    /// The sink's event counts (zeroes when off).
-    pub fn counts(&self) -> EventCounts {
-        self.sink
-            .as_ref()
-            .map_or_else(EventCounts::default, |s| s.counts())
     }
 
     /// The sink's degraded-recording fault, if it hit one (`None` when
@@ -920,19 +882,27 @@ mod tests {
     fn aux_events_are_counted_but_not_hashed() {
         let a = HashSink::new();
         a.emit(&ev(0, 1), true, DomainId::ROOT);
-        let b = HashSink::new();
-        b.emit(&ev(0, 1), true, DomainId::ROOT);
-        b.emit(
-            &Event::Publish {
+        let b = Arc::new(HashSink::new());
+        let cfg = crate::CommonConfig {
+            trace: TraceHandle::to(b.clone()),
+            ..crate::CommonConfig::default()
+        };
+        let mut led = crate::Ledger::new(&cfg, Tid(3), 0);
+        led.emit(ev(0, 1));
+        led.emit_as(
+            Event::Publish {
                 tid: Tid(3),
                 clock: 99,
             },
             false,
-            DomainId::ROOT,
         );
+        let mut closed = crate::Closed::default();
+        closed.file(&led);
+        let r = crate::RunReport::new(&cfg, std::time::Instant::now(), closed, 1);
         assert_eq!(a.schedule_hash(), b.schedule_hash());
-        assert_eq!(b.counts().get(EventKind::Publish), 1);
-        assert_eq!(b.counts().total(), 2);
+        assert_eq!(r.schedule_hash, b.schedule_hash());
+        assert_eq!(r.events.get(EventKind::Publish), 1);
+        assert_eq!(r.events.total(), 2);
     }
 
     #[test]

@@ -169,7 +169,7 @@ impl DtCtx {
         let sh = Arc::clone(&self.sh);
         let ur = sh.seg.update_to(self.ws(), upto);
         // Updates run in the parallel phase, racing each other in real
-        // time: auxiliary (counted, never hashed).
+        // time: auxiliary (counted by the ledger, never hashed).
         self.led.emit_as(
             Event::Update {
                 tid: self.tid,

@@ -95,12 +95,19 @@ fn rr_and_ic_schedules_differ_but_are_each_stable() {
 
 #[test]
 fn schedule_off_by_default_costs_nothing() {
-    // Tracing is off unless a sink is attached: the run reports no events
-    // and a zero schedule hash.
-    let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
-    let r = rt.run(Box::new(|ctx| ctx.tick(100)));
-    assert_eq!(r.events.get(EventKind::TokenAcquire), 0);
-    assert_eq!(r.schedule_hash, 0);
+    // Tracing is off unless a sink is attached: the run reports a zero
+    // schedule hash, and the event counts the ledgers kept, exactly those
+    // of the same run with a hashing sink attached.
+    let off = trace_program(TraceHandle::off(), Options::consequence_ic(), 0);
+    let hashed = trace_program(
+        TraceHandle::to(Arc::new(HashSink::new())),
+        Options::consequence_ic(),
+        0,
+    );
+    assert_eq!(off.schedule_hash, 0);
+    assert_ne!(hashed.schedule_hash, 0);
+    assert!(off.events.get(EventKind::TokenAcquire) > 0);
+    assert_eq!(off.events, hashed.events);
 }
 
 /// The mixed-primitive program used by the event-trace tests below:

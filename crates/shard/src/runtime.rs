@@ -305,7 +305,10 @@ pub struct DomainHooks {
     pub perturb: Vec<PerturbHandle>,
     /// A sink every domain emits into, schedule and auxiliary events
     /// alike, each stamped with its domain, in place of the one
-    /// [`ShardCfg::capture`] names.
+    /// [`ShardCfg::capture`] names. Shared, it hashes every domain into
+    /// one digest: each domain's `run.schedule_hash` is the shared sink's
+    /// hash when the domain finished, not the domain's. Its `run.events`
+    /// and `run.counters` are the domain's own.
     pub sink: Option<Arc<dyn TraceSink>>,
     /// Tolerate injected losses: when a domain dies early (contained
     /// panic of its driver), skip the served-every-request assert and

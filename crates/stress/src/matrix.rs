@@ -32,8 +32,7 @@
 use std::sync::Arc;
 
 use consequence::Options;
-use dmt_api::trace::Tally;
-use dmt_api::{DomainId, FixedPanic, PanicSite, PerturbHandle, PerturbPlan, Tid};
+use dmt_api::{FixedPanic, Fnv1a, PanicSite, PerturbHandle, PerturbPlan, Tid};
 use dmt_bench::cell::{Cell, Sink};
 use dmt_shard::{
     reference_store_hash, run_sharded_server_hooked, CaptureMode, DomainHooks, ShardCfg,
@@ -202,11 +201,11 @@ fn run_unsharded(c: Comp, cfg: &StressConfig) -> CompRun {
     }
     .run();
     let record_ok = r.events.is_none_or(|(events, dropped)| {
-        let mut t = Tally::default();
+        let mut h = Fnv1a::new();
         for ev in &events {
-            t.record(ev, true, DomainId::ROOT);
+            ev.fold(&mut h);
         }
-        dropped == 0 && !events.is_empty() && t.hash() == r.report.schedule_hash
+        dropped == 0 && !events.is_empty() && h.digest() == r.report.schedule_hash
     });
     CompRun {
         schedule_hash: r.report.schedule_hash,

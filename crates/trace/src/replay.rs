@@ -2,8 +2,8 @@
 //! the one verdict every replay returns, [`Replayed`].
 
 use dmt_api::sync::Mutex;
-use dmt_api::trace::{Divergence, Event, EventCounts, Tally, TraceSink};
-use dmt_api::DomainId;
+use dmt_api::trace::{Divergence, Event, TraceSink};
+use dmt_api::{DomainId, Fnv1a};
 
 use crate::meta::TraceMeta;
 use crate::reader::{Checkpoint, Trace};
@@ -232,7 +232,7 @@ impl Replayed {
 
 struct ReplayState {
     cursor: usize,
-    tally: Tally,
+    hash: Fnv1a,
     divergence: Option<Divergence>,
     next_ckpt: usize,
     checkpoints_passed: u64,
@@ -292,7 +292,7 @@ impl ReplaySink {
         let recorded = trace.domain_events();
         // An empty recording is already exhausted: its prefix hash is
         // the empty-stream hash.
-        let prefix_hash = recorded.is_empty().then(|| Tally::default().hash());
+        let prefix_hash = recorded.is_empty().then(|| Fnv1a::new().digest());
         ReplaySink {
             recorded,
             checkpoints: trace.checkpoints.clone(),
@@ -301,7 +301,7 @@ impl ReplaySink {
             bytes_lost: bytes_lost.unwrap_or(0),
             st: Mutex::new(ReplayState {
                 cursor: 0,
-                tally: Tally::default(),
+                hash: Fnv1a::new(),
                 divergence: None,
                 next_ckpt: 0,
                 checkpoints_passed: 0,
@@ -345,7 +345,7 @@ impl ReplaySink {
             recorded_events: self.meta.event_count,
             replayed_events: st.cursor as u64,
             recorded_hash: self.meta.schedule_hash,
-            replayed_hash: st.tally.hash(),
+            replayed_hash: st.hash.digest(),
             checkpoints_passed: st.checkpoints_passed,
             checkpoints_total: self.checkpoints.len() as u64,
             checkpoint_failure: st.checkpoint_failure,
@@ -369,11 +369,11 @@ impl ReplaySink {
 
 impl TraceSink for ReplaySink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        let mut st = self.st.lock();
-        st.tally.record(ev, in_schedule, domain);
         if !in_schedule {
             return;
         }
+        let mut st = self.st.lock();
+        ev.fold_domain(domain, &mut st.hash);
         let i = st.cursor;
         st.cursor += 1;
         if st.divergence.is_none() {
@@ -410,18 +410,18 @@ impl TraceSink for ReplaySink {
             }
         }
         if st.cursor == self.recorded.len() && st.prefix_hash.is_none() {
-            st.prefix_hash = Some(st.tally.hash());
+            st.prefix_hash = Some(st.hash.digest());
         }
         if let Some(ck) = self.checkpoints.get(st.next_ckpt) {
             if st.cursor as u64 == ck.events {
                 st.next_ckpt += 1;
-                if st.tally.hash() == ck.hash {
+                if st.hash.digest() == ck.hash {
                     st.checkpoints_passed += 1;
                 } else if st.checkpoint_failure.is_none() {
                     st.checkpoint_failure = Some(CheckpointFailure {
                         events: ck.events,
                         recorded: ck.hash,
-                        replayed: st.tally.hash(),
+                        replayed: st.hash.digest(),
                     });
                 }
             }
@@ -429,10 +429,6 @@ impl TraceSink for ReplaySink {
     }
 
     fn schedule_hash(&self) -> u64 {
-        self.st.lock().tally.hash()
-    }
-
-    fn counts(&self) -> EventCounts {
-        self.st.lock().tally.counts()
+        self.st.lock().hash.digest()
     }
 }

@@ -5,7 +5,7 @@ use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use dmt_api::sync::Mutex;
-use dmt_api::trace::{Event, EventCounts, TraceSink};
+use dmt_api::trace::{Event, TraceSink};
 use dmt_api::{DomainId, Fnv1a};
 
 use crate::codec::{encode_in_domain, CodecState};
@@ -303,7 +303,6 @@ impl TraceWriter {
 
 struct DiskState {
     writer: Option<TraceWriter>,
-    counts: EventCounts,
     final_hash: u64,
     io_error: Option<TraceError>,
     /// Human-readable fault description recorded the moment a mid-run
@@ -380,7 +379,6 @@ impl DiskSink {
         DiskSink {
             st: Mutex::new(DiskState {
                 writer: Some(writer),
-                counts: EventCounts::default(),
                 final_hash: 0,
                 io_error: None,
                 fault: None,
@@ -418,11 +416,10 @@ impl DiskSink {
 
 impl TraceSink for DiskSink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        let mut st = self.st.lock();
-        st.counts.record(ev.kind());
         if !in_schedule {
             return;
         }
+        let mut st = self.st.lock();
         let mut failed = None;
         if let Some(w) = st.writer.as_mut() {
             if let Err(e) = w.push_in_domain(ev, domain) {
@@ -448,10 +445,6 @@ impl TraceSink for DiskSink {
         st.writer
             .as_ref()
             .map_or(st.final_hash, |w| w.schedule_hash())
-    }
-
-    fn counts(&self) -> EventCounts {
-        self.st.lock().counts
     }
 
     fn fault(&self) -> Option<String> {

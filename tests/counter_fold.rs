@@ -1,15 +1,16 @@
 //! The event-backed `Det` rows of `Counters` are one fold of the event
 //! stream (`Counters::count`): a sink that folds every event it is sent
-//! reads exactly the rows the run reported. The runtimes fold each event
-//! into the emitting thread's counters as they emit it, sink or no sink,
-//! so this holds by construction unless an act is counted without an event
+//! reads exactly the rows the run reported, and, counting each event's
+//! kind, exactly the run's `events`. The runtimes fold and count each event
+//! in the emitting thread's ledger as they emit it, sink or no sink, so
+//! this holds by construction unless an act is counted without an event
 //! or an event is emitted past the fold.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use consequence_repro::consequence::Options;
-use consequence_repro::dmt_api::trace::{Event, TraceSink};
+use consequence_repro::dmt_api::trace::{Event, EventCounts, EventKind, TraceSink};
 use consequence_repro::dmt_api::{Class, Counters, DomainId};
 use consequence_repro::dmt_baselines::RuntimeKind;
 use consequence_repro::dmt_shard::{run_sharded_server_hooked, DomainHooks, ShardCfg};
@@ -30,12 +31,12 @@ fn folded_rows(c: &Counters) -> Vec<(&'static str, u64)> {
 }
 
 /// Folds every event it is sent, schedule and auxiliary alike, into the
-/// counters of the event's domain.
+/// counters of the event's domain, and tallies its kind there.
 #[derive(Default)]
-struct CountingSink(Mutex<BTreeMap<DomainId, Counters>>);
+struct CountingSink(Mutex<BTreeMap<DomainId, (Counters, EventCounts)>>);
 
 impl CountingSink {
-    fn folded(&self, domain: DomainId) -> Counters {
+    fn folded(&self, domain: DomainId) -> (Counters, EventCounts) {
         self.0
             .lock()
             .unwrap()
@@ -47,11 +48,15 @@ impl CountingSink {
 
 impl TraceSink for CountingSink {
     fn emit(&self, ev: &Event, _in_schedule: bool, domain: DomainId) {
-        self.0.lock().unwrap().entry(domain).or_default().count(ev);
+        let mut seen = self.0.lock().unwrap();
+        let (counters, kinds) = seen.entry(domain).or_default();
+        counters.count(ev);
+        kinds.record(ev.kind());
     }
 }
 
-/// `(reported, folded)` rows of one registry workload under `system`.
+/// `(reported, folded)` rows of one registry workload under `system`,
+/// each row list ending in the per-kind event counts.
 fn run_counted(name: &str, system: impl Into<dmt_bench::cell::System>) -> [Vec<(&str, u64)>; 2] {
     let sink = Arc::new(CountingSink::default());
     let run = Cell {
@@ -60,12 +65,22 @@ fn run_counted(name: &str, system: impl Into<dmt_bench::cell::System>) -> [Vec<(
     }
     .run();
     assert!(run.validation.matches_reference, "{name}");
-    let folded = sink.folded(DomainId::ROOT);
-    [folded_rows(&run.report.counters), folded_rows(&folded)]
+    let (folded, kinds) = sink.folded(DomainId::ROOT);
+    [
+        rows_and_kinds(&run.report.counters, &run.report.events),
+        rows_and_kinds(&folded, &kinds),
+    ]
+}
+
+/// [`folded_rows`] of `c`, then every event kind's count in `events`.
+fn rows_and_kinds(c: &Counters, events: &EventCounts) -> Vec<(&'static str, u64)> {
+    let kinds = EventKind::ALL.iter().map(|k| (k.name(), events.get(*k)));
+    folded_rows(c).into_iter().chain(kinds).collect()
 }
 
 /// On every registry workload under all five runtimes, each event-backed
-/// `Det` row equals the fold of the stream.
+/// `Det` row equals the fold of the stream, and each kind's reported count
+/// the sink's tally.
 #[test]
 fn every_event_backed_row_is_the_fold_of_the_stream() {
     let mut bad = Vec::new();
@@ -105,7 +120,7 @@ fn commits_and_chunks_agree_under_both_barriers() {
 
 /// A sharded run stamps each domain's events with its domain
 /// (`TraceHandle::to_domain`): the events stamped with one domain fold to
-/// that domain's counters.
+/// that domain's counters and tally to its event counts.
 #[test]
 fn each_domain_counts_the_events_stamped_with_it() {
     let sink = Arc::new(CountingSink::default());
@@ -116,11 +131,11 @@ fn each_domain_counts_the_events_stamped_with_it() {
     let r = run_sharded_server_hooked(&ShardCfg::new(2, 3, Params::new(3, 1, 42)), &hooks);
     assert_eq!(r.domains.len(), 2);
     for d in &r.domains {
-        let folded = sink.folded(d.domain);
+        let (folded, kinds) = sink.folded(d.domain);
         assert!(folded.token_acquisitions > 0, "{}: no grants", d.domain);
         assert_eq!(
-            folded_rows(&d.run.counters),
-            folded_rows(&folded),
+            rows_and_kinds(&d.run.counters, &d.run.events),
+            rows_and_kinds(&folded, &kinds),
             "{}",
             d.domain
         );

@@ -4,6 +4,7 @@
 //! results of race-free programs.
 
 use consequence_repro::consequence::{ConsequenceRuntime, Options};
+use consequence_repro::dmt_api::trace::EventKind;
 use consequence_repro::dmt_api::{
     Breakdown, Class, CommonConfig, CostModel, Counters, MemExt, RunReport, Runtime, RuntimeMemExt,
     Tid,
@@ -159,22 +160,25 @@ fn repeated_kernel_runs_are_identical() {
 }
 
 /// Every [`Class::Det`] value of a report's `Counters` and `Breakdown`,
-/// by name.
+/// by name, then each event kind's count.
 fn det_values(r: &RunReport) -> Vec<(&'static str, u64)> {
     let counters = Counters::FIELDS.iter().zip(r.counters.values());
     let breakdown = Breakdown::FIELDS.iter().zip(r.breakdown.values());
+    let kinds = EventKind::ALL.iter().map(|k| (k.name(), r.events.get(*k)));
     counters
         .chain(breakdown)
         .filter(|((_, class), _)| *class == Class::Det)
         .map(|((name, _), v)| (*name, v))
+        .chain(kinds)
         .collect()
 }
 
-/// The metrics table's classes hold: every row classed `Det` is equal
-/// across three runs of a lock kernel, a barrier kernel and the server
-/// under each deterministic configuration (Consequence-IC with a fixed
-/// publication interval, as `GOLDEN_VTIME` runs it, and the other three
-/// deterministic runtimes).
+/// The metrics table's classes hold: every row classed `Det`, and every
+/// event kind's count, auxiliary kinds included, is equal across three
+/// runs of a lock kernel, a barrier kernel and the server under each
+/// deterministic configuration (Consequence-IC with a fixed publication
+/// interval, as `GOLDEN_VTIME` runs it, and the other three deterministic
+/// runtimes). The runs attach no sink: the ledgers count the events.
 #[test]
 fn deterministic_metrics_reproduce() {
     let p = Params::new(4, 1, 42);
@@ -259,7 +263,7 @@ fn schedule_hashes_reproduce_for_deterministic_runtimes() {
 /// stable. Here we only check the instrumentation is live.
 #[test]
 fn pthreads_negative_control_emits_events() {
-    use consequence_repro::dmt_api::trace::{EventKind, HashSink};
+    use consequence_repro::dmt_api::trace::HashSink;
     use consequence_repro::dmt_api::TraceHandle;
     use std::sync::Arc;
     let mut c = cfg(64);

@@ -198,11 +198,19 @@ const FENCES: &[Fence] = &[
                    ("crates/baselines/src/pthreads.rs", "self.cnt.lock_acquires+=1;")] },
     Fence { name: "A runtime emits through its one helper",
         why: "Each runtime's per-thread context sends an event to the sink through its dmt_api::Ledger, whose emit_as \
-              folds it into the thread's counters (Counters::count) first; an event emitted past it would reach the sink uncounted.",
+              folds it into the thread's counters (Counters::count) and counts its kind first; an event emitted past it would \
+              reach the sink uncounted.",
         roots: &["crates/api/src/report.rs", "crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
         allow: &[("crates/api/src/report.rs", Lines(&["self.trace.emit(ev, in_schedule);"]))],
         planted: &[("crates/core/src/ctx/token.rs", "self.sh.cfg.trace.emit(Event::Coarsen { tid, clock }, true);"),
                    ("crates/baselines/src/dthreads.rs", "sh.cfg.trace.emit_aux(Event::Update { tid, version, pages });")] },
+    Fence { name: "A sink counts nothing",
+        why: "RunReport::events is the filed ledgers' counts, kept by Ledger::emit_as and summed by Closed, sink or no sink; \
+              a sink that counted again would read zeros with no sink, totals across domains with a shared one, and take its \
+              lock for every auxiliary event.",
+        roots: SOURCES, scan: All, needles: &["fn counts(", r"\bTally\b", "counts.record("], allow: &[],
+        planted: &[("crates/trace/src/writer.rs", "st.counts.record(ev.kind());"),
+                   ("crates/api/src/trace.rs", "fn counts(&self) -> EventCounts {")] },
     Fence { name: "Virtual time moves with its row",
         why: "A thread's virtual time is private to its dmt_api::Ledger, which moves it only by charging a Breakdown row, \
               so the rows sum to the time the thread ran (closing it checks that); a hand-kept copy drifts.",
