@@ -38,6 +38,49 @@
 //! harness then asserts the schedule hash never moves. See
 //! `docs/STRESS.md`.
 
+/// Declares a fieldless enum whose members each have a stable name, once:
+/// the enum (`repr(u8)`, each discriminant its place in declaration
+/// order), `ALL`, the name accessor `fn $acc`, a lookup by name when a
+/// second `fn` is given, and `Display` as the name.
+#[macro_export]
+macro_rules! named_enum {
+    ($(#[$meta:meta])* pub enum $name:ident, fn $acc:ident $(, fn $lookup:ident)? {
+        $($(#[$vmeta:meta])* $v:ident => $s:literal,)+
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum $name {
+            $($(#[$vmeta])* $v,)+
+        }
+
+        impl $name {
+            /// Every member, in declaration order.
+            pub const ALL: [$name; [$($s),+].len()] = [$($name::$v),+];
+
+            /// The member's stable name, as reports and command lines spell it.
+            pub fn $acc(self) -> &'static str {
+                match self {
+                    $($name::$v => $s,)+
+                }
+            }
+
+            $(
+                /// The member that `name` names, if any.
+                pub fn $lookup(name: &str) -> Option<$name> {
+                    $name::ALL.into_iter().find(|m| m.$acc() == name)
+                }
+            )?
+        }
+
+        impl ::std::fmt::Display for $name {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                f.write_str(self.$acc())
+            }
+        }
+    };
+}
+
 pub mod cost;
 pub mod ctx;
 pub mod error;

@@ -37,111 +37,58 @@ use std::sync::Arc;
 use crate::hash::Fnv1a;
 use crate::ids::Tid;
 
-/// An injection point inside a runtime.
-///
-/// Sites identify *where* in the runtime a perturbation fires, so plans can
-/// be shrunk site-by-site to a minimal reproducer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum PerturbSite {
-    /// Just before a thread queues for the global token / RR turn.
-    TokenAcquire,
-    /// Counter-overflow publication timing (early/late interval bias).
-    Overflow,
-    /// Before committing dirty pages to the version chain.
-    Commit,
-    /// Before applying remote versions to the local workspace.
-    Update,
-    /// On a copy-on-write page fault.
-    Fault,
-    /// At barrier arrival / departure phase edges.
-    Barrier,
-    /// Spurious condition-variable / wake-flag notification attempts.
-    CondWake,
-    /// DThreads fence phase edges (arrival, serial turn, parallel resume).
-    Fence,
-    /// pthreads lock paths — stirs the negative control's OS scheduling.
-    LockPath,
-}
-
-impl PerturbSite {
-    /// Every site, in declaration order.
-    pub const ALL: [PerturbSite; 9] = [
-        PerturbSite::TokenAcquire,
-        PerturbSite::Overflow,
-        PerturbSite::Commit,
-        PerturbSite::Update,
-        PerturbSite::Fault,
-        PerturbSite::Barrier,
-        PerturbSite::CondWake,
-        PerturbSite::Fence,
-        PerturbSite::LockPath,
-    ];
-
-    /// Stable lowercase name (used in reports and reproducers).
-    pub fn name(self) -> &'static str {
-        match self {
-            PerturbSite::TokenAcquire => "token_acquire",
-            PerturbSite::Overflow => "overflow",
-            PerturbSite::Commit => "commit",
-            PerturbSite::Update => "update",
-            PerturbSite::Fault => "fault",
-            PerturbSite::Barrier => "barrier",
-            PerturbSite::CondWake => "cond_wake",
-            PerturbSite::Fence => "fence",
-            PerturbSite::LockPath => "lock_path",
-        }
-    }
-
-    /// Parses [`PerturbSite::name`] back into a site.
-    pub fn by_name(name: &str) -> Option<PerturbSite> {
-        PerturbSite::ALL.iter().copied().find(|s| s.name() == name)
+crate::named_enum! {
+    /// An injection point inside a runtime.
+    ///
+    /// Sites identify *where* in the runtime a perturbation fires, so plans can
+    /// be shrunk site-by-site to a minimal reproducer.
+    pub enum PerturbSite, fn name, fn by_name {
+        /// Just before a thread queues for the global token / RR turn.
+        TokenAcquire => "token_acquire",
+        /// Counter-overflow publication timing (early/late interval bias).
+        Overflow => "overflow",
+        /// Before committing dirty pages to the version chain.
+        Commit => "commit",
+        /// Before applying remote versions to the local workspace.
+        Update => "update",
+        /// On a copy-on-write page fault.
+        Fault => "fault",
+        /// At barrier arrival / departure phase edges.
+        Barrier => "barrier",
+        /// Spurious condition-variable / wake-flag notification attempts.
+        CondWake => "cond_wake",
+        /// DThreads fence phase edges (arrival, serial turn, parallel resume).
+        Fence => "fence",
+        /// pthreads lock paths — stirs the negative control's OS scheduling.
+        LockPath => "lock_path",
     }
 }
 
-impl fmt::Display for PerturbSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+crate::named_enum! {
+    /// A workload-visible operation at which a panic can be injected.
+    ///
+    /// Unlike [`PerturbSite`] hook points — which may only move *real* time —
+    /// panic injection kills the calling thread at a deterministic point in
+    /// its own instruction stream (the N-th lock / barrier / commit *that
+    /// thread* performs). The resulting death is therefore itself a
+    /// deterministic event, and the runtime's containment of it (poison
+    /// delivery, token reclamation, `ThreadPanicked` joins) must reproduce
+    /// bit-identical surviving-thread schedules across reruns of the same
+    /// seed. See `docs/ROBUSTNESS.md`.
+    pub enum PanicSite, fn name {
+        /// On entry to `mutex_lock` (the injected thread may already hold
+        /// other mutexes — the poison path).
+        Lock => "lock",
+        /// On entry to `barrier_wait` (kills a barrier party — the broken-
+        /// barrier path).
+        Barrier => "barrier",
+        /// On entry to a commit (the injected thread holds the global token —
+        /// the token-reclamation path).
+        Commit => "commit",
     }
-}
-
-/// A workload-visible operation at which a panic can be injected.
-///
-/// Unlike [`PerturbSite`] hook points — which may only move *real* time —
-/// panic injection kills the calling thread at a deterministic point in
-/// its own instruction stream (the N-th lock / barrier / commit *that
-/// thread* performs). The resulting death is therefore itself a
-/// deterministic event, and the runtime's containment of it (poison
-/// delivery, token reclamation, `ThreadPanicked` joins) must reproduce
-/// bit-identical surviving-thread schedules across reruns of the same
-/// seed. See `docs/ROBUSTNESS.md`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum PanicSite {
-    /// On entry to `mutex_lock` (the injected thread may already hold
-    /// other mutexes — the poison path).
-    Lock,
-    /// On entry to `barrier_wait` (kills a barrier party — the broken-
-    /// barrier path).
-    Barrier,
-    /// On entry to a commit (the injected thread holds the global token —
-    /// the token-reclamation path).
-    Commit,
 }
 
 impl PanicSite {
-    /// Every site, in declaration order.
-    pub const ALL: [PanicSite; 3] = [PanicSite::Lock, PanicSite::Barrier, PanicSite::Commit];
-
-    /// Stable lowercase name (used in reports and reproducers).
-    pub fn name(self) -> &'static str {
-        match self {
-            PanicSite::Lock => "lock",
-            PanicSite::Barrier => "barrier",
-            PanicSite::Commit => "commit",
-        }
-    }
-
     /// Stable 1-based wire code, as stored in trace metadata (0 there
     /// means "no injected panic", so codes start at 1).
     pub fn code(self) -> u64 {
@@ -155,12 +102,6 @@ impl PanicSite {
             0 => None,
             n => PanicSite::ALL.get(n as usize - 1).copied(),
         }
-    }
-}
-
-impl fmt::Display for PanicSite {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -591,43 +532,20 @@ impl PerturbHandle {
     }
 }
 
-/// A storage-fault class the trace-chaos harness injects under a
-/// recording's [`TraceMedia`](crate::trace) — exercising the salvage
-/// path with every way a real disk write dies mid-run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IoFaultKind {
-    /// The medium absorbs only part of a write, then fails — a torn
-    /// page in the middle of the stream.
-    ShortWrite,
-    /// Every write past the trigger point fails with `ENOSPC`.
-    NoSpace,
-    /// Writes past the trigger point are silently dropped (the classic
-    /// lost-tail tear: the file *looks* fine until its digests are
-    /// checked).
-    TornTail,
-}
-
-impl IoFaultKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [IoFaultKind; 3] = [
-        IoFaultKind::ShortWrite,
-        IoFaultKind::NoSpace,
-        IoFaultKind::TornTail,
-    ];
-
-    /// Stable lowercase name (used in reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            IoFaultKind::ShortWrite => "short_write",
-            IoFaultKind::NoSpace => "no_space",
-            IoFaultKind::TornTail => "torn_tail",
-        }
-    }
-}
-
-impl fmt::Display for IoFaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
+crate::named_enum! {
+    /// A storage-fault class the trace-chaos harness injects under a
+    /// recording's [`TraceMedia`](crate::trace) — exercising the salvage
+    /// path with every way a real disk write dies mid-run.
+    pub enum IoFaultKind, fn name {
+        /// The medium absorbs only part of a write, then fails — a torn
+        /// page in the middle of the stream.
+        ShortWrite => "short_write",
+        /// Every write past the trigger point fails with `ENOSPC`.
+        NoSpace => "no_space",
+        /// Writes past the trigger point are silently dropped (the classic
+        /// lost-tail tear: the file *looks* fine until its digests are
+        /// checked).
+        TornTail => "torn_tail",
     }
 }
 
@@ -675,6 +593,7 @@ impl fmt::Debug for PerturbHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::EventKind;
 
     #[test]
     fn full_plan_covers_every_site_with_distinct_seeds() {
@@ -704,12 +623,30 @@ mod tests {
         assert_eq!(a.digest(), PerturbPlan::full(1).digest());
     }
 
+    /// Every named set keeps its declaration order as its discriminants
+    /// and names each member once, and its lookups invert its names.
     #[test]
     fn site_names_round_trip() {
+        macro_rules! sets {
+            ($($set:ident),+) => {[$(
+                (stringify!($set), $set::ALL.map(|m| (m as usize, m.name(), m.to_string())).to_vec())
+            ),+]};
+        }
+        for (set, members) in sets!(EventKind, PerturbSite, PanicSite, IoFaultKind) {
+            let mut names = std::collections::HashSet::new();
+            for (i, (tag, name, shown)) in members.into_iter().enumerate() {
+                assert_eq!((tag, shown.as_str()), (i, name), "{set}::ALL[{i}]");
+                assert!(names.insert(name), "{set} names {name} twice");
+            }
+        }
         for s in PerturbSite::ALL {
             assert_eq!(PerturbSite::by_name(s.name()), Some(s));
         }
         assert_eq!(PerturbSite::by_name("nope"), None);
+        for s in PanicSite::ALL {
+            assert_eq!(PanicSite::from_code(s.code()), Some(s));
+        }
+        assert_eq!(PanicSite::from_code(0), None);
     }
 
     #[test]

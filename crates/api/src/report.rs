@@ -6,7 +6,9 @@
 //! and its `values()` derive from that row ([`Row`] too, for
 //! [`Breakdown`]). [`Counters::count`] beside the table defines each
 //! event-backed [`Counters`] row as a fold of the run's [`Event`] stream,
-//! and a thread's [`Ledger`] keeps both for it.
+//! and a thread's [`Ledger`] keeps both for it: it sums the event values
+//! a row reads as each event passes, counts each kind once, and sets the
+//! rows that count a kind from those counts when it closes.
 
 use std::ops::AddAssign;
 use std::time::{Duration, Instant};
@@ -15,7 +17,7 @@ use crate::ids::Tid;
 use crate::pad::CachePadded;
 use crate::perturb::{PerturbHandle, PerturbSite};
 use crate::runtime::CommonConfig;
-use crate::trace::{Event, EventCounts, TraceHandle};
+use crate::trace::{Event, EventCounts, EventKind, TraceHandle};
 
 /// Whether a metric reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -150,10 +152,12 @@ metrics! {
     /// Every `Det` row but `faults` and the three inert ones is a fold of
     /// the run's [`Event`] stream, defined once by [`Counters::count`]:
     /// each row's doc names the event it folds. A runtime's per-thread
-    /// context folds every event it emits into its own counters, tracing
-    /// on or off, so a sink that folds the stream it was sent reads those
-    /// rows exactly (`tests/counter_fold.rs`). `faults` and the inert rows
-    /// have no event, and the `Racy` rows are counted where they happen.
+    /// [`Ledger`] folds every event it emits, tracing on or off: the
+    /// values as the event passes, the rows that count a kind from the
+    /// ledger's kind counts when it closes. So a sink that folds the stream
+    /// it was sent reads those rows exactly (`tests/counter_fold.rs`).
+    /// `faults` and the inert rows have no event, and the `Racy` rows are
+    /// counted where they happen.
     pub struct Counters {
         /// Commit operations performed: one per [`Event::Commit`].
         Det commits,
@@ -242,27 +246,35 @@ impl Counters {
     /// Folds one event into the rows it backs: the one definition of every
     /// event-backed [`Class::Det`] row. Schedule and auxiliary events count
     /// alike; an event kind no row reads changes nothing.
-    #[inline]
     pub fn count(&mut self, ev: &Event) {
+        self.sum_values(ev);
+        self.add_kinds(|k| u64::from(k == ev.kind()));
+    }
+
+    /// Folds the rows that sum an event's values.
+    #[inline]
+    fn sum_values(&mut self, ev: &Event) {
         match *ev {
             Event::Commit { pages, merged, .. } => {
-                self.commits += 1;
-                self.chunks += 1;
                 self.pages_committed += u64::from(pages);
                 self.pages_merged += u64::from(merged);
             }
             Event::Update { pages, .. } => self.pages_propagated += pages,
-            Event::TokenAcquire { .. } => self.token_acquisitions += 1,
-            Event::MutexLock { .. } => self.lock_acquires += 1,
-            Event::BarrierArrive { .. } => self.barrier_waits += 1,
-            Event::CondWait { .. } => self.cond_waits += 1,
-            Event::Spawn { pooled, .. } => {
-                self.spawns += 1;
-                self.pool_hits += u64::from(pooled);
-            }
-            Event::Coarsen { .. } => self.coarsened_chunks += 1,
+            Event::Spawn { pooled, .. } => self.pool_hits += u64::from(pooled),
             _ => {}
         }
+    }
+
+    /// Adds to each row that counts one event kind that kind's `n`.
+    fn add_kinds(&mut self, n: impl Fn(EventKind) -> u64) {
+        self.commits += n(EventKind::Commit);
+        self.chunks += n(EventKind::Commit);
+        self.token_acquisitions += n(EventKind::TokenAcquire);
+        self.lock_acquires += n(EventKind::MutexLock);
+        self.barrier_waits += n(EventKind::BarrierArrive);
+        self.cond_waits += n(EventKind::CondWait);
+        self.spawns += n(EventKind::Spawn);
+        self.coarsened_chunks += n(EventKind::Coarsen);
     }
 }
 
@@ -281,8 +293,9 @@ pub struct Ledger {
     trace: TraceHandle,
     perturber: PerturbHandle,
     /// Cache-padded so that neighbouring threads' counters never share a
-    /// line. An event-backed `Det` row is counted by [`Ledger::emit_as`]
-    /// alone, `faults` by [`Ledger::faults`], a `Racy` row where it happens.
+    /// line. An event-backed `Det` row is folded by [`Ledger::emit_as`]
+    /// alone (a row that counts a kind is zero until the ledger closes),
+    /// `faults` by [`Ledger::faults`], a `Racy` row where it happens.
     pub cnt: CachePadded<Counters>,
     /// The events the thread emitted, by kind.
     events: EventCounts,
@@ -342,12 +355,12 @@ impl Ledger {
         n > 0
     }
 
-    /// Folds `ev` into the counters ([`Counters::count`]), counts its
-    /// kind and emits it, into the schedule or as an auxiliary event: the
-    /// one door of every event the thread emits, sink or no sink.
+    /// Folds `ev`'s values into the counters, counts its kind and emits
+    /// it, into the schedule or as an auxiliary event: the one door of
+    /// every event the thread emits, sink or no sink.
     #[inline]
     pub fn emit_as(&mut self, ev: Event, in_schedule: bool) {
-        self.cnt.count(&ev);
+        self.cnt.sum_values(&ev);
         self.events.record(ev.kind());
         self.trace.emit(ev, in_schedule);
     }
@@ -358,11 +371,14 @@ impl Ledger {
         self.emit_as(ev, true);
     }
 
-    /// The thread's rows, counters and virtual time, at its exit.
+    /// The thread's rows, counters (the rows that count a kind read off
+    /// its kind counts) and virtual time, at its exit.
     fn close(&self) -> (Breakdown, Counters, u64) {
         let (bd, ran) = (self.bd, self.v - self.start);
         debug_assert_eq!(bd.total(), ran, "{}'s rows {bd:?}", self.tid);
-        (bd, *self.cnt, self.v)
+        let mut cnt = *self.cnt;
+        cnt.add_kinds(|k| self.events.get(k));
+        (bd, cnt, self.v)
     }
 }
 
@@ -514,7 +530,7 @@ mod tests {
 
     use super::*;
     use crate::ids::DomainId;
-    use crate::trace::{EventKind, TraceSink};
+    use crate::trace::TraceSink;
 
     #[test]
     fn breakdown_total_and_overhead() {
@@ -648,8 +664,8 @@ mod tests {
         };
         let sent = std::panic::catch_unwind(AssertUnwindSafe(|| led.emit(ev)));
         assert!(sent.is_err(), "the sink saw the event");
-        assert_eq!(led.cnt.token_acquisitions, 1);
         assert_eq!(led.events.get(EventKind::TokenAcquire), 1);
+        assert_eq!(led.close().1.token_acquisitions, 1);
     }
 
     #[test]

@@ -35,9 +35,10 @@
 //! # The stream is the run's account
 //!
 //! Each runtime's per-thread context emits through one helper that first
-//! folds the event into that thread's [`Counters`](crate::Counters)
-//! ([`Counters::count`](crate::Counters::count)) and counts its kind
-//! ([`crate::RunReport::events`]), tracing on or off. The event-backed
+//! counts the event's kind ([`crate::RunReport::events`]) and folds its
+//! values into that thread's [`Counters`](crate::Counters), tracing on or
+//! off ([`Counters::count`](crate::Counters::count) defines the rows;
+//! those that count a kind are read off the kind counts). The event-backed
 //! deterministic counters and the per-kind counts of a run are therefore
 //! the fold of its stream, schedule and auxiliary events alike: a sink
 //! that folds what it is sent reads them exactly, and no sink counts.
@@ -63,206 +64,6 @@ use std::sync::Arc;
 use crate::hash::Fnv1a;
 use crate::ids::{BarrierId, CondId, DomainId, MutexId, RwLockId, Tid};
 use crate::sync::Mutex;
-
-/// One synchronization event in a runtime's deterministic total order.
-///
-/// Fields are the *deterministic* coordinates of the event: thread ids,
-/// logical clocks, object ids, ticket numbers, version ids and dirty-page
-/// digests. Virtual times and wall times are deliberately absent — they
-/// carry no additional schedule information and (for wall time) would
-/// destroy hash stability.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Event {
-    /// A thread acquired the global token (GMIC grant or round-robin
-    /// turn) at the given logical clock.
-    TokenAcquire { tid: Tid, clock: u64 },
-    /// The token holder released the token.
-    TokenRelease { tid: Tid, clock: u64 },
-    /// A thread left the deterministic order to block (`clockDepart`).
-    Depart { tid: Tid, clock: u64 },
-    /// A deterministic mutex acquisition; `ticket` is the per-lock
-    /// acquisition ordinal.
-    MutexLock {
-        tid: Tid,
-        mutex: MutexId,
-        ticket: u64,
-    },
-    /// A thread queued on a held mutex.
-    MutexBlock { tid: Tid, mutex: MutexId },
-    /// A mutex release; `woke` is the waiter handed the lock, if any.
-    MutexUnlock {
-        tid: Tid,
-        mutex: MutexId,
-        woke: Option<Tid>,
-    },
-    /// A condition wait (mutex released, thread departed).
-    CondWait {
-        tid: Tid,
-        cond: CondId,
-        mutex: MutexId,
-    },
-    /// A signal; `woken` is the deterministically-earliest waiter, if any.
-    CondSignal {
-        tid: Tid,
-        cond: CondId,
-        woken: Option<Tid>,
-    },
-    /// A broadcast waking `woken` waiters.
-    CondBroadcast { tid: Tid, cond: CondId, woken: u32 },
-    /// Arrival at a barrier generation.
-    BarrierArrive {
-        tid: Tid,
-        barrier: BarrierId,
-        gen: u64,
-    },
-    /// A barrier generation opened (commits installed); emitted by the
-    /// last arriver while it still holds the token (§4.2 two-phase
-    /// commit), `install_version` being the version every leaver updates
-    /// to.
-    BarrierOpen {
-        tid: Tid,
-        barrier: BarrierId,
-        gen: u64,
-        install_version: u64,
-    },
-    /// A read-write lock acquisition (`writer` distinguishes the mode).
-    RwAcquire {
-        tid: Tid,
-        lock: RwLockId,
-        writer: bool,
-    },
-    /// A read-write lock release.
-    RwRelease {
-        tid: Tid,
-        lock: RwLockId,
-        writer: bool,
-    },
-    /// A Conversion commit: `version` is the created (or, with no dirty
-    /// pages, the pre-existing) version id; `page_set` digests the dirty
-    /// page ids. Each parallel-barrier participant emits its own as an
-    /// auxiliary event after its phase-2 merge: `pages` and `merged` are
-    /// the pages it merged, which the install credits to it, and `version`
-    /// and `page_set` are zero (the install numbers the versions later).
-    Commit {
-        tid: Tid,
-        version: u64,
-        pages: u32,
-        merged: u32,
-        page_set: u64,
-    },
-    /// An update pulling remote versions into the local workspace. A
-    /// barrier leaver's update to the installed version, and a DThreads
-    /// update in the parallel phase, are auxiliary.
-    Update { tid: Tid, version: u64, pages: u64 },
-    /// Thread creation; `pooled` marks §3.3 thread-pool reuse.
-    Spawn {
-        parent: Tid,
-        child: Tid,
-        pooled: bool,
-    },
-    /// A join that observed the target's exit.
-    Join { tid: Tid, target: Tid },
-    /// Thread exit at the given logical clock.
-    Exit { tid: Tid, clock: u64 },
-    /// A contained workload panic: the thread died at the given logical
-    /// clock, after deterministically poisoning its held locks and
-    /// departing the order. A schedule event — the death is part of the
-    /// deterministic total order and must reproduce across reruns.
-    ThreadPanic { tid: Tid, clock: u64 },
-    /// A logical-clock publication (counter overflow, §3.2). Auxiliary:
-    /// its real-time interleaving is not part of the determinism contract
-    /// under adaptive notification.
-    Publish { tid: Tid, clock: u64 },
-    /// A §3.5 fast-forward: the token taker jumped its lagging clock.
-    FastForward { tid: Tid, from: u64, to: u64 },
-    /// A §3.1 coarsening decision: the token was retained across the end
-    /// of a synchronization operation, deferring the commit.
-    Coarsen { tid: Tid, clock: u64 },
-}
-
-/// Event categories, for counting and display.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum EventKind {
-    TokenAcquire,
-    TokenRelease,
-    Depart,
-    MutexLock,
-    MutexBlock,
-    MutexUnlock,
-    CondWait,
-    CondSignal,
-    CondBroadcast,
-    BarrierArrive,
-    BarrierOpen,
-    RwAcquire,
-    RwRelease,
-    Commit,
-    Update,
-    Spawn,
-    Join,
-    Exit,
-    ThreadPanic,
-    Publish,
-    FastForward,
-    Coarsen,
-}
-
-impl EventKind {
-    /// Every kind, in tag order.
-    pub const ALL: [EventKind; 22] = [
-        EventKind::TokenAcquire,
-        EventKind::TokenRelease,
-        EventKind::Depart,
-        EventKind::MutexLock,
-        EventKind::MutexBlock,
-        EventKind::MutexUnlock,
-        EventKind::CondWait,
-        EventKind::CondSignal,
-        EventKind::CondBroadcast,
-        EventKind::BarrierArrive,
-        EventKind::BarrierOpen,
-        EventKind::RwAcquire,
-        EventKind::RwRelease,
-        EventKind::Commit,
-        EventKind::Update,
-        EventKind::Spawn,
-        EventKind::Join,
-        EventKind::Exit,
-        EventKind::ThreadPanic,
-        EventKind::Publish,
-        EventKind::FastForward,
-        EventKind::Coarsen,
-    ];
-
-    /// Short stable name (used in reports and experiment logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::TokenAcquire => "token_acquire",
-            EventKind::TokenRelease => "token_release",
-            EventKind::Depart => "depart",
-            EventKind::MutexLock => "mutex_lock",
-            EventKind::MutexBlock => "mutex_block",
-            EventKind::MutexUnlock => "mutex_unlock",
-            EventKind::CondWait => "cond_wait",
-            EventKind::CondSignal => "cond_signal",
-            EventKind::CondBroadcast => "cond_broadcast",
-            EventKind::BarrierArrive => "barrier_arrive",
-            EventKind::BarrierOpen => "barrier_open",
-            EventKind::RwAcquire => "rw_acquire",
-            EventKind::RwRelease => "rw_release",
-            EventKind::Commit => "commit",
-            EventKind::Update => "update",
-            EventKind::Spawn => "spawn",
-            EventKind::Join => "join",
-            EventKind::Exit => "exit",
-            EventKind::ThreadPanic => "thread_panic",
-            EventKind::Publish => "publish",
-            EventKind::FastForward => "fast_forward",
-            EventKind::Coarsen => "coarsen",
-        }
-    }
-}
 
 /// The class of one event field: how the schedule hash and the `.dmtrace`
 /// codec write it (see [`EventKind::fields`]).
@@ -320,12 +121,36 @@ field_values! {
     Option<Tid>: |t| t.map_or(u64::MAX, Tid::value), |v| (v != u64::MAX).then_some(Tid(v as u32));
 }
 
-/// Derives [`EventKind::fields`], [`Event::for_each_value`] and
-/// [`Event::from_values`] from one field list per kind. The fold and the
-/// encoder visit the fields rather than read [`Event::values`]: inlined,
-/// the visit is straight-line code per kind, with no array to spill.
-macro_rules! layouts {
-    ($($kind:ident { $($field:ident: $class:ident),+ })+) => {
+/// Declares every event kind once, in tag order: its doc, its stable
+/// name and its fields, each with its type and [`FieldKind`]. [`Event`],
+/// [`EventKind`], [`Event::kind`], [`EventKind::fields`],
+/// [`Event::for_each_value`] and [`Event::from_values`] derive from it.
+/// The fold and the encoder visit the fields rather than read
+/// [`Event::values`]: inlined, the visit is straight-line code per kind,
+/// with no array to spill.
+macro_rules! events {
+    ($($(#[$doc:meta])* $kind:ident $name:literal { $($field:ident: $ty:ty = $class:ident),+ })+) => {
+        /// One synchronization event in a runtime's deterministic total order.
+        ///
+        /// Fields are the *deterministic* coordinates of the event: thread ids,
+        /// logical clocks, object ids, ticket numbers, version ids and dirty-page
+        /// digests. Virtual times and wall times are deliberately absent — they
+        /// carry no additional schedule information and (for wall time) would
+        /// destroy hash stability.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Event {
+            $($(#[$doc])* $kind { $($field: $ty),+ },)+
+        }
+
+        crate::named_enum! {
+            /// Event categories, for counting and display. A kind's
+            /// discriminant is its `.dmtrace` tag and the first byte of its
+            /// schedule-hash fold.
+            pub enum EventKind, fn name {
+                $($kind => $name,)+
+            }
+        }
+
         impl EventKind {
             /// This kind's fields, name and class, in declaration order:
             /// the one layout the schedule hash ([`Event::fold`]), the
@@ -338,6 +163,13 @@ macro_rules! layouts {
         }
 
         impl Event {
+            /// The category of this event.
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(Event::$kind { .. } => EventKind::$kind,)+
+                }
+            }
+
             /// Calls `f` with each field's class and value, in
             /// [`EventKind::fields`] order: the value as the `u64` the
             /// schedule hash folds.
@@ -365,29 +197,73 @@ macro_rules! layouts {
     };
 }
 
-layouts! {
-    TokenAcquire { tid: Tid, clock: Clock }
-    TokenRelease { tid: Tid, clock: Clock }
-    Depart { tid: Tid, clock: Clock }
-    MutexLock { tid: Tid, mutex: U32, ticket: U64 }
-    MutexBlock { tid: Tid, mutex: U32 }
-    MutexUnlock { tid: Tid, mutex: U32, woke: OptTid }
-    CondWait { tid: Tid, cond: U32, mutex: U32 }
-    CondSignal { tid: Tid, cond: U32, woken: OptTid }
-    CondBroadcast { tid: Tid, cond: U32, woken: U32 }
-    BarrierArrive { tid: Tid, barrier: U32, gen: U64 }
-    BarrierOpen { tid: Tid, barrier: U32, gen: U64, install_version: Version }
-    RwAcquire { tid: Tid, lock: U32, writer: Flag }
-    RwRelease { tid: Tid, lock: U32, writer: Flag }
-    Commit { tid: Tid, version: Version, pages: U32, merged: U32, page_set: U64 }
-    Update { tid: Tid, version: Version, pages: U64 }
-    Spawn { parent: Tid, child: Tid, pooled: Flag }
-    Join { tid: Tid, target: Tid }
-    Exit { tid: Tid, clock: Clock }
-    ThreadPanic { tid: Tid, clock: Clock }
-    Publish { tid: Tid, clock: Clock }
-    FastForward { tid: Tid, from: Clock, to: Clock }
-    Coarsen { tid: Tid, clock: Clock }
+events! {
+    /// A thread acquired the global token (GMIC grant or round-robin
+    /// turn) at the given logical clock.
+    TokenAcquire "token_acquire" { tid: Tid = Tid, clock: u64 = Clock }
+    /// The token holder released the token.
+    TokenRelease "token_release" { tid: Tid = Tid, clock: u64 = Clock }
+    /// A thread left the deterministic order to block (`clockDepart`).
+    Depart "depart" { tid: Tid = Tid, clock: u64 = Clock }
+    /// A deterministic mutex acquisition; `ticket` is the per-lock
+    /// acquisition ordinal.
+    MutexLock "mutex_lock" { tid: Tid = Tid, mutex: MutexId = U32, ticket: u64 = U64 }
+    /// A thread queued on a held mutex.
+    MutexBlock "mutex_block" { tid: Tid = Tid, mutex: MutexId = U32 }
+    /// A mutex release; `woke` is the waiter handed the lock, if any.
+    MutexUnlock "mutex_unlock" { tid: Tid = Tid, mutex: MutexId = U32, woke: Option<Tid> = OptTid }
+    /// A condition wait (mutex released, thread departed).
+    CondWait "cond_wait" { tid: Tid = Tid, cond: CondId = U32, mutex: MutexId = U32 }
+    /// A signal; `woken` is the deterministically-earliest waiter, if any.
+    CondSignal "cond_signal" { tid: Tid = Tid, cond: CondId = U32, woken: Option<Tid> = OptTid }
+    /// A broadcast waking `woken` waiters.
+    CondBroadcast "cond_broadcast" { tid: Tid = Tid, cond: CondId = U32, woken: u32 = U32 }
+    /// Arrival at a barrier generation.
+    BarrierArrive "barrier_arrive" { tid: Tid = Tid, barrier: BarrierId = U32, gen: u64 = U64 }
+    /// A barrier generation opened (commits installed); emitted by the
+    /// last arriver while it still holds the token (§4.2 two-phase
+    /// commit), `install_version` being the version every leaver updates
+    /// to.
+    BarrierOpen "barrier_open" {
+        tid: Tid = Tid, barrier: BarrierId = U32, gen: u64 = U64, install_version: u64 = Version
+    }
+    /// A read-write lock acquisition (`writer` distinguishes the mode).
+    RwAcquire "rw_acquire" { tid: Tid = Tid, lock: RwLockId = U32, writer: bool = Flag }
+    /// A read-write lock release.
+    RwRelease "rw_release" { tid: Tid = Tid, lock: RwLockId = U32, writer: bool = Flag }
+    /// A Conversion commit: `version` is the created (or, with no dirty
+    /// pages, the pre-existing) version id; `page_set` digests the dirty
+    /// page ids. Each parallel-barrier participant emits its own as an
+    /// auxiliary event after its phase-2 merge: `pages` and `merged` are
+    /// the pages it merged, which the install credits to it, and `version`
+    /// and `page_set` are zero (the install numbers the versions later).
+    Commit "commit" {
+        tid: Tid = Tid, version: u64 = Version, pages: u32 = U32, merged: u32 = U32, page_set: u64 = U64
+    }
+    /// An update pulling remote versions into the local workspace. A
+    /// barrier leaver's update to the installed version, and a DThreads
+    /// update in the parallel phase, are auxiliary.
+    Update "update" { tid: Tid = Tid, version: u64 = Version, pages: u64 = U64 }
+    /// Thread creation; `pooled` marks §3.3 thread-pool reuse.
+    Spawn "spawn" { parent: Tid = Tid, child: Tid = Tid, pooled: bool = Flag }
+    /// A join that observed the target's exit.
+    Join "join" { tid: Tid = Tid, target: Tid = Tid }
+    /// Thread exit at the given logical clock.
+    Exit "exit" { tid: Tid = Tid, clock: u64 = Clock }
+    /// A contained workload panic: the thread died at the given logical
+    /// clock, after deterministically poisoning its held locks and
+    /// departing the order. A schedule event — the death is part of the
+    /// deterministic total order and must reproduce across reruns.
+    ThreadPanic "thread_panic" { tid: Tid = Tid, clock: u64 = Clock }
+    /// A logical-clock publication (counter overflow, §3.2). Auxiliary:
+    /// its real-time interleaving is not part of the determinism contract
+    /// under adaptive notification.
+    Publish "publish" { tid: Tid = Tid, clock: u64 = Clock }
+    /// A §3.5 fast-forward: the token taker jumped its lagging clock.
+    FastForward "fast_forward" { tid: Tid = Tid, from: u64 = Clock, to: u64 = Clock }
+    /// A §3.1 coarsening decision: the token was retained across the end
+    /// of a synchronization operation, deferring the commit.
+    Coarsen "coarsen" { tid: Tid = Tid, clock: u64 = Clock }
 }
 
 /// Byte a non-root domain's fold starts with ([`Event::fold_domain`]).
@@ -396,34 +272,6 @@ const DOMAIN_PREFIX: u8 = 0xD0;
 const _: () = assert!(DOMAIN_PREFIX as usize >= EventKind::ALL.len());
 
 impl Event {
-    /// The category of this event.
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::TokenAcquire { .. } => EventKind::TokenAcquire,
-            Event::TokenRelease { .. } => EventKind::TokenRelease,
-            Event::Depart { .. } => EventKind::Depart,
-            Event::MutexLock { .. } => EventKind::MutexLock,
-            Event::MutexBlock { .. } => EventKind::MutexBlock,
-            Event::MutexUnlock { .. } => EventKind::MutexUnlock,
-            Event::CondWait { .. } => EventKind::CondWait,
-            Event::CondSignal { .. } => EventKind::CondSignal,
-            Event::CondBroadcast { .. } => EventKind::CondBroadcast,
-            Event::BarrierArrive { .. } => EventKind::BarrierArrive,
-            Event::BarrierOpen { .. } => EventKind::BarrierOpen,
-            Event::RwAcquire { .. } => EventKind::RwAcquire,
-            Event::RwRelease { .. } => EventKind::RwRelease,
-            Event::Commit { .. } => EventKind::Commit,
-            Event::Update { .. } => EventKind::Update,
-            Event::Spawn { .. } => EventKind::Spawn,
-            Event::Join { .. } => EventKind::Join,
-            Event::Exit { .. } => EventKind::Exit,
-            Event::ThreadPanic { .. } => EventKind::ThreadPanic,
-            Event::Publish { .. } => EventKind::Publish,
-            Event::FastForward { .. } => EventKind::FastForward,
-            Event::Coarsen { .. } => EventKind::Coarsen,
-        }
-    }
-
     /// The field values in [`EventKind::fields`] order, each as the `u64`
     /// the schedule hash folds; the slots past the last field are zero.
     #[inline]

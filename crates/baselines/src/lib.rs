@@ -25,41 +25,22 @@ use dmt_api::{CommonConfig, Runtime};
 pub use dthreads::DThreadsRuntime;
 pub use pthreads::PthreadsRuntime;
 
-/// The five runtimes evaluated in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum RuntimeKind {
-    /// Nondeterministic pthreads.
-    Pthreads,
-    /// DThreads: round robin + synchronous commits + single global lock.
-    DThreads,
-    /// DThreads-with-Conversion: round robin + asynchronous commits.
-    Dwc,
-    /// Consequence with round-robin ordering.
-    ConsequenceRr,
-    /// Consequence with instruction-count (GMIC) ordering — the paper's
-    /// headline system.
-    ConsequenceIc,
-}
-
-impl RuntimeKind {
-    /// All five, in the paper's presentation order.
-    pub const ALL: [RuntimeKind; 5] = [
-        RuntimeKind::Pthreads,
-        RuntimeKind::DThreads,
-        RuntimeKind::Dwc,
-        RuntimeKind::ConsequenceRr,
-        RuntimeKind::ConsequenceIc,
-    ];
-
-    /// Short display name matching the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            RuntimeKind::Pthreads => "pthreads",
-            RuntimeKind::DThreads => "dthreads",
-            RuntimeKind::Dwc => "dwc",
-            RuntimeKind::ConsequenceRr => "consequence-rr",
-            RuntimeKind::ConsequenceIc => "consequence-ic",
-        }
+dmt_api::named_enum! {
+    /// The five runtimes evaluated in the paper, in the paper's presentation
+    /// order; each label is the runtime's [`Runtime::name`], matching the
+    /// paper's figures.
+    pub enum RuntimeKind, fn label, fn by_label {
+        /// Nondeterministic pthreads.
+        Pthreads => "pthreads",
+        /// DThreads: round robin + synchronous commits + single global lock.
+        DThreads => "dthreads",
+        /// DThreads-with-Conversion: round robin + asynchronous commits.
+        Dwc => "dwc",
+        /// Consequence with round-robin ordering.
+        ConsequenceRr => "consequence-rr",
+        /// Consequence with instruction-count (GMIC) ordering — the paper's
+        /// headline system.
+        ConsequenceIc => "consequence-ic",
     }
 }
 
@@ -87,12 +68,17 @@ pub fn make_consequence(cfg: CommonConfig, opts: Options) -> Box<dyn Runtime> {
 mod tests {
     use super::*;
 
+    /// Each kind, in declaration order, builds the runtime its label names,
+    /// and the labels are distinct and look the kinds up.
     #[test]
     fn factory_builds_all_kinds() {
-        for kind in RuntimeKind::ALL {
+        for (i, kind) in RuntimeKind::ALL.into_iter().enumerate() {
             let rt = make_runtime(kind, CommonConfig::default());
-            assert_eq!(rt.name(), kind.label());
+            assert_eq!((kind as usize, rt.name()), (i, kind.label()));
             assert_eq!(rt.is_deterministic(), kind != RuntimeKind::Pthreads);
+            assert_eq!(RuntimeKind::by_label(kind.label()), Some(kind));
+            assert_eq!(kind.to_string(), kind.label());
         }
+        assert_eq!(RuntimeKind::by_label("nope"), None);
     }
 }

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use consequence::{options_for_label, Options};
 use dmt_api::{FixedPanic, PanicSite, PerturbHandle, PerturbPlan, PlanPerturber, Tid};
+use dmt_baselines::RuntimeKind;
 use dmt_shard::record::SHARDED_LABEL_PREFIX;
 use dmt_trace::{DiskSink, ReplaySink, Replayed, Trace, TraceError, TraceMeta};
 use dmt_workloads::{workload_by_name, Params};
@@ -245,7 +246,15 @@ pub fn record_all(
     let runtimes = runtimes.iter().filter(|l| options_for_label(l).is_some());
     let mut ok = runtimes.clone().next().is_some();
     if !ok {
-        eprintln!("no recordable runtime selected (labels: consequence-ic, consequence-rr, dwc)");
+        let labels = RuntimeKind::ALL.map(RuntimeKind::label);
+        let labels: Vec<_> = labels
+            .into_iter()
+            .filter(|l| options_for_label(l).is_some())
+            .collect();
+        eprintln!(
+            "no recordable runtime selected (labels: {})",
+            labels.join(", ")
+        );
     }
     for name in workloads {
         for label in runtimes.clone() {

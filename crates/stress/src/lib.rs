@@ -160,12 +160,11 @@ impl StressConfig {
         match flag {
             "--workloads" => self.workloads = value.split(',').map(String::from).collect(),
             "--runtimes" => {
-                let kind = |l| RuntimeKind::ALL.into_iter().find(|k| k.label() == l);
                 let kinds = value.split(',').map(|l| {
-                    kind(l).ok_or(format!(
-                        "unknown runtime {l:?} (labels: pthreads, dthreads, dwc, \
-                         consequence-rr, consequence-ic)"
-                    ))
+                    RuntimeKind::by_label(l).ok_or_else(|| {
+                        let labels = RuntimeKind::ALL.map(RuntimeKind::label).join(", ");
+                        format!("unknown runtime {l:?} (labels: {labels})")
+                    })
                 });
                 self.runtimes = kinds.collect::<Result<_, _>>()?;
             }

@@ -168,8 +168,9 @@ const FENCES: &[Fence] = &[
         roots: &["crates/core/src", "crates/api/src", "crates/shard", "crates/baselines"], scan: All,
         needles: &["lrc", "Lrc"], allow: &[], planted: &[("crates/core/src/shared.rs", "lrc: Option<LrcTracker>,")] },
     Fence { name: "An event's layout is written once",
-        why: "EventKind::fields (crates/api/src/trace.rs) is the layout; the hash fold, the .dmtrace codec and \
-              Event::tid read it, so dmt-trace's code names no event variant.",
+        why: "The events! declaration (crates/api/src/trace.rs) lists each kind once, and EventKind::fields is the \
+              layout it derives; the hash fold, the .dmtrace codec and Event::tid read it, so dmt-trace's code names no \
+              event variant.",
         roots: &["crates/trace/src"], scan: NonTestCode, needles: &[r"\bEvent::[A-Z][a-z]", r"\bEventKind::[A-Z][a-z]"],
         allow: &[], planted: &[("crates/trace/src/writer.rs", "EventKind::Commit => 3,")] },
     Fence { name: "An event's layout is written once: FastForward",
@@ -188,17 +189,26 @@ const FENCES: &[Fence] = &[
         roots: SOURCES, scan: NonTest, needles: &["Perturber for"], allow: &[("crates/api/src/perturb.rs", Any)],
         planted: &[("crates/stress/src/lib.rs", "impl dmt_api::Perturber for X {}")] },
     Fence { name: "A Det counter row is a fold of the events",
-        why: "Counters::count (crates/api/src/report.rs) defines each event-backed Det row once, and every emitted event \
-              is folded into its thread's counters; an increment of such a row beside it counts an act twice.",
+        why: "Counters::count (crates/api/src/report.rs) defines each event-backed Det row once. A thread's Ledger folds \
+              every emitted event's values and counts its kind once, and sets the rows that count a kind from those counts \
+              when it closes; an increment of such a row beside it counts an act twice.",
         roots: &["crates/core/src", "crates/baselines/src"], scan: All,
         needles: &["cnt.commits *+=", "cnt.pages_committed *+=", "cnt.pages_merged *+=", "cnt.pages_propagated *+=",
                    "cnt.token_acquisitions *+=", "cnt.lock_acquires *+=", "cnt.barrier_waits *+=", "cnt.cond_waits *+=",
                    "cnt.spawns *+=", "cnt.pool_hits *+=", "cnt.chunks *+=", "cnt.coarsened_chunks *+="], allow: &[],
         planted: &[("crates/core/src/ctx/barrier.rs", "self.cnt.chunks += 1;"),
                    ("crates/baselines/src/pthreads.rs", "self.cnt.lock_acquires+=1;")] },
+    Fence { name: "An enumerated set is declared once",
+        why: "dmt_api::named_enum! declares an enum, its ALL, its names and its Display from one list, and the events! \
+              declaration (crates/api/src/trace.rs) declares EventKind through it; a hand-written ALL is a second list \
+              that can disagree with the first.",
+        roots: &["crates/*/src"], scan: NonTest, needles: &["const ALL: ["],
+        allow: &[("crates/api/src/lib.rs", Lines(&["pub const ALL: [$name; [$($s),+].len()] = [$($name::$v),+];"]))],
+        planted: &[("crates/api/src/perturb.rs", "pub const ALL: [PerturbSite; 9] = ["),
+                   ("crates/baselines/src/lib.rs", "pub const ALL: [RuntimeKind; 5] = [")] },
     Fence { name: "A runtime emits through its one helper",
         why: "Each runtime's per-thread context sends an event to the sink through its dmt_api::Ledger, whose emit_as \
-              folds it into the thread's counters (Counters::count) and counts its kind first; an event emitted past it would \
+              folds its values into the thread's counters and counts its kind first; an event emitted past it would \
               reach the sink uncounted.",
         roots: &["crates/api/src/report.rs", "crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
         allow: &[("crates/api/src/report.rs", Lines(&["self.trace.emit(ev, in_schedule);"]))],
