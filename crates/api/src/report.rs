@@ -103,8 +103,8 @@ metrics! {
     /// version outside the token, so which thread pays a `gc_version` charge
     /// varies, and the waits absorb the difference.
     ///
-    /// A thread's rows sum to the virtual time it ran: its [`Ledger`] moves
-    /// virtual time only by charging a row.
+    /// A thread's rows sum to the virtual time it ran: its [`Ledger`] keeps
+    /// no other record of that time.
     pub struct Breakdown {
         /// Useful work: `tick` cycles plus shared-memory access cycles.
         Det chunk,
@@ -281,12 +281,11 @@ impl Counters {
 /// One thread's virtual time, the [`Breakdown`] it was spent on and the
 /// thread's [`Counters`]: each runtime's per-thread context holds one.
 ///
-/// Virtual time moves only by charging a [`Row`], so the rows sum to the
-/// virtual time the thread ran ([`Closed::file`] checks it), and every
-/// event the thread emits is folded into its counters and counted by kind
-/// before the sink sees it ([`Ledger::emit_as`]).
+/// The thread's virtual time is where it started plus the sum of its rows,
+/// so it moves only by charging a [`Row`], and every event the thread
+/// emits is folded into its counters and counted by kind before the sink
+/// sees it ([`Ledger::emit_as`]).
 pub struct Ledger {
-    v: u64,
     start: u64,
     bd: Breakdown,
     tid: Tid,
@@ -306,7 +305,6 @@ impl Ledger {
     /// perturber.
     pub fn new(cfg: &CommonConfig, tid: Tid, v: u64) -> Ledger {
         Ledger {
-            v,
             start: v,
             bd: Breakdown::default(),
             tid,
@@ -317,16 +315,15 @@ impl Ledger {
         }
     }
 
-    /// The thread's virtual time in cycles.
+    /// The thread's virtual time in cycles: its start plus its rows.
     #[inline(always)]
     pub fn v(&self) -> u64 {
-        self.v
+        self.start + self.bd.total()
     }
 
-    /// Spends `c` cycles on `row`.
+    /// Spends `c` cycles on `row`: one add, on the per-access path too.
     #[inline(always)]
     pub fn charge(&mut self, row: Row, c: u64) {
-        self.v += c;
         *self.bd.row_mut(row) += c;
     }
 
@@ -334,7 +331,7 @@ impl Ledger {
     /// still ahead.
     #[inline(always)]
     pub fn wait_until(&mut self, row: Row, t: u64) {
-        self.charge(row, t.saturating_sub(self.v));
+        self.charge(row, t.saturating_sub(self.v()));
     }
 
     /// Fires the fault-injection `site` ([`crate::perturb`]) and charges
@@ -374,11 +371,9 @@ impl Ledger {
     /// The thread's rows, counters (the rows that count a kind read off
     /// its kind counts) and virtual time, at its exit.
     fn close(&self) -> (Breakdown, Counters, u64) {
-        let (bd, ran) = (self.bd, self.v - self.start);
-        debug_assert_eq!(bd.total(), ran, "{}'s rows {bd:?}", self.tid);
         let mut cnt = *self.cnt;
         cnt.add_kinds(|k| self.events.get(k));
-        (bd, cnt, self.v)
+        (self.bd, cnt, self.v())
     }
 }
 
@@ -640,6 +635,41 @@ mod tests {
         };
         assert_eq!((bd, cnt.faults, v), (want, 2, 920));
         assert_eq!(bd.total(), v - 500);
+    }
+
+    #[test]
+    fn virtual_time_is_the_start_plus_the_rows() {
+        let start = 1_000;
+        let mut led = Ledger::new(&CommonConfig::default(), Tid(1), start);
+        const ROWS: [Row; 7] = [
+            Row::chunk,
+            Row::determ_wait,
+            Row::barrier_wait,
+            Row::commit,
+            Row::update,
+            Row::fault,
+            Row::lib,
+        ];
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for _ in 0..1_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let row = ROWS[x as usize % ROWS.len()];
+            let (before, bd) = (led.v(), led.bd);
+            if x & 1 == 0 {
+                led.charge(row, x >> 50);
+                assert_eq!(led.v(), before + (x >> 50));
+            } else {
+                let t = (before + (x >> 50)).saturating_sub(1 << 13);
+                led.wait_until(row, t);
+                if t <= before {
+                    assert_eq!(led.bd, bd, "a wait to {t} from {before} charged");
+                }
+                assert_eq!(led.v(), before.max(t));
+            }
+            assert_eq!(led.v(), start + led.bd.total());
+        }
     }
 
     /// A sink that refuses every event by unwinding.

@@ -15,6 +15,7 @@ use std::ops::{Deref, DerefMut};
 thread_local! {
     static HELD: Cell<u32> = const { Cell::new(0) };
     static ACQUIRED: Cell<u64> = const { Cell::new(0) };
+    static SLEPT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// How many [`Mutex`]es the calling thread holds, counted in debug builds
@@ -28,6 +29,22 @@ pub fn held() -> u32 {
 /// sections, for tests that pin it.
 pub fn acquired() -> u64 {
     ACQUIRED.with(Cell::get)
+}
+
+/// How many sleeps the calling thread has [`count_sleep`]ed, counted in
+/// debug builds only (0 in release). Each sleep relocks once, and how often
+/// a thread sleeps is the host's timing: a test that pins [`acquired`]
+/// subtracts this.
+pub fn slept() -> u64 {
+    SLEPT.with(Cell::get)
+}
+
+/// Counts one sleep of the calling thread for [`slept`]: its caller has just
+/// relocked after it (debug builds only).
+pub fn count_sleep() {
+    if cfg!(debug_assertions) {
+        SLEPT.with(|s| s.set(s.get() + 1));
+    }
 }
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.

@@ -83,8 +83,13 @@ pub(crate) struct Ctx<'a> {
     last_sync_end_clock: u64,
     chunk_start_clock: u64,
     /// `Options::chunk_limit` (§2.7), `u64::MAX` when there is none: a chunk
-    /// never gets that long, so the one comparison serves both.
+    /// never gets that long.
     chunk_limit: u64,
+    /// The nearer of the two thresholds an advance may not reach: the next
+    /// publication and the chunk limit, `min(next_pub, chunk_start_clock +
+    /// chunk_limit)` saturating. [`Ctx::set_stop`] recomputes it wherever
+    /// either term changes, so the per-access test is one comparison.
+    stop: u64,
     cost: CostModel,
     /// Per-[`PanicSite`] injection counters, indexed by site position in
     /// [`PanicSite::ALL`]. The decision to panic is a pure function of
@@ -162,6 +167,7 @@ impl<'a> Ctx<'a> {
             last_sync_end_clock: clock,
             chunk_start_clock: clock,
             chunk_limit,
+            stop: next_pub.min(clock.saturating_add(chunk_limit)),
             cost,
             inject_counts: [0; PanicSite::ALL.len()],
             suppress_inject: false,
@@ -212,7 +218,7 @@ impl<'a> Ctx<'a> {
     #[inline(always)]
     fn advance_within(&mut self, dclock: u64, dv: u64) -> bool {
         let clock = self.clock.saturating_add(dclock);
-        let within = clock < self.next_pub && clock - self.chunk_start_clock < self.chunk_limit;
+        let within = clock < self.stop;
         if within {
             self.clock = clock;
             self.led.charge(Row::chunk, dv);
@@ -255,6 +261,24 @@ impl<'a> Ctx<'a> {
         if self.clock - self.chunk_start_clock >= self.chunk_limit {
             self.forced_commit();
         }
+        // `maybe_publish` moved `next_pub`.
+        self.set_stop();
+    }
+
+    /// Recomputes [`Ctx::stop`] from its two terms.
+    #[inline]
+    fn set_stop(&mut self) {
+        self.stop = self
+            .next_pub
+            .min(self.chunk_start_clock.saturating_add(self.chunk_limit));
+    }
+
+    /// Starts a new chunk at the current clock: the chunk limit counts from
+    /// here.
+    #[inline]
+    fn start_chunk(&mut self) {
+        self.chunk_start_clock = self.clock;
+        self.set_stop();
     }
 
     /// [`ThreadCtx::ld_u64`] in full, for the loads its leaf turns away.
@@ -279,6 +303,9 @@ impl<'a> Ctx<'a> {
         self.advance(1, self.cost.mem_access(8));
     }
 
+    /// Fires the publication due at the current clock and sets the next
+    /// threshold; its one caller, [`Ctx::advance_across`], recomputes
+    /// [`Ctx::stop`].
     #[inline(never)]
     fn maybe_publish(&mut self) {
         if self.sh.opts.order != OrderPolicy::InstructionCount {

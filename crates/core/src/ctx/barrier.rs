@@ -270,7 +270,7 @@ impl<'a> Ctx<'a> {
             }
             inner.wake_waiters();
         }
-        self.chunk_start_clock = self.clock;
+        self.start_chunk();
         self.last_sync_end_clock = self.clock;
         self.ovf.chunk_start();
     }

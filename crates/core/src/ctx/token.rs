@@ -249,7 +249,7 @@ impl<'a> Ctx<'a> {
             pages: ur.pages_propagated,
         });
         self.collect();
-        self.chunk_start_clock = self.clock;
+        self.start_chunk();
         self.current_since_acquire = true;
     }
 

@@ -460,6 +460,7 @@ impl Held<'_> {
             None => std::thread::park(),
         }
         self.guard = Some(self.sh.inner.lock());
+        dmt_api::sync::count_sleep();
         if yielding {
             self.yielded += 1;
             self.closed.counters.yields += 1;

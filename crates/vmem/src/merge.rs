@@ -83,7 +83,11 @@ impl DirtyMap {
         // The words of bytes `off` and `off + 7`.
         let (first, last) = (off / 8, off.div_ceil(8));
         self.bits[first / 64 % MAP_WORDS] |= 1 << (first % 64);
-        self.bits[last / 64 % MAP_WORDS] |= 1 << (last % 64);
+        // An aligned store, nearly every one, has no second word: a second
+        // OR into the same limb would chain two read-modify-writes.
+        if first != last {
+            self.bits[last / 64 % MAP_WORDS] |= 1 << (last % 64);
+        }
     }
 
     /// Marks every word the byte range `off..off + n` of the page overlaps;
