@@ -17,7 +17,7 @@ use crate::ids::Tid;
 use crate::pad::CachePadded;
 use crate::perturb::{PerturbHandle, PerturbSite};
 use crate::runtime::CommonConfig;
-use crate::trace::{Event, EventCounts, EventKind, TraceHandle};
+use crate::trace::{Event, EventCounts, EventKind, Outbox};
 
 /// Whether a metric reproduces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -284,12 +284,16 @@ impl Counters {
 /// The thread's virtual time is where it started plus the sum of its rows,
 /// so it moves only by charging a [`Row`], and every event the thread
 /// emits is folded into its counters and counted by kind before the sink
-/// sees it ([`Ledger::emit_as`]).
+/// sees it ([`Ledger::emit_as`]). While the thread holds the token the
+/// ledger holds its events and hands them over at the release
+/// ([`Ledger::hold`], [`Ledger::deliver`]).
 pub struct Ledger {
     start: u64,
     bd: Breakdown,
     tid: Tid,
-    trace: TraceHandle,
+    /// The way to the sink and the held events: `None` with tracing off,
+    /// so an event costs one branch.
+    trace: Option<Box<Outbox>>,
     perturber: PerturbHandle,
     /// Cache-padded so that neighbouring threads' counters never share a
     /// line. An event-backed `Det` row is folded by [`Ledger::emit_as`]
@@ -308,7 +312,7 @@ impl Ledger {
             start: v,
             bd: Breakdown::default(),
             tid,
-            trace: cfg.trace.clone(),
+            trace: cfg.trace.outbox(),
             perturber: cfg.perturb.clone(),
             cnt: CachePadded::new(Counters::default()),
             events: EventCounts::default(),
@@ -359,7 +363,31 @@ impl Ledger {
     pub fn emit_as(&mut self, ev: Event, in_schedule: bool) {
         self.cnt.sum_values(&ev);
         self.events.record(ev.kind());
-        self.trace.emit(ev, in_schedule);
+        if let Some(trace) = &mut self.trace {
+            trace.emit(ev, in_schedule);
+        }
+    }
+
+    /// Holds the events the thread emits from its token grant on, in its
+    /// order, until [`Ledger::deliver`]: the sink sees a tenure in one
+    /// [`TraceSink::emit_all`](crate::TraceSink::emit_all) call, or one
+    /// per [`HOLD_LIMIT`](crate::trace::HOLD_LIMIT) events. Call it under
+    /// the token; a runtime that never calls it emits event by event.
+    #[inline]
+    pub fn hold(&mut self) {
+        if let Some(trace) = &mut self.trace {
+            trace.hold();
+        }
+    }
+
+    /// Hands the held events to the sink and stops holding: call it under
+    /// the token, before the token is given up, so the next holder's
+    /// events follow them.
+    #[inline]
+    pub fn deliver(&mut self) {
+        if let Some(trace) = &mut self.trace {
+            trace.deliver();
+        }
     }
 
     /// [`Ledger::emit_as`] for a schedule event.
@@ -525,7 +553,7 @@ mod tests {
 
     use super::*;
     use crate::ids::DomainId;
-    use crate::trace::TraceSink;
+    use crate::trace::{TraceHandle, TraceSink};
 
     #[test]
     fn breakdown_total_and_overhead() {
@@ -696,6 +724,43 @@ mod tests {
         assert!(sent.is_err(), "the sink saw the event");
         assert_eq!(led.events.get(EventKind::TokenAcquire), 1);
         assert_eq!(led.close().1.token_acquisitions, 1);
+    }
+
+    /// Records how many events each call it sees carries.
+    #[derive(Default)]
+    struct Calls(crate::sync::Mutex<Vec<usize>>);
+
+    impl TraceSink for Calls {
+        fn emit(&self, _: &Event, _: bool, _: DomainId) {
+            self.0.lock().push(1);
+        }
+
+        fn emit_all(&self, evs: &[(Event, bool)], _: DomainId) {
+            self.0.lock().push(evs.len());
+        }
+    }
+
+    #[test]
+    fn a_held_tenure_reaches_the_sink_a_page_at_a_time() {
+        let sink = Arc::new(Calls::default());
+        let cfg = CommonConfig {
+            trace: TraceHandle::to(sink.clone()),
+            ..CommonConfig::default()
+        };
+        let mut led = Ledger::new(&cfg, Tid(1), 0);
+        let ev = Event::TokenAcquire {
+            tid: Tid(1),
+            clock: 0,
+        };
+        led.emit(ev);
+        led.hold();
+        (0..1_100).for_each(|_| led.emit(ev));
+        assert_eq!(*sink.0.lock(), [1, 512, 512]);
+        led.deliver();
+        led.deliver();
+        led.emit_as(ev, false);
+        assert_eq!(*sink.0.lock(), [1, 512, 512, 76, 1]);
+        assert_eq!(led.events.get(EventKind::TokenAcquire), 1_102);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * [`TraceSink`] — where runtimes send events: [`HashSink`]
 //!   (incremental FNV-1a **schedule hash**), [`MemorySink`] (bounded ring
 //!   buffer retaining the most recent events for diagnosis). The default
-//!   is no sink at all ([`TraceHandle::off`]), a single branch per event;
+//!   is no sink at all ([`TraceHandle::off`]), a single branch per event.
+//!   A token holder hands a sink the events of its tenure in one
+//!   [`TraceSink::emit_all`] call;
 //! * [`diagnose`] / [`Divergence`] — given two recorded traces, the first
 //!   differing event with surrounding context, instead of a bare hash
 //!   mismatch.
@@ -446,9 +448,27 @@ impl std::ops::AddAssign for EventCounts {
 /// runtimes always pass [`DomainId::ROOT`], sharded runs may interleave
 /// several domains into one sink (hashing sinks must fold via
 /// [`Event::fold_domain`] so per-domain orders stay distinguishable).
+///
+/// A token holder hands its events over in batches ([`emit_all`]): the
+/// events of one tenure, from its grant to its release, or
+/// [`HOLD_LIMIT`] of them. A sink sees every event of a thread in the
+/// order the thread emitted it, and the schedule events of a domain in
+/// token order; only the interleaving of auxiliary events with other
+/// threads' events is coarser.
+///
+/// [`emit_all`]: TraceSink::emit_all
 pub trait TraceSink: Send + Sync {
     /// Records one event.
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId);
+
+    /// Records `evs` in order, each with its `in_schedule` flag, as
+    /// [`emit`](TraceSink::emit) would one by one. A sink that locks
+    /// overrides it to take its lock once.
+    fn emit_all(&self, evs: &[(Event, bool)], domain: DomainId) {
+        for (ev, in_schedule) in evs {
+            self.emit(ev, *in_schedule, domain);
+        }
+    }
 
     /// The schedule hash accumulated so far (0 for sinks that don't hash).
     fn schedule_hash(&self) -> u64 {
@@ -484,7 +504,14 @@ impl HashSink {
 impl TraceSink for HashSink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
         if in_schedule {
-            ev.fold_domain(domain, &mut self.hash.lock());
+            self.emit_all(&[(*ev, true)], domain);
+        }
+    }
+
+    fn emit_all(&self, evs: &[(Event, bool)], domain: DomainId) {
+        let mut h = self.hash.lock();
+        for (ev, _) in evs.iter().filter(|(_, s)| *s) {
+            ev.fold_domain(domain, &mut h);
         }
     }
 
@@ -542,16 +569,21 @@ impl MemorySink {
 
 impl TraceSink for MemorySink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        if !in_schedule {
-            return;
+        if in_schedule {
+            self.emit_all(&[(*ev, true)], domain);
         }
+    }
+
+    fn emit_all(&self, evs: &[(Event, bool)], domain: DomainId) {
         let mut st = self.st.lock();
-        ev.fold_domain(domain, &mut st.hash);
-        if st.events.len() == self.cap {
-            st.events.pop_front();
-            st.dropped += 1;
+        for (ev, _) in evs.iter().filter(|(_, s)| *s) {
+            ev.fold_domain(domain, &mut st.hash);
+            if st.events.len() == self.cap {
+                st.events.pop_front();
+                st.dropped += 1;
+            }
+            st.events.push_back((domain, *ev));
         }
-        st.events.push_back((domain, *ev));
     }
 
     fn schedule_hash(&self) -> u64 {
@@ -606,14 +638,16 @@ impl TraceHandle {
         self.domain
     }
 
-    /// Emits `ev` to the sink, if one is attached: a schedule event (a
-    /// slot in the deterministic total order) when `in_schedule`, else an
-    /// auxiliary one (counted by the ledger, never hashed).
-    #[inline]
-    pub fn emit(&self, ev: Event, in_schedule: bool) {
-        if let Some(s) = &self.sink {
-            s.emit(&ev, in_schedule, self.domain);
-        }
+    /// The way one thread's ledger sends to the sink, if one is attached.
+    pub(crate) fn outbox(&self) -> Option<Box<Outbox>> {
+        self.sink.as_ref().map(|sink| {
+            Box::new(Outbox {
+                sink: Arc::clone(sink),
+                domain: self.domain,
+                held: Vec::new(),
+                holding: false,
+            })
+        })
     }
 
     /// The sink's schedule hash (0 when off or non-hashing).
@@ -625,6 +659,58 @@ impl TraceHandle {
     /// off or healthy).
     pub fn fault(&self) -> Option<String> {
         self.sink.as_ref().and_then(|s| s.fault())
+    }
+}
+
+/// The most events a token holder holds before it hands them to the sink:
+/// one `.dmtrace` page. A coarsened tenure can be long.
+pub const HOLD_LIMIT: usize = 512;
+
+/// One thread's way to the sink: the handle's sink and domain, and the
+/// events the thread holds while it [holds](Outbox::hold) the token.
+pub(crate) struct Outbox {
+    sink: Arc<dyn TraceSink>,
+    domain: DomainId,
+    held: Vec<(Event, bool)>,
+    holding: bool,
+}
+
+impl Outbox {
+    /// Sends `ev` to the sink, or holds it while the thread holds the
+    /// token, handing over every [`HOLD_LIMIT`] held events.
+    #[inline]
+    pub(crate) fn emit(&mut self, ev: Event, in_schedule: bool) {
+        if !self.holding {
+            return self.sink.emit(&ev, in_schedule, self.domain);
+        }
+        self.held.push((ev, in_schedule));
+        if self.held.len() == HOLD_LIMIT {
+            self.hand_over();
+        }
+    }
+
+    /// Holds the events emitted from here until [`Outbox::deliver`].
+    pub(crate) fn hold(&mut self) {
+        self.holding = true;
+    }
+
+    /// Hands the held events to the sink in one call and stops holding.
+    pub(crate) fn deliver(&mut self) {
+        self.holding = false;
+        self.hand_over();
+    }
+
+    /// Hands the held events to the sink in one call. They count as
+    /// handed over even when the sink unwinds, so a containment path that
+    /// delivers again sends nothing twice.
+    fn hand_over(&mut self) {
+        if self.held.is_empty() {
+            return;
+        }
+        let held = std::mem::take(&mut self.held);
+        self.sink.emit_all(&held, self.domain);
+        self.held = held;
+        self.held.clear();
     }
 }
 
@@ -790,7 +876,11 @@ mod tests {
         let sink = Arc::new(MemorySink::new(8));
         let h = TraceHandle::to_domain(sink.clone(), DomainId(3));
         assert_eq!(h.domain(), DomainId(3));
-        h.emit(ev(0, 1), true);
+        let cfg = crate::CommonConfig {
+            trace: h,
+            ..crate::CommonConfig::default()
+        };
+        crate::Ledger::new(&cfg, Tid(0), 0).emit(ev(0, 1));
         let (evs, dropped) = sink.take_domains();
         assert_eq!(dropped, 0);
         assert_eq!(evs, vec![(DomainId(3), ev(0, 1))]);

@@ -157,7 +157,7 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    /// Last-resort teardown: no hashed events, no token protocol. Used on
+    /// Last-resort teardown: no new events, no token protocol. Used on
     /// shutdown (the watchdog owns the diagnosis and the schedule is
     /// abandoned) and when the containment protocol itself fails. Purges
     /// this thread from every wait queue so no successor computation can
@@ -175,6 +175,9 @@ impl Ctx<'_> {
         let sh = self.sh;
         let mut inner = sh.lock();
         let me = self.tid;
+        // What the thread held of its tenure reaches the sink before the
+        // token can pass on.
+        self.led.deliver();
         if inner.token == Some(me) {
             inner.token = None;
             inner.put_objs(self.objs.take());

@@ -116,6 +116,8 @@ impl<'a> Ctx<'a> {
         self.objs = inner.objs.take();
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
+        // The tenure's events reach the sink at its release, in one call.
+        self.led.hold();
         self.led.emit(Event::TokenAcquire {
             tid: self.tid,
             clock: arrival_clock,
@@ -168,6 +170,9 @@ impl<'a> Ctx<'a> {
             tid: self.tid,
             clock: self.clock,
         });
+        // Before the next holder can emit: the sink sees tenures in token
+        // order.
+        self.led.deliver();
         self.led.charge(Row::lib, self.cost.token_op);
         inner.token = None;
         debug_assert!(self.objs.is_some(), "a holder without the objects");

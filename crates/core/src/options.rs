@@ -89,11 +89,11 @@ pub struct Options {
     /// frozen `e2e/` names it.
     #[doc(hidden)]
     pub pipeline_workers: usize,
-    /// Durable-flush cadence for disk trace recording: flush the
-    /// container to the OS after every this many sealed event pages, so
-    /// a SIGKILLed recording loses at most that much schedule to the
-    /// trace salvage path. `0` flushes only at
-    /// finish (the pre-durability behavior). Observation-only — flushing
+    /// Flush cadence for disk trace recording: hand the container's bytes
+    /// to the OS (a `write`; only `finish` syncs) after every this many
+    /// sealed event pages, so a SIGKILLed recording loses at most that
+    /// much schedule to the trace salvage path. `0` writes only when the
+    /// writer's buffer fills, and at finish. Observation-only — flushing
     /// never touches logical time — so deliberately **not** part of the
     /// options fingerprint, like the other schedule-neutral knobs. *Needed
     /// by* nothing that sets it: `dmt_bench::replay::record_to` reads the

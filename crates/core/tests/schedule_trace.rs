@@ -5,8 +5,13 @@
 use std::sync::Arc;
 
 use consequence::{ConsequenceRuntime, Options};
-use dmt_api::trace::{diagnose, Event, EventKind, HashSink, MemorySink, TraceHandle};
-use dmt_api::{CommonConfig, CostModel, MemExt, Runtime, Tid};
+use dmt_api::sync::Mutex;
+use dmt_api::trace::{
+    diagnose, Event, EventKind, HashSink, MemorySink, TraceHandle, TraceSink, HOLD_LIMIT,
+};
+use dmt_api::{
+    CommonConfig, CostModel, DomainId, FixedPanic, MemExt, PanicSite, PerturbHandle, Runtime, Tid,
+};
 
 fn cfg() -> CommonConfig {
     CommonConfig {
@@ -114,8 +119,11 @@ fn schedule_off_by_default_costs_nothing() {
 /// `skew` perturbs one thread's compute rate, which is enough to reorder
 /// the deterministic schedule (and must do so *reproducibly*).
 fn trace_program(trace: dmt_api::TraceHandle, opts: Options, skew: u64) -> dmt_api::RunReport {
-    let mut c = cfg();
-    c.trace = trace;
+    run_program(CommonConfig { trace, ..cfg() }, opts, skew)
+}
+
+/// [`trace_program`] under a whole configuration.
+fn run_program(c: CommonConfig, opts: Options, skew: u64) -> dmt_api::RunReport {
     let mut rt = ConsequenceRuntime::new(c, opts);
     let m = rt.create_mutex();
     let b = rt.create_barrier(4);
@@ -242,4 +250,110 @@ fn memory_and_hash_sinks_agree_on_the_hash() {
     assert!(events
         .iter()
         .any(|e| matches!(e, Event::TokenAcquire { .. })));
+}
+
+/// Events as a sink receives them, each with its `in_schedule` flag.
+type Batch = Vec<(Event, bool)>;
+
+/// Every call a sink saw: whether it came as one batch, and its events.
+#[derive(Default)]
+struct Calls(Mutex<Vec<(bool, Batch)>>);
+
+impl TraceSink for Calls {
+    fn emit(&self, ev: &Event, in_schedule: bool, _: DomainId) {
+        self.0.lock().push((false, vec![(*ev, in_schedule)]));
+    }
+
+    fn emit_all(&self, evs: &[(Event, bool)], _: DomainId) {
+        self.0.lock().push((true, evs.to_vec()));
+    }
+}
+
+/// A sink that implements only `emit`: the order of event-by-event
+/// emission.
+#[derive(Default)]
+struct OneByOne(Mutex<Vec<Event>>);
+
+impl TraceSink for OneByOne {
+    fn emit(&self, ev: &Event, in_schedule: bool, _: DomainId) {
+        if in_schedule {
+            self.0.lock().push(*ev);
+        }
+    }
+}
+
+/// [`trace_program`] into `sink`, with `victim` dying at its first
+/// commit when given.
+fn run_into(sink: Arc<dyn TraceSink>, victim: Option<Tid>) -> dmt_api::RunReport {
+    let perturb = victim.map_or_else(PerturbHandle::off, |victim| {
+        PerturbHandle::to(Arc::new(FixedPanic {
+            site: PanicSite::Commit,
+            victim,
+            nth: 0,
+            inner: PerturbHandle::off(),
+        }))
+    });
+    let c = CommonConfig {
+        trace: TraceHandle::to(sink),
+        perturb,
+        ..cfg()
+    };
+    run_program(c, Options::consequence_ic(), 0)
+}
+
+#[test]
+fn a_tenure_reaches_the_sink_in_one_call_and_in_order() {
+    for victim in [None, Some(Tid(2))] {
+        let calls = Arc::new(Calls::default());
+        let r = run_into(calls.clone(), victim);
+        let one = Arc::new(OneByOne::default());
+        run_into(one.clone(), victim);
+        assert_eq!(r.panics.first().map(|(t, _)| *t), victim, "{:?}", r.panics);
+        let calls = std::mem::take(&mut *calls.0.lock());
+
+        // One call per grant, plus one per HOLD_LIMIT held events, each
+        // one thread's tenure: from its grant (or a full batch) to its
+        // release (or HOLD_LIMIT events).
+        let batches: Vec<&[(Event, bool)]> = calls
+            .iter()
+            .filter(|(batched, _)| *batched)
+            .map(|(_, evs)| &evs[..])
+            .collect();
+        let held: usize = batches.iter().map(|b| b.len()).sum();
+        let grants = r.events.get(EventKind::TokenAcquire) as usize;
+        assert!(
+            batches.len() <= grants + held / HOLD_LIMIT,
+            "{} calls for {grants} grants",
+            batches.len()
+        );
+        for b in &batches {
+            let (first, last) = (b[0].0, b[b.len() - 1].0);
+            assert!(b.iter().all(|(ev, _)| ev.tid() == first.tid()), "{b:?}");
+            assert!(matches!(first, Event::TokenAcquire { .. }) || b.len() == HOLD_LIMIT);
+            assert!(matches!(last, Event::TokenRelease { .. }) || b.len() == HOLD_LIMIT);
+        }
+
+        // The schedule a sink sees is the one event-by-event emission
+        // gives.
+        let stream: Vec<Event> = calls
+            .iter()
+            .flat_map(|(_, evs)| evs.iter().filter(|(_, s)| *s).map(|(ev, _)| *ev))
+            .collect();
+        assert_eq!(stream, *one.0.lock());
+
+        // A thread that dies mid-tenure hands over what it held, through
+        // its ThreadPanic, before the next grant.
+        if let Some(victim) = victim {
+            let b = batches
+                .iter()
+                .find(|b| {
+                    b.iter().any(
+                        |(ev, _)| matches!(ev, Event::ThreadPanic { tid, .. } if *tid == victim),
+                    )
+                })
+                .expect("the victim's tenure reached the sink");
+            assert_eq!(b[0].0.tid(), victim);
+            assert!(matches!(b[b.len() - 1].0, Event::TokenRelease { tid, .. } if tid == victim));
+        }
+    }
 }

@@ -543,7 +543,8 @@ pub fn run_trace_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmt_api::Tid;
+    use dmt_api::trace::{Event, TraceSink};
+    use dmt_api::{DomainId, Tid};
     use dmt_trace::{TraceError, TraceWriter};
 
     fn two_threads() -> StressConfig {
@@ -638,6 +639,53 @@ mod tests {
         let p = Trace::salvage(&path).expect("prefix salvages");
         assert!(p.trace.meta.event_count > 0, "flushed pages recovered");
         assert!(!p.loss.complete);
+    }
+
+    /// Forwards `emit` alone: the event-by-event path a batch must match.
+    struct OneByOne(Arc<DiskSink>);
+
+    impl TraceSink for OneByOne {
+        fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
+            self.0.emit(ev, in_schedule, domain);
+        }
+
+        fn fault(&self) -> Option<String> {
+            self.0.fault()
+        }
+    }
+
+    #[test]
+    fn a_write_fault_inside_a_batch_degrades_at_the_same_event() {
+        let dir = tmpdir("t-batch");
+        let plan = IoFaultPlan {
+            kind: IoFaultKind::NoSpace,
+            at_byte: 8 * 1024,
+        };
+        let run = |name: &str, one_by_one: bool| {
+            let path = dir.0.join(name);
+            let (cell, ident) = chaos_cell(&two_threads(), 7, PerturbHandle::off());
+            let media = FaultyMedia::create(&path, plan).unwrap();
+            let disk = Arc::new(DiskSink::create_on(Box::new(media), Some(&ident), 1).unwrap());
+            let sink: Arc<dyn TraceSink> = if one_by_one {
+                Arc::new(OneByOne(disk))
+            } else {
+                disk
+            };
+            let fault = Cell {
+                sink: Sink::To(sink),
+                ..cell
+            }
+            .run()
+            .report
+            .fault;
+            (fault, std::fs::read(&path).unwrap())
+        };
+        let (batched, bytes) = run("batched.dmtrace", false);
+        assert!(
+            batched.as_deref().is_some_and(|f| f.contains("at event #")),
+            "{batched:?}"
+        );
+        assert_eq!((batched, bytes), run("one.dmtrace", true));
     }
 
     #[test]

@@ -43,6 +43,10 @@ pub const DIR_ENTRY_LEN: usize = 32;
 /// interval: one cumulative-hash checkpoint is recorded per sealed page.
 pub const PAGE_EVENTS: usize = 512;
 
+/// Bytes of a page's frame: event count (`u32`), payload length (`u32`)
+/// and the payload's FNV-1a digest (`u64`).
+pub const PAGE_HEADER_LEN: usize = 16;
+
 /// Stream identifiers, as stored in the directory.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]

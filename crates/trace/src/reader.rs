@@ -9,7 +9,7 @@ use dmt_api::{DomainId, Fnv1a};
 use crate::codec::{decode_in_domain, CodecState};
 use crate::format::{
     fnv_of, DirEntry, StreamId, TraceError, CODEC_VERSION, CONTAINER_VERSION, DIR_ENTRY_LEN,
-    HEADER_LEN, MAGIC, PAGE_EVENTS,
+    HEADER_LEN, MAGIC, PAGE_EVENTS, PAGE_HEADER_LEN,
 };
 use crate::meta::TraceMeta;
 use crate::writer::TraceWriter;
@@ -122,13 +122,13 @@ pub(crate) struct RawPage<'a> {
     pub(crate) end: usize,
 }
 
-/// Reads the page framed at `pos`: its 16-byte frame is complete, its
+/// Reads the page framed at `pos`: its frame is complete, its
 /// event count is in `1..=PAGE_EVENTS`, its payload is non-empty, fully
 /// present and matches the frame's FNV-1a digest. [`Trace::from_bytes`]
 /// returns the error; salvage calls the first one the tear — so a page
 /// the one accepts is a page the other accepts.
 pub(crate) fn read_page(bytes: &[u8], pos: usize) -> Result<RawPage<'_>, TraceError> {
-    if bytes.len().saturating_sub(pos) < 16 {
+    if bytes.len().saturating_sub(pos) < PAGE_HEADER_LEN {
         return Err(TraceError::Truncated { what: "event page" });
     }
     let count = read_u32(bytes, pos) as usize;
@@ -139,7 +139,7 @@ pub(crate) fn read_page(bytes: &[u8], pos: usize) -> Result<RawPage<'_>, TraceEr
             what: "event page frame",
         });
     }
-    let start = pos + 16;
+    let start = pos + PAGE_HEADER_LEN;
     let payload = slice(bytes, start as u64, len as u64, "event page payload")?;
     let computed = fnv_of(payload);
     if computed != stored {

@@ -367,12 +367,9 @@ impl ReplaySink {
     }
 }
 
-impl TraceSink for ReplaySink {
-    fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        if !in_schedule {
-            return;
-        }
-        let mut st = self.st.lock();
+impl ReplaySink {
+    /// Folds one live schedule event and compares it with the recording.
+    fn compare(&self, st: &mut ReplayState, ev: &Event, domain: DomainId) {
         ev.fold_domain(domain, &mut st.hash);
         let i = st.cursor;
         st.cursor += 1;
@@ -425,6 +422,21 @@ impl TraceSink for ReplaySink {
                     });
                 }
             }
+        }
+    }
+}
+
+impl TraceSink for ReplaySink {
+    fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
+        if in_schedule {
+            self.emit_all(&[(*ev, true)], domain);
+        }
+    }
+
+    fn emit_all(&self, evs: &[(Event, bool)], domain: DomainId) {
+        let mut st = self.st.lock();
+        for (ev, _) in evs.iter().filter(|(_, s)| *s) {
+            self.compare(&mut st, ev, domain);
         }
     }
 

@@ -42,7 +42,7 @@ pub struct LossReport {
     pub tear_offset: u64,
     /// File bytes past the tear that could not be validated. At most
     /// `16 + page bytes` of schedule data — the unsealed tail page —
-    /// plus whatever the durable-flush cadence had not yet flushed.
+    /// plus whatever the flush cadence had not yet written.
     pub bytes_lost: u64,
     /// True when the container was actually finished and fully valid —
     /// salvage recovered everything and the trace equals what

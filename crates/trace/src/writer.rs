@@ -10,16 +10,22 @@ use dmt_api::{DomainId, Fnv1a};
 
 use crate::codec::{encode_in_domain, CodecState};
 use crate::format::{
-    fnv_of, header_bytes, DirEntry, StreamId, TraceError, HEADER_LEN, PAGE_EVENTS,
+    fnv_of, header_bytes, DirEntry, StreamId, TraceError, HEADER_LEN, PAGE_EVENTS, PAGE_HEADER_LEN,
 };
 use crate::meta::TraceMeta;
+
+/// The write buffer: the pages of one flush cadence (8 of a few KiB each)
+/// leave in one `write`.
+const BUF_BYTES: usize = 64 << 10;
 
 /// The storage a [`TraceWriter`] streams into. [`File`] is the normal
 /// medium; the stress harness substitutes seeded fallible media (short
 /// writes, ENOSPC, torn tails) to drill the salvage path.
 ///
-/// `sync_data` is called once at [`TraceWriter::finish`]; media without a
-/// durability notion keep the no-op default.
+/// The writer `write`s at its flush cadence and calls `sync_data` once, at
+/// [`TraceWriter::finish`]: a cadence write survives a killed process, and
+/// only the final sync survives a power loss. Media without a durability
+/// notion keep the no-op default.
 pub trait TraceMedia: Write + Seek + Send {
     /// Flushes written bytes to durable storage (no-op by default).
     fn sync_data(&mut self) -> io::Result<()> {
@@ -67,22 +73,27 @@ pub struct TraceWriter {
     ident_len: u32,
     ident_fnv: u64,
     page_buf: Vec<u8>,
+    /// The last sealed page's payload: the EVENTS-stream digest absorbs
+    /// it while the next page's digest is taken, or at `finish`.
+    sealed: Vec<u8>,
     page_events: u32,
     codec: CodecState,
     events_total: u64,
     hash: Fnv1a,
+    /// The EVENTS-stream digest of every byte written but `sealed`.
     events_fnv: Fnv1a,
     checkpoints: Vec<(u64, u64)>,
-    /// Durable-flush cadence: flush the OS-visible file after every this
-    /// many sealed pages (0 = only at finish). Bounds how much schedule a
-    /// SIGKILL can cost the salvage path.
+    /// Flush cadence: hand the buffered bytes to the OS after every this
+    /// many sealed pages (0 = when the buffer fills, and at finish).
+    /// Bounds how much schedule a SIGKILL can cost the salvage path; only
+    /// `finish` syncs.
     flush_every_pages: u32,
     pages_since_flush: u32,
 }
 
 impl TraceWriter {
     /// Creates `path` (truncating any existing file) and writes the
-    /// provisional header. No identity record, no durable-flush cadence:
+    /// provisional header. No identity record, no flush cadence:
     /// the resulting container is salvageable only once finished.
     pub fn create<P: AsRef<Path>>(path: P) -> Result<TraceWriter, TraceError> {
         TraceWriter::create_on(Box::new(File::create(path)?), None, 0)
@@ -93,8 +104,8 @@ impl TraceWriter {
     /// immediately after the header, and its length/digest are stamped
     /// into the header's identity fields, so a recording that never
     /// reaches [`finish`](TraceWriter::finish) can still be salvaged
-    /// ([`crate::Trace::salvage`]). `flush_every_pages` sets the
-    /// durable-flush cadence (0 = only at finish).
+    /// ([`crate::Trace::salvage`]). `flush_every_pages` sets the flush
+    /// cadence (0 = when the buffer fills, and at finish).
     pub fn create_with_identity<P: AsRef<Path>>(
         path: P,
         ident: &TraceMeta,
@@ -120,7 +131,7 @@ impl TraceWriter {
             Some(b) => (b.len() as u32, fnv_of(b)),
             None => (0, 0),
         };
-        let mut file = BufWriter::new(media);
+        let mut file = BufWriter::with_capacity(BUF_BYTES, media);
         file.write_all(&header_bytes(0, 0, 0, 0, ident_len, ident_fnv))?;
         if let Some(b) = &ident_bytes {
             file.write_all(b)?;
@@ -138,6 +149,7 @@ impl TraceWriter {
             ident_len,
             ident_fnv,
             page_buf: Vec::with_capacity(PAGE_EVENTS * 8),
+            sealed: Vec::with_capacity(PAGE_EVENTS * 8),
             page_events: 0,
             codec: CodecState::default(),
             events_total: 0,
@@ -190,26 +202,25 @@ impl TraceWriter {
         Ok(())
     }
 
-    fn write_stream_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.file.write_all(bytes)?;
-        self.events_fnv.update(bytes);
-        self.written += bytes.len() as u64;
-        Ok(())
-    }
-
+    /// Writes the page: its header (event count, byte length, digest),
+    /// then its payload. One loop takes the page's digest and absorbs the
+    /// previous page's payload into the EVENTS-stream digest, which must
+    /// absorb this page's header, and so its digest, before its payload.
     fn seal_page(&mut self) -> io::Result<()> {
         if self.page_events == 0 {
             return Ok(());
         }
-        let header_count = self.page_events.to_le_bytes();
-        let header_len = (self.page_buf.len() as u32).to_le_bytes();
-        let header_fnv = fnv_of(&self.page_buf).to_le_bytes();
-        self.write_stream_bytes(&header_count)?;
-        self.write_stream_bytes(&header_len)?;
-        self.write_stream_bytes(&header_fnv)?;
-        let payload = std::mem::take(&mut self.page_buf);
-        self.write_stream_bytes(&payload)?;
-        self.page_buf = payload;
+        let mut page = Fnv1a::new();
+        page.update_beside(&self.page_buf, &mut self.events_fnv, &self.sealed);
+        let mut header = [0u8; PAGE_HEADER_LEN];
+        header[..4].copy_from_slice(&self.page_events.to_le_bytes());
+        header[4..8].copy_from_slice(&(self.page_buf.len() as u32).to_le_bytes());
+        header[8..].copy_from_slice(&page.digest().to_le_bytes());
+        self.file.write_all(&header)?;
+        self.file.write_all(&self.page_buf)?;
+        self.events_fnv.update(&header);
+        self.written += (PAGE_HEADER_LEN + self.page_buf.len()) as u64;
+        std::mem::swap(&mut self.page_buf, &mut self.sealed);
         self.page_buf.clear();
         self.page_events = 0;
         // Delta state resets per page so each page decodes independently
@@ -233,6 +244,7 @@ impl TraceWriter {
     /// checkpoint interval the writer actually observed stamped in.
     pub fn finish(mut self, meta: TraceMeta) -> Result<TraceMeta, TraceError> {
         self.seal_page()?;
+        self.events_fnv.update(&self.sealed);
         let meta = TraceMeta {
             event_count: self.events_total,
             schedule_hash: self.hash.digest(),
@@ -345,10 +357,13 @@ impl DiskSink {
     }
 
     /// Creates a **crash-durable** sink: writes the write-ahead identity
-    /// record `ident` at the start of the container and flushes after
-    /// every `flush_every_pages` sealed pages, so a killed recording
-    /// loses at most that many pages plus the unsealed tail (see
-    /// [`crate::Trace::salvage`]).
+    /// record `ident` at the start of the container and hands the file's
+    /// bytes to the OS (a `write`, not a sync) after every
+    /// `flush_every_pages` sealed pages, so a killed process loses at most
+    /// that many pages, the unsealed page and the batch a token holder
+    /// held (≤ 512 events of one tenure; see [`crate::Trace::salvage`]).
+    /// A power loss before [`finish`](DiskSink::finish)'s sync can lose
+    /// more.
     pub fn create_durable<P: AsRef<Path>>(
         path: P,
         ident: &TraceMeta,
@@ -416,16 +431,21 @@ impl DiskSink {
 
 impl TraceSink for DiskSink {
     fn emit(&self, ev: &Event, in_schedule: bool, domain: DomainId) {
-        if !in_schedule {
-            return;
+        if in_schedule {
+            self.emit_all(&[(*ev, true)], domain);
         }
+    }
+
+    fn emit_all(&self, evs: &[(Event, bool)], domain: DomainId) {
         let mut st = self.st.lock();
-        let mut failed = None;
-        if let Some(w) = st.writer.as_mut() {
-            if let Err(e) = w.push_in_domain(ev, domain) {
-                failed = Some((e, w.events(), w.schedule_hash()));
-            }
-        }
+        let Some(w) = st.writer.as_mut() else {
+            return;
+        };
+        let failed = evs
+            .iter()
+            .filter(|(_, s)| *s)
+            .find_map(|(ev, _)| w.push_in_domain(ev, domain).err())
+            .map(|e| (e, w.events(), w.schedule_hash()));
         if let Some((e, events, hash)) = failed {
             // Stop recording but let the run itself continue. The fault
             // is visible immediately (RunReport::fault marks the run's
@@ -449,5 +469,160 @@ impl TraceSink for DiskSink {
 
     fn fault(&self) -> Option<String> {
         self.st.lock().fault.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Cursor;
+    use std::sync::Arc;
+
+    use dmt_api::{MutexId, Tid};
+
+    use super::*;
+    use crate::format::DIR_ENTRY_LEN;
+    use crate::reader::{read_u32, read_u64};
+    use crate::Trace;
+
+    /// In-memory media the test can read back, counting its `write`s.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<(Cursor<Vec<u8>>, u64)>>);
+
+    impl Shared {
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().0.get_ref().clone()
+        }
+
+        fn writes(&self) -> u64 {
+            self.0.lock().1
+        }
+    }
+
+    impl Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut m = self.0.lock();
+            m.1 += 1;
+            m.0.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Seek for Shared {
+        fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+            self.0.lock().0.seek(pos)
+        }
+    }
+
+    impl TraceMedia for Shared {}
+
+    fn ident() -> TraceMeta {
+        TraceMeta {
+            runtime: "consequence-ic".into(),
+            workload: "synthetic".into(),
+            threads: 4,
+            scale: 1,
+            input_seed: 42,
+            heap_pages: 64,
+            max_threads: 64,
+            options_fingerprint: 0xDEAD_BEEF,
+            perturb_seed: 0,
+            perturb_plan: 0,
+            event_count: 0,
+            schedule_hash: 0,
+            commit_log_hash: 0,
+            output_hash: 0,
+            checkpoint_interval: 0,
+            panic_site: 0,
+            panic_victim: 0,
+            panic_nth: 0,
+        }
+    }
+
+    /// Events whose encodings vary in length, so consecutive pages differ
+    /// in length and both tails of the one-pass loop run.
+    fn events(n: u64, seed: u64) -> Vec<Event> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let tid = Tid((x % 5) as u32);
+                if x.is_multiple_of(3) {
+                    Event::MutexLock {
+                        tid,
+                        mutex: MutexId((x >> 40) as u32 % 64),
+                        ticket: i,
+                    }
+                } else {
+                    Event::TokenAcquire {
+                        tid,
+                        clock: i * (x >> 50),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_digest_is_the_fnv_of_the_bytes_it_covers() {
+        let media = Shared::default();
+        let mut w = TraceWriter::create_on(Box::new(media.clone()), Some(&ident()), 2).unwrap();
+        let evs = events(700 + 3 * PAGE_EVENTS as u64 + 64, 7);
+        let (head, tail) = evs.split_at(700);
+        for ev in head {
+            w.push(ev).unwrap();
+        }
+        // Mid-page: seals a short page between full ones.
+        w.checkpoint_now().unwrap();
+        for ev in tail {
+            w.push(ev).unwrap();
+        }
+        w.finish(ident()).unwrap();
+        let bytes = media.bytes();
+
+        let (dir_offset, dir_len) = (read_u64(&bytes, 16), read_u64(&bytes, 24));
+        let dir = &bytes[dir_offset as usize..(dir_offset + dir_len) as usize];
+        let entry = dir
+            .chunks_exact(DIR_ENTRY_LEN)
+            .map(|e| DirEntry::from_bytes(e.try_into().unwrap()))
+            .find(|e| e.id == StreamId::Events as u32)
+            .unwrap();
+        let start = HEADER_LEN as u64 + u64::from(read_u32(&bytes, 48));
+        assert_eq!(entry.offset, start, "the stream starts past the identity");
+        let stream = &bytes[entry.offset as usize..(entry.offset + entry.len) as usize];
+        assert_eq!(entry.fnv, fnv_of(stream), "the EVENTS stream digest");
+
+        let (mut at, mut counts) = (0, Vec::new());
+        while at < stream.len() {
+            let count = read_u32(stream, at);
+            let len = read_u32(stream, at + 4) as usize;
+            let payload = &stream[at + PAGE_HEADER_LEN..at + PAGE_HEADER_LEN + len];
+            assert_eq!(
+                read_u64(stream, at + 8),
+                fnv_of(payload),
+                "page {}",
+                counts.len()
+            );
+            counts.push(count as usize);
+            at += PAGE_HEADER_LEN + len;
+        }
+        assert_eq!(counts, [512, 188, 512, 512, 512, 64]);
+        assert_eq!(Trace::from_bytes(&bytes).unwrap().events, evs);
+    }
+
+    #[test]
+    fn a_flush_cadence_is_one_write() {
+        let media = Shared::default();
+        let mut w = TraceWriter::create_on(Box::new(media.clone()), Some(&ident()), 8).unwrap();
+        let anchor = media.writes();
+        for (i, ev) in events(16 * PAGE_EVENTS as u64, 3).iter().enumerate() {
+            w.push(ev).unwrap();
+            let pages = (i + 1) as u64 / PAGE_EVENTS as u64;
+            assert_eq!(media.writes(), anchor + pages / 8, "after event {i}");
+        }
     }
 }

@@ -211,7 +211,7 @@ const FENCES: &[Fence] = &[
               folds its values into the thread's counters and counts its kind first; an event emitted past it would \
               reach the sink uncounted.",
         roots: &["crates/api/src/report.rs", "crates/core/src", "crates/baselines/src"], scan: All, needles: &["trace.emit(", "emit_aux("],
-        allow: &[("crates/api/src/report.rs", Lines(&["self.trace.emit(ev, in_schedule);"]))],
+        allow: &[("crates/api/src/report.rs", Lines(&["trace.emit(ev, in_schedule);"]))],
         planted: &[("crates/core/src/ctx/token.rs", "self.sh.cfg.trace.emit(Event::Coarsen { tid, clock }, true);"),
                    ("crates/baselines/src/dthreads.rs", "sh.cfg.trace.emit_aux(Event::Update { tid, version, pages });")] },
     Fence { name: "A sink counts nothing",

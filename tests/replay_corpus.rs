@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use dmt_api::trace::Event;
-use dmt_bench::replay::{record_to, replay, replay_file, trace_files};
+use dmt_bench::replay::{record_all, record_to, replay, replay_file, trace_files};
 use dmt_trace::{ReplaySink, Trace, TraceMeta};
 
 /// A unique scratch directory per test, removed on drop.
@@ -262,5 +262,42 @@ fn committed_corpus_replays_clean() {
     for f in files {
         let rep = replay_file(&f).unwrap();
         assert!(rep.ok(), "{} diverged: {}", f.display(), rep.verdict());
+    }
+}
+
+/// A fresh recording writes the committed corpus byte for byte: the four
+/// finished containers, recorded as `stress --record DIR --workloads
+/// histogram,kmeans,word_count --threads 4` records them (`record_all`,
+/// input seed 42, scale 1, and the sharded server at 2 domains of 2
+/// workers). A change to the codec, the writer or the order a sink sees
+/// events in fails here before any replay runs.
+#[test]
+fn a_fresh_recording_is_the_committed_corpus() {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
+    let dir = Scratch::new("corpus");
+    for (workload, runtime) in [
+        ("histogram", "consequence-ic"),
+        ("kmeans", "consequence-rr"),
+        ("word_count", "dwc"),
+    ] {
+        let (_, ok) = record_all(&dir.0, &[runtime], &[workload.to_string()], 4, 1, 42);
+        assert!(ok, "{workload} {runtime} did not record");
+    }
+    let params = dmt_workloads::Params::new(2, 1, 42);
+    let sharded = dir.0.join("dmt_server-sharded-ic-2-t2-s1.dmtrace");
+    dmt_shard::record_server_trace(2, 2, params, &sharded).unwrap();
+    for name in [
+        "histogram-consequence-ic-t4-s1",
+        "kmeans-consequence-rr-t4-s1",
+        "word_count-dwc-t4-s1",
+        "dmt_server-sharded-ic-2-t2-s1",
+    ] {
+        let file = format!("{name}.dmtrace");
+        let fresh = std::fs::read(dir.0.join(&file)).unwrap();
+        let committed = std::fs::read(corpus.join(&file)).unwrap();
+        assert!(
+            fresh == committed,
+            "{file} differs from the committed corpus"
+        );
     }
 }
