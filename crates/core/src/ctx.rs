@@ -14,9 +14,10 @@
 //! `park`, with `wake` for every hand-off to a blocked thread. The
 //! primitives of §4 — [`mutex`], [`cond`], [`barrier`], [`rwlock`],
 //! [`thread`] (spawn / join / exit) — and the containment protocol in
-//! [`abort`] only say what happens to their own state in between. There
-//! is deliberately no `Drop` that releases the token: a thread that dies
-//! mid-section must still hold it when its containment protocol runs.
+//! [`abort`] only say what happens to their own state in between. A
+//! tenure is one [`Tenure`] in `Ctx::tenure`, and no `Drop` releases the
+//! token: a thread that dies mid-section must still hold it, objects and
+//! all, when its containment protocol runs.
 //! This file keeps the context itself, the logical clock (`advance`,
 //! `maybe_publish`), memory operations and the trait dispatch.
 
@@ -54,8 +55,9 @@ pub(crate) struct Ctx<'a> {
     tid: Tid,
     /// Taken at [`Ctx::finish`] (pooled or dropped); always `Some` before.
     ws: Option<Workspace>,
-    /// Channel with which this worker re-pools itself at exit (§3.3);
-    /// `None` for the main thread and for non-pooling configurations.
+    /// Channel with which this worker re-pools itself at exit (§3.3), or
+    /// ends its loop at a quiet one; `None` for the main thread and for
+    /// non-pooling configurations.
     pool_tx: Option<std::sync::mpsc::Sender<Msg>>,
     /// Deterministic logical clock (retired user instructions).
     clock: u64,
@@ -65,21 +67,9 @@ pub(crate) struct Ctx<'a> {
     next_pub: u64,
     ovf: OverflowPolicy,
     coarsen: CoarsenState,
-    /// True between token acquisition and release — including across
+    /// `Some` exactly while this thread holds the token — including across
     /// coarsened synchronization operations.
-    holding_token: bool,
-    /// Whether `commit_and_update` has run since the current token
-    /// acquisition, i.e. the isolated view is current. A coarsened run may
-    /// only begin from a current view (Fig. 6 keeps the first global
-    /// coordination phase whole; only subsequent phases are merged).
-    current_since_acquire: bool,
-    /// Whether the current tenure (one continuous hold of the token) has
-    /// resumed in the clock table (see [`Ctx::end_op`]).
-    tenure_resumed: bool,
-    /// The synchronization objects, while this thread holds the token.
-    objs: Option<Box<Objs>>,
-    /// Logical clock when the token was acquired (coarsening budget).
-    token_start_clock: u64,
+    tenure: Option<Tenure>,
     last_sync_end_clock: u64,
     chunk_start_clock: u64,
     /// `Options::chunk_limit` (§2.7), `u64::MAX` when there is none: a chunk
@@ -102,8 +92,23 @@ pub(crate) struct Ctx<'a> {
     /// The containment teardown decremented `live` and filed reports; a
     /// later quiet pass must not double-count.
     torn_down: bool,
-    /// Threads this token holder has [`Ctx::wake`]d: they need the token,
-    /// so they are unparked when it is released (rule 2 of `Parking`).
+}
+
+/// One continuous hold of the token, and what is only meaningful during it.
+struct Tenure {
+    /// The synchronization objects, which travel with the token.
+    objs: Box<Objs>,
+    /// Whether `commit_and_update` has run since the grant, i.e. the
+    /// isolated view is current. A coarsened run may only begin from a
+    /// current view (Fig. 6 keeps the first global coordination phase
+    /// whole; only subsequent phases are merged).
+    current: bool,
+    /// Whether the tenure has resumed in the clock table (see [`Ctx::end_op`]).
+    resumed: bool,
+    /// Logical clock at the grant (coarsening budget).
+    start_clock: u64,
+    /// Threads this holder has [`Ctx::wake`]d: they need the token, so
+    /// they are unparked when it is released (rule 2 of `Parking`).
     pending: Wakes,
 }
 
@@ -114,15 +119,13 @@ fn raise(e: DmtError) -> ! {
     std::panic::resume_unwind(Box::new(ContainedError(e)))
 }
 
-/// The objects a token holder carries ([`Ctx::objs`]).
-// INVARIANT: `Ctx::objs` is `Some` exactly while the thread holds the
-// token (`acquire_token` takes the objects with it, `release` puts them
-// back), and only a protocol step under the token touches them.
+/// The tenure of a token holder ([`Ctx::tenure`]).
+// INVARIANT: only a protocol step under the token calls this, and
+// `Ctx::tenure` is `Some` from the grant until the release.
 #[allow(clippy::expect_used)]
 #[inline]
-fn carried(objs: &mut Option<Box<Objs>>) -> &mut Objs {
-    objs.as_deref_mut()
-        .expect("the objects travel with the token")
+fn tenure(t: &mut Option<Tenure>) -> &mut Tenure {
+    t.as_mut().expect("the tenure of a token holder")
 }
 
 /// [`raise`]s the error of a fallible protocol path.
@@ -159,11 +162,7 @@ impl<'a> Ctx<'a> {
             next_pub,
             ovf,
             coarsen,
-            holding_token: false,
-            current_since_acquire: false,
-            tenure_resumed: false,
-            objs: None,
-            token_start_clock: clock,
+            tenure: None,
             last_sync_end_clock: clock,
             chunk_start_clock: clock,
             chunk_limit,
@@ -172,7 +171,6 @@ impl<'a> Ctx<'a> {
             inject_counts: [0; PanicSite::ALL.len()],
             suppress_inject: false,
             torn_down: false,
-            pending: Wakes::default(),
         }
     }
 
@@ -314,7 +312,7 @@ impl<'a> Ctx<'a> {
             self.next_pub = u64::MAX;
             return;
         }
-        if self.holding_token {
+        if self.tenure.is_some() {
             // Nobody can pass the token order while we hold the token;
             // defer publication to the end of the coarsened chunk.
             self.next_pub = self.clock.saturating_add(self.ovf.interval().max(1));

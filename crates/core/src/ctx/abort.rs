@@ -1,51 +1,56 @@
 //! Containment: what a thread does when its job panics (or a protocol
 //! error unwinds it) instead of tearing the process down.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use det_clock::ThreadState;
 use dmt_api::trace::Event;
 use dmt_api::{CondId, ContainedError, DmtError, DmtResult, MutexId, RwLockId, Tid};
 
-use super::{carried, Ctx};
+use super::{tenure, Ctx};
+use crate::shared::Msg;
+
+/// What an unwind caught at the thread boundary says, or `None` for a
+/// [`DmtError::Shutdown`].
+fn contained(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    Some(if let Some(c) = payload.downcast_ref::<ContainedError>() {
+        if c.0 == DmtError::Shutdown {
+            return None;
+        }
+        c.0.to_string()
+    } else if let Some(ip) = payload.downcast_ref::<dmt_api::InjectedPanic>() {
+        ip.to_string()
+    } else if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic (non-string payload)".to_string()
+    })
+}
 
 impl Ctx<'_> {
-    /// Runs `job` inside the thread's panic boundary, then the exit
-    /// protocol — or, if the job unwound, containment: the dying thread
-    /// departs the clock, releases or reclaims the token, poisons what it
-    /// held and wakes joiners, all under the token, instead of tearing the
-    /// process down.
+    /// Runs `job` inside the thread's panic boundary, then, inside it too
+    /// (a sink can unwind in a release), the protocol that ends the thread:
+    /// the exit protocol, or, if the job unwound, containment — the dying
+    /// thread departs the clock, releases or reclaims the token, poisons
+    /// what it held and wakes joiners, all under the token, instead of
+    /// tearing the process down. A [`DmtError::Shutdown`] unwind takes the
+    /// quiet path (the watchdog already owns the diagnosis and the schedule
+    /// is being abandoned), and so does a protocol that fails (a double
+    /// panic, or a shutdown racing in): the thread retires exactly once.
     pub(crate) fn run_job(mut self, job: impl FnOnce(&mut Ctx)) {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut self))) {
-            Ok(()) => self.finish(),
-            Err(payload) => self.dispatch_panic(payload),
-        }
-    }
-
-    /// Classifies a caught unwind payload from the thread boundary and
-    /// contains it. [`DmtError::Shutdown`] unwinds take the quiet path —
-    /// the watchdog already owns the diagnosis and the schedule is being
-    /// abandoned; everything else runs the deterministic containment
-    /// protocol under the token, and if that protocol itself fails (double
-    /// panic, or a shutdown racing in), degrades to the quiet teardown so
-    /// the thread always retires exactly once.
-    fn dispatch_panic(mut self, payload: Box<dyn std::any::Any + Send>) {
-        let msg = if let Some(c) = payload.downcast_ref::<ContainedError>() {
-            if c.0 == DmtError::Shutdown {
-                return self.abort_quiet();
+        let ended = match catch_unwind(AssertUnwindSafe(|| job(&mut self))) {
+            Ok(()) => catch_unwind(AssertUnwindSafe(|| self.finish())),
+            Err(payload) => {
+                let Some(msg) = contained(&*payload) else {
+                    return self.abort_quiet();
+                };
+                self.suppress_inject = true;
+                catch_unwind(AssertUnwindSafe(|| self.abort_protocol(&msg)))
             }
-            c.0.to_string()
-        } else if let Some(ip) = payload.downcast_ref::<dmt_api::InjectedPanic>() {
-            ip.to_string()
-        } else if let Some(s) = payload.downcast_ref::<&'static str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "panic (non-string payload)".to_string()
         };
-        self.suppress_inject = true;
-        let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.abort_protocol(&msg)));
-        if !matches!(outcome, Ok(Ok(()))) {
+        if !matches!(ended, Ok(Ok(()))) {
             self.abort_quiet();
         }
     }
@@ -57,7 +62,7 @@ impl Ctx<'_> {
     /// of the deterministic schedule and reproduces bit-for-bit when the
     /// same panic recurs.
     fn abort_protocol(&mut self, msg: &str) -> DmtResult<()> {
-        if !self.holding_token {
+        if self.tenure.is_none() {
             self.sync_prologue();
             self.acquire_token()?;
         }
@@ -71,14 +76,14 @@ impl Ctx<'_> {
             clock: self.clock,
         });
         let by = self.tid;
-        inner.purge_quiet_exits(carried(&mut self.objs));
+        inner.purge_quiet_exits(&mut tenure(&mut self.tenure).objs);
 
         // Poison every mutex we own. Queued waiters are drained FIFO —
         // the order a healthy unlock sequence would have granted in —
         // and condvar waiters that released a now-poisoned mutex can
         // never legally reacquire it, so they get the owner-died error.
-        for i in 0..carried(&mut self.objs).mutexes.len() {
-            let mst = &mut carried(&mut self.objs).mutexes[i];
+        for i in 0..tenure(&mut self.tenure).objs.mutexes.len() {
+            let mst = &mut tenure(&mut self.tenure).objs.mutexes[i];
             if mst.owner != Some(by) {
                 continue;
             }
@@ -89,9 +94,9 @@ impl Ctx<'_> {
             for w in drained {
                 self.wake(&mut inner, w, Some(DmtError::MutexPoisoned { mutex, by }));
             }
-            for ci in 0..carried(&mut self.objs).conds.len() {
+            for ci in 0..tenure(&mut self.tenure).objs.conds.len() {
                 let cond = CondId(ci as u32);
-                let waiters = &mut carried(&mut self.objs).conds[ci].waiters;
+                let waiters = &mut tenure(&mut self.tenure).objs.conds[ci].waiters;
                 let (dead, alive) = std::mem::take(waiters)
                     .into_iter()
                     .partition(|(_, wm)| *wm == mutex);
@@ -106,9 +111,9 @@ impl Ctx<'_> {
         // Poison rwlocks we hold exclusively. A dying *reader* cannot have
         // torn the data: its holds are dropped without poison, and the
         // last one hands off to the queue head like any read-unlock.
-        for i in 0..carried(&mut self.objs).rwlocks.len() {
+        for i in 0..tenure(&mut self.tenure).objs.rwlocks.len() {
             let lock = RwLockId(i as u32);
-            let st = &mut carried(&mut self.objs).rwlocks[i];
+            let st = &mut tenure(&mut self.tenure).objs.rwlocks[i];
             if st.writer == Some(by) {
                 st.writer = None;
                 st.poisoned = Some(by);
@@ -167,8 +172,9 @@ impl Ctx<'_> {
     /// leaves quietly puts its own back first) and queued for the holder
     /// that carries them otherwise. It hands nothing off itself (that
     /// needs the token): what the thread held exclusively, or as the last
-    /// reader, stays stranded.
-    pub(super) fn abort_quiet(mut self) {
+    /// reader, stays stranded. A worker that leaves this way is not
+    /// re-pooled: it ends its loop.
+    pub(super) fn abort_quiet(&mut self) {
         if self.torn_down {
             return;
         }
@@ -178,18 +184,17 @@ impl Ctx<'_> {
         // What the thread held of its tenure reaches the sink before the
         // token can pass on.
         self.led.deliver();
-        if inner.token == Some(me) {
-            inner.token = None;
-            inner.put_objs(self.objs.take());
-        }
-        match inner.objs.as_deref_mut() {
+        self.end_tenure(&mut inner);
+        match inner.token.as_deref_mut() {
             Some(objs) => objs.purge(me),
             None => inner.quiet_exits.push(me),
         }
-        self.holding_token = false;
         self.mark_exited(&mut inner, Some("shutdown"));
         if self.ws.take().is_some() {
             sh.seg.detach(me);
+        }
+        if let Some(tx) = self.pool_tx.take() {
+            let _ = tx.send(Msg::Shutdown);
         }
         self.retire(&mut inner);
         inner.wakes.all = true;

@@ -4,7 +4,7 @@ use dmt_api::trace::Event;
 use dmt_api::{CondId, DmtResult, MutexId};
 
 use super::token::ParkOrder;
-use super::{carried, Ctx};
+use super::{tenure, Ctx};
 
 impl Ctx<'_> {
     /// Fallible condition wait. Fails with [`DmtError::CondOwnerDied`]
@@ -21,7 +21,7 @@ impl Ctx<'_> {
         // commits before it releases the mutex and queues.
         self.park(ParkOrder::CommitThenDepart, |me, inner| {
             let _ = me.unlock_state(Some(inner), m);
-            carried(&mut me.objs).conds[c.index()]
+            tenure(&mut me.tenure).objs.conds[c.index()]
                 .waiters
                 .push_back((me.tid, m));
             me.led.emit(Event::CondWait {
@@ -45,9 +45,10 @@ impl Ctx<'_> {
         let mut inner = sh.lock();
         let mut first = None;
         let mut woken = 0u32;
-        inner.purge_quiet_exits(carried(&mut self.objs));
+        inner.purge_quiet_exits(&mut tenure(&mut self.tenure).objs);
         while all || woken == 0 {
-            let Some((w, _)) = carried(&mut self.objs).conds[c.index()].waiters.pop_front() else {
+            let waiters = &mut tenure(&mut self.tenure).objs.conds[c.index()].waiters;
+            let Some((w, _)) = waiters.pop_front() else {
                 break;
             };
             self.wake(&mut inner, w, None);

@@ -4,7 +4,7 @@ use dmt_api::trace::Event;
 use dmt_api::{DmtError, DmtResult, MutexId, PanicSite};
 
 use super::token::ParkOrder;
-use super::{carried, Ctx};
+use super::{tenure, Ctx};
 use crate::shared::Inner;
 
 impl Ctx<'_> {
@@ -30,7 +30,7 @@ impl Ctx<'_> {
         self.sync_prologue();
         loop {
             let fresh = self.acquire_token()?;
-            let mst = &mut carried(&mut self.objs).mutexes[m.index()];
+            let mst = &mut tenure(&mut self.tenure).objs.mutexes[m.index()];
             if let Some(by) = mst.poisoned {
                 // Leave cleanly: publish buffered stores (a coarsened
                 // chunk may hold deferred commits) and release.
@@ -74,7 +74,7 @@ impl Ctx<'_> {
             // we released inside a coarsened chunk), then queue on the
             // lock and depart (Fig. 7 lines 10-13).
             self.park(ParkOrder::CommitThenDepart, |me, _| {
-                carried(&mut me.objs).mutexes[m.index()]
+                tenure(&mut me.tenure).objs.mutexes[m.index()]
                     .waiters
                     .push_back(me.tid);
                 me.led.emit(Event::MutexBlock {
@@ -90,7 +90,7 @@ impl Ctx<'_> {
     /// mutex has waiters: popping a queue applies the purges of threads
     /// that left quietly first. Returns whether a waiter was woken.
     pub(super) fn unlock_state(&mut self, inner: Option<&mut Inner>, m: MutexId) -> bool {
-        let objs = carried(&mut self.objs);
+        let objs = &mut tenure(&mut self.tenure).objs;
         let mst = &mut objs.mutexes[m.index()];
         assert_eq!(
             mst.owner,
@@ -125,7 +125,7 @@ impl Ctx<'_> {
         self.sync_prologue();
         self.acquire_token_or_raise();
         let sh = self.sh;
-        let queued = !carried(&mut self.objs).mutexes[m.index()]
+        let queued = !tenure(&mut self.tenure).objs.mutexes[m.index()]
             .waiters
             .is_empty();
         let mut inner = queued.then(|| sh.lock());

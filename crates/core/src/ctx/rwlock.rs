@@ -7,14 +7,14 @@ use dmt_api::trace::Event;
 use dmt_api::{DmtError, RwLockId, Tid};
 
 use super::token::ParkOrder;
-use super::{carried, or_raise, raise, Ctx};
+use super::{or_raise, raise, tenure, Ctx};
 use crate::shared::Inner;
 
 impl Ctx<'_> {
     /// Gives `tid` a hold on `l`. The grant is a schedule event of the token
     /// holder's turn, whether it grants to itself or hands off.
     fn rw_grant(&mut self, lock: RwLockId, tid: Tid, writer: bool) {
-        let st = &mut carried(&mut self.objs).rwlocks[lock.index()];
+        let st = &mut tenure(&mut self.tenure).objs.rwlocks[lock.index()];
         if writer {
             st.writer = Some(tid);
         } else {
@@ -29,7 +29,7 @@ impl Ctx<'_> {
     /// has applied the queued purges.
     pub(super) fn rw_wake_head(&mut self, inner: &mut Inner, l: RwLockId) {
         loop {
-            let st = &mut carried(&mut self.objs).rwlocks[l.index()];
+            let st = &mut tenure(&mut self.tenure).objs.rwlocks[l.index()];
             let Some(&(w, is_writer)) = st.waiters.front() else {
                 return;
             };
@@ -58,8 +58,9 @@ impl Ctx<'_> {
         self.acquire_token_or_raise();
         // Whether the queue is empty counts the threads that left quietly
         // as gone.
-        self.sh.lock().purge_quiet_exits(carried(&mut self.objs));
-        let st = &mut carried(&mut self.objs).rwlocks[l.index()];
+        let objs = &mut tenure(&mut self.tenure).objs;
+        self.sh.lock().purge_quiet_exits(objs);
+        let st = &mut objs.rwlocks[l.index()];
         if let Some(by) = st.poisoned {
             self.commit_and_leave(true);
             raise(DmtError::RwLockPoisoned { lock: l, by });
@@ -70,7 +71,7 @@ impl Ctx<'_> {
             return;
         }
         or_raise(self.park(ParkOrder::DepartThenCommit, |me, _| {
-            carried(&mut me.objs).rwlocks[l.index()]
+            tenure(&mut me.tenure).objs.rwlocks[l.index()]
                 .waiters
                 .push_back((me.tid, writer))
         }));
@@ -89,8 +90,8 @@ impl Ctx<'_> {
         self.acquire_token_or_raise();
         let sh = self.sh;
         let mut inner = sh.lock();
-        inner.purge_quiet_exits(carried(&mut self.objs));
-        let st = &mut carried(&mut self.objs).rwlocks[l.index()];
+        inner.purge_quiet_exits(&mut tenure(&mut self.tenure).objs);
+        let st = &mut tenure(&mut self.tenure).objs.rwlocks[l.index()];
         if writer {
             assert_eq!(
                 st.writer,

@@ -186,16 +186,14 @@ impl Ctx<'_> {
     }
 
     /// Exit protocol: final commit, then [`Ctx::exit_under_token`].
-    pub(crate) fn finish(mut self) {
+    pub(super) fn finish(&mut self) -> DmtResult<()> {
         // Teardown runs protocol steps (commit, token ops) that double as
         // injection sites; firing here would unwind out of a consumed
         // context, so the exit protocol is injection-free.
         self.suppress_inject = true;
         self.sync_prologue();
-        if self.acquire_token().is_err() {
-            // Watchdog shutdown raced our exit: leave quietly.
-            return self.abort_quiet();
-        }
+        // A watchdog shutdown that races the exit leaves quietly.
+        self.acquire_token()?;
         self.commit_and_update();
         let sh = self.sh;
         let mut inner = sh.lock();
@@ -204,5 +202,6 @@ impl Ctx<'_> {
             clock: self.clock,
         });
         self.exit_under_token(&mut inner, None);
+        Ok(())
     }
 }

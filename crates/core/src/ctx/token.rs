@@ -22,8 +22,8 @@ use det_clock::OrderPolicy;
 use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, Row, ThreadCtx, Tid};
 
-use super::{or_raise, Ctx};
-use crate::shared::{Held, Inner};
+use super::{or_raise, tenure, Ctx, Tenure};
+use crate::shared::{Held, Inner, Wakes};
 
 /// When a parking thread publishes its buffered stores.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl<'a> Ctx<'a> {
         // a cheap user-space read inside a coarsened chunk (§3.4).
         // Round-robin ordering needs no instruction counters at all.
         if self.sh.opts.order == OrderPolicy::InstructionCount {
-            let read = if self.holding_token && self.sh.opts.user_counter_read {
+            let read = if self.tenure.is_some() && self.sh.opts.user_counter_read {
                 self.cost.counter_read_user
             } else {
                 self.cost.counter_read_kernel
@@ -70,7 +70,7 @@ impl<'a> Ctx<'a> {
         }
         let chunk_len = self.clock - self.last_sync_end_clock;
         self.coarsen.thread_est.update(chunk_len);
-        if self.holding_token {
+        if self.tenure.is_some() {
             return Ok(false);
         }
         // Pre-token-acquire delay: the thread is slow to arrive at the
@@ -87,33 +87,32 @@ impl<'a> Ctx<'a> {
         // Our arrival published a bound; the head waiter may have become
         // eligible.
         inner.wake_successor(self.tid);
-        loop {
+        // The synchronization objects travel with the token.
+        let objs = loop {
             if inner.shutdown {
                 return Err(DmtError::Shutdown);
             }
-            if inner.token.is_none()
-                && (inner.table.eligible(self.tid)
+            let Inner { token, table, .. } = &mut *inner;
+            if let Some(objs) = token.take_if(|_| {
+                table.eligible(self.tid)
                     // Deliberate determinism bug for `stress --inject-bug`
                     // (Options::inject_eligibility_bug): grab a free token
                     // without the eligibility check, letting physical
                     // arrival order leak into the schedule — the bug class
                     // where one clockDepart/publication update is missed.
-                    || sh.opts.inject_eligibility_bug)
-            {
-                break;
+                    || sh.opts.inject_eligibility_bug
+            }) {
+                break objs;
             }
             // A wait that never ends is a runtime bug, not a program bug:
             // the watchdog (`runtime::diagnose`) reports it.
             self.doze(&mut inner);
             self.led.cnt.token_wake_loops += 1;
-        }
-        inner.token = Some(self.tid);
-        // The synchronization objects travel with the token.
+        };
         debug_assert!(
             inner.quiet_exits.is_empty(),
             "purges queued on free objects"
         );
-        self.objs = inner.objs.take();
         // Logical-progress signal for the watchdog: grants are the pulse.
         inner.grant_seq += 1;
         // The tenure's events reach the sink at its release, in one call.
@@ -144,16 +143,19 @@ impl<'a> Ctx<'a> {
             });
             self.clock = inner.last_release_clock;
         }
+        self.tenure = Some(Tenure {
+            objs,
+            current: false,
+            resumed: false,
+            start_clock: self.clock,
+            pending: Wakes::default(),
+        });
         // Coarsening budget adaptation (§3.1, multiplicative up/down).
         let same = inner.last_entrant.replace(self.tid) == Some(self.tid);
         if self.sh.opts.coarsening {
             self.coarsen.adapt(same);
         }
         drop(inner);
-        self.holding_token = true;
-        self.current_since_acquire = false;
-        self.tenure_resumed = false;
-        self.token_start_clock = self.clock;
         self.ovf.chunk_start();
         Ok(true)
     }
@@ -165,18 +167,15 @@ impl<'a> Ctx<'a> {
     /// runtimes batch thread creation (otherwise every create would wait
     /// a full rotation behind freshly started workers).
     pub(super) fn release(&mut self, inner: &mut Held<'_>, advance_rr: bool) {
-        debug_assert_eq!(inner.token, Some(self.tid), "token not held");
         self.led.emit(Event::TokenRelease {
             tid: self.tid,
             clock: self.clock,
         });
         // Before the next holder can emit: the sink sees tenures in token
-        // order.
+        // order. A sink that unwinds here leaves the tenure to `abort_quiet`.
         self.led.deliver();
         self.led.charge(Row::lib, self.cost.token_op);
-        inner.token = None;
-        debug_assert!(self.objs.is_some(), "a holder without the objects");
-        inner.put_objs(self.objs.take());
+        self.end_tenure(inner);
         inner.last_release_clock = self.clock;
         inner.last_release_v = self.led.v();
         if advance_rr
@@ -185,14 +184,22 @@ impl<'a> Ctx<'a> {
         {
             inner.table.rr_advance(self.led.v());
         }
-        self.holding_token = false;
-        // The threads we woke under the token can use their wake now.
-        inner.wakes.take(&mut self.pending);
         // Hand off to the unique deterministic successor. A publication
         // that makes the head waiter eligible runs the same rule in its own
         // lock section, so whichever of the two comes later sees both the
         // free token and the crossing: no eligible waiter is left asleep.
         inner.wake_successor(self.tid);
+    }
+
+    /// Ends the tenure, as only [`Ctx::release`] and `abort_quiet` do: the
+    /// token is free, its objects home, purged, and the threads the holder
+    /// woke under it can use their wake now.
+    pub(super) fn end_tenure(&mut self, inner: &mut Held<'_>) {
+        if let Some(mut t) = self.tenure.take() {
+            inner.purge_quiet_exits(&mut t.objs);
+            inner.token = Some(t.objs);
+            inner.wakes.take(&mut t.pending);
+        }
     }
 
     /// Ends a token section whose commit (if any) already happened: resume
@@ -221,7 +228,6 @@ impl<'a> Ctx<'a> {
     /// Commits dirty pages and pulls remote versions (Fig. 7 line 6:
     /// `convCommitAndUpdateMem`). Requires the token.
     pub(super) fn commit_and_update(&mut self) {
-        debug_assert!(self.holding_token);
         // Seeded panic injection: a thread dying mid-protocol while
         // holding the token is the hardest containment case.
         self.maybe_inject_panic(PanicSite::Commit);
@@ -255,7 +261,7 @@ impl<'a> Ctx<'a> {
         });
         self.collect();
         self.start_chunk();
-        self.current_since_acquire = true;
+        tenure(&mut self.tenure).current = true;
     }
 
     /// The collector step of every path that installs versions — this
@@ -264,7 +270,6 @@ impl<'a> Ctx<'a> {
     /// path (§2.5, Fig. 12), so its work is charged like any other commit
     /// bookkeeping. Requires the token, and the runtime lock not held.
     pub(super) fn collect(&mut self) {
-        debug_assert!(self.holding_token);
         let gr = self.sh.seg.gc(self.sh.cfg.gc_budget);
         self.led
             .charge(Row::commit, gr.spent() as u64 * self.cost.gc_version);
@@ -289,13 +294,14 @@ impl<'a> Ctx<'a> {
     /// so no grant's virtual time can tell the two histories apart.
     pub(super) fn end_op(&mut self, predicted_next: u64) {
         if self.sh.opts.coarsening {
-            let consumed = self.clock.saturating_sub(self.token_start_clock);
+            let t = tenure(&mut self.tenure);
+            let consumed = self.clock.saturating_sub(t.start_clock);
             if self.coarsen.should_retain(consumed, predicted_next) {
                 self.last_sync_end_clock = self.clock;
                 // A coarsened run must begin from a current view: commit
                 // and update once at its first coordination phase, then
                 // skip coordination for the merged phases that follow.
-                if !self.current_since_acquire {
+                if !t.current {
                     self.commit_and_update();
                 }
                 self.led.emit(Event::Coarsen {
@@ -304,8 +310,7 @@ impl<'a> Ctx<'a> {
                 });
                 // We still hold the token, so no waiter can proceed:
                 // nobody to wake.
-                if !self.tenure_resumed {
-                    self.tenure_resumed = true;
+                if !std::mem::replace(&mut tenure(&mut self.tenure).resumed, true) {
                     self.sh
                         .lock()
                         .table
@@ -358,7 +363,7 @@ impl<'a> Ctx<'a> {
         st.wake_err = err;
         let saved = st.saved_clock;
         inner.table.reactivate(w, saved, self.led.v());
-        self.pending.push(w);
+        tenure(&mut self.tenure).pending.push(w);
     }
 
     /// Removes this thread from GMIC consideration (`clockDepart`,

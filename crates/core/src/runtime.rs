@@ -144,17 +144,16 @@ impl Runtime for ConsequenceRuntime {
         let (ws, _mapped) = sh.seg.new_workspace(Tid::MAIN);
         Ctx::new(&sh, Tid::MAIN, ws, 0, 0, None).run_job(|ctx| main(ctx));
 
-        // Wait for every spawned thread to finish — and, when pooling, for
-        // every worker to park itself back in the pool — then shut down.
-        // On watchdog shutdown, blocked threads unwind as they observe the
+        // Wait for every spawned thread to finish — a pooled worker parks
+        // itself back in the pool before it retires, and one that leaves
+        // quietly ends its loop — then shut down. On watchdog shutdown, blocked threads unwind as they observe the
         // flag; threads in pure compute can never observe it, so after a
         // bounded grace period they are abandoned (handles not joined).
         let (closed, threads, fault, panics, stuck) = {
             let mut inner = sh.lock();
             let mut grace = 0u32;
             let mut stuck = false;
-            while inner.live > 0 || (sh.opts.thread_pool && inner.pool.len() < inner.handles.len())
-            {
+            while inner.live > 0 {
                 let poll = inner.shutdown.then_some(Duration::from_millis(100));
                 if inner.wait(Tid::MAIN, poll) {
                     grace += 1;
@@ -286,10 +285,11 @@ fn watchdog_loop(sh: Arc<Shared>, stall_ms: u64, stopped: Receiver<()>) {
 fn diagnose(inner: &Inner, cause: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "[conseq] watchdog: {cause}");
+    let holder = inner.last_entrant.filter(|_| inner.token.is_none());
     let _ = writeln!(
         s,
-        "[conseq] token={:?} last_entrant={:?} grants={} live={}",
-        inner.token, inner.last_entrant, inner.grant_seq, inner.live
+        "[conseq] token={holder:?} last_entrant={:?} grants={} live={}",
+        inner.last_entrant, inner.grant_seq, inner.live
     );
     let _ = writeln!(
         s,
@@ -314,10 +314,10 @@ fn diagnose(inner: &Inner, cause: &str) -> String {
             t.joiners
         );
     }
-    match (&inner.objs, inner.token) {
-        (Some(objs), _) => census_objs(&mut s, objs),
+    match &inner.token {
+        Some(objs) => census_objs(&mut s, objs),
         // Only the token holder that carries them may read them.
-        (None, holder) => {
+        None => {
             let holder = holder.map_or("nobody".into(), |t| format!("t{}", t.0));
             let _ = writeln!(s, "[conseq]   sync objects carried by {holder}");
         }

@@ -62,9 +62,9 @@ pub(crate) struct RwSt {
 
 /// The mutexes, condition variables and rwlocks: the state a token holder
 /// reads and changes, and nobody else. They travel with the token: they
-/// sit in [`Inner::objs`] while it is free and in the holder's `Ctx` while
-/// it is held (`Ctx::acquire_token` takes them, `Ctx::release` puts them
-/// back), so an operation on them takes no lock.
+/// sit in [`Inner::token`] while it is free and in the holder's `Tenure`
+/// while it is held (`Ctx::acquire_token` takes them, `Ctx::release` puts
+/// them back), so an operation on them takes no lock.
 #[derive(Debug, Default)]
 pub(crate) struct Objs {
     pub mutexes: Vec<MutexSt>,
@@ -199,7 +199,7 @@ pub(crate) struct PoolEntry {
 /// Lock-protected mutable runtime state.
 ///
 /// Two things protect the runtime's state. The runtime lock protects
-/// everything here: the clock table, the token's owner, the per-thread
+/// everything here: the clock table, the free token, the per-thread
 /// wake flags, the barriers, the pool and the run's bookkeeping — all of
 /// which threads that do not hold the token read or change too (a
 /// publication, an arrival, a sleeper's predicate, the watchdog). The
@@ -208,16 +208,16 @@ pub(crate) struct PoolEntry {
 /// or rwlock, so these move with it instead of being locked.
 pub(crate) struct Inner {
     pub table: SchedTable,
-    pub token: Option<Tid>,
+    /// The token while it is free, with the synchronization objects it
+    /// carries; `None` while a thread holds it.
+    pub token: Option<Box<Objs>>,
     /// Clock of the last thread to release the token (§3.5 fast-forward).
     pub last_release_clock: u64,
     /// Virtual time of the last token release (wake-edge chaining).
     pub last_release_v: u64,
-    /// Previous entrant into global coordination (coarsening MIMD signal).
+    /// Previous entrant into global coordination (coarsening MIMD signal),
+    /// and so the holder while the token is held.
     pub last_entrant: Option<Tid>,
-    /// The synchronization objects while the token is free; `None` while
-    /// its holder carries them.
-    pub objs: Option<Box<Objs>>,
     /// Threads that left quietly while the holder carried the objects:
     /// their purge waits here for the holder, which applies it before it
     /// next pops a queue and when it puts the objects back.
@@ -252,7 +252,7 @@ impl Inner {
     // the token, so the objects are free.
     #[allow(clippy::expect_used)]
     pub fn unstarted_objs(&mut self) -> &mut Objs {
-        self.objs.as_deref_mut().expect("free before run")
+        self.token.as_deref_mut().expect("free before run")
     }
 
     /// Applies the queued purges to the objects a holder carries: before
@@ -261,14 +261,6 @@ impl Inner {
         for t in self.quiet_exits.drain(..) {
             objs.purge(t);
         }
-    }
-
-    /// Takes back the objects a holder carried, purged.
-    pub fn put_objs(&mut self, mut objs: Option<Box<Objs>>) {
-        if let Some(objs) = objs.as_deref_mut() {
-            self.purge_quiet_exits(objs);
-        }
-        self.objs = objs;
     }
 }
 
@@ -399,7 +391,7 @@ impl Held<'_> {
     /// [`successor`](SchedTable::successor).
     #[inline]
     pub fn wake_successor(&mut self, me: Tid) {
-        if self.token.is_some() {
+        if self.token.is_none() {
             return;
         }
         if let Some(w) = self.table.successor().filter(|w| *w != me) {
@@ -525,11 +517,10 @@ impl Shared {
         Arc::new(Shared {
             inner: Mutex::new(Inner {
                 table: SchedTable::with_policy(opts.order, max_t),
-                token: None,
+                token: Some(Box::default()),
                 last_release_clock: 0,
                 last_release_v: 0,
                 last_entrant: None,
-                objs: Some(Box::default()),
                 quiet_exits: Vec::new(),
                 barriers: Vec::new(),
                 threads: Vec::with_capacity(max_t),
@@ -621,7 +612,7 @@ mod tests {
         assert_eq!(woken(&mut inner, 0), [1]);
         // ...never the releaser itself, and nobody while the token is held.
         assert_eq!(woken(&mut inner, 1), []);
-        inner.token = Some(Tid(0));
+        inner.token = None;
         assert_eq!(woken(&mut inner, 0), []);
     }
 

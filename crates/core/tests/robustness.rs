@@ -466,9 +466,6 @@ fn a_quiet_exit_while_the_holder_carries_the_objects_is_not_woken() {
         // Every operation may retain the token: main's tenure lasts until
         // it gives the token up.
         static_coarsen: Some(u64::MAX),
-        // A worker that left quietly never returns to the pool, and the
-        // teardown would wait out its grace period for it.
-        thread_pool: false,
         ..Options::consequence_ic()
     };
     let mut rt = ConsequenceRuntime::new(c, opts);
@@ -692,4 +689,102 @@ fn wakes_pending_at_a_raise_are_delivered() {
     assert!(report.fault.is_none(), "watchdog fired: {:?}", report.fault);
     assert_eq!(report.panics.len(), 4, "{:?}", report.panics);
     assert_eq!((rt.final_u64(0), rt.final_u64(8)), (7, 0));
+}
+
+/// A sink that unwinds on thread t1's first batch of events and, once
+/// that fired and `again` is set, on each of t1's later events.
+#[derive(Default)]
+struct UnwindsOnT1 {
+    again: bool,
+    fired: std::sync::atomic::AtomicBool,
+}
+
+impl dmt_api::TraceSink for UnwindsOnT1 {
+    fn emit(&self, ev: &dmt_api::trace::Event, _: bool, _: dmt_api::DomainId) {
+        use std::sync::atomic::Ordering::SeqCst;
+        if self.again && ev.tid() == Tid(1) && self.fired.load(SeqCst) {
+            panic!("the sink refuses t1's event");
+        }
+    }
+
+    fn emit_all(&self, evs: &[(dmt_api::trace::Event, bool)], _: dmt_api::DomainId) {
+        use std::sync::atomic::Ordering::SeqCst;
+        if evs.iter().any(|(ev, _)| ev.tid() == Tid(1)) && !self.fired.swap(true, SeqCst) {
+            panic!("the sink refuses t1's first batch");
+        }
+    }
+}
+
+/// The child's only tenure is its exit, and the sink unwinds in its
+/// release. The exit falls back to the quiet path, which frees the token:
+/// the joiner and the main thread's later lock take it, and the watchdog
+/// stays quiet.
+#[test]
+fn a_sink_that_unwinds_at_an_exit_release_strands_no_token() {
+    let sink = Arc::new(UnwindsOnT1::default());
+    let c = CommonConfig {
+        trace: TraceHandle::to(sink.clone()),
+        ..cfg()
+    };
+    let opts = Options {
+        watchdog_stall_ms: Some(1_000),
+        ..Options::consequence_ic()
+    };
+    let mut rt = ConsequenceRuntime::new(c, opts);
+    let m = rt.create_mutex();
+    let report = rt.run(Box::new(move |ctx| {
+        let child = ctx.spawn(Box::new(|c| c.tick(100)));
+        let _ = ctx.try_join(child);
+        ctx.mutex_lock(m);
+        ctx.st_u64(0, 7);
+        ctx.mutex_unlock(m);
+    }));
+    assert!(sink.fired.load(std::sync::atomic::Ordering::SeqCst));
+    assert!(report.fault.is_none(), "watchdog fired: {:?}", report.fault);
+    assert_eq!(rt.final_u64(0), 7);
+}
+
+/// Without coarsening the child's first batch is its first lock's release;
+/// the sink unwinds there and again in the containment protocol, so the
+/// pooled worker leaves by the quiet path and is never re-pooled. Nobody
+/// is live then, so no watchdog fires: the run must end by itself. It runs
+/// on a helper thread so a hang fails the test instead of the suite.
+#[test]
+fn a_pooled_worker_that_leaves_quietly_does_not_hang_the_run() {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+
+    let (done, finished) = channel();
+    std::thread::spawn(move || {
+        let sink = Arc::new(UnwindsOnT1 {
+            again: true,
+            ..UnwindsOnT1::default()
+        });
+        let c = CommonConfig {
+            trace: TraceHandle::to(sink.clone()),
+            ..cfg()
+        };
+        let opts = Options {
+            coarsening: false,
+            ..Options::consequence_ic()
+        };
+        assert!(opts.thread_pool);
+        let mut rt = ConsequenceRuntime::new(c, opts);
+        let m = rt.create_mutex();
+        let report = rt.run(Box::new(move |ctx| {
+            ctx.spawn(Box::new(move |c| {
+                c.mutex_lock(m);
+                c.mutex_unlock(m);
+            }));
+            ctx.tick(100);
+        }));
+        let fired = sink.fired.load(std::sync::atomic::Ordering::SeqCst);
+        let _ = done.send((report, fired));
+    });
+    let (report, fired) = finished
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the run ended");
+    assert!(fired);
+    assert!(report.fault.is_none(), "{:?}", report.fault);
+    assert!(report.panics.is_empty(), "{:?}", report.panics);
 }

@@ -230,6 +230,14 @@ const FENCES: &[Fence] = &[
         planted: &[("crates/core/src/ctx/barrier.rs", "self.bd.barrier_wait += self.v - from;"),
                    ("crates/baselines/src/pthreads.rs", "self.v += self.cost.pthread_lock;"),
                    ("crates/api/src/report.rs", "self.v += c;")] },
+    Fence { name: "The tenure is one value",
+        why: "Ctx::tenure (crates/core/src/ctx.rs) is Some exactly while its thread holds the token: it carries the objects and \
+              every field that only a tenure gives meaning, and Inner::token is the free token. A flag, a field or an accessor \
+              beside them would store that fact a second time, where it can disagree.",
+        roots: &["crates/core/src"], scan: All,
+        needles: &[r"\bholding_token\b", "fn carried(", r"\bcurrent_since_acquire\b", r"\btenure_resumed\b", r"\btoken_start_clock\b"],
+        allow: &[], planted: &[("crates/core/src/ctx.rs", "holding_token: bool,"),
+                               ("crates/core/src/ctx.rs", "fn carried(objs: &mut Option<Box<Objs>>) -> &mut Objs {")] },
     Fence { name: "The fences are this table", why: "A fence is a row of this table, not a step in CI.",
         roots: &[".github/workflows"], scan: All, needles: &["grep -rn"], allow: &[],
         planted: &[(".github/workflows/ci.yml", "got=$(grep -rnE 'SeqCst' crates/clock/src || true)")] },
