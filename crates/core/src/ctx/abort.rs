@@ -38,21 +38,29 @@ impl Ctx<'_> {
     /// tearing the process down. A [`DmtError::Shutdown`] unwind takes the
     /// quiet path (the watchdog already owns the diagnosis and the schedule
     /// is being abandoned), and so does a protocol that fails (a double
-    /// panic, or a shutdown racing in): the thread retires exactly once.
+    /// panic, or a shutdown racing in): the thread retires exactly once,
+    /// and its joiners read what ended it — the job's panic, the exit
+    /// protocol's unwind, or a shutdown.
     pub(crate) fn run_job(mut self, job: impl FnOnce(&mut Ctx)) {
-        let ended = match catch_unwind(AssertUnwindSafe(|| job(&mut self))) {
-            Ok(()) => catch_unwind(AssertUnwindSafe(|| self.finish())),
+        let cause = match catch_unwind(AssertUnwindSafe(|| job(&mut self))) {
+            Ok(()) => match catch_unwind(AssertUnwindSafe(|| self.finish())) {
+                Ok(Ok(())) => return,
+                Ok(Err(e)) => (e != DmtError::Shutdown).then(|| e.to_string()),
+                Err(payload) => contained(&*payload),
+            },
             Err(payload) => {
                 let Some(msg) = contained(&*payload) else {
-                    return self.abort_quiet();
+                    return self.abort_quiet(None);
                 };
                 self.suppress_inject = true;
-                catch_unwind(AssertUnwindSafe(|| self.abort_protocol(&msg)))
+                let protocol = catch_unwind(AssertUnwindSafe(|| self.abort_protocol(&msg)));
+                if matches!(protocol, Ok(Ok(()))) {
+                    return;
+                }
+                Some(msg)
             }
         };
-        if !matches!(ended, Ok(Ok(()))) {
-            self.abort_quiet();
-        }
+        self.abort_quiet(cause.as_deref());
     }
 
     /// The deterministic containment protocol (clockDepart for a dying
@@ -173,8 +181,9 @@ impl Ctx<'_> {
     /// that carries them otherwise. It hands nothing off itself (that
     /// needs the token): what the thread held exclusively, or as the last
     /// reader, stays stranded. A worker that leaves this way is not
-    /// re-pooled: it ends its loop.
-    pub(super) fn abort_quiet(&mut self) {
+    /// re-pooled: it ends its loop. Its joiners read `cause`, the message
+    /// of what ended it, or "shutdown" for `None`, a shutdown.
+    pub(super) fn abort_quiet(&mut self, cause: Option<&str>) {
         if self.torn_down {
             return;
         }
@@ -189,7 +198,7 @@ impl Ctx<'_> {
             Some(objs) => objs.purge(me),
             None => inner.quiet_exits.push(me),
         }
-        self.mark_exited(&mut inner, Some("shutdown"));
+        self.mark_exited(&mut inner, Some(cause.unwrap_or("shutdown")));
         if self.ws.take().is_some() {
             sh.seg.detach(me);
         }

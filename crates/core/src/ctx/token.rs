@@ -18,6 +18,7 @@
 //! resumes or departs, except the rwlock, whose acquire departs first
 //! ([`ParkOrder`]) and whose release resumes first (`rwlock::rw_unlock`).
 
+use conversion::GcResult;
 use det_clock::OrderPolicy;
 use dmt_api::trace::Event;
 use dmt_api::{Addr, DmtError, DmtResult, PanicSite, PerturbSite, Row, ThreadCtx, Tid};
@@ -233,16 +234,20 @@ impl<'a> Ctx<'a> {
         self.maybe_inject_panic(PanicSite::Commit);
         // Commit stall: the token holder dawdles before publishing its
         // dirty pages. Holding the token excludes every other committer,
-        // so the stall stretches real and virtual time only.
-        self.led.perturb(PerturbSite::Commit);
+        // so the stall stretches real and virtual time only. The segment
+        // commits, updates and collects in one lock section.
         let sh = self.sh;
-        let cr = sh.seg.commit(self.ws(), None);
+        // INVARIANT: as `Ctx::ws`'s; borrowed beside the ledger here.
+        #[allow(clippy::expect_used)]
+        let ws = self.ws.as_mut().expect("workspace present until finish");
+        let led = &mut self.led;
+        let (cr, ur, gr) = sh
+            .seg
+            .commit_update_collect(ws, sh.cfg.gc_budget, |site| led.perturb(site));
         let c = self.cost.commit_base
             + cr.pages as u64 * self.cost.page_commit
             + cr.merged as u64 * self.cost.page_merge;
         self.led.charge(Row::commit, c);
-        self.led.perturb(PerturbSite::Update);
-        let ur = sh.seg.update(self.ws());
         let u = self.cost.update_base + ur.pages_propagated * self.cost.page_update;
         self.led.charge(Row::update, u);
         // Both run under the token, so commit order and update extents are
@@ -259,18 +264,24 @@ impl<'a> Ctx<'a> {
             version: ur.new_base,
             pages: ur.pages_propagated,
         });
-        self.collect();
+        self.charge_collect(gr);
         self.start_chunk();
         tenure(&mut self.tenure).current = true;
     }
 
-    /// The collector step of every path that installs versions — this
-    /// epilogue and the parallel barrier's installer. Conversion's
-    /// single-threaded collector runs on the installing thread's critical
-    /// path (§2.5, Fig. 12), so its work is charged like any other commit
-    /// bookkeeping. Requires the token, and the runtime lock not held.
+    /// The parallel barrier installer's collector step; the serial
+    /// epilogue's runs inside `Segment::commit_update_collect`. Requires
+    /// the token, and the runtime lock not held.
     pub(super) fn collect(&mut self) {
         let gr = self.sh.seg.gc(self.sh.cfg.gc_budget);
+        self.charge_collect(gr);
+    }
+
+    /// Prices a collector pass of either installer, the one place that
+    /// does. Conversion's single-threaded collector runs on the installing
+    /// thread's critical path (§2.5, Fig. 12), so its work is charged like
+    /// any other commit bookkeeping.
+    fn charge_collect(&mut self, gr: GcResult) {
         self.led
             .charge(Row::commit, gr.spent() as u64 * self.cost.gc_version);
     }

@@ -744,6 +744,38 @@ fn a_sink_that_unwinds_at_an_exit_release_strands_no_token() {
     assert_eq!(rt.final_u64(0), 7);
 }
 
+/// The same exit, read by its joiner: the child's job finished and its
+/// exit release's sink unwound, so the joiner reads that unwind's message,
+/// not a shutdown, which this run never had.
+#[test]
+fn a_joiner_reads_the_unwind_that_ended_an_exit_release() {
+    let sink = Arc::new(UnwindsOnT1::default());
+    let c = CommonConfig {
+        trace: TraceHandle::to(sink.clone()),
+        ..cfg()
+    };
+    let opts = Options {
+        watchdog_stall_ms: Some(1_000),
+        ..Options::consequence_ic()
+    };
+    let mut rt = ConsequenceRuntime::new(c, opts);
+    let joined = Arc::new(std::sync::Mutex::new(None));
+    let out = Arc::clone(&joined);
+    let report = rt.run(Box::new(move |ctx| {
+        let child = ctx.spawn(Box::new(|c| c.tick(100)));
+        *out.lock().unwrap() = Some((child, ctx.try_join(child)));
+    }));
+    assert!(report.fault.is_none(), "watchdog fired: {:?}", report.fault);
+    let (child, joined) = joined.lock().unwrap().take().expect("main joined");
+    assert_eq!(
+        joined,
+        Err(DmtError::ThreadPanicked {
+            tid: child,
+            msg: "the sink refuses t1's first batch".to_string()
+        })
+    );
+}
+
 /// Without coarsening the child's first batch is its first lock's release;
 /// the sink unwinds there and again in the containment protocol, so the
 /// pooled worker leaves by the quiet path and is never re-pooled. Nobody

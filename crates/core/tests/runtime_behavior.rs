@@ -686,7 +686,9 @@ fn the_clock_history_grows_with_grants_not_with_coarsened_operations() {
 /// Now the mutexes travel with the token and a tenure resumes in the clock
 /// table once, so a coarsened pair takes none, and a lock or unlock that
 /// reads its mutex no longer locks to do it: every other count below fell
-/// with it (its values before are beside it, newest first).
+/// with it. Then each serial epilogue (commit, update, collect) took the
+/// segment lock once instead of three times, and every count that runs
+/// one fell by two for each (values before are beside each, newest first).
 #[test]
 fn a_coarsened_mutex_operation_takes_no_lock_section() {
     if !cfg!(debug_assertions) {
@@ -718,22 +720,25 @@ fn a_coarsened_mutex_operation_takes_no_lock_section() {
     };
     // Two grants: the first pair's lock and the unlock after the one lock
     // whose chunk outgrew the budget are fresh; the rest are coarsened.
-    // Before: {(1, 1): 998, (5, 6): 1, (6, 1): 1}, and before that
+    // Each fresh epilogue takes one segment section, not three (commit,
+    // update and collect). Before: {(0, 0): 998, (4, 5): 1, (5, 0): 1},
+    // {(1, 1): 998, (5, 6): 1, (6, 1): 1}, and before that
     // {(2, 2): 998, (6, 8): 1, (8, 2): 1}.
-    let coarsened = Sections::from([((0, 0), 998), ((4, 5), 1), ((5, 0), 1)]);
+    let coarsened = Sections::from([((0, 0), 998), ((2, 3), 1), ((3, 0), 1)]);
     assert_eq!(pairs(Options::consequence_ic()), coarsened);
-    // Before: {(9, 6): 998, (9, 7): 2}, and before that
+    // A fresh lock runs two epilogues and an unlock one. Before:
+    // {(8, 5): 998, (8, 6): 2}, {(9, 6): 998, (9, 7): 2}, and before that
     // {(11, 8): 998, (11, 9): 2}.
-    let fresh = Sections::from([((8, 5), 998), ((8, 6), 2)]);
+    let fresh = Sections::from([((4, 3), 998), ((4, 4), 2)]);
     let no_coarsening = Options::consequence_ic().without("coarsening");
     assert_eq!(pairs(no_coarsening), fresh);
 
     // Main holds `m` and the token (coarsened on `m2`) when it unlocks
-    // `m` to its queued waiter: 5 sections (5, and 7 before). The child's
-    // contended lock takes 13 sections and one more for each sleep: 14
-    // with the one park it cannot avoid (16, and 22 before). How often it
-    // yields or finds a stale permit is the host's timing, so its sleeps
-    // are counted, not bounded.
+    // `m` to its queued waiter: 3 sections (5, 5, and 7 before). The
+    // child's contended lock, three epilogues, takes 7 sections and one
+    // more for each sleep: 8 with the one park it cannot avoid (14, 16,
+    // and 22 before). How often it yields or finds a stale permit is the
+    // host's timing, so its sleeps are counted, not bounded.
     for _ in 0..10 {
         let mut rt = ConsequenceRuntime::new(cfg(), Options::consequence_ic());
         let (m, m2) = (rt.create_mutex(), rt.create_mutex());
@@ -756,8 +761,8 @@ fn a_coarsened_mutex_operation_takes_no_lock_section() {
             ctx.join(child);
         }));
         let (waking, (sections, sleeps)) = *out.lock().unwrap();
-        assert_eq!(waking, 5, "an unlock that wakes its waiter");
-        assert_eq!(sections - sleeps, 13, "a contended lock, {sleeps} sleeps");
+        assert_eq!(waking, 3, "an unlock that wakes its waiter");
+        assert_eq!(sections - sleeps, 7, "a contended lock, {sleeps} sleeps");
     }
 }
 

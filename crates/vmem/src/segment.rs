@@ -274,34 +274,30 @@ impl Segment {
     /// with ROADMAP item 3(a).
     pub fn commit(&self, ws: &mut Workspace, _: Option<Arc<dmt_api::VectorClock>>) -> CommitResult {
         self.perturb.jitter(PerturbSite::Commit, ws.tid());
+        self.inner.lock().commit(ws)
+    }
+
+    /// The serial epilogue in one segment lock section: [`Segment::commit`]
+    /// of `ws`, [`Segment::update`] to whatever is latest then, and
+    /// [`Segment::gc`] with `budget`. `perturb` runs before the segment's
+    /// own stall at each of the two sites, in the order the three calls
+    /// would run them (the caller's perturbation), and both stalls come
+    /// before the lock is taken.
+    pub fn commit_update_collect(
+        &self,
+        ws: &mut Workspace,
+        budget: usize,
+        mut perturb: impl FnMut(PerturbSite),
+    ) -> (CommitResult, UpdateResult, GcResult) {
+        for site in [PerturbSite::Commit, PerturbSite::Update] {
+            perturb(site);
+            self.perturb.jitter(site, ws.tid());
+        }
         let mut inner = self.inner.lock();
-        let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(ws.dirty_count());
-        let mut maps: Vec<DirtyMap> = Vec::with_capacity(ws.dirty_count());
-        let mut merged = 0u32;
-        let mut page_set = Fnv1a::new();
-        ws.take_modified(|d| {
-            let p = d.page;
-            let (page, map, was_merged) = build_page(&inner.latest[p as usize], [d]);
-            merged += was_merged as u32;
-            page_set.update_u64(p as u64);
-            pages.push((p, page));
-            maps.push(map);
-        });
-        if pages.is_empty() {
-            return CommitResult {
-                version: inner.next_id - 1,
-                ..CommitResult::default()
-            };
-        }
-        for (p, page) in &pages {
-            ws.remap(*p, page);
-        }
-        CommitResult {
-            pages: pages.len() as u32,
-            merged,
-            page_set: page_set.digest(),
-            version: inner.install(ws.tid(), pages, &maps),
-        }
+        let cr = inner.commit(ws);
+        let ur = self.update_locked(&inner, ws, None);
+        let gr = self.gc_locked(&mut inner, self.registry.generation(), budget);
+        (cr, ur, gr)
     }
 
     /// Installs pre-merged versions produced by a
@@ -389,6 +385,15 @@ impl Segment {
 
     /// `update_to(upto)`, or with `None` to whatever is latest once the
     /// segment lock is held — one critical section either way.
+    fn update_upto(&self, ws: &mut Workspace, upto: Option<u64>) -> UpdateResult {
+        self.perturb.jitter(PerturbSite::Update, ws.tid());
+        self.update_locked(&self.inner.lock(), ws, upto)
+    }
+
+    /// The body of every update, under the segment lock: replays the
+    /// versions after `ws.base()` up to `upto` (or the latest), counts the
+    /// pages other threads committed in that window, and registers the new
+    /// base for the collector.
     ///
     /// A squashed version replays as the union of every page committed in
     /// its range, and a workspace that updated inside that range already
@@ -397,10 +402,13 @@ impl Segment {
     /// the pages that changed plus a walk of the union. The propagation
     /// count reads the window `ws.base() + 1 ..= upto` of the per-commit
     /// records by index, not by search.
-    fn update_upto(&self, ws: &mut Workspace, upto: Option<u64>) -> UpdateResult {
+    fn update_locked(
+        &self,
+        inner: &SegInner,
+        ws: &mut Workspace,
+        upto: Option<u64>,
+    ) -> UpdateResult {
         assert_eq!(ws.dirty_count(), 0, "update requires a committed workspace");
-        self.perturb.jitter(PerturbSite::Update, ws.tid());
-        let inner = self.inner.lock();
         let upto = upto.unwrap_or(inner.next_id - 1);
         assert!(upto < inner.next_id, "update_to a future version");
         let mut propagated = 0u64;
@@ -451,7 +459,6 @@ impl Segment {
             }
             ws.set_base(upto);
         }
-        drop(inner);
         self.registry.set_base(ws.tid(), ws.base());
         UpdateResult {
             new_base: ws.base(),
@@ -497,7 +504,12 @@ impl Segment {
         // change between the read and the scan makes the early-out snapshot
         // conservative (stale generation → next call rescans), never unsafe.
         let gen = self.registry.generation();
-        let mut inner = self.inner.lock();
+        self.gc_locked(&mut self.inner.lock(), gen, budget)
+    }
+
+    /// The body of every collector pass, under the segment lock; `gen` is
+    /// the registry generation read before the pass's minimum base.
+    fn gc_locked(&self, inner: &mut SegInner, gen: u64, budget: usize) -> GcResult {
         if inner.gc_seen == Some((gen, inner.next_id)) {
             return GcResult::default();
         }
@@ -552,6 +564,38 @@ impl Segment {
 }
 
 impl SegInner {
+    /// The body of [`Segment::commit`]: builds each page `ws` modified on
+    /// the latest one, remaps `ws` onto what it published and installs it.
+    fn commit(&mut self, ws: &mut Workspace) -> CommitResult {
+        let mut pages: Vec<(u32, PageRef)> = Vec::with_capacity(ws.dirty_count());
+        let mut maps: Vec<DirtyMap> = Vec::with_capacity(ws.dirty_count());
+        let mut merged = 0u32;
+        let mut page_set = Fnv1a::new();
+        ws.take_modified(|d| {
+            let p = d.page;
+            let (page, map, was_merged) = build_page(&self.latest[p as usize], [d]);
+            merged += was_merged as u32;
+            page_set.update_u64(p as u64);
+            pages.push((p, page));
+            maps.push(map);
+        });
+        if pages.is_empty() {
+            return CommitResult {
+                version: self.next_id - 1,
+                ..CommitResult::default()
+            };
+        }
+        for (p, page) in &pages {
+            ws.remap(*p, page);
+        }
+        CommitResult {
+            pages: pages.len() as u32,
+            merged,
+            page_set: page_set.digest(),
+            version: self.install(ws.tid(), pages, &maps),
+        }
+    }
+
     /// Publishes `pages` (non-empty, page-sorted), with their write sets
     /// `maps` beside them, as the next version committed by `tid` and
     /// returns its id — the tail of every commit, serial or barrier, so the
@@ -1455,5 +1499,49 @@ mod tests {
         let cr = seg.commit(&mut a, None);
         assert_eq!(cr.version, 0);
         assert_eq!(cr.pages, 0);
+    }
+
+    /// The serial epilogue in one call gives what its three calls give —
+    /// results, commit log, page contents, collector totals — against a
+    /// reader that pins history, and in debug builds (the `dmt_api::sync`
+    /// shim counts) takes one segment lock section where the three took
+    /// three.
+    #[test]
+    fn the_serial_epilogue_is_its_three_calls_in_one_section() {
+        use dmt_api::sync::acquired;
+        let (one, three) = (Segment::new(3, 2), Segment::new(3, 2));
+        let (mut a1, _) = one.new_workspace(Tid(0));
+        let (mut a3, _) = three.new_workspace(Tid(0));
+        let (_pin1, _) = one.new_workspace(Tid(1));
+        let (_pin3, _) = three.new_workspace(Tid(1));
+        let mut sites = Vec::new();
+        for i in 1..=40u64 {
+            let addr = (i % 3) as usize * PAGE_SIZE + 8 * (i % 5) as usize;
+            a1.st_u64(addr, i);
+            a3.st_u64(addr, i);
+            let before = acquired();
+            let got = one.commit_update_collect(&mut a1, 2, |s| sites.push(s));
+            let sections = acquired() - before;
+            let want = (
+                three.commit(&mut a3, None),
+                three.update(&mut a3),
+                three.gc(2),
+            );
+            assert_eq!(got, want, "round {i}");
+            if cfg!(debug_assertions) {
+                assert_eq!(sections, 1, "round {i}");
+            }
+        }
+        assert_eq!(sites.len(), 80);
+        assert!(sites
+            .chunks(2)
+            .all(|c| c == [PerturbSite::Commit, PerturbSite::Update]));
+        assert_eq!(one.log_hash(), three.log_hash());
+        assert_eq!(one.gc_totals(), three.gc_totals());
+        assert_eq!(one.retained_versions(), three.retained_versions());
+        let (mut b1, mut b3) = ([0u8; 3 * PAGE_SIZE], [0u8; 3 * PAGE_SIZE]);
+        one.read_latest(0, &mut b1);
+        three.read_latest(0, &mut b3);
+        assert_eq!(b1, b3);
     }
 }

@@ -129,10 +129,19 @@ const FENCES: &[Fence] = &[
         why: "The commit log folds each published page's write set and the values under it (merge::record_term).",
         roots: EVERYWHERE, scan: All, needles: &["page_digest"], allow: &[], planted: &[("crates/vmem/src/segment.rs", "h = fold(h, page_digest(p));")] },
     Fence { name: "Every installer collects",
-        why: "The serial epilogue and the parallel barrier's installer both collect through Ctx::collect.",
+        why: "Both installers collect: the serial epilogue inside Segment::commit_update_collect, in the lock section of \
+              its commit and update, and the parallel barrier's installer through Ctx::collect; Ctx::charge_collect prices \
+              both passes.",
         roots: &["crates/core/src"], scan: All, needles: &[".gc("],
         allow: &[("crates/core/src/ctx/token.rs", Lines(&["let gr = self.sh.seg.gc(self.sh.cfg.gc_budget);"]))],
         planted: &[("crates/core/src/ctx/barrier.rs", "self.sh.seg.gc(budget);")] },
+    Fence { name: "A page reaches its pool in batches",
+        why: "A page's life takes live's two RMWs and no lock: faults and frees go through the thread's magazine, and \
+              buffers move to and from the tracker's shared pool a batch at a time, in PageTracker::{refill, spill}. A \
+              pool lock per page is a fence per page, under x86-TSO.",
+        roots: &["crates/vmem/src"], scan: NonTest, needles: &["pool.lock()"],
+        allow: &[("crates/vmem/src/page.rs", Lines(&["let mut pool = self.pool.lock();"; 2]))],
+        planted: &[("crates/vmem/src/page.rs", "let got = src.tracker.pool.lock().pop();")] },
     Fence { name: "One replay verdict",
         why: "What \"reproduced\" means is written once, in dmt_trace::Replayed; the per-crate verdicts and the \
               helpers only they used stay gone.",
